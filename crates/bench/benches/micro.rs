@@ -17,7 +17,7 @@ use netshed_features::FeatureExtractor;
 use netshed_monitor::{flow_sample, packet_sample};
 use netshed_predict::{MlrPredictor, Predictor};
 use netshed_queries::{build_query, BoyerMoore, CycleMeter, QueryKind};
-use netshed_sketch::{mix64, H3Hasher, MultiResolutionBitmap};
+use netshed_sketch::{mix64, BitmapGeometry, H3Hasher, MultiResolutionBitmap};
 use netshed_trace::{TraceConfig, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,14 +28,14 @@ fn bench_feature_extraction(c: &mut Criterion) {
     );
     let batch = generator.next_batch();
     let mut group = c.benchmark_group("extract_1000pkt_batch");
-    // Warm: the batch's aggregate-hash side array is cached after the first
+    // Warm: the batch's aggregate-slot side array is cached after the first
     // iteration — the steady state every per-query re-extraction sees.
     group.bench_function("fused_warm", |b| {
         let mut extractor = FeatureExtractor::with_defaults();
         b.iter(|| black_box(extractor.extract(&batch)));
     });
-    // Cold: a fresh packet store per iteration, so the hashes are computed
-    // inside the measured region (the first touch of a batch). The timing
+    // Cold: a fresh packet store per iteration, so the packets are hashed and
+    // located inside the measured region (the first touch of a batch). The timing
     // includes the store rebuild — subtract `store_build` to isolate
     // extraction; `pipeline.rs` reports the already-corrected number.
     let template: Vec<_> = batch.packets.iter().map(|p| p.to_packet()).collect();
@@ -121,6 +121,20 @@ fn bench_sketches(c: &mut Criterion) {
             let mut bitmap = MultiResolutionBitmap::for_cardinality(100_000);
             for i in 0..10_000u64 {
                 bitmap.insert_hash(mix64(i));
+            }
+            black_box(bitmap.estimate())
+        });
+    });
+    // The same 10k items replayed by slot, located once outside the loop —
+    // what a warm extraction pays per packet and aggregate. The difference
+    // to the row above is the locate (`trailing_ones`, `mix64`, mask).
+    let geometry = BitmapGeometry::for_cardinality(100_000);
+    let slots: Vec<u16> = (0..10_000u64).map(|i| geometry.slot(mix64(i))).collect();
+    c.bench_function("multiresolution_bitmap_insert_slot_10k", |b| {
+        b.iter(|| {
+            let mut bitmap = MultiResolutionBitmap::with_geometry(geometry);
+            for &slot in &slots {
+                bitmap.insert_slot(slot);
             }
             black_box(bitmap.estimate())
         });

@@ -6,9 +6,11 @@
 //! Eight measurements:
 //!
 //! 1. **extract**: fused single-pass feature extraction vs the historical
-//!    ten-pass baseline on a 10k-packet batch — warm (aggregate hashes cached
+//!    ten-pass baseline on a 10k-packet batch — warm (aggregate slots cached
 //!    on the batch, the steady state for per-query re-extraction) and cold
-//!    (hashes computed as part of the call, the first touch of a batch).
+//!    (packets hashed and located as part of the call, the first touch of a
+//!    batch) — plus the same comparison on sampled views of ~50 / 200 / 1000
+//!    packets, where the per-call fixed cost shows.
 //! 2. **shedding**: view-based packet/flow sampling vs the clone-based
 //!    baseline, plus a structural check that the view path shares the packet
 //!    store (zero per-packet copies).
@@ -56,8 +58,8 @@ use netshed_queries::{QueryKind, QuerySpec};
 use netshed_service::Daemon;
 use netshed_sketch::H3Hasher;
 use netshed_trace::{
-    decode_batches, decode_batches_shared, encode_batches, Batch, BatchReplay, Bytes, KeepListPool,
-    TraceConfig, TraceGenerator,
+    decode_batches, decode_batches_shared, encode_batches, Batch, BatchReplay, BatchView, Bytes,
+    KeepListPool, TraceConfig, TraceGenerator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,6 +126,15 @@ struct ExtractNumbers {
     tenpass_ns: f64,
     fused_warm_ns: f64,
     fused_cold_ns: f64,
+    small_views: Vec<SmallViewPoint>,
+}
+
+/// One sampled-view size of the extract bench: ns per call, not per packet —
+/// at these sizes the call's fixed cost (fold, reset, estimates) is most of it.
+struct SmallViewPoint {
+    kept: usize,
+    tenpass_ns: f64,
+    fused_ns: f64,
 }
 
 fn bench_extract(iterations: u64) -> ExtractNumbers {
@@ -135,14 +146,14 @@ fn bench_extract(iterations: u64) -> ExtractNumbers {
         black_box(baseline.extract(&batch));
     });
 
-    // Warm: the batch's aggregate-hash side array is cached after the first
+    // Warm: the batch's aggregate-slot side array is cached after the first
     // call, which is exactly the state every per-query re-extraction sees.
     let mut fused = FeatureExtractor::with_defaults();
     let fused_warm_ns = time_ns(iterations, || {
         black_box(fused.extract(&batch));
     });
 
-    // Cold: a fresh packet store per call, so the hash side array is built
+    // Cold: a fresh packet store per call, so the slot side array is built
     // inside the measured region. The packet-vector clone and store
     // construction are not extraction work, so their cost is measured
     // separately and subtracted.
@@ -159,7 +170,35 @@ fn bench_extract(iterations: u64) -> ExtractNumbers {
     });
     let fused_cold_ns = (cold_total_ns - construct_ns).max(0.0);
 
-    ExtractNumbers { packets, tenpass_ns, fused_warm_ns, fused_cold_ns }
+    // Small views: what a query shed to a few percent re-extracts. Eight
+    // views per size, taken in turn, so no call replays the previous one's
+    // bit pattern; the ten-pass side gets them materialized up front (it
+    // takes a `Batch`), which leaves its own clear + merge + hashing timed.
+    let small_views = [50usize, 200, 1000]
+        .into_iter()
+        .map(|target| {
+            let stride = packets / target;
+            let views: Vec<_> = (0..8)
+                .map(|offset| batch.view().filter_indexed(|index, _| index % stride == offset))
+                .collect();
+            let materialized: Vec<Batch> = views.iter().map(BatchView::materialize).collect();
+            let calls = iterations * 8;
+            let mut turn = 0usize;
+            let mut baseline = TenPassExtractor::with_defaults();
+            let tenpass_ns = time_ns(calls, || {
+                black_box(baseline.extract(&materialized[turn % 8]));
+                turn += 1;
+            });
+            let mut fused = FeatureExtractor::with_defaults();
+            let fused_ns = time_ns(calls, || {
+                black_box(fused.extract_view(&views[turn % 8]));
+                turn += 1;
+            });
+            SmallViewPoint { kept: views[0].len(), tenpass_ns, fused_ns }
+        })
+        .collect();
+
+    ExtractNumbers { packets, tenpass_ns, fused_warm_ns, fused_cold_ns, small_views }
 }
 
 struct ShedNumbers {
@@ -250,7 +289,7 @@ fn soa_replay_run(buffer: &Bytes, rate: f64) -> f64 {
 }
 
 /// One steady-state pass over pre-decoded batches: pooled shed, sharded
-/// extraction, merge. With warm aggregate-hash caches and a warmed pool this
+/// extraction, merge. With warm aggregate-slot caches and a warmed pool this
 /// must not touch the heap at all — `bench_data_plane` counts allocations
 /// around the second pass to pin `alloc_per_bin` to zero.
 fn steady_state_pass(
@@ -719,6 +758,16 @@ fn main() {
         extract.tenpass_ns / extract.fused_cold_ns,
     );
 
+    for point in &extract.small_views {
+        eprintln!(
+            "  view of {:>4}: ten-pass {:.0} ns/call | fused {:.0} ns/call ({:.1}x)",
+            point.kept,
+            point.tenpass_ns,
+            point.fused_ns,
+            point.tenpass_ns / point.fused_ns,
+        );
+    }
+
     eprintln!("shedding: view vs clone at rate 0.37 on a 10k-packet batch ...");
     let shed = bench_shedding(iterations);
     eprintln!(
@@ -801,6 +850,21 @@ fn main() {
         scaling.sharded_speedup_4s, scaling.sharded_speedup_4s_basis
     );
 
+    let small_views_json: String = extract
+        .small_views
+        .iter()
+        .map(|point| {
+            format!(
+                "      {{ \"kept\": {}, \"tenpass_ns_per_call\": {:.0}, \
+                 \"fused_ns_per_call\": {:.0}, \"speedup\": {:.2} }}",
+                point.kept,
+                point.tenpass_ns,
+                point.fused_ns,
+                point.tenpass_ns / point.fused_ns
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let registry_points_json: String = registry
         .points
         .iter()
@@ -848,7 +912,8 @@ fn main() {
          \"smoke\": {},\n  \
          \"extract_10k_batch\": {{\n    \"packets\": {},\n    \"tenpass_ns\": {:.1},\n    \
          \"fused_warm_ns\": {:.1},\n    \"fused_cold_ns\": {:.1},\n    \
-         \"speedup_warm\": {:.2},\n    \"speedup_cold\": {:.2}\n  }},\n  \
+         \"speedup_warm\": {:.2},\n    \"speedup_cold\": {:.2},\n    \
+         \"small_views\": [\n{}\n    ]\n  }},\n  \
          \"shedding_10k_batch_rate_0_37\": {{\n    \"packet_view_ns\": {:.1},\n    \
          \"packet_clone_ns\": {:.1},\n    \"flow_view_ns\": {:.1},\n    \
          \"flow_clone_ns\": {:.1},\n    \"view_shares_store\": {},\n    \
@@ -881,6 +946,7 @@ fn main() {
         extract.fused_cold_ns,
         extract.tenpass_ns / extract.fused_warm_ns,
         extract.tenpass_ns / extract.fused_cold_ns,
+        small_views_json,
         shed.packet_view_ns,
         shed.packet_clone_ns,
         shed.flow_view_ns,

@@ -1,9 +1,9 @@
 //! The ten traffic aggregates of Table 3.1.
 //!
-//! The aggregate definitions (and the per-packet [`AggregateHashes`] side
-//! array derived from them) moved into `netshed-trace` so that the batch data
-//! plane can cache one hash per aggregate per packet on the shared packet
-//! store. This module re-exports them to keep `netshed_features::Aggregate`
+//! The aggregate definitions (and the per-packet [`AggregateHashes`] and
+//! slot rows derived from them) live in `netshed-trace` so that the batch
+//! data plane can cache one bitmap slot per aggregate per packet on the
+//! shared packet store. This module re-exports them to keep `netshed_features::Aggregate`
 //! working.
 
 pub use netshed_trace::{aggregate_hash_seed, Aggregate, AggregateHashes, AGGREGATE_COUNT};

@@ -2,16 +2,17 @@
 //!
 //! The extractor is *fused*: instead of one pass over the batch per aggregate
 //! (ten passes, each re-serialising and re-hashing a 13-byte key per packet),
-//! it walks the batch once and feeds the ten precomputed per-packet
-//! [`AggregateHashes`](netshed_trace::AggregateHashes) into the ten bitmap
-//! pairs. The hashes themselves are computed at most once per batch and
-//! cached on the shared packet store, so a query's sampled re-extraction
-//! reuses the rows the full-batch extraction already paid for.
+//! it walks the batch once and sets the ten precomputed per-packet
+//! [`AggregateSlots`](netshed_trace::AggregateSlots) in the ten per-batch
+//! bitmaps. The slots themselves — each aggregate's hash, located in the
+//! bitmap geometry — are computed at most once per batch and cached on the
+//! shared packet store, so a query's sampled re-extraction reuses the rows
+//! the full-batch extraction already paid for.
 
-use crate::aggregate::{Aggregate, AggregateHashes, AGGREGATE_COUNT};
+use crate::aggregate::{Aggregate, AGGREGATE_COUNT};
 use crate::vector::{CounterKind, FeatureId, FeatureVector};
-use netshed_sketch::{MultiResolutionBitmap, StateError, StateReader, StateWriter};
-use netshed_trace::{Batch, BatchView, HashClaim};
+use netshed_sketch::{BitmapGeometry, MultiResolutionBitmap, StateError, StateReader, StateWriter};
+use netshed_trace::{AggregateSlots, Batch, BatchView, SlotClaim};
 
 /// Configuration of the feature extractor.
 #[derive(Debug, Clone)]
@@ -37,7 +38,8 @@ impl Default for ExtractorConfig {
 
 /// Per-aggregate bitmap state.
 struct AggregateState {
-    /// Distinct items observed in the current batch; cleared per batch.
+    /// Distinct items observed in the current batch. Empty between
+    /// extractions: the fold into `interval_seen` drains it.
     batch_unique: MultiResolutionBitmap,
     /// Distinct items observed in the current measurement interval.
     interval_seen: MultiResolutionBitmap,
@@ -51,7 +53,7 @@ impl AggregateState {
     fn interval_counters(&mut self, packets: f64) -> [f64; 4] {
         let unique = self.batch_unique.estimate().min(packets).round();
         let before = self.interval_seen.estimate();
-        self.interval_seen.merge(&self.batch_unique);
+        self.interval_seen.absorb(&mut self.batch_unique);
         let after = self.interval_seen.estimate();
         let new = (after - before).clamp(0.0, unique).round();
         let repeated = (packets - unique).max(0.0);
@@ -94,9 +96,10 @@ impl std::fmt::Debug for FeatureExtractor {
 impl FeatureExtractor {
     /// Creates an extractor with the given configuration.
     pub fn new(config: ExtractorConfig) -> Self {
+        let geometry = BitmapGeometry::for_cardinality(config.max_cardinality);
         let aggregates = std::array::from_fn(|_| AggregateState {
-            batch_unique: MultiResolutionBitmap::for_cardinality(config.max_cardinality),
-            interval_seen: MultiResolutionBitmap::for_cardinality(config.max_cardinality),
+            batch_unique: MultiResolutionBitmap::with_geometry(geometry),
+            interval_seen: MultiResolutionBitmap::with_geometry(geometry),
         });
         Self { config, aggregates, current_interval: None, batches_processed: 0 }
     }
@@ -104,6 +107,12 @@ impl FeatureExtractor {
     /// Creates an extractor with the default configuration.
     pub fn with_defaults() -> Self {
         Self::new(ExtractorConfig::default())
+    }
+
+    /// The one geometry of all twenty bitmaps; with the hash seed, the key of
+    /// the batch's slot cache.
+    fn geometry(&self) -> BitmapGeometry {
+        self.aggregates[0].batch_unique.geometry()
     }
 
     /// Number of batches processed so far.
@@ -120,15 +129,15 @@ impl FeatureExtractor {
     }
 
     /// Serializes the extractor's interval state for a checkpoint: the
-    /// current interval marker, the batch count, and every aggregate's bitmap
-    /// pair. The "new items" counters compare each batch against everything
-    /// seen since the interval began, so this state is essential — it cannot
-    /// be rebuilt without replaying the whole interval.
+    /// current interval marker, the batch count, and every aggregate's
+    /// per-interval bitmap. The "new items" counters compare each batch
+    /// against everything seen since the interval began, so this state is
+    /// essential — it cannot be rebuilt without replaying the whole interval.
+    /// The per-batch bitmaps are empty between batches and are not written.
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.opt_u64(self.current_interval);
         writer.u64(self.batches_processed);
         for state in &self.aggregates {
-            state.batch_unique.save_state(writer);
             state.interval_seen.save_state(writer);
         }
     }
@@ -139,7 +148,6 @@ impl FeatureExtractor {
         self.current_interval = reader.opt_u64()?;
         self.batches_processed = reader.u64()?;
         for state in &mut self.aggregates {
-            state.batch_unique.load_state(reader)?;
             state.interval_seen.load_state(reader)?;
         }
         Ok(())
@@ -159,11 +167,11 @@ impl FeatureExtractor {
     ///
     /// Identical to [`FeatureExtractor::extract`] but operates on the
     /// zero-copy [`BatchView`] the shedders produce; the per-packet aggregate
-    /// hashes are shared with every other consumer of the same batch.
+    /// slots are shared with every other consumer of the same batch.
     pub fn extract_view(&mut self, view: &BatchView) -> (FeatureVector, u64) {
         // Fused single pass, packet-major: each packet's ten precomputed
-        // hashes update the ten per-batch bitmaps before the next packet is
-        // touched — the cache-friendly shape for a single thread. The
+        // slots are set in the ten per-batch bitmaps before the next packet
+        // is touched — the cache-friendly shape for a single thread. The
         // sharded path ([`FeatureExtractor::shard`]) trades that row locality
         // for per-aggregate independence; both produce identical vectors.
         let interval = view.measurement_interval(self.config.measurement_interval_us);
@@ -176,29 +184,27 @@ impl FeatureExtractor {
         self.batches_processed += 1;
 
         let packets = view.len() as f64;
-        for state in &mut self.aggregates {
-            state.batch_unique.clear();
-        }
-        match view.aggregate_hashes(self.config.hash_seed) {
-            HashClaim::Rows(hashes) => {
-                // Walk the hash side array by store index only: no packet
+        let (hash_seed, geometry) = (self.config.hash_seed, self.geometry());
+        let aggregates = &mut self.aggregates;
+        let mut insert_row = |row: &AggregateSlots| {
+            for (state, &slot) in aggregates.iter_mut().zip(row.as_array()) {
+                state.batch_unique.insert_slot(slot);
+            }
+        };
+        match view.aggregate_slots(hash_seed, geometry) {
+            SlotClaim::Rows(slots) => {
+                // Walk the slot side array by store index only: no packet
                 // memory is touched on the cached path.
                 for store_index in view.store_indices() {
-                    let row = hashes[store_index].as_array();
-                    for (state, &hash) in self.aggregates.iter_mut().zip(row) {
-                        state.batch_unique.insert_hash(hash);
-                    }
+                    insert_row(&slots[store_index]);
                 }
             }
-            HashClaim::SeedMismatch { .. } => {
-                // A foreign seed owns the batch's cache (counted on the
-                // store): hash only the tuples this view retains.
+            SlotClaim::Foreign { .. } => {
+                // A foreign seed or geometry owns the batch's cache (counted
+                // on the store): locate only the tuples this view retains.
                 let tuples = view.store().tuples();
                 for store_index in view.store_indices() {
-                    let row = AggregateHashes::compute(&tuples[store_index], self.config.hash_seed);
-                    for (state, &hash) in self.aggregates.iter_mut().zip(row.as_array()) {
-                        state.batch_unique.insert_hash(hash);
-                    }
+                    insert_row(&AggregateSlots::compute(&tuples[store_index], hash_seed, geometry));
                 }
             }
         }
@@ -282,26 +288,27 @@ pub struct ExtractorShard<'a> {
 
 impl ExtractorShard<'_> {
     /// Processes the view for this shard's aggregate: per-packet bitmap
-    /// inserts (from the batch's cached hash rows when this extractor's seed
-    /// owns them), the per-interval merge, and the four counter features.
+    /// inserts (from the batch's cached slot rows when this extractor's seed
+    /// and geometry own them), the per-interval merge, and the four counter
+    /// features.
     pub fn process(&mut self, view: &BatchView) {
         let packets = view.len() as f64;
-        self.state.batch_unique.clear();
-        match view.aggregate_hashes(self.hash_seed) {
-            HashClaim::Rows(hashes) => {
+        let batch_unique = &mut self.state.batch_unique;
+        let geometry = batch_unique.geometry();
+        match view.aggregate_slots(self.hash_seed, geometry) {
+            SlotClaim::Rows(slots) => {
                 for store_index in view.store_indices() {
-                    self.state
-                        .batch_unique
-                        .insert_hash(hashes[store_index].as_array()[self.aggregate_index]);
+                    batch_unique.insert_slot(slots[store_index].as_array()[self.aggregate_index]);
                 }
             }
-            HashClaim::SeedMismatch { .. } => {
-                // A foreign seed owns the batch's cache: hash the retained
-                // tuples for this aggregate only.
+            SlotClaim::Foreign { .. } => {
+                // A foreign seed or geometry owns the batch's cache: locate
+                // the retained tuples, and keep this aggregate's slot.
                 let tuples = view.store().tuples();
                 for store_index in view.store_indices() {
-                    let row = AggregateHashes::compute(&tuples[store_index], self.hash_seed);
-                    self.state.batch_unique.insert_hash(row.as_array()[self.aggregate_index]);
+                    let row =
+                        AggregateSlots::compute(&tuples[store_index], self.hash_seed, geometry);
+                    batch_unique.insert_slot(row.as_array()[self.aggregate_index]);
                 }
             }
         }
@@ -429,13 +436,15 @@ mod tests {
 
     #[test]
     fn extractor_with_a_non_cached_seed_matches_the_cached_path() {
-        // Claim the batch's hash cache with the default seed, then extract
-        // with a different seed: the fallback (hash retained packets only)
+        // Claim the batch's slot cache with the default seed, then extract
+        // with a different seed: the fallback (locate retained packets only)
         // must produce the same features as a fresh batch whose cache that
         // seed owns.
         let tuples: Vec<FiveTuple> = (0..200).map(|i| FiveTuple::new(i, 2, 3, 4, 6)).collect();
         let batch = batch_of(&tuples, 0);
-        let _ = batch.view().aggregate_hashes(ExtractorConfig::default().hash_seed);
+        let defaults = ExtractorConfig::default();
+        let geometry = BitmapGeometry::for_cardinality(defaults.max_cardinality);
+        let _ = batch.view().aggregate_slots(defaults.hash_seed, geometry);
 
         let other_seed = ExtractorConfig { hash_seed: 0xd1ff_5eed, ..ExtractorConfig::default() };
         let mut on_contended = FeatureExtractor::new(other_seed.clone());
@@ -445,6 +454,28 @@ mod tests {
         assert_eq!(ops_a, ops_b);
         for id in FeatureId::all() {
             assert_eq!(a.get(id), b.get(id), "feature {} differs on the fallback path", id.name());
+        }
+    }
+
+    #[test]
+    fn checkpoint_carries_the_interval_bitmaps_only() {
+        let tuples: Vec<FiveTuple> = (0..200).map(|i| FiveTuple::new(i, 2, 3, 4, 6)).collect();
+        let mut extractor = FeatureExtractor::with_defaults();
+        extractor.extract(&batch_of(&tuples, 0));
+        let mut writer = StateWriter::new();
+        extractor.save_state(&mut writer);
+        // Half the bitmap memory (the per-interval half) plus framing.
+        let bitmaps = extractor.memory_bytes();
+        assert!(writer.len() > bitmaps / 2, "{} of {bitmaps}", writer.len());
+        assert!(writer.len() < bitmaps / 2 + 1024, "{} of {bitmaps}", writer.len());
+
+        let bytes = writer.into_bytes();
+        let mut restored = FeatureExtractor::with_defaults();
+        restored.load_state(&mut StateReader::new(&bytes)).expect("same configuration");
+        let (expected, _) = extractor.extract(&batch_of(&tuples[100..], 1));
+        let (actual, _) = restored.extract(&batch_of(&tuples[100..], 1));
+        for id in FeatureId::all() {
+            assert_eq!(expected.get(id), actual.get(id), "feature {} after restore", id.name());
         }
     }
 

@@ -540,7 +540,7 @@ impl Monitor {
         // here on the bin is processed through zero-copy views sharing the
         // incoming batch's packet store. The overflow path materialises the
         // admitted packets into a fresh store (one copy, as pre-refactor) so
-        // the per-batch caches built below — aggregate hashes, flow keys —
+        // the per-batch caches built below — aggregate slots, flow keys —
         // cover only admitted packets instead of hashing traffic that was
         // just dropped.
         let drop_fraction = self.buffer.admit(incoming_packets);
@@ -555,7 +555,7 @@ impl Monitor {
         let uncontrolled_drops = incoming_packets - post_drop.len() as u64;
 
         // Feature extraction over the full (post-drop) batch. This is where
-        // the per-packet aggregate hashes are materialised and cached on the
+        // the per-packet aggregate slots are materialised and cached on the
         // batch; every per-query re-extraction below reuses them. The ten
         // aggregates are independent bitmap sets, so the extraction is
         // sharded per aggregate across the execution plane (bit-identical to
@@ -569,7 +569,7 @@ impl Monitor {
             workers,
             &mut shards,
             |shard| {
-                // The first shard to touch the batch builds the shared hash
+                // The first shard to touch the batch builds the shared slot
                 // cache inside its `OnceLock` init; late shards block on it
                 // briefly and then read, so the single-pass build still
                 // happens exactly once.

@@ -41,7 +41,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
 /// Current format version. Readers accept exactly this version; the
 /// version-skew error names both sides so the mismatch is diagnosable from
 /// the message alone.
-pub const SNAPSHOT_FORMAT_VERSION: u16 = 1;
+///
+/// Version 2: a feature extractor's state no longer carries its per-batch
+/// bitmaps (empty between bins), only the per-interval ones.
+pub const SNAPSHOT_FORMAT_VERSION: u16 = 2;
 
 /// Seed of the container checksums (header, per-section and end frame).
 const CHECKSUM_SEED: u64 = 0x6e73_636b; // "nsck"
@@ -431,7 +434,8 @@ mod tests {
             SnapshotError::UnsupportedVersion { found: 99, expected: SNAPSHOT_FORMAT_VERSION }
         );
         let message = err.to_string();
-        assert!(message.contains("99") && message.contains('1'), "{message}");
+        let expected = SNAPSHOT_FORMAT_VERSION.to_string();
+        assert!(message.contains("99") && message.contains(&expected), "{message}");
     }
 
     #[test]

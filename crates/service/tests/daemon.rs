@@ -409,8 +409,9 @@ fn version_skew_names_found_and_expected() {
     fnv.write(&bytes[..16]);
     bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
     let message = Snapshot::from_bytes(&bytes).unwrap_err().to_string();
+    let expected = format!("supported {}", netshed_service::SNAPSHOT_FORMAT_VERSION);
     assert!(
-        message.contains("77") && message.contains("supported 1"),
+        message.contains("77") && message.contains(&expected),
         "version-skew message must name found and expected: {message}"
     );
 }

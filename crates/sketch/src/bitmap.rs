@@ -19,6 +19,7 @@
 
 use crate::hash::mix64;
 use crate::state::{StateError, StateReader, StateWriter};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A linear-counting bitmap distinct counter.
 #[derive(Debug, Clone)]
@@ -128,34 +129,52 @@ impl LinearCounting {
     }
 }
 
-/// A multi-resolution bitmap distinct counter.
+/// Largest number of slots a geometry may have: a slot index is a `u16`.
+const MAX_SLOTS: usize = 1 << 16;
+
+/// Saturation threshold above which a component is not used as the base.
+const SATURATION: f64 = 0.93;
+
+/// The shape of a [`MultiResolutionBitmap`], and the map from a hash to the
+/// one bit it owns there.
 ///
-/// The hash space is split geometrically across `components`: component `i`
-/// receives a fraction `2^-(i+1)` of the items (the last component receives
-/// the remaining tail). Estimation picks the lowest component that is not
-/// saturated and scales the linear-counting estimates of that component and
-/// all higher ones by the inverse of the sampled fraction.
-#[derive(Debug, Clone)]
-pub struct MultiResolutionBitmap {
-    components: Vec<LinearCounting>,
-    /// Saturation threshold above which a component is not used as the base.
-    saturation: f64,
+/// A *slot* is the flat index `component · bits + bit` of that bit. It
+/// depends on nothing but the hash and the geometry, so a consumer that feeds
+/// the same items into many bitmaps of one geometry — the feature extractor's
+/// full pass and every sampled re-extraction — locates each item once and
+/// replays the slot ([`MultiResolutionBitmap::insert_slot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BitmapGeometry {
+    components: u32,
+    /// Bits per component, a multiple of 64.
+    bits: u32,
+    /// `log2(bits)` when `bits` is a power of two: `%` and `/` by `bits`
+    /// become a mask and a shift.
+    shift: Option<u32>,
 }
 
-impl MultiResolutionBitmap {
-    /// Creates a counter with `num_components` components of
-    /// `bits_per_component` bits each.
+impl BitmapGeometry {
+    /// A geometry of `num_components` components of `bits_per_component` bits
+    /// each (rounded up to a multiple of 64).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no components, or more slots than a `u16` slot
+    /// index can address.
     pub fn new(num_components: usize, bits_per_component: usize) -> Self {
         assert!(num_components >= 1);
-        Self {
-            components: (0..num_components)
-                .map(|_| LinearCounting::new(bits_per_component))
-                .collect(),
-            saturation: 0.93,
-        }
+        let bits = bits_per_component.max(64).next_multiple_of(64);
+        let slots = num_components.saturating_mul(bits);
+        assert!(
+            slots <= MAX_SLOTS,
+            "bitmap geometry {num_components} x {bits} has {slots} slots, \
+             a slot index addresses at most {MAX_SLOTS}"
+        );
+        let shift = bits.is_power_of_two().then(|| bits.trailing_zeros());
+        Self { components: num_components as u32, bits: bits as u32, shift }
     }
 
-    /// Creates a counter dimensioned for roughly `max_cardinality` items with
+    /// The geometry dimensioned for roughly `max_cardinality` items with
     /// about 1% error, matching the paper's configuration choice.
     pub fn for_cardinality(max_cardinality: usize) -> Self {
         // Each component comfortably covers ~5x its bit count; use enough
@@ -171,38 +190,199 @@ impl MultiResolutionBitmap {
     }
 
     /// Number of components.
+    pub fn components(&self) -> usize {
+        self.components as usize
+    }
+
+    /// Bits per component.
+    pub fn bits_per_component(&self) -> usize {
+        self.bits as usize
+    }
+
+    /// Total number of slots (bits) over all components.
+    pub fn slots(&self) -> usize {
+        self.components as usize * self.bits as usize
+    }
+
+    /// The slot a hash owns.
+    #[inline]
+    pub fn slot(&self, hash: u64) -> u16 {
+        // The low bits choose the component geometrically: component i is
+        // selected when the i low bits are all ones and bit i is zero.
+        let component = hash.trailing_ones().min(self.components - 1);
+        // Use the high bits (independent of the selector bits) for the bit
+        // position inside the component.
+        let mixed = mix64(hash >> 16);
+        let bit = match self.shift {
+            Some(shift) => mixed & ((1u64 << shift) - 1),
+            None => mixed % u64::from(self.bits),
+        };
+        // `new` bounds slots by `MAX_SLOTS`, so the index fits.
+        (component * self.bits + bit as u32) as u16
+    }
+
+    #[inline]
+    fn component_of(&self, slot: u16) -> usize {
+        match self.shift {
+            Some(shift) => usize::from(slot) >> shift,
+            None => usize::from(slot) / self.bits as usize,
+        }
+    }
+
+    fn words_per_component(&self) -> usize {
+        self.bits as usize / 64
+    }
+}
+
+/// The linear-counting estimate for every possible set-bit count of one
+/// component size, so that estimating costs a lookup instead of an `ln`.
+#[derive(Debug)]
+struct EstimatorTable {
+    bits: usize,
+    /// `estimates[set]` is [`LinearCounting::estimate`] of a `bits`-bit
+    /// bitmap with `set` bits set, computed by the same expression.
+    estimates: Box<[f64]>,
+    /// The smallest set-bit count whose fill ratio exceeds [`SATURATION`].
+    saturated_from: u32,
+}
+
+impl EstimatorTable {
+    fn build(bits: usize) -> Self {
+        let m = bits as f64;
+        let estimates = (0..=bits)
+            .map(|set| {
+                let zero = (bits - set).max(1) as f64;
+                m * (m / zero).ln()
+            })
+            .collect();
+        // The fill ratio grows with the count, so one threshold reproduces
+        // the float comparison for every count.
+        let saturated_from =
+            (0..=bits).find(|&set| set as f64 / m > SATURATION).unwrap_or(bits + 1) as u32;
+        Self { bits, estimates, saturated_from }
+    }
+
+    /// The table for `bits`-bit components, built on first use and shared by
+    /// every bitmap of the process from then on: an extractor holds twenty
+    /// bitmaps and a monitor one extractor per query, all of one size.
+    fn shared(bits: usize) -> Arc<Self> {
+        static TABLES: Mutex<Vec<Arc<EstimatorTable>>> = Mutex::new(Vec::new());
+        // A poisoned lock still guards a valid list: the only update is the
+        // push of a finished table.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = tables.iter().find(|table| table.bits == bits) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(Self::build(bits));
+        tables.push(Arc::clone(&table));
+        table
+    }
+}
+
+/// A multi-resolution bitmap distinct counter.
+///
+/// The hash space is split geometrically across `components`: component `i`
+/// receives a fraction `2^-(i+1)` of the items (the last component receives
+/// the remaining tail). Estimation picks the lowest component that is not
+/// saturated and scales the linear-counting estimates of that component and
+/// all higher ones by the inverse of the sampled fraction.
+///
+/// All components live in one word array addressed by slot (see
+/// [`BitmapGeometry`]), and the number of set bits per component is kept
+/// current by every insert and merge, so [`MultiResolutionBitmap::estimate`]
+/// reads one table entry per component. Every value is bit-identical to the
+/// same operations on one [`LinearCounting`] per component.
+#[derive(Debug, Clone)]
+pub struct MultiResolutionBitmap {
+    geometry: BitmapGeometry,
+    /// Component `c` owns words `c · bits/64 ..  (c + 1) · bits/64`.
+    words: Vec<u64>,
+    /// Set bits per component.
+    set: Vec<u32>,
+    table: Arc<EstimatorTable>,
+}
+
+impl MultiResolutionBitmap {
+    /// Creates a counter with `num_components` components of
+    /// `bits_per_component` bits each.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry [`BitmapGeometry::new`] rejects.
+    pub fn new(num_components: usize, bits_per_component: usize) -> Self {
+        Self::with_geometry(BitmapGeometry::new(num_components, bits_per_component))
+    }
+
+    /// Creates a counter dimensioned for roughly `max_cardinality` items with
+    /// about 1% error, matching the paper's configuration choice.
+    pub fn for_cardinality(max_cardinality: usize) -> Self {
+        Self::with_geometry(BitmapGeometry::for_cardinality(max_cardinality))
+    }
+
+    /// Creates an empty counter of the given geometry.
+    pub fn with_geometry(geometry: BitmapGeometry) -> Self {
+        Self {
+            geometry,
+            words: vec![0; geometry.slots() / 64],
+            set: vec![0; geometry.components()],
+            table: EstimatorTable::shared(geometry.bits_per_component()),
+        }
+    }
+
+    /// The counter's geometry.
+    pub fn geometry(&self) -> BitmapGeometry {
+        self.geometry
+    }
+
+    /// Number of components.
     pub fn num_components(&self) -> usize {
-        self.components.len()
+        self.geometry.components()
     }
 
     /// Total memory footprint in bytes (for overhead accounting).
     pub fn memory_bytes(&self) -> usize {
-        self.components.iter().map(|c| c.capacity_bits() / 8).sum()
+        self.geometry.slots() / 8
     }
 
     /// Records a pre-hashed item; returns `true` if its bit was newly set.
     pub fn insert_hash(&mut self, hash: u64) -> bool {
-        let (component, bit_hash) = self.locate(hash);
-        self.components[component].insert_hash(bit_hash)
+        self.insert_slot(self.geometry.slot(hash))
+    }
+
+    /// Records an item by the slot [`BitmapGeometry::slot`] gave its hash
+    /// under this counter's geometry; returns `true` if the bit was newly
+    /// set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slot beyond the geometry (one located under another).
+    #[inline]
+    pub fn insert_slot(&mut self, slot: u16) -> bool {
+        let word = &mut self.words[usize::from(slot >> 6)];
+        let mask = 1u64 << (slot & 63);
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        self.set[self.geometry.component_of(slot)] += u32::from(fresh);
+        fresh
     }
 
     /// Returns `true` if the item's bit is already set (it was *probably* seen).
     pub fn contains_hash(&self, hash: u64) -> bool {
-        let (component, bit_hash) = self.locate(hash);
-        self.components[component].contains_hash(bit_hash)
+        let slot = self.geometry.slot(hash);
+        self.words[usize::from(slot >> 6)] & (1u64 << (slot & 63)) != 0
     }
 
     /// Estimates the number of distinct items inserted.
     pub fn estimate(&self) -> f64 {
         // Find the first component that is still reliable.
-        let last = self.components.len() - 1;
+        let last = self.set.len() - 1;
         let mut base = 0usize;
-        while base < last && self.components[base].fill_ratio() > self.saturation {
+        while base < last && self.set[base] >= self.table.saturated_from {
             base += 1;
         }
         let mut sum = 0.0;
-        for component in &self.components[base..] {
-            sum += component.estimate();
+        for &set in &self.set[base..] {
+            sum += self.table.estimates[set as usize];
         }
         // Components `base..` observe a fraction 2^-base of the items.
         sum * (1u64 << base) as f64
@@ -210,7 +390,8 @@ impl MultiResolutionBitmap {
 
     /// Clears all components.
     pub fn clear(&mut self) {
-        self.components.iter_mut().for_each(LinearCounting::clear);
+        self.words.fill(0);
+        self.set.fill(0);
     }
 
     /// Merges another multi-resolution bitmap with identical geometry.
@@ -219,17 +400,59 @@ impl MultiResolutionBitmap {
     ///
     /// Panics if the geometries differ.
     pub fn merge(&mut self, other: &MultiResolutionBitmap) {
-        assert_eq!(self.components.len(), other.components.len(), "component count mismatch");
-        for (a, b) in self.components.iter_mut().zip(&other.components) {
-            a.merge(b);
+        assert_eq!(self.geometry, other.geometry, "cannot merge bitmaps of different geometries");
+        let per_component = self.geometry.words_per_component();
+        let mine = self.words.chunks_exact_mut(per_component);
+        let theirs = other.words.chunks_exact(per_component);
+        for ((mine, theirs), set) in mine.zip(theirs).zip(&mut self.set) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *set += (*b & !*a).count_ones();
+                *a |= *b;
+            }
+        }
+    }
+
+    /// Merges `batch` into this bitmap and leaves `batch` empty, in one pass
+    /// over the components `batch` set a bit in: the per-batch → per-interval
+    /// fold of Section 3.2.1 together with the per-batch reset.
+    ///
+    /// Within a component every word is folded unconditionally. Skipping the
+    /// zero words looks cheaper, but whether a word of a sampled batch is
+    /// zero is a coin flip the branch predictor loses about as often as it
+    /// wins, and the straight loop vectorises.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometries differ.
+    pub fn absorb(&mut self, batch: &mut MultiResolutionBitmap) {
+        assert_eq!(self.geometry, batch.geometry, "cannot merge bitmaps of different geometries");
+        let per_component = self.geometry.words_per_component();
+        let mine = self.words.chunks_exact_mut(per_component);
+        let theirs = batch.words.chunks_exact_mut(per_component);
+        let counters = self.set.iter_mut().zip(&mut batch.set);
+        for ((mine, theirs), (set, batch_set)) in mine.zip(theirs).zip(counters) {
+            if *batch_set == 0 {
+                continue;
+            }
+            let mut fresh = 0;
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                fresh += (*b & !*a).count_ones();
+                *a |= *b;
+                *b = 0;
+            }
+            *set += fresh;
+            *batch_set = 0;
         }
     }
 
     /// Serializes the counter contents (component count + every bitmap).
     pub fn save_state(&self, writer: &mut StateWriter) {
-        writer.usize(self.components.len());
-        for component in &self.components {
-            component.save_state(writer);
+        writer.usize(self.geometry.components());
+        for component in self.words.chunks_exact(self.geometry.words_per_component()) {
+            writer.usize(self.geometry.bits_per_component());
+            for word in component {
+                writer.u64(*word);
+            }
         }
     }
 
@@ -237,28 +460,27 @@ impl MultiResolutionBitmap {
     /// a counter of identical geometry.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let components = reader.usize()?;
-        if components != self.components.len() {
+        if components != self.geometry.components() {
             return Err(StateError::mismatch(
                 "bitmap component count",
                 components,
-                self.components.len(),
+                self.geometry.components(),
             ));
         }
-        for component in &mut self.components {
-            component.load_state(reader)?;
+        let bits = self.geometry.bits_per_component();
+        let per_component = self.geometry.words_per_component();
+        for (component, set) in self.words.chunks_exact_mut(per_component).zip(&mut self.set) {
+            let num_bits = reader.usize()?;
+            if num_bits != bits {
+                return Err(StateError::mismatch("bitmap size (bits)", num_bits, bits));
+            }
+            *set = 0;
+            for word in component {
+                *word = reader.u64()?;
+                *set += word.count_ones();
+            }
         }
         Ok(())
-    }
-
-    /// Splits a hash into (component index, per-component bit hash).
-    fn locate(&self, hash: u64) -> (usize, u64) {
-        let last = self.components.len() - 1;
-        // The low bits choose the component geometrically: component i is
-        // selected when the i low bits are all ones and bit i is zero.
-        let component = (hash.trailing_ones() as usize).min(last);
-        // Use the high bits (independent of the selector bits) for the bit
-        // position inside the component.
-        (component, mix64(hash >> 16))
     }
 }
 
@@ -345,6 +567,45 @@ mod tests {
         }
         a.merge(&b);
         assert!(estimate_error(4500, a.estimate()) < 0.1, "estimate {}", a.estimate());
+    }
+
+    #[test]
+    fn widest_for_cardinality_geometry_fits_the_slot_index() {
+        let geometry = BitmapGeometry::for_cardinality(usize::MAX);
+        assert_eq!((geometry.components(), geometry.bits_per_component()), (16, 4096));
+        assert_eq!(geometry.slots(), MAX_SLOTS);
+        // Fill the tail component: its last bit is the last slot a `u16` holds.
+        let mut mrb = MultiResolutionBitmap::with_geometry(geometry);
+        let mut top = 0;
+        for i in 0..100_000u64 {
+            let hash = mix64(i) | 0xffff;
+            let slot = geometry.slot(hash);
+            assert!(usize::from(slot) >= 15 * 4096, "sixteen low ones select the tail");
+            mrb.insert_slot(slot);
+            top = top.max(slot);
+        }
+        assert_eq!(top, u16::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "17 x 4096 has 69632 slots, a slot index addresses at most 65536")]
+    fn geometry_beyond_the_slot_index_is_rejected() {
+        let _ = MultiResolutionBitmap::new(17, 4096);
+    }
+
+    #[test]
+    fn odd_component_sizes_keep_the_modulo() {
+        // 200 rounds up to 256 (masked), 130 to 192 (divided).
+        assert_eq!(BitmapGeometry::new(3, 200).bits_per_component(), 256);
+        let geometry = BitmapGeometry::new(3, 130);
+        assert_eq!(geometry.bits_per_component(), 192);
+        for i in 0..10_000u64 {
+            let hash = mix64(i);
+            let component = (hash.trailing_ones() as usize).min(2);
+            let bit = (mix64(hash >> 16) % 192) as usize;
+            assert_eq!(usize::from(geometry.slot(hash)), component * 192 + bit);
+            assert_eq!(geometry.component_of(geometry.slot(hash)), component);
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! * [`LinearCounting`] — a single bitmap distinct counter,
 //! * [`MultiResolutionBitmap`] — the multi-tier bitmap used for the
-//!   unique/new feature counters,
+//!   unique/new feature counters, and its [`BitmapGeometry`], which maps a
+//!   hash to the bit it owns,
 //! * [`BloomFilter`] — membership sketch (used by some queries),
 //! * [`H3Hasher`] — per-measurement-interval randomized hash of flow keys to
 //!   `[0, 1)` used by flowwise sampling,
@@ -27,7 +28,7 @@ pub mod det_map;
 pub mod hash;
 pub mod state;
 
-pub use bitmap::{LinearCounting, MultiResolutionBitmap};
+pub use bitmap::{BitmapGeometry, LinearCounting, MultiResolutionBitmap};
 pub use bloom::BloomFilter;
 pub use det_map::{DetHashMap, DetHashSet, Entry};
 pub use hash::{

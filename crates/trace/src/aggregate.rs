@@ -1,14 +1,15 @@
-//! The ten traffic aggregates of Table 3.1 and their per-packet hashes.
+//! The ten traffic aggregates of Table 3.1, their per-packet hashes and the
+//! bitmap slots those hashes own.
 //!
 //! The aggregates live in the trace crate (rather than with the feature
-//! extractor) because the batch data plane caches one hash per aggregate per
-//! packet directly on the shared packet store: the hashes are computed in a
-//! single pass the first time a batch is examined and reused by every later
-//! consumer — the full-batch extraction, each query's sampled re-extraction,
-//! and anything else that counts distinct items per aggregate.
+//! extractor) because the batch data plane caches one bitmap slot per
+//! aggregate per packet directly on the shared packet store: the packets are
+//! hashed and located in a single pass the first time a batch is examined,
+//! and the slots are reused by every later consumer — the full-batch
+//! extraction and each query's sampled re-extraction.
 
 use crate::packet::FiveTuple;
-use netshed_sketch::IncrementalFnv;
+use netshed_sketch::{BitmapGeometry, IncrementalFnv};
 
 /// A traffic aggregate: a combination of TCP/IP header fields whose distinct
 /// values are counted by the feature extractor.
@@ -200,6 +201,30 @@ impl AggregateHashes {
     }
 }
 
+/// The ten bitmap slots of one packet, in [`Aggregate::ALL`] order: each
+/// aggregate's hash (see [`AggregateHashes`]) located under one
+/// [`BitmapGeometry`].
+///
+/// This is the row of the store's per-packet side array. Hashing and
+/// locating a packet depend on the extractor's seed and bitmap geometry but
+/// not on which query is asking, so they happen once per batch; a slot is
+/// 2 bytes where the hash it came from is 8.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AggregateSlots([u16; AGGREGATE_COUNT]);
+
+impl AggregateSlots {
+    /// Hashes a packet's 5-tuple per aggregate and locates each hash.
+    pub fn compute(tuple: &FiveTuple, base_seed: u64, geometry: BitmapGeometry) -> Self {
+        Self(AggregateHashes::compute(tuple, base_seed).0.map(|hash| geometry.slot(hash)))
+    }
+
+    /// All ten slots, in [`Aggregate::ALL`] order.
+    #[inline]
+    pub fn as_array(&self) -> &[u16; AGGREGATE_COUNT] {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +263,7 @@ mod tests {
 
     #[test]
     fn single_pass_hashes_match_the_per_key_reference() {
-        // The hash-once invariant of the data plane: the fused computation
+        // The slot rows are located from these hashes: the fused computation
         // must be bit-identical to hashing each aggregate's padded key.
         let tuples = [
             FiveTuple::new(0, 0, 0, 0, 0),

@@ -11,8 +11,8 @@
 //!
 //! The store is *struct-of-arrays*: timestamps, five-tuples, IP lengths, TCP
 //! flags, serialised 13-byte flow keys and (lazily) the per-packet
-//! [`AggregateHashes`] rows each live in their own dense column, built once
-//! at construction. Consumers that stream one attribute — [`BatchStats`]
+//! [`AggregateSlots`] rows each live in their own dense column, built once
+//! per batch. Consumers that stream one attribute — [`BatchStats`]
 //! accumulation, flow-key hashing, the fused feature extractor — walk a
 //! contiguous column instead of striding over a packet struct, and payload
 //! bytes (the one cold, variable-width attribute) never pollute the hot
@@ -25,19 +25,20 @@
 //!   columns are filled,
 //! * the serialised 13-byte flow keys used by flowwise sampling — an eager
 //!   column,
-//! * the per-packet [`AggregateHashes`] side rows feeding the fused feature
-//!   extractor (the "hash once" invariant) — lazy, because the hash seed is
-//!   extractor configuration the store cannot know at construction.
+//! * the per-packet [`AggregateSlots`] side rows feeding the fused feature
+//!   extractor (the "locate once" invariant) — lazy, because the hash seed
+//!   and the bitmap geometry are extractor configuration the store cannot
+//!   know at construction.
 //!
 //! Steady-state sampling is allocation-free: a [`KeepListPool`] recycles both
 //! the keep-index buffers and their `Arc` control blocks, so
 //! [`BatchView::filter_indexed_with`] performs no heap allocation once the
 //! pool is warm (see DESIGN.md, "Memory plane").
 
-use crate::aggregate::AggregateHashes;
+use crate::aggregate::AggregateSlots;
 use crate::packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_SYN};
 use bytes::Bytes;
-use netshed_sketch::hash_bytes;
+use netshed_sketch::{hash_bytes, BitmapGeometry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -72,7 +73,7 @@ pub fn shard_key(tuple: &FiveTuple) -> u64 {
 /// The owning, reference-counted, struct-of-arrays storage behind a
 /// [`Batch`].
 ///
-/// Immutable after construction; the lazy aggregate-hash cache is
+/// Immutable after construction; the lazy aggregate-slot cache is
 /// initialise-once (`OnceLock`) and therefore safe to share across threads.
 /// Construct through [`PacketStore::builder`] (one streaming pass that fills
 /// every column and the stats) or implicitly through [`Batch::new`].
@@ -94,19 +95,19 @@ pub struct PacketStore {
     payloads: Vec<Option<Bytes>>,
     /// Summary statistics, accumulated while the columns were filled.
     stats: BatchStats,
-    /// Aggregate hash rows together with the base seed they were derived
-    /// from. In practice every extractor in a process uses one seed, so the
-    /// first seed seen claims the cache; other seeds receive a typed
-    /// [`HashClaim::SeedMismatch`] and hash the packets they retain
-    /// themselves (see [`PacketStore::aggregate_hashes`]).
-    aggregate_hashes: OnceLock<(u64, Vec<AggregateHashes>)>,
-    /// How often [`PacketStore::aggregate_hashes`] was asked for a seed other
-    /// than the one that claimed the cache — telemetry for spotting
-    /// misconfigured multi-seed deployments that silently lose the shared
+    /// Aggregate slot rows together with the base seed and bitmap geometry
+    /// they were derived under. In practice every extractor in a process
+    /// uses one seed and one geometry, so the first pair seen claims the
+    /// cache; any other receives a typed [`SlotClaim::Foreign`] and locates
+    /// the packets it retains itself (see [`PacketStore::aggregate_slots`]).
+    aggregate_slots: OnceLock<(u64, BitmapGeometry, Vec<AggregateSlots>)>,
+    /// How often [`PacketStore::aggregate_slots`] was asked for a seed or
+    /// geometry other than the one that claimed the cache — telemetry for
+    /// spotting misconfigured deployments that silently lose the shared
     /// cache (relaxed: a counter, not a synchronisation point).
-    seed_misses: AtomicU64,
+    slot_misses: AtomicU64,
     /// Per-packet shard-routing keys (see [`shard_key`]). Lazy like the
-    /// aggregate-hash rows: single-instance runs never pay for the column,
+    /// aggregate-slot rows: single-instance runs never pay for the column,
     /// and the fixed [`SHARD_KEY_SEED`] means there is no seed-claim race to
     /// arbitrate.
     shard_keys: OnceLock<Vec<u64>>,
@@ -197,35 +198,37 @@ impl StoreBuilder {
             flow_keys: self.flow_keys,
             payloads: self.payloads,
             stats: self.stats,
-            aggregate_hashes: OnceLock::new(),
-            seed_misses: AtomicU64::new(0),
+            aggregate_slots: OnceLock::new(),
+            slot_misses: AtomicU64::new(0),
             shard_keys: OnceLock::new(),
         }
     }
 }
 
-/// Outcome of asking a store for its per-packet aggregate hash rows
-/// (see [`PacketStore::aggregate_hashes`]).
+/// Outcome of asking a store for its per-packet aggregate slot rows
+/// (see [`PacketStore::aggregate_slots`]).
 #[derive(Debug, Clone, Copy)]
-pub enum HashClaim<'a> {
-    /// The cache is owned by the requested seed: one row per stored packet,
-    /// indexed by store index.
-    Rows(&'a [AggregateHashes]),
-    /// The cache was already claimed by a different seed; the caller should
-    /// hash the packets it actually retains itself. Each mismatch is counted
-    /// in [`PacketStore::hash_seed_misses`].
-    SeedMismatch {
+pub enum SlotClaim<'a> {
+    /// The cache is owned by the requested seed and geometry: one row per
+    /// stored packet, indexed by store index.
+    Rows(&'a [AggregateSlots]),
+    /// The cache was already claimed under a different seed or geometry; the
+    /// caller should locate the packets it actually retains itself. Each
+    /// such claim is counted in [`PacketStore::slot_claim_misses`].
+    Foreign {
         /// The seed that owns the cache.
         cached_seed: u64,
+        /// The geometry that owns the cache.
+        cached_geometry: BitmapGeometry,
     },
 }
 
-impl<'a> HashClaim<'a> {
-    /// The cached rows, or `None` on a seed mismatch.
-    pub fn rows(self) -> Option<&'a [AggregateHashes]> {
+impl<'a> SlotClaim<'a> {
+    /// The cached rows, or `None` on a foreign claim.
+    pub fn rows(self) -> Option<&'a [AggregateSlots]> {
         match self {
-            HashClaim::Rows(rows) => Some(rows),
-            HashClaim::SeedMismatch { .. } => None,
+            SlotClaim::Rows(rows) => Some(rows),
+            SlotClaim::Foreign { .. } => None,
         }
     }
 }
@@ -317,45 +320,48 @@ impl PacketStore {
         self.stats
     }
 
-    /// The per-packet aggregate hash side rows for the given base seed.
+    /// The per-packet aggregate slot side rows for the given base seed and
+    /// bitmap geometry.
     ///
     /// Computed in a single pass over the tuple column the first time they
-    /// are requested and cached for that seed. All in-tree extractors share
-    /// one seed, so in practice every call hits the cache and borrows the
-    /// rows for free; a consumer running with a *different* seed gets a typed
-    /// [`HashClaim::SeedMismatch`] (counted in
-    /// [`PacketStore::hash_seed_misses`]) and should hash only the packets it
-    /// actually retains (see `FeatureExtractor::extract_view`) rather than
-    /// paying for a full-store array per call.
-    pub fn aggregate_hashes(&self, base_seed: u64) -> HashClaim<'_> {
-        let (cached_seed, rows) = self.aggregate_hashes.get_or_init(|| {
-            let hash_row = |t: &FiveTuple| AggregateHashes::compute(t, base_seed);
-            // lint:allow(hot-path-alloc): the once-per-batch hash-row build; every later call borrows it
-            let rows = self.tuples.iter().map(hash_row).collect();
-            (base_seed, rows)
+    /// are requested and cached for that pair. A slot is a position in a
+    /// bitmap of one particular shape, so the geometry is part of the key
+    /// just like the seed. All in-tree extractors share one seed and one
+    /// geometry, so in practice every call hits the cache and borrows the
+    /// rows for free; a consumer running with a *different* seed or geometry
+    /// gets a typed [`SlotClaim::Foreign`] (counted in
+    /// [`PacketStore::slot_claim_misses`]) and should locate only the packets
+    /// it actually retains (see `FeatureExtractor::extract_view`) rather
+    /// than paying for a full-store array per call.
+    pub fn aggregate_slots(&self, base_seed: u64, geometry: BitmapGeometry) -> SlotClaim<'_> {
+        let (cached_seed, cached_geometry, rows) = self.aggregate_slots.get_or_init(|| {
+            let slot_row = |t: &FiveTuple| AggregateSlots::compute(t, base_seed, geometry);
+            // lint:allow(hot-path-alloc): the once-per-batch slot-row build; every later call borrows it
+            let rows = self.tuples.iter().map(slot_row).collect();
+            (base_seed, geometry, rows)
         });
-        if *cached_seed == base_seed {
-            HashClaim::Rows(rows)
+        if *cached_seed == base_seed && *cached_geometry == geometry {
+            SlotClaim::Rows(rows)
         } else {
-            self.seed_misses.fetch_add(1, Ordering::Relaxed);
-            HashClaim::SeedMismatch { cached_seed: *cached_seed }
+            self.slot_misses.fetch_add(1, Ordering::Relaxed);
+            SlotClaim::Foreign { cached_seed: *cached_seed, cached_geometry: *cached_geometry }
         }
     }
 
-    /// How often [`PacketStore::aggregate_hashes`] was asked for a seed that
-    /// does not own the cache (each such call fell back to per-consumer
-    /// hashing).
-    pub fn hash_seed_misses(&self) -> u64 {
-        self.seed_misses.load(Ordering::Relaxed)
+    /// How often [`PacketStore::aggregate_slots`] was asked for a seed or
+    /// geometry that does not own the cache (each such call fell back to
+    /// per-consumer locating).
+    pub fn slot_claim_misses(&self) -> u64 {
+        self.slot_misses.load(Ordering::Relaxed)
     }
 
     /// The per-packet shard-routing key column (see [`shard_key`]).
     ///
     /// Computed in one pass over the tuple column on first request and cached
-    /// for the life of the store, mirroring the aggregate-hash side array:
+    /// for the life of the store, mirroring the aggregate-slot side array:
     /// the front end routes once, and every shard's view borrows the same
     /// column. Keys use the fixed [`SHARD_KEY_SEED`], so unlike the
-    /// aggregate-hash cache there is no per-seed claim to negotiate.
+    /// aggregate-slot cache there is no claim to negotiate.
     pub fn shard_keys(&self) -> &[u64] {
         self.shard_keys.get_or_init(|| {
             // lint:allow(hot-path-alloc): the once-per-batch key-column build; every later call borrows it
@@ -497,7 +503,7 @@ impl<'a> IntoIterator for &'a PacketStore {
 
 // The execution plane shares one `PacketStore` (through `Batch` and
 // `BatchView` clones) across worker threads; the store is immutable after
-// construction, its lazy hash cache is `OnceLock`-guarded and the seed-miss
+// construction, its lazy slot cache is `OnceLock`-guarded and the claim-miss
 // counter is atomic, so all three types must stay `Send + Sync`.
 // Compile-time proof:
 const _: () = {
@@ -746,7 +752,7 @@ impl KeepListPool {
 /// A view shares the underlying [`PacketStore`] with the batch it was carved
 /// from and records which packets it retains as an index list (`None` meaning
 /// "all of them"). Sampling a view therefore never copies a packet, and all
-/// store-level data (columns, stats, flow keys, aggregate hashes) remains
+/// store-level data (columns, stats, flow keys, aggregate slots) remains
 /// shared across every view of the same batch.
 ///
 /// Ownership rules: views are cheap to clone (two `Arc` bumps at most) and
@@ -828,7 +834,7 @@ impl BatchView {
     /// Iterates over `(store index, packet)` pairs for the retained packets.
     ///
     /// The store index addresses per-packet side arrays of the *full* batch —
-    /// in particular the [`AggregateHashes`] rows and the flow keys — which
+    /// in particular the [`AggregateSlots`] rows and the flow keys — which
     /// is what lets sampled consumers reuse data computed once for the whole
     /// batch.
     pub fn indexed_packets(&self) -> IndexedPackets<'_> {
@@ -842,7 +848,7 @@ impl BatchView {
     /// Iterates over the retained packets' *store indices* without touching
     /// the packets themselves.
     ///
-    /// Consumers that only address per-packet side arrays (the aggregate-hash
+    /// Consumers that only address per-packet side arrays (the aggregate-slot
     /// rows, the flow keys) should prefer this over
     /// [`BatchView::indexed_packets`]: a full view yields `0..len` and a
     /// sampled view walks its keep-list, so no packet memory is pulled
@@ -878,17 +884,23 @@ impl BatchView {
         }
     }
 
-    /// Total number of IP bytes retained by the view.
+    /// Total number of IP bytes retained by the view (equal to
+    /// `stats().bytes`, without folding the other five statistics).
     pub fn total_bytes(&self) -> u64 {
-        self.stats().bytes
+        match &self.keep {
+            Some(keep) => {
+                keep.iter().map(|&index| u64::from(self.store.ip_lens[index as usize])).sum()
+            }
+            None => self.store.stats.bytes,
+        }
     }
 
-    /// The per-packet aggregate hash side rows of the full store, indexed by
+    /// The per-packet aggregate slot side rows of the full store, indexed by
     /// the store indices yielded by [`BatchView::store_indices`], or a typed
-    /// [`HashClaim::SeedMismatch`] if the store's cache is claimed by a
-    /// different seed.
-    pub fn aggregate_hashes(&self, base_seed: u64) -> HashClaim<'_> {
-        self.store.aggregate_hashes(base_seed)
+    /// [`SlotClaim::Foreign`] if the store's cache is claimed under a
+    /// different seed or geometry.
+    pub fn aggregate_slots(&self, base_seed: u64, geometry: BitmapGeometry) -> SlotClaim<'_> {
+        self.store.aggregate_slots(base_seed, geometry)
     }
 
     /// The serialised 13-byte flow keys of the full store, indexed by store
@@ -1453,8 +1465,8 @@ mod tests {
         let c = PacketStore::from_packets(vec![pkt(0), pkt(11)]);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        // Claiming a's hash cache must not affect equality.
-        let _ = a.aggregate_hashes(1);
+        // Claiming a's slot cache must not affect equality.
+        let _ = a.aggregate_slots(1, BitmapGeometry::for_cardinality(200_000));
         assert_eq!(a, b);
     }
 
@@ -1490,6 +1502,25 @@ mod tests {
     }
 
     #[test]
+    fn view_total_bytes_equals_the_stats_fold() {
+        let packets: Vec<Packet> = (0..40u32)
+            .map(|i| {
+                Packet::header_only(u64::from(i), FiveTuple::new(i, 2, 3, 4, 6), 40 + i * 7, 0)
+            })
+            .collect();
+        let batch = Batch::new(0, 0, 100_000, packets);
+        let full = batch.view();
+        for view in [
+            full.clone(),
+            full.filter_indexed(|index, _| index % 3 == 1),
+            full.filter_indexed(|_, _| true),
+            full.cleared(),
+        ] {
+            assert_eq!(view.total_bytes(), view.stats().bytes, "{} kept", view.len());
+        }
+    }
+
+    #[test]
     fn view_stats_cover_only_retained_packets() {
         let batch = Batch::new(0, 0, 100_000, vec![pkt(0), pkt(10), pkt(20)]);
         let view = batch.view().filter_indexed(|_, p| p.ts() >= 10);
@@ -1513,12 +1544,13 @@ mod tests {
     fn store_caches_are_shared_between_batch_and_views() {
         let batch = Batch::new(0, 0, 100_000, vec![pkt(0), pkt(10)]);
         let store = Arc::clone(&batch.packets);
-        let claim_a = store.aggregate_hashes(42);
-        let rows_a = claim_a.rows().expect("first seed claims the cache");
+        let geometry = BitmapGeometry::new(6, 4096);
+        let claim_a = store.aggregate_slots(42, geometry);
+        let rows_a = claim_a.rows().expect("first claim owns the cache");
         let sampled = batch.view().filter_indexed(|_, _| true);
-        let rows_b = sampled.aggregate_hashes(42).rows().expect("cache hit");
-        assert!(std::ptr::eq(rows_a.as_ptr(), rows_b.as_ptr()), "same seed must hit the cache");
-        assert_eq!(rows_a[0], AggregateHashes::compute(&batch.packets.tuples()[0], 42));
+        let rows_b = sampled.aggregate_slots(42, geometry).rows().expect("cache hit");
+        assert!(std::ptr::eq(rows_a.as_ptr(), rows_b.as_ptr()), "same key must hit the cache");
+        assert_eq!(rows_a[0], AggregateSlots::compute(&batch.packets.tuples()[0], 42, geometry));
         let keys_a = batch.view().flow_keys().as_ptr();
         let keys_b = batch.view().flow_keys().as_ptr();
         assert!(std::ptr::eq(keys_a, keys_b));
@@ -1526,22 +1558,30 @@ mod tests {
     }
 
     #[test]
-    fn second_seed_gets_a_typed_mismatch_and_is_counted() {
+    fn second_seed_or_geometry_gets_a_typed_foreign_claim_and_is_counted() {
         let batch = Batch::new(0, 0, 100_000, vec![pkt(0), pkt(10)]);
-        assert_eq!(batch.packets.hash_seed_misses(), 0);
-        assert!(batch.view().aggregate_hashes(42).rows().is_some());
+        let geometry = BitmapGeometry::new(6, 4096);
+        assert_eq!(batch.packets.slot_claim_misses(), 0);
+        assert!(batch.view().aggregate_slots(42, geometry).rows().is_some());
         // A different seed does not thrash the cache: the caller is handed
-        // the owning seed and told to hash the packets it retains itself.
-        match batch.view().aggregate_hashes(43) {
-            HashClaim::SeedMismatch { cached_seed } => assert_eq!(cached_seed, 42),
-            HashClaim::Rows(_) => panic!("a second seed must not steal the cache"),
+        // the owning key and told to locate the packets it retains itself.
+        match batch.view().aggregate_slots(43, geometry) {
+            SlotClaim::Foreign { cached_seed, cached_geometry } => {
+                assert_eq!((cached_seed, cached_geometry), (42, geometry));
+            }
+            SlotClaim::Rows(_) => panic!("a second seed must not steal the cache"),
         }
-        assert_eq!(batch.packets.hash_seed_misses(), 1);
-        let _ = batch.view().aggregate_hashes(44);
-        assert_eq!(batch.packets.hash_seed_misses(), 2);
-        // The owning seed still hits.
-        assert!(batch.view().aggregate_hashes(42).rows().is_some());
-        assert_eq!(batch.packets.hash_seed_misses(), 2);
+        assert_eq!(batch.packets.slot_claim_misses(), 1);
+        // Neither does the owning seed under a different geometry: its slots
+        // would address other bits.
+        match batch.view().aggregate_slots(42, BitmapGeometry::new(4, 4096)) {
+            SlotClaim::Foreign { cached_geometry, .. } => assert_eq!(cached_geometry, geometry),
+            SlotClaim::Rows(_) => panic!("a second geometry must not steal the cache"),
+        }
+        assert_eq!(batch.packets.slot_claim_misses(), 2);
+        // The owning pair still hits.
+        assert!(batch.view().aggregate_slots(42, geometry).rows().is_some());
+        assert_eq!(batch.packets.slot_claim_misses(), 2);
     }
 
     #[test]

@@ -42,11 +42,13 @@ pub mod profiles;
 pub mod scenario;
 pub mod source;
 
-pub use aggregate::{aggregate_hash_seed, Aggregate, AggregateHashes, AGGREGATE_COUNT};
+pub use aggregate::{
+    aggregate_hash_seed, Aggregate, AggregateHashes, AggregateSlots, AGGREGATE_COUNT,
+};
 pub use anomaly::{Anomaly, AnomalyInjector, AnomalyKind};
 pub use batch::{
-    shard_key, Batch, BatchBuilder, BatchStats, BatchView, HashClaim, IndexedPackets, KeepListPool,
-    PacketRef, PacketStore, StoreBuilder, StoreIndices, TimestampJumpError, MAX_GAP_BINS,
+    shard_key, Batch, BatchBuilder, BatchStats, BatchView, IndexedPackets, KeepListPool, PacketRef,
+    PacketStore, SlotClaim, StoreBuilder, StoreIndices, TimestampJumpError, MAX_GAP_BINS,
 };
 pub use format::{
     decode_batches, decode_batches_shared, encode_batches, FormatError, SharedTraceReader,

@@ -257,7 +257,7 @@ proptest! {
     /// arbitrary packet mix, every column round-trips back to the source
     /// packet, the eager flow-key column matches per-packet serialisation,
     /// the eager stats match a scalar fold over the packets, the cached
-    /// aggregate-hash rows match the padded-key `hash_bytes` reference, and
+    /// aggregate-slot rows match the padded-key `hash_bytes` reference, and
     /// the fused extractor's output over the store matches the historical
     /// ten-pass extractor walking packet structs.
     #[test]
@@ -271,7 +271,7 @@ proptest! {
         hash_seed in 0u64..500,
     ) {
         use netshed::trace::{aggregate_hash_seed, Aggregate, Bytes};
-        use netshed::sketch::hash_bytes;
+        use netshed::sketch::{hash_bytes, BitmapGeometry};
 
         let mut packets: Vec<Packet> = rows
             .iter()
@@ -311,17 +311,18 @@ proptest! {
         prop_assert_eq!(stats.tcp_packets, packets.iter().filter(|p| p.is_proto(6)).count() as u64);
         prop_assert_eq!(stats.udp_packets, packets.iter().filter(|p| p.is_proto(17)).count() as u64);
 
-        // Cached hash rows vs the padded-key reference (an independent code
+        // Cached slot rows vs the padded-key reference (an independent code
         // path: `Aggregate::key` + `hash_bytes` instead of the incremental
-        // per-field hasher the store uses).
-        let rows = batch.packets.aggregate_hashes(hash_seed).rows().expect("fresh cache");
+        // per-field hasher the store uses), located in the same geometry.
+        let geometry = BitmapGeometry::for_cardinality(200_000);
+        let rows = batch.packets.aggregate_slots(hash_seed, geometry).rows().expect("fresh cache");
         for (packet, row) in packets.iter().zip(rows) {
             for (index, aggregate) in Aggregate::ALL.iter().enumerate() {
                 let expected = hash_bytes(
                     &aggregate.key(&packet.tuple),
                     aggregate_hash_seed(hash_seed, index),
                 );
-                prop_assert_eq!(row.get(*aggregate), expected);
+                prop_assert_eq!(row.as_array()[index], geometry.slot(expected));
             }
         }
 
