@@ -3,7 +3,7 @@
 //! `BENCH_pipeline.json` (in the working directory, or `$BENCH_OUT` if set)
 //! so the performance trajectory of the repo is tracked PR over PR.
 //!
-//! Eight measurements:
+//! Seven measurements:
 //!
 //! 1. **extract**: fused single-pass feature extraction vs the historical
 //!    ten-pass baseline on a 10k-packet batch — warm (aggregate slots cached
@@ -18,29 +18,24 @@
 //!    over the same in-memory `.nstr` container — the copy-decode +
 //!    clone-shed + ten-pass replica against the borrowed zero-copy decode +
 //!    pooled shed + fused extractor — plus the steady-state allocation
-//!    guard: a warmed shed→shard→finish loop must perform **zero** heap
+//!    guard: a warmed shed→extract loop must perform **zero** heap
 //!    allocations per bin (`alloc_per_bin`, counted by this binary's global
 //!    allocator and asserted to be 0).
 //! 4. **pipeline**: packets/second through `Monitor::run` with the paper's
 //!    Chapter 4 query mix under 2× overload.
-//! 5. **control plane**: the same overloaded run with the strategy built
-//!    through the `Strategy` enum vs an explicitly constructed
-//!    `ControlPolicy` trait object — the dispatch overhead of the open
-//!    control plane must stay within noise of the enum baseline.
-//! 6. **prediction plane**: ns per bin of the MLR predict/observe cycle,
+//! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle,
 //!    before (per-call allocations) vs after (reused scratch buffers), plus
 //!    the FCBF amortisation of `reselect_every`.
-//! 7. **registry scale**: the service-plane daemon at 10/100/1000 live
+//! 6. **registry scale**: the service-plane daemon at 10/100/1000 live
 //!    tenants — control-channel registration cost per query and the
 //!    steady-state per-bin cost, with the marginal nanoseconds each
 //!    additional tenant adds per bin.
-//! 8. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers —
-//!    measured wall-clock throughput, and the execution-plane projection
-//!    (measured per-task costs under the pool's list schedule) for hosts
-//!    with fewer cores than workers — plus the **sharded** row: the same
-//!    pipeline through the fixed-lane `ShardedMonitor` fleet at 1/2/4 shard
-//!    threads, whose intra-run speedup both endpoints measure in the same
-//!    invocation on the identical lane layout.
+//! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers, and
+//!    the **sharded** row: the same pipeline through the fixed-lane
+//!    `ShardedMonitor` fleet at 1/2/4 shard threads. Every figure is a
+//!    measured wall-clock throughput and its intra-run ratio to the 1-thread
+//!    point of the same invocation; `host_cores` says how many of those
+//!    threads the host could actually run at once.
 //!
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
@@ -50,8 +45,8 @@ use netshed_bench::baseline::{
 };
 use netshed_features::{FeatureExtractor, FeatureId, FeatureVector};
 use netshed_monitor::{
-    flow_sample, packet_sample, packet_sample_with, AllocationPolicy, ExecStats, Monitor,
-    MonitorConfig, NullObserver, PredictivePolicy, Strategy,
+    flow_sample, packet_sample, packet_sample_with, AllocationPolicy, Monitor, MonitorConfig,
+    NullObserver, Strategy,
 };
 use netshed_predict::{MlrConfig, MlrPredictor, Predictor};
 use netshed_queries::{QueryKind, QuerySpec};
@@ -288,8 +283,8 @@ fn soa_replay_run(buffer: &Bytes, rate: f64) -> f64 {
     acc
 }
 
-/// One steady-state pass over pre-decoded batches: pooled shed, sharded
-/// extraction, merge. With warm aggregate-slot caches and a warmed pool this
+/// One steady-state pass over pre-decoded batches: pooled shed, fused
+/// extraction. With warm aggregate-slot caches and a warmed pool this
 /// must not touch the heap at all — `bench_data_plane` counts allocations
 /// around the second pass to pin `alloc_per_bin` to zero.
 fn steady_state_pass(
@@ -305,11 +300,7 @@ fn steady_state_pass(
     for batch in batches {
         let view = batch.view();
         let (sampled, _) = packet_sample_with(&view, rate, &mut rng, pool);
-        let mut shards = extractor.shard(&sampled);
-        for shard in &mut shards {
-            shard.process(&sampled);
-        }
-        let (vector, _) = FeatureExtractor::finish_shards(&sampled, &shards);
+        let (vector, _) = extractor.extract_view(&sampled);
         acc += vector.packets();
     }
     acc
@@ -357,7 +348,7 @@ fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocations, 0,
-        "steady-state shed→shard→finish loop allocated {allocations} times over {batches} bins"
+        "steady-state shed→extract loop allocated {allocations} times over {batches} bins"
     );
 
     DataPlaneNumbers {
@@ -375,12 +366,13 @@ struct PipelineNumbers {
     packets: u64,
     elapsed_s: f64,
     packets_per_sec: f64,
-    exec_stats: ExecStats,
+    /// Share of the run's bin wall time spent inside dispatches.
+    parallel_fraction: f64,
 }
 
 /// Runs the 2× overload pipeline (Chapter 4 query mix, MmfsPkt) at the given
 /// worker count and reports wall-clock throughput plus the monitor's
-/// execution-plane telemetry.
+/// measured dispatch share.
 fn bench_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
     let recorded = TraceGenerator::new(
         TraceConfig::default().with_seed(21).with_mean_packets_per_batch(2000.0),
@@ -411,7 +403,7 @@ fn bench_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
         packets: total_packets,
         elapsed_s,
         packets_per_sec: total_packets as f64 / elapsed_s,
-        exec_stats: monitor.exec_stats(),
+        parallel_fraction: monitor.exec_stats().parallel_fraction(),
     }
 }
 
@@ -422,8 +414,7 @@ fn bench_pipeline(batches: usize) -> PipelineNumbers {
 /// Runs the same 2× overload pipeline through the sharded fleet (default
 /// virtual-lane count) at the given shard-thread count. The lane layout is
 /// fixed, so every shard count replays the identical computation — the row
-/// reports pure wall-clock scaling, with the execution plane's list-schedule
-/// projection for hosts that cannot run the threads for real.
+/// reports pure wall-clock scaling.
 fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
     let recorded = TraceGenerator::new(
         TraceConfig::default().with_seed(21).with_mean_packets_per_batch(2000.0),
@@ -454,7 +445,7 @@ fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
         packets: total_packets,
         elapsed_s,
         packets_per_sec: total_packets as f64 / elapsed_s,
-        exec_stats: fleet.exec_stats(),
+        parallel_fraction: fleet.exec_stats().parallel_fraction(),
     }
 }
 
@@ -524,18 +515,13 @@ fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
     PredictionPlaneNumbers { bins, alloc_ns_per_bin, reuse_ns_per_bin, reuse_reselect10_ns_per_bin }
 }
 
+/// One thread count of a scaling row: worker threads of a solo monitor, or
+/// shard threads of the fleet.
 struct ScalingPoint {
-    workers: usize,
+    threads: usize,
     packets_per_sec: f64,
+    /// Throughput relative to the row's 1-thread point, same invocation.
     measured_speedup: f64,
-    projected_speedup: f64,
-}
-
-struct ShardedScalingPoint {
-    shards: usize,
-    packets_per_sec: f64,
-    measured_speedup: f64,
-    projected_speedup: f64,
 }
 
 struct ScalingNumbers {
@@ -543,134 +529,42 @@ struct ScalingNumbers {
     host_cores: usize,
     parallel_fraction: f64,
     points: Vec<ScalingPoint>,
-    speedup_4w: f64,
-    speedup_4w_basis: &'static str,
     shard_lanes: usize,
-    sharded_points: Vec<ShardedScalingPoint>,
-    sharded_speedup_4s: f64,
-    sharded_speedup_4s_basis: &'static str,
+    sharded_points: Vec<ScalingPoint>,
 }
 
-/// The 2× overload pipeline at 1/2/4 workers. Measured wall-clock speedups
-/// are only meaningful when the host has that many cores; the projection —
-/// per-task costs measured on the 1-worker run, scheduled by the same greedy
-/// list discipline the pool uses — says what an N-core host would get, and is
-/// the reported basis whenever the host cannot run N workers for real.
+/// Measures `run_at` at 1, 2 and 4 threads and relates each throughput to
+/// the 1-thread point; also returns that point's dispatch share.
+fn scaling_row(run_at: impl Fn(usize) -> PipelineNumbers) -> (Vec<ScalingPoint>, f64) {
+    let baseline = run_at(1);
+    let point = |threads: usize, packets_per_sec: f64| ScalingPoint {
+        threads,
+        packets_per_sec,
+        measured_speedup: packets_per_sec / baseline.packets_per_sec,
+    };
+    let points = vec![
+        point(1, baseline.packets_per_sec),
+        point(2, run_at(2).packets_per_sec),
+        point(4, run_at(4).packets_per_sec),
+    ];
+    (points, baseline.parallel_fraction)
+}
+
+/// The 2× overload pipeline at 1/2/4 workers, then through the fixed-lane
+/// fleet at 1/2/4 shard threads. Both rows are intra-run: every endpoint is
+/// measured in this invocation on the identical trace (and lane layout). A
+/// ratio at more threads than `host_cores` measures dispatch overhead, not
+/// scaling — the row reports it as measured either way.
 fn bench_parallel_scaling(batches: usize) -> ScalingNumbers {
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let baseline = bench_pipeline_at(batches, 1);
-    let stats = baseline.exec_stats;
-    let mut points = vec![ScalingPoint {
-        workers: 1,
-        packets_per_sec: baseline.packets_per_sec,
-        measured_speedup: 1.0,
-        projected_speedup: 1.0,
-    }];
-    for workers in [2usize, 4] {
-        let run = bench_pipeline_at(batches, workers);
-        points.push(ScalingPoint {
-            workers,
-            packets_per_sec: run.packets_per_sec,
-            measured_speedup: run.packets_per_sec / baseline.packets_per_sec,
-            projected_speedup: stats.projected_speedup(workers).unwrap_or(1.0),
-        });
-    }
-    let four = points.last().expect("4-worker point");
-    let (speedup_4w, speedup_4w_basis) = if host_cores >= 4 {
-        (four.measured_speedup, "measured")
-    } else {
-        (four.projected_speedup, "projected_list_schedule_single_core_host")
-    };
-
-    // The sharded row: same pipeline through the fixed-lane fleet at 1/2/4
-    // shard threads. The speedup is intra-run — both endpoints are measured
-    // in this invocation, on the identical lane layout and trace.
-    let sharded_baseline = bench_sharded_pipeline_at(batches, 1);
-    let sharded_stats = sharded_baseline.exec_stats;
-    let mut sharded_points = vec![ShardedScalingPoint {
-        shards: 1,
-        packets_per_sec: sharded_baseline.packets_per_sec,
-        measured_speedup: 1.0,
-        projected_speedup: 1.0,
-    }];
-    for shards in [2usize, 4] {
-        let run = bench_sharded_pipeline_at(batches, shards);
-        sharded_points.push(ShardedScalingPoint {
-            shards,
-            packets_per_sec: run.packets_per_sec,
-            measured_speedup: run.packets_per_sec / sharded_baseline.packets_per_sec,
-            projected_speedup: sharded_stats.projected_speedup(shards).unwrap_or(1.0),
-        });
-    }
-    let four_shards = sharded_points.last().expect("4-shard point");
-    let (sharded_speedup_4s, sharded_speedup_4s_basis) = if host_cores >= 4 {
-        (four_shards.measured_speedup, "measured")
-    } else {
-        (four_shards.projected_speedup, "projected_list_schedule_single_core_host")
-    };
-
+    let (points, parallel_fraction) = scaling_row(|workers| bench_pipeline_at(batches, workers));
+    let (sharded_points, _) = scaling_row(|shards| bench_sharded_pipeline_at(batches, shards));
     ScalingNumbers {
         batches,
-        host_cores,
-        parallel_fraction: stats.parallel_fraction(),
+        host_cores: std::thread::available_parallelism().map_or(1, usize::from),
+        parallel_fraction,
         points,
-        speedup_4w,
-        speedup_4w_basis,
         shard_lanes: netshed_monitor::DEFAULT_SHARD_LANES,
         sharded_points,
-        sharded_speedup_4s,
-        sharded_speedup_4s_basis,
-    }
-}
-
-struct ControlPlaneNumbers {
-    batches: usize,
-    enum_ns_per_batch: f64,
-    trait_ns_per_batch: f64,
-    overhead: f64,
-}
-
-/// Times the full overloaded pipeline with the built-in strategy constructed
-/// through the enum vs through an explicit `ControlPolicy` trait object.
-/// Both paths run the same policy code, so the difference is pure
-/// construction/dispatch noise — recorded to keep it that way.
-fn bench_control_plane(batches: usize, repeats: u32) -> ControlPlaneNumbers {
-    let recorded = TraceGenerator::new(
-        TraceConfig::default().with_seed(33).with_mean_packets_per_batch(1000.0),
-    )
-    .batches(batches);
-    let specs: Vec<QuerySpec> =
-        QueryKind::CHAPTER4_SET.iter().map(|kind| QuerySpec::new(*kind)).collect();
-    let demand = netshed_monitor::reference::measure_total_demand(&specs, &recorded[..batches / 4])
-        .expect("valid query specs");
-    let capacity = demand / 2.0;
-
-    let time_path = |use_trait: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let mut builder =
-                Monitor::builder().capacity(capacity).no_noise().queries(specs.clone());
-            builder = if use_trait {
-                builder.with_policy(PredictivePolicy::new(netshed_fairness::MmfsPkt))
-            } else {
-                builder.strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
-            };
-            let mut monitor = builder.build().expect("valid configuration");
-            let mut source = BatchReplay::new(recorded.clone());
-            let start = Instant::now();
-            black_box(monitor.run(&mut source, &mut NullObserver).expect("run"));
-            best = best.min(start.elapsed().as_nanos() as f64 / batches as f64);
-        }
-        best
-    };
-
-    let enum_ns_per_batch = time_path(false);
-    let trait_ns_per_batch = time_path(true);
-    ControlPlaneNumbers {
-        batches,
-        enum_ns_per_batch,
-        trait_ns_per_batch,
-        overhead: trait_ns_per_batch / enum_ns_per_batch - 1.0,
     }
 }
 
@@ -793,15 +687,6 @@ fn main() {
         pipeline.packets, pipeline.elapsed_s, pipeline.packets_per_sec
     );
 
-    eprintln!("control plane: enum-constructed vs trait-constructed policy ...");
-    let control = bench_control_plane(pipeline_batches.min(200), if smoke { 2 } else { 5 });
-    eprintln!(
-        "  enum {:.0} ns/batch | trait {:.0} ns/batch | overhead {:+.1}%",
-        control.enum_ns_per_batch,
-        control.trait_ns_per_batch,
-        control.overhead * 100.0
-    );
-
     eprintln!("prediction plane: MLR predict+observe, alloc-per-call vs reused buffers ...");
     let prediction = bench_prediction_plane(if smoke { 200 } else { 600 });
     eprintln!(
@@ -827,13 +712,13 @@ fn main() {
     let scaling = bench_parallel_scaling(pipeline_batches);
     for point in &scaling.points {
         eprintln!(
-            "  {} worker(s): {:.0} packets/s | measured {:.2}x | projected {:.2}x",
-            point.workers, point.packets_per_sec, point.measured_speedup, point.projected_speedup
+            "  {} worker(s): {:.0} packets/s | measured {:.2}x",
+            point.threads, point.packets_per_sec, point.measured_speedup
         );
     }
     eprintln!(
-        "  host cores: {} | parallel fraction {:.2} | 4-worker speedup {:.2}x ({})",
-        scaling.host_cores, scaling.parallel_fraction, scaling.speedup_4w, scaling.speedup_4w_basis
+        "  host cores: {} | parallel fraction {:.2}",
+        scaling.host_cores, scaling.parallel_fraction
     );
     eprintln!(
         "sharded scaling: same pipeline through the {}-lane fleet at 1/2/4 shard threads ...",
@@ -841,14 +726,10 @@ fn main() {
     );
     for point in &scaling.sharded_points {
         eprintln!(
-            "  {} shard(s): {:.0} packets/s | measured {:.2}x | projected {:.2}x",
-            point.shards, point.packets_per_sec, point.measured_speedup, point.projected_speedup
+            "  {} shard(s): {:.0} packets/s | measured {:.2}x",
+            point.threads, point.packets_per_sec, point.measured_speedup
         );
     }
-    eprintln!(
-        "  4-shard speedup {:.2}x ({})",
-        scaling.sharded_speedup_4s, scaling.sharded_speedup_4s_basis
-    );
 
     let small_views_json: String = extract
         .small_views
@@ -877,36 +758,21 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let scaling_points_json: String = scaling
-        .points
-        .iter()
-        .map(|point| {
-            format!(
-                "      {{ \"workers\": {}, \"packets_per_sec\": {:.0}, \
-                 \"measured_speedup\": {:.3}, \"projected_speedup\": {:.3} }}",
-                point.workers,
-                point.packets_per_sec,
-                point.measured_speedup,
-                point.projected_speedup
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let sharded_points_json: String = scaling
-        .sharded_points
-        .iter()
-        .map(|point| {
-            format!(
-                "        {{ \"shards\": {}, \"packets_per_sec\": {:.0}, \
-                 \"measured_speedup\": {:.3}, \"projected_speedup\": {:.3} }}",
-                point.shards,
-                point.packets_per_sec,
-                point.measured_speedup,
-                point.projected_speedup
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
+    let scaling_row_json = |points: &[ScalingPoint], key: &str, indent: &str| -> String {
+        points
+            .iter()
+            .map(|point| {
+                format!(
+                    "{indent}{{ \"{key}\": {}, \"packets_per_sec\": {:.0}, \"measured_speedup\": {:.3} }}",
+                    point.threads, point.packets_per_sec, point.measured_speedup
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",\n")
+    };
+    let scaling_points_json = scaling_row_json(&scaling.points, "workers", "      ");
+    let sharded_points_json = scaling_row_json(&scaling.sharded_points, "shards", "        ");
+    let speedup_at_4 = |points: &[ScalingPoint]| points.last().map_or(1.0, |p| p.measured_speedup);
     let json = format!(
         "{{\n  \"generated_by\": \"cargo bench -p netshed-bench --bench pipeline{}\",\n  \
          \"smoke\": {},\n  \
@@ -924,9 +790,6 @@ fn main() {
          \"aos_replay_packets_per_sec\": {:.0},\n    \
          \"soa_replay_packets_per_sec\": {:.0},\n    \"soa_speedup\": {:.2},\n    \
          \"alloc_per_bin\": {}\n  }},\n  \
-         \"control_plane_dispatch\": {{\n    \"batches\": {},\n    \
-         \"enum_ns_per_batch\": {:.0},\n    \"trait_ns_per_batch\": {:.0},\n    \
-         \"overhead_fraction\": {:.4}\n  }},\n  \
          \"prediction_plane\": {{\n    \"bins\": {},\n    \
          \"alloc_ns_per_bin\": {:.0},\n    \"reuse_ns_per_bin\": {:.0},\n    \
          \"reuse_reselect10_ns_per_bin\": {:.0},\n    \"speedup_reuse\": {:.2},\n    \
@@ -935,9 +798,9 @@ fn main() {
          \"marginal_ns_per_query_per_bin\": {:.0}\n  }},\n  \
          \"parallel_scaling\": {{\n    \"batches\": {},\n    \"host_cores\": {},\n    \
          \"parallel_fraction\": {:.3},\n    \"workers\": [\n{}\n    ],\n    \
-         \"speedup_4w\": {:.3},\n    \"speedup_4w_basis\": \"{}\",\n    \
+         \"speedup_4w\": {:.3},\n    \
          \"sharded\": {{\n      \"shard_lanes\": {},\n      \"shards\": [\n{}\n      ],\n      \
-         \"sharded_speedup_4s\": {:.3},\n      \"sharded_speedup_4s_basis\": \"{}\"\n    }}\n  }}\n}}\n",
+         \"sharded_speedup_4s\": {:.3}\n    }}\n  }}\n}}\n",
         if smoke { " -- --smoke" } else { "" },
         smoke,
         extract.packets,
@@ -962,10 +825,6 @@ fn main() {
         data_plane.soa_packets_per_sec,
         data_plane.soa_speedup,
         data_plane.alloc_per_bin,
-        control.batches,
-        control.enum_ns_per_batch,
-        control.trait_ns_per_batch,
-        control.overhead,
         prediction.bins,
         prediction.alloc_ns_per_bin,
         prediction.reuse_ns_per_bin,
@@ -979,12 +838,10 @@ fn main() {
         scaling.host_cores,
         scaling.parallel_fraction,
         scaling_points_json,
-        scaling.speedup_4w,
-        scaling.speedup_4w_basis,
+        speedup_at_4(&scaling.points),
         scaling.shard_lanes,
         sharded_points_json,
-        scaling.sharded_speedup_4s,
-        scaling.sharded_speedup_4s_basis,
+        speedup_at_4(&scaling.sharded_points),
     );
     // Cargo runs bench binaries with the package directory as CWD; default
     // to the workspace root so the JSON lands in one predictable place.

@@ -11,7 +11,7 @@
 //! Each experiment prints the same rows / series the corresponding paper
 //! table or figure reports (numbers differ in absolute value because the
 //! substrate is a synthetic trace and a simulated cycle model — see
-//! `EXPERIMENTS.md` for the paper-vs-measured comparison).
+//! "Reproducing the paper" in the repository README).
 
 use netshed_bench::{
     capacity_for_overload, fmt_pm, mean, profile_trace, run_with_reference, stdev,

@@ -171,9 +171,7 @@ impl FeatureExtractor {
     pub fn extract_view(&mut self, view: &BatchView) -> (FeatureVector, u64) {
         // Fused single pass, packet-major: each packet's ten precomputed
         // slots are set in the ten per-batch bitmaps before the next packet
-        // is touched — the cache-friendly shape for a single thread. The
-        // sharded path ([`FeatureExtractor::shard`]) trades that row locality
-        // for per-aggregate independence; both produce identical vectors.
+        // is touched — the cache-friendly shape for a single thread.
         let interval = view.measurement_interval(self.config.measurement_interval_us);
         if self.current_interval != Some(interval) {
             for state in &mut self.aggregates {
@@ -223,106 +221,7 @@ impl FeatureExtractor {
         let operations = view.len() as u64 * Aggregate::ALL.len() as u64;
         (vector, operations)
     }
-
-    /// Starts a sharded extraction: performs the order-sensitive interval
-    /// bookkeeping on the calling thread and returns one [`ExtractorShard`]
-    /// per aggregate. Each shard touches only its own aggregate's bitmaps,
-    /// so the shards may be processed concurrently on different threads;
-    /// assemble the result with [`FeatureExtractor::finish_shards`]. The
-    /// outcome is bit-identical to [`FeatureExtractor::extract_view`] — set
-    /// semantics make per-bitmap insert order irrelevant, and every other
-    /// operation is confined to one shard.
-    pub fn shard(&mut self, view: &BatchView) -> [ExtractorShard<'_>; AGGREGATE_COUNT] {
-        // Reset the per-interval state when the batch crosses into a new
-        // measurement interval.
-        let interval = view.measurement_interval(self.config.measurement_interval_us);
-        if self.current_interval != Some(interval) {
-            for state in &mut self.aggregates {
-                state.interval_seen.clear();
-            }
-            self.current_interval = Some(interval);
-        }
-        self.batches_processed += 1;
-
-        let hash_seed = self.config.hash_seed;
-        // Pair states with their aggregate index through the enumerate so
-        // the mapping is immune to `from_fn`'s evaluation order; the array
-        // is returned by value — no per-bin allocation.
-        let mut states = self.aggregates.iter_mut().enumerate();
-        std::array::from_fn(|_| {
-            // lint:allow(no-unwrap): the iterator yields exactly AGGREGATE_COUNT states by construction
-            let (aggregate_index, state) = states.next().expect("one state per aggregate");
-            ExtractorShard { state, aggregate_index, hash_seed, counters: [0.0; 4] }
-        })
-    }
-
-    /// Assembles the feature vector from processed shards, together with the
-    /// estimated elementary-operation count (one hash + one bitmap update per
-    /// aggregate per packet, exactly as the fused path accounts it).
-    pub fn finish_shards(view: &BatchView, shards: &[ExtractorShard<'_>]) -> (FeatureVector, u64) {
-        let mut vector = FeatureVector::zeros();
-        vector.set(FeatureId::Packets, view.len() as f64);
-        vector.set(FeatureId::Bytes, view.total_bytes() as f64);
-        for shard in shards {
-            let aggregate = Aggregate::ALL[shard.aggregate_index];
-            let [unique, new, repeated, batch_repeated] = shard.counters;
-            vector.set(FeatureId::Counter(aggregate, CounterKind::Unique), unique);
-            vector.set(FeatureId::Counter(aggregate, CounterKind::New), new);
-            vector.set(FeatureId::Counter(aggregate, CounterKind::Repeated), repeated);
-            vector.set(FeatureId::Counter(aggregate, CounterKind::BatchRepeated), batch_repeated);
-        }
-        let operations = view.len() as u64 * Aggregate::ALL.len() as u64;
-        (vector, operations)
-    }
 }
-
-/// One aggregate's independently processable slice of a feature extraction
-/// (see [`FeatureExtractor::shard`]).
-pub struct ExtractorShard<'a> {
-    state: &'a mut AggregateState,
-    aggregate_index: usize,
-    hash_seed: u64,
-    /// Unique / new / repeated / batch-repeated, in vector order.
-    counters: [f64; 4],
-}
-
-impl ExtractorShard<'_> {
-    /// Processes the view for this shard's aggregate: per-packet bitmap
-    /// inserts (from the batch's cached slot rows when this extractor's seed
-    /// and geometry own them), the per-interval merge, and the four counter
-    /// features.
-    pub fn process(&mut self, view: &BatchView) {
-        let packets = view.len() as f64;
-        let batch_unique = &mut self.state.batch_unique;
-        let geometry = batch_unique.geometry();
-        match view.aggregate_slots(self.hash_seed, geometry) {
-            SlotClaim::Rows(slots) => {
-                for store_index in view.store_indices() {
-                    batch_unique.insert_slot(slots[store_index].as_array()[self.aggregate_index]);
-                }
-            }
-            SlotClaim::Foreign { .. } => {
-                // A foreign seed or geometry owns the batch's cache: locate
-                // the retained tuples, and keep this aggregate's slot.
-                let tuples = view.store().tuples();
-                for store_index in view.store_indices() {
-                    let row =
-                        AggregateSlots::compute(&tuples[store_index], self.hash_seed, geometry);
-                    batch_unique.insert_slot(row.as_array()[self.aggregate_index]);
-                }
-            }
-        }
-
-        self.counters = self.state.interval_counters(packets);
-    }
-}
-
-// Shards cross the scoped-thread boundary; their only state is a `&mut` into
-// this extractor's bitmaps.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<ExtractorShard<'_>>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -419,18 +318,26 @@ mod tests {
     fn fused_extraction_is_bit_identical_to_the_ten_pass_reference() {
         let tuples: Vec<FiveTuple> =
             (0..500).map(|i| FiveTuple::new(i % 97, i % 13, (i % 31) as u16, 80, 6)).collect();
-        let batch = batch_of(&tuples, 0);
         let config = ExtractorConfig::default();
-        let mut extractor = FeatureExtractor::new(config.clone());
-        let (features, _) = extractor.extract(&batch);
-        for (unique, aggregate) in ten_pass_reference(&config, &batch).iter().zip(Aggregate::ALL) {
-            let fused = features.get(FeatureId::Counter(aggregate, CounterKind::Unique));
-            assert_eq!(
-                fused,
-                *unique,
-                "aggregate {} diverged from the reference",
-                aggregate.name()
-            );
+        // Two bins in the same interval plus one in a fresh interval, and
+        // three intervals in a row: the per-batch counters must not depend
+        // on what the interval bookkeeping did before them.
+        for bins in [[0u64, 1, 10], [0, 10, 20]] {
+            let mut extractor = FeatureExtractor::new(config.clone());
+            for bin in bins {
+                let batch = batch_of(&tuples, bin);
+                let (features, _) = extractor.extract(&batch);
+                let reference = ten_pass_reference(&config, &batch);
+                for (unique, aggregate) in reference.iter().zip(Aggregate::ALL) {
+                    let fused = features.get(FeatureId::Counter(aggregate, CounterKind::Unique));
+                    assert_eq!(
+                        fused,
+                        *unique,
+                        "aggregate {} diverged from the reference on bin {bin}",
+                        aggregate.name()
+                    );
+                }
+            }
         }
     }
 
@@ -476,38 +383,6 @@ mod tests {
         let (actual, _) = restored.extract(&batch_of(&tuples[100..], 1));
         for id in FeatureId::all() {
             assert_eq!(expected.get(id), actual.get(id), "feature {} after restore", id.name());
-        }
-    }
-
-    #[test]
-    fn sharded_extraction_is_bit_identical_to_the_fused_pass() {
-        let tuples: Vec<FiveTuple> =
-            (0..400).map(|i| FiveTuple::new(i % 53, i % 11, (i % 29) as u16, 80, 6)).collect();
-        // Two bins in the same interval plus one in a fresh interval, so the
-        // interval bookkeeping is exercised on both paths.
-        for bins in [[0u64, 1, 10], [0, 10, 20]] {
-            let mut fused = FeatureExtractor::with_defaults();
-            let mut sharded = FeatureExtractor::with_defaults();
-            for bin in bins {
-                let batch = batch_of(&tuples, bin);
-                let (expected, expected_ops) = fused.extract(&batch);
-                let view = batch_of(&tuples, bin).view();
-                let mut shards = sharded.shard(&view);
-                for shard in shards.iter_mut().rev() {
-                    // Reverse order: shard processing order must not matter.
-                    shard.process(&view);
-                }
-                let (actual, actual_ops) = FeatureExtractor::finish_shards(&view, &shards);
-                assert_eq!(expected_ops, actual_ops);
-                for id in FeatureId::all() {
-                    assert_eq!(
-                        expected.get(id),
-                        actual.get(id),
-                        "feature {} diverged on bin {bin}",
-                        id.name()
-                    );
-                }
-            }
         }
     }
 

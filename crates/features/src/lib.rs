@@ -22,5 +22,5 @@ pub mod extractor;
 pub mod vector;
 
 pub use aggregate::{aggregate_hash_seed, Aggregate, AggregateHashes, AGGREGATE_COUNT};
-pub use extractor::{ExtractorConfig, ExtractorShard, FeatureExtractor};
+pub use extractor::{ExtractorConfig, FeatureExtractor};
 pub use vector::{CounterKind, FeatureId, FeatureVector, FEATURE_COUNT};

@@ -1,81 +1,33 @@
 //! The parallel execution plane: scoped worker dispatch for the per-bin
-//! query tail.
+//! query work.
 //!
-//! After the control-plane decision, the per-query work of a bin — sampled
-//! feature re-extraction, `Query::process_batch`, noise application and
-//! `Predictor::observe`, plus the uncharged shadow-twin measurements of
-//! oracle-style policies — is embarrassingly parallel: every task touches
-//! only its own query's state plus shared read-only data (the post-drop
-//! [`BatchView`](netshed_trace::BatchView), the full-batch feature vector).
-//! [`run_tasks_into`] fans those tasks out over a scoped pool of
-//! `std::thread` workers and leaves per-task wall-clock timings in a
-//! caller-owned [`TaskTimings`] scratch (so steady-state dispatch allocates
-//! nothing); the monitor merges the results back in registration order, so
-//! the output stream is bit-identical whatever the worker count (see
-//! DESIGN.md, "Execution plane").
+//! The per-query work of a bin — the cost prediction, the uncharged
+//! shadow-twin measurement of oracle-style policies, and the tail (flow
+//! sampling, sampled feature re-extraction, `Query::process_batch`, noise
+//! application and `Predictor::observe`) — is embarrassingly parallel: every
+//! task touches only its own query's state plus shared read-only data (the
+//! post-drop [`BatchView`](netshed_trace::BatchView), the full-batch feature
+//! vector). [`run_tasks`] fans those tasks out over a scoped pool of
+//! `std::thread` workers; the monitor merges the results back in
+//! registration order, so the output stream is bit-identical whatever the
+//! worker count (see DESIGN.md, "Execution plane").
 //!
 //! Everything order-sensitive — capture-buffer accounting, full-batch
-//! feature extraction, predictions, the policy decision, the RNG-driven
-//! construction of each query's shed view and the measurement-noise draws —
-//! stays on the caller's thread; a task receives its inputs (including its
-//! pre-drawn [`NoiseDraw`](netshed_queries::NoiseDraw)) fully determined.
+//! feature extraction, the policy decision, the RNG-driven packet sampling
+//! and the measurement-noise draws — stays on the caller's thread; a task
+//! receives its inputs (including its pre-drawn
+//! [`NoiseDraw`](netshed_queries::NoiseDraw)) fully determined.
 //!
 //! With `workers == 1` (the default) no thread is ever spawned: tasks run
 //! inline on the caller's thread in task order, which *is* the historical
 //! sequential path.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Highest accepted worker count (a sanity cap, not a tuning hint).
 pub const MAX_WORKERS: usize = 256;
 
-/// Worker counts the scaling benchmark reports projected speedups at (a
-/// display grid; [`ExecStats::projected_speedup`] itself answers any count
-/// up to [`MAX_SIMULATED_WORKERS`]).
-pub const SIMULATED_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// Highest worker count [`ExecStats::projected_speedup`] can answer for:
-/// per-bin makespans are accumulated for every count in
-/// `1..=MAX_SIMULATED_WORKERS`.
-pub const MAX_SIMULATED_WORKERS: usize = 64;
-
-/// Reusable per-dispatch timing scratch: the buffers [`run_tasks_into`]
-/// writes per-task nanoseconds into.
-///
-/// The caller owns the scratch across bins, so a steady-state bin loop
-/// re-dispatches without allocating — both the plain nanosecond buffer and
-/// the atomic slots of the threaded path keep their capacity between
-/// dispatches.
-#[derive(Debug, Default)]
-pub(crate) struct TaskTimings {
-    ns: Vec<u64>,
-    atomic: Vec<AtomicU64>,
-}
-
-impl TaskTimings {
-    /// Creates an empty scratch (first dispatches grow it to steady size).
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Per-task wall-clock nanoseconds of the most recent dispatch, indexed
-    /// like its `tasks` slice.
-    pub(crate) fn ns(&self) -> &[u64] {
-        &self.ns
-    }
-
-    /// Forgets the last dispatch without releasing capacity — for callers
-    /// whose dispatch is conditional, so a skipped dispatch does not replay
-    /// the previous bin's timings.
-    pub(crate) fn clear(&mut self) {
-        self.ns.clear();
-    }
-}
-
-/// Runs every task exactly once across `workers` scoped threads, leaving the
-/// per-task wall-clock nanoseconds in `timings` (indexed like `tasks`).
+/// Runs every task exactly once across `workers` scoped threads.
 ///
 /// Tasks are pulled from a shared queue in order, so an expensive task never
 /// serialises the cheap ones behind it. The call returns when all tasks have
@@ -85,46 +37,26 @@ impl TaskTimings {
 ///
 /// Determinism: the function imposes no ordering on *effects* because each
 /// task may only touch state it exclusively owns (`&mut T`) plus `Sync`
-/// shared inputs; result placement is by task index, so callers merging in
-/// index order observe the same stream regardless of `workers`.
-pub(crate) fn run_tasks_into<T, F>(
-    workers: usize,
-    tasks: &mut [T],
-    run: F,
-    timings: &mut TaskTimings,
-) where
+/// shared inputs; results stay in the task they belong to, so callers merging
+/// in index order observe the same stream regardless of `workers`.
+pub(crate) fn run_tasks<T, F>(workers: usize, tasks: &mut [T], run: F)
+where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
-    timings.ns.clear();
     let worker_count = workers.clamp(1, MAX_WORKERS).min(tasks.len());
     if worker_count <= 1 {
-        for task in tasks.iter_mut() {
-            let start = Instant::now();
-            run(task);
-            timings.ns.push(start.elapsed().as_nanos() as u64);
-        }
+        tasks.iter_mut().for_each(run);
         return;
     }
 
-    // Reuse the atomic slots across dispatches; only growth past the
-    // steady-state task count allocates.
-    for slot in timings.atomic.iter_mut().take(tasks.len()) {
-        *slot.get_mut() = 0;
-    }
-    if timings.atomic.len() < tasks.len() {
-        timings.atomic.resize_with(tasks.len(), || AtomicU64::new(0));
-    }
-    let task_ns = &timings.atomic[..tasks.len()];
-    let queue = Mutex::new(tasks.iter_mut().enumerate());
+    let queue = Mutex::new(tasks.iter_mut());
     let drain = || loop {
         // Hold the queue lock only for the pop, never across a task.
         // lint:allow(no-unwrap): a poisoned queue means a worker panicked mid-task; propagating the panic is the only sound continuation
         let next = queue.lock().expect("task queue poisoned").next();
-        let Some((index, task)) = next else { break };
-        let start = Instant::now();
+        let Some(task) = next else { break };
         run(task);
-        task_ns[index].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     };
     std::thread::scope(|scope| {
         // The caller participates, so a dispatch spawns only `workers - 1`
@@ -137,113 +69,48 @@ pub(crate) fn run_tasks_into<T, F>(
         }
         drain();
     });
-    timings.ns.extend(task_ns.iter().map(|slot| slot.load(Ordering::Relaxed)));
 }
 
-/// One-shot convenience over [`run_tasks_into`]: allocates a fresh scratch
-/// and returns the timing vector. Kept for callers outside the steady-state
-/// bin loop (and for tests); the monitor itself dispatches through its owned
-/// [`TaskTimings`] scratches.
-#[cfg(test)]
-pub(crate) fn run_tasks<T, F>(workers: usize, tasks: &mut [T], run: F) -> Vec<u64>
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let mut timings = TaskTimings::new();
-    run_tasks_into(workers, tasks, run, &mut timings);
-    timings.ns
-}
-
-/// Greedy list-scheduling makespan: assigns each task, in queue order, to the
-/// worker that frees up first — the same discipline the shared-queue pool
-/// follows — and returns the busiest worker's total nanoseconds.
-pub fn simulated_makespan(task_ns: &[u64], workers: usize) -> u64 {
-    let mut loads = vec![0u64; workers.max(1)];
-    for &ns in task_ns {
-        // lint:allow(no-unwrap): loads has workers.max(1) elements, so min() always exists
-        let earliest = loads.iter_mut().min().expect("at least one worker");
-        *earliest += ns;
-    }
-    loads.into_iter().max().unwrap_or(0)
-}
-
-/// Cumulative execution-plane telemetry of a [`Monitor`](crate::Monitor).
+/// Cumulative execution-plane telemetry of a [`Monitor`](crate::Monitor) or
+/// a [`ShardedMonitor`](crate::ShardedMonitor): what was observed, nothing
+/// modelled.
 ///
-/// Every processed bin contributes its sequential nanoseconds (everything on
-/// the caller's thread) and its dispatched task nanoseconds; from the
-/// per-task durations the plane also accumulates simulated makespans at
-/// every worker count in `1..=`[`MAX_SIMULATED_WORKERS`].
-/// [`ExecStats::projected_speedup`] turns those into the throughput scaling
-/// an `N`-core host would see — measured task costs, modelled schedule —
-/// which is what the scaling benchmark reports on hosts with fewer cores
-/// than workers.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Every processed bin contributes its wall time, split by the one clock
+/// pair taken around each dispatch into the time spent inside dispatches and
+/// the time spent outside them on the caller's thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Bins processed.
     pub bins: u64,
-    /// Nanoseconds spent on the caller's thread (admission, extraction,
-    /// prediction, decision, shed-view construction, merge).
+    /// Wall nanoseconds spent outside dispatches, on the caller's thread
+    /// (admission, extraction, decision, plan, merge).
     pub sequential_ns: u64,
-    /// Total nanoseconds of dispatched tasks (summed over tasks).
-    pub task_ns: u64,
-    /// Tasks dispatched to the execution plane.
+    /// Wall nanoseconds spent inside dispatches — start of the fan-out to
+    /// the last task's completion, whatever the worker count.
+    pub dispatch_ns: u64,
+    /// Tasks handed to the execution plane.
     pub dispatched_tasks: u64,
-    /// Simulated makespans; slot `i` holds the accumulated makespan at
-    /// `i + 1` workers.
-    makespan_ns: [u64; MAX_SIMULATED_WORKERS],
-}
-
-impl Default for ExecStats {
-    fn default() -> Self {
-        Self {
-            bins: 0,
-            sequential_ns: 0,
-            task_ns: 0,
-            dispatched_tasks: 0,
-            makespan_ns: [0; MAX_SIMULATED_WORKERS],
-        }
-    }
 }
 
 impl ExecStats {
-    /// Folds one bin: its sequential time and the task durations of each of
-    /// its dispatches (a bin has one dispatch for the query tail, plus one
-    /// for shadow twins under oracle-style policies).
-    pub(crate) fn fold_bin(&mut self, sequential_ns: u64, dispatches: &[&[u64]]) {
+    /// Folds one bin: its wall time outside and inside its dispatches, and
+    /// the number of tasks those dispatches walked.
+    pub(crate) fn fold_bin(&mut self, sequential_ns: u64, dispatch_ns: u64, tasks: usize) {
         self.bins += 1;
         self.sequential_ns += sequential_ns;
-        for task_ns in dispatches {
-            self.dispatched_tasks += task_ns.len() as u64;
-            self.task_ns += task_ns.iter().sum::<u64>();
-            for (slot, workers) in self.makespan_ns.iter_mut().zip(1..) {
-                *slot += simulated_makespan(task_ns, workers);
-            }
-        }
+        self.dispatch_ns += dispatch_ns;
+        self.dispatched_tasks += tasks as u64;
     }
 
-    /// Fraction of the total per-bin time spent in dispatchable tasks — the
-    /// Amdahl ceiling of the execution plane.
+    /// Fraction of the measured wall time spent inside dispatches. On a
+    /// 1-worker run this is the share of the bin that more workers could
+    /// overlap at all — the Amdahl ceiling of the execution plane.
     pub fn parallel_fraction(&self) -> f64 {
-        let total = self.sequential_ns + self.task_ns;
+        let total = self.sequential_ns + self.dispatch_ns;
         if total == 0 {
             return 0.0;
         }
-        self.task_ns as f64 / total as f64
-    }
-
-    /// Projected throughput speedup at `workers` workers relative to one,
-    /// from the measured task costs under the pool's list schedule. Answers
-    /// any count in `1..=`[`MAX_SIMULATED_WORKERS`] — not just the
-    /// [`SIMULATED_WORKERS`] display grid; returns `None` beyond the bound
-    /// or before any bin was processed.
-    pub fn projected_speedup(&self, workers: usize) -> Option<f64> {
-        if workers == 0 || workers > MAX_SIMULATED_WORKERS {
-            return None;
-        }
-        let one = self.sequential_ns + self.makespan_ns[0];
-        let at = self.sequential_ns + self.makespan_ns[workers - 1];
-        (at > 0).then(|| one as f64 / at as f64)
+        self.dispatch_ns as f64 / total as f64
     }
 }
 
@@ -309,16 +176,15 @@ mod tests {
     fn run_tasks_runs_every_task_exactly_once_at_any_worker_count() {
         for workers in [1, 2, 4, 9] {
             let mut tasks: Vec<u32> = vec![0; 7];
-            let timings = run_tasks(workers, &mut tasks, |task| *task += 1);
+            run_tasks(workers, &mut tasks, |task| *task += 1);
             assert_eq!(tasks, vec![1; 7], "workers = {workers}");
-            assert_eq!(timings.len(), 7);
         }
     }
 
     #[test]
     fn run_tasks_handles_empty_and_single_task_sets() {
         let mut none: Vec<u32> = Vec::new();
-        assert!(run_tasks(4, &mut none, |_| unreachable!()).is_empty());
+        run_tasks(4, &mut none, |_| unreachable!());
         let mut one = vec![10u32];
         run_tasks(4, &mut one, |task| *task *= 2);
         assert_eq!(one, vec![20]);
@@ -326,7 +192,7 @@ mod tests {
 
     #[test]
     fn parallel_workers_really_run_concurrently() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Barrier;
         // Two tasks that can only finish if two workers run them at once.
         let barrier = Barrier::new(2);
@@ -340,49 +206,16 @@ mod tests {
     }
 
     #[test]
-    fn simulated_makespan_models_list_scheduling() {
-        // Tasks 6,4,3,3 on two workers: 6|4+3 → second worker gets 4 then 3,
-        // first gets 6 then 3 → loads 9 and 7.
-        assert_eq!(simulated_makespan(&[6, 4, 3, 3], 2), 9);
-        assert_eq!(simulated_makespan(&[6, 4, 3, 3], 1), 16);
-        assert_eq!(simulated_makespan(&[6, 4, 3, 3], 4), 6);
-        assert_eq!(simulated_makespan(&[], 4), 0);
-    }
-
-    #[test]
-    fn exec_stats_accumulate_and_project() {
+    fn exec_stats_accumulate_what_was_measured() {
         let mut stats = ExecStats::default();
-        stats.fold_bin(100, &[&[50, 50, 50, 50]]);
-        assert_eq!(stats.bins, 1);
-        assert_eq!(stats.sequential_ns, 100);
-        assert_eq!(stats.task_ns, 200);
-        assert_eq!(stats.dispatched_tasks, 4);
-        assert!((stats.parallel_fraction() - 200.0 / 300.0).abs() < 1e-12);
-        // 1 worker: 100 + 200 = 300; 4 workers: 100 + 50 = 150 → 2×.
-        assert_eq!(stats.projected_speedup(1), Some(1.0));
-        assert_eq!(stats.projected_speedup(4), Some(2.0));
-        // Off the display grid: 3 workers list-schedule 4×50 as 100|50|50 →
-        // 100 + 100 = 200 → 1.5×.
-        assert_eq!(stats.projected_speedup(3), Some(1.5));
-        // Beyond the task count the makespan floors at one task.
-        assert_eq!(stats.projected_speedup(MAX_SIMULATED_WORKERS), Some(2.0));
-        // Outside the simulated bound (or nonsensical) stays unanswerable.
-        assert_eq!(stats.projected_speedup(0), None);
-        assert_eq!(stats.projected_speedup(MAX_SIMULATED_WORKERS + 1), None);
-    }
-
-    #[test]
-    fn projected_speedup_answers_every_simulated_count() {
-        let mut stats = ExecStats::default();
-        stats.fold_bin(0, &[&[30, 20, 10, 10, 10]]);
-        let mut previous = 0.0;
-        for workers in 1..=MAX_SIMULATED_WORKERS {
-            let speedup =
-                stats.projected_speedup(workers).expect("every count up to the bound answers");
-            assert!(speedup >= previous - 1e-12, "speedup is monotone in workers");
-            previous = speedup;
-        }
-        assert!(ExecStats::default().projected_speedup(2).is_none(), "no bins yet");
+        assert_eq!(stats.parallel_fraction(), 0.0, "no bins yet");
+        stats.fold_bin(100, 200, 4);
+        stats.fold_bin(50, 250, 6);
+        assert_eq!(stats.bins, 2);
+        assert_eq!(stats.sequential_ns, 150);
+        assert_eq!(stats.dispatch_ns, 450);
+        assert_eq!(stats.dispatched_tasks, 10);
+        assert!((stats.parallel_fraction() - 450.0 / 600.0).abs() < 1e-12);
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub use config::{
 };
 pub use digest::{DigestObserver, RunDigest, StreamDigest};
 pub use error::NetshedError;
-pub use exec::{simulated_makespan, ExecStats, MAX_WORKERS};
+pub use exec::{ExecStats, MAX_WORKERS};
 pub use monitor::{Monitor, QueryId};
 pub use observer::{AccuracyTracker, NullObserver, RecordSink, RunObserver};
 pub use policy::{

@@ -68,38 +68,41 @@ impl std::fmt::Display for QueryId {
     }
 }
 
-/// The per-query state an execution-plane worker mutates while processing a
-/// bin: the query itself, its oracle shadow twin, its predictor and the
-/// extractor that recomputes features over its sampled stream.
-///
-/// Split out of [`RegisteredQuery`] so a dispatched task can borrow one
-/// query's execution state `&mut` while the monitor keeps the control-plane
-/// fields (label, enforcement counters, flow hasher) to itself — the borrow
-/// boundary that makes the scoped-worker dispatch safe.
-struct QueryExecState {
-    query: Box<dyn Query>,
-    /// Shadow twin fed the full (unsampled) stream to measure the bin's
-    /// actual cycles for oracle-style policies. Its work is not charged
-    /// against the capacity.
-    shadow: Option<Box<dyn Query>>,
-    predictor: Box<dyn Predictor>,
-    /// Extractor used to recompute features over this query's sampled stream
-    /// (needed to keep the MLR history consistent, Section 4.3).
-    sampled_extractor: FeatureExtractor,
-    /// Keep-list pool for the flow-sampled view this query's worker task
-    /// builds; owned per query so the dispatch needs no shared state.
-    shed_pool: KeepListPool,
+/// One bin's plan and results for one query — the whole hand-off between the
+/// three phases of [`Monitor::process_batch`]: the plan phase fills it on the
+/// caller's thread, the dispatches complete it inside the query's own task,
+/// and the merge reads it back in registration order.
+#[derive(Default)]
+struct BinSlot {
+    /// Predicted full-batch cycles (0 while the query serves a penalty).
+    predicted: f64,
+    /// Elementary operations the prediction cost.
+    predict_ops: u64,
+    /// Full-batch cycles measured on the shadow twin (the prediction when
+    /// the query has no twin); written only under oracle-style policies.
+    shadow_cycles: f64,
+    /// The granted sampling rate and the pre-drawn measurement noise when
+    /// the query runs this bin; `None` when it sits the bin out (penalised,
+    /// or granted rate 0).
+    run: Option<(f64, NoiseDraw)>,
+    /// The packet-sampled view, drawn in the plan phase because it consumes
+    /// the shared RNG. `None` for every other shedding outcome: the tail
+    /// works from the post-drop view (flow sampling is deterministic per
+    /// query, so it happens inside the task).
+    sampled: Option<BatchView>,
+    // Outputs of the tail, valid when `run` is `Some`.
+    measured: f64,
+    outlier: bool,
+    delivered_packets: u64,
+    reextract_ops: u64,
 }
 
-// Execution states cross the scoped-thread boundary as `&mut` borrows;
-// `Query`, `Predictor` and the extractor are all `Send` by bound or by
-// construction. Compile-time proof:
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<QueryExecState>();
-};
-
 /// One query registered in the monitor, together with its prediction state.
+///
+/// The query is also the unit of dispatch: the execution plane hands each
+/// worker one `&mut RegisteredQuery`, so everything a task mutates — the
+/// query, its shadow twin, its predictor, its extractor, its keep-list pool
+/// and its [`BinSlot`] — lives here and nowhere else.
 struct RegisteredQuery {
     id: QueryId,
     label: String,
@@ -116,8 +119,107 @@ struct RegisteredQuery {
     overuse_ratio: f64,
     violations: u32,
     penalty_remaining: u32,
-    /// The state a dispatched worker borrows while processing a bin.
-    exec: QueryExecState,
+    query: Box<dyn Query>,
+    /// Shadow twin fed the full (unsampled) stream to measure the bin's
+    /// actual cycles for oracle-style policies. Its work is not charged
+    /// against the capacity.
+    shadow: Option<Box<dyn Query>>,
+    predictor: Box<dyn Predictor>,
+    /// Extractor used to recompute features over this query's sampled stream
+    /// (needed to keep the MLR history consistent, Section 4.3).
+    sampled_extractor: FeatureExtractor,
+    /// Keep-list pool for the flow-sampled view this query's task builds;
+    /// owned per query so the dispatch needs no shared state.
+    shed_pool: KeepListPool,
+    bin: BinSlot,
+}
+
+// Registered queries cross the scoped-thread boundary as `&mut` borrows;
+// `Query`, `Predictor` and the extractor are all `Send` by bound or by
+// construction. Compile-time proof:
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<RegisteredQuery>();
+};
+
+impl RegisteredQuery {
+    /// Predict task: the full-batch cost from the shared feature vector.
+    /// A penalised query is not predicted (and charged nothing for it).
+    fn predict(&mut self, features: &FeatureVector) {
+        (self.bin.predicted, self.bin.predict_ops) = if self.penalty_remaining > 0 {
+            (0.0, 0)
+        } else {
+            (self.predictor.predict(features), self.predictor.last_cost_operations())
+        };
+    }
+
+    /// Shadow task: the bin's true full-batch cycles, measured on the twin
+    /// fed the unsampled stream (the prediction when there is no twin).
+    fn measure_shadow(&mut self, post_drop: &BatchView) {
+        self.bin.shadow_cycles = match self.shadow.as_mut() {
+            Some(shadow) => {
+                let mut meter = CycleMeter::new();
+                shadow.process_batch(post_drop, 1.0, &mut meter);
+                meter.cycles() as f64
+            }
+            None => self.bin.predicted,
+        };
+    }
+
+    /// Tail task: shed, re-extract, run the query, apply the pre-drawn noise
+    /// and feed the observation back into the prediction history. A query
+    /// the plan sat out is walked and left untouched.
+    fn run_tail(&mut self, post_drop: &BatchView, features: &FeatureVector) {
+        let Some((rate, noise)) = self.bin.run else { return };
+        let (delivered, resampled) = match self.bin.sampled.take() {
+            Some(sampled) => (sampled, true),
+            None if rate < 1.0 && self.shedding == SheddingMethod::FlowSampling => {
+                let (sampled, _) =
+                    flow_sample_with(post_drop, rate, &self.flow_hasher, &mut self.shed_pool);
+                (sampled, true)
+            }
+            // Full rate, or custom shedding (the query scales its own work).
+            None => (post_drop.clone(), false),
+        };
+        self.bin.delivered_packets = delivered.len() as u64;
+
+        // Recompute the features over the sampled stream so the MLR history
+        // stays consistent (Section 4.3); the per-query extractor belongs to
+        // this task alone.
+        let sampled_features = if resampled {
+            let (extracted, ops) = self.sampled_extractor.extract_view(&delivered);
+            self.bin.reextract_ops = ops;
+            Some(extracted)
+        } else {
+            self.bin.reextract_ops = 0;
+            None
+        };
+
+        // Run the query and measure its cycles.
+        let mut meter = CycleMeter::new();
+        self.query.process_batch(&delivered, rate, &mut meter);
+        let (measured, outlier) = noise.apply(meter.cycles());
+        let measured = measured as f64;
+
+        // Feed the observation back into the prediction history. For custom
+        // shedding the assigned rate plays the same role as a sampling rate:
+        // the query is expected to scale its work by it.
+        let history_features = sampled_features.as_ref().unwrap_or(features);
+        if outlier {
+            // Replace corrupted measurements with the prediction
+            // (Section 3.2.4 / 4.4).
+            let expected = self.bin.predicted * rate;
+            self.predictor.observe_corrupted(history_features, expected.max(0.0));
+        } else if self.shedding == SheddingMethod::Custom && rate < 1.0 {
+            // Custom shedding: the history models the full-batch cost, so
+            // scale the measurement by the requested rate.
+            self.predictor.observe(features, measured / rate.max(1e-6));
+        } else {
+            self.predictor.observe(history_features, measured);
+        }
+        self.bin.measured = measured;
+        self.bin.outlier = outlier;
+    }
 }
 
 /// The load-shedding monitoring system.
@@ -151,17 +253,12 @@ pub struct Monitor {
     current_interval: Option<u64>,
     /// Monotonic registration counter backing [`QueryId`] handles.
     next_query_id: u64,
-    /// Cumulative execution-plane telemetry (sequential vs dispatched time).
+    /// Cumulative execution-plane telemetry (wall time outside vs inside
+    /// dispatches).
     exec_stats: ExecStats,
     /// Keep-list pool for the plan-phase shed views (capture-buffer overflow
     /// and packet sampling), recycled across bins.
     shed_pool: KeepListPool,
-    /// Per-dispatch timing scratches, one per dispatch site of a bin, so the
-    /// steady-state loop re-dispatches without allocating.
-    extract_timings: exec::TaskTimings,
-    predict_timings: exec::TaskTimings,
-    shadow_timings: exec::TaskTimings,
-    tail_timings: exec::TaskTimings,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -212,10 +309,6 @@ impl Monitor {
             next_query_id: 0,
             exec_stats: ExecStats::default(),
             shed_pool: KeepListPool::new(),
-            extract_timings: exec::TaskTimings::new(),
-            predict_timings: exec::TaskTimings::new(),
-            shadow_timings: exec::TaskTimings::new(),
-            tail_timings: exec::TaskTimings::new(),
             config,
         }
     }
@@ -250,7 +343,7 @@ impl Monitor {
         self.policy = policy;
         let needs_shadow = self.policy.needs_measured_cycles();
         for registered in &mut self.queries {
-            registered.exec.shadow = if needs_shadow {
+            registered.shadow = if needs_shadow {
                 registered.spec.as_ref().map(|spec| build_query_from_spec(spec))
             } else {
                 None
@@ -337,16 +430,15 @@ impl Monitor {
             overuse_ratio: 1.0,
             violations: 0,
             penalty_remaining: 0,
-            exec: QueryExecState {
-                query,
-                shadow,
-                predictor,
-                sampled_extractor: FeatureExtractor::new(ExtractorConfig {
-                    measurement_interval_us: self.config.measurement_interval_us,
-                    ..ExtractorConfig::default()
-                }),
-                shed_pool: KeepListPool::new(),
-            },
+            query,
+            shadow,
+            predictor,
+            sampled_extractor: FeatureExtractor::new(ExtractorConfig {
+                measurement_interval_us: self.config.measurement_interval_us,
+                ..ExtractorConfig::default()
+            }),
+            shed_pool: KeepListPool::new(),
+            bin: BinSlot::default(),
         };
         self.queries.push(registered);
         Ok(id)
@@ -395,9 +487,8 @@ impl Monitor {
         self.config.workers
     }
 
-    /// Cumulative execution-plane telemetry: time spent on the sequential
-    /// control path vs in dispatchable tasks, and the makespans a 1/2/4/8
-    /// worker pool would need for the measured task costs. See [`ExecStats`].
+    /// Cumulative execution-plane telemetry: measured wall time outside vs
+    /// inside dispatches, and the tasks dispatched. See [`ExecStats`].
     pub fn exec_stats(&self) -> ExecStats {
         self.exec_stats
     }
@@ -554,77 +645,26 @@ impl Monitor {
         };
         let uncontrolled_drops = incoming_packets - post_drop.len() as u64;
 
-        // Feature extraction over the full (post-drop) batch. This is where
-        // the per-packet aggregate slots are materialised and cached on the
-        // batch; every per-query re-extraction below reuses them. The ten
-        // aggregates are independent bitmap sets, so the extraction is
-        // sharded per aggregate across the execution plane (bit-identical to
-        // the fused pass — inserts into one bitmap commute).
-        let workers = self.config.workers;
-        let mut dispatch_wall_ns = 0u64;
-        // lint:allow(telemetry-clock): dispatch wall time is ExecStats telemetry; the merge stays registration-ordered
-        let dispatch_start = Instant::now();
-        let mut shards = self.extractor.shard(&post_drop);
-        exec::run_tasks_into(
-            workers,
-            &mut shards,
-            |shard| {
-                // The first shard to touch the batch builds the shared slot
-                // cache inside its `OnceLock` init; late shards block on it
-                // briefly and then read, so the single-pass build still
-                // happens exactly once.
-                shard.process(&post_drop);
-            },
-            &mut self.extract_timings,
-        );
-        let (features, extraction_ops) = FeatureExtractor::finish_shards(&post_drop, &shards);
-        dispatch_wall_ns += dispatch_start.elapsed().as_nanos() as u64;
+        // Feature extraction over the full (post-drop) batch, on this thread:
+        // the one fused pass every sampled re-extraction also makes. This is
+        // where the per-packet aggregate slots are materialised and cached
+        // on the batch; every per-query re-extraction below reuses them.
+        let (features, extraction_ops) = self.extractor.extract_view(&post_drop);
         let mut prediction_cycles = extraction_ops * FEATURE_OP_CYCLES;
 
         // Per-query predictions of the full-batch cost. Every predictor owns
         // its history and reads only the shared feature vector, so the
         // predictions — FCBF selection plus an OLS solve each under the
-        // default MLR — are fanned out across the execution plane; the merge
+        // default MLR — are fanned out across the execution plane; the fold
         // below collects values and cost accounting in registration order,
         // so the result is bit-identical to the sequential loop.
-        struct PredictTask<'a> {
-            predictor: &'a mut Box<dyn Predictor>,
-            penalized: bool,
-            features: &'a FeatureVector,
-            predicted: f64,
-            cost_operations: u64,
+        let mut dispatch_ns = self.dispatch(|query| query.predict(&features));
+        let mut dispatched_tasks = self.queries.len();
+        let mut predictions = Vec::with_capacity(self.queries.len());
+        for registered in &self.queries {
+            prediction_cycles += registered.bin.predict_ops * PREDICT_OP_CYCLES;
+            predictions.push(registered.bin.predicted);
         }
-        let mut predict_tasks: Vec<PredictTask> = self
-            .queries
-            .iter_mut()
-            .map(|registered| PredictTask {
-                predictor: &mut registered.exec.predictor,
-                penalized: registered.penalty_remaining > 0,
-                features: &features,
-                predicted: 0.0,
-                cost_operations: 0,
-            })
-            .collect();
-        // lint:allow(telemetry-clock): dispatch wall time is ExecStats telemetry only
-        let dispatch_start = Instant::now();
-        exec::run_tasks_into(
-            workers,
-            &mut predict_tasks,
-            |task| {
-                if !task.penalized {
-                    task.predicted = task.predictor.predict(task.features);
-                    task.cost_operations = task.predictor.last_cost_operations();
-                }
-            },
-            &mut self.predict_timings,
-        );
-        dispatch_wall_ns += dispatch_start.elapsed().as_nanos() as u64;
-        let mut predictions = Vec::with_capacity(predict_tasks.len());
-        for task in &predict_tasks {
-            prediction_cycles += task.cost_operations * PREDICT_OP_CYCLES;
-            predictions.push(task.predicted);
-        }
-        drop(predict_tasks);
         let predicted_total: f64 = predictions.iter().sum();
 
         // For oracle-style policies: measure each query's true full-batch
@@ -633,42 +673,10 @@ impl Monitor {
         // Every twin is independent deterministic state, so the measurements
         // are fanned out across the execution plane and collected by index.
         let measured_full: Option<Vec<f64>> = if self.policy.needs_measured_cycles() {
-            struct ShadowTask<'a> {
-                shadow: Option<&'a mut Box<dyn Query>>,
-                fallback: f64,
-                cycles: f64,
-            }
-            let mut tasks: Vec<ShadowTask> = self
-                .queries
-                .iter_mut()
-                .zip(&predictions)
-                .map(|(registered, &fallback)| ShadowTask {
-                    shadow: registered.exec.shadow.as_mut(),
-                    fallback,
-                    cycles: 0.0,
-                })
-                .collect();
-            // lint:allow(telemetry-clock): shadow dispatch wall time is ExecStats telemetry only
-            let dispatch_start = Instant::now();
-            exec::run_tasks_into(
-                workers,
-                &mut tasks,
-                |task| {
-                    task.cycles = match task.shadow.as_mut() {
-                        Some(shadow) => {
-                            let mut meter = CycleMeter::new();
-                            shadow.process_batch(&post_drop, 1.0, &mut meter);
-                            meter.cycles() as f64
-                        }
-                        None => task.fallback,
-                    };
-                },
-                &mut self.shadow_timings,
-            );
-            dispatch_wall_ns += dispatch_start.elapsed().as_nanos() as u64;
-            Some(tasks.into_iter().map(|task| task.cycles).collect())
+            dispatch_ns += self.dispatch(|query| query.measure_shadow(&post_drop));
+            dispatched_tasks += self.queries.len();
+            Some(self.queries.iter().map(|registered| registered.bin.shadow_cycles).collect())
         } else {
-            self.shadow_timings.clear();
             None
         };
 
@@ -712,100 +720,34 @@ impl Monitor {
         let rates = &decision.rates;
 
         // Run every query on its (possibly sampled) share of the batch, in
-        // three phases (see DESIGN.md, "Execution plane"):
+        // three phases over the queries' own bin slots (see DESIGN.md,
+        // "Execution plane"):
         //
         // 1. *Plan* (sequential, registration order): penalty accounting,
-        //    flow-hasher refresh, RNG-driven shed-view construction and the
+        //    flow-hasher refresh, RNG-driven packet sampling and the
         //    measurement-noise pre-draw — everything whose stream order the
         //    sequential path fixed.
-        // 2. *Dispatch* (parallel): per-query sampled re-extraction, the
-        //    query run, noise application and the predictor feedback, each
-        //    task confined to its own query's execution state.
+        // 2. *Dispatch* (parallel): flow sampling, per-query sampled
+        //    re-extraction, the query run, noise application and the
+        //    predictor feedback, each task confined to its own query.
         // 3. *Merge* (sequential, registration order): cycle sums, Chapter 6
         //    enforcement and the per-query records.
         //
         // Because phase 2 receives fully determined inputs and only writes
-        // per-task state, the merged output is bit-identical to the
+        // per-query state, the merged output is bit-identical to the
         // sequential path for any worker count.
-        /// How a task obtains the (possibly sampled) view it processes.
-        enum ShedView<'a> {
-            /// Fully determined in the plan phase: the full batch, a custom
-            /// query's full batch, or an RNG-driven packet sample whose draws
-            /// had to stay in plan order.
-            Ready(BatchView),
-            /// Flow-sample the post-drop view inside the worker: H3 hashing
-            /// over the shared flow keys is deterministic per query, so it
-            /// consumes no plan-ordered resource.
-            FlowSampled(&'a H3Hasher),
-        }
-        struct RunTask<'a> {
-            exec: &'a mut QueryExecState,
-            shedding: SheddingMethod,
-            post_drop: &'a BatchView,
-            view: ShedView<'a>,
-            needs_reextract: bool,
-            rate: f64,
-            predicted: f64,
-            noise: NoiseDraw,
-            features: &'a FeatureVector,
-            // Outputs, filled by the worker.
-            measured: f64,
-            outlier: bool,
-            delivered_packets: u64,
-            reextract_ops: u64,
-        }
-        /// What the plan decided for one query, in registration order.
-        enum Planned {
-            /// Not run this bin; the record is already complete.
-            Skip(QueryBinRecord),
-            /// Run as the task at this index of the dispatch set.
-            Run(usize),
-        }
-
-        let mut planned: Vec<Planned> = Vec::with_capacity(self.queries.len());
-        let mut tasks: Vec<RunTask> = Vec::with_capacity(self.queries.len());
         let mut shedding_cycles = 0u64;
         let mut unsampled_accumulator = 0u64;
-        let seed = self.config.seed;
-        // Split the monitor's fields so the per-query execution states can be
-        // borrowed into tasks while the plan keeps using the RNG and noise
-        // streams.
-        let queries = &mut self.queries;
-        let rng = &mut self.rng;
-        let noise = &mut self.noise;
-        let shed_pool = &mut self.shed_pool;
-
-        for (index, registered) in queries.iter_mut().enumerate() {
-            let rate = rates[index];
-            let predicted = predictions[index];
-
+        for (registered, &rate) in self.queries.iter_mut().zip(rates) {
+            registered.bin.run = None;
             if registered.penalty_remaining > 0 {
                 registered.penalty_remaining -= 1;
-                planned.push(Planned::Skip(QueryBinRecord {
-                    id: registered.id,
-                    name: registered.label.clone(),
-                    sampling_rate: 0.0,
-                    predicted_cycles: predicted,
-                    measured_cycles: 0.0,
-                    delivered_packets: 0,
-                    disabled: true,
-                }));
                 continue;
             }
             if rate <= 0.0 {
-                planned.push(Planned::Skip(QueryBinRecord {
-                    id: registered.id,
-                    name: registered.label.clone(),
-                    sampling_rate: 0.0,
-                    predicted_cycles: predicted,
-                    measured_cycles: 0.0,
-                    delivered_packets: 0,
-                    disabled: true,
-                }));
                 unsampled_accumulator += post_drop.len() as u64;
                 continue;
             }
-
             // Refresh the flow-sampling hash function once per interval so
             // selection cannot be evaded and is unbiased (Section 4.2). Keyed
             // by the stable handle, not the position, so deregistrations do
@@ -814,178 +756,83 @@ impl Monitor {
                 && registered.hasher_generation != interval
             {
                 registered.flow_hasher =
-                    H3Hasher::new(13, seed ^ (interval << 8) ^ registered.id.0);
+                    H3Hasher::new(13, self.config.seed ^ (interval << 8) ^ registered.id.0);
                 registered.hasher_generation = interval;
             }
-
-            // Construct the shed view. Packet sampling draws from the shared
-            // RNG, so it stays on the plan phase in registration order — the
-            // stream is consumed exactly as the sequential path does; flow
-            // sampling is deterministic per query and is deferred into the
-            // worker task.
-            let (view, needs_reextract) = if rate >= 1.0 {
-                (ShedView::Ready(post_drop.clone()), false)
-            } else {
+            if rate < 1.0 {
                 match registered.shedding {
+                    // Packet sampling draws from the shared RNG, so it stays
+                    // on the plan phase in registration order — the stream is
+                    // consumed exactly as the sequential path does.
                     SheddingMethod::PacketSampling => {
-                        let (sampled, _) = packet_sample_with(&post_drop, rate, rng, shed_pool);
+                        let (sampled, _) = packet_sample_with(
+                            &post_drop,
+                            rate,
+                            &mut self.rng,
+                            &mut self.shed_pool,
+                        );
+                        registered.bin.sampled = Some(sampled);
                         shedding_cycles += post_drop.len() as u64 * SAMPLING_TEST_CYCLES;
-                        (ShedView::Ready(sampled), true)
                     }
+                    // Flow sampling is deterministic per query and happens
+                    // inside the query's own task.
                     SheddingMethod::FlowSampling => {
                         shedding_cycles += post_drop.len() as u64 * SAMPLING_TEST_CYCLES;
-                        (ShedView::FlowSampled(&registered.flow_hasher), true)
                     }
-                    SheddingMethod::Custom => (ShedView::Ready(post_drop.clone()), false),
+                    SheddingMethod::Custom => {}
                 }
-            };
-
-            planned.push(Planned::Run(tasks.len()));
-            tasks.push(RunTask {
-                exec: &mut registered.exec,
-                shedding: registered.shedding,
-                post_drop: &post_drop,
-                view,
-                needs_reextract,
-                rate,
-                predicted,
-                // Pre-drawn in registration order: the noise RNG consumes a
-                // configuration-fixed number of samples per running query, so
-                // the stream matches the sequential path bit for bit.
-                noise: noise.draw(),
-                features: &features,
-                measured: 0.0,
-                outlier: false,
-                delivered_packets: 0,
-                reextract_ops: 0,
-            });
+            }
+            // Pre-drawn in registration order: the noise RNG consumes a
+            // configuration-fixed number of samples per running query, so
+            // the stream matches the sequential path bit for bit.
+            registered.bin.run = Some((rate, self.noise.draw()));
         }
 
         // Dispatch the expensive tail across the execution plane.
-        // lint:allow(telemetry-clock): tail dispatch wall time is ExecStats telemetry only
-        let dispatch_start = Instant::now();
-        exec::run_tasks_into(
-            workers,
-            &mut tasks,
-            |task| {
-                let delivered = match &task.view {
-                    ShedView::Ready(view) => view.clone(),
-                    ShedView::FlowSampled(hasher) => {
-                        flow_sample_with(
-                            task.post_drop,
-                            task.rate,
-                            hasher,
-                            &mut task.exec.shed_pool,
-                        )
-                        .0
-                    }
-                };
-                task.delivered_packets = delivered.len() as u64;
-
-                // Recompute the features over the sampled stream so the MLR
-                // history stays consistent (Section 4.3); the per-query extractor
-                // belongs to this task alone.
-                let sampled_features = if task.needs_reextract {
-                    let (extracted, ops) = task.exec.sampled_extractor.extract_view(&delivered);
-                    task.reextract_ops = ops;
-                    Some(extracted)
-                } else {
-                    None
-                };
-
-                // Run the query and measure its cycles.
-                let mut meter = CycleMeter::new();
-                task.exec.query.process_batch(&delivered, task.rate, &mut meter);
-                let (measured, outlier) = task.noise.apply(meter.cycles());
-                let measured = measured as f64;
-
-                // Feed the observation back into the prediction history. For
-                // custom shedding the assigned rate plays the same role as a
-                // sampling rate: the query is expected to scale its work by it.
-                let expected = task.predicted * task.rate;
-                let history_features: &FeatureVector =
-                    sampled_features.as_ref().unwrap_or(task.features);
-                if outlier {
-                    // Replace corrupted measurements with the prediction
-                    // (Section 3.2.4 / 4.4).
-                    task.exec.predictor.observe_corrupted(history_features, expected.max(0.0));
-                } else if task.shedding == SheddingMethod::Custom && task.rate < 1.0 {
-                    // Custom shedding: the history models the full-batch cost, so
-                    // scale the measurement by the requested rate.
-                    task.exec.predictor.observe(task.features, measured / task.rate.max(1e-6));
-                } else {
-                    task.exec.predictor.observe(history_features, measured);
-                }
-                task.measured = measured;
-                task.outlier = outlier;
-            },
-            &mut self.tail_timings,
-        );
-        dispatch_wall_ns += dispatch_start.elapsed().as_nanos() as u64;
-
-        // Collect the task outputs, releasing the borrows on the query states.
-        struct TaskOutput {
-            rate: f64,
-            predicted: f64,
-            measured: f64,
-            outlier: bool,
-            delivered_packets: u64,
-            reextract_ops: u64,
-        }
-        let outputs: Vec<TaskOutput> = tasks
-            .into_iter()
-            .map(|task| TaskOutput {
-                rate: task.rate,
-                predicted: task.predicted,
-                measured: task.measured,
-                outlier: task.outlier,
-                delivered_packets: task.delivered_packets,
-                reextract_ops: task.reextract_ops,
-            })
-            .collect();
+        dispatch_ns += self.dispatch(|query| query.run_tail(&post_drop, &features));
+        dispatched_tasks += self.queries.len();
 
         // Merge in registration order: every sum below folds in exactly the
         // sequence the sequential path used.
         let mut query_cycles_total = 0.0;
         let mut query_records = Vec::with_capacity(self.queries.len());
-        for (registered, entry) in self.queries.iter_mut().zip(planned) {
-            let task_index = match entry {
-                Planned::Skip(record) => {
-                    query_records.push(record);
-                    continue;
-                }
-                Planned::Run(task_index) => task_index,
+        for registered in &mut self.queries {
+            let slot = &registered.bin;
+            let (sampling_rate, measured_cycles, delivered_packets) = match slot.run {
+                Some((rate, _)) => (rate, slot.measured, slot.delivered_packets),
+                None => (0.0, 0.0, 0),
             };
-            let output = &outputs[task_index];
-            shedding_cycles += output.reextract_ops * REEXTRACT_OP_CYCLES;
-            unsampled_accumulator += post_drop.len() as u64 - output.delivered_packets;
-            query_cycles_total += output.measured;
-
-            // Chapter 6 enforcement for custom load shedding queries.
-            let expected = output.predicted * output.rate;
-            if registered.shedding == SheddingMethod::Custom && expected > 0.0 && !output.outlier {
-                let overuse = output.measured / expected;
-                registered.overuse_ratio = 0.3 * overuse + 0.7 * registered.overuse_ratio;
-                if overuse > 1.0 + self.config.enforcement.tolerance {
-                    registered.violations += 1;
-                    if registered.violations >= self.config.enforcement.max_violations {
-                        registered.penalty_remaining = self.config.enforcement.penalty_bins;
-                        registered.violations = 0;
-                    }
-                } else {
-                    registered.violations = 0;
-                }
-            }
-
             query_records.push(QueryBinRecord {
                 id: registered.id,
                 name: registered.label.clone(),
-                sampling_rate: output.rate,
-                predicted_cycles: output.predicted,
-                measured_cycles: output.measured,
-                delivered_packets: output.delivered_packets,
-                disabled: false,
+                sampling_rate,
+                predicted_cycles: slot.predicted,
+                measured_cycles,
+                delivered_packets,
+                disabled: slot.run.is_none(),
             });
+            if let Some((rate, _)) = slot.run {
+                shedding_cycles += slot.reextract_ops * REEXTRACT_OP_CYCLES;
+                unsampled_accumulator += post_drop.len() as u64 - slot.delivered_packets;
+                query_cycles_total += slot.measured;
+
+                // Chapter 6 enforcement for custom load shedding queries.
+                let expected = slot.predicted * rate;
+                if registered.shedding == SheddingMethod::Custom && expected > 0.0 && !slot.outlier
+                {
+                    let overuse = slot.measured / expected;
+                    registered.overuse_ratio = 0.3 * overuse + 0.7 * registered.overuse_ratio;
+                    if overuse > 1.0 + self.config.enforcement.tolerance {
+                        registered.violations += 1;
+                        if registered.violations >= self.config.enforcement.max_violations {
+                            registered.penalty_remaining = self.config.enforcement.penalty_bins;
+                            registered.violations = 0;
+                        }
+                    } else {
+                        registered.violations = 0;
+                    }
+                }
+            }
         }
 
         // Close the loop: smooth the prediction error and the shedding cost,
@@ -1023,13 +870,9 @@ impl Monitor {
         // spent outside its dispatches.
         let total_bin_ns = bin_start.elapsed().as_nanos() as u64;
         self.exec_stats.fold_bin(
-            total_bin_ns.saturating_sub(dispatch_wall_ns),
-            &[
-                self.extract_timings.ns(),
-                self.predict_timings.ns(),
-                self.shadow_timings.ns(),
-                self.tail_timings.ns(),
-            ],
+            total_bin_ns.saturating_sub(dispatch_ns),
+            dispatch_ns,
+            dispatched_tasks,
         );
 
         Ok(BinRecord {
@@ -1048,6 +891,15 @@ impl Monitor {
             interval_outputs,
             decision,
         })
+    }
+
+    /// Fans `run` out over the registered queries on the execution plane and
+    /// returns the dispatch's wall nanoseconds.
+    fn dispatch(&mut self, run: impl Fn(&mut RegisteredQuery) + Sync) -> u64 {
+        // lint:allow(telemetry-clock): dispatch wall time is ExecStats telemetry only; the merge stays registration-ordered
+        let start = Instant::now();
+        exec::run_tasks(self.config.workers, &mut self.queries, run);
+        start.elapsed().as_nanos() as u64
     }
 
     /// Slow-start-like buffer discovery (Section 4.1).
@@ -1082,10 +934,10 @@ impl Monitor {
                 // Shadow twins close intervals on the same boundaries so
                 // their per-interval state cannot grow without bound; their
                 // outputs are discarded (only their cycles matter).
-                if let Some(shadow) = registered.exec.shadow.as_mut() {
+                if let Some(shadow) = registered.shadow.as_mut() {
                     let _ = shadow.end_interval();
                 }
-                (registered.label.clone(), registered.exec.query.end_interval())
+                (registered.label.clone(), registered.query.end_interval())
             })
             .collect()
     }
@@ -1136,16 +988,16 @@ impl Monitor {
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            registered.exec.query.save_state(writer)?;
-            match &registered.exec.shadow {
+            registered.query.save_state(writer)?;
+            match &registered.shadow {
                 None => writer.bool(false),
                 Some(shadow) => {
                     writer.bool(true);
                     shadow.save_state(writer)?;
                 }
             }
-            registered.exec.predictor.save_state(writer)?;
-            registered.exec.sampled_extractor.save_state(writer);
+            registered.predictor.save_state(writer)?;
+            registered.sampled_extractor.save_state(writer);
         }
         writer.u64(self.next_query_id);
         Ok(())
@@ -1236,13 +1088,12 @@ impl Monitor {
                 overuse_ratio,
                 violations,
                 penalty_remaining,
-                exec: QueryExecState {
-                    query,
-                    shadow,
-                    predictor,
-                    sampled_extractor,
-                    shed_pool: KeepListPool::new(),
-                },
+                query,
+                shadow,
+                predictor,
+                sampled_extractor,
+                shed_pool: KeepListPool::new(),
+                bin: BinSlot::default(),
             });
         }
         self.next_query_id = reader.u64()?;

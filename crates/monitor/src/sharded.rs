@@ -29,7 +29,7 @@
 
 use crate::config::{AllocationPolicy, MonitorConfig, Strategy};
 use crate::error::NetshedError;
-use crate::exec::{run_tasks_into, ExecStats, TaskTimings};
+use crate::exec::{run_tasks, ExecStats};
 use crate::monitor::{Monitor, QueryId};
 use crate::observer::RunObserver;
 use crate::report::{BinRecord, RunSummary};
@@ -78,8 +78,6 @@ pub struct ShardedMonitor {
     /// Shard-level execution telemetry (lane dispatch, not the per-lane
     /// query tails — those accumulate inside each lane's own stats).
     exec_stats: ExecStats,
-    /// Reusable lane-dispatch timing scratch.
-    timings: TaskTimings,
 }
 
 /// What one lane produced for one global bin.
@@ -138,7 +136,6 @@ impl ShardedMonitor {
             lane_capacity: vec![share; lanes_count],
             lane_demand: vec![0.0; lanes_count],
             exec_stats: ExecStats::default(),
-            timings: TaskTimings::new(),
         })
     }
 
@@ -183,10 +180,9 @@ impl ShardedMonitor {
         };
     }
 
-    /// Shard-level execution telemetry: sequential front-end time (split,
-    /// coordination, merge) vs dispatched lane time, with projected
-    /// speedups over shard threads. Per-lane query-tail telemetry stays in
-    /// each lane's own [`Monitor::exec_stats`].
+    /// Shard-level execution telemetry: measured front-end wall time (split,
+    /// coordination, merge) vs wall time inside the lane dispatch. Per-lane
+    /// query telemetry stays in each lane's own [`Monitor::exec_stats`].
     pub fn exec_stats(&self) -> ExecStats {
         self.exec_stats
     }
@@ -293,8 +289,8 @@ impl ShardedMonitor {
         if batch.is_empty() {
             return Err(NetshedError::EmptyBatch { bin_index: batch.bin_index });
         }
-        // lint:allow(telemetry-clock): front-end wall time feeds ExecStats only, never a decision
-        let sequential_start = Instant::now();
+        // lint:allow(telemetry-clock): bin wall time feeds ExecStats only, never a decision
+        let bin_start = Instant::now();
         observer.on_batch(batch);
         self.coordinate();
         let lane_count = self.lanes.len();
@@ -305,31 +301,25 @@ impl ShardedMonitor {
             .zip(sub_batches)
             .map(|(monitor, batch)| LaneTask { monitor, batch, outcome: None })
             .collect();
-        let shards = self.config.shards;
-        let sequential_ns = sequential_start.elapsed().as_nanos() as u64;
-        run_tasks_into(
-            shards,
-            &mut tasks,
-            |task| {
-                task.outcome = Some(if task.batch.is_empty() {
-                    Ok(LaneOutcome::Empty(task.monitor.advance_empty_bin(&task.batch)))
-                } else {
-                    task.monitor
-                        .process_batch(&task.batch)
-                        .map(|record| LaneOutcome::Processed(Box::new(record)))
-                });
-            },
-            &mut self.timings,
-        );
-        // lint:allow(telemetry-clock): merge wall time feeds ExecStats only, never a decision
-        let merge_start = Instant::now();
+        // lint:allow(telemetry-clock): dispatch wall time feeds ExecStats only, never a decision
+        let dispatch_start = Instant::now();
+        run_tasks(self.config.shards, &mut tasks, |task| {
+            task.outcome = Some(if task.batch.is_empty() {
+                Ok(LaneOutcome::Empty(task.monitor.advance_empty_bin(&task.batch)))
+            } else {
+                task.monitor
+                    .process_batch(&task.batch)
+                    .map(|record| LaneOutcome::Processed(Box::new(record)))
+            });
+        });
+        let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
 
         // Collect in lane order; the first lane error (in lane order) wins.
         let mut records: Vec<BinRecord> = Vec::with_capacity(lane_count);
         let mut closed: Vec<Vec<(String, QueryOutput)>> = Vec::new();
         let mut interval_closed = false;
         for (lane, task) in tasks.into_iter().enumerate() {
-            // lint:allow(no-unwrap): run_tasks_into runs every task exactly once
+            // lint:allow(no-unwrap): run_tasks runs every task exactly once
             let outcome = task.outcome.expect("lane task ran")?;
             match outcome {
                 LaneOutcome::Processed(record) => {
@@ -367,8 +357,8 @@ impl ShardedMonitor {
             observer.on_bin(record);
         }
 
-        let merge_ns = merge_start.elapsed().as_nanos() as u64;
-        self.exec_stats.fold_bin(sequential_ns + merge_ns, &[self.timings.ns()]);
+        let bin_ns = bin_start.elapsed().as_nanos() as u64;
+        self.exec_stats.fold_bin(bin_ns.saturating_sub(dispatch_ns), dispatch_ns, lane_count);
         Ok(records)
     }
 

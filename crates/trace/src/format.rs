@@ -27,9 +27,10 @@
 //! `u32::MAX` as the *no payload captured* sentinel (distinct from an empty
 //! payload). [`TraceWriter`] streams frames to any [`Write`].
 //!
-//! Two readers share one frame decoder (each frame body decodes in a single
-//! pass straight into the columns of a [`PacketStore`] — there is no
-//! intermediate `Vec<Packet>`):
+//! Two readers share one frame walker and one frame decoder (each frame body
+//! decodes in a single pass straight into the columns of a [`PacketStore`] —
+//! there is no intermediate `Vec<Packet>`); they differ only in where the
+//! bytes come from:
 //!
 //! * [`TraceReader`] streams from any [`Read`], copying payload bytes out of
 //!   its frame buffer.
@@ -381,18 +382,225 @@ fn frame_checksum(head: &[u8], body: &[u8]) -> u64 {
     mix64(fnv.finish() ^ hash_block(body, CHECKSUM_SEED))
 }
 
-/// Verifies a batch frame's checksum (`kind` + 32-byte head + body against
-/// the declared little-endian sum).
-fn verify_frame_checksum(
-    head: &[u8],
-    body: &[u8],
-    declared: [u8; 8],
-    frame: u64,
-) -> Result<(), FormatError> {
-    if frame_checksum(head, body) != u64::from_le_bytes(declared) {
-        return Err(FormatError::ChecksumMismatch { location: format!("frame {frame}") });
+/// Encoded size of one packet record without its payload bytes.
+const PACKET_RECORD_BYTES: u64 = 30;
+
+/// A run of container bytes a [`ByteSource`] just consumed.
+struct Run<'a> {
+    bytes: &'a [u8],
+    /// The shared container and the offset of `bytes` in it; `None` when the
+    /// bytes sit in a reader's scratch buffer, which the next frame reuses.
+    container: Option<(&'a Bytes, usize)>,
+}
+
+impl Run<'_> {
+    /// The payload at `range` of the run: an O(1) window into the shared
+    /// container when there is one, a copy out of the scratch buffer
+    /// otherwise.
+    fn payload(&self, range: std::ops::Range<usize>) -> Bytes {
+        match self.container {
+            Some((buffer, base)) => buffer.slice(base + range.start..base + range.end),
+            None => Bytes::copy_from_slice(&self.bytes[range]),
+        }
     }
-    Ok(())
+}
+
+/// Where a [`FrameWalker`] gets its bytes. Running off the end is
+/// [`FormatError::Truncated`] on every method.
+trait ByteSource {
+    /// Consumes the next `N` bytes by value (kind bytes, frame heads).
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError>;
+    /// Consumes the next `len` bytes. `len` comes from a not-yet-verified
+    /// frame head, so an implementation must not allocate for it before the
+    /// bytes are known to exist.
+    fn run(&mut self, len: u64) -> Result<Run<'_>, FormatError>;
+    /// Discards the next `len` bytes unread.
+    fn skip(&mut self, len: u64) -> Result<(), FormatError>;
+}
+
+/// A [`Read`] plus the scratch buffer its frame bodies land in.
+struct Streamed<R> {
+    reader: R,
+    frame: Vec<u8>,
+}
+
+impl<R: Read> ByteSource for Streamed<R> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
+        let mut bytes = [0u8; N];
+        self.reader.read_exact(&mut bytes).map_err(|error| {
+            if error.kind() == std::io::ErrorKind::UnexpectedEof {
+                FormatError::Truncated
+            } else {
+                FormatError::Io(error)
+            }
+        })?;
+        Ok(bytes)
+    }
+
+    fn run(&mut self, len: u64) -> Result<Run<'_>, FormatError> {
+        // Grow the buffer only as bytes actually arrive: a corrupt length on
+        // a short file fails as `Truncated` instead of allocating gigabytes
+        // up front.
+        self.frame.clear();
+        let read = (&mut self.reader).take(len).read_to_end(&mut self.frame)?;
+        if read as u64 != len {
+            return Err(FormatError::Truncated);
+        }
+        Ok(Run { bytes: &self.frame, container: None })
+    }
+
+    fn skip(&mut self, len: u64) -> Result<(), FormatError> {
+        let copied = std::io::copy(&mut (&mut self.reader).take(len), &mut std::io::sink())?;
+        if copied != len {
+            return Err(FormatError::Truncated);
+        }
+        Ok(())
+    }
+}
+
+/// A cursor over a caller-held container.
+struct Shared {
+    buffer: Bytes,
+    at: usize,
+}
+
+impl Shared {
+    /// Bounds-checks the next `len` bytes and steps the cursor past them.
+    fn advance(&mut self, len: u64) -> Result<std::ops::Range<usize>, FormatError> {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.at.checked_add(len))
+            .filter(|&end| end <= self.buffer.len())
+            .ok_or(FormatError::Truncated)?;
+        let start = std::mem::replace(&mut self.at, end);
+        Ok(start..end)
+    }
+}
+
+impl ByteSource for Shared {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
+        let range = self.advance(N as u64)?;
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(&self.buffer.as_slice()[range]);
+        Ok(bytes)
+    }
+
+    fn run(&mut self, len: u64) -> Result<Run<'_>, FormatError> {
+        let range = self.advance(len)?;
+        let base = range.start;
+        Ok(Run { bytes: &self.buffer.as_slice()[range], container: Some((&self.buffer, base)) })
+    }
+
+    fn skip(&mut self, len: u64) -> Result<(), FormatError> {
+        self.advance(len).map(drop)
+    }
+}
+
+/// The one `.nstr` frame walker behind both public readers: header
+/// validation, frame-by-frame decode or skip, the end-frame count check and
+/// the error latch of the [`PacketSource`] adapter.
+struct FrameWalker<S> {
+    source: S,
+    time_bin_us: u64,
+    decoded: u64,
+    /// Set once the end frame was seen (further reads return `None`).
+    finished: bool,
+    /// First decode error, latched for the `PacketSource` adapter.
+    error: Option<FormatError>,
+}
+
+impl<S: ByteSource> FrameWalker<S> {
+    /// Reads and validates the container header.
+    fn open(mut source: S) -> Result<Self, FormatError> {
+        let fixed = source.array::<16>()?;
+        validate_magic(&fixed)?;
+        let time_bin_us = validate_header(&fixed, source.array::<8>()?)?;
+        Ok(Self { source, time_bin_us, decoded: 0, finished: false, error: None })
+    }
+
+    /// Consumes the next frame's kind byte: `Ok(true)` at a batch frame,
+    /// `Ok(false)` at (or after) the validated end frame.
+    fn at_batch_frame(&mut self) -> Result<bool, FormatError> {
+        if self.finished {
+            return Ok(false);
+        }
+        match self.source.array::<1>()?[0] {
+            FRAME_END => {
+                validate_end_frame(&self.source.array::<16>()?, self.decoded)?;
+                self.finished = true;
+                Ok(false)
+            }
+            FRAME_BATCH => Ok(true),
+            kind => Err(FormatError::UnknownFrame { kind }),
+        }
+    }
+
+    fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
+        if !self.at_batch_frame()? {
+            return Ok(None);
+        }
+        let head = self.source.array::<32>()?;
+        let packet_count = le_u32(&head, 24);
+        let body_len = le_u32(&head, 28) as usize;
+        // Body and trailing checksum in one run.
+        let run = self.source.run(body_len as u64 + 8)?;
+        let (body, declared) = run.bytes.split_at(body_len);
+        if frame_checksum(&head, body) != le_u64(declared, 0) {
+            return Err(FormatError::ChecksumMismatch {
+                location: format!("frame {}", self.decoded),
+            });
+        }
+        let store = decode_store(&run, body, packet_count, self.decoded)?;
+        self.decoded += 1;
+        Ok(Some(Batch::from_store(le_u64(&head, 0), le_u64(&head, 8), le_u64(&head, 16), store)))
+    }
+
+    /// Skips the next frame without decoding its body: `Ok(true)` when a
+    /// batch frame was stepped over, `Ok(false)` at the (validated) end
+    /// frame. The 32-byte frame head is read to learn the body length, then
+    /// `body_len + 8` bytes (body plus trailing checksum) are discarded
+    /// unread — no column decode, no body hash. The container header
+    /// checksum was already verified on open; a frame whose declared length
+    /// overruns the container still reports [`FormatError::Truncated`].
+    fn skip_frame(&mut self) -> Result<bool, FormatError> {
+        if !self.at_batch_frame()? {
+            return Ok(false);
+        }
+        let head = self.source.array::<32>()?;
+        self.source.skip(u64::from(le_u32(&head, 28)) + 8)?;
+        self.decoded += 1;
+        Ok(true)
+    }
+
+    fn read_all(mut self) -> Result<Vec<Batch>, FormatError> {
+        let mut batches = Vec::new();
+        while let Some(batch) = self.read_batch()? {
+            batches.push(batch);
+        }
+        Ok(batches)
+    }
+
+    fn next_batch(&mut self) -> Option<Batch> {
+        if self.error.is_some() {
+            return None;
+        }
+        self.read_batch().unwrap_or_else(|error| {
+            self.error = Some(error);
+            None
+        })
+    }
+
+    fn skip_batches(&mut self, count: u64) -> u64 {
+        let mut skipped = 0;
+        while skipped < count && self.error.is_none() {
+            match self.skip_frame() {
+                Ok(true) => skipped += 1,
+                Ok(false) => break,
+                Err(error) => self.error = Some(error),
+            }
+        }
+        skipped
+    }
 }
 
 /// Decodes `.nstr` frames from any [`Read`], verifying every checksum.
@@ -402,190 +610,13 @@ fn verify_frame_checksum(
 /// in-memory replay prefer [`SharedTraceReader`], which borrows payloads
 /// from the container instead.
 pub struct TraceReader<R: Read> {
-    reader: R,
-    time_bin_us: u64,
-    decoded: u64,
-    /// Set once the end frame was seen (further reads return `None`).
-    finished: bool,
-    /// First decode error, latched for the `PacketSource` adapter.
-    error: Option<FormatError>,
-    frame: Vec<u8>,
+    walker: FrameWalker<Streamed<R>>,
 }
 
 impl<R: Read> TraceReader<R> {
     /// Reads and validates the container header.
-    pub fn new(mut reader: R) -> Result<Self, FormatError> {
-        let mut fixed = [0u8; 16];
-        read_exact_or_truncated(&mut reader, &mut fixed)?;
-        validate_magic(&fixed)?;
-        let mut declared = [0u8; 8];
-        read_exact_or_truncated(&mut reader, &mut declared)?;
-        let time_bin_us = validate_header(&fixed, declared)?;
-        Ok(Self {
-            reader,
-            time_bin_us,
-            decoded: 0,
-            finished: false,
-            error: None,
-            frame: Vec::new(),
-        })
-    }
-
-    /// The time-bin duration recorded in the header.
-    pub fn time_bin_us(&self) -> u64 {
-        self.time_bin_us
-    }
-
-    /// The first decode error hit by the [`PacketSource`] adapter, if any.
-    ///
-    /// `next_batch` has no error channel, so a corrupt tail latches here and
-    /// the stream ends early; callers that must distinguish "clean end" from
-    /// "corrupt end" check this after the run.
-    pub fn error(&self) -> Option<&FormatError> {
-        self.error.as_ref()
-    }
-
-    /// Decodes the next batch, `Ok(None)` at the (validated) end frame.
-    pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
-        if self.finished {
-            return Ok(None);
-        }
-        let mut kind = [0u8; 1];
-        read_exact_or_truncated(&mut self.reader, &mut kind)?;
-        match kind[0] {
-            FRAME_END => {
-                let mut rest = [0u8; 16];
-                read_exact_or_truncated(&mut self.reader, &mut rest)?;
-                validate_end_frame(&rest, self.decoded)?;
-                self.finished = true;
-                Ok(None)
-            }
-            FRAME_BATCH => {
-                let mut head = [0u8; 32];
-                read_exact_or_truncated(&mut self.reader, &mut head)?;
-                let bin_index = le_u64(&head, 0);
-                let start_ts = le_u64(&head, 8);
-                let duration_us = le_u64(&head, 16);
-                let packet_count = le_u32(&head, 24);
-                let body_len = le_u32(&head, 28);
-                // `body_len` comes from a not-yet-verified header, so grow
-                // the buffer only as bytes actually arrive: a corrupt
-                // length on a short file fails as `Truncated` instead of
-                // allocating gigabytes up front.
-                self.frame.clear();
-                let read = (&mut self.reader)
-                    .take(u64::from(body_len))
-                    .read_to_end(&mut self.frame)
-                    .map_err(FormatError::Io)?;
-                if read != body_len as usize {
-                    return Err(FormatError::Truncated);
-                }
-                let mut declared = [0u8; 8];
-                read_exact_or_truncated(&mut self.reader, &mut declared)?;
-                verify_frame_checksum(&head, &self.frame, declared, self.decoded)?;
-                let body = &self.frame;
-                let store = decode_store_with(body, packet_count, self.decoded, |range| {
-                    Bytes::copy_from_slice(&body[range])
-                })?;
-                self.decoded += 1;
-                Ok(Some(Batch::from_store(bin_index, start_ts, duration_us, store)))
-            }
-            kind => Err(FormatError::UnknownFrame { kind }),
-        }
-    }
-
-    /// Skips the next frame without decoding its body.
-    ///
-    /// `Ok(true)` when a batch frame was stepped over, `Ok(false)` at the
-    /// (validated) end frame. The 32-byte frame head is read to learn the
-    /// body length, then `body_len + 8` bytes (body plus trailing checksum)
-    /// are discarded unread — no column decode, no body hash. The container
-    /// header checksum was already verified in [`TraceReader::new`]; a frame
-    /// whose declared length overruns the file still reports
-    /// [`FormatError::Truncated`].
-    fn skip_frame(&mut self) -> Result<bool, FormatError> {
-        if self.finished {
-            return Ok(false);
-        }
-        let mut kind = [0u8; 1];
-        read_exact_or_truncated(&mut self.reader, &mut kind)?;
-        match kind[0] {
-            FRAME_END => {
-                let mut rest = [0u8; 16];
-                read_exact_or_truncated(&mut self.reader, &mut rest)?;
-                validate_end_frame(&rest, self.decoded)?;
-                self.finished = true;
-                Ok(false)
-            }
-            FRAME_BATCH => {
-                let mut head = [0u8; 32];
-                read_exact_or_truncated(&mut self.reader, &mut head)?;
-                let skip = u64::from(le_u32(&head, 28)) + 8;
-                let copied =
-                    std::io::copy(&mut (&mut self.reader).take(skip), &mut std::io::sink())
-                        .map_err(FormatError::Io)?;
-                if copied != skip {
-                    return Err(FormatError::Truncated);
-                }
-                self.decoded += 1;
-                Ok(true)
-            }
-            kind => Err(FormatError::UnknownFrame { kind }),
-        }
-    }
-
-    /// Decodes the whole trace into a batch vector.
-    pub fn read_all(mut self) -> Result<Vec<Batch>, FormatError> {
-        let mut batches = Vec::new();
-        while let Some(batch) = self.read_batch()? {
-            batches.push(batch);
-        }
-        Ok(batches)
-    }
-
-    /// Decodes the whole trace into a rewindable [`BatchReplay`].
-    pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
-        Ok(BatchReplay::new(self.read_all()?))
-    }
-}
-
-/// A reader is a streaming [`PacketSource`]: decode errors end the stream
-/// and latch in [`TraceReader::error`].
-impl<R: Read> PacketSource for TraceReader<R> {
-    fn next_batch(&mut self) -> Option<Batch> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.read_batch() {
-            Ok(batch) => batch,
-            Err(error) => {
-                self.error = Some(error);
-                None
-            }
-        }
-    }
-
-    /// Frame-skip fast path: steps over `count` frames by their declared
-    /// lengths instead of decoding and checksumming every body (the default
-    /// implementation's cost on a daemon restore over a large `.nstr`).
-    /// Cursor, frame counter and error latching behave exactly like `count`
-    /// calls to `next_batch` that drop their result.
-    fn skip_batches(&mut self, count: u64) -> u64 {
-        let mut skipped = 0;
-        while skipped < count {
-            if self.error.is_some() {
-                break;
-            }
-            match self.skip_frame() {
-                Ok(true) => skipped += 1,
-                Ok(false) => break,
-                Err(error) => {
-                    self.error = Some(error);
-                    break;
-                }
-            }
-        }
-        skipped
+    pub fn new(reader: R) -> Result<Self, FormatError> {
+        Ok(Self { walker: FrameWalker::open(Streamed { reader, frame: Vec::new() })? })
     }
 }
 
@@ -600,186 +631,79 @@ impl<R: Read> PacketSource for TraceReader<R> {
 /// decode-copy anywhere on this path.
 ///
 /// Validation (magic, version, every checksum, end-frame count) and the
-/// error taxonomy are identical to [`TraceReader`]; running off the end of
-/// the buffer reports [`FormatError::Truncated`]. The container buffer stays
-/// alive as long as any decoded payload does — dropping the reader does not
-/// invalidate batches it produced.
+/// error taxonomy are those of [`TraceReader`] — the same walker runs both;
+/// running off the end of the buffer reports [`FormatError::Truncated`]. The
+/// container buffer stays alive as long as any decoded payload does —
+/// dropping the reader does not invalidate batches it produced.
 pub struct SharedTraceReader {
-    buffer: Bytes,
-    /// Read cursor into `buffer`.
-    at: usize,
-    time_bin_us: u64,
-    decoded: u64,
-    /// Set once the end frame was seen (further reads return `None`).
-    finished: bool,
-    /// First decode error, latched for the `PacketSource` adapter.
-    error: Option<FormatError>,
+    walker: FrameWalker<Shared>,
 }
 
 impl SharedTraceReader {
     /// Validates the container header of a shared buffer.
     pub fn new(buffer: Bytes) -> Result<Self, FormatError> {
-        let bytes = buffer.as_slice();
-        let mut fixed = [0u8; 16];
-        fixed.copy_from_slice(bytes.get(..16).ok_or(FormatError::Truncated)?);
-        validate_magic(&fixed)?;
-        let mut declared = [0u8; 8];
-        declared.copy_from_slice(bytes.get(16..24).ok_or(FormatError::Truncated)?);
-        let time_bin_us = validate_header(&fixed, declared)?;
-        Ok(Self { buffer, at: 24, time_bin_us, decoded: 0, finished: false, error: None })
-    }
-
-    /// The time-bin duration recorded in the header.
-    pub fn time_bin_us(&self) -> u64 {
-        self.time_bin_us
-    }
-
-    /// The first decode error hit by the [`PacketSource`] adapter, if any
-    /// (same latching contract as [`TraceReader::error`]).
-    pub fn error(&self) -> Option<&FormatError> {
-        self.error.as_ref()
-    }
-
-    /// Decodes the next batch, `Ok(None)` at the (validated) end frame.
-    pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
-        if self.finished {
-            return Ok(None);
-        }
-        // An O(1) handle on the container so the cursor can move freely
-        // while frame slices stay borrowed from the same allocation.
-        let buffer = self.buffer.clone();
-        let bytes = buffer.as_slice();
-        let kind = *bytes.get(self.at).ok_or(FormatError::Truncated)?;
-        self.at += 1;
-        match kind {
-            FRAME_END => {
-                let mut rest = [0u8; 16];
-                rest.copy_from_slice(
-                    bytes.get(self.at..self.at + 16).ok_or(FormatError::Truncated)?,
-                );
-                self.at += 16;
-                validate_end_frame(&rest, self.decoded)?;
-                self.finished = true;
-                Ok(None)
-            }
-            FRAME_BATCH => {
-                let head = bytes.get(self.at..self.at + 32).ok_or(FormatError::Truncated)?;
-                self.at += 32;
-                let bin_index = le_u64(head, 0);
-                let start_ts = le_u64(head, 8);
-                let duration_us = le_u64(head, 16);
-                let packet_count = le_u32(head, 24);
-                let body_len = le_u32(head, 28);
-                let body_start = self.at;
-                let body_end =
-                    body_start.checked_add(body_len as usize).ok_or(FormatError::Truncated)?;
-                let body = bytes.get(body_start..body_end).ok_or(FormatError::Truncated)?;
-                self.at = body_end;
-                let mut declared = [0u8; 8];
-                declared.copy_from_slice(
-                    bytes.get(self.at..self.at + 8).ok_or(FormatError::Truncated)?,
-                );
-                self.at += 8;
-                verify_frame_checksum(head, body, declared, self.decoded)?;
-                let store = decode_store_with(body, packet_count, self.decoded, |range| {
-                    buffer.slice(body_start + range.start..body_start + range.end)
-                })?;
-                self.decoded += 1;
-                Ok(Some(Batch::from_store(bin_index, start_ts, duration_us, store)))
-            }
-            kind => Err(FormatError::UnknownFrame { kind }),
-        }
-    }
-
-    /// Skips the next frame without decoding its body (the in-memory twin of
-    /// [`TraceReader::skip_frame`]: a bounds-checked cursor bump past
-    /// `body_len + 8` bytes).
-    fn skip_frame(&mut self) -> Result<bool, FormatError> {
-        if self.finished {
-            return Ok(false);
-        }
-        let bytes = self.buffer.as_slice();
-        let kind = *bytes.get(self.at).ok_or(FormatError::Truncated)?;
-        self.at += 1;
-        match kind {
-            FRAME_END => {
-                let mut rest = [0u8; 16];
-                rest.copy_from_slice(
-                    bytes.get(self.at..self.at + 16).ok_or(FormatError::Truncated)?,
-                );
-                self.at += 16;
-                validate_end_frame(&rest, self.decoded)?;
-                self.finished = true;
-                Ok(false)
-            }
-            FRAME_BATCH => {
-                let head = bytes.get(self.at..self.at + 32).ok_or(FormatError::Truncated)?;
-                let body_len = le_u32(head, 28);
-                let frame_end = self
-                    .at
-                    .checked_add(32 + body_len as usize + 8)
-                    .filter(|&end| end <= bytes.len())
-                    .ok_or(FormatError::Truncated)?;
-                self.at = frame_end;
-                self.decoded += 1;
-                Ok(true)
-            }
-            kind => Err(FormatError::UnknownFrame { kind }),
-        }
-    }
-
-    /// Decodes the whole trace into a batch vector (payloads stay borrowed
-    /// from the container buffer).
-    pub fn read_all(mut self) -> Result<Vec<Batch>, FormatError> {
-        let mut batches = Vec::new();
-        while let Some(batch) = self.read_batch()? {
-            batches.push(batch);
-        }
-        Ok(batches)
-    }
-
-    /// Decodes the whole trace into a rewindable [`BatchReplay`].
-    pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
-        Ok(BatchReplay::new(self.read_all()?))
+        Ok(Self { walker: FrameWalker::open(Shared { buffer, at: 0 })? })
     }
 }
 
-/// The shared reader is a streaming [`PacketSource`] with the same
-/// error-latching contract as [`TraceReader`].
-impl PacketSource for SharedTraceReader {
-    fn next_batch(&mut self) -> Option<Batch> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.read_batch() {
-            Ok(batch) => batch,
-            Err(error) => {
-                self.error = Some(error);
-                None
+/// The public surface both readers share, written once over their walker.
+macro_rules! reader_api {
+    ([$($generics:tt)*] $reader:ty) => {
+        impl<$($generics)*> $reader {
+            /// The time-bin duration recorded in the header.
+            pub fn time_bin_us(&self) -> u64 {
+                self.walker.time_bin_us
             }
-        }
-    }
 
-    /// Frame-skip fast path over the in-memory container (same contract as
-    /// [`TraceReader`]'s override).
-    fn skip_batches(&mut self, count: u64) -> u64 {
-        let mut skipped = 0;
-        while skipped < count {
-            if self.error.is_some() {
-                break;
+            /// The first decode error hit by the [`PacketSource`] adapter,
+            /// if any.
+            ///
+            /// `next_batch` has no error channel, so a corrupt tail latches
+            /// here and the stream ends early; callers that must distinguish
+            /// "clean end" from "corrupt end" check this after the run.
+            pub fn error(&self) -> Option<&FormatError> {
+                self.walker.error.as_ref()
             }
-            match self.skip_frame() {
-                Ok(true) => skipped += 1,
-                Ok(false) => break,
-                Err(error) => {
-                    self.error = Some(error);
-                    break;
-                }
+
+            /// Decodes the next batch, `Ok(None)` at the (validated) end
+            /// frame.
+            pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
+                self.walker.read_batch()
+            }
+
+            /// Decodes the whole trace into a batch vector.
+            pub fn read_all(self) -> Result<Vec<Batch>, FormatError> {
+                self.walker.read_all()
+            }
+
+            /// Decodes the whole trace into a rewindable [`BatchReplay`].
+            pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
+                Ok(BatchReplay::new(self.read_all()?))
             }
         }
-        skipped
-    }
+
+        /// A reader is a streaming [`PacketSource`]: decode errors end the
+        /// stream and latch in the reader's `error()`.
+        impl<$($generics)*> PacketSource for $reader {
+            fn next_batch(&mut self) -> Option<Batch> {
+                self.walker.next_batch()
+            }
+
+            /// Frame-skip fast path: steps over `count` frames by their
+            /// declared lengths instead of decoding and checksumming every
+            /// body (the default implementation's cost on a daemon restore
+            /// over a large `.nstr`). Cursor, frame counter and error
+            /// latching behave exactly like `count` calls to `next_batch`
+            /// that drop their result.
+            fn skip_batches(&mut self, count: u64) -> u64 {
+                self.walker.skip_batches(count)
+            }
+        }
+    };
 }
+
+reader_api!([R: Read] TraceReader<R>);
+reader_api!([] SharedTraceReader);
 
 /// Decodes a little-endian `u64` at `bytes[at..at + 8]`.
 ///
@@ -804,74 +728,47 @@ fn le_u16(bytes: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([bytes[at], bytes[at + 1]])
 }
 
-fn read_exact_or_truncated<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), FormatError> {
-    reader.read_exact(buf).map_err(|error| {
-        if error.kind() == std::io::ErrorKind::UnexpectedEof {
-            FormatError::Truncated
-        } else {
-            FormatError::Io(error)
-        }
-    })
-}
-
 /// Decodes one frame body straight into a [`PacketStore`].
 ///
-/// `payload_at` turns a byte range of `body` into the payload's [`Bytes`] —
-/// the copying reader materialises the range, the shared reader returns a
-/// zero-copy window into the container. This is the single decode loop both
-/// readers share, so their batch streams (and error behaviour) cannot
-/// diverge.
-fn decode_store_with<F>(
+/// `body` is the checksummed prefix of `run`, which turns each payload's byte
+/// range into its [`Bytes`] (a copy, or a window into the shared container).
+/// This is the single decode loop both readers share, so their batch streams
+/// (and error behaviour) cannot diverge.
+fn decode_store(
+    run: &Run<'_>,
     body: &[u8],
     count: u32,
     frame: u64,
-    mut payload_at: F,
-) -> Result<PacketStore, FormatError>
-where
-    F: FnMut(std::ops::Range<usize>) -> Bytes,
-{
-    fn corrupt(frame: u64) -> FormatError {
-        FormatError::ChecksumMismatch { location: format!("frame {frame} body") }
+) -> Result<PacketStore, FormatError> {
+    let corrupt = || FormatError::ChecksumMismatch { location: format!("frame {frame} body") };
+    // The checksum is not a secret, so `count` is attacker-chosen: bound it
+    // by what the body can hold before sizing any column for it.
+    if u64::from(count) * PACKET_RECORD_BYTES > body.len() as u64 {
+        return Err(corrupt());
     }
-    fn take<'b>(
-        body: &'b [u8],
-        at: &mut usize,
-        n: usize,
-        frame: u64,
-    ) -> Result<&'b [u8], FormatError> {
-        let slice = body.get(*at..*at + n).ok_or_else(|| corrupt(frame))?;
-        *at += n;
-        Ok(slice)
-    }
-    let mut builder = PacketStore::builder(count as usize);
     let mut at = 0usize;
+    let mut take = |n: usize| -> Result<std::ops::Range<usize>, FormatError> {
+        let end = at.checked_add(n).filter(|&end| end <= body.len()).ok_or_else(corrupt)?;
+        Ok(std::mem::replace(&mut at, end)..end)
+    };
+    let mut builder = PacketStore::builder(count as usize);
     for _ in 0..count {
-        let ts = le_u64(take(body, &mut at, 8, frame)?, 0);
-        let src_ip = le_u32(take(body, &mut at, 4, frame)?, 0);
-        let dst_ip = le_u32(take(body, &mut at, 4, frame)?, 0);
-        let src_port = le_u16(take(body, &mut at, 2, frame)?, 0);
-        let dst_port = le_u16(take(body, &mut at, 2, frame)?, 0);
-        let proto = take(body, &mut at, 1, frame)?[0];
-        let tcp_flags = take(body, &mut at, 1, frame)?[0];
-        let ip_len = le_u32(take(body, &mut at, 4, frame)?, 0);
-        let payload_len = le_u32(take(body, &mut at, 4, frame)?, 0);
-        let payload = if payload_len == NO_PAYLOAD {
-            None
-        } else {
-            let start = at;
-            take(body, &mut at, payload_len as usize, frame)?;
-            Some(payload_at(start..at))
-        };
-        builder.push(
-            ts,
-            FiveTuple::new(src_ip, dst_ip, src_port, dst_port, proto),
-            ip_len,
-            tcp_flags,
-            payload,
+        let record = &body[take(PACKET_RECORD_BYTES as usize)?];
+        let tuple = FiveTuple::new(
+            le_u32(record, 8),
+            le_u32(record, 12),
+            le_u16(record, 16),
+            le_u16(record, 18),
+            record[20],
         );
+        let payload = match le_u32(record, 26) {
+            NO_PAYLOAD => None,
+            len => Some(run.payload(take(len as usize)?)),
+        };
+        builder.push(le_u64(record, 0), tuple, le_u32(record, 22), record[21], payload);
     }
     if at != body.len() {
-        return Err(corrupt(frame));
+        return Err(corrupt());
     }
     Ok(builder.finish())
 }
@@ -1140,6 +1037,39 @@ mod tests {
             let shared_err = decode_batches_shared(&Bytes::from(corrupt));
             assert!(shared_err.is_err(), "flip at byte {at} went undetected (shared reader)");
         }
+    }
+
+    #[test]
+    fn hostile_packet_count_is_corruption_not_an_allocation() {
+        // 65 bytes: a header plus one batch frame claiming u32::MAX packets
+        // in an empty body, under a *valid* checksum (FNV + `hash_block` is
+        // no secret). Sizing the columns for the claim would ask for 34 GB
+        // and abort the process; the count must be checked against the body
+        // first, by both readers, before anything is allocated.
+        let mut bytes = encode_batches(&[], 100_000).expect("encode");
+        bytes.truncate(24);
+        let mut head = [0u8; 32];
+        head[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.push(FRAME_BATCH);
+        bytes.extend_from_slice(&head);
+        bytes.extend_from_slice(&frame_checksum(&head, &[]).to_le_bytes());
+        assert_eq!(bytes.len(), 65);
+
+        let expect_body_corruption = |error: &FormatError| match error {
+            FormatError::ChecksumMismatch { location } => assert_eq!(location, "frame 0 body"),
+            other => panic!("expected frame-body corruption, got {other:?}"),
+        };
+        expect_body_corruption(&decode_batches(&bytes).expect_err("copying reader"));
+        expect_body_corruption(
+            &decode_batches_shared(&Bytes::from(bytes.clone())).expect_err("shared reader"),
+        );
+        // The streaming adapters latch the same error instead of dying.
+        let mut streamed = TraceReader::new(&bytes[..]).expect("header");
+        assert!(streamed.next_batch().is_none());
+        expect_body_corruption(streamed.error().expect("latched"));
+        let mut shared = SharedTraceReader::new(Bytes::from(bytes)).expect("header");
+        assert!(shared.next_batch().is_none());
+        expect_body_corruption(shared.error().expect("latched"));
     }
 
     #[test]

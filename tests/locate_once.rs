@@ -5,16 +5,16 @@
 //! layout. Nothing a feature vector holds may have moved, so each layer is
 //! pinned here against the code it replaced: the slot against
 //! locate-then-modulo, the flat bitmap against one [`LinearCounting`] per
-//! component, and the extractor — fused and sharded, on full and sampled
-//! views, across an interval boundary and a restore — against the ten-pass
-//! reference on all 42 features.
+//! component, and the extractor — on full and sampled views, across an
+//! interval boundary and a restore — against the ten-pass reference on all 42
+//! features.
 
 use netshed::features::{ExtractorConfig, FeatureExtractor, FeatureId, FeatureVector};
 use netshed::monitor::packet_sample;
 use netshed::sketch::{
     mix64, BitmapGeometry, LinearCounting, MultiResolutionBitmap, StateReader, StateWriter,
 };
-use netshed::trace::{Batch, BatchView, TraceConfig, TraceGenerator};
+use netshed::trace::{Batch, TraceConfig, TraceGenerator};
 use netshed_bench::baseline::TenPassExtractor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -113,15 +113,6 @@ fn traffic(seed: u64, bins: usize) -> Vec<Batch> {
     (0..bins).map(|_| generator.next_batch()).collect()
 }
 
-/// Sharded extraction, shards processed back to front.
-fn extract_sharded(extractor: &mut FeatureExtractor, view: &BatchView) -> (FeatureVector, u64) {
-    let mut shards = extractor.shard(view);
-    for shard in shards.iter_mut().rev() {
-        shard.process(view);
-    }
-    FeatureExtractor::finish_shards(view, &shards)
-}
-
 fn assert_same_features(actual: &FeatureVector, expected: &FeatureVector, context: &str) {
     for id in FeatureId::all() {
         assert_eq!(
@@ -214,10 +205,9 @@ proptest! {
         assert_same_bitmap(&restored, &interval_reference, &probes);
     }
 
-    /// (c) Fused and sharded extraction over sampled views — nothing kept, a
-    /// 0.37 sample, everything kept — across a measurement-interval boundary
-    /// and through a mid-run checkpoint equal the ten-pass reference on all
-    /// 42 features.
+    /// (c) Extraction over sampled views — nothing kept, a 0.37 sample,
+    /// everything kept — across a measurement-interval boundary and through a
+    /// mid-run checkpoint equals the ten-pass reference on all 42 features.
     #[test]
     fn sampled_extraction_matches_the_ten_pass_reference(
         trace_seed in 0u64..500,
@@ -229,29 +219,22 @@ proptest! {
         for rate in [0.0, 0.37, 1.0] {
             let mut rng = StdRng::seed_from_u64(sample_seed);
             let mut fused = FeatureExtractor::with_defaults();
-            let mut sharded = FeatureExtractor::with_defaults();
             let mut reference = TenPassExtractor::with_defaults();
             for (bin, batch) in batches.iter().enumerate() {
                 if bin == cut {
-                    for extractor in [&mut fused, &mut sharded] {
-                        let bytes = saved(|w| extractor.save_state(w));
-                        let mut restored = FeatureExtractor::with_defaults();
-                        let mut reader = StateReader::new(&bytes);
-                        restored.load_state(&mut reader).expect("same configuration");
-                        reader.finish().expect("no trailing bytes");
-                        prop_assert_eq!(saved(|w| restored.save_state(w)), bytes);
-                        *extractor = restored;
-                    }
+                    let bytes = saved(|w| fused.save_state(w));
+                    let mut restored = FeatureExtractor::with_defaults();
+                    let mut reader = StateReader::new(&bytes);
+                    restored.load_state(&mut reader).expect("same configuration");
+                    reader.finish().expect("no trailing bytes");
+                    prop_assert_eq!(saved(|w| restored.save_state(w)), bytes);
+                    fused = restored;
                 }
                 let (view, _) = packet_sample(&batch.view(), rate, &mut rng);
                 let (expected, expected_ops) = reference.extract(&view.materialize());
-                let context = format!("rate {rate}, bin {bin}, cut {cut}");
                 let (actual, ops) = fused.extract_view(&view);
                 prop_assert_eq!(ops, expected_ops);
-                assert_same_features(&actual, &expected, &context);
-                let (actual, ops) = extract_sharded(&mut sharded, &view);
-                prop_assert_eq!(ops, expected_ops);
-                assert_same_features(&actual, &expected, &context);
+                assert_same_features(&actual, &expected, &format!("rate {rate}, bin {bin}, cut {cut}"));
             }
         }
     }
@@ -276,7 +259,6 @@ proptest! {
 
         let mut claims = FeatureExtractor::new(owner);
         let mut fused = FeatureExtractor::new(foreign.clone());
-        let mut sharded = FeatureExtractor::new(foreign.clone());
         let mut on_fresh = FeatureExtractor::new(foreign.clone());
         let mut reference = TenPassExtractor::new(foreign);
         for batch in &batches {
@@ -286,15 +268,11 @@ proptest! {
 
             let (from_fused, _) = fused.extract_view(&view);
             prop_assert_eq!(batch.packets.slot_claim_misses(), 1);
-            let (from_sharded, _) = extract_sharded(&mut sharded, &view);
-            // One claim per shard.
-            prop_assert_eq!(batch.packets.slot_claim_misses(), 11);
 
             let fresh = view.materialize();
             let (expected, _) = on_fresh.extract(&fresh);
             prop_assert_eq!(fresh.packets.slot_claim_misses(), 0);
             assert_same_features(&from_fused, &expected, "fused fallback");
-            assert_same_features(&from_sharded, &expected, "sharded fallback");
             let (expected, _) = reference.extract(&fresh);
             assert_same_features(&from_fused, &expected, "ten-pass reference");
         }
