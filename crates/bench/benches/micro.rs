@@ -13,9 +13,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netshed_bench::baseline::{clone_flow_sample, clone_packet_sample, TenPassExtractor};
-use netshed_features::FeatureExtractor;
+use netshed_features::{FeatureExtractor, FEATURE_COUNT};
+use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{flow_sample, packet_sample};
-use netshed_predict::{MlrPredictor, Predictor};
+use netshed_predict::{fcbf_select_with, FcbfConfig, FcbfScratch, MlrPredictor, Predictor};
 use netshed_queries::{build_query, BoyerMoore, CycleMeter, QueryKind};
 use netshed_sketch::{mix64, BitmapGeometry, H3Hasher, MultiResolutionBitmap};
 use netshed_trace::{TraceConfig, TraceGenerator};
@@ -87,6 +88,26 @@ fn bench_prediction(c: &mut Criterion) {
     let last = *history.last().unwrap();
     c.bench_function("mlr_fcbf_predict_60_history", |b| {
         b.iter(|| black_box(predictor.predict(&last)));
+    });
+
+    // The two halves of that prediction on the same 60-observation window:
+    // the FCBF selection over all 42 columns, and the least-squares solve
+    // over intercept + packets + bytes.
+    let window = predictor.history();
+    let mut scratch = FcbfScratch::default();
+    c.bench_function("fcbf_select_60x42", |b| {
+        b.iter(|| {
+            black_box(
+                fcbf_select_with(window, &FcbfConfig::default(), FEATURE_COUNT, &mut scratch).len(),
+            )
+        });
+    });
+    let design =
+        Matrix::from_columns(&[vec![1.0; 60], window.feature_column(0), window.feature_column(1)]);
+    let responses = window.responses();
+    let mut workspace = OlsWorkspace::default();
+    c.bench_function("ols_solve_60x3", |b| {
+        b.iter(|| black_box(workspace.solve(&design, &responses, 1e-9)));
     });
 }
 

@@ -23,9 +23,10 @@
 //!    allocator and asserted to be 0).
 //! 4. **pipeline**: packets/second through `Monitor::run` with the paper's
 //!    Chapter 4 query mix under 2× overload.
-//! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle,
-//!    before (per-call allocations) vs after (reused scratch buffers), plus
-//!    the FCBF amortisation of `reselect_every`.
+//! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle
+//!    (reselecting every bin, and with `reselect_every = 10`), and of its
+//!    two halves on the same stream: the FCBF selection over the 60 x 42
+//!    history and the least-squares solve over the selected columns.
 //! 6. **registry scale**: the service-plane daemon at 10/100/1000 live
 //!    tenants — control-channel registration cost per query and the
 //!    steady-state per-bin cost, with the marginal nanoseconds each
@@ -40,15 +41,14 @@
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
 
-use netshed_bench::baseline::{
-    clone_flow_sample, clone_packet_sample, AllocMlrPredictor, TenPassExtractor,
-};
-use netshed_features::{FeatureExtractor, FeatureId, FeatureVector};
+use netshed_bench::baseline::{clone_flow_sample, clone_packet_sample, TenPassExtractor};
+use netshed_features::{FeatureExtractor, FeatureId, FeatureVector, FEATURE_COUNT};
+use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{
     flow_sample, packet_sample, packet_sample_with, AllocationPolicy, Monitor, MonitorConfig,
     NullObserver, Strategy,
 };
-use netshed_predict::{MlrConfig, MlrPredictor, Predictor};
+use netshed_predict::{fcbf_select_with, FcbfScratch, History, MlrConfig, MlrPredictor, Predictor};
 use netshed_queries::{QueryKind, QuerySpec};
 use netshed_service::Daemon;
 use netshed_sketch::H3Hasher;
@@ -451,15 +451,18 @@ fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
 
 struct PredictionPlaneNumbers {
     bins: usize,
-    alloc_ns_per_bin: f64,
-    reuse_ns_per_bin: f64,
-    reuse_reselect10_ns_per_bin: f64,
+    ns_per_bin: f64,
+    reselect10_ns_per_bin: f64,
+    fcbf_ns_per_bin: f64,
+    ols_ns_per_bin: f64,
 }
 
 /// Times one predict+observe cycle per bin over a synthetic feature stream:
-/// the historical allocating MLR path vs the buffer-reusing predictor (both
-/// reselecting every bin, as the paper does), plus the reusing predictor with
-/// `reselect_every = 10` to show the FCBF amortisation.
+/// the MLR predictor reselecting every bin (as the paper does) and with
+/// `reselect_every = 10` to show the FCBF amortisation; then the two halves
+/// of a prediction on the same stream, each over its own warm scratch — the
+/// FCBF selection over the full history, and the least-squares solve over
+/// the columns it selected.
 fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
     fn feature_stream(bins: usize) -> Vec<(FeatureVector, f64)> {
         let mut rng = StdRng::seed_from_u64(77);
@@ -477,42 +480,67 @@ fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
     }
     let stream = feature_stream(bins);
 
-    /// One predict+observe step of whichever predictor variant is measured.
-    type PredictCycle<'a> = Box<dyn FnMut(&FeatureVector, f64) + 'a>;
-
     // Best of three repeats per variant: one predict+observe cycle is a few
     // microseconds, so a single pass is at the mercy of scheduler noise.
-    let best_ns_per_bin = |mut cycle: PredictCycle<'_>| -> f64 {
+    let best_ns_per_bin = |mut predictor: MlrPredictor| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let start = Instant::now();
             for (features, cycles) in &stream {
-                cycle(features, *cycles);
+                black_box(predictor.predict(features));
+                predictor.observe(features, *cycles);
             }
             best = best.min(start.elapsed().as_nanos() as f64 / bins as f64);
         }
         best
     };
-
-    let mut alloc = AllocMlrPredictor::new(MlrConfig::default());
-    let alloc_ns_per_bin = best_ns_per_bin(Box::new(move |features, cycles| {
-        black_box(alloc.predict(features));
-        alloc.observe(features, cycles);
+    let ns_per_bin = best_ns_per_bin(MlrPredictor::new(MlrConfig::default()));
+    let reselect10_ns_per_bin = best_ns_per_bin(MlrPredictor::new(MlrConfig {
+        reselect_every: 10,
+        ..MlrConfig::default()
     }));
 
-    let mut reuse = MlrPredictor::new(MlrConfig::default());
-    let reuse_ns_per_bin = best_ns_per_bin(Box::new(move |features, cycles| {
-        black_box(reuse.predict(features));
-        reuse.observe(features, cycles);
-    }));
+    // The halves: per bin, select over the window, then solve over the
+    // selected columns, each under its own clock.
+    let config = MlrConfig::default();
+    let mut history = History::new(config.history);
+    let mut scratch = FcbfScratch::default();
+    let mut workspace = OlsWorkspace::default();
+    let mut design = Matrix::default();
+    let mut responses = Vec::new();
+    let (mut best_fcbf, mut best_ols) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let (mut fcbf_ns, mut ols_ns) = (0u128, 0u128);
+        for (features, cycles) in &stream {
+            if history.len() >= 3 {
+                let start = Instant::now();
+                let selected =
+                    fcbf_select_with(&history, &config.fcbf, FEATURE_COUNT, &mut scratch);
+                fcbf_ns += start.elapsed().as_nanos();
 
-    let mut amortised = MlrPredictor::new(MlrConfig { reselect_every: 10, ..MlrConfig::default() });
-    let reuse_reselect10_ns_per_bin = best_ns_per_bin(Box::new(move |features, cycles| {
-        black_box(amortised.predict(features));
-        amortised.observe(features, cycles);
-    }));
+                design.reshape_zeroed(history.len(), selected.len() + 1);
+                design.column_mut(0).fill(1.0);
+                for (j, &feature) in selected.iter().enumerate() {
+                    history.fill_feature_column(feature, design.column_mut(j + 1));
+                }
+                history.fill_responses(&mut responses);
+                let start = Instant::now();
+                black_box(workspace.solve(&design, &responses, config.rcond));
+                ols_ns += start.elapsed().as_nanos();
+            }
+            history.push(*features, *cycles);
+        }
+        best_fcbf = best_fcbf.min(fcbf_ns as f64 / bins as f64);
+        best_ols = best_ols.min(ols_ns as f64 / bins as f64);
+    }
 
-    PredictionPlaneNumbers { bins, alloc_ns_per_bin, reuse_ns_per_bin, reuse_reselect10_ns_per_bin }
+    PredictionPlaneNumbers {
+        bins,
+        ns_per_bin,
+        reselect10_ns_per_bin,
+        fcbf_ns_per_bin: best_fcbf,
+        ols_ns_per_bin: best_ols,
+    }
 }
 
 /// One thread count of a scaling row: worker threads of a solo monitor, or
@@ -687,15 +715,14 @@ fn main() {
         pipeline.packets, pipeline.elapsed_s, pipeline.packets_per_sec
     );
 
-    eprintln!("prediction plane: MLR predict+observe, alloc-per-call vs reused buffers ...");
+    eprintln!("prediction plane: MLR predict+observe, and its FCBF / OLS halves ...");
     let prediction = bench_prediction_plane(if smoke { 200 } else { 600 });
     eprintln!(
-        "  alloc {:.0} ns/bin | reuse {:.0} ns/bin ({:.2}x) | reuse+reselect10 {:.0} ns/bin ({:.2}x)",
-        prediction.alloc_ns_per_bin,
-        prediction.reuse_ns_per_bin,
-        prediction.alloc_ns_per_bin / prediction.reuse_ns_per_bin,
-        prediction.reuse_reselect10_ns_per_bin,
-        prediction.alloc_ns_per_bin / prediction.reuse_reselect10_ns_per_bin,
+        "  {:.0} ns/bin | reselect10 {:.0} ns/bin | fcbf {:.0} ns/bin | ols {:.0} ns/bin",
+        prediction.ns_per_bin,
+        prediction.reselect10_ns_per_bin,
+        prediction.fcbf_ns_per_bin,
+        prediction.ols_ns_per_bin,
     );
 
     eprintln!("registry scale: daemon control channel at 10/100/1000 tenants ...");
@@ -791,9 +818,8 @@ fn main() {
          \"soa_replay_packets_per_sec\": {:.0},\n    \"soa_speedup\": {:.2},\n    \
          \"alloc_per_bin\": {}\n  }},\n  \
          \"prediction_plane\": {{\n    \"bins\": {},\n    \
-         \"alloc_ns_per_bin\": {:.0},\n    \"reuse_ns_per_bin\": {:.0},\n    \
-         \"reuse_reselect10_ns_per_bin\": {:.0},\n    \"speedup_reuse\": {:.2},\n    \
-         \"speedup_reuse_reselect10\": {:.2}\n  }},\n  \
+         \"ns_per_bin\": {:.0},\n    \"reselect10_ns_per_bin\": {:.0},\n    \
+         \"fcbf_ns_per_bin\": {:.0},\n    \"ols_ns_per_bin\": {:.0}\n  }},\n  \
          \"registry_scale\": {{\n    \"bins\": {},\n    \"tenants\": [\n{}\n    ],\n    \
          \"marginal_ns_per_query_per_bin\": {:.0}\n  }},\n  \
          \"parallel_scaling\": {{\n    \"batches\": {},\n    \"host_cores\": {},\n    \
@@ -826,11 +852,10 @@ fn main() {
         data_plane.soa_speedup,
         data_plane.alloc_per_bin,
         prediction.bins,
-        prediction.alloc_ns_per_bin,
-        prediction.reuse_ns_per_bin,
-        prediction.reuse_reselect10_ns_per_bin,
-        prediction.alloc_ns_per_bin / prediction.reuse_ns_per_bin,
-        prediction.alloc_ns_per_bin / prediction.reuse_reselect10_ns_per_bin,
+        prediction.ns_per_bin,
+        prediction.reselect10_ns_per_bin,
+        prediction.fcbf_ns_per_bin,
+        prediction.ols_ns_per_bin,
         registry.bins,
         registry_points_json,
         registry.marginal_ns_per_query_per_bin,

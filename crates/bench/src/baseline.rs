@@ -130,98 +130,11 @@ pub fn clone_flow_sample(batch: &Batch, rate: f64, hasher: &H3Hasher) -> (Batch,
     (sampled, dropped)
 }
 
-/// The historical allocating MLR prediction path: FCBF runs every predict
-/// call, and the design matrix, response column and probe row are built in
-/// fresh allocations per call — exactly the shape `MlrPredictor` had before
-/// it grew reusable scratch buffers. Kept so the `prediction_plane` section
-/// of the pipeline benchmark can report the before/after ns per bin against
-/// the code it replaced.
-pub struct AllocMlrPredictor {
-    config: netshed_predict::MlrConfig,
-    history: netshed_predict::History,
-    selected: Vec<usize>,
-    batches_since_selection: usize,
-}
-
-impl AllocMlrPredictor {
-    /// Creates a predictor with the given configuration.
-    pub fn new(config: netshed_predict::MlrConfig) -> Self {
-        Self {
-            history: netshed_predict::History::new(config.history),
-            config,
-            selected: Vec::new(),
-            batches_since_selection: 0,
-        }
-    }
-
-    /// Predicts from the history with per-call allocations (the pre-reuse
-    /// code path, verbatim in structure).
-    pub fn predict(&mut self, features: &FeatureVector) -> f64 {
-        use netshed_features::FEATURE_COUNT;
-        let n = self.history.len();
-        if n < 3 {
-            let responses = self.history.responses();
-            return netshed_linalg::stats::mean(&responses);
-        }
-        if self.selected.is_empty() || self.batches_since_selection >= self.config.reselect_every {
-            self.selected =
-                netshed_predict::fcbf_select(&self.history, &self.config.fcbf, FEATURE_COUNT);
-            if self.selected.is_empty() {
-                self.selected = vec![FeatureId::Packets.index()];
-            }
-            self.batches_since_selection = 0;
-        }
-        self.batches_since_selection += 1;
-
-        let mut columns: Vec<Vec<f64>> = Vec::with_capacity(self.selected.len() + 1);
-        columns.push(vec![1.0; n]);
-        for &feature in &self.selected {
-            columns.push(self.history.feature_column(feature));
-        }
-        let design = netshed_linalg::Matrix::from_columns(&columns);
-        let responses = self.history.responses();
-        let fit = netshed_linalg::ols_solve(&design, &responses, self.config.rcond);
-
-        let mut row = Vec::with_capacity(self.selected.len() + 1);
-        row.push(1.0);
-        row.extend(self.selected.iter().map(|&i| features.get_index(i)));
-        fit.predict(&row).max(0.0)
-    }
-
-    /// Feeds back an observation (same semantics as `Predictor::observe`).
-    pub fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
-        self.history.push(*features, actual_cycles);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netshed_features::FeatureExtractor;
     use netshed_trace::{TraceConfig, TraceGenerator};
-
-    #[test]
-    fn alloc_mlr_baseline_is_bit_identical_to_the_buffer_reusing_predictor() {
-        use netshed_predict::{MlrConfig, MlrPredictor, Predictor};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut baseline = AllocMlrPredictor::new(MlrConfig::default());
-        let mut current = MlrPredictor::new(MlrConfig::default());
-        for _ in 0..150 {
-            let mut features = FeatureVector::zeros();
-            features.set(netshed_features::FeatureId::Packets, rng.gen_range(100.0..2000.0));
-            features.set(netshed_features::FeatureId::Bytes, rng.gen_range(1e4..1e6));
-            features.set(netshed_features::FeatureId::from_index(7), rng.gen_range(0.0..300.0));
-            let actual = 1500.0 * features.packets() + 2e5;
-            let expected = baseline.predict(&features);
-            let got = current.predict(&features);
-            assert_eq!(expected, got, "buffer reuse must not change a single bit");
-            baseline.observe(&features, actual);
-            current.observe(&features, actual);
-        }
-    }
 
     #[test]
     fn ten_pass_baseline_agrees_with_the_fused_extractor() {

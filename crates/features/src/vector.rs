@@ -144,6 +144,12 @@ impl FeatureVector {
         &self.values
     }
 
+    /// All values with their count in the type, so a loop over every
+    /// feature of every row has a compile-time trip count.
+    pub fn as_array(&self) -> &[f64; FEATURE_COUNT] {
+        &self.values
+    }
+
     /// Number of packets convenience accessor.
     pub fn packets(&self) -> f64 {
         self.get(FeatureId::Packets)

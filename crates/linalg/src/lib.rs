@@ -11,6 +11,9 @@
 //! * [`Matrix`] — a column-major dense `f64` matrix,
 //! * [`svd`] — one-sided Jacobi singular value decomposition,
 //! * [`ols_solve`] — least-squares solve through the SVD pseudo-inverse,
+//! * [`SvdWorkspace`] / [`OlsWorkspace`] — the same two kernels with
+//!   caller-owned working memory (`svd` and `ols_solve` are those on a fresh
+//!   workspace), for callers that refit every bin,
 //! * [`stats`] — mean / variance / correlation / percentile helpers shared by
 //!   the predictors and the experiment harness.
 
@@ -22,5 +25,5 @@ pub mod stats;
 pub mod svd;
 
 pub use matrix::Matrix;
-pub use ols::{ols_solve, OlsFit};
-pub use svd::{svd, Svd};
+pub use ols::{ols_solve, OlsFit, OlsWorkspace};
+pub use svd::{svd, Svd, SvdWorkspace};

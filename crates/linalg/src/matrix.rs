@@ -8,7 +8,7 @@ use std::ops::{Index, IndexMut};
 /// Column-major storage matches the access pattern of the Jacobi SVD (which
 /// orthogonalises column pairs) and of least-squares design matrices where
 /// each column is one predictor's history.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -23,10 +23,8 @@ impl Matrix {
 
     /// Creates an identity matrix of the given size.
     pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
+        let mut m = Self::default();
+        m.set_identity(n);
         m
     }
 
@@ -41,6 +39,22 @@ impl Matrix {
         self.cols = cols;
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Makes `self` a copy of `other`, reusing the backing allocation.
+    pub fn copy_from(&mut self, other: &Matrix) {
+        self.rows = other.rows;
+        self.cols = other.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
+    }
+
+    /// Makes `self` the `n x n` identity, reusing the backing allocation.
+    pub fn set_identity(&mut self, n: usize) {
+        self.reshape_zeroed(n, n);
+        for i in 0..n {
+            self[(i, i)] = 1.0;
+        }
     }
 
     /// Creates a matrix from a row-major nested slice (convenient in tests).
@@ -97,21 +111,44 @@ impl Matrix {
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
+    /// Returns columns `p` and `q` (`p < q`) as two disjoint mutable slices,
+    /// so a plane rotation can walk both without a bounds check per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `p < q < self.cols()`.
+    pub fn column_pair_mut(&mut self, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+        assert!(p < q && q < self.cols, "column pair out of order or out of range");
+        let (head, tail) = self.data.split_at_mut(q * self.rows);
+        (&mut head[p * self.rows..(p + 1) * self.rows], &mut tail[..self.rows])
+    }
+
     /// Matrix-vector product `self * x`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.mul_vec_into(x, &mut out);
+        out
+    }
+
+    /// [`Matrix::mul_vec`] into a caller-owned buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols()`.
+    pub fn mul_vec_into(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.cols, "dimension mismatch");
-        let mut out = vec![0.0; self.rows];
+        out.clear();
+        out.resize(self.rows, 0.0);
         for (j, &xj) in x.iter().enumerate() {
             let col = self.column(j);
             for (o, &c) in out.iter_mut().zip(col) {
                 *o += c * xj;
             }
         }
-        out
     }
 
     /// Transposed matrix-vector product `self^T * y`.
@@ -120,8 +157,20 @@ impl Matrix {
     ///
     /// Panics if `y.len() != self.rows()`.
     pub fn tr_mul_vec(&self, y: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.tr_mul_vec_into(y, &mut out);
+        out
+    }
+
+    /// [`Matrix::tr_mul_vec`] into a caller-owned buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len() != self.rows()`.
+    pub fn tr_mul_vec_into(&self, y: &[f64], out: &mut Vec<f64>) {
         assert_eq!(y.len(), self.rows, "dimension mismatch");
-        (0..self.cols).map(|j| dot(self.column(j), y)).collect()
+        out.clear();
+        out.extend((0..self.cols).map(|j| dot(self.column(j), y)));
     }
 
     /// Matrix-matrix product `self * other`.
@@ -141,13 +190,19 @@ impl Matrix {
 
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose into `out`, reusing its backing allocation.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reshape_zeroed(self.cols, self.rows);
         for j in 0..self.cols {
             for i in 0..self.rows {
                 out[(j, i)] = self[(i, j)];
             }
         }
-        out
     }
 
     /// Frobenius norm.
@@ -228,6 +283,28 @@ mod tests {
         assert_eq!(c[(0, 1)], 22.0);
         assert_eq!(c[(1, 0)], 43.0);
         assert_eq!(c[(1, 1)], 50.0);
+    }
+
+    #[test]
+    fn column_pair_mut_yields_the_two_columns() {
+        let mut m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let (first, last) = m.column_pair_mut(0, 2);
+        assert_eq!((&*first, &*last), (&[1.0, 4.0][..], &[3.0, 6.0][..]));
+        first[1] = -4.0;
+        last[0] = -3.0;
+        assert_eq!(m, Matrix::from_rows(&[vec![1.0, 2.0, -3.0], vec![-4.0, 5.0, 6.0]]));
+    }
+
+    #[test]
+    fn in_place_constructors_reuse_a_dirty_buffer() {
+        let mut m = Matrix::from_rows(&vec![vec![9.0; 4]; 4]);
+        m.set_identity(3);
+        assert_eq!(m, Matrix::identity(3));
+        let source = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        m.copy_from(&source);
+        assert_eq!(m, source);
+        source.transpose_into(&mut m);
+        assert_eq!(m, source.transpose());
     }
 
     #[test]

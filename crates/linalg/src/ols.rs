@@ -1,7 +1,7 @@
 //! Ordinary least squares through the SVD pseudo-inverse.
 
 use crate::matrix::Matrix;
-use crate::svd::svd;
+use crate::svd::{Svd, SvdWorkspace};
 
 /// Result of a least-squares fit `y ≈ X b`.
 #[derive(Debug, Clone)]
@@ -24,9 +24,13 @@ impl OlsFit {
     ///
     /// Panics if `x.len()` differs from the number of coefficients.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.coefficients.len(), "predictor count mismatch");
-        x.iter().zip(&self.coefficients).map(|(a, b)| a * b).sum()
+        predict_row(&self.coefficients, x)
     }
+}
+
+fn predict_row(coefficients: &[f64], x: &[f64]) -> f64 {
+    assert_eq!(x.len(), coefficients.len(), "predictor count mismatch");
+    x.iter().zip(coefficients).map(|(a, b)| a * b).sum()
 }
 
 /// Solves `min_b ||y - X b||²` using the SVD pseudo-inverse.
@@ -36,28 +40,17 @@ impl OlsFit {
 /// assumption but do occur under anomalous traffic, e.g. packets ≈ flows
 /// during a SYN flood) yield the minimum-norm solution instead of blowing up.
 ///
+/// This is [`OlsWorkspace::solve`] on a fresh workspace plus the fit
+/// statistics; a caller that solves every bin and reads only the
+/// coefficients keeps the workspace instead.
+///
 /// # Panics
 ///
 /// Panics if `y.len()` differs from the number of rows of `x`.
 pub fn ols_solve(x: &Matrix, y: &[f64], rcond: f64) -> OlsFit {
-    assert_eq!(x.rows(), y.len(), "observation count mismatch");
-    let decomposition = svd(x);
-    let k = decomposition.singular_values.len();
-    let max_sv = decomposition.singular_values.first().copied().unwrap_or(0.0);
-    let threshold = max_sv * rcond.max(f64::EPSILON);
-
-    // b = V * diag(1/s) * U^T * y, zeroing the small singular values.
-    let uty = decomposition.u.tr_mul_vec(y);
-    let mut scaled = vec![0.0; k];
-    let mut rank = 0usize;
-    for i in 0..k {
-        let s = decomposition.singular_values[i];
-        if s > threshold && s > 0.0 {
-            scaled[i] = uty[i] / s;
-            rank += 1;
-        }
-    }
-    let coefficients = decomposition.v.mul_vec(&scaled);
+    let mut workspace = OlsWorkspace::default();
+    let rank = workspace.solve(x, y, rcond);
+    let coefficients = workspace.coefficients;
 
     let predictions = x.mul_vec(&coefficients);
     let rss: f64 = predictions.iter().zip(y).map(|(p, t)| (p - t) * (p - t)).sum();
@@ -66,6 +59,62 @@ pub fn ols_solve(x: &Matrix, y: &[f64], rcond: f64) -> OlsFit {
     let r_squared = if tss > 0.0 { 1.0 - rss / tss } else { 1.0 };
 
     OlsFit { coefficients, residual_sum_of_squares: rss, r_squared, rank }
+}
+
+/// Caller-owned working memory of the least-squares solve — the SVD
+/// workspace, the projection `U^T y` and the coefficients — so a predictor
+/// that refits every bin allocates nothing once it has seen its widest
+/// design matrix.
+#[derive(Debug, Default)]
+pub struct OlsWorkspace {
+    svd: SvdWorkspace,
+    /// `U^T y`, then scaled in place to `diag(1/s) U^T y`.
+    projection: Vec<f64>,
+    coefficients: Vec<f64>,
+}
+
+impl OlsWorkspace {
+    /// Fits `y ≈ X b` and returns the effective rank of `x`; the
+    /// coefficients stay readable until the next call. Bit-identical to
+    /// [`ols_solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len()` differs from the number of rows of `x`.
+    pub fn solve(&mut self, x: &Matrix, y: &[f64], rcond: f64) -> usize {
+        assert_eq!(x.rows(), y.len(), "observation count mismatch");
+        let Svd { u, singular_values, v } = self.svd.decompose(x);
+        let max_sv = singular_values.first().copied().unwrap_or(0.0);
+        let threshold = max_sv * rcond.max(f64::EPSILON);
+
+        // b = V * diag(1/s) * U^T * y, zeroing the small singular values.
+        u.tr_mul_vec_into(y, &mut self.projection);
+        let mut rank = 0usize;
+        for (projected, &s) in self.projection.iter_mut().zip(singular_values) {
+            if s > threshold && s > 0.0 {
+                *projected /= s;
+                rank += 1;
+            } else {
+                *projected = 0.0;
+            }
+        }
+        v.mul_vec_into(&self.projection, &mut self.coefficients);
+        rank
+    }
+
+    /// Coefficients of the last fit, one per column of its design matrix.
+    pub fn coefficients(&self) -> &[f64] {
+        &self.coefficients
+    }
+
+    /// Predicts the response for one observation from the last fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the number of coefficients.
+    pub fn predict(&self, x: &[f64]) -> f64 {
+        predict_row(&self.coefficients, x)
+    }
 }
 
 #[cfg(test)]
@@ -138,6 +187,31 @@ mod tests {
         let fit = ols_solve(&x, &y, 1e-12);
         // The system is consistent; residuals should be ~0.
         assert!(fit.residual_sum_of_squares < 1e-16);
+    }
+
+    #[test]
+    fn a_reused_workspace_equals_a_fresh_solve() {
+        // Tall, underdetermined, then tall again through one workspace.
+        let problems = [
+            (
+                Matrix::from_rows(&[vec![1.0, 2.0], vec![1.0, 3.0], vec![1.0, 5.0]]),
+                vec![1.0, 2.0, 2.5],
+            ),
+            (Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]), vec![14.0, 32.0]),
+            (
+                Matrix::from_rows(&[vec![1.0, 7.0], vec![1.0, 7.0], vec![1.0, 7.0]]),
+                vec![3.0, 4.0, 5.0],
+            ),
+        ];
+        let mut workspace = OlsWorkspace::default();
+        for (x, y) in &problems {
+            let fresh = ols_solve(x, y, 1e-9);
+            let rank = workspace.solve(x, y, 1e-9);
+            assert_eq!(rank, fresh.rank);
+            assert_eq!(workspace.coefficients(), &fresh.coefficients[..]);
+            let probe = vec![1.5; x.cols()];
+            assert_eq!(workspace.predict(&probe).to_bits(), fresh.predict(&probe).to_bits());
+        }
     }
 
     #[test]

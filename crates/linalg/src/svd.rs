@@ -10,7 +10,7 @@
 use crate::matrix::{dot, Matrix};
 
 /// Result of a thin singular value decomposition `A = U * diag(s) * V^T`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Svd {
     /// Left singular vectors, `rows x k` where `k = min(rows, cols)`.
     pub u: Matrix,
@@ -48,80 +48,119 @@ impl Svd {
 ///
 /// For matrices with more columns than rows the decomposition is computed on
 /// the transpose and the factors are swapped, so callers may pass any shape.
+/// Allocates its working memory per call; a caller that decomposes every bin
+/// keeps an [`SvdWorkspace`] instead.
 pub fn svd(a: &Matrix) -> Svd {
-    if a.cols() > a.rows() {
-        let t = svd(&a.transpose());
-        return Svd { u: t.v, singular_values: t.singular_values, v: t.u };
-    }
-
-    let rows = a.rows();
-    let cols = a.cols();
-    // Work on a copy whose columns are rotated until mutually orthogonal.
-    let mut w = a.clone();
-    let mut v = Matrix::identity(cols);
-
-    let eps = 1e-12;
-    let max_sweeps = 60;
-    for _ in 0..max_sweeps {
-        let mut off_diagonal = 0.0f64;
-        for p in 0..cols {
-            for q in (p + 1)..cols {
-                let (alpha, beta, gamma) = {
-                    let cp = w.column(p);
-                    let cq = w.column(q);
-                    (dot(cp, cp), dot(cq, cq), dot(cp, cq))
-                };
-                if alpha * beta > 0.0 {
-                    off_diagonal = off_diagonal.max(gamma.abs() / (alpha * beta).sqrt());
-                }
-                if gamma.abs() <= eps * (alpha * beta).sqrt() || gamma == 0.0 {
-                    continue;
-                }
-                // Jacobi rotation that zeroes the (p, q) entry of W^T W.
-                let zeta = (beta - alpha) / (2.0 * gamma);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                rotate_columns(&mut w, p, q, c, s, rows);
-                rotate_columns(&mut v, p, q, c, s, cols);
-            }
-        }
-        if off_diagonal < eps {
-            break;
-        }
-    }
-
-    // Singular values are the column norms of the rotated matrix.
-    let mut order: Vec<usize> = (0..cols).collect();
-    let norms: Vec<f64> = (0..cols).map(|j| dot(w.column(j), w.column(j)).sqrt()).collect();
-    order.sort_by(|&i, &j| norms[j].total_cmp(&norms[i]));
-
-    let mut u = Matrix::zeros(rows, cols);
-    let mut v_sorted = Matrix::zeros(cols, cols);
-    let mut singular_values = Vec::with_capacity(cols);
-    for (dst, &src) in order.iter().enumerate() {
-        let norm = norms[src];
-        singular_values.push(norm);
-        if norm > 0.0 {
-            let col = w.column(src).to_vec();
-            for (i, value) in col.iter().enumerate() {
-                u[(i, dst)] = value / norm;
-            }
-        }
-        let vcol = v.column(src).to_vec();
-        v_sorted.column_mut(dst).copy_from_slice(&vcol);
-    }
-
-    Svd { u, singular_values, v: v_sorted }
+    let mut workspace = SvdWorkspace::default();
+    workspace.decompose(a);
+    workspace.svd
 }
 
-/// Applies the plane rotation `[c, s; -s, c]` to columns `p` and `q`.
-fn rotate_columns(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64, rows: usize) {
-    for i in 0..rows {
-        let vp = m[(i, p)];
-        let vq = m[(i, q)];
-        m[(i, p)] = c * vp - s * vq;
-        m[(i, q)] = s * vp + c * vq;
+/// Caller-owned working memory of the Jacobi kernel, and the decomposition
+/// it last produced. Every buffer is resized in place, so a workspace that
+/// has seen a shape once decomposes that shape again without allocating.
+#[derive(Debug, Default)]
+pub struct SvdWorkspace {
+    /// Copy of the input (of its transpose, for a wide input) whose columns
+    /// the sweeps rotate until they are mutually orthogonal.
+    w: Matrix,
+    /// The accumulated rotations.
+    rotations: Matrix,
+    /// Column norms of the rotated `w`: the singular values, unsorted.
+    norms: Vec<f64>,
+    /// Column indices by non-increasing norm.
+    order: Vec<usize>,
+    svd: Svd,
+}
+
+impl SvdWorkspace {
+    /// Decomposes `a` (any shape) and returns the result, which stays
+    /// readable until the next call. Bit-identical to [`svd`], which is this
+    /// method on a fresh workspace.
+    pub fn decompose(&mut self, a: &Matrix) -> &Svd {
+        let Self { w, rotations, norms, order, svd } = self;
+        let wide = a.cols() > a.rows();
+        if wide {
+            a.transpose_into(w);
+        } else {
+            w.copy_from(a);
+        }
+        let rows = w.rows();
+        let cols = w.cols();
+        rotations.set_identity(cols);
+
+        let eps = 1e-12;
+        let max_sweeps = 60;
+        for _ in 0..max_sweeps {
+            let mut off_diagonal = 0.0f64;
+            for p in 0..cols {
+                for q in (p + 1)..cols {
+                    let (cp, cq) = w.column_pair_mut(p, q);
+                    // The three dot products of the pair in one walk. Each
+                    // accumulator starts where `dot` (`Iterator::sum`) does
+                    // and adds the same products in the same order.
+                    let (mut alpha, mut beta, mut gamma) = (-0.0, -0.0, -0.0);
+                    for (x, y) in cp.iter().zip(cq.iter()) {
+                        alpha += x * x;
+                        beta += y * y;
+                        gamma += x * y;
+                    }
+                    if alpha * beta > 0.0 {
+                        off_diagonal = off_diagonal.max(gamma.abs() / (alpha * beta).sqrt());
+                    }
+                    if gamma.abs() <= eps * (alpha * beta).sqrt() || gamma == 0.0 {
+                        continue;
+                    }
+                    // Jacobi rotation that zeroes the (p, q) entry of W^T W.
+                    let zeta = (beta - alpha) / (2.0 * gamma);
+                    let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = c * t;
+                    rotate(cp, cq, c, s);
+                    let (vp, vq) = rotations.column_pair_mut(p, q);
+                    rotate(vp, vq, c, s);
+                }
+            }
+            if off_diagonal < eps {
+                break;
+            }
+        }
+
+        // Singular values are the column norms of the rotated matrix.
+        norms.clear();
+        norms.extend((0..cols).map(|j| dot(w.column(j), w.column(j)).sqrt()));
+        order.clear();
+        order.extend(0..cols);
+        order.sort_by(|&i, &j| norms[j].total_cmp(&norms[i]));
+
+        // The normalised rotated columns are the left factor and the
+        // rotations the right one, both in singular-value order; a wide
+        // input was decomposed as its transpose, so there the two swap.
+        let Svd { u, singular_values, v } = svd;
+        let (left, right) = if wide { (v, u) } else { (u, v) };
+        left.reshape_zeroed(rows, cols);
+        right.reshape_zeroed(cols, cols);
+        singular_values.clear();
+        for (dst, &src) in order.iter().enumerate() {
+            let norm = norms[src];
+            singular_values.push(norm);
+            if norm > 0.0 {
+                for (out, value) in left.column_mut(dst).iter_mut().zip(w.column(src)) {
+                    *out = value / norm;
+                }
+            }
+            right.column_mut(dst).copy_from_slice(rotations.column(src));
+        }
+        svd
+    }
+}
+
+/// Applies the plane rotation `[c, s; -s, c]` to a pair of columns.
+fn rotate(column_p: &mut [f64], column_q: &mut [f64], c: f64, s: f64) {
+    for (p, q) in column_p.iter_mut().zip(column_q) {
+        let (vp, vq) = (*p, *q);
+        *p = c * vp - s * vq;
+        *q = s * vp + c * vq;
     }
 }
 
@@ -184,6 +223,25 @@ mod tests {
         let decomposition = svd(&Matrix::identity(5));
         for s in &decomposition.singular_values {
             assert!((s - 1.0).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn a_reused_workspace_equals_a_fresh_decomposition() {
+        // Tall, wide, then tall again: stale buffers of another shape must
+        // not leak into the next result.
+        let shapes = [
+            Matrix::from_rows(&[vec![4.0, 1.0], vec![2.0, 3.0], vec![0.0, 5.0]]),
+            Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0, 7.0, 8.0]]),
+            Matrix::from_rows(&[vec![1.0, 0.0, 1.0], vec![0.0, 1.0, 1.0], vec![1.0, 1.0, 2.0]]),
+        ];
+        let mut workspace = SvdWorkspace::default();
+        for a in &shapes {
+            let fresh = svd(a);
+            let reused = workspace.decompose(a);
+            assert_eq!(reused.u, fresh.u);
+            assert_eq!(reused.v, fresh.v);
+            assert_eq!(reused.singular_values, fresh.singular_values);
         }
     }
 

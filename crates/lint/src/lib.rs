@@ -16,6 +16,7 @@
 //! | `merge-order` | f64 folds never run over hash-map iteration order |
 //! | `no-unwrap` | library code returns `NetshedError`, never panics |
 //! | `hot-path-alloc` | designated hot-path modules never allocate per bin |
+//! | `fused-float` | bit-exact float crates never fuse a multiply-add |
 //!
 //! Violations are suppressed inline with
 //! `// lint:allow(<rule>): <justification>` — the justification is

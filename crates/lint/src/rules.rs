@@ -10,16 +10,23 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::report::Diagnostic;
 use crate::suppress::{parse_suppressions, Suppression};
 
-/// The six contract rules, in reporting order.
-pub const RULE_NAMES: [&str; 6] =
-    ["det-map", "plan-phase-rng", "telemetry-clock", "merge-order", "no-unwrap", "hot-path-alloc"];
+/// The seven contract rules, in reporting order.
+pub const RULE_NAMES: [&str; 7] = [
+    "det-map",
+    "plan-phase-rng",
+    "telemetry-clock",
+    "merge-order",
+    "no-unwrap",
+    "hot-path-alloc",
+    "fused-float",
+];
 
 /// Pseudo-rule reported for malformed suppression comments (unknown rule
 /// name, missing `:` or empty justification). It cannot itself be
 /// suppressed: a suppression must always carry a justification.
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
 
-/// Returns true when `name` is one of the six suppressible contract rules.
+/// Returns true when `name` is one of the seven suppressible contract rules.
 pub fn is_rule(name: &str) -> bool {
     RULE_NAMES.contains(&name)
 }
@@ -52,6 +59,12 @@ pub struct Config {
     /// is unremarkable. `Vec::with_capacity` is always fine (setup code
     /// sizes its buffers once).
     pub hot_path: Vec<String>,
+    /// Path prefixes of the *bit-exact float modules*, where `fused-float`
+    /// flags `.mul_add(`. Inverted polarity like `hot_path`: these are the
+    /// crates whose f64 results reach a digest and whose kernels are allowed
+    /// to be rewritten only as the same sequence of IEEE operations — a
+    /// fused multiply-add rounds once where `a * b + c` rounds twice.
+    pub exact_float: Vec<String>,
 }
 
 impl Config {
@@ -89,13 +102,20 @@ impl Config {
                 "crates/features/src/extractor.rs",
                 "crates/monitor/src/shedder.rs",
                 "crates/monitor/src/exec.rs",
+                // The prediction plane: every query pays one FCBF selection
+                // and one least-squares solve per bin, out of scratch its
+                // predictor owns.
+                "crates/predict/src/fcbf.rs",
+                "crates/linalg/src/svd.rs",
+                "crates/linalg/src/ols.rs",
             ]),
+            exact_float: owned(&["crates/linalg/", "crates/predict/", "crates/sketch/"]),
         }
     }
 
     /// Every rule active everywhere — the fixture-corpus configuration.
-    /// (`hot-path-alloc` has inverted polarity, so "everywhere" means the
-    /// empty prefix, which every path starts with.)
+    /// (`hot-path-alloc` and `fused-float` have inverted polarity, so
+    /// "everywhere" means the empty prefix, which every path starts with.)
     pub fn strict() -> Self {
         Self {
             rng_allowed: Vec::new(),
@@ -103,6 +123,7 @@ impl Config {
             fold_allowed: Vec::new(),
             unwrap_skips_binaries: false,
             hot_path: vec![String::new()],
+            exact_float: vec![String::new()],
         }
     }
 
@@ -116,8 +137,9 @@ impl Config {
                 !(self.unwrap_skips_binaries
                     && (path.contains("/bin/") || path.ends_with("main.rs")))
             }
-            // Inverted: active only inside the designated hot-path modules.
+            // Inverted: active only inside the designated modules.
             "hot-path-alloc" => allowed(&self.hot_path),
+            "fused-float" => allowed(&self.exact_float),
             _ => true,
         }
     }
@@ -276,6 +298,14 @@ fn scan(tokens: &[Token], in_test: &[bool], mut emit: impl FnMut(&'static str, u
                             "`.{name}()` allocates in a designated hot-path module; stream \
                              into caller-provided scratch or justify the allocation"
                         ),
+                    ),
+                    "mul_add" if after_dot && punct(i + 1) == Some('(') => emit(
+                        "fused-float",
+                        line,
+                        "`.mul_add()` rounds once where `a * b + c` rounds twice; the kernels \
+                         here promise the bits of the unfused sequence (golden digests, FCBF \
+                         and OLS oracles) — write the product and the sum"
+                            .to_owned(),
                     ),
                     "new"
                         if after_path
@@ -522,6 +552,21 @@ mod tests {
         let hits = lint_source("crates/monitor/src/shedder.rs", src, &policy);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, "hot-path-alloc");
+    }
+
+    #[test]
+    fn fused_float_fires_on_the_method_call_in_the_exact_float_crates_only() {
+        let src = "let y = a.mul_add(b, c);\nfn mul_add() {}\nlet z = a * b + c;\n";
+        assert_eq!(unsuppressed("f.rs", src), [("fused-float".into(), 1)]);
+        let policy = Config::workspace();
+        for path in [
+            "crates/linalg/src/svd.rs",
+            "crates/predict/src/fcbf.rs",
+            "crates/sketch/src/bitmap.rs",
+        ] {
+            assert_eq!(lint_source(path, src, &policy).len(), 1, "{path}");
+        }
+        assert!(lint_source("crates/queries/src/cost.rs", src, &policy).is_empty());
     }
 
     #[test]

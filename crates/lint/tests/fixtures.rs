@@ -100,6 +100,18 @@ fn hot_path_alloc_fires_suppresses_and_stays_clean() {
 }
 
 #[test]
+fn fused_float_fires_suppresses_and_stays_clean() {
+    assert_eq!(
+        run("fused_float.rs"),
+        expected(&[
+            ("fused-float", 5, false), // a.mul_add(b, c)
+            ("fused-float", 9, false), // inside a fold closure
+            ("fused-float", 24, true), // telemetry-only, justified
+        ])
+    );
+}
+
+#[test]
 fn lexer_edges_raw_strings_comments_and_char_literals_stay_silent() {
     // Raw strings (any fence width), byte strings, nested block comments,
     // lifetimes and escaped char literals all hide rule-triggering tokens;
@@ -156,10 +168,23 @@ fn workspace_policy_allowlists_mask_sanctioned_homes() {
     let unwrap = "fn main() { run().unwrap(); }\n";
     assert!(lint_source("crates/bench/src/bin/experiments.rs", unwrap, &policy).is_empty());
     assert_eq!(lint_source("crates/bench/src/lib.rs", unwrap, &policy).len(), 1);
-    // hot-path-alloc is inverted: active only in the designated hot modules.
+    // hot-path-alloc is inverted: active only in the designated hot modules,
+    // the prediction plane's three kernels among them.
     let alloc = "pub fn f(xs: &[u32]) -> Vec<u32> { xs.to_vec() }\n";
     assert!(lint_source("crates/monitor/src/monitor.rs", alloc, &policy).is_empty());
-    assert_eq!(lint_source("crates/trace/src/batch.rs", alloc, &policy).len(), 1);
+    assert!(lint_source("crates/predict/src/predictor.rs", alloc, &policy).is_empty());
+    for hot in [
+        "crates/trace/src/batch.rs",
+        "crates/predict/src/fcbf.rs",
+        "crates/linalg/src/svd.rs",
+        "crates/linalg/src/ols.rs",
+    ] {
+        assert_eq!(lint_source(hot, alloc, &policy).len(), 1, "{hot}");
+    }
+    // fused-float is inverted too: active only in the bit-exact float crates.
+    let fused = "pub fn f(a: f64, b: f64, c: f64) -> f64 { a.mul_add(b, c) }\n";
+    assert!(lint_source("crates/monitor/src/monitor.rs", fused, &policy).is_empty());
+    assert_eq!(lint_source("crates/linalg/src/stats.rs", fused, &policy).len(), 1);
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //!    removed.
 
 use crate::history::History;
-use netshed_linalg::stats::pearson;
+use netshed_features::FEATURE_COUNT;
 
 /// Configuration of the FCBF feature selection.
 #[derive(Debug, Clone, Copy)]
@@ -32,15 +32,31 @@ impl Default for FcbfConfig {
     }
 }
 
-/// Reusable working memory for [`fcbf_select_with`]: the response column and
-/// the probe buffer each relevance test streams a feature into. One scratch
-/// lives per predictor, so the 42-feature relevance pass performs no
-/// allocation at all except for the (few) candidates that clear the
-/// threshold.
+/// Reusable working memory for [`fcbf_select_with`], and the selection it
+/// last produced. One scratch lives per predictor, so a reselection
+/// allocates nothing once the buffers have seen a full history.
 #[derive(Debug, Default)]
 pub struct FcbfScratch {
-    responses: Vec<f64>,
-    column: Vec<f64>,
+    /// The centred response `y[i] - mean(y)`, oldest observation first.
+    centred_responses: Vec<f64>,
+    /// |correlation| with the response, one per feature considered.
+    relevance: Vec<f64>,
+    /// Features that cleared the threshold, with their relevance.
+    candidates: Vec<(usize, f64)>,
+    /// Per kept feature, in keep order: the covariance sum of every column
+    /// with that feature's column.
+    kept_covariances: Vec<[f64; FEATURE_COUNT]>,
+    selected: Vec<usize>,
+}
+
+impl FcbfScratch {
+    /// |correlation| with the response of each feature the last selection
+    /// considered (empty when the history was too short to correlate).
+    /// Exposed for the bit-identity tests only.
+    #[doc(hidden)]
+    pub fn relevance(&self) -> &[f64] {
+        &self.relevance
+    }
 }
 
 /// Selects predictor feature indices from the history using FCBF.
@@ -50,61 +66,143 @@ pub struct FcbfScratch {
 /// be empty if no feature clears the threshold; callers are expected to fall
 /// back to a sensible default (the `packets` feature) in that case.
 pub fn fcbf_select(history: &History, config: &FcbfConfig, feature_count: usize) -> Vec<usize> {
-    fcbf_select_with(history, config, feature_count, &mut FcbfScratch::default())
+    // lint:allow(hot-path-alloc): the convenience wrapper owns its result;
+    // the per-bin path calls `fcbf_select_with`
+    fcbf_select_with(history, config, feature_count, &mut FcbfScratch::default()).to_vec()
 }
 
-/// [`fcbf_select`] with caller-owned scratch buffers — the allocation-free
-/// variant the per-bin prediction hot path uses. Bit-identical to
-/// [`fcbf_select`]: the correlation tests see exactly the same values.
-pub fn fcbf_select_with(
+/// [`fcbf_select`] into caller-owned scratch — what the per-bin prediction
+/// path calls. The selection is returned as a slice of the scratch.
+///
+/// The correlations are Pearson coefficients computed for all features at
+/// once while walking the history's rows as they are stored, instead of one
+/// gathered column at a time. Every feature is its own accumulator lane:
+/// it starts from the value a one-column reduction starts from and adds the
+/// same terms in the same oldest-to-newest order, so each coefficient is
+/// bit-for-bit the one `netshed_linalg::stats::pearson` returns for that
+/// column — but the lanes are independent add chains the CPU overlaps (and
+/// the compiler vectorises) where a single reduction waits on itself. That
+/// holds only while no lane is reassociated: no `mul_add`, no pairwise or
+/// chunked summation (the `fused-float` lint rule guards the first).
+///
+/// # Panics
+///
+/// Panics if `feature_count` exceeds [`FEATURE_COUNT`].
+// Each loop below indexes several lane arrays at once.
+#[allow(clippy::needless_range_loop)]
+pub fn fcbf_select_with<'s>(
     history: &History,
     config: &FcbfConfig,
     feature_count: usize,
-    scratch: &mut FcbfScratch,
-) -> Vec<usize> {
+    scratch: &'s mut FcbfScratch,
+) -> &'s [usize] {
+    assert!(feature_count <= FEATURE_COUNT, "feature count exceeds the feature vector");
+    let FcbfScratch { centred_responses, relevance, candidates, kept_covariances, selected } =
+        scratch;
+    relevance.clear();
+    selected.clear();
     if history.len() < 2 {
-        return Vec::new();
+        return selected;
     }
-    history.fill_responses(&mut scratch.responses);
-    let responses = &scratch.responses;
+    let count = history.len() as f64;
+
+    // Pass 0: centre the response once. `-0.0` is where `Iterator::sum`
+    // starts; against `0.0` it can only flip the sign of an all-zero
+    // column's mean, which the squares below discard.
+    let mut response_sum = -0.0;
+    for (_, response) in history.iter() {
+        response_sum += response;
+    }
+    let response_mean = response_sum / count;
+    centred_responses.clear();
+    let mut response_variance = 0.0;
+    for (_, response) in history.iter() {
+        let db = response - response_mean;
+        response_variance += db * db;
+        centred_responses.push(db);
+    }
+
+    // Pass 1: every column's mean.
+    let mut sum = [-0.0; FEATURE_COUNT];
+    for (features, _) in history.iter() {
+        let row = features.as_array();
+        for j in 0..FEATURE_COUNT {
+            sum[j] += row[j];
+        }
+    }
+    let mean = sum.map(|total| total / count);
+
+    // Pass 2: every column's covariance with the response, and its variance.
+    let mut covariance = [0.0; FEATURE_COUNT];
+    let mut variance = [0.0; FEATURE_COUNT];
+    for ((features, _), db) in history.iter().zip(centred_responses.iter()) {
+        let row = features.as_array();
+        for j in 0..FEATURE_COUNT {
+            let da = row[j] - mean[j];
+            covariance[j] += da * db;
+            variance[j] += da * da;
+        }
+    }
+    let deviation = variance.map(f64::sqrt);
+    let response_deviation = response_variance.sqrt();
 
     // Phase 1: relevance.
-    let mut candidates: Vec<(usize, f64, Vec<f64>)> = Vec::new();
-    scratch.column.clear();
-    scratch.column.resize(history.len(), 0.0);
+    candidates.clear();
     for index in 0..feature_count {
-        history.fill_feature_column(index, &mut scratch.column);
-        let correlation = pearson(&scratch.column, responses).abs();
-        // A zero-variance column (or one that overflowed the correlation
-        // arithmetic) yields a NaN correlation. `NaN >= threshold` is false,
-        // but the guard is explicit: a non-finite goodness score means "not
-        // a predictor", never a NaN row in the design matrix.
+        // A zero-variance series carries no linear information: correlation 0.
+        let correlation = if variance[index] <= 0.0 || response_variance <= 0.0 {
+            0.0
+        } else {
+            (covariance[index] / (deviation[index] * response_deviation)).abs()
+        };
+        relevance.push(correlation);
+        // A column that overflowed the correlation arithmetic yields a NaN.
+        // `NaN >= threshold` is false, but the guard is explicit: a
+        // non-finite goodness score means "not a predictor", never a NaN row
+        // in the design matrix.
         if correlation.is_finite() && correlation >= config.threshold {
-            candidates.push((index, correlation, scratch.column.clone()));
+            candidates.push((index, correlation));
         }
     }
     candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
 
-    // Phase 2: redundancy removal.
-    let mut selected: Vec<(usize, f64, Vec<f64>)> = Vec::new();
-    'outer: for candidate in candidates {
-        for kept in &selected {
-            let mutual = pearson(&candidate.2, &kept.2).abs();
+    // Phase 2: redundancy removal. A kept feature costs one more row pass —
+    // its covariance with every column at once — made when the first later
+    // candidate gets as far as being tested against it.
+    kept_covariances.clear();
+    'outer: for &(index, correlation) in candidates.iter() {
+        for (position, &kept) in selected.iter().enumerate() {
+            if position == kept_covariances.len() {
+                let mut with_kept = [0.0; FEATURE_COUNT];
+                for (features, _) in history.iter() {
+                    let row = features.as_array();
+                    let db = row[kept] - mean[kept];
+                    for j in 0..FEATURE_COUNT {
+                        with_kept[j] += (row[j] - mean[j]) * db;
+                    }
+                }
+                kept_covariances.push(with_kept);
+            }
+            let mutual = if variance[index] <= 0.0 || variance[kept] <= 0.0 {
+                0.0
+            } else {
+                (kept_covariances[position][index] / (deviation[index] * deviation[kept])).abs()
+            };
             // If the candidate is at least as correlated with an already
             // selected predictor as with the response, it is redundant. The
             // small tolerance keeps the comparison robust when both
             // correlations are numerically ~1.0 (exactly collinear features).
-            if mutual + 1e-9 >= candidate.1 {
+            if mutual + 1e-9 >= correlation {
                 continue 'outer;
             }
         }
-        selected.push(candidate);
+        selected.push(index);
         if selected.len() >= config.max_features {
             break;
         }
     }
 
-    selected.into_iter().map(|(index, _, _)| index).collect()
+    selected
 }
 
 #[cfg(test)]
@@ -209,6 +307,19 @@ mod tests {
         let selected = fcbf_select(&history, &FcbfConfig { threshold: 0.0, max_features: 42 }, 42);
         assert!(!selected.contains(&4), "a zero-variance feature must never be selected");
         assert!(selected.contains(&FeatureId::Packets.index()));
+    }
+
+    #[test]
+    fn relevance_is_bit_identical_to_a_column_at_a_time_pearson() {
+        let history = synthetic_history(60, 6, |f| 4.0 * f.packets() + 0.01 * f.bytes());
+        let mut scratch = FcbfScratch::default();
+        fcbf_select_with(&history, &FcbfConfig::default(), 42, &mut scratch);
+        let responses = history.responses();
+        for (index, got) in scratch.relevance().iter().enumerate() {
+            let column = history.feature_column(index);
+            let expected = netshed_linalg::stats::pearson(&column, &responses).abs();
+            assert_eq!(got.to_bits(), expected.to_bits(), "feature {index}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Sliding window of (features, observed cycles) observations.
 
-use crate::guard::{clamp_features, clamp_sample};
+use crate::guard::{clamp_features, clamp_sample, MAX_SAMPLE};
 use netshed_features::{FeatureVector, FEATURE_COUNT};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use std::collections::VecDeque;
@@ -107,17 +107,6 @@ impl History {
         self.entries.clear();
     }
 
-    /// Replaces the most recent observation's response value.
-    ///
-    /// Section 3.2.4: when a context switch corrupts a CPU measurement the
-    /// paper discards the observation and substitutes the predicted value so
-    /// the regression history is not polluted.
-    pub fn replace_last_response(&mut self, cycles: f64) {
-        if let Some(last) = self.entries.back_mut() {
-            last.1 = cycles;
-        }
-    }
-
     /// Serializes the window (capacity + every observation, oldest first).
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.usize(self.capacity);
@@ -132,6 +121,10 @@ impl History {
 
     /// Restores a window saved by [`History::save_state`] into a history of
     /// the same capacity.
+    ///
+    /// A snapshot is outside input and its checksum is not cryptographic, so
+    /// this is the second writer the sanitiser rule of [`History::push`]
+    /// binds: a value `push` could not have stored is a corrupt snapshot.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let capacity = reader.usize()?;
         if capacity != self.capacity {
@@ -144,16 +137,39 @@ impl History {
             )));
         }
         self.entries.clear();
-        for _ in 0..entries {
+        for observation in 0..entries {
             let mut values = [0.0; FEATURE_COUNT];
             for value in &mut values {
                 *value = reader.f64()?;
             }
             let cycles = reader.f64()?;
+            if let Some(feature) = values.iter().position(|&value| !storable(value)) {
+                return Err(unstorable(
+                    observation,
+                    &format!("feature {feature}"),
+                    values[feature],
+                ));
+            }
+            if !storable(cycles) {
+                return Err(unstorable(observation, "response", cycles));
+            }
             self.entries.push_back((FeatureVector::from_values(values), cycles));
         }
         Ok(())
     }
+}
+
+/// Whether [`History::push`] could have stored `value`: the clamp leaves it
+/// bit-for-bit alone.
+fn storable(value: f64) -> bool {
+    clamp_sample(value).to_bits() == value.to_bits()
+}
+
+fn unstorable(observation: usize, slot: &str, value: f64) -> StateError {
+    StateError::corrupt(format!(
+        "history observation {observation} {slot} holds {value}, outside the stored range \
+         [0, {MAX_SAMPLE:e}]"
+    ))
 }
 
 #[cfg(test)]
@@ -182,15 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_last_response_overwrites_only_newest() {
-        let mut h = History::new(3);
-        h.push(FeatureVector::zeros(), 1.0);
-        h.push(FeatureVector::zeros(), 2.0);
-        h.replace_last_response(99.0);
-        assert_eq!(h.responses(), vec![1.0, 99.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "history capacity must be positive")]
     fn zero_capacity_is_rejected() {
         let _ = History::new(0);
@@ -211,6 +218,45 @@ mod tests {
             }
         }
         assert_eq!(h.responses(), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn load_state_rejects_what_push_could_not_have_stored() {
+        let mut saved = History::new(4);
+        let mut f = FeatureVector::zeros();
+        f.set(netshed_features::FeatureId::Packets, 120.0);
+        f.set(netshed_features::FeatureId::Bytes, -0.0);
+        saved.push(f, 3.5e6);
+        saved.push(f, MAX_SAMPLE);
+        let mut writer = StateWriter::new();
+        saved.save_state(&mut writer);
+        let bytes = writer.into_bytes();
+
+        // A valid window round-trips byte for byte (the stored -0.0 too).
+        let mut restored = History::new(4);
+        restored.load_state(&mut StateReader::new(&bytes)).expect("valid snapshot");
+        let mut again = StateWriter::new();
+        restored.save_state(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+
+        // Overwrite the first observation's response, then its feature 1.
+        let header = 2 * std::mem::size_of::<u64>();
+        let response_at = header + FEATURE_COUNT * 8;
+        let feature_at = header + 8;
+        for (offset, slot) in [(response_at, "response"), (feature_at, "feature 1")] {
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, MAX_SAMPLE * 2.0] {
+                let mut crafted = bytes.clone();
+                crafted[offset..offset + 8].copy_from_slice(&poison.to_le_bytes());
+                let error = History::new(4)
+                    .load_state(&mut StateReader::new(&crafted))
+                    .expect_err("a value push() cannot store must be rejected");
+                let message = error.to_string();
+                assert!(
+                    message.contains("observation 0") && message.contains(slot),
+                    "{poison} in {slot}: {message}"
+                );
+            }
+        }
     }
 
     #[test]

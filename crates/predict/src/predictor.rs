@@ -4,8 +4,8 @@ use crate::fcbf::{fcbf_select_with, FcbfConfig, FcbfScratch};
 use crate::guard::clamp_sample;
 use crate::history::History;
 use netshed_features::{FeatureId, FeatureVector, FEATURE_COUNT};
-use netshed_linalg::stats::Ewma;
-use netshed_linalg::{ols_solve, Matrix};
+use netshed_linalg::stats::{mean, Ewma};
+use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
 /// A per-query CPU-usage predictor.
@@ -109,19 +109,23 @@ pub struct MlrConfig {
     pub reselect_every: usize,
 }
 
+/// Relative singular-value cutoff every regression here solves with.
+const DEFAULT_RCOND: f64 = 1e-9;
+
 impl Default for MlrConfig {
     fn default() -> Self {
-        Self { history: 60, fcbf: FcbfConfig::default(), rcond: 1e-9, reselect_every: 1 }
+        Self { history: 60, fcbf: FcbfConfig::default(), rcond: DEFAULT_RCOND, reselect_every: 1 }
     }
 }
 
 /// The paper's predictor: FCBF feature selection + multiple linear regression
 /// over a sliding window of observations.
 ///
-/// The per-bin cost is kept down two ways: the FCBF-selected feature set is
-/// cached between reselections (`reselect_every`), and the design-matrix,
-/// response and probe-row buffers are owned by the predictor and refilled in
-/// place every bin instead of being reallocated per `predict` call.
+/// A prediction allocates nothing in the steady state: the FCBF scratch,
+/// the design matrix, response column and probe row, and the least-squares
+/// workspace are all owned by the predictor and refilled in place every bin.
+/// The FCBF-selected feature set is cached between reselections
+/// (`reselect_every`).
 #[derive(Debug)]
 pub struct MlrPredictor {
     config: MlrConfig,
@@ -129,14 +133,54 @@ pub struct MlrPredictor {
     selected: Vec<usize>,
     batches_since_selection: usize,
     last_cost: u64,
-    /// Scratch design matrix (intercept + selected features), reused per bin.
-    design: Matrix,
-    /// Scratch response column, reused per bin.
-    responses: Vec<f64>,
-    /// Scratch probe row for the prediction, reused per bin.
-    row: Vec<f64>,
-    /// Scratch buffers for the FCBF relevance pass, reused per reselection.
+    /// Scratch buffers of the FCBF passes, reused per reselection.
     fcbf_scratch: FcbfScratch,
+    regression: Regression,
+}
+
+/// The buffers one windowed least-squares prediction works in, refilled in
+/// place every bin: design matrix (intercept + predictor columns), response
+/// column, probe row and the solver's workspace.
+#[derive(Debug, Default)]
+struct Regression {
+    design: Matrix,
+    responses: Vec<f64>,
+    row: Vec<f64>,
+    ols: OlsWorkspace,
+}
+
+impl Regression {
+    /// Mean of the responses seen so far (zero for a cold start): the
+    /// prediction while the history is too short to regress.
+    fn response_mean(&mut self, history: &History) -> f64 {
+        history.fill_responses(&mut self.responses);
+        mean(&self.responses)
+    }
+
+    /// Fits the history's responses on an intercept plus the `predictors`
+    /// columns and predicts the response for `features`.
+    fn fit_and_predict(
+        &mut self,
+        history: &History,
+        predictors: &[usize],
+        rcond: f64,
+        features: &FeatureVector,
+    ) -> f64 {
+        self.design.reshape_zeroed(history.len(), predictors.len() + 1);
+        self.design.column_mut(0).fill(1.0);
+        for (j, &feature) in predictors.iter().enumerate() {
+            history.fill_feature_column(feature, self.design.column_mut(j + 1));
+        }
+        history.fill_responses(&mut self.responses);
+        self.ols.solve(&self.design, &self.responses, rcond);
+
+        self.row.clear();
+        self.row.push(1.0);
+        // The history is sanitized on every way in; the probe row is the one
+        // other path into the fitted model, so it gets the same guard.
+        self.row.extend(predictors.iter().map(|&i| clamp_sample(features.get_index(i))));
+        self.ols.predict(&self.row).max(0.0)
+    }
 }
 
 impl MlrPredictor {
@@ -148,10 +192,8 @@ impl MlrPredictor {
             selected: Vec::new(),
             batches_since_selection: 0,
             last_cost: 0,
-            design: Matrix::zeros(0, 0),
-            responses: Vec::new(),
-            row: Vec::new(),
             fcbf_scratch: FcbfScratch::default(),
+            regression: Regression::default(),
         }
     }
 
@@ -178,8 +220,7 @@ impl Predictor for MlrPredictor {
         if n < 3 {
             // Not enough history to regress; fall back to the mean of what we
             // have seen (or zero for a cold start).
-            self.history.fill_responses(&mut self.responses);
-            return netshed_linalg::stats::mean(&self.responses);
+            return self.regression.response_mean(&self.history);
         }
 
         // Re-run feature selection periodically (every batch by default); in
@@ -188,30 +229,22 @@ impl Predictor for MlrPredictor {
         let reselected =
             self.selected.is_empty() || self.batches_since_selection >= self.config.reselect_every;
         if reselected {
-            self.selected = fcbf_select_with(
+            let picked = fcbf_select_with(
                 &self.history,
                 &self.config.fcbf,
                 FEATURE_COUNT,
                 &mut self.fcbf_scratch,
             );
+            self.selected.clear();
+            self.selected.extend_from_slice(picked);
             if self.selected.is_empty() {
                 // Nothing cleared the threshold: fall back to the packet count,
                 // which the paper reports as the most broadly useful feature.
-                self.selected = vec![FeatureId::Packets.index()];
+                self.selected.push(FeatureId::Packets.index());
             }
             self.batches_since_selection = 0;
         }
         self.batches_since_selection += 1;
-
-        // Refill the scratch design matrix (intercept + selected features)
-        // and response column in place.
-        self.design.reshape_zeroed(n, self.selected.len() + 1);
-        self.design.column_mut(0).fill(1.0);
-        for (j, &feature) in self.selected.iter().enumerate() {
-            self.history.fill_feature_column(feature, self.design.column_mut(j + 1));
-        }
-        self.history.fill_responses(&mut self.responses);
-        let fit = ols_solve(&self.design, &self.responses, self.config.rcond);
 
         // Cost accounting: the FCBF correlation pass (n * p) is charged only
         // on bins that actually reselected — cached bins skip it — plus the
@@ -220,12 +253,7 @@ impl Predictor for MlrPredictor {
         let k = self.selected.len() as u64 + 1;
         self.last_cost = correlation_cost + n as u64 * k * k;
 
-        self.row.clear();
-        self.row.push(1.0);
-        // The history is sanitized on push; the probe row is the one other
-        // path into the fitted model, so it gets the same non-finite guard.
-        self.row.extend(self.selected.iter().map(|&i| clamp_sample(features.get_index(i))));
-        fit.predict(&self.row).max(0.0)
+        self.regression.fit_and_predict(&self.history, &self.selected, self.config.rcond, features)
     }
 
     fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
@@ -284,13 +312,19 @@ pub struct SlrPredictor {
     feature: usize,
     history: History,
     last_cost: u64,
+    regression: Regression,
 }
 
 impl SlrPredictor {
     /// Creates an SLR predictor regressing on the given feature index with
     /// the given history length.
     pub fn new(feature: FeatureId, history: usize) -> Self {
-        Self { feature: feature.index(), history: History::new(history), last_cost: 0 }
+        Self {
+            feature: feature.index(),
+            history: History::new(history),
+            last_cost: 0,
+            regression: Regression::default(),
+        }
     }
 
     /// SLR on the number of packets with the paper's 6 s history.
@@ -303,14 +337,10 @@ impl Predictor for SlrPredictor {
     fn predict(&mut self, features: &FeatureVector) -> f64 {
         let n = self.history.len();
         if n < 3 {
-            return netshed_linalg::stats::mean(&self.history.responses());
+            return self.regression.response_mean(&self.history);
         }
-        let xs = self.history.feature_column(self.feature);
-        let ys = self.history.responses();
-        let design = Matrix::from_columns(&[vec![1.0; n], xs]);
-        let fit = ols_solve(&design, &ys, 1e-9);
         self.last_cost = n as u64 * 4;
-        fit.predict(&[1.0, clamp_sample(features.get_index(self.feature))]).max(0.0)
+        self.regression.fit_and_predict(&self.history, &[self.feature], DEFAULT_RCOND, features)
     }
 
     fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {

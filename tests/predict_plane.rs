@@ -1,0 +1,604 @@
+//! The prediction plane against its oracles.
+//!
+//! `fcbf_select_with` correlates all 42 features at once while walking the
+//! history's rows; `OlsWorkspace` solves in caller-owned memory. Both promise
+//! the *bits* of the column-at-a-time code they replaced, and every golden
+//! digest leans on that promise. This file holds the replaced algorithm as a
+//! test-only oracle — restated from `stats::pearson`, `ols_solve` and
+//! `Matrix::from_columns` — and checks the promise on synthetic histories
+//! built to hit the edge cases, on real extracted features end to end, on
+//! known-answer vectors captured before the rewrite, and checks that a
+//! crafted snapshot cannot smuggle a value into the history that `push`
+//! would have clamped.
+
+use netshed::features::{FeatureExtractor, FeatureId, FeatureVector, FEATURE_COUNT};
+use netshed::linalg::stats::{mean, pearson};
+use netshed::linalg::{ols_solve, svd, Matrix};
+use netshed::monitor::packet_sample;
+use netshed::predict::{
+    clamp_sample, fcbf_select_with, FcbfConfig, FcbfScratch, History, MlrConfig, MlrPredictor,
+    Predictor, RobustMlrConfig, RobustMlrPredictor, SlrPredictor, MAX_SAMPLE,
+};
+use netshed::queries::{build_query, CycleMeter, QueryKind};
+use netshed::sketch::{StateError, StateReader, StateWriter};
+use netshed::trace::{TraceConfig, TraceGenerator};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+// ---------------------------------------------------------------------------
+// The oracle: FCBF one gathered column and one `pearson` call at a time.
+// ---------------------------------------------------------------------------
+
+/// Returns the selected indices and every feature's relevance.
+fn oracle_fcbf(
+    history: &History,
+    config: &FcbfConfig,
+    feature_count: usize,
+) -> (Vec<usize>, Vec<f64>) {
+    if history.len() < 2 {
+        return (Vec::new(), Vec::new());
+    }
+    let responses = history.responses();
+    let mut relevance = Vec::new();
+    let mut candidates: Vec<(usize, f64, Vec<f64>)> = Vec::new();
+    for index in 0..feature_count {
+        let column = history.feature_column(index);
+        let correlation = pearson(&column, &responses).abs();
+        relevance.push(correlation);
+        if correlation.is_finite() && correlation >= config.threshold {
+            candidates.push((index, correlation, column));
+        }
+    }
+    candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
+
+    let mut selected: Vec<(usize, f64, Vec<f64>)> = Vec::new();
+    'outer: for candidate in candidates {
+        for kept in &selected {
+            if pearson(&candidate.2, &kept.2).abs() + 1e-9 >= candidate.1 {
+                continue 'outer;
+            }
+        }
+        selected.push(candidate);
+        if selected.len() >= config.max_features {
+            break;
+        }
+    }
+    (selected.into_iter().map(|(index, _, _)| index).collect(), relevance)
+}
+
+/// `MlrPredictor::predict` restated over the oracle FCBF and a from-scratch
+/// `ols_solve`. It reads the history of the predictor under test, so it
+/// follows whatever that predictor (or its robust wrapper) stored.
+struct OracleMlr {
+    config: MlrConfig,
+    selected: Vec<usize>,
+    batches_since_selection: usize,
+    last_cost: u64,
+}
+
+impl OracleMlr {
+    fn new(config: MlrConfig) -> Self {
+        Self { config, selected: Vec::new(), batches_since_selection: 0, last_cost: 0 }
+    }
+
+    fn predict(&mut self, history: &History, features: &FeatureVector) -> f64 {
+        let n = history.len();
+        if n < 3 {
+            return mean(&history.responses());
+        }
+        let reselected =
+            self.selected.is_empty() || self.batches_since_selection >= self.config.reselect_every;
+        if reselected {
+            self.selected = oracle_fcbf(history, &self.config.fcbf, FEATURE_COUNT).0;
+            if self.selected.is_empty() {
+                self.selected = vec![FeatureId::Packets.index()];
+            }
+            self.batches_since_selection = 0;
+        }
+        self.batches_since_selection += 1;
+
+        let mut columns = vec![vec![1.0; n]];
+        columns.extend(self.selected.iter().map(|&feature| history.feature_column(feature)));
+        let fit =
+            ols_solve(&Matrix::from_columns(&columns), &history.responses(), self.config.rcond);
+
+        let correlation_cost = if reselected { n as u64 * FEATURE_COUNT as u64 } else { 0 };
+        let k = self.selected.len() as u64 + 1;
+        self.last_cost = correlation_cost + n as u64 * k * k;
+
+        let mut row = vec![1.0];
+        row.extend(self.selected.iter().map(|&i| clamp_sample(features.get_index(i))));
+        fit.predict(&row).max(0.0)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (a) FCBF ≡ oracle on histories built to hit the edges.
+// ---------------------------------------------------------------------------
+
+/// What one column of a synthetic history holds.
+#[derive(Clone, Copy)]
+enum Column {
+    /// Independent uniform noise at some scale.
+    Noise(f64),
+    /// Whole-number counts, as the extractor produces.
+    Counts,
+    Constant(f64),
+    /// Bit-for-bit copy of an earlier column.
+    CopyOf(usize),
+    /// An earlier column times a constant.
+    ScaledCopyOf(usize, f64),
+    /// An earlier column perturbed in its last few bits.
+    NearlyCollinearWith(usize),
+}
+
+fn draw_column(rng: &mut StdRng, index: usize) -> Column {
+    let earlier = |rng: &mut StdRng| rng.gen_range(0..index.max(1));
+    match rng.gen_range(0..12) {
+        0 => Column::Constant(7.0),
+        1 => Column::Constant(0.0),
+        2 => Column::Constant(-0.0),
+        3 if index > 0 => Column::CopyOf(earlier(rng)),
+        4 if index > 0 => Column::ScaledCopyOf(earlier(rng), 512.5),
+        5 if index > 0 => Column::NearlyCollinearWith(earlier(rng)),
+        6 => Column::Noise(1e15),
+        7 | 8 => Column::Counts,
+        _ => Column::Noise(1000.0),
+    }
+}
+
+/// A history of `len` observations in a window of capacity 60. More than 60
+/// are pushed so the ring buffer wraps, and the window is cut down to `len`
+/// by `forget_oldest`, as the robust predictor does.
+fn edge_case_history(seed: u64, len: usize) -> History {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let layout: Vec<Column> =
+        (0..FEATURE_COUNT).map(|index| draw_column(&mut rng, index)).collect();
+    let drivers = [rng.gen_range(0..FEATURE_COUNT), rng.gen_range(0..FEATURE_COUNT)];
+    let mut history = History::new(60);
+    for _ in 0..60 + 23 {
+        let mut values = [0.0; FEATURE_COUNT];
+        for index in 0..FEATURE_COUNT {
+            values[index] = match layout[index] {
+                Column::Noise(scale) => rng.gen_range(0.0..scale),
+                Column::Counts => rng.gen_range(0.0f64..5000.0).round(),
+                Column::Constant(value) => value,
+                Column::CopyOf(source) => values[source],
+                Column::ScaledCopyOf(source, factor) => values[source] * factor,
+                Column::NearlyCollinearWith(source) => {
+                    values[source] * (1.0 + rng.gen_range(0.0..4.0) * f64::EPSILON)
+                }
+            };
+        }
+        let response = 3.0 * values[drivers[0]]
+            + 0.5 * values[drivers[1]]
+            + rng.gen_range(0.0..1.0) * (1.0 + values[drivers[0]]);
+        history.push(FeatureVector::from_values(values), response);
+    }
+    history.forget_oldest(len);
+    assert_eq!(history.len(), len);
+    history
+}
+
+#[test]
+fn fcbf_selects_what_the_column_at_a_time_oracle_selects() {
+    let mut scratch = FcbfScratch::default();
+    let mut selections = 0usize;
+    for len in [2, 3, 17, 59, 60] {
+        for seed in 0..6 {
+            let history = edge_case_history(1000 * len as u64 + seed, len);
+            for feature_count in [1, 10, FEATURE_COUNT] {
+                for threshold in [0.0, 0.3, 0.6, 0.95] {
+                    for max_features in [1, 3, 8, 42] {
+                        let config = FcbfConfig { threshold, max_features };
+                        let (expected, expected_relevance) =
+                            oracle_fcbf(&history, &config, feature_count);
+                        let context = format!(
+                            "len {len} seed {seed} features {feature_count} \
+                             threshold {threshold} max {max_features}"
+                        );
+                        let selected =
+                            fcbf_select_with(&history, &config, feature_count, &mut scratch);
+                        assert_eq!(selected, &expected[..], "{context}");
+                        selections += selected.len();
+                        let relevance = scratch.relevance();
+                        assert_eq!(relevance.len(), expected_relevance.len(), "{context}");
+                        for (index, (got, want)) in
+                            relevance.iter().zip(&expected_relevance).enumerate()
+                        {
+                            assert_eq!(got.to_bits(), want.to_bits(), "{context} feature {index}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(selections > 1000, "the sweep must exercise real selections, got {selections}");
+}
+
+#[test]
+fn fcbf_on_a_window_too_short_to_correlate_selects_nothing() {
+    let mut scratch = FcbfScratch::default();
+    // Dirty the scratch first: a short window must not return stale state.
+    let warm = edge_case_history(5, 60);
+    fcbf_select_with(&warm, &FcbfConfig { threshold: 0.0, max_features: 8 }, 42, &mut scratch);
+    for len in [0, 1] {
+        let history = edge_case_history(9, len);
+        let selected = fcbf_select_with(&history, &FcbfConfig::default(), 42, &mut scratch);
+        assert!(selected.is_empty());
+        assert!(scratch.relevance().is_empty());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (b) End to end on real features, across a mid-run checkpoint.
+// ---------------------------------------------------------------------------
+
+/// Features and measured cycles per bin: generated traffic through the real
+/// extractor, full views alternating with 0.37 packet-sampled ones, costed by
+/// the flows query. `surge` multiplies the cycles from bin 70 on — enough to
+/// trip the robust predictor's outlier defence and shorten its window.
+fn real_feature_stream(seed: u64, bins: usize, surge: f64) -> Vec<(FeatureVector, f64)> {
+    let mut generator = TraceGenerator::new(
+        TraceConfig::default().with_seed(seed).with_mean_packets_per_batch(600.0),
+    );
+    let mut extractor = FeatureExtractor::with_defaults();
+    let mut query = build_query(QueryKind::Flows);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5a5a);
+    (0..bins)
+        .map(|bin| {
+            let batch = generator.next_batch();
+            let full = batch.view();
+            let view = if bin % 2 == 0 { full } else { packet_sample(&full, 0.37, &mut rng).0 };
+            let (features, _) = extractor.extract_view(&view);
+            let mut meter = CycleMeter::new();
+            query.process_batch(&view, 1.0, &mut meter);
+            let cycles = meter.cycles() as f64 * if bin >= 70 { surge } else { 1.0 };
+            (features, cycles)
+        })
+        .collect()
+}
+
+/// Drives `predictor` over the stream next to the oracle, swapping in a
+/// restored copy (built by `fresh`) half way.
+fn assert_matches_the_oracle<P: Predictor>(
+    mut predictor: P,
+    fresh: impl Fn() -> P,
+    history_of: impl Fn(&P) -> &History,
+    config: MlrConfig,
+    stream: &[(FeatureVector, f64)],
+) {
+    let mut oracle = OracleMlr::new(config);
+    for (bin, (features, cycles)) in stream.iter().enumerate() {
+        if bin == stream.len() / 2 {
+            let mut writer = StateWriter::new();
+            predictor.save_state(&mut writer).expect("predictor checkpoints");
+            let bytes = writer.into_bytes();
+            let mut restored = fresh();
+            let mut reader = StateReader::new(&bytes);
+            restored.load_state(&mut reader).expect("own snapshot restores");
+            reader.finish().expect("snapshot fully consumed");
+            let mut again = StateWriter::new();
+            restored.save_state(&mut again).expect("restored predictor checkpoints");
+            assert_eq!(again.into_bytes(), bytes, "a valid snapshot round-trips byte for byte");
+            predictor = restored;
+        }
+        let expected = oracle.predict(history_of(&predictor), features);
+        let got = predictor.predict(features);
+        assert_eq!(got.to_bits(), expected.to_bits(), "bin {bin}: {got} vs {expected}");
+        if history_of(&predictor).len() >= 3 {
+            assert_eq!(predictor.selected_features(), oracle.selected, "bin {bin}");
+            assert_eq!(predictor.last_cost_operations(), oracle.last_cost, "bin {bin}");
+        }
+        predictor.observe(features, *cycles);
+    }
+}
+
+#[test]
+fn mlr_predictions_match_the_oracle_bit_for_bit() {
+    let stream = real_feature_stream(11, 140, 1.0);
+    for config in [
+        MlrConfig::default(),
+        MlrConfig { reselect_every: 3, ..MlrConfig::default() },
+        MlrConfig {
+            fcbf: FcbfConfig { threshold: 0.2, max_features: 8 },
+            history: 25,
+            ..MlrConfig::default()
+        },
+    ] {
+        assert_matches_the_oracle(
+            MlrPredictor::new(config),
+            || MlrPredictor::new(config),
+            MlrPredictor::history,
+            config,
+            &stream,
+        );
+    }
+}
+
+#[test]
+fn robust_mlr_predictions_match_the_oracle_bit_for_bit() {
+    // The surge trips the outlier defence, so the oracle also follows the
+    // window through `forget_oldest` (short, wide design matrices included).
+    let stream = real_feature_stream(12, 140, 9.0);
+    let config = RobustMlrConfig::default();
+    let mut tripped = RobustMlrPredictor::new(config);
+    for (features, cycles) in &stream {
+        tripped.predict(features);
+        tripped.observe(features, *cycles);
+    }
+    assert!(tripped.tripped_observations() > 0, "the surge must trip the defence");
+
+    assert_matches_the_oracle(
+        RobustMlrPredictor::new(config),
+        || RobustMlrPredictor::new(config),
+        RobustMlrPredictor::history,
+        config.mlr,
+        &stream,
+    );
+}
+
+#[test]
+fn slr_predictions_match_a_from_scratch_solve() {
+    let stream = real_feature_stream(13, 90, 1.0);
+    let mut slr = SlrPredictor::on_packets();
+    let mut history = History::new(60);
+    for (bin, (features, cycles)) in stream.iter().enumerate() {
+        let expected = if history.len() < 3 {
+            mean(&history.responses())
+        } else {
+            let design = Matrix::from_columns(&[
+                vec![1.0; history.len()],
+                history.feature_column(FeatureId::Packets.index()),
+            ]);
+            let fit = ols_solve(&design, &history.responses(), 1e-9);
+            fit.predict(&[1.0, clamp_sample(features.packets())]).max(0.0)
+        };
+        let got = slr.predict(features);
+        assert_eq!(got.to_bits(), expected.to_bits(), "bin {bin}: {got} vs {expected}");
+        slr.observe(features, *cycles);
+        history.push(*features, *cycles);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (c) Known answers for `svd` / `ols_solve`, captured before the kernels
+// moved into caller-owned workspaces.
+// ---------------------------------------------------------------------------
+
+struct KnownAnswer {
+    name: &'static str,
+    singular_values: &'static [u64],
+    /// Right singular vectors, column-major.
+    v: &'static [u64],
+    coefficients: &'static [u64],
+    rank: usize,
+}
+
+#[rustfmt::skip]
+const KNOWN_ANSWERS: [KnownAnswer; 5] = [
+    KnownAnswer {
+        name: "small_4x3",
+        singular_values: &[
+            0x4015b804b452c2f1, 0x4012ff9fc5e6f025, 0x3fef57808464c693,
+        ],
+        v: &[
+            0x3fe2d501e32baef1, 0x3fda50e9aa975342, 0x3fe646a7382fb92a, 0x3fd87d1aba79af43,
+            0x3fe3bd1313a948b8, 0xbfe602b41d8d68d2, 0x3fe6ca7ec64c9c99, 0xbfe57a129d225cd6,
+            0xbfca5368647f6e0c,
+        ],
+        coefficients: &[
+            0xc0032282019ae1e8, 0x4007f99476c56b54, 0x3ff4100cd71273fc,
+        ],
+        rank: 3,
+    },
+    KnownAnswer {
+        name: "rank_deficient_4x3",
+        singular_values: &[
+            0x40131b5182137c24, 0x3ff167b2f764324b, 0x3c730004a19cac3d,
+        ],
+        v: &[
+            0x3fdf693eae1ef147, 0x3fd475f80c761628, 0x3fe9ef9b5d4a83b7, 0xbfe4e17341505091,
+            0x3fe80aafaf04b38a, 0x3fb949e36da317be, 0x3fe279a74590331c, 0x3fe279a74590331d,
+            0xbfe279a74590331d,
+        ],
+        coefficients: &[
+            0x3fcc71c71c71c72a, 0x3fec71c71c71c71a, 0x3ff1c71c71c71c72,
+        ],
+        rank: 2,
+    },
+    KnownAnswer {
+        name: "wide_2x4",
+        singular_values: &[
+            0x402c746ebe904282, 0x3ff41e05e3b3d040,
+        ],
+        v: &[
+            0x3fd6882dc3da8abd, 0x3fdc645d64f899ee, 0x3fe12046830b548f, 0x3fe40e5e539a5c28,
+            0xbfe84993155e1fc0, 0xbfd48f38ec9c93d0, 0x3fbdd2d1460c5f85, 0x3fe1bc50c7d161cb,
+        ],
+        coefficients: &[
+            0x3fd333333333333e, 0x3feb333333333333, 0x3ff6666666666662, 0x3fff33333333332d,
+        ],
+        rank: 2,
+    },
+    KnownAnswer {
+        name: "badly_scaled_60x9",
+        singular_values: &[
+            0x42331bd10c79e456, 0x41b1f09ab83c58d0, 0x41449ca09a4b04e8, 0x40d877913d740880,
+            0x406c8a3eaa593ba2, 0x3ff04ce17a837741, 0x3f93d4220eb556ec, 0x3f2b74065b50a5c6,
+            0x3e90585bb9171568,
+        ],
+        v: &[
+            0x3dd8feab66974d5e, 0x3d03599869e45c9a, 0x3d707aef8221dd59, 0x3ddb7c9860aab5ba,
+            0x3e430c2c7b5150bf, 0x3eaf4f69d38f5acc, 0x3f17730ad95bcf05, 0x3f823b5172e3de10,
+            0x3feffface4217179, 0x3e33379b7a57a4a9, 0x3d62573e4af1fefa, 0x3dc60652472b689a,
+            0xbd6f51c4c44fa605, 0x3ea4fd5c29bf287e, 0x3f10bdcd0be9fb93, 0x3f695f50a7572eb9,
+            0x3fefffa2d4ef95fe, 0xbf823b70e9825d7f, 0x3e95eb449d5d2f4a, 0x3dbefdbdcddd85fa,
+            0x3e09b8274071f8ff, 0xbcf4476c1668ea1e, 0x3efb1b27ab0dcfec, 0x3f73854304e7f4d0,
+            0x3fefffde1d4d9006, 0xbf69614ad49bce8a, 0xbf10388583060d82, 0x3efc7aaf99f45ffd,
+            0x3e275784ab203e8c, 0x3e815a5fac4cb3fc, 0x3d55e31452be755f, 0x3f579b6750a0af88,
+            0x3fefffe60075405a, 0xbf73857aabfb6d44, 0xbf09bec7790a1a27, 0xbe72b254da03a516,
+            0x3f609a262375f7ac, 0x3e80d792508f7309, 0x3ed068277a46bf08, 0xbde247200994c000,
+            0x3feffff983f4c673, 0xbf579c11fed45a0c, 0xbef3e84b6d909f36, 0xbe9fdc386a68e2dd,
+            0xbe1b7fc8185450a7, 0x3fefff4c2953ee8d, 0x3f1765433fb2d848, 0x3f8a7f177df4a980,
+            0xbe37a1b0faf8fc0d, 0xbf6099fa216b28fd, 0xbef96af857a62c1e, 0xbe854cc06601fadf,
+            0xbe140eb56b89efb8, 0xbdbc50cdabf4c00c, 0xbf8a7f097e657353, 0xbf4d8a0f4b9b1370,
+            0x3fefff4fa09525f7, 0xbeb37a34353c2c8f, 0x3ef7647b734adfa3, 0x3e897f85323e7a81,
+            0x3e21235d192ce87b, 0xbdafc1557821f922, 0xbd4a11a92aad3f08, 0xbf1a7372fc9834ee,
+            0x3fefffff197b9c34, 0x3f4d7fbe2155d6fe, 0x3f2998728dd79e72, 0x3e744370116e65f3,
+            0xbdebc3006fdd3e40, 0x3d8b551fe41c8f73, 0xbd4515bbe7e7027a, 0xbd15a230aaf44f31,
+            0x3e45dfeb84545357, 0xbf29987ad9f581b7, 0x3eb0870c8803e049, 0x3feffffff5c363b3,
+            0x3de2475f19751bfe, 0xbd5a768a51763bcf, 0xbce1090420b7028b, 0xbca29c138f19a1a6,
+            0xbddb7cdfba3bf70b,
+        ],
+        coefficients: &[
+            0x3ff3ccd85a31300c, 0x3f1416aae82395dc, 0x3f6392899db0e3cf, 0xbe75cb4714b80eab,
+            0x408314348dc79ca1, 0x401d2dc5484f2c1d, 0x3fd30a7b75087680, 0x3f36e3e768404478,
+            0x3ee4706fa015479d,
+        ],
+        rank: 5,
+    },
+    KnownAnswer {
+        name: "typical_60x3",
+        singular_values: &[
+            0x415c3d4e3fd56699, 0x40b931a5d7673f6f, 0x4000bdadb118072a,
+        ],
+        v: &[
+            0x3eaf93f575b446c1, 0x3f57715b59c49407, 0x3feffffdda6f4216, 0x3f3b0c0f489fb9a6,
+            0x3feffffdacb68462, 0xbf57715ba308d066, 0x3fefffffd24733a0, 0xbf3b0c1340abd1e7,
+            0xbe9786f0c3dc7b7a,
+        ],
+        coefficients: &[
+            0x41124f8000000008, 0x409c2000000002a4, 0x3fd9999999998efe,
+        ],
+        rank: 3,
+    },
+];
+
+/// A 64-bit LCG mapped to [0, 1): the known-answer inputs must not depend on
+/// any RNG crate's stream.
+fn lcg_unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+    (*state >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The five fixed inputs of the `svd` / `ols_solve` known-answer test:
+/// (name, design matrix, response, rcond).
+fn known_answer_inputs() -> Vec<(&'static str, Matrix, Vec<f64>, f64)> {
+    let small = Matrix::from_rows(&[
+        vec![3.0, 2.0, 2.0],
+        vec![2.0, 3.0, -2.0],
+        vec![1.0, 0.0, 4.0],
+        vec![0.0, 1.0, 1.0],
+    ]);
+    // Third column is the sum of the first two: rank 2.
+    let rank_deficient = Matrix::from_rows(&[
+        vec![1.0, 0.0, 1.0],
+        vec![0.0, 1.0, 1.0],
+        vec![1.0, 1.0, 2.0],
+        vec![2.0, 1.0, 3.0],
+    ]);
+    let wide = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0, 7.0, 8.0]]);
+
+    // 60 x 9, column scales from 1e-4 to 1e10, last column nearly collinear
+    // with the fourth: the shape of an MLR design matrix at its worst.
+    let mut state = 0x5eed_u64;
+    let mut columns: Vec<Vec<f64>> = vec![vec![1.0; 60]];
+    for scale in [1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8, 1e10] {
+        columns.push((0..60).map(|_| scale * (0.5 + lcg_unit(&mut state))).collect());
+    }
+    columns[8] =
+        columns[3].iter().map(|x| 1e10 * x * (1.0 + 1e-7 * lcg_unit(&mut state))).collect();
+    let badly_scaled_y: Vec<f64> = (0..60)
+        .map(|i| 3e5 + 2e4 * columns[3][i] + 0.25 * columns[6][i] + 1e3 * lcg_unit(&mut state))
+        .collect();
+    let badly_scaled = Matrix::from_columns(&columns);
+
+    // 60 x 3: intercept, packets, bytes — the common case.
+    let mut state = 0xfeed_u64;
+    let packets: Vec<f64> =
+        (0..60).map(|_| (500.0 + 2000.0 * lcg_unit(&mut state)).round()).collect();
+    let bytes: Vec<f64> = (0..60).map(|_| (1e5 + 1.4e6 * lcg_unit(&mut state)).round()).collect();
+    let typical_y: Vec<f64> = (0..60).map(|i| 1800.0 * packets[i] + 0.4 * bytes[i] + 3e5).collect();
+    let typical = Matrix::from_columns(&[vec![1.0; 60], packets, bytes]);
+
+    vec![
+        ("small_4x3", small, vec![1.0, 2.0, 3.0, 4.0], 1e-9),
+        ("rank_deficient_4x3", rank_deficient, vec![1.0, 2.0, 3.0, 5.0], 1e-9),
+        ("wide_2x4", wide, vec![14.0, 32.0], 1e-12),
+        ("badly_scaled_60x9", badly_scaled, badly_scaled_y, 1e-9),
+        ("typical_60x3", typical, typical_y, 1e-9),
+    ]
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|value| value.to_bits()).collect()
+}
+
+#[test]
+fn svd_and_ols_reproduce_the_known_answers() {
+    let inputs = known_answer_inputs();
+    assert_eq!(inputs.len(), KNOWN_ANSWERS.len());
+    for ((name, x, y, rcond), answer) in inputs.iter().zip(&KNOWN_ANSWERS) {
+        assert_eq!(*name, answer.name);
+        let decomposition = svd(x);
+        assert_eq!(bits(&decomposition.singular_values), answer.singular_values, "{name}: s");
+        let v: Vec<f64> =
+            (0..decomposition.v.cols()).flat_map(|j| decomposition.v.column(j).to_vec()).collect();
+        assert_eq!(bits(&v), answer.v, "{name}: v");
+        let fit = ols_solve(x, y, *rcond);
+        assert_eq!(bits(&fit.coefficients), answer.coefficients, "{name}: coefficients");
+        assert_eq!(fit.rank, answer.rank, "{name}: rank");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (d) A crafted snapshot cannot put into the history what `push` would clamp.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn crafted_snapshots_are_rejected_by_every_history_backed_predictor() {
+    let stream = real_feature_stream(14, 12, 1.0);
+    type Build = fn() -> Box<dyn Predictor>;
+    let predictors: [(&str, Build); 3] = [
+        ("mlr", || Box::new(MlrPredictor::with_defaults())),
+        ("slr", || Box::new(SlrPredictor::on_packets())),
+        ("robust_mlr", || Box::new(RobustMlrPredictor::with_defaults())),
+    ];
+    for (name, build) in predictors {
+        let mut predictor = build();
+        for (features, cycles) in &stream {
+            predictor.predict(features);
+            predictor.observe(features, *cycles);
+        }
+        let mut writer = StateWriter::new();
+        predictor.save_state(&mut writer).expect("predictor checkpoints");
+        let bytes = writer.into_bytes();
+        build().load_state(&mut StateReader::new(&bytes)).expect("the honest snapshot restores");
+
+        // Every predictor's state opens with its history: capacity, length,
+        // then per observation 42 features and the response.
+        let slot_offset = |observation: usize, slot: usize| {
+            2 * std::mem::size_of::<u64>() + (observation * (FEATURE_COUNT + 1) + slot) * 8
+        };
+        for (observation, slot, label) in
+            [(0, 0, "feature 0"), (5, 17, "feature 17"), (11, FEATURE_COUNT, "response")]
+        {
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, MAX_SAMPLE * 1.5] {
+                let mut crafted = bytes.clone();
+                let at = slot_offset(observation, slot);
+                crafted[at..at + 8].copy_from_slice(&poison.to_le_bytes());
+                let error = build()
+                    .load_state(&mut StateReader::new(&crafted))
+                    .expect_err("a value push() cannot store must not restore");
+                let StateError::Corrupt(message) = &error else {
+                    panic!("{name}: expected a corrupt-state error, got {error}");
+                };
+                assert!(
+                    message.contains(&format!("observation {observation} {label}")),
+                    "{name}: {poison} at {label}: {message}"
+                );
+            }
+        }
+    }
+}
