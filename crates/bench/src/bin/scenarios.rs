@@ -32,11 +32,11 @@
 
 use netshed_bench::cli::{parse_scenarios_args, usage, ScenariosCommand};
 use netshed_bench::corpus::{
-    all_strategies, checkpoint_run, compute_golden, corpus_capacity, diff_digests, digest_run,
-    digest_run_with_predictor, format_manifest, parse_manifest, resume_run, strategy_by_name,
-    GoldenEntry, MANIFEST_NAME, TRACE_EXTENSION,
+    all_strategies, checkpoint_run, compute_golden, corpus_capacity, corpus_config, diff_digests,
+    digest_run, format_manifest, parse_manifest, resume_run, strategy_by_name, GoldenEntry,
+    MANIFEST_NAME, TRACE_EXTENSION,
 };
-use netshed_monitor::{PredictorKind, Strategy};
+use netshed_monitor::{Monitor, PredictorKind, Strategy};
 use netshed_trace::scenario::{builtin, builtins};
 use netshed_trace::{decode_batches, decode_batches_shared, encode_batches, Batch, Bytes};
 use std::path::Path;
@@ -236,7 +236,7 @@ fn verify(dir: &Path, workers: usize, borrowed: bool) -> ExitCode {
                 ));
                 continue;
             };
-            match digest_run(&recorded, strategy, capacity, workers) {
+            match digest_run::<Monitor>(&recorded, corpus_config(strategy, capacity, workers)) {
                 Ok(fresh) => {
                     drift.extend(diff_digests(scenario.name(), &name, entry.digest, fresh));
                     checked += 1;
@@ -306,7 +306,8 @@ fn run_one(
         }
     };
     let capacity = corpus_capacity(&batches);
-    match digest_run_with_predictor(&batches, strategy, capacity, workers, predictor) {
+    let config = corpus_config(strategy, capacity, workers).with_predictor(predictor);
+    match digest_run::<Monitor>(&batches, config) {
         Ok(digest) => {
             println!(
                 "{name} / {} / {}: capacity {capacity:.0} cycles/bin over {} bins at {workers} \
@@ -342,7 +343,7 @@ fn checkpoint(
         eprintln!("--at {at} does not land mid-scenario: {name} has {non_empty} non-empty bins");
         return ExitCode::FAILURE;
     }
-    match checkpoint_run(&batches, strategy, capacity, workers, at) {
+    match checkpoint_run::<Monitor>(&batches, corpus_config(strategy, capacity, workers), at) {
         Ok(bytes) => {
             if let Err(error) = std::fs::write(out, &bytes) {
                 eprintln!("cannot write {}: {error}", out.display());
@@ -380,8 +381,8 @@ fn resume(
             return ExitCode::FAILURE;
         }
     };
-    let capacity = corpus_capacity(&batches);
-    let digest = match resume_run(&bytes, &batches, strategy, capacity, workers) {
+    let config = corpus_config(strategy, corpus_capacity(&batches), workers);
+    let digest = match resume_run::<Monitor>(&bytes, &batches, config) {
         Ok(digest) => digest,
         Err(error) => {
             eprintln!("{name} / {strategy_name}: resume failed: {error}");

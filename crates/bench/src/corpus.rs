@@ -10,18 +10,16 @@
 //! * [`corpus_specs`] / [`all_strategies`] / [`corpus_capacity`] fix the
 //!   query set, the seven strategy configurations and the (deterministic)
 //!   overload level of every corpus run;
-//! * [`digest_run`] replays a batch vector through one configuration and
-//!   fingerprints it;
+//! * [`digest_run`] replays a batch vector through one configuration of
+//!   either engine and fingerprints it;
 //! * [`format_manifest`] / [`parse_manifest`] read and write the
 //!   `GOLDEN.digests` manifest;
 //! * [`diff_digests`] renders a drift as a readable report naming the
 //!   scenario, the strategy and the exact stream that diverged.
 
-use netshed_monitor::{
-    DigestObserver, Monitor, MonitorConfig, NetshedError, PredictorKind, RunDigest, Strategy,
-};
+use netshed_monitor::{DigestObserver, Monitor, MonitorConfig, NetshedError, RunDigest, Strategy};
 use netshed_queries::{CustomBehavior, QueryKind, QuerySpec};
-use netshed_service::{Daemon, ServiceError, TickStatus};
+use netshed_service::{Daemon, MonitorEngine, ServiceError, TickStatus};
 use netshed_trace::scenario::Scenario;
 use netshed_trace::{Batch, BatchReplay};
 
@@ -76,74 +74,11 @@ pub fn corpus_capacity(batches: &[Batch]) -> f64 {
 /// `adversarial-corpus` job loops over).
 pub const ADVERSARIAL_SCENARIOS: [&str; 3] = ["bm-mimicry", "flow-churn", "agg-skew"];
 
-/// Replays a batch vector through one strategy at the given worker count and
-/// returns the run fingerprint.
-pub fn digest_run(
-    batches: &[Batch],
-    strategy: Strategy,
-    capacity: f64,
-    workers: usize,
-) -> Result<RunDigest, NetshedError> {
-    digest_run_with_predictor(batches, strategy, capacity, workers, PredictorKind::MlrFcbf)
-}
-
-/// [`digest_run`] with an explicit predictor: the corpus pins
-/// [`PredictorKind::MlrFcbf`] (the paper's method and the historical
-/// default), while `scenarios run --predictor` and the robustness tests
-/// compare the hardened `robust_mlr_fcbf` against it on the same traffic.
-pub fn digest_run_with_predictor(
-    batches: &[Batch],
-    strategy: Strategy,
-    capacity: f64,
-    workers: usize,
-    predictor: PredictorKind,
-) -> Result<RunDigest, NetshedError> {
-    let mut monitor = Monitor::builder()
-        .capacity(capacity)
-        .seed(CORPUS_SEED)
-        .strategy(strategy)
-        .predictor(predictor)
-        .with_workers(workers)
-        .queries(corpus_specs())
-        .build()?;
-    let mut observer = DigestObserver::new();
-    monitor.run(&mut BatchReplay::new(batches.to_vec()), &mut observer)?;
-    Ok(observer.digest())
-}
-
-/// Replays a batch vector through one strategy on a flow-sharded fleet
-/// (the default lane partition) at the given shard-thread and worker counts
-/// and returns the run fingerprint.
-///
-/// Per the shard-plane contract, the result depends on neither `shards` nor
-/// `workers` — `tests/golden.rs` proves that over the whole corpus and the
-/// full shards×workers matrix for all seven strategies.
-pub fn sharded_digest_run(
-    batches: &[Batch],
-    strategy: Strategy,
-    capacity: f64,
-    shards: usize,
-    workers: usize,
-) -> Result<RunDigest, NetshedError> {
-    let mut fleet = Monitor::builder()
-        .capacity(capacity)
-        .seed(CORPUS_SEED)
-        .strategy(strategy)
-        .predictor(PredictorKind::MlrFcbf)
-        .with_shards(shards)
-        .with_workers(workers)
-        .queries(corpus_specs())
-        .build_sharded()?;
-    let mut observer = DigestObserver::new();
-    fleet.run(&mut BatchReplay::new(batches.to_vec()), &mut observer)?;
-    Ok(observer.digest())
-}
-
-/// The corpus configuration of one strategy run, exactly as
-/// [`digest_run`]'s builder assembles it — the service-plane helpers below
-/// need the explicit [`MonitorConfig`] because `.nsck` restore cross-checks
-/// it against the checkpointing process's.
-fn corpus_config(strategy: Strategy, capacity: f64, workers: usize) -> MonitorConfig {
+/// The corpus configuration of one strategy run. Callers layer the knobs of
+/// the plane under test on top (`with_shards`, `with_shard_lanes`,
+/// `with_predictor`); the service-plane helpers below pass it to `.nsck`
+/// restore, which cross-checks it against the checkpointing process's.
+pub fn corpus_config(strategy: Strategy, capacity: f64, workers: usize) -> MonitorConfig {
     MonitorConfig::default()
         .with_capacity(capacity)
         .with_seed(CORPUS_SEED)
@@ -151,19 +86,42 @@ fn corpus_config(strategy: Strategy, capacity: f64, workers: usize) -> MonitorCo
         .with_workers(workers)
 }
 
-/// Runs the corpus configuration under a service daemon up to `at` non-empty
+/// Engine `E` — a solo [`Monitor`] or a
+/// [`ShardedMonitor`](netshed_monitor::ShardedMonitor) fleet — built from
+/// `config` with the corpus queries registered.
+pub fn corpus_engine<E: MonitorEngine>(config: MonitorConfig) -> Result<E, NetshedError> {
+    let mut engine = E::from_config(config)?;
+    for spec in corpus_specs() {
+        engine.register(&spec)?;
+    }
+    Ok(engine)
+}
+
+/// Replays a batch vector through a [`corpus_engine`] and returns the run
+/// fingerprint.
+///
+/// Per the determinism contract the result depends on neither `workers` nor
+/// `shards` — `tests/golden.rs` proves that over the whole corpus and the
+/// full shards×workers matrix for all seven strategies.
+pub fn digest_run<E: MonitorEngine>(
+    batches: &[Batch],
+    config: MonitorConfig,
+) -> Result<RunDigest, NetshedError> {
+    let mut observer = DigestObserver::new();
+    corpus_engine::<E>(config)?.run(&mut BatchReplay::new(batches.to_vec()), &mut observer)?;
+    Ok(observer.digest())
+}
+
+/// Runs `config` on engine `E` under a service daemon up to `at` non-empty
 /// bins — registering the corpus queries through the control channel, like
 /// real tenants — and returns the `.nsck` checkpoint bytes.
-pub fn checkpoint_run(
+pub fn checkpoint_run<E: MonitorEngine>(
     batches: &[Batch],
-    strategy: Strategy,
-    capacity: f64,
-    workers: usize,
+    config: MonitorConfig,
     at: u64,
 ) -> Result<Vec<u8>, ServiceError> {
-    let config = corpus_config(strategy, capacity, workers);
-    config.validate()?;
-    let (daemon, control) = Daemon::new(Monitor::new(config), BatchReplay::new(batches.to_vec()));
+    let (daemon, control) =
+        Daemon::new(E::from_config(config)?, BatchReplay::new(batches.to_vec()));
     let mut daemon = daemon.with_bins_per_tick(at.max(1));
     let pending: Vec<_> =
         corpus_specs().into_iter().map(|spec| control.register_query(spec)).collect();
@@ -180,18 +138,16 @@ pub fn checkpoint_run(
 }
 
 /// Restores a [`checkpoint_run`] `.nsck` in this process (typically a fresh
-/// one), replays the remaining bins and returns the final fingerprint —
-/// which must equal the uninterrupted [`digest_run`] digest bit for bit.
-pub fn resume_run(
+/// one) into engine `E` built from `config`, replays the remaining bins and
+/// returns the final fingerprint — which must equal the uninterrupted
+/// [`digest_run`] digest bit for bit, at any worker or shard-thread count.
+pub fn resume_run<E: MonitorEngine>(
     bytes: &[u8],
     batches: &[Batch],
-    strategy: Strategy,
-    capacity: f64,
-    workers: usize,
+    config: MonitorConfig,
 ) -> Result<RunDigest, ServiceError> {
-    let config = corpus_config(strategy, capacity, workers);
     let (mut daemon, _control) =
-        Daemon::restore(config, BatchReplay::new(batches.to_vec()), bytes)?;
+        Daemon::<_, E>::restore_engine(config, BatchReplay::new(batches.to_vec()), bytes)?;
     daemon.run_to_exhaustion()?;
     Ok(daemon.digest())
 }
@@ -218,7 +174,7 @@ pub fn compute_golden(
     let capacity = corpus_capacity(batches);
     let mut entries = Vec::new();
     for (name, strategy) in all_strategies() {
-        let digest = digest_run(batches, strategy, capacity, 1)?;
+        let digest = digest_run::<Monitor>(batches, corpus_config(strategy, capacity, 1))?;
         entries.push(GoldenEntry { scenario: scenario.name().to_string(), strategy: name, digest });
     }
     Ok(entries)
@@ -373,8 +329,9 @@ mod tests {
         let batches = scenario.generate().expect("builtin is valid");
         let capacity = corpus_capacity(&batches);
         let (_, strategy) = &all_strategies()[4];
-        let a = digest_run(&batches, *strategy, capacity, 1).expect("run");
-        let b = digest_run(&batches, *strategy, capacity, 1).expect("run");
+        let config = corpus_config(*strategy, capacity, 1);
+        let a = digest_run::<Monitor>(&batches, config.clone()).expect("run");
+        let b = digest_run::<Monitor>(&batches, config).expect("run");
         assert_eq!(a, b);
         assert!(a.bins > 0);
     }

@@ -10,8 +10,9 @@
 //! run.
 
 use netshed_bench::corpus::{
-    checkpoint_run, corpus_capacity, digest_run, resume_run, strategy_by_name,
+    checkpoint_run, corpus_capacity, corpus_config, digest_run, resume_run, strategy_by_name,
 };
+use netshed_monitor::Monitor;
 use netshed_trace::scenario::builtin;
 use std::process::Command;
 
@@ -75,11 +76,11 @@ fn checkpoint_resume_equals_the_uninterrupted_run() {
     let non_empty = batches.iter().filter(|b| !b.is_empty()).count() as u64;
     let at = (non_empty / 2).max(1);
     for workers in [1usize, 4] {
+        let config = corpus_config(strategy, capacity, workers);
         let uninterrupted =
-            digest_run(&batches, strategy, capacity, workers).expect("uninterrupted run");
-        let snapshot =
-            checkpoint_run(&batches, strategy, capacity, workers, at).expect("checkpoint");
-        let resumed = resume_run(&snapshot, &batches, strategy, capacity, workers).expect("resume");
+            digest_run::<Monitor>(&batches, config.clone()).expect("uninterrupted run");
+        let snapshot = checkpoint_run::<Monitor>(&batches, config.clone(), at).expect("checkpoint");
+        let resumed = resume_run::<Monitor>(&snapshot, &batches, config).expect("resume");
         assert_eq!(resumed, uninterrupted, "resumed digest diverged at {workers} worker(s)");
     }
 }

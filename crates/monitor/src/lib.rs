@@ -66,6 +66,7 @@ pub mod builder;
 pub mod capture;
 pub mod config;
 pub mod digest;
+pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod monitor;
@@ -84,6 +85,7 @@ pub use config::{
     DEFAULT_SHARD_LANES,
 };
 pub use digest::{DigestObserver, RunDigest, StreamDigest};
+pub use engine::Engine;
 pub use error::NetshedError;
 pub use exec::{ExecStats, MAX_WORKERS};
 pub use monitor::{Monitor, QueryId};

@@ -5,6 +5,7 @@
 use crate::builder::MonitorBuilder;
 use crate::capture::CaptureBuffer;
 use crate::config::MonitorConfig;
+use crate::engine::Engine;
 use crate::error::NetshedError;
 use crate::exec::{self, ExecStats};
 use crate::observer::RunObserver;
@@ -363,17 +364,8 @@ impl Monitor {
     /// studies query arrivals): the new instance takes part in prediction and
     /// allocation from the next batch on.
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
-        if let Some(rate) = spec.min_sampling_rate {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(NetshedError::InvalidConfig(format!(
-                    "min_sampling_rate for '{}' must be in [0, 1], got {rate}",
-                    spec.resolved_label()
-                )));
-            }
-        }
-        let query = build_query_from_spec(spec);
         self.register_inner(
-            query,
+            build_query_from_spec(spec),
             Some(spec.clone()),
             Some(spec.resolved_label()),
             spec.min_sampling_rate,
@@ -495,9 +487,8 @@ impl Monitor {
 
     /// Whether a measurement interval is currently open (at least one batch
     /// has been processed since the last [`finish_interval`]
-    /// (Monitor::finish_interval)). Drivers replicating [`Monitor::run`]'s
-    /// loop — like the service-plane daemon — use this to decide whether a
-    /// final flush is due when the source is exhausted.
+    /// (Monitor::finish_interval)) — i.e. whether a final flush is due when
+    /// the source is exhausted.
     pub fn interval_open(&self) -> bool {
         self.current_interval.is_some()
     }
@@ -535,33 +526,23 @@ impl Monitor {
     /// lane every bin — non-empty sub-batches through `process_batch`, empty
     /// ones through this method.
     pub fn advance_empty_bin(&mut self, batch: &Batch) -> Option<Vec<(String, QueryOutput)>> {
-        let interval = batch.measurement_interval(self.config.measurement_interval_us);
-        let interval_outputs =
-            if self.current_interval.is_some() && self.current_interval != Some(interval) {
-                Some(self.close_interval())
-            } else {
-                None
-            };
+        self.roll_interval(batch.measurement_interval(self.config.measurement_interval_us))
+    }
+
+    /// Moves the interval clock to `interval`, closing the open interval
+    /// when it is a different one.
+    fn roll_interval(&mut self, interval: u64) -> Option<Vec<(String, QueryOutput)>> {
+        let rolled = self.current_interval.is_some_and(|open| open != interval);
+        let closed = rolled.then(|| self.close_interval());
         self.current_interval = Some(interval);
-        interval_outputs
+        closed
     }
 
     /// Drives the full monitoring pipeline over a batch source until the
     /// source is exhausted, reporting progress to `observer` and returning
-    /// the aggregated [`RunSummary`].
-    ///
-    /// Per batch, the observer sees `on_batch` (before processing),
-    /// `on_interval` (when the batch closed a measurement interval),
-    /// `on_decision` (the control-plane decision for the bin) and `on_bin`;
-    /// after the last batch the final interval is flushed to `on_interval`
-    /// and `on_end` receives the summary. Empty time bins are counted and
-    /// skipped — a quiet bin mid-stream carries no work and is not an error,
-    /// unlike an empty batch handed directly to [`Monitor::process_batch`].
-    ///
-    /// Infinite sources (like a bare
-    /// [`TraceGenerator`](netshed_trace::TraceGenerator)) must be bounded
-    /// first with
-    /// [`take_batches`](netshed_trace::PacketSourceExt::take_batches).
+    /// the aggregated [`RunSummary`]: the engine contract's [`Engine::run`]
+    /// (see there for the loop and the observer sequence), callable without
+    /// the trait in scope.
     pub fn run<S, O>(
         &mut self,
         source: &mut S,
@@ -571,27 +552,7 @@ impl Monitor {
         S: PacketSource + ?Sized,
         O: RunObserver + ?Sized,
     {
-        let mut summary = RunSummary::default();
-        while let Some(batch) = source.next_batch() {
-            if batch.is_empty() {
-                summary.empty_bins += 1;
-                continue;
-            }
-            observer.on_batch(&batch);
-            let record = self.process_batch(&batch)?;
-            if let Some(outputs) = &record.interval_outputs {
-                observer.on_interval(outputs);
-            }
-            observer.on_decision(record.bin_index, &record.decision);
-            summary.absorb(&record);
-            observer.on_bin(&record);
-        }
-        if self.current_interval.is_some() {
-            let outputs = self.finish_interval();
-            observer.on_interval(&outputs);
-        }
-        observer.on_end(&summary);
-        Ok(summary)
+        Engine::run(self, source, observer)
     }
 
     /// Processes one incoming batch and returns the record of what happened.
@@ -619,13 +580,7 @@ impl Monitor {
         // Measurement interval bookkeeping: close the previous interval when
         // the new batch belongs to a different one.
         let interval = batch.measurement_interval(self.config.measurement_interval_us);
-        let interval_outputs =
-            if self.current_interval.is_some() && self.current_interval != Some(interval) {
-                Some(self.close_interval())
-            } else {
-                None
-            };
-        self.current_interval = Some(interval);
+        let interval_outputs = self.roll_interval(interval);
 
         // Capture buffer: drop the overflow fraction without control. From
         // here on the bin is processed through zero-copy views sharing the
@@ -1164,22 +1119,15 @@ mod tests {
         observer: &mut crate::digest::DigestObserver,
         batches: &[Batch],
     ) {
-        use crate::observer::RunObserver;
         for batch in batches {
-            let record = monitor.process_batch(batch).expect("batch");
-            if let Some(outputs) = &record.interval_outputs {
-                observer.on_interval(outputs);
-            }
-            observer.on_decision(record.bin_index, &record.decision);
-            observer.on_bin(&record);
+            monitor.ingest(batch, observer).expect("batch");
         }
     }
 
     /// Flushes the final interval into the observer, ending the run.
     fn flush(monitor: &mut Monitor, observer: &mut crate::digest::DigestObserver) {
         use crate::observer::RunObserver;
-        let outputs = monitor.finish_interval();
-        observer.on_interval(&outputs);
+        observer.on_interval(&monitor.finish_interval());
     }
 
     /// Measures the unconstrained total demand (queries + overheads) of a

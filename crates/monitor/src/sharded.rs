@@ -28,25 +28,18 @@
 //! on identical bins and per-interval outputs can be merged query-by-query.
 
 use crate::config::{AllocationPolicy, MonitorConfig, Strategy};
+use crate::engine::Engine;
 use crate::error::NetshedError;
 use crate::exec::{run_tasks, ExecStats};
 use crate::monitor::{Monitor, QueryId};
 use crate::observer::RunObserver;
 use crate::report::{BinRecord, RunSummary};
-use netshed_fairness::QueryDemand;
+use netshed_fairness::{AllocationStrategy, QueryDemand};
 use netshed_queries::{QueryOutput, QuerySpec};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use netshed_trace::{Batch, PacketSource};
-use std::collections::{BTreeMap, BTreeSet};
 // lint:allow(telemetry-clock): wall time feeds ExecStats telemetry only, never a decision
 use std::time::Instant;
-
-// Lane monitors cross shard-thread boundaries, so the fleet relies on the
-// monitor being `Send`. Compile-time proof:
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Monitor>();
-};
 
 /// Fraction of a lane's equal share that is guaranteed to it regardless of
 /// demand (the coordinator's liveness floor): an idle lane keeps enough
@@ -65,35 +58,81 @@ pub struct ShardedMonitor {
     /// coordinator state, never reflected here — checkpoint cross-checks
     /// compare against this config bit-for-bit.
     config: MonitorConfig,
-    /// The fixed virtual lanes, each a full monitor over its flow partition.
-    lanes: Vec<Monitor>,
-    /// Cross-shard allocator (the configured strategy's allocation policy;
-    /// max-min CPU fairness when the strategy has none).
-    allocator: Box<dyn netshed_fairness::AllocationStrategy>,
+    /// The fixed virtual lanes, in lane order.
+    lanes: Vec<Lane>,
+    /// Cross-shard allocator (see [`coordinator_allocator`]).
+    allocator: Box<dyn AllocationStrategy>,
     /// Each lane's current per-bin cycle budget (coordinator output).
     lane_capacity: Vec<f64>,
-    /// Each lane's reported demand: its previous bin's predicted cycles
-    /// (0 before the first bin and after a bin the lane sat idle).
-    lane_demand: Vec<f64>,
     /// Shard-level execution telemetry (lane dispatch, not the per-lane
     /// query tails — those accumulate inside each lane's own stats).
     exec_stats: ExecStats,
 }
 
-/// What one lane produced for one global bin.
-enum LaneOutcome {
-    /// The lane processed a non-empty sub-batch.
-    Processed(Box<BinRecord>),
-    /// The lane's sub-batch was empty; the interval clock still advanced and
-    /// may have closed an interval.
-    Empty(Option<Vec<(String, QueryOutput)>>),
+/// One virtual lane, and the unit the shard threads dispatch: a full monitor
+/// over the lane's flow partition plus everything one bin hands into and out
+/// of it, so a dispatch borrows `&mut Lane` and builds nothing per bin.
+struct Lane {
+    monitor: Monitor,
+    /// The demand the lane reports to the coordinator: its previous bin's
+    /// predicted cycles (0 before the first bin and after a bin it sat
+    /// idle, so an idle lane's budget decays to the floor until it sees
+    /// traffic again).
+    demand: f64,
+    /// This bin's share of the global batch.
+    batch: Batch,
+    /// This bin's record, when `batch` was non-empty.
+    record: Option<BinRecord>,
+    /// The interval this lane closed outside a record: an idle lane's clock
+    /// rolling over, or the final flush.
+    flushed: Option<Vec<(String, QueryOutput)>>,
+    /// Why this bin failed on this lane, if it did.
+    error: Option<NetshedError>,
 }
 
-/// One lane's work item for the shard-thread dispatch.
-struct LaneTask<'a> {
-    monitor: &'a mut Monitor,
-    batch: Batch,
-    outcome: Option<Result<LaneOutcome, NetshedError>>,
+// Lanes cross shard-thread boundaries as `&mut` borrows. Compile-time proof:
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Lane>();
+};
+
+impl Lane {
+    /// The lane's task: non-empty sub-batches go through the full pipeline,
+    /// empty ones only advance the interval clock — every lane sees every
+    /// global bin, so all lanes close intervals on identical bins.
+    fn run_bin(&mut self) {
+        (self.record, self.flushed, self.error, self.demand) = (None, None, None, 0.0);
+        if self.batch.is_empty() {
+            self.flushed = self.monitor.advance_empty_bin(&self.batch);
+            return;
+        }
+        match self.monitor.process_batch(&self.batch) {
+            Ok(record) => {
+                self.demand = record.predicted_cycles;
+                self.record = Some(record);
+            }
+            Err(error) => self.error = Some(error),
+        }
+    }
+
+    /// The interval outputs this lane closed this bin, if it closed one.
+    fn closed(&self) -> Option<&[(String, QueryOutput)]> {
+        match &self.record {
+            Some(record) => record.interval_outputs.as_deref(),
+            None => self.flushed.as_deref(),
+        }
+    }
+}
+
+/// The allocator that divides the global budget over the lanes: the
+/// strategy's own allocation policy. `NoShedding` has none, the coordinator
+/// still has to split the budget, and max-min CPU fairness is the neutral
+/// choice.
+fn coordinator_allocator(strategy: Strategy) -> Box<dyn AllocationStrategy> {
+    match strategy {
+        Strategy::NoShedding => AllocationPolicy::MmfsCpu.allocator(),
+        Strategy::Reactive(policy) | Strategy::Predictive(policy) => policy.allocator(),
+    }
 }
 
 impl ShardedMonitor {
@@ -120,21 +159,20 @@ impl ShardedMonitor {
             lane_config.platform_overhead_cycles =
                 config.platform_overhead_cycles / lanes_count as f64;
             lane_config.validate()?;
-            lanes.push(Monitor::new(lane_config));
+            lanes.push(Lane {
+                monitor: Monitor::new(lane_config),
+                demand: 0.0,
+                batch: Batch::empty(0, 0, config.time_bin_us),
+                record: None,
+                flushed: None,
+                error: None,
+            });
         }
-        let allocator = match config.strategy {
-            // NoShedding has no allocation policy of its own; the coordinator
-            // still has to split the budget, and max-min CPU fairness is the
-            // neutral choice.
-            Strategy::NoShedding => AllocationPolicy::MmfsCpu.allocator(),
-            Strategy::Reactive(policy) | Strategy::Predictive(policy) => policy.allocator(),
-        };
         Ok(Self {
+            allocator: coordinator_allocator(config.strategy),
             config,
             lanes,
-            allocator,
             lane_capacity: vec![share; lanes_count],
-            lane_demand: vec![0.0; lanes_count],
             exec_stats: ExecStats::default(),
         })
     }
@@ -163,7 +201,7 @@ impl ShardedMonitor {
 
     /// The control policy name of the fleet (all lanes share it).
     pub fn policy_name(&self) -> String {
-        self.lanes[0].policy_name()
+        self.lanes[0].monitor.policy_name()
     }
 
     /// Swaps every lane's control policy to a built-in [`Strategy`] and
@@ -172,12 +210,9 @@ impl ShardedMonitor {
     /// the fleet swaps by [`Strategy`] rather than by boxed policy.
     pub fn set_strategy(&mut self, strategy: Strategy) {
         for lane in &mut self.lanes {
-            lane.set_policy(strategy.control_policy());
+            lane.monitor.set_policy(strategy.control_policy());
         }
-        self.allocator = match strategy {
-            Strategy::NoShedding => AllocationPolicy::MmfsCpu.allocator(),
-            Strategy::Reactive(policy) | Strategy::Predictive(policy) => policy.allocator(),
-        };
+        self.allocator = coordinator_allocator(strategy);
     }
 
     /// Shard-level execution telemetry: measured front-end wall time (split,
@@ -194,7 +229,7 @@ impl ShardedMonitor {
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
         let mut id = None;
         for lane in &mut self.lanes {
-            let lane_id = lane.register(spec)?;
+            let lane_id = lane.monitor.register(spec)?;
             debug_assert!(id.is_none_or(|previous| previous == lane_id));
             id = Some(lane_id);
         }
@@ -204,64 +239,88 @@ impl ShardedMonitor {
 
     /// Deregisters a query from every lane.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
-        for lane in &mut self.lanes {
-            lane.deregister(id)?;
-        }
-        Ok(())
+        self.lanes.iter_mut().try_for_each(|lane| lane.monitor.deregister(id))
     }
 
     /// Query labels in registration order (identical on every lane).
     pub fn query_names(&self) -> Vec<String> {
-        self.lanes[0].query_names()
+        self.lanes[0].monitor.query_names()
     }
 
     /// Whether a measurement interval is currently open (lanes advance their
     /// interval clocks in lock step, so one lane answers for the fleet).
     pub fn interval_open(&self) -> bool {
-        self.lanes.iter().any(Monitor::interval_open)
+        self.lanes.iter().any(|lane| lane.monitor.interval_open())
     }
 
     /// Flushes the current measurement interval on every lane and merges the
     /// per-query outputs in registration order.
     pub fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
-        let per_lane: Vec<Vec<(String, QueryOutput)>> =
-            self.lanes.iter_mut().map(Monitor::finish_interval).collect();
-        merge_interval_outputs(&per_lane)
+        for lane in &mut self.lanes {
+            lane.record = None;
+            lane.flushed = Some(lane.monitor.finish_interval());
+        }
+        self.merge_closed().unwrap_or_default()
+    }
+
+    /// Merges the interval the lanes closed this bin into one fleet-level
+    /// output list, if they closed one — lanes advance their interval clocks
+    /// in lock step, so a bin closes an interval on every lane or on none.
+    ///
+    /// All lanes share the same registration history, so their output lists
+    /// are index-aligned; entry `q` starts from lane 0's output and folds in
+    /// the other lanes' entries `q` in lane order under the per-variant
+    /// rules of [`QueryOutput::merge_lanes`].
+    fn merge_closed(&self) -> Option<Vec<(String, QueryOutput)>> {
+        let (first, rest) = self.lanes.split_first()?;
+        let mut merged = first.closed()?.to_vec();
+        debug_assert!(rest.iter().all(|lane| lane.closed().is_some()), "lanes close in lock step");
+        for (q, (label, output)) in merged.iter_mut().enumerate() {
+            output.merge_lanes(rest.iter().filter_map(Lane::closed).map(|lane| {
+                debug_assert_eq!(lane[q].0, *label, "lanes registered identically");
+                &lane[q].1
+            }));
+        }
+        Some(merged)
     }
 
     /// The coordinator step: turns the lanes' reported demands into per-bin
     /// budgets for the coming bin and applies them.
     ///
-    /// Every lane is guaranteed a liveness floor ([`MIN_LANE_SHARE`] of its
-    /// equal share, never below its platform overhead); the discretionary
+    /// Every lane is guaranteed a liveness floor; the discretionary
     /// remainder is granted by the configured [`AllocationStrategy`] against
     /// the reported demands, and whatever the grants leave unclaimed is
-    /// returned equally. Inputs (previous-bin records) and the allocator are
-    /// deterministic, so the budgets are — and they depend only on lane
-    /// state, never on the shard-thread count.
+    /// returned equally. That is `floor + grant + (pool − Σgrants) / lanes`,
+    /// computed as the equal share plus the lane's grant minus the mean
+    /// grant: the budgets sum to the capacity whatever the grants are, and a
+    /// one-lane fleet's budget is *exactly* the capacity — which is what
+    /// makes it bit-identical to the solo monitor. Inputs (previous-bin
+    /// records) and the allocator are deterministic, so the budgets are —
+    /// and they depend only on lane state, never on the shard-thread count.
     fn coordinate(&mut self) {
         let lanes = self.lanes.len() as f64;
         let capacity = self.config.capacity_cycles_per_bin;
-        // The liveness floor is expressed against *lane* terms: a lane's
-        // equal share and its (split) platform overhead.
+        let share = capacity / lanes;
+        // The floor is expressed in lane terms — [`MIN_LANE_SHARE`] of the
+        // equal share, at least twice the (split) platform overhead — and
+        // capped at the share itself: with `H < C < 2·H` the uncapped floors
+        // alone would outspend the capacity.
         let lane_overhead = self.config.platform_overhead_cycles / lanes;
-        let floor = (capacity / lanes * MIN_LANE_SHARE).max(lane_overhead * 2.0);
+        let floor = (share * MIN_LANE_SHARE).max(lane_overhead * 2.0).min(share);
         let pool = (capacity - floor * lanes).max(0.0);
         let demands: Vec<QueryDemand> =
-            self.lane_demand.iter().map(|&cycles| QueryDemand::new(cycles, 0.0)).collect();
+            self.lanes.iter().map(|lane| QueryDemand::new(lane.demand, 0.0)).collect();
         let allocations = self.allocator.allocate(&demands, pool);
-        let granted: f64 = allocations
-            .iter()
-            .zip(&demands)
-            .map(|(allocation, demand)| allocation.rate() * demand.predicted_cycles)
-            .sum();
-        let bonus = (pool - granted).max(0.0) / lanes;
-        for ((lane, allocation), demand) in self.lanes.iter_mut().zip(&allocations).zip(&demands) {
-            let budget = floor + allocation.rate() * demand.predicted_cycles + bonus;
-            lane.set_bin_capacity(budget);
+        // Grants first, in place; then each becomes the lane's budget.
+        for (grant, (allocation, demand)) in
+            self.lane_capacity.iter_mut().zip(allocations.iter().zip(&demands))
+        {
+            *grant = allocation.rate() * demand.predicted_cycles;
         }
-        for (slot, lane) in self.lane_capacity.iter_mut().zip(&self.lanes) {
-            *slot = lane.config().capacity_cycles_per_bin;
+        let mean_grant = self.lane_capacity.iter().sum::<f64>() / lanes;
+        for (lane, budget) in self.lanes.iter_mut().zip(&mut self.lane_capacity) {
+            *budget = share + (*budget - mean_grant);
+            lane.monitor.set_bin_capacity(*budget);
         }
     }
 
@@ -293,63 +352,24 @@ impl ShardedMonitor {
         let bin_start = Instant::now();
         observer.on_batch(batch);
         self.coordinate();
-        let lane_count = self.lanes.len();
-        let sub_batches = batch.split_shards(lane_count);
-        let mut tasks: Vec<LaneTask<'_>> = self
-            .lanes
-            .iter_mut()
-            .zip(sub_batches)
-            .map(|(monitor, batch)| LaneTask { monitor, batch, outcome: None })
-            .collect();
+        let sub_batches = batch.split_shards(self.lanes.len());
+        for (lane, sub_batch) in self.lanes.iter_mut().zip(sub_batches) {
+            lane.batch = sub_batch;
+        }
         // lint:allow(telemetry-clock): dispatch wall time feeds ExecStats only, never a decision
         let dispatch_start = Instant::now();
-        run_tasks(self.config.shards, &mut tasks, |task| {
-            task.outcome = Some(if task.batch.is_empty() {
-                Ok(LaneOutcome::Empty(task.monitor.advance_empty_bin(&task.batch)))
-            } else {
-                task.monitor
-                    .process_batch(&task.batch)
-                    .map(|record| LaneOutcome::Processed(Box::new(record)))
-            });
-        });
+        run_tasks(self.config.shards, &mut self.lanes, Lane::run_bin);
         let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
 
-        // Collect in lane order; the first lane error (in lane order) wins.
-        let mut records: Vec<BinRecord> = Vec::with_capacity(lane_count);
-        let mut closed: Vec<Vec<(String, QueryOutput)>> = Vec::new();
-        let mut interval_closed = false;
-        for (lane, task) in tasks.into_iter().enumerate() {
-            // lint:allow(no-unwrap): run_tasks runs every task exactly once
-            let outcome = task.outcome.expect("lane task ran")?;
-            match outcome {
-                LaneOutcome::Processed(record) => {
-                    // Demand report for the next coordination round.
-                    self.lane_demand[lane] = record.predicted_cycles;
-                    if let Some(outputs) = &record.interval_outputs {
-                        interval_closed = true;
-                        closed.push(outputs.clone());
-                    }
-                    records.push(*record);
-                }
-                LaneOutcome::Empty(outputs) => {
-                    // A lane that sat the bin out reports zero demand (its
-                    // budget decays to floor + bonus until it sees traffic).
-                    self.lane_demand[lane] = 0.0;
-                    if let Some(outputs) = outputs {
-                        interval_closed = true;
-                        closed.push(outputs);
-                    }
-                }
-            }
+        // The first lane error (in lane order) wins.
+        if let Some(error) = self.lanes.iter_mut().find_map(|lane| lane.error.take()) {
+            return Err(error);
         }
-        // Lanes advance their interval clocks in lock step, so a bin closes
-        // an interval on either every lane or none.
-        debug_assert!(!interval_closed || closed.len() == self.lanes.len());
-
-        if interval_closed {
-            let merged = merge_interval_outputs(&closed);
+        if let Some(merged) = self.merge_closed() {
             observer.on_interval(&merged);
         }
+        let records: Vec<BinRecord> =
+            self.lanes.iter_mut().filter_map(|lane| lane.record.take()).collect();
         for record in &records {
             observer.on_decision(record.bin_index, &record.decision);
         }
@@ -358,19 +378,16 @@ impl ShardedMonitor {
         }
 
         let bin_ns = bin_start.elapsed().as_nanos() as u64;
-        self.exec_stats.fold_bin(bin_ns.saturating_sub(dispatch_ns), dispatch_ns, lane_count);
+        self.exec_stats.fold_bin(bin_ns.saturating_sub(dispatch_ns), dispatch_ns, self.lanes.len());
         Ok(records)
     }
 
-    /// Drives the fleet over a batch source until exhaustion, reporting
-    /// progress to `observer` and returning the fleet-merged [`RunSummary`].
-    ///
-    /// Mirrors [`Monitor::run`]: globally empty bins are counted and
-    /// skipped; after the last batch the final interval is flushed to
-    /// `on_interval` and `on_end` receives the summary. Summary semantics
-    /// are global: `bins` counts global non-empty bins, `cycles_per_bin`
-    /// sums the lanes' cycles per global bin, and every lane's prediction
-    /// error contributes one sample.
+    /// Drives the fleet over a batch source until exhaustion — the engine
+    /// contract's [`Engine::run`], the loop [`Monitor::run`] shares, callable
+    /// without the trait in scope. Summary semantics are global: `bins`
+    /// counts global non-empty bins, `cycles_per_bin` sums the lanes' cycles
+    /// per global bin, and every lane's prediction error contributes one
+    /// sample.
     pub fn run<S, O>(
         &mut self,
         source: &mut S,
@@ -380,39 +397,13 @@ impl ShardedMonitor {
         S: PacketSource + ?Sized,
         O: RunObserver + ?Sized,
     {
-        let mut summary = RunSummary::default();
-        while let Some(batch) = source.next_batch() {
-            if batch.is_empty() {
-                summary.empty_bins += 1;
-                continue;
-            }
-            let records = self.process_bin(&batch, observer)?;
-            summary.bins += 1;
-            let mut bin_cycles = 0.0;
-            for record in &records {
-                summary.total_packets += record.incoming_packets;
-                summary.total_uncontrolled_drops += record.uncontrolled_drops;
-                bin_cycles += record.total_cycles();
-                if record.query_cycles > 0.0 {
-                    summary
-                        .prediction_errors
-                        .push((1.0 - record.predicted_cycles / record.query_cycles).abs());
-                }
-            }
-            summary.cycles_per_bin.push(bin_cycles);
-        }
-        if self.interval_open() {
-            let outputs = self.finish_interval();
-            observer.on_interval(&outputs);
-        }
-        observer.on_end(&summary);
-        Ok(summary)
+        Engine::run(self, source, observer)
     }
 
     /// Serialises one lane's monitor state (the `shard.{i}` checkpoint
     /// section).
     pub fn save_lane_state(&self, lane: usize, writer: &mut StateWriter) -> Result<(), StateError> {
-        self.lanes[lane].save_state(writer)
+        self.lanes[lane].monitor.save_state(writer)
     }
 
     /// Restores one lane's monitor state. The coordinator's budgets are
@@ -424,21 +415,27 @@ impl ShardedMonitor {
         lane: usize,
         reader: &mut StateReader<'_>,
     ) -> Result<(), StateError> {
-        self.lanes[lane].load_state(reader)
+        self.lanes[lane].monitor.load_state(reader)
     }
 
     /// Serialises the coordinator state (the `sharded` checkpoint section):
     /// lane count, then each lane's current budget and reported demand.
     pub fn save_coordinator_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         writer.u64(self.lanes.len() as u64);
-        for (&capacity, &demand) in self.lane_capacity.iter().zip(&self.lane_demand) {
+        for (&capacity, lane) in self.lane_capacity.iter().zip(&self.lanes) {
             writer.f64(capacity);
-            writer.f64(demand);
+            writer.f64(lane.demand);
         }
         Ok(())
     }
 
     /// Restores the coordinator state and reapplies each lane's budget.
+    ///
+    /// A snapshot is outside input and its checksum is not cryptographic: a
+    /// budget the coordinator could not have produced (not positive and
+    /// finite) would wedge the lane in `CapacityUnderflow` on every bin, and
+    /// a demand no record could have reported (negative or not finite) would
+    /// reach the allocator — both are a corrupt section.
     pub fn load_coordinator_state(
         &mut self,
         reader: &mut StateReader<'_>,
@@ -451,12 +448,24 @@ impl ShardedMonitor {
                 lanes.to_string(),
             ));
         }
-        for lane in 0..lanes {
+        for (index, (lane, budget)) in
+            self.lanes.iter_mut().zip(&mut self.lane_capacity).enumerate()
+        {
             let capacity = reader.f64()?;
             let demand = reader.f64()?;
-            self.lane_capacity[lane] = capacity;
-            self.lane_demand[lane] = demand;
-            self.lanes[lane].set_bin_capacity(capacity);
+            if !(capacity.is_finite() && capacity > 0.0) {
+                return Err(StateError::corrupt(format!(
+                    "sharded lane {index} capacity holds {capacity}, not a positive finite budget"
+                )));
+            }
+            if !(demand.is_finite() && demand >= 0.0) {
+                return Err(StateError::corrupt(format!(
+                    "sharded lane {index} demand holds {demand}, not a finite non-negative cycle count"
+                )));
+            }
+            *budget = capacity;
+            lane.demand = demand;
+            lane.monitor.set_bin_capacity(capacity);
         }
         Ok(())
     }
@@ -469,157 +478,6 @@ impl std::fmt::Debug for ShardedMonitor {
             .field("shards", &self.config.shards)
             .field("lane_capacity", &self.lane_capacity)
             .finish_non_exhaustive()
-    }
-}
-
-/// Merges the lanes' per-interval outputs into one fleet-level output list.
-///
-/// All lanes share the same registration history, so their output lists are
-/// index-aligned; entry `q` merges the lanes' entries `q` in lane order with
-/// a per-variant rule: counts and sums add, high watermarks take the
-/// maximum, set-valued outputs union, rankings merge then re-rank. The fold
-/// order is fixed (lane 0 first), so the result is bit-stable.
-fn merge_interval_outputs(per_lane: &[Vec<(String, QueryOutput)>]) -> Vec<(String, QueryOutput)> {
-    let Some(first) = per_lane.first() else {
-        return Vec::new();
-    };
-    (0..first.len())
-        .map(|q| {
-            let label = first[q].0.clone();
-            let outputs: Vec<&QueryOutput> = per_lane
-                .iter()
-                .map(|lane| {
-                    debug_assert_eq!(lane[q].0, label, "lanes registered identically");
-                    &lane[q].1
-                })
-                .collect();
-            (label, merge_query_outputs(&outputs))
-        })
-        .collect()
-}
-
-/// Merges one query's per-lane outputs (see [`merge_interval_outputs`]).
-fn merge_query_outputs(outputs: &[&QueryOutput]) -> QueryOutput {
-    // lint:allow(no-unwrap): callers pass one output per lane, never empty
-    let first = *outputs.first().expect("at least one lane output");
-    match first {
-        QueryOutput::Counter { .. } => {
-            let (mut packets, mut bytes) = (0.0, 0.0);
-            for output in outputs {
-                if let QueryOutput::Counter { packets: p, bytes: b } = output {
-                    packets += p;
-                    bytes += b;
-                }
-            }
-            QueryOutput::Counter { packets, bytes }
-        }
-        QueryOutput::Application { .. } => {
-            let mut per_app: BTreeMap<&'static str, (f64, f64)> = BTreeMap::new();
-            for output in outputs {
-                if let QueryOutput::Application { per_app: lane } = output {
-                    for (&app, &(packets, bytes)) in lane {
-                        let entry = per_app.entry(app).or_insert((0.0, 0.0));
-                        entry.0 += packets;
-                        entry.1 += bytes;
-                    }
-                }
-            }
-            QueryOutput::Application { per_app }
-        }
-        QueryOutput::Flows { .. } => {
-            let mut count = 0.0;
-            for output in outputs {
-                if let QueryOutput::Flows { count: c } = output {
-                    count += c;
-                }
-            }
-            // Flows of one host pair stay on one lane (the routing key is
-            // the host pair), so lane counts are disjoint and add exactly.
-            QueryOutput::Flows { count }
-        }
-        QueryOutput::HighWatermark { .. } => {
-            let mut mbps = 0.0;
-            for output in outputs {
-                if let QueryOutput::HighWatermark { mbps: m } = output {
-                    mbps = if m > &mbps { *m } else { mbps };
-                }
-            }
-            // A lane watermark lower-bounds the link watermark (lane peaks
-            // need not coincide in time); the max is the standard
-            // distributed-watermark estimate.
-            QueryOutput::HighWatermark { mbps }
-        }
-        QueryOutput::TopK { .. } => {
-            let mut per_dst: BTreeMap<u32, f64> = BTreeMap::new();
-            let mut k = 0;
-            for output in outputs {
-                if let QueryOutput::TopK { ranking } = output {
-                    k = k.max(ranking.len());
-                    for &(dst, count) in ranking {
-                        *per_dst.entry(dst).or_insert(0.0) += count;
-                    }
-                }
-            }
-            // Distributed top-k from per-lane top-k lists is inherently
-            // lossy (a dst just below every lane's cut is lost); counts for
-            // the survivors are exact because each dst's flows share a lane.
-            let mut ranking: Vec<(u32, f64)> = per_dst.into_iter().collect();
-            ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            ranking.truncate(k);
-            QueryOutput::TopK { ranking }
-        }
-        QueryOutput::Autofocus { .. } => {
-            let mut clusters: BTreeMap<(u32, u8), f64> = BTreeMap::new();
-            for output in outputs {
-                if let QueryOutput::Autofocus { clusters: lane } = output {
-                    for &(prefix, len, volume) in lane {
-                        *clusters.entry((prefix, len)).or_insert(0.0) += volume;
-                    }
-                }
-            }
-            QueryOutput::Autofocus {
-                clusters: clusters
-                    .into_iter()
-                    .map(|((prefix, len), volume)| (prefix, len, volume))
-                    .collect(),
-            }
-        }
-        QueryOutput::SuperSources { .. } => {
-            let mut fanouts: BTreeMap<u32, f64> = BTreeMap::new();
-            for output in outputs {
-                if let QueryOutput::SuperSources { fanouts: lane } = output {
-                    for (&source, &fanout) in lane {
-                        // A source's peers split across lanes by host pair,
-                        // so per-lane fanouts count disjoint peer sets.
-                        *fanouts.entry(source).or_insert(0.0) += fanout;
-                    }
-                }
-            }
-            QueryOutput::SuperSources { fanouts }
-        }
-        QueryOutput::P2pFlows { .. } => {
-            let mut flows: BTreeSet<u64> = BTreeSet::new();
-            for output in outputs {
-                if let QueryOutput::P2pFlows { flows: lane } = output {
-                    flows.extend(lane.iter().copied());
-                }
-            }
-            QueryOutput::P2pFlows { flows }
-        }
-        QueryOutput::Coverage { .. } => {
-            let (mut processed_packets, mut total_packets) = (0.0, 0.0);
-            for output in outputs {
-                if let QueryOutput::Coverage {
-                    processed_packets: processed,
-                    total_packets: total,
-                } = output
-                {
-                    processed_packets += processed;
-                    total_packets += total;
-                }
-            }
-            QueryOutput::Coverage { processed_packets, total_packets }
-        }
     }
 }
 
@@ -740,6 +598,47 @@ mod tests {
             (total - capacity).abs() <= capacity * 1e-9,
             "budgets conserve the global capacity: {total} vs {capacity}"
         );
+    }
+
+    #[test]
+    fn budgets_conserve_a_capacity_below_twice_the_platform_overhead() {
+        // `H < C < 2·H` validates (a monitor only needs `C > H`), and there
+        // the uncapped liveness floor `2·H / lanes` alone outspends the
+        // capacity: the budgets summed to `2·H`.
+        let (overhead, lanes) = (1.0e6, 4);
+        let capacity = 1.5 * overhead;
+        let mut fleet = Monitor::builder()
+            .capacity(capacity)
+            .platform_overhead(overhead)
+            .no_noise()
+            .with_shard_lanes(lanes)
+            .query(QuerySpec::new(QueryKind::Counter))
+            .build_sharded()
+            .expect("any configuration a solo monitor accepts, the fleet accepts");
+        for bin in 0..6 {
+            fleet.process_bin(&single_pair_batch(bin, 400), &mut NullObserver).expect("bin");
+            let budgets = fleet.lane_capacities();
+            let total: f64 = budgets.iter().sum();
+            assert!(
+                (total - capacity).abs() <= capacity * 1e-9,
+                "bin {bin}: budgets {budgets:?} sum to {total}, not {capacity}"
+            );
+            for &budget in budgets {
+                assert!(budget >= overhead / lanes as f64, "bin {bin}: starved lane {budgets:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_lane_budget_is_exactly_the_capacity() {
+        // Not within an ulp: bit-equal, whatever the lane demands — the
+        // arithmetic half of "a one-lane fleet is the solo monitor".
+        let capacity = 53_245.364 * 3.0;
+        let mut fleet = fleet(capacity, 1);
+        for bin in 0..8 {
+            fleet.process_bin(&single_pair_batch(bin, 300), &mut NullObserver).expect("bin");
+            assert_eq!(fleet.lane_capacities()[0].to_bits(), capacity.to_bits(), "bin {bin}");
+        }
     }
 
     #[test]

@@ -41,11 +41,11 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 
 use netshed_monitor::{
     DigestObserver, Monitor, MonitorConfig, NetshedError, PredictorKind, QueryId, RunDigest,
-    RunObserver, Strategy,
+    Strategy,
 };
 use netshed_queries::QuerySpec;
 use netshed_sketch::{StateError, StateReader, StateWriter};
-use netshed_trace::PacketSource;
+use netshed_trace::{BatchReplay, PacketSource};
 
 use crate::engine::MonitorEngine;
 use crate::snapshot::{Snapshot, SnapshotError};
@@ -298,7 +298,7 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
     /// Advances the service loop: applies queued commands (at bin
     /// boundaries, in arrival order), then processes up to the configured
     /// number of non-empty bins, mirroring [`Monitor::run`]'s observer
-    /// sequence exactly.
+    /// sequence exactly (both go through the engine's `ingest`).
     pub fn tick(&mut self) -> Result<TickStatus, ServiceError> {
         let mut bins = 0u64;
         loop {
@@ -310,10 +310,7 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
                 return Ok(TickStatus::Progressed { bins });
             }
             let Some(batch) = self.source.next_batch() else {
-                if self.monitor.interval_open() {
-                    let outputs = self.monitor.finish_interval();
-                    self.digest.on_interval(&outputs);
-                }
+                self.end_run()?;
                 return Ok(TickStatus::SourceExhausted);
             };
             self.bins_ingested += 1;
@@ -336,6 +333,15 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
                 return Ok(status);
             }
         }
+    }
+
+    /// Ends the hosted run the way [`Engine::run`](netshed_monitor::Engine::run)
+    /// ends one — which, over a source with nothing left, is all that call
+    /// does: the open measurement interval (if any) is flushed into the
+    /// digest.
+    fn end_run(&mut self) -> Result<(), ServiceError> {
+        self.monitor.run(&mut BatchReplay::new(Vec::new()), &mut self.digest)?;
+        Ok(())
     }
 
     fn drain_commands(&mut self) {
@@ -363,12 +369,9 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
                     let _ = reply.send(self.checkpoint());
                 }
                 Command::Shutdown { reply } => {
-                    if self.monitor.interval_open() {
-                        let outputs = self.monitor.finish_interval();
-                        self.digest.on_interval(&outputs);
-                    }
+                    let ended = self.end_run();
                     self.shutdown = true;
-                    let _ = reply.send(Ok(self.digest.digest()));
+                    let _ = reply.send(ended.map(|()| self.digest.digest()));
                     // Commands queued behind the shutdown are dropped; their
                     // reply senders go with them, so waiters observe
                     // ChannelClosed rather than silence.
@@ -469,18 +472,10 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
             return Err(ServiceError::SourceTooShort { needed: bins_ingested, skipped });
         }
 
-        let (tx, rx) = channel();
-        let daemon = Daemon {
-            monitor,
-            source,
-            digest,
-            commands: rx,
-            handle: tx.clone(),
-            bins_ingested,
-            bins_per_tick: DEFAULT_BINS_PER_TICK,
-            shutdown: false,
-        };
-        Ok((daemon, ControlChannel { tx }))
+        let (mut daemon, control) = Daemon::new(monitor, source);
+        daemon.digest = digest;
+        daemon.bins_ingested = bins_ingested;
+        Ok((daemon, control))
     }
 }
 

@@ -3,30 +3,27 @@
 //!
 //! The service loop — command windows at bin boundaries, digest maintenance,
 //! `.nsck` checkpoint/restore — is the same whether one [`Monitor`] or a
-//! [`ShardedMonitor`] fleet does the computing. [`MonitorEngine`] is that
-//! seam: the daemon drives `ingest` per non-empty bin and delegates
-//! registration, policy swaps, interval flushes and state (de)serialisation.
+//! [`ShardedMonitor`] fleet does the computing. The behaviour the daemon
+//! drives — `ingest` per non-empty bin, registration, policy swaps, the
+//! final flush — is `netshed-monitor`'s [`Engine`] contract, spelled once
+//! for every host; [`MonitorEngine`] is that contract plus the three things
+//! only a restorable service needs: rebuilding from a configuration and
+//! (de)serialising into named `.nsck` sections.
 //!
-//! Both implementations uphold the determinism contract the daemon documents:
-//! `ingest` reports to the observer in the exact order `Monitor::run` does
-//! (`on_batch`, `on_interval` when one closed, `on_decision`, `on_bin` — the
-//! sharded engine repeats the decision/record pair per lane in lane order),
-//! and the checkpoint sections capture essential state only, so a restored
-//! engine continues bit-identically at any worker or shard-thread count.
+//! Both implementations uphold the determinism contract the daemon
+//! documents: the checkpoint sections capture essential state only, so a
+//! restored engine continues bit-identically at any worker or shard-thread
+//! count.
 
-use netshed_monitor::{
-    Monitor, MonitorConfig, NetshedError, QueryId, RunObserver, ShardedMonitor, Strategy,
-};
-use netshed_queries::{QueryOutput, QuerySpec};
+use netshed_monitor::{Engine, Monitor, MonitorConfig, NetshedError, ShardedMonitor};
 use netshed_sketch::{StateReader, StateWriter};
-use netshed_trace::Batch;
 
 use crate::daemon::ServiceError;
 use crate::snapshot::Snapshot;
 
-/// A computation the service plane can host: ingest bins, answer the control
-/// channel, serialise into named `.nsck` sections.
-pub trait MonitorEngine {
+/// A computation the service plane can host: an [`Engine`] that can be
+/// rebuilt from its configuration and serialised into `.nsck` sections.
+pub trait MonitorEngine: Engine {
     /// Rebuilds a fresh engine from the run's configuration (the restore
     /// path; state is loaded separately through
     /// [`load_sections`](MonitorEngine::load_sections)).
@@ -34,42 +31,13 @@ pub trait MonitorEngine {
     where
         Self: Sized;
 
-    /// The configuration of the hosted run. For a sharded engine this is the
-    /// *global* configuration — checkpoint cross-checks compare against it
-    /// bit for bit, and per-lane budgets are coordinator state, not config.
-    fn config(&self) -> &MonitorConfig;
-
-    /// Name of the active control policy.
-    fn policy_name(&self) -> String;
-
-    /// Registers a query (fleet-wide for a sharded engine).
-    fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError>;
-
-    /// Deregisters a query by handle.
-    fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError>;
-
-    /// Swaps the control policy to a built-in strategy.
-    fn set_strategy(&mut self, strategy: Strategy);
-
-    /// Whether a measurement interval is currently open.
-    fn interval_open(&self) -> bool;
-
-    /// Flushes the open measurement interval and returns its outputs.
-    fn finish_interval(&mut self) -> Vec<(String, QueryOutput)>;
-
-    /// Processes one non-empty bin, reporting every event to `observer` in
-    /// the engine's canonical (deterministic) order, starting with
-    /// `on_batch` for the undivided batch.
-    fn ingest(&mut self, batch: &Batch, observer: &mut dyn RunObserver)
-        -> Result<(), NetshedError>;
-
     /// Appends the engine's state sections to a checkpoint under way.
     fn save_sections(&self, snapshot: &mut Snapshot) -> Result<(), ServiceError>;
 
     /// Restores the engine's state from its checkpoint sections. The caller
     /// has already installed the snapshot's policy (via
-    /// [`set_strategy`](MonitorEngine::set_strategy)), so shadow
-    /// reconstruction follows the right policy.
+    /// [`set_strategy`](Engine::set_strategy)), so shadow reconstruction
+    /// follows the right policy.
     fn load_sections(&mut self, snapshot: &Snapshot) -> Result<(), ServiceError>;
 }
 
@@ -84,49 +52,6 @@ impl MonitorEngine for Monitor {
     fn from_config(config: MonitorConfig) -> Result<Self, NetshedError> {
         config.validate()?;
         Ok(Monitor::new(config))
-    }
-
-    fn config(&self) -> &MonitorConfig {
-        Monitor::config(self)
-    }
-
-    fn policy_name(&self) -> String {
-        Monitor::policy_name(self)
-    }
-
-    fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
-        Monitor::register(self, spec)
-    }
-
-    fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
-        Monitor::deregister(self, id)
-    }
-
-    fn set_strategy(&mut self, strategy: Strategy) {
-        self.set_policy(strategy.control_policy());
-    }
-
-    fn interval_open(&self) -> bool {
-        Monitor::interval_open(self)
-    }
-
-    fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
-        Monitor::finish_interval(self)
-    }
-
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        observer: &mut dyn RunObserver,
-    ) -> Result<(), NetshedError> {
-        observer.on_batch(batch);
-        let record = self.process_batch(batch)?;
-        if let Some(outputs) = &record.interval_outputs {
-            observer.on_interval(outputs);
-        }
-        observer.on_decision(record.bin_index, &record.decision);
-        observer.on_bin(&record);
-        Ok(())
     }
 
     fn save_sections(&self, snapshot: &mut Snapshot) -> Result<(), ServiceError> {
@@ -147,44 +72,6 @@ impl MonitorEngine for Monitor {
 impl MonitorEngine for ShardedMonitor {
     fn from_config(config: MonitorConfig) -> Result<Self, NetshedError> {
         ShardedMonitor::new(config)
-    }
-
-    fn config(&self) -> &MonitorConfig {
-        ShardedMonitor::config(self)
-    }
-
-    fn policy_name(&self) -> String {
-        ShardedMonitor::policy_name(self)
-    }
-
-    fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
-        ShardedMonitor::register(self, spec)
-    }
-
-    fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
-        ShardedMonitor::deregister(self, id)
-    }
-
-    fn set_strategy(&mut self, strategy: Strategy) {
-        ShardedMonitor::set_strategy(self, strategy);
-    }
-
-    fn interval_open(&self) -> bool {
-        ShardedMonitor::interval_open(self)
-    }
-
-    fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
-        ShardedMonitor::finish_interval(self)
-    }
-
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        observer: &mut dyn RunObserver,
-    ) -> Result<(), NetshedError> {
-        // process_bin already runs the full observer protocol (on_batch,
-        // merged on_interval, per-lane on_decision/on_bin in lane order).
-        self.process_bin(batch, observer).map(|_records| ())
     }
 
     fn save_sections(&self, snapshot: &mut Snapshot) -> Result<(), ServiceError> {

@@ -4,10 +4,10 @@
 //! always rejected with a diagnosable error.
 
 use netshed_monitor::{
-    AllocationPolicy, DigestObserver, Monitor, MonitorConfig, RunDigest, Strategy,
+    AllocationPolicy, DigestObserver, Monitor, MonitorConfig, RunDigest, ShardedMonitor, Strategy,
 };
 use netshed_queries::{QueryKind, QuerySpec};
-use netshed_service::{Daemon, ServiceError, Snapshot, SnapshotError, TickStatus};
+use netshed_service::{Daemon, MonitorEngine, ServiceError, Snapshot, SnapshotError, TickStatus};
 use netshed_sketch::StateError;
 use netshed_trace::{BatchReplay, PacketSource, TraceConfig, TraceGenerator};
 
@@ -72,15 +72,19 @@ fn daemon_with_registered_queries(
     (daemon, control)
 }
 
-/// The digest of the same run driven by `Monitor::run` directly.
-fn monitor_run_digest(config: MonitorConfig) -> RunDigest {
-    let mut monitor = Monitor::new(config);
+/// Engine `E` over `config` with the test query set registered.
+fn engine_with_queries<E: MonitorEngine>(config: &MonitorConfig) -> E {
+    let mut engine = E::from_config(config.clone()).expect("valid configuration");
     for kind in KINDS {
-        monitor.register(&QuerySpec::new(kind)).expect("valid spec");
+        engine.register(&QuerySpec::new(kind)).expect("valid spec");
     }
-    let mut source = recorded_trace();
+    engine
+}
+
+/// The digest of the same run driven by the engine's own `run` directly.
+fn run_digest<E: MonitorEngine>(config: &MonitorConfig) -> RunDigest {
     let mut digest = DigestObserver::new();
-    monitor.run(&mut source, &mut digest).expect("run");
+    engine_with_queries::<E>(config).run(&mut recorded_trace(), &mut digest).expect("run");
     digest.digest()
 }
 
@@ -92,7 +96,7 @@ fn a_daemon_run_matches_monitor_run_exactly() {
     let config = overloaded_config(1);
     let (mut daemon, _control) = daemon_with_registered_queries(config.clone(), 5);
     assert!(matches!(daemon.run_to_exhaustion().expect("run"), TickStatus::SourceExhausted));
-    assert_eq!(daemon.digest(), monitor_run_digest(config));
+    assert_eq!(daemon.digest(), run_digest::<Monitor>(&config));
     assert_eq!(daemon.bins_ingested(), TRACE_BINS as u64);
 }
 
@@ -123,7 +127,7 @@ fn an_administered_run_replays_bit_identically_across_worker_counts() {
 #[test]
 fn checkpoint_restores_into_a_fresh_daemon_bit_identically() {
     let config = overloaded_config(1);
-    let reference = monitor_run_digest(config.clone());
+    let reference = run_digest::<Monitor>(&config);
 
     // Run to a mid-scenario cut and checkpoint through the control channel.
     let (mut daemon, control) = daemon_with_registered_queries(config.clone(), 7);
@@ -457,31 +461,14 @@ fn a_real_checkpoint_reencodes_byte_identically_at_several_cuts() {
     }
 }
 
-/// A sharded fleet over the same configuration and query set.
-fn sharded_fleet(config: &MonitorConfig) -> netshed_monitor::ShardedMonitor {
-    netshed_monitor::MonitorBuilder::from_config(config.clone())
-        .queries(KINDS.iter().map(|kind| QuerySpec::new(*kind)))
-        .build_sharded()
-        .expect("valid sharded configuration")
-}
-
-/// The digest of the same sharded run driven by `ShardedMonitor::run`
-/// directly.
-fn sharded_run_digest(config: &MonitorConfig) -> RunDigest {
-    let mut fleet = sharded_fleet(config);
-    let mut source = recorded_trace();
-    let mut digest = DigestObserver::new();
-    fleet.run(&mut source, &mut digest).expect("run");
-    digest.digest()
-}
-
 #[test]
 fn a_sharded_daemon_run_matches_the_fleet_run_exactly() {
     // The sharded engine's ingest must mirror ShardedMonitor::run's observer
     // sequence, exactly as the solo engine mirrors Monitor::run's.
     let config = overloaded_config(1).with_shard_lanes(4);
-    let reference = sharded_run_digest(&config);
-    let (daemon, _control) = Daemon::new(sharded_fleet(&config), recorded_trace());
+    let reference = run_digest::<ShardedMonitor>(&config);
+    let (daemon, _control) =
+        Daemon::new(engine_with_queries::<ShardedMonitor>(&config), recorded_trace());
     let mut daemon = daemon.with_bins_per_tick(5);
     assert!(matches!(daemon.run_to_exhaustion().expect("run"), TickStatus::SourceExhausted));
     assert_eq!(daemon.digest(), reference);
@@ -495,9 +482,10 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
     // shard-thread count must finish on the uninterrupted run's digest —
     // `shards`, like `workers`, is a pure wall-clock knob.
     let config = overloaded_config(1).with_shard_lanes(4);
-    let reference = sharded_run_digest(&config);
+    let reference = run_digest::<ShardedMonitor>(&config);
 
-    let (daemon, control) = Daemon::new(sharded_fleet(&config), recorded_trace());
+    let (daemon, control) =
+        Daemon::new(engine_with_queries::<ShardedMonitor>(&config), recorded_trace());
     let mut daemon = daemon.with_bins_per_tick(7);
     for _ in 0..2 {
         assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 7 }));
@@ -515,7 +503,7 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
     assert!(snapshot.section("sharded").is_ok(), "checkpoint carries the coordinator");
 
     for shards in [1usize, 2, 4] {
-        let (mut resumed, _control) = Daemon::<_, netshed_monitor::ShardedMonitor>::restore_engine(
+        let (mut resumed, _control) = Daemon::<_, ShardedMonitor>::restore_engine(
             config.clone().with_shards(shards),
             recorded_trace(),
             &bytes,
@@ -534,7 +522,7 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
 
     // A fleet with a different lane partition must refuse the checkpoint:
     // lanes own state, so the lane count is configuration, not a knob.
-    let error = Daemon::<_, netshed_monitor::ShardedMonitor>::restore_engine(
+    let error = Daemon::<_, ShardedMonitor>::restore_engine(
         config.with_shard_lanes(2),
         recorded_trace(),
         &bytes,
@@ -542,4 +530,60 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
     .map(|_| ())
     .unwrap_err();
     assert!(matches!(error, ServiceError::Snapshot(_)), "got {error:?}");
+}
+
+#[test]
+fn a_crafted_coordinator_section_is_rejected_naming_lane_and_field() {
+    // A `.nsck` is outside input and its checksums are not cryptographic: a
+    // re-encoded container is checksum-valid whatever its `sharded` section
+    // holds. A budget or demand the coordinator could never have written
+    // must fail the restore, not wedge the fleet in CapacityUnderflow or
+    // reach the allocator.
+    let config = overloaded_config(1).with_shard_lanes(4);
+    let (daemon, _control) =
+        Daemon::new(engine_with_queries::<ShardedMonitor>(&config), recorded_trace());
+    let mut daemon = daemon.with_bins_per_tick(9);
+    assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 9 }));
+    let honest = daemon.checkpoint().expect("checkpoint");
+    let restore = |bytes: &[u8]| {
+        Daemon::<_, ShardedMonitor>::restore_engine(config.clone(), recorded_trace(), bytes)
+            .map(|_| ())
+    };
+    restore(&honest).expect("the honest checkpoint restores");
+
+    // The section: a u64 lane count, then (capacity, demand) per lane.
+    let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
+    let craft = |lane: usize, field: usize, poison: f64| {
+        let mut crafted = Snapshot::new();
+        for name in snapshot.section_names() {
+            let mut body = snapshot.section(name).expect("listed section").to_vec();
+            if name == "sharded" {
+                let at = 8 + (lane * 2 + field) * 8;
+                body[at..at + 8].copy_from_slice(&poison.to_le_bytes());
+            }
+            crafted.push(name, body).expect("section");
+        }
+        crafted.to_bytes()
+    };
+    assert_eq!(craft(0, 0, daemon.monitor().lane_capacities()[0]), honest, "re-encoding is exact");
+
+    for (lane, field, label, poisons) in [
+        (0, 0, "capacity", &[f64::NAN, f64::INFINITY, 0.0, -1.0e6][..]),
+        (3, 0, "capacity", &[f64::NEG_INFINITY, -0.0][..]),
+        (2, 1, "demand", &[f64::NAN, f64::INFINITY, -1.0][..]),
+    ] {
+        for &poison in poisons {
+            let error = restore(&craft(lane, field, poison)).expect_err("must not restore");
+            let ServiceError::Snapshot(SnapshotError::State(StateError::Corrupt(message))) = &error
+            else {
+                panic!(
+                    "lane {lane} {label} = {poison}: expected a corrupt-state error, got {error}"
+                );
+            };
+            assert!(
+                message.contains(&format!("lane {lane} {label}")),
+                "lane {lane} {label} = {poison}: {message}"
+            );
+        }
+    }
 }

@@ -38,7 +38,7 @@ pub use netshed_fairness::{AllocationStrategy, QueryDemand};
 pub use netshed_monitor::{
     AccuracyTracker, AllocationGameAttacker, AllocationPolicy, BinRecord, ControlContext,
     ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DegradationGuardConfig,
-    DigestObserver, EnforcementConfig, ExecStats, HysteresisReactivePolicy, Monitor,
+    DigestObserver, EnforcementConfig, Engine, ExecStats, HysteresisReactivePolicy, Monitor,
     MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy,
     PredictivePolicy, PredictorKind, QueryId, ReactivePolicy, RecordSink, ReferenceRunner,
     RunDigest, RunObserver, RunSummary, ShardedMonitor, Strategy, StreamDigest,
@@ -58,7 +58,7 @@ pub mod prelude {
     pub use netshed_monitor::{
         AccuracyTracker, AllocationGameAttacker, AllocationPolicy, BinRecord, ControlContext,
         ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DegradationGuardConfig,
-        DigestObserver, EnforcementConfig, ExecStats, HysteresisReactivePolicy, Monitor,
+        DigestObserver, EnforcementConfig, Engine, ExecStats, HysteresisReactivePolicy, Monitor,
         MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy,
         PredictivePolicy, PredictorKind, QueryBinRecord, QueryId, ReactivePolicy, RecordSink,
         ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Strategy,

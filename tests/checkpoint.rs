@@ -16,9 +16,10 @@
 //! `NETSHED_THREADS=1` and `=4`; this file enforces the same criterion
 //! in-process so a regression fails `cargo test` before CI.
 
+use netshed::{Monitor, ShardedMonitor};
 use netshed_bench::corpus::{
-    all_strategies, checkpoint_run, corpus_capacity, diff_digests, parse_manifest, resume_run,
-    GoldenEntry, MANIFEST_NAME,
+    all_strategies, checkpoint_run, corpus_capacity, corpus_config, diff_digests, digest_run,
+    parse_manifest, resume_run, GoldenEntry, MANIFEST_NAME,
 };
 use netshed_trace::scenario::builtins;
 use std::path::PathBuf;
@@ -51,12 +52,13 @@ fn midpoint_restore_matches_the_golden_manifest_at_both_worker_counts() {
                     panic!("{} / {name}: missing from the golden manifest", scenario.name())
                 });
             for workers in [1usize, 4] {
-                let snapshot = checkpoint_run(&batches, strategy, capacity, workers, at)
+                let config = corpus_config(strategy, capacity, workers);
+                let snapshot = checkpoint_run::<Monitor>(&batches, config.clone(), at)
                     .unwrap_or_else(|e| {
                         panic!("{} / {name} @ {workers}w: checkpoint failed: {e}", scenario.name())
                     });
-                let resumed = resume_run(&snapshot, &batches, strategy, capacity, workers)
-                    .unwrap_or_else(|e| {
+                let resumed =
+                    resume_run::<Monitor>(&snapshot, &batches, config).unwrap_or_else(|e| {
                         panic!("{} / {name} @ {workers}w: resume failed: {e}", scenario.name())
                     });
                 for line in diff_digests(scenario.name(), &name, entry.digest, resumed) {
@@ -89,10 +91,11 @@ fn snapshots_are_portable_across_worker_counts() {
         .find(|e| e.scenario == scenario.name() && e.strategy == name)
         .expect("pinned row");
     for (checkpoint_workers, resume_workers) in [(1usize, 4usize), (4, 1)] {
-        let snapshot = checkpoint_run(&batches, strategy, capacity, checkpoint_workers, at)
+        let config = |workers| corpus_config(strategy, capacity, workers);
+        let snapshot = checkpoint_run::<Monitor>(&batches, config(checkpoint_workers), at)
             .expect("checkpoint");
         let resumed =
-            resume_run(&snapshot, &batches, strategy, capacity, resume_workers).expect("resume");
+            resume_run::<Monitor>(&snapshot, &batches, config(resume_workers)).expect("resume");
         let drift = diff_digests(scenario.name(), &name, entry.digest, resumed);
         assert!(
             drift.is_empty(),
@@ -117,13 +120,45 @@ fn every_cut_point_resumes_to_the_pinned_digest() {
         .find(|e| e.scenario == scenario.name() && e.strategy == name)
         .expect("pinned row");
     for at in 1..non_empty {
-        let snapshot = checkpoint_run(&batches, strategy, capacity, 1, at).expect("checkpoint");
-        let resumed = resume_run(&snapshot, &batches, strategy, capacity, 1).expect("resume");
+        let config = corpus_config(strategy, capacity, 1);
+        let snapshot = checkpoint_run::<Monitor>(&batches, config.clone(), at).expect("checkpoint");
+        let resumed = resume_run::<Monitor>(&snapshot, &batches, config).expect("resume");
         let drift = diff_digests(scenario.name(), &name, entry.digest, resumed);
         assert!(
             drift.is_empty(),
             "cut at bin {at} of {non_empty} drifted:\n  {}",
             drift.join("\n  ")
         );
+    }
+}
+
+/// The fleet leg: the same harness over a `ShardedMonitor`. A fleet's digest
+/// is its own contract (the manifest pins solo runs), so the reference is the
+/// uninterrupted fleet run; the midpoint checkpoint restores at a *different*
+/// shard-thread count — `shards`, like `workers`, never reaches the `.nsck`.
+#[test]
+fn a_fleet_checkpoint_resumes_at_another_shard_thread_count() {
+    for scenario in builtins() {
+        let batches = scenario.generate().expect("builtins are valid");
+        let capacity = corpus_capacity(&batches);
+        let non_empty = batches.iter().filter(|b| !b.is_empty()).count() as u64;
+        let at = (non_empty / 2).max(1);
+        let (name, strategy) = all_strategies().into_iter().last().expect("seven strategies");
+        let config = |shards| corpus_config(strategy, capacity, 1).with_shards(shards);
+        let reference = digest_run::<ShardedMonitor>(&batches, config(1)).expect("fleet run");
+        for (checkpoint_shards, resume_shards) in [(1usize, 4usize), (4, 2)] {
+            let snapshot =
+                checkpoint_run::<ShardedMonitor>(&batches, config(checkpoint_shards), at)
+                    .expect("checkpoint");
+            let resumed = resume_run::<ShardedMonitor>(&snapshot, &batches, config(resume_shards))
+                .expect("resume");
+            let drift = diff_digests(scenario.name(), &name, reference, resumed);
+            assert!(
+                drift.is_empty(),
+                "fleet checkpoint at {checkpoint_shards} shard thread(s) + resume at \
+                 {resume_shards} drifted:\n  {}",
+                drift.join("\n  ")
+            );
+        }
     }
 }

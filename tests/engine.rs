@@ -1,0 +1,159 @@
+//! The engine contract, pinned from both sides.
+//!
+//! `Engine::run` is the one run loop in the workspace: `Monitor::run`,
+//! `ShardedMonitor::run` and the daemon's final flush are calls into it.
+//! Two things keep that honest for both engines:
+//!
+//! * the `RunSummary` the loop returns on one corpus scenario is pinned to
+//!   the bit — counters, and every `cycles_per_bin` / `prediction_errors`
+//!   element as its `u64` pattern — as captured at the commit before the
+//!   loop was unified (`payload-shift`: quiet bins for the skip-and-count
+//!   path, idle lanes and uncontrolled lane drops for the fleet's fold);
+//! * the three ways to drive an engine — `run`, daemon ticks, a hand-driven
+//!   `ingest` loop — agree on all three digest streams.
+
+use netshed::prelude::*;
+use netshed_bench::corpus::{all_strategies, corpus_capacity, corpus_config, corpus_engine};
+use netshed_service::{Daemon, MonitorEngine, TickStatus};
+use netshed_trace::scenario::builtin;
+
+/// What `run` must return on the pinned scenario.
+struct PinnedSummary {
+    total_uncontrolled_drops: u64,
+    cycles_per_bin: &'static [u64],
+    prediction_errors: &'static [u64],
+}
+
+const SOLO: PinnedSummary = PinnedSummary {
+    total_uncontrolled_drops: 0,
+    cycles_per_bin: &[
+        0x40e9932000000000,
+        0x40d0d88000000000,
+        0x40e1f9c000000000,
+        0x40d2508000000000,
+        0x40e056a000000000,
+        0x40e01dc000000000,
+        0x40e1e10000000000,
+        0x40d65d0000000000,
+        0x40e20d8000000000,
+        0x40d8bf0000000000,
+        0x40e1392000000000,
+        0x40dccd8000000000,
+        0x40e1ad4000000000,
+        0x40dcca4000000000,
+        0x40e1334000000000,
+        0x40dccbc000000000,
+        0x40e0812000000000,
+        0x40df248000000000,
+        0x40e019a000000000,
+        0x40dea4c000000000,
+    ],
+    prediction_errors: &[
+        0x3ff0000000000000,
+        0x3fef3661420d062c,
+        0x40232df63120e07c,
+        0x4014bf363ef27114,
+        0x3ffc11cdfc5f5822,
+        0x3ffe8c620dbafdfc,
+        0x4002d007a417851a,
+        0x4031f5224005c850,
+        0x40249a69e1352798,
+        0x403b5aed003a1b80,
+        0x4022c91dab0607ba,
+        0x403398ba3e292ee1,
+        0x403247908374d87e,
+        0x404a9b1f93b9b18c,
+        0x402f3b8863e5b856,
+        0x403139cc3a0bf5c4,
+        0x40555671e1d58e63,
+        0x4049ddc859d7c753,
+    ],
+};
+
+const FLEET: PinnedSummary = PinnedSummary {
+    total_uncontrolled_drops: 59,
+    cycles_per_bin: &[
+        0x40e84b4000000000,
+        0x40c01d0000000000,
+        0x40dd8d8000000000,
+        0x40cd7c8000000000,
+        0x40e628c000000000,
+        0x40bbfa0000000000,
+        0x40a9640000000000,
+        0x40ca440000000000,
+        0x40cb398000000000,
+        0x40d0c00000000000,
+        0x40d6258000000000,
+        0x40d6af4000000000,
+        0x40daf78000000000,
+        0x40dc6a0000000000,
+        0x40e171e000000000,
+        0x40d7e18000000000,
+        0x40d3430000000000,
+        0x40d7260000000000,
+        0x40dec68000000000,
+        0x40d11a4000000000,
+    ],
+    prediction_errors: &[
+        0x3ff0000000000000,
+        0x3ff0000000000000,
+        0x3ff0000000000000,
+        0x3ff0000000000000,
+        0x3fec14e5e0a72f06,
+        0x3fd1a4370c8e5686,
+        0x3fe3edcba9876543,
+        0x400e305160a2c146,
+        0x404a2c909d271446,
+        0x400d19e9b0f1efda,
+        0x40087f9d186f2e8a,
+        0x4032ab8be0547420,
+        0x400207891b00a0c2,
+        0x400d9bc8b1f5301e,
+        0x406520aa8aaed25b,
+    ],
+};
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|value| value.to_bits()).collect()
+}
+
+/// Drives engine `E` over the pinned scenario three ways and checks the
+/// summary of the first against `pinned` and the digests against each other.
+fn check<E: MonitorEngine>(pinned: &PinnedSummary) {
+    let batches = builtin("payload-shift").expect("builtin scenario").generate().expect("valid");
+    let (_, strategy) = all_strategies().into_iter().last().expect("seven strategies");
+    let config = corpus_config(strategy, corpus_capacity(&batches), 1).with_shards(1);
+    let build = || corpus_engine::<E>(config.clone()).expect("valid corpus configuration");
+
+    let mut ran = DigestObserver::new();
+    let summary = build().run(&mut BatchReplay::new(batches.clone()), &mut ran).expect("run");
+    assert_eq!(summary.bins, 20);
+    assert_eq!(summary.empty_bins, 4);
+    assert_eq!(summary.total_packets, 584);
+    assert_eq!(summary.total_uncontrolled_drops, pinned.total_uncontrolled_drops);
+    assert_eq!(bits(&summary.cycles_per_bin), pinned.cycles_per_bin);
+    assert_eq!(bits(&summary.prediction_errors), pinned.prediction_errors);
+
+    let (daemon, _control) = Daemon::new(build(), BatchReplay::new(batches.clone()));
+    let mut daemon = daemon.with_bins_per_tick(3);
+    assert_eq!(daemon.run_to_exhaustion().expect("ticks"), TickStatus::SourceExhausted);
+    assert_eq!(daemon.digest(), ran.digest(), "daemon ticks diverged from run");
+
+    let mut engine = build();
+    let mut driven = DigestObserver::new();
+    for batch in batches.iter().filter(|batch| !batch.is_empty()) {
+        engine.ingest(batch, &mut driven).expect("ingest");
+    }
+    driven.on_interval(&engine.finish_interval());
+    assert_eq!(driven.digest(), ran.digest(), "a hand-driven ingest loop diverged from run");
+}
+
+#[test]
+fn monitor_run_is_the_pinned_loop_and_every_driver_agrees() {
+    check::<Monitor>(&SOLO);
+}
+
+#[test]
+fn fleet_run_is_the_pinned_loop_and_every_driver_agrees() {
+    check::<ShardedMonitor>(&FLEET);
+}

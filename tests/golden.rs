@@ -25,8 +25,8 @@
 
 use netshed::prelude::*;
 use netshed_bench::corpus::{
-    all_strategies, corpus_capacity, corpus_specs, diff_digests, digest_run, parse_manifest,
-    GoldenEntry, MANIFEST_NAME, TRACE_EXTENSION,
+    all_strategies, corpus_capacity, corpus_config, corpus_specs, diff_digests, digest_run,
+    parse_manifest, GoldenEntry, MANIFEST_NAME, TRACE_EXTENSION,
 };
 use netshed_trace::scenario::builtins;
 use netshed_trace::{decode_batches, decode_batches_shared, encode_batches, Bytes};
@@ -171,7 +171,8 @@ fn digests_match_the_committed_golden_manifest() {
                 .unwrap_or_else(|| {
                     panic!("{} / {name}: missing from the golden manifest", scenario.name())
                 });
-            let fresh = digest_run(&batches, strategy, capacity, 1).expect("corpus run");
+            let fresh = digest_run::<Monitor>(&batches, corpus_config(strategy, capacity, 1))
+                .expect("corpus run");
             drift.extend(diff_digests(scenario.name(), &name, entry.digest, fresh));
         }
     }
@@ -192,8 +193,11 @@ fn manifest_digests_are_worker_invariant() {
         let batches = scenario.generate().expect("builtins are valid");
         let capacity = corpus_capacity(&batches);
         let (name, strategy) = all_strategies().into_iter().last().expect("seven strategies");
-        let sequential = digest_run(&batches, strategy, capacity, 1).expect("run");
-        let parallel = digest_run(&batches, strategy, capacity, 4).expect("run");
+        let run = |workers| {
+            digest_run::<Monitor>(&batches, corpus_config(strategy, capacity, workers))
+                .expect("run")
+        };
+        let (sequential, parallel) = (run(1), run(4));
         assert_eq!(
             sequential,
             parallel,
@@ -245,28 +249,28 @@ fn ambient_worker_config_matches_the_manifest() {
 /// The shard-plane acceptance criterion: a flow-sharded fleet produces
 /// bit-identical digests at every shards×workers combination in
 /// {1,2,4}×{1,4}, for all seven strategies, over the whole corpus. The
-/// (shards=1, workers=1) run is the reference — the fleet's output is its
-/// own contract (it legitimately differs from the solo monitor's, because
-/// the lane partition owns predictor and policy state).
+/// (shards=1, workers=1) run is the reference — a multi-lane fleet's output
+/// is its own contract (it legitimately differs from the solo monitor's,
+/// because the lane partition owns predictor and policy state; the one-lane
+/// fleet below is the case where it may not).
 #[test]
 fn sharded_digests_are_invariant_across_the_shards_workers_matrix() {
     for scenario in builtins() {
         let batches = scenario.generate().expect("builtins are valid");
         let capacity = corpus_capacity(&batches);
         for (name, strategy) in all_strategies() {
-            let reference =
-                netshed_bench::corpus::sharded_digest_run(&batches, strategy, capacity, 1, 1)
-                    .expect("corpus run");
+            let run = |shards, workers| {
+                let config = corpus_config(strategy, capacity, workers).with_shards(shards);
+                digest_run::<ShardedMonitor>(&batches, config).expect("corpus run")
+            };
+            let reference = run(1, 1);
             assert!(
                 reference.bins > 0,
                 "{}/{name}: the sharded corpus run must process bins",
                 scenario.name()
             );
             for (shards, workers) in [(1, 4), (2, 1), (2, 4), (4, 1), (4, 4)] {
-                let digest = netshed_bench::corpus::sharded_digest_run(
-                    &batches, strategy, capacity, shards, workers,
-                )
-                .expect("corpus run");
+                let digest = run(shards, workers);
                 assert_eq!(
                     reference,
                     digest,
@@ -289,8 +293,9 @@ fn ambient_shard_config_matches_the_pinned_reference() {
     let batches = scenario.generate().expect("builtins are valid");
     let capacity = corpus_capacity(&batches);
     let (name, strategy) = all_strategies().into_iter().last().expect("seven strategies");
-    let reference = netshed_bench::corpus::sharded_digest_run(&batches, strategy, capacity, 1, 1)
-        .expect("corpus run");
+    let reference =
+        digest_run::<ShardedMonitor>(&batches, corpus_config(strategy, capacity, 1).with_shards(1))
+            .expect("corpus run");
     let mut fleet = Monitor::builder()
         .capacity(capacity)
         .seed(netshed_bench::corpus::CORPUS_SEED)
@@ -307,5 +312,37 @@ fn ambient_shard_config_matches_the_pinned_reference() {
         "{}/{name}: ambient-shard run drifted (shards from NETSHED_SHARDS={:?})",
         scenario.name(),
         std::env::var("NETSHED_SHARDS").ok()
+    );
+}
+
+/// The differential test behind "one engine contract": a fleet of *one* lane
+/// is the solo monitor. The lane sees every packet, the coordinator's budget
+/// for it is exactly the capacity, and merging one lane's outputs is the
+/// identity — so all three digest streams must equal `build()`'s, over the
+/// whole corpus and all seven strategies, at every shards×workers corner.
+#[test]
+fn one_lane_fleet_is_the_solo_monitor() {
+    let mut drift: Vec<String> = Vec::new();
+    for scenario in builtins() {
+        let batches = scenario.generate().expect("builtins are valid");
+        let capacity = corpus_capacity(&batches);
+        for (name, strategy) in all_strategies() {
+            let solo = digest_run::<Monitor>(&batches, corpus_config(strategy, capacity, 1))
+                .expect("solo run");
+            for (shards, workers) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+                let config = corpus_config(strategy, capacity, workers)
+                    .with_shards(shards)
+                    .with_shard_lanes(1);
+                let fleet = digest_run::<ShardedMonitor>(&batches, config).expect("fleet run");
+                for line in diff_digests(scenario.name(), &name, solo, fleet) {
+                    drift.push(format!("[{shards} shard(s) x {workers} worker(s)] {line}"));
+                }
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "a one-lane fleet diverged from the solo monitor:\n  {}",
+        drift.join("\n  ")
     );
 }

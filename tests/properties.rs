@@ -2,8 +2,8 @@
 
 use netshed::fairness::{eq_srates, mmfs_cpu, mmfs_pkt, Allocation, QueryDemand};
 use netshed::linalg::{ols_solve, Matrix};
-use netshed::monitor::PredictorKind;
 use netshed::monitor::{flow_sample, packet_sample};
+use netshed::monitor::{Monitor, PredictorKind};
 use netshed::sketch::{mix64, BloomFilter, H3Hasher, MultiResolutionBitmap};
 use netshed::trace::{Batch, BatchBuilder, FiveTuple, Packet, TraceConfig, TraceGenerator};
 // The historical clone-based samplers, the reference the zero-copy view path
@@ -442,20 +442,16 @@ proptest! {
         strategy_pick in 0usize..1024,
         workers_pick in 0usize..2,
     ) {
-        use netshed_bench::corpus::{all_strategies, digest_run, digest_run_with_predictor};
+        use netshed_bench::corpus::{all_strategies, corpus_config, digest_run};
         let corpus = benign_corpus();
         let (name, batches, capacity) = &corpus[scenario_pick % corpus.len()];
         let strategies = all_strategies();
         let (strategy_name, strategy) = &strategies[strategy_pick % strategies.len()];
         let workers = [1usize, 4][workers_pick];
-        let plain = digest_run(batches, *strategy, *capacity, workers).expect("plain run");
-        let robust = digest_run_with_predictor(
-            batches,
-            *strategy,
-            *capacity,
-            workers,
-            PredictorKind::RobustMlrFcbf,
-        )
+        let config = corpus_config(*strategy, *capacity, workers);
+        let plain = digest_run::<Monitor>(batches, config.clone()).expect("plain run");
+        let robust =
+            digest_run::<Monitor>(batches, config.with_predictor(PredictorKind::RobustMlrFcbf))
         .expect("robust run");
         prop_assert_eq!(
             plain,
