@@ -5,9 +5,18 @@
 //! policy plus the `robust_mlr_fcbf` predictor — claws back. Numbers land in
 //! `BENCH_robustness.json` (workspace root, or `$BENCH_OUT` if set).
 //!
+//! Every configuration runs twice — on a solo `Monitor` and on a 4-lane
+//! `ShardedMonitor` fleet (`fleet` block per scenario) — through the one
+//! harness, `run_with_reference::<E>`: the configuration carries the policy
+//! and predictor constructors, so the oracle, the guard and the hardened
+//! stack shard like the built-in strategies do. The fleet's recovered
+//! fraction is reported, not gated: its quality gap against the solo monitor
+//! is its own ROADMAP item.
+//!
 //! Accuracy is the paper's metric: each query's answers against an
-//! unconstrained reference execution, averaged over queries and measurement
-//! intervals (`run_built_with_reference`). A gamed predictor under-predicts,
+//! unconstrained reference execution, averaged over measurement intervals,
+//! then over queries (`accuracy`) or minimised over them (`accuracy_min`,
+//! the Figure 5.4 quantity). A gamed predictor under-predicts,
 //! keeps rates too high, overloads the bin and drops packets without
 //! control — which is exactly where accuracy dies, because uncontrolled
 //! drops (unlike deliberate sampling) cannot be corrected for. Overload and
@@ -25,20 +34,26 @@
 use netshed_bench::corpus::{
     all_strategies, corpus_capacity, corpus_specs, ADVERSARIAL_SCENARIOS, CORPUS_SEED,
 };
-use netshed_bench::run_built_with_reference;
+use netshed_bench::run_with_reference;
 use netshed_fairness::EqualRates;
 use netshed_monitor::{
-    AllocationPolicy, DegradationGuard, Monitor, MonitorBuilder, OraclePolicy, PredictivePolicy,
-    PredictorKind, Strategy,
+    AllocationPolicy, DegradationGuard, Monitor, MonitorConfig, OraclePolicy, PolicySpec,
+    PredictivePolicy, PredictorKind, ShardedMonitor, Strategy,
 };
+use netshed_service::MonitorEngine;
 use netshed_trace::{scenario::builtin, Batch};
 use std::time::Instant;
+
+/// Lanes of the fleet leg.
+const FLEET_LANES: usize = 4;
 
 /// One configuration's measured outcome on one scenario.
 struct Outcome {
     name: String,
     /// Mean per-query accuracy against the unconstrained reference run.
     accuracy: f64,
+    /// Minimum over queries of the per-query mean accuracy.
+    accuracy_min: f64,
     /// Mean over bins of `max(0, query_cycles − available_cycles) / capacity`.
     overload: f64,
     mean_rate: f64,
@@ -47,34 +62,30 @@ struct Outcome {
     best_elapsed_s: f64,
 }
 
-/// Runs one monitor configuration over the scenario `repeats` times,
+/// Runs one configuration of engine `E` over the scenario `repeats` times,
 /// asserting the accuracy is bit-identical across repeats, and keeps the
 /// best wall-clock.
-fn measure(
+fn measure<E: MonitorEngine>(
     name: &str,
     batches: &[Batch],
-    capacity: f64,
+    config: &MonitorConfig,
     repeats: u32,
-    configure: &dyn Fn(MonitorBuilder) -> MonitorBuilder,
 ) -> Outcome {
+    let specs = corpus_specs();
+    let capacity = config.capacity_cycles_per_bin;
     let mut outcome: Option<Outcome> = None;
     for _ in 0..repeats {
-        let specs = corpus_specs();
-        let mut monitor = configure(
-            Monitor::builder().capacity(capacity).seed(CORPUS_SEED).queries(specs.clone()),
-        )
-        .build()
-        .expect("valid configuration");
         let start = Instant::now();
-        let result = run_built_with_reference(&mut monitor, &specs, batches);
+        let result = run_with_reference::<E>(config.clone(), &specs, batches, &[]);
         let elapsed_s = start.elapsed().as_secs_f64();
         let sample = Outcome {
             name: name.to_string(),
             accuracy: result.overall_mean_accuracy(),
+            accuracy_min: result.overall_min_accuracy(),
             overload: result.overload_damage(capacity),
             mean_rate: result.mean_sampling_rate(),
             degraded_bins: result.degraded_bins(),
-            uncontrolled_drops: result.uncontrolled_drops,
+            uncontrolled_drops: result.uncontrolled_drops(),
             best_elapsed_s: elapsed_s,
         };
         match &mut outcome {
@@ -92,10 +103,8 @@ fn measure(
     outcome.expect("at least one repeat")
 }
 
-struct ScenarioNumbers {
-    scenario: String,
-    bins: usize,
-    capacity: f64,
+/// Every configuration's outcome on one engine shape.
+struct EngineNumbers {
     strategies: Vec<Outcome>,
     oracle: Outcome,
     guard_only: Outcome,
@@ -105,43 +114,49 @@ struct ScenarioNumbers {
     gap_recovered_fraction: f64,
 }
 
+impl EngineNumbers {
+    fn outcomes(&self) -> impl Iterator<Item = &Outcome> {
+        self.strategies.iter().chain([
+            &self.oracle,
+            &self.guard_only,
+            &self.robust_only,
+            &self.hardened,
+        ])
+    }
+}
+
 /// Measures every built-in strategy, the oracle and the hardened
-/// configuration on one adversarial scenario and computes the recovered
-/// fraction of the baseline-vs-oracle accuracy gap.
-fn bench_scenario(name: &str, repeats: u32) -> ScenarioNumbers {
-    let scenario = builtin(name).expect("adversarial scenario is a builtin");
-    let batches = scenario.generate().expect("scenario generates");
-    let bins = batches.len();
-    let capacity = corpus_capacity(&batches);
+/// configuration on engine `E` and computes the recovered fraction of the
+/// baseline-vs-oracle accuracy gap.
+fn bench_engine<E: MonitorEngine>(batches: &[Batch], capacity: f64, repeats: u32) -> EngineNumbers {
+    let base = MonitorConfig::default()
+        .with_capacity(capacity)
+        .with_seed(CORPUS_SEED)
+        .with_shard_lanes(FLEET_LANES);
+    let run = |name: &str, config: MonitorConfig| measure::<E>(name, batches, &config, repeats);
+    let guarded = PolicySpec::new(|| DegradationGuard::new(PredictivePolicy::new(EqualRates)));
 
     let strategies: Vec<Outcome> = all_strategies()
         .into_iter()
-        .map(|(strategy_name, strategy)| {
-            measure(&strategy_name, &batches, capacity, repeats, &move |builder| {
-                builder.strategy(strategy)
-            })
-        })
+        .map(|(name, strategy)| run(&name, base.clone().with_strategy(strategy)))
         .collect();
-
-    let oracle = measure("oracle_eq_srates", &batches, capacity, repeats, &|builder| {
-        builder.with_policy(OraclePolicy::new(EqualRates))
-    });
+    let oracle = run(
+        "oracle_eq_srates",
+        base.clone().with_strategy(PolicySpec::new(|| OraclePolicy::new(EqualRates))),
+    );
     // Ablations: each half of the hardened stack alone, so the JSON shows
     // where the recovery comes from scenario by scenario.
-    let guard_only = measure("guard_only", &batches, capacity, repeats, &|builder| {
-        builder.with_policy(DegradationGuard::new(PredictivePolicy::new(EqualRates)))
-    });
-    let robust_only = measure("robust_only", &batches, capacity, repeats, &|builder| {
-        builder
-            .strategy(Strategy::Predictive(AllocationPolicy::EqualRates))
-            .predictor(PredictorKind::RobustMlrFcbf)
-    });
-    let hardened =
-        measure("guarded_eq_srates+robust_mlr_fcbf", &batches, capacity, repeats, &|builder| {
-            builder
-                .with_policy(DegradationGuard::new(PredictivePolicy::new(EqualRates)))
-                .predictor(PredictorKind::RobustMlrFcbf)
-        });
+    let guard_only = run("guard_only", base.clone().with_strategy(guarded.clone()));
+    let robust_only = run(
+        "robust_only",
+        base.clone()
+            .with_strategy(Strategy::Predictive(AllocationPolicy::EqualRates))
+            .with_predictor(PredictorKind::RobustMlrFcbf),
+    );
+    let hardened = run(
+        "guarded_eq_srates+robust_mlr_fcbf",
+        base.with_strategy(guarded).with_predictor(PredictorKind::RobustMlrFcbf),
+    );
 
     // The baseline the hardened stack replaces: the paper's predictive policy
     // with the same allocator (eq_srates) and the plain MLR predictor.
@@ -156,10 +171,7 @@ fn bench_scenario(name: &str, repeats: u32) -> ScenarioNumbers {
     let gap_recovered_fraction =
         if gap > f64::EPSILON { (hardened.accuracy - baseline_accuracy) / gap } else { 1.0 };
 
-    ScenarioNumbers {
-        scenario: name.to_string(),
-        bins,
-        capacity,
+    EngineNumbers {
         strategies,
         oracle,
         guard_only,
@@ -170,13 +182,22 @@ fn bench_scenario(name: &str, repeats: u32) -> ScenarioNumbers {
     }
 }
 
+struct ScenarioNumbers {
+    scenario: String,
+    bins: usize,
+    capacity: f64,
+    solo: EngineNumbers,
+    fleet: EngineNumbers,
+}
+
 fn outcome_json(outcome: &Outcome, oracle_accuracy: f64) -> String {
     format!(
-        "      {{ \"name\": \"{}\", \"accuracy\": {:.6}, \"degradation_vs_oracle\": {:.6}, \
-         \"overload\": {:.4}, \"mean_sampling_rate\": {:.4}, \"uncontrolled_drops\": {}, \
-         \"degraded_bins\": {}, \"best_elapsed_s\": {:.4} }}",
+        "{{ \"name\": \"{}\", \"accuracy\": {:.6}, \"accuracy_min\": {:.6}, \
+         \"degradation_vs_oracle\": {:.6}, \"overload\": {:.4}, \"mean_sampling_rate\": {:.4}, \
+         \"uncontrolled_drops\": {}, \"degraded_bins\": {}, \"best_elapsed_s\": {:.4} }}",
         outcome.name,
         outcome.accuracy,
+        outcome.accuracy_min,
         oracle_accuracy - outcome.accuracy,
         outcome.overload,
         outcome.mean_rate,
@@ -186,81 +207,99 @@ fn outcome_json(outcome: &Outcome, oracle_accuracy: f64) -> String {
     )
 }
 
+/// The JSON fields of one engine shape's numbers, each line indented by
+/// `pad` — inlined into the scenario object for the solo monitor, nested
+/// under `"fleet"` for the fleet.
+fn engine_json(numbers: &EngineNumbers, pad: &str) -> String {
+    let single = |outcome: &Outcome| outcome_json(outcome, numbers.oracle.accuracy);
+    let rows = |outcomes: &mut dyn Iterator<Item = &Outcome>| {
+        outcomes
+            .map(|outcome| format!("{pad}  {}", single(outcome)))
+            .collect::<Vec<_>>()
+            .join(",\n")
+    };
+    format!(
+        "{pad}\"strategies\": [\n{}\n{pad}],\n{pad}\"oracle\": {},\n\
+         {pad}\"ablations\": [\n{}\n{pad}],\n{pad}\"hardened\": {},\n\
+         {pad}\"baseline_accuracy\": {:.6},\n{pad}\"gap_recovered_fraction\": {:.4}",
+        rows(&mut numbers.strategies.iter()),
+        single(&numbers.oracle),
+        rows(&mut [&numbers.guard_only, &numbers.robust_only].into_iter()),
+        single(&numbers.hardened),
+        numbers.baseline_accuracy,
+        numbers.gap_recovered_fraction,
+    )
+}
+
+/// The smallest recovered fraction over the scenarios, for one engine shape.
+fn min_recovered(
+    scenarios: &[ScenarioNumbers],
+    shape: impl Fn(&ScenarioNumbers) -> &EngineNumbers,
+) -> f64 {
+    scenarios
+        .iter()
+        .map(|numbers| shape(numbers).gap_recovered_fraction)
+        .fold(f64::INFINITY, f64::min)
+}
+
 fn main() {
     let smoke = criterion::smoke_mode();
     let repeats = if smoke { 2 } else { 4 };
 
     let mut scenarios = Vec::new();
     for name in ADVERSARIAL_SCENARIOS {
-        eprintln!("robustness: {name} — strategies, oracle and hardened stack ...");
-        let numbers = bench_scenario(name, repeats);
-        for outcome in numbers.strategies.iter().chain([
-            &numbers.oracle,
-            &numbers.guard_only,
-            &numbers.robust_only,
-            &numbers.hardened,
-        ]) {
-            eprintln!(
-                "  {:<34} accuracy {:.4} | overload {:.4} | mean rate {:.3} | drops {}",
-                outcome.name,
-                outcome.accuracy,
-                outcome.overload,
-                outcome.mean_rate,
-                outcome.uncontrolled_drops
-            );
+        eprintln!("robustness: {name} — strategies, oracle and hardened stack, solo and fleet ...");
+        let batches =
+            builtin(name).expect("adversarial scenario is a builtin").generate().expect("valid");
+        let capacity = corpus_capacity(&batches);
+        let numbers = ScenarioNumbers {
+            scenario: name.to_string(),
+            bins: batches.len(),
+            capacity,
+            solo: bench_engine::<Monitor>(&batches, capacity, repeats),
+            fleet: bench_engine::<ShardedMonitor>(&batches, capacity, repeats),
+        };
+        for (shape, engine) in [("solo", &numbers.solo), ("fleet", &numbers.fleet)] {
+            for outcome in engine.outcomes() {
+                eprintln!(
+                    "  {shape:<5} {:<34} accuracy {:.4} (min {:.4}) | overload {:.4} | \
+                     mean rate {:.3} | drops {}",
+                    outcome.name,
+                    outcome.accuracy,
+                    outcome.accuracy_min,
+                    outcome.overload,
+                    outcome.mean_rate,
+                    outcome.uncontrolled_drops
+                );
+            }
         }
-        // The CI grep-gate keys on this exact phrase: a "0 bins" line means
-        // the tripwire slept through an attack scenario.
+        // The CI grep-gates key on these exact phrases: a "0 bins" (or "0
+        // lane-bins") line means the tripwire slept through an attack.
         println!(
-            "{}: tripwire fired on {} bins; recovered {:.0}% of the accuracy gap",
-            numbers.scenario,
-            numbers.hardened.degraded_bins,
-            numbers.gap_recovered_fraction * 100.0
+            "{name}: tripwire fired on {} bins; recovered {:.0}% of the accuracy gap",
+            numbers.solo.hardened.degraded_bins,
+            numbers.solo.gap_recovered_fraction * 100.0
+        );
+        println!(
+            "{name} fleet: tripwire fired on {} lane-bins; recovered {:.0}% of the accuracy gap",
+            numbers.fleet.hardened.degraded_bins,
+            numbers.fleet.gap_recovered_fraction * 100.0
         );
         scenarios.push(numbers);
     }
 
-    let min_recovered = scenarios
-        .iter()
-        .map(|numbers| numbers.gap_recovered_fraction)
-        .fold(f64::INFINITY, f64::min);
-
     let scenarios_json: String = scenarios
         .iter()
         .map(|numbers| {
-            let strategy_rows: String = numbers
-                .strategies
-                .iter()
-                .map(|outcome| outcome_json(outcome, numbers.oracle.accuracy))
-                .collect::<Vec<_>>()
-                .join(",\n");
-            let ablation_rows: String = [&numbers.guard_only, &numbers.robust_only]
-                .iter()
-                .map(|outcome| outcome_json(outcome, numbers.oracle.accuracy))
-                .collect::<Vec<_>>()
-                .join(",\n");
             format!(
                 "    {{\n      \"scenario\": \"{}\",\n      \"bins\": {},\n      \
-                 \"capacity_cycles\": {:.0},\n      \"strategies\": [\n{}\n      ],\n      \
-                 \"oracle\": {{ \"name\": \"{}\", \"accuracy\": {:.6} }},\n      \
-                 \"ablations\": [\n{}\n      ],\n      \
-                 \"hardened\": {{ \"name\": \"{}\", \"accuracy\": {:.6}, \
-                 \"overload\": {:.4}, \"mean_sampling_rate\": {:.4}, \"degraded_bins\": {} }},\n      \
-                 \"baseline_accuracy\": {:.6},\n      \"gap_recovered_fraction\": {:.4}\n    }}",
+                 \"capacity_cycles\": {:.0},\n{},\n      \"fleet\": {{\n        \
+                 \"lanes\": {FLEET_LANES},\n{}\n      }}\n    }}",
                 numbers.scenario,
                 numbers.bins,
                 numbers.capacity,
-                strategy_rows,
-                numbers.oracle.name,
-                numbers.oracle.accuracy,
-                ablation_rows,
-                numbers.hardened.name,
-                numbers.hardened.accuracy,
-                numbers.hardened.overload,
-                numbers.hardened.mean_rate,
-                numbers.hardened.degraded_bins,
-                numbers.baseline_accuracy,
-                numbers.gap_recovered_fraction,
+                engine_json(&numbers.solo, "      "),
+                engine_json(&numbers.fleet, "        "),
             )
         })
         .collect::<Vec<_>>()
@@ -269,13 +308,16 @@ fn main() {
         "{{\n  \"generated_by\": \"cargo bench -p netshed-bench --bench robustness{}\",\n  \
          \"smoke\": {},\n  \"repeats\": {},\n  \
          \"accuracy_metric\": \"mean per-query accuracy vs an unconstrained reference execution\",\n  \
+         \"accuracy_min_metric\": \"minimum over queries of the per-query mean accuracy\",\n  \
          \"scenarios\": [\n{}\n  ],\n  \
-         \"min_gap_recovered_fraction\": {:.4}\n}}\n",
+         \"min_gap_recovered_fraction\": {:.4},\n  \
+         \"fleet_min_gap_recovered_fraction\": {:.4}\n}}\n",
         if smoke { " -- --smoke" } else { "" },
         smoke,
         repeats,
         scenarios_json,
-        min_recovered,
+        min_recovered(&scenarios, |numbers| &numbers.solo),
+        min_recovered(&scenarios, |numbers| &numbers.fleet),
     );
     // Cargo runs bench binaries with the package directory as CWD; default
     // to the workspace root so the JSON lands in one predictable place.

@@ -20,7 +20,7 @@ use netshed_bench::{
 use netshed_fairness::{AllocationGame, FairnessMode};
 use netshed_features::{FeatureExtractor, FeatureId};
 use netshed_linalg::stats::percentile;
-use netshed_monitor::{AllocationPolicy, MonitorConfig, Strategy};
+use netshed_monitor::{AllocationPolicy, Monitor, MonitorConfig, Strategy};
 use netshed_predict::{
     ErrorStats, EwmaPredictor, FcbfConfig, MlrConfig, MlrPredictor, Predictor, SlrPredictor,
 };
@@ -557,7 +557,7 @@ fn tab3_4(options: &Options) {
     let batches =
         profile_trace(TraceProfile::CescaII, options.seed, options.batches.min(300), options.scale);
     let config = MonitorConfig::default().with_capacity(1e15).with_strategy(Strategy::NoShedding);
-    let result = run_with_reference(config, &specs, &batches, &[]);
+    let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
     let query_cycles: f64 = result.bins.iter().map(|b| b.query_cycles).sum();
     let prediction_cycles: f64 = result.bins.iter().map(|b| b.prediction_cycles).sum();
     let platform_cycles: f64 = result.bins.iter().map(|b| b.platform_cycles).sum();
@@ -596,7 +596,7 @@ fn chapter4_runs(options: &Options) -> Vec<(&'static str, RunResult, f64)> {
             .with_capacity(capacity)
             .with_strategy(strategy)
             .with_seed(options.seed);
-        (name, run_with_reference(config, &specs, &batches, &[]), capacity)
+        (name, run_with_reference::<Monitor>(config, &specs, &batches, &[]), capacity)
     })
     .collect()
 }
@@ -635,7 +635,7 @@ fn fig4_2(options: &Options) {
     for (name, result, _) in &runs {
         let total: u64 = result.bins.iter().map(|b| b.incoming_packets).sum();
         let unsampled: u64 = result.bins.iter().map(|b| b.unsampled_packets).sum();
-        println!("{name:<12} {total:>14} {:>15} {unsampled:>18}", result.uncontrolled_drops);
+        println!("{name:<12} {total:>14} {:>15} {unsampled:>18}", result.uncontrolled_drops());
     }
 }
 
@@ -709,14 +709,14 @@ fn fig4_5_6(options: &Options) {
             .with_capacity(capacity)
             .with_strategy(strategy)
             .with_seed(options.seed);
-        let result = run_with_reference(config, &specs, &batches, &[]);
+        let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
         let cycles: Vec<f64> =
             result.bins.iter().map(netshed_monitor::BinRecord::total_cycles).collect();
         let errors = result.error_series.get("flows").cloned().unwrap_or_default();
         println!(
             "{name:<32} peak cycles {:>12.0}  drops {:>6}  flows error mean {:.3} max {:.3}",
             cycles.iter().copied().fold(0.0f64, f64::max),
-            result.uncontrolled_drops,
+            result.uncontrolled_drops(),
             mean(&errors),
             errors.iter().copied().fold(0.0f64, f64::max)
         );
@@ -870,7 +870,7 @@ fn fig5_5(options: &Options) {
             .with_capacity(capacity)
             .with_strategy(strategy)
             .with_seed(options.seed);
-        let result = run_with_reference(config, &specs, &batches, &[]);
+        let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
         let series: Vec<f64> = result
             .error_series
             .get("autofocus")
@@ -907,7 +907,7 @@ fn tab5_2(options: &Options) {
                 .with_capacity(capacity)
                 .with_strategy(*strategy)
                 .with_seed(options.seed);
-            (*name, run_with_reference(config, &specs, &batches, &[]))
+            (*name, run_with_reference::<Monitor>(config, &specs, &batches, &[]))
         })
         .collect();
 
@@ -973,7 +973,7 @@ fn fig6_1_3(options: &Options) {
             .with_capacity(capacity)
             .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
             .with_seed(options.seed);
-        let result = run_with_reference(config, &specs, &batches, &[]);
+        let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
         let p2p_cycles: Vec<f64> = result
             .bins
             .iter()
@@ -1077,12 +1077,12 @@ fn fig6_6_7(options: &Options) {
             .with_capacity(capacity)
             .with_strategy(Strategy::Predictive(policy))
             .with_seed(options.seed);
-        let result = run_with_reference(config, &specs, &batches, &[]);
+        let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
         println!(
             "{name:<32} avg accuracy {:.3}  min accuracy {:.3}  drops {}",
             result.overall_mean_accuracy(),
             result.overall_min_accuracy(),
-            result.uncontrolled_drops
+            result.uncontrolled_drops()
         );
     }
 }
@@ -1105,12 +1105,12 @@ fn fig6_8(options: &Options) {
         .with_capacity(capacity)
         .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
         .with_seed(options.seed);
-    let result = run_with_reference(config, &specs, &batches, &[]);
+    let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
     println!(
         "DDoS between bins {attack_start} and {attack_end}: avg accuracy {:.3}, min accuracy {:.3}, uncontrolled drops {}",
         result.overall_mean_accuracy(),
         result.overall_min_accuracy(),
-        result.uncontrolled_drops
+        result.uncontrolled_drops()
     );
     let mean_rate_attack: Vec<f64> = result
         .bins
@@ -1147,12 +1147,12 @@ fn fig6_9(options: &Options) {
         .with_capacity(capacity)
         .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
         .with_seed(options.seed);
-    let result = run_with_reference(config, &specs, &batches, &arrivals);
+    let result = run_with_reference::<Monitor>(config, &specs, &batches, &arrivals);
     println!("queries arriving at bins {} and {}:", options.batches / 4, options.batches / 2);
     for (name, accuracy) in &result.mean_accuracy {
         println!("  {name:<16} mean accuracy {accuracy:.3}");
     }
-    println!("uncontrolled drops: {}", result.uncontrolled_drops);
+    println!("uncontrolled drops: {}", result.uncontrolled_drops());
 }
 
 /// Figures 6.10 / 6.11: robustness against selfish and buggy queries.
@@ -1172,7 +1172,7 @@ fn selfish_or_buggy(options: &Options, behavior: CustomBehavior) {
         .with_capacity(capacity)
         .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
         .with_seed(options.seed);
-    let result = run_with_reference(config, &base, &batches, &arrivals);
+    let result = run_with_reference::<Monitor>(config, &base, &batches, &arrivals);
     let disabled_bins = result
         .bins
         .iter()
@@ -1186,7 +1186,7 @@ fn selfish_or_buggy(options: &Options, behavior: CustomBehavior) {
             println!("  {name:<16} mean accuracy {accuracy:.3}");
         }
     }
-    println!("uncontrolled drops: {}", result.uncontrolled_drops);
+    println!("uncontrolled drops: {}", result.uncontrolled_drops());
 }
 
 fn fig6_10(options: &Options) {
@@ -1208,7 +1208,7 @@ fn fig6_12_14(options: &Options) {
         .with_capacity(capacity)
         .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
         .with_seed(options.seed);
-    let result = run_with_reference(config, &specs, &batches, &[]);
+    let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
     println!("capacity {capacity:.0} cycles/bin, {} bins", result.bins.len());
     println!("\nper-query accuracy (Table 6.2):");
     println!("{:<16} {:>20}", "query", "accuracy (mean ±sd)");
@@ -1228,7 +1228,7 @@ fn fig6_12_14(options: &Options) {
         occupations.iter().copied().fold(0.0f64, f64::max)
     );
     println!("average load shedding rate: {:.2}", 1.0 - mean(&rates));
-    println!("uncontrolled drops: {}", result.uncontrolled_drops);
+    println!("uncontrolled drops: {}", result.uncontrolled_drops());
 }
 
 // --------------------------------------------------------------------------
@@ -1247,11 +1247,11 @@ fn ablation_rtthresh(options: &Options) {
             .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
             .with_seed(options.seed);
         config.buffer_discovery = discovery;
-        let result = run_with_reference(config, &specs, &batches, &[]);
+        let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
         println!(
             "{name:<22} avg accuracy {:.3}  drops {}  mean cycles/bin {:.0}",
             result.overall_mean_accuracy(),
-            result.uncontrolled_drops,
+            result.uncontrolled_drops(),
             result.mean_cycles_per_bin()
         );
     }
@@ -1269,13 +1269,13 @@ fn ablation_error_correction(options: &Options) {
             .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
             .with_seed(options.seed);
         config.ewma_alpha = alpha;
-        let result = run_with_reference(config, &specs, &batches, &[]);
+        let result = run_with_reference::<Monitor>(config, &specs, &batches, &[]);
         let over = result.bins.iter().filter(|b| b.total_cycles() > capacity * 1.1).count() as f64
             / result.bins.len() as f64;
         println!(
             "{name:<32} avg accuracy {:.3}  drops {}  bins >110% capacity {:.1}%",
             result.overall_mean_accuracy(),
-            result.uncontrolled_drops,
+            result.uncontrolled_drops(),
             over * 100.0
         );
     }

@@ -33,8 +33,8 @@
 use netshed_bench::cli::{parse_scenarios_args, usage, ScenariosCommand};
 use netshed_bench::corpus::{
     all_strategies, checkpoint_run, compute_golden, corpus_capacity, corpus_config, diff_digests,
-    digest_run, format_manifest, parse_manifest, resume_run, strategy_by_name, GoldenEntry,
-    MANIFEST_NAME, TRACE_EXTENSION,
+    digest_run, format_manifest, parse_manifest, resume_run, GoldenEntry, MANIFEST_NAME,
+    TRACE_EXTENSION,
 };
 use netshed_monitor::{Monitor, PredictorKind, Strategy};
 use netshed_trace::scenario::{builtin, builtins};
@@ -78,7 +78,7 @@ fn resolve(name: &str, strategy_name: &str) -> Option<(Vec<Batch>, Strategy)> {
         eprintln!("unknown scenario {name:?} (see `scenarios list`)");
         return None;
     };
-    let Some(strategy) = strategy_by_name(strategy_name) else {
+    let Some(strategy) = Strategy::from_name(strategy_name) else {
         eprintln!("unknown strategy {strategy_name:?}; known:");
         for (known, _) in all_strategies() {
             eprintln!("  {known}");

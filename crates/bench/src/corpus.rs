@@ -17,7 +17,9 @@
 //! * [`diff_digests`] renders a drift as a readable report naming the
 //!   scenario, the strategy and the exact stream that diverged.
 
-use netshed_monitor::{DigestObserver, Monitor, MonitorConfig, NetshedError, RunDigest, Strategy};
+use netshed_monitor::{
+    DigestObserver, Monitor, MonitorConfig, NetshedError, PolicySpec, RunDigest, Strategy,
+};
 use netshed_queries::{CustomBehavior, QueryKind, QuerySpec};
 use netshed_service::{Daemon, MonitorEngine, ServiceError, TickStatus};
 use netshed_trace::scenario::Scenario;
@@ -52,11 +54,6 @@ pub fn all_strategies() -> Vec<(String, Strategy)> {
     Strategy::ALL.into_iter().map(|strategy| (strategy.name(), strategy)).collect()
 }
 
-/// Resolves a strategy by its historical name.
-pub fn strategy_by_name(name: &str) -> Option<Strategy> {
-    Strategy::from_name(name)
-}
-
 /// The capacity of a corpus run: half the unconstrained demand of the
 /// warm-up prefix (K = 0.5), measured with the deterministic cycle model —
 /// every strategy genuinely sheds, and the number depends only on the
@@ -74,15 +71,20 @@ pub fn corpus_capacity(batches: &[Batch]) -> f64 {
 /// `adversarial-corpus` job loops over).
 pub const ADVERSARIAL_SCENARIOS: [&str; 3] = ["bm-mimicry", "flow-churn", "agg-skew"];
 
-/// The corpus configuration of one strategy run. Callers layer the knobs of
+/// The corpus configuration of one policy run — a built-in [`Strategy`] or
+/// any [`PolicySpec`]. Callers layer the knobs of
 /// the plane under test on top (`with_shards`, `with_shard_lanes`,
 /// `with_predictor`); the service-plane helpers below pass it to `.nsck`
 /// restore, which cross-checks it against the checkpointing process's.
-pub fn corpus_config(strategy: Strategy, capacity: f64, workers: usize) -> MonitorConfig {
+pub fn corpus_config(
+    policy: impl Into<PolicySpec>,
+    capacity: f64,
+    workers: usize,
+) -> MonitorConfig {
     MonitorConfig::default()
         .with_capacity(capacity)
         .with_seed(CORPUS_SEED)
-        .with_strategy(strategy)
+        .with_strategy(policy)
         .with_workers(workers)
 }
 
@@ -317,10 +319,10 @@ mod tests {
     fn strategies_resolve_by_their_historical_names() {
         assert_eq!(all_strategies().len(), 7);
         assert_eq!(
-            strategy_by_name("mmfs_pkt"),
+            Strategy::from_name("mmfs_pkt"),
             Some(Strategy::Predictive(netshed_monitor::AllocationPolicy::MmfsPkt))
         );
-        assert_eq!(strategy_by_name("nope"), None);
+        assert_eq!(Strategy::from_name("nope"), None);
     }
 
     #[test]

@@ -9,8 +9,11 @@
 
 #![forbid(unsafe_code)]
 
-use netshed_monitor::{BinRecord, Monitor, MonitorConfig, ReferenceRunner, Strategy};
-use netshed_queries::{QueryOutput, QuerySpec};
+use netshed_monitor::{
+    AccuracyTracker, BinRecord, DecisionReason, Monitor, MonitorConfig, PolicySpec, RunObserver,
+};
+use netshed_queries::QuerySpec;
+use netshed_service::MonitorEngine;
 use netshed_trace::{Batch, TraceGenerator, TraceProfile};
 
 pub mod baseline;
@@ -35,7 +38,7 @@ pub fn profile_trace(profile: TraceProfile, seed: u64, batches: usize, scale: f6
     TraceGenerator::new(profile.config(seed, scale)).batches(batches)
 }
 
-/// Result of one (monitor, reference) run.
+/// Result of one (engine, reference) run.
 #[derive(Debug, Default)]
 pub struct RunResult {
     /// Mean accuracy per query over all measurement intervals.
@@ -44,10 +47,9 @@ pub struct RunResult {
     pub min_accuracy: BTreeMap<String, f64>,
     /// Per-interval error series per query.
     pub error_series: BTreeMap<String, Vec<f64>>,
-    /// Per-bin records of the monitored execution.
+    /// Per-bin records of the monitored execution, in bin then lane order
+    /// (one per bin for a solo monitor, one per non-idle lane for a fleet).
     pub bins: Vec<BinRecord>,
-    /// Total packets dropped without control at the capture buffer.
-    pub uncontrolled_drops: u64,
 }
 
 impl RunResult {
@@ -66,108 +68,39 @@ impl RunResult {
         self.mean_accuracy.values().copied().fold(f64::INFINITY, f64::min).min(1.0)
     }
 
-    /// Mean total cycles per bin.
+    /// Global bins the run processed (a fleet contributes several records
+    /// per bin, consecutively).
+    fn global_bins(&self) -> usize {
+        let boundaries =
+            self.bins.windows(2).filter(|pair| pair[0].bin_index != pair[1].bin_index).count();
+        boundaries + usize::from(!self.bins.is_empty())
+    }
+
+    /// Mean total cycles per global bin (summed over a fleet's lanes).
     pub fn mean_cycles_per_bin(&self) -> f64 {
         if self.bins.is_empty() {
             return 0.0;
         }
-        self.bins.iter().map(BinRecord::total_cycles).sum::<f64>() / self.bins.len() as f64
+        self.bins.iter().map(BinRecord::total_cycles).sum::<f64>() / self.global_bins() as f64
     }
-}
 
-/// Runs a monitor with the given configuration alongside an unconstrained
-/// reference execution and collects accuracy and per-bin statistics.
-///
-/// `arrivals` optionally schedules extra queries to be registered at given
-/// bin indices (used by the query-arrival and selfish/buggy experiments).
-pub fn run_with_reference(
-    config: MonitorConfig,
-    specs: &[QuerySpec],
-    batches: &[Batch],
-    arrivals: &[(usize, QuerySpec)],
-) -> RunResult {
-    let mut monitor = Monitor::new(config);
-    for spec in specs {
-        // lint:allow(no-unwrap): experiment specs are compiled-in and pass Monitor::register validation by construction
-        monitor.register(spec).expect("valid query spec");
+    /// Total packets dropped without control at the capture buffer.
+    pub fn uncontrolled_drops(&self) -> u64 {
+        self.bins.iter().map(|record| record.uncontrolled_drops).sum()
     }
-    drive_with_reference(&mut monitor, specs, batches, arrivals)
-}
 
-/// Like [`run_with_reference`] but for a monitor already built through
-/// [`Monitor::builder`] — the path for configurations the plain
-/// [`MonitorConfig`] cannot express (custom `ControlPolicy`, guarded
-/// policies, predictor overrides). The monitor must already hold `specs` in
-/// registration order (e.g. via `MonitorBuilder::queries`); the reference
-/// runner is derived from the same specs and the monitor's measurement
-/// interval.
-pub fn run_built_with_reference(
-    monitor: &mut Monitor,
-    specs: &[QuerySpec],
-    batches: &[Batch],
-) -> RunResult {
-    drive_with_reference(monitor, specs, batches, &[])
-}
-
-fn drive_with_reference(
-    monitor: &mut Monitor,
-    specs: &[QuerySpec],
-    batches: &[Batch],
-    arrivals: &[(usize, QuerySpec)],
-) -> RunResult {
-    let mut reference = ReferenceRunner::new(specs, monitor.config().measurement_interval_us);
-
-    let mut result = RunResult::default();
-    let mut accuracy_sums: BTreeMap<String, (f64, usize, f64)> = BTreeMap::new();
-
-    for (index, batch) in batches.iter().enumerate() {
-        for (arrival_bin, spec) in arrivals {
-            if *arrival_bin == index {
-                // lint:allow(no-unwrap): arrival specs come from the same compiled-in experiment tables as the initial set
-                monitor.register(spec).expect("valid query spec");
-                reference.register(spec);
-            }
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        // lint:allow(no-unwrap): the is_empty guard above rules out the only process_batch error for an ample-capacity run
-        let record = monitor.process_batch(batch).expect("non-empty batch");
-        let truths = reference.process_batch(batch);
-        if let (Some(outputs), Some(truths)) = (&record.interval_outputs, &truths) {
-            record_interval(outputs, truths, &mut accuracy_sums, &mut result.error_series);
-        }
-        result.bins.push(record);
-    }
-    // Close the final interval.
-    let outputs = monitor.finish_interval();
-    let truths = reference.finish_interval();
-    record_interval(&outputs, &truths, &mut accuracy_sums, &mut result.error_series);
-
-    for (name, (sum, count, min)) in accuracy_sums {
-        result.mean_accuracy.insert(name.clone(), sum / count.max(1) as f64);
-        result.min_accuracy.insert(name, min);
-    }
-    result.uncontrolled_drops = monitor.uncontrolled_drops();
-    result
-}
-
-impl RunResult {
-    /// Bins whose decision carries
-    /// [`DecisionReason::DegradedFallback`](netshed_monitor::DecisionReason) —
+    /// Records whose decision carries [`DecisionReason::DegradedFallback`] —
     /// the degradation-guard tripwire state, per run.
     pub fn degraded_bins(&self) -> u64 {
         self.bins
             .iter()
-            .filter(|record| {
-                record.decision.reason == netshed_monitor::DecisionReason::DegradedFallback
-            })
+            .filter(|record| record.decision.reason == DecisionReason::DegradedFallback)
             .count() as u64
     }
 
-    /// Mean over bins of `max(0, query_cycles − available_cycles) / capacity`
-    /// — how far the queries overran the budget, the overload symptom of a
-    /// gamed predictor.
+    /// Mean over global bins of `max(0, query_cycles − available_cycles) /
+    /// capacity` — how far the queries overran the budget, the overload
+    /// symptom of a gamed predictor.
     pub fn overload_damage(&self, capacity: f64) -> f64 {
         if self.bins.is_empty() || capacity <= 0.0 {
             return 0.0;
@@ -177,10 +110,11 @@ impl RunResult {
             .iter()
             .map(|record| (record.query_cycles - record.available_cycles).max(0.0))
             .sum();
-        overload / (capacity * self.bins.len() as f64)
+        overload / (capacity * self.global_bins() as f64)
     }
 
-    /// Mean of each bin's mean sampling rate — low values flag over-shedding.
+    /// Mean of each record's mean sampling rate — low values flag
+    /// over-shedding.
     pub fn mean_sampling_rate(&self) -> f64 {
         if self.bins.is_empty() {
             return 1.0;
@@ -189,22 +123,50 @@ impl RunResult {
     }
 }
 
-fn record_interval(
-    outputs: &[(String, QueryOutput)],
-    truths: &[(String, QueryOutput)],
-    accuracy_sums: &mut BTreeMap<String, (f64, usize, f64)>,
-    error_series: &mut BTreeMap<String, Vec<f64>>,
-) {
-    for ((name, output), (truth_name, truth)) in outputs.iter().zip(truths) {
-        debug_assert_eq!(name, truth_name);
-        let error = output.error_against(truth);
-        let accuracy = 1.0 - error;
-        let entry = accuracy_sums.entry(name.clone()).or_insert((0.0, 0, 1.0));
-        entry.0 += accuracy;
-        entry.1 += 1;
-        entry.2 = entry.2.min(accuracy);
-        error_series.entry(name.clone()).or_default().push(error);
+/// Runs engine `E` — a solo [`Monitor`] or a
+/// [`ShardedMonitor`](netshed_monitor::ShardedMonitor) fleet — built from
+/// `config` alongside an unconstrained reference execution and collects
+/// accuracy and per-bin statistics. The configuration expresses every
+/// policy and predictor, custom ones included, so this is the one harness.
+///
+/// `arrivals` optionally schedules extra queries to be registered at given
+/// bin indices (used by the query-arrival and selfish/buggy experiments).
+pub fn run_with_reference<E: MonitorEngine>(
+    config: MonitorConfig,
+    specs: &[QuerySpec],
+    batches: &[Batch],
+    arrivals: &[(usize, QuerySpec)],
+) -> RunResult {
+    let mut accuracy = AccuracyTracker::new(specs, config.measurement_interval_us);
+    // lint:allow(no-unwrap): experiment configurations are compiled-in and valid by construction
+    let mut engine = E::from_config(config).expect("valid configuration");
+    for spec in specs {
+        // lint:allow(no-unwrap): experiment specs are compiled-in and pass registration validation by construction
+        engine.register(spec).expect("valid query spec");
     }
+
+    let mut result = RunResult::default();
+    for (index, batch) in batches.iter().enumerate() {
+        for (_, spec) in arrivals.iter().filter(|(arrival_bin, _)| *arrival_bin == index) {
+            // lint:allow(no-unwrap): arrival specs come from the same compiled-in experiment tables as the initial set
+            engine.register(spec).expect("valid query spec");
+            accuracy.register(spec);
+        }
+        if batch.is_empty() {
+            continue;
+        }
+        // lint:allow(no-unwrap): the is_empty guard above rules out the only ingest error for an ample-capacity run
+        let records = engine.ingest(batch, &mut accuracy).expect("non-empty batch");
+        result.bins.extend_from_slice(records.as_ref());
+    }
+    if engine.interval_open() {
+        accuracy.on_interval(&engine.finish_interval());
+    }
+
+    result.mean_accuracy = accuracy.mean_accuracy();
+    result.min_accuracy = accuracy.min_accuracy();
+    result.error_series = accuracy.error_series().clone();
+    result
 }
 
 /// Derives the monitor capacity for a target overload factor `K`
@@ -235,7 +197,7 @@ pub fn stdev(values: &[f64]) -> f64 {
 /// Runs a strategy and returns (mean accuracy, min accuracy) over queries,
 /// the shape used by Figures 5.4 and 6.5.
 pub fn strategy_accuracy(
-    strategy: Strategy,
+    strategy: impl Into<PolicySpec>,
     specs: &[QuerySpec],
     batches: &[Batch],
     capacity: f64,
@@ -243,14 +205,14 @@ pub fn strategy_accuracy(
 ) -> (f64, f64) {
     let config =
         MonitorConfig::default().with_capacity(capacity).with_strategy(strategy).with_seed(seed);
-    let result = run_with_reference(config, specs, batches, &[]);
+    let result = run_with_reference::<Monitor>(config, specs, batches, &[]);
     (result.overall_mean_accuracy(), result.overall_min_accuracy())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netshed_monitor::{AllocationPolicy, Strategy};
+    use netshed_monitor::{AllocationPolicy, ShardedMonitor, Strategy};
     use netshed_queries::QueryKind;
 
     #[test]
@@ -261,11 +223,21 @@ mod tests {
         let config = MonitorConfig::default()
             .with_capacity(capacity)
             .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt));
-        let result = run_with_reference(config, &specs, &batches, &[]);
+        let result = run_with_reference::<Monitor>(config.clone(), &specs, &batches, &[]);
         assert_eq!(result.mean_accuracy.len(), 2);
         assert_eq!(result.bins.len(), 40);
         assert!(result.overall_mean_accuracy() > 0.0);
         assert!(result.overall_min_accuracy() <= result.overall_mean_accuracy());
+        for (name, mean) in &result.mean_accuracy {
+            assert!(result.min_accuracy[name] <= *mean, "{name}: min above mean");
+        }
+
+        // The same harness drives a fleet: several records per global bin,
+        // the same per-query accuracy maps.
+        let fleet = run_with_reference::<ShardedMonitor>(config, &specs, &batches, &[]);
+        assert_eq!(fleet.mean_accuracy.len(), 2);
+        assert!(fleet.bins.len() > 40);
+        assert_eq!(fleet.global_bins(), 40);
     }
 
     #[test]
@@ -274,7 +246,7 @@ mod tests {
         let specs = vec![QuerySpec::new(QueryKind::Counter)];
         let arrivals = vec![(10usize, QuerySpec::new(QueryKind::Flows))];
         let config = MonitorConfig::default().with_capacity(1e12);
-        let result = run_with_reference(config, &specs, &batches, &arrivals);
+        let result = run_with_reference::<Monitor>(config, &specs, &batches, &arrivals);
         assert!(result.mean_accuracy.contains_key("flows"));
         assert!(result.mean_accuracy.contains_key("counter"));
     }

@@ -10,9 +10,9 @@
 //! run.
 
 use netshed_bench::corpus::{
-    checkpoint_run, corpus_capacity, corpus_config, digest_run, resume_run, strategy_by_name,
+    checkpoint_run, corpus_capacity, corpus_config, digest_run, resume_run,
 };
-use netshed_monitor::Monitor;
+use netshed_monitor::{Monitor, Strategy};
 use netshed_trace::scenario::builtin;
 use std::process::Command;
 
@@ -71,7 +71,7 @@ fn invalid_flag_values_are_rejected() {
 fn checkpoint_resume_equals_the_uninterrupted_run() {
     let scenario = builtin("ddos-spike").expect("builtin scenario");
     let batches = scenario.generate().expect("builtins are valid");
-    let strategy = strategy_by_name("mmfs_pkt").expect("known strategy");
+    let strategy = Strategy::from_name("mmfs_pkt").expect("known strategy");
     let capacity = corpus_capacity(&batches);
     let non_empty = batches.iter().filter(|b| !b.is_empty()).count() as u64;
     let at = (non_empty / 2).max(1);

@@ -1,10 +1,13 @@
 //! Fluent construction of a validated [`Monitor`].
 //!
 //! [`MonitorBuilder`] is the front door of the public API: it gathers the
-//! capacity, strategy, predictor, enforcement and seed settings plus the
+//! capacity, policy, predictor, enforcement and seed settings plus the
 //! initial query set, validates everything at once, and returns
 //! `Result<Monitor, NetshedError>` — a monitor that exists is a monitor whose
-//! configuration is sound.
+//! configuration is sound. Everything it gathers lands in one
+//! [`MonitorConfig`] — [`strategy`](MonitorBuilder::strategy) and
+//! [`with_policy`](MonitorBuilder::with_policy) write the same field — so
+//! `build` and `build_sharded` accept exactly the same builders.
 //!
 //! ```
 //! use netshed_monitor::{AllocationPolicy, Monitor, Strategy};
@@ -21,36 +24,22 @@
 //! assert_eq!(monitor.query_names(), vec!["counter", "flows"]);
 //! ```
 
-use crate::config::{EnforcementConfig, MonitorConfig, PredictorKind, Strategy};
+use crate::config::{
+    EnforcementConfig, MonitorConfig, PolicySpec, PredictorKind, PredictorSpec, Strategy,
+};
+use crate::engine::Engine;
 use crate::error::NetshedError;
 use crate::monitor::Monitor;
 use crate::policy::ControlPolicy;
-use netshed_predict::PredictorFactory;
+use crate::sharded::ShardedMonitor;
+use netshed_predict::Predictor;
 use netshed_queries::QuerySpec;
 
-/// Builds a validated [`Monitor`].
-#[derive(Default)]
+/// Builds a validated [`Monitor`] or [`ShardedMonitor`].
+#[derive(Debug, Default)]
 pub struct MonitorBuilder {
     config: MonitorConfig,
     specs: Vec<QuerySpec>,
-    /// Custom control policy overriding the configured strategy, if any.
-    policy: Option<Box<dyn ControlPolicy>>,
-    /// Custom predictor factory overriding the configured kind, if any.
-    predictor_factory: Option<Box<dyn PredictorFactory>>,
-}
-
-impl std::fmt::Debug for MonitorBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MonitorBuilder")
-            .field("config", &self.config)
-            .field("specs", &self.specs)
-            .field("policy", &self.policy.as_ref().map(super::policy::ControlPolicy::name))
-            .field(
-                "predictor_factory",
-                &self.predictor_factory.as_ref().map(|factory| factory.name()),
-            )
-            .finish()
-    }
 }
 
 impl MonitorBuilder {
@@ -82,40 +71,41 @@ impl MonitorBuilder {
         self
     }
 
-    /// Sets the load shedding strategy — the validated constructor for the
-    /// built-in control policies. Cleared by a later
-    /// [`with_policy`](Self::with_policy) call.
+    /// Sets the control policy to a built-in [`Strategy`] — the validated
+    /// constructor for the schemes the paper evaluates. Writes the same
+    /// field as [`with_policy`](Self::with_policy); the later call wins.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.config.strategy = strategy;
-        self.policy = None;
+        self.config.policy = strategy.into();
         self
     }
 
-    /// Installs a custom [`ControlPolicy`], overriding the configured
-    /// [`Strategy`]. This is the open end of the control plane: anything
-    /// implementing the trait — the extra built-ins
-    /// ([`OraclePolicy`](crate::policy::OraclePolicy),
-    /// [`HysteresisReactivePolicy`](crate::policy::HysteresisReactivePolicy))
-    /// or a user-defined policy — plugs in here.
-    pub fn with_policy(mut self, policy: impl ControlPolicy + 'static) -> Self {
-        self.policy = Some(Box::new(policy));
+    /// Sets the control policy to whatever `make` constructs — the open end
+    /// of the control plane: [`OraclePolicy`](crate::policy::OraclePolicy),
+    /// [`DegradationGuard`](crate::robust::DegradationGuard), a user-defined
+    /// [`ControlPolicy`]. A constructor rather than an instance, because
+    /// every lane of a fleet and every daemon restore builds its own.
+    pub fn with_policy<P: ControlPolicy + 'static>(
+        mut self,
+        make: impl Fn() -> P + Send + Sync + 'static,
+    ) -> Self {
+        self.config.policy = PolicySpec::new(make);
         self
     }
 
-    /// Sets the predictor driving the predictive strategy — the validated
-    /// constructor for the built-in predictors. Cleared by a later
-    /// [`with_predictor`](Self::with_predictor) call.
+    /// Sets the per-query predictor to a built-in [`PredictorKind`]. Writes
+    /// the same field as [`with_predictor`](Self::with_predictor).
     pub fn predictor(mut self, predictor: PredictorKind) -> Self {
-        self.config.predictor = predictor;
-        self.predictor_factory = None;
+        self.config.predictor = predictor.into();
         self
     }
 
-    /// Installs a custom [`PredictorFactory`], overriding the configured
-    /// [`PredictorKind`]. Any `Fn() -> Box<dyn Predictor>` closure qualifies;
-    /// one fresh predictor is built per registered query.
-    pub fn with_predictor(mut self, factory: impl PredictorFactory + 'static) -> Self {
-        self.predictor_factory = Some(Box::new(factory));
+    /// Sets the per-query predictor to whatever `make` constructs; one fresh
+    /// predictor is built per registered query (see [`PredictorSpec::new`]).
+    pub fn with_predictor(
+        mut self,
+        make: impl Fn() -> Box<dyn Predictor> + Send + Sync + 'static,
+    ) -> Self {
+        self.config.predictor = PredictorSpec::new(make);
         self
     }
 
@@ -224,54 +214,28 @@ impl MonitorBuilder {
     }
 
     /// Validates the configuration and the queued query specs, then builds
-    /// the monitor with every query registered. Custom policy / predictor
-    /// overrides are installed before registration so oracle-style policies
-    /// get their shadow executions from the first query on.
+    /// the monitor with every query registered.
     pub fn build(self) -> Result<Monitor, NetshedError> {
-        self.config.validate()?;
-        let mut monitor = Monitor::new(self.config);
-        if let Some(factory) = self.predictor_factory {
-            monitor.set_predictor_factory(factory);
-        }
-        if let Some(policy) = self.policy {
-            monitor.set_policy(policy);
-        }
-        for spec in &self.specs {
-            monitor.register(spec)?;
-        }
-        Ok(monitor)
+        self.build_with(|config| config.validate().map(|()| Monitor::new(config)))
     }
 
     /// Validates the configuration and builds a flow-sharded
     /// [`ShardedMonitor`] fleet with every queued query registered on every
-    /// lane.
-    ///
-    /// Custom [`with_policy`](Self::with_policy) /
-    /// [`with_predictor`](Self::with_predictor) overrides are rejected here:
-    /// a fleet needs one independent policy and predictor instance per lane,
-    /// and a boxed override is a single instance. Use the [`Strategy`] /
-    /// [`PredictorKind`](crate::config::PredictorKind) constructors, which
-    /// every lane instantiates for itself.
-    pub fn build_sharded(self) -> Result<crate::sharded::ShardedMonitor, NetshedError> {
-        if let Some(policy) = &self.policy {
-            return Err(NetshedError::InvalidConfig(format!(
-                "custom policy {:?} cannot be sharded: each lane needs its own instance; \
-                 use a Strategy instead",
-                policy.name()
-            )));
-        }
-        if self.predictor_factory.is_some() {
-            return Err(NetshedError::InvalidConfig(
-                "custom predictor factories cannot be sharded: each lane needs its own \
-                 instance; use a PredictorKind instead"
-                    .to_string(),
-            ));
-        }
-        let mut fleet = crate::sharded::ShardedMonitor::new(self.config)?;
+    /// lane. Each lane instantiates the configured policy and predictor for
+    /// itself, so anything [`build`](Self::build) accepts shards.
+    pub fn build_sharded(self) -> Result<ShardedMonitor, NetshedError> {
+        self.build_with(ShardedMonitor::new)
+    }
+
+    fn build_with<E: Engine>(
+        self,
+        new: impl FnOnce(MonitorConfig) -> Result<E, NetshedError>,
+    ) -> Result<E, NetshedError> {
+        let mut engine = new(self.config)?;
         for spec in &self.specs {
-            fleet.register(spec)?;
+            engine.register(spec)?;
         }
-        Ok(fleet)
+        Ok(engine)
     }
 }
 
@@ -336,21 +300,22 @@ mod tests {
     fn custom_policy_and_predictor_override_the_enums() {
         use crate::policy::HysteresisReactivePolicy;
         use netshed_fairness::MmfsPkt;
-        use netshed_predict::{EwmaPredictor, Predictor};
+        use netshed_predict::EwmaPredictor;
 
         let monitor = Monitor::builder()
             .capacity(1e9)
             .strategy(Strategy::Predictive(AllocationPolicy::EqualRates))
-            .with_policy(HysteresisReactivePolicy::new(MmfsPkt))
+            .with_policy(|| HysteresisReactivePolicy::new(MmfsPkt))
             .with_predictor(|| Box::new(EwmaPredictor::new(0.5)) as Box<dyn Predictor>)
             .query(QuerySpec::new(QueryKind::Counter))
             .build()
             .expect("valid configuration");
         assert_eq!(monitor.policy_name(), "reactive_hysteresis_mmfs_pkt");
+        assert_eq!(monitor.config().predictor.name(), "ewma");
 
-        // A later `strategy()` call clears a pending custom policy.
+        // Both spellings write one field: the later call wins.
         let monitor = Monitor::builder()
-            .with_policy(HysteresisReactivePolicy::new(MmfsPkt))
+            .with_policy(|| HysteresisReactivePolicy::new(MmfsPkt))
             .strategy(Strategy::NoShedding)
             .build()
             .expect("valid configuration");

@@ -1,20 +1,89 @@
-//! Monitor configuration: capacity, strategy, prediction and enforcement.
+//! Monitor configuration: capacity, policy, prediction and enforcement.
 //!
-//! The [`Strategy`] and [`PredictorKind`] enums are the *validated
-//! constructors* for the built-in control-plane components: each variant
-//! names exactly one [`ControlPolicy`](crate::policy::ControlPolicy) /
-//! [`PredictorFactory`](netshed_predict::PredictorFactory) configuration the
-//! paper evaluates. Components outside the enums plug in through
-//! [`MonitorBuilder::with_policy`](crate::MonitorBuilder::with_policy) and
-//! [`MonitorBuilder::with_predictor`](crate::MonitorBuilder::with_predictor).
+//! The configuration carries the *recipe* for the two pluggable components,
+//! not an instance: [`MonitorConfig::policy`] and
+//! [`MonitorConfig::predictor`] are [`Spec`]s — a name plus a shared
+//! constructor. Whatever starts from a clone of the config (a solo monitor,
+//! every lane of a fleet, a daemon restore) constructs its own instance, so a
+//! policy that works solo works sharded and checkpointed with no further
+//! code. The [`Strategy`] and [`PredictorKind`] enums are the *validated
+//! constructors* for the built-ins the paper evaluates and convert with
+//! `.into()`; anything else is a closure handed to [`PolicySpec::new`] /
+//! [`PredictorSpec::new`] (see DESIGN.md, "Control plane").
 
 use crate::error::NetshedError;
 use crate::policy::{ControlPolicy, NoSheddingPolicy, PredictivePolicy, ReactivePolicy};
 use netshed_fairness::{AllocationStrategy, EqualRates, MmfsCpu, MmfsPkt};
 use netshed_predict::{
-    EwmaPredictor, MlrConfig, MlrPredictor, Predictor, PredictorFactory, RobustMlrConfig,
-    RobustMlrPredictor, SlrPredictor,
+    EwmaPredictor, MlrConfig, MlrPredictor, Predictor, RobustMlrConfig, RobustMlrPredictor,
+    SlrPredictor,
 };
+use std::sync::Arc;
+
+/// A cloneable description of one pluggable component: the name its
+/// instances report (and `.nsck` snapshots store) plus their constructor.
+pub struct Spec<T: ?Sized> {
+    name: String,
+    make: Arc<dyn Fn() -> Box<T> + Send + Sync>,
+}
+
+/// How to construct the [`ControlPolicy`] of a run.
+pub type PolicySpec = Spec<dyn ControlPolicy>;
+
+/// How to construct the per-query [`Predictor`]s of a run.
+pub type PredictorSpec = Spec<dyn Predictor>;
+
+impl<T: ?Sized> Spec<T> {
+    /// The name instances report; a restore matches the snapshot's against it.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Constructs a fresh instance with empty state.
+    pub fn make(&self) -> Box<T> {
+        (self.make)()
+    }
+}
+
+impl<T: ?Sized> Clone for Spec<T> {
+    fn clone(&self) -> Self {
+        Self { name: self.name.clone(), make: Arc::clone(&self.make) }
+    }
+}
+
+impl<T: ?Sized> std::fmt::Debug for Spec<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Spec({:?})", self.name)
+    }
+}
+
+impl PolicySpec {
+    /// Describes a policy by its constructor, which runs once per monitor —
+    /// per lane in a fleet, again per restore — and once here, for the name.
+    pub fn new<P: ControlPolicy + 'static>(make: impl Fn() -> P + Send + Sync + 'static) -> Self {
+        Self { name: make().name(), make: Arc::new(move || Box::new(make())) }
+    }
+}
+
+impl From<Strategy> for PolicySpec {
+    fn from(strategy: Strategy) -> Self {
+        Self { name: strategy.name(), make: Arc::new(move || strategy.control_policy()) }
+    }
+}
+
+impl PredictorSpec {
+    /// Describes a predictor by its constructor, which runs once per
+    /// registered query (and once here, to learn the name).
+    pub fn new(make: impl Fn() -> Box<dyn Predictor> + Send + Sync + 'static) -> Self {
+        Self { name: make().name().to_string(), make: Arc::new(make) }
+    }
+}
+
+impl From<PredictorKind> for PredictorSpec {
+    fn from(kind: PredictorKind) -> Self {
+        Self { name: kind.name().to_string(), make: Arc::new(move || kind.predictor()) }
+    }
+}
 
 /// How sampling rates are assigned to queries when load must be shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,11 +98,6 @@ pub enum AllocationPolicy {
 }
 
 impl AllocationPolicy {
-    /// Short name used in reports and composed strategy names.
-    pub fn name(&self) -> &'static str {
-        self.allocator().name()
-    }
-
     /// The built-in [`AllocationStrategy`] this variant constructs.
     pub fn allocator(&self) -> Box<dyn AllocationStrategy> {
         match self {
@@ -93,14 +157,6 @@ impl Strategy {
             Strategy::Predictive(policy) => Box::new(PredictivePolicy::new(policy.allocator())),
         }
     }
-
-    /// Returns the allocation policy, if the strategy sheds load at all.
-    pub fn policy(&self) -> Option<AllocationPolicy> {
-        match self {
-            Strategy::NoShedding => None,
-            Strategy::Reactive(policy) | Strategy::Predictive(policy) => Some(*policy),
-        }
-    }
 }
 
 /// Which per-query predictor drives the predictive strategy.
@@ -143,24 +199,16 @@ impl PredictorKind {
         PredictorKind::ALL.into_iter().find(|kind| kind.name() == name)
     }
 
-    /// The built-in [`PredictorFactory`] this variant constructs. `mlr` is
-    /// captured for the [`PredictorKind::MlrFcbf`] configuration and ignored
-    /// by the baselines.
-    pub fn factory(self, mlr: MlrConfig) -> Box<dyn PredictorFactory> {
+    /// A fresh instance of the built-in [`Predictor`] this variant names, in
+    /// its default (paper) configuration.
+    pub fn predictor(self) -> Box<dyn Predictor> {
         match self {
-            PredictorKind::MlrFcbf => {
-                Box::new(move || Box::new(MlrPredictor::new(mlr)) as Box<dyn Predictor>)
+            PredictorKind::MlrFcbf => Box::new(MlrPredictor::new(MlrConfig::default())),
+            PredictorKind::RobustMlrFcbf => {
+                Box::new(RobustMlrPredictor::new(RobustMlrConfig::default()))
             }
-            PredictorKind::RobustMlrFcbf => Box::new(move || {
-                let config = RobustMlrConfig { mlr, ..RobustMlrConfig::default() };
-                Box::new(RobustMlrPredictor::new(config)) as Box<dyn Predictor>
-            }),
-            PredictorKind::Slr => {
-                Box::new(|| Box::new(SlrPredictor::on_packets()) as Box<dyn Predictor>)
-            }
-            PredictorKind::Ewma => {
-                Box::new(|| Box::new(EwmaPredictor::default()) as Box<dyn Predictor>)
-            }
+            PredictorKind::Slr => Box::new(SlrPredictor::on_packets()),
+            PredictorKind::Ewma => Box::new(EwmaPredictor::default()),
         }
     }
 }
@@ -200,12 +248,11 @@ pub struct MonitorConfig {
     pub time_bin_us: u64,
     /// Duration of a measurement interval in microseconds.
     pub measurement_interval_us: u64,
-    /// Load shedding strategy.
-    pub strategy: Strategy,
-    /// Predictor used by the predictive strategy.
-    pub predictor: PredictorKind,
-    /// MLR configuration (history length, FCBF threshold).
-    pub mlr: MlrConfig,
+    /// The control policy: a built-in [`Strategy`] or a custom constructor.
+    pub policy: PolicySpec,
+    /// The per-query predictor: a built-in [`PredictorKind`] or a custom
+    /// constructor.
+    pub predictor: PredictorSpec,
     /// EWMA weight used to smooth the prediction error and the shedding
     /// overhead (Algorithm 1 uses 0.9).
     pub ewma_alpha: f64,
@@ -257,9 +304,8 @@ impl Default for MonitorConfig {
             platform_overhead_cycles: 1.0e4,
             time_bin_us: netshed_trace::DEFAULT_TIME_BIN_US,
             measurement_interval_us: netshed_trace::DEFAULT_MEASUREMENT_INTERVAL_US,
-            strategy: Strategy::Predictive(AllocationPolicy::EqualRates),
-            predictor: PredictorKind::MlrFcbf,
-            mlr: MlrConfig::default(),
+            policy: Strategy::Predictive(AllocationPolicy::EqualRates).into(),
+            predictor: PredictorKind::MlrFcbf.into(),
             ewma_alpha: 0.9,
             buffer_discovery: true,
             noise_jitter: 0.02,
@@ -276,9 +322,9 @@ impl Default for MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// Sets the strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
+    /// Sets the control policy: a [`Strategy`], or any [`PolicySpec`].
+    pub fn with_strategy(mut self, policy: impl Into<PolicySpec>) -> Self {
+        self.policy = policy.into();
         self
     }
 
@@ -288,9 +334,9 @@ impl MonitorConfig {
         self
     }
 
-    /// Sets the predictor kind.
-    pub fn with_predictor(mut self, predictor: PredictorKind) -> Self {
-        self.predictor = predictor;
+    /// Sets the predictor: a [`PredictorKind`], or any [`PredictorSpec`].
+    pub fn with_predictor(mut self, predictor: impl Into<PredictorSpec>) -> Self {
+        self.predictor = predictor.into();
         self
     }
 
@@ -475,7 +521,7 @@ mod tests {
             .with_seed(9)
             .without_noise();
         assert_eq!(config.capacity_cycles_per_bin, 1e6);
-        assert_eq!(config.strategy, Strategy::NoShedding);
+        assert_eq!(config.policy.name(), "no_lshed");
         assert_eq!(config.noise_jitter, 0.0);
         assert_eq!(config.seed, 9);
     }

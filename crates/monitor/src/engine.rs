@@ -11,7 +11,7 @@
 //! `ShardedMonitor::run` and the daemon's final flush are calls into it, and
 //! a harness generic over engines needs nothing else.
 
-use crate::config::{MonitorConfig, Strategy};
+use crate::config::{MonitorConfig, PolicySpec};
 use crate::error::NetshedError;
 use crate::monitor::{Monitor, QueryId};
 use crate::observer::RunObserver;
@@ -41,8 +41,9 @@ pub trait Engine {
     /// Deregisters a query by handle.
     fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError>;
 
-    /// Swaps the control policy to a built-in strategy.
-    fn set_strategy(&mut self, strategy: Strategy);
+    /// Swaps the control policy for a fresh instance of `policy` (one per
+    /// lane in a fleet); a [`Strategy`](crate::Strategy) converts into one.
+    fn set_policy(&mut self, policy: PolicySpec);
 
     /// Whether a measurement interval is currently open.
     fn interval_open(&self) -> bool;
@@ -112,8 +113,8 @@ impl Engine for Monitor {
         Monitor::deregister(self, id)
     }
 
-    fn set_strategy(&mut self, strategy: Strategy) {
-        self.set_policy(strategy.control_policy());
+    fn set_policy(&mut self, policy: PolicySpec) {
+        Monitor::set_policy(self, policy);
     }
 
     fn interval_open(&self) -> bool {
@@ -158,8 +159,8 @@ impl Engine for ShardedMonitor {
         ShardedMonitor::deregister(self, id)
     }
 
-    fn set_strategy(&mut self, strategy: Strategy) {
-        ShardedMonitor::set_strategy(self, strategy);
+    fn set_policy(&mut self, policy: PolicySpec) {
+        ShardedMonitor::set_policy(self, policy);
     }
 
     fn interval_open(&self) -> bool {

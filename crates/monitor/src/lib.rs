@@ -50,7 +50,11 @@
 //! [`policy::HysteresisReactivePolicy`] sheds immediately but recovers
 //! slowly, and user-defined policies plug in through
 //! [`MonitorBuilder::with_policy`]. Predictors follow the same registration
-//! pattern through [`MonitorBuilder::with_predictor`].
+//! pattern through [`MonitorBuilder::with_predictor`]. Either way the
+//! [`MonitorConfig`] ends up carrying one [`PolicySpec`] and one
+//! [`PredictorSpec`] — a name plus a constructor — from which a solo
+//! monitor, every lane of a [`ShardedMonitor`] and every daemon restore
+//! build their own instances.
 //!
 //! The [`robust`] module is the control-plane half of the robustness plane:
 //! [`DegradationGuard`] wraps any policy with a per-bin under-prediction
@@ -81,8 +85,8 @@ pub mod shedder;
 pub use builder::MonitorBuilder;
 pub use capture::CaptureBuffer;
 pub use config::{
-    AllocationPolicy, EnforcementConfig, MonitorConfig, PredictorKind, Strategy,
-    DEFAULT_SHARD_LANES,
+    AllocationPolicy, EnforcementConfig, MonitorConfig, PolicySpec, PredictorKind, PredictorSpec,
+    Spec, Strategy, DEFAULT_SHARD_LANES,
 };
 pub use digest::{DigestObserver, RunDigest, StreamDigest};
 pub use engine::Engine;

@@ -4,7 +4,7 @@
 
 use crate::builder::MonitorBuilder;
 use crate::capture::CaptureBuffer;
-use crate::config::MonitorConfig;
+use crate::config::{MonitorConfig, PolicySpec};
 use crate::engine::Engine;
 use crate::error::NetshedError;
 use crate::exec::{self, ExecStats};
@@ -14,7 +14,7 @@ use crate::report::{BinRecord, QueryBinRecord, RunSummary};
 use crate::shedder::{flow_sample_with, packet_sample_with};
 use netshed_fairness::QueryDemand;
 use netshed_features::{ExtractorConfig, FeatureExtractor, FeatureVector};
-use netshed_predict::{Predictor, PredictorFactory};
+use netshed_predict::Predictor;
 use netshed_queries::{
     build_query_from_spec, CustomBehavior, CycleMeter, MeasurementNoise, NoiseDraw, Query,
     QueryKind, QueryOutput, QuerySpec, SheddingMethod,
@@ -226,12 +226,9 @@ impl RegisteredQuery {
 /// The load-shedding monitoring system.
 pub struct Monitor {
     config: MonitorConfig,
-    /// The control-plane policy deciding per-bin sampling rates. Defaults to
-    /// the built-in the configured [`Strategy`](crate::Strategy) names.
+    /// The control-plane policy deciding per-bin sampling rates: this
+    /// monitor's own instance of `config.policy`.
     policy: Box<dyn ControlPolicy>,
-    /// Builds one predictor per registered query. Defaults to the built-in
-    /// the configured [`PredictorKind`](crate::PredictorKind) names.
-    predictor_factory: Box<dyn PredictorFactory>,
     extractor: FeatureExtractor,
     queries: Vec<RegisteredQuery>,
     buffer: CaptureBuffer,
@@ -274,9 +271,9 @@ impl std::fmt::Debug for Monitor {
 }
 
 impl Monitor {
-    /// Creates a monitor with no queries registered, running the built-in
-    /// policy and predictor the configuration's [`Strategy`](crate::Strategy)
-    /// and [`PredictorKind`](crate::PredictorKind) name.
+    /// Creates a monitor with no queries registered, running a fresh
+    /// instance of the policy the configuration describes (and, per query
+    /// registered later, of its predictor).
     pub fn new(config: MonitorConfig) -> Self {
         let buffer =
             CaptureBuffer::new(config.capacity_cycles_per_bin, config.buffer_capacity_bins);
@@ -292,8 +289,7 @@ impl Monitor {
         });
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
-            policy: config.strategy.control_policy(),
-            predictor_factory: config.predictor.factory(config.mlr),
+            policy: config.policy.make(),
             extractor,
             queries: Vec::new(),
             buffer,
@@ -327,21 +323,24 @@ impl Monitor {
         &self.config
     }
 
-    /// Name of the control-plane policy currently installed (the configured
-    /// strategy's name unless a custom policy was plugged in).
+    /// Name of the control-plane policy currently installed.
     pub fn policy_name(&self) -> String {
         self.policy.name()
     }
 
-    /// Installs a control-plane policy, replacing the current one.
-    ///
-    /// Intended for construction time (the builder's
-    /// [`with_policy`](crate::MonitorBuilder::with_policy) calls this);
-    /// swapping mid-run is allowed but any shadow executions the new policy
-    /// needs start from empty state, so their first measurement interval
-    /// under-reports stateful queries.
-    pub fn set_policy(&mut self, policy: Box<dyn ControlPolicy>) {
-        self.policy = policy;
+    /// The installed policy (a fleet's coordinator asks it for its allocator).
+    pub(crate) fn policy(&self) -> &dyn ControlPolicy {
+        self.policy.as_ref()
+    }
+
+    /// Swaps the control-plane policy for a fresh instance of `policy`,
+    /// which also becomes the configured one. Swapping mid-run is allowed,
+    /// but any shadow executions the new policy needs start from empty
+    /// state, so their first measurement interval under-reports stateful
+    /// queries.
+    pub fn set_policy(&mut self, policy: PolicySpec) {
+        self.policy = policy.make();
+        self.config.policy = policy;
         let needs_shadow = self.policy.needs_measured_cycles();
         for registered in &mut self.queries {
             registered.shadow = if needs_shadow {
@@ -350,13 +349,6 @@ impl Monitor {
                 None
             };
         }
-    }
-
-    /// Installs a predictor factory, replacing the current one. Only queries
-    /// registered *after* the call use the new factory; existing predictors
-    /// keep their history.
-    pub fn set_predictor_factory(&mut self, factory: Box<dyn PredictorFactory>) {
-        self.predictor_factory = factory;
     }
 
     /// Registers a query described by a [`QuerySpec`] and returns its stable
@@ -403,7 +395,7 @@ impl Monitor {
                 )));
             }
         }
-        let predictor = self.predictor_factory.make();
+        let predictor = self.config.predictor.make();
         let shadow = if self.policy.needs_measured_cycles() {
             spec.as_ref().map(|spec| build_query_from_spec(spec))
         } else {
@@ -959,8 +951,8 @@ impl Monitor {
     }
 
     /// Restores state written by [`Monitor::save_state`] into a monitor
-    /// freshly built from the *same* configuration (and the same custom
-    /// policy, when one was installed). Any queries registered on `self`
+    /// freshly built from the *same* configuration (its policy and predictor
+    /// specs included). Any queries registered on `self`
     /// before the call are discarded; the snapshot's registry — ids, labels
     /// and all per-query state — replaces them wholesale.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
@@ -1016,7 +1008,7 @@ impl Monitor {
             } else {
                 None
             };
-            let mut predictor = self.predictor_factory.make();
+            let mut predictor = self.config.predictor.make();
             predictor.load_state(reader)?;
             let mut sampled_extractor = FeatureExtractor::new(ExtractorConfig {
                 measurement_interval_us: self.config.measurement_interval_us,
@@ -1398,7 +1390,7 @@ mod tests {
         let capacity = demand / 2.0;
         let config = MonitorConfig::default().with_capacity(capacity).without_noise();
         let mut monitor = monitor_with_queries(config, &kinds);
-        monitor.set_policy(Box::new(OraclePolicy::new(MmfsPkt)));
+        monitor.set_policy(PolicySpec::new(|| OraclePolicy::new(MmfsPkt)));
         assert_eq!(monitor.policy_name(), "oracle_mmfs_pkt");
 
         let mut steady_state_cycles = Vec::new();
@@ -1447,9 +1439,9 @@ mod tests {
             let mut monitor = Monitor::new(config);
             monitor.register(&spec).expect("valid spec");
             if hysteresis {
-                monitor.set_policy(Box::new(
-                    HysteresisReactivePolicy::new(EqualRates).with_recovery(recovery),
-                ));
+                monitor.set_policy(PolicySpec::new(move || {
+                    HysteresisReactivePolicy::new(EqualRates).with_recovery(recovery)
+                }));
             }
             batches
                 .iter()
@@ -1487,23 +1479,13 @@ mod tests {
         use super::*;
         use crate::digest::DigestObserver;
 
-        fn round_trip(
-            config: &MonitorConfig,
-            kinds: &[QueryKind],
-            batches: &[Batch],
-            cut: usize,
-            policy: impl Fn() -> Option<Box<dyn ControlPolicy>>,
-        ) {
+        fn round_trip(config: &MonitorConfig, kinds: &[QueryKind], batches: &[Batch], cut: usize) {
             let build = |with_queries: bool| -> Monitor {
-                let mut monitor = if with_queries {
+                if with_queries {
                     monitor_with_queries(config.clone(), kinds)
                 } else {
                     Monitor::new(config.clone())
-                };
-                if let Some(policy) = policy() {
-                    monitor.set_policy(policy);
                 }
-                monitor
             };
 
             // Uninterrupted reference run.
@@ -1551,7 +1533,7 @@ mod tests {
             let demand = measure_demand(&kinds, &batches[..16]);
             let config =
                 MonitorConfig::default().with_capacity(demand / 2.0).with_seed(11).with_workers(1);
-            round_trip(&config, &kinds, &batches, 20, || None);
+            round_trip(&config, &kinds, &batches, 20);
         }
 
         #[test]
@@ -1562,11 +1544,12 @@ mod tests {
             let kinds = [QueryKind::Flows, QueryKind::Counter];
             let batches = small_trace(40, 350.0);
             let demand = measure_demand(&kinds, &batches[..12]);
-            let config = MonitorConfig::default().with_capacity(demand / 2.0).without_noise();
+            let config = MonitorConfig::default()
+                .with_capacity(demand / 2.0)
+                .with_strategy(PolicySpec::new(|| HysteresisReactivePolicy::new(EqualRates)))
+                .without_noise();
             // Cut mid-recovery so a wrong `current` would diverge instantly.
-            round_trip(&config, &kinds, &batches, 15, || {
-                Some(Box::new(HysteresisReactivePolicy::new(EqualRates)))
-            });
+            round_trip(&config, &kinds, &batches, 15);
         }
 
         #[test]
@@ -1577,10 +1560,11 @@ mod tests {
             let kinds = [QueryKind::Flows, QueryKind::PatternSearch];
             let batches = small_trace(36, 300.0);
             let demand = measure_demand(&kinds, &batches[..12]);
-            let config = MonitorConfig::default().with_capacity(demand / 2.0).without_noise();
-            round_trip(&config, &kinds, &batches, 17, || {
-                Some(Box::new(OraclePolicy::new(MmfsPkt)))
-            });
+            let config = MonitorConfig::default()
+                .with_capacity(demand / 2.0)
+                .with_strategy(PolicySpec::new(|| OraclePolicy::new(MmfsPkt)))
+                .without_noise();
+            round_trip(&config, &kinds, &batches, 17);
         }
 
         #[test]

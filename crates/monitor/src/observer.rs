@@ -273,6 +273,15 @@ impl AccuracyTracker {
         self.mean_error().into_iter().map(|(name, err)| (name, 1.0 - err)).collect()
     }
 
+    /// Per-query minimum accuracy over the run's measurement intervals — the
+    /// worst interval each query saw — name-sorted.
+    pub fn min_accuracy(&self) -> BTreeMap<String, f64> {
+        self.errors
+            .iter()
+            .map(|(name, errs)| (name.clone(), 1.0 - errs.iter().copied().fold(0.0, f64::max)))
+            .collect()
+    }
+
     /// Per-query error series, one value per closed measurement interval,
     /// name-sorted.
     pub fn error_series(&self) -> &BTreeMap<String, Vec<f64>> {
@@ -375,6 +384,7 @@ mod tests {
         for (name, value) in accuracy {
             assert!(value > 0.999, "{name} accuracy {value} should be perfect without shedding");
         }
+        assert!(tracker.min_accuracy().values().all(|&worst| worst > 0.999));
         // 25 batches = 2 mid-run intervals + the final flush.
         assert!(tracker.error_series().values().all(|series| series.len() == 3));
     }

@@ -132,14 +132,13 @@ impl Default for DegradationGuardConfig {
 /// use netshed_monitor::{DegradationGuard, Monitor, PredictivePolicy};
 /// use netshed_fairness::EqualRates;
 ///
-/// let guard = DegradationGuard::new(PredictivePolicy::new(EqualRates));
-/// assert_eq!(guard.name(), "guarded_eq_srates");
-/// # use netshed_monitor::ControlPolicy;
+/// let guard = || DegradationGuard::new(PredictivePolicy::new(EqualRates));
 /// let monitor = Monitor::builder().capacity(1e9).with_policy(guard).build().unwrap();
+/// assert_eq!(monitor.policy_name(), "guarded_eq_srates");
 /// ```
 pub struct DegradationGuard {
     inner: Box<dyn ControlPolicy>,
-    allocator: Box<dyn AllocationStrategy>,
+    fallback_allocator: Box<dyn AllocationStrategy>,
     config: DegradationGuardConfig,
     /// Cycles the previous decision committed to
     /// (Σ prediction × rate × inflation — the policy's own EWMA-corrected
@@ -198,7 +197,7 @@ impl DegradationGuard {
         );
         Self {
             inner: Box::new(inner),
-            allocator: Box::new(EqualRates),
+            fallback_allocator: Box::new(EqualRates),
             config,
             expected: None,
             fallback_rate: None,
@@ -315,7 +314,7 @@ impl ControlPolicy for DegradationGuard {
                 target
             };
             self.fallback_rate = Some(rate);
-            decision = spread_global_rate(self.allocator.as_ref(), rate, ctx.demands);
+            decision = spread_global_rate(self.fallback_allocator.as_ref(), rate, ctx.demands);
             decision.reason = DecisionReason::DegradedFallback;
         } else {
             self.fallback_rate = None;
@@ -333,6 +332,10 @@ impl ControlPolicy for DegradationGuard {
 
     fn needs_measured_cycles(&self) -> bool {
         self.inner.needs_measured_cycles()
+    }
+
+    fn allocator(&self) -> &dyn AllocationStrategy {
+        self.inner.allocator()
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
@@ -430,6 +433,10 @@ impl ControlPolicy for AllocationGameAttacker {
 
     fn needs_measured_cycles(&self) -> bool {
         self.inner.needs_measured_cycles()
+    }
+
+    fn allocator(&self) -> &dyn AllocationStrategy {
+        self.inner.allocator()
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {

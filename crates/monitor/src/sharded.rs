@@ -14,27 +14,29 @@
 //! and therefore the output, like changing the seed — it is configuration.
 //!
 //! Per global bin the *coordinator* redistributes the global cycle budget
-//! over the lanes through the same [`AllocationStrategy`] machinery that
-//! arbitrates queries within a monitor (Section 5.2 lifted from queries to
-//! shards): each lane reports its previous bin's predicted cycles as its
-//! demand, the allocator grants max-min fair budgets out of the
-//! discretionary pool, and unclaimed headroom is returned equally. A DDoS
-//! concentrated on one lane therefore borrows the idle lanes' headroom —
-//! while the §5.3 allocation game bounds what a greedy lane can extract.
+//! over the lanes through the same allocator that arbitrates queries within
+//! a monitor — the installed policy's own
+//! ([`ControlPolicy::allocator`](crate::ControlPolicy::allocator); Section
+//! 5.2 lifted from queries to shards): each lane reports its previous bin's
+//! predicted cycles as its demand, the allocator grants max-min fair budgets
+//! out of the discretionary pool, and unclaimed headroom is returned
+//! equally. A DDoS concentrated on one lane therefore borrows the idle
+//! lanes' headroom — while the §5.3 allocation game bounds what a greedy
+//! lane can extract.
 //!
 //! Lanes run in lock step: every lane sees every global bin, non-empty
 //! sub-batches through [`Monitor::process_batch`] and empty ones through
 //! [`Monitor::advance_empty_bin`], so all lanes close measurement intervals
 //! on identical bins and per-interval outputs can be merged query-by-query.
 
-use crate::config::{AllocationPolicy, MonitorConfig, Strategy};
+use crate::config::{MonitorConfig, PolicySpec};
 use crate::engine::Engine;
 use crate::error::NetshedError;
 use crate::exec::{run_tasks, ExecStats};
 use crate::monitor::{Monitor, QueryId};
 use crate::observer::RunObserver;
 use crate::report::{BinRecord, RunSummary};
-use netshed_fairness::{AllocationStrategy, QueryDemand};
+use netshed_fairness::QueryDemand;
 use netshed_queries::{QueryOutput, QuerySpec};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use netshed_trace::{Batch, PacketSource};
@@ -60,8 +62,6 @@ pub struct ShardedMonitor {
     config: MonitorConfig,
     /// The fixed virtual lanes, in lane order.
     lanes: Vec<Lane>,
-    /// Cross-shard allocator (see [`coordinator_allocator`]).
-    allocator: Box<dyn AllocationStrategy>,
     /// Each lane's current per-bin cycle budget (coordinator output).
     lane_capacity: Vec<f64>,
     /// Shard-level execution telemetry (lane dispatch, not the per-lane
@@ -124,17 +124,6 @@ impl Lane {
     }
 }
 
-/// The allocator that divides the global budget over the lanes: the
-/// strategy's own allocation policy. `NoShedding` has none, the coordinator
-/// still has to split the budget, and max-min CPU fairness is the neutral
-/// choice.
-fn coordinator_allocator(strategy: Strategy) -> Box<dyn AllocationStrategy> {
-    match strategy {
-        Strategy::NoShedding => AllocationPolicy::MmfsCpu.allocator(),
-        Strategy::Reactive(policy) | Strategy::Predictive(policy) => policy.allocator(),
-    }
-}
-
 impl ShardedMonitor {
     /// Builds a fleet from a validated global configuration: `shard_lanes`
     /// monitors, each starting with an equal share of the capacity (compute
@@ -142,7 +131,8 @@ impl ShardedMonitor {
     /// NIC-drain capacity and is not redistributed by the coordinator). The
     /// per-bin platform overhead is split the same way, so the fleet pays
     /// the same total fixed cost as the solo monitor — and any configuration
-    /// a solo monitor accepts, the fleet accepts too.
+    /// a solo monitor accepts, the fleet accepts too. Every lane builds its
+    /// own instance of the configured policy and predictor.
     pub fn new(config: MonitorConfig) -> Result<Self, NetshedError> {
         config.validate()?;
         let lanes_count = config.shard_lanes;
@@ -169,7 +159,6 @@ impl ShardedMonitor {
             });
         }
         Ok(Self {
-            allocator: coordinator_allocator(config.strategy),
             config,
             lanes,
             lane_capacity: vec![share; lanes_count],
@@ -204,15 +193,14 @@ impl ShardedMonitor {
         self.lanes[0].monitor.policy_name()
     }
 
-    /// Swaps every lane's control policy to a built-in [`Strategy`] and
-    /// retargets the coordinator's allocator to the strategy's allocation
-    /// policy. Each lane gets its own fresh policy instance, which is why
-    /// the fleet swaps by [`Strategy`] rather than by boxed policy.
-    pub fn set_strategy(&mut self, strategy: Strategy) {
+    /// Swaps every lane's control policy for its own fresh instance of
+    /// `policy`; the coordinator follows, because it asks lane 0's policy
+    /// for its allocator every bin.
+    pub fn set_policy(&mut self, policy: PolicySpec) {
         for lane in &mut self.lanes {
-            lane.monitor.set_policy(strategy.control_policy());
+            lane.monitor.set_policy(policy.clone());
         }
-        self.allocator = coordinator_allocator(strategy);
+        self.config.policy = policy;
     }
 
     /// Shard-level execution telemetry: measured front-end wall time (split,
@@ -288,8 +276,9 @@ impl ShardedMonitor {
     /// budgets for the coming bin and applies them.
     ///
     /// Every lane is guaranteed a liveness floor; the discretionary
-    /// remainder is granted by the configured [`AllocationStrategy`] against
-    /// the reported demands, and whatever the grants leave unclaimed is
+    /// remainder is granted by the installed policy's
+    /// [`allocator`](crate::ControlPolicy::allocator) against the reported
+    /// demands, and whatever the grants leave unclaimed is
     /// returned equally. That is `floor + grant + (pool − Σgrants) / lanes`,
     /// computed as the equal share plus the lane's grant minus the mean
     /// grant: the budgets sum to the capacity whatever the grants are, and a
@@ -310,7 +299,7 @@ impl ShardedMonitor {
         let pool = (capacity - floor * lanes).max(0.0);
         let demands: Vec<QueryDemand> =
             self.lanes.iter().map(|lane| QueryDemand::new(lane.demand, 0.0)).collect();
-        let allocations = self.allocator.allocate(&demands, pool);
+        let allocations = self.lanes[0].monitor.policy().allocator().allocate(&demands, pool);
         // Grants first, in place; then each becomes the lane's budget.
         for (grant, (allocation, demand)) in
             self.lane_capacity.iter_mut().zip(allocations.iter().zip(&demands))
@@ -442,11 +431,7 @@ impl ShardedMonitor {
     ) -> Result<(), StateError> {
         let lanes = reader.u64()? as usize;
         if lanes != self.lanes.len() {
-            return Err(StateError::mismatch(
-                "sharded.lanes",
-                self.lanes.len().to_string(),
-                lanes.to_string(),
-            ));
+            return Err(StateError::mismatch("sharded.lanes", lanes, self.lanes.len()));
         }
         for (index, (lane, budget)) in
             self.lanes.iter_mut().zip(&mut self.lane_capacity).enumerate()
@@ -484,7 +469,7 @@ impl std::fmt::Debug for ShardedMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AllocationPolicy;
+    use crate::config::{AllocationPolicy, Strategy};
     use crate::digest::DigestObserver;
     use crate::observer::NullObserver;
     use netshed_queries::{QueryKind, QuerySpec};
@@ -552,22 +537,26 @@ mod tests {
     }
 
     #[test]
-    fn build_sharded_rejects_custom_policy_and_predictor() {
+    fn every_lane_builds_its_own_custom_policy_and_predictor() {
         use crate::policy::HysteresisReactivePolicy;
         use netshed_fairness::MmfsPkt;
         use netshed_predict::{EwmaPredictor, Predictor};
 
-        let error = Monitor::builder()
-            .with_policy(HysteresisReactivePolicy::new(MmfsPkt))
-            .build_sharded()
-            .unwrap_err();
-        assert!(matches!(error, NetshedError::InvalidConfig(_)));
-
-        let error = Monitor::builder()
+        let mut fleet = Monitor::builder()
+            .with_policy(|| HysteresisReactivePolicy::new(MmfsPkt))
             .with_predictor(|| Box::new(EwmaPredictor::new(0.5)) as Box<dyn Predictor>)
+            .with_shard_lanes(3)
+            .query(QuerySpec::new(QueryKind::Counter))
             .build_sharded()
-            .unwrap_err();
-        assert!(matches!(error, NetshedError::InvalidConfig(_)));
+            .expect("anything build() accepts shards");
+        assert_eq!(fleet.policy_name(), "reactive_hysteresis_mmfs_pkt");
+        // The coordinator arbitrates lanes with the policy's own allocator.
+        assert_eq!(fleet.lanes[2].monitor.policy().allocator().name(), "mmfs_pkt");
+        fleet.process_bin(&single_pair_batch(0, 200), &mut NullObserver).expect("bin");
+
+        fleet.set_policy(Strategy::NoShedding.into());
+        assert_eq!(fleet.config().policy.name(), "no_lshed");
+        assert!(fleet.lanes.iter().all(|lane| lane.monitor.policy_name() == "no_lshed"));
     }
 
     #[test]
@@ -777,9 +766,15 @@ mod tests {
         restored.load_coordinator_state(&mut reader).expect("load");
         assert_eq!(fleet.lane_capacities(), restored.lane_capacities());
 
-        // A fleet with a different lane count refuses the section.
+        // A fleet with a different lane count refuses the section, naming
+        // the snapshot's count first.
         let mut mismatched = self::tests::fleet(5.0e8, 2);
         let mut reader = StateReader::new(&bytes);
-        assert!(mismatched.load_coordinator_state(&mut reader).is_err());
+        match mismatched.load_coordinator_state(&mut reader).unwrap_err() {
+            StateError::Mismatch { found, expected, .. } => {
+                assert_eq!((found.as_str(), expected.as_str()), ("4", "2"));
+            }
+            other => panic!("expected a lane-count Mismatch, got {other:?}"),
+        }
     }
 }

@@ -24,9 +24,9 @@
 //! All predictors implement the [`Predictor`] trait so the load shedding
 //! system and the experiment harness can swap them freely. Because the
 //! prediction history is per query, the monitoring system instantiates one
-//! predictor per registration through a [`PredictorFactory`] (any
-//! `Fn() -> Box<dyn Predictor>` closure qualifies), which is also how
-//! user-defined predictors plug in.
+//! predictor per registration from the constructor its configuration carries
+//! (a `PredictorSpec`: any `Fn() -> Box<dyn Predictor>` closure qualifies),
+//! which is also how user-defined predictors plug in.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +41,5 @@ pub use error::ErrorStats;
 pub use fcbf::{fcbf_select, fcbf_select_with, FcbfConfig, FcbfScratch};
 pub use guard::{clamp_features, clamp_sample, MAX_SAMPLE};
 pub use history::History;
-pub use predictor::{
-    EwmaPredictor, MlrConfig, MlrPredictor, Predictor, PredictorFactory, SlrPredictor,
-};
+pub use predictor::{EwmaPredictor, MlrConfig, MlrPredictor, Predictor, SlrPredictor};
 pub use robust::{RobustMlrConfig, RobustMlrPredictor};

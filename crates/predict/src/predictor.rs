@@ -59,41 +59,6 @@ pub trait Predictor: Send {
     }
 }
 
-/// Builds one [`Predictor`] instance per registered query.
-///
-/// Prediction state is per query (each query has its own cost history), so
-/// the monitoring system cannot share a single predictor instance: it asks a
-/// factory for a fresh one at every registration. Any
-/// `Fn() -> Box<dyn Predictor>` closure is a factory:
-///
-/// ```
-/// use netshed_predict::{EwmaPredictor, Predictor, PredictorFactory};
-///
-/// let factory = || Box::new(EwmaPredictor::new(0.5)) as Box<dyn Predictor>;
-/// assert_eq!(PredictorFactory::name(&factory), "ewma");
-/// let mut predictor = factory.make();
-/// assert!(predictor.predict(&netshed_features::FeatureVector::zeros()) >= 0.0);
-/// ```
-pub trait PredictorFactory: Send {
-    /// Creates a fresh predictor with empty history.
-    fn make(&self) -> Box<dyn Predictor>;
-
-    /// Short name for reports; defaults to the name of a freshly built
-    /// instance.
-    fn name(&self) -> String {
-        self.make().name().to_string()
-    }
-}
-
-impl<F> PredictorFactory for F
-where
-    F: Fn() -> Box<dyn Predictor> + Send,
-{
-    fn make(&self) -> Box<dyn Predictor> {
-        self()
-    }
-}
-
 /// Configuration of the [`MlrPredictor`].
 #[derive(Debug, Clone, Copy)]
 pub struct MlrConfig {

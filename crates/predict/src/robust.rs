@@ -91,7 +91,7 @@ impl Default for RobustMlrConfig {
 /// [`MlrPredictor`] hardened against predictor-gaming workloads.
 ///
 /// See the [module docs](self) for the defense model. Constructed like any
-/// other predictor (one per query, via a `PredictorFactory`); the
+/// other predictor (one per query, from the configured `PredictorSpec`); the
 /// `robust_mlr_fcbf` [`PredictorKind`](../../netshed_monitor) exposes it to
 /// the monitor configuration.
 #[derive(Debug)]

@@ -40,8 +40,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use netshed_monitor::{
-    DigestObserver, Monitor, MonitorConfig, NetshedError, PredictorKind, QueryId, RunDigest,
-    Strategy,
+    DigestObserver, Monitor, MonitorConfig, NetshedError, PolicySpec, QueryId, RunDigest, Strategy,
 };
 use netshed_queries::QuerySpec;
 use netshed_sketch::{StateError, StateReader, StateWriter};
@@ -79,11 +78,15 @@ pub enum ServiceError {
         /// Bins the replacement source could actually provide.
         skipped: u64,
     },
-    /// The snapshot names a control policy that is not one of the built-in
-    /// strategies, so the restoring process cannot reconstruct it.
-    UnknownPolicy(String),
-    /// The snapshot names a predictor kind this build does not know.
-    UnknownPredictor(String),
+    /// The snapshot names a control policy that is neither the one the
+    /// restoring configuration constructs nor a built-in strategy, so the
+    /// restoring process cannot reconstruct it.
+    UnknownPolicy {
+        /// The policy name the snapshot stores.
+        snapshot: String,
+        /// The policy name the restoring configuration's spec constructs.
+        configured: String,
+    },
 }
 
 impl std::fmt::Display for ServiceError {
@@ -99,13 +102,11 @@ impl std::fmt::Display for ServiceError {
                 "restore source exhausted after {skipped} bins but the checkpoint \
                  was taken {needed} bins in"
             ),
-            ServiceError::UnknownPolicy(name) => write!(
+            ServiceError::UnknownPolicy { snapshot, configured } => write!(
                 f,
-                "snapshot policy {name:?} is not a built-in strategy; restore cannot rebuild it"
+                "snapshot policy {snapshot:?} is neither the configured policy {configured:?} \
+                 nor a built-in strategy; restore with the configuration that constructs it"
             ),
-            ServiceError::UnknownPredictor(name) => {
-                write!(f, "snapshot predictor {name:?} is not a known kind")
-            }
         }
     }
 }
@@ -152,7 +153,7 @@ pub enum TickStatus {
 enum Command {
     RegisterQuery { spec: QuerySpec, reply: Sender<Result<QueryId, ServiceError>> },
     DeregisterQuery { id: QueryId, reply: Sender<Result<(), ServiceError>> },
-    SwapPolicy { strategy: Strategy, reply: Sender<Result<String, ServiceError>> },
+    SwapPolicy { policy: PolicySpec, reply: Sender<Result<String, ServiceError>> },
     Checkpoint { reply: Sender<Result<Vec<u8>, ServiceError>> },
     Shutdown { reply: Sender<Result<RunDigest, ServiceError>> },
 }
@@ -208,10 +209,14 @@ impl ControlChannel {
         self.send(|reply| Command::DeregisterQuery { id, reply })
     }
 
-    /// Swaps the control-plane policy at the next bin boundary, yielding the
-    /// name of the newly installed policy.
-    pub fn swap_policy(&self, strategy: Strategy) -> Pending<String> {
-        self.send(|reply| Command::SwapPolicy { strategy, reply })
+    /// Swaps the control-plane policy — a built-in [`Strategy`] or any
+    /// [`PolicySpec`] — at the next bin boundary, yielding the name of the
+    /// newly installed policy. A checkpoint taken after the swap restores if
+    /// the new policy is a built-in or the one the restoring configuration
+    /// constructs.
+    pub fn swap_policy(&self, policy: impl Into<PolicySpec>) -> Pending<String> {
+        let policy = policy.into();
+        self.send(|reply| Command::SwapPolicy { policy, reply })
     }
 
     /// Takes a `.nsck` checkpoint at the next bin boundary, yielding the
@@ -361,8 +366,8 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
                     let result = self.monitor.deregister(id).map_err(ServiceError::from);
                     let _ = reply.send(result);
                 }
-                Command::SwapPolicy { strategy, reply } => {
-                    self.monitor.set_strategy(strategy);
+                Command::SwapPolicy { policy, reply } => {
+                    self.monitor.set_policy(policy);
                     let _ = reply.send(Ok(self.monitor.policy_name()));
                 }
                 Command::Checkpoint { reply } => {
@@ -418,13 +423,17 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
     /// `config` must describe the same run the checkpoint was taken from
     /// (same seed, capacity, bin geometry, predictor); the snapshot's config
     /// section is cross-checked field by field and a mismatch names both
-    /// sides. The worker count is deliberately *not* checked — it is a
+    /// sides. The active policy is resolved by name: the configuration's own
+    /// [`PolicySpec`] when its name is the snapshot's, else — the run saw a
+    /// [`swap_policy`](ControlChannel::swap_policy) — the built-in
+    /// [`Strategy`] of that name, else [`ServiceError::UnknownPolicy`]. The
+    /// worker count is deliberately *not* checked — it is a
     /// wall-clock knob, and restoring at a different count is supported and
     /// tested. `source` must replay the same stream from the beginning; it
     /// is fast-forwarded past the bins the checkpoint already consumed
     /// (O(1) for [`BatchReplay`](netshed_trace::BatchReplay)).
     pub fn restore_engine(
-        config: MonitorConfig,
+        mut config: MonitorConfig,
         mut source: S,
         bytes: &[u8],
     ) -> Result<(Self, ControlChannel), ServiceError> {
@@ -438,24 +447,21 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
         let policy_name = section.str()?;
         let predictor_name = section.str()?;
         section.finish()?;
-        let predictor = PredictorKind::from_name(&predictor_name)
-            .ok_or_else(|| ServiceError::UnknownPredictor(predictor_name.clone()))?;
-        if predictor != config.predictor {
-            return Err(StateError::mismatch(
-                "predictor kind",
-                predictor_name,
-                config.predictor.name(),
-            )
-            .into());
+        if predictor_name != config.predictor.name() {
+            return Err(
+                StateError::mismatch("predictor", predictor_name, config.predictor.name()).into()
+            );
         }
-        let strategy = Strategy::from_name(&policy_name)
-            .ok_or_else(|| ServiceError::UnknownPolicy(policy_name.clone()))?;
+        if policy_name != config.policy.name() {
+            let swapped_in =
+                Strategy::from_name(&policy_name).ok_or_else(|| ServiceError::UnknownPolicy {
+                    snapshot: policy_name,
+                    configured: config.policy.name().to_string(),
+                })?;
+            config.policy = swapped_in.into();
+        }
 
         let mut monitor = M::from_config(config)?;
-        // The active policy may differ from the configured strategy if the
-        // run saw a SwapPolicy; install the snapshot's before loading state
-        // so shadow reconstruction follows the right policy.
-        monitor.set_strategy(strategy);
         monitor.load_sections(&snapshot)?;
 
         let mut section = StateReader::new(snapshot.section(SECTION_DAEMON)?);

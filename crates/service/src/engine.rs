@@ -7,8 +7,10 @@
 //! drives — `ingest` per non-empty bin, registration, policy swaps, the
 //! final flush — is `netshed-monitor`'s [`Engine`] contract, spelled once
 //! for every host; [`MonitorEngine`] is that contract plus the three things
-//! only a restorable service needs: rebuilding from a configuration and
-//! (de)serialising into named `.nsck` sections.
+//! only a restorable service needs: rebuilding from a configuration (which
+//! carries the policy and predictor constructors, so every policy a
+//! configuration can describe restores) and (de)serialising into named
+//! `.nsck` sections.
 //!
 //! Both implementations uphold the determinism contract the daemon
 //! documents: the checkpoint sections capture essential state only, so a
@@ -34,10 +36,9 @@ pub trait MonitorEngine: Engine {
     /// Appends the engine's state sections to a checkpoint under way.
     fn save_sections(&self, snapshot: &mut Snapshot) -> Result<(), ServiceError>;
 
-    /// Restores the engine's state from its checkpoint sections. The caller
-    /// has already installed the snapshot's policy (via
-    /// [`set_strategy`](Engine::set_strategy)), so shadow reconstruction
-    /// follows the right policy.
+    /// Restores the engine's state from its checkpoint sections. The engine
+    /// was built from a configuration whose policy is the snapshot's, so
+    /// shadow reconstruction follows the right policy.
     fn load_sections(&mut self, snapshot: &Snapshot) -> Result<(), ServiceError>;
 }
 

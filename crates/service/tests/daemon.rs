@@ -529,7 +529,18 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
     )
     .map(|_| ())
     .unwrap_err();
-    assert!(matches!(error, ServiceError::Snapshot(_)), "got {error:?}");
+    // Snapshot value first, live value second — like every other mismatch.
+    match error {
+        ServiceError::Snapshot(SnapshotError::State(StateError::Mismatch {
+            what,
+            found,
+            expected,
+        })) => {
+            assert_eq!(what, "sharded.lanes");
+            assert_eq!((found.as_str(), expected.as_str()), ("4", "2"));
+        }
+        other => panic!("expected a lane-count mismatch naming both sides, got {other}"),
+    }
 }
 
 #[test]

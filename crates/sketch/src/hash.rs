@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 /// A strong 64-bit integer mixer (SplitMix64 finalizer).
 ///
 /// Used wherever a cheap, deterministic, well-distributed hash of a 64-bit
-/// value is needed (bitmap bucket selection, Bloom filter double hashing).
+/// value is needed (bitmap bucket selection).
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;

@@ -14,7 +14,6 @@
 //! * [`MultiResolutionBitmap`] — the multi-tier bitmap used for the
 //!   unique/new feature counters, and its [`BitmapGeometry`], which maps a
 //!   hash to the bit it owns,
-//! * [`BloomFilter`] — membership sketch (used by some queries),
 //! * [`H3Hasher`] — per-measurement-interval randomized hash of flow keys to
 //!   `[0, 1)` used by flowwise sampling,
 //! * [`mix64`] / [`hash_bytes`] — the cheap deterministic mixers shared by
@@ -23,13 +22,11 @@
 #![forbid(unsafe_code)]
 
 pub mod bitmap;
-pub mod bloom;
 pub mod det_map;
 pub mod hash;
 pub mod state;
 
 pub use bitmap::{BitmapGeometry, LinearCounting, MultiResolutionBitmap};
-pub use bloom::BloomFilter;
 pub use det_map::{DetHashMap, DetHashSet, Entry};
 pub use hash::{
     hash_block, hash_bytes, mix64, DetBuildHasher, DetHasher, H3Hasher, IncrementalFnv,

@@ -78,7 +78,7 @@ fn main() -> Result<(), NetshedError> {
     // The oracle is not deployable (it measures each bin's true cost on a
     // shadow execution) but bounds what any predictor could achieve.
     let oracle = flows_errors(
-        Monitor::builder().with_policy(OraclePolicy::new(MmfsPkt)),
+        Monitor::builder().with_policy(|| OraclePolicy::new(MmfsPkt)),
         capacity,
         &recording,
     )?;

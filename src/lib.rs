@@ -40,11 +40,11 @@ pub use netshed_monitor::{
     ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DegradationGuardConfig,
     DigestObserver, EnforcementConfig, Engine, ExecStats, HysteresisReactivePolicy, Monitor,
     MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy,
-    PredictivePolicy, PredictorKind, QueryId, ReactivePolicy, RecordSink, ReferenceRunner,
-    RunDigest, RunObserver, RunSummary, ShardedMonitor, Strategy, StreamDigest,
-    DEFAULT_SHARD_LANES,
+    PolicySpec, PredictivePolicy, PredictorKind, PredictorSpec, QueryId, ReactivePolicy,
+    RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Strategy,
+    StreamDigest, DEFAULT_SHARD_LANES,
 };
-pub use netshed_predict::{Predictor, PredictorFactory, RobustMlrConfig, RobustMlrPredictor};
+pub use netshed_predict::{Predictor, RobustMlrConfig, RobustMlrPredictor};
 pub use netshed_queries::{QueryKind, QueryOutput, QuerySpec};
 pub use netshed_trace::{
     shard_key, AnomalyEvent, Batch, BatchReplay, BatchView, FormatError, Interleave, Link,
@@ -60,11 +60,11 @@ pub mod prelude {
         ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DegradationGuardConfig,
         DigestObserver, EnforcementConfig, Engine, ExecStats, HysteresisReactivePolicy, Monitor,
         MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy,
-        PredictivePolicy, PredictorKind, QueryBinRecord, QueryId, ReactivePolicy, RecordSink,
-        ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Strategy,
-        StreamDigest, DEFAULT_SHARD_LANES,
+        PolicySpec, PredictivePolicy, PredictorKind, PredictorSpec, QueryBinRecord, QueryId,
+        ReactivePolicy, RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary,
+        ShardedMonitor, Strategy, StreamDigest, DEFAULT_SHARD_LANES,
     };
-    pub use netshed_predict::{Predictor, PredictorFactory, RobustMlrConfig, RobustMlrPredictor};
+    pub use netshed_predict::{Predictor, RobustMlrConfig, RobustMlrPredictor};
     pub use netshed_queries::{CustomBehavior, QueryKind, QueryOutput, QuerySpec};
     pub use netshed_trace::{
         shard_key, Anomaly, AnomalyEvent, AnomalyKind, Batch, BatchReplay, BatchView, FormatError,

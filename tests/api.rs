@@ -242,7 +242,7 @@ fn custom_policy_from_outside_the_monitor_crate_runs() {
         .capacity(demand / 2.0)
         .seed(5)
         .no_noise()
-        .with_policy(PanicButton { rate: 0.25, triggered: 0 })
+        .with_policy(|| PanicButton { rate: 0.25, triggered: 0 })
         .queries(specs)
         .build()
         .expect("valid configuration");

@@ -15,12 +15,21 @@
 //! in one `scenarios` invocation, resume in another) under
 //! `NETSHED_THREADS=1` and `=4`; this file enforces the same criterion
 //! in-process so a regression fails `cargo test` before CI.
+//!
+//! The last three tests carry the policies *outside* the `Strategy` enum
+//! (hardened stack, oracle, hysteresis) through the same boundary, solo and
+//! fleet: the restoring configuration constructs the policy, the snapshot
+//! carries its state — the degradation guard's tripped state included.
 
-use netshed::{Monitor, ShardedMonitor};
+mod common;
+
+use common::{adversarial_scenarios, custom_configs};
+use netshed::prelude::*;
 use netshed_bench::corpus::{
-    all_strategies, checkpoint_run, corpus_capacity, corpus_config, diff_digests, digest_run,
-    parse_manifest, resume_run, GoldenEntry, MANIFEST_NAME,
+    all_strategies, checkpoint_run, corpus_capacity, corpus_config, corpus_engine, diff_digests,
+    digest_run, parse_manifest, resume_run, GoldenEntry, MANIFEST_NAME,
 };
+use netshed_service::{Daemon, MonitorEngine, ServiceError, TickStatus};
 use netshed_trace::scenario::builtins;
 use std::path::PathBuf;
 
@@ -29,6 +38,14 @@ fn manifest() -> Vec<GoldenEntry> {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     parse_manifest(&text).expect("committed manifest parses")
+}
+
+/// The midpoint cut of a batch vector, in non-empty bins.
+fn midpoint(batches: &[Batch]) -> u64 {
+    let non_empty = batches.iter().filter(|b| !b.is_empty()).count() as u64;
+    let at = (non_empty / 2).max(1);
+    assert!(at < non_empty, "the midpoint must land mid-scenario");
+    at
 }
 
 /// The acceptance criterion: midpoint checkpoint → restore in a fresh
@@ -41,9 +58,7 @@ fn midpoint_restore_matches_the_golden_manifest_at_both_worker_counts() {
     for scenario in builtins() {
         let batches = scenario.generate().expect("builtins are valid");
         let capacity = corpus_capacity(&batches);
-        let non_empty = batches.iter().filter(|b| !b.is_empty()).count() as u64;
-        let at = (non_empty / 2).max(1);
-        assert!(at < non_empty, "{}: midpoint must land mid-scenario", scenario.name());
+        let at = midpoint(&batches);
         for (name, strategy) in all_strategies() {
             let entry = pinned
                 .iter()
@@ -83,8 +98,7 @@ fn snapshots_are_portable_across_worker_counts() {
     let scenario = builtins().into_iter().next().expect("builtin scenarios");
     let batches = scenario.generate().expect("builtins are valid");
     let capacity = corpus_capacity(&batches);
-    let non_empty = batches.iter().filter(|b| !b.is_empty()).count() as u64;
-    let at = (non_empty / 2).max(1);
+    let at = midpoint(&batches);
     let (name, strategy) = all_strategies().into_iter().last().expect("seven strategies");
     let entry = pinned
         .iter()
@@ -141,8 +155,7 @@ fn a_fleet_checkpoint_resumes_at_another_shard_thread_count() {
     for scenario in builtins() {
         let batches = scenario.generate().expect("builtins are valid");
         let capacity = corpus_capacity(&batches);
-        let non_empty = batches.iter().filter(|b| !b.is_empty()).count() as u64;
-        let at = (non_empty / 2).max(1);
+        let at = midpoint(&batches);
         let (name, strategy) = all_strategies().into_iter().last().expect("seven strategies");
         let config = |shards| corpus_config(strategy, capacity, 1).with_shards(shards);
         let reference = digest_run::<ShardedMonitor>(&batches, config(1)).expect("fleet run");
@@ -161,4 +174,124 @@ fn a_fleet_checkpoint_resumes_at_another_shard_thread_count() {
             );
         }
     }
+}
+
+/// Counts the `DegradedFallback` decisions of the first `at` non-empty bins
+/// of an uninterrupted run on engine `E`.
+fn degraded_before<E: MonitorEngine>(batches: &[Batch], config: MonitorConfig, at: u64) -> usize {
+    struct Degraded(usize);
+    impl RunObserver for Degraded {
+        fn on_decision(&mut self, _bin_index: u64, decision: &ControlDecision) {
+            self.0 += usize::from(decision.reason == DecisionReason::DegradedFallback);
+        }
+    }
+    let mut engine: E = corpus_engine(config).expect("valid corpus configuration");
+    let mut degraded = Degraded(0);
+    for batch in batches.iter().filter(|b| !b.is_empty()).take(at as usize) {
+        engine.ingest(batch, &mut degraded).expect("bin");
+    }
+    degraded.0
+}
+
+/// Composition, service leg: midpoint checkpoint → restore equals the
+/// uninterrupted run for every custom policy on every adversarial scenario —
+/// on a solo monitor (restored at another worker count) and on a fleet
+/// (restored at another shard-thread count). The guard must have tripped
+/// before the cut somewhere, on both shapes, or the test would not prove its
+/// state travels.
+#[test]
+fn custom_policies_resume_to_the_uninterrupted_digest_solo_and_fleet() {
+    let (mut solo_tripped, mut fleet_tripped) = (0, 0);
+    for scenario in adversarial_scenarios() {
+        let batches = scenario.generate().expect("builtins are valid");
+        let at = midpoint(&batches);
+        for (name, config) in custom_configs(corpus_capacity(&batches)) {
+            let reference = digest_run::<Monitor>(&batches, config.clone()).expect("solo run");
+            let snapshot =
+                checkpoint_run::<Monitor>(&batches, config.clone(), at).expect("checkpoint");
+            let resumed =
+                resume_run::<Monitor>(&snapshot, &batches, config.clone().with_workers(4))
+                    .unwrap_or_else(|e| panic!("{} / {name}: solo resume: {e}", scenario.name()));
+            let drift = diff_digests(scenario.name(), name, reference, resumed);
+            assert!(drift.is_empty(), "solo restore drifted:\n  {}", drift.join("\n  "));
+
+            let fleet = |shards| config.clone().with_shards(shards);
+            let reference = digest_run::<ShardedMonitor>(&batches, fleet(1)).expect("fleet run");
+            let snapshot =
+                checkpoint_run::<ShardedMonitor>(&batches, fleet(4), at).expect("checkpoint");
+            let resumed = resume_run::<ShardedMonitor>(&snapshot, &batches, fleet(2))
+                .unwrap_or_else(|e| panic!("{} / {name}: fleet resume: {e}", scenario.name()));
+            let drift = diff_digests(scenario.name(), name, reference, resumed);
+            assert!(drift.is_empty(), "fleet restore drifted:\n  {}", drift.join("\n  "));
+
+            if name.starts_with("guarded") {
+                solo_tripped += degraded_before::<Monitor>(&batches, config.clone(), at);
+                fleet_tripped += degraded_before::<ShardedMonitor>(&batches, config, at);
+            }
+        }
+    }
+    assert!(solo_tripped > 0, "the solo guard never tripped before a cut");
+    assert!(fleet_tripped > 0, "no lane's guard tripped before a cut");
+}
+
+/// A restore is name-checked up front: a configuration that constructs a
+/// different custom policy than the one the snapshot ran is refused with an
+/// error naming both, before any state is loaded — solo and fleet.
+#[test]
+fn restoring_under_a_different_custom_policy_fails_naming_both() {
+    fn refused<E: MonitorEngine>(batches: &[Batch], configs: &[(&'static str, MonitorConfig)]) {
+        let [_, (oracle, ran), (hysteresis, restoring)] = configs else {
+            panic!("three custom configurations");
+        };
+        let snapshot =
+            checkpoint_run::<E>(batches, ran.clone(), midpoint(batches)).expect("checkpoint");
+        match resume_run::<E>(&snapshot, batches, restoring.clone()) {
+            Err(ServiceError::UnknownPolicy { snapshot, configured }) => {
+                assert_eq!((snapshot.as_str(), configured.as_str()), (*oracle, *hysteresis));
+            }
+            other => panic!("expected UnknownPolicy naming both policies, got {other:?}"),
+        }
+    }
+    let scenario = adversarial_scenarios().remove(0);
+    let batches = scenario.generate().expect("builtins are valid");
+    let configs = custom_configs(corpus_capacity(&batches));
+    refused::<Monitor>(&batches, &configs);
+    refused::<ShardedMonitor>(&batches, &configs);
+}
+
+/// A run that started under a custom policy and swapped to a built-in
+/// mid-run still restores from the *original* configuration: the snapshot's
+/// policy name is not the configured one, so restore falls back to the
+/// built-in strategy of that name — and finishes on the administered run's
+/// digest.
+#[test]
+fn a_run_that_swapped_to_a_built_in_restores_from_the_original_config() {
+    fn swapped<E: MonitorEngine>(batches: &[Batch], config: &MonitorConfig) {
+        let at = midpoint(batches);
+        let swap_to = Strategy::Reactive(AllocationPolicy::MmfsPkt);
+        // `cut`: stop after `at` bins and checkpoint; otherwise run through.
+        let administered = |cut: bool| {
+            let engine: E = corpus_engine(config.clone()).expect("valid corpus configuration");
+            let (daemon, control) = Daemon::new(engine, BatchReplay::new(batches.to_vec()));
+            let mut daemon = daemon.with_bins_per_tick(at / 2);
+            assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { .. }));
+            let swap = control.swap_policy(swap_to);
+            assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { .. }));
+            assert_eq!(swap.wait().expect("swapped"), swap_to.name());
+            if cut {
+                return (daemon.checkpoint().expect("checkpoint"), daemon.digest());
+            }
+            daemon.run_to_exhaustion().expect("run");
+            (Vec::new(), daemon.digest())
+        };
+        let (_, reference) = administered(false);
+        let (snapshot, _) = administered(true);
+        let resumed = resume_run::<E>(&snapshot, batches, config.clone()).expect("resume");
+        assert_eq!(resumed, reference, "the swapped run must resume bit-identically");
+    }
+    let scenario = adversarial_scenarios().remove(0);
+    let batches = scenario.generate().expect("builtins are valid");
+    let (_, guarded) = custom_configs(corpus_capacity(&batches)).remove(0);
+    swapped::<Monitor>(&batches, &guarded);
+    swapped::<ShardedMonitor>(&batches, &guarded);
 }

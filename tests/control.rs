@@ -68,7 +68,7 @@ fn enum_and_trait_paths_are_bit_identical_for_all_seven_strategies() {
     ] {
         let base = || Monitor::builder().capacity(capacity).seed(11).no_noise();
         let via_enum = run_with(base().strategy(strategy), &batches);
-        let via_trait = run_with(base().with_policy(policy_for(strategy)), &batches);
+        let via_trait = run_with(base().with_policy(move || policy_for(strategy)), &batches);
         assert_eq!(
             via_enum,
             via_trait,
@@ -146,7 +146,7 @@ fn oracle_policy_sheds_from_the_first_bin_where_predictors_are_blind() {
             .predictor(PredictorKind::Ewma)
             .queries(specs());
         builder = if oracle {
-            builder.with_policy(OraclePolicy::new(MmfsPkt))
+            builder.with_policy(|| OraclePolicy::new(MmfsPkt))
         } else {
             builder.strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
         };

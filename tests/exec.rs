@@ -68,7 +68,7 @@ fn replay(
         Monitor::builder().capacity(capacity).seed(23).with_workers(workers).queries(specs());
     builder = match strategy {
         Some(strategy) => builder.strategy(strategy),
-        None => builder.with_policy(OraclePolicy::new(MmfsPkt)),
+        None => builder.with_policy(|| OraclePolicy::new(MmfsPkt)),
     };
     run_to_tape(batches, builder)
 }

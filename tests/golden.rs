@@ -22,7 +22,16 @@
 //! deliberately leaves the worker count to the environment, which is what
 //! makes the `=4` CI pass exercise the parallel plane against the manifest
 //! for real.
+//!
+//! The policies outside the `Strategy` enum — the hardened stack, the oracle,
+//! the hysteresis policy — have no manifest rows; the last two tests pin
+//! them on the adversarial scenarios by the same *invariants* the built-ins
+//! obey: fleet digests independent of shards×workers, and a one-lane fleet
+//! bit-identical to the solo monitor.
 
+mod common;
+
+use common::{adversarial_scenarios, custom_configs};
 use netshed::prelude::*;
 use netshed_bench::corpus::{
     all_strategies, corpus_capacity, corpus_config, corpus_specs, diff_digests, digest_run,
@@ -343,6 +352,62 @@ fn one_lane_fleet_is_the_solo_monitor() {
     assert!(
         drift.is_empty(),
         "a one-lane fleet diverged from the solo monitor:\n  {}",
+        drift.join("\n  ")
+    );
+}
+
+/// Composition, fleet leg: the custom policies shard like the built-ins do.
+/// Every lane builds its own instance from the configuration's constructor,
+/// so the fleet's three digest streams are invariant over shards×workers
+/// {1,2,4}×{1,4} on every adversarial scenario.
+#[test]
+fn custom_policy_fleet_digests_are_invariant_across_the_shards_workers_matrix() {
+    for scenario in adversarial_scenarios() {
+        let batches = scenario.generate().expect("builtins are valid");
+        let capacity = corpus_capacity(&batches);
+        for (name, config) in custom_configs(capacity) {
+            assert_eq!(config.policy.name(), name);
+            let run = |shards, workers| {
+                let config = config.clone().with_shards(shards).with_workers(workers);
+                digest_run::<ShardedMonitor>(&batches, config).expect("custom policies shard")
+            };
+            let reference = run(1, 1);
+            assert!(reference.bins > 0, "{}/{name}: the fleet must process bins", scenario.name());
+            for (shards, workers) in [(1, 4), (2, 1), (2, 4), (4, 1), (4, 4)] {
+                assert_eq!(
+                    reference,
+                    run(shards, workers),
+                    "{}/{name}: fleet digest changed at {shards} shards x {workers} workers",
+                    scenario.name()
+                );
+            }
+        }
+    }
+}
+
+/// Composition, differential leg: a one-lane fleet running a custom policy
+/// is the solo monitor running it — the `one_lane_fleet_is_the_solo_monitor`
+/// invariant extended past the enum.
+#[test]
+fn one_lane_fleet_is_the_solo_monitor_for_custom_policies() {
+    let mut drift: Vec<String> = Vec::new();
+    for scenario in adversarial_scenarios() {
+        let batches = scenario.generate().expect("builtins are valid");
+        let capacity = corpus_capacity(&batches);
+        for (name, config) in custom_configs(capacity) {
+            let solo = digest_run::<Monitor>(&batches, config.clone()).expect("solo run");
+            for shards in [1, 4] {
+                let config = config.clone().with_shards(shards).with_shard_lanes(1);
+                let fleet = digest_run::<ShardedMonitor>(&batches, config).expect("fleet run");
+                for line in diff_digests(scenario.name(), name, solo, fleet) {
+                    drift.push(format!("[{shards} shard thread(s)] {line}"));
+                }
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "a one-lane fleet diverged from the solo monitor under a custom policy:\n  {}",
         drift.join("\n  ")
     );
 }

@@ -4,7 +4,7 @@ use netshed::fairness::{eq_srates, mmfs_cpu, mmfs_pkt, Allocation, QueryDemand};
 use netshed::linalg::{ols_solve, Matrix};
 use netshed::monitor::{flow_sample, packet_sample};
 use netshed::monitor::{Monitor, PredictorKind};
-use netshed::sketch::{mix64, BloomFilter, H3Hasher, MultiResolutionBitmap};
+use netshed::sketch::{mix64, H3Hasher, MultiResolutionBitmap};
 use netshed::trace::{Batch, BatchBuilder, FiveTuple, Packet, TraceConfig, TraceGenerator};
 // The historical clone-based samplers, the reference the zero-copy view path
 // must match bit for bit.
@@ -30,18 +30,6 @@ proptest! {
         let estimate = bitmap.estimate();
         let error = (estimate - n as f64).abs() / n as f64;
         prop_assert!(error < 0.15, "n={n} estimate={estimate} error={error}");
-    }
-
-    /// Bloom filters never produce false negatives.
-    #[test]
-    fn bloom_filter_has_no_false_negatives(keys in proptest::collection::hash_set(0u32..1_000_000, 1..500)) {
-        let mut bloom = BloomFilter::with_rate(keys.len().max(8), 0.01);
-        for key in &keys {
-            bloom.insert(&key.to_be_bytes());
-        }
-        for key in &keys {
-            prop_assert!(bloom.contains(&key.to_be_bytes()));
-        }
     }
 
     /// Every fairness strategy respects the capacity constraint and the
