@@ -3,23 +3,20 @@
 //! These benches back the cost claims of the paper: feature extraction with
 //! deterministic per-packet work (Section 3.2.1, Table 3.4), cheap FCBF +
 //! MLR prediction (Section 3.3.1), lightweight packet/flow sampling
-//! (Section 4.2) and the sketches they are built on. The `extract_*` and
-//! `shed_*` groups compare the fused single-pass data plane against the
-//! historical ten-pass / clone-based implementations; the headline numbers
+//! (Section 4.2) and the sketches they are built on. The headline numbers
 //! are recorded by the `pipeline` bench into `BENCH_pipeline.json`.
 //!
 //! Pass `-- --smoke` for a fast CI-friendly run with reduced iteration
 //! counts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use netshed_bench::baseline::{clone_flow_sample, clone_packet_sample, TenPassExtractor};
 use netshed_features::{FeatureExtractor, FEATURE_COUNT};
 use netshed_linalg::{Matrix, OlsWorkspace};
-use netshed_monitor::{flow_sample, packet_sample};
+use netshed_monitor::{flow_sample_with, packet_sample_with};
 use netshed_predict::{fcbf_select_with, FcbfConfig, FcbfScratch, MlrPredictor, Predictor};
 use netshed_queries::{build_query, BoyerMoore, CycleMeter, QueryKind};
 use netshed_sketch::{mix64, BitmapGeometry, H3Hasher, MultiResolutionBitmap};
-use netshed_trace::{TraceConfig, TraceGenerator};
+use netshed_trace::{Batch, KeepListPool, TraceConfig, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,32 +37,12 @@ fn bench_feature_extraction(c: &mut Criterion) {
     // includes the store rebuild — subtract `store_build` to isolate
     // extraction; `pipeline.rs` reports the already-corrected number.
     let template: Vec<_> = batch.packets.iter().map(|p| p.to_packet()).collect();
+    let fresh = || Batch::new(batch.bin_index, batch.start_ts, batch.duration_us, template.clone());
     group.bench_function("fused_cold_incl_store_build", |b| {
         let mut extractor = FeatureExtractor::with_defaults();
-        b.iter(|| {
-            let fresh = netshed_trace::Batch::new(
-                batch.bin_index,
-                batch.start_ts,
-                batch.duration_us,
-                template.clone(),
-            );
-            black_box(extractor.extract(&fresh))
-        });
+        b.iter(|| black_box(extractor.extract(&fresh())));
     });
-    group.bench_function("store_build", |b| {
-        b.iter(|| {
-            black_box(netshed_trace::Batch::new(
-                batch.bin_index,
-                batch.start_ts,
-                batch.duration_us,
-                template.clone(),
-            ))
-        });
-    });
-    group.bench_function("ten_pass_baseline", |b| {
-        let mut extractor = TenPassExtractor::with_defaults();
-        b.iter(|| black_box(extractor.extract(&batch)));
-    });
+    group.bench_function("store_build", |b| b.iter(|| black_box(fresh())));
     group.finish();
 }
 
@@ -106,7 +83,7 @@ fn bench_prediction(c: &mut Criterion) {
         Matrix::from_columns(&[vec![1.0; 60], window.feature_column(0), window.feature_column(1)]);
     let responses = window.responses();
     let mut workspace = OlsWorkspace::default();
-    c.bench_function("ols_solve_60x3", |b| {
+    c.bench_function("ols_workspace_solve_60x3", |b| {
         b.iter(|| black_box(workspace.solve(&design, &responses, 1e-9)));
     });
 }
@@ -118,30 +95,25 @@ fn bench_sampling(c: &mut Criterion) {
     let batch = generator.next_batch();
     let view = batch.view();
     let mut group = c.benchmark_group("shed_1000pkt_batch");
+    let mut pool = KeepListPool::new();
     group.bench_function("packet_sample_view", |b| {
         let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| black_box(packet_sample(&view, 0.3, &mut rng)));
-    });
-    group.bench_function("packet_sample_clone_baseline", |b| {
-        let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| black_box(clone_packet_sample(&batch, 0.3, &mut rng)));
+        b.iter(|| black_box(packet_sample_with(&view, 0.3, &mut rng, &mut pool)));
     });
     let hasher = H3Hasher::new(13, 9);
     group.bench_function("flow_sample_view", |b| {
-        b.iter(|| black_box(flow_sample(&view, 0.3, &hasher)));
-    });
-    group.bench_function("flow_sample_clone_baseline", |b| {
-        b.iter(|| black_box(clone_flow_sample(&batch, 0.3, &hasher)));
+        b.iter(|| black_box(flow_sample_with(&view, 0.3, &hasher, &mut pool)));
     });
     group.finish();
 }
 
 fn bench_sketches(c: &mut Criterion) {
+    let geometry = BitmapGeometry::for_cardinality(100_000);
     c.bench_function("multiresolution_bitmap_insert_10k", |b| {
         b.iter(|| {
-            let mut bitmap = MultiResolutionBitmap::for_cardinality(100_000);
+            let mut bitmap = MultiResolutionBitmap::with_geometry(geometry);
             for i in 0..10_000u64 {
-                bitmap.insert_hash(mix64(i));
+                bitmap.insert_slot(geometry.slot(mix64(i)));
             }
             black_box(bitmap.estimate())
         });
@@ -149,7 +121,6 @@ fn bench_sketches(c: &mut Criterion) {
     // The same 10k items replayed by slot, located once outside the loop —
     // what a warm extraction pays per packet and aggregate. The difference
     // to the row above is the locate (`trailing_ones`, `mix64`, mask).
-    let geometry = BitmapGeometry::for_cardinality(100_000);
     let slots: Vec<u16> = (0..10_000u64).map(|i| geometry.slot(mix64(i))).collect();
     c.bench_function("multiresolution_bitmap_insert_slot_10k", |b| {
         b.iter(|| {

@@ -1,26 +1,26 @@
-//! Pipeline-level benchmark: quantifies the single-pass data plane and the
+//! Pipeline-level benchmark: measures the single-pass data plane and the
 //! end-to-end monitor throughput, and records the numbers in
 //! `BENCH_pipeline.json` (in the working directory, or `$BENCH_OUT` if set)
-//! so the performance trajectory of the repo is tracked PR over PR.
+//! so the performance trajectory of the repo is tracked PR over PR. Every
+//! row times code the monitor runs; the kernels it replaced (ten-pass
+//! extraction, clone shedding, the AoS replay) live on as test oracles in
+//! `tests/oracle/`, and their last measured rows are in CHANGES.md (PR 17).
 //!
 //! Seven measurements:
 //!
-//! 1. **extract**: fused single-pass feature extraction vs the historical
-//!    ten-pass baseline on a 10k-packet batch — warm (aggregate slots cached
-//!    on the batch, the steady state for per-query re-extraction) and cold
-//!    (packets hashed and located as part of the call, the first touch of a
-//!    batch) — plus the same comparison on sampled views of ~50 / 200 / 1000
-//!    packets, where the per-call fixed cost shows.
-//! 2. **shedding**: view-based packet/flow sampling vs the clone-based
-//!    baseline, plus a structural check that the view path shares the packet
-//!    store (zero per-packet copies).
-//! 3. **data plane**: intra-run AoS-vs-SoA replay→shed→extract comparison
-//!    over the same in-memory `.nstr` container — the copy-decode +
-//!    clone-shed + ten-pass replica against the borrowed zero-copy decode +
-//!    pooled shed + fused extractor — plus the steady-state allocation
-//!    guard: a warmed shed→extract loop must perform **zero** heap
-//!    allocations per bin (`alloc_per_bin`, counted by this binary's global
-//!    allocator and asserted to be 0).
+//! 1. **extract**: fused single-pass feature extraction on a 10k-packet
+//!    batch — warm (aggregate slots cached on the batch, the steady state
+//!    for per-query re-extraction) and cold (packets hashed and located as
+//!    part of the call, the first touch of a batch) — plus sampled views of
+//!    ~50 / 200 / 1000 packets, where the per-call fixed cost shows.
+//! 2. **shedding**: pooled packet/flow sampling of a 10k-packet view, plus a
+//!    structural check that the sampled view shares the packet store (zero
+//!    per-packet copies).
+//! 3. **data plane**: replay→shed→extract over one in-memory `.nstr`
+//!    container — borrowed zero-copy decode, pooled shed, fused extractor —
+//!    plus the steady-state allocation guard: a warmed shed→extract loop
+//!    must perform **zero** heap allocations per bin (`alloc_per_bin`,
+//!    counted by this binary's global allocator and asserted to be 0).
 //! 4. **pipeline**: packets/second through `Monitor::run` with the paper's
 //!    Chapter 4 query mix under 2× overload.
 //! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle
@@ -41,20 +41,19 @@
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
 
-use netshed_bench::baseline::{clone_flow_sample, clone_packet_sample, TenPassExtractor};
 use netshed_features::{FeatureExtractor, FeatureId, FeatureVector, FEATURE_COUNT};
 use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{
-    flow_sample, packet_sample, packet_sample_with, AllocationPolicy, Monitor, MonitorConfig,
-    NullObserver, Strategy,
+    flow_sample_with, packet_sample_with, AllocationPolicy, Engine, ExecStats, Monitor,
+    MonitorBuilder, MonitorConfig, NetshedError, NullObserver, ShardedMonitor, Strategy,
 };
 use netshed_predict::{fcbf_select_with, FcbfScratch, History, MlrConfig, MlrPredictor, Predictor};
 use netshed_queries::{QueryKind, QuerySpec};
 use netshed_service::Daemon;
 use netshed_sketch::H3Hasher;
 use netshed_trace::{
-    decode_batches, decode_batches_shared, encode_batches, Batch, BatchReplay, BatchView, Bytes,
-    KeepListPool, TraceConfig, TraceGenerator,
+    decode_batches_shared, encode_batches, Batch, BatchReplay, Bytes, KeepListPool, TraceConfig,
+    TraceGenerator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,14 +110,8 @@ fn time_ns<F: FnMut()>(iterations: u64, mut routine: F) -> f64 {
     start.elapsed().as_nanos() as f64 / iterations as f64
 }
 
-fn ten_k_batch(seed: u64) -> Batch {
-    TraceGenerator::new(TraceConfig::default().with_seed(seed).with_mean_packets_per_batch(1e4))
-        .next_batch()
-}
-
 struct ExtractNumbers {
     packets: usize,
-    tenpass_ns: f64,
     fused_warm_ns: f64,
     fused_cold_ns: f64,
     small_views: Vec<SmallViewPoint>,
@@ -128,18 +121,14 @@ struct ExtractNumbers {
 /// at these sizes the call's fixed cost (fold, reset, estimates) is most of it.
 struct SmallViewPoint {
     kept: usize,
-    tenpass_ns: f64,
     fused_ns: f64,
 }
 
 fn bench_extract(iterations: u64) -> ExtractNumbers {
-    let batch = ten_k_batch(11);
+    let batch =
+        TraceGenerator::new(TraceConfig::default().with_seed(11).with_mean_packets_per_batch(1e4))
+            .next_batch();
     let packets = batch.len();
-
-    let mut baseline = TenPassExtractor::with_defaults();
-    let tenpass_ns = time_ns(iterations, || {
-        black_box(baseline.extract(&batch));
-    });
 
     // Warm: the batch's aggregate-slot side array is cached after the first
     // call, which is exactly the state every per-query re-extraction sees.
@@ -154,21 +143,19 @@ fn bench_extract(iterations: u64) -> ExtractNumbers {
     // separately and subtracted.
     let cold_iterations = iterations.min(64);
     let template: Vec<_> = batch.packets.iter().map(|p| p.to_packet()).collect();
+    let fresh = || Batch::new(batch.bin_index, batch.start_ts, batch.duration_us, template.clone());
     let construct_ns = time_ns(cold_iterations, || {
-        black_box(Batch::new(batch.bin_index, batch.start_ts, batch.duration_us, template.clone()));
+        black_box(fresh());
     });
     let mut cold = FeatureExtractor::with_defaults();
     let cold_total_ns = time_ns(cold_iterations, || {
-        let fresh =
-            Batch::new(batch.bin_index, batch.start_ts, batch.duration_us, template.clone());
-        black_box(cold.extract(&fresh));
+        black_box(cold.extract(&fresh()));
     });
     let fused_cold_ns = (cold_total_ns - construct_ns).max(0.0);
 
     // Small views: what a query shed to a few percent re-extracts. Eight
     // views per size, taken in turn, so no call replays the previous one's
-    // bit pattern; the ten-pass side gets them materialized up front (it
-    // takes a `Batch`), which leaves its own clear + merge + hashing timed.
+    // bit pattern.
     let small_views = [50usize, 200, 1000]
         .into_iter()
         .map(|target| {
@@ -176,38 +163,28 @@ fn bench_extract(iterations: u64) -> ExtractNumbers {
             let views: Vec<_> = (0..8)
                 .map(|offset| batch.view().filter_indexed(|index, _| index % stride == offset))
                 .collect();
-            let materialized: Vec<Batch> = views.iter().map(BatchView::materialize).collect();
-            let calls = iterations * 8;
             let mut turn = 0usize;
-            let mut baseline = TenPassExtractor::with_defaults();
-            let tenpass_ns = time_ns(calls, || {
-                black_box(baseline.extract(&materialized[turn % 8]));
-                turn += 1;
-            });
             let mut fused = FeatureExtractor::with_defaults();
-            let fused_ns = time_ns(calls, || {
+            let fused_ns = time_ns(iterations * 8, || {
                 black_box(fused.extract_view(&views[turn % 8]));
                 turn += 1;
             });
-            SmallViewPoint { kept: views[0].len(), tenpass_ns, fused_ns }
+            SmallViewPoint { kept: views[0].len(), fused_ns }
         })
         .collect();
 
-    ExtractNumbers { packets, tenpass_ns, fused_warm_ns, fused_cold_ns, small_views }
+    ExtractNumbers { packets, fused_warm_ns, fused_cold_ns, small_views }
 }
 
 struct ShedNumbers {
     packet_view_ns: f64,
-    packet_clone_ns: f64,
     flow_view_ns: f64,
-    flow_clone_ns: f64,
     view_shares_store: bool,
 }
 
 fn bench_shedding(iterations: u64) -> ShedNumbers {
-    // Payload-carrying traffic, as on the paper's full-payload traces: the
-    // clone path must copy the payload handles per kept packet, the view
-    // path only records indices.
+    // Payload-carrying traffic, as on the paper's full-payload traces: a
+    // view records indices only, whatever a packet carries.
     let batch = TraceGenerator::new(
         TraceConfig::default().with_seed(12).with_mean_packets_per_batch(1e4).with_payloads(true),
     )
@@ -215,79 +192,34 @@ fn bench_shedding(iterations: u64) -> ShedNumbers {
     let view = batch.view();
     let rate = 0.37;
 
+    let mut pool = KeepListPool::new();
     let mut rng = StdRng::seed_from_u64(3);
     let packet_view_ns = time_ns(iterations, || {
-        black_box(packet_sample(&view, rate, &mut rng));
+        black_box(packet_sample_with(&view, rate, &mut rng, &mut pool));
     });
-    let mut rng = StdRng::seed_from_u64(3);
-    let packet_clone_ns = time_ns(iterations, || {
-        black_box(clone_packet_sample(&batch, rate, &mut rng));
-    });
-
     let hasher = H3Hasher::new(13, 9);
     let flow_view_ns = time_ns(iterations, || {
-        black_box(flow_sample(&view, rate, &hasher));
-    });
-    let flow_clone_ns = time_ns(iterations, || {
-        black_box(clone_flow_sample(&batch, rate, &hasher));
+        black_box(flow_sample_with(&view, rate, &hasher, &mut pool));
     });
 
-    let mut rng = StdRng::seed_from_u64(3);
-    let (sampled, _) = packet_sample(&view, rate, &mut rng);
+    let (sampled, _) = packet_sample_with(&view, rate, &mut rng, &mut pool);
     let view_shares_store = sampled.shares_store(&view);
 
-    ShedNumbers { packet_view_ns, packet_clone_ns, flow_view_ns, flow_clone_ns, view_shares_store }
+    ShedNumbers { packet_view_ns, flow_view_ns, view_shares_store }
 }
 
 struct DataPlaneNumbers {
     batches: usize,
     packets: u64,
-    aos_packets_per_sec: f64,
     soa_packets_per_sec: f64,
-    soa_speedup: f64,
     alloc_per_bin: u64,
 }
 
-/// One full AoS data-plane run over an encoded container: copying decode
-/// (`decode_batches` duplicates every payload out of the container), the
-/// clone-based packet sampler and the aggregate-major ten-pass extractor —
-/// the faithful replica of the pre-SoA hot path.
-fn aos_replay_run(encoded: &[u8], rate: f64) -> f64 {
-    let decoded = decode_batches(encoded).expect("decode recorded trace");
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut extractor = TenPassExtractor::with_defaults();
-    let mut acc = 0.0;
-    for batch in &decoded {
-        let (sampled, _) = clone_packet_sample(batch, rate, &mut rng);
-        let (vector, _) = extractor.extract(&sampled);
-        acc += vector.packets();
-    }
-    acc
-}
-
-/// The same run through the SoA path: borrowed zero-copy decode straight
-/// into the column store (payloads are windows into `buffer`), pooled
-/// keep-list sampling and the fused single-pass extractor.
-fn soa_replay_run(buffer: &Bytes, rate: f64) -> f64 {
-    let decoded = decode_batches_shared(buffer).expect("decode shared trace");
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut pool = KeepListPool::new();
-    let mut extractor = FeatureExtractor::with_defaults();
-    let mut acc = 0.0;
-    for batch in &decoded {
-        let view = batch.view();
-        let (sampled, _) = packet_sample_with(&view, rate, &mut rng, &mut pool);
-        let (vector, _) = extractor.extract_view(&sampled);
-        acc += vector.packets();
-    }
-    acc
-}
-
-/// One steady-state pass over pre-decoded batches: pooled shed, fused
-/// extraction. With warm aggregate-slot caches and a warmed pool this
-/// must not touch the heap at all — `bench_data_plane` counts allocations
-/// around the second pass to pin `alloc_per_bin` to zero.
-fn steady_state_pass(
+/// One pass over decoded batches: pooled shed, fused extraction. With warm
+/// aggregate-slot caches and a warmed pool this must not touch the heap at
+/// all — `bench_data_plane` counts allocations around such a pass to pin
+/// `alloc_per_bin` to zero.
+fn shed_extract_pass(
     batches: &[Batch],
     rate: f64,
     extractor: &mut FeatureExtractor,
@@ -306,10 +238,8 @@ fn steady_state_pass(
     acc
 }
 
-/// Intra-run AoS-vs-SoA comparison plus the allocation guard, all over one
-/// in-memory `.nstr` container recorded from a payload-carrying trace. Both
-/// paths run in this process within minutes of each other, so the speedup is
-/// a genuine intra-run ratio, not a cross-machine or cross-commit number.
+/// The replay→shed→extract throughput plus the allocation guard, over one
+/// in-memory `.nstr` container recorded from a payload-carrying trace.
 fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     let rate = 0.5;
     let recorded = TraceGenerator::new(
@@ -321,20 +251,23 @@ fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     .batches(batches);
     let packets: u64 = recorded.iter().map(|b| b.len() as u64).sum();
     let encoded = encode_batches(&recorded, recorded[0].duration_us).expect("encode trace");
-    let buffer = Bytes::from(encoded.clone());
+    let buffer = Bytes::from(encoded);
     drop(recorded);
 
-    let best_elapsed = |run: &mut dyn FnMut() -> f64| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = Instant::now();
-            black_box(run());
-            best = best.min(start.elapsed().as_secs_f64());
+    // One full cold run per repeat: borrowed zero-copy decode straight into
+    // the column store (payloads are windows into `buffer`), then the pass
+    // on a fresh extractor and pool.
+    let mut soa_s = f64::INFINITY;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        {
+            let decoded = decode_batches_shared(&buffer).expect("decode shared trace");
+            let (mut extractor, mut pool) =
+                (FeatureExtractor::with_defaults(), KeepListPool::new());
+            black_box(shed_extract_pass(&decoded, rate, &mut extractor, &mut pool));
         }
-        best
-    };
-    let aos_s = best_elapsed(&mut || aos_replay_run(&encoded, rate));
-    let soa_s = best_elapsed(&mut || soa_replay_run(&buffer, rate));
+        soa_s = soa_s.min(start.elapsed().as_secs_f64());
+    }
 
     // Allocation guard: decode once (borrowed), warm every per-batch hash
     // cache, the extractor and the keep-list pool with a first pass, then
@@ -342,9 +275,9 @@ fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     let decoded = decode_batches_shared(&buffer).expect("decode shared trace");
     let mut extractor = FeatureExtractor::with_defaults();
     let mut pool = KeepListPool::new();
-    black_box(steady_state_pass(&decoded, rate, &mut extractor, &mut pool));
+    black_box(shed_extract_pass(&decoded, rate, &mut extractor, &mut pool));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    black_box(steady_state_pass(&decoded, rate, &mut extractor, &mut pool));
+    black_box(shed_extract_pass(&decoded, rate, &mut extractor, &mut pool));
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocations, 0,
@@ -354,9 +287,7 @@ fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     DataPlaneNumbers {
         batches,
         packets,
-        aos_packets_per_sec: packets as f64 / aos_s,
         soa_packets_per_sec: packets as f64 / soa_s,
-        soa_speedup: aos_s / soa_s,
         alloc_per_bin: allocations / batches as u64,
     }
 }
@@ -370,83 +301,59 @@ struct PipelineNumbers {
     parallel_fraction: f64,
 }
 
-/// Runs the 2× overload pipeline (Chapter 4 query mix, MmfsPkt) at the given
-/// worker count and reports wall-clock throughput plus the monitor's
-/// measured dispatch share.
+/// Runs the 2× overload pipeline (Chapter 4 query mix, MmfsPkt) on the
+/// engine `build` makes of the shared configuration and reports wall-clock
+/// throughput plus the engine's measured dispatch share.
+fn bench_engine<E: Engine>(
+    batches: usize,
+    build: impl FnOnce(MonitorBuilder) -> Result<E, NetshedError>,
+    exec_stats: impl FnOnce(&E) -> ExecStats,
+) -> PipelineNumbers {
+    let recorded = TraceGenerator::new(
+        TraceConfig::default().with_seed(21).with_mean_packets_per_batch(2000.0),
+    )
+    .batches(batches);
+    let total_packets: u64 = recorded.iter().map(|b| b.len() as u64).sum();
+    let specs: Vec<QuerySpec> =
+        QueryKind::CHAPTER4_SET.iter().map(|kind| QuerySpec::new(*kind)).collect();
+    let demand = netshed_monitor::reference::measure_total_demand(&specs, &recorded[..batches / 4])
+        .expect("valid query specs");
+
+    let builder = Monitor::builder()
+        .capacity(demand / 2.0)
+        .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+        .no_noise()
+        .queries(specs);
+    let mut engine = build(builder).expect("valid configuration");
+    let mut source = BatchReplay::new(recorded);
+    let start = Instant::now();
+    let summary = engine.run(&mut source, &mut NullObserver).expect("run");
+    let elapsed_s = start.elapsed().as_secs_f64();
+    assert_eq!(summary.bins + summary.empty_bins, batches as u64);
+
+    PipelineNumbers {
+        batches,
+        packets: total_packets,
+        elapsed_s,
+        packets_per_sec: total_packets as f64 / elapsed_s,
+        parallel_fraction: exec_stats(&engine).parallel_fraction(),
+    }
+}
+
+/// The solo monitor at the given worker count.
 fn bench_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
-    let recorded = TraceGenerator::new(
-        TraceConfig::default().with_seed(21).with_mean_packets_per_batch(2000.0),
-    )
-    .batches(batches);
-    let total_packets: u64 = recorded.iter().map(|b| b.len() as u64).sum();
-    let specs: Vec<QuerySpec> =
-        QueryKind::CHAPTER4_SET.iter().map(|kind| QuerySpec::new(*kind)).collect();
-    let demand = netshed_monitor::reference::measure_total_demand(&specs, &recorded[..batches / 4])
-        .expect("valid query specs");
-
-    let mut monitor = Monitor::builder()
-        .capacity(demand / 2.0)
-        .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
-        .no_noise()
-        .with_workers(workers)
-        .queries(specs)
-        .build()
-        .expect("valid configuration");
-    let mut source = BatchReplay::new(recorded);
-    let start = Instant::now();
-    let summary = monitor.run(&mut source, &mut NullObserver).expect("run");
-    let elapsed_s = start.elapsed().as_secs_f64();
-    assert_eq!(summary.bins + summary.empty_bins, batches as u64);
-
-    PipelineNumbers {
-        batches,
-        packets: total_packets,
-        elapsed_s,
-        packets_per_sec: total_packets as f64 / elapsed_s,
-        parallel_fraction: monitor.exec_stats().parallel_fraction(),
-    }
+    bench_engine(batches, |builder| builder.with_workers(workers).build(), Monitor::exec_stats)
 }
 
-fn bench_pipeline(batches: usize) -> PipelineNumbers {
-    bench_pipeline_at(batches, 1)
-}
-
-/// Runs the same 2× overload pipeline through the sharded fleet (default
-/// virtual-lane count) at the given shard-thread count. The lane layout is
-/// fixed, so every shard count replays the identical computation — the row
-/// reports pure wall-clock scaling.
+/// The sharded fleet (default virtual-lane count) at the given shard-thread
+/// count. The lane layout is fixed, so every shard count replays the
+/// identical computation — the row reports pure wall-clock scaling.
 fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
-    let recorded = TraceGenerator::new(
-        TraceConfig::default().with_seed(21).with_mean_packets_per_batch(2000.0),
-    )
-    .batches(batches);
-    let total_packets: u64 = recorded.iter().map(|b| b.len() as u64).sum();
-    let specs: Vec<QuerySpec> =
-        QueryKind::CHAPTER4_SET.iter().map(|kind| QuerySpec::new(*kind)).collect();
-    let demand = netshed_monitor::reference::measure_total_demand(&specs, &recorded[..batches / 4])
-        .expect("valid query specs");
-
-    let mut fleet = Monitor::builder()
-        .capacity(demand / 2.0)
-        .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
-        .no_noise()
-        .with_shards(shards)
-        .queries(specs)
-        .build_sharded()
-        .expect("valid configuration");
-    let mut source = BatchReplay::new(recorded);
-    let start = Instant::now();
-    let summary = fleet.run(&mut source, &mut NullObserver).expect("run");
-    let elapsed_s = start.elapsed().as_secs_f64();
-    assert_eq!(summary.bins + summary.empty_bins, batches as u64);
-
-    PipelineNumbers {
+    bench_engine(
         batches,
-        packets: total_packets,
-        elapsed_s,
-        packets_per_sec: total_packets as f64 / elapsed_s,
-        parallel_fraction: fleet.exec_stats().parallel_fraction(),
-    }
+        |builder| builder.with_shards(shards).build_sharded(),
+        ShardedMonitor::exec_stats,
+    )
 }
 
 struct PredictionPlaneNumbers {
@@ -669,47 +576,29 @@ fn main() {
     let smoke = criterion::smoke_mode();
     let (iterations, pipeline_batches) = if smoke { (10, 100) } else { (200, 600) };
 
-    eprintln!("extract: fused vs ten-pass on a 10k-packet batch ...");
+    eprintln!("extract: fused extraction on a 10k-packet batch ...");
     let extract = bench_extract(iterations);
-    eprintln!(
-        "  ten-pass {:.0} ns | fused warm {:.0} ns ({:.1}x) | fused cold {:.0} ns ({:.1}x)",
-        extract.tenpass_ns,
-        extract.fused_warm_ns,
-        extract.tenpass_ns / extract.fused_warm_ns,
-        extract.fused_cold_ns,
-        extract.tenpass_ns / extract.fused_cold_ns,
-    );
-
+    eprintln!("  warm {:.0} ns | cold {:.0} ns", extract.fused_warm_ns, extract.fused_cold_ns);
     for point in &extract.small_views {
-        eprintln!(
-            "  view of {:>4}: ten-pass {:.0} ns/call | fused {:.0} ns/call ({:.1}x)",
-            point.kept,
-            point.tenpass_ns,
-            point.fused_ns,
-            point.tenpass_ns / point.fused_ns,
-        );
+        eprintln!("  view of {:>4}: {:.0} ns/call", point.kept, point.fused_ns);
     }
 
-    eprintln!("shedding: view vs clone at rate 0.37 on a 10k-packet batch ...");
+    eprintln!("shedding: pooled sampling at rate 0.37 on a 10k-packet batch ...");
     let shed = bench_shedding(iterations);
     eprintln!(
-        "  packet view {:.0} ns vs clone {:.0} ns | flow view {:.0} ns vs clone {:.0} ns | zero-copy: {}",
-        shed.packet_view_ns, shed.packet_clone_ns, shed.flow_view_ns, shed.flow_clone_ns,
-        shed.view_shares_store,
+        "  packet view {:.0} ns | flow view {:.0} ns | zero-copy: {}",
+        shed.packet_view_ns, shed.flow_view_ns, shed.view_shares_store,
     );
 
-    eprintln!("data plane: AoS vs SoA replay->shed->extract over one .nstr container ...");
+    eprintln!("data plane: replay->shed->extract over one .nstr container ...");
     let data_plane = bench_data_plane(pipeline_batches.min(200), if smoke { 2 } else { 3 });
     eprintln!(
-        "  AoS {:.0} packets/s | SoA {:.0} packets/s | speedup {:.2}x | alloc/bin {}",
-        data_plane.aos_packets_per_sec,
-        data_plane.soa_packets_per_sec,
-        data_plane.soa_speedup,
-        data_plane.alloc_per_bin,
+        "  {:.0} packets/s | alloc/bin {}",
+        data_plane.soa_packets_per_sec, data_plane.alloc_per_bin,
     );
 
     eprintln!("pipeline: Monitor::run over {pipeline_batches} batches under 2x overload ...");
-    let pipeline = bench_pipeline(pipeline_batches);
+    let pipeline = bench_pipeline_at(pipeline_batches, 1);
     eprintln!(
         "  {} packets in {:.2} s = {:.0} packets/s",
         pipeline.packets, pipeline.elapsed_s, pipeline.packets_per_sec
@@ -763,12 +652,8 @@ fn main() {
         .iter()
         .map(|point| {
             format!(
-                "      {{ \"kept\": {}, \"tenpass_ns_per_call\": {:.0}, \
-                 \"fused_ns_per_call\": {:.0}, \"speedup\": {:.2} }}",
-                point.kept,
-                point.tenpass_ns,
-                point.fused_ns,
-                point.tenpass_ns / point.fused_ns
+                "      {{ \"kept\": {}, \"fused_ns_per_call\": {:.0} }}",
+                point.kept, point.fused_ns
             )
         })
         .collect::<Vec<_>>()
@@ -803,19 +688,16 @@ fn main() {
     let json = format!(
         "{{\n  \"generated_by\": \"cargo bench -p netshed-bench --bench pipeline{}\",\n  \
          \"smoke\": {},\n  \
-         \"extract_10k_batch\": {{\n    \"packets\": {},\n    \"tenpass_ns\": {:.1},\n    \
+         \"extract_10k_batch\": {{\n    \"packets\": {},\n    \
          \"fused_warm_ns\": {:.1},\n    \"fused_cold_ns\": {:.1},\n    \
-         \"speedup_warm\": {:.2},\n    \"speedup_cold\": {:.2},\n    \
          \"small_views\": [\n{}\n    ]\n  }},\n  \
          \"shedding_10k_batch_rate_0_37\": {{\n    \"packet_view_ns\": {:.1},\n    \
-         \"packet_clone_ns\": {:.1},\n    \"flow_view_ns\": {:.1},\n    \
-         \"flow_clone_ns\": {:.1},\n    \"view_shares_store\": {},\n    \
+         \"flow_view_ns\": {:.1},\n    \"view_shares_store\": {},\n    \
          \"per_packet_copies\": 0\n  }},\n  \
          \"pipeline_2x_overload\": {{\n    \"batches\": {},\n    \"packets\": {},\n    \
          \"elapsed_s\": {:.3},\n    \"packets_per_sec\": {:.0},\n    \
          \"data_plane_batches\": {},\n    \"data_plane_packets\": {},\n    \
-         \"aos_replay_packets_per_sec\": {:.0},\n    \
-         \"soa_replay_packets_per_sec\": {:.0},\n    \"soa_speedup\": {:.2},\n    \
+         \"soa_replay_packets_per_sec\": {:.0},\n    \
          \"alloc_per_bin\": {}\n  }},\n  \
          \"prediction_plane\": {{\n    \"bins\": {},\n    \
          \"ns_per_bin\": {:.0},\n    \"reselect10_ns_per_bin\": {:.0},\n    \
@@ -830,16 +712,11 @@ fn main() {
         if smoke { " -- --smoke" } else { "" },
         smoke,
         extract.packets,
-        extract.tenpass_ns,
         extract.fused_warm_ns,
         extract.fused_cold_ns,
-        extract.tenpass_ns / extract.fused_warm_ns,
-        extract.tenpass_ns / extract.fused_cold_ns,
         small_views_json,
         shed.packet_view_ns,
-        shed.packet_clone_ns,
         shed.flow_view_ns,
-        shed.flow_clone_ns,
         shed.view_shares_store,
         pipeline.batches,
         pipeline.packets,
@@ -847,9 +724,7 @@ fn main() {
         pipeline.packets_per_sec,
         data_plane.batches,
         data_plane.packets,
-        data_plane.aos_packets_per_sec,
         data_plane.soa_packets_per_sec,
-        data_plane.soa_speedup,
         data_plane.alloc_per_bin,
         prediction.bins,
         prediction.ns_per_bin,

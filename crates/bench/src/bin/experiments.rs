@@ -13,9 +13,10 @@
 //! substrate is a synthetic trace and a simulated cycle model — see
 //! "Reproducing the paper" in the repository README).
 
+use netshed_bench::cli::{parse_experiments_args, usage, ExperimentsCommand};
 use netshed_bench::{
     capacity_for_overload, fmt_pm, mean, profile_trace, run_with_reference, stdev,
-    strategy_accuracy, RunResult, DEFAULT_BATCHES, DEFAULT_SCALE,
+    strategy_accuracy, RunResult,
 };
 use netshed_fairness::{AllocationGame, FairnessMode};
 use netshed_features::{FeatureExtractor, FeatureId};
@@ -27,7 +28,8 @@ use netshed_predict::{
 use netshed_queries::{
     build_query, CustomBehavior, CycleMeter, MeasurementNoise, QueryKind, QuerySpec,
 };
-use netshed_trace::{Anomaly, AnomalyKind, Batch, TraceGenerator, TraceProfile};
+use netshed_trace::{Anomaly, AnomalyKind, Batch, KeepListPool, TraceGenerator, TraceProfile};
+use std::process::ExitCode;
 
 /// Command-line options shared by all experiments.
 #[derive(Debug, Clone)]
@@ -37,52 +39,37 @@ struct Options {
     seed: u64,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Self { batches: DEFAULT_BATCHES, scale: DEFAULT_SCALE, seed: 42 }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut options = Options::default();
-    let mut ids = Vec::new();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--batches" => {
-                options.batches =
-                    iter.next().and_then(|v| v.parse().ok()).unwrap_or(options.batches);
-            }
-            "--scale" => {
-                options.scale = iter.next().and_then(|v| v.parse().ok()).unwrap_or(options.scale);
-            }
-            "--seed" => {
-                options.seed = iter.next().and_then(|v| v.parse().ok()).unwrap_or(options.seed);
-            }
-            other => ids.push(other.to_string()),
+    let known_ids: Vec<&str> = ALL_EXPERIMENTS.iter().map(|(id, _, _)| *id).collect();
+    let (ids, options) = match parse_experiments_args(&args, &known_ids) {
+        Ok(ExperimentsCommand::Run { ids, batches, scale, seed }) => {
+            (ids, Options { batches, scale, seed })
         }
-    }
-    if ids.is_empty() || ids[0] == "list" {
-        print_list();
-        return;
-    }
-    let requested: Vec<&str> = if ids[0] == "all" {
-        ALL_EXPERIMENTS.iter().map(|(id, _, _)| *id).collect()
-    } else {
-        ids.iter().map(String::as_str).collect()
+        Ok(ExperimentsCommand::List) => {
+            print_list();
+            return ExitCode::SUCCESS;
+        }
+        Ok(ExperimentsCommand::Help) => {
+            println!("{}", usage(Some("experiments")));
+            return ExitCode::SUCCESS;
+        }
+        Err(error) => {
+            eprintln!("{}", error.message);
+            eprintln!("{}", error.usage);
+            return ExitCode::FAILURE;
+        }
     };
-    for id in requested {
-        match ALL_EXPERIMENTS.iter().find(|(eid, _, _)| *eid == id) {
-            Some((_, description, runner)) => {
-                println!("\n================================================================");
-                println!("experiment {id}: {description}");
-                println!("================================================================");
-                runner(&options);
-            }
-            None => eprintln!("unknown experiment id: {id} (use `list`)"),
-        }
+    // The parser only lets known ids through, so every lookup hits.
+    let requested =
+        ids.iter().filter_map(|id| ALL_EXPERIMENTS.iter().find(|(known, _, _)| known == id));
+    for (id, description, runner) in requested {
+        println!("\n================================================================");
+        println!("experiment {id}: {description}");
+        println!("================================================================");
+        runner(&options);
     }
+    ExitCode::SUCCESS
 }
 
 type Runner = fn(&Options);
@@ -1021,9 +1008,11 @@ fn fig6_4(options: &Options) {
             let mut sampled_query = build_query(kind);
             let mut reference_query = build_query(kind);
             let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(options.seed);
+            let mut pool = KeepListPool::new();
             let mut errors = Vec::new();
             for (index, batch) in batches.iter().enumerate() {
-                let (sampled, _) = netshed_monitor::packet_sample(&batch.view(), rate, &mut rng);
+                let (sampled, _) =
+                    netshed_monitor::packet_sample_with(&batch.view(), rate, &mut rng, &mut pool);
                 let mut meter = CycleMeter::new();
                 sampled_query.process_batch(&sampled, rate, &mut meter);
                 reference_query.process_batch(&batch.view(), 1.0, &mut meter);

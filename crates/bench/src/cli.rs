@@ -1,12 +1,14 @@
-//! Argument parsing for the `scenarios` binary, as a library.
+//! Argument parsing for the `scenarios` and `experiments` binaries, as a
+//! library.
 //!
-//! The parser lives here rather than in `src/bin/scenarios.rs` so its
-//! contract is unit-testable: unknown subcommands and unknown flags fail
-//! with a nonzero exit and a usage string on stderr, flags a command does
-//! not accept are rejected rather than silently dropped, excess positional
+//! The parsers live here rather than in `src/bin/` so their contract is
+//! unit-testable: unknown subcommands, experiment ids and flags fail with a
+//! nonzero exit and a usage string on stderr, a flag value that does not
+//! parse is an error rather than a silent default, flags a command does not
+//! accept are rejected rather than silently dropped, excess positional
 //! arguments are errors, and `--help` works everywhere (global and
-//! per-command). The binary itself is a thin dispatcher over
-//! [`parse_scenarios_args`].
+//! per-command). The binaries are thin dispatchers over
+//! [`parse_scenarios_args`] and [`parse_experiments_args`].
 
 use std::path::PathBuf;
 
@@ -102,10 +104,20 @@ impl std::fmt::Display for CliError {
 const COMMAND_NAMES: [&str; 7] =
     ["list", "record", "verify", "run", "checkpoint", "resume", "help"];
 
-/// The usage text for one command, or the global synopsis for `None` /
-/// unknown names.
+/// The usage text for one `scenarios` command (or for the `experiments`
+/// binary, topic `"experiments"`), or the global `scenarios` synopsis for
+/// `None` / unknown names.
 pub fn usage(topic: Option<&str>) -> String {
     match topic {
+        Some("experiments") => format!(
+            "usage: experiments [list | all | <id>...] [--batches N] [--scale S] [--seed N]\n\
+             regenerate the paper's tables and figures (`list`, the default, describes the ids)\n  \
+               --batches N  batches per experiment, >= 1 (default {})\n  \
+               --scale S    traffic scale relative to the paper's traces, > 0 (default {})\n  \
+               --seed N     trace and monitor seed (default {DEFAULT_EXPERIMENT_SEED})",
+            crate::DEFAULT_BATCHES,
+            crate::DEFAULT_SCALE,
+        ),
         Some("list") => "usage: scenarios list\n\
              describe the built-in scenarios (bins, links, packets, phases)"
             .to_string(),
@@ -156,6 +168,25 @@ fn error(command: Option<&str>, message: impl Into<String>) -> CliError {
     CliError { message: message.into(), usage: usage(command) }
 }
 
+/// The next argument, parsed as the value of `flag`. A missing value, one
+/// that does not parse or one `accept` rejects is an error naming what the
+/// flag requires — a typo like `--workers two` must not silently run at the
+/// default.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut std::slice::Iter<'_, String>,
+    command: Option<&str>,
+    flag: &str,
+    requires: &str,
+    accept: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    let value = args.next().ok_or_else(|| error(command, format!("{flag} requires a value")))?;
+    value
+        .parse()
+        .ok()
+        .filter(accept)
+        .ok_or_else(|| error(command, format!("{flag} requires {requires}, got {value:?}")))
+}
+
 /// Parses the argument vector of the `scenarios` binary (without the
 /// program name). See the module docs for the contract.
 pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliError> {
@@ -172,14 +203,12 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
 
     // The command name is the first positional; flag errors want to cite it
     // even when they occur before it is reached.
-    let command_hint = || -> Option<String> { args.iter().find(|a| !a.starts_with('-')).cloned() };
+    let hint = args.iter().find(|a| !a.starts_with('-')).map(String::as_str);
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value_of = |flag: &str| -> Result<String, CliError> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| error(command_hint().as_deref(), format!("{flag} requires a value")))
+            iter.next().cloned().ok_or_else(|| error(hint, format!("{flag} requires a value")))
         };
         match arg.as_str() {
             "--help" | "-h" => help = true,
@@ -190,33 +219,12 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
             "--strategy" => strategy = Some(value_of("--strategy")?),
             "--predictor" => predictor = Some(value_of("--predictor")?),
             "--workers" => {
-                let value = value_of("--workers")?;
-                match value.parse::<usize>() {
-                    Ok(count) if count >= 1 => workers = Some(count),
-                    // A typo like `--workers two` must not silently verify
-                    // at the default count.
-                    _ => {
-                        return Err(error(
-                            command_hint().as_deref(),
-                            format!("--workers requires a count >= 1, got {value:?}"),
-                        ))
-                    }
-                }
+                let at_least_one = |count: &usize| *count >= 1;
+                workers = Some(flag_value(&mut iter, hint, arg, "a count >= 1", at_least_one)?);
             }
-            "--at" => {
-                let value = value_of("--at")?;
-                match value.parse::<u64>() {
-                    Ok(bin) => at = Some(bin),
-                    Err(_) => {
-                        return Err(error(
-                            command_hint().as_deref(),
-                            format!("--at requires a bin count, got {value:?}"),
-                        ))
-                    }
-                }
-            }
+            "--at" => at = Some(flag_value(&mut iter, hint, arg, "a bin count", |_| true)?),
             other if other.starts_with('-') => {
-                return Err(error(command_hint().as_deref(), format!("unknown flag {other:?}")))
+                return Err(error(hint, format!("unknown flag {other:?}")))
             }
             other => positional.push(other.to_string()),
         }
@@ -327,6 +335,76 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
         }
         _ => unreachable!("command membership checked above"),
     }
+}
+
+/// A fully parsed `experiments` invocation.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExperimentsCommand {
+    /// `experiments [list]` — describe every experiment id.
+    List,
+    /// `experiments <id>... | all [--batches N] [--scale S] [--seed N]`.
+    Run {
+        /// The experiments to run, in order (`all` expands to every id).
+        ids: Vec<String>,
+        /// Batches per experiment.
+        batches: usize,
+        /// Traffic scale relative to the paper's traces.
+        scale: f64,
+        /// Trace and monitor seed.
+        seed: u64,
+    },
+    /// `experiments --help`.
+    Help,
+}
+
+const DEFAULT_EXPERIMENT_SEED: u64 = 42;
+
+/// Parses the argument vector of the `experiments` binary (without the
+/// program name) against the ids it can run. See the module docs for the
+/// contract.
+pub fn parse_experiments_args(
+    args: &[String],
+    known_ids: &[&str],
+) -> Result<ExperimentsCommand, CliError> {
+    let command = Some("experiments");
+    let mut batches = crate::DEFAULT_BATCHES;
+    let mut scale = crate::DEFAULT_SCALE;
+    let mut seed = DEFAULT_EXPERIMENT_SEED;
+    let mut ids: Vec<String> = Vec::new();
+
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(ExperimentsCommand::Help),
+            "--batches" => {
+                let at_least_one = |count: &usize| *count >= 1;
+                batches = flag_value(&mut iter, command, arg, "a count >= 1", at_least_one)?;
+            }
+            "--scale" => {
+                let positive = |factor: &f64| factor.is_finite() && *factor > 0.0;
+                scale = flag_value(&mut iter, command, arg, "a factor > 0", positive)?;
+            }
+            "--seed" => {
+                seed = flag_value(&mut iter, command, arg, "an unsigned integer", |_| true)?;
+            }
+            other if other.starts_with('-') => {
+                return Err(error(command, format!("unknown flag {other:?}")))
+            }
+            other => ids.push(other.to_string()),
+        }
+    }
+
+    match ids.first().map(String::as_str) {
+        None | Some("list") if ids.len() <= 1 => return Ok(ExperimentsCommand::List),
+        Some("all") if ids.len() == 1 => {
+            ids = known_ids.iter().map(ToString::to_string).collect();
+        }
+        _ => {}
+    }
+    if let Some(unknown) = ids.iter().find(|id| !known_ids.contains(&id.as_str())) {
+        return Err(error(command, format!("unknown experiment id {unknown:?} (use `list`)")));
+    }
+    Ok(ExperimentsCommand::Run { ids, batches, scale, seed })
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@ use netshed_queries::QuerySpec;
 use netshed_service::MonitorEngine;
 use netshed_trace::{Batch, TraceGenerator, TraceProfile};
 
-pub mod baseline;
 pub mod cli;
 pub mod corpus;
 // Experiment tables iterate these maps straight into stdout, so they are

@@ -5,14 +5,16 @@
 //! it walks the batch once and sets the ten precomputed per-packet
 //! [`AggregateSlots`](netshed_trace::AggregateSlots) in the ten per-batch
 //! bitmaps. The slots themselves — each aggregate's hash, located in the
-//! bitmap geometry — are computed at most once per batch and cached on the
-//! shared packet store, so a query's sampled re-extraction reuses the rows
-//! the full-batch extraction already paid for.
+//! bitmap geometry — are computed once per batch and cached on the shared
+//! packet store, so a query's sampled re-extraction reuses the rows the
+//! full-batch extraction already paid for. Seed and geometry are therefore
+//! constants, not configuration: an extractor that disagreed with the store
+//! could only read rows located for another bitmap.
 
-use crate::aggregate::{Aggregate, AGGREGATE_COUNT};
+use crate::aggregate::{Aggregate, AGGREGATE_COUNT, AGGREGATE_MAX_CARDINALITY};
 use crate::vector::{CounterKind, FeatureId, FeatureVector};
 use netshed_sketch::{BitmapGeometry, MultiResolutionBitmap, StateError, StateReader, StateWriter};
-use netshed_trace::{AggregateSlots, Batch, BatchView, SlotClaim};
+use netshed_trace::{Batch, BatchView};
 
 /// Configuration of the feature extractor.
 #[derive(Debug, Clone)]
@@ -20,19 +22,11 @@ pub struct ExtractorConfig {
     /// Duration of the measurement interval in microseconds; the "new items"
     /// bitmaps are reset at every interval boundary.
     pub measurement_interval_us: u64,
-    /// Maximum cardinality the bitmaps are dimensioned for.
-    pub max_cardinality: usize,
-    /// Seed mixed into the aggregate hash functions.
-    pub hash_seed: u64,
 }
 
 impl Default for ExtractorConfig {
     fn default() -> Self {
-        Self {
-            measurement_interval_us: netshed_trace::DEFAULT_MEASUREMENT_INTERVAL_US,
-            max_cardinality: 200_000,
-            hash_seed: 0x5eed_f00d,
-        }
+        Self { measurement_interval_us: netshed_trace::DEFAULT_MEASUREMENT_INTERVAL_US }
     }
 }
 
@@ -96,7 +90,7 @@ impl std::fmt::Debug for FeatureExtractor {
 impl FeatureExtractor {
     /// Creates an extractor with the given configuration.
     pub fn new(config: ExtractorConfig) -> Self {
-        let geometry = BitmapGeometry::for_cardinality(config.max_cardinality);
+        let geometry = BitmapGeometry::for_cardinality(AGGREGATE_MAX_CARDINALITY);
         let aggregates = std::array::from_fn(|_| AggregateState {
             batch_unique: MultiResolutionBitmap::with_geometry(geometry),
             interval_seen: MultiResolutionBitmap::with_geometry(geometry),
@@ -107,12 +101,6 @@ impl FeatureExtractor {
     /// Creates an extractor with the default configuration.
     pub fn with_defaults() -> Self {
         Self::new(ExtractorConfig::default())
-    }
-
-    /// The one geometry of all twenty bitmaps; with the hash seed, the key of
-    /// the batch's slot cache.
-    fn geometry(&self) -> BitmapGeometry {
-        self.aggregates[0].batch_unique.geometry()
     }
 
     /// Number of batches processed so far.
@@ -182,28 +170,12 @@ impl FeatureExtractor {
         self.batches_processed += 1;
 
         let packets = view.len() as f64;
-        let (hash_seed, geometry) = (self.config.hash_seed, self.geometry());
-        let aggregates = &mut self.aggregates;
-        let mut insert_row = |row: &AggregateSlots| {
-            for (state, &slot) in aggregates.iter_mut().zip(row.as_array()) {
+        // Walk the slot side array by store index only: no packet memory is
+        // touched.
+        let slots = view.aggregate_slots();
+        for store_index in view.store_indices() {
+            for (state, &slot) in self.aggregates.iter_mut().zip(slots[store_index].as_array()) {
                 state.batch_unique.insert_slot(slot);
-            }
-        };
-        match view.aggregate_slots(hash_seed, geometry) {
-            SlotClaim::Rows(slots) => {
-                // Walk the slot side array by store index only: no packet
-                // memory is touched on the cached path.
-                for store_index in view.store_indices() {
-                    insert_row(&slots[store_index]);
-                }
-            }
-            SlotClaim::Foreign { .. } => {
-                // A foreign seed or geometry owns the batch's cache (counted
-                // on the store): locate only the tuples this view retains.
-                let tuples = view.store().tuples();
-                for store_index in view.store_indices() {
-                    insert_row(&AggregateSlots::compute(&tuples[store_index], hash_seed, geometry));
-                }
             }
         }
 
@@ -294,74 +266,6 @@ mod tests {
         let (third, _) = extractor.extract(&batch_of(&tuples, 10));
         let new_third = third.get(FeatureId::Counter(Aggregate::SrcIp, CounterKind::New));
         assert!(new_third > 150.0, "items should count as new again: {new_third}");
-    }
-
-    /// Reference ten-pass extractor replicating the pre-fusion loop nest:
-    /// aggregate-major, re-keying and re-hashing every packet per aggregate.
-    fn ten_pass_reference(config: &ExtractorConfig, batch: &Batch) -> Vec<f64> {
-        use netshed_sketch::hash_bytes;
-        use netshed_trace::aggregate_hash_seed;
-        let packets = batch.len() as f64;
-        let mut uniques = Vec::new();
-        for (agg_idx, aggregate) in Aggregate::ALL.iter().enumerate() {
-            let mut bitmap = MultiResolutionBitmap::for_cardinality(config.max_cardinality);
-            let seed = aggregate_hash_seed(config.hash_seed, agg_idx);
-            for packet in batch.packets.iter() {
-                bitmap.insert_hash(hash_bytes(&aggregate.key(packet.tuple()), seed));
-            }
-            uniques.push(bitmap.estimate().min(packets).round());
-        }
-        uniques
-    }
-
-    #[test]
-    fn fused_extraction_is_bit_identical_to_the_ten_pass_reference() {
-        let tuples: Vec<FiveTuple> =
-            (0..500).map(|i| FiveTuple::new(i % 97, i % 13, (i % 31) as u16, 80, 6)).collect();
-        let config = ExtractorConfig::default();
-        // Two bins in the same interval plus one in a fresh interval, and
-        // three intervals in a row: the per-batch counters must not depend
-        // on what the interval bookkeeping did before them.
-        for bins in [[0u64, 1, 10], [0, 10, 20]] {
-            let mut extractor = FeatureExtractor::new(config.clone());
-            for bin in bins {
-                let batch = batch_of(&tuples, bin);
-                let (features, _) = extractor.extract(&batch);
-                let reference = ten_pass_reference(&config, &batch);
-                for (unique, aggregate) in reference.iter().zip(Aggregate::ALL) {
-                    let fused = features.get(FeatureId::Counter(aggregate, CounterKind::Unique));
-                    assert_eq!(
-                        fused,
-                        *unique,
-                        "aggregate {} diverged from the reference on bin {bin}",
-                        aggregate.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn extractor_with_a_non_cached_seed_matches_the_cached_path() {
-        // Claim the batch's slot cache with the default seed, then extract
-        // with a different seed: the fallback (locate retained packets only)
-        // must produce the same features as a fresh batch whose cache that
-        // seed owns.
-        let tuples: Vec<FiveTuple> = (0..200).map(|i| FiveTuple::new(i, 2, 3, 4, 6)).collect();
-        let batch = batch_of(&tuples, 0);
-        let defaults = ExtractorConfig::default();
-        let geometry = BitmapGeometry::for_cardinality(defaults.max_cardinality);
-        let _ = batch.view().aggregate_slots(defaults.hash_seed, geometry);
-
-        let other_seed = ExtractorConfig { hash_seed: 0xd1ff_5eed, ..ExtractorConfig::default() };
-        let mut on_contended = FeatureExtractor::new(other_seed.clone());
-        let mut on_fresh = FeatureExtractor::new(other_seed);
-        let (a, ops_a) = on_contended.extract(&batch);
-        let (b, ops_b) = on_fresh.extract(&batch_of(&tuples, 0));
-        assert_eq!(ops_a, ops_b);
-        for id in FeatureId::all() {
-            assert_eq!(a.get(id), b.get(id), "feature {} differs on the fallback path", id.name());
-        }
     }
 
     #[test]

@@ -21,6 +21,8 @@ pub mod aggregate;
 pub mod extractor;
 pub mod vector;
 
-pub use aggregate::{aggregate_hash_seed, Aggregate, AggregateHashes, AGGREGATE_COUNT};
+pub use aggregate::{
+    Aggregate, AggregateHashes, AGGREGATE_COUNT, AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY,
+};
 pub use extractor::{ExtractorConfig, FeatureExtractor};
 pub use vector::{CounterKind, FeatureId, FeatureVector, FEATURE_COUNT};

@@ -9,13 +9,12 @@
 //! adequate; this crate provides exactly that:
 //!
 //! * [`Matrix`] — a column-major dense `f64` matrix,
-//! * [`svd`] — one-sided Jacobi singular value decomposition,
-//! * [`ols_solve`] — least-squares solve through the SVD pseudo-inverse,
-//! * [`SvdWorkspace`] / [`OlsWorkspace`] — the same two kernels with
-//!   caller-owned working memory (`svd` and `ols_solve` are those on a fresh
-//!   workspace), for callers that refit every bin,
-//! * [`stats`] — mean / variance / correlation / percentile helpers shared by
-//!   the predictors and the experiment harness.
+//! * [`SvdWorkspace`] — one-sided Jacobi singular value decomposition,
+//! * [`OlsWorkspace`] — least-squares solve through the SVD pseudo-inverse,
+//!   both over caller-owned working memory, so a predictor that refits every
+//!   bin allocates nothing once warm,
+//! * [`stats`] — mean / variance / percentile / EWMA helpers shared by the
+//!   predictors and the experiment harness.
 
 #![forbid(unsafe_code)]
 
@@ -25,5 +24,5 @@ pub mod stats;
 pub mod svd;
 
 pub use matrix::Matrix;
-pub use ols::{ols_solve, OlsFit, OlsWorkspace};
-pub use svd::{svd, Svd, SvdWorkspace};
+pub use ols::OlsWorkspace;
+pub use svd::{Svd, SvdWorkspace};

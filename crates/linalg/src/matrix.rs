@@ -204,11 +204,6 @@ impl Matrix {
             }
         }
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 /// Dot product of two equally long slices.

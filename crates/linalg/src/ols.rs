@@ -3,64 +3,6 @@
 use crate::matrix::Matrix;
 use crate::svd::{Svd, SvdWorkspace};
 
-/// Result of a least-squares fit `y ≈ X b`.
-#[derive(Debug, Clone)]
-pub struct OlsFit {
-    /// Estimated coefficients, one per column of the design matrix.
-    pub coefficients: Vec<f64>,
-    /// Residual sum of squares.
-    pub residual_sum_of_squares: f64,
-    /// Coefficient of determination (R²); 1.0 when the response is constant
-    /// and perfectly fitted.
-    pub r_squared: f64,
-    /// Effective rank of the design matrix.
-    pub rank: usize,
-}
-
-impl OlsFit {
-    /// Predicts the response for one observation (row of predictor values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the number of coefficients.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        predict_row(&self.coefficients, x)
-    }
-}
-
-fn predict_row(coefficients: &[f64], x: &[f64]) -> f64 {
-    assert_eq!(x.len(), coefficients.len(), "predictor count mismatch");
-    x.iter().zip(coefficients).map(|(a, b)| a * b).sum()
-}
-
-/// Solves `min_b ||y - X b||²` using the SVD pseudo-inverse.
-///
-/// Singular values below `rcond * max_singular_value` are treated as zero, so
-/// collinear predictors (which violate the paper's no-multicollinearity
-/// assumption but do occur under anomalous traffic, e.g. packets ≈ flows
-/// during a SYN flood) yield the minimum-norm solution instead of blowing up.
-///
-/// This is [`OlsWorkspace::solve`] on a fresh workspace plus the fit
-/// statistics; a caller that solves every bin and reads only the
-/// coefficients keeps the workspace instead.
-///
-/// # Panics
-///
-/// Panics if `y.len()` differs from the number of rows of `x`.
-pub fn ols_solve(x: &Matrix, y: &[f64], rcond: f64) -> OlsFit {
-    let mut workspace = OlsWorkspace::default();
-    let rank = workspace.solve(x, y, rcond);
-    let coefficients = workspace.coefficients;
-
-    let predictions = x.mul_vec(&coefficients);
-    let rss: f64 = predictions.iter().zip(y).map(|(p, t)| (p - t) * (p - t)).sum();
-    let mean_y = y.iter().sum::<f64>() / y.len().max(1) as f64;
-    let tss: f64 = y.iter().map(|v| (v - mean_y) * (v - mean_y)).sum();
-    let r_squared = if tss > 0.0 { 1.0 - rss / tss } else { 1.0 };
-
-    OlsFit { coefficients, residual_sum_of_squares: rss, r_squared, rank }
-}
-
 /// Caller-owned working memory of the least-squares solve — the SVD
 /// workspace, the projection `U^T y` and the coefficients — so a predictor
 /// that refits every bin allocates nothing once it has seen its widest
@@ -74,9 +16,15 @@ pub struct OlsWorkspace {
 }
 
 impl OlsWorkspace {
-    /// Fits `y ≈ X b` and returns the effective rank of `x`; the
-    /// coefficients stay readable until the next call. Bit-identical to
-    /// [`ols_solve`].
+    /// Solves `min_b ||y - X b||²` through the SVD pseudo-inverse and
+    /// returns the effective rank of `x`; the coefficients stay readable
+    /// until the next call.
+    ///
+    /// Singular values below `rcond * max_singular_value` are treated as
+    /// zero, so collinear predictors (which violate the paper's
+    /// no-multicollinearity assumption but do occur under anomalous traffic,
+    /// e.g. packets ≈ flows during a SYN flood) yield the minimum-norm
+    /// solution instead of blowing up.
     ///
     /// # Panics
     ///
@@ -113,7 +61,8 @@ impl OlsWorkspace {
     ///
     /// Panics if `x.len()` differs from the number of coefficients.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        predict_row(&self.coefficients, x)
+        assert_eq!(x.len(), self.coefficients.len(), "predictor count mismatch");
+        x.iter().zip(&self.coefficients).map(|(a, b)| a * b).sum()
     }
 }
 
@@ -122,6 +71,22 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Fits on a fresh workspace; returns it with the rank.
+    fn fit(x: &Matrix, y: &[f64], rcond: f64) -> (OlsWorkspace, usize) {
+        let mut workspace = OlsWorkspace::default();
+        let rank = workspace.solve(x, y, rcond);
+        (workspace, rank)
+    }
+
+    /// Residual and total sums of squares of the workspace's last fit.
+    fn sums_of_squares(workspace: &OlsWorkspace, x: &Matrix, y: &[f64]) -> (f64, f64) {
+        let predictions = x.mul_vec(workspace.coefficients());
+        let rss = predictions.iter().zip(y).map(|(p, t)| (p - t) * (p - t)).sum();
+        let mean_y = y.iter().sum::<f64>() / y.len() as f64;
+        let tss = y.iter().map(|v| (v - mean_y) * (v - mean_y)).sum();
+        (rss, tss)
+    }
 
     #[test]
     fn recovers_exact_linear_relationship() {
@@ -136,12 +101,14 @@ mod tests {
             y.push(2.0 + 3.0 * x1 - 0.5 * x2);
         }
         let x = Matrix::from_rows(&rows);
-        let fit = ols_solve(&x, &y, 1e-10);
-        assert!((fit.coefficients[0] - 2.0).abs() < 1e-8);
-        assert!((fit.coefficients[1] - 3.0).abs() < 1e-8);
-        assert!((fit.coefficients[2] + 0.5).abs() < 1e-8);
-        assert!(fit.r_squared > 0.999_999);
-        assert_eq!(fit.rank, 3);
+        let (workspace, rank) = fit(&x, &y, 1e-10);
+        let coefficients = workspace.coefficients();
+        assert!((coefficients[0] - 2.0).abs() < 1e-8);
+        assert!((coefficients[1] - 3.0).abs() < 1e-8);
+        assert!((coefficients[2] + 0.5).abs() < 1e-8);
+        let (rss, tss) = sums_of_squares(&workspace, &x, &y);
+        assert!(1.0 - rss / tss > 0.999_999);
+        assert_eq!(rank, 3);
     }
 
     #[test]
@@ -154,9 +121,11 @@ mod tests {
             rows.push(vec![1.0, x1]);
             y.push(5.0 + 2.0 * x1 + rng.gen_range(-1.0..1.0));
         }
-        let fit = ols_solve(&Matrix::from_rows(&rows), &y, 1e-10);
-        assert!((fit.coefficients[1] - 2.0).abs() < 0.05);
-        assert!(fit.r_squared > 0.99);
+        let x = Matrix::from_rows(&rows);
+        let (workspace, _) = fit(&x, &y, 1e-10);
+        assert!((workspace.coefficients()[1] - 2.0).abs() < 0.05);
+        let (rss, tss) = sums_of_squares(&workspace, &x, &y);
+        assert!(1.0 - rss / tss > 0.99);
     }
 
     #[test]
@@ -170,13 +139,13 @@ mod tests {
             rows.push(vec![1.0, x, x]);
             y.push(1.0 + 4.0 * x);
         }
-        let fit = ols_solve(&Matrix::from_rows(&rows), &y, 1e-9);
-        assert_eq!(fit.rank, 2);
-        for c in &fit.coefficients {
+        let (workspace, rank) = fit(&Matrix::from_rows(&rows), &y, 1e-9);
+        assert_eq!(rank, 2);
+        for c in workspace.coefficients() {
             assert!(c.abs() < 10.0, "coefficient blew up: {c}");
         }
         // Predictions must still be accurate.
-        assert!((fit.predict(&[1.0, 10.0, 10.0]) - 41.0).abs() < 1e-6);
+        assert!((workspace.predict(&[1.0, 10.0, 10.0]) - 41.0).abs() < 1e-6);
     }
 
     #[test]
@@ -184,14 +153,15 @@ mod tests {
         // Two observations, three predictors.
         let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let y = vec![14.0, 32.0];
-        let fit = ols_solve(&x, &y, 1e-12);
+        let (workspace, _) = fit(&x, &y, 1e-12);
         // The system is consistent; residuals should be ~0.
-        assert!(fit.residual_sum_of_squares < 1e-16);
+        assert!(sums_of_squares(&workspace, &x, &y).0 < 1e-16);
     }
 
     #[test]
     fn a_reused_workspace_equals_a_fresh_solve() {
-        // Tall, underdetermined, then tall again through one workspace.
+        // Tall, underdetermined, then tall again through one workspace:
+        // stale buffers of another shape must not leak into the next fit.
         let problems = [
             (
                 Matrix::from_rows(&[vec![1.0, 2.0], vec![1.0, 3.0], vec![1.0, 5.0]]),
@@ -205,21 +175,21 @@ mod tests {
         ];
         let mut workspace = OlsWorkspace::default();
         for (x, y) in &problems {
-            let fresh = ols_solve(x, y, 1e-9);
+            let (fresh, fresh_rank) = fit(x, y, 1e-9);
             let rank = workspace.solve(x, y, 1e-9);
-            assert_eq!(rank, fresh.rank);
-            assert_eq!(workspace.coefficients(), &fresh.coefficients[..]);
+            assert_eq!(rank, fresh_rank);
+            assert_eq!(workspace.coefficients(), fresh.coefficients());
             let probe = vec![1.5; x.cols()];
             assert_eq!(workspace.predict(&probe).to_bits(), fresh.predict(&probe).to_bits());
         }
     }
 
     #[test]
-    fn constant_response_gives_unit_r_squared() {
+    fn constant_response_is_fitted_exactly() {
         let x = Matrix::from_rows(&[vec![1.0], vec![1.0], vec![1.0]]);
         let y = vec![5.0, 5.0, 5.0];
-        let fit = ols_solve(&x, &y, 1e-12);
-        assert!((fit.coefficients[0] - 5.0).abs() < 1e-9);
-        assert_eq!(fit.r_squared, 1.0);
+        let (workspace, _) = fit(&x, &y, 1e-12);
+        assert!((workspace.coefficients()[0] - 5.0).abs() < 1e-9);
+        assert!(sums_of_squares(&workspace, &x, &y).0 < 1e-16);
     }
 }

@@ -22,34 +22,6 @@ pub fn stdev(values: &[f64]) -> f64 {
     variance(values).sqrt()
 }
 
-/// Pearson linear correlation coefficient between two equally long slices.
-///
-/// Returns 0 when either series has zero variance (a constant predictor
-/// carries no linear information), which is the convention the FCBF feature
-/// selection relies on.
-pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "series length mismatch");
-    if x.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        let da = a - mx;
-        let db = b - my;
-        cov += da * db;
-        vx += da * da;
-        vy += db * db;
-    }
-    if vx <= 0.0 || vy <= 0.0 {
-        return 0.0;
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
 /// Returns the `p`-th percentile (0..=100) of the values using linear
 /// interpolation between order statistics. Returns 0 for an empty slice.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
@@ -146,17 +118,6 @@ mod tests {
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(max(&[]), 0.0);
-    }
-
-    #[test]
-    fn pearson_detects_perfect_and_no_correlation() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y_pos = [2.0, 4.0, 6.0, 8.0];
-        let y_neg = [8.0, 6.0, 4.0, 2.0];
-        let y_const = [5.0, 5.0, 5.0, 5.0];
-        assert!((pearson(&x, &y_pos) - 1.0).abs() < 1e-12);
-        assert!((pearson(&x, &y_neg) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&x, &y_const), 0.0);
     }
 
     #[test]

@@ -44,18 +44,6 @@ impl Svd {
     }
 }
 
-/// Computes the thin SVD of `a` using the one-sided Jacobi method.
-///
-/// For matrices with more columns than rows the decomposition is computed on
-/// the transpose and the factors are swapped, so callers may pass any shape.
-/// Allocates its working memory per call; a caller that decomposes every bin
-/// keeps an [`SvdWorkspace`] instead.
-pub fn svd(a: &Matrix) -> Svd {
-    let mut workspace = SvdWorkspace::default();
-    workspace.decompose(a);
-    workspace.svd
-}
-
 /// Caller-owned working memory of the Jacobi kernel, and the decomposition
 /// it last produced. Every buffer is resized in place, so a workspace that
 /// has seen a shape once decomposes that shape again without allocating.
@@ -74,9 +62,12 @@ pub struct SvdWorkspace {
 }
 
 impl SvdWorkspace {
-    /// Decomposes `a` (any shape) and returns the result, which stays
-    /// readable until the next call. Bit-identical to [`svd`], which is this
-    /// method on a fresh workspace.
+    /// Computes the thin SVD of `a` using the one-sided Jacobi method and
+    /// returns the result, which stays readable until the next call.
+    ///
+    /// For matrices with more columns than rows the decomposition is
+    /// computed on the transpose and the factors are swapped, so callers may
+    /// pass any shape.
     pub fn decompose(&mut self, a: &Matrix) -> &Svd {
         let Self { w, rotations, norms, order, svd } = self;
         let wide = a.cols() > a.rows();
@@ -167,6 +158,11 @@ fn rotate(column_p: &mut [f64], column_q: &mut [f64], c: f64, s: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decomposes on a fresh workspace.
+    fn svd(a: &Matrix) -> Svd {
+        SvdWorkspace::default().decompose(a).clone()
+    }
 
     fn assert_close(a: &Matrix, b: &Matrix, tol: f64) {
         assert_eq!(a.rows(), b.rows());

@@ -59,12 +59,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Sets the capture buffer size in time bins of backlog.
-    pub fn buffer_bins(mut self, bins: f64) -> Self {
-        self.config.buffer_capacity_bins = bins;
-        self
-    }
-
     /// Sets the fixed per-bin platform overhead in cycles.
     pub fn platform_overhead(mut self, cycles: f64) -> Self {
         self.config.platform_overhead_cycles = cycles;

@@ -8,6 +8,28 @@
 //! capacity; when the backlog exceeds the buffer size, the overflow fraction
 //! of the next incoming batch is dropped before the system ever sees it.
 
+use netshed_sketch::{StateError, StateReader, StateWriter};
+
+/// Admits a control-loop `f64` read from a snapshot if the save side could
+/// have written it: inside `[0, max]` (`f64::MAX` for "finite"). A snapshot
+/// is outside input and its checksum is not cryptographic: a NaN (it fails
+/// both comparisons) or an out-of-range value would otherwise restore
+/// cleanly and reach every later `ControlContext`, so it is a corrupt
+/// section naming `field`.
+pub(crate) fn bounded(value: f64, field: &str, max: f64) -> Result<f64, StateError> {
+    if (0.0..=max).contains(&value) {
+        return Ok(value);
+    }
+    let domain = if max == 1.0 {
+        "a rate in [0, 1]"
+    } else if max.is_finite() {
+        "finite and non-negative"
+    } else {
+        "non-negative"
+    };
+    Err(StateError::corrupt(format!("{field} holds {value}, not {domain}")))
+}
+
 /// Capture-side backlog and drop model.
 #[derive(Debug, Clone)]
 pub struct CaptureBuffer {
@@ -87,18 +109,15 @@ impl CaptureBuffer {
 
     /// Serializes the buffer's mutable state (backlog and drop counter); the
     /// geometry is derived from the monitor configuration and not stored.
-    pub fn save_state(&self, writer: &mut netshed_sketch::StateWriter) {
+    pub fn save_state(&self, writer: &mut StateWriter) {
         writer.f64(self.backlog_cycles);
         writer.u64(self.dropped_packets);
     }
 
     /// Restores state written by [`CaptureBuffer::save_state`] into a buffer
     /// built from the same configuration.
-    pub fn load_state(
-        &mut self,
-        reader: &mut netshed_sketch::StateReader<'_>,
-    ) -> Result<(), netshed_sketch::StateError> {
-        self.backlog_cycles = reader.f64()?;
+    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+        self.backlog_cycles = bounded(reader.f64()?, "capture backlog_cycles", f64::MAX)?;
         self.dropped_packets = reader.u64()?;
         Ok(())
     }

@@ -3,7 +3,7 @@
 //! and the Chapter 6 custom-shedding enforcement).
 
 use crate::builder::MonitorBuilder;
-use crate::capture::CaptureBuffer;
+use crate::capture::{bounded, CaptureBuffer};
 use crate::config::{MonitorConfig, PolicySpec};
 use crate::engine::Engine;
 use crate::error::NetshedError;
@@ -16,8 +16,8 @@ use netshed_fairness::QueryDemand;
 use netshed_features::{ExtractorConfig, FeatureExtractor, FeatureVector};
 use netshed_predict::Predictor;
 use netshed_queries::{
-    build_query_from_spec, CustomBehavior, CycleMeter, MeasurementNoise, NoiseDraw, Query,
-    QueryKind, QueryOutput, QuerySpec, SheddingMethod,
+    build_query_from_spec, CycleMeter, MeasurementNoise, NoiseDraw, Query, QueryOutput, QuerySpec,
+    SheddingMethod,
 };
 use netshed_sketch::{H3Hasher, StateError, StateReader, StateWriter};
 use netshed_trace::{Batch, BatchView, KeepListPool, PacketSource};
@@ -143,7 +143,62 @@ const _: () = {
     assert_send::<RegisteredQuery>();
 };
 
+/// A fresh extractor on the monitor's measurement interval: the full-batch
+/// one and every query's sampled one.
+fn extractor(config: &MonitorConfig) -> FeatureExtractor {
+    FeatureExtractor::new(ExtractorConfig {
+        measurement_interval_us: config.measurement_interval_us,
+    })
+}
+
+/// A query's flow-sampling hash function, a pure function of the run seed,
+/// the stable handle and the measurement interval it was last redrawn in
+/// (`generation`, 0 = the registration-time draw) — which is why a
+/// checkpoint stores the generation and not the hasher.
+fn flow_hasher(seed: u64, id: QueryId, generation: u64) -> H3Hasher {
+    let salt = if generation == 0 { id.0 + 1 } else { (generation << 8) ^ id.0 };
+    H3Hasher::new(13, seed ^ salt)
+}
+
+/// The shadow twin a policy that needs measured cycles runs beside a query.
+/// Only a spec can be built twice, so a bare instance has none.
+fn shadow_twin(spec: Option<&QuerySpec>, needs_shadow: bool) -> Option<Box<dyn Query>> {
+    spec.filter(|_| needs_shadow).map(build_query_from_spec)
+}
+
 impl RegisteredQuery {
+    /// A query as it stands right after registration: a fresh predictor and
+    /// sampled extractor from `config`, the registration-time flow hasher
+    /// and clean enforcement state.
+    fn new(
+        config: &MonitorConfig,
+        id: QueryId,
+        label: String,
+        min_rate: f64,
+        spec: Option<QuerySpec>,
+        query: Box<dyn Query>,
+        needs_shadow: bool,
+    ) -> Self {
+        Self {
+            id,
+            label,
+            shedding: query.preferred_shedding(),
+            min_rate,
+            flow_hasher: flow_hasher(config.seed, id, 0),
+            hasher_generation: 0,
+            overuse_ratio: 1.0,
+            violations: 0,
+            penalty_remaining: 0,
+            query,
+            shadow: shadow_twin(spec.as_ref(), needs_shadow),
+            spec,
+            predictor: config.predictor.make(),
+            sampled_extractor: extractor(config),
+            shed_pool: KeepListPool::new(),
+            bin: BinSlot::default(),
+        }
+    }
+
     /// Predict task: the full-batch cost from the shared feature vector.
     /// A penalised query is not predicted (and charged nothing for it).
     fn predict(&mut self, features: &FeatureVector) {
@@ -283,14 +338,10 @@ impl Monitor {
             config.noise_outlier_probability,
             config.noise_outlier_cycles,
         );
-        let extractor = FeatureExtractor::new(ExtractorConfig {
-            measurement_interval_us: config.measurement_interval_us,
-            ..ExtractorConfig::default()
-        });
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
             policy: config.policy.make(),
-            extractor,
+            extractor: extractor(&config),
             queries: Vec::new(),
             buffer,
             noise,
@@ -343,11 +394,7 @@ impl Monitor {
         self.config.policy = policy;
         let needs_shadow = self.policy.needs_measured_cycles();
         for registered in &mut self.queries {
-            registered.shadow = if needs_shadow {
-                registered.spec.as_ref().map(|spec| build_query_from_spec(spec))
-            } else {
-                None
-            };
+            registered.shadow = shadow_twin(registered.spec.as_ref(), needs_shadow);
         }
     }
 
@@ -395,36 +442,17 @@ impl Monitor {
                 )));
             }
         }
-        let predictor = self.config.predictor.make();
-        let shadow = if self.policy.needs_measured_cycles() {
-            spec.as_ref().map(|spec| build_query_from_spec(spec))
-        } else {
-            None
-        };
         let id = QueryId(self.next_query_id);
         self.next_query_id += 1;
-        let registered = RegisteredQuery {
+        self.queries.push(RegisteredQuery::new(
+            &self.config,
             id,
-            label: label.unwrap_or_else(|| query.name().to_string()),
-            shedding: query.preferred_shedding(),
-            min_rate: min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0),
+            label.unwrap_or_else(|| query.name().to_string()),
+            min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0),
             spec,
-            flow_hasher: H3Hasher::new(13, self.config.seed ^ (id.0 + 1)),
-            hasher_generation: 0,
-            overuse_ratio: 1.0,
-            violations: 0,
-            penalty_remaining: 0,
             query,
-            shadow,
-            predictor,
-            sampled_extractor: FeatureExtractor::new(ExtractorConfig {
-                measurement_interval_us: self.config.measurement_interval_us,
-                ..ExtractorConfig::default()
-            }),
-            shed_pool: KeepListPool::new(),
-            bin: BinSlot::default(),
-        };
-        self.queries.push(registered);
+            self.policy.needs_measured_cycles(),
+        ));
         Ok(id)
     }
 
@@ -453,11 +481,6 @@ impl Monitor {
     /// Number of packets dropped without control since the start of the run.
     pub fn uncontrolled_drops(&self) -> u64 {
         self.buffer.dropped_packets()
-    }
-
-    /// Current smoothed prediction error.
-    pub fn prediction_error_ewma(&self) -> f64 {
-        self.error_ewma
     }
 
     /// Current buffer-discovery threshold (`rtthresh` of Section 4.1).
@@ -702,8 +725,7 @@ impl Monitor {
             if registered.shedding == SheddingMethod::FlowSampling
                 && registered.hasher_generation != interval
             {
-                registered.flow_hasher =
-                    H3Hasher::new(13, self.config.seed ^ (interval << 8) ^ registered.id.0);
+                registered.flow_hasher = flow_hasher(self.config.seed, registered.id, interval);
                 registered.hasher_generation = interval;
             }
             if rate < 1.0 {
@@ -929,7 +951,7 @@ impl Monitor {
             })?;
             writer.u64(registered.id.0);
             writer.str(&registered.label);
-            save_spec(spec, writer);
+            spec.save_state(writer);
             writer.f64(registered.min_rate);
             writer.u64(registered.hasher_generation);
             writer.f64(registered.overuse_ratio);
@@ -972,13 +994,14 @@ impl Monitor {
             *word = reader.u64()?;
         }
         self.noise.restore_rng(noise_state);
-        self.error_ewma = reader.f64()?;
-        self.shed_cycles_ewma = reader.f64()?;
-        self.rtthresh = reader.f64()?;
-        self.rtthresh_ssthresh = reader.f64()?;
-        self.reactive_rate = reader.f64()?;
-        self.reactive_consumed = reader.f64()?;
-        self.reactive_query_cycles = reader.f64()?;
+        self.error_ewma = bounded(reader.f64()?, "error_ewma", f64::MAX)?;
+        self.shed_cycles_ewma = bounded(reader.f64()?, "shed_cycles_ewma", f64::MAX)?;
+        self.rtthresh = bounded(reader.f64()?, "rtthresh", f64::MAX)?;
+        // Infinite until the buffer discovery first backs off.
+        self.rtthresh_ssthresh = bounded(reader.f64()?, "rtthresh_ssthresh", f64::INFINITY)?;
+        self.reactive_rate = bounded(reader.f64()?, "reactive_rate", 1.0)?;
+        self.reactive_consumed = bounded(reader.f64()?, "reactive_consumed", f64::MAX)?;
+        self.reactive_query_cycles = bounded(reader.f64()?, "reactive_query_cycles", f64::MAX)?;
         self.current_interval = reader.opt_u64()?;
         self.policy.load_state(reader)?;
         let count = reader.usize()?;
@@ -987,61 +1010,40 @@ impl Monitor {
         for _ in 0..count {
             let id = QueryId(reader.u64()?);
             let label = reader.str()?;
-            let spec = load_spec(reader)?;
-            let min_rate = reader.f64()?;
+            let spec = QuerySpec::load_state(reader)?;
+            let min_rate = bounded(reader.f64()?, &format!("query '{label}' min_rate"), 1.0)?;
             let hasher_generation = reader.u64()?;
-            let overuse_ratio = reader.f64()?;
-            let violations = reader.u32()?;
-            let penalty_remaining = reader.u32()?;
-            let mut query = build_query_from_spec(&spec);
-            query.load_state(reader)?;
-            let shadow = if reader.bool()? {
-                if !needs_shadow {
-                    return Err(StateError::corrupt(format!(
-                        "query '{label}' carries shadow state but policy \
-                         '{policy_name}' does not run shadows"
-                    )));
-                }
-                let mut shadow = build_query_from_spec(&spec);
-                shadow.load_state(reader)?;
-                Some(shadow)
-            } else {
-                None
-            };
-            let mut predictor = self.config.predictor.make();
-            predictor.load_state(reader)?;
-            let mut sampled_extractor = FeatureExtractor::new(ExtractorConfig {
-                measurement_interval_us: self.config.measurement_interval_us,
-                ..ExtractorConfig::default()
-            });
-            sampled_extractor.load_state(reader)?;
-            // The flow hasher is derivable: its seed depends only on the
-            // stable id and the interval of the last refresh (generation 0 is
-            // the registration-time draw — a refresh at interval 0 is
-            // impossible because the generations would already match).
-            let flow_hasher = if hasher_generation == 0 {
-                H3Hasher::new(13, self.config.seed ^ (id.0 + 1))
-            } else {
-                H3Hasher::new(13, self.config.seed ^ (hasher_generation << 8) ^ id.0)
-            };
-            self.queries.push(RegisteredQuery {
+            let overuse_ratio =
+                bounded(reader.f64()?, &format!("query '{label}' overuse_ratio"), f64::MAX)?;
+            let query = build_query_from_spec(&spec);
+            let mut registered = RegisteredQuery::new(
+                &self.config,
                 id,
                 label,
-                shedding: query.preferred_shedding(),
                 min_rate,
-                spec: Some(spec),
-                flow_hasher,
-                hasher_generation,
-                overuse_ratio,
-                violations,
-                penalty_remaining,
+                Some(spec),
                 query,
-                shadow,
-                predictor,
-                sampled_extractor,
-                shed_pool: KeepListPool::new(),
-                bin: BinSlot::default(),
-            });
+                needs_shadow,
+            );
+            registered.flow_hasher = flow_hasher(self.config.seed, id, hasher_generation);
+            registered.hasher_generation = hasher_generation;
+            registered.overuse_ratio = overuse_ratio;
+            registered.violations = reader.u32()?;
+            registered.penalty_remaining = reader.u32()?;
+            registered.query.load_state(reader)?;
+            if reader.bool()? {
+                let Some(shadow) = registered.shadow.as_mut() else {
+                    return Err(StateError::corrupt(format!(
+                        "query '{}' carries shadow state but policy \
+                         '{policy_name}' does not run shadows",
+                        registered.label
+                    )));
+                };
+                shadow.load_state(reader)?;
+            }
+            registered.predictor.load_state(reader)?;
+            registered.sampled_extractor.load_state(reader)?;
+            self.queries.push(registered);
         }
         self.next_query_id = reader.u64()?;
         if let Some(max_id) = self.queries.iter().map(|q| q.id.0).max() {
@@ -1054,31 +1056,6 @@ impl Monitor {
         }
         Ok(())
     }
-}
-
-/// Writes a [`QuerySpec`] by stable names (never enum ordinals), so `.nsck`
-/// snapshots survive enum reordering.
-fn save_spec(spec: &QuerySpec, writer: &mut StateWriter) {
-    writer.str(spec.kind.name());
-    writer.opt_str(spec.label.as_deref());
-    writer.opt_f64(spec.min_sampling_rate);
-    writer.opt_str(spec.custom_behavior.map(CustomBehavior::name));
-}
-
-/// Reads a [`QuerySpec`] written by [`save_spec`].
-fn load_spec(reader: &mut StateReader<'_>) -> Result<QuerySpec, StateError> {
-    let kind_name = reader.str()?;
-    let kind = QueryKind::from_name(&kind_name)
-        .ok_or_else(|| StateError::corrupt(format!("unknown query kind {kind_name:?}")))?;
-    let label = reader.opt_str()?;
-    let min_sampling_rate = reader.opt_f64()?;
-    let custom_behavior = match reader.opt_str()? {
-        None => None,
-        Some(name) => Some(CustomBehavior::from_name(&name).ok_or_else(|| {
-            StateError::corrupt(format!("unknown custom shedding behavior {name:?}"))
-        })?),
-    };
-    Ok(QuerySpec { kind, label, min_sampling_rate, custom_behavior })
 }
 
 #[cfg(test)]

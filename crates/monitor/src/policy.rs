@@ -51,6 +51,7 @@
 //! [`MonitorBuilder::with_policy`](crate::MonitorBuilder::with_policy)`(|| FixedRate(0.5))`
 //! — so every lane of a fleet and every daemon restore builds its own.
 
+use crate::capture::bounded;
 use netshed_fairness::{Allocation, AllocationStrategy, MmfsCpu, QueryDemand};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
@@ -511,7 +512,7 @@ impl ControlPolicy for HysteresisReactivePolicy {
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.current = reader.f64()?;
+        self.current = bounded(reader.f64()?, "reactive_hysteresis current rate", 1.0)?;
         Ok(())
     }
 }

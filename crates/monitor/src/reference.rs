@@ -15,10 +15,6 @@ pub struct ReferenceRunner {
     queries: Vec<(String, Box<dyn Query>)>,
     measurement_interval_us: u64,
     current_interval: Option<u64>,
-    /// Total cycles the reference execution would have needed (useful to
-    /// derive overload factors for experiments).
-    total_cycles: u64,
-    bins: u64,
 }
 
 impl ReferenceRunner {
@@ -31,8 +27,6 @@ impl ReferenceRunner {
                 .collect(),
             measurement_interval_us,
             current_interval: None,
-            total_cycles: 0,
-            bins: 0,
         }
     }
 
@@ -45,14 +39,6 @@ impl ReferenceRunner {
     /// Labels of the registered queries.
     pub fn query_names(&self) -> Vec<String> {
         self.queries.iter().map(|(label, _)| label.clone()).collect()
-    }
-
-    /// Mean cycles per bin the unconstrained execution needed so far.
-    pub fn mean_cycles_per_bin(&self) -> f64 {
-        if self.bins == 0 {
-            return 0.0;
-        }
-        self.total_cycles as f64 / self.bins as f64
     }
 
     /// Processes one batch; returns the per-query outputs when the batch
@@ -69,11 +55,8 @@ impl ReferenceRunner {
 
         let view = batch.view();
         for (_, query) in &mut self.queries {
-            let mut meter = CycleMeter::new();
-            query.process_batch(&view, 1.0, &mut meter);
-            self.total_cycles += meter.cycles();
+            query.process_batch(&view, 1.0, &mut CycleMeter::new());
         }
-        self.bins += 1;
         outputs
     }
 
@@ -89,19 +72,6 @@ impl ReferenceRunner {
             .map(|(label, query)| (label.clone(), query.end_interval()))
             .collect()
     }
-}
-
-/// Measures the mean per-bin cycle demand of a query set over a batch slice,
-/// counting only the query-processing cycles.
-///
-/// Experiments use this to derive the monitor capacity for a target overload
-/// factor `K` (Section 5.4): `capacity = demand × (1 - K)`.
-pub fn measure_demand(specs: &[QuerySpec], batches: &[Batch], measurement_interval_us: u64) -> f64 {
-    let mut runner = ReferenceRunner::new(specs, measurement_interval_us);
-    for batch in batches {
-        runner.process_batch(batch);
-    }
-    runner.mean_cycles_per_bin()
 }
 
 /// Measures the mean per-bin *total* demand of a query set — query cycles
@@ -168,17 +138,14 @@ mod tests {
     }
 
     #[test]
-    fn measured_demand_is_positive_and_grows_with_query_count() {
+    fn total_demand_is_positive_and_grows_with_query_count() {
         let mut generator = TraceGenerator::new(
             TraceConfig::default().with_seed(2).with_mean_packets_per_batch(200.0),
         );
         let batches = generator.batches(10);
-        let one = measure_demand(&[QuerySpec::new(QueryKind::Counter)], &batches, 1_000_000);
-        let two = measure_demand(
-            &[QuerySpec::new(QueryKind::Counter), QuerySpec::new(QueryKind::Flows)],
-            &batches,
-            1_000_000,
-        );
+        let demand = |specs: &[QuerySpec]| measure_total_demand(specs, &batches).expect("valid");
+        let one = demand(&[QuerySpec::new(QueryKind::Counter)]);
+        let two = demand(&[QuerySpec::new(QueryKind::Counter), QuerySpec::new(QueryKind::Flows)]);
         assert!(one > 0.0);
         assert!(two > one);
     }

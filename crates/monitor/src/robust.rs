@@ -43,6 +43,7 @@
 //!   before the inner policy allocates. Deterministic and context-only, so
 //!   attacked runs replay bit-identically.
 
+use crate::capture::bounded;
 use crate::policy::{
     spread_global_rate, ControlContext, ControlDecision, ControlPolicy, DecisionReason,
 };
@@ -352,8 +353,10 @@ impl ControlPolicy for DegradationGuard {
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.inner.load_state(reader)?;
-        self.expected = reader.opt_f64()?;
-        self.fallback_rate = reader.opt_f64()?;
+        let expected = reader.opt_f64()?.map(|v| bounded(v, "guard expected cycles", f64::MAX));
+        self.expected = expected.transpose()?;
+        let fallback = reader.opt_f64()?.map(|v| bounded(v, "guard fallback rate", 1.0));
+        self.fallback_rate = fallback.transpose()?;
         self.prev_dark_debt = reader.bool()?;
         self.bad = reader.u32()?;
         self.good = reader.u32()?;
@@ -381,7 +384,6 @@ pub struct AllocationGameAttacker {
     attacker: usize,
     /// Multiplier on the equilibrium action `C / |Q|`.
     greed: f64,
-    mode: FairnessMode,
 }
 
 impl AllocationGameAttacker {
@@ -393,21 +395,18 @@ impl AllocationGameAttacker {
     /// Panics when `greed` is not finite and positive.
     pub fn new(inner: impl ControlPolicy + 'static, attacker: usize, greed: f64) -> Self {
         assert!(greed.is_finite() && greed > 0.0, "greed must be finite and positive");
-        Self { inner: Box::new(inner), attacker, greed, mode: FairnessMode::Cpu }
-    }
-
-    /// Switches the equilibrium computation to the packet-access flavour.
-    pub fn with_mode(mut self, mode: FairnessMode) -> Self {
-        self.mode = mode;
-        self
+        Self { inner: Box::new(inner), attacker, greed }
     }
 
     /// The bid the attacker declares for a context: `greed × C / |Q|`,
     /// never less than its honest prediction (a rational player does not
     /// under-bid below its real need).
     fn bid(&self, ctx: &ControlContext<'_>) -> f64 {
-        let game =
-            AllocationGame::new(ctx.available_cycles.max(0.0), ctx.predictions.len(), self.mode);
+        let game = AllocationGame::new(
+            ctx.available_cycles.max(0.0),
+            ctx.predictions.len(),
+            FairnessMode::Cpu,
+        );
         let honest = ctx.predictions.get(self.attacker).copied().unwrap_or(0.0);
         (game.equilibrium_action() * self.greed).max(honest)
     }

@@ -29,6 +29,7 @@
 //! [`Monitor::advance_empty_bin`], so all lanes close measurement intervals
 //! on identical bins and per-interval outputs can be merged query-by-query.
 
+use crate::capture::bounded;
 use crate::config::{MonitorConfig, PolicySpec};
 use crate::engine::Engine;
 use crate::error::NetshedError;
@@ -395,10 +396,10 @@ impl ShardedMonitor {
         self.lanes[lane].monitor.save_state(writer)
     }
 
-    /// Restores one lane's monitor state. The coordinator's budgets are
-    /// restored separately ([`ShardedMonitor::load_coordinator_state`],
-    /// which must run *after* every lane load — a lane load resets the
-    /// lane's config capacity to its checkpointed value).
+    /// Restores one lane's monitor state. A lane's budget is not part of it
+    /// (a monitor's `load_state` never touches its configuration): the
+    /// coordinator section carries the budgets and
+    /// [`ShardedMonitor::load_coordinator_state`] re-applies them.
     pub fn load_lane_state(
         &mut self,
         lane: usize,
@@ -437,17 +438,12 @@ impl ShardedMonitor {
             self.lanes.iter_mut().zip(&mut self.lane_capacity).enumerate()
         {
             let capacity = reader.f64()?;
-            let demand = reader.f64()?;
             if !(capacity.is_finite() && capacity > 0.0) {
                 return Err(StateError::corrupt(format!(
                     "sharded lane {index} capacity holds {capacity}, not a positive finite budget"
                 )));
             }
-            if !(demand.is_finite() && demand >= 0.0) {
-                return Err(StateError::corrupt(format!(
-                    "sharded lane {index} demand holds {demand}, not a finite non-negative cycle count"
-                )));
-            }
+            let demand = bounded(reader.f64()?, &format!("sharded lane {index} demand"), f64::MAX)?;
             *budget = capacity;
             lane.demand = demand;
             lane.monitor.set_bin_capacity(capacity);

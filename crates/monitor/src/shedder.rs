@@ -3,10 +3,12 @@
 //!
 //! Both samplers are zero-copy: they narrow a [`BatchView`] by building a
 //! keep-index list over the batch's shared packet store instead of cloning
-//! packets into a fresh batch. Selection is bit-identical to the historical
-//! clone-based `Batch::filtered` path (same RNG draw order for packet
-//! sampling, same H3 evaluation per packet for flow sampling), which the
-//! shed-equivalence property tests in `tests/properties.rs` pin down.
+//! packets into a fresh batch, and they draw that list from a caller-owned
+//! [`KeepListPool`], so the steady-state shed path recycles buffers instead
+//! of allocating one per bin. Selection is bit-identical to the seed's
+//! copy-out samplers (same RNG draw order for packet sampling, same H3
+//! evaluation per packet for flow sampling), which `tests/properties.rs`
+//! pins against their restatement in `tests/oracle/`.
 
 use netshed_sketch::H3Hasher;
 use netshed_trace::{BatchView, KeepListPool};
@@ -17,13 +19,6 @@ use rand::Rng;
 /// independently with probability `rate`.
 ///
 /// Returns the sampled view and the number of packets discarded.
-pub fn packet_sample(batch: &BatchView, rate: f64, rng: &mut StdRng) -> (BatchView, u64) {
-    packet_sample_with(batch, rate, rng, &mut KeepListPool::new())
-}
-
-/// [`packet_sample`] drawing its keep-index list from a caller-owned pool, so
-/// the steady-state shed path recycles buffers instead of allocating one per
-/// bin. The selection (RNG draw order included) is identical.
 pub fn packet_sample_with(
     batch: &BatchView,
     rate: f64,
@@ -53,13 +48,6 @@ pub fn packet_sample_with(
 /// because every query draws its own hash function per measurement interval.
 ///
 /// Returns the sampled view and the number of packets discarded.
-pub fn flow_sample(batch: &BatchView, rate: f64, hasher: &H3Hasher) -> (BatchView, u64) {
-    flow_sample_with(batch, rate, hasher, &mut KeepListPool::new())
-}
-
-/// [`flow_sample`] drawing its keep-index list from a caller-owned pool, so
-/// the steady-state shed path recycles buffers instead of allocating one per
-/// bin. The selection (H3 evaluation per packet) is identical.
 pub fn flow_sample_with(
     batch: &BatchView,
     rate: f64,
@@ -86,6 +74,14 @@ mod tests {
     use netshed_trace::{Batch, FiveTuple, Packet};
     use rand::SeedableRng;
     use std::collections::HashSet;
+
+    fn packet_sample(batch: &BatchView, rate: f64, rng: &mut StdRng) -> (BatchView, u64) {
+        packet_sample_with(batch, rate, rng, &mut KeepListPool::new())
+    }
+
+    fn flow_sample(batch: &BatchView, rate: f64, hasher: &H3Hasher) -> (BatchView, u64) {
+        flow_sample_with(batch, rate, hasher, &mut KeepListPool::new())
+    }
 
     fn test_batch(flows: u32, packets_per_flow: u32) -> Batch {
         let mut packets = Vec::new();

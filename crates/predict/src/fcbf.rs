@@ -59,28 +59,23 @@ impl FcbfScratch {
     }
 }
 
-/// Selects predictor feature indices from the history using FCBF.
+/// Selects predictor feature indices from the history using FCBF, into
+/// caller-owned scratch.
 ///
 /// Returns the indices (into the feature vector) of the selected features,
-/// ordered from most to least correlated with the response. The result may
-/// be empty if no feature clears the threshold; callers are expected to fall
-/// back to a sensible default (the `packets` feature) in that case.
-pub fn fcbf_select(history: &History, config: &FcbfConfig, feature_count: usize) -> Vec<usize> {
-    // lint:allow(hot-path-alloc): the convenience wrapper owns its result;
-    // the per-bin path calls `fcbf_select_with`
-    fcbf_select_with(history, config, feature_count, &mut FcbfScratch::default()).to_vec()
-}
-
-/// [`fcbf_select`] into caller-owned scratch — what the per-bin prediction
-/// path calls. The selection is returned as a slice of the scratch.
+/// ordered from most to least correlated with the response, as a slice of
+/// the scratch. The result may be empty if no feature clears the threshold;
+/// callers are expected to fall back to a sensible default (the `packets`
+/// feature) in that case.
 ///
 /// The correlations are Pearson coefficients computed for all features at
 /// once while walking the history's rows as they are stored, instead of one
 /// gathered column at a time. Every feature is its own accumulator lane:
 /// it starts from the value a one-column reduction starts from and adds the
 /// same terms in the same oldest-to-newest order, so each coefficient is
-/// bit-for-bit the one `netshed_linalg::stats::pearson` returns for that
-/// column — but the lanes are independent add chains the CPU overlaps (and
+/// bit-for-bit the one a column-at-a-time Pearson pass returns for that
+/// column (`tests/oracle/` holds that pass, `tests/predict_plane.rs` the
+/// comparison) — but the lanes are independent add chains the CPU overlaps (and
 /// the compiler vectorises) where a single reduction waits on itself. That
 /// holds only while no lane is reassociated: no `mul_add`, no pairwise or
 /// chunked summation (the `fused-float` lint rule guards the first).
@@ -212,6 +207,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn select(history: &History, config: &FcbfConfig, feature_count: usize) -> Vec<usize> {
+        fcbf_select_with(history, config, feature_count, &mut FcbfScratch::default()).to_vec()
+    }
+
     /// Builds a history where the response depends on the given features.
     fn synthetic_history<F: Fn(&FeatureVector) -> f64>(
         n: usize,
@@ -236,7 +235,7 @@ mod tests {
     #[test]
     fn selects_the_driving_feature() {
         let history = synthetic_history(60, 1, |f| 10.0 * f.packets() + 50.0);
-        let selected = fcbf_select(&history, &FcbfConfig::default(), 42);
+        let selected = select(&history, &FcbfConfig::default(), 42);
         assert_eq!(selected.first(), Some(&FeatureId::Packets.index()));
     }
 
@@ -252,7 +251,7 @@ mod tests {
             f.set(FeatureId::Bytes, packets * 500.0);
             history.push(f, 3.0 * packets);
         }
-        let selected = fcbf_select(&history, &FcbfConfig::default(), 42);
+        let selected = select(&history, &FcbfConfig::default(), 42);
         assert_eq!(selected.len(), 1, "redundant feature should be removed: {selected:?}");
     }
 
@@ -266,7 +265,7 @@ mod tests {
             // Response completely independent of the features.
             history.push(f, rng.gen_range(0.0..1000.0));
         }
-        let selected = fcbf_select(&history, &FcbfConfig { threshold: 0.9, max_features: 8 }, 42);
+        let selected = select(&history, &FcbfConfig { threshold: 0.9, max_features: 8 }, 42);
         assert!(selected.is_empty());
     }
 
@@ -278,7 +277,7 @@ mod tests {
             30.0 * f.packets() + 200.0 * f.get(FeatureId::from_index(6))
         });
         let config = FcbfConfig { threshold: 0.3, max_features: 8 };
-        let selected = fcbf_select(&history, &config, 42);
+        let selected = select(&history, &config, 42);
         assert!(selected.contains(&FeatureId::Packets.index()));
         assert!(selected.contains(&6));
     }
@@ -287,7 +286,7 @@ mod tests {
     fn tiny_history_selects_nothing() {
         let mut history = History::new(10);
         history.push(FeatureVector::zeros(), 1.0);
-        assert!(fcbf_select(&history, &FcbfConfig::default(), 42).is_empty());
+        assert!(select(&history, &FcbfConfig::default(), 42).is_empty());
     }
 
     #[test]
@@ -304,29 +303,16 @@ mod tests {
             f.set(FeatureId::from_index(4), 7.0); // constant: zero variance
             history.push(f, 5.0 * f.packets());
         }
-        let selected = fcbf_select(&history, &FcbfConfig { threshold: 0.0, max_features: 42 }, 42);
+        let selected = select(&history, &FcbfConfig { threshold: 0.0, max_features: 42 }, 42);
         assert!(!selected.contains(&4), "a zero-variance feature must never be selected");
         assert!(selected.contains(&FeatureId::Packets.index()));
-    }
-
-    #[test]
-    fn relevance_is_bit_identical_to_a_column_at_a_time_pearson() {
-        let history = synthetic_history(60, 6, |f| 4.0 * f.packets() + 0.01 * f.bytes());
-        let mut scratch = FcbfScratch::default();
-        fcbf_select_with(&history, &FcbfConfig::default(), 42, &mut scratch);
-        let responses = history.responses();
-        for (index, got) in scratch.relevance().iter().enumerate() {
-            let column = history.feature_column(index);
-            let expected = netshed_linalg::stats::pearson(&column, &responses).abs();
-            assert_eq!(got.to_bits(), expected.to_bits(), "feature {index}");
-        }
     }
 
     #[test]
     fn max_features_caps_the_selection() {
         let history = synthetic_history(60, 5, |f| f.packets() + f.bytes());
         let config = FcbfConfig { threshold: 0.1, max_features: 1 };
-        let selected = fcbf_select(&history, &config, 42);
+        let selected = select(&history, &config, 42);
         assert!(selected.len() <= 1);
     }
 }

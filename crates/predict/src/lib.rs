@@ -38,7 +38,7 @@ pub mod predictor;
 pub mod robust;
 
 pub use error::ErrorStats;
-pub use fcbf::{fcbf_select, fcbf_select_with, FcbfConfig, FcbfScratch};
+pub use fcbf::{fcbf_select_with, FcbfConfig, FcbfScratch};
 pub use guard::{clamp_features, clamp_sample, MAX_SAMPLE};
 pub use history::History;
 pub use predictor::{EwmaPredictor, MlrConfig, MlrPredictor, Predictor, SlrPredictor};

@@ -29,11 +29,6 @@ impl BoyerMoore {
         Self { pattern: pattern.to_vec(), skip }
     }
 
-    /// Length of the compiled pattern.
-    pub fn pattern_len(&self) -> usize {
-        self.pattern.len()
-    }
-
     /// Searches for the pattern in `haystack`.
     ///
     /// Returns the offset of the first occurrence (if any) together with the

@@ -4,6 +4,7 @@ use crate::payload_queries::{CustomBehavior, P2pDetectorQuery, PatternSearchQuer
 use crate::query::Query;
 use crate::simple_queries::{ApplicationQuery, CounterQuery, HighWatermarkQuery};
 use crate::state_queries::{AutofocusQuery, FlowsQuery, SuperSourcesQuery, TopKQuery};
+use netshed_sketch::{StateError, StateReader, StateWriter};
 
 /// The queries of Table 2.2, by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,6 +140,31 @@ impl QuerySpec {
     /// kind's paper name otherwise.
     pub fn resolved_label(&self) -> String {
         self.label.clone().unwrap_or_else(|| self.kind.name().to_string())
+    }
+
+    /// Writes the spec by stable names (never enum ordinals), so `.nsck`
+    /// snapshots survive enum reordering.
+    pub fn save_state(&self, writer: &mut StateWriter) {
+        writer.str(self.kind.name());
+        writer.opt_str(self.label.as_deref());
+        writer.opt_f64(self.min_sampling_rate);
+        writer.opt_str(self.custom_behavior.map(CustomBehavior::name));
+    }
+
+    /// Reads a spec written by [`QuerySpec::save_state`].
+    pub fn load_state(reader: &mut StateReader<'_>) -> Result<Self, StateError> {
+        let kind_name = reader.str()?;
+        let kind = QueryKind::from_name(&kind_name)
+            .ok_or_else(|| StateError::corrupt(format!("unknown query kind {kind_name:?}")))?;
+        let label = reader.opt_str()?;
+        let min_sampling_rate = reader.opt_f64()?;
+        let custom_behavior = match reader.opt_str()? {
+            None => None,
+            Some(name) => Some(CustomBehavior::from_name(&name).ok_or_else(|| {
+                StateError::corrupt(format!("unknown custom shedding behavior {name:?}"))
+            })?),
+        };
+        Ok(Self { kind, label, min_sampling_rate, custom_behavior })
     }
 }
 

@@ -94,8 +94,8 @@ impl MonitorEngine for ShardedMonitor {
             self.load_lane_state(lane, &mut section)?;
             section.finish()?;
         }
-        // After the lanes: a lane load resets its config capacity to the
-        // checkpointed value, and the coordinator re-applies its budgets.
+        // A lane's budget is not lane state: the coordinator section carries
+        // it and re-applies it (`set_bin_capacity`), in either order.
         let mut section = StateReader::new(snapshot.section(SECTION_SHARDED)?);
         self.load_coordinator_state(&mut section)?;
         section.finish()?;

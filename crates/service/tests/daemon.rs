@@ -8,7 +8,7 @@ use netshed_monitor::{
 };
 use netshed_queries::{QueryKind, QuerySpec};
 use netshed_service::{Daemon, MonitorEngine, ServiceError, Snapshot, SnapshotError, TickStatus};
-use netshed_sketch::StateError;
+use netshed_sketch::{StateError, StateReader};
 use netshed_trace::{BatchReplay, PacketSource, TraceConfig, TraceGenerator};
 
 const TRACE_BINS: usize = 48;
@@ -597,4 +597,108 @@ fn a_crafted_coordinator_section_is_rejected_naming_lane_and_field() {
             );
         }
     }
+}
+
+/// Where the control-loop, capture-buffer and first query's floats sit in a
+/// monitor section (`monitor`, or a fleet's `shard.{i}`), found by reading
+/// the section the way `Monitor::load_state` does: (field, offset).
+fn control_float_offsets(section: &[u8]) -> Vec<(String, usize)> {
+    let mut reader = StateReader::new(section);
+    let mut fields = Vec::new();
+    let mut float = |reader: &mut StateReader<'_>, field: String| {
+        fields.push((field, section.len() - reader.remaining()));
+        reader.f64().expect("float");
+    };
+    reader.str().expect("policy name");
+    netshed_features::FeatureExtractor::with_defaults().load_state(&mut reader).expect("extractor");
+    float(&mut reader, "capture backlog_cycles".into());
+    reader.u64().expect("dropped packets");
+    for _ in 0..8 {
+        reader.u64().expect("rng word");
+    }
+    for field in [
+        "error_ewma",
+        "shed_cycles_ewma",
+        "rtthresh",
+        "rtthresh_ssthresh",
+        "reactive_rate",
+        "reactive_consumed",
+        "reactive_query_cycles",
+    ] {
+        float(&mut reader, field.into());
+    }
+    reader.opt_u64().expect("current interval");
+    // The predictive policy keeps no state of its own; the registry follows.
+    assert_eq!(reader.usize().expect("query count"), KINDS.len());
+    reader.u64().expect("query id");
+    let label = reader.str().expect("label");
+    QuerySpec::load_state(&mut reader).expect("spec");
+    float(&mut reader, format!("query '{label}' min_rate"));
+    reader.u64().expect("hasher generation");
+    float(&mut reader, format!("query '{label}' overuse_ratio"));
+    fields
+}
+
+/// Checkpoints `M` mid-run, then re-encodes the snapshot with one float of
+/// `section` replaced at a time: every value the save side could not have
+/// written must fail the restore naming the field.
+fn assert_crafted_floats_are_rejected<M: MonitorEngine>(config: &MonitorConfig, section: &str) {
+    let (daemon, _control) = Daemon::new(engine_with_queries::<M>(config), recorded_trace());
+    let mut daemon = daemon.with_bins_per_tick(9);
+    assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 9 }));
+    let honest = daemon.checkpoint().expect("checkpoint");
+    let restore = |bytes: &[u8]| {
+        Daemon::<_, M>::restore_engine(config.clone(), recorded_trace(), bytes).map(|_| ())
+    };
+    restore(&honest).expect("the honest checkpoint restores");
+
+    let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
+    let craft = |patch: Option<(usize, f64)>| {
+        let mut crafted = Snapshot::new();
+        for name in snapshot.section_names() {
+            let mut body = snapshot.section(name).expect("listed section").to_vec();
+            if let Some((at, poison)) = patch.filter(|_| name == section) {
+                body[at..at + 8].copy_from_slice(&poison.to_le_bytes());
+            }
+            crafted.push(name, body).expect("section");
+        }
+        crafted.to_bytes()
+    };
+    assert_eq!(craft(None), honest, "re-encoding is exact");
+
+    let fields = control_float_offsets(snapshot.section(section).expect("monitor section"));
+    assert_eq!(fields.len(), 10);
+    for (field, at) in fields {
+        let is_rate = field == "reactive_rate" || field.ends_with("min_rate");
+        let mut poisons = vec![f64::NAN, f64::NEG_INFINITY, -1.0];
+        if field == "rtthresh_ssthresh" {
+            // Its value until the buffer discovery first backs off.
+            restore(&craft(Some((at, f64::INFINITY)))).expect("+inf is an honest ssthresh");
+        } else {
+            poisons.push(f64::INFINITY);
+        }
+        if is_rate {
+            poisons.push(1.5);
+        }
+        for poison in poisons {
+            let error = restore(&craft(Some((at, poison)))).expect_err("must not restore");
+            let ServiceError::Snapshot(SnapshotError::State(StateError::Corrupt(message))) = &error
+            else {
+                panic!("{section} {field} = {poison}: expected a corrupt-state error, got {error}");
+            };
+            assert!(message.contains(&field), "{section} {field} = {poison}: {message}");
+        }
+    }
+}
+
+#[test]
+fn crafted_control_loop_floats_are_rejected_naming_the_field() {
+    // A NaN in `error_ewma` used to restore cleanly and feed every later
+    // `ControlContext`. Solo, the floats live in the `monitor` section; in a
+    // fleet every lane carries its own in `shard.{i}`.
+    assert_crafted_floats_are_rejected::<Monitor>(&overloaded_config(1), "monitor");
+    assert_crafted_floats_are_rejected::<ShardedMonitor>(
+        &overloaded_config(1).with_shard_lanes(4),
+        "shard.2",
+    );
 }

@@ -8,126 +8,15 @@
 //! estimation error around 1% for the cardinalities observed on the
 //! monitored links.
 //!
-//! Two counters are provided:
-//!
-//! * [`LinearCounting`]: a single bitmap using Whang et al.'s linear counting
-//!   estimator. Accurate while the bitmap is not saturated.
-//! * [`MultiResolutionBitmap`]: several linear-counting components, each
-//!   "sampling" a geometrically decreasing share of the hash space, so the
-//!   counter stays accurate across several orders of magnitude of
-//!   cardinality with a small, fixed memory footprint.
+//! [`MultiResolutionBitmap`] is several linear-counting components (Whang et
+//! al.'s estimator, accurate while a bitmap is not saturated), each
+//! "sampling" a geometrically decreasing share of the hash space, so the
+//! counter stays accurate across several orders of magnitude of cardinality
+//! with a small, fixed memory footprint.
 
 use crate::hash::mix64;
 use crate::state::{StateError, StateReader, StateWriter};
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// A linear-counting bitmap distinct counter.
-#[derive(Debug, Clone)]
-pub struct LinearCounting {
-    bits: Vec<u64>,
-    num_bits: usize,
-    set_bits: usize,
-}
-
-impl LinearCounting {
-    /// Creates a counter with `num_bits` bits (rounded up to a multiple of 64).
-    pub fn new(num_bits: usize) -> Self {
-        let num_bits = num_bits.max(64).next_multiple_of(64);
-        Self { bits: vec![0; num_bits / 64], num_bits, set_bits: 0 }
-    }
-
-    /// Number of bits in the bitmap.
-    pub fn capacity_bits(&self) -> usize {
-        self.num_bits
-    }
-
-    /// Number of bits currently set.
-    pub fn set_bits(&self) -> usize {
-        self.set_bits
-    }
-
-    /// Fraction of bits set (saturation level).
-    pub fn fill_ratio(&self) -> f64 {
-        self.set_bits as f64 / self.num_bits as f64
-    }
-
-    /// Records a pre-hashed item.
-    ///
-    /// Returns `true` if the bit was not previously set (i.e. the item is new
-    /// to this bitmap as far as the sketch can tell).
-    pub fn insert_hash(&mut self, hash: u64) -> bool {
-        let bit = (hash % self.num_bits as u64) as usize;
-        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
-        if self.bits[word] & mask == 0 {
-            self.bits[word] |= mask;
-            self.set_bits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Returns `true` if the bit for this hash is set.
-    pub fn contains_hash(&self, hash: u64) -> bool {
-        let bit = (hash % self.num_bits as u64) as usize;
-        self.bits[bit / 64] & (1u64 << (bit % 64)) != 0
-    }
-
-    /// Linear counting estimate of the number of distinct items inserted.
-    pub fn estimate(&self) -> f64 {
-        let m = self.num_bits as f64;
-        let zero = (self.num_bits - self.set_bits).max(1) as f64;
-        m * (m / zero).ln()
-    }
-
-    /// Merges another bitmap of identical size into this one (bitwise OR).
-    ///
-    /// Used to carry per-batch unique counts into the per-interval "seen"
-    /// bitmap, exactly as described in Section 3.2.1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two bitmaps have different sizes.
-    pub fn merge(&mut self, other: &LinearCounting) {
-        assert_eq!(self.num_bits, other.num_bits, "cannot merge bitmaps of different sizes");
-        let mut set = 0usize;
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= *b;
-            set += a.count_ones() as usize;
-        }
-        self.set_bits = set;
-    }
-
-    /// Clears the bitmap.
-    pub fn clear(&mut self) {
-        self.bits.iter_mut().for_each(|w| *w = 0);
-        self.set_bits = 0;
-    }
-
-    /// Serializes the bitmap contents (geometry + words).
-    pub fn save_state(&self, writer: &mut StateWriter) {
-        writer.usize(self.num_bits);
-        for word in &self.bits {
-            writer.u64(*word);
-        }
-    }
-
-    /// Restores contents saved by [`LinearCounting::save_state`] into a
-    /// bitmap of identical geometry.
-    pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        let num_bits = reader.usize()?;
-        if num_bits != self.num_bits {
-            return Err(StateError::mismatch("bitmap size (bits)", num_bits, self.num_bits));
-        }
-        let mut set = 0usize;
-        for word in &mut self.bits {
-            *word = reader.u64()?;
-            set += word.count_ones() as usize;
-        }
-        self.set_bits = set;
-        Ok(())
-    }
-}
 
 /// Largest number of slots a geometry may have: a slot index is a `u16`.
 const MAX_SLOTS: usize = 1 << 16;
@@ -239,8 +128,8 @@ impl BitmapGeometry {
 #[derive(Debug)]
 struct EstimatorTable {
     bits: usize,
-    /// `estimates[set]` is [`LinearCounting::estimate`] of a `bits`-bit
-    /// bitmap with `set` bits set, computed by the same expression.
+    /// `estimates[set]` is the linear-counting estimate `m · ln(m / zero)`
+    /// of a `bits`-bit bitmap with `set` bits set.
     estimates: Box<[f64]>,
     /// The smallest set-bit count whose fill ratio exceeds [`SATURATION`].
     saturated_from: u32,
@@ -291,7 +180,8 @@ impl EstimatorTable {
 /// [`BitmapGeometry`]), and the number of set bits per component is kept
 /// current by every insert and merge, so [`MultiResolutionBitmap::estimate`]
 /// reads one table entry per component. Every value is bit-identical to the
-/// same operations on one [`LinearCounting`] per component.
+/// same operations on one linear-counting bitmap per component (the layout
+/// this one replaced, kept as a test oracle in `tests/oracle/`).
 #[derive(Debug, Clone)]
 pub struct MultiResolutionBitmap {
     geometry: BitmapGeometry,
@@ -303,22 +193,6 @@ pub struct MultiResolutionBitmap {
 }
 
 impl MultiResolutionBitmap {
-    /// Creates a counter with `num_components` components of
-    /// `bits_per_component` bits each.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry [`BitmapGeometry::new`] rejects.
-    pub fn new(num_components: usize, bits_per_component: usize) -> Self {
-        Self::with_geometry(BitmapGeometry::new(num_components, bits_per_component))
-    }
-
-    /// Creates a counter dimensioned for roughly `max_cardinality` items with
-    /// about 1% error, matching the paper's configuration choice.
-    pub fn for_cardinality(max_cardinality: usize) -> Self {
-        Self::with_geometry(BitmapGeometry::for_cardinality(max_cardinality))
-    }
-
     /// Creates an empty counter of the given geometry.
     pub fn with_geometry(geometry: BitmapGeometry) -> Self {
         Self {
@@ -334,19 +208,9 @@ impl MultiResolutionBitmap {
         self.geometry
     }
 
-    /// Number of components.
-    pub fn num_components(&self) -> usize {
-        self.geometry.components()
-    }
-
     /// Total memory footprint in bytes (for overhead accounting).
     pub fn memory_bytes(&self) -> usize {
         self.geometry.slots() / 8
-    }
-
-    /// Records a pre-hashed item; returns `true` if its bit was newly set.
-    pub fn insert_hash(&mut self, hash: u64) -> bool {
-        self.insert_slot(self.geometry.slot(hash))
     }
 
     /// Records an item by the slot [`BitmapGeometry::slot`] gave its hash
@@ -364,12 +228,6 @@ impl MultiResolutionBitmap {
         *word |= mask;
         self.set[self.geometry.component_of(slot)] += u32::from(fresh);
         fresh
-    }
-
-    /// Returns `true` if the item's bit is already set (it was *probably* seen).
-    pub fn contains_hash(&self, hash: u64) -> bool {
-        let slot = self.geometry.slot(hash);
-        self.words[usize::from(slot >> 6)] & (1u64 << (slot & 63)) != 0
     }
 
     /// Estimates the number of distinct items inserted.
@@ -487,49 +345,23 @@ impl MultiResolutionBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::hash_bytes;
+
+    /// Locates `hash` under the counter's own geometry and sets its bit.
+    fn insert(mrb: &mut MultiResolutionBitmap, hash: u64) -> bool {
+        mrb.insert_slot(mrb.geometry().slot(hash))
+    }
 
     fn estimate_error(actual: usize, estimate: f64) -> f64 {
         (estimate - actual as f64).abs() / actual as f64
     }
 
     #[test]
-    fn linear_counting_is_accurate_below_saturation() {
-        let mut lc = LinearCounting::new(8192);
-        let n = 2000usize;
-        for i in 0..n {
-            lc.insert_hash(hash_bytes(&(i as u64).to_be_bytes(), 1));
-        }
-        assert!(estimate_error(n, lc.estimate()) < 0.05, "estimate {}", lc.estimate());
-    }
-
-    #[test]
-    fn linear_counting_detects_duplicates() {
-        let mut lc = LinearCounting::new(8192);
-        let h = hash_bytes(b"x", 1);
-        assert!(lc.insert_hash(h));
-        assert!(!lc.insert_hash(h));
-        assert!(lc.contains_hash(h));
-    }
-
-    #[test]
-    fn linear_counting_merge_unions_sets() {
-        let mut a = LinearCounting::new(4096);
-        let mut b = LinearCounting::new(4096);
-        for i in 0..500u64 {
-            a.insert_hash(mix64(i));
-            b.insert_hash(mix64(i + 250));
-        }
-        a.merge(&b);
-        assert!(estimate_error(750, a.estimate()) < 0.08, "estimate {}", a.estimate());
-    }
-
-    #[test]
     fn multiresolution_accurate_across_magnitudes() {
         for &n in &[100usize, 1_000, 10_000, 100_000] {
-            let mut mrb = MultiResolutionBitmap::for_cardinality(200_000);
+            let mut mrb =
+                MultiResolutionBitmap::with_geometry(BitmapGeometry::for_cardinality(200_000));
             for i in 0..n {
-                mrb.insert_hash(mix64(i as u64 ^ 0xdeadbeef));
+                insert(&mut mrb, mix64(i as u64 ^ 0xdeadbeef));
             }
             let err = estimate_error(n, mrb.estimate());
             assert!(err < 0.1, "n={n} estimate={} err={err}", mrb.estimate());
@@ -538,10 +370,10 @@ mod tests {
 
     #[test]
     fn multiresolution_duplicates_do_not_inflate_estimate() {
-        let mut mrb = MultiResolutionBitmap::for_cardinality(10_000);
+        let mut mrb = MultiResolutionBitmap::with_geometry(BitmapGeometry::for_cardinality(10_000));
         for i in 0..1000u64 {
             for _ in 0..5 {
-                mrb.insert_hash(mix64(i));
+                insert(&mut mrb, mix64(i));
             }
         }
         assert!(estimate_error(1000, mrb.estimate()) < 0.1, "estimate {}", mrb.estimate());
@@ -549,9 +381,9 @@ mod tests {
 
     #[test]
     fn multiresolution_clear_resets_estimate() {
-        let mut mrb = MultiResolutionBitmap::new(4, 1024);
+        let mut mrb = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(4, 1024));
         for i in 0..500u64 {
-            mrb.insert_hash(mix64(i));
+            insert(&mut mrb, mix64(i));
         }
         mrb.clear();
         assert!(mrb.estimate() < 1.0);
@@ -559,11 +391,11 @@ mod tests {
 
     #[test]
     fn multiresolution_merge_matches_union() {
-        let mut a = MultiResolutionBitmap::new(6, 2048);
-        let mut b = MultiResolutionBitmap::new(6, 2048);
+        let mut a = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(6, 2048));
+        let mut b = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(6, 2048));
         for i in 0..3000u64 {
-            a.insert_hash(mix64(i));
-            b.insert_hash(mix64(i + 1500));
+            insert(&mut a, mix64(i));
+            insert(&mut b, mix64(i + 1500));
         }
         a.merge(&b);
         assert!(estimate_error(4500, a.estimate()) < 0.1, "estimate {}", a.estimate());
@@ -590,7 +422,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "17 x 4096 has 69632 slots, a slot index addresses at most 65536")]
     fn geometry_beyond_the_slot_index_is_rejected() {
-        let _ = MultiResolutionBitmap::new(17, 4096);
+        let _ = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(17, 4096));
     }
 
     #[test]
@@ -609,11 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_hash_reports_new_bits() {
-        let mut mrb = MultiResolutionBitmap::new(6, 4096);
+    fn insert_slot_reports_new_bits() {
+        let mut mrb = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(6, 4096));
         let h = mix64(42);
-        assert!(mrb.insert_hash(h));
-        assert!(!mrb.insert_hash(h));
-        assert!(mrb.contains_hash(h));
+        assert!(insert(&mut mrb, h));
+        assert!(!insert(&mut mrb, h));
     }
 }

@@ -10,7 +10,6 @@
 //!
 //! This crate provides:
 //!
-//! * [`LinearCounting`] — a single bitmap distinct counter,
 //! * [`MultiResolutionBitmap`] — the multi-tier bitmap used for the
 //!   unique/new feature counters, and its [`BitmapGeometry`], which maps a
 //!   hash to the bit it owns,
@@ -26,7 +25,7 @@ pub mod det_map;
 pub mod hash;
 pub mod state;
 
-pub use bitmap::{BitmapGeometry, LinearCounting, MultiResolutionBitmap};
+pub use bitmap::{BitmapGeometry, MultiResolutionBitmap};
 pub use det_map::{DetHashMap, DetHashSet, Entry};
 pub use hash::{
     hash_block, hash_bytes, mix64, DetBuildHasher, DetHasher, H3Hasher, IncrementalFnv,

@@ -87,68 +87,33 @@ impl Aggregate {
             Aggregate::FiveTuple => 9,
         }
     }
-
-    /// Serialises the aggregate's fields of a 5-tuple into a compact key.
-    ///
-    /// The key length differs per aggregate, which is fine because the key is
-    /// only ever hashed together with the aggregate index as a seed. The fast
-    /// path ([`AggregateHashes::compute`]) never materialises these keys; they
-    /// remain the reference the hashes are defined (and tested) against.
-    pub fn key(self, tuple: &FiveTuple) -> [u8; 13] {
-        let mut key = [0u8; 13];
-        match self {
-            Aggregate::SrcIp => key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes()),
-            Aggregate::DstIp => key[..4].copy_from_slice(&tuple.dst_ip.to_be_bytes()),
-            Aggregate::Protocol => key[0] = tuple.proto,
-            Aggregate::SrcDstIp => {
-                key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes());
-                key[4..8].copy_from_slice(&tuple.dst_ip.to_be_bytes());
-            }
-            Aggregate::SrcPortProto => {
-                key[..2].copy_from_slice(&tuple.src_port.to_be_bytes());
-                key[2] = tuple.proto;
-            }
-            Aggregate::DstPortProto => {
-                key[..2].copy_from_slice(&tuple.dst_port.to_be_bytes());
-                key[2] = tuple.proto;
-            }
-            Aggregate::SrcIpPortProto => {
-                key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes());
-                key[4..6].copy_from_slice(&tuple.src_port.to_be_bytes());
-                key[6] = tuple.proto;
-            }
-            Aggregate::DstIpPortProto => {
-                key[..4].copy_from_slice(&tuple.dst_ip.to_be_bytes());
-                key[4..6].copy_from_slice(&tuple.dst_port.to_be_bytes());
-                key[6] = tuple.proto;
-            }
-            Aggregate::SrcDstPortProto => {
-                key[..2].copy_from_slice(&tuple.src_port.to_be_bytes());
-                key[2..4].copy_from_slice(&tuple.dst_port.to_be_bytes());
-                key[4] = tuple.proto;
-            }
-            Aggregate::FiveTuple => key = tuple.as_key(),
-        }
-        key
-    }
 }
 
-/// Derives the per-aggregate hash seed from the extractor's base seed.
-///
-/// Kept as a free function so the side-array computation and the reference
-/// ten-pass implementation (benchmarks, tests) agree on the exact rule.
+/// Base seed of the aggregate hash functions. One value for every extractor
+/// of a process, so the slot rows a batch caches (see
+/// `PacketStore::aggregate_slots`) serve all of them.
+pub const AGGREGATE_HASH_SEED: u64 = 0x5eed_f00d;
+
+/// Cardinality the extractor's bitmaps are dimensioned for. Through
+/// [`BitmapGeometry::for_cardinality`] it fixes the one geometry the cached
+/// slot rows are located under and every extractor bitmap is built with.
+pub const AGGREGATE_MAX_CARDINALITY: usize = 200_000;
+
+/// Derives the per-aggregate hash seed from the base seed.
 #[inline]
-pub fn aggregate_hash_seed(base_seed: u64, index: usize) -> u64 {
+fn aggregate_hash_seed(base_seed: u64, index: usize) -> u64 {
     base_seed ^ (index as u64).wrapping_mul(0x9e37_79b9)
 }
 
 /// The ten aggregate hashes of one packet, in [`Aggregate::ALL`] order.
 ///
-/// Bit-identical to hashing each aggregate's zero-padded 13-byte key with
-/// `hash_bytes(&aggregate.key(tuple), aggregate_hash_seed(seed, index))`, but
-/// computed in a single pass over the 5-tuple fields: each field is converted
-/// to bytes once and streamed into the aggregates that contain it, and the
-/// zero padding of every key collapses to one multiplication.
+/// Bit-identical to `hash_bytes` over each aggregate's fields serialised
+/// big-endian into a zero-padded 13-byte key, seeded with
+/// `base_seed ^ index · 0x9e3779b9` (the seed's definition, restated in
+/// `tests/oracle/`), but computed in a single pass over the 5-tuple fields:
+/// each field is converted to bytes once and streamed into the aggregates
+/// that contain it, and the zero padding of every key collapses to one
+/// multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregateHashes([u64; AGGREGATE_COUNT]);
 
@@ -188,12 +153,6 @@ impl AggregateHashes {
         ])
     }
 
-    /// The hash for one aggregate.
-    #[inline]
-    pub fn get(&self, aggregate: Aggregate) -> u64 {
-        self.0[aggregate.index()]
-    }
-
     /// All ten hashes, in [`Aggregate::ALL`] order.
     #[inline]
     pub fn as_array(&self) -> &[u64; AGGREGATE_COUNT] {
@@ -228,7 +187,6 @@ impl AggregateSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netshed_sketch::hash_bytes;
 
     #[test]
     fn there_are_ten_aggregates_as_in_table_3_1() {
@@ -239,53 +197,6 @@ mod tests {
     fn indices_are_consistent_with_all_order() {
         for (i, agg) in Aggregate::ALL.iter().enumerate() {
             assert_eq!(agg.index(), i);
-        }
-    }
-
-    #[test]
-    fn keys_only_depend_on_the_aggregated_fields() {
-        let a = FiveTuple::new(1, 2, 3, 4, 6);
-        let b = FiveTuple::new(1, 9, 8, 7, 6);
-        // Same source IP and protocol, so the src-ip key must match.
-        assert_eq!(Aggregate::SrcIp.key(&a), Aggregate::SrcIp.key(&b));
-        // Destination differs, so the dst-ip key must not match.
-        assert_ne!(Aggregate::DstIp.key(&a), Aggregate::DstIp.key(&b));
-        // Full 5-tuple key differs.
-        assert_ne!(Aggregate::FiveTuple.key(&a), Aggregate::FiveTuple.key(&b));
-    }
-
-    #[test]
-    fn src_port_proto_ignores_addresses() {
-        let a = FiveTuple::new(10, 20, 1234, 80, 6);
-        let b = FiveTuple::new(99, 77, 1234, 443, 6);
-        assert_eq!(Aggregate::SrcPortProto.key(&a), Aggregate::SrcPortProto.key(&b));
-    }
-
-    #[test]
-    fn single_pass_hashes_match_the_per_key_reference() {
-        // The slot rows are located from these hashes: the fused computation
-        // must be bit-identical to hashing each aggregate's padded key.
-        let tuples = [
-            FiveTuple::new(0, 0, 0, 0, 0),
-            FiveTuple::new(0x0a000001, 0x0a000002, 1234, 80, 6),
-            FiveTuple::new(u32::MAX, 1, u16::MAX, 65534, 17),
-            FiveTuple::new(0xc0a80001, 0x08080808, 53123, 53, 17),
-        ];
-        for seed in [0u64, 0x5eed_f00d, u64::MAX] {
-            for tuple in &tuples {
-                let hashes = AggregateHashes::compute(tuple, seed);
-                for (index, aggregate) in Aggregate::ALL.iter().enumerate() {
-                    let reference =
-                        hash_bytes(&aggregate.key(tuple), aggregate_hash_seed(seed, index));
-                    assert_eq!(
-                        hashes.get(*aggregate),
-                        reference,
-                        "aggregate {} seed {seed:#x} tuple {tuple}",
-                        aggregate.name()
-                    );
-                    assert_eq!(hashes.as_array()[index], reference);
-                }
-            }
         }
     }
 }

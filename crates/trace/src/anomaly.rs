@@ -336,11 +336,6 @@ impl AnomalyInjector {
     pub fn anomalies(&self) -> &[Anomaly] {
         &self.anomalies
     }
-
-    /// Returns `true` if any anomaly is active in the given bin.
-    pub fn any_active(&self, bin: u64) -> bool {
-        self.anomalies.iter().any(|a| a.is_active(bin))
-    }
 }
 
 #[cfg(test)]

@@ -26,20 +26,18 @@
 //! * the serialised 13-byte flow keys used by flowwise sampling — an eager
 //!   column,
 //! * the per-packet [`AggregateSlots`] side rows feeding the fused feature
-//!   extractor (the "locate once" invariant) — lazy, because the hash seed
-//!   and the bitmap geometry are extractor configuration the store cannot
-//!   know at construction.
+//!   extractor (the "locate once" invariant) — lazy, so a batch nothing
+//!   extracts from (a recording, a lane-split parent) never hashes a packet.
 //!
 //! Steady-state sampling is allocation-free: a [`KeepListPool`] recycles both
 //! the keep-index buffers and their `Arc` control blocks, so
 //! [`BatchView::filter_indexed_with`] performs no heap allocation once the
 //! pool is warm (see DESIGN.md, "Memory plane").
 
-use crate::aggregate::AggregateSlots;
+use crate::aggregate::{AggregateSlots, AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY};
 use crate::packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_SYN};
 use bytes::Bytes;
 use netshed_sketch::{hash_bytes, BitmapGeometry};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Fixed seed of the symmetric host-pair shard keys (see
@@ -95,21 +93,10 @@ pub struct PacketStore {
     payloads: Vec<Option<Bytes>>,
     /// Summary statistics, accumulated while the columns were filled.
     stats: BatchStats,
-    /// Aggregate slot rows together with the base seed and bitmap geometry
-    /// they were derived under. In practice every extractor in a process
-    /// uses one seed and one geometry, so the first pair seen claims the
-    /// cache; any other receives a typed [`SlotClaim::Foreign`] and locates
-    /// the packets it retains itself (see [`PacketStore::aggregate_slots`]).
-    aggregate_slots: OnceLock<(u64, BitmapGeometry, Vec<AggregateSlots>)>,
-    /// How often [`PacketStore::aggregate_slots`] was asked for a seed or
-    /// geometry other than the one that claimed the cache — telemetry for
-    /// spotting misconfigured deployments that silently lose the shared
-    /// cache (relaxed: a counter, not a synchronisation point).
-    slot_misses: AtomicU64,
+    /// Per-packet aggregate slot rows (see [`PacketStore::aggregate_slots`]).
+    aggregate_slots: OnceLock<Vec<AggregateSlots>>,
     /// Per-packet shard-routing keys (see [`shard_key`]). Lazy like the
-    /// aggregate-slot rows: single-instance runs never pay for the column,
-    /// and the fixed [`SHARD_KEY_SEED`] means there is no seed-claim race to
-    /// arbitrate.
+    /// aggregate-slot rows: single-instance runs never pay for the column.
     shard_keys: OnceLock<Vec<u64>>,
 }
 
@@ -199,36 +186,7 @@ impl StoreBuilder {
             payloads: self.payloads,
             stats: self.stats,
             aggregate_slots: OnceLock::new(),
-            slot_misses: AtomicU64::new(0),
             shard_keys: OnceLock::new(),
-        }
-    }
-}
-
-/// Outcome of asking a store for its per-packet aggregate slot rows
-/// (see [`PacketStore::aggregate_slots`]).
-#[derive(Debug, Clone, Copy)]
-pub enum SlotClaim<'a> {
-    /// The cache is owned by the requested seed and geometry: one row per
-    /// stored packet, indexed by store index.
-    Rows(&'a [AggregateSlots]),
-    /// The cache was already claimed under a different seed or geometry; the
-    /// caller should locate the packets it actually retains itself. Each
-    /// such claim is counted in [`PacketStore::slot_claim_misses`].
-    Foreign {
-        /// The seed that owns the cache.
-        cached_seed: u64,
-        /// The geometry that owns the cache.
-        cached_geometry: BitmapGeometry,
-    },
-}
-
-impl<'a> SlotClaim<'a> {
-    /// The cached rows, or `None` on a foreign claim.
-    pub fn rows(self) -> Option<&'a [AggregateSlots]> {
-        match self {
-            SlotClaim::Rows(rows) => Some(rows),
-            SlotClaim::Foreign { .. } => None,
         }
     }
 }
@@ -320,39 +278,21 @@ impl PacketStore {
         self.stats
     }
 
-    /// The per-packet aggregate slot side rows for the given base seed and
-    /// bitmap geometry.
+    /// The per-packet aggregate slot side rows, one per stored packet.
     ///
     /// Computed in a single pass over the tuple column the first time they
-    /// are requested and cached for that pair. A slot is a position in a
-    /// bitmap of one particular shape, so the geometry is part of the key
-    /// just like the seed. All in-tree extractors share one seed and one
-    /// geometry, so in practice every call hits the cache and borrows the
-    /// rows for free; a consumer running with a *different* seed or geometry
-    /// gets a typed [`SlotClaim::Foreign`] (counted in
-    /// [`PacketStore::slot_claim_misses`]) and should locate only the packets
-    /// it actually retains (see `FeatureExtractor::extract_view`) rather
-    /// than paying for a full-store array per call.
-    pub fn aggregate_slots(&self, base_seed: u64, geometry: BitmapGeometry) -> SlotClaim<'_> {
-        let (cached_seed, cached_geometry, rows) = self.aggregate_slots.get_or_init(|| {
-            let slot_row = |t: &FiveTuple| AggregateSlots::compute(t, base_seed, geometry);
+    /// are requested — under the one seed ([`AGGREGATE_HASH_SEED`]) and the
+    /// one bitmap geometry ([`AGGREGATE_MAX_CARDINALITY`]) every extractor
+    /// shares — and borrowed by every later call: the full-batch extraction
+    /// pays for the rows, each query's sampled re-extraction reuses them.
+    pub fn aggregate_slots(&self) -> &[AggregateSlots] {
+        self.aggregate_slots.get_or_init(|| {
+            let geometry = BitmapGeometry::for_cardinality(AGGREGATE_MAX_CARDINALITY);
+            let slot_row =
+                |t: &FiveTuple| AggregateSlots::compute(t, AGGREGATE_HASH_SEED, geometry);
             // lint:allow(hot-path-alloc): the once-per-batch slot-row build; every later call borrows it
-            let rows = self.tuples.iter().map(slot_row).collect();
-            (base_seed, geometry, rows)
-        });
-        if *cached_seed == base_seed && *cached_geometry == geometry {
-            SlotClaim::Rows(rows)
-        } else {
-            self.slot_misses.fetch_add(1, Ordering::Relaxed);
-            SlotClaim::Foreign { cached_seed: *cached_seed, cached_geometry: *cached_geometry }
-        }
-    }
-
-    /// How often [`PacketStore::aggregate_slots`] was asked for a seed or
-    /// geometry that does not own the cache (each such call fell back to
-    /// per-consumer locating).
-    pub fn slot_claim_misses(&self) -> u64 {
-        self.slot_misses.load(Ordering::Relaxed)
+            self.tuples.iter().map(slot_row).collect()
+        })
     }
 
     /// The per-packet shard-routing key column (see [`shard_key`]).
@@ -360,8 +300,7 @@ impl PacketStore {
     /// Computed in one pass over the tuple column on first request and cached
     /// for the life of the store, mirroring the aggregate-slot side array:
     /// the front end routes once, and every shard's view borrows the same
-    /// column. Keys use the fixed [`SHARD_KEY_SEED`], so unlike the
-    /// aggregate-slot cache there is no claim to negotiate.
+    /// column.
     pub fn shard_keys(&self) -> &[u64] {
         self.shard_keys.get_or_init(|| {
             // lint:allow(hot-path-alloc): the once-per-batch key-column build; every later call borrows it
@@ -391,11 +330,6 @@ pub struct PacketRef<'a> {
 }
 
 impl<'a> PacketRef<'a> {
-    /// The packet's index into the store's columns (and side arrays).
-    pub fn store_index(&self) -> usize {
-        self.index
-    }
-
     /// Capture timestamp in microseconds.
     pub fn ts(&self) -> Timestamp {
         self.store.ts[self.index]
@@ -503,9 +437,8 @@ impl<'a> IntoIterator for &'a PacketStore {
 
 // The execution plane shares one `PacketStore` (through `Batch` and
 // `BatchView` clones) across worker threads; the store is immutable after
-// construction, its lazy slot cache is `OnceLock`-guarded and the claim-miss
-// counter is atomic, so all three types must stay `Send + Sync`.
-// Compile-time proof:
+// construction and its lazy caches are `OnceLock`-guarded, so all three
+// types must stay `Send + Sync`. Compile-time proof:
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PacketStore>();
@@ -622,33 +555,6 @@ impl Batch {
             store: Arc::clone(&self.packets),
             keep: None,
         }
-    }
-
-    /// Returns a new batch containing only the packets for which `keep` is true.
-    ///
-    /// This is the clone-based sampling path the shedders used before
-    /// [`BatchView`] existed; it copies every retained packet into a fresh
-    /// store. It is kept as the reference implementation that the
-    /// shed-equivalence property tests and the view-vs-clone benchmarks
-    /// compare against — hot paths should use [`Batch::view`] +
-    /// [`BatchView::filter_indexed`] instead.
-    ///
-    /// The bin index, start timestamp and duration are preserved so the result
-    /// still identifies the same time bin.
-    pub fn filtered<F: FnMut(PacketRef<'_>) -> bool>(&self, mut keep: F) -> Batch {
-        let mut builder = PacketStore::builder(self.len());
-        for packet in self.packets.iter() {
-            if keep(packet) {
-                builder.push(
-                    packet.ts(),
-                    *packet.tuple(),
-                    packet.ip_len(),
-                    packet.tcp_flags(),
-                    packet.payload().cloned(),
-                );
-            }
-        }
-        Batch::from_store(self.bin_index, self.start_ts, self.duration_us, builder.finish())
     }
 
     /// Splits the batch into `lanes` per-lane sub-batches by shard-routing
@@ -896,11 +802,9 @@ impl BatchView {
     }
 
     /// The per-packet aggregate slot side rows of the full store, indexed by
-    /// the store indices yielded by [`BatchView::store_indices`], or a typed
-    /// [`SlotClaim::Foreign`] if the store's cache is claimed under a
-    /// different seed or geometry.
-    pub fn aggregate_slots(&self, base_seed: u64, geometry: BitmapGeometry) -> SlotClaim<'_> {
-        self.store.aggregate_slots(base_seed, geometry)
+    /// the store indices yielded by [`BatchView::store_indices`].
+    pub fn aggregate_slots(&self) -> &[AggregateSlots] {
+        self.store.aggregate_slots()
     }
 
     /// The serialised 13-byte flow keys of the full store, indexed by store
@@ -947,13 +851,8 @@ impl BatchView {
         self.with_keep_arc(Arc::clone(&pool.slots[slot]))
     }
 
-    /// A view over the same bin retaining no packets.
-    pub fn cleared(&self) -> BatchView {
-        // lint:allow(hot-path-alloc): convenience path; the pooled `cleared_with` is the steady-state one
-        self.with_keep_arc(Arc::new(Vec::new()))
-    }
-
-    /// Pooled variant of [`BatchView::cleared`].
+    /// A view over the same bin retaining no packets; its (empty) keep list
+    /// is claimed from `pool` like [`BatchView::filter_indexed_with`]'s.
     pub fn cleared_with(&self, pool: &mut KeepListPool) -> BatchView {
         let slot = pool.claim();
         self.with_keep_arc(Arc::clone(&pool.slots[slot]))
@@ -976,13 +875,7 @@ impl BatchView {
     pub fn materialize(&self) -> Batch {
         let mut builder = PacketStore::builder(self.len());
         for packet in self.packets() {
-            builder.push(
-                packet.ts(),
-                *packet.tuple(),
-                packet.ip_len(),
-                packet.tcp_flags(),
-                packet.payload().cloned(),
-            );
+            builder.push_packet(packet.to_packet());
         }
         Batch::from_store(self.bin_index, self.start_ts, self.duration_us, builder.finish())
     }
@@ -1405,16 +1298,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_preserves_bin_identity() {
-        let packets = vec![pkt(0), pkt(10), pkt(20)];
-        let batch = Batch::new(7, 700_000, 100_000, packets);
-        let half = batch.filtered(|p| p.ts() >= 10);
-        assert_eq!(half.bin_index, 7);
-        assert_eq!(half.start_ts, 700_000);
-        assert_eq!(half.len(), 2);
-    }
-
-    #[test]
     fn measurement_interval_indexing() {
         let batch = Batch::empty(13, 1_300_000, 100_000);
         assert_eq!(batch.measurement_interval(1_000_000), 1);
@@ -1465,8 +1348,8 @@ mod tests {
         let c = PacketStore::from_packets(vec![pkt(0), pkt(11)]);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        // Claiming a's slot cache must not affect equality.
-        let _ = a.aggregate_slots(1, BitmapGeometry::for_cardinality(200_000));
+        // Building a's slot rows must not affect equality.
+        let _ = a.aggregate_slots();
         assert_eq!(a, b);
     }
 
@@ -1514,7 +1397,7 @@ mod tests {
             full.clone(),
             full.filter_indexed(|index, _| index % 3 == 1),
             full.filter_indexed(|_, _| true),
-            full.cleared(),
+            full.cleared_with(&mut KeepListPool::new()),
         ] {
             assert_eq!(view.total_bytes(), view.stats().bytes, "{} kept", view.len());
         }
@@ -1527,8 +1410,7 @@ mod tests {
         assert_eq!(view.total_bytes(), 200);
         assert_eq!(view.stats().packets, 2);
         assert_eq!(batch.view().total_bytes(), 300);
-        assert_eq!(view.cleared().len(), 0);
-        assert!(view.cleared().is_empty());
+        assert!(view.cleared_with(&mut KeepListPool::new()).is_empty());
     }
 
     #[test]
@@ -1543,45 +1425,19 @@ mod tests {
     #[test]
     fn store_caches_are_shared_between_batch_and_views() {
         let batch = Batch::new(0, 0, 100_000, vec![pkt(0), pkt(10)]);
-        let store = Arc::clone(&batch.packets);
-        let geometry = BitmapGeometry::new(6, 4096);
-        let claim_a = store.aggregate_slots(42, geometry);
-        let rows_a = claim_a.rows().expect("first claim owns the cache");
+        let rows_a = batch.packets.aggregate_slots();
         let sampled = batch.view().filter_indexed(|_, _| true);
-        let rows_b = sampled.aggregate_slots(42, geometry).rows().expect("cache hit");
-        assert!(std::ptr::eq(rows_a.as_ptr(), rows_b.as_ptr()), "same key must hit the cache");
-        assert_eq!(rows_a[0], AggregateSlots::compute(&batch.packets.tuples()[0], 42, geometry));
+        let rows_b = sampled.aggregate_slots();
+        assert!(std::ptr::eq(rows_a.as_ptr(), rows_b.as_ptr()), "the rows are built once");
+        let geometry = BitmapGeometry::for_cardinality(AGGREGATE_MAX_CARDINALITY);
+        assert_eq!(
+            rows_a[0],
+            AggregateSlots::compute(&batch.packets.tuples()[0], AGGREGATE_HASH_SEED, geometry)
+        );
         let keys_a = batch.view().flow_keys().as_ptr();
         let keys_b = batch.view().flow_keys().as_ptr();
         assert!(std::ptr::eq(keys_a, keys_b));
         assert_eq!(batch.packets.flow_keys()[1], batch.packets.tuples()[1].as_key());
-    }
-
-    #[test]
-    fn second_seed_or_geometry_gets_a_typed_foreign_claim_and_is_counted() {
-        let batch = Batch::new(0, 0, 100_000, vec![pkt(0), pkt(10)]);
-        let geometry = BitmapGeometry::new(6, 4096);
-        assert_eq!(batch.packets.slot_claim_misses(), 0);
-        assert!(batch.view().aggregate_slots(42, geometry).rows().is_some());
-        // A different seed does not thrash the cache: the caller is handed
-        // the owning key and told to locate the packets it retains itself.
-        match batch.view().aggregate_slots(43, geometry) {
-            SlotClaim::Foreign { cached_seed, cached_geometry } => {
-                assert_eq!((cached_seed, cached_geometry), (42, geometry));
-            }
-            SlotClaim::Rows(_) => panic!("a second seed must not steal the cache"),
-        }
-        assert_eq!(batch.packets.slot_claim_misses(), 1);
-        // Neither does the owning seed under a different geometry: its slots
-        // would address other bits.
-        match batch.view().aggregate_slots(42, BitmapGeometry::new(4, 4096)) {
-            SlotClaim::Foreign { cached_geometry, .. } => assert_eq!(cached_geometry, geometry),
-            SlotClaim::Rows(_) => panic!("a second geometry must not steal the cache"),
-        }
-        assert_eq!(batch.packets.slot_claim_misses(), 2);
-        // The owning pair still hits.
-        assert!(batch.view().aggregate_slots(42, geometry).rows().is_some());
-        assert_eq!(batch.packets.slot_claim_misses(), 2);
     }
 
     #[test]

@@ -294,11 +294,6 @@ impl<W: Write> TraceWriter<W> {
         self.writer.flush()?;
         Ok(self.writer)
     }
-
-    /// Number of batches written so far.
-    pub fn batches_written(&self) -> u64 {
-        self.batches
-    }
 }
 
 /// Encodes a batch slice into an in-memory `.nstr` container.

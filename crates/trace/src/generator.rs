@@ -224,22 +224,10 @@ impl TraceConfig {
         self
     }
 
-    /// Sets the time bin duration in microseconds.
-    pub fn with_time_bin_us(mut self, time_bin_us: u64) -> Self {
-        self.time_bin_us = time_bin_us;
-        self
-    }
-
     /// Sets the burstiness parameters (log-normal sigma and AR(1) rho).
     pub fn with_burstiness(mut self, sigma: f64, rho: f64) -> Self {
         self.burstiness_sigma = sigma;
         self.burstiness_rho = rho;
-        self
-    }
-
-    /// Sets the probability that a packet starts a new flow (flow churn).
-    pub fn with_new_flow_probability(mut self, p: f64) -> Self {
-        self.new_flow_probability = p;
         self
     }
 }
@@ -361,16 +349,6 @@ impl TraceGenerator {
     /// Returns the configuration this generator was built from.
     pub fn config(&self) -> &TraceConfig {
         &self.config
-    }
-
-    /// Index of the next bin that will be generated.
-    pub fn next_bin_index(&self) -> u64 {
-        self.bin_index
-    }
-
-    /// Number of currently active flows in the generator state.
-    pub fn active_flow_count(&self) -> usize {
-        self.active_flows.len()
     }
 
     /// Generates the next batch of the trace.

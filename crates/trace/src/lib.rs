@@ -43,12 +43,13 @@ pub mod scenario;
 pub mod source;
 
 pub use aggregate::{
-    aggregate_hash_seed, Aggregate, AggregateHashes, AggregateSlots, AGGREGATE_COUNT,
+    Aggregate, AggregateHashes, AggregateSlots, AGGREGATE_COUNT, AGGREGATE_HASH_SEED,
+    AGGREGATE_MAX_CARDINALITY,
 };
 pub use anomaly::{Anomaly, AnomalyInjector, AnomalyKind};
 pub use batch::{
     shard_key, Batch, BatchBuilder, BatchStats, BatchView, IndexedPackets, KeepListPool, PacketRef,
-    PacketStore, SlotClaim, StoreBuilder, StoreIndices, TimestampJumpError, MAX_GAP_BINS,
+    PacketStore, StoreBuilder, StoreIndices, TimestampJumpError, MAX_GAP_BINS,
 };
 pub use format::{
     decode_batches, decode_batches_shared, encode_batches, FormatError, SharedTraceReader,

@@ -26,7 +26,7 @@
 //!             .anomaly(AnomalyEvent::ddos(0x0a00_0001).over(2, 6).intensity(300)),
 //!     );
 //! let mut source = scenario.compile().expect("valid scenario");
-//! assert_eq!(source.remaining_hint(), Some(20));
+//! assert_eq!(source.total_bins(), 20);
 //! let first = source.next_batch().expect("finite but non-empty");
 //! assert_eq!(first.bin_index, 0);
 //! ```
@@ -707,13 +707,7 @@ impl Scenario {
                 flaps,
             });
         }
-        PhasedLink {
-            phases,
-            time_bin_us: self.time_bin_us,
-            global_bin: 0,
-            total_bins: link.total_bins(),
-            produced: 0,
-        }
+        PhasedLink { phases, time_bin_us: self.time_bin_us, global_bin: 0 }
     }
 }
 
@@ -752,8 +746,6 @@ struct PhasedLink {
     phases: VecDeque<CompiledPhase>,
     time_bin_us: u64,
     global_bin: u64,
-    total_bins: u64,
-    produced: u64,
 }
 
 impl PacketSource for PhasedLink {
@@ -768,7 +760,6 @@ impl PacketSource for PhasedLink {
             phase.local_bin += 1;
             let global = self.global_bin;
             self.global_bin += 1;
-            self.produced += 1;
             let start_ts = global * self.time_bin_us;
             let flapped = phase.flaps.iter().any(|&(s, e)| local >= s && local < e);
             let batch = match &mut phase.generator {
@@ -800,10 +791,6 @@ impl PacketSource for PhasedLink {
             return Some(batch);
         }
     }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        Some((self.total_bins - self.produced) as usize)
-    }
 }
 
 enum SourceInner {
@@ -830,13 +817,6 @@ impl PacketSource for ScenarioSource {
         match &mut self.inner {
             SourceInner::Single(link) => link.next_batch(),
             SourceInner::Multi(links) => links.next_batch(),
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        match &self.inner {
-            SourceInner::Single(link) => link.remaining_hint(),
-            SourceInner::Multi(links) => links.remaining_hint(),
         }
     }
 }
@@ -972,7 +952,6 @@ mod tests {
         let scenario =
             tiny("contig").phase(Phase::new("b", 3).profile(TraceProfile::Abilene).scale(0.05));
         let mut source = scenario.compile().expect("valid");
-        assert_eq!(source.remaining_hint(), Some(7));
         assert_eq!(source.total_bins(), 7);
         for expected_bin in 0..7u64 {
             let batch = source.next_batch().expect("seven bins");
@@ -983,7 +962,6 @@ mod tests {
             }
         }
         assert!(source.next_batch().is_none());
-        assert_eq!(source.remaining_hint(), Some(0));
     }
 
     #[test]

@@ -21,13 +21,6 @@ pub trait PacketSource {
     /// Produces the next batch, or `None` when the source is exhausted.
     fn next_batch(&mut self) -> Option<Batch>;
 
-    /// Number of batches still to come, when known in advance.
-    ///
-    /// Infinite or data-dependent sources return `None`.
-    fn remaining_hint(&self) -> Option<usize> {
-        None
-    }
-
     /// Advances the cursor past `count` batches without delivering them and
     /// returns how many were actually skipped (fewer when the source ran
     /// out). This is how a restored daemon fast-forwards its source to the
@@ -51,10 +44,6 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
         (**self).next_batch()
     }
 
-    fn remaining_hint(&self) -> Option<usize> {
-        (**self).remaining_hint()
-    }
-
     fn skip_batches(&mut self, count: u64) -> u64 {
         (**self).skip_batches(count)
     }
@@ -63,10 +52,6 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
 impl<S: PacketSource + ?Sized> PacketSource for Box<S> {
     fn next_batch(&mut self) -> Option<Batch> {
         (**self).next_batch()
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        (**self).remaining_hint()
     }
 
     fn skip_batches(&mut self, count: u64) -> u64 {
@@ -138,10 +123,6 @@ impl PacketSource for BatchReplay {
         Some(batch)
     }
 
-    fn remaining_hint(&self) -> Option<usize> {
-        Some(self.batches.len() - self.position)
-    }
-
     /// O(1): the replay cursor jumps without cloning the skipped batches.
     fn skip_batches(&mut self, count: u64) -> u64 {
         let remaining = (self.batches.len() - self.position) as u64;
@@ -155,10 +136,6 @@ impl PacketSource for BatchReplay {
 impl PacketSource for std::vec::IntoIter<Batch> {
     fn next_batch(&mut self) -> Option<Batch> {
         self.next()
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        Some(self.len())
     }
 }
 
@@ -187,13 +164,6 @@ impl<S: PacketSource> PacketSource for Take<S> {
         let batch = self.inner.next_batch()?;
         self.remaining -= 1;
         Some(batch)
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        match self.inner.remaining_hint() {
-            Some(inner) => Some(inner.min(self.remaining)),
-            None => Some(self.remaining),
-        }
     }
 }
 
@@ -269,21 +239,6 @@ impl PacketSource for Interleave {
         packets.sort_by_key(|p| p.ts);
         Some(Batch::new(target, start_ts, duration_us, packets))
     }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        // Known only if every sub-source reports a hint: the interleave runs
-        // until the longest one ends (buffered batches count as remaining).
-        // Exact for bin-aligned sources (the common case: generators or
-        // replays started together, scenario links). Sources with disjoint
-        // bin gaps merge into *more* distinct bins than any one source
-        // contributes, so there the hint is a lower bound.
-        self.sources
-            .iter()
-            .map(|(source, pending)| {
-                source.remaining_hint().map(|h| h + usize::from(pending.is_some()))
-            })
-            .try_fold(0usize, |acc, hint| hint.map(|h| acc.max(h)))
-    }
 }
 
 /// Adapter constructors for every source.
@@ -310,7 +265,6 @@ mod tests {
     #[test]
     fn generator_is_an_infinite_source() {
         let mut source = generator(1);
-        assert_eq!(PacketSource::remaining_hint(&source), None);
         for expected_bin in 0..5 {
             let batch = PacketSource::next_batch(&mut source).expect("infinite source");
             assert_eq!(batch.bin_index, expected_bin);
@@ -320,13 +274,11 @@ mod tests {
     #[test]
     fn take_bounds_an_infinite_source() {
         let mut source = generator(2).take_batches(7);
-        assert_eq!(source.remaining_hint(), Some(7));
         let mut produced = 0;
         while source.next_batch().is_some() {
             produced += 1;
         }
         assert_eq!(produced, 7);
-        assert_eq!(source.remaining_hint(), Some(0));
     }
 
     #[test]
@@ -336,7 +288,6 @@ mod tests {
         let first_pass: Vec<usize> =
             std::iter::from_fn(|| recording.next_batch()).map(|b| b.len()).collect();
         assert_eq!(first_pass.len(), 6);
-        assert_eq!(recording.remaining_hint(), Some(0));
         recording.reset();
         let second_pass: Vec<usize> =
             std::iter::from_fn(|| recording.next_batch()).map(|b| b.len()).collect();
@@ -361,7 +312,6 @@ mod tests {
         let expected: Vec<usize> =
             a.batches().iter().zip(b.batches()).map(|(x, y)| x.len() + y.len()).collect();
         let mut merged = Interleave::new(vec![Box::new(a), Box::new(b)]);
-        assert_eq!(merged.remaining_hint(), Some(4));
         for (bin, want) in expected.iter().enumerate() {
             let batch = merged.next_batch().expect("merged batch");
             assert_eq!(batch.bin_index, bin as u64);
@@ -470,7 +420,7 @@ mod tests {
             assert_eq!(from_generator.bin_index, bin);
             assert_eq!(from_replay.packets.as_ref(), from_generator.packets.as_ref());
         }
-        assert_eq!(skipped_replay.remaining_hint(), Some(0));
+        assert!(skipped_replay.next_batch().is_none());
     }
 
     #[test]
@@ -481,19 +431,5 @@ mod tests {
         let mut bounded = generator(15).take_batches(4);
         assert_eq!(bounded.skip_batches(10), 4);
         assert!(bounded.next_batch().is_none());
-    }
-
-    #[test]
-    fn interleave_hint_counts_buffered_batches() {
-        let a = BatchReplay::record(&mut generator(11), 3);
-        let b = BatchReplay::record(&mut generator(12), 1);
-        let mut merged = Interleave::new(vec![Box::new(a), Box::new(b)]);
-        assert_eq!(merged.remaining_hint(), Some(3));
-        merged.next_batch().expect("bin 0");
-        assert_eq!(merged.remaining_hint(), Some(2));
-        merged.next_batch().expect("bin 1");
-        merged.next_batch().expect("bin 2");
-        assert_eq!(merged.remaining_hint(), Some(0));
-        assert!(merged.next_batch().is_none());
     }
 }

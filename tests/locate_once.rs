@@ -3,19 +3,25 @@
 //! The slot side array, the flat multi-resolution bitmap and its estimator
 //! table replaced the per-packet hash rows and the `Vec<LinearCounting>`
 //! layout. Nothing a feature vector holds may have moved, so each layer is
-//! pinned here against the code it replaced: the slot against
-//! locate-then-modulo, the flat bitmap against one [`LinearCounting`] per
-//! component, and the extractor — on full and sampled views, across an
-//! interval boundary and a restore — against the ten-pass reference on all 42
-//! features.
+//! pinned here against the code it replaced, as `tests/oracle/` restates it:
+//! the single-pass hashes against one padded key and one `hash_bytes` call
+//! per aggregate, the slot against locate-then-modulo, the flat bitmap
+//! against one [`LinearCounting`] per component, and the extractor — on full
+//! and sampled views, across an interval boundary and a restore — against
+//! the ten-pass reference on all 42 features.
 
-use netshed::features::{ExtractorConfig, FeatureExtractor, FeatureId, FeatureVector};
-use netshed::monitor::packet_sample;
-use netshed::sketch::{
-    mix64, BitmapGeometry, LinearCounting, MultiResolutionBitmap, StateReader, StateWriter,
+mod oracle;
+
+use netshed::features::{
+    Aggregate, AggregateHashes, CounterKind, FeatureExtractor, FeatureId, FeatureVector,
+    AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY,
 };
-use netshed::trace::{Batch, TraceConfig, TraceGenerator};
-use netshed_bench::baseline::TenPassExtractor;
+use netshed::monitor::{flow_sample_with, packet_sample_with};
+use netshed::sketch::{
+    hash_bytes, mix64, BitmapGeometry, H3Hasher, MultiResolutionBitmap, StateReader, StateWriter,
+};
+use netshed::trace::{Batch, FiveTuple, KeepListPool, Packet, TraceConfig, TraceGenerator};
+use oracle::{aggregate_hash, aggregate_key, LinearCounting, ReferenceBitmap, TenPassExtractor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,85 +31,27 @@ use rand::SeedableRng;
 const GEOMETRIES: [(usize, usize); 7] =
     [(6, 4096), (16, 4096), (3, 64), (4, 128), (5, 192), (2, 320), (3, 4032)];
 
-/// The multi-resolution bitmap as it was before the flat layout: one
-/// [`LinearCounting`] per component, located per insert.
-struct ReferenceBitmap {
-    components: Vec<LinearCounting>,
-}
-
-impl ReferenceBitmap {
-    fn new(num_components: usize, bits_per_component: usize) -> Self {
-        Self {
-            components: (0..num_components)
-                .map(|_| LinearCounting::new(bits_per_component))
-                .collect(),
-        }
-    }
-
-    fn locate(&self, hash: u64) -> (usize, u64) {
-        let last = self.components.len() - 1;
-        ((hash.trailing_ones() as usize).min(last), mix64(hash >> 16))
-    }
-
-    fn slot(&self, hash: u64) -> usize {
-        let (component, bit_hash) = self.locate(hash);
-        let bits = self.components[component].capacity_bits();
-        component * bits + (bit_hash % bits as u64) as usize
-    }
-
-    fn insert_hash(&mut self, hash: u64) -> bool {
-        let (component, bit_hash) = self.locate(hash);
-        self.components[component].insert_hash(bit_hash)
-    }
-
-    fn contains_hash(&self, hash: u64) -> bool {
-        let (component, bit_hash) = self.locate(hash);
-        self.components[component].contains_hash(bit_hash)
-    }
-
-    fn estimate(&self) -> f64 {
-        let last = self.components.len() - 1;
-        let mut base = 0usize;
-        while base < last && self.components[base].fill_ratio() > 0.93 {
-            base += 1;
-        }
-        let mut sum = 0.0;
-        for component in &self.components[base..] {
-            sum += component.estimate();
-        }
-        sum * (1u64 << base) as f64
-    }
-
-    fn clear(&mut self) {
-        self.components.iter_mut().for_each(LinearCounting::clear);
-    }
-
-    fn merge(&mut self, other: &ReferenceBitmap) {
-        for (a, b) in self.components.iter_mut().zip(&other.components) {
-            a.merge(b);
-        }
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        writer.usize(self.components.len());
-        for component in &self.components {
-            component.save_state(writer);
-        }
-    }
-}
-
 fn saved(save: impl FnOnce(&mut StateWriter)) -> Vec<u8> {
     let mut writer = StateWriter::new();
     save(&mut writer);
     writer.into_bytes()
 }
 
+/// Locates `hash` under the flat bitmap's geometry and sets its bit.
+fn insert_hash(flat: &mut MultiResolutionBitmap, hash: u64) -> bool {
+    flat.insert_slot(flat.geometry().slot(hash))
+}
+
+/// Same estimate (to the bit), same serialized bytes, and same membership:
+/// a probe re-inserts as stale into (a copy of) the flat bitmap exactly when
+/// the reference holds it.
 fn assert_same_bitmap(flat: &MultiResolutionBitmap, reference: &ReferenceBitmap, probes: &[u64]) {
     assert_eq!(flat.estimate().to_bits(), reference.estimate().to_bits());
-    for &probe in probes {
-        assert_eq!(flat.contains_hash(probe), reference.contains_hash(probe), "probe {probe:#x}");
-    }
     assert_eq!(saved(|w| flat.save_state(w)), saved(|w| reference.save_state(w)));
+    for &probe in probes {
+        let held = reference.contains_hash(probe);
+        assert_eq!(insert_hash(&mut flat.clone(), probe), !held, "probe {probe:#x}");
+    }
 }
 
 fn traffic(seed: u64, bins: usize) -> Vec<Batch> {
@@ -157,8 +105,8 @@ proptest! {
         shape in 0usize..GEOMETRIES.len(),
     ) {
         let (components, bits) = GEOMETRIES[shape];
-        let mut batch = MultiResolutionBitmap::new(components, bits);
-        let mut interval = MultiResolutionBitmap::new(components, bits);
+        let mut batch = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
+        let mut interval = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
         let mut batch_reference = ReferenceBitmap::new(components, bits);
         let mut interval_reference = ReferenceBitmap::new(components, bits);
         let probes: Vec<u64> = operations.iter().map(|(_, hash)| *hash).step_by(7).collect();
@@ -166,7 +114,10 @@ proptest! {
         for (operation, hash) in &operations {
             match operation {
                 0..=8 => {
-                    prop_assert_eq!(batch.insert_hash(*hash), batch_reference.insert_hash(*hash));
+                    prop_assert_eq!(
+                        insert_hash(&mut batch, *hash),
+                        batch_reference.insert_hash(*hash)
+                    );
                 }
                 9..=11 => {
                     let slot = batch.geometry().slot(*hash);
@@ -193,7 +144,7 @@ proptest! {
         assert_same_bitmap(&interval, &interval_reference, &probes);
 
         let bytes = saved(|w| interval.save_state(w));
-        let mut restored = MultiResolutionBitmap::new(components, bits);
+        let mut restored = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
         let mut reader = StateReader::new(&bytes);
         restored.load_state(&mut reader).expect("same geometry");
         reader.finish().expect("no trailing bytes");
@@ -218,6 +169,7 @@ proptest! {
         let batches = traffic(trace_seed, 13);
         for rate in [0.0, 0.37, 1.0] {
             let mut rng = StdRng::seed_from_u64(sample_seed);
+            let mut pool = KeepListPool::new();
             let mut fused = FeatureExtractor::with_defaults();
             let mut reference = TenPassExtractor::with_defaults();
             for (bin, batch) in batches.iter().enumerate() {
@@ -230,51 +182,12 @@ proptest! {
                     prop_assert_eq!(saved(|w| restored.save_state(w)), bytes);
                     fused = restored;
                 }
-                let (view, _) = packet_sample(&batch.view(), rate, &mut rng);
+                let (view, _) = packet_sample_with(&batch.view(), rate, &mut rng, &mut pool);
                 let (expected, expected_ops) = reference.extract(&view.materialize());
                 let (actual, ops) = fused.extract_view(&view);
                 prop_assert_eq!(ops, expected_ops);
                 assert_same_features(&actual, &expected, &format!("rate {rate}, bin {bin}, cut {cut}"));
             }
-        }
-    }
-
-    /// (d) An extractor whose seed *or* geometry does not own the batch's
-    /// slot cache locates for itself: every such claim is counted on the
-    /// store, and the vector equals the one from a batch whose cache it owns.
-    #[test]
-    fn foreign_seed_or_geometry_takes_the_counted_fallback(
-        trace_seed in 0u64..500,
-        foreign_seed in 1u64..u64::MAX,
-        foreign_geometry in 0usize..2,
-    ) {
-        let owner = ExtractorConfig::default();
-        let foreign = if foreign_geometry == 1 {
-            // 4 components instead of 6: same seed, other slots.
-            ExtractorConfig { max_cardinality: 50_000, ..owner.clone() }
-        } else {
-            ExtractorConfig { hash_seed: owner.hash_seed ^ foreign_seed, ..owner.clone() }
-        };
-        let batches = traffic(trace_seed, 2);
-
-        let mut claims = FeatureExtractor::new(owner);
-        let mut fused = FeatureExtractor::new(foreign.clone());
-        let mut on_fresh = FeatureExtractor::new(foreign.clone());
-        let mut reference = TenPassExtractor::new(foreign);
-        for batch in &batches {
-            claims.extract(batch);
-            prop_assert_eq!(batch.packets.slot_claim_misses(), 0);
-            let view = batch.view().filter_indexed(|index, _| index % 3 != 1);
-
-            let (from_fused, _) = fused.extract_view(&view);
-            prop_assert_eq!(batch.packets.slot_claim_misses(), 1);
-
-            let fresh = view.materialize();
-            let (expected, _) = on_fresh.extract(&fresh);
-            prop_assert_eq!(fresh.packets.slot_claim_misses(), 0);
-            assert_same_features(&from_fused, &expected, "fused fallback");
-            let (expected, _) = reference.extract(&fresh);
-            assert_same_features(&from_fused, &expected, "ten-pass reference");
         }
     }
 }
@@ -285,17 +198,191 @@ fn every_fill_level_up_to_saturation_agrees_with_the_reference() {
     // exactly where the fill ratio crosses the threshold, the zero count
     // clamps to one at the end.
     for (components, bits) in [(3, 64), (2, 320)] {
-        let mut flat = MultiResolutionBitmap::new(components, bits);
+        let mut flat = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
         let mut reference = ReferenceBitmap::new(components, bits);
         for item in 0..20_000u64 {
             let hash = mix64(item);
-            assert_eq!(flat.insert_hash(hash), reference.insert_hash(hash));
+            assert_eq!(insert_hash(&mut flat, hash), reference.insert_hash(hash));
             assert_eq!(flat.estimate().to_bits(), reference.estimate().to_bits(), "item {item}");
         }
         assert_same_bitmap(&flat, &reference, &[mix64(7), mix64(123_456_789)]);
-        let mut interval = MultiResolutionBitmap::new(components, bits);
+        let mut interval =
+            MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
         interval.absorb(&mut flat);
         assert_eq!(flat.estimate(), 0.0);
         assert_same_bitmap(&interval, &reference, &[mix64(7), mix64(123_456_789)]);
+    }
+}
+
+/// The slot rows of a bin are built once: the full-batch extraction and
+/// every sampled re-extraction — whichever shedder narrowed the view —
+/// borrow the same allocation, and its rows are the oracle's hashes located
+/// by locate-then-modulo.
+#[test]
+fn full_and_sampled_extractions_of_a_bin_borrow_the_same_slot_rows() {
+    let batch = traffic(7, 1).remove(0);
+    FeatureExtractor::with_defaults().extract(&batch);
+    let rows = batch.packets.aggregate_slots();
+
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut pool = KeepListPool::new();
+    let hasher = H3Hasher::new(13, 5);
+    for rate in [0.0, 0.1, 0.37, 0.9, 1.0] {
+        let (by_packet, _) = packet_sample_with(&batch.view(), rate, &mut rng, &mut pool);
+        let (by_flow, _) = flow_sample_with(&batch.view(), rate, &hasher, &mut pool);
+        for view in [by_packet, by_flow] {
+            FeatureExtractor::with_defaults().extract_view(&view);
+            assert!(std::ptr::eq(view.aggregate_slots().as_ptr(), rows.as_ptr()), "rate {rate}");
+        }
+        assert!(std::ptr::eq(batch.packets.aggregate_slots().as_ptr(), rows.as_ptr()));
+    }
+
+    let reference = ReferenceBitmap::for_cardinality(AGGREGATE_MAX_CARDINALITY);
+    for (tuple, row) in batch.packets.tuples().iter().zip(rows) {
+        for (index, &slot) in row.as_array().iter().enumerate() {
+            let hash = aggregate_hash(index, tuple, AGGREGATE_HASH_SEED);
+            assert_eq!(usize::from(slot), reference.slot(hash), "aggregate {index} of {tuple}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Re-homed from the production crates' unit tests with the code they
+// compared against.
+// ---------------------------------------------------------------------------
+
+fn estimate_error(actual: usize, estimate: f64) -> f64 {
+    (estimate - actual as f64).abs() / actual as f64
+}
+
+#[test]
+fn linear_counting_is_accurate_below_saturation() {
+    let mut lc = LinearCounting::new(8192);
+    let n = 2000usize;
+    for i in 0..n {
+        lc.insert_hash(hash_bytes(&(i as u64).to_be_bytes(), 1));
+    }
+    assert!(estimate_error(n, lc.estimate()) < 0.05, "estimate {}", lc.estimate());
+}
+
+#[test]
+fn linear_counting_detects_duplicates() {
+    let mut lc = LinearCounting::new(8192);
+    let h = hash_bytes(b"x", 1);
+    assert!(lc.insert_hash(h));
+    assert!(!lc.insert_hash(h));
+    assert!(lc.contains_hash(h));
+}
+
+#[test]
+fn linear_counting_merge_unions_sets() {
+    let mut a = LinearCounting::new(4096);
+    let mut b = LinearCounting::new(4096);
+    for i in 0..500u64 {
+        a.insert_hash(mix64(i));
+        b.insert_hash(mix64(i + 250));
+    }
+    a.merge(&b);
+    assert!(estimate_error(750, a.estimate()) < 0.08, "estimate {}", a.estimate());
+}
+
+#[test]
+fn keys_only_depend_on_the_aggregated_fields() {
+    let a = FiveTuple::new(1, 2, 3, 4, 6);
+    let b = FiveTuple::new(1, 9, 8, 7, 6);
+    // Same source IP and protocol, so the src-ip key must match.
+    assert_eq!(aggregate_key(Aggregate::SrcIp, &a), aggregate_key(Aggregate::SrcIp, &b));
+    // Destination differs, so the dst-ip key must not match.
+    assert_ne!(aggregate_key(Aggregate::DstIp, &a), aggregate_key(Aggregate::DstIp, &b));
+    // Full 5-tuple key differs, and is the flow key.
+    assert_ne!(aggregate_key(Aggregate::FiveTuple, &a), aggregate_key(Aggregate::FiveTuple, &b));
+    assert_eq!(aggregate_key(Aggregate::FiveTuple, &a), a.as_key());
+}
+
+#[test]
+fn src_port_proto_ignores_addresses() {
+    let a = FiveTuple::new(10, 20, 1234, 80, 6);
+    let b = FiveTuple::new(99, 77, 1234, 443, 6);
+    assert_eq!(
+        aggregate_key(Aggregate::SrcPortProto, &a),
+        aggregate_key(Aggregate::SrcPortProto, &b)
+    );
+}
+
+#[test]
+fn single_pass_hashes_match_the_per_key_reference() {
+    // The slot rows are located from these hashes: the fused computation
+    // must be bit-identical to hashing each aggregate's padded key.
+    let tuples = [
+        FiveTuple::new(0, 0, 0, 0, 0),
+        FiveTuple::new(0x0a000001, 0x0a000002, 1234, 80, 6),
+        FiveTuple::new(u32::MAX, 1, u16::MAX, 65534, 17),
+        FiveTuple::new(0xc0a80001, 0x08080808, 53123, 53, 17),
+    ];
+    for seed in [0u64, AGGREGATE_HASH_SEED, u64::MAX] {
+        for tuple in &tuples {
+            let hashes = AggregateHashes::compute(tuple, seed);
+            for (index, aggregate) in Aggregate::ALL.iter().enumerate() {
+                let reference = aggregate_hash(index, tuple, seed);
+                assert_eq!(
+                    hashes.as_array()[index],
+                    reference,
+                    "aggregate {} seed {seed:#x} tuple {tuple}",
+                    aggregate.name()
+                );
+            }
+        }
+    }
+}
+
+fn batch_of(tuples: &[FiveTuple], bin: u64) -> Batch {
+    let packets: Vec<Packet> = tuples
+        .iter()
+        .enumerate()
+        .map(|(i, t)| Packet::header_only(bin * 100_000 + i as u64, *t, 100, 0))
+        .collect();
+    Batch::new(bin, bin * 100_000, 100_000, packets)
+}
+
+#[test]
+fn fused_extraction_is_bit_identical_to_the_ten_pass_reference() {
+    let tuples: Vec<FiveTuple> =
+        (0..500).map(|i| FiveTuple::new(i % 97, i % 13, (i % 31) as u16, 80, 6)).collect();
+    // Two bins in the same interval plus one in a fresh interval, and three
+    // intervals in a row: the per-batch counters must not depend on what
+    // the interval bookkeeping did before them, so the reference is a fresh
+    // ten-pass extractor per bin.
+    for bins in [[0u64, 1, 10], [0, 10, 20]] {
+        let mut extractor = FeatureExtractor::with_defaults();
+        for bin in bins {
+            let batch = batch_of(&tuples, bin);
+            let (features, _) = extractor.extract(&batch);
+            let (reference, _) = TenPassExtractor::with_defaults().extract(&batch);
+            for aggregate in Aggregate::ALL {
+                let id = FeatureId::Counter(aggregate, CounterKind::Unique);
+                assert_eq!(
+                    features.get(id),
+                    reference.get(id),
+                    "aggregate {} diverged from the reference on bin {bin}",
+                    aggregate.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn ten_pass_baseline_agrees_with_the_fused_extractor() {
+    let mut generator = TraceGenerator::new(
+        TraceConfig::default().with_seed(17).with_mean_packets_per_batch(400.0),
+    );
+    let batches = generator.batches(5);
+    let mut fused = FeatureExtractor::with_defaults();
+    let mut baseline = TenPassExtractor::with_defaults();
+    for batch in &batches {
+        let (a, ops_a) = fused.extract(batch);
+        let (b, ops_b) = baseline.extract(batch);
+        assert_eq!(ops_a, ops_b);
+        assert_same_features(&a, &b, "bin");
     }
 }

@@ -1,0 +1,442 @@
+//! The retired kernels, restated as test oracles.
+//!
+//! The production crates hold one implementation per operation. When a
+//! kernel is replaced in place — the ten-pass extractor by the fused one,
+//! one linear-counting bitmap per component by the flat layout, copy-out
+//! shedding by views, the column-at-a-time Pearson FCBF by the row passes —
+//! the old one moves here for as long as a test compares against it,
+//! restated on public types only: nothing in this module calls the code it
+//! checks, and nothing here comes from `netshed_bench`. What is shared with
+//! production is the *definition* being pinned (`hash_bytes`, `mix64`, the
+//! extractor's seed and dimensioning constants), not an implementation of
+//! the operation under test.
+//!
+//! Each test binary uses its own part of the module.
+#![allow(dead_code)]
+
+use netshed::features::{
+    Aggregate, CounterKind, FeatureId, FeatureVector, AGGREGATE_HASH_SEED,
+    AGGREGATE_MAX_CARDINALITY,
+};
+use netshed::predict::{FcbfConfig, History};
+use netshed::sketch::{hash_bytes, mix64, H3Hasher, StateWriter};
+use netshed::trace::{Batch, FiveTuple, PacketRef, PacketStore, DEFAULT_MEASUREMENT_INTERVAL_US};
+use rand::rngs::StdRng;
+use rand::Rng;
+
+// ---------------------------------------------------------------------------
+// Aggregate keys and hashes, one key and one `hash_bytes` call at a time.
+// ---------------------------------------------------------------------------
+
+/// The aggregate's fields of a 5-tuple, big-endian, at the front of a
+/// zero-padded 13-byte key. The key length differs per aggregate, which is
+/// fine because the key is only ever hashed under a per-aggregate seed.
+pub fn aggregate_key(aggregate: Aggregate, tuple: &FiveTuple) -> [u8; 13] {
+    let mut key = [0u8; 13];
+    match aggregate {
+        Aggregate::SrcIp => key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes()),
+        Aggregate::DstIp => key[..4].copy_from_slice(&tuple.dst_ip.to_be_bytes()),
+        Aggregate::Protocol => key[0] = tuple.proto,
+        Aggregate::SrcDstIp => {
+            key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes());
+            key[4..8].copy_from_slice(&tuple.dst_ip.to_be_bytes());
+        }
+        Aggregate::SrcPortProto => {
+            key[..2].copy_from_slice(&tuple.src_port.to_be_bytes());
+            key[2] = tuple.proto;
+        }
+        Aggregate::DstPortProto => {
+            key[..2].copy_from_slice(&tuple.dst_port.to_be_bytes());
+            key[2] = tuple.proto;
+        }
+        Aggregate::SrcIpPortProto => {
+            key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes());
+            key[4..6].copy_from_slice(&tuple.src_port.to_be_bytes());
+            key[6] = tuple.proto;
+        }
+        Aggregate::DstIpPortProto => {
+            key[..4].copy_from_slice(&tuple.dst_ip.to_be_bytes());
+            key[4..6].copy_from_slice(&tuple.dst_port.to_be_bytes());
+            key[6] = tuple.proto;
+        }
+        Aggregate::SrcDstPortProto => {
+            key[..2].copy_from_slice(&tuple.src_port.to_be_bytes());
+            key[2..4].copy_from_slice(&tuple.dst_port.to_be_bytes());
+            key[4] = tuple.proto;
+        }
+        Aggregate::FiveTuple => {
+            key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes());
+            key[4..8].copy_from_slice(&tuple.dst_ip.to_be_bytes());
+            key[8..10].copy_from_slice(&tuple.src_port.to_be_bytes());
+            key[10..12].copy_from_slice(&tuple.dst_port.to_be_bytes());
+            key[12] = tuple.proto;
+        }
+    }
+    key
+}
+
+/// The hash of the `index`-th aggregate (Table 3.1 order) of a 5-tuple: its
+/// padded key under the base seed mixed with the aggregate's index.
+pub fn aggregate_hash(index: usize, tuple: &FiveTuple, base_seed: u64) -> u64 {
+    let seed = base_seed ^ (index as u64).wrapping_mul(0x9e37_79b9);
+    hash_bytes(&aggregate_key(Aggregate::ALL[index], tuple), seed)
+}
+
+// ---------------------------------------------------------------------------
+// The multi-resolution bitmap as it was before the flat layout (text of
+// commit 20142aa): one linear-counting bitmap per component.
+// ---------------------------------------------------------------------------
+
+/// A linear-counting bitmap distinct counter (Whang et al.).
+#[derive(Debug, Clone)]
+pub struct LinearCounting {
+    bits: Vec<u64>,
+    num_bits: usize,
+    set_bits: usize,
+}
+
+impl LinearCounting {
+    /// A counter with `num_bits` bits, rounded up to a multiple of 64.
+    pub fn new(num_bits: usize) -> Self {
+        let num_bits = num_bits.max(64).next_multiple_of(64);
+        Self { bits: vec![0; num_bits / 64], num_bits, set_bits: 0 }
+    }
+
+    pub fn capacity_bits(&self) -> usize {
+        self.num_bits
+    }
+
+    pub fn fill_ratio(&self) -> f64 {
+        self.set_bits as f64 / self.num_bits as f64
+    }
+
+    /// Records a pre-hashed item; `true` if its bit was not set before.
+    pub fn insert_hash(&mut self, hash: u64) -> bool {
+        let bit = (hash % self.num_bits as u64) as usize;
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        let fresh = self.bits[word] & mask == 0;
+        self.bits[word] |= mask;
+        self.set_bits += usize::from(fresh);
+        fresh
+    }
+
+    pub fn contains_hash(&self, hash: u64) -> bool {
+        let bit = (hash % self.num_bits as u64) as usize;
+        self.bits[bit / 64] & (1u64 << (bit % 64)) != 0
+    }
+
+    /// `m · ln(m / zero)`, the zero count clamped to one.
+    pub fn estimate(&self) -> f64 {
+        let m = self.num_bits as f64;
+        let zero = (self.num_bits - self.set_bits).max(1) as f64;
+        m * (m / zero).ln()
+    }
+
+    /// Bitwise OR of another bitmap of the same size, recounting the bits.
+    pub fn merge(&mut self, other: &LinearCounting) {
+        assert_eq!(self.num_bits, other.num_bits, "cannot merge bitmaps of different sizes");
+        let mut set = 0usize;
+        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+            *a |= *b;
+            set += a.count_ones() as usize;
+        }
+        self.set_bits = set;
+    }
+
+    pub fn clear(&mut self) {
+        self.bits.fill(0);
+        self.set_bits = 0;
+    }
+
+    pub fn save_state(&self, writer: &mut StateWriter) {
+        writer.usize(self.num_bits);
+        for word in &self.bits {
+            writer.u64(*word);
+        }
+    }
+}
+
+/// Saturation threshold above which a component is not used as the base.
+const SATURATION: f64 = 0.93;
+
+/// The multi-resolution bitmap over one [`LinearCounting`] per component,
+/// located per insert.
+#[derive(Debug, Clone)]
+pub struct ReferenceBitmap {
+    components: Vec<LinearCounting>,
+}
+
+impl ReferenceBitmap {
+    pub fn new(num_components: usize, bits_per_component: usize) -> Self {
+        assert!(num_components >= 1);
+        Self {
+            components: (0..num_components)
+                .map(|_| LinearCounting::new(bits_per_component))
+                .collect(),
+        }
+    }
+
+    /// The bitmap dimensioned for roughly `max_cardinality` items: 4096-bit
+    /// components, doubling the reach per component, at most sixteen.
+    pub fn for_cardinality(max_cardinality: usize) -> Self {
+        let bits = 4096usize;
+        let mut components = 1usize;
+        let mut reach = bits * 2;
+        while reach < max_cardinality && components < 16 {
+            components += 1;
+            reach *= 2;
+        }
+        Self::new(components, bits)
+    }
+
+    /// Splits a hash into (component, per-component bit hash): the trailing
+    /// ones choose the component geometrically, the high bits the position.
+    fn locate(&self, hash: u64) -> (usize, u64) {
+        let last = self.components.len() - 1;
+        ((hash.trailing_ones() as usize).min(last), mix64(hash >> 16))
+    }
+
+    /// The flat index `component · bits + bit` of the bit a hash owns.
+    pub fn slot(&self, hash: u64) -> usize {
+        let (component, bit_hash) = self.locate(hash);
+        let bits = self.components[component].capacity_bits();
+        component * bits + (bit_hash % bits as u64) as usize
+    }
+
+    pub fn insert_hash(&mut self, hash: u64) -> bool {
+        let (component, bit_hash) = self.locate(hash);
+        self.components[component].insert_hash(bit_hash)
+    }
+
+    pub fn contains_hash(&self, hash: u64) -> bool {
+        let (component, bit_hash) = self.locate(hash);
+        self.components[component].contains_hash(bit_hash)
+    }
+
+    pub fn estimate(&self) -> f64 {
+        // The first component that is still reliable is the base; it and the
+        // ones above observe a fraction 2^-base of the items.
+        let last = self.components.len() - 1;
+        let mut base = 0usize;
+        while base < last && self.components[base].fill_ratio() > SATURATION {
+            base += 1;
+        }
+        let mut sum = 0.0;
+        for component in &self.components[base..] {
+            sum += component.estimate();
+        }
+        sum * (1u64 << base) as f64
+    }
+
+    pub fn clear(&mut self) {
+        self.components.iter_mut().for_each(LinearCounting::clear);
+    }
+
+    pub fn merge(&mut self, other: &ReferenceBitmap) {
+        assert_eq!(self.components.len(), other.components.len(), "component count mismatch");
+        for (a, b) in self.components.iter_mut().zip(&other.components) {
+            a.merge(b);
+        }
+    }
+
+    pub fn save_state(&self, writer: &mut StateWriter) {
+        writer.usize(self.components.len());
+        for component in &self.components {
+            component.save_state(writer);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The seed's aggregate-major feature extractor.
+// ---------------------------------------------------------------------------
+
+/// One pass over the batch per aggregate, rebuilding and re-hashing a
+/// zero-padded 13-byte key per packet per pass, into [`ReferenceBitmap`]s.
+pub struct TenPassExtractor {
+    /// Per aggregate: (distinct in the batch, distinct in the interval).
+    states: Vec<(ReferenceBitmap, ReferenceBitmap)>,
+    current_interval: Option<u64>,
+}
+
+impl TenPassExtractor {
+    /// An extractor on the production extractor's seed, dimensioning and
+    /// default measurement interval.
+    pub fn with_defaults() -> Self {
+        let bitmap = ReferenceBitmap::for_cardinality(AGGREGATE_MAX_CARDINALITY);
+        let states = Aggregate::ALL.iter().map(|_| (bitmap.clone(), bitmap.clone())).collect();
+        Self { states, current_interval: None }
+    }
+
+    /// The 42 features of a batch and the elementary-operation count.
+    pub fn extract(&mut self, batch: &Batch) -> (FeatureVector, u64) {
+        let interval = batch.measurement_interval(DEFAULT_MEASUREMENT_INTERVAL_US);
+        if self.current_interval != Some(interval) {
+            for (_, interval_seen) in &mut self.states {
+                interval_seen.clear();
+            }
+            self.current_interval = Some(interval);
+        }
+
+        let packets = batch.len() as f64;
+        let mut vector = FeatureVector::zeros();
+        vector.set(FeatureId::Packets, packets);
+        vector.set(FeatureId::Bytes, batch.total_bytes() as f64);
+        let mut operations = 0u64;
+
+        for (index, aggregate) in Aggregate::ALL.iter().enumerate() {
+            let (batch_unique, interval_seen) = &mut self.states[index];
+            batch_unique.clear();
+            for packet in batch.packets.iter() {
+                batch_unique.insert_hash(aggregate_hash(
+                    index,
+                    packet.tuple(),
+                    AGGREGATE_HASH_SEED,
+                ));
+                operations += 1;
+            }
+
+            let unique = batch_unique.estimate().min(packets).round();
+            let before = interval_seen.estimate();
+            interval_seen.merge(batch_unique);
+            let after = interval_seen.estimate();
+            let new = (after - before).clamp(0.0, unique).round();
+            let repeated = (packets - unique).max(0.0);
+            let batch_repeated = (packets - new).max(0.0);
+
+            vector.set(FeatureId::Counter(*aggregate, CounterKind::Unique), unique);
+            vector.set(FeatureId::Counter(*aggregate, CounterKind::New), new);
+            vector.set(FeatureId::Counter(*aggregate, CounterKind::Repeated), repeated);
+            vector.set(FeatureId::Counter(*aggregate, CounterKind::BatchRepeated), batch_repeated);
+        }
+        (vector, operations)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The seed's copy-out shedders.
+// ---------------------------------------------------------------------------
+
+/// A new batch for the same time bin holding copies of the packets `keep`
+/// accepts.
+pub fn filtered<F: FnMut(PacketRef<'_>) -> bool>(batch: &Batch, mut keep: F) -> Batch {
+    let mut builder = PacketStore::builder(batch.len());
+    for packet in batch.packets.iter() {
+        if keep(packet) {
+            builder.push(
+                packet.ts(),
+                *packet.tuple(),
+                packet.ip_len(),
+                packet.tcp_flags(),
+                packet.payload().cloned(),
+            );
+        }
+    }
+    Batch::from_store(batch.bin_index, batch.start_ts, batch.duration_us, builder.finish())
+}
+
+/// Uniform packet sampling that copies every kept packet into a fresh batch:
+/// one RNG draw per packet, none at rate 0 or 1.
+pub fn clone_packet_sample(batch: &Batch, rate: f64, rng: &mut StdRng) -> (Batch, u64) {
+    let rate = rate.clamp(0.0, 1.0);
+    if rate >= 1.0 {
+        return (batch.clone(), 0);
+    }
+    if rate <= 0.0 {
+        return (
+            Batch::empty(batch.bin_index, batch.start_ts, batch.duration_us),
+            batch.len() as u64,
+        );
+    }
+    let sampled = filtered(batch, |_| rng.gen::<f64>() < rate);
+    let dropped = batch.len() as u64 - sampled.len() as u64;
+    (sampled, dropped)
+}
+
+/// Flow sampling that re-serialises every packet's 5-tuple key and copies
+/// the packets of kept flows into a fresh batch.
+pub fn clone_flow_sample(batch: &Batch, rate: f64, hasher: &H3Hasher) -> (Batch, u64) {
+    let rate = rate.clamp(0.0, 1.0);
+    if rate >= 1.0 {
+        return (batch.clone(), 0);
+    }
+    if rate <= 0.0 {
+        return (
+            Batch::empty(batch.bin_index, batch.start_ts, batch.duration_us),
+            batch.len() as u64,
+        );
+    }
+    let sampled = filtered(batch, |p| hasher.unit_interval(&p.tuple().as_key()) < rate);
+    let dropped = batch.len() as u64 - sampled.len() as u64;
+    (sampled, dropped)
+}
+
+// ---------------------------------------------------------------------------
+// FCBF one gathered column and one Pearson pass at a time.
+// ---------------------------------------------------------------------------
+
+/// Pearson linear correlation coefficient of two equally long series; 0 when
+/// either has zero variance (a constant predictor carries no linear
+/// information).
+pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
+    assert_eq!(x.len(), y.len(), "series length mismatch");
+    if x.len() < 2 {
+        return 0.0;
+    }
+    let mx = x.iter().sum::<f64>() / x.len() as f64;
+    let my = y.iter().sum::<f64>() / y.len() as f64;
+    let mut cov = 0.0;
+    let mut vx = 0.0;
+    let mut vy = 0.0;
+    for (a, b) in x.iter().zip(y) {
+        let da = a - mx;
+        let db = b - my;
+        cov += da * db;
+        vx += da * da;
+        vy += db * db;
+    }
+    if vx <= 0.0 || vy <= 0.0 {
+        return 0.0;
+    }
+    cov / (vx.sqrt() * vy.sqrt())
+}
+
+/// FCBF over the history: the selected feature indices, most relevant first,
+/// and every considered feature's |correlation| with the response.
+pub fn fcbf(
+    history: &History,
+    config: &FcbfConfig,
+    feature_count: usize,
+) -> (Vec<usize>, Vec<f64>) {
+    if history.len() < 2 {
+        return (Vec::new(), Vec::new());
+    }
+    let responses = history.responses();
+    let mut relevance = Vec::new();
+    let mut candidates: Vec<(usize, f64, Vec<f64>)> = Vec::new();
+    for index in 0..feature_count {
+        let column = history.feature_column(index);
+        let correlation = pearson(&column, &responses).abs();
+        relevance.push(correlation);
+        if correlation.is_finite() && correlation >= config.threshold {
+            candidates.push((index, correlation, column));
+        }
+    }
+    candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
+
+    // A candidate at least as correlated with a kept feature as with the
+    // response is redundant.
+    let mut selected: Vec<(usize, f64, Vec<f64>)> = Vec::new();
+    'outer: for candidate in candidates {
+        for kept in &selected {
+            if pearson(&candidate.2, &kept.2).abs() + 1e-9 >= candidate.1 {
+                continue 'outer;
+            }
+        }
+        selected.push(candidate);
+        if selected.len() >= config.max_features {
+            break;
+        }
+    }
+    (selected.into_iter().map(|(index, _, _)| index).collect(), relevance)
+}

@@ -3,71 +3,41 @@
 //! `fcbf_select_with` correlates all 42 features at once while walking the
 //! history's rows; `OlsWorkspace` solves in caller-owned memory. Both promise
 //! the *bits* of the column-at-a-time code they replaced, and every golden
-//! digest leans on that promise. This file holds the replaced algorithm as a
-//! test-only oracle — restated from `stats::pearson`, `ols_solve` and
-//! `Matrix::from_columns` — and checks the promise on synthetic histories
-//! built to hit the edge cases, on real extracted features end to end, on
-//! known-answer vectors captured before the rewrite, and checks that a
-//! crafted snapshot cannot smuggle a value into the history that `push`
-//! would have clamped.
+//! digest leans on that promise. The replaced selection lives in
+//! `tests/oracle/` (one gathered column and one Pearson pass at a time); this
+//! file restates the predictor around it — a from-scratch solve over
+//! `Matrix::from_columns` per prediction — and checks the promise on
+//! synthetic histories built to hit the edge cases, on real extracted
+//! features end to end, on known-answer vectors captured before the rewrite,
+//! and checks that a crafted snapshot cannot smuggle a value into the history
+//! that `push` would have clamped.
+
+mod oracle;
 
 use netshed::features::{FeatureExtractor, FeatureId, FeatureVector, FEATURE_COUNT};
-use netshed::linalg::stats::{mean, pearson};
-use netshed::linalg::{ols_solve, svd, Matrix};
-use netshed::monitor::packet_sample;
+use netshed::linalg::stats::mean;
+use netshed::linalg::{Matrix, OlsWorkspace, SvdWorkspace};
+use netshed::monitor::packet_sample_with;
 use netshed::predict::{
     clamp_sample, fcbf_select_with, FcbfConfig, FcbfScratch, History, MlrConfig, MlrPredictor,
     Predictor, RobustMlrConfig, RobustMlrPredictor, SlrPredictor, MAX_SAMPLE,
 };
 use netshed::queries::{build_query, CycleMeter, QueryKind};
 use netshed::sketch::{StateError, StateReader, StateWriter};
-use netshed::trace::{TraceConfig, TraceGenerator};
+use netshed::trace::{KeepListPool, TraceConfig, TraceGenerator};
+use oracle::{fcbf as oracle_fcbf, pearson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// ---------------------------------------------------------------------------
-// The oracle: FCBF one gathered column and one `pearson` call at a time.
-// ---------------------------------------------------------------------------
-
-/// Returns the selected indices and every feature's relevance.
-fn oracle_fcbf(
-    history: &History,
-    config: &FcbfConfig,
-    feature_count: usize,
-) -> (Vec<usize>, Vec<f64>) {
-    if history.len() < 2 {
-        return (Vec::new(), Vec::new());
-    }
-    let responses = history.responses();
-    let mut relevance = Vec::new();
-    let mut candidates: Vec<(usize, f64, Vec<f64>)> = Vec::new();
-    for index in 0..feature_count {
-        let column = history.feature_column(index);
-        let correlation = pearson(&column, &responses).abs();
-        relevance.push(correlation);
-        if correlation.is_finite() && correlation >= config.threshold {
-            candidates.push((index, correlation, column));
-        }
-    }
-    candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
-
-    let mut selected: Vec<(usize, f64, Vec<f64>)> = Vec::new();
-    'outer: for candidate in candidates {
-        for kept in &selected {
-            if pearson(&candidate.2, &kept.2).abs() + 1e-9 >= candidate.1 {
-                continue 'outer;
-            }
-        }
-        selected.push(candidate);
-        if selected.len() >= config.max_features {
-            break;
-        }
-    }
-    (selected.into_iter().map(|(index, _, _)| index).collect(), relevance)
+/// A least-squares fit on a workspace nothing else has used.
+fn fresh_fit(x: &Matrix, y: &[f64], rcond: f64) -> (OlsWorkspace, usize) {
+    let mut workspace = OlsWorkspace::default();
+    let rank = workspace.solve(x, y, rcond);
+    (workspace, rank)
 }
 
 /// `MlrPredictor::predict` restated over the oracle FCBF and a from-scratch
-/// `ols_solve`. It reads the history of the predictor under test, so it
+/// solve. It reads the history of the predictor under test, so it
 /// follows whatever that predictor (or its robust wrapper) stored.
 struct OracleMlr {
     config: MlrConfig,
@@ -99,8 +69,8 @@ impl OracleMlr {
 
         let mut columns = vec![vec![1.0; n]];
         columns.extend(self.selected.iter().map(|&feature| history.feature_column(feature)));
-        let fit =
-            ols_solve(&Matrix::from_columns(&columns), &history.responses(), self.config.rcond);
+        let (fit, _) =
+            fresh_fit(&Matrix::from_columns(&columns), &history.responses(), self.config.rcond);
 
         let correlation_cost = if reselected { n as u64 * FEATURE_COUNT as u64 } else { 0 };
         let k = self.selected.len() as u64 + 1;
@@ -216,6 +186,42 @@ fn fcbf_selects_what_the_column_at_a_time_oracle_selects() {
     assert!(selections > 1000, "the sweep must exercise real selections, got {selections}");
 }
 
+/// Re-homed from `netshed-predict` with the column-at-a-time Pearson pass it
+/// compared against.
+#[test]
+fn relevance_is_bit_identical_to_a_column_at_a_time_pearson() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut history = History::new(60);
+    for _ in 0..60 {
+        let mut f = FeatureVector::zeros();
+        f.set(FeatureId::Packets, rng.gen_range(100.0..2000.0));
+        f.set(FeatureId::Bytes, rng.gen_range(10_000.0..1_000_000.0));
+        f.set(FeatureId::from_index(2), rng.gen_range(0.0..500.0));
+        f.set(FeatureId::from_index(6), rng.gen_range(0.0..300.0));
+        history.push(f, 4.0 * f.packets() + 0.01 * f.bytes());
+    }
+    let mut scratch = FcbfScratch::default();
+    fcbf_select_with(&history, &FcbfConfig::default(), 42, &mut scratch);
+    let responses = history.responses();
+    for (index, got) in scratch.relevance().iter().enumerate() {
+        let expected = pearson(&history.feature_column(index), &responses).abs();
+        assert_eq!(got.to_bits(), expected.to_bits(), "feature {index}");
+    }
+}
+
+/// Re-homed from `netshed-linalg` with `stats::pearson`: the oracle's own
+/// known answers.
+#[test]
+fn pearson_detects_perfect_and_no_correlation() {
+    let x = [1.0, 2.0, 3.0, 4.0];
+    let y_pos = [2.0, 4.0, 6.0, 8.0];
+    let y_neg = [8.0, 6.0, 4.0, 2.0];
+    let y_const = [5.0, 5.0, 5.0, 5.0];
+    assert!((pearson(&x, &y_pos) - 1.0).abs() < 1e-12);
+    assert!((pearson(&x, &y_neg) + 1.0).abs() < 1e-12);
+    assert_eq!(pearson(&x, &y_const), 0.0);
+}
+
 #[test]
 fn fcbf_on_a_window_too_short_to_correlate_selects_nothing() {
     let mut scratch = FcbfScratch::default();
@@ -245,11 +251,16 @@ fn real_feature_stream(seed: u64, bins: usize, surge: f64) -> Vec<(FeatureVector
     let mut extractor = FeatureExtractor::with_defaults();
     let mut query = build_query(QueryKind::Flows);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5a5a);
+    let mut pool = KeepListPool::new();
     (0..bins)
         .map(|bin| {
             let batch = generator.next_batch();
             let full = batch.view();
-            let view = if bin % 2 == 0 { full } else { packet_sample(&full, 0.37, &mut rng).0 };
+            let view = if bin % 2 == 0 {
+                full
+            } else {
+                packet_sample_with(&full, 0.37, &mut rng, &mut pool).0
+            };
             let (features, _) = extractor.extract_view(&view);
             let mut meter = CycleMeter::new();
             query.process_batch(&view, 1.0, &mut meter);
@@ -351,7 +362,7 @@ fn slr_predictions_match_a_from_scratch_solve() {
                 vec![1.0; history.len()],
                 history.feature_column(FeatureId::Packets.index()),
             ]);
-            let fit = ols_solve(&design, &history.responses(), 1e-9);
+            let (fit, _) = fresh_fit(&design, &history.responses(), 1e-9);
             fit.predict(&[1.0, clamp_sample(features.packets())]).max(0.0)
         };
         let got = slr.predict(features);
@@ -362,8 +373,8 @@ fn slr_predictions_match_a_from_scratch_solve() {
 }
 
 // ---------------------------------------------------------------------------
-// (c) Known answers for `svd` / `ols_solve`, captured before the kernels
-// moved into caller-owned workspaces.
+// (c) Known answers for the SVD and the least-squares solve, captured before
+// the kernels moved into caller-owned workspaces.
 // ---------------------------------------------------------------------------
 
 struct KnownAnswer {
@@ -482,7 +493,7 @@ fn lcg_unit(state: &mut u64) -> f64 {
     (*state >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The five fixed inputs of the `svd` / `ols_solve` known-answer test:
+/// The five fixed inputs of the SVD / least-squares known-answer test:
 /// (name, design matrix, response, rcond).
 fn known_answer_inputs() -> Vec<(&'static str, Matrix, Vec<f64>, f64)> {
     let small = Matrix::from_rows(&[
@@ -541,14 +552,15 @@ fn svd_and_ols_reproduce_the_known_answers() {
     assert_eq!(inputs.len(), KNOWN_ANSWERS.len());
     for ((name, x, y, rcond), answer) in inputs.iter().zip(&KNOWN_ANSWERS) {
         assert_eq!(*name, answer.name);
-        let decomposition = svd(x);
+        let mut workspace = SvdWorkspace::default();
+        let decomposition = workspace.decompose(x);
         assert_eq!(bits(&decomposition.singular_values), answer.singular_values, "{name}: s");
         let v: Vec<f64> =
             (0..decomposition.v.cols()).flat_map(|j| decomposition.v.column(j).to_vec()).collect();
         assert_eq!(bits(&v), answer.v, "{name}: v");
-        let fit = ols_solve(x, y, *rcond);
-        assert_eq!(bits(&fit.coefficients), answer.coefficients, "{name}: coefficients");
-        assert_eq!(fit.rank, answer.rank, "{name}: rank");
+        let (fit, rank) = fresh_fit(x, y, *rcond);
+        assert_eq!(bits(fit.coefficients()), answer.coefficients, "{name}: coefficients");
+        assert_eq!(rank, answer.rank, "{name}: rank");
     }
 }
 

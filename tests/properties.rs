@@ -1,14 +1,18 @@
 //! Property-based tests of the core data structures and invariants.
 
+mod oracle;
+
 use netshed::fairness::{eq_srates, mmfs_cpu, mmfs_pkt, Allocation, QueryDemand};
-use netshed::linalg::{ols_solve, Matrix};
-use netshed::monitor::{flow_sample, packet_sample};
+use netshed::linalg::{Matrix, OlsWorkspace};
+use netshed::monitor::{flow_sample_with, packet_sample_with};
 use netshed::monitor::{Monitor, PredictorKind};
-use netshed::sketch::{mix64, H3Hasher, MultiResolutionBitmap};
-use netshed::trace::{Batch, BatchBuilder, FiveTuple, Packet, TraceConfig, TraceGenerator};
-// The historical clone-based samplers, the reference the zero-copy view path
-// must match bit for bit.
-use netshed_bench::baseline::{clone_flow_sample, clone_packet_sample};
+use netshed::sketch::{mix64, BitmapGeometry, H3Hasher, MultiResolutionBitmap};
+use netshed::trace::{
+    Batch, BatchBuilder, BatchView, FiveTuple, KeepListPool, Packet, TraceConfig, TraceGenerator,
+};
+// The seed's copy-out samplers, the reference the zero-copy view path must
+// match bit for bit.
+use oracle::{clone_flow_sample, clone_packet_sample};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,14 +22,19 @@ fn shed_test_batch(seed: u64) -> Batch {
         .next_batch()
 }
 
+fn flow_sample(view: &BatchView, rate: f64, hasher: &H3Hasher) -> (BatchView, u64) {
+    flow_sample_with(view, rate, hasher, &mut KeepListPool::new())
+}
+
 proptest! {
     /// The multi-resolution bitmap estimate stays within a reasonable
     /// relative error across two orders of magnitude of cardinality.
     #[test]
     fn multiresolution_bitmap_estimates_within_bounds(n in 200usize..20_000, salt in 0u64..1000) {
-        let mut bitmap = MultiResolutionBitmap::for_cardinality(50_000);
+        let geometry = BitmapGeometry::for_cardinality(50_000);
+        let mut bitmap = MultiResolutionBitmap::with_geometry(geometry);
         for i in 0..n {
-            bitmap.insert_hash(mix64(i as u64 ^ (salt << 32)));
+            bitmap.insert_slot(geometry.slot(mix64(i as u64 ^ (salt << 32))));
         }
         let estimate = bitmap.estimate();
         let error = (estimate - n as f64).abs() / n as f64;
@@ -122,7 +131,8 @@ proptest! {
         let batch = shed_test_batch(trace_seed);
 
         let mut view_rng = StdRng::seed_from_u64(rng_seed);
-        let (view, view_dropped) = packet_sample(&batch.view(), rate, &mut view_rng);
+        let (view, view_dropped) =
+            packet_sample_with(&batch.view(), rate, &mut view_rng, &mut KeepListPool::new());
         let mut clone_rng = StdRng::seed_from_u64(rng_seed);
         let (cloned, clone_dropped) = clone_packet_sample(&batch, rate, &mut clone_rng);
 
@@ -245,9 +255,9 @@ proptest! {
     /// arbitrary packet mix, every column round-trips back to the source
     /// packet, the eager flow-key column matches per-packet serialisation,
     /// the eager stats match a scalar fold over the packets, the cached
-    /// aggregate-slot rows match the padded-key `hash_bytes` reference, and
-    /// the fused extractor's output over the store matches the historical
-    /// ten-pass extractor walking packet structs.
+    /// aggregate-slot rows match the oracle's padded-key hashes located by
+    /// locate-then-modulo, and the fused extractor's output over the store
+    /// matches the ten-pass oracle walking packet structs.
     #[test]
     fn soa_store_is_equivalent_to_packetwise_construction(
         rows in proptest::collection::vec(
@@ -256,10 +266,9 @@ proptest! {
              (0u8..32, 0u8..2, 1u8..32)),
             1..120,
         ),
-        hash_seed in 0u64..500,
     ) {
-        use netshed::trace::{aggregate_hash_seed, Aggregate, Bytes};
-        use netshed::sketch::{hash_bytes, BitmapGeometry};
+        use netshed::features::{AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY};
+        use netshed::trace::Bytes;
 
         let mut packets: Vec<Packet> = rows
             .iter()
@@ -299,24 +308,21 @@ proptest! {
         prop_assert_eq!(stats.tcp_packets, packets.iter().filter(|p| p.is_proto(6)).count() as u64);
         prop_assert_eq!(stats.udp_packets, packets.iter().filter(|p| p.is_proto(17)).count() as u64);
 
-        // Cached slot rows vs the padded-key reference (an independent code
-        // path: `Aggregate::key` + `hash_bytes` instead of the incremental
-        // per-field hasher the store uses), located in the same geometry.
-        let geometry = BitmapGeometry::for_cardinality(200_000);
-        let rows = batch.packets.aggregate_slots(hash_seed, geometry).rows().expect("fresh cache");
-        for (packet, row) in packets.iter().zip(rows) {
-            for (index, aggregate) in Aggregate::ALL.iter().enumerate() {
-                let expected = hash_bytes(
-                    &aggregate.key(&packet.tuple),
-                    aggregate_hash_seed(hash_seed, index),
-                );
-                prop_assert_eq!(row.as_array()[index], geometry.slot(expected));
+        // Cached slot rows vs the oracle (an independent code path: one
+        // padded key and one `hash_bytes` call per aggregate instead of the
+        // incremental per-field hasher, locate-then-modulo on one bitmap per
+        // component instead of the flat geometry).
+        let reference = oracle::ReferenceBitmap::for_cardinality(AGGREGATE_MAX_CARDINALITY);
+        for (packet, row) in packets.iter().zip(batch.packets.aggregate_slots()) {
+            for (index, &slot) in row.as_array().iter().enumerate() {
+                let expected = oracle::aggregate_hash(index, &packet.tuple, AGGREGATE_HASH_SEED);
+                prop_assert_eq!(usize::from(slot), reference.slot(expected));
             }
         }
 
         // Fused extraction over the store vs the ten-pass packet walk.
         let mut fused = netshed::features::FeatureExtractor::with_defaults();
-        let mut tenpass = netshed_bench::baseline::TenPassExtractor::with_defaults();
+        let mut tenpass = oracle::TenPassExtractor::with_defaults();
         let (fused_vector, fused_ops) = fused.extract(&batch);
         let (tenpass_vector, tenpass_ops) = tenpass.extract(&batch);
         prop_assert_eq!(fused_ops, tenpass_ops);
@@ -343,10 +349,23 @@ proptest! {
         prop_assume!(spread > 1.0);
         let rows: Vec<Vec<f64>> = xs.iter().map(|x| vec![1.0, *x]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| a + b * x).collect();
-        let fit = ols_solve(&Matrix::from_rows(&rows), &ys, 1e-12);
-        prop_assert!((fit.coefficients[0] - a).abs() < 1e-6 * (1.0 + a.abs()));
-        prop_assert!((fit.coefficients[1] - b).abs() < 1e-6 * (1.0 + b.abs()));
+        let mut fit = OlsWorkspace::default();
+        fit.solve(&Matrix::from_rows(&rows), &ys, 1e-12);
+        prop_assert!((fit.coefficients()[0] - a).abs() < 1e-6 * (1.0 + a.abs()));
+        prop_assert!((fit.coefficients()[1] - b).abs() < 1e-6 * (1.0 + b.abs()));
     }
+}
+
+/// Re-homed from `netshed-trace` with `Batch::filtered`: the copy-out
+/// oracle keeps the bin it copies from.
+#[test]
+fn filtered_preserves_bin_identity() {
+    let pkt = |ts| Packet::header_only(ts, FiveTuple::new(1, 2, 3, 4, 6), 100, 0);
+    let batch = Batch::new(7, 700_000, 100_000, vec![pkt(0), pkt(10), pkt(20)]);
+    let half = oracle::filtered(&batch, |p| p.ts() >= 10);
+    assert_eq!(half.bin_index, 7);
+    assert_eq!(half.start_ts, 700_000);
+    assert_eq!(half.len(), 2);
 }
 
 /// The worker-count half of the flow-sampling contract: the flows query's

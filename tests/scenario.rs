@@ -124,7 +124,7 @@ fn builtin_scenarios_are_reachable_from_the_facade() {
 }
 
 #[test]
-fn multi_link_tail_keeps_remaining_hint_consistent() {
+fn multi_link_tail_runs_to_the_end_of_the_longest_link() {
     let scenario = Scenario::new("tails")
         .seed(8)
         .link(Link::new("long").phase(Phase::new("p", 6).profile(TraceProfile::CescaI).scale(0.05)))
@@ -136,7 +136,7 @@ fn multi_link_tail_keeps_remaining_hint_consistent() {
     while let Some(batch) = source.next_batch() {
         assert_eq!(batch.bin_index, seen);
         seen += 1;
-        assert_eq!(source.remaining_hint(), Some((6 - seen) as usize));
     }
+    assert_eq!(seen, source.total_bins());
     assert_eq!(seen, 6);
 }
