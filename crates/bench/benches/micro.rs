@@ -13,7 +13,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netshed_features::{FeatureExtractor, FEATURE_COUNT};
 use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{flow_sample_with, packet_sample_with};
-use netshed_predict::{fcbf_select_with, FcbfConfig, FcbfScratch, MlrPredictor, Predictor};
+use netshed_predict::{
+    fcbf_select_in, fcbf_select_with, FcbfConfig, FcbfScratch, FeatureWindow, History,
+    MlrPredictor, Predictor,
+};
 use netshed_queries::{build_query, BoyerMoore, CycleMeter, QueryKind};
 use netshed_sketch::{mix64, BitmapGeometry, H3Hasher, MultiResolutionBitmap};
 use netshed_trace::{Batch, KeepListPool, TraceConfig, TraceGenerator};
@@ -55,11 +58,16 @@ fn bench_prediction(c: &mut Criterion) {
     let mut query = build_query(QueryKind::Flows);
     let mut predictor = MlrPredictor::with_defaults();
     let mut history = Vec::new();
+    // The same observations in a history aligned with a shared window.
+    let mut shared = FeatureWindow::new();
+    let mut aligned = History::new(FeatureWindow::ROWS);
     for batch in &batches {
         let (features, _) = extractor.extract(batch);
         let mut meter = CycleMeter::new();
         query.process_batch(&batch.view(), 1.0, &mut meter);
         predictor.observe(&features, meter.cycles() as f64);
+        shared.push(&features);
+        aligned.push_newest(&shared, meter.cycles() as f64);
         history.push(features);
     }
     let last = *history.last().unwrap();
@@ -76,6 +84,17 @@ fn bench_prediction(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 fcbf_select_with(window, &FcbfConfig::default(), FEATURE_COUNT, &mut scratch).len(),
+            )
+        });
+    });
+    // The same selection when another query has already read the shared
+    // window this bin: only the response side is left to compute.
+    assert!(aligned.aligned_with(&shared));
+    c.bench_function("fcbf_response_side_60x42", |b| {
+        b.iter(|| {
+            let config = FcbfConfig::default();
+            black_box(
+                fcbf_select_in(&aligned, Some(&shared), &config, FEATURE_COUNT, &mut scratch).len(),
             )
         });
     });

@@ -104,8 +104,10 @@ impl Config {
                 "crates/monitor/src/exec.rs",
                 // The prediction plane: every query pays one FCBF selection
                 // and one least-squares solve per bin, out of scratch its
-                // predictor owns.
+                // predictor owns — or out of the engine's shared feature
+                // window, which recomputes its cache in place every bin.
                 "crates/predict/src/fcbf.rs",
+                "crates/predict/src/window.rs",
                 "crates/linalg/src/svd.rs",
                 "crates/linalg/src/ols.rs",
             ]),

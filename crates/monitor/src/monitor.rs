@@ -14,7 +14,7 @@ use crate::report::{BinRecord, QueryBinRecord, RunSummary};
 use crate::shedder::{flow_sample_with, packet_sample_with};
 use netshed_fairness::QueryDemand;
 use netshed_features::{ExtractorConfig, FeatureExtractor, FeatureVector};
-use netshed_predict::Predictor;
+use netshed_predict::{FeatureWindow, Predictor};
 use netshed_queries::{
     build_query_from_spec, CycleMeter, MeasurementNoise, NoiseDraw, Query, QueryOutput, QuerySpec,
     SheddingMethod,
@@ -199,13 +199,15 @@ impl RegisteredQuery {
         }
     }
 
-    /// Predict task: the full-batch cost from the shared feature vector.
-    /// A penalised query is not predicted (and charged nothing for it).
-    fn predict(&mut self, features: &FeatureVector) {
+    /// Predict task: the full-batch cost from the shared feature vector,
+    /// against the window of the bins before this one. A penalised query is
+    /// not predicted (and charged nothing for it).
+    fn predict(&mut self, window: &FeatureWindow, features: &FeatureVector) {
         (self.bin.predicted, self.bin.predict_ops) = if self.penalty_remaining > 0 {
             (0.0, 0)
         } else {
-            (self.predictor.predict(features), self.predictor.last_cost_operations())
+            let predicted = self.predictor.predict_shared(window, features);
+            (predicted, self.predictor.last_cost_operations())
         };
     }
 
@@ -223,9 +225,10 @@ impl RegisteredQuery {
     }
 
     /// Tail task: shed, re-extract, run the query, apply the pre-drawn noise
-    /// and feed the observation back into the prediction history. A query
+    /// and feed the observation back into the prediction history — against
+    /// `window`, whose newest row is this bin's full-batch vector. A query
     /// the plan sat out is walked and left untouched.
-    fn run_tail(&mut self, post_drop: &BatchView, features: &FeatureVector) {
+    fn run_tail(&mut self, post_drop: &BatchView, window: &FeatureWindow) {
         let Some((rate, noise)) = self.bin.run else { return };
         let (delivered, resampled) = match self.bin.sampled.take() {
             Some(sampled) => (sampled, true),
@@ -260,18 +263,23 @@ impl RegisteredQuery {
         // Feed the observation back into the prediction history. For custom
         // shedding the assigned rate plays the same role as a sampling rate:
         // the query is expected to scale its work by it.
-        let history_features = sampled_features.as_ref().unwrap_or(features);
-        if outlier {
+        let (cycles, corrupted) = if outlier {
             // Replace corrupted measurements with the prediction
             // (Section 3.2.4 / 4.4).
-            let expected = self.bin.predicted * rate;
-            self.predictor.observe_corrupted(history_features, expected.max(0.0));
+            ((self.bin.predicted * rate).max(0.0), true)
         } else if self.shedding == SheddingMethod::Custom && rate < 1.0 {
             // Custom shedding: the history models the full-batch cost, so
             // scale the measurement by the requested rate.
-            self.predictor.observe(features, measured / rate.max(1e-6));
+            (measured / rate.max(1e-6), false)
         } else {
-            self.predictor.observe(history_features, measured);
+            (measured, false)
+        };
+        match sampled_features {
+            // Nothing was re-extracted (full rate, or custom shedding): the
+            // row to store is the bin's shared vector, taken from the window.
+            None => self.predictor.observe_shared(window, cycles, corrupted),
+            Some(row) if corrupted => self.predictor.observe_corrupted(&row, cycles),
+            Some(row) => self.predictor.observe(&row, cycles),
         }
         self.bin.measured = measured;
         self.bin.outlier = outlier;
@@ -312,6 +320,10 @@ pub struct Monitor {
     /// Keep-list pool for the plan-phase shed views (capture-buffer overflow
     /// and packet sampling), recycled across bins.
     shed_pool: KeepListPool,
+    /// The last full-batch feature rows, with the feature side of FCBF
+    /// computed once per bin for every predictor still aligned with it. A
+    /// cache: neither snapshot nor digest state.
+    window: FeatureWindow,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -357,6 +369,7 @@ impl Monitor {
             next_query_id: 0,
             exec_stats: ExecStats::default(),
             shed_pool: KeepListPool::new(),
+            window: FeatureWindow::new(),
             config,
         }
     }
@@ -623,12 +636,17 @@ impl Monitor {
         let mut prediction_cycles = extraction_ops * FEATURE_OP_CYCLES;
 
         // Per-query predictions of the full-batch cost. Every predictor owns
-        // its history and reads only the shared feature vector, so the
-        // predictions — FCBF selection plus an OLS solve each under the
-        // default MLR — are fanned out across the execution plane; the fold
-        // below collects values and cost accounting in registration order,
-        // so the result is bit-identical to the sequential loop.
-        let mut dispatch_ns = self.dispatch(|query| query.predict(&features));
+        // its history and otherwise only reads — the shared feature vector,
+        // and the feature window, whose lazily cached moments hold the same
+        // value whichever task fills them — so the predictions (FCBF
+        // selection plus an OLS solve each under the default MLR) are fanned
+        // out across the execution plane; the fold below collects values and
+        // cost accounting in registration order, so the result is
+        // bit-identical to the sequential loop. The window takes this bin's
+        // vector only after the predictions: they regress over the bins
+        // before it.
+        let mut dispatch_ns = self.dispatch(|query, window| query.predict(window, &features));
+        self.window.push(&features);
         let mut dispatched_tasks = self.queries.len();
         let mut predictions = Vec::with_capacity(self.queries.len());
         for registered in &self.queries {
@@ -643,7 +661,7 @@ impl Monitor {
         // Every twin is independent deterministic state, so the measurements
         // are fanned out across the execution plane and collected by index.
         let measured_full: Option<Vec<f64>> = if self.policy.needs_measured_cycles() {
-            dispatch_ns += self.dispatch(|query| query.measure_shadow(&post_drop));
+            dispatch_ns += self.dispatch(|query, _| query.measure_shadow(&post_drop));
             dispatched_tasks += self.queries.len();
             Some(self.queries.iter().map(|registered| registered.bin.shadow_cycles).collect())
         } else {
@@ -758,7 +776,7 @@ impl Monitor {
         }
 
         // Dispatch the expensive tail across the execution plane.
-        dispatch_ns += self.dispatch(|query| query.run_tail(&post_drop, &features));
+        dispatch_ns += self.dispatch(|query, window| query.run_tail(&post_drop, window));
         dispatched_tasks += self.queries.len();
 
         // Merge in registration order: every sum below folds in exactly the
@@ -862,12 +880,14 @@ impl Monitor {
         })
     }
 
-    /// Fans `run` out over the registered queries on the execution plane and
-    /// returns the dispatch's wall nanoseconds.
-    fn dispatch(&mut self, run: impl Fn(&mut RegisteredQuery) + Sync) -> u64 {
+    /// Fans `run` out over the registered queries on the execution plane,
+    /// each beside the shared feature window, and returns the dispatch's
+    /// wall nanoseconds.
+    fn dispatch(&mut self, run: impl Fn(&mut RegisteredQuery, &FeatureWindow) + Sync) -> u64 {
         // lint:allow(telemetry-clock): dispatch wall time is ExecStats telemetry only; the merge stays registration-ordered
         let start = Instant::now();
-        exec::run_tasks(self.config.workers, &mut self.queries, run);
+        let window = &self.window;
+        exec::run_tasks(self.config.workers, &mut self.queries, |query| run(query, window));
         start.elapsed().as_nanos() as u64
     }
 

@@ -13,7 +13,8 @@
 //!    is more correlated with the current predictor than with the response is
 //!    removed.
 
-use crate::history::History;
+use crate::history::{History, RowRing};
+use crate::window::FeatureWindow;
 use netshed_features::FEATURE_COUNT;
 
 /// Configuration of the FCBF feature selection.
@@ -44,7 +45,8 @@ pub struct FcbfScratch {
     /// Features that cleared the threshold, with their relevance.
     candidates: Vec<(usize, f64)>,
     /// Per kept feature, in keep order: the covariance sum of every column
-    /// with that feature's column.
+    /// with that feature's column. Filled only by a selection that reads
+    /// its own rows; a shared window keeps these for everyone.
     kept_covariances: Vec<[f64; FEATURE_COUNT]>,
     selected: Vec<usize>,
 }
@@ -57,6 +59,32 @@ impl FcbfScratch {
     pub fn relevance(&self) -> &[f64] {
         &self.relevance
     }
+}
+
+/// The feature side of every Pearson coefficient FCBF takes over a window
+/// of rows: per column, the mean, the sum of squared deviations from it and
+/// that sum's square root. None of it depends on a response.
+#[derive(Debug)]
+pub(crate) struct ColumnMoments {
+    pub(crate) mean: [f64; FEATURE_COUNT],
+    pub(crate) variance: [f64; FEATURE_COUNT],
+    pub(crate) deviation: [f64; FEATURE_COUNT],
+}
+
+/// Every column's mean over `rows`, oldest row first. `-0.0` is where
+/// `Iterator::sum` starts; against `0.0` it can only flip the sign of an
+/// all-zero column's mean, which the squares taken of it discard.
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn column_means(rows: &RowRing) -> [f64; FEATURE_COUNT] {
+    let count = rows.len() as f64;
+    let mut sum = [-0.0; FEATURE_COUNT];
+    for row in rows.iter() {
+        let row = row.as_array();
+        for j in 0..FEATURE_COUNT {
+            sum[j] += row[j];
+        }
+    }
+    sum.map(|total| total / count)
 }
 
 /// Selects predictor feature indices from the history using FCBF, into
@@ -83,10 +111,35 @@ impl FcbfScratch {
 /// # Panics
 ///
 /// Panics if `feature_count` exceeds [`FEATURE_COUNT`].
-// Each loop below indexes several lane arrays at once.
-#[allow(clippy::needless_range_loop)]
 pub fn fcbf_select_with<'s>(
     history: &History,
+    config: &FcbfConfig,
+    feature_count: usize,
+    scratch: &'s mut FcbfScratch,
+) -> &'s [usize] {
+    fcbf_select_in(history, None, config, feature_count, scratch)
+}
+
+/// [`fcbf_select_with`] for a history that may be
+/// [aligned](History::aligned_with) with a shared `window`: when it is, the
+/// feature-side moments — column means, variances and deviations, the
+/// centred rows, the covariance row of each kept feature — are read from the
+/// window, which computed them once for every aligned history; when it is
+/// not (or there is no window), they are computed from the history's own
+/// rows. Either way the selection body is this one function and every value
+/// it compares is the result of the same IEEE operations on the same
+/// operands in the same order: the window centres a row as `row[j] -
+/// mean[j]` and this function multiplies the stored difference, where the
+/// private pass multiplies the difference as it takes it.
+///
+/// # Panics
+///
+/// Panics if `feature_count` exceeds [`FEATURE_COUNT`].
+// Each loop below indexes several lane arrays at once.
+#[allow(clippy::needless_range_loop)]
+pub fn fcbf_select_in<'s>(
+    history: &History,
+    window: Option<&FeatureWindow>,
     config: &FcbfConfig,
     feature_count: usize,
     scratch: &'s mut FcbfScratch,
@@ -99,46 +152,47 @@ pub fn fcbf_select_with<'s>(
     if history.len() < 2 {
         return selected;
     }
+    let window = window.filter(|window| history.aligned_with(window));
     let count = history.len() as f64;
 
-    // Pass 0: centre the response once. `-0.0` is where `Iterator::sum`
-    // starts; against `0.0` it can only flip the sign of an all-zero
-    // column's mean, which the squares below discard.
+    // Pass 0: centre the response once (`-0.0` as in `column_means`).
     let mut response_sum = -0.0;
-    for (_, response) in history.iter() {
+    for response in history.response_side() {
         response_sum += response;
     }
     let response_mean = response_sum / count;
     centred_responses.clear();
     let mut response_variance = 0.0;
-    for (_, response) in history.iter() {
+    for response in history.response_side() {
         let db = response - response_mean;
         response_variance += db * db;
         centred_responses.push(db);
     }
 
-    // Pass 1: every column's mean.
-    let mut sum = [-0.0; FEATURE_COUNT];
-    for (features, _) in history.iter() {
-        let row = features.as_array();
-        for j in 0..FEATURE_COUNT {
-            sum[j] += row[j];
+    // Every column's covariance with the response, and its moments.
+    let own;
+    let (covariance, columns) = if let Some(window) = window {
+        // The response side only: one pass over the window's centred rows.
+        let moments = window.moments();
+        (moments.covariance_with_response(centred_responses), &moments.columns)
+    } else {
+        // Both sides: pass 1 for the means, pass 2 for covariance and
+        // variance together.
+        let mean = column_means(history.rows());
+        let mut covariance = [0.0; FEATURE_COUNT];
+        let mut variance = [0.0; FEATURE_COUNT];
+        for (features, db) in history.rows().iter().zip(centred_responses.iter()) {
+            let row = features.as_array();
+            for j in 0..FEATURE_COUNT {
+                let da = row[j] - mean[j];
+                covariance[j] += da * db;
+                variance[j] += da * da;
+            }
         }
-    }
-    let mean = sum.map(|total| total / count);
-
-    // Pass 2: every column's covariance with the response, and its variance.
-    let mut covariance = [0.0; FEATURE_COUNT];
-    let mut variance = [0.0; FEATURE_COUNT];
-    for ((features, _), db) in history.iter().zip(centred_responses.iter()) {
-        let row = features.as_array();
-        for j in 0..FEATURE_COUNT {
-            let da = row[j] - mean[j];
-            covariance[j] += da * db;
-            variance[j] += da * da;
-        }
-    }
-    let deviation = variance.map(f64::sqrt);
+        own = ColumnMoments { mean, variance, deviation: variance.map(f64::sqrt) };
+        (covariance, &own)
+    };
+    let ColumnMoments { mean, variance, deviation } = columns;
     let response_deviation = response_variance.sqrt();
 
     // Phase 1: relevance.
@@ -163,25 +217,31 @@ pub fn fcbf_select_with<'s>(
 
     // Phase 2: redundancy removal. A kept feature costs one more row pass —
     // its covariance with every column at once — made when the first later
-    // candidate gets as far as being tested against it.
+    // candidate gets as far as being tested against it (and, against a
+    // window, by the first aligned history of the bin to get there).
     kept_covariances.clear();
     'outer: for &(index, correlation) in candidates.iter() {
         for (position, &kept) in selected.iter().enumerate() {
-            if position == kept_covariances.len() {
-                let mut with_kept = [0.0; FEATURE_COUNT];
-                for (features, _) in history.iter() {
-                    let row = features.as_array();
-                    let db = row[kept] - mean[kept];
-                    for j in 0..FEATURE_COUNT {
-                        with_kept[j] += (row[j] - mean[j]) * db;
+            let with_kept = if let Some(window) = window {
+                window.covariance_with(kept)
+            } else {
+                if position == kept_covariances.len() {
+                    let mut with_kept = [0.0; FEATURE_COUNT];
+                    for features in history.rows().iter() {
+                        let row = features.as_array();
+                        let db = row[kept] - mean[kept];
+                        for j in 0..FEATURE_COUNT {
+                            with_kept[j] += (row[j] - mean[j]) * db;
+                        }
                     }
+                    kept_covariances.push(with_kept);
                 }
-                kept_covariances.push(with_kept);
-            }
+                &kept_covariances[position]
+            };
             let mutual = if variance[index] <= 0.0 || variance[kept] <= 0.0 {
                 0.0
             } else {
-                (kept_covariances[position][index] / (deviation[index] * deviation[kept])).abs()
+                (with_kept[index] / (deviation[index] * deviation[kept])).abs()
             };
             // If the candidate is at least as correlated with an already
             // selected predictor as with the response, it is redundant. The

@@ -1,9 +1,71 @@
 //! Sliding window of (features, observed cycles) observations.
 
 use crate::guard::{clamp_features, clamp_sample, MAX_SAMPLE};
+use crate::window::FeatureWindow;
 use netshed_features::{FeatureVector, FEATURE_COUNT};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use std::collections::VecDeque;
+
+/// A bounded ring of sanitised feature rows, oldest first: the feature side
+/// of a [`History`] and the rows of a [`FeatureWindow`]. Whoever pushes
+/// sanitises; the ring only evicts.
+#[derive(Debug, Clone)]
+pub(crate) struct RowRing {
+    capacity: usize,
+    rows: VecDeque<FeatureVector>,
+}
+
+impl RowRing {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self { capacity, rows: VecDeque::with_capacity(capacity) }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Appends a row, evicting the oldest one if full.
+    pub(crate) fn push(&mut self, row: &FeatureVector) {
+        if self.rows.len() == self.capacity {
+            self.rows.pop_front();
+        }
+        self.rows.push_back(*row);
+    }
+
+    pub(crate) fn pop_oldest(&mut self) {
+        self.rows.pop_front();
+    }
+
+    pub(crate) fn newest(&self) -> Option<&FeatureVector> {
+        self.rows.back()
+    }
+
+    /// The rows from oldest to newest.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &FeatureVector> + Clone {
+        self.rows.iter()
+    }
+
+    /// Writes one feature's column into `out`, one slot per row.
+    pub(crate) fn fill_column(&self, feature_index: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len(), "column buffer must match the row count");
+        for (slot, row) in out.iter_mut().zip(&self.rows) {
+            *slot = row.get_index(feature_index);
+        }
+    }
+}
+
+/// The trailing rows a [`History`] copied out of one [`FeatureWindow`] on
+/// consecutive pushes of that window.
+#[derive(Debug, Clone, Copy)]
+struct SharedRun {
+    /// Identity of the window the rows came from.
+    window: u64,
+    /// Sequence number of the newest of them.
+    newest: u64,
+    /// How many of the history's newest rows the run covers (it keeps
+    /// counting past the capacity; only `>= len` is ever asked of it).
+    rows: usize,
+}
 
 /// The regression history of one query: the most recent `capacity`
 /// observations of (feature vector, CPU cycles actually used).
@@ -11,32 +73,43 @@ use std::collections::VecDeque;
 /// Section 3.3.1 of the paper studies the history length trade-off and
 /// settles on 60 observations (6 s of 100 ms batches), which is the default
 /// used by [`crate::MlrConfig`].
+///
+/// Rows and responses live in two rings: the response side is a query's own
+/// and is walked on its own every bin, while the feature side is, in an
+/// unshed bin, the same row every query stores — which is what
+/// [`History::aligned_with`] lets a predictor exploit.
 #[derive(Debug, Clone)]
 pub struct History {
-    capacity: usize,
-    entries: VecDeque<(FeatureVector, f64)>,
+    rows: RowRing,
+    responses: VecDeque<f64>,
+    /// Not part of a snapshot: a restored history starts unaligned.
+    shared: Option<SharedRun>,
 }
 
 impl History {
     /// Creates an empty history holding at most `capacity` observations.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "history capacity must be positive");
-        Self { capacity, entries: VecDeque::with_capacity(capacity) }
+        Self {
+            rows: RowRing::new(capacity),
+            responses: VecDeque::with_capacity(capacity),
+            shared: None,
+        }
     }
 
     /// Maximum number of observations retained.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.rows.capacity
     }
 
     /// Number of observations currently stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// Returns `true` if no observations are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Appends an observation, evicting the oldest one if full.
@@ -47,10 +120,43 @@ impl History {
     /// solve. The clamp is the identity for everything benign traffic
     /// produces.
     pub fn push(&mut self, features: FeatureVector, cycles: f64) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
+        self.shared = None;
+        self.store(&clamp_features(&features), cycles);
+    }
+
+    /// Appends the newest row of `window` (sanitised when the window took
+    /// it) with this query's `cycles`, and extends the run of rows shared
+    /// with that window when the row follows the previous one it took.
+    pub fn push_newest(&mut self, window: &FeatureWindow, cycles: f64) {
+        let (id, newest) = window.stamp();
+        let rows = match self.shared {
+            Some(run) if run.window == id && run.newest + 1 == newest => run.rows + 1,
+            _ => 1,
+        };
+        self.shared = Some(SharedRun { window: id, newest, rows });
+        self.store(window.newest(), cycles);
+    }
+
+    fn store(&mut self, row: &FeatureVector, cycles: f64) {
+        if self.len() == self.capacity() {
+            self.responses.pop_front();
         }
-        self.entries.push_back((clamp_features(&features), clamp_sample(cycles)));
+        self.rows.push(row);
+        self.responses.push_back(clamp_sample(cycles));
+    }
+
+    /// Whether this history's rows are exactly `window`'s rows: every row
+    /// was copied from that window on consecutive pushes, the newest of them
+    /// is the window's newest, and the two hold equally many. A shared row
+    /// enters a history only by copy from the window itself
+    /// ([`History::push_newest`]), so nothing is compared — the three
+    /// conditions are the proof — and a predictor for which they hold may
+    /// read the window's feature-side moments in place of its own.
+    pub fn aligned_with(&self, window: &FeatureWindow) -> bool {
+        self.len() == window.len()
+            && self.shared.is_some_and(|run| {
+                (run.window, run.newest) == window.stamp() && run.rows >= self.len()
+            })
     }
 
     /// Drops the oldest observations, keeping at most the newest `keep`.
@@ -60,19 +166,30 @@ impl History {
     /// the stale pre-shift window is what keeps the regression wrong, so it
     /// is discarded and the model relearns from the newest observations.
     pub fn forget_oldest(&mut self, keep: usize) {
-        while self.entries.len() > keep {
-            self.entries.pop_front();
+        while self.len() > keep {
+            self.rows.pop_oldest();
+            self.responses.pop_front();
         }
     }
 
     /// Iterates over the stored observations from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &(FeatureVector, f64)> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (&FeatureVector, f64)> {
+        self.rows.iter().zip(self.responses.iter().copied())
+    }
+
+    /// The feature side, oldest row first.
+    pub(crate) fn rows(&self) -> &RowRing {
+        &self.rows
+    }
+
+    /// The response side (observed cycles), oldest first.
+    pub(crate) fn response_side(&self) -> impl Iterator<Item = f64> + '_ {
+        self.responses.iter().copied()
     }
 
     /// Returns the response column (observed cycles) as a vector.
     pub fn responses(&self) -> Vec<f64> {
-        self.entries.iter().map(|(_, y)| *y).collect()
+        self.responses.iter().copied().collect()
     }
 
     /// Writes the response column into `out`, reusing its allocation.
@@ -81,12 +198,12 @@ impl History {
     /// per-bin prediction hot path.
     pub fn fill_responses(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.entries.iter().map(|(_, y)| *y));
+        out.extend(self.responses.iter());
     }
 
     /// Returns the values of the feature at `feature_index` across the history.
     pub fn feature_column(&self, feature_index: usize) -> Vec<f64> {
-        self.entries.iter().map(|(f, _)| f.get_index(feature_index)).collect()
+        self.rows.iter().map(|row| row.get_index(feature_index)).collect()
     }
 
     /// Writes the values of the feature at `feature_index` into `out`, which
@@ -96,26 +213,24 @@ impl History {
     ///
     /// Panics if `out.len() != self.len()`.
     pub fn fill_feature_column(&self, feature_index: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.len(), "column buffer must match the history length");
-        for (slot, (features, _)) in out.iter_mut().zip(self.entries.iter()) {
-            *slot = features.get_index(feature_index);
-        }
+        self.rows.fill_column(feature_index, out);
     }
 
     /// Discards all observations.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.forget_oldest(0);
+        self.shared = None;
     }
 
     /// Serializes the window (capacity + every observation, oldest first).
     pub fn save_state(&self, writer: &mut StateWriter) {
-        writer.usize(self.capacity);
-        writer.usize(self.entries.len());
-        for (features, cycles) in &self.entries {
+        writer.usize(self.capacity());
+        writer.usize(self.len());
+        for (features, cycles) in self.iter() {
             for index in 0..FEATURE_COUNT {
                 writer.f64(features.get_index(index));
             }
-            writer.f64(*cycles);
+            writer.f64(cycles);
         }
     }
 
@@ -127,8 +242,8 @@ impl History {
     /// binds: a value `push` could not have stored is a corrupt snapshot.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let capacity = reader.usize()?;
-        if capacity != self.capacity {
-            return Err(StateError::mismatch("history capacity", capacity, self.capacity));
+        if capacity != self.capacity() {
+            return Err(StateError::mismatch("history capacity", capacity, self.capacity()));
         }
         let entries = reader.usize()?;
         if entries > capacity {
@@ -136,7 +251,7 @@ impl History {
                 "history holds {entries} observations but its capacity is {capacity}"
             )));
         }
-        self.entries.clear();
+        self.clear();
         for observation in 0..entries {
             let mut values = [0.0; FEATURE_COUNT];
             for value in &mut values {
@@ -153,7 +268,7 @@ impl History {
             if !storable(cycles) {
                 return Err(unstorable(observation, "response", cycles));
             }
-            self.entries.push_back((FeatureVector::from_values(values), cycles));
+            self.store(&FeatureVector::from_values(values), cycles);
         }
         Ok(())
     }
@@ -212,7 +327,7 @@ mod tests {
         h.push(f, f64::NAN);
         h.push(FeatureVector::zeros(), f64::NEG_INFINITY);
         for (features, cycles) in h.iter() {
-            assert!(cycles.is_finite() && *cycles >= 0.0);
+            assert!(cycles.is_finite() && cycles >= 0.0);
             for index in 0..FEATURE_COUNT {
                 assert!(features.get_index(index).is_finite());
             }

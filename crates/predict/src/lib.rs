@@ -36,10 +36,12 @@ pub mod guard;
 pub mod history;
 pub mod predictor;
 pub mod robust;
+pub mod window;
 
 pub use error::ErrorStats;
-pub use fcbf::{fcbf_select_with, FcbfConfig, FcbfScratch};
+pub use fcbf::{fcbf_select_in, fcbf_select_with, FcbfConfig, FcbfScratch};
 pub use guard::{clamp_features, clamp_sample, MAX_SAMPLE};
 pub use history::History;
 pub use predictor::{EwmaPredictor, MlrConfig, MlrPredictor, Predictor, SlrPredictor};
 pub use robust::{RobustMlrConfig, RobustMlrPredictor};
+pub use window::FeatureWindow;

@@ -1,8 +1,9 @@
 //! The three CPU-usage predictors: MLR+FCBF, SLR and EWMA.
 
-use crate::fcbf::{fcbf_select_with, FcbfConfig, FcbfScratch};
+use crate::fcbf::{fcbf_select_in, FcbfConfig, FcbfScratch};
 use crate::guard::clamp_sample;
-use crate::history::History;
+use crate::history::{History, RowRing};
+use crate::window::FeatureWindow;
 use netshed_features::{FeatureId, FeatureVector, FEATURE_COUNT};
 use netshed_linalg::stats::{mean, Ewma};
 use netshed_linalg::{Matrix, OlsWorkspace};
@@ -28,6 +29,33 @@ pub trait Predictor: Send {
     /// simply observes the prediction.
     fn observe_corrupted(&mut self, features: &FeatureVector, predicted_cycles: f64) {
         self.observe(features, predicted_cycles);
+    }
+
+    /// [`Predictor::predict`] for a predictor an engine drives, beside its
+    /// other queries' predictors, against the engine's [`FeatureWindow`]:
+    /// `window` holds the full-batch rows of the bins before this one. A
+    /// predictor whose history is [aligned](History::aligned_with) with the
+    /// window may read the feature-side moments the window computed once
+    /// for everyone; the prediction is the one `predict` returns either way,
+    /// bit for bit. The default ignores the window.
+    fn predict_shared(&mut self, window: &FeatureWindow, features: &FeatureVector) -> f64 {
+        let _ = window;
+        self.predict(features)
+    }
+
+    /// [`Predictor::observe`] (or, when the measurement was `corrupted`,
+    /// [`Predictor::observe_corrupted`]) of the bin whose full-batch vector
+    /// the engine just pushed to `window` — called when the row this
+    /// predictor is to store *is* that shared vector. The default observes
+    /// the window's newest row, which is the vector as
+    /// [`History::push`] would sanitise it: for everything a feature
+    /// extractor produces, the vector itself.
+    fn observe_shared(&mut self, window: &FeatureWindow, cycles: f64, corrupted: bool) {
+        if corrupted {
+            self.observe_corrupted(window.newest(), cycles);
+        } else {
+            self.observe(window.newest(), cycles);
+        }
     }
 
     /// Short name for reports ("mlr", "slr", "ewma").
@@ -79,7 +107,12 @@ const DEFAULT_RCOND: f64 = 1e-9;
 
 impl Default for MlrConfig {
     fn default() -> Self {
-        Self { history: 60, fcbf: FcbfConfig::default(), rcond: DEFAULT_RCOND, reselect_every: 1 }
+        Self {
+            history: FeatureWindow::ROWS,
+            fcbf: FcbfConfig::default(),
+            rcond: DEFAULT_RCOND,
+            reselect_every: 1,
+        }
     }
 }
 
@@ -123,18 +156,20 @@ impl Regression {
     }
 
     /// Fits the history's responses on an intercept plus the `predictors`
-    /// columns and predicts the response for `features`.
+    /// columns of `rows` — the history's own, or those of the window it is
+    /// aligned with — and predicts the response for `features`.
     fn fit_and_predict(
         &mut self,
+        rows: &RowRing,
         history: &History,
         predictors: &[usize],
         rcond: f64,
         features: &FeatureVector,
     ) -> f64 {
-        self.design.reshape_zeroed(history.len(), predictors.len() + 1);
+        self.design.reshape_zeroed(rows.len(), predictors.len() + 1);
         self.design.column_mut(0).fill(1.0);
         for (j, &feature) in predictors.iter().enumerate() {
-            history.fill_feature_column(feature, self.design.column_mut(j + 1));
+            rows.fill_column(feature, self.design.column_mut(j + 1));
         }
         history.fill_responses(&mut self.responses);
         self.ols.solve(&self.design, &self.responses, rcond);
@@ -177,10 +212,11 @@ impl MlrPredictor {
     pub(crate) fn history_mut(&mut self) -> &mut History {
         &mut self.history
     }
-}
 
-impl Predictor for MlrPredictor {
-    fn predict(&mut self, features: &FeatureVector) -> f64 {
+    /// The prediction, reading the feature side from `window` while the
+    /// history is aligned with it and from the history's own rows otherwise.
+    fn predict_from(&mut self, window: Option<&FeatureWindow>, features: &FeatureVector) -> f64 {
+        let window = window.filter(|window| self.history.aligned_with(window));
         let n = self.history.len();
         if n < 3 {
             // Not enough history to regress; fall back to the mean of what we
@@ -194,8 +230,9 @@ impl Predictor for MlrPredictor {
         let reselected =
             self.selected.is_empty() || self.batches_since_selection >= self.config.reselect_every;
         if reselected {
-            let picked = fcbf_select_with(
+            let picked = fcbf_select_in(
                 &self.history,
+                window,
                 &self.config.fcbf,
                 FEATURE_COUNT,
                 &mut self.fcbf_scratch,
@@ -218,7 +255,20 @@ impl Predictor for MlrPredictor {
         let k = self.selected.len() as u64 + 1;
         self.last_cost = correlation_cost + n as u64 * k * k;
 
-        self.regression.fit_and_predict(&self.history, &self.selected, self.config.rcond, features)
+        let rows = window.map_or(self.history.rows(), FeatureWindow::rows);
+        self.regression.fit_and_predict(
+            rows,
+            &self.history,
+            &self.selected,
+            self.config.rcond,
+            features,
+        )
+    }
+}
+
+impl Predictor for MlrPredictor {
+    fn predict(&mut self, features: &FeatureVector) -> f64 {
+        self.predict_from(None, features)
     }
 
     fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
@@ -227,6 +277,14 @@ impl Predictor for MlrPredictor {
 
     fn observe_corrupted(&mut self, features: &FeatureVector, predicted_cycles: f64) {
         self.history.push(*features, predicted_cycles);
+    }
+
+    fn predict_shared(&mut self, window: &FeatureWindow, features: &FeatureVector) -> f64 {
+        self.predict_from(Some(window), features)
+    }
+
+    fn observe_shared(&mut self, window: &FeatureWindow, cycles: f64, _corrupted: bool) {
+        self.history.push_newest(window, cycles);
     }
 
     fn name(&self) -> &'static str {
@@ -305,7 +363,13 @@ impl Predictor for SlrPredictor {
             return self.regression.response_mean(&self.history);
         }
         self.last_cost = n as u64 * 4;
-        self.regression.fit_and_predict(&self.history, &[self.feature], DEFAULT_RCOND, features)
+        self.regression.fit_and_predict(
+            self.history.rows(),
+            &self.history,
+            &[self.feature],
+            DEFAULT_RCOND,
+            features,
+        )
     }
 
     fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
@@ -494,7 +558,8 @@ mod tests {
             expected.push((f, y));
         }
         for history in [mlr.history(), &slr.history] {
-            let stored: Vec<(FeatureVector, f64)> = history.iter().copied().collect();
+            let stored: Vec<(FeatureVector, f64)> =
+                history.iter().map(|(features, cycles)| (*features, cycles)).collect();
             assert_eq!(stored, expected, "history must hold the observed vectors unchanged");
         }
     }

@@ -35,6 +35,7 @@
 use crate::guard::{clamp_features, clamp_sample};
 use crate::history::History;
 use crate::predictor::{MlrConfig, MlrPredictor, Predictor};
+use crate::window::FeatureWindow;
 use netshed_features::FeatureVector;
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
@@ -153,16 +154,11 @@ impl RobustMlrPredictor {
     }
 }
 
-impl Predictor for RobustMlrPredictor {
-    fn predict(&mut self, features: &FeatureVector) -> f64 {
-        let features = clamp_features(features);
-        let predicted = self.inner.predict(&features);
-        self.last_prediction = Some(predicted);
-        predicted
-    }
-
-    fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
-        let features = clamp_features(features);
+impl RobustMlrPredictor {
+    /// The outlier defense on one observation: returns the response to
+    /// store (clamped when the observation tripped) after applying the
+    /// forgetting step to the history.
+    fn admit(&mut self, actual_cycles: f64) -> f64 {
         let actual = clamp_sample(actual_cycles);
         let mut stored = actual;
         let mut trip = false;
@@ -193,16 +189,45 @@ impl Predictor for RobustMlrPredictor {
                 self.inner.history_mut().forget_oldest(self.config.forget_keep);
             }
         }
-        self.inner.observe(&features, stored);
+        stored
+    }
+
+    /// A corrupted measurement already substitutes the prediction, which
+    /// cannot trip its own outlier test; it also interrupts any run of
+    /// trips. Just keep the pairing straight.
+    fn admit_corrupted(&mut self, predicted_cycles: f64) -> f64 {
+        self.last_prediction = None;
+        self.streak = 0;
+        clamp_sample(predicted_cycles)
+    }
+}
+
+impl Predictor for RobustMlrPredictor {
+    fn predict(&mut self, features: &FeatureVector) -> f64 {
+        let predicted = self.inner.predict(&clamp_features(features));
+        self.last_prediction = Some(predicted);
+        predicted
+    }
+
+    fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
+        let stored = self.admit(actual_cycles);
+        self.inner.observe(&clamp_features(features), stored);
     }
 
     fn observe_corrupted(&mut self, features: &FeatureVector, predicted_cycles: f64) {
-        // A corrupted measurement already substitutes the prediction, which
-        // cannot trip its own outlier test; it also interrupts any run of
-        // trips. Just keep the pairing straight.
-        self.last_prediction = None;
-        self.streak = 0;
-        self.inner.observe_corrupted(&clamp_features(features), clamp_sample(predicted_cycles));
+        let stored = self.admit_corrupted(predicted_cycles);
+        self.inner.observe_corrupted(&clamp_features(features), stored);
+    }
+
+    fn predict_shared(&mut self, window: &FeatureWindow, features: &FeatureVector) -> f64 {
+        let predicted = self.inner.predict_shared(window, &clamp_features(features));
+        self.last_prediction = Some(predicted);
+        predicted
+    }
+
+    fn observe_shared(&mut self, window: &FeatureWindow, cycles: f64, corrupted: bool) {
+        let stored = if corrupted { self.admit_corrupted(cycles) } else { self.admit(cycles) };
+        self.inner.observe_shared(window, stored, corrupted);
     }
 
     fn name(&self) -> &'static str {

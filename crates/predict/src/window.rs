@@ -1,0 +1,278 @@
+//! The feature window an engine's predictors share.
+//!
+//! In a bin where nothing is shed every query's history stores the *same*
+//! 42-feature row — only the response differs — so the feature side of FCBF
+//! (column means, variances, the centred rows, the feature–feature
+//! covariances of the redundancy phase) is a property of the window, not of
+//! a query. A [`FeatureWindow`] keeps the engine's last
+//! [`FeatureWindow::ROWS`] full-batch rows and computes that side lazily,
+//! once per bin, for every predictor whose [`History`](crate::History) is
+//! [aligned](crate::History::aligned_with) with it; the others compute the
+//! same moments over their own rows, as a stand-alone predictor does.
+//!
+//! The window is a cache of pure functions of the rows pushed to it: it is
+//! never serialised and never reaches a digest, and what it returns is the
+//! value the private computation returns, operation for operation
+//! ([`fcbf_select_in`](crate::fcbf_select_in)). Each cached value sits in a
+//! [`OnceLock`], so predictors dispatched across worker threads may race to
+//! fill one — a single initialiser runs, the others wait and read the value
+//! it stored, and that value does not depend on who won.
+
+use crate::fcbf::{column_means, ColumnMoments};
+use crate::guard::clamp_features;
+use crate::history::RowRing;
+use netshed_features::{FeatureVector, FEATURE_COUNT};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+/// Source of window identities. Only ever compared for equality (a history
+/// must not mistake another window's sequence numbers for its own), so the
+/// order windows are built in changes nothing observable.
+static NEXT_WINDOW: AtomicU64 = AtomicU64::new(0);
+
+/// The last [`FeatureWindow::ROWS`] full-batch feature rows of one engine,
+/// with the feature side of FCBF computed at most once per push.
+#[derive(Debug)]
+pub struct FeatureWindow {
+    id: u64,
+    /// Sequence number of the newest row; pushes number rows 1, 2, 3, …
+    newest: u64,
+    rows: RowRing,
+    cache: Box<Cache>,
+}
+
+/// What a push invalidates. Boxed so the window itself stays a few words.
+#[derive(Debug)]
+struct Cache {
+    moments: OnceLock<WindowMoments>,
+    /// Per feature `q`, the covariance sum of every column with column `q`.
+    with_feature: [OnceLock<[f64; FEATURE_COUNT]>; FEATURE_COUNT],
+}
+
+/// The window's column moments and its rows centred on the column means.
+#[derive(Debug)]
+pub(crate) struct WindowMoments {
+    pub(crate) columns: ColumnMoments,
+    len: usize,
+    centred: [[f64; FEATURE_COUNT]; FeatureWindow::ROWS],
+}
+
+impl WindowMoments {
+    /// `row[j] - mean[j]` for every row of the window, oldest first.
+    pub(crate) fn centred_rows(&self) -> &[[f64; FEATURE_COUNT]] {
+        &self.centred[..self.len]
+    }
+
+    /// Every column's covariance sum with a response, given the response
+    /// centred on its own mean (one value per row, oldest first): all a
+    /// query has to add to the window's moments to correlate its cost with
+    /// the 42 features.
+    pub(crate) fn covariance_with_response(&self, centred: &[f64]) -> [f64; FEATURE_COUNT] {
+        let mut covariance = [0.0; FEATURE_COUNT];
+        for (da, db) in self.centred_rows().iter().zip(centred) {
+            for (sum, da) in covariance.iter_mut().zip(da) {
+                *sum += da * db;
+            }
+        }
+        covariance
+    }
+
+    // Each loop indexes several lane arrays at once; the 20 KB of centred
+    // rows are built on the stack and moved into the cache because a value
+    // recomputed every bin must not touch the heap.
+    #[allow(clippy::needless_range_loop, clippy::large_stack_arrays)]
+    fn of(rows: &RowRing) -> Self {
+        let mean = column_means(rows);
+        let mut variance = [0.0; FEATURE_COUNT];
+        let mut centred = [[0.0; FEATURE_COUNT]; FeatureWindow::ROWS];
+        for (features, centred) in rows.iter().zip(centred.iter_mut()) {
+            let row = features.as_array();
+            for j in 0..FEATURE_COUNT {
+                let da = row[j] - mean[j];
+                variance[j] += da * da;
+                centred[j] = da;
+            }
+        }
+        let columns = ColumnMoments { mean, variance, deviation: variance.map(f64::sqrt) };
+        Self { columns, len: rows.len(), centred }
+    }
+}
+
+impl Default for FeatureWindow {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FeatureWindow {
+    /// Rows a window holds: the default regression history length
+    /// ([`MlrConfig::default`](crate::MlrConfig)), which is the only length
+    /// at which a full history can align with it.
+    pub const ROWS: usize = 60;
+
+    /// Creates an empty window.
+    pub fn new() -> Self {
+        Self {
+            id: NEXT_WINDOW.fetch_add(1, Ordering::Relaxed),
+            newest: 0,
+            rows: RowRing::new(Self::ROWS),
+            cache: Box::new(Cache {
+                moments: OnceLock::new(),
+                with_feature: std::array::from_fn(|_| OnceLock::new()),
+            }),
+        }
+    }
+
+    /// Number of rows currently held.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Returns `true` if nothing was pushed yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends the bin's full-batch feature vector, sanitised as
+    /// [`History::push`](crate::History::push) sanitises, evicting the
+    /// oldest row if full, and forgets everything computed for the previous
+    /// rows.
+    pub fn push(&mut self, features: &FeatureVector) {
+        self.rows.push(&clamp_features(features));
+        self.newest += 1;
+        self.cache.moments = OnceLock::new();
+        for slot in &mut self.cache.with_feature {
+            *slot = OnceLock::new();
+        }
+    }
+
+    /// The newest row, as sanitised by [`FeatureWindow::push`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing was pushed yet.
+    pub fn newest(&self) -> &FeatureVector {
+        match self.rows.newest() {
+            Some(row) => row,
+            None => panic!("an empty feature window has no newest row"),
+        }
+    }
+
+    /// This window's identity and the sequence number of its newest row.
+    pub(crate) fn stamp(&self) -> (u64, u64) {
+        (self.id, self.newest)
+    }
+
+    pub(crate) fn rows(&self) -> &RowRing {
+        &self.rows
+    }
+
+    pub(crate) fn moments(&self) -> &WindowMoments {
+        self.cache.moments.get_or_init(|| WindowMoments::of(&self.rows))
+    }
+
+    /// The covariance sum of every column with column `kept`: the row the
+    /// redundancy phase reads once `kept` is a selected feature.
+    pub(crate) fn covariance_with(&self, kept: usize) -> &[f64; FEATURE_COUNT] {
+        self.cache.with_feature[kept].get_or_init(|| {
+            let mut with_kept = [0.0; FEATURE_COUNT];
+            for centred in self.moments().centred_rows() {
+                let db = centred[kept];
+                for (sum, da) in with_kept.iter_mut().zip(centred) {
+                    *sum += da * db;
+                }
+            }
+            with_kept
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::history::History;
+    use netshed_features::FeatureId;
+
+    fn row(seed: f64) -> FeatureVector {
+        let mut features = FeatureVector::zeros();
+        features.set(FeatureId::Packets, 100.0 + seed);
+        features.set(FeatureId::Bytes, 1e4 * (seed + 1.0));
+        features
+    }
+
+    #[test]
+    fn pushes_are_sanitised_numbered_and_bounded() {
+        let mut window = FeatureWindow::new();
+        assert!(window.is_empty());
+        let mut poisoned = row(0.0);
+        poisoned.set(FeatureId::Packets, f64::NAN);
+        window.push(&poisoned);
+        assert_eq!(window.newest().packets(), 0.0);
+        for bin in 0..2 * FeatureWindow::ROWS {
+            window.push(&row(bin as f64));
+        }
+        assert_eq!(window.len(), FeatureWindow::ROWS);
+        assert_eq!(window.stamp().1, 2 * FeatureWindow::ROWS as u64 + 1);
+        assert_ne!(window.stamp().0, FeatureWindow::new().stamp().0);
+    }
+
+    #[test]
+    fn a_push_forgets_the_cached_moments() {
+        let mut window = FeatureWindow::new();
+        window.push(&row(1.0));
+        window.push(&row(2.0));
+        let before = window.moments().columns.mean[0];
+        let covariance = window.covariance_with(0)[1];
+        window.push(&row(9.0));
+        assert_ne!(window.moments().columns.mean[0].to_bits(), before.to_bits());
+        assert_ne!(window.covariance_with(0)[1].to_bits(), covariance.to_bits());
+    }
+
+    /// The alignment rule, case by case: a history is aligned exactly while
+    /// every row it holds came from this window on consecutive pushes and
+    /// the two hold equally many.
+    #[test]
+    fn alignment_follows_the_three_conditions() {
+        let mut window = FeatureWindow::new();
+        let mut history = History::new(FeatureWindow::ROWS);
+        assert!(!history.aligned_with(&window), "nothing shared yet");
+        for bin in 0..10 {
+            window.push(&row(f64::from(bin)));
+            history.push_newest(&window, 1.0);
+            assert!(history.aligned_with(&window));
+        }
+
+        // The window moved on without the history: not its newest row.
+        window.push(&row(10.0));
+        assert!(!history.aligned_with(&window));
+        // Taking the next row leaves a gap in the sequence: the run restarts
+        // and covers the whole history only once the gap has been evicted.
+        window.push(&row(11.0));
+        history.push_newest(&window, 1.0);
+        assert!(!history.aligned_with(&window));
+        for bin in 12..10 + FeatureWindow::ROWS {
+            window.push(&row(bin as f64));
+            history.push_newest(&window, 1.0);
+            assert!(!history.aligned_with(&window), "bin {bin}");
+        }
+        window.push(&row(0.5));
+        history.push_newest(&window, 1.0);
+        assert!(history.aligned_with(&window), "the run covers the full history again");
+
+        // A private row breaks the run; trimming breaks the length equality.
+        let mut private = history.clone();
+        private.push(row(3.0), 1.0);
+        assert!(!private.aligned_with(&window));
+        let mut trimmed = history.clone();
+        trimmed.forget_oldest(6);
+        assert!(!trimmed.aligned_with(&window));
+
+        // Another window's sequence numbers prove nothing.
+        let mut other = FeatureWindow::new();
+        for bin in 0..window.stamp().1 {
+            other.push(&row(bin as f64));
+        }
+        assert_eq!(other.stamp().1, window.stamp().1);
+        assert!(!history.aligned_with(&other));
+    }
+}

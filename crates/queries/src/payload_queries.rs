@@ -12,7 +12,7 @@
 use crate::boyer_moore::BoyerMoore;
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
-use crate::query::{Query, SheddingMethod};
+use crate::query::{repeated_key, Query, SheddingMethod};
 // Per-packet state lives in the replay-stable hashed containers
 // (determinism contract, rule `det-map`): same insertion history, same
 // iteration order, O(1) hot-path updates.
@@ -339,16 +339,20 @@ impl Query for P2pDetectorQuery {
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.identified.clear();
         let flows = reader.usize()?;
-        for _ in 0..flows {
-            self.identified.insert(reader.u64()?);
+        for entry in 0..flows {
+            if !self.identified.insert(reader.u64()?) {
+                return Err(repeated_key("p2p-detector identified-flow", entry));
+            }
         }
         self.inspected_per_flow.clear();
         let tracked = reader.usize()?;
-        for _ in 0..tracked {
+        for entry in 0..tracked {
             let flow = reader.u64()?;
             let seen = reader.u32()?;
             let inspected = reader.u32()?;
-            self.inspected_per_flow.insert(flow, (seen, inspected));
+            if self.inspected_per_flow.insert(flow, (seen, inspected)).is_some() {
+                return Err(repeated_key("p2p-detector tracked-flow", entry));
+            }
         }
         Ok(())
     }

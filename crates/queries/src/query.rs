@@ -95,6 +95,32 @@ pub(crate) fn scale(value: f64, sampling_rate: f64) -> f64 {
     }
 }
 
+/// Checks a weight or byte count read back from a checkpointed table: every
+/// one a query accumulates is a sum of [`scale`]d terms, finite and not
+/// negative, so anything else marks a crafted or damaged snapshot (whose
+/// checksum is not cryptographic). `table` names the query — and the table,
+/// where a query keeps two — and `entry` the position in it.
+pub(crate) fn restored_weight(table: &str, entry: usize, value: f64) -> Result<f64, StateError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(StateError::corrupt(format!(
+            "{table} checkpoint entry {entry} holds {value}, which no run accumulates \
+             (weights and byte counts are finite and non-negative)"
+        )))
+    }
+}
+
+/// The error for a checkpointed table whose entry `entry` lists a key an
+/// earlier entry already listed: honest tables hold each key once, and a
+/// restore that let the later value win would come out shorter than its
+/// declared length and never re-serialise to the bytes it came from.
+pub(crate) fn repeated_key(table: &str, entry: usize) -> StateError {
+    StateError::corrupt(format!(
+        "{table} checkpoint entry {entry} repeats the key of an earlier entry"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

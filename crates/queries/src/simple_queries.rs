@@ -7,7 +7,7 @@
 
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
-use crate::query::{scale, Query, SheddingMethod};
+use crate::query::{repeated_key, restored_weight, scale, Query, SheddingMethod};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use netshed_trace::{AppProtocol, BatchView};
 // Ordered so the emitted `QueryOutput::Application` iterates replay-stably
@@ -70,41 +70,57 @@ impl Query for CounterQuery {
 }
 
 /// `application`: port-based application classification (Table 2.2).
+///
+/// The per-packet path classifies to a slot index and adds into a fixed
+/// array; the label-keyed map the output and the checkpoint speak is
+/// assembled only when one of them is asked for.
 #[derive(Debug, Default)]
 pub struct ApplicationQuery {
-    per_app: BTreeMap<&'static str, (f64, f64)>,
+    /// (packets, bytes) per label, in [`ApplicationQuery::label`] order;
+    /// `None` until the interval first sees the label.
+    per_slot: [Option<(f64, f64)>; ApplicationQuery::SLOTS],
 }
 
 impl ApplicationQuery {
+    /// One slot per [`AppProtocol::ALL`] entry, then the catch-all.
+    const UNKNOWN: usize = AppProtocol::ALL.len();
+    const SLOTS: usize = Self::UNKNOWN + 1;
+
     /// Creates the query.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Maps a (port, protocol) pair to an application label, mirroring the
-    /// port-based classification of the paper's `application` query.
-    fn classify(src_port: u16, dst_port: u16, proto: u8) -> &'static str {
-        for app in AppProtocol::ALL {
-            if app.ip_proto() == proto
-                && (src_port == app.server_port() || dst_port == app.server_port())
-            {
-                return app.name();
-            }
-        }
-        "unknown"
-    }
-
-    /// Resolves a serialized application label back to the `'static` name the
-    /// classifier produces.
-    fn resolve_label(name: &str) -> Result<&'static str, StateError> {
-        if name == "unknown" {
-            return Ok("unknown");
-        }
+    /// Maps a (port, protocol) pair to the slot of its application label,
+    /// mirroring the port-based classification of the paper's `application`
+    /// query.
+    fn classify(src_port: u16, dst_port: u16, proto: u8) -> usize {
         AppProtocol::ALL
             .iter()
-            .map(|app| app.name())
-            .find(|known| *known == name)
-            .ok_or_else(|| StateError::corrupt(format!("unknown application label {name:?}")))
+            .position(|app| {
+                app.ip_proto() == proto
+                    && (src_port == app.server_port() || dst_port == app.server_port())
+            })
+            .unwrap_or(Self::UNKNOWN)
+    }
+
+    /// The application label a slot accumulates.
+    fn label(slot: usize) -> &'static str {
+        AppProtocol::ALL.get(slot).map_or("unknown", |app| app.name())
+    }
+
+    /// The labels seen this interval with their sums, in label order (which
+    /// is what makes the emitted output and the checkpoint replay-stable).
+    /// Inserted one by one: ten labels fit the map's first node, so this
+    /// allocates once, as filling the map packet by packet did.
+    fn per_app(&self) -> BTreeMap<&'static str, (f64, f64)> {
+        let mut per_app = BTreeMap::new();
+        for (slot, sums) in self.per_slot.iter().enumerate() {
+            if let Some(sums) = sums {
+                per_app.insert(Self::label(slot), *sums);
+            }
+        }
+        per_app
     }
 }
 
@@ -125,20 +141,23 @@ impl Query for ApplicationQuery {
         for packet in batch.packets() {
             meter.charge(costs::PER_PACKET_BASE + costs::PORT_LOOKUP + costs::COUNTER_UPDATE);
             let tuple = packet.tuple();
-            let app = Self::classify(tuple.src_port, tuple.dst_port, tuple.proto);
-            let entry = self.per_app.entry(app).or_insert((0.0, 0.0));
-            entry.0 += scale(1.0, sampling_rate);
-            entry.1 += scale(f64::from(packet.ip_len()), sampling_rate);
+            let slot = Self::classify(tuple.src_port, tuple.dst_port, tuple.proto);
+            let sums = self.per_slot[slot].get_or_insert((0.0, 0.0));
+            sums.0 += scale(1.0, sampling_rate);
+            sums.1 += scale(f64::from(packet.ip_len()), sampling_rate);
         }
     }
 
     fn end_interval(&mut self) -> QueryOutput {
-        QueryOutput::Application { per_app: std::mem::take(&mut self.per_app) }
+        let per_app = self.per_app();
+        self.per_slot = Default::default();
+        QueryOutput::Application { per_app }
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
-        writer.usize(self.per_app.len());
-        for (app, (packets, bytes)) in &self.per_app {
+        let per_app = self.per_app();
+        writer.usize(per_app.len());
+        for (app, (packets, bytes)) in &per_app {
             writer.str(app);
             writer.f64(*packets);
             writer.f64(*bytes);
@@ -147,13 +166,19 @@ impl Query for ApplicationQuery {
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.per_app.clear();
+        self.per_slot = Default::default();
         let entries = reader.usize()?;
-        for _ in 0..entries {
-            let app = Self::resolve_label(&reader.str()?)?;
-            let packets = reader.f64()?;
-            let bytes = reader.f64()?;
-            self.per_app.insert(app, (packets, bytes));
+        for entry in 0..entries {
+            let name = reader.str()?;
+            let slot =
+                (0..Self::SLOTS).find(|&slot| Self::label(slot) == name).ok_or_else(|| {
+                    StateError::corrupt(format!("unknown application label {name:?}"))
+                })?;
+            let packets = restored_weight("application", entry, reader.f64()?)?;
+            let bytes = restored_weight("application", entry, reader.f64()?)?;
+            if self.per_slot[slot].replace((packets, bytes)).is_some() {
+                return Err(repeated_key("application", entry));
+            }
         }
         Ok(())
     }
@@ -267,9 +292,12 @@ mod tests {
 
     #[test]
     fn application_classifies_by_port() {
-        assert_eq!(ApplicationQuery::classify(1024, 80, 6), "http");
-        assert_eq!(ApplicationQuery::classify(53, 40000, 17), "dns");
-        assert_eq!(ApplicationQuery::classify(1, 2, 50), "unknown");
+        let classify = |src_port, dst_port, proto| {
+            ApplicationQuery::label(ApplicationQuery::classify(src_port, dst_port, proto))
+        };
+        assert_eq!(classify(1024, 80, 6), "http");
+        assert_eq!(classify(53, 40000, 17), "dns");
+        assert_eq!(classify(1, 2, 50), "unknown");
     }
 
     #[test]

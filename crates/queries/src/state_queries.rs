@@ -7,7 +7,7 @@
 
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
-use crate::query::{scale, Query, SheddingMethod};
+use crate::query::{repeated_key, restored_weight, scale, Query, SheddingMethod};
 use netshed_sketch::{hash_bytes, DetHashMap, DetHashSet, StateError, StateReader, StateWriter};
 use netshed_trace::BatchView;
 
@@ -74,10 +74,12 @@ impl Query for FlowsQuery {
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.table.clear();
         let entries = reader.usize()?;
-        for _ in 0..entries {
+        for entry in 0..entries {
             let key = reader.u64()?;
-            let weight = reader.f64()?;
-            self.table.insert(key, weight);
+            let weight = restored_weight("flows", entry, reader.f64()?)?;
+            if self.table.insert(key, weight).is_some() {
+                return Err(repeated_key("flows", entry));
+            }
         }
         Ok(())
     }
@@ -149,10 +151,12 @@ impl Query for TopKQuery {
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.bytes_per_dst.clear();
         let entries = reader.usize()?;
-        for _ in 0..entries {
+        for entry in 0..entries {
             let dst = reader.u32()?;
-            let bytes = reader.f64()?;
-            self.bytes_per_dst.insert(dst, bytes);
+            let bytes = restored_weight("top-k", entry, reader.f64()?)?;
+            if self.bytes_per_dst.insert(dst, bytes).is_some() {
+                return Err(repeated_key("top-k", entry));
+            }
         }
         Ok(())
     }
@@ -235,15 +239,19 @@ impl Query for SuperSourcesQuery {
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.pairs_seen.clear();
         let pairs = reader.usize()?;
-        for _ in 0..pairs {
-            self.pairs_seen.insert(reader.u64()?);
+        for entry in 0..pairs {
+            if !self.pairs_seen.insert(reader.u64()?) {
+                return Err(repeated_key("super-sources pair", entry));
+            }
         }
         self.fanout.clear();
         let sources = reader.usize()?;
-        for _ in 0..sources {
+        for entry in 0..sources {
             let src = reader.u32()?;
-            let fanout = reader.f64()?;
-            self.fanout.insert(src, fanout);
+            let fanout = restored_weight("super-sources fan-out", entry, reader.f64()?)?;
+            if self.fanout.insert(src, fanout).is_some() {
+                return Err(repeated_key("super-sources fan-out", entry));
+            }
         }
         Ok(())
     }
@@ -345,11 +353,13 @@ impl Query for AutofocusQuery {
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.prefixes.clear();
         let entries = reader.usize()?;
-        for _ in 0..entries {
+        for entry in 0..entries {
             let prefix = reader.u32()?;
             let len = reader.u8()?;
-            let bytes = reader.f64()?;
-            self.prefixes.insert((prefix, len), bytes);
+            let bytes = restored_weight("autofocus", entry, reader.f64()?)?;
+            if self.prefixes.insert((prefix, len), bytes).is_some() {
+                return Err(repeated_key("autofocus", entry));
+            }
         }
         self.total_bytes = reader.f64()?;
         self.sampling_rate = reader.f64()?;

@@ -6,9 +6,9 @@
 use netshed_monitor::{
     AllocationPolicy, DigestObserver, Monitor, MonitorConfig, RunDigest, ShardedMonitor, Strategy,
 };
-use netshed_queries::{QueryKind, QuerySpec};
+use netshed_queries::{build_query_from_spec, CustomBehavior, QueryKind, QuerySpec};
 use netshed_service::{Daemon, MonitorEngine, ServiceError, Snapshot, SnapshotError, TickStatus};
-use netshed_sketch::{StateError, StateReader};
+use netshed_sketch::{StateError, StateReader, StateWriter};
 use netshed_trace::{BatchReplay, PacketSource, TraceConfig, TraceGenerator};
 
 const TRACE_BINS: usize = 48;
@@ -599,19 +599,16 @@ fn a_crafted_coordinator_section_is_rejected_naming_lane_and_field() {
     }
 }
 
-/// Where the control-loop, capture-buffer and first query's floats sit in a
-/// monitor section (`monitor`, or a fleet's `shard.{i}`), found by reading
-/// the section the way `Monitor::load_state` does: (field, offset).
-fn control_float_offsets(section: &[u8]) -> Vec<(String, usize)> {
-    let mut reader = StateReader::new(section);
-    let mut fields = Vec::new();
-    let mut float = |reader: &mut StateReader<'_>, field: String| {
-        fields.push((field, section.len() - reader.remaining()));
-        reader.f64().expect("float");
-    };
+/// Reads a monitor section (`monitor`, or a fleet's `shard.{i}`) the way
+/// `Monitor::load_state` does, up to the registry's query count, which it
+/// returns; `float` is called on every float on the way: (field, reader).
+fn read_control_loop(
+    reader: &mut StateReader<'_>,
+    float: &mut impl FnMut(&mut StateReader<'_>, String),
+) -> usize {
     reader.str().expect("policy name");
-    netshed_features::FeatureExtractor::with_defaults().load_state(&mut reader).expect("extractor");
-    float(&mut reader, "capture backlog_cycles".into());
+    netshed_features::FeatureExtractor::with_defaults().load_state(reader).expect("extractor");
+    float(reader, "capture backlog_cycles".into());
     reader.u64().expect("dropped packets");
     for _ in 0..8 {
         reader.u64().expect("rng word");
@@ -625,17 +622,41 @@ fn control_float_offsets(section: &[u8]) -> Vec<(String, usize)> {
         "reactive_consumed",
         "reactive_query_cycles",
     ] {
-        float(&mut reader, field.into());
+        float(reader, field.into());
     }
     reader.opt_u64().expect("current interval");
     // The predictive policy keeps no state of its own; the registry follows.
-    assert_eq!(reader.usize().expect("query count"), KINDS.len());
+    reader.usize().expect("query count")
+}
+
+/// Reads one registered query's header up to its own state, returning its
+/// label and spec.
+fn read_query_header(
+    reader: &mut StateReader<'_>,
+    float: &mut impl FnMut(&mut StateReader<'_>, String),
+) -> (String, QuerySpec) {
     reader.u64().expect("query id");
     let label = reader.str().expect("label");
-    QuerySpec::load_state(&mut reader).expect("spec");
-    float(&mut reader, format!("query '{label}' min_rate"));
+    let spec = QuerySpec::load_state(reader).expect("spec");
+    float(reader, format!("query '{label}' min_rate"));
     reader.u64().expect("hasher generation");
-    float(&mut reader, format!("query '{label}' overuse_ratio"));
+    float(reader, format!("query '{label}' overuse_ratio"));
+    reader.u32().expect("violations");
+    reader.u32().expect("penalty");
+    (label, spec)
+}
+
+/// Where the control-loop, capture-buffer and first query's floats sit in a
+/// monitor section: (field, offset).
+fn control_float_offsets(section: &[u8]) -> Vec<(String, usize)> {
+    let mut reader = StateReader::new(section);
+    let mut fields = Vec::new();
+    let mut float = |reader: &mut StateReader<'_>, field: String| {
+        fields.push((field, section.len() - reader.remaining()));
+        reader.f64().expect("float");
+    };
+    assert_eq!(read_control_loop(&mut reader, &mut float), KINDS.len());
+    read_query_header(&mut reader, &mut float);
     fields
 }
 
@@ -701,4 +722,202 @@ fn crafted_control_loop_floats_are_rejected_naming_the_field() {
         &overloaded_config(1).with_shard_lanes(4),
         "shard.2",
     );
+}
+
+/// One field of a checkpointed table entry.
+#[derive(Clone, Debug, PartialEq)]
+enum Field {
+    U8(u8),
+    U32(u32),
+    U64(u64),
+    F64(f64),
+    Str(String),
+}
+
+impl Field {
+    /// Reads the next field of the same type as `self`.
+    fn read(&self, reader: &mut StateReader<'_>) -> Field {
+        match self {
+            Field::U8(_) => Field::U8(reader.u8().expect("u8")),
+            Field::U32(_) => Field::U32(reader.u32().expect("u32")),
+            Field::U64(_) => Field::U64(reader.u64().expect("u64")),
+            Field::F64(_) => Field::F64(reader.f64().expect("f64")),
+            Field::Str(_) => Field::Str(reader.str().expect("str")),
+        }
+    }
+
+    fn write(&self, writer: &mut StateWriter) {
+        match self {
+            Field::U8(value) => writer.u8(*value),
+            Field::U32(value) => writer.u32(*value),
+            Field::U64(value) => writer.u64(*value),
+            Field::F64(value) => writer.f64(*value),
+            Field::Str(value) => writer.str(value),
+        }
+    }
+}
+
+/// The keyed tables a query kind checkpoints, in section order: per table
+/// its name in error messages, how many leading fields of an entry form the
+/// key, and the entry's fields (by example value).
+fn checkpointed_tables(kind: QueryKind) -> Vec<(&'static str, usize, Vec<Field>)> {
+    let (u8, u32, u64, f64) = (Field::U8(0), Field::U32(0), Field::U64(0), Field::F64(0.0));
+    match kind {
+        QueryKind::Application => {
+            vec![("application", 1, vec![Field::Str(String::new()), f64.clone(), f64])]
+        }
+        QueryKind::Autofocus => vec![("autofocus", 2, vec![u32, u8, f64])],
+        QueryKind::Flows => vec![("flows", 1, vec![u64, f64])],
+        QueryKind::TopK => vec![("top-k", 1, vec![u32, f64])],
+        QueryKind::SuperSources => {
+            vec![("super-sources pair", 1, vec![u64]), ("super-sources fan-out", 1, vec![u32, f64])]
+        }
+        QueryKind::P2pDetector => vec![
+            ("p2p-detector identified-flow", 1, vec![u64.clone()]),
+            ("p2p-detector tracked-flow", 1, vec![u64, u32.clone(), u32]),
+        ],
+        // Scalars only: nothing keyed to repeat.
+        QueryKind::Counter
+        | QueryKind::HighWatermark
+        | QueryKind::PatternSearch
+        | QueryKind::Trace => Vec::new(),
+    }
+}
+
+/// Where each registered query's own state sits in a monitor section:
+/// (spec, byte range).
+fn query_state_spans(
+    section: &[u8],
+    config: &MonitorConfig,
+) -> Vec<(QuerySpec, std::ops::Range<usize>)> {
+    let mut reader = StateReader::new(section);
+    let mut float = |reader: &mut StateReader<'_>, _: String| {
+        reader.f64().expect("float");
+    };
+    let queries = read_control_loop(&mut reader, &mut float);
+    (0..queries)
+        .map(|_| {
+            let (_, spec) = read_query_header(&mut reader, &mut float);
+            let start = section.len() - reader.remaining();
+            build_query_from_spec(&spec).load_state(&mut reader).expect("query state");
+            let end = section.len() - reader.remaining();
+            assert!(!reader.bool().expect("shadow flag"), "the predictive policy runs no shadow");
+            config.predictor.make().load_state(&mut reader).expect("predictor state");
+            netshed_features::FeatureExtractor::with_defaults()
+                .load_state(&mut reader)
+                .expect("sampled extractor");
+            (spec, start..end)
+        })
+        .collect()
+}
+
+#[test]
+fn a_crafted_query_table_is_rejected_naming_query_and_entry() {
+    // The tables of `flows`, `top-k`, `super-sources`, `autofocus`,
+    // `p2p-detector` and `application` are restored by re-inserting their
+    // entries. A table that lists a key twice used to restore shorter than
+    // it declares, the later value silently winning — a state no run
+    // reaches and no checkpoint re-serialises to — and a NaN weight went
+    // straight into the interval's sums.
+    let config = MonitorConfig::default().with_capacity(1e12).with_seed(11).without_noise();
+    let mut monitor = Monitor::new(config.clone());
+    for kind in QueryKind::ALL {
+        // Only a custom-shedding detector tracks per-flow inspection counts.
+        let spec = match kind {
+            QueryKind::P2pDetector => QuerySpec::new(kind).with_custom(CustomBehavior::Honest),
+            _ => QuerySpec::new(kind),
+        };
+        monitor.register(&spec).expect("valid spec");
+    }
+    let (daemon, _control) = Daemon::new(monitor, recorded_trace());
+    // Nine bins: inside a measurement interval, so every table is populated.
+    let mut daemon = daemon.with_bins_per_tick(9);
+    assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 9 }));
+    let honest = daemon.checkpoint().expect("checkpoint");
+    let restore = |bytes: &[u8]| Daemon::restore(config.clone(), recorded_trace(), bytes);
+    let (restored, _control) = restore(&honest).expect("the honest checkpoint restores");
+    assert_eq!(
+        restored.checkpoint().expect("checkpoint"),
+        honest,
+        "all ten query kinds re-serialise byte for byte"
+    );
+
+    let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
+    let section = snapshot.section("monitor").expect("monitor section");
+    // Re-encodes the container with the state of one query replaced.
+    let craft = |span: &std::ops::Range<usize>, state: &[u8]| {
+        let mut crafted = Snapshot::new();
+        for name in snapshot.section_names() {
+            let mut body = snapshot.section(name).expect("listed section").to_vec();
+            if name == "monitor" {
+                body.splice(span.clone(), state.iter().copied());
+            }
+            crafted.push(name, body).expect("section");
+        }
+        crafted.to_bytes()
+    };
+    let rejection = |bytes: &[u8], context: &str| {
+        let error = restore(bytes).map(|_| ()).expect_err("must not restore");
+        let ServiceError::Snapshot(SnapshotError::State(StateError::Corrupt(message))) = error
+        else {
+            panic!("{context}: expected a corrupt-state error, got {error}");
+        };
+        message
+    };
+
+    let mut crafted_tables = 0;
+    for (spec, span) in query_state_spans(section, &config) {
+        // Decode the query's tables; what follows them stays as it is.
+        let layout = checkpointed_tables(spec.kind);
+        let mut reader = StateReader::new(&section[span.clone()]);
+        let tables: Vec<Vec<Vec<Field>>> = layout
+            .iter()
+            .map(|(_, _, fields)| {
+                let entries = reader.usize().expect("table length");
+                (0..entries)
+                    .map(|_| fields.iter().map(|field| field.read(&mut reader)).collect())
+                    .collect()
+            })
+            .collect();
+        let tail = &section[span.end - reader.remaining()..span.end];
+        let encode = |tables: &[Vec<Vec<Field>>]| {
+            let mut writer = StateWriter::new();
+            for table in tables {
+                writer.usize(table.len());
+                table.iter().flatten().for_each(|field| field.write(&mut writer));
+            }
+            let mut state = writer.into_bytes();
+            state.extend_from_slice(tail);
+            state
+        };
+        assert_eq!(craft(&span, &encode(&tables)), honest, "re-encoding is exact");
+
+        for (index, (name, key, fields)) in layout.iter().enumerate() {
+            assert!(tables[index].len() >= 2, "{name}: the trace must populate the table");
+            crafted_tables += 1;
+
+            // Entry 1 takes entry 0's key.
+            let mut repeated = tables.clone();
+            let first = repeated[index][0][..*key].to_vec();
+            repeated[index][1][..*key].clone_from_slice(&first);
+            let message = rejection(&craft(&span, &encode(&repeated)), name);
+            assert!(message.contains(name) && message.contains("entry 1"), "{name}: {message}");
+
+            // Every weight or byte count of the last entry, poisoned.
+            let last = tables[index].len() - 1;
+            for slot in (0..fields.len()).filter(|&slot| matches!(fields[slot], Field::F64(_))) {
+                for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                    let mut poisoned = tables.clone();
+                    poisoned[index][last][slot] = Field::F64(poison);
+                    let context = format!("{name} entry {last} = {poison}");
+                    let message = rejection(&craft(&span, &encode(&poisoned)), &context);
+                    assert!(
+                        message.contains(name) && message.contains(&format!("entry {last}")),
+                        "{context}: {message}"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(crafted_tables, 8, "six queries, two of them with two tables");
 }

@@ -15,6 +15,14 @@
 //! reproduces a map with identical iteration order — which is precisely what
 //! `.nsck` snapshot restore does.
 //!
+//! Where the index places a key is therefore unobservable: lookups compare
+//! keys, iteration and `drain` walk the entry vector, and a snapshot stores
+//! the entries in that order and nothing of the index. The index hash
+//! ([`DetHasher`](crate::hash::DetHasher)) can change — as it did when
+//! integer keys went from byte-serial FNV to one multiply — without moving
+//! an output, a digest or a checkpoint byte; it only has to be the same
+//! function for the lifetime of a map.
+//!
 //! The API mirrors the subset of `std::collections::HashMap` the query state
 //! tables use (`entry`, `get`, `insert`, `values`, `drain`, `clear`), with
 //! this module's own [`Entry`] type standing in for
@@ -112,20 +120,22 @@ impl<K: Hash + Eq, V> DetHashMap<K, V> {
         self.hasher.hash_one(key)
     }
 
-    /// Finds the entry index for `key`, if present.
-    fn find(&self, key: &K) -> Option<usize> {
+    /// Finds the entry index for `key`, or — the key being absent — the hash
+    /// an insertion will place it by, so no caller hashes a key twice.
+    fn find(&self, key: &K) -> Result<usize, u64> {
+        let hash = self.hash_key(key);
         if self.index.is_empty() {
-            return None;
+            return Err(hash);
         }
         let mask = self.index.len() as u64 - 1;
-        let mut slot = (self.hash_key(key) & mask) as usize;
+        let mut slot = (hash & mask) as usize;
         loop {
             match self.index[slot] {
-                EMPTY => return None,
+                EMPTY => return Err(hash),
                 stored => {
                     let entry = (stored - 1) as usize;
                     if self.entries[entry].0 == *key {
-                        return Some(entry);
+                        return Ok(entry);
                     }
                 }
             }
@@ -147,13 +157,14 @@ impl<K: Hash + Eq, V> DetHashMap<K, V> {
         }
     }
 
-    /// Appends a key known to be absent; grows the index as needed.
-    fn push_new(&mut self, key: K, value: V) -> usize {
+    /// Appends a key known to be absent, whose hash [`find`](Self::find)
+    /// returned; grows the index as needed.
+    fn push_new(&mut self, key: K, value: V, hash: u64) -> usize {
         if (self.entries.len() + 1) * 4 > self.index.len() * 3 {
             self.reindex(self.entries.len() + 1);
         }
         let mask = self.index.len() as u64 - 1;
-        let mut slot = (self.hash_key(&key) & mask) as usize;
+        let mut slot = (hash & mask) as usize;
         while self.index[slot] != EMPTY {
             slot = ((slot as u64 + 1) & mask) as usize;
         }
@@ -165,35 +176,36 @@ impl<K: Hash + Eq, V> DetHashMap<K, V> {
     /// Inserts a key-value pair, returning the previous value if the key was
     /// already present (the key keeps its original insertion position).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        if let Some(entry) = self.find(&key) {
-            Some(std::mem::replace(&mut self.entries[entry].1, value))
-        } else {
-            self.push_new(key, value);
-            None
+        match self.find(&key) {
+            Ok(entry) => Some(std::mem::replace(&mut self.entries[entry].1, value)),
+            Err(hash) => {
+                self.push_new(key, value, hash);
+                None
+            }
         }
     }
 
     /// Returns a reference to the value for `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.find(key).map(|entry| &self.entries[entry].1)
+        self.find(key).ok().map(|entry| &self.entries[entry].1)
     }
 
     /// Returns a mutable reference to the value for `key`.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.find(key).map(|entry| &mut self.entries[entry].1)
+        self.find(key).ok().map(|entry| &mut self.entries[entry].1)
     }
 
     /// Returns `true` when `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.find(key).is_some()
+        self.find(key).is_ok()
     }
 
     /// Looks up `key` for in-place manipulation (the deterministic stand-in
     /// for `std::collections::hash_map::Entry`).
     pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
         match self.find(&key) {
-            Some(entry) => Entry::Occupied(OccupiedEntry { map: self, entry }),
-            None => Entry::Vacant(VacantEntry { map: self, key }),
+            Ok(entry) => Entry::Occupied(OccupiedEntry { map: self, entry }),
+            Err(hash) => Entry::Vacant(VacantEntry { map: self, key, hash }),
         }
     }
 }
@@ -245,12 +257,14 @@ impl<'a, K: Hash + Eq, V> Entry<'a, K, V> {
 pub struct VacantEntry<'a, K, V> {
     map: &'a mut DetHashMap<K, V>,
     key: K,
+    /// The key's hash, carried over from the lookup that found it absent.
+    hash: u64,
 }
 
 impl<'a, K: Hash + Eq, V> VacantEntry<'a, K, V> {
     /// Inserts a value for the key and returns a reference to it.
     pub fn insert(self, value: V) -> &'a mut V {
-        let entry = self.map.push_new(self.key, value);
+        let entry = self.map.push_new(self.key, value, self.hash);
         &mut self.map.entries[entry].1
     }
 

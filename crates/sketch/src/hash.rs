@@ -173,6 +173,14 @@ pub fn hash_block(bytes: &[u8], seed: u64) -> u64 {
 /// checkpoint/restore boundaries. (HashDoS resistance is not a concern for
 /// these tables: keys are already 64-bit hashes of attacker-invisible seeds,
 /// or bounded enumerations.)
+///
+/// An integer key — every query table is keyed by a `u64`, a `u32` or a
+/// `(u32, u8)` — is absorbed whole, one xor–multiply step per integer
+/// instead of one per byte; [`mix64`] still finishes. This hasher only ever
+/// places keys in a container's private index, which nothing observable
+/// depends on (see the [`det_map`](crate::det_map) module docs), so its
+/// function is free to change; [`hash_bytes`] and [`IncrementalFnv`], whose
+/// outputs *are* keys, digests and file checksums, are not.
 #[derive(Debug, Clone, Copy)]
 pub struct DetHasher(IncrementalFnv);
 
@@ -186,6 +194,31 @@ impl std::hash::Hasher for DetHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         self.0.write(bytes);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.0 = IncrementalFnv::from_state((self.0.state() ^ value).wrapping_mul(FNV_PRIME));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, value: u16) {
+        self.write_u64(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, value: u8) {
+        self.write_u64(u64::from(value));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, value: usize) {
+        self.write_u64(value as u64);
     }
 
     #[inline]
@@ -255,6 +288,25 @@ impl H3Hasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The keys the query tables hash: dense integers (addresses of one
+    /// subnet, prefix/length pairs) must spread over an index's low bits,
+    /// and every component of a tuple key must count.
+    #[test]
+    fn det_hasher_spreads_integer_and_tuple_keys() {
+        use std::hash::BuildHasher;
+        let hasher = DetBuildHasher::default();
+        let mask = 8191;
+        let mut slots: Vec<u64> =
+            (0x0a00_0000u32..0x0a00_1000).map(|address| hasher.hash_one(address) & mask).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert!(slots.len() > 3000, "4096 consecutive keys fell into {} slots", slots.len());
+
+        assert_ne!(hasher.hash_one((0x0a00_0000u32, 8u8)), hasher.hash_one((0x0a00_0000u32, 16u8)));
+        assert_ne!(hasher.hash_one((1u32, 2u8)), hasher.hash_one((2u32, 1u8)));
+        assert_ne!(hasher.hash_one(7u64), hasher.hash_one(7u64 << 32));
+    }
 
     #[test]
     fn mix64_separates_nearby_inputs() {

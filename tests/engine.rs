@@ -13,7 +13,9 @@
 //!   `ingest` loop — agree on all three digest streams.
 
 use netshed::prelude::*;
-use netshed_bench::corpus::{all_strategies, corpus_capacity, corpus_config, corpus_engine};
+use netshed_bench::corpus::{
+    all_strategies, corpus_capacity, corpus_config, corpus_engine, CORPUS_SEED,
+};
 use netshed_service::{Daemon, MonitorEngine, TickStatus};
 use netshed_trace::scenario::builtin;
 
@@ -156,4 +158,104 @@ fn monitor_run_is_the_pinned_loop_and_every_driver_agrees() {
 #[test]
 fn fleet_run_is_the_pinned_loop_and_every_driver_agrees() {
     check::<ShardedMonitor>(&FLEET);
+}
+
+// ---------------------------------------------------------------------------
+// An unshed multi-tenant run: where every predictor of an engine stores the
+// same feature rows, which is what lets them share the feature side of FCBF.
+// ---------------------------------------------------------------------------
+
+/// The three digest streams of the tenant run below, as captured at the
+/// commit before predictors started sharing an engine's feature window.
+const TENANTS_SOLO: RunDigest = RunDigest {
+    bins: 150,
+    records: 0xd47bce35f181b53f,
+    decisions: 0x8838c012af1cb294,
+    intervals: 0xec0d307d541cfb68,
+};
+const TENANTS_FOUR_LANES: RunDigest = RunDigest {
+    bins: 599,
+    records: 0xcdd2a008f8b3910a,
+    decisions: 0x834164e9b0f65b18,
+    intervals: 0xafe7bc927e5113fd,
+};
+
+/// 25 tenants over 150 unshed bins under a daemon: a 26th registers after
+/// bin 40 and the fourth leaves after bin 100, so the engine holds
+/// predictors that are younger than its window and a registry that shrank.
+/// With `cut`, the run is checkpointed after bin 70 and finished by a daemon
+/// restored from the bytes — whose predictors start with a window that has
+/// seen nothing.
+fn tenant_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest {
+    const KINDS: [QueryKind; 5] = [
+        QueryKind::Counter,
+        QueryKind::Application,
+        QueryKind::Flows,
+        QueryKind::TopK,
+        QueryKind::HighWatermark,
+    ];
+    let tenant = |index: usize| {
+        QuerySpec::new(KINDS[index % KINDS.len()]).with_label(format!("tenant-{index:02}"))
+    };
+    let source = || {
+        let traffic = TraceConfig::default().with_seed(29).with_mean_packets_per_batch(300.0);
+        BatchReplay::record(&mut TraceGenerator::new(traffic), 150)
+    };
+    let advance = |daemon: &mut Daemon<BatchReplay, E>, bins: u64| {
+        for _ in 0..bins / 10 {
+            assert_eq!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 10 });
+        }
+    };
+
+    let mut engine = E::from_config(config.clone()).expect("valid configuration");
+    let ids: Vec<QueryId> =
+        (0..25).map(|index| engine.register(&tenant(index)).expect("valid spec")).collect();
+    let (daemon, mut control) = Daemon::new(engine, source());
+    let mut daemon = daemon.with_bins_per_tick(10);
+    advance(&mut daemon, 40);
+    let late = control.register_query(tenant(25));
+    advance(&mut daemon, 30);
+    late.wait().expect("registered");
+    if cut {
+        let bytes = daemon.checkpoint().expect("checkpoint");
+        let (restored, restored_control) =
+            Daemon::<_, E>::restore_engine(config.clone(), source(), &bytes).expect("restore");
+        daemon = restored.with_bins_per_tick(10);
+        control = restored_control;
+    }
+    advance(&mut daemon, 30);
+    let left = control.deregister_query(ids[3]);
+    assert_eq!(daemon.run_to_exhaustion().expect("ticks"), TickStatus::SourceExhausted);
+    left.wait().expect("deregistered");
+    assert_eq!(daemon.bins_ingested(), 150);
+    daemon.digest()
+}
+
+#[test]
+fn an_unshed_tenant_run_is_pinned_across_engines_workers_and_a_restore() {
+    for workers in [1, 4] {
+        let config = MonitorConfig::default()
+            .with_capacity(1e15)
+            .with_seed(CORPUS_SEED)
+            .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+            .without_noise()
+            .with_workers(workers)
+            .with_shards(1);
+        let one_lane = config.clone().with_shard_lanes(1);
+        let four_lanes = config.clone().with_shard_lanes(4);
+        for cut in [false, true] {
+            let context = format!("workers {workers}, cut {cut}");
+            assert_eq!(tenant_run::<Monitor>(&config, cut), TENANTS_SOLO, "solo, {context}");
+            assert_eq!(
+                tenant_run::<ShardedMonitor>(&one_lane, cut),
+                TENANTS_SOLO,
+                "one lane, {context}"
+            );
+            assert_eq!(
+                tenant_run::<ShardedMonitor>(&four_lanes, cut),
+                TENANTS_FOUR_LANES,
+                "four lanes, {context}"
+            );
+        }
+    }
 }

@@ -10,7 +10,9 @@
 //! synthetic histories built to hit the edge cases, on real extracted
 //! features end to end, on known-answer vectors captured before the rewrite,
 //! and checks that a crafted snapshot cannot smuggle a value into the history
-//! that `push` would have clamped.
+//! that `push` would have clamped. Last, predictors reading an engine's
+//! shared `FeatureWindow` are held, by bits, to stand-alone twins that never
+//! saw one.
 
 mod oracle;
 
@@ -19,8 +21,8 @@ use netshed::linalg::stats::mean;
 use netshed::linalg::{Matrix, OlsWorkspace, SvdWorkspace};
 use netshed::monitor::packet_sample_with;
 use netshed::predict::{
-    clamp_sample, fcbf_select_with, FcbfConfig, FcbfScratch, History, MlrConfig, MlrPredictor,
-    Predictor, RobustMlrConfig, RobustMlrPredictor, SlrPredictor, MAX_SAMPLE,
+    clamp_sample, fcbf_select_with, FcbfConfig, FcbfScratch, FeatureWindow, History, MlrConfig,
+    MlrPredictor, Predictor, RobustMlrConfig, RobustMlrPredictor, SlrPredictor, MAX_SAMPLE,
 };
 use netshed::queries::{build_query, CycleMeter, QueryKind};
 use netshed::sketch::{StateError, StateReader, StateWriter};
@@ -613,4 +615,253 @@ fn crafted_snapshots_are_rejected_by_every_history_backed_predictor() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// (e) Shared ≡ private: a predictor reading the engine's feature window is
+// its stand-alone twin, by bits.
+// ---------------------------------------------------------------------------
+
+/// A history-backed predictor, so one loop can hold plain and robust ones.
+trait Tenant: Predictor {
+    fn history(&self) -> &History;
+}
+
+impl Tenant for MlrPredictor {
+    fn history(&self) -> &History {
+        MlrPredictor::history(self)
+    }
+}
+
+impl Tenant for RobustMlrPredictor {
+    fn history(&self) -> &History {
+        RobustMlrPredictor::history(self)
+    }
+}
+
+/// A predictor driven against the shared window, and its twin driven through
+/// plain `predict` / `observe` / `observe_corrupted` on the same rows.
+struct Pair {
+    name: &'static str,
+    /// First bin the pair exists in (a tenant may register late).
+    from_bin: usize,
+    fresh: fn() -> Box<dyn Tenant>,
+    shared: Box<dyn Tenant>,
+    twin: Box<dyn Tenant>,
+    /// The cost model of this tenant's query: cycles per packet, and per unit
+    /// of one more feature.
+    per_packet: f64,
+    driver: usize,
+    per_driver: f64,
+    /// From this bin on the cost is ninefold (never, for most).
+    surge_from: usize,
+}
+
+impl Pair {
+    fn cost(&self, row: &FeatureVector, bin: usize) -> f64 {
+        let calm =
+            1e4 + self.per_packet * row.packets() + self.per_driver * row.get_index(self.driver);
+        if bin >= self.surge_from {
+            9.0 * calm
+        } else {
+            calm
+        }
+    }
+}
+
+/// What happens to a pair in one bin.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Action {
+    /// Nothing shed: the history takes the bin's shared row.
+    Shared,
+    /// The measurement was an outlier: the prediction is stored instead,
+    /// beside the shared row.
+    CorruptedShared,
+    /// The query was sampled: the history takes its own re-extracted row.
+    Private,
+    /// Granted rate 0: predicted, never run, nothing observed.
+    PredictOnly,
+    /// Serving a penalty: neither predicted nor observed.
+    Skipped,
+    /// Checkpointed and restored between the prediction and the feedback.
+    Restored,
+}
+
+fn draw_action(rng: &mut StdRng) -> Action {
+    match rng.gen_range(0..1000) {
+        0..=3 => Action::Private,
+        4..=5 => Action::PredictOnly,
+        6..=7 => Action::Skipped,
+        8..=11 => Action::Restored,
+        12..=61 => Action::CorruptedShared,
+        _ => Action::Shared,
+    }
+}
+
+fn state_bytes(predictor: &dyn Tenant) -> Vec<u8> {
+    let mut writer = StateWriter::new();
+    predictor.save_state(&mut writer).expect("predictor checkpoints");
+    writer.into_bytes()
+}
+
+#[test]
+fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
+    // Long enough for a 60-row ring to wrap twice after the latest event
+    // below (the surge at bin 170).
+    const BINS: usize = 320;
+    const NEVER: usize = usize::MAX;
+
+    // Per bin: the full-batch vector every unshed query stores, and the
+    // vector a sampled query would re-extract for itself.
+    let mut generator = TraceGenerator::new(
+        TraceConfig::default().with_seed(41).with_mean_packets_per_batch(500.0),
+    );
+    let mut full_extractor = FeatureExtractor::with_defaults();
+    let mut sampled_extractor = FeatureExtractor::with_defaults();
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut pool = KeepListPool::new();
+    let rows: Vec<(FeatureVector, FeatureVector)> = (0..BINS)
+        .map(|_| {
+            let batch = generator.next_batch();
+            let (full, _) = full_extractor.extract_view(&batch.view());
+            let sampled = packet_sample_with(&batch.view(), 0.4, &mut rng, &mut pool).0;
+            (full, sampled_extractor.extract_view(&sampled).0)
+        })
+        .collect();
+
+    type Fresh = fn() -> Box<dyn Tenant>;
+    let plain: Fresh = || Box::new(MlrPredictor::with_defaults());
+    let cached: Fresh =
+        || Box::new(MlrPredictor::new(MlrConfig { reselect_every: 3, ..MlrConfig::default() }));
+    let loose: Fresh = || {
+        let fcbf = FcbfConfig { threshold: 0.2, max_features: 8 };
+        Box::new(MlrPredictor::new(MlrConfig { fcbf, ..MlrConfig::default() }))
+    };
+    // A history shorter than the window aligns only until it first evicts.
+    let short: Fresh =
+        || Box::new(MlrPredictor::new(MlrConfig { history: 25, ..MlrConfig::default() }));
+    let robust: Fresh = || Box::new(RobustMlrPredictor::with_defaults());
+    let pair = |name, from_bin, fresh: Fresh, per_packet, driver, per_driver, surge_from| Pair {
+        name,
+        from_bin,
+        fresh,
+        shared: fresh(),
+        twin: fresh(),
+        per_packet,
+        driver,
+        per_driver,
+        surge_from,
+    };
+    let mut pairs = [
+        pair("packets", 0, plain, 300.0, 0, 0.0, NEVER),
+        pair("bytes", 0, plain, 5.0, FeatureId::Bytes.index(), 0.4, NEVER),
+        pair("flows", 0, plain, 40.0, 6, 2500.0, NEVER),
+        pair("mixed", 0, loose, 120.0, 14, 900.0, NEVER),
+        pair("cached", 0, cached, 200.0, 10, 700.0, NEVER),
+        pair("short", 0, short, 250.0, 2, 300.0, NEVER),
+        pair("late", 25, plain, 150.0, 18, 1200.0, NEVER),
+        pair("robust", 0, robust, 220.0, 6, 800.0, 170),
+    ];
+
+    let mut window = FeatureWindow::new();
+    let mut rng = StdRng::seed_from_u64(0xa119);
+    let (mut predictor_bins, mut aligned_bins) = (0usize, 0usize);
+    let mut actions_seen = Vec::new();
+    let mut late_aligned = false;
+    let (mut robust_forgot, mut robust_realigned) = (false, false);
+    for (bin, (full, sampled)) in rows.iter().enumerate() {
+        // Predict phase, against the window of the bins before this one.
+        let mut planned: Vec<Option<(Action, f64)>> = Vec::new();
+        for pair in &mut pairs {
+            if bin < pair.from_bin {
+                planned.push(None);
+                continue;
+            }
+            let context = format!("bin {bin} pair {}", pair.name);
+            let aligned = pair.shared.history().aligned_with(&window);
+            assert!(!pair.twin.history().aligned_with(&window), "{context}: twins stand alone");
+            if pair.shared.history().len() >= 3 {
+                predictor_bins += 1;
+                aligned_bins += usize::from(aligned);
+                late_aligned |= aligned && pair.name == "late";
+                robust_realigned |= aligned && robust_forgot && pair.name == "robust";
+            }
+            let action = draw_action(&mut rng);
+            actions_seen.push(action);
+            if action == Action::Skipped {
+                planned.push(Some((action, 0.0)));
+                continue;
+            }
+            let got = pair.shared.predict_shared(&window, full);
+            let want = pair.twin.predict(full);
+            assert_eq!(got.to_bits(), want.to_bits(), "{context}: {got} vs {want}");
+            assert_eq!(pair.shared.selected_features(), pair.twin.selected_features(), "{context}");
+            assert_eq!(
+                pair.shared.last_cost_operations(),
+                pair.twin.last_cost_operations(),
+                "{context}"
+            );
+            planned.push(Some((action, got)));
+        }
+
+        window.push(full);
+
+        // Feedback phase: the window's newest row is this bin's vector.
+        for (pair, plan) in pairs.iter_mut().zip(planned) {
+            let Some((action, predicted)) = plan else { continue };
+            match action {
+                Action::Shared | Action::Restored => {
+                    if action == Action::Restored {
+                        let mut restored = (pair.fresh)();
+                        let bytes = state_bytes(pair.shared.as_ref());
+                        restored.load_state(&mut StateReader::new(&bytes)).expect("restores");
+                        pair.shared = restored;
+                    }
+                    let cycles = pair.cost(full, bin);
+                    pair.shared.observe_shared(&window, cycles, false);
+                    pair.twin.observe(full, cycles);
+                }
+                Action::CorruptedShared => {
+                    pair.shared.observe_shared(&window, predicted, true);
+                    pair.twin.observe_corrupted(full, predicted);
+                }
+                Action::Private => {
+                    let cycles = pair.cost(sampled, bin);
+                    pair.shared.observe(sampled, cycles);
+                    pair.twin.observe(sampled, cycles);
+                }
+                Action::PredictOnly | Action::Skipped => {}
+            }
+            assert_eq!(
+                state_bytes(pair.shared.as_ref()),
+                state_bytes(pair.twin.as_ref()),
+                "bin {bin} pair {}: state after {action:?}",
+                pair.name
+            );
+            if pair.name == "robust" && bin > 170 {
+                robust_forgot |= pair.shared.history().len() < 10;
+            }
+        }
+    }
+
+    // The comparison must not pass for want of anything to compare: every
+    // action occurred, the defence fired, and the window was actually read —
+    // by the late tenant and by the robust one after its history regrew too.
+    for action in [
+        Action::Shared,
+        Action::CorruptedShared,
+        Action::Private,
+        Action::PredictOnly,
+        Action::Skipped,
+        Action::Restored,
+    ] {
+        assert!(actions_seen.contains(&action), "{action:?} never drawn");
+    }
+    assert!(robust_forgot, "the surge must make the robust predictor forget");
+    assert!(robust_realigned, "the robust predictor must align again once its history regrew");
+    assert!(late_aligned, "the late tenant must align once its history fills the window");
+    assert!(
+        aligned_bins * 100 >= predictor_bins * 40,
+        "{aligned_bins} of {predictor_bins} predictor-bins read the shared window"
+    );
 }
