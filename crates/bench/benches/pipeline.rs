@@ -6,7 +6,7 @@
 //! extraction, clone shedding, the AoS replay) live on as test oracles in
 //! `tests/oracle/`, and their last measured rows are in CHANGES.md (PR 17).
 //!
-//! Seven measurements:
+//! Eight measurements:
 //!
 //! 1. **extract**: fused single-pass feature extraction on a 10k-packet
 //!    batch — warm (aggregate slots cached on the batch, the steady state
@@ -37,6 +37,13 @@
 //!    measured wall-clock throughput and its intra-run ratio to the 1-thread
 //!    point of the same invocation; `host_cores` says how many of those
 //!    threads the host could actually run at once.
+//! 8. **stage breakdown**: where the engines' own lap clocks
+//!    (`Engine::stage_stats`) say the bin went, as shares of the bin — the
+//!    seven stages of the solo pipeline run (4), and for the 4-lane fleet on
+//!    one thread its front end, the sum over its lanes' stages and what the
+//!    front end adds on top of them (`front_end_share`), with the fleet's
+//!    bin in solo bins (`bin_ns_vs_solo`) — beside the shares of the modelled
+//!    cycles the same runs' records carry: the cost model against the clock.
 //!
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
@@ -44,11 +51,12 @@
 use netshed_features::{FeatureExtractor, FeatureId, FeatureVector, FEATURE_COUNT};
 use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{
-    flow_sample_with, packet_sample_with, AllocationPolicy, Engine, ExecStats, Monitor,
-    MonitorBuilder, MonitorConfig, NetshedError, NullObserver, ShardedMonitor, Strategy,
+    flow_sample_with, packet_sample_with, AllocationPolicy, BinRecord, Engine, Monitor,
+    MonitorBuilder, MonitorConfig, NetshedError, RunObserver, Stage, StageStats, Strategy,
 };
 use netshed_predict::{
     fcbf_select_with, FcbfScratch, FeatureWindow, History, MlrConfig, MlrPredictor, Predictor,
+    OLS_RCOND,
 };
 use netshed_queries::{QueryKind, QuerySpec};
 use netshed_service::Daemon;
@@ -299,17 +307,94 @@ struct PipelineNumbers {
     packets: u64,
     elapsed_s: f64,
     packets_per_sec: f64,
-    /// Share of the run's bin wall time spent inside dispatches.
-    parallel_fraction: f64,
+    /// Where the engine's own lap clock says the run's time went.
+    stages: StageStats,
+    /// What the run's records charged, by the cost model.
+    modelled: ModelledCycles,
+}
+
+/// The modelled cycles of a run, summed over its records by component.
+#[derive(Default)]
+struct ModelledCycles {
+    prediction: f64,
+    shedding: f64,
+    query: f64,
+    platform: f64,
+}
+
+impl RunObserver for ModelledCycles {
+    fn on_bin(&mut self, record: &BinRecord) {
+        self.prediction += record.prediction_cycles;
+        self.shedding += record.shedding_cycles;
+        self.query += record.query_cycles;
+        self.platform += record.platform_cycles;
+    }
+}
+
+impl ModelledCycles {
+    /// Each component over the run's `total_cycles()`, as JSON members.
+    fn shares_json(&self) -> String {
+        let total = self.prediction + self.shedding + self.query + self.platform;
+        format!(
+            "\"prediction\": {:.4}, \"shedding\": {:.4}, \"query\": {:.4}, \"platform\": {:.4}",
+            self.prediction / total,
+            self.shedding / total,
+            self.query / total,
+            self.platform / total,
+        )
+    }
+}
+
+/// `stages`' shares of the bin `stats` measured, as JSON members.
+fn stage_shares_json(stats: &StageStats, stages: &[Stage]) -> String {
+    let members: Vec<String> = stages
+        .iter()
+        .map(|stage| {
+            format!("\"{}\": {:.4}", format!("{stage:?}").to_lowercase(), stats.share(*stage))
+        })
+        .collect();
+    members.join(", ")
+}
+
+/// Mean wall nanoseconds of a bin, by the engine's own clock.
+fn mean_bin_ns(stats: &StageStats) -> f64 {
+    stats.bin_ns() as f64 / stats.bins as f64
+}
+
+/// The 4-lane fleet's bin in solo bins, both on one thread and by the
+/// engines' own clocks: the median of three adjacent solo/fleet pairs,
+/// because this host's speed moves between runs that are minutes apart.
+fn fleet_bin_in_solo_bins(batches: usize) -> f64 {
+    let mut ratios: Vec<f64> = (0..3)
+        .map(|_| {
+            let solo = bench_pipeline_at(batches, 1);
+            let fleet = bench_sharded_pipeline_at(batches, 1);
+            mean_bin_ns(&fleet.stages) / mean_bin_ns(&solo.stages)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[1]
+}
+
+/// What a fleet's front end adds on top of its lanes' own stages, as a share
+/// of the fleet's bin: coordinate, split, merge, and the part of the lane
+/// dispatch no lane's clock saw (idle lanes' interval rolls, the demand
+/// hand-off, the dispatch itself). Meaningful on one shard thread, where the
+/// lanes run back to back inside the dispatch.
+fn front_end_share(stats: &StageStats) -> f64 {
+    let lane_sum: u64 = Stage::BIN.iter().map(|stage| stats.ns(*stage)).sum();
+    let lanes = stats.ns(Stage::Lanes);
+    let added = stats.bin_ns() - lanes + lanes.saturating_sub(lane_sum);
+    added as f64 / stats.bin_ns() as f64
 }
 
 /// Runs the 2× overload pipeline (Chapter 4 query mix, MmfsPkt) on the
 /// engine `build` makes of the shared configuration and reports wall-clock
-/// throughput plus the engine's measured dispatch share.
+/// throughput, the engine's own stage clock and the modelled cycles of the
+/// records it emitted.
 fn bench_engine<E: Engine>(
     batches: usize,
     build: impl FnOnce(MonitorBuilder) -> Result<E, NetshedError>,
-    exec_stats: impl FnOnce(&E) -> ExecStats,
 ) -> PipelineNumbers {
     let recorded = TraceGenerator::new(
         TraceConfig::default().with_seed(21).with_mean_packets_per_batch(2000.0),
@@ -328,8 +413,9 @@ fn bench_engine<E: Engine>(
         .queries(specs);
     let mut engine = build(builder).expect("valid configuration");
     let mut source = BatchReplay::new(recorded);
+    let mut modelled = ModelledCycles::default();
     let start = Instant::now();
-    let summary = engine.run(&mut source, &mut NullObserver).expect("run");
+    let summary = engine.run(&mut source, &mut modelled).expect("run");
     let elapsed_s = start.elapsed().as_secs_f64();
     assert_eq!(summary.bins + summary.empty_bins, batches as u64);
 
@@ -338,24 +424,21 @@ fn bench_engine<E: Engine>(
         packets: total_packets,
         elapsed_s,
         packets_per_sec: total_packets as f64 / elapsed_s,
-        parallel_fraction: exec_stats(&engine).parallel_fraction(),
+        stages: engine.stage_stats(),
+        modelled,
     }
 }
 
 /// The solo monitor at the given worker count.
 fn bench_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
-    bench_engine(batches, |builder| builder.with_workers(workers).build(), Monitor::exec_stats)
+    bench_engine(batches, |builder| builder.with_workers(workers).build())
 }
 
 /// The sharded fleet (default virtual-lane count) at the given shard-thread
 /// count. The lane layout is fixed, so every shard count replays the
 /// identical computation — the row reports pure wall-clock scaling.
 fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
-    bench_engine(
-        batches,
-        |builder| builder.with_shards(shards).build_sharded(),
-        ShardedMonitor::exec_stats,
-    )
+    bench_engine(batches, |builder| builder.with_shards(shards).build_sharded())
 }
 
 struct PredictionPlaneNumbers {
@@ -460,7 +543,7 @@ fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
                 }
                 history.fill_responses(&mut responses);
                 let start = Instant::now();
-                black_box(workspace.solve(&design, &responses, config.rcond));
+                black_box(workspace.solve(&design, &responses, OLS_RCOND));
                 ols_ns += start.elapsed().as_nanos();
             }
             history.push(*features, *cycles);
@@ -495,11 +578,13 @@ struct ScalingNumbers {
     points: Vec<ScalingPoint>,
     shard_lanes: usize,
     sharded_points: Vec<ScalingPoint>,
+    /// The fleet's 1-shard-thread run, for the stage breakdown.
+    sharded_baseline: PipelineNumbers,
 }
 
 /// Measures `run_at` at 1, 2 and 4 threads and relates each throughput to
-/// the 1-thread point; also returns that point's dispatch share.
-fn scaling_row(run_at: impl Fn(usize) -> PipelineNumbers) -> (Vec<ScalingPoint>, f64) {
+/// the 1-thread point, which it also returns.
+fn scaling_row(run_at: impl Fn(usize) -> PipelineNumbers) -> (Vec<ScalingPoint>, PipelineNumbers) {
     let baseline = run_at(1);
     let point = |threads: usize, packets_per_sec: f64| ScalingPoint {
         threads,
@@ -511,7 +596,7 @@ fn scaling_row(run_at: impl Fn(usize) -> PipelineNumbers) -> (Vec<ScalingPoint>,
         point(2, run_at(2).packets_per_sec),
         point(4, run_at(4).packets_per_sec),
     ];
-    (points, baseline.parallel_fraction)
+    (points, baseline)
 }
 
 /// The 2× overload pipeline at 1/2/4 workers, then through the fixed-lane
@@ -520,15 +605,17 @@ fn scaling_row(run_at: impl Fn(usize) -> PipelineNumbers) -> (Vec<ScalingPoint>,
 /// ratio at more threads than `host_cores` measures dispatch overhead, not
 /// scaling — the row reports it as measured either way.
 fn bench_parallel_scaling(batches: usize) -> ScalingNumbers {
-    let (points, parallel_fraction) = scaling_row(|workers| bench_pipeline_at(batches, workers));
-    let (sharded_points, _) = scaling_row(|shards| bench_sharded_pipeline_at(batches, shards));
+    let (points, baseline) = scaling_row(|workers| bench_pipeline_at(batches, workers));
+    let (sharded_points, sharded_baseline) =
+        scaling_row(|shards| bench_sharded_pipeline_at(batches, shards));
     ScalingNumbers {
         batches,
         host_cores: std::thread::available_parallelism().map_or(1, usize::from),
-        parallel_fraction,
+        parallel_fraction: baseline.stages.parallel_fraction(),
         points,
         shard_lanes: netshed_monitor::DEFAULT_SHARD_LANES,
         sharded_points,
+        sharded_baseline,
     }
 }
 
@@ -678,6 +765,18 @@ fn main() {
         );
     }
 
+    let fleet = &scaling.sharded_baseline;
+    eprintln!("stage breakdown: the engines' own lap clocks, as shares of the bin ...");
+    let bin_ns_vs_solo = fleet_bin_in_solo_bins(pipeline_batches);
+    eprintln!("  solo  {}", stage_shares_json(&pipeline.stages, &Stage::BIN));
+    eprintln!("  fleet {}", stage_shares_json(&fleet.stages, &Stage::FLEET));
+    eprintln!(
+        "  fleet lane sum {} | front end adds {:.3} | fleet bin = {:.2} solo bins",
+        stage_shares_json(&fleet.stages, &Stage::BIN),
+        front_end_share(&fleet.stages),
+        bin_ns_vs_solo,
+    );
+
     let small_views_json: String = extract
         .small_views
         .iter()
@@ -740,7 +839,16 @@ fn main() {
          \"parallel_fraction\": {:.3},\n    \"workers\": [\n{}\n    ],\n    \
          \"speedup_4w\": {:.3},\n    \
          \"sharded\": {{\n      \"shard_lanes\": {},\n      \"shards\": [\n{}\n      ],\n      \
-         \"sharded_speedup_4s\": {:.3}\n    }}\n  }}\n}}\n",
+         \"sharded_speedup_4s\": {:.3}\n    }}\n  }},\n  \
+         \"stage_breakdown\": {{\n    \
+         \"solo\": {{\n      \"bins\": {},\n      \
+         \"measured_share\": {{ {} }},\n      \
+         \"modelled_cycle_share\": {{ {} }}\n    }},\n    \
+         \"fleet_1_thread\": {{\n      \"bins\": {},\n      \"shard_lanes\": {},\n      \
+         \"front_end_measured_share\": {{ {} }},\n      \
+         \"lane_sum_measured_share\": {{ {} }},\n      \
+         \"front_end_share\": {:.4},\n      \"bin_ns_vs_solo\": {:.3},\n      \
+         \"modelled_cycle_share\": {{ {} }}\n    }}\n  }}\n}}\n",
         if smoke { " -- --smoke" } else { "" },
         smoke,
         extract.packets,
@@ -775,6 +883,16 @@ fn main() {
         scaling.shard_lanes,
         sharded_points_json,
         speedup_at_4(&scaling.sharded_points),
+        pipeline.stages.bins,
+        stage_shares_json(&pipeline.stages, &Stage::BIN),
+        pipeline.modelled.shares_json(),
+        fleet.stages.bins,
+        scaling.shard_lanes,
+        stage_shares_json(&fleet.stages, &Stage::FLEET),
+        stage_shares_json(&fleet.stages, &Stage::BIN),
+        front_end_share(&fleet.stages),
+        bin_ns_vs_solo,
+        fleet.modelled.shares_json(),
     );
     // Cargo runs bench binaries with the package directory as CWD; default
     // to the workspace root so the JSON lands in one predictable place.

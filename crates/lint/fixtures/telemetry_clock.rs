@@ -15,7 +15,7 @@ pub fn bad_epoch() -> u64 {
 
 // -- suppressed: telemetry that never feeds observable output ---------------
 pub fn timed_telemetry() -> f64 {
-    let start = Instant::now(); // lint:allow(telemetry-clock): feeds ExecStats telemetry only, never query output
+    let start = Instant::now(); // lint:allow(telemetry-clock): feeds StageStats telemetry only, never query output
     work();
     start.elapsed().as_secs_f64()
 }

@@ -76,7 +76,10 @@ impl Config {
                 // Trace generation: synthetic traffic is *made of* seeded draws.
                 "crates/trace/src/",
                 // The plan phase: packet-sampling draws and noise pre-draws
-                // happen here, sequentially, before any dispatch.
+                // happen in the bin's admit and shed stages, sequentially,
+                // before any dispatch, from the RNGs the monitor seeds and
+                // restores.
+                "crates/monitor/src/bin.rs",
                 "crates/monitor/src/monitor.rs",
                 "crates/monitor/src/shedder.rs",
                 // The seeded measurement-noise / cost-jitter model; draws are
@@ -86,8 +89,9 @@ impl Config {
                 "crates/bench/src/",
             ]),
             clock_allowed: owned(&[
-                // ExecStats telemetry: wall-clock feeds reporting only, never
-                // an observable output.
+                // The stage lap clock (StageStats telemetry): the one place
+                // the engines read a clock; it feeds reporting only, never an
+                // observable output.
                 "crates/monitor/src/exec.rs",
                 "crates/bench/src/",
             ]),
@@ -102,6 +106,10 @@ impl Config {
                 "crates/features/src/extractor.rs",
                 "crates/monitor/src/shedder.rs",
                 "crates/monitor/src/exec.rs",
+                // The bin's stage functions: the per-bin context is reused,
+                // so the only vector a bin may build is the one its record
+                // owns (sized with `Vec::with_capacity`).
+                "crates/monitor/src/bin.rs",
                 // The prediction plane: every query pays one FCBF selection
                 // and one least-squares solve per bin, out of scratch its
                 // predictor owns — or out of the engine's shared feature

@@ -115,35 +115,16 @@ impl MonitorBuilder {
         self
     }
 
-    /// Enables or disables the buffer discovery algorithm of Section 4.1.
-    pub fn buffer_discovery(mut self, enabled: bool) -> Self {
-        self.config.buffer_discovery = enabled;
-        self
-    }
-
-    /// Sets the time bin duration in microseconds.
-    pub fn time_bin_us(mut self, us: u64) -> Self {
-        self.config.time_bin_us = us;
-        self
-    }
-
     /// Sets the measurement interval duration in microseconds.
     pub fn measurement_interval_us(mut self, us: u64) -> Self {
         self.config.measurement_interval_us = us;
         self
     }
 
-    /// Sets the measurement noise model parameters.
-    pub fn noise(mut self, jitter: f64, outlier_probability: f64, outlier_cycles: u64) -> Self {
-        self.config.noise_jitter = jitter;
-        self.config.noise_outlier_probability = outlier_probability;
-        self.config.noise_outlier_cycles = outlier_cycles;
-        self
-    }
-
     /// Disables measurement noise (deterministic runs).
-    pub fn no_noise(self) -> Self {
-        self.noise(0.0, 0.0, 0)
+    pub fn no_noise(mut self) -> Self {
+        self.config = self.config.without_noise();
+        self
     }
 
     /// Sets the PRNG seed for sampling hash functions and noise.
@@ -279,15 +260,12 @@ mod tests {
     }
 
     #[test]
-    fn out_of_domain_alpha_and_rates_are_rejected() {
+    fn out_of_domain_alpha_is_rejected() {
         assert!(MonitorBuilder::new().ewma_alpha(-0.1).build().is_err());
         assert!(MonitorBuilder::new().ewma_alpha(1.5).build().is_err());
         // alpha = 0 turns the error correction off — the ablation experiments
         // rely on it being a valid setting.
         assert!(MonitorBuilder::new().ewma_alpha(0.0).build().is_ok());
-        assert!(MonitorBuilder::new().noise(-0.1, 0.0, 0).build().is_err());
-        assert!(MonitorBuilder::new().noise(0.0, 1.5, 0).build().is_err());
-        assert!(MonitorBuilder::new().time_bin_us(0).build().is_err());
     }
 
     #[test]

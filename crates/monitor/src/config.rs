@@ -238,9 +238,6 @@ pub struct MonitorConfig {
     /// give 3×10⁸; experiments usually derive this from a target overload
     /// factor instead).
     pub capacity_cycles_per_bin: f64,
-    /// Capture buffer size expressed in time bins of backlog the system can
-    /// accumulate before uncontrolled drops start (DAG buffer of the paper).
-    pub buffer_capacity_bins: f64,
     /// Fixed platform overhead per bin not related to query processing
     /// (capture, memory and storage management).
     pub platform_overhead_cycles: f64,
@@ -262,12 +259,8 @@ pub struct MonitorConfig {
     pub noise_jitter: f64,
     /// Measurement noise: probability of a context-switch outlier per batch.
     pub noise_outlier_probability: f64,
-    /// Measurement noise: cycles added by an outlier.
-    pub noise_outlier_cycles: u64,
     /// Enforcement policy for custom load shedding queries.
     pub enforcement: EnforcementConfig,
-    /// Minimum sampling rate floor used by the reactive strategy.
-    pub reactive_min_rate: f64,
     /// Seed for sampling hash functions and noise.
     pub seed: u64,
     /// Workers the execution plane dispatches the per-bin query tail to.
@@ -300,7 +293,6 @@ impl Default for MonitorConfig {
     fn default() -> Self {
         Self {
             capacity_cycles_per_bin: 3.0e8,
-            buffer_capacity_bins: 2.0,
             platform_overhead_cycles: 1.0e4,
             time_bin_us: netshed_trace::DEFAULT_TIME_BIN_US,
             measurement_interval_us: netshed_trace::DEFAULT_MEASUREMENT_INTERVAL_US,
@@ -310,9 +302,7 @@ impl Default for MonitorConfig {
             buffer_discovery: true,
             noise_jitter: 0.02,
             noise_outlier_probability: 0.005,
-            noise_outlier_cycles: 200_000,
             enforcement: EnforcementConfig::default(),
-            reactive_min_rate: 0.05,
             seed: 1,
             workers: crate::exec::workers_from_env(),
             shards: crate::exec::shards_from_env(),
@@ -394,12 +384,6 @@ impl MonitorConfig {
                 self.capacity_cycles_per_bin
             ));
         }
-        if !self.buffer_capacity_bins.is_finite() || self.buffer_capacity_bins < 0.0 {
-            return invalid(format!(
-                "buffer_capacity_bins must be non-negative and finite, got {}",
-                self.buffer_capacity_bins
-            ));
-        }
         if !self.platform_overhead_cycles.is_finite() || self.platform_overhead_cycles < 0.0 {
             return invalid(format!(
                 "platform_overhead_cycles must be non-negative and finite, got {}",
@@ -417,12 +401,6 @@ impl MonitorConfig {
         }
         if !self.ewma_alpha.is_finite() || !(0.0..=1.0).contains(&self.ewma_alpha) {
             return invalid(format!("ewma_alpha must be in [0, 1], got {}", self.ewma_alpha));
-        }
-        if !self.reactive_min_rate.is_finite() || !(0.0..=1.0).contains(&self.reactive_min_rate) {
-            return invalid(format!(
-                "reactive_min_rate must be in [0, 1], got {}",
-                self.reactive_min_rate
-            ));
         }
         if !self.noise_jitter.is_finite() || self.noise_jitter < 0.0 {
             return invalid(format!(
@@ -511,6 +489,17 @@ mod tests {
         let config = MonitorConfig::default();
         assert_eq!(config.capacity_cycles_per_bin, 3.0e8);
         assert_eq!(config.bins_per_interval(), 10);
+    }
+
+    #[test]
+    fn out_of_domain_noise_and_bin_geometry_are_rejected() {
+        let rejected = |config: MonitorConfig| config.validate().is_err();
+        assert!(rejected(MonitorConfig { noise_jitter: -0.1, ..MonitorConfig::default() }));
+        assert!(rejected(MonitorConfig {
+            noise_outlier_probability: 1.5,
+            ..MonitorConfig::default()
+        }));
+        assert!(rejected(MonitorConfig { time_bin_us: 0, ..MonitorConfig::default() }));
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! The paper's system is one pipeline per time bin (Algorithm 1); a solo
 //! [`Monitor`], a [`ShardedMonitor`] fleet and the service-plane daemon are
 //! three process shapes around it. [`Engine`] is the small contract a host
-//! depends on: eight required methods — the registry, the policy swap, the
-//! interval flush and [`ingest`](Engine::ingest), the per-bin observer
-//! protocol — and one provided method, [`run`](Engine::run), the only
+//! depends on: nine required methods — the registry, the policy swap, the
+//! interval flush, the stage telemetry and [`ingest`](Engine::ingest), the
+//! per-bin observer protocol — and one provided method,
+//! [`run`](Engine::run), the only
 //! spelling in the workspace of the run loop. `Monitor::run`,
 //! `ShardedMonitor::run` and the daemon's final flush are calls into it, and
 //! a harness generic over engines needs nothing else.
 
 use crate::config::{MonitorConfig, PolicySpec};
 use crate::error::NetshedError;
+use crate::exec::StageStats;
 use crate::monitor::{Monitor, QueryId};
 use crate::observer::RunObserver;
 use crate::report::{BinRecord, RunSummary};
@@ -50,6 +52,10 @@ pub trait Engine {
 
     /// Flushes the open measurement interval and returns its outputs.
     fn finish_interval(&mut self) -> Vec<(String, QueryOutput)>;
+
+    /// Cumulative per-stage wall time of the bins ingested so far — where
+    /// the engine's time went, by its own clock. Telemetry only.
+    fn stage_stats(&self) -> StageStats;
 
     /// Processes one non-empty bin, reporting to `observer` in the engine's
     /// canonical order: `on_batch` with the undivided batch, `on_interval`
@@ -125,6 +131,10 @@ impl Engine for Monitor {
         Monitor::finish_interval(self)
     }
 
+    fn stage_stats(&self) -> StageStats {
+        Monitor::stage_stats(self)
+    }
+
     fn ingest<O>(&mut self, batch: &Batch, observer: &mut O) -> Result<Self::Records, NetshedError>
     where
         O: RunObserver + ?Sized,
@@ -169,6 +179,10 @@ impl Engine for ShardedMonitor {
 
     fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
         ShardedMonitor::finish_interval(self)
+    }
+
+    fn stage_stats(&self) -> StageStats {
+        ShardedMonitor::stage_stats(self)
     }
 
     fn ingest<O>(&mut self, batch: &Batch, observer: &mut O) -> Result<Self::Records, NetshedError>

@@ -1,28 +1,22 @@
 //! The parallel execution plane: scoped worker dispatch for the per-bin
-//! query work.
+//! query work, and the one clock that times the bin's stages.
 //!
-//! The per-query work of a bin — the cost prediction, the uncharged
-//! shadow-twin measurement of oracle-style policies, and the tail (flow
-//! sampling, sampled feature re-extraction, `Query::process_batch`, noise
-//! application and `Predictor::observe`) — is embarrassingly parallel: every
-//! task touches only its own query's state plus shared read-only data (the
-//! post-drop [`BatchView`](netshed_trace::BatchView), the full-batch feature
-//! vector). [`run_tasks`] fans those tasks out over a scoped pool of
-//! `std::thread` workers; the monitor merges the results back in
-//! registration order, so the output stream is bit-identical whatever the
-//! worker count (see DESIGN.md, "Execution plane").
-//!
-//! Everything order-sensitive — capture-buffer accounting, full-batch
-//! feature extraction, the policy decision, the RNG-driven packet sampling
-//! and the measurement-noise draws — stays on the caller's thread; a task
-//! receives its inputs (including its pre-drawn
-//! [`NoiseDraw`](netshed_queries::NoiseDraw)) fully determined.
-//!
-//! With `workers == 1` (the default) no thread is ever spawned: tasks run
-//! inline on the caller's thread in task order, which *is* the historical
+//! The per-query work of a bin (`bin.rs`: the predict, shadow and tail
+//! tasks) is embarrassingly parallel: every task touches only its own
+//! query's state plus shared read-only data. [`run_tasks`] fans those tasks
+//! out over a scoped pool of `std::thread` workers; the monitor merges the
+//! results back in registration order, so the output stream is bit-identical
+//! whatever the worker count (see DESIGN.md, "Execution plane"). With
+//! `workers == 1` (the default) no thread is ever spawned: tasks run inline
+//! on the caller's thread in task order, which *is* the historical
 //! sequential path.
+//!
+//! This is also the only place an engine reads a clock: a [`StageClock`]
+//! laps once per [`Stage`] into a [`StageStats`] that is reported and never
+//! read back.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Highest accepted worker count (a sanity cap, not a tuning hint).
 pub const MAX_WORKERS: usize = 256;
@@ -71,46 +65,136 @@ where
     });
 }
 
-/// Cumulative execution-plane telemetry of a [`Monitor`](crate::Monitor) or
-/// a [`ShardedMonitor`](crate::ShardedMonitor): what was observed, nothing
-/// modelled.
-///
-/// Every processed bin contributes its wall time, split by the one clock
-/// pair taken around each dispatch into the time spent inside dispatches and
-/// the time spent outside them on the caller's thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Bins processed.
-    pub bins: u64,
-    /// Wall nanoseconds spent outside dispatches, on the caller's thread
-    /// (admission, extraction, decision, plan, merge).
-    pub sequential_ns: u64,
-    /// Wall nanoseconds spent inside dispatches — start of the fan-out to
-    /// the last task's completion, whatever the worker count.
-    pub dispatch_ns: u64,
-    /// Tasks handed to the execution plane.
-    pub dispatched_tasks: u64,
+/// A named stage of a bin: the seven a [`Monitor`](crate::Monitor) runs per
+/// batch, in execution order (`bin.rs`), then the four of a
+/// [`ShardedMonitor`](crate::ShardedMonitor)'s front end around its lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Validation, interval roll, capture-buffer drop.
+    Admit,
+    /// Full-batch feature extraction.
+    Extract,
+    /// The predict dispatch, its fold, and the shadow dispatch when needed.
+    Predict,
+    /// Demands, control context, the policy decision.
+    Decide,
+    /// The plan: penalties, hasher refresh, RNG-drawn samples, noise draws.
+    Shed,
+    /// The tail dispatch: sample, re-extract, run the query, feed back.
+    Execute,
+    /// The merge: enforcement, EWMAs, buffer accounting, the bin's record.
+    Account,
+    /// Fleet: the coordinator's budget redistribution.
+    Coordinate,
+    /// Fleet: splitting the global batch over the lanes.
+    Split,
+    /// Fleet: the lane dispatch, from the fan-out to the last lane's
+    /// completion — it spans every lane's own seven stages.
+    Lanes,
+    /// Fleet: the lane-order merge and the observer callbacks.
+    Merge,
 }
 
-impl ExecStats {
-    /// Folds one bin: its wall time outside and inside its dispatches, and
-    /// the number of tasks those dispatches walked.
-    pub(crate) fn fold_bin(&mut self, sequential_ns: u64, dispatch_ns: u64, tasks: usize) {
-        self.bins += 1;
-        self.sequential_ns += sequential_ns;
-        self.dispatch_ns += dispatch_ns;
-        self.dispatched_tasks += tasks as u64;
+impl Stage {
+    /// Number of stages, the length of [`StageStats::ns`].
+    pub const COUNT: usize = 11;
+    /// The stages of a monitor's bin, in execution order.
+    pub const BIN: [Stage; 7] = [
+        Stage::Admit,
+        Stage::Extract,
+        Stage::Predict,
+        Stage::Decide,
+        Stage::Shed,
+        Stage::Execute,
+        Stage::Account,
+    ];
+    /// The stages of a fleet's front end, in execution order.
+    pub const FLEET: [Stage; 4] = [Stage::Coordinate, Stage::Split, Stage::Lanes, Stage::Merge];
+}
+
+/// Cumulative per-stage wall time of an engine, as its lap clock read it.
+/// Telemetry only: it never feeds a decision, a snapshot or a digest, and a
+/// fixed array costs no allocation. A monitor fills the [`Stage::BIN`]
+/// slots; a fleet fills the [`Stage::FLEET`] slots and reports in the bin
+/// slots the sum over its lanes — which its `Lanes` slot already spans.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageStats {
+    /// Bins processed (a fleet counts global bins).
+    pub bins: u64,
+    /// Tasks dispatched: one per query per dispatch, one per lane per bin.
+    pub tasks: u64,
+    /// Wall nanoseconds per stage, indexed by `Stage as usize`.
+    pub ns: [u64; Stage::COUNT],
+}
+
+impl StageStats {
+    /// Wall nanoseconds charged to `stage`.
+    pub fn ns(&self, stage: Stage) -> u64 {
+        self.ns[stage as usize]
     }
 
-    /// Fraction of the measured wall time spent inside dispatches. On a
-    /// 1-worker run this is the share of the bin that more workers could
-    /// overlap at all — the Amdahl ceiling of the execution plane.
-    pub fn parallel_fraction(&self) -> f64 {
-        let total = self.sequential_ns + self.dispatch_ns;
-        if total == 0 {
-            return 0.0;
+    /// Wall nanoseconds of the bins measured: the front end's four slots on
+    /// a fleet, the seven bin slots on a monitor.
+    pub fn bin_ns(&self) -> u64 {
+        let total = |stages: &[Stage]| stages.iter().map(|stage| self.ns(*stage)).sum();
+        match total(&Stage::FLEET) {
+            0 => total(&Stage::BIN),
+            front_end => front_end,
         }
-        self.dispatch_ns as f64 / total as f64
+    }
+
+    /// `stage`'s share of [`bin_ns`](Self::bin_ns) (0 before the first bin).
+    pub fn share(&self, stage: Stage) -> f64 {
+        match self.bin_ns() {
+            0 => 0.0,
+            bin_ns => self.ns(stage) as f64 / bin_ns as f64,
+        }
+    }
+
+    /// Share of the bin spent in dispatches — the lanes on a fleet, predict
+    /// and execute on a monitor. On a 1-thread run this is the part of the
+    /// bin more threads could overlap at all: the plane's Amdahl ceiling.
+    pub fn parallel_fraction(&self) -> f64 {
+        match self.ns(Stage::Lanes) {
+            0 => self.share(Stage::Predict) + self.share(Stage::Execute),
+            _ => self.share(Stage::Lanes),
+        }
+    }
+
+    /// Adds `other` field by field.
+    pub fn absorb(&mut self, other: &StageStats) {
+        self.bins += other.bins;
+        self.tasks += other.tasks;
+        for (ns, other_ns) in self.ns.iter_mut().zip(other.ns) {
+            *ns += other_ns;
+        }
+    }
+}
+
+/// The one clock of the execution plane: [`start`](Self::start) opens a bin
+/// and every [`lap`](Self::lap) charges the wall time since the previous
+/// reading to a stage — `n + 1` clock reads for `n` stages, all taken here.
+#[derive(Debug)]
+pub(crate) struct StageClock {
+    pub(crate) stats: StageStats,
+    last: Instant,
+}
+
+impl StageClock {
+    pub(crate) fn new() -> Self {
+        Self { stats: StageStats::default(), last: Instant::now() }
+    }
+
+    /// Opens a bin. One abandoned on an error before a lap leaves no trace.
+    pub(crate) fn start(&mut self) {
+        self.last = Instant::now();
+    }
+
+    /// Charges the time since the previous reading to `stage`.
+    pub(crate) fn lap(&mut self, stage: Stage) {
+        let now = Instant::now();
+        self.stats.ns[stage as usize] += now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
     }
 }
 
@@ -206,16 +290,43 @@ mod tests {
     }
 
     #[test]
-    fn exec_stats_accumulate_what_was_measured() {
-        let mut stats = ExecStats::default();
-        assert_eq!(stats.parallel_fraction(), 0.0, "no bins yet");
-        stats.fold_bin(100, 200, 4);
-        stats.fold_bin(50, 250, 6);
-        assert_eq!(stats.bins, 2);
-        assert_eq!(stats.sequential_ns, 150);
-        assert_eq!(stats.dispatch_ns, 450);
-        assert_eq!(stats.dispatched_tasks, 10);
-        assert!((stats.parallel_fraction() - 450.0 / 600.0).abs() < 1e-12);
+    fn stage_stats_share_the_bin_they_measured() {
+        let mut solo = StageStats::default();
+        assert_eq!(solo.share(Stage::Extract), 0.0, "no bins yet");
+        assert_eq!(solo.parallel_fraction(), 0.0, "no bins yet");
+        for (slot, stage) in Stage::BIN.iter().enumerate() {
+            solo.ns[*stage as usize] = 100 * (slot as u64 + 1);
+        }
+        assert_eq!(solo.bin_ns(), 2800);
+        assert!((solo.share(Stage::Extract) - 200.0 / 2800.0).abs() < 1e-12);
+        // Predict (300) and execute (600) are the dispatched stages.
+        assert!((solo.parallel_fraction() - 900.0 / 2800.0).abs() < 1e-12);
+
+        // A fleet: its own four slots are the bin; the lanes' seven ride
+        // along without being counted twice.
+        let mut fleet = StageStats { bins: 1, tasks: 4, ..StageStats::default() };
+        for stage in Stage::FLEET {
+            fleet.ns[stage as usize] = 1000;
+        }
+        fleet.absorb(&solo);
+        assert_eq!((fleet.bins, fleet.tasks), (1, 4));
+        assert_eq!(fleet.ns(Stage::Shed), 500);
+        assert_eq!(fleet.bin_ns(), 4000);
+        assert!((fleet.parallel_fraction() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_lap_clock_charges_each_interval_to_exactly_one_stage() {
+        let mut clock = StageClock::new();
+        clock.start();
+        clock.lap(Stage::Admit);
+        clock.lap(Stage::Account);
+        let stats = clock.stats;
+        let charged: u64 = stats.ns.iter().sum();
+        assert_eq!(charged, stats.ns(Stage::Admit) + stats.ns(Stage::Account));
+        // A bin abandoned before its first lap leaves no trace.
+        clock.start();
+        assert_eq!(clock.stats, stats);
     }
 
     #[test]

@@ -66,6 +66,7 @@
 
 #![forbid(unsafe_code)]
 
+mod bin;
 pub mod builder;
 pub mod capture;
 pub mod config;
@@ -91,7 +92,7 @@ pub use config::{
 pub use digest::{DigestObserver, RunDigest, StreamDigest};
 pub use engine::Engine;
 pub use error::NetshedError;
-pub use exec::{ExecStats, MAX_WORKERS};
+pub use exec::{Stage, StageStats, MAX_WORKERS};
 pub use monitor::{Monitor, QueryId};
 pub use observer::{AccuracyTracker, NullObserver, RecordSink, RunObserver};
 pub use policy::{

@@ -1,50 +1,37 @@
 //! The monitoring system: prediction-driven load shedding over black-box
 //! queries (Algorithm 1 of the paper plus the Chapter 5 allocation policies
 //! and the Chapter 6 custom-shedding enforcement).
+//!
+//! This file is the monitor's state and everything around the bin — the
+//! query registry, the policy swap, the interval clock, checkpoint and
+//! restore. The bin itself ([`Monitor::process_batch`] and its stages) is
+//! `bin.rs`, which is why the fields it works on are crate-visible.
 
+use crate::bin::{Bin, BinSlot};
 use crate::builder::MonitorBuilder;
 use crate::capture::{bounded, CaptureBuffer};
 use crate::config::{MonitorConfig, PolicySpec};
 use crate::engine::Engine;
 use crate::error::NetshedError;
-use crate::exec::{self, ExecStats};
+use crate::exec::{StageClock, StageStats};
 use crate::observer::RunObserver;
-use crate::policy::{ControlContext, ControlPolicy};
-use crate::report::{BinRecord, QueryBinRecord, RunSummary};
-use crate::shedder::{flow_sample_with, packet_sample_with};
-use netshed_fairness::QueryDemand;
-use netshed_features::{ExtractorConfig, FeatureExtractor, FeatureVector};
+use crate::policy::ControlPolicy;
+use crate::report::RunSummary;
+use netshed_features::{ExtractorConfig, FeatureExtractor};
 use netshed_predict::{FeatureWindow, Predictor};
 use netshed_queries::{
-    build_query_from_spec, CycleMeter, MeasurementNoise, NoiseDraw, Query, QueryOutput, QuerySpec,
-    SheddingMethod,
+    build_query_from_spec, MeasurementNoise, Query, QueryOutput, QuerySpec, SheddingMethod,
 };
 use netshed_sketch::{H3Hasher, StateError, StateReader, StateWriter};
-use netshed_trace::{Batch, BatchView, KeepListPool, PacketSource};
+use netshed_trace::{Batch, KeepListPool, PacketSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-// lint:allow(telemetry-clock): wall-clock readings here only feed ExecStats/BinRecord telemetry, never control flow
-use std::time::Instant;
 
-/// Cycles charged per feature-extraction elementary operation (one hash plus
-/// one bitmap update). Keeps the prediction overhead in the ~10% range of
-/// Table 3.4 for the default workloads.
-const FEATURE_OP_CYCLES: u64 = 25;
-/// Cycles charged per feature-extraction operation when features are
-/// *re-extracted* over a query's sampled stream. The paper (Section 5.5.4)
-/// notes that this overhead can be reduced by only recomputing the features
-/// actually selected as predictors; the reduced constant models that
-/// optimisation.
-const REEXTRACT_OP_CYCLES: u64 = 6;
-/// Cycles charged per predictor elementary operation (correlation / OLS step).
-const PREDICT_OP_CYCLES: u64 = 4;
-/// Cycles charged per packet examined by a sampler.
-const SAMPLING_TEST_CYCLES: u64 = 12;
-/// Fraction of the capture buffer occupation above which the buffer
-/// discovery algorithm considers the system unstable and resets `rtthresh`.
-const BUFFER_UNSTABLE_OCCUPATION: f64 = 0.3;
-/// Maximum fraction of the per-bin capacity that `rtthresh` may reach.
-const RTTHRESH_MAX_FRACTION: f64 = 0.25;
+/// Capture buffer size in time bins of backlog the system can accumulate
+/// before uncontrolled drops start (the DAG buffer of the paper).
+pub(crate) const BUFFER_CAPACITY_BINS: f64 = 2.0;
+/// Measurement noise: cycles a context-switch outlier adds to a batch.
+const NOISE_OUTLIER_CYCLES: u64 = 200_000;
 
 /// Stable handle to a query instance registered in a [`Monitor`].
 ///
@@ -69,70 +56,42 @@ impl std::fmt::Display for QueryId {
     }
 }
 
-/// One bin's plan and results for one query — the whole hand-off between the
-/// three phases of [`Monitor::process_batch`]: the plan phase fills it on the
-/// caller's thread, the dispatches complete it inside the query's own task,
-/// and the merge reads it back in registration order.
-#[derive(Default)]
-struct BinSlot {
-    /// Predicted full-batch cycles (0 while the query serves a penalty).
-    predicted: f64,
-    /// Elementary operations the prediction cost.
-    predict_ops: u64,
-    /// Full-batch cycles measured on the shadow twin (the prediction when
-    /// the query has no twin); written only under oracle-style policies.
-    shadow_cycles: f64,
-    /// The granted sampling rate and the pre-drawn measurement noise when
-    /// the query runs this bin; `None` when it sits the bin out (penalised,
-    /// or granted rate 0).
-    run: Option<(f64, NoiseDraw)>,
-    /// The packet-sampled view, drawn in the plan phase because it consumes
-    /// the shared RNG. `None` for every other shedding outcome: the tail
-    /// works from the post-drop view (flow sampling is deterministic per
-    /// query, so it happens inside the task).
-    sampled: Option<BatchView>,
-    // Outputs of the tail, valid when `run` is `Some`.
-    measured: f64,
-    outlier: bool,
-    delivered_packets: u64,
-    reextract_ops: u64,
-}
-
 /// One query registered in the monitor, together with its prediction state.
 ///
 /// The query is also the unit of dispatch: the execution plane hands each
 /// worker one `&mut RegisteredQuery`, so everything a task mutates — the
 /// query, its shadow twin, its predictor, its extractor, its keep-list pool
 /// and its [`BinSlot`] — lives here and nowhere else.
-struct RegisteredQuery {
-    id: QueryId,
-    label: String,
-    shedding: SheddingMethod,
-    min_rate: f64,
+pub(crate) struct RegisteredQuery {
+    pub(crate) id: QueryId,
+    pub(crate) label: String,
+    pub(crate) shedding: SheddingMethod,
+    pub(crate) min_rate: f64,
     /// The spec this instance was built from, when registered through
     /// [`Monitor::register`]; lets the monitor build a shadow twin for
     /// policies that need the true full-batch cycles.
     spec: Option<QuerySpec>,
     /// Flow-sampling hash function, redrawn every measurement interval.
-    flow_hasher: H3Hasher,
-    hasher_generation: u64,
+    pub(crate) flow_hasher: H3Hasher,
+    pub(crate) hasher_generation: u64,
     /// Chapter 6 enforcement state.
-    overuse_ratio: f64,
-    violations: u32,
-    penalty_remaining: u32,
-    query: Box<dyn Query>,
+    pub(crate) overuse_ratio: f64,
+    pub(crate) violations: u32,
+    pub(crate) penalty_remaining: u32,
+    pub(crate) query: Box<dyn Query>,
     /// Shadow twin fed the full (unsampled) stream to measure the bin's
     /// actual cycles for oracle-style policies. Its work is not charged
     /// against the capacity.
-    shadow: Option<Box<dyn Query>>,
-    predictor: Box<dyn Predictor>,
+    pub(crate) shadow: Option<Box<dyn Query>>,
+    pub(crate) predictor: Box<dyn Predictor>,
     /// Extractor used to recompute features over this query's sampled stream
     /// (needed to keep the MLR history consistent, Section 4.3).
-    sampled_extractor: FeatureExtractor,
+    pub(crate) sampled_extractor: FeatureExtractor,
     /// Keep-list pool for the flow-sampled view this query's task builds;
     /// owned per query so the dispatch needs no shared state.
-    shed_pool: KeepListPool,
-    bin: BinSlot,
+    pub(crate) shed_pool: KeepListPool,
+    /// This bin's plan and results (see `bin.rs`).
+    pub(crate) slot: BinSlot,
 }
 
 // Registered queries cross the scoped-thread boundary as `&mut` borrows;
@@ -155,7 +114,7 @@ fn extractor(config: &MonitorConfig) -> FeatureExtractor {
 /// the stable handle and the measurement interval it was last redrawn in
 /// (`generation`, 0 = the registration-time draw) — which is why a
 /// checkpoint stores the generation and not the hasher.
-fn flow_hasher(seed: u64, id: QueryId, generation: u64) -> H3Hasher {
+pub(crate) fn flow_hasher(seed: u64, id: QueryId, generation: u64) -> H3Hasher {
     let salt = if generation == 0 { id.0 + 1 } else { (generation << 8) ^ id.0 };
     H3Hasher::new(13, seed ^ salt)
 }
@@ -195,135 +154,52 @@ impl RegisteredQuery {
             predictor: config.predictor.make(),
             sampled_extractor: extractor(config),
             shed_pool: KeepListPool::new(),
-            bin: BinSlot::default(),
+            slot: BinSlot::default(),
         }
-    }
-
-    /// Predict task: the full-batch cost from the shared feature vector,
-    /// against the window of the bins before this one. A penalised query is
-    /// not predicted (and charged nothing for it).
-    fn predict(&mut self, window: &FeatureWindow, features: &FeatureVector) {
-        (self.bin.predicted, self.bin.predict_ops) = if self.penalty_remaining > 0 {
-            (0.0, 0)
-        } else {
-            let predicted = self.predictor.predict_shared(window, features);
-            (predicted, self.predictor.last_cost_operations())
-        };
-    }
-
-    /// Shadow task: the bin's true full-batch cycles, measured on the twin
-    /// fed the unsampled stream (the prediction when there is no twin).
-    fn measure_shadow(&mut self, post_drop: &BatchView) {
-        self.bin.shadow_cycles = match self.shadow.as_mut() {
-            Some(shadow) => {
-                let mut meter = CycleMeter::new();
-                shadow.process_batch(post_drop, 1.0, &mut meter);
-                meter.cycles() as f64
-            }
-            None => self.bin.predicted,
-        };
-    }
-
-    /// Tail task: shed, re-extract, run the query, apply the pre-drawn noise
-    /// and feed the observation back into the prediction history — against
-    /// `window`, whose newest row is this bin's full-batch vector. A query
-    /// the plan sat out is walked and left untouched.
-    fn run_tail(&mut self, post_drop: &BatchView, window: &FeatureWindow) {
-        let Some((rate, noise)) = self.bin.run else { return };
-        let (delivered, resampled) = match self.bin.sampled.take() {
-            Some(sampled) => (sampled, true),
-            None if rate < 1.0 && self.shedding == SheddingMethod::FlowSampling => {
-                let (sampled, _) =
-                    flow_sample_with(post_drop, rate, &self.flow_hasher, &mut self.shed_pool);
-                (sampled, true)
-            }
-            // Full rate, or custom shedding (the query scales its own work).
-            None => (post_drop.clone(), false),
-        };
-        self.bin.delivered_packets = delivered.len() as u64;
-
-        // Recompute the features over the sampled stream so the MLR history
-        // stays consistent (Section 4.3); the per-query extractor belongs to
-        // this task alone.
-        let sampled_features = if resampled {
-            let (extracted, ops) = self.sampled_extractor.extract_view(&delivered);
-            self.bin.reextract_ops = ops;
-            Some(extracted)
-        } else {
-            self.bin.reextract_ops = 0;
-            None
-        };
-
-        // Run the query and measure its cycles.
-        let mut meter = CycleMeter::new();
-        self.query.process_batch(&delivered, rate, &mut meter);
-        let (measured, outlier) = noise.apply(meter.cycles());
-        let measured = measured as f64;
-
-        // Feed the observation back into the prediction history. For custom
-        // shedding the assigned rate plays the same role as a sampling rate:
-        // the query is expected to scale its work by it.
-        let (cycles, corrupted) = if outlier {
-            // Replace corrupted measurements with the prediction
-            // (Section 3.2.4 / 4.4).
-            ((self.bin.predicted * rate).max(0.0), true)
-        } else if self.shedding == SheddingMethod::Custom && rate < 1.0 {
-            // Custom shedding: the history models the full-batch cost, so
-            // scale the measurement by the requested rate.
-            (measured / rate.max(1e-6), false)
-        } else {
-            (measured, false)
-        };
-        match sampled_features {
-            // Nothing was re-extracted (full rate, or custom shedding): the
-            // row to store is the bin's shared vector, taken from the window.
-            None => self.predictor.observe_shared(window, cycles, corrupted),
-            Some(row) if corrupted => self.predictor.observe_corrupted(&row, cycles),
-            Some(row) => self.predictor.observe(&row, cycles),
-        }
-        self.bin.measured = measured;
-        self.bin.outlier = outlier;
     }
 }
 
 /// The load-shedding monitoring system.
 pub struct Monitor {
-    config: MonitorConfig,
+    pub(crate) config: MonitorConfig,
     /// The control-plane policy deciding per-bin sampling rates: this
     /// monitor's own instance of `config.policy`.
-    policy: Box<dyn ControlPolicy>,
-    extractor: FeatureExtractor,
-    queries: Vec<RegisteredQuery>,
-    buffer: CaptureBuffer,
-    noise: MeasurementNoise,
-    rng: StdRng,
+    pub(crate) policy: Box<dyn ControlPolicy>,
+    pub(crate) extractor: FeatureExtractor,
+    pub(crate) queries: Vec<RegisteredQuery>,
+    pub(crate) buffer: CaptureBuffer,
+    pub(crate) noise: MeasurementNoise,
+    pub(crate) rng: StdRng,
     /// EWMA of the relative under-prediction error (Algorithm 1, line 17).
-    error_ewma: f64,
+    pub(crate) error_ewma: f64,
     /// EWMA of the cycles spent by the load shedding subsystem itself.
-    shed_cycles_ewma: f64,
+    pub(crate) shed_cycles_ewma: f64,
     /// Buffer-discovery threshold (`rtthresh` of Section 4.1).
-    rtthresh: f64,
+    pub(crate) rtthresh: f64,
     /// Slow-start threshold of the buffer discovery algorithm.
-    rtthresh_ssthresh: f64,
+    pub(crate) rtthresh_ssthresh: f64,
     /// Reactive strategy state: previous global sampling rate and cycles.
-    reactive_rate: f64,
-    reactive_consumed: f64,
+    pub(crate) reactive_rate: f64,
+    pub(crate) reactive_consumed: f64,
     /// Query-only cycles of the previous bin (no capture/prediction
     /// overheads) — the tripwire denomination of the robustness plane.
-    reactive_query_cycles: f64,
+    pub(crate) reactive_query_cycles: f64,
     current_interval: Option<u64>,
     /// Monotonic registration counter backing [`QueryId`] handles.
     next_query_id: u64,
-    /// Cumulative execution-plane telemetry (wall time outside vs inside
-    /// dispatches).
-    exec_stats: ExecStats,
-    /// Keep-list pool for the plan-phase shed views (capture-buffer overflow
-    /// and packet sampling), recycled across bins.
-    shed_pool: KeepListPool,
+    /// Keep-list pool for the shed views drawn on the caller's thread
+    /// (capture-buffer overflow and packet sampling), recycled across bins.
+    pub(crate) shed_pool: KeepListPool,
     /// The last full-batch feature rows, with the feature side of FCBF
     /// computed once per bin for every predictor still aligned with it. A
     /// cache: neither snapshot nor digest state.
-    window: FeatureWindow,
+    pub(crate) window: FeatureWindow,
+    /// What one stage of the bin under way hands the next; cleared at admit
+    /// and refilled, never read across bins (see `bin.rs`).
+    pub(crate) bin: Bin,
+    /// The lap clock behind [`Monitor::stage_stats`]: telemetry only, never
+    /// snapshot, digest or decision input.
+    pub(crate) clock: StageClock,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -342,13 +218,12 @@ impl Monitor {
     /// instance of the policy the configuration describes (and, per query
     /// registered later, of its predictor).
     pub fn new(config: MonitorConfig) -> Self {
-        let buffer =
-            CaptureBuffer::new(config.capacity_cycles_per_bin, config.buffer_capacity_bins);
+        let buffer = CaptureBuffer::new(config.capacity_cycles_per_bin, BUFFER_CAPACITY_BINS);
         let noise = MeasurementNoise::new(
             config.seed ^ 0x9e3779b97f4a7c15,
             config.noise_jitter,
             config.noise_outlier_probability,
-            config.noise_outlier_cycles,
+            NOISE_OUTLIER_CYCLES,
         );
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
@@ -367,9 +242,10 @@ impl Monitor {
             reactive_query_cycles: 0.0,
             current_interval: None,
             next_query_id: 0,
-            exec_stats: ExecStats::default(),
             shed_pool: KeepListPool::new(),
             window: FeatureWindow::new(),
+            bin: Bin::default(),
+            clock: StageClock::new(),
             config,
         }
     }
@@ -390,11 +266,6 @@ impl Monitor {
     /// Name of the control-plane policy currently installed.
     pub fn policy_name(&self) -> String {
         self.policy.name()
-    }
-
-    /// The installed policy (a fleet's coordinator asks it for its allocator).
-    pub(crate) fn policy(&self) -> &dyn ControlPolicy {
-        self.policy.as_ref()
     }
 
     /// Swaps the control-plane policy for a fresh instance of `policy`,
@@ -507,10 +378,10 @@ impl Monitor {
         self.config.workers
     }
 
-    /// Cumulative execution-plane telemetry: measured wall time outside vs
-    /// inside dispatches, and the tasks dispatched. See [`ExecStats`].
-    pub fn exec_stats(&self) -> ExecStats {
-        self.exec_stats
+    /// Cumulative per-stage wall time of the bins processed so far, and the
+    /// tasks dispatched. See [`StageStats`].
+    pub fn stage_stats(&self) -> StageStats {
+        self.clock.stats
     }
 
     /// Whether a measurement interval is currently open (at least one batch
@@ -559,7 +430,7 @@ impl Monitor {
 
     /// Moves the interval clock to `interval`, closing the open interval
     /// when it is a different one.
-    fn roll_interval(&mut self, interval: u64) -> Option<Vec<(String, QueryOutput)>> {
+    pub(crate) fn roll_interval(&mut self, interval: u64) -> Option<Vec<(String, QueryOutput)>> {
         let rolled = self.current_interval.is_some_and(|open| open != interval);
         let closed = rolled.then(|| self.close_interval());
         self.current_interval = Some(interval);
@@ -581,338 +452,6 @@ impl Monitor {
         O: RunObserver + ?Sized,
     {
         Engine::run(self, source, observer)
-    }
-
-    /// Processes one incoming batch and returns the record of what happened.
-    ///
-    /// Returns [`NetshedError::EmptyBatch`] for a batch with no packets and
-    /// [`NetshedError::CapacityUnderflow`] when the configured capacity is
-    /// not positive (possible only for monitors built by [`Monitor::new`]
-    /// from an unvalidated configuration).
-    pub fn process_batch(&mut self, batch: &Batch) -> Result<BinRecord, NetshedError> {
-        // lint:allow(telemetry-clock): bin wall time is reported in ExecStats only; decisions use modelled cycles
-        let bin_start = Instant::now();
-        if batch.is_empty() {
-            return Err(NetshedError::EmptyBatch { bin_index: batch.bin_index });
-        }
-        if !self.config.capacity_cycles_per_bin.is_finite()
-            || self.config.capacity_cycles_per_bin <= 0.0
-        {
-            return Err(NetshedError::CapacityUnderflow {
-                capacity: self.config.capacity_cycles_per_bin,
-                required: self.config.platform_overhead_cycles.max(f64::MIN_POSITIVE),
-            });
-        }
-        let incoming_packets = batch.len() as u64;
-
-        // Measurement interval bookkeeping: close the previous interval when
-        // the new batch belongs to a different one.
-        let interval = batch.measurement_interval(self.config.measurement_interval_us);
-        let interval_outputs = self.roll_interval(interval);
-
-        // Capture buffer: drop the overflow fraction without control. From
-        // here on the bin is processed through zero-copy views sharing the
-        // incoming batch's packet store. The overflow path materialises the
-        // admitted packets into a fresh store (one copy, as pre-refactor) so
-        // the per-batch caches built below — aggregate slots, flow keys —
-        // cover only admitted packets instead of hashing traffic that was
-        // just dropped.
-        let drop_fraction = self.buffer.admit(incoming_packets);
-        let post_drop = if drop_fraction > 0.0 {
-            let keep = 1.0 - drop_fraction;
-            let (kept, _) =
-                packet_sample_with(&batch.view(), keep, &mut self.rng, &mut self.shed_pool);
-            kept.materialize().view()
-        } else {
-            batch.view()
-        };
-        let uncontrolled_drops = incoming_packets - post_drop.len() as u64;
-
-        // Feature extraction over the full (post-drop) batch, on this thread:
-        // the one fused pass every sampled re-extraction also makes. This is
-        // where the per-packet aggregate slots are materialised and cached
-        // on the batch; every per-query re-extraction below reuses them.
-        let (features, extraction_ops) = self.extractor.extract_view(&post_drop);
-        let mut prediction_cycles = extraction_ops * FEATURE_OP_CYCLES;
-
-        // Per-query predictions of the full-batch cost. Every predictor owns
-        // its history and otherwise only reads — the shared feature vector,
-        // and the feature window, whose lazily cached moments hold the same
-        // value whichever task fills them — so the predictions (FCBF
-        // selection plus an OLS solve each under the default MLR) are fanned
-        // out across the execution plane; the fold below collects values and
-        // cost accounting in registration order, so the result is
-        // bit-identical to the sequential loop. The window takes this bin's
-        // vector only after the predictions: they regress over the bins
-        // before it.
-        let mut dispatch_ns = self.dispatch(|query, window| query.predict(window, &features));
-        self.window.push(&features);
-        let mut dispatched_tasks = self.queries.len();
-        let mut predictions = Vec::with_capacity(self.queries.len());
-        for registered in &self.queries {
-            prediction_cycles += registered.bin.predict_ops * PREDICT_OP_CYCLES;
-            predictions.push(registered.bin.predicted);
-        }
-        let predicted_total: f64 = predictions.iter().sum();
-
-        // For oracle-style policies: measure each query's true full-batch
-        // cycles on a shadow twin fed the unsampled stream. The shadow work
-        // models an idealised upper bound and is not charged to the bin.
-        // Every twin is independent deterministic state, so the measurements
-        // are fanned out across the execution plane and collected by index.
-        let measured_full: Option<Vec<f64>> = if self.policy.needs_measured_cycles() {
-            dispatch_ns += self.dispatch(|query, _| query.measure_shadow(&post_drop));
-            dispatched_tasks += self.queries.len();
-            Some(self.queries.iter().map(|registered| registered.bin.shadow_cycles).collect())
-        } else {
-            None
-        };
-
-        // Decide the per-query sampling rates: hand the control policy
-        // everything the monitor knows about the bin.
-        let platform_cycles = self.config.platform_overhead_cycles;
-        let delay = self.buffer.delay_cycles();
-        let rtthresh = if self.config.buffer_discovery { self.rtthresh } else { 0.0 };
-        let available_cycles = self.config.capacity_cycles_per_bin
-            - (platform_cycles + prediction_cycles as f64)
-            + (rtthresh - delay);
-        let demands: Vec<QueryDemand> = predictions
-            .iter()
-            .zip(&self.queries)
-            .map(|(&prediction, registered)| {
-                // Chapter 6 correction: custom queries that habitually
-                // overuse their allocation are charged for it.
-                let corrected = if registered.shedding == SheddingMethod::Custom {
-                    prediction * registered.overuse_ratio.max(1.0)
-                } else {
-                    prediction
-                };
-                QueryDemand::new(corrected, registered.min_rate)
-            })
-            .collect();
-        let context = ControlContext {
-            bin_index: batch.bin_index,
-            predictions: &predictions,
-            demands: &demands,
-            available_cycles,
-            error_ewma: self.error_ewma,
-            shed_cycles_ewma: self.shed_cycles_ewma,
-            prev_mean_rate: self.reactive_rate,
-            prev_total_cycles: self.reactive_consumed,
-            prev_query_cycles: self.reactive_query_cycles,
-            uncontrolled_drops,
-            rate_floor: self.config.reactive_min_rate,
-            measured_cycles: measured_full.as_deref(),
-        };
-        let decision = self.policy.decide(&context).sanitized(&demands);
-        let rates = &decision.rates;
-
-        // Run every query on its (possibly sampled) share of the batch, in
-        // three phases over the queries' own bin slots (see DESIGN.md,
-        // "Execution plane"):
-        //
-        // 1. *Plan* (sequential, registration order): penalty accounting,
-        //    flow-hasher refresh, RNG-driven packet sampling and the
-        //    measurement-noise pre-draw — everything whose stream order the
-        //    sequential path fixed.
-        // 2. *Dispatch* (parallel): flow sampling, per-query sampled
-        //    re-extraction, the query run, noise application and the
-        //    predictor feedback, each task confined to its own query.
-        // 3. *Merge* (sequential, registration order): cycle sums, Chapter 6
-        //    enforcement and the per-query records.
-        //
-        // Because phase 2 receives fully determined inputs and only writes
-        // per-query state, the merged output is bit-identical to the
-        // sequential path for any worker count.
-        let mut shedding_cycles = 0u64;
-        let mut unsampled_accumulator = 0u64;
-        for (registered, &rate) in self.queries.iter_mut().zip(rates) {
-            registered.bin.run = None;
-            if registered.penalty_remaining > 0 {
-                registered.penalty_remaining -= 1;
-                continue;
-            }
-            if rate <= 0.0 {
-                unsampled_accumulator += post_drop.len() as u64;
-                continue;
-            }
-            // Refresh the flow-sampling hash function once per interval so
-            // selection cannot be evaded and is unbiased (Section 4.2). Keyed
-            // by the stable handle, not the position, so deregistrations do
-            // not reshuffle the selection of the surviving queries.
-            if registered.shedding == SheddingMethod::FlowSampling
-                && registered.hasher_generation != interval
-            {
-                registered.flow_hasher = flow_hasher(self.config.seed, registered.id, interval);
-                registered.hasher_generation = interval;
-            }
-            if rate < 1.0 {
-                match registered.shedding {
-                    // Packet sampling draws from the shared RNG, so it stays
-                    // on the plan phase in registration order — the stream is
-                    // consumed exactly as the sequential path does.
-                    SheddingMethod::PacketSampling => {
-                        let (sampled, _) = packet_sample_with(
-                            &post_drop,
-                            rate,
-                            &mut self.rng,
-                            &mut self.shed_pool,
-                        );
-                        registered.bin.sampled = Some(sampled);
-                        shedding_cycles += post_drop.len() as u64 * SAMPLING_TEST_CYCLES;
-                    }
-                    // Flow sampling is deterministic per query and happens
-                    // inside the query's own task.
-                    SheddingMethod::FlowSampling => {
-                        shedding_cycles += post_drop.len() as u64 * SAMPLING_TEST_CYCLES;
-                    }
-                    SheddingMethod::Custom => {}
-                }
-            }
-            // Pre-drawn in registration order: the noise RNG consumes a
-            // configuration-fixed number of samples per running query, so
-            // the stream matches the sequential path bit for bit.
-            registered.bin.run = Some((rate, self.noise.draw()));
-        }
-
-        // Dispatch the expensive tail across the execution plane.
-        dispatch_ns += self.dispatch(|query, window| query.run_tail(&post_drop, window));
-        dispatched_tasks += self.queries.len();
-
-        // Merge in registration order: every sum below folds in exactly the
-        // sequence the sequential path used.
-        let mut query_cycles_total = 0.0;
-        let mut query_records = Vec::with_capacity(self.queries.len());
-        for registered in &mut self.queries {
-            let slot = &registered.bin;
-            let (sampling_rate, measured_cycles, delivered_packets) = match slot.run {
-                Some((rate, _)) => (rate, slot.measured, slot.delivered_packets),
-                None => (0.0, 0.0, 0),
-            };
-            query_records.push(QueryBinRecord {
-                id: registered.id,
-                name: registered.label.clone(),
-                sampling_rate,
-                predicted_cycles: slot.predicted,
-                measured_cycles,
-                delivered_packets,
-                disabled: slot.run.is_none(),
-            });
-            if let Some((rate, _)) = slot.run {
-                shedding_cycles += slot.reextract_ops * REEXTRACT_OP_CYCLES;
-                unsampled_accumulator += post_drop.len() as u64 - slot.delivered_packets;
-                query_cycles_total += slot.measured;
-
-                // Chapter 6 enforcement for custom load shedding queries.
-                let expected = slot.predicted * rate;
-                if registered.shedding == SheddingMethod::Custom && expected > 0.0 && !slot.outlier
-                {
-                    let overuse = slot.measured / expected;
-                    registered.overuse_ratio = 0.3 * overuse + 0.7 * registered.overuse_ratio;
-                    if overuse > 1.0 + self.config.enforcement.tolerance {
-                        registered.violations += 1;
-                        if registered.violations >= self.config.enforcement.max_violations {
-                            registered.penalty_remaining = self.config.enforcement.penalty_bins;
-                            registered.violations = 0;
-                        }
-                    } else {
-                        registered.violations = 0;
-                    }
-                }
-            }
-        }
-
-        // Close the loop: smooth the prediction error and the shedding cost,
-        // account the bin against the capture buffer and update the buffer
-        // discovery threshold.
-        let shedding_cycles_f = shedding_cycles as f64;
-        let alpha = self.config.ewma_alpha;
-        self.shed_cycles_ewma = alpha * shedding_cycles_f + (1.0 - alpha) * self.shed_cycles_ewma;
-        let expected_total: f64 =
-            predictions.iter().zip(rates.iter()).map(|(prediction, rate)| prediction * rate).sum();
-        if query_cycles_total > 0.0 && expected_total > 0.0 {
-            let observed_error = (1.0 - expected_total / query_cycles_total).max(0.0);
-            self.error_ewma = alpha * observed_error + (1.0 - alpha) * self.error_ewma;
-        }
-
-        let total_cycles =
-            query_cycles_total + prediction_cycles as f64 + shedding_cycles_f + platform_cycles;
-        self.buffer.account_bin(total_cycles);
-        self.update_buffer_discovery(total_cycles);
-
-        // Remember the reactive state for the next bin.
-        let mean_rate =
-            if rates.is_empty() { 1.0 } else { rates.iter().sum::<f64>() / rates.len() as f64 };
-        self.reactive_rate = mean_rate.max(self.config.reactive_min_rate);
-        self.reactive_consumed = total_cycles;
-        self.reactive_query_cycles = query_cycles_total;
-
-        let unsampled_packets = if self.queries.is_empty() {
-            0
-        } else {
-            unsampled_accumulator / self.queries.len() as u64
-        };
-
-        // Execution-plane telemetry: sequential time is everything this call
-        // spent outside its dispatches.
-        let total_bin_ns = bin_start.elapsed().as_nanos() as u64;
-        self.exec_stats.fold_bin(
-            total_bin_ns.saturating_sub(dispatch_ns),
-            dispatch_ns,
-            dispatched_tasks,
-        );
-
-        Ok(BinRecord {
-            bin_index: batch.bin_index,
-            incoming_packets,
-            uncontrolled_drops,
-            unsampled_packets,
-            available_cycles,
-            predicted_cycles: predicted_total,
-            query_cycles: query_cycles_total,
-            prediction_cycles: prediction_cycles as f64,
-            shedding_cycles: shedding_cycles_f,
-            platform_cycles,
-            buffer_occupation: self.buffer.occupation(),
-            queries: query_records,
-            interval_outputs,
-            decision,
-        })
-    }
-
-    /// Fans `run` out over the registered queries on the execution plane,
-    /// each beside the shared feature window, and returns the dispatch's
-    /// wall nanoseconds.
-    fn dispatch(&mut self, run: impl Fn(&mut RegisteredQuery, &FeatureWindow) + Sync) -> u64 {
-        // lint:allow(telemetry-clock): dispatch wall time is ExecStats telemetry only; the merge stays registration-ordered
-        let start = Instant::now();
-        let window = &self.window;
-        exec::run_tasks(self.config.workers, &mut self.queries, |query| run(query, window));
-        start.elapsed().as_nanos() as u64
-    }
-
-    /// Slow-start-like buffer discovery (Section 4.1).
-    fn update_buffer_discovery(&mut self, total_cycles: f64) {
-        if !self.config.buffer_discovery {
-            return;
-        }
-        let capacity = self.config.capacity_cycles_per_bin;
-        if self.buffer.occupation() > BUFFER_UNSTABLE_OCCUPATION {
-            // The system is turning unstable: back off.
-            self.rtthresh_ssthresh = (self.rtthresh / 2.0).max(capacity * 0.01);
-            self.rtthresh = 0.0;
-            return;
-        }
-        if total_cycles < capacity {
-            let increment = capacity * 0.01;
-            if self.rtthresh < self.rtthresh_ssthresh {
-                // Exponential growth while below the slow-start threshold.
-                self.rtthresh = (self.rtthresh * 2.0).max(increment);
-            } else {
-                self.rtthresh += increment;
-            }
-            self.rtthresh = self.rtthresh.min(capacity * RTTHRESH_MAX_FRACTION);
-        }
     }
 
     /// Collects the per-query outputs for the interval that just ended.
@@ -1082,6 +621,7 @@ impl Monitor {
 mod tests {
     use super::*;
     use crate::config::{AllocationPolicy, Strategy};
+    use crate::report::BinRecord;
     use netshed_queries::QueryKind;
     use netshed_trace::{TraceConfig, TraceGenerator};
 
@@ -1618,90 +1158,6 @@ mod tests {
             // A post-restore registration must not reuse the retired id 0.
             let third = restored.register(&QuerySpec::new(QueryKind::Counter)).expect("register");
             assert_eq!(third.index(), 2);
-        }
-    }
-
-    /// Properties of the slow-start-like buffer discovery (Section 4.1),
-    /// exercised directly against `update_buffer_discovery`.
-    mod buffer_discovery {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn quiet_monitor(capacity: f64) -> Monitor {
-            Monitor::new(MonitorConfig::default().with_capacity(capacity).without_noise())
-        }
-
-        proptest! {
-            /// `rtthresh` never exceeds `capacity × RTTHRESH_MAX_FRACTION`,
-            /// whatever load sequence drives it.
-            #[test]
-            fn rtthresh_never_exceeds_the_capacity_fraction(
-                capacity in 1e6f64..1e10,
-                loads in proptest::collection::vec(0.0f64..2.0, 1..300),
-            ) {
-                let mut monitor = quiet_monitor(capacity);
-                for load_factor in loads {
-                    monitor.buffer.account_bin(capacity * load_factor);
-                    monitor.update_buffer_discovery(capacity * load_factor);
-                    prop_assert!(monitor.rtthresh <= capacity * RTTHRESH_MAX_FRACTION + 1e-9);
-                    prop_assert!(monitor.rtthresh >= 0.0);
-                }
-            }
-
-            /// When the buffer occupation crosses the instability threshold,
-            /// `rtthresh` resets to zero and the slow-start threshold halves.
-            #[test]
-            fn instability_resets_rtthresh_and_halves_ssthresh(
-                capacity in 1e6f64..1e10,
-                underloaded_bins in 1usize..200,
-            ) {
-                let mut monitor = quiet_monitor(capacity);
-                for _ in 0..underloaded_bins {
-                    monitor.update_buffer_discovery(capacity * 0.5);
-                }
-                let grown = monitor.rtthresh;
-                prop_assert!(grown > 0.0);
-
-                // Push the buffer past the instability occupation.
-                let bins = monitor.config.buffer_capacity_bins;
-                monitor.buffer.account_bin(capacity * (1.0 + bins * (BUFFER_UNSTABLE_OCCUPATION + 0.1)));
-                monitor.update_buffer_discovery(capacity * 2.0);
-                prop_assert_eq!(monitor.rtthresh, 0.0);
-                prop_assert!(monitor.rtthresh_ssthresh >= capacity * 0.01 - 1e-9);
-                prop_assert!(monitor.rtthresh_ssthresh <= (grown / 2.0).max(capacity * 0.01) + 1e-9);
-            }
-
-            /// Below the slow-start threshold growth is exponential
-            /// (doubling per underloaded bin); above it, linear.
-            #[test]
-            fn growth_doubles_below_ssthresh_and_is_linear_above(
-                capacity in 1e6f64..1e10,
-            ) {
-                let mut monitor = quiet_monitor(capacity);
-                let increment = capacity * 0.01;
-
-                // Slow-start phase: ssthresh is infinite, growth must double.
-                monitor.update_buffer_discovery(capacity * 0.5);
-                prop_assert!((monitor.rtthresh - increment).abs() < 1e-9);
-                let mut previous = monitor.rtthresh;
-                for _ in 0..3 {
-                    monitor.update_buffer_discovery(capacity * 0.5);
-                    prop_assert!((monitor.rtthresh - 2.0 * previous).abs() < 1e-6 * capacity);
-                    previous = monitor.rtthresh;
-                }
-
-                // Force congestion avoidance: drop ssthresh below rtthresh.
-                monitor.rtthresh_ssthresh = monitor.rtthresh / 2.0;
-                let before = monitor.rtthresh;
-                monitor.update_buffer_discovery(capacity * 0.5);
-                let expected = (before + increment).min(capacity * RTTHRESH_MAX_FRACTION);
-                prop_assert!((monitor.rtthresh - expected).abs() < 1e-9 * capacity.max(1.0));
-
-                // Overloaded bins leave the threshold untouched (no growth).
-                let held = monitor.rtthresh;
-                monitor.update_buffer_discovery(capacity * 1.5);
-                prop_assert_eq!(monitor.rtthresh, held);
-            }
         }
     }
 }

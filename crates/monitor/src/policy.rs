@@ -91,8 +91,8 @@ pub struct ControlContext<'a> {
     /// anything), so a gamed predictor can hide an arbitrarily large
     /// overshoot from every cycle ratio while these drops pile up.
     pub uncontrolled_drops: u64,
-    /// Configured floor for reactive-style global rates
-    /// ([`MonitorConfig::reactive_min_rate`](crate::MonitorConfig)).
+    /// Floor for reactive-style global rates (the monitor feeds it a
+    /// constant, 0.05).
     pub rate_floor: f64,
     /// Per-query *actual* full-batch cycles of this bin, measured by a
     /// shadow execution. Only present when the policy returns `true` from

@@ -33,7 +33,7 @@ use crate::capture::bounded;
 use crate::config::{MonitorConfig, PolicySpec};
 use crate::engine::Engine;
 use crate::error::NetshedError;
-use crate::exec::{run_tasks, ExecStats};
+use crate::exec::{run_tasks, Stage, StageClock, StageStats};
 use crate::monitor::{Monitor, QueryId};
 use crate::observer::RunObserver;
 use crate::report::{BinRecord, RunSummary};
@@ -41,8 +41,6 @@ use netshed_fairness::QueryDemand;
 use netshed_queries::{QueryOutput, QuerySpec};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use netshed_trace::{Batch, PacketSource};
-// lint:allow(telemetry-clock): wall time feeds ExecStats telemetry only, never a decision
-use std::time::Instant;
 
 /// Fraction of a lane's equal share that is guaranteed to it regardless of
 /// demand (the coordinator's liveness floor): an idle lane keeps enough
@@ -65,9 +63,9 @@ pub struct ShardedMonitor {
     lanes: Vec<Lane>,
     /// Each lane's current per-bin cycle budget (coordinator output).
     lane_capacity: Vec<f64>,
-    /// Shard-level execution telemetry (lane dispatch, not the per-lane
-    /// query tails — those accumulate inside each lane's own stats).
-    exec_stats: ExecStats,
+    /// The front end's lap clock (coordinate, split, lanes, merge); each
+    /// lane's monitor keeps the clock of its own seven stages.
+    clock: StageClock,
 }
 
 /// One virtual lane, and the unit the shard threads dispatch: a full monitor
@@ -163,7 +161,7 @@ impl ShardedMonitor {
             config,
             lanes,
             lane_capacity: vec![share; lanes_count],
-            exec_stats: ExecStats::default(),
+            clock: StageClock::new(),
         })
     }
 
@@ -204,11 +202,15 @@ impl ShardedMonitor {
         self.config.policy = policy;
     }
 
-    /// Shard-level execution telemetry: measured front-end wall time (split,
-    /// coordination, merge) vs wall time inside the lane dispatch. Per-lane
-    /// query telemetry stays in each lane's own [`Monitor::exec_stats`].
-    pub fn exec_stats(&self) -> ExecStats {
-        self.exec_stats
+    /// Cumulative per-stage wall time: the front end's own four slots plus
+    /// the sum over the lanes' [`Monitor::stage_stats`]; `bins` stays global.
+    pub fn stage_stats(&self) -> StageStats {
+        let mut stats = self.clock.stats;
+        for lane in &self.lanes {
+            stats.absorb(&lane.monitor.stage_stats());
+        }
+        stats.bins = self.clock.stats.bins;
+        stats
     }
 
     /// Registers a query on every lane under one shared [`QueryId`].
@@ -300,7 +302,7 @@ impl ShardedMonitor {
         let pool = (capacity - floor * lanes).max(0.0);
         let demands: Vec<QueryDemand> =
             self.lanes.iter().map(|lane| QueryDemand::new(lane.demand, 0.0)).collect();
-        let allocations = self.lanes[0].monitor.policy().allocator().allocate(&demands, pool);
+        let allocations = self.lanes[0].monitor.policy.allocator().allocate(&demands, pool);
         // Grants first, in place; then each becomes the lane's budget.
         for (grant, (allocation, demand)) in
             self.lane_capacity.iter_mut().zip(allocations.iter().zip(&demands))
@@ -338,18 +340,17 @@ impl ShardedMonitor {
         if batch.is_empty() {
             return Err(NetshedError::EmptyBatch { bin_index: batch.bin_index });
         }
-        // lint:allow(telemetry-clock): bin wall time feeds ExecStats only, never a decision
-        let bin_start = Instant::now();
+        self.clock.start();
         observer.on_batch(batch);
         self.coordinate();
+        self.clock.lap(Stage::Coordinate);
         let sub_batches = batch.split_shards(self.lanes.len());
         for (lane, sub_batch) in self.lanes.iter_mut().zip(sub_batches) {
             lane.batch = sub_batch;
         }
-        // lint:allow(telemetry-clock): dispatch wall time feeds ExecStats only, never a decision
-        let dispatch_start = Instant::now();
+        self.clock.lap(Stage::Split);
         run_tasks(self.config.shards, &mut self.lanes, Lane::run_bin);
-        let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
+        self.clock.lap(Stage::Lanes);
 
         // The first lane error (in lane order) wins.
         if let Some(error) = self.lanes.iter_mut().find_map(|lane| lane.error.take()) {
@@ -366,9 +367,9 @@ impl ShardedMonitor {
         for record in &records {
             observer.on_bin(record);
         }
-
-        let bin_ns = bin_start.elapsed().as_nanos() as u64;
-        self.exec_stats.fold_bin(bin_ns.saturating_sub(dispatch_ns), dispatch_ns, self.lanes.len());
+        self.clock.lap(Stage::Merge);
+        self.clock.stats.bins += 1;
+        self.clock.stats.tasks += self.lanes.len() as u64;
         Ok(records)
     }
 
@@ -547,7 +548,7 @@ mod tests {
             .expect("anything build() accepts shards");
         assert_eq!(fleet.policy_name(), "reactive_hysteresis_mmfs_pkt");
         // The coordinator arbitrates lanes with the policy's own allocator.
-        assert_eq!(fleet.lanes[2].monitor.policy().allocator().name(), "mmfs_pkt");
+        assert_eq!(fleet.lanes[2].monitor.policy.allocator().name(), "mmfs_pkt");
         fleet.process_bin(&single_pair_batch(0, 200), &mut NullObserver).expect("bin");
 
         fleet.set_policy(Strategy::NoShedding.into());
@@ -744,6 +745,37 @@ mod tests {
                  ({lanes} lanes: honest {honest_payoff}, deviation {best})"
             );
         }
+    }
+
+    #[test]
+    fn fleet_stage_stats_are_the_front_end_plus_the_lane_sum() {
+        // One shard thread: the lanes run back to back inside the dispatch.
+        let mut fleet = Monitor::builder()
+            .capacity(5.0e8)
+            .with_shard_lanes(4)
+            .with_shards(1)
+            .query(QuerySpec::new(QueryKind::Counter))
+            .build_sharded()
+            .expect("valid sharded configuration");
+        for batch in trace(12, 300.0, 11) {
+            fleet.process_bin(&batch, &mut NullObserver).expect("bin");
+        }
+        let stats = fleet.stage_stats();
+        let mut lanes = StageStats::default();
+        for lane in &fleet.lanes {
+            lanes.absorb(&lane.monitor.stage_stats());
+        }
+        assert_eq!(stats.bins, 12, "global bins, not lane bins");
+        assert_eq!(stats.tasks, 12 * 4 + lanes.tasks, "one task per lane per bin, plus theirs");
+        for stage in Stage::BIN {
+            assert_eq!(stats.ns(stage), lanes.ns(stage), "{stage:?} is the lane sum");
+            assert!(lanes.ns(stage) > 0);
+        }
+        for stage in Stage::FLEET {
+            assert!(stats.ns(stage) > 0, "{stage:?} saw no time");
+            assert_eq!(lanes.ns(stage), 0, "a lane has no {stage:?} stage");
+        }
+        assert!(stats.ns(Stage::Lanes) >= lanes.ns.iter().sum::<u64>());
     }
 
     #[test]

@@ -95,24 +95,17 @@ pub struct MlrConfig {
     pub history: usize,
     /// FCBF feature selection configuration.
     pub fcbf: FcbfConfig,
-    /// Relative singular-value cutoff of the OLS solver.
-    pub rcond: f64,
     /// How often (in batches) the feature selection is re-run; 1 re-runs it
     /// every batch as in the paper.
     pub reselect_every: usize,
 }
 
 /// Relative singular-value cutoff every regression here solves with.
-const DEFAULT_RCOND: f64 = 1e-9;
+pub const OLS_RCOND: f64 = 1e-9;
 
 impl Default for MlrConfig {
     fn default() -> Self {
-        Self {
-            history: FeatureWindow::ROWS,
-            fcbf: FcbfConfig::default(),
-            rcond: DEFAULT_RCOND,
-            reselect_every: 1,
-        }
+        Self { history: FeatureWindow::ROWS, fcbf: FcbfConfig::default(), reselect_every: 1 }
     }
 }
 
@@ -163,7 +156,6 @@ impl Regression {
         rows: &RowRing,
         history: &History,
         predictors: &[usize],
-        rcond: f64,
         features: &FeatureVector,
     ) -> f64 {
         self.design.reshape_zeroed(rows.len(), predictors.len() + 1);
@@ -172,7 +164,7 @@ impl Regression {
             rows.fill_column(feature, self.design.column_mut(j + 1));
         }
         history.fill_responses(&mut self.responses);
-        self.ols.solve(&self.design, &self.responses, rcond);
+        self.ols.solve(&self.design, &self.responses, OLS_RCOND);
 
         self.row.clear();
         self.row.push(1.0);
@@ -256,13 +248,7 @@ impl MlrPredictor {
         self.last_cost = correlation_cost + n as u64 * k * k;
 
         let rows = window.map_or(self.history.rows(), FeatureWindow::rows);
-        self.regression.fit_and_predict(
-            rows,
-            &self.history,
-            &self.selected,
-            self.config.rcond,
-            features,
-        )
+        self.regression.fit_and_predict(rows, &self.history, &self.selected, features)
     }
 }
 
@@ -367,7 +353,6 @@ impl Predictor for SlrPredictor {
             self.history.rows(),
             &self.history,
             &[self.feature],
-            DEFAULT_RCOND,
             features,
         )
     }

@@ -37,7 +37,7 @@
 //! assert_eq!(daemon.monitor().query_handles(), vec![(id, "counter")]);
 //! ```
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
 use netshed_monitor::{
     DigestObserver, Monitor, MonitorConfig, NetshedError, PolicySpec, QueryId, RunDigest, Strategy,
@@ -173,9 +173,16 @@ impl<T> Pending<T> {
         self.rx.recv().map_err(|_| ServiceError::ChannelClosed)?
     }
 
-    /// Non-blocking probe: `Some` once the reply is in.
+    /// Non-blocking probe: `None` while the command is still queued, `Some`
+    /// once the reply is in — or, as [`ServiceError::ChannelClosed`], once
+    /// none can come any more because the daemon was dropped with the
+    /// command unapplied (what [`wait`](Pending::wait) reports then).
     pub fn poll(&self) -> Option<Result<T, ServiceError>> {
-        self.rx.try_recv().ok()
+        match self.rx.try_recv() {
+            Ok(reply) => Some(reply),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(ServiceError::ChannelClosed)),
+        }
     }
 }
 
@@ -227,8 +234,9 @@ impl ControlChannel {
 
     /// Stops the daemon at the next bin boundary: the open measurement
     /// interval is flushed, and the reply carries the final [`RunDigest`].
-    /// Commands queued behind the shutdown are never applied; their waiters
-    /// see [`ServiceError::ChannelClosed`].
+    /// Commands queued behind the shutdown are never applied; once the
+    /// daemon is dropped their waiters and pollers see
+    /// [`ServiceError::ChannelClosed`].
     pub fn shutdown(&self) -> Pending<RunDigest> {
         self.send(|reply| Command::Shutdown { reply })
     }
@@ -377,9 +385,10 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
                     let ended = self.end_run();
                     self.shutdown = true;
                     let _ = reply.send(ended.map(|()| self.digest.digest()));
-                    // Commands queued behind the shutdown are dropped; their
-                    // reply senders go with them, so waiters observe
-                    // ChannelClosed rather than silence.
+                    // Commands queued behind the shutdown stay unapplied in
+                    // the queue and are dropped with the daemon; their reply
+                    // senders go with them, so waiters and pollers then
+                    // observe ChannelClosed rather than silence.
                     return;
                 }
             }

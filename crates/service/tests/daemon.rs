@@ -256,6 +256,23 @@ fn a_shutdown_racing_a_queued_policy_swap_is_decided_by_arrival_order() {
 }
 
 #[test]
+fn polling_a_command_no_daemon_will_answer_is_a_typed_error_not_a_spin() {
+    let (mut daemon, control) = daemon_with_registered_queries(overloaded_config(1), 6);
+    let stop = control.shutdown();
+    let orphan = control.register_query(QuerySpec::new(QueryKind::Counter));
+    assert_eq!(daemon.tick().expect("tick"), TickStatus::ShutdownRequested);
+    assert!(matches!(stop.poll(), Some(Ok(_))), "the shutdown itself is answered");
+    // Queued behind the shutdown: never applied, and unanswered while the
+    // daemon — and with it the queue holding the reply sender — lives.
+    assert!(orphan.poll().is_none());
+    drop(daemon);
+    // Now no reply can ever come, and a client polling in a loop must be
+    // told so: `None` here (what `try_recv().ok()` said) spins forever.
+    assert!(matches!(orphan.poll(), Some(Err(ServiceError::ChannelClosed))));
+    assert!(matches!(control.checkpoint().poll(), Some(Err(ServiceError::ChannelClosed))));
+}
+
+#[test]
 fn a_checkpoint_on_the_final_bin_still_serves_and_restores() {
     // The source runs dry and the final interval flushes — but the command
     // window stays open: a checkpoint taken after exhaustion captures the

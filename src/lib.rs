@@ -38,11 +38,11 @@ pub use netshed_fairness::{AllocationStrategy, QueryDemand};
 pub use netshed_monitor::{
     AccuracyTracker, AllocationGameAttacker, AllocationPolicy, BinRecord, ControlContext,
     ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DegradationGuardConfig,
-    DigestObserver, EnforcementConfig, Engine, ExecStats, HysteresisReactivePolicy, Monitor,
-    MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy,
-    PolicySpec, PredictivePolicy, PredictorKind, PredictorSpec, QueryId, ReactivePolicy,
-    RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Strategy,
-    StreamDigest, DEFAULT_SHARD_LANES,
+    DigestObserver, EnforcementConfig, Engine, HysteresisReactivePolicy, Monitor, MonitorBuilder,
+    MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy, PolicySpec,
+    PredictivePolicy, PredictorKind, PredictorSpec, QueryId, ReactivePolicy, RecordSink,
+    ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Stage, StageStats,
+    Strategy, StreamDigest, DEFAULT_SHARD_LANES,
 };
 pub use netshed_predict::{Predictor, RobustMlrConfig, RobustMlrPredictor};
 pub use netshed_queries::{QueryKind, QueryOutput, QuerySpec};
@@ -58,11 +58,11 @@ pub mod prelude {
     pub use netshed_monitor::{
         AccuracyTracker, AllocationGameAttacker, AllocationPolicy, BinRecord, ControlContext,
         ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DegradationGuardConfig,
-        DigestObserver, EnforcementConfig, Engine, ExecStats, HysteresisReactivePolicy, Monitor,
+        DigestObserver, EnforcementConfig, Engine, HysteresisReactivePolicy, Monitor,
         MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy,
         PolicySpec, PredictivePolicy, PredictorKind, PredictorSpec, QueryBinRecord, QueryId,
         ReactivePolicy, RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary,
-        ShardedMonitor, Strategy, StreamDigest, DEFAULT_SHARD_LANES,
+        ShardedMonitor, Stage, StageStats, Strategy, StreamDigest, DEFAULT_SHARD_LANES,
     };
     pub use netshed_predict::{Predictor, RobustMlrConfig, RobustMlrPredictor};
     pub use netshed_queries::{CustomBehavior, QueryKind, QueryOutput, QuerySpec};

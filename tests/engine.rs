@@ -12,6 +12,7 @@
 //! * the three ways to drive an engine — `run`, daemon ticks, a hand-driven
 //!   `ingest` loop — agree on all three digest streams.
 
+use netshed::fairness::MmfsPkt;
 use netshed::prelude::*;
 use netshed_bench::corpus::{
     all_strategies, corpus_capacity, corpus_config, corpus_engine, CORPUS_SEED,
@@ -165,6 +166,36 @@ fn fleet_run_is_the_pinned_loop_and_every_driver_agrees() {
 // same feature rows, which is what lets them share the feature side of FCBF.
 // ---------------------------------------------------------------------------
 
+/// Ticks a 10-bins-per-tick daemon over the next `bins` bins.
+fn advance<E: MonitorEngine>(daemon: &mut Daemon<BatchReplay, E>, bins: u64) {
+    for _ in 0..bins / 10 {
+        assert_eq!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 10 });
+    }
+}
+
+/// One pinned run over the deployment matrix: at 1 and 4 workers,
+/// uninterrupted and across a mid-run restore, the solo monitor and the
+/// 1-lane fleet must land on `solo` and the 4-lane fleet on `four_lanes`.
+fn assert_pinned_across_engines_workers_and_a_restore(
+    base: &MonitorConfig,
+    solo_run: fn(&MonitorConfig, bool) -> RunDigest,
+    fleet_run: fn(&MonitorConfig, bool) -> RunDigest,
+    solo: RunDigest,
+    four_lanes: RunDigest,
+) {
+    for workers in [1, 4] {
+        let config = base.clone().with_workers(workers).with_shards(1);
+        let one_lane = config.clone().with_shard_lanes(1);
+        let four = config.clone().with_shard_lanes(4);
+        for cut in [false, true] {
+            let context = format!("workers {workers}, cut {cut}");
+            assert_eq!(solo_run(&config, cut), solo, "solo, {context}");
+            assert_eq!(fleet_run(&one_lane, cut), solo, "one lane, {context}");
+            assert_eq!(fleet_run(&four, cut), four_lanes, "four lanes, {context}");
+        }
+    }
+}
+
 /// The three digest streams of the tenant run below, as captured at the
 /// commit before predictors started sharing an engine's feature window.
 const TENANTS_SOLO: RunDigest = RunDigest {
@@ -201,11 +232,6 @@ fn tenant_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest 
         let traffic = TraceConfig::default().with_seed(29).with_mean_packets_per_batch(300.0);
         BatchReplay::record(&mut TraceGenerator::new(traffic), 150)
     };
-    let advance = |daemon: &mut Daemon<BatchReplay, E>, bins: u64| {
-        for _ in 0..bins / 10 {
-            assert_eq!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 10 });
-        }
-    };
 
     let mut engine = E::from_config(config.clone()).expect("valid configuration");
     let ids: Vec<QueryId> =
@@ -233,29 +259,138 @@ fn tenant_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest 
 
 #[test]
 fn an_unshed_tenant_run_is_pinned_across_engines_workers_and_a_restore() {
-    for workers in [1, 4] {
-        let config = MonitorConfig::default()
-            .with_capacity(1e15)
-            .with_seed(CORPUS_SEED)
-            .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
-            .without_noise()
-            .with_workers(workers)
-            .with_shards(1);
-        let one_lane = config.clone().with_shard_lanes(1);
-        let four_lanes = config.clone().with_shard_lanes(4);
-        for cut in [false, true] {
-            let context = format!("workers {workers}, cut {cut}");
-            assert_eq!(tenant_run::<Monitor>(&config, cut), TENANTS_SOLO, "solo, {context}");
-            assert_eq!(
-                tenant_run::<ShardedMonitor>(&one_lane, cut),
-                TENANTS_SOLO,
-                "one lane, {context}"
-            );
-            assert_eq!(
-                tenant_run::<ShardedMonitor>(&four_lanes, cut),
-                TENANTS_FOUR_LANES,
-                "four lanes, {context}"
-            );
-        }
+    let config = MonitorConfig::default()
+        .with_capacity(1e15)
+        .with_seed(CORPUS_SEED)
+        .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+        .without_noise();
+    assert_pinned_across_engines_workers_and_a_restore(
+        &config,
+        tenant_run::<Monitor>,
+        tenant_run::<ShardedMonitor>,
+        TENANTS_SOLO,
+        TENANTS_FOUR_LANES,
+    );
+}
+
+// ---------------------------------------------------------------------------
+// A run whose registry and policy change under load: what a per-bin context
+// reused across bins must survive.
+// ---------------------------------------------------------------------------
+
+/// The three digest streams of the churn run below, as captured at the
+/// commit before the bin's scratch vectors became one reused context.
+/// Capacity of the churn run: the 13-tenant phases run about 2x overloaded,
+/// the 40-tenant phase about 5x, the 3-tenant phase unshed.
+const CHURN_CAPACITY: f64 = 7.0e5;
+const CHURN_SOLO: RunDigest = RunDigest {
+    bins: 120,
+    records: 0x003bb68130b61dce,
+    decisions: 0xedd85e843cda7e8b,
+    intervals: 0x4fce30ec6db2fae4,
+};
+const CHURN_FOUR_LANES: RunDigest = RunDigest {
+    bins: 480,
+    records: 0xd6b70f94fcdfdc41,
+    decisions: 0x7783f51f8c2ecf0b,
+    intervals: 0xed6036d16dba4cba,
+};
+
+/// 120 overloaded bins (noise on) under a daemon while the registry shrinks
+/// and grows — 40 tenants of all ten kinds, 37 of them gone after bin 20, ten
+/// new ones after bin 30 — and the policy swaps to the oracle (which adds the
+/// shadow dispatch and the measured-cycles vector) after bin 40 and back
+/// after bin 60. With `cut`, the run is checkpointed after bin 70 and
+/// finished by a daemon restored from the bytes. Every vector a bin fills per
+/// query changes length four times and one of them comes and goes.
+fn churn_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest {
+    let tenant = |index: usize| {
+        QuerySpec::new(QueryKind::ALL[index % QueryKind::ALL.len()])
+            .with_label(format!("tenant-{index:02}"))
+    };
+    let source = || {
+        let traffic = TraceConfig::default()
+            .with_seed(31)
+            .with_mean_packets_per_batch(300.0)
+            .with_payloads(true);
+        BatchReplay::record(&mut TraceGenerator::new(traffic), 120)
+    };
+
+    let mut engine = E::from_config(config.clone()).expect("valid configuration");
+    let ids: Vec<QueryId> =
+        (0..40).map(|index| engine.register(&tenant(index)).expect("valid spec")).collect();
+    let (daemon, control) = Daemon::new(engine, source());
+    let mut daemon = daemon.with_bins_per_tick(10);
+    advance(&mut daemon, 20);
+    let left: Vec<_> = ids[3..].iter().map(|id| control.deregister_query(*id)).collect();
+    advance(&mut daemon, 10);
+    for pending in left {
+        pending.wait().expect("deregistered");
     }
+    let joined: Vec<_> = (40..50).map(|index| control.register_query(tenant(index))).collect();
+    advance(&mut daemon, 10);
+    for pending in joined {
+        pending.wait().expect("registered");
+    }
+    let oracle = control.swap_policy(PolicySpec::new(|| OraclePolicy::new(MmfsPkt)));
+    advance(&mut daemon, 20);
+    assert_eq!(oracle.wait().expect("swapped"), "oracle_mmfs_pkt");
+    let back = control.swap_policy(config.policy.clone());
+    advance(&mut daemon, 10);
+    assert_eq!(back.wait().expect("swapped back"), config.policy.name());
+    if cut {
+        let bytes = daemon.checkpoint().expect("checkpoint");
+        let (restored, _) =
+            Daemon::<_, E>::restore_engine(config.clone(), source(), &bytes).expect("restore");
+        daemon = restored.with_bins_per_tick(10);
+    }
+    assert_eq!(daemon.run_to_exhaustion().expect("ticks"), TickStatus::SourceExhausted);
+    assert_eq!(daemon.bins_ingested(), 120);
+    daemon.digest()
+}
+
+#[test]
+fn a_run_that_churns_registry_and_policy_is_pinned_across_engines_workers_and_a_restore() {
+    let config = MonitorConfig::default()
+        .with_capacity(CHURN_CAPACITY)
+        .with_seed(CORPUS_SEED)
+        .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt));
+    assert_pinned_across_engines_workers_and_a_restore(
+        &config,
+        churn_run::<Monitor>,
+        churn_run::<ShardedMonitor>,
+        CHURN_SOLO,
+        CHURN_FOUR_LANES,
+    );
+}
+
+/// Telemetry reaches neither the checkpoint nor the digest: two runs of one
+/// input write byte-identical `.nsck` bytes mid-run and end on equal digests
+/// while their stage clocks — wall time — read differently.
+#[test]
+fn two_runs_of_one_input_differ_only_in_their_stage_stats() {
+    fn run<E: MonitorEngine>(config: &MonitorConfig) -> (Vec<u8>, RunDigest, StageStats) {
+        let traffic = TraceConfig::default().with_seed(31).with_mean_packets_per_batch(300.0);
+        let source = BatchReplay::record(&mut TraceGenerator::new(traffic), 40);
+        let mut engine = E::from_config(config.clone()).expect("valid configuration");
+        for kind in QueryKind::CHAPTER4_SET {
+            engine.register(&QuerySpec::new(kind)).expect("valid spec");
+        }
+        let (daemon, _control) = Daemon::new(engine, source);
+        let mut daemon = daemon.with_bins_per_tick(25);
+        assert_eq!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 25 });
+        let bytes = daemon.checkpoint().expect("checkpoint");
+        assert_eq!(daemon.run_to_exhaustion().expect("ticks"), TickStatus::SourceExhausted);
+        (bytes, daemon.digest(), daemon.monitor().stage_stats())
+    }
+    fn check<E: MonitorEngine>(config: &MonitorConfig) {
+        let (first, second) = (run::<E>(config), run::<E>(config));
+        assert!(first.0 == second.0, "the checkpoints differ");
+        assert_eq!(first.1, second.1);
+        assert_eq!((first.2.bins, first.2.tasks), (second.2.bins, second.2.tasks));
+        assert_ne!(first.2.ns, second.2.ns, "two runs read the same wall time in every stage");
+    }
+    let config = MonitorConfig::default().with_capacity(CHURN_CAPACITY).with_seed(CORPUS_SEED);
+    check::<Monitor>(&config);
+    check::<ShardedMonitor>(&config.with_shard_lanes(4));
 }

@@ -177,25 +177,66 @@ fn penalised_slots_are_walked_identically_at_any_worker_count() {
     }
 }
 
-/// The dispatch telemetry must account for the tasks the plane actually ran.
+/// Runs the 20-bin unshed trace through `engine` and returns its stage
+/// telemetry with the wall nanoseconds taken around the run.
+fn stage_stats_of<E: Engine>(mut engine: E) -> (StageStats, u64) {
+    let start = std::time::Instant::now();
+    engine.run(&mut BatchReplay::new(recorded_batches(20)), &mut NullObserver).expect("run");
+    let wall_ns = start.elapsed().as_nanos() as u64;
+    (engine.stage_stats(), wall_ns)
+}
+
+/// The lap clock must account for every bin: each of the seven stages saw
+/// time, nothing was charged to a stage that did not run, the charges fit
+/// inside the wall time around the run, and the tasks are the ones the
+/// plane actually dispatched.
 #[test]
-fn exec_stats_track_the_dispatched_tail() {
-    let batches = recorded_batches(20);
-    let mut monitor = Monitor::builder()
+fn stage_stats_account_for_every_bin() {
+    let monitor = Monitor::builder()
         .capacity(1e12)
         .seed(5)
         .with_workers(2)
         .queries(specs())
         .build()
         .expect("valid configuration");
-    monitor.run(&mut BatchReplay::new(batches), &mut NullObserver).expect("run succeeds");
-    let stats = monitor.exec_stats();
     assert_eq!(monitor.workers(), 2);
-    assert!(stats.bins > 0, "bins must be folded into the telemetry");
+    let (stats, wall_ns) = stage_stats_of(monitor);
+    assert!(stats.bins > 0, "bins must be counted");
     // Per bin: five prediction tasks and five tail tasks — one per
     // registered query in each dispatch. Extraction runs on the plan thread.
-    assert_eq!(stats.dispatched_tasks, stats.bins * 10);
-    assert!(stats.dispatch_ns > 0 && stats.sequential_ns > 0);
+    assert_eq!(stats.tasks, stats.bins * 10);
+    for stage in Stage::BIN {
+        assert!(stats.ns(stage) > 0, "{stage:?} saw no time");
+    }
+    for stage in Stage::FLEET {
+        assert_eq!(stats.ns(stage), 0, "a solo monitor has no {stage:?} stage");
+    }
+    assert!(stats.parallel_fraction() > 0.0 && stats.parallel_fraction() < 1.0);
+    assert!(stats.ns.iter().sum::<u64>() <= wall_ns, "laps overlap: {stats:?} in {wall_ns} ns");
+}
+
+/// The fleet twin: the front end's four stages saw time, its lanes' seven
+/// ride along summed, and on one shard thread — where the lanes run back to
+/// back inside the dispatch — the `Lanes` lap spans everything they charged.
+#[test]
+fn fleet_stage_stats_wrap_the_lanes_they_dispatch() {
+    let fleet = Monitor::builder()
+        .capacity(1e12)
+        .seed(5)
+        .with_shard_lanes(4)
+        .with_shards(1)
+        .queries(specs())
+        .build_sharded()
+        .expect("valid configuration");
+    let (stats, wall_ns) = stage_stats_of(fleet);
+    assert_eq!(stats.bins, 20, "a fleet counts global bins");
+    for stage in Stage::FLEET.into_iter().chain(Stage::BIN) {
+        assert!(stats.ns(stage) > 0, "{stage:?} saw no time");
+    }
+    let lane_sum: u64 = Stage::BIN.iter().map(|stage| stats.ns(*stage)).sum();
+    assert!(stats.ns(Stage::Lanes) >= lane_sum, "the lane dispatch spans its lanes: {stats:?}");
+    assert_eq!(stats.bin_ns(), Stage::FLEET.iter().map(|stage| stats.ns(*stage)).sum::<u64>());
+    assert!(stats.bin_ns() <= wall_ns, "laps overlap: {stats:?} in {wall_ns} ns");
     assert!(stats.parallel_fraction() > 0.0 && stats.parallel_fraction() < 1.0);
 }
 

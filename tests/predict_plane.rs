@@ -23,6 +23,7 @@ use netshed::monitor::packet_sample_with;
 use netshed::predict::{
     clamp_sample, fcbf_select_with, FcbfConfig, FcbfScratch, FeatureWindow, History, MlrConfig,
     MlrPredictor, Predictor, RobustMlrConfig, RobustMlrPredictor, SlrPredictor, MAX_SAMPLE,
+    OLS_RCOND,
 };
 use netshed::queries::{build_query, CycleMeter, QueryKind};
 use netshed::sketch::{StateError, StateReader, StateWriter};
@@ -71,8 +72,7 @@ impl OracleMlr {
 
         let mut columns = vec![vec![1.0; n]];
         columns.extend(self.selected.iter().map(|&feature| history.feature_column(feature)));
-        let (fit, _) =
-            fresh_fit(&Matrix::from_columns(&columns), &history.responses(), self.config.rcond);
+        let (fit, _) = fresh_fit(&Matrix::from_columns(&columns), &history.responses(), OLS_RCOND);
 
         let correlation_cost = if reselected { n as u64 * FEATURE_COUNT as u64 } else { 0 };
         let k = self.selected.len() as u64 + 1;
