@@ -9,10 +9,14 @@
 //! Eight measurements:
 //!
 //! 1. **extract**: fused single-pass feature extraction on a 10k-packet
-//!    batch — warm (aggregate slots cached on the batch, the steady state
-//!    for per-query re-extraction) and cold (packets hashed and located as
-//!    part of the call, the first touch of a batch) — plus sampled views of
-//!    ~50 / 200 / 1000 packets, where the per-call fixed cost shows.
+//!    batch — warm (flow index cached on the batch, the steady state for
+//!    per-query re-extraction) and cold (packets grouped into flows, flows
+//!    hashed and located as part of the call, the first touch of a batch) —
+//!    plus sampled views of ~50 / 200 / 1000 packets, where the per-call
+//!    fixed cost shows; and the same batch with every 5-tuple made unique
+//!    (`all_distinct`, the flow index's worst case: a spoofed-source flood),
+//!    where the index build is priced against the bare per-packet slot-row
+//!    build it replaced (`index_overhead_all_distinct`).
 //! 2. **shedding**: pooled packet/flow sampling of a 10k-packet view, plus a
 //!    structural check that the sampled view shares the packet store (zero
 //!    per-packet copies).
@@ -48,7 +52,10 @@
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
 
-use netshed_features::{FeatureExtractor, FeatureId, FeatureVector, FEATURE_COUNT};
+use netshed_features::{
+    FeatureExtractor, FeatureId, FeatureVector, AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY,
+    FEATURE_COUNT,
+};
 use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{
     flow_sample_with, packet_sample_with, AllocationPolicy, BinRecord, Engine, Monitor,
@@ -60,10 +67,10 @@ use netshed_predict::{
 };
 use netshed_queries::{QueryKind, QuerySpec};
 use netshed_service::Daemon;
-use netshed_sketch::H3Hasher;
+use netshed_sketch::{BitmapGeometry, H3Hasher};
 use netshed_trace::{
-    decode_batches_shared, encode_batches, Batch, BatchReplay, Bytes, KeepListPool, TraceConfig,
-    TraceGenerator,
+    decode_batches_shared, encode_batches, AggregateSlots, Batch, BatchReplay, Bytes, KeepListPool,
+    TraceConfig, TraceGenerator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,10 +128,22 @@ fn time_ns<F: FnMut()>(iterations: u64, mut routine: F) -> f64 {
 }
 
 struct ExtractNumbers {
+    typical: ExtractPoint,
+    small_views: Vec<SmallViewPoint>,
+    /// The same packets, every 5-tuple unique.
+    all_distinct: ExtractPoint,
+    /// Building the flow index of the all-distinct batch, and hashing and
+    /// locating the same tuples one row per packet with no index at all.
+    index_build_ns: f64,
+    bare_slot_rows_ns: f64,
+}
+
+/// Full-batch extraction of one batch: ns per call.
+struct ExtractPoint {
     packets: usize,
+    distinct_flows: usize,
     fused_warm_ns: f64,
     fused_cold_ns: f64,
-    small_views: Vec<SmallViewPoint>,
 }
 
 /// One sampled-view size of the extract bench: ns per call, not per packet —
@@ -134,34 +153,54 @@ struct SmallViewPoint {
     fused_ns: f64,
 }
 
+/// Nanoseconds `routine` takes on a fresh copy of `batch` — equal packets,
+/// nothing cached on it, its columns just written (as a decoded batch's
+/// are) — built outside the timed region.
+fn time_fresh_ns(batch: &Batch, mut routine: impl FnMut(&Batch)) -> f64 {
+    let copy =
+        Batch::new(batch.bin_index, batch.start_ts, batch.duration_us, batch.packets.to_packets());
+    let start = Instant::now();
+    routine(&copy);
+    start.elapsed().as_nanos() as f64
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+fn extract_point(batch: &Batch, iterations: u64) -> ExtractPoint {
+    // Warm: the batch's flow index is cached after the first call, which is
+    // exactly the state every per-query re-extraction sees.
+    let mut fused = FeatureExtractor::with_defaults();
+    let fused_warm_ns = time_ns(iterations, || {
+        black_box(fused.extract(batch));
+    });
+
+    // Cold: a fresh packet store per call, so the flow index is built inside
+    // the measured region.
+    let mut cold = FeatureExtractor::with_defaults();
+    let mut cold_ns = Vec::new();
+    for _ in 0..iterations.min(64) {
+        cold_ns.push(time_fresh_ns(batch, |copy| {
+            black_box(cold.extract(copy));
+        }));
+    }
+
+    ExtractPoint {
+        packets: batch.len(),
+        distinct_flows: batch.packets.flow_index().flows(),
+        fused_warm_ns,
+        fused_cold_ns: median(cold_ns),
+    }
+}
+
 fn bench_extract(iterations: u64) -> ExtractNumbers {
     let batch =
         TraceGenerator::new(TraceConfig::default().with_seed(11).with_mean_packets_per_batch(1e4))
             .next_batch();
     let packets = batch.len();
-
-    // Warm: the batch's aggregate-slot side array is cached after the first
-    // call, which is exactly the state every per-query re-extraction sees.
-    let mut fused = FeatureExtractor::with_defaults();
-    let fused_warm_ns = time_ns(iterations, || {
-        black_box(fused.extract(&batch));
-    });
-
-    // Cold: a fresh packet store per call, so the slot side array is built
-    // inside the measured region. The packet-vector clone and store
-    // construction are not extraction work, so their cost is measured
-    // separately and subtracted.
-    let cold_iterations = iterations.min(64);
-    let template: Vec<_> = batch.packets.iter().map(|p| p.to_packet()).collect();
-    let fresh = || Batch::new(batch.bin_index, batch.start_ts, batch.duration_us, template.clone());
-    let construct_ns = time_ns(cold_iterations, || {
-        black_box(fresh());
-    });
-    let mut cold = FeatureExtractor::with_defaults();
-    let cold_total_ns = time_ns(cold_iterations, || {
-        black_box(cold.extract(&fresh()));
-    });
-    let fused_cold_ns = (cold_total_ns - construct_ns).max(0.0);
+    let typical = extract_point(&batch, iterations);
 
     // Small views: what a query shed to a few percent re-extracts. Eight
     // views per size, taken in turn, so no call replays the previous one's
@@ -183,7 +222,41 @@ fn bench_extract(iterations: u64) -> ExtractNumbers {
         })
         .collect();
 
-    ExtractNumbers { packets, fused_warm_ns, fused_cold_ns, small_views }
+    // The worst case: the same packets with a source address of their own
+    // each (an odd multiplier permutes `u32`), so no two share a 5-tuple and
+    // the index saves nothing — it may only cost its probe.
+    let spoofed = batch
+        .packets
+        .iter()
+        .enumerate()
+        .map(|(at, p)| {
+            let mut packet = p.to_packet();
+            packet.tuple.src_ip = (at as u32).wrapping_mul(0x9e37_79b1);
+            packet
+        })
+        .collect();
+    let spoofed = Batch::new(batch.bin_index, batch.start_ts, batch.duration_us, spoofed);
+    let all_distinct = extract_point(&spoofed, iterations);
+    assert_eq!(all_distinct.distinct_flows, packets, "every spoofed 5-tuple must be unique");
+
+    // The two sides take turns on fresh copies and report their medians, so
+    // a change of the host's pace mid-measurement lands on both.
+    let geometry = BitmapGeometry::for_cardinality(AGGREGATE_MAX_CARDINALITY);
+    let (mut bare, mut index): (Vec<f64>, Vec<f64>) = Default::default();
+    for _ in 0..iterations.min(64) {
+        bare.push(time_fresh_ns(&spoofed, |copy| {
+            let rows: Vec<AggregateSlots> = (copy.packets.tuples().iter())
+                .map(|tuple| AggregateSlots::compute(tuple, AGGREGATE_HASH_SEED, geometry))
+                .collect();
+            black_box(rows);
+        }));
+        index.push(time_fresh_ns(&spoofed, |copy| {
+            black_box(copy.packets.flow_index());
+        }));
+    }
+    let (bare_slot_rows_ns, index_build_ns) = (median(bare), median(index));
+
+    ExtractNumbers { typical, small_views, all_distinct, index_build_ns, bare_slot_rows_ns }
 }
 
 struct ShedNumbers {
@@ -226,7 +299,7 @@ struct DataPlaneNumbers {
 }
 
 /// One pass over decoded batches: pooled shed, fused extraction. With warm
-/// aggregate-slot caches and a warmed pool this must not touch the heap at
+/// flow indexes and a warmed pool this must not touch the heap at
 /// all — `bench_data_plane` counts allocations around such a pass to pin
 /// `alloc_per_bin` to zero.
 fn shed_extract_pass(
@@ -694,10 +767,20 @@ fn main() {
 
     eprintln!("extract: fused extraction on a 10k-packet batch ...");
     let extract = bench_extract(iterations);
-    eprintln!("  warm {:.0} ns | cold {:.0} ns", extract.fused_warm_ns, extract.fused_cold_ns);
+    for (name, point) in [("typical", &extract.typical), ("all distinct", &extract.all_distinct)] {
+        eprintln!(
+            "  {name}: {} flows in {} packets | warm {:.0} ns | cold {:.0} ns",
+            point.distinct_flows, point.packets, point.fused_warm_ns, point.fused_cold_ns
+        );
+    }
     for point in &extract.small_views {
         eprintln!("  view of {:>4}: {:.0} ns/call", point.kept, point.fused_ns);
     }
+    let index_overhead_all_distinct = extract.index_build_ns / extract.bare_slot_rows_ns;
+    eprintln!(
+        "  all distinct: index build {:.0} ns | bare slot rows {:.0} ns | overhead {:.3}x",
+        extract.index_build_ns, extract.bare_slot_rows_ns, index_overhead_all_distinct
+    );
 
     eprintln!("shedding: pooled sampling at rate 0.37 on a 10k-packet batch ...");
     let shed = bench_shedding(iterations);
@@ -818,9 +901,14 @@ fn main() {
     let json = format!(
         "{{\n  \"generated_by\": \"cargo bench -p netshed-bench --bench pipeline{}\",\n  \
          \"smoke\": {},\n  \
-         \"extract_10k_batch\": {{\n    \"packets\": {},\n    \
+         \"extract_10k_batch\": {{\n    \"packets\": {},\n    \"distinct_flows\": {},\n    \
          \"fused_warm_ns\": {:.1},\n    \"fused_cold_ns\": {:.1},\n    \
-         \"small_views\": [\n{}\n    ]\n  }},\n  \
+         \"small_views\": [\n{}\n    ],\n    \
+         \"all_distinct\": {{\n      \"packets\": {},\n      \"distinct_flows\": {},\n      \
+         \"fused_warm_ns\": {:.1},\n      \"fused_cold_ns\": {:.1},\n      \
+         \"index_build_ns\": {:.1},\n      \"bare_slot_rows_ns\": {:.1},\n      \
+         \"index_overhead_all_distinct\": {:.3}\n    }},\n    \
+         \"cold_ratio_typical_vs_all_distinct\": {:.3}\n  }},\n  \
          \"shedding_10k_batch_rate_0_37\": {{\n    \"packet_view_ns\": {:.1},\n    \
          \"flow_view_ns\": {:.1},\n    \"view_shares_store\": {},\n    \
          \"per_packet_copies\": 0\n  }},\n  \
@@ -851,10 +939,19 @@ fn main() {
          \"modelled_cycle_share\": {{ {} }}\n    }}\n  }}\n}}\n",
         if smoke { " -- --smoke" } else { "" },
         smoke,
-        extract.packets,
-        extract.fused_warm_ns,
-        extract.fused_cold_ns,
+        extract.typical.packets,
+        extract.typical.distinct_flows,
+        extract.typical.fused_warm_ns,
+        extract.typical.fused_cold_ns,
         small_views_json,
+        extract.all_distinct.packets,
+        extract.all_distinct.distinct_flows,
+        extract.all_distinct.fused_warm_ns,
+        extract.all_distinct.fused_cold_ns,
+        extract.index_build_ns,
+        extract.bare_slot_rows_ns,
+        index_overhead_all_distinct,
+        extract.typical.fused_cold_ns / extract.all_distinct.fused_cold_ns,
         shed.packet_view_ns,
         shed.flow_view_ns,
         shed.view_shares_store,

@@ -2,19 +2,19 @@
 //!
 //! The extractor is *fused*: instead of one pass over the batch per aggregate
 //! (ten passes, each re-serialising and re-hashing a 13-byte key per packet),
-//! it walks the batch once and sets the ten precomputed per-packet
+//! it walks the batch once and sets ten precomputed
 //! [`AggregateSlots`](netshed_trace::AggregateSlots) in the ten per-batch
-//! bitmaps. The slots themselves — each aggregate's hash, located in the
-//! bitmap geometry — are computed once per batch and cached on the shared
-//! packet store, so a query's sampled re-extraction reuses the rows the
-//! full-batch extraction already paid for. Seed and geometry are therefore
-//! constants, not configuration: an extractor that disagreed with the store
-//! could only read rows located for another bitmap.
+//! bitmaps — once per *flow* of the view: a set bit is idempotent and the
+//! slots are a function of the 5-tuple. They are computed once per flow per
+//! batch and cached on the shared packet store (its `FlowIndex`), so a
+//! query's sampled re-extraction reuses what the full-batch extraction paid
+//! for. Seed and geometry are therefore constants, not configuration: an
+//! extractor that disagreed with the store would read another bitmap's rows.
 
 use crate::aggregate::{Aggregate, AGGREGATE_COUNT, AGGREGATE_MAX_CARDINALITY};
 use crate::vector::{CounterKind, FeatureId, FeatureVector};
 use netshed_sketch::{BitmapGeometry, MultiResolutionBitmap, StateError, StateReader, StateWriter};
-use netshed_trace::{Batch, BatchView};
+use netshed_trace::{Batch, BatchView, FlowSet};
 
 /// Configuration of the feature extractor.
 #[derive(Debug, Clone)]
@@ -66,6 +66,8 @@ pub struct FeatureExtractor {
     aggregates: [AggregateState; AGGREGATE_COUNT],
     current_interval: Option<u64>,
     batches_processed: u64,
+    /// Scratch: the flows of a sampled view whose bits are already set.
+    seen: FlowSet,
 }
 
 // Per-query extractors are handed to execution-plane workers (`&mut` moves
@@ -95,7 +97,13 @@ impl FeatureExtractor {
             batch_unique: MultiResolutionBitmap::with_geometry(geometry),
             interval_seen: MultiResolutionBitmap::with_geometry(geometry),
         });
-        Self { config, aggregates, current_interval: None, batches_processed: 0 }
+        Self {
+            config,
+            aggregates,
+            current_interval: None,
+            batches_processed: 0,
+            seen: FlowSet::default(),
+        }
     }
 
     /// Creates an extractor with the default configuration.
@@ -154,12 +162,9 @@ impl FeatureExtractor {
     /// Extracts the feature vector for a (possibly sampled) batch view.
     ///
     /// Identical to [`FeatureExtractor::extract`] but operates on the
-    /// zero-copy [`BatchView`] the shedders produce; the per-packet aggregate
+    /// zero-copy [`BatchView`] the shedders produce; the per-flow aggregate
     /// slots are shared with every other consumer of the same batch.
     pub fn extract_view(&mut self, view: &BatchView) -> (FeatureVector, u64) {
-        // Fused single pass, packet-major: each packet's ten precomputed
-        // slots are set in the ten per-batch bitmaps before the next packet
-        // is touched — the cache-friendly shape for a single thread.
         let interval = view.measurement_interval(self.config.measurement_interval_us);
         if self.current_interval != Some(interval) {
             for state in &mut self.aggregates {
@@ -170,11 +175,11 @@ impl FeatureExtractor {
         self.batches_processed += 1;
 
         let packets = view.len() as f64;
-        // Walk the slot side array by store index only: no packet memory is
-        // touched.
-        let slots = view.aggregate_slots();
-        for store_index in view.store_indices() {
-            for (state, &slot) in self.aggregates.iter_mut().zip(slots[store_index].as_array()) {
+        // Fused single pass, flow-major: a flow's ten slots are set once, at
+        // its first packet in the view; the others could only set them again.
+        let rows = view.store().flow_index().rows();
+        for (flow, _) in view.first_of_flows(&mut self.seen) {
+            for (state, &slot) in self.aggregates.iter_mut().zip(rows[flow].as_array()) {
                 state.batch_unique.insert_slot(slot);
             }
         }

@@ -103,6 +103,7 @@ impl Config {
                 // must not allocate per bin (see the `alloc_per_bin` bench
                 // guard in BENCH_pipeline.json).
                 "crates/trace/src/batch.rs",
+                "crates/trace/src/flows.rs",
                 "crates/features/src/extractor.rs",
                 "crates/monitor/src/shedder.rs",
                 "crates/monitor/src/exec.rs",

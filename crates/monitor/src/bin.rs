@@ -219,8 +219,8 @@ impl Monitor {
     /// control. Returns the post-drop view the other stages work from, a
     /// zero-copy view sharing the incoming batch's packet store — except
     /// that the overflow path materialises the admitted packets into a fresh
-    /// store (one copy), so the per-batch caches built later (aggregate
-    /// slots, flow keys) do not hash traffic that was just dropped.
+    /// store (one copy), so the per-batch flow index built later does not
+    /// hash traffic that was just dropped.
     fn admit(&mut self, batch: &Batch) -> Result<BatchView, NetshedError> {
         if batch.is_empty() {
             return Err(NetshedError::EmptyBatch { bin_index: batch.bin_index });
@@ -262,8 +262,9 @@ impl Monitor {
 
     /// Extract: the full (post-drop) batch's feature vector, on this thread
     /// — the one fused pass every sampled re-extraction also makes. This is
-    /// where the per-packet aggregate slots are materialised and cached on
-    /// the batch; every per-query re-extraction later reuses them.
+    /// where the batch's flow index (packets grouped by 5-tuple, ten located
+    /// slots per flow) is built and cached on the batch; every per-query
+    /// re-extraction, flow sample and flow-keyed query later reuses it.
     fn extract(&mut self, post_drop: &BatchView) {
         let (features, extraction_ops) = self.extractor.extract_view(post_drop);
         self.bin.features = features;

@@ -6,9 +6,9 @@
 //! packets into a fresh batch, and they draw that list from a caller-owned
 //! [`KeepListPool`], so the steady-state shed path recycles buffers instead
 //! of allocating one per bin. Selection is bit-identical to the seed's
-//! copy-out samplers (same RNG draw order for packet sampling, same H3
-//! evaluation per packet for flow sampling), which `tests/properties.rs`
-//! pins against their restatement in `tests/oracle/`.
+//! copy-out samplers (same RNG draw order for packet sampling, the same H3
+//! verdict for every packet of a flow), which `tests/properties.rs` pins
+//! against their restatement in `tests/oracle/`.
 
 use netshed_sketch::H3Hasher;
 use netshed_trace::{BatchView, KeepListPool};
@@ -42,10 +42,10 @@ pub fn packet_sample_with(
 /// and no flow table is needed (the "Flowwise sampling" technique the paper
 /// adopts).
 ///
-/// The serialised 13-byte flow keys are taken from the batch's shared cache,
-/// so with `q` flow-sampled queries each packet's key is built once per batch
-/// rather than once per query; the H3 evaluation itself stays per query
-/// because every query draws its own hash function per measurement interval.
+/// The verdict is a function of the 5-tuple, so H3 is evaluated once per flow
+/// of the view (grouped by the batch's shared flow index) and the flow's
+/// other packets share it; the evaluation itself stays per query because
+/// every query draws its own hash function per measurement interval.
 ///
 /// Returns the sampled view and the number of packets discarded.
 pub fn flow_sample_with(
@@ -61,9 +61,8 @@ pub fn flow_sample_with(
     if rate <= 0.0 {
         return (batch.cleared_with(pool), batch.len() as u64);
     }
-    let keys = batch.flow_keys();
     let sampled =
-        batch.filter_indexed_with(pool, |index, _| hasher.unit_interval(&keys[index]) < rate);
+        batch.filter_flows_with(pool, |tuple| hasher.unit_interval(&tuple.as_key()) < rate);
     let dropped = batch.len() as u64 - sampled.len() as u64;
     (sampled, dropped)
 }

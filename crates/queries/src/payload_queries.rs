@@ -210,6 +210,8 @@ pub struct P2pDetectorQuery {
     identified: DetHashSet<u64>,
     /// Packets (seen, inspected) so far per flow key (only used in custom mode).
     inspected_per_flow: DetHashMap<u64, (u32, u32)>,
+    /// Scratch: each flow's canonical key, by the flow ids of the batch in hand.
+    canonical_keys: Vec<Option<u64>>,
 }
 
 impl P2pDetectorQuery {
@@ -235,6 +237,7 @@ impl P2pDetectorQuery {
             behavior,
             identified: DetHashSet::default(),
             inspected_per_flow: DetHashMap::default(),
+            canonical_keys: Vec::new(),
         }
     }
 
@@ -278,10 +281,16 @@ impl Query for P2pDetectorQuery {
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
         let custom = self.shedding == SheddingMethod::Custom;
         let rate = self.effective_rate(sampling_rate);
-        for packet in batch.packets() {
+        // The canonical key is two hashes of the 5-tuple: computed at a
+        // flow's first packet, read back for the others.
+        let index = batch.store().flow_index();
+        self.canonical_keys.clear();
+        self.canonical_keys.resize(index.flows(), None);
+        for (at, packet) in batch.indexed_packets() {
             meter.charge(costs::PER_PACKET_BASE);
             let tuple = packet.tuple();
-            let key = Self::flow_key(tuple);
+            let key = *self.canonical_keys[index.flow_of()[at] as usize]
+                .get_or_insert_with(|| Self::flow_key(tuple));
 
             if custom {
                 // Custom load shedding: inspect at most a `rate` fraction of
@@ -372,6 +381,32 @@ mod tests {
             0x10,
             Bytes::from_static(payload),
         )
+    }
+
+    #[test]
+    fn memoised_flow_keys_do_not_leak_from_one_batch_to_the_next() {
+        // The same flow ids name different tuples in the two batches, and
+        // the second batch is delivered sampled: every packet must still be
+        // keyed by its own tuple, both directions of a flow by one key.
+        let flow = |f: u32| FiveTuple::new(f, 100 + f, 40_000, 6881, 6);
+        let batch = |flows: &[FiveTuple]| {
+            let packets = flows
+                .iter()
+                .enumerate()
+                .map(|(ts, tuple)| Packet::header_only(ts as u64, *tuple, 100, 0))
+                .collect();
+            Batch::new(0, 0, 100_000, packets)
+        };
+        let mut query = P2pDetectorQuery::new();
+        let mut meter = CycleMeter::new();
+        query.process_batch(&batch(&[flow(1), flow(2), flow(1)]).view(), 1.0, &mut meter);
+        let second = batch(&[flow(3), flow(4), flow(1).reversed(), flow(5), flow(4)]);
+        query.process_batch(&second.view().filter_indexed(|i, _| i != 0), 1.0, &mut meter);
+        let expected = [1, 2, 4, 5].map(|f| P2pDetectorQuery::flow_key(&flow(f)));
+        match query.end_interval() {
+            QueryOutput::P2pFlows { flows } => assert_eq!(flows, expected.into_iter().collect()),
+            other => panic!("unexpected output {other:?}"),
+        }
     }
 
     fn p2p_batch(flows: u32, packets_per_flow: u32) -> BatchView {

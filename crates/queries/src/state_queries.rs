@@ -9,7 +9,7 @@ use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
 use crate::query::{repeated_key, restored_weight, scale, Query, SheddingMethod};
 use netshed_sketch::{hash_bytes, DetHashMap, DetHashSet, StateError, StateReader, StateWriter};
-use netshed_trace::BatchView;
+use netshed_trace::{BatchView, FlowSet};
 
 /// `flows`: per-flow classification and count of active 5-tuple flows.
 ///
@@ -18,12 +18,14 @@ use netshed_trace::BatchView;
 pub struct FlowsQuery {
     /// Flow key → Horvitz–Thompson weight (1 / sampling rate at insertion).
     table: DetHashMap<u64, f64>,
+    /// Scratch: the flows of a sampled batch already looked up.
+    seen: FlowSet,
 }
 
 impl FlowsQuery {
     /// Creates the query.
     pub fn new() -> Self {
-        Self { table: DetHashMap::default() }
+        Self::default()
     }
 }
 
@@ -41,11 +43,10 @@ impl Query for FlowsQuery {
     }
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
-        for packet in batch.packets() {
-            meter.charge(costs::PER_PACKET_BASE + costs::HASH_LOOKUP);
-            // The serialised key is a shared store column — no per-packet
-            // re-serialisation.
-            let key = hash_bytes(packet.flow_key(), 0xf10f);
+        meter.charge_n(costs::PER_PACKET_BASE + costs::HASH_LOOKUP, batch.len() as u64);
+        // A flow's later packets would find its entry occupied.
+        for (_, packet) in batch.first_of_flows(&mut self.seen) {
+            let key = hash_bytes(&packet.flow_key(), 0xf10f);
             if let netshed_sketch::Entry::Vacant(vacant) = self.table.entry(key) {
                 meter.charge(costs::HASH_INSERT);
                 // The sampling rate may change from batch to batch, so each
@@ -170,12 +171,19 @@ pub struct SuperSourcesQuery {
     top: usize,
     pairs_seen: DetHashSet<u64>,
     fanout: DetHashMap<u32, f64>,
+    /// Scratch: the flows of a sampled batch already looked up.
+    seen: FlowSet,
 }
 
 impl SuperSourcesQuery {
     /// Creates a query reporting the `top` sources by fan-out.
     pub fn new(top: usize) -> Self {
-        Self { top: top.max(1), pairs_seen: DetHashSet::default(), fanout: DetHashMap::default() }
+        Self {
+            top: top.max(1),
+            pairs_seen: DetHashSet::default(),
+            fanout: DetHashMap::default(),
+            seen: FlowSet::default(),
+        }
     }
 }
 
@@ -199,8 +207,9 @@ impl Query for SuperSourcesQuery {
     }
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
-        for packet in batch.packets() {
-            meter.charge(costs::PER_PACKET_BASE + costs::DISTINCT_UPDATE);
+        meter.charge_n(costs::PER_PACKET_BASE + costs::DISTINCT_UPDATE, batch.len() as u64);
+        // A flow's later packets would find their host pair already seen.
+        for (_, packet) in batch.first_of_flows(&mut self.seen) {
             let tuple = packet.tuple();
             let mut key = [0u8; 8];
             key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes());

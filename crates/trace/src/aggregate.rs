@@ -3,10 +3,11 @@
 //!
 //! The aggregates live in the trace crate (rather than with the feature
 //! extractor) because the batch data plane caches one bitmap slot per
-//! aggregate per packet directly on the shared packet store: the packets are
-//! hashed and located in a single pass the first time a batch is examined,
-//! and the slots are reused by every later consumer — the full-batch
-//! extraction and each query's sampled re-extraction.
+//! aggregate per *flow* directly on the shared packet store (see
+//! [`FlowIndex`](crate::flows::FlowIndex)): the flows are hashed and located
+//! the first time a batch is examined, and the slots are reused by every
+//! later consumer — the full-batch extraction and each query's sampled
+//! re-extraction.
 
 use crate::packet::FiveTuple;
 use netshed_sketch::{BitmapGeometry, IncrementalFnv};
@@ -91,7 +92,7 @@ impl Aggregate {
 
 /// Base seed of the aggregate hash functions. One value for every extractor
 /// of a process, so the slot rows a batch caches (see
-/// `PacketStore::aggregate_slots`) serve all of them.
+/// `PacketStore::flow_index`) serve all of them.
 pub const AGGREGATE_HASH_SEED: u64 = 0x5eed_f00d;
 
 /// Cardinality the extractor's bitmaps are dimensioned for. Through
@@ -164,10 +165,11 @@ impl AggregateHashes {
 /// aggregate's hash (see [`AggregateHashes`]) located under one
 /// [`BitmapGeometry`].
 ///
-/// This is the row of the store's per-packet side array. Hashing and
-/// locating a packet depend on the extractor's seed and bitmap geometry but
-/// not on which query is asking, so they happen once per batch; a slot is
-/// 2 bytes where the hash it came from is 8.
+/// This is the row the store's flow index keeps per flow. Hashing and
+/// locating a 5-tuple depend on the extractor's seed and bitmap geometry but
+/// not on which query is asking — or on which of the flow's packets is being
+/// looked at — so they happen once per flow per batch; a slot is 2 bytes
+/// where the hash it came from is 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregateSlots([u16; AGGREGATE_COUNT]);
 

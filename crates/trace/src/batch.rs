@@ -9,35 +9,33 @@
 //!
 //! # Memory layout
 //!
-//! The store is *struct-of-arrays*: timestamps, five-tuples, IP lengths, TCP
-//! flags, serialised 13-byte flow keys and (lazily) the per-packet
-//! [`AggregateSlots`] rows each live in their own dense column, built once
-//! per batch. Consumers that stream one attribute — [`BatchStats`]
-//! accumulation, flow-key hashing, the fused feature extractor — walk a
-//! contiguous column instead of striding over a packet struct, and payload
-//! bytes (the one cold, variable-width attribute) never pollute the hot
-//! columns. Individual packets are addressed through the cheap [`PacketRef`]
-//! accessor; [`Packet`] remains the construction and interop type.
+//! The store is *struct-of-arrays*: timestamps, five-tuples, IP lengths and
+//! TCP flags each live in their own dense column, built once per batch.
+//! Consumers that stream one attribute — [`BatchStats`] accumulation, the
+//! flow grouping, shard routing — walk a contiguous column instead of
+//! striding over a packet struct, and payload bytes (the one cold,
+//! variable-width attribute) never pollute the hot columns. Individual
+//! packets are addressed through the cheap [`PacketRef`] accessor; [`Packet`]
+//! remains the construction and interop type.
 //!
 //! Derived data computed at most once per batch, shared by every view:
 //!
 //! * [`BatchStats`] (packet/byte/flag totals) — accumulated eagerly while the
 //!   columns are filled,
-//! * the serialised 13-byte flow keys used by flowwise sampling — an eager
-//!   column,
-//! * the per-packet [`AggregateSlots`] side rows feeding the fused feature
-//!   extractor (the "locate once" invariant) — lazy, so a batch nothing
-//!   extracts from (a recording, a lane-split parent) never hashes a packet.
+//! * the [`FlowIndex`] (packets grouped by 5-tuple, ten bitmap slots per
+//!   flow) feeding the fused feature extractor, flowwise sampling and the
+//!   flow-keyed queries — the "locate once per flow" invariant — lazy, so a
+//!   batch nothing examines (a recording, a lane-split parent) hashes nothing.
 //!
 //! Steady-state sampling is allocation-free: a [`KeepListPool`] recycles both
 //! the keep-index buffers and their `Arc` control blocks, so
 //! [`BatchView::filter_indexed_with`] performs no heap allocation once the
 //! pool is warm (see DESIGN.md, "Memory plane").
 
-use crate::aggregate::{AggregateSlots, AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY};
+use crate::flows::{FlowIndex, FlowSet};
 use crate::packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_SYN};
 use bytes::Bytes;
-use netshed_sketch::{hash_bytes, BitmapGeometry};
+use netshed_sketch::hash_bytes;
 use std::sync::{Arc, OnceLock};
 
 /// Fixed seed of the symmetric host-pair shard keys (see
@@ -71,8 +69,9 @@ pub fn shard_key(tuple: &FiveTuple) -> u64 {
 /// The owning, reference-counted, struct-of-arrays storage behind a
 /// [`Batch`].
 ///
-/// Immutable after construction; the lazy aggregate-slot cache is
-/// initialise-once (`OnceLock`) and therefore safe to share across threads.
+/// Immutable after construction; the lazy caches (flow index, shard keys)
+/// are initialise-once (`OnceLock`) and therefore safe to share across
+/// threads.
 /// Construct through [`PacketStore::builder`] (one streaming pass that fills
 /// every column and the stats) or implicitly through [`Batch::new`].
 pub struct PacketStore {
@@ -84,19 +83,16 @@ pub struct PacketStore {
     ip_lens: Vec<u32>,
     /// Per-packet TCP flag bytes (0 for non-TCP).
     tcp_flags: Vec<u8>,
-    /// Per-packet serialised 13-byte flow keys (eager: flowwise sampling and
-    /// the layout-equivalence tests index this column directly).
-    flow_keys: Vec<[u8; 13]>,
     /// Captured payloads. Canonically empty when *no* packet carries one (the
     /// common header-only trace pays nothing for the column); otherwise one
     /// entry per packet.
     payloads: Vec<Option<Bytes>>,
     /// Summary statistics, accumulated while the columns were filled.
     stats: BatchStats,
-    /// Per-packet aggregate slot rows (see [`PacketStore::aggregate_slots`]).
-    aggregate_slots: OnceLock<Vec<AggregateSlots>>,
+    /// The packets grouped by 5-tuple (see [`PacketStore::flow_index`]).
+    flows: OnceLock<FlowIndex>,
     /// Per-packet shard-routing keys (see [`shard_key`]). Lazy like the
-    /// aggregate-slot rows: single-instance runs never pay for the column.
+    /// flow index: single-instance runs never pay for the column.
     shard_keys: OnceLock<Vec<u64>>,
 }
 
@@ -112,7 +108,6 @@ pub struct StoreBuilder {
     tuples: Vec<FiveTuple>,
     ip_lens: Vec<u32>,
     tcp_flags: Vec<u8>,
-    flow_keys: Vec<[u8; 13]>,
     payloads: Vec<Option<Bytes>>,
     stats: BatchStats,
 }
@@ -126,7 +121,6 @@ impl StoreBuilder {
             tuples: Vec::with_capacity(capacity),
             ip_lens: Vec::with_capacity(capacity),
             tcp_flags: Vec::with_capacity(capacity),
-            flow_keys: Vec::with_capacity(capacity),
             // lint:allow(hot-path-alloc): zero-capacity lazy column, no heap touch
             payloads: Vec::new(),
             stats: BatchStats::default(),
@@ -154,7 +148,6 @@ impl StoreBuilder {
     ) {
         let payload_len = payload.as_ref().map_or(0, |p| p.len() as u64);
         self.stats.absorb(tuple.proto, tcp_flags, ip_len, payload_len);
-        self.flow_keys.push(tuple.as_key());
         if payload.is_some() || !self.payloads.is_empty() {
             // First payload seen: backfill the column so it stays
             // index-aligned. Header-only stores never enter here.
@@ -182,10 +175,9 @@ impl StoreBuilder {
             tuples: self.tuples,
             ip_lens: self.ip_lens,
             tcp_flags: self.tcp_flags,
-            flow_keys: self.flow_keys,
             payloads: self.payloads,
             stats: self.stats,
-            aggregate_slots: OnceLock::new(),
+            flows: OnceLock::new(),
             shard_keys: OnceLock::new(),
         }
     }
@@ -252,16 +244,6 @@ impl PacketStore {
         &self.tcp_flags
     }
 
-    /// The serialised 13-byte 5-tuple keys of all packets, built once at
-    /// construction.
-    ///
-    /// Flowwise sampling hashes these through a per-query H3 function; the
-    /// serialisation itself is query-independent, so it is shared — and
-    /// borrowed, so handing it to `q` queries costs nothing per query.
-    pub fn flow_keys(&self) -> &[[u8; 13]] {
-        &self.flow_keys
-    }
-
     /// The captured payload of the packet at `index`, if any.
     pub fn payload(&self, index: usize) -> Option<&Bytes> {
         self.payloads.get(index).and_then(Option::as_ref)
@@ -278,29 +260,18 @@ impl PacketStore {
         self.stats
     }
 
-    /// The per-packet aggregate slot side rows, one per stored packet.
-    ///
-    /// Computed in a single pass over the tuple column the first time they
-    /// are requested — under the one seed ([`AGGREGATE_HASH_SEED`]) and the
-    /// one bitmap geometry ([`AGGREGATE_MAX_CARDINALITY`]) every extractor
-    /// shares — and borrowed by every later call: the full-batch extraction
-    /// pays for the rows, each query's sampled re-extraction reuses them.
-    pub fn aggregate_slots(&self) -> &[AggregateSlots] {
-        self.aggregate_slots.get_or_init(|| {
-            let geometry = BitmapGeometry::for_cardinality(AGGREGATE_MAX_CARDINALITY);
-            let slot_row =
-                |t: &FiveTuple| AggregateSlots::compute(t, AGGREGATE_HASH_SEED, geometry);
-            // lint:allow(hot-path-alloc): the once-per-batch slot-row build; every later call borrows it
-            self.tuples.iter().map(slot_row).collect()
-        })
+    /// The stored packets grouped by 5-tuple, with every flow's ten bitmap
+    /// slots: built from the tuple column on first request (in the monitor,
+    /// by the full-batch extraction) and borrowed by every later consumer.
+    pub fn flow_index(&self) -> &FlowIndex {
+        self.flows.get_or_init(|| FlowIndex::build(&self.tuples))
     }
 
     /// The per-packet shard-routing key column (see [`shard_key`]).
     ///
     /// Computed in one pass over the tuple column on first request and cached
-    /// for the life of the store, mirroring the aggregate-slot side array:
-    /// the front end routes once, and every shard's view borrows the same
-    /// column.
+    /// for the life of the store, like the flow index: the front end routes
+    /// once, and every shard's view borrows the same column.
     pub fn shard_keys(&self) -> &[u64] {
         self.shard_keys.get_or_init(|| {
             // lint:allow(hot-path-alloc): the once-per-batch key-column build; every later call borrows it
@@ -375,9 +346,9 @@ impl<'a> PacketRef<'a> {
         self.proto() == proto
     }
 
-    /// The packet's serialised 13-byte flow key (shared store column).
-    pub fn flow_key(&self) -> &'a [u8; 13] {
-        &self.store.flow_keys[self.index]
+    /// The packet's serialised 13-byte flow key.
+    pub fn flow_key(&self) -> [u8; 13] {
+        self.tuple().as_key()
     }
 
     /// Copies the packet out into an owned [`Packet`] (payload bytes are
@@ -624,6 +595,8 @@ impl Batch {
 #[derive(Debug, Default)]
 pub struct KeepListPool {
     slots: Vec<Arc<Vec<u32>>>,
+    /// [`BatchView::filter_flows_with`]'s scratch: flow id → verdict so far.
+    fates: Vec<Option<bool>>,
 }
 
 impl KeepListPool {
@@ -658,8 +631,8 @@ impl KeepListPool {
 /// A view shares the underlying [`PacketStore`] with the batch it was carved
 /// from and records which packets it retains as an index list (`None` meaning
 /// "all of them"). Sampling a view therefore never copies a packet, and all
-/// store-level data (columns, stats, flow keys, aggregate slots) remains
-/// shared across every view of the same batch.
+/// store-level data (columns, stats, the flow index) remains shared across
+/// every view of the same batch.
 ///
 /// Ownership rules: views are cheap to clone (two `Arc` bumps at most) and
 /// immutable; deriving a narrower view with [`BatchView::filter_indexed`] (or
@@ -740,30 +713,14 @@ impl BatchView {
     /// Iterates over `(store index, packet)` pairs for the retained packets.
     ///
     /// The store index addresses per-packet side arrays of the *full* batch —
-    /// in particular the [`AggregateSlots`] rows and the flow keys — which
-    /// is what lets sampled consumers reuse data computed once for the whole
-    /// batch.
+    /// in particular [`FlowIndex::flow_of`] — which is what lets sampled
+    /// consumers reuse data computed once for the whole batch.
     pub fn indexed_packets(&self) -> IndexedPackets<'_> {
         IndexedPackets {
             store: &self.store,
             keep: self.keep.as_ref().map(|k| k.as_slice()),
             position: 0,
         }
-    }
-
-    /// Iterates over the retained packets' *store indices* without touching
-    /// the packets themselves.
-    ///
-    /// Consumers that only address per-packet side arrays (the aggregate-slot
-    /// rows, the flow keys) should prefer this over
-    /// [`BatchView::indexed_packets`]: a full view yields `0..len` and a
-    /// sampled view walks its keep-list, so no packet memory is pulled
-    /// through the cache just to be ignored.
-    pub fn store_indices(&self) -> StoreIndices<'_> {
-        StoreIndices(match &self.keep {
-            Some(keep) => StoreIndicesInner::Kept(keep.iter()),
-            None => StoreIndicesInner::Full(0..self.store.len()),
-        })
     }
 
     /// Summary statistics over the retained packets.
@@ -801,16 +758,31 @@ impl BatchView {
         }
     }
 
-    /// The per-packet aggregate slot side rows of the full store, indexed by
-    /// the store indices yielded by [`BatchView::store_indices`].
-    pub fn aggregate_slots(&self) -> &[AggregateSlots] {
-        self.store.aggregate_slots()
-    }
-
-    /// The serialised 13-byte flow keys of the full store, indexed by store
-    /// indices.
-    pub fn flow_keys(&self) -> &[[u8; 13]] {
-        self.store.flow_keys()
+    /// Iterates over `(flow id, packet)` for the first retained packet of
+    /// every distinct flow of the view, in view order: what a consumer whose
+    /// per-packet step is idempotent per 5-tuple has to look at. A full view
+    /// walks [`FlowIndex::first`] and never touches `seen`, the caller's
+    /// scratch; a sampled view tests one bit of it per retained packet.
+    pub fn first_of_flows<'a>(
+        &'a self,
+        seen: &'a mut FlowSet,
+    ) -> impl Iterator<Item = (usize, PacketRef<'a>)> + 'a {
+        let index = self.store.flow_index();
+        // One of the two halves of the chain is empty.
+        let (first, keep) = match &self.keep {
+            None => (index.first(), &[][..]),
+            Some(keep) => {
+                seen.reset(index.flows());
+                (&[][..], keep.as_slice())
+            }
+        };
+        let unseen = move |&at: &u32| {
+            let flow = index.flow_of()[at as usize] as usize;
+            seen.insert(flow).then_some((flow, at))
+        };
+        (first.iter().copied().enumerate())
+            .chain(keep.iter().filter_map(unseen))
+            .map(|(flow, at)| (flow, self.store.get(at as usize)))
     }
 
     /// Derives a narrower view retaining the packets for which `keep` returns
@@ -851,6 +823,32 @@ impl BatchView {
         self.with_keep_arc(Arc::clone(&pool.slots[slot]))
     }
 
+    /// Derives a narrower view retaining the packets of the flows `keep`
+    /// accepts, pooled like [`BatchView::filter_indexed_with`]. `keep` is
+    /// asked once per distinct 5-tuple of the view, at the flow's first
+    /// retained packet; the flow's other packets share the verdict.
+    pub fn filter_flows_with<F>(&self, pool: &mut KeepListPool, mut keep: F) -> BatchView
+    where
+        F: FnMut(&FiveTuple) -> bool,
+    {
+        let index = self.store.flow_index();
+        let slot = pool.claim();
+        pool.fates.clear();
+        pool.fates.resize(index.flows(), None);
+        let list = Arc::make_mut(&mut pool.slots[slot]);
+        // Every index is written at the tail and the tail moves only for a
+        // kept flow: no branch on a verdict that is a coin flip per packet.
+        list.resize(self.len(), 0);
+        let mut kept = 0;
+        for (at, packet) in self.indexed_packets() {
+            let fate = &mut pool.fates[index.flow_of()[at] as usize];
+            list[kept] = at as u32;
+            kept += usize::from(*fate.get_or_insert_with(|| keep(packet.tuple())));
+        }
+        list.truncate(kept);
+        self.with_keep_arc(Arc::clone(&pool.slots[slot]))
+    }
+
     /// A view over the same bin retaining no packets; its (empty) keep list
     /// is claimed from `pool` like [`BatchView::filter_indexed_with`]'s.
     pub fn cleared_with(&self, pool: &mut KeepListPool) -> BatchView {
@@ -880,38 +878,6 @@ impl BatchView {
         Batch::from_store(self.bin_index, self.start_ts, self.duration_us, builder.finish())
     }
 }
-
-/// Iterator over the retained store indices of a [`BatchView`]
-/// (see [`BatchView::store_indices`]).
-#[derive(Debug)]
-pub struct StoreIndices<'a>(StoreIndicesInner<'a>);
-
-#[derive(Debug)]
-enum StoreIndicesInner<'a> {
-    Full(std::ops::Range<usize>),
-    Kept(std::slice::Iter<'a, u32>),
-}
-
-impl Iterator for StoreIndices<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match &mut self.0 {
-            StoreIndicesInner::Full(range) => range.next(),
-            StoreIndicesInner::Kept(iter) => iter.next().map(|&index| index as usize),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            StoreIndicesInner::Full(range) => range.size_hint(),
-            StoreIndicesInner::Kept(iter) => iter.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for StoreIndices<'_> {}
 
 /// Iterator over `(store index, packet)` pairs of a [`BatchView`].
 ///
@@ -1322,7 +1288,7 @@ mod tests {
         assert_eq!(store.tuples()[0], tuple);
         assert_eq!(store.ip_lens(), &[60, 80]);
         assert_eq!(store.tcp_flag_bytes(), &[0, TCP_SYN]);
-        assert_eq!(store.flow_keys()[0], tuple.as_key());
+        assert_eq!(store.get(0).flow_key(), tuple.as_key());
         assert_eq!(store.payload(0), None);
         assert_eq!(store.payload(1).map(bytes::Bytes::as_slice), Some(&b"abc"[..]));
         assert!(store.has_payloads());
@@ -1348,8 +1314,8 @@ mod tests {
         let c = PacketStore::from_packets(vec![pkt(0), pkt(11)]);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        // Building a's slot rows must not affect equality.
-        let _ = a.aggregate_slots();
+        // Building a's flow index must not affect equality.
+        let _ = a.flow_index();
         assert_eq!(a, b);
     }
 
@@ -1425,19 +1391,62 @@ mod tests {
     #[test]
     fn store_caches_are_shared_between_batch_and_views() {
         let batch = Batch::new(0, 0, 100_000, vec![pkt(0), pkt(10)]);
-        let rows_a = batch.packets.aggregate_slots();
+        let index = batch.packets.flow_index();
         let sampled = batch.view().filter_indexed(|_, _| true);
-        let rows_b = sampled.aggregate_slots();
-        assert!(std::ptr::eq(rows_a.as_ptr(), rows_b.as_ptr()), "the rows are built once");
-        let geometry = BitmapGeometry::for_cardinality(AGGREGATE_MAX_CARDINALITY);
-        assert_eq!(
-            rows_a[0],
-            AggregateSlots::compute(&batch.packets.tuples()[0], AGGREGATE_HASH_SEED, geometry)
-        );
-        let keys_a = batch.view().flow_keys().as_ptr();
-        let keys_b = batch.view().flow_keys().as_ptr();
-        assert!(std::ptr::eq(keys_a, keys_b));
-        assert_eq!(batch.packets.flow_keys()[1], batch.packets.tuples()[1].as_key());
+        assert!(std::ptr::eq(index, sampled.store().flow_index()), "the index is built once");
+        assert_eq!((index.flow_of(), index.first()), (&[0, 0][..], &[0][..]));
+        assert_eq!(batch.packets.get(1).flow_key(), batch.packets.tuples()[1].as_key());
+    }
+
+    #[test]
+    fn first_of_flows_yields_each_flow_of_the_view_once_in_view_order() {
+        let flow = |f: u32| FiveTuple::new(f, 2, 3, 4, 6);
+        let packets = [0u32, 1, 0, 2, 1, 3, 2]
+            .iter()
+            .enumerate()
+            .map(|(ts, &f)| Packet::header_only(ts as u64, flow(f), 100, 0))
+            .collect();
+        let batch = Batch::new(0, 0, 100_000, packets);
+        let mut seen = FlowSet::default();
+        let firsts = |view: &BatchView, seen: &mut FlowSet| -> Vec<(usize, u64)> {
+            view.first_of_flows(seen).map(|(flow, packet)| (flow, packet.ts())).collect()
+        };
+        assert_eq!(firsts(&batch.view(), &mut seen), [(0, 0), (1, 1), (2, 3), (3, 5)]);
+        // Flow 0's first packet is sampled out, flow 3 entirely: the view's
+        // first packet of each remaining flow, in view order.
+        let sampled = batch.view().filter_indexed(|index, _| ![0, 5].contains(&index));
+        assert_eq!(firsts(&sampled, &mut seen), [(1, 1), (0, 2), (2, 3)]);
+        let narrowed = sampled.filter_indexed(|index, _| index >= 4);
+        assert_eq!(firsts(&narrowed, &mut seen), [(1, 4), (2, 6)]);
+        assert!(firsts(&batch.view().cleared_with(&mut KeepListPool::new()), &mut seen).is_empty());
+    }
+
+    #[test]
+    fn flow_filter_asks_once_per_flow_of_the_view_and_keeps_whole_flows() {
+        let flow = |f: u32| FiveTuple::new(f, 2, 3, 4, 6);
+        let packets = [0u32, 1, 0, 2, 1, 3, 2, 0]
+            .iter()
+            .enumerate()
+            .map(|(ts, &f)| Packet::header_only(ts as u64, flow(f), 100, 0))
+            .collect();
+        let batch = Batch::new(0, 0, 100_000, packets);
+        let mut pool = KeepListPool::new();
+        let mut asked = Vec::new();
+        let odd = batch.view().filter_flows_with(&mut pool, |tuple| {
+            asked.push(tuple.src_ip);
+            tuple.src_ip % 2 == 1
+        });
+        assert_eq!(asked, [0, 1, 2, 3], "one question per flow, in first-seen order");
+        assert_eq!(odd.indexed_packets().map(|(at, _)| at).collect::<Vec<_>>(), [1, 4, 5]);
+        // On a view of a view only the flows still present are asked about.
+        asked.clear();
+        let late = batch.view().filter_indexed(|index, _| index >= 5);
+        let kept = late.filter_flows_with(&mut pool, |tuple| {
+            asked.push(tuple.src_ip);
+            tuple.src_ip != 2
+        });
+        assert_eq!(asked, [3, 2, 0]);
+        assert_eq!(kept.indexed_packets().map(|(at, _)| at).collect::<Vec<_>>(), [5, 7]);
     }
 
     #[test]
@@ -1464,10 +1473,10 @@ mod tests {
         let mut pool = KeepListPool::new();
         let plain = batch.view().filter_indexed(|index, _| index % 7 != 0);
         let pooled = batch.view().filter_indexed_with(&mut pool, |index, _| index % 7 != 0);
-        assert_eq!(
-            plain.store_indices().collect::<Vec<_>>(),
-            pooled.store_indices().collect::<Vec<_>>()
-        );
+        assert!(plain
+            .indexed_packets()
+            .map(|(at, _)| at)
+            .eq(pooled.indexed_packets().map(|(at, _)| at)));
         assert_eq!(plain.stats(), pooled.stats());
     }
 
@@ -1512,6 +1521,5 @@ mod tests {
         let via_builder = builder.finish();
         assert_eq!(via_vec, via_builder);
         assert_eq!(via_vec.stats(), via_builder.stats());
-        assert_eq!(via_vec.flow_keys(), via_builder.flow_keys());
     }
 }

@@ -35,6 +35,7 @@ pub mod aggregate;
 pub mod anomaly;
 pub mod batch;
 pub mod dist;
+pub mod flows;
 pub mod format;
 pub mod generator;
 pub mod packet;
@@ -49,8 +50,9 @@ pub use aggregate::{
 pub use anomaly::{Anomaly, AnomalyInjector, AnomalyKind};
 pub use batch::{
     shard_key, Batch, BatchBuilder, BatchStats, BatchView, IndexedPackets, KeepListPool, PacketRef,
-    PacketStore, StoreBuilder, StoreIndices, TimestampJumpError, MAX_GAP_BINS,
+    PacketStore, StoreBuilder, TimestampJumpError, MAX_GAP_BINS,
 };
+pub use flows::{FlowIndex, FlowSet};
 pub use format::{
     decode_batches, decode_batches_shared, encode_batches, FormatError, SharedTraceReader,
     TraceReader, TraceWriter, TRACE_FORMAT_VERSION, TRACE_MAGIC,

@@ -1,14 +1,15 @@
 //! Bit-identity of the locate-once feature extraction at every seam.
 //!
-//! The slot side array, the flat multi-resolution bitmap and its estimator
+//! The per-flow slot rows, the flat multi-resolution bitmap and its estimator
 //! table replaced the per-packet hash rows and the `Vec<LinearCounting>`
 //! layout. Nothing a feature vector holds may have moved, so each layer is
 //! pinned here against the code it replaced, as `tests/oracle/` restates it:
 //! the single-pass hashes against one padded key and one `hash_bytes` call
 //! per aggregate, the slot against locate-then-modulo, the flat bitmap
 //! against one [`LinearCounting`] per component, and the extractor — on full
-//! and sampled views, across an interval boundary and a restore — against
-//! the ten-pass reference on all 42 features.
+//! views, packet- and flow-sampled views and views of views, across an
+//! interval boundary and a restore — against the ten-pass reference, which
+//! hashes every packet, on all 42 features.
 
 mod oracle;
 
@@ -157,8 +158,10 @@ proptest! {
     }
 
     /// (c) Extraction over sampled views — nothing kept, a 0.37 sample,
-    /// everything kept — across a measurement-interval boundary and through a
-    /// mid-run checkpoint equals the ten-pass reference on all 42 features.
+    /// everything kept; by packet, by flow, and by flow out of a packet
+    /// sample (a view of a view) in turn — across a measurement-interval
+    /// boundary and through a mid-run checkpoint equals the ten-pass
+    /// reference on all 42 features.
     #[test]
     fn sampled_extraction_matches_the_ten_pass_reference(
         trace_seed in 0u64..500,
@@ -167,6 +170,7 @@ proptest! {
     ) {
         // Bins 0..13 at 100 ms: the 1 s interval closes between bins 9 and 10.
         let batches = traffic(trace_seed, 13);
+        let hasher = H3Hasher::new(13, sample_seed);
         for rate in [0.0, 0.37, 1.0] {
             let mut rng = StdRng::seed_from_u64(sample_seed);
             let mut pool = KeepListPool::new();
@@ -182,7 +186,14 @@ proptest! {
                     prop_assert_eq!(saved(|w| restored.save_state(w)), bytes);
                     fused = restored;
                 }
-                let (view, _) = packet_sample_with(&batch.view(), rate, &mut rng, &mut pool);
+                let view = match bin % 3 {
+                    0 => packet_sample_with(&batch.view(), rate, &mut rng, &mut pool).0,
+                    1 => flow_sample_with(&batch.view(), rate, &hasher, &mut pool).0,
+                    _ => {
+                        let (half, _) = packet_sample_with(&batch.view(), 0.5, &mut rng, &mut pool);
+                        flow_sample_with(&half, rate, &hasher, &mut pool).0
+                    }
+                };
                 let (expected, expected_ops) = reference.extract(&view.materialize());
                 let (actual, ops) = fused.extract_view(&view);
                 prop_assert_eq!(ops, expected_ops);
@@ -214,15 +225,15 @@ fn every_fill_level_up_to_saturation_agrees_with_the_reference() {
     }
 }
 
-/// The slot rows of a bin are built once: the full-batch extraction and
+/// The flow index of a bin is built once: the full-batch extraction and
 /// every sampled re-extraction — whichever shedder narrowed the view —
-/// borrow the same allocation, and its rows are the oracle's hashes located
-/// by locate-then-modulo.
+/// borrow the same index, and the row of every packet's flow is the oracle's
+/// hashes of that packet located by locate-then-modulo.
 #[test]
 fn full_and_sampled_extractions_of_a_bin_borrow_the_same_slot_rows() {
     let batch = traffic(7, 1).remove(0);
     FeatureExtractor::with_defaults().extract(&batch);
-    let rows = batch.packets.aggregate_slots();
+    let index = batch.packets.flow_index();
 
     let mut rng = StdRng::seed_from_u64(3);
     let mut pool = KeepListPool::new();
@@ -232,16 +243,61 @@ fn full_and_sampled_extractions_of_a_bin_borrow_the_same_slot_rows() {
         let (by_flow, _) = flow_sample_with(&batch.view(), rate, &hasher, &mut pool);
         for view in [by_packet, by_flow] {
             FeatureExtractor::with_defaults().extract_view(&view);
-            assert!(std::ptr::eq(view.aggregate_slots().as_ptr(), rows.as_ptr()), "rate {rate}");
+            assert!(std::ptr::eq(view.store().flow_index(), index), "rate {rate}");
         }
-        assert!(std::ptr::eq(batch.packets.aggregate_slots().as_ptr(), rows.as_ptr()));
+        assert!(std::ptr::eq(batch.packets.flow_index(), index));
     }
 
     let reference = ReferenceBitmap::for_cardinality(AGGREGATE_MAX_CARDINALITY);
-    for (tuple, row) in batch.packets.tuples().iter().zip(rows) {
-        for (index, &slot) in row.as_array().iter().enumerate() {
-            let hash = aggregate_hash(index, tuple, AGGREGATE_HASH_SEED);
-            assert_eq!(usize::from(slot), reference.slot(hash), "aggregate {index} of {tuple}");
+    assert!(index.flows() < batch.len(), "the traffic must repeat its tuples");
+    for (tuple, &flow) in batch.packets.tuples().iter().zip(index.flow_of()) {
+        for (aggregate, &slot) in index.rows()[flow as usize].as_array().iter().enumerate() {
+            let hash = aggregate_hash(aggregate, tuple, AGGREGATE_HASH_SEED);
+            assert_eq!(usize::from(slot), reference.slot(hash), "aggregate {aggregate} of {tuple}");
+        }
+    }
+}
+
+/// The two extremes of flow locality — one flow for the whole bin, and a
+/// distinct 5-tuple per packet — full, sampled both ways and as a view of a
+/// view, across an interval boundary and a restore, against the ten-pass
+/// reference.
+#[test]
+fn single_flow_and_all_distinct_batches_match_the_ten_pass_reference() {
+    let single = vec![FiveTuple::new(0x0a00_0001, 0x0a00_0002, 4321, 80, 6); 400];
+    let distinct: Vec<FiveTuple> = (0..400u32)
+        .map(|i| FiveTuple::new(0x0a00_0000 + i, 0xc0a8_0000 + i * 7, i as u16, 53, 17))
+        .collect();
+    let hasher = H3Hasher::new(13, 11);
+    for (name, tuples) in [("single flow", single), ("all distinct", distinct)] {
+        let flows = batch_of(&tuples, 0).packets.flow_index().flows();
+        assert_eq!(flows, if name == "single flow" { 1 } else { tuples.len() }, "{name}");
+
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut pool = KeepListPool::new();
+        let mut fused = FeatureExtractor::with_defaults();
+        let mut reference = TenPassExtractor::with_defaults();
+        // Bins 8..12: the 1 s interval closes between bins 9 and 10; the
+        // extractor is swapped for its own restore before bin 11.
+        for bin in 8..12u64 {
+            if bin == 11 {
+                let bytes = saved(|w| fused.save_state(w));
+                fused = FeatureExtractor::with_defaults();
+                fused.load_state(&mut StateReader::new(&bytes)).expect("same configuration");
+            }
+            let batch = batch_of(&tuples, bin);
+            let full = batch.view();
+            let (by_packet, _) = packet_sample_with(&full, 0.37, &mut rng, &mut pool);
+            let (by_flow, _) = flow_sample_with(&full, 0.37, &hasher, &mut pool);
+            let (nested, _) = flow_sample_with(&by_packet, 0.6, &hasher, &mut pool);
+            for (shape, view) in
+                [("full", full), ("packet", by_packet), ("flow", by_flow), ("nested", nested)]
+            {
+                let (expected, expected_ops) = reference.extract(&view.materialize());
+                let (actual, ops) = fused.extract_view(&view);
+                assert_eq!(ops, expected_ops, "{name}, {shape} view, bin {bin}");
+                assert_same_features(&actual, &expected, &format!("{name}, {shape}, bin {bin}"));
+            }
         }
     }
 }

@@ -3,7 +3,8 @@
 //! The production crates hold one implementation per operation. When a
 //! kernel is replaced in place — the ten-pass extractor by the fused one,
 //! one linear-counting bitmap per component by the flat layout, copy-out
-//! shedding by views, the column-at-a-time Pearson FCBF by the row passes —
+//! shedding by views, the column-at-a-time Pearson FCBF by the row passes,
+//! the per-packet `flows` / `super-sources` kernels by one probe per flow —
 //! the old one moves here for as long as a test compares against it,
 //! restated on public types only: nothing in this module calls the code it
 //! checks, and nothing here comes from `netshed_bench`. What is shared with
@@ -19,10 +20,14 @@ use netshed::features::{
     AGGREGATE_MAX_CARDINALITY,
 };
 use netshed::predict::{FcbfConfig, History};
+use netshed::queries::{costs, CycleMeter, QueryOutput};
 use netshed::sketch::{hash_bytes, mix64, H3Hasher, StateWriter};
-use netshed::trace::{Batch, FiveTuple, PacketRef, PacketStore, DEFAULT_MEASUREMENT_INTERVAL_US};
+use netshed::trace::{
+    Batch, BatchView, FiveTuple, PacketRef, PacketStore, DEFAULT_MEASUREMENT_INTERVAL_US,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
 // Aggregate keys and hashes, one key and one `hash_bytes` call at a time.
@@ -369,6 +374,115 @@ pub fn clone_flow_sample(batch: &Batch, rate: f64, hasher: &H3Hasher) -> (Batch,
     let sampled = filtered(batch, |p| hasher.unit_interval(&p.tuple().as_key()) < rate);
     let dropped = batch.len() as u64 - sampled.len() as u64;
     (sampled, dropped)
+}
+
+// ---------------------------------------------------------------------------
+// The flow-keyed queries, one key, one hash and one table probe per packet.
+// Entries live in insertion order in plain vectors (what the production
+// tables' iteration order is defined to be); sampling rates are in (0, 1].
+// ---------------------------------------------------------------------------
+
+/// `flows` before the flow index: every packet serialises its 5-tuple,
+/// hashes it and probes the flow table.
+#[derive(Default)]
+pub struct PerPacketFlows {
+    /// (flow key, weight at insertion), in insertion order.
+    entries: Vec<(u64, f64)>,
+    known: HashSet<u64>,
+}
+
+impl PerPacketFlows {
+    pub fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
+        for packet in batch.packets() {
+            meter.charge(costs::PER_PACKET_BASE + costs::HASH_LOOKUP);
+            let key = hash_bytes(&packet.tuple().as_key(), 0xf10f);
+            if self.known.insert(key) {
+                meter.charge(costs::HASH_INSERT);
+                self.entries.push((key, 1.0 / rate));
+            }
+        }
+    }
+
+    pub fn end_interval(&mut self) -> QueryOutput {
+        let count = self.entries.iter().map(|(_, weight)| weight).sum();
+        self.entries.clear();
+        self.known.clear();
+        QueryOutput::Flows { count }
+    }
+
+    pub fn save_state(&self, writer: &mut StateWriter) {
+        writer.usize(self.entries.len());
+        for (key, weight) in &self.entries {
+            writer.u64(*key);
+            writer.f64(*weight);
+        }
+    }
+}
+
+/// `super-sources` before the flow index: every packet hashes its
+/// (source, destination) pair and probes the pair set.
+pub struct PerPacketSuperSources {
+    top: usize,
+    /// Host-pair hashes in insertion order.
+    pairs: Vec<u64>,
+    known_pairs: HashSet<u64>,
+    /// (source, fan-out) in insertion order, and where each source sits.
+    fanout: Vec<(u32, f64)>,
+    fanout_at: HashMap<u32, usize>,
+}
+
+impl PerPacketSuperSources {
+    pub fn new(top: usize) -> Self {
+        Self {
+            top,
+            pairs: Vec::new(),
+            known_pairs: HashSet::new(),
+            fanout: Vec::new(),
+            fanout_at: HashMap::new(),
+        }
+    }
+
+    pub fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
+        for packet in batch.packets() {
+            meter.charge(costs::PER_PACKET_BASE + costs::DISTINCT_UPDATE);
+            let tuple = packet.tuple();
+            let mut key = [0u8; 8];
+            key[..4].copy_from_slice(&tuple.src_ip.to_be_bytes());
+            key[4..].copy_from_slice(&tuple.dst_ip.to_be_bytes());
+            let pair = hash_bytes(&key, 0x5005);
+            if self.known_pairs.insert(pair) {
+                meter.charge(costs::HASH_INSERT);
+                self.pairs.push(pair);
+                let at = *self.fanout_at.entry(tuple.src_ip).or_insert_with(|| {
+                    self.fanout.push((tuple.src_ip, 0.0));
+                    self.fanout.len() - 1
+                });
+                self.fanout[at].1 += 1.0 / rate;
+            }
+        }
+    }
+
+    pub fn end_interval(&mut self) -> QueryOutput {
+        let mut sources = std::mem::take(&mut self.fanout);
+        sources.sort_by(|a, b| b.1.total_cmp(&a.1));
+        sources.truncate(self.top);
+        self.fanout_at.clear();
+        self.pairs.clear();
+        self.known_pairs.clear();
+        QueryOutput::SuperSources { fanouts: sources.into_iter().collect() }
+    }
+
+    pub fn save_state(&self, writer: &mut StateWriter) {
+        writer.usize(self.pairs.len());
+        for pair in &self.pairs {
+            writer.u64(*pair);
+        }
+        writer.usize(self.fanout.len());
+        for (source, fanout) in &self.fanout {
+            writer.u32(*source);
+            writer.f64(*fanout);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -153,9 +153,9 @@ proptest! {
     fn view_flow_sampling_matches_the_clone_path(
         trace_seed in 0u64..200,
         hash_seed in 0u64..200,
-        rate_index in 0usize..3,
+        rate_index in 0usize..4,
     ) {
-        let rate = [0.0, 0.37, 1.0][rate_index];
+        let rate = [0.0, 0.05, 0.37, 1.0][rate_index];
         let batch = shed_test_batch(trace_seed);
         let hasher = H3Hasher::new(13, hash_seed);
 
@@ -167,6 +167,44 @@ proptest! {
         let from_clone: Vec<Packet> = cloned.packets.iter().map(|p| p.to_packet()).collect();
         prop_assert_eq!(from_view, from_clone);
         prop_assert!(std::sync::Arc::ptr_eq(view.store(), &batch.packets));
+    }
+
+    /// One H3 verdict per flow is the per-packet verdict: under heavy
+    /// repetition (a few dozen 5-tuples, among them both directions of a
+    /// conversation, carrying hundreds of packets) and on a view of a view,
+    /// the kept packets are exactly those the clone path keeps, which
+    /// re-serialises and re-hashes every packet's key — from one pool, at
+    /// every rate and under a second hash function in turn, so a verdict
+    /// left over from an earlier call would show.
+    #[test]
+    fn flow_sampling_under_heavy_repetition_matches_the_clone_path(
+        picks in proptest::collection::vec((0u32..6, 0u32..6, 0u16..3, 0usize..2), 1..400),
+        hash_seed in 0u64..500,
+        stride in 1usize..4,
+    ) {
+        let packets: Vec<Packet> = picks
+            .iter()
+            .enumerate()
+            .map(|(ts, (src, dst, port, proto))| {
+                let tuple = FiveTuple::new(*src, *dst, *port, 2 - *port, [6, 17][*proto]);
+                Packet::header_only(ts as u64, tuple, 100, 0)
+            })
+            .collect();
+        let batch = Batch::new(0, 0, 100_000, packets);
+        let views = [batch.view(), batch.view().filter_indexed(|index, _| index % stride == 0)];
+        let mut pool = KeepListPool::new();
+        for (round, rate) in [0.37, 0.0, 0.05, 1.0, 0.37].into_iter().enumerate() {
+            let hasher = H3Hasher::new(13, hash_seed + round as u64 / 3);
+            for view in &views {
+                let (sampled, dropped) = flow_sample_with(view, rate, &hasher, &mut pool);
+                let (cloned, clone_dropped) = clone_flow_sample(&view.materialize(), rate, &hasher);
+                prop_assert_eq!(dropped, clone_dropped);
+                let from_view: Vec<Packet> = sampled.packets().map(|p| p.to_packet()).collect();
+                let from_clone: Vec<Packet> = cloned.packets.iter().map(|p| p.to_packet()).collect();
+                prop_assert_eq!(from_view, from_clone, "rate {} in round {}", rate, round);
+                prop_assert!(sampled.shares_store(view));
+            }
+        }
     }
 
     /// H3 flow sampling is a pure function of (hash function, flow key):
@@ -253,9 +291,9 @@ proptest! {
     /// Layout equivalence: the struct-of-arrays packet store is
     /// observationally identical to packet-at-a-time construction. For an
     /// arbitrary packet mix, every column round-trips back to the source
-    /// packet, the eager flow-key column matches per-packet serialisation,
-    /// the eager stats match a scalar fold over the packets, the cached
-    /// aggregate-slot rows match the oracle's padded-key hashes located by
+    /// packet, the flow key matches per-packet serialisation, the eager
+    /// stats match a scalar fold over the packets, the cached slot row of
+    /// every packet's flow matches the oracle's padded-key hashes located by
     /// locate-then-modulo, and the fused extractor's output over the store
     /// matches the ten-pass oracle walking packet structs.
     #[test]
@@ -289,11 +327,11 @@ proptest! {
         packets.sort_by_key(|p| p.ts);
         let batch = Batch::new(0, 0, 100_000, packets.clone());
 
-        // Column round-trip and the eager flow-key column.
+        // Column round-trip and the flow key.
         prop_assert_eq!(batch.len(), packets.len());
         for (packet, stored) in packets.iter().zip(batch.packets.iter()) {
             prop_assert_eq!(packet, &stored.to_packet());
-            prop_assert_eq!(&packet.tuple.as_key(), stored.flow_key());
+            prop_assert_eq!(packet.tuple.as_key(), stored.flow_key());
         }
 
         // Eager stats vs a scalar fold.
@@ -313,8 +351,9 @@ proptest! {
         // incremental per-field hasher, locate-then-modulo on one bitmap per
         // component instead of the flat geometry).
         let reference = oracle::ReferenceBitmap::for_cardinality(AGGREGATE_MAX_CARDINALITY);
-        for (packet, row) in packets.iter().zip(batch.packets.aggregate_slots()) {
-            for (index, &slot) in row.as_array().iter().enumerate() {
+        let flows = batch.packets.flow_index();
+        for (packet, &flow) in packets.iter().zip(flows.flow_of()) {
+            for (index, &slot) in flows.rows()[flow as usize].as_array().iter().enumerate() {
                 let expected = oracle::aggregate_hash(index, &packet.tuple, AGGREGATE_HASH_SEED);
                 prop_assert_eq!(usize::from(slot), reference.slot(expected));
             }
@@ -334,6 +373,135 @@ proptest! {
                 id.name()
             );
         }
+    }
+
+    /// The flow index groups packets exactly by 5-tuple equality, whatever
+    /// the tuples do to its probe table: drawn from a handful of field
+    /// values (so most packets repeat a tuple, many tuples differ in one
+    /// field only, both directions of a conversation and equal ports occur),
+    /// as one flow, or all distinct. Ids are dense in first-seen order,
+    /// `first` holds each flow's minimal index, and a flow's row is what the
+    /// oracle hashes and locates for any of its packets.
+    #[test]
+    fn flow_index_partitions_packets_by_tuple_equality(
+        picks in proptest::collection::vec(
+            ((0u32..4, 0u32..4), (0u16..3, 0u16..3, 0usize..2)), 0..300,
+        ),
+        shape in 0usize..4,
+    ) {
+        use netshed::features::{AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY};
+
+        let tuples: Vec<FiveTuple> = picks
+            .iter()
+            .enumerate()
+            .map(|(at, ((src, dst), (src_port, dst_port, proto)))| match shape {
+                0 => FiveTuple::new(7, 7, 7, 7, 6),
+                1 => FiveTuple::new(at as u32, 1, 2, 3, 6),
+                _ => FiveTuple::new(*src, *dst, *src_port, *dst_port, [6, 17][*proto]),
+            })
+            .collect();
+        let packets: Vec<Packet> = tuples
+            .iter()
+            .enumerate()
+            .map(|(ts, tuple)| Packet::header_only(ts as u64, *tuple, 100, 0))
+            .collect();
+        let batch = Batch::new(0, 0, 100_000, packets);
+        let index = batch.packets.flow_index();
+
+        let mut first_seen: Vec<FiveTuple> = Vec::new();
+        let reference = oracle::ReferenceBitmap::for_cardinality(AGGREGATE_MAX_CARDINALITY);
+        prop_assert_eq!(index.flow_of().len(), tuples.len());
+        for (at, (tuple, &flow)) in tuples.iter().zip(index.flow_of()).enumerate() {
+            let expected = if let Some(flow) = first_seen.iter().position(|seen| seen == tuple) {
+                flow
+            } else {
+                prop_assert_eq!(index.first()[first_seen.len()] as usize, at);
+                first_seen.push(*tuple);
+                first_seen.len() - 1
+            };
+            prop_assert_eq!(flow as usize, expected, "packet {} ({})", at, tuple);
+            for (aggregate, &slot) in index.rows()[expected].as_array().iter().enumerate() {
+                let hash = oracle::aggregate_hash(aggregate, tuple, AGGREGATE_HASH_SEED);
+                prop_assert_eq!(usize::from(slot), reference.slot(hash));
+            }
+        }
+        prop_assert_eq!(index.flows(), first_seen.len());
+        prop_assert_eq!(index.first().len(), first_seen.len());
+        prop_assert_eq!(index.rows().len(), first_seen.len());
+    }
+
+    /// `flows` and `super-sources` probe once per flow of the view; their
+    /// per-packet restatements in `tests/oracle/` probe once per packet.
+    /// Over bins of heavily repeating traffic delivered as full, strided and
+    /// flow-sampled views at a rate that changes bin to bin, with an interval
+    /// roll in the middle, both leave the same charged cycles and
+    /// operations, the same checkpoint bytes after every bin and the same
+    /// interval outputs.
+    #[test]
+    fn flow_keyed_queries_match_their_per_packet_restatement(
+        bins in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u32..5, 0u32..5, 0u16..3, 0usize..2), 1..150),
+                0usize..3,
+                0.05f64..1.0,
+                0u64..500,
+            ),
+            2..7,
+        ),
+        roll in 1usize..6,
+    ) {
+        use netshed::queries::{CycleMeter, FlowsQuery, Query, SuperSourcesQuery};
+        use netshed::sketch::StateWriter;
+
+        fn saved(save: impl FnOnce(&mut StateWriter)) -> Vec<u8> {
+            let mut writer = StateWriter::new();
+            save(&mut writer);
+            writer.into_bytes()
+        }
+
+        let (mut flows, mut flows_oracle) = (FlowsQuery::new(), oracle::PerPacketFlows::default());
+        let mut sources = SuperSourcesQuery::new(3);
+        let mut sources_oracle = oracle::PerPacketSuperSources::new(3);
+        for (bin, (picks, shape, rate, hash_seed)) in bins.iter().enumerate() {
+            if bin == roll {
+                prop_assert_eq!(flows.end_interval(), flows_oracle.end_interval());
+                prop_assert_eq!(sources.end_interval(), sources_oracle.end_interval());
+            }
+            let packets: Vec<Packet> = picks
+                .iter()
+                .enumerate()
+                .map(|(ts, (src, dst, port, proto))| {
+                    let tuple = FiveTuple::new(*src, *dst, *port, 80, [6, 17][*proto]);
+                    Packet::header_only(ts as u64, tuple, 100, 0)
+                })
+                .collect();
+            let batch = Batch::new(bin as u64, bin as u64 * 100_000, 100_000, packets);
+            let view = match shape {
+                0 => batch.view(),
+                1 => batch.view().filter_indexed(|index, _| index % 3 != 0),
+                _ => flow_sample(&batch.view(), *rate, &H3Hasher::new(13, *hash_seed)).0,
+            };
+
+            let (mut meter, mut oracle_meter) = (CycleMeter::new(), CycleMeter::new());
+            flows.process_batch(&view, *rate, &mut meter);
+            flows_oracle.process_batch(&view, *rate, &mut oracle_meter);
+            sources.process_batch(&view, *rate, &mut meter);
+            sources_oracle.process_batch(&view, *rate, &mut oracle_meter);
+            prop_assert_eq!(meter.cycles(), oracle_meter.cycles(), "bin {}", bin);
+            prop_assert_eq!(meter.operations(), oracle_meter.operations(), "bin {}", bin);
+            prop_assert_eq!(
+                saved(|w| flows.save_state(w).expect("flows state")),
+                saved(|w| flows_oracle.save_state(w)),
+                "flows checkpoint after bin {}", bin
+            );
+            prop_assert_eq!(
+                saved(|w| sources.save_state(w).expect("super-sources state")),
+                saved(|w| sources_oracle.save_state(w)),
+                "super-sources checkpoint after bin {}", bin
+            );
+        }
+        prop_assert_eq!(flows.end_interval(), flows_oracle.end_interval());
+        prop_assert_eq!(sources.end_interval(), sources_oracle.end_interval());
     }
 
     /// OLS through the SVD pseudo-inverse recovers exact linear models.
