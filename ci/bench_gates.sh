@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# The row gates over a BENCH_pipeline.json. CI's bench-smoke job runs them
+# twice: on the committed file before the smoke run overwrites it (a
+# full-run regeneration that drops a row fails here), and on the file the
+# smoke run just wrote (the bench binary must still emit every row). The
+# file says which it is (`"smoke": false` is a committed full run), and only
+# a full run's timing ratio is held to a threshold.
+set -euo pipefail
+
+file=${1:?usage: ci/bench_gates.sh <BENCH_pipeline.json>}
+if grep -Fq '"smoke": true' "$file"; then kind=smoke; else kind=committed; fi
+
+fail() {
+  echo "::error::$kind $(basename "$file") $1"
+  exit 1
+}
+require() { grep -F "$1" "$file" || fail "$2"; }
+forbid() { ! grep -E "$1" "$file" || fail "$2"; }
+
+# The sharded parallel_scaling row (the fleet's measured intra-run speedup).
+# Every scaling figure is measured: a `projected_` or `_basis` key means a
+# modelled number was published as a measured one.
+require '"sharded_speedup_4s"' "lost the sharded parallel_scaling row"
+require '"shard_lanes"' "lost the sharded parallel_scaling row"
+forbid 'projected_|_basis' "carries a modelled (projected_/_basis) figure"
+
+# The prediction plane is measured as it runs (whole cycle, the same cycle
+# for a predictor aligned with a warm shared feature window, FCBF half, OLS
+# half). `alloc_ns_per_bin` was the retired allocating replica's row: its
+# return would mean a second prediction path is back.
+require '"fcbf_ns_per_bin"' "lost the prediction plane's FCBF row"
+require '"shared_ns_per_bin"' "lost the prediction plane's shared-window row"
+forbid '"alloc_ns_per_bin"' "carries the retired alloc_ns_per_bin row"
+
+# The pipeline bench times only code the monitor runs. The ten-pass
+# extractor, the clone shedders and the AoS replay are test oracles now
+# (`tests/oracle/`); their rows were retired to CHANGES.md (PR 17) and a key
+# of theirs coming back means a second implementation is back in the
+# production crates.
+forbid '"[a-z_]*(tenpass_|_clone_ns|aos_replay_)' \
+  "carries a retired tenpass_/_clone_ns/aos_replay_ row"
+
+# The engine explains itself: the stage breakdown comes from the engines' own
+# lap clocks (`Engine::stage_stats`). The inside/outside split it replaced
+# (`ExecStats`: `sequential_ns` / `dispatch_ns`) must not come back beside it.
+require '"stage_breakdown"' "lost the stage breakdown"
+require '"front_end_share"' "lost the fleet's front_end_share"
+forbid '"(sequential_ns|dispatch_ns)"|ExecStats' "carries a retired ExecStats row"
+
+# The flow index's worst case is priced, not guessed: on a batch whose
+# 5-tuples are all distinct the index saves nothing, and building it may cost
+# at most 15 % more than the bare per-packet slot-row build it replaced (an
+# intra-run ratio, both sides alternating on fresh copies).
+require '"index_overhead_all_distinct"' "lost the flow index's all-distinct row"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"index_overhead_all_distinct"/ { if ($2 + 0 > 1.15) exit 1 }' "$file" ||
+    fail "index_overhead_all_distinct is above 1.15"
+fi
+
+# The steady-state shed→extract loop must be allocation-free: the bench's
+# counting allocator writes the per-bin count into the JSON (and asserts it
+# internally); this fails if the published number ever drifts from zero.
+require '"alloc_per_bin"' "lost the allocation guard's row"
+grep -Fq '"alloc_per_bin": 0' "$file" ||
+  fail "steady-state hot path allocated (alloc_per_bin != 0)"

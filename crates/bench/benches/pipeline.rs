@@ -52,6 +52,7 @@
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
 
+use netshed_bench::report::{num, Report, Table};
 use netshed_features::{
     FeatureExtractor, FeatureId, FeatureVector, AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY,
     FEATURE_COUNT,
@@ -127,17 +128,6 @@ fn time_ns<F: FnMut()>(iterations: u64, mut routine: F) -> f64 {
     start.elapsed().as_nanos() as f64 / iterations as f64
 }
 
-struct ExtractNumbers {
-    typical: ExtractPoint,
-    small_views: Vec<SmallViewPoint>,
-    /// The same packets, every 5-tuple unique.
-    all_distinct: ExtractPoint,
-    /// Building the flow index of the all-distinct batch, and hashing and
-    /// locating the same tuples one row per packet with no index at all.
-    index_build_ns: f64,
-    bare_slot_rows_ns: f64,
-}
-
 /// Full-batch extraction of one batch: ns per call.
 struct ExtractPoint {
     packets: usize,
@@ -146,11 +136,14 @@ struct ExtractPoint {
     fused_cold_ns: f64,
 }
 
-/// One sampled-view size of the extract bench: ns per call, not per packet —
-/// at these sizes the call's fixed cost (fold, reset, estimates) is most of it.
-struct SmallViewPoint {
-    kept: usize,
-    fused_ns: f64,
+impl ExtractPoint {
+    fn report(&self) -> Report {
+        Report::new()
+            .cell("packets", self.packets)
+            .cell("distinct_flows", self.distinct_flows)
+            .cell("fused_warm_ns", num(self.fused_warm_ns, 1))
+            .cell("fused_cold_ns", num(self.fused_cold_ns, 1))
+    }
 }
 
 /// Nanoseconds `routine` takes on a fresh copy of `batch` — equal packets,
@@ -195,7 +188,7 @@ fn extract_point(batch: &Batch, iterations: u64) -> ExtractPoint {
     }
 }
 
-fn bench_extract(iterations: u64) -> ExtractNumbers {
+fn bench_extract(iterations: u64) -> Report {
     let batch =
         TraceGenerator::new(TraceConfig::default().with_seed(11).with_mean_packets_per_batch(1e4))
             .next_batch();
@@ -204,23 +197,22 @@ fn bench_extract(iterations: u64) -> ExtractNumbers {
 
     // Small views: what a query shed to a few percent re-extracts. Eight
     // views per size, taken in turn, so no call replays the previous one's
-    // bit pattern.
-    let small_views = [50usize, 200, 1000]
-        .into_iter()
-        .map(|target| {
-            let stride = packets / target;
-            let views: Vec<_> = (0..8)
-                .map(|offset| batch.view().filter_indexed(|index, _| index % stride == offset))
-                .collect();
-            let mut turn = 0usize;
-            let mut fused = FeatureExtractor::with_defaults();
-            let fused_ns = time_ns(iterations * 8, || {
-                black_box(fused.extract_view(&views[turn % 8]));
-                turn += 1;
-            });
-            SmallViewPoint { kept: views[0].len(), fused_ns }
-        })
-        .collect();
+    // bit pattern. Ns per call, not per packet — at these sizes the call's
+    // fixed cost (fold, reset, estimates) is most of it.
+    let mut small_views = Table::new(&["kept", "fused_ns_per_call"]);
+    for target in [50usize, 200, 1000] {
+        let stride = packets / target;
+        let views: Vec<_> = (0..8)
+            .map(|offset| batch.view().filter_indexed(|index, _| index % stride == offset))
+            .collect();
+        let mut turn = 0usize;
+        let mut fused = FeatureExtractor::with_defaults();
+        let fused_ns = time_ns(iterations * 8, || {
+            black_box(fused.extract_view(&views[turn % 8]));
+            turn += 1;
+        });
+        small_views.row([views[0].len().into(), num(fused_ns, 0)]);
+    }
 
     // The worst case: the same packets with a source address of their own
     // each (an odd multiplier permutes `u32`), so no two share a 5-tuple and
@@ -256,16 +248,20 @@ fn bench_extract(iterations: u64) -> ExtractNumbers {
     }
     let (bare_slot_rows_ns, index_build_ns) = (median(bare), median(index));
 
-    ExtractNumbers { typical, small_views, all_distinct, index_build_ns, bare_slot_rows_ns }
+    let worst_case = all_distinct
+        .report()
+        .cell("index_build_ns", num(index_build_ns, 1))
+        .cell("bare_slot_rows_ns", num(bare_slot_rows_ns, 1))
+        .cell("index_overhead_all_distinct", num(index_build_ns / bare_slot_rows_ns, 3));
+    let cold_ratio = typical.fused_cold_ns / all_distinct.fused_cold_ns;
+    typical
+        .report()
+        .table("small_views", small_views)
+        .report("all_distinct", worst_case)
+        .cell("cold_ratio_typical_vs_all_distinct", num(cold_ratio, 3))
 }
 
-struct ShedNumbers {
-    packet_view_ns: f64,
-    flow_view_ns: f64,
-    view_shares_store: bool,
-}
-
-fn bench_shedding(iterations: u64) -> ShedNumbers {
+fn bench_shedding(iterations: u64) -> Report {
     // Payload-carrying traffic, as on the paper's full-payload traces: a
     // view records indices only, whatever a packet carries.
     let batch = TraceGenerator::new(
@@ -285,10 +281,14 @@ fn bench_shedding(iterations: u64) -> ShedNumbers {
         black_box(flow_sample_with(&view, rate, &hasher, &mut pool));
     });
 
+    // The structural half of the zero-copy claim: a sampled view records
+    // indices into the store it was taken from.
     let (sampled, _) = packet_sample_with(&view, rate, &mut rng, &mut pool);
-    let view_shares_store = sampled.shares_store(&view);
-
-    ShedNumbers { packet_view_ns, flow_view_ns, view_shares_store }
+    Report::new()
+        .cell("packet_view_ns", num(packet_view_ns, 1))
+        .cell("flow_view_ns", num(flow_view_ns, 1))
+        .cell("view_shares_store", sampled.shares_store(&view))
+        .cell("per_packet_copies", 0u64)
 }
 
 struct DataPlaneNumbers {
@@ -405,28 +405,23 @@ impl RunObserver for ModelledCycles {
 }
 
 impl ModelledCycles {
-    /// Each component over the run's `total_cycles()`, as JSON members.
-    fn shares_json(&self) -> String {
+    /// Each component over the run's `total_cycles()`.
+    fn shares(&self) -> Report {
         let total = self.prediction + self.shedding + self.query + self.platform;
-        format!(
-            "\"prediction\": {:.4}, \"shedding\": {:.4}, \"query\": {:.4}, \"platform\": {:.4}",
-            self.prediction / total,
-            self.shedding / total,
-            self.query / total,
-            self.platform / total,
-        )
+        let share = |cycles: f64| num(cycles / total, 4);
+        Report::new()
+            .cell("prediction", share(self.prediction))
+            .cell("shedding", share(self.shedding))
+            .cell("query", share(self.query))
+            .cell("platform", share(self.platform))
     }
 }
 
-/// `stages`' shares of the bin `stats` measured, as JSON members.
-fn stage_shares_json(stats: &StageStats, stages: &[Stage]) -> String {
-    let members: Vec<String> = stages
-        .iter()
-        .map(|stage| {
-            format!("\"{}\": {:.4}", format!("{stage:?}").to_lowercase(), stats.share(*stage))
-        })
-        .collect();
-    members.join(", ")
+/// `stages`' shares of the bin `stats` measured, keyed by stage name.
+fn stage_shares(stats: &StageStats, stages: &[Stage]) -> Report {
+    stages.iter().fold(Report::new(), |report, stage| {
+        report.cell(&format!("{stage:?}").to_lowercase(), num(stats.share(*stage), 4))
+    })
 }
 
 /// Mean wall nanoseconds of a bin, by the engine's own clock.
@@ -514,15 +509,6 @@ fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
     bench_engine(batches, |builder| builder.with_shards(shards).build_sharded())
 }
 
-struct PredictionPlaneNumbers {
-    bins: usize,
-    ns_per_bin: f64,
-    shared_ns_per_bin: f64,
-    reselect10_ns_per_bin: f64,
-    fcbf_ns_per_bin: f64,
-    ols_ns_per_bin: f64,
-}
-
 /// Times one predict+observe cycle per bin over a synthetic feature stream:
 /// the MLR predictor reselecting every bin (as the paper does), the same
 /// predictor aligned with a feature window another tenant has already read
@@ -531,7 +517,7 @@ struct PredictionPlaneNumbers {
 /// of a prediction on the same stream, each over its own warm scratch — the
 /// FCBF selection over the full history, and the least-squares solve over
 /// the columns it selected.
-fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
+fn bench_prediction_plane(bins: usize) -> Report {
     fn feature_stream(bins: usize) -> Vec<(FeatureVector, f64)> {
         let mut rng = StdRng::seed_from_u64(77);
         (0..bins)
@@ -625,83 +611,57 @@ fn bench_prediction_plane(bins: usize) -> PredictionPlaneNumbers {
         best_ols = best_ols.min(ols_ns as f64 / bins as f64);
     }
 
-    PredictionPlaneNumbers {
-        bins,
-        ns_per_bin,
-        shared_ns_per_bin,
-        reselect10_ns_per_bin,
-        fcbf_ns_per_bin: best_fcbf,
-        ols_ns_per_bin: best_ols,
-    }
+    Report::new()
+        .cell("bins", bins)
+        .cell("ns_per_bin", num(ns_per_bin, 0))
+        .cell("shared_ns_per_bin", num(shared_ns_per_bin, 0))
+        .cell("reselect10_ns_per_bin", num(reselect10_ns_per_bin, 0))
+        .cell("fcbf_ns_per_bin", num(best_fcbf, 0))
+        .cell("ols_ns_per_bin", num(best_ols, 0))
 }
 
-/// One thread count of a scaling row: worker threads of a solo monitor, or
-/// shard threads of the fleet.
-struct ScalingPoint {
-    threads: usize,
-    packets_per_sec: f64,
-    /// Throughput relative to the row's 1-thread point, same invocation.
-    measured_speedup: f64,
-}
-
-struct ScalingNumbers {
-    batches: usize,
-    host_cores: usize,
-    parallel_fraction: f64,
-    points: Vec<ScalingPoint>,
-    shard_lanes: usize,
-    sharded_points: Vec<ScalingPoint>,
-    /// The fleet's 1-shard-thread run, for the stage breakdown.
-    sharded_baseline: PipelineNumbers,
-}
-
-/// Measures `run_at` at 1, 2 and 4 threads and relates each throughput to
-/// the 1-thread point, which it also returns.
-fn scaling_row(run_at: impl Fn(usize) -> PipelineNumbers) -> (Vec<ScalingPoint>, PipelineNumbers) {
+/// Measures `run_at` at 1, 2 and 4 threads: a table of each throughput and
+/// its ratio to the 1-thread point of the same invocation (keyed `threads`),
+/// the 4-thread ratio, and the 1-thread run itself.
+fn scaling_row(
+    threads: &str,
+    run_at: impl Fn(usize) -> PipelineNumbers,
+) -> (Table, f64, PipelineNumbers) {
     let baseline = run_at(1);
-    let point = |threads: usize, packets_per_sec: f64| ScalingPoint {
-        threads,
-        packets_per_sec,
-        measured_speedup: packets_per_sec / baseline.packets_per_sec,
-    };
-    let points = vec![
-        point(1, baseline.packets_per_sec),
-        point(2, run_at(2).packets_per_sec),
-        point(4, run_at(4).packets_per_sec),
-    ];
-    (points, baseline)
+    let mut table = Table::new(&[threads, "packets_per_sec", "measured_speedup"]);
+    let mut speedup = 1.0;
+    for count in [1usize, 2, 4] {
+        let packets_per_sec =
+            if count == 1 { baseline.packets_per_sec } else { run_at(count).packets_per_sec };
+        speedup = packets_per_sec / baseline.packets_per_sec;
+        table.row([count.into(), num(packets_per_sec, 0), num(speedup, 3)]);
+    }
+    (table, speedup, baseline)
 }
 
 /// The 2× overload pipeline at 1/2/4 workers, then through the fixed-lane
-/// fleet at 1/2/4 shard threads. Both rows are intra-run: every endpoint is
+/// fleet at 1/2/4 shard threads; also returns the fleet's 1-shard-thread run,
+/// for the stage breakdown. Both rows are intra-run: every endpoint is
 /// measured in this invocation on the identical trace (and lane layout). A
 /// ratio at more threads than `host_cores` measures dispatch overhead, not
 /// scaling — the row reports it as measured either way.
-fn bench_parallel_scaling(batches: usize) -> ScalingNumbers {
-    let (points, baseline) = scaling_row(|workers| bench_pipeline_at(batches, workers));
-    let (sharded_points, sharded_baseline) =
-        scaling_row(|shards| bench_sharded_pipeline_at(batches, shards));
-    ScalingNumbers {
-        batches,
-        host_cores: std::thread::available_parallelism().map_or(1, usize::from),
-        parallel_fraction: baseline.stages.parallel_fraction(),
-        points,
-        shard_lanes: netshed_monitor::DEFAULT_SHARD_LANES,
-        sharded_points,
-        sharded_baseline,
-    }
-}
-
-struct RegistryScalePoint {
-    queries: usize,
-    register_ns_per_query: f64,
-    ns_per_bin: f64,
-}
-
-struct RegistryScaleNumbers {
-    bins: usize,
-    points: Vec<RegistryScalePoint>,
-    marginal_ns_per_query_per_bin: f64,
+fn bench_parallel_scaling(batches: usize) -> (Report, PipelineNumbers) {
+    let (workers, speedup_4w, baseline) =
+        scaling_row("workers", |workers| bench_pipeline_at(batches, workers));
+    let (shards, sharded_speedup_4s, sharded_baseline) =
+        scaling_row("shards", |shards| bench_sharded_pipeline_at(batches, shards));
+    let sharded = Report::new()
+        .cell("shard_lanes", netshed_monitor::DEFAULT_SHARD_LANES)
+        .table("shards", shards)
+        .cell("sharded_speedup_4s", num(sharded_speedup_4s, 3));
+    let report = Report::new()
+        .cell("batches", batches)
+        .cell("host_cores", std::thread::available_parallelism().map_or(1, usize::from))
+        .cell("parallel_fraction", num(baseline.stages.parallel_fraction(), 3))
+        .table("workers", workers)
+        .cell("speedup_4w", num(speedup_4w, 3))
+        .report("sharded", sharded);
+    (report, sharded_baseline)
 }
 
 /// Costs the multi-tenant live registry at 10/100/1000 concurrent queries:
@@ -710,7 +670,7 @@ struct RegistryScaleNumbers {
 /// tenant count scales. The marginal row — extra nanoseconds per bin each
 /// additional tenant costs, from the 10→1000 spread — is the number a
 /// capacity planner multiplies.
-fn bench_registry_scale(bins: usize) -> RegistryScaleNumbers {
+fn bench_registry_scale(bins: usize) -> Report {
     let batches = TraceGenerator::new(
         TraceConfig::default().with_seed(51).with_mean_packets_per_batch(500.0),
     )
@@ -724,7 +684,8 @@ fn bench_registry_scale(bins: usize) -> RegistryScaleNumbers {
     // shedding response to the demand 1000 tenants would otherwise pile up.
     let config = || MonitorConfig::default().with_capacity(1e15).with_seed(7);
 
-    let mut points = Vec::new();
+    let mut tenants = Table::new(&["queries", "register_ns_per_query", "ns_per_bin"]);
+    let mut steady_state = Vec::new();
     for queries in [10usize, 100, 1000] {
         // Registration: N control-channel round trips, all applied in
         // arrival order at the first bin boundary of an empty source.
@@ -753,249 +714,69 @@ fn bench_registry_scale(bins: usize) -> RegistryScaleNumbers {
             p.wait().expect("registered");
         }
         drop(control);
-        points.push(RegistryScalePoint { queries, register_ns_per_query, ns_per_bin });
+        tenants.row([queries.into(), num(register_ns_per_query, 0), num(ns_per_bin, 0)]);
+        steady_state.push((queries, ns_per_bin));
     }
-    let (low, high) = (&points[0], &points[points.len() - 1]);
-    let marginal_ns_per_query_per_bin =
-        (high.ns_per_bin - low.ns_per_bin).max(0.0) / (high.queries - low.queries) as f64;
-    RegistryScaleNumbers { bins, points, marginal_ns_per_query_per_bin }
+    let (low, high) = (steady_state[0], steady_state[steady_state.len() - 1]);
+    let marginal_ns_per_query_per_bin = (high.1 - low.1).max(0.0) / (high.0 - low.0) as f64;
+    Report::new()
+        .cell("bins", bins)
+        .table("tenants", tenants)
+        .cell("marginal_ns_per_query_per_bin", num(marginal_ns_per_query_per_bin, 0))
 }
 
 fn main() {
     let smoke = criterion::smoke_mode();
     let (iterations, pipeline_batches) = if smoke { (10, 100) } else { (200, 600) };
-
-    eprintln!("extract: fused extraction on a 10k-packet batch ...");
-    let extract = bench_extract(iterations);
-    for (name, point) in [("typical", &extract.typical), ("all distinct", &extract.all_distinct)] {
-        eprintln!(
-            "  {name}: {} flows in {} packets | warm {:.0} ns | cold {:.0} ns",
-            point.distinct_flows, point.packets, point.fused_warm_ns, point.fused_cold_ns
-        );
-    }
-    for point in &extract.small_views {
-        eprintln!("  view of {:>4}: {:.0} ns/call", point.kept, point.fused_ns);
-    }
-    let index_overhead_all_distinct = extract.index_build_ns / extract.bare_slot_rows_ns;
-    eprintln!(
-        "  all distinct: index build {:.0} ns | bare slot rows {:.0} ns | overhead {:.3}x",
-        extract.index_build_ns, extract.bare_slot_rows_ns, index_overhead_all_distinct
-    );
-
-    eprintln!("shedding: pooled sampling at rate 0.37 on a 10k-packet batch ...");
-    let shed = bench_shedding(iterations);
-    eprintln!(
-        "  packet view {:.0} ns | flow view {:.0} ns | zero-copy: {}",
-        shed.packet_view_ns, shed.flow_view_ns, shed.view_shares_store,
-    );
-
-    eprintln!("data plane: replay->shed->extract over one .nstr container ...");
-    let data_plane = bench_data_plane(pipeline_batches.min(200), if smoke { 2 } else { 3 });
-    eprintln!(
-        "  {:.0} packets/s | alloc/bin {}",
-        data_plane.soa_packets_per_sec, data_plane.alloc_per_bin,
-    );
-
-    eprintln!("pipeline: Monitor::run over {pipeline_batches} batches under 2x overload ...");
-    let pipeline = bench_pipeline_at(pipeline_batches, 1);
-    eprintln!(
-        "  {} packets in {:.2} s = {:.0} packets/s",
-        pipeline.packets, pipeline.elapsed_s, pipeline.packets_per_sec
-    );
-
-    eprintln!("prediction plane: MLR predict+observe, and its FCBF / OLS halves ...");
-    let prediction = bench_prediction_plane(if smoke { 200 } else { 600 });
-    eprintln!(
-        "  {:.0} ns/bin | shared window {:.0} ns/bin | reselect10 {:.0} ns/bin | fcbf {:.0} ns/bin \
-         | ols {:.0} ns/bin",
-        prediction.ns_per_bin,
-        prediction.shared_ns_per_bin,
-        prediction.reselect10_ns_per_bin,
-        prediction.fcbf_ns_per_bin,
-        prediction.ols_ns_per_bin,
-    );
-
-    eprintln!("registry scale: daemon control channel at 10/100/1000 tenants ...");
-    let registry = bench_registry_scale(if smoke { 12 } else { 40 });
-    for point in &registry.points {
-        eprintln!(
-            "  {:>4} tenants: register {:.0} ns/query | steady state {:.0} ns/bin",
-            point.queries, point.register_ns_per_query, point.ns_per_bin
-        );
-    }
-    eprintln!("  marginal cost per tenant: {:.0} ns/bin", registry.marginal_ns_per_query_per_bin);
-
-    eprintln!("parallel scaling: 2x overload pipeline at 1/2/4 workers ...");
-    let scaling = bench_parallel_scaling(pipeline_batches);
-    for point in &scaling.points {
-        eprintln!(
-            "  {} worker(s): {:.0} packets/s | measured {:.2}x",
-            point.threads, point.packets_per_sec, point.measured_speedup
-        );
-    }
-    eprintln!(
-        "  host cores: {} | parallel fraction {:.2}",
-        scaling.host_cores, scaling.parallel_fraction
-    );
-    eprintln!(
-        "sharded scaling: same pipeline through the {}-lane fleet at 1/2/4 shard threads ...",
-        scaling.shard_lanes
-    );
-    for point in &scaling.sharded_points {
-        eprintln!(
-            "  {} shard(s): {:.0} packets/s | measured {:.2}x",
-            point.threads, point.packets_per_sec, point.measured_speedup
-        );
-    }
-
-    let fleet = &scaling.sharded_baseline;
-    eprintln!("stage breakdown: the engines' own lap clocks, as shares of the bin ...");
-    let bin_ns_vs_solo = fleet_bin_in_solo_bins(pipeline_batches);
-    eprintln!("  solo  {}", stage_shares_json(&pipeline.stages, &Stage::BIN));
-    eprintln!("  fleet {}", stage_shares_json(&fleet.stages, &Stage::FLEET));
-    eprintln!(
-        "  fleet lane sum {} | front end adds {:.3} | fleet bin = {:.2} solo bins",
-        stage_shares_json(&fleet.stages, &Stage::BIN),
-        front_end_share(&fleet.stages),
-        bin_ns_vs_solo,
-    );
-
-    let small_views_json: String = extract
-        .small_views
-        .iter()
-        .map(|point| {
-            format!(
-                "      {{ \"kept\": {}, \"fused_ns_per_call\": {:.0} }}",
-                point.kept, point.fused_ns
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let registry_points_json: String = registry
-        .points
-        .iter()
-        .map(|point| {
-            format!(
-                "      {{ \"queries\": {}, \"register_ns_per_query\": {:.0}, \
-                 \"ns_per_bin\": {:.0} }}",
-                point.queries, point.register_ns_per_query, point.ns_per_bin
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let scaling_row_json = |points: &[ScalingPoint], key: &str, indent: &str| -> String {
-        points
-            .iter()
-            .map(|point| {
-                format!(
-                    "{indent}{{ \"{key}\": {}, \"packets_per_sec\": {:.0}, \"measured_speedup\": {:.3} }}",
-                    point.threads, point.packets_per_sec, point.measured_speedup
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
+    // Each section is shown on stderr as soon as it is measured and goes into
+    // the file under the same key, from the same value.
+    let mut sections = Vec::new();
+    let mut section = |key: &'static str, part: Report| {
+        eprint!("-- {key} --\n{part}");
+        sections.push((key, part));
     };
-    let scaling_points_json = scaling_row_json(&scaling.points, "workers", "      ");
-    let sharded_points_json = scaling_row_json(&scaling.sharded_points, "shards", "        ");
-    let speedup_at_4 = |points: &[ScalingPoint]| points.last().map_or(1.0, |p| p.measured_speedup);
-    let json = format!(
-        "{{\n  \"generated_by\": \"cargo bench -p netshed-bench --bench pipeline{}\",\n  \
-         \"smoke\": {},\n  \
-         \"extract_10k_batch\": {{\n    \"packets\": {},\n    \"distinct_flows\": {},\n    \
-         \"fused_warm_ns\": {:.1},\n    \"fused_cold_ns\": {:.1},\n    \
-         \"small_views\": [\n{}\n    ],\n    \
-         \"all_distinct\": {{\n      \"packets\": {},\n      \"distinct_flows\": {},\n      \
-         \"fused_warm_ns\": {:.1},\n      \"fused_cold_ns\": {:.1},\n      \
-         \"index_build_ns\": {:.1},\n      \"bare_slot_rows_ns\": {:.1},\n      \
-         \"index_overhead_all_distinct\": {:.3}\n    }},\n    \
-         \"cold_ratio_typical_vs_all_distinct\": {:.3}\n  }},\n  \
-         \"shedding_10k_batch_rate_0_37\": {{\n    \"packet_view_ns\": {:.1},\n    \
-         \"flow_view_ns\": {:.1},\n    \"view_shares_store\": {},\n    \
-         \"per_packet_copies\": 0\n  }},\n  \
-         \"pipeline_2x_overload\": {{\n    \"batches\": {},\n    \"packets\": {},\n    \
-         \"elapsed_s\": {:.3},\n    \"packets_per_sec\": {:.0},\n    \
-         \"data_plane_batches\": {},\n    \"data_plane_packets\": {},\n    \
-         \"soa_replay_packets_per_sec\": {:.0},\n    \
-         \"alloc_per_bin\": {}\n  }},\n  \
-         \"prediction_plane\": {{\n    \"bins\": {},\n    \
-         \"ns_per_bin\": {:.0},\n    \"shared_ns_per_bin\": {:.0},\n    \
-         \"reselect10_ns_per_bin\": {:.0},\n    \
-         \"fcbf_ns_per_bin\": {:.0},\n    \"ols_ns_per_bin\": {:.0}\n  }},\n  \
-         \"registry_scale\": {{\n    \"bins\": {},\n    \"tenants\": [\n{}\n    ],\n    \
-         \"marginal_ns_per_query_per_bin\": {:.0}\n  }},\n  \
-         \"parallel_scaling\": {{\n    \"batches\": {},\n    \"host_cores\": {},\n    \
-         \"parallel_fraction\": {:.3},\n    \"workers\": [\n{}\n    ],\n    \
-         \"speedup_4w\": {:.3},\n    \
-         \"sharded\": {{\n      \"shard_lanes\": {},\n      \"shards\": [\n{}\n      ],\n      \
-         \"sharded_speedup_4s\": {:.3}\n    }}\n  }},\n  \
-         \"stage_breakdown\": {{\n    \
-         \"solo\": {{\n      \"bins\": {},\n      \
-         \"measured_share\": {{ {} }},\n      \
-         \"modelled_cycle_share\": {{ {} }}\n    }},\n    \
-         \"fleet_1_thread\": {{\n      \"bins\": {},\n      \"shard_lanes\": {},\n      \
-         \"front_end_measured_share\": {{ {} }},\n      \
-         \"lane_sum_measured_share\": {{ {} }},\n      \
-         \"front_end_share\": {:.4},\n      \"bin_ns_vs_solo\": {:.3},\n      \
-         \"modelled_cycle_share\": {{ {} }}\n    }}\n  }}\n}}\n",
-        if smoke { " -- --smoke" } else { "" },
-        smoke,
-        extract.typical.packets,
-        extract.typical.distinct_flows,
-        extract.typical.fused_warm_ns,
-        extract.typical.fused_cold_ns,
-        small_views_json,
-        extract.all_distinct.packets,
-        extract.all_distinct.distinct_flows,
-        extract.all_distinct.fused_warm_ns,
-        extract.all_distinct.fused_cold_ns,
-        extract.index_build_ns,
-        extract.bare_slot_rows_ns,
-        index_overhead_all_distinct,
-        extract.typical.fused_cold_ns / extract.all_distinct.fused_cold_ns,
-        shed.packet_view_ns,
-        shed.flow_view_ns,
-        shed.view_shares_store,
-        pipeline.batches,
-        pipeline.packets,
-        pipeline.elapsed_s,
-        pipeline.packets_per_sec,
-        data_plane.batches,
-        data_plane.packets,
-        data_plane.soa_packets_per_sec,
-        data_plane.alloc_per_bin,
-        prediction.bins,
-        prediction.ns_per_bin,
-        prediction.shared_ns_per_bin,
-        prediction.reselect10_ns_per_bin,
-        prediction.fcbf_ns_per_bin,
-        prediction.ols_ns_per_bin,
-        registry.bins,
-        registry_points_json,
-        registry.marginal_ns_per_query_per_bin,
-        scaling.batches,
-        scaling.host_cores,
-        scaling.parallel_fraction,
-        scaling_points_json,
-        speedup_at_4(&scaling.points),
-        scaling.shard_lanes,
-        sharded_points_json,
-        speedup_at_4(&scaling.sharded_points),
-        pipeline.stages.bins,
-        stage_shares_json(&pipeline.stages, &Stage::BIN),
-        pipeline.modelled.shares_json(),
-        fleet.stages.bins,
-        scaling.shard_lanes,
-        stage_shares_json(&fleet.stages, &Stage::FLEET),
-        stage_shares_json(&fleet.stages, &Stage::BIN),
-        front_end_share(&fleet.stages),
-        bin_ns_vs_solo,
-        fleet.modelled.shares_json(),
+
+    section("extract_10k_batch", bench_extract(iterations));
+    section("shedding_10k_batch_rate_0_37", bench_shedding(iterations));
+
+    let data_plane = bench_data_plane(pipeline_batches.min(200), if smoke { 2 } else { 3 });
+    let pipeline = bench_pipeline_at(pipeline_batches, 1);
+    section(
+        "pipeline_2x_overload",
+        Report::new()
+            .cell("batches", pipeline.batches)
+            .cell("packets", pipeline.packets)
+            .cell("elapsed_s", num(pipeline.elapsed_s, 3))
+            .cell("packets_per_sec", num(pipeline.packets_per_sec, 0))
+            .cell("data_plane_batches", data_plane.batches)
+            .cell("data_plane_packets", data_plane.packets)
+            .cell("soa_replay_packets_per_sec", num(data_plane.soa_packets_per_sec, 0))
+            .cell("alloc_per_bin", data_plane.alloc_per_bin),
     );
-    // Cargo runs bench binaries with the package directory as CWD; default
-    // to the workspace root so the JSON lands in one predictable place.
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
-    std::fs::write(&out, &json).expect("write benchmark JSON");
-    println!("{json}");
-    eprintln!("wrote {out}");
+    section("prediction_plane", bench_prediction_plane(if smoke { 200 } else { 600 }));
+    section("registry_scale", bench_registry_scale(if smoke { 12 } else { 40 }));
+    let (scaling, fleet) = bench_parallel_scaling(pipeline_batches);
+    section("parallel_scaling", scaling);
+
+    let solo = Report::new()
+        .cell("bins", pipeline.stages.bins)
+        .report("measured_share", stage_shares(&pipeline.stages, &Stage::BIN))
+        .report("modelled_cycle_share", pipeline.modelled.shares());
+    let fleet_1_thread = Report::new()
+        .cell("bins", fleet.stages.bins)
+        .cell("shard_lanes", netshed_monitor::DEFAULT_SHARD_LANES)
+        .report("front_end_measured_share", stage_shares(&fleet.stages, &Stage::FLEET))
+        .report("lane_sum_measured_share", stage_shares(&fleet.stages, &Stage::BIN))
+        .cell("front_end_share", num(front_end_share(&fleet.stages), 4))
+        .cell("bin_ns_vs_solo", num(fleet_bin_in_solo_bins(pipeline_batches), 3))
+        .report("modelled_cycle_share", fleet.modelled.shares());
+    section(
+        "stage_breakdown",
+        Report::new().report("solo", solo).report("fleet_1_thread", fleet_1_thread),
+    );
+
+    sections
+        .into_iter()
+        .fold(Report::bench("pipeline", smoke), |report, (key, part)| report.report(key, part))
+        .publish("BENCH_pipeline.json");
 }

@@ -34,6 +34,7 @@
 use netshed_bench::corpus::{
     all_strategies, corpus_capacity, corpus_specs, ADVERSARIAL_SCENARIOS, CORPUS_SEED,
 };
+use netshed_bench::report::{num, Report, Table};
 use netshed_bench::run_with_reference;
 use netshed_fairness::EqualRates;
 use netshed_monitor::{
@@ -114,17 +115,6 @@ struct EngineNumbers {
     gap_recovered_fraction: f64,
 }
 
-impl EngineNumbers {
-    fn outcomes(&self) -> impl Iterator<Item = &Outcome> {
-        self.strategies.iter().chain([
-            &self.oracle,
-            &self.guard_only,
-            &self.robust_only,
-            &self.hardened,
-        ])
-    }
-}
-
 /// Measures every built-in strategy, the oracle and the hardened
 /// configuration on engine `E` and computes the recovered fraction of the
 /// baseline-vs-oracle accuracy gap.
@@ -182,64 +172,50 @@ fn bench_engine<E: MonitorEngine>(batches: &[Batch], capacity: f64, repeats: u32
     }
 }
 
-struct ScenarioNumbers {
-    scenario: String,
-    bins: usize,
-    capacity: f64,
-    solo: EngineNumbers,
-    fleet: EngineNumbers,
-}
+/// What every outcome row carries.
+const OUTCOME_COLUMNS: [&str; 9] = [
+    "name",
+    "accuracy",
+    "accuracy_min",
+    "degradation_vs_oracle",
+    "overload",
+    "mean_sampling_rate",
+    "uncontrolled_drops",
+    "degraded_bins",
+    "best_elapsed_s",
+];
 
-fn outcome_json(outcome: &Outcome, oracle_accuracy: f64) -> String {
-    format!(
-        "{{ \"name\": \"{}\", \"accuracy\": {:.6}, \"accuracy_min\": {:.6}, \
-         \"degradation_vs_oracle\": {:.6}, \"overload\": {:.4}, \"mean_sampling_rate\": {:.4}, \
-         \"uncontrolled_drops\": {}, \"degraded_bins\": {}, \"best_elapsed_s\": {:.4} }}",
-        outcome.name,
-        outcome.accuracy,
-        outcome.accuracy_min,
-        oracle_accuracy - outcome.accuracy,
-        outcome.overload,
-        outcome.mean_rate,
-        outcome.uncontrolled_drops,
-        outcome.degraded_bins,
-        outcome.best_elapsed_s,
-    )
-}
-
-/// The JSON fields of one engine shape's numbers, each line indented by
-/// `pad` — inlined into the scenario object for the solo monitor, nested
-/// under `"fleet"` for the fleet.
-fn engine_json(numbers: &EngineNumbers, pad: &str) -> String {
-    let single = |outcome: &Outcome| outcome_json(outcome, numbers.oracle.accuracy);
-    let rows = |outcomes: &mut dyn Iterator<Item = &Outcome>| {
-        outcomes
-            .map(|outcome| format!("{pad}  {}", single(outcome)))
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
-    format!(
-        "{pad}\"strategies\": [\n{}\n{pad}],\n{pad}\"oracle\": {},\n\
-         {pad}\"ablations\": [\n{}\n{pad}],\n{pad}\"hardened\": {},\n\
-         {pad}\"baseline_accuracy\": {:.6},\n{pad}\"gap_recovered_fraction\": {:.4}",
-        rows(&mut numbers.strategies.iter()),
-        single(&numbers.oracle),
-        rows(&mut [&numbers.guard_only, &numbers.robust_only].into_iter()),
-        single(&numbers.hardened),
-        numbers.baseline_accuracy,
-        numbers.gap_recovered_fraction,
-    )
-}
-
-/// The smallest recovered fraction over the scenarios, for one engine shape.
-fn min_recovered(
-    scenarios: &[ScenarioNumbers],
-    shape: impl Fn(&ScenarioNumbers) -> &EngineNumbers,
-) -> f64 {
-    scenarios
-        .iter()
-        .map(|numbers| shape(numbers).gap_recovered_fraction)
-        .fold(f64::INFINITY, f64::min)
+impl EngineNumbers {
+    /// One engine shape's numbers: the strategies and ablations as tables of
+    /// [`OUTCOME_COLUMNS`] rows, the oracle and the hardened stack as records.
+    fn report(&self) -> Report {
+        let cells = |outcome: &Outcome| {
+            [
+                outcome.name.as_str().into(),
+                num(outcome.accuracy, 6),
+                num(outcome.accuracy_min, 6),
+                num(self.oracle.accuracy - outcome.accuracy, 6),
+                num(outcome.overload, 4),
+                num(outcome.mean_rate, 4),
+                outcome.uncontrolled_drops.into(),
+                outcome.degraded_bins.into(),
+                num(outcome.best_elapsed_s, 4),
+            ]
+        };
+        let columns = OUTCOME_COLUMNS.map(ToString::to_string);
+        let table = |outcomes: &mut dyn Iterator<Item = &Outcome>| {
+            let mut table = Table::new(&OUTCOME_COLUMNS);
+            outcomes.for_each(|outcome| table.row(cells(outcome)));
+            table
+        };
+        Report::new()
+            .table("strategies", table(&mut self.strategies.iter()))
+            .report("oracle", Report::record(&columns, cells(&self.oracle)))
+            .table("ablations", table(&mut [&self.guard_only, &self.robust_only].into_iter()))
+            .report("hardened", Report::record(&columns, cells(&self.hardened)))
+            .cell("baseline_accuracy", num(self.baseline_accuracy, 6))
+            .cell("gap_recovered_fraction", num(self.gap_recovered_fraction, 4))
+    }
 }
 
 fn main() {
@@ -247,83 +223,45 @@ fn main() {
     let repeats = if smoke { 2 } else { 4 };
 
     let mut scenarios = Vec::new();
+    let (mut min_recovered, mut fleet_min_recovered) = (f64::INFINITY, f64::INFINITY);
     for name in ADVERSARIAL_SCENARIOS {
-        eprintln!("robustness: {name} — strategies, oracle and hardened stack, solo and fleet ...");
         let batches =
             builtin(name).expect("adversarial scenario is a builtin").generate().expect("valid");
         let capacity = corpus_capacity(&batches);
-        let numbers = ScenarioNumbers {
-            scenario: name.to_string(),
-            bins: batches.len(),
-            capacity,
-            solo: bench_engine::<Monitor>(&batches, capacity, repeats),
-            fleet: bench_engine::<ShardedMonitor>(&batches, capacity, repeats),
-        };
-        for (shape, engine) in [("solo", &numbers.solo), ("fleet", &numbers.fleet)] {
-            for outcome in engine.outcomes() {
-                eprintln!(
-                    "  {shape:<5} {:<34} accuracy {:.4} (min {:.4}) | overload {:.4} | \
-                     mean rate {:.3} | drops {}",
-                    outcome.name,
-                    outcome.accuracy,
-                    outcome.accuracy_min,
-                    outcome.overload,
-                    outcome.mean_rate,
-                    outcome.uncontrolled_drops
-                );
-            }
-        }
+        let solo = bench_engine::<Monitor>(&batches, capacity, repeats);
+        let fleet = bench_engine::<ShardedMonitor>(&batches, capacity, repeats);
         // The CI grep-gates key on these exact phrases: a "0 bins" (or "0
         // lane-bins") line means the tripwire slept through an attack.
         println!(
             "{name}: tripwire fired on {} bins; recovered {:.0}% of the accuracy gap",
-            numbers.solo.hardened.degraded_bins,
-            numbers.solo.gap_recovered_fraction * 100.0
+            solo.hardened.degraded_bins,
+            solo.gap_recovered_fraction * 100.0
         );
         println!(
             "{name} fleet: tripwire fired on {} lane-bins; recovered {:.0}% of the accuracy gap",
-            numbers.fleet.hardened.degraded_bins,
-            numbers.fleet.gap_recovered_fraction * 100.0
+            fleet.hardened.degraded_bins,
+            fleet.gap_recovered_fraction * 100.0
         );
-        scenarios.push(numbers);
+        min_recovered = min_recovered.min(solo.gap_recovered_fraction);
+        fleet_min_recovered = fleet_min_recovered.min(fleet.gap_recovered_fraction);
+        // The solo monitor's numbers sit in the scenario record itself, the
+        // fleet's under `fleet`.
+        let scenario = Report::new()
+            .cell("scenario", name)
+            .cell("bins", batches.len())
+            .cell("capacity_cycles", num(capacity, 0))
+            .extend(solo.report())
+            .report("fleet", Report::new().cell("lanes", FLEET_LANES).extend(fleet.report()));
+        eprint!("{scenario}");
+        scenarios.push(scenario);
     }
 
-    let scenarios_json: String = scenarios
-        .iter()
-        .map(|numbers| {
-            format!(
-                "    {{\n      \"scenario\": \"{}\",\n      \"bins\": {},\n      \
-                 \"capacity_cycles\": {:.0},\n{},\n      \"fleet\": {{\n        \
-                 \"lanes\": {FLEET_LANES},\n{}\n      }}\n    }}",
-                numbers.scenario,
-                numbers.bins,
-                numbers.capacity,
-                engine_json(&numbers.solo, "      "),
-                engine_json(&numbers.fleet, "        "),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"generated_by\": \"cargo bench -p netshed-bench --bench robustness{}\",\n  \
-         \"smoke\": {},\n  \"repeats\": {},\n  \
-         \"accuracy_metric\": \"mean per-query accuracy vs an unconstrained reference execution\",\n  \
-         \"accuracy_min_metric\": \"minimum over queries of the per-query mean accuracy\",\n  \
-         \"scenarios\": [\n{}\n  ],\n  \
-         \"min_gap_recovered_fraction\": {:.4},\n  \
-         \"fleet_min_gap_recovered_fraction\": {:.4}\n}}\n",
-        if smoke { " -- --smoke" } else { "" },
-        smoke,
-        repeats,
-        scenarios_json,
-        min_recovered(&scenarios, |numbers| &numbers.solo),
-        min_recovered(&scenarios, |numbers| &numbers.fleet),
-    );
-    // Cargo runs bench binaries with the package directory as CWD; default
-    // to the workspace root so the JSON lands in one predictable place.
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robustness.json");
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
-    std::fs::write(&out, &json).expect("write benchmark JSON");
-    println!("{json}");
-    eprintln!("wrote {out}");
+    Report::bench("robustness", smoke)
+        .cell("repeats", u64::from(repeats))
+        .cell("accuracy_metric", "mean per-query accuracy vs an unconstrained reference execution")
+        .cell("accuracy_min_metric", "minimum over queries of the per-query mean accuracy")
+        .list("scenarios", scenarios)
+        .cell("min_gap_recovered_fraction", num(min_recovered, 4))
+        .cell("fleet_min_gap_recovered_fraction", num(fleet_min_recovered, 4))
+        .publish("BENCH_robustness.json");
 }

@@ -112,7 +112,7 @@ pub fn usage(topic: Option<&str>) -> String {
         Some("experiments") => format!(
             "usage: experiments [list | all | <id>...] [--batches N] [--scale S] [--seed N]\n\
              regenerate the paper's tables and figures (`list`, the default, describes the ids)\n  \
-               --batches N  batches per experiment, >= 1 (default {})\n  \
+               --batches N  batches per experiment, >= each id's minimum in `list` (default {})\n  \
                --scale S    traffic scale relative to the paper's traces, > 0 (default {})\n  \
                --seed N     trace and monitor seed (default {DEFAULT_EXPERIMENT_SEED})",
             crate::DEFAULT_BATCHES,
@@ -357,14 +357,16 @@ pub enum ExperimentsCommand {
     Help,
 }
 
-const DEFAULT_EXPERIMENT_SEED: u64 = 42;
+/// The `--seed` default of the `experiments` binary.
+pub const DEFAULT_EXPERIMENT_SEED: u64 = 42;
 
 /// Parses the argument vector of the `experiments` binary (without the
-/// program name) against the ids it can run. See the module docs for the
-/// contract.
+/// program name) against the ids it can run, each with the smallest
+/// `--batches` at which its tables mean something. See the module docs for
+/// the contract.
 pub fn parse_experiments_args(
     args: &[String],
-    known_ids: &[&str],
+    known: &[(&str, usize)],
 ) -> Result<ExperimentsCommand, CliError> {
     let command = Some("experiments");
     let mut batches = crate::DEFAULT_BATCHES;
@@ -397,12 +399,23 @@ pub fn parse_experiments_args(
     match ids.first().map(String::as_str) {
         None | Some("list") if ids.len() <= 1 => return Ok(ExperimentsCommand::List),
         Some("all") if ids.len() == 1 => {
-            ids = known_ids.iter().map(ToString::to_string).collect();
+            ids = known.iter().map(|(id, _)| (*id).to_string()).collect();
         }
         _ => {}
     }
-    if let Some(unknown) = ids.iter().find(|id| !known_ids.contains(&id.as_str())) {
-        return Err(error(command, format!("unknown experiment id {unknown:?} (use `list`)")));
+    for id in &ids {
+        // A run too short for an experiment is refused, not run into a
+        // degenerate table (or a slice panic) halfway through `all`.
+        match known.iter().find(|(known_id, _)| known_id == id) {
+            None => {
+                return Err(error(command, format!("unknown experiment id {id:?} (use `list`)")))
+            }
+            Some((_, min)) if batches < *min => {
+                let message = format!("experiment {id:?} needs --batches >= {min}, got {batches}");
+                return Err(error(command, message));
+            }
+            Some(_) => {}
+        }
     }
     Ok(ExperimentsCommand::Run { ids, batches, scale, seed })
 }

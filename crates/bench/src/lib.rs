@@ -1,11 +1,12 @@
 //! Shared experiment harness.
 //!
-//! Every table and figure of the paper's evaluation is regenerated by the
-//! `experiments` binary in this crate (`cargo run -p netshed-bench --release
-//! --bin experiments -- <id>`); the helpers here hold the code the
-//! individual experiments share: building profile traces, measuring demand,
-//! running a (monitor, reference) pair and collecting per-query accuracy and
-//! per-bin statistics.
+//! Every table and figure of the paper's evaluation is a driver in
+//! [`experiments`] (run one with `cargo run -p netshed-bench --release --bin
+//! experiments -- <id>`), what the paper says each should show is a predicate
+//! in [`claims`], and [`report`] is the one place that lays a result out. The
+//! helpers here hold the code the drivers and benches share: building profile
+//! traces, measuring demand, running a (monitor, reference) pair and
+//! collecting per-query accuracy and per-bin statistics.
 
 #![forbid(unsafe_code)]
 
@@ -16,10 +17,13 @@ use netshed_queries::QuerySpec;
 use netshed_service::MonitorEngine;
 use netshed_trace::{Batch, TraceGenerator, TraceProfile};
 
+pub mod claims;
 pub mod cli;
 pub mod corpus;
-// Experiment tables iterate these maps straight into stdout, so they are
-// ordered (determinism contract, rule `det-map`): rows print name-sorted on
+pub mod experiments;
+pub mod report;
+// Experiment drivers iterate these maps straight into table rows, so they are
+// ordered (determinism contract, rule `det-map`): rows come name-sorted on
 // every run.
 use std::collections::BTreeMap;
 
@@ -178,34 +182,25 @@ pub fn capacity_for_overload(specs: &[QuerySpec], batches: &[Batch], k: f64) -> 
     (demand * (1.0 - k)).max(1.0)
 }
 
-/// Formats a `mean ± stdev` cell the way the paper's tables do.
-pub fn fmt_pm(mean: f64, stdev: f64) -> String {
-    format!("{mean:.4} ±{stdev:.4}")
+/// The configuration every experiment run starts from.
+pub fn experiment_config(
+    strategy: impl Into<PolicySpec>,
+    capacity: f64,
+    seed: u64,
+) -> MonitorConfig {
+    MonitorConfig::default().with_capacity(capacity).with_strategy(strategy).with_seed(seed)
 }
 
-/// Convenience: mean of a slice.
-pub fn mean(values: &[f64]) -> f64 {
-    netshed_linalg::stats::mean(values)
-}
-
-/// Convenience: standard deviation of a slice.
-pub fn stdev(values: &[f64]) -> f64 {
-    netshed_linalg::stats::stdev(values)
-}
-
-/// Runs a strategy and returns (mean accuracy, min accuracy) over queries,
-/// the shape used by Figures 5.4 and 6.5.
-pub fn strategy_accuracy(
+/// Runs `strategy` on a solo monitor at `capacity` against the reference.
+pub fn run_strategy(
     strategy: impl Into<PolicySpec>,
     specs: &[QuerySpec],
     batches: &[Batch],
     capacity: f64,
     seed: u64,
-) -> (f64, f64) {
-    let config =
-        MonitorConfig::default().with_capacity(capacity).with_strategy(strategy).with_seed(seed);
-    let result = run_with_reference::<Monitor>(config, specs, batches, &[]);
-    (result.overall_mean_accuracy(), result.overall_min_accuracy())
+) -> RunResult {
+    let config = experiment_config(strategy, capacity, seed);
+    run_with_reference::<Monitor>(config, specs, batches, &[])
 }
 
 #[cfg(test)]
