@@ -44,8 +44,14 @@ forbid '"[a-z_]*(tenpass_|_clone_ns|aos_replay_)' \
 # lap clocks (`Engine::stage_stats`). The inside/outside split it replaced
 # (`ExecStats`: `sequential_ns` / `dispatch_ns`) must not come back beside it.
 require '"stage_breakdown"' "lost the stage breakdown"
-require '"front_end_share"' "lost the fleet's front_end_share"
 forbid '"(sequential_ns|dispatch_ns)"|ExecStats' "carries a retired ExecStats row"
+
+# A fleet is the solo bin with a lane-sharded execute stage: its breakdown is
+# the same seven shares plus its bin in solo bins. The front-end rows of the
+# retired coordinator-and-lane-monitors shape (`front_end_share`, a
+# `coordinate` or `split` stage) coming back means the second loop is back.
+require '"bin_ns_vs_solo"' "lost the fleet's bin_ns_vs_solo"
+forbid '"(front_end_share|coordinate|split)"' "carries a retired fleet front-end row"
 
 # The flow index's worst case is priced, not guessed: on a batch whose
 # 5-tuples are all distinct the index saves nothing, and building it may cost

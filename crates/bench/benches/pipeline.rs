@@ -43,11 +43,10 @@
 //!    threads the host could actually run at once.
 //! 8. **stage breakdown**: where the engines' own lap clocks
 //!    (`Engine::stage_stats`) say the bin went, as shares of the bin — the
-//!    seven stages of the solo pipeline run (4), and for the 4-lane fleet on
-//!    one thread its front end, the sum over its lanes' stages and what the
-//!    front end adds on top of them (`front_end_share`), with the fleet's
-//!    bin in solo bins (`bin_ns_vs_solo`) — beside the shares of the modelled
-//!    cycles the same runs' records carry: the cost model against the clock.
+//!    seven stages of the solo pipeline run (4), and the same seven for the
+//!    4-lane fleet on one thread, with the fleet's bin in solo bins
+//!    (`bin_ns_vs_solo`) — beside the shares of the modelled cycles the same
+//!    runs' records carry: the cost model against the clock.
 //!
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
@@ -417,9 +416,9 @@ impl ModelledCycles {
     }
 }
 
-/// `stages`' shares of the bin `stats` measured, keyed by stage name.
-fn stage_shares(stats: &StageStats, stages: &[Stage]) -> Report {
-    stages.iter().fold(Report::new(), |report, stage| {
+/// The seven stages' shares of the bin `stats` measured, keyed by stage name.
+fn stage_shares(stats: &StageStats) -> Report {
+    Stage::BIN.iter().fold(Report::new(), |report, stage| {
         report.cell(&format!("{stage:?}").to_lowercase(), num(stats.share(*stage), 4))
     })
 }
@@ -442,18 +441,6 @@ fn fleet_bin_in_solo_bins(batches: usize) -> f64 {
         .collect();
     ratios.sort_by(f64::total_cmp);
     ratios[1]
-}
-
-/// What a fleet's front end adds on top of its lanes' own stages, as a share
-/// of the fleet's bin: coordinate, split, merge, and the part of the lane
-/// dispatch no lane's clock saw (idle lanes' interval rolls, the demand
-/// hand-off, the dispatch itself). Meaningful on one shard thread, where the
-/// lanes run back to back inside the dispatch.
-fn front_end_share(stats: &StageStats) -> f64 {
-    let lane_sum: u64 = Stage::BIN.iter().map(|stage| stats.ns(*stage)).sum();
-    let lanes = stats.ns(Stage::Lanes);
-    let added = stats.bin_ns() - lanes + lanes.saturating_sub(lane_sum);
-    added as f64 / stats.bin_ns() as f64
 }
 
 /// Runs the 2× overload pipeline (Chapter 4 query mix, MmfsPkt) on the
@@ -502,9 +489,9 @@ fn bench_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
     bench_engine(batches, |builder| builder.with_workers(workers).build())
 }
 
-/// The sharded fleet (default virtual-lane count) at the given shard-thread
-/// count. The lane layout is fixed, so every shard count replays the
-/// identical computation — the row reports pure wall-clock scaling.
+/// The sharded fleet (default lane count) at the given shard-thread count.
+/// The lane layout is fixed, so every shard count replays the identical
+/// computation — the row reports pure wall-clock scaling.
 fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
     bench_engine(batches, |builder| builder.with_shards(shards).build_sharded())
 }
@@ -760,14 +747,12 @@ fn main() {
 
     let solo = Report::new()
         .cell("bins", pipeline.stages.bins)
-        .report("measured_share", stage_shares(&pipeline.stages, &Stage::BIN))
+        .report("measured_share", stage_shares(&pipeline.stages))
         .report("modelled_cycle_share", pipeline.modelled.shares());
     let fleet_1_thread = Report::new()
         .cell("bins", fleet.stages.bins)
         .cell("shard_lanes", netshed_monitor::DEFAULT_SHARD_LANES)
-        .report("front_end_measured_share", stage_shares(&fleet.stages, &Stage::FLEET))
-        .report("lane_sum_measured_share", stage_shares(&fleet.stages, &Stage::BIN))
-        .cell("front_end_share", num(front_end_share(&fleet.stages), 4))
+        .report("measured_share", stage_shares(&fleet.stages))
         .cell("bin_ns_vs_solo", num(fleet_bin_in_solo_bins(pipeline_batches), 3))
         .report("modelled_cycle_share", fleet.modelled.shares());
     section(

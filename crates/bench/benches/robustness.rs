@@ -7,11 +7,10 @@
 //!
 //! Every configuration runs twice — on a solo `Monitor` and on a 4-lane
 //! `ShardedMonitor` fleet (`fleet` block per scenario) — through the one
-//! harness, `run_with_reference::<E>`: the configuration carries the policy
-//! and predictor constructors, so the oracle, the guard and the hardened
-//! stack shard like the built-in strategies do. The fleet's recovered
-//! fraction is reported, not gated: its quality gap against the solo monitor
-//! is its own ROADMAP item.
+//! harness, `run_with_reference::<E>`. A fleet is the same control loop over
+//! lane-sharded query execution: one policy instance, so one guard and one
+//! tripwire, and `degraded_bins` counts bins on both shapes. The fleet's
+//! recovered fraction is reported, not gated.
 //!
 //! Accuracy is the paper's metric: each query's answers against an
 //! unconstrained reference execution, averaged over measurement intervals,
@@ -230,15 +229,15 @@ fn main() {
         let capacity = corpus_capacity(&batches);
         let solo = bench_engine::<Monitor>(&batches, capacity, repeats);
         let fleet = bench_engine::<ShardedMonitor>(&batches, capacity, repeats);
-        // The CI grep-gates key on these exact phrases: a "0 bins" (or "0
-        // lane-bins") line means the tripwire slept through an attack.
+        // The CI grep-gates key on these exact phrases: a "0 bins" line means
+        // the tripwire slept through an attack.
         println!(
             "{name}: tripwire fired on {} bins; recovered {:.0}% of the accuracy gap",
             solo.hardened.degraded_bins,
             solo.gap_recovered_fraction * 100.0
         );
         println!(
-            "{name} fleet: tripwire fired on {} lane-bins; recovered {:.0}% of the accuracy gap",
+            "{name} fleet: tripwire fired on {} bins; recovered {:.0}% of the accuracy gap",
             fleet.hardened.degraded_bins,
             fleet.gap_recovered_fraction * 100.0
         );

@@ -196,6 +196,14 @@ pub const ALL: &[Claim] = &[
          uncontrolled drop",
         check: |tables| offender_is_contained(tables, "buggy"),
     },
+    Claim {
+        id: "fleet_quality",
+        reference: "ROADMAP aim 2",
+        expectation: HOLDS,
+        statement: "a 1-lane fleet's row is the solo monitor's, cell for cell, and a 4-lane fleet's \
+         mean accuracy is within 0.056 of solo's on every workload",
+        check: |tables| all([0, 1, 2].map(|at| fleet_tracks_solo(table(tables, at)?))),
+    },
 ];
 
 fn table(tables: &[Table], at: usize) -> Result<&Table, String> {
@@ -229,6 +237,31 @@ fn ordered<const N: usize>(table: &Table, column: &str, rows: [(&str, f64); N]) 
     let compared: Vec<String> =
         rows.iter().zip(&values).map(|((row, _), value)| format!("{row} {value:.4}")).collect();
     judge(holds, compared.join(", "))
+}
+
+/// Widest |4-lane − solo| mean accuracy `fleet_quality` may show. Measured: at
+/// most 0.0372 (the Chapter 4 mix, seed 2; 0.021 / 0.032 / 0.020 on seeds 1 / 3
+/// and the tier-1 run, under 0.022 on both corpus scenarios) — that plus half
+/// of it. The per-lane control loops this replaced sat 0.30 below solo.
+const FLEET_ACCURACY_BAND: f64 = 0.056;
+
+/// One `fleet_quality` table: the `1 lane` row repeats the `solo` row exactly
+/// and the `4 lanes` row's mean accuracy is inside the band around it.
+fn fleet_tracks_solo(workload: &Table) -> Checked {
+    let row = |engine: &str| {
+        let named = |row: &&Vec<Cell>| row.first().is_some_and(|name| name.to_string() == engine);
+        let found = workload.rows.iter().find(named).map(|row| &row[1..]);
+        found.ok_or_else(|| format!("{:?} has no {engine} row", workload.title))
+    };
+    let one_lane_is_solo = row("1 lane")? == row("solo")?;
+    let solo = workload.lookup("solo", "mean accuracy")?;
+    let four = workload.lookup("4 lanes", "mean accuracy")?;
+    let compared = format!(
+        "{}: 1 lane {} solo, 4 lanes {four:.4} vs solo {solo:.4}",
+        workload.title,
+        if one_lane_is_solo { "==" } else { "!=" }
+    );
+    judge(one_lane_is_solo && (four - solo).abs() <= FLEET_ACCURACY_BAND, compared)
 }
 
 /// Figures 6.10 and 6.11 make the same statement about a different offender.

@@ -9,6 +9,7 @@
 //! because the substrate is a synthetic trace and a simulated cycle model
 //! (see "Reproducing the paper" in the repository README).
 
+use crate::corpus::{corpus_capacity, corpus_specs};
 use crate::report::{num, Cell, Table};
 use crate::{
     capacity_for_overload, experiment_config, profile_trace, run_strategy, run_with_reference,
@@ -18,7 +19,7 @@ use netshed_fairness::{mmfs_cpu, mmfs_pkt, Allocation, AllocationGame, FairnessM
 use netshed_features::{Aggregate, CounterKind, FeatureExtractor, FeatureId, FeatureVector};
 use netshed_linalg::stats::{max, mean, percentile, stdev};
 use netshed_monitor::{
-    AllocationPolicy, BinRecord, Monitor, MonitorConfig, QueryBinRecord, Strategy,
+    AllocationPolicy, BinRecord, Monitor, MonitorConfig, QueryBinRecord, ShardedMonitor, Strategy,
 };
 use netshed_predict::{
     ErrorStats, EwmaPredictor, FcbfConfig, MlrConfig, MlrPredictor, Predictor, SlrPredictor,
@@ -26,6 +27,7 @@ use netshed_predict::{
 use netshed_queries::{
     build_query, CustomBehavior, CycleMeter, MeasurementNoise, QueryKind, QuerySpec,
 };
+use netshed_trace::scenario::builtin;
 use netshed_trace::{Anomaly, AnomalyKind, Batch, KeepListPool, TraceGenerator, TraceProfile};
 use std::iter::once;
 
@@ -135,6 +137,7 @@ pub const ALL: &[Experiment] = &[
     entry("fig6_12_14",                1,  (600, MAX), fig6_12_14,                "long run: CPU, drops, accuracy and shedding rate over time (Table 6.2)"),
     entry("ablation_rtthresh",         20, (20, MAX),  ablation_rtthresh,         "ablation: buffer discovery on/off"),
     entry("ablation_error_correction", 20, (20, MAX),  ablation_error_correction, "ablation: EWMA error correction on/off"),
+    entry("fleet_quality",             20, (20, 400),  fleet_quality,             "accuracy, uncontrolled drops and predictors per bin: 1/2/4/8-lane fleets vs the solo monitor"),
 ];
 
 // --------------------------------------------------------------------------
@@ -824,13 +827,8 @@ fn tab5_2(options: &Options) -> Vec<Table> {
             once(query.min_sampling_rate()).chain(results.iter().map(accuracy)),
         );
     }
-    // The game is played in whole cycles per player: with an arbitrary real
-    // capacity, |Q| x (C / |Q|) rounds above C on some traces, `payoffs` then
-    // serves nobody at the symmetric profile and the check reads false for a
-    // reason that has nothing to do with Theorem 5.1.
     let players = specs.len();
-    let whole = (capacity / players as f64).round() * players as f64;
-    let game = AllocationGame::new(whole, players, FairnessMode::Packet);
+    let game = AllocationGame::new(capacity, players, FairnessMode::Packet);
     let actions = vec![game.equilibrium_action(); players];
     let nash = scalars(
         "Nash equilibrium check (Section 5.3): every query demanding C/|Q|",
@@ -1124,6 +1122,75 @@ fn ablation_error_correction(options: &Options) -> Vec<Table> {
     })
 }
 
+// --------------------------------------------------------------------------
+// The shard plane: what a lane count costs
+// --------------------------------------------------------------------------
+
+/// The lane counts `fleet_quality` runs a fleet at.
+const LANE_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// One workload of `fleet_quality`: the solo monitor, then a fleet at every
+/// lane count, on the same queries, traffic, capacity and seed (`mmfs_pkt`,
+/// noise on — the repo benchmark's operating point).
+fn fleet_quality_table(
+    title: &str,
+    specs: &[QuerySpec],
+    batches: &[Batch],
+    capacity: f64,
+    seed: u64,
+) -> Table {
+    let config = experiment_config(MMFS_PKT, capacity, seed);
+    let solo = run_with_reference::<Monitor>(config.clone(), specs, batches, &[]);
+    let fleets = LANE_COUNTS.map(|lanes| {
+        let config = config.clone().with_shard_lanes(lanes);
+        let name = format!("{lanes} lane{}", if lanes == 1 { "" } else { "s" });
+        (name, run_with_reference::<ShardedMonitor>(config, specs, batches, &[]))
+    });
+    let runs: Vec<(String, RunResult)> = once(("solo".to_string(), solo)).chain(fleets).collect();
+
+    let queries: Vec<&str> = runs[0].1.mean_accuracy.keys().map(String::as_str).collect();
+    let totals = ["mean accuracy", "min accuracy", "uncontrolled drops", "predictors per bin"];
+    let columns: Vec<&str> = once("engine").chain(queries.iter().copied()).chain(totals).collect();
+    let mut table = Table::titled(title, &columns);
+    for (name, result) in &runs {
+        let predictions: usize = result.bins.iter().map(|bin| bin.queries.len()).sum();
+        let per_query = queries.iter().map(|query| num(result.mean_accuracy[*query], 4));
+        table.row(once(name.as_str().into()).chain(per_query).chain([
+            num(result.overall_mean_accuracy(), 4),
+            num(result.overall_min_accuracy(), 4),
+            result.uncontrolled_drops().into(),
+            num(predictions as f64 / result.bins.len().max(1) as f64, 2),
+        ]));
+    }
+    table
+}
+
+/// What sharding query execution costs in quality: per-query accuracy,
+/// uncontrolled drops and predictions per bin at 1 / 2 / 4 / 8 lanes beside
+/// the solo monitor, on the Chapter 4 mix at 2x overload and on two corpus
+/// scenarios (their recorded traffic and K = 0.5 capacity, whatever
+/// `--batches` says).
+fn fleet_quality(options: &Options) -> Vec<Table> {
+    let specs = specs_of(&QueryKind::CHAPTER4_SET);
+    let batches = trace(TraceProfile::CescaII, options);
+    let capacity = capacity_for_overload(&specs, &batches, 0.5);
+    let chapter4 = fleet_quality_table(
+        "Chapter 4 mix at 2x overload",
+        &specs,
+        &batches,
+        capacity,
+        options.seed,
+    );
+    let corpus = ["steady-cesca", "ddos-spike"].map(|name| {
+        // lint:allow(no-unwrap): both names are compiled-in builtins, valid by construction
+        let batches = builtin(name).and_then(|scenario| scenario.generate().ok()).expect("builtin");
+        let capacity = corpus_capacity(&batches);
+        let title = format!("corpus scenario {name}");
+        fleet_quality_table(&title, &corpus_specs(), &batches, capacity, options.seed)
+    });
+    once(chapter4).chain(corpus).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1137,7 +1204,7 @@ mod tests {
                 experiment.id
             );
         }
-        assert_eq!(ALL.len(), 36);
+        assert_eq!(ALL.len(), 37);
         for claim in crate::claims::ALL {
             assert!(find(claim.id).is_some(), "claim {} names no experiment", claim.reference);
         }

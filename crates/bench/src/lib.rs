@@ -50,8 +50,7 @@ pub struct RunResult {
     pub min_accuracy: BTreeMap<String, f64>,
     /// Per-interval error series per query.
     pub error_series: BTreeMap<String, Vec<f64>>,
-    /// Per-bin records of the monitored execution, in bin then lane order
-    /// (one per bin for a solo monitor, one per non-idle lane for a fleet).
+    /// Per-bin records of the monitored execution, one per bin.
     pub bins: Vec<BinRecord>,
 }
 
@@ -71,20 +70,12 @@ impl RunResult {
         self.mean_accuracy.values().copied().fold(f64::INFINITY, f64::min).min(1.0)
     }
 
-    /// Global bins the run processed (a fleet contributes several records
-    /// per bin, consecutively).
-    fn global_bins(&self) -> usize {
-        let boundaries =
-            self.bins.windows(2).filter(|pair| pair[0].bin_index != pair[1].bin_index).count();
-        boundaries + usize::from(!self.bins.is_empty())
-    }
-
-    /// Mean total cycles per global bin (summed over a fleet's lanes).
+    /// Mean total cycles per bin.
     pub fn mean_cycles_per_bin(&self) -> f64 {
         if self.bins.is_empty() {
             return 0.0;
         }
-        self.bins.iter().map(BinRecord::total_cycles).sum::<f64>() / self.global_bins() as f64
+        self.bins.iter().map(BinRecord::total_cycles).sum::<f64>() / self.bins.len() as f64
     }
 
     /// Total packets dropped without control at the capture buffer.
@@ -92,7 +83,7 @@ impl RunResult {
         self.bins.iter().map(|record| record.uncontrolled_drops).sum()
     }
 
-    /// Records whose decision carries [`DecisionReason::DegradedFallback`] —
+    /// Bins whose decision carries [`DecisionReason::DegradedFallback`] —
     /// the degradation-guard tripwire state, per run.
     pub fn degraded_bins(&self) -> u64 {
         self.bins
@@ -101,7 +92,7 @@ impl RunResult {
             .count() as u64
     }
 
-    /// Mean over global bins of `max(0, query_cycles − available_cycles) /
+    /// Mean over bins of `max(0, query_cycles − available_cycles) /
     /// capacity` — how far the queries overran the budget, the overload
     /// symptom of a gamed predictor.
     pub fn overload_damage(&self, capacity: f64) -> f64 {
@@ -113,7 +104,7 @@ impl RunResult {
             .iter()
             .map(|record| (record.query_cycles - record.available_cycles).max(0.0))
             .sum();
-        overload / (capacity * self.global_bins() as f64)
+        overload / (capacity * self.bins.len() as f64)
     }
 
     /// Mean of each record's mean sampling rate — low values flag
@@ -159,8 +150,7 @@ pub fn run_with_reference<E: MonitorEngine>(
             continue;
         }
         // lint:allow(no-unwrap): the is_empty guard above rules out the only ingest error for an ample-capacity run
-        let records = engine.ingest(batch, &mut accuracy).expect("non-empty batch");
-        result.bins.extend_from_slice(records.as_ref());
+        result.bins.push(engine.ingest(batch, &mut accuracy).expect("non-empty batch"));
     }
     if engine.interval_open() {
         accuracy.on_interval(&engine.finish_interval());
@@ -226,12 +216,11 @@ mod tests {
             assert!(result.min_accuracy[name] <= *mean, "{name}: min above mean");
         }
 
-        // The same harness drives a fleet: several records per global bin,
-        // the same per-query accuracy maps.
+        // The same harness drives a fleet: one record per bin there too, the
+        // same per-query accuracy maps.
         let fleet = run_with_reference::<ShardedMonitor>(config, &specs, &batches, &[]);
         assert_eq!(fleet.mean_accuracy.len(), 2);
-        assert!(fleet.bins.len() > 40);
-        assert_eq!(fleet.global_bins(), 40);
+        assert_eq!(fleet.bins.len(), 40);
     }
 
     #[test]

@@ -19,6 +19,13 @@ pub enum FairnessMode {
     Packet,
 }
 
+/// Relative slack on "fits in the capacity". The symmetric profile of
+/// Theorem 5.1 sums `|Q|` copies of `C / |Q|`, which in floating point lands a
+/// few ulps *above* `C` for many capacities (6 × (1 000 001 / 6) already
+/// does); compared exactly, that profile served nobody. Rounding error is at
+/// most `|Q|` ulps relative, many orders below this.
+const FIT_TOLERANCE: f64 = 1e-12;
+
 /// The strategic game played by non-cooperative queries.
 #[derive(Debug, Clone, Copy)]
 pub struct AllocationGame {
@@ -58,11 +65,12 @@ impl AllocationGame {
         order.sort_by(|&a, &b| actions[a].total_cmp(&actions[b]));
         let mut active = vec![false; self.players];
         let mut used = 0.0;
+        let fits = |cycles: f64| cycles <= self.capacity * (1.0 + FIT_TOLERANCE);
         for &player in &order {
             // Equation 5.7: player q is served if the sum of all demands not
             // larger than a_q (including ties and itself) fits in C.
             let not_larger: f64 = actions.iter().filter(|&&a| a <= actions[player]).sum();
-            if not_larger <= self.capacity && used + actions[player] <= self.capacity {
+            if fits(not_larger) && fits(used + actions[player]) {
                 active[player] = true;
                 used += actions[player];
             }
@@ -142,6 +150,27 @@ mod tests {
                 game.is_nash_equilibrium(&actions, 200, 1e-6),
                 "C/|Q| should be a Nash equilibrium ({mode:?})"
             );
+        }
+    }
+
+    #[test]
+    fn the_symmetric_profile_is_served_when_its_sum_rounds_above_the_capacity() {
+        // 6 x (1 000 001 / 6) is one ulp above 1 000 001, and a capacity drawn
+        // from a trace does the same: compared without a tolerance the
+        // profile of Theorem 5.1 served nobody and the Nash check read false.
+        for (capacity, players) in [(1_000_001.0, 6), (1_000_002.0, 7), (165_416_310.052_167_36, 7)]
+        {
+            let share = capacity / players as f64;
+            let sum: f64 = std::iter::repeat_n(share, players).sum();
+            assert!(sum > capacity, "{players} x ({capacity} / {players}) must round up");
+            for mode in [FairnessMode::Cpu, FairnessMode::Packet] {
+                let game = AllocationGame::new(capacity, players, mode);
+                let actions = vec![game.equilibrium_action(); players];
+                for payoff in game.payoffs(&actions) {
+                    assert!((payoff - share).abs() <= 1e-9 * share, "{mode:?}: served {payoff}");
+                }
+                assert!(game.is_nash_equilibrium(&actions, 100, 1e-6), "{mode:?} at {capacity}");
+            }
         }
     }
 

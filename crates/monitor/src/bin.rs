@@ -7,11 +7,17 @@
 //! the execution plane's plan → dispatch → merge (DESIGN.md): shed is the
 //! plan (every draw, sequentially, in registration order, on the caller's
 //! thread), predict and execute are the dispatches (a task touches only its
-//! own query), account is the merge (every sum folds in registration order).
+//! own query, or its own lane instance of one), account is the merge (every
+//! sum folds in registration order).
+//!
+//! This is the bin of every engine. Everything up to and including shed
+//! works on the global post-drop view whatever the lane count; execute is
+//! the one stage that knows about lanes, and with one lane it only skips the
+//! split.
 
 use crate::error::NetshedError;
 use crate::exec::{self, Stage};
-use crate::monitor::{flow_hasher, Monitor, RegisteredQuery};
+use crate::monitor::{flow_hasher, LaneQuery, Monitor, RegisteredQuery};
 use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
 use crate::shedder::{flow_sample_with, packet_sample_with};
@@ -66,6 +72,9 @@ pub(crate) struct BinSlot {
     /// works from the post-drop view (flow sampling is deterministic per
     /// query, so it happens inside the task).
     sampled: Option<BatchView>,
+    /// The features re-extracted over the delivered view, between the
+    /// deliver task and the feedback; `None` when nothing was sampled.
+    sampled_features: Option<FeatureVector>,
     // Outputs of the tail, valid when `run` is `Some`.
     measured: f64,
     outlier: bool,
@@ -125,12 +134,13 @@ impl RegisteredQuery {
         };
     }
 
-    /// Tail task: shed, re-extract, run the query, apply the pre-drawn noise
-    /// and feed the observation back into the prediction history — against
-    /// `window`, whose newest row is this bin's full-batch vector. A query
-    /// the plan sat out is walked and left untouched.
-    fn run_tail(&mut self, post_drop: &BatchView, window: &FeatureWindow) {
-        let Some((rate, noise)) = self.slot.run else { return };
+    /// Deliver task, the first half of the tail: shed and re-extract once on
+    /// the global view, then hand every lane instance its share of what was
+    /// delivered — split by the lane of each packet's flow (`lane_of_flow`),
+    /// or, with one lane, the delivered view as it is. A query the plan sat
+    /// out is walked and left untouched.
+    fn deliver(&mut self, post_drop: &BatchView, lane_of_flow: &[u32]) {
+        let Some((rate, _)) = self.slot.run else { return };
         let (delivered, resampled) = match self.slot.sampled.take() {
             Some(sampled) => (sampled, true),
             None if rate < 1.0 && self.shedding == SheddingMethod::FlowSampling => {
@@ -146,24 +156,40 @@ impl RegisteredQuery {
         // Recompute the features over the sampled stream so the MLR history
         // stays consistent (Section 4.3); the per-query extractor belongs to
         // this task alone.
-        let sampled_features = if resampled {
+        (self.slot.sampled_features, self.slot.reextract_ops) = if resampled {
             let (extracted, ops) = self.sampled_extractor.extract_view(&delivered);
-            self.slot.reextract_ops = ops;
-            Some(extracted)
+            (Some(extracted), ops)
         } else {
-            self.slot.reextract_ops = 0;
-            None
+            (None, 0)
         };
 
-        // Run the query and measure its cycles.
-        let mut meter = CycleMeter::new();
-        self.query.process_batch(&delivered, rate, &mut meter);
-        let (measured, outlier) = noise.apply(meter.cycles());
+        if let [only] = self.lanes.as_mut_slice() {
+            only.work = Some((delivered, rate));
+        } else {
+            let lanes = &mut self.lanes;
+            delivered.split_lanes_with(
+                &mut self.shed_pool,
+                lane_of_flow,
+                lanes.len(),
+                |lane, view| {
+                    lanes[lane].work = Some((view, rate));
+                },
+            );
+        }
+    }
+
+    /// Feedback, the tail's last step: fold the lane meters in lane order
+    /// into the query's one measured cost, apply the pre-drawn noise and
+    /// feed the observation back into the prediction history — against
+    /// `window`, whose newest row is this bin's full-batch vector.
+    fn feed_back(&mut self, window: &FeatureWindow) {
+        let Some((rate, noise)) = self.slot.run else { return };
+        let cycles: u64 = self.lanes.iter().map(|lane| lane.cycles).sum();
+        let (measured, outlier) = noise.apply(cycles);
         let measured = measured as f64;
 
-        // Feed the observation back into the prediction history. For custom
-        // shedding the assigned rate plays the same role as a sampling rate:
-        // the query is expected to scale its work by it.
+        // For custom shedding the assigned rate plays the same role as a
+        // sampling rate: the query is expected to scale its work by it.
         let (cycles, corrupted) = if outlier {
             // Replace corrupted measurements with the prediction
             // (Section 3.2.4 / 4.4).
@@ -175,7 +201,7 @@ impl RegisteredQuery {
         } else {
             (measured, false)
         };
-        match sampled_features {
+        match self.slot.sampled_features.take() {
             // Nothing was re-extracted (full rate, or custom shedding): the
             // row to store is the bin's shared vector, taken from the window.
             None => self.predictor.observe_shared(window, cycles, corrupted),
@@ -184,6 +210,18 @@ impl RegisteredQuery {
         }
         self.slot.measured = measured;
         self.slot.outlier = outlier;
+    }
+}
+
+impl LaneQuery {
+    /// Lane task: runs the lane's instance on its share of the delivered
+    /// view and keeps what it metered (nothing on a bin the query sat out).
+    fn run(&mut self) {
+        let mut meter = CycleMeter::new();
+        if let Some((view, rate)) = self.work.take() {
+            self.query.process_batch(&view, rate, &mut meter);
+        }
+        self.cycles = meter.cycles();
     }
 }
 
@@ -394,9 +432,32 @@ impl Monitor {
         }
     }
 
-    /// Execute: dispatches the expensive tail across the execution plane.
+    /// Execute: the expensive tail, as two dispatches and a fold. Per query,
+    /// sample and re-extract once on the global view and split what is
+    /// delivered over the lanes — the lane verdict is asked once per flow of
+    /// the batch's index, here, for every query to share. Then every (query,
+    /// lane) instance runs as a task of its own, on up to `workers × shards`
+    /// threads (`shards` counts for nothing beyond the lane count, so a
+    /// one-lane engine ignores it). Then, in registration order, each
+    /// query's lane meters fold into its one measurement and its predictor
+    /// learns from it.
     fn execute(&mut self, post_drop: &BatchView) {
-        self.dispatch(|query, window| query.run_tail(post_drop, window));
+        if self.lane_count > 1 {
+            post_drop.store().flow_lanes(self.lane_count, &mut self.lane_of_flow);
+        }
+        let lane_of_flow = std::mem::take(&mut self.lane_of_flow);
+        self.dispatch(|query, _| query.deliver(post_drop, &lane_of_flow));
+        self.lane_of_flow = lane_of_flow;
+
+        let tasks = self.queries.len() * self.lane_count;
+        let threads = self.config.workers * self.config.shards.min(self.lane_count);
+        let instances = self.queries.iter_mut().flat_map(|query| &mut query.lanes);
+        exec::run_tasks(threads.min(tasks), instances, LaneQuery::run);
+        self.clock.stats.tasks += tasks as u64;
+
+        for query in &mut self.queries {
+            query.feed_back(&self.window);
+        }
     }
 
     /// Account — the *merge*: folds the queries' slots in registration
@@ -508,8 +569,8 @@ impl Monitor {
     /// Fans `run` out over the registered queries on the execution plane,
     /// each beside the shared feature window.
     fn dispatch(&mut self, run: impl Fn(&mut RegisteredQuery, &FeatureWindow) + Sync) {
-        let window = &self.window;
-        exec::run_tasks(self.config.workers, &mut self.queries, |query| run(query, window));
+        let (window, workers) = (&self.window, self.config.workers.min(self.queries.len()));
+        exec::run_tasks(workers, self.queries.iter_mut(), |query| run(query, window));
         self.clock.stats.tasks += self.queries.len() as u64;
     }
 
@@ -549,6 +610,43 @@ mod tests {
 
     fn quiet_monitor(capacity: f64) -> Monitor {
         Monitor::new(MonitorConfig::default().with_capacity(capacity).without_noise())
+    }
+
+    /// Lanes shard the execute stage and nothing before it: whatever the
+    /// lane count the control loop extracts the same full-batch vector from
+    /// the same global view, once, and asks the lane verdict once per flow.
+    #[test]
+    fn every_lane_count_extracts_the_same_feature_vector_once_per_bin() {
+        use netshed_queries::{QueryKind, QuerySpec};
+        use netshed_trace::{TraceConfig, TraceGenerator};
+
+        let batches = TraceGenerator::new(TraceConfig::default().with_seed(9)).batches(12);
+        let config = MonitorConfig::default().with_capacity(1e15).without_noise();
+        let mut engines: Vec<Monitor> =
+            [1, 2, 4, 8].map(|lanes| Monitor::with_lanes(config.clone(), lanes)).into();
+        for engine in &mut engines {
+            for kind in QueryKind::CHAPTER4_SET {
+                engine.register(&QuerySpec::new(kind)).expect("valid spec");
+            }
+        }
+        for batch in &batches {
+            for engine in &mut engines {
+                engine.process_batch(batch).expect("bin");
+            }
+            let (solo, fleets) = engines.split_first().expect("four engines");
+            assert!(solo.lane_of_flow.is_empty(), "one lane asks no verdict");
+            for fleet in fleets {
+                assert_eq!(fleet.bin.features, solo.bin.features, "{} lanes", fleet.lane_count);
+                assert_eq!(
+                    fleet.window.newest(),
+                    solo.window.newest(),
+                    "{} lanes",
+                    fleet.lane_count
+                );
+                assert_eq!(fleet.lane_of_flow.len(), batch.packets.flow_index().flows());
+                assert_eq!(fleet.bin.predictions.len(), 7, "one prediction per query");
+            }
+        }
     }
 
     proptest! {

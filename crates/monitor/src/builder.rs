@@ -77,7 +77,8 @@ impl MonitorBuilder {
     /// of the control plane: [`OraclePolicy`](crate::policy::OraclePolicy),
     /// [`DegradationGuard`](crate::robust::DegradationGuard), a user-defined
     /// [`ControlPolicy`]. A constructor rather than an instance, because
-    /// every lane of a fleet and every daemon restore builds its own.
+    /// every engine built from the configuration, and every daemon restore,
+    /// builds its own.
     pub fn with_policy<P: ControlPolicy + 'static>(
         mut self,
         make: impl Fn() -> P + Send + Sync + 'static,
@@ -146,8 +147,8 @@ impl MonitorBuilder {
     }
 
     /// Sets how many shard threads a [`build_sharded`](Self::build_sharded)
-    /// fleet executes its lanes on (validated into `[1, MAX_WORKERS]` at
-    /// build time).
+    /// fleet multiplies its workers by when it runs its (query, lane) tasks
+    /// (validated into `[1, MAX_WORKERS]` at build time).
     ///
     /// Like [`with_workers`](Self::with_workers) this is a pure wall-clock
     /// knob — any shard count produces bit-identical output, because the
@@ -159,12 +160,12 @@ impl MonitorBuilder {
         self
     }
 
-    /// Sets the number of virtual lanes a
-    /// [`build_sharded`](Self::build_sharded) fleet partitions flow space
-    /// into (validated into `[1, MAX_WORKERS]` at build time).
+    /// Sets the number of lanes a [`build_sharded`](Self::build_sharded)
+    /// fleet partitions flow space into (validated into `[1, MAX_WORKERS]`
+    /// at build time).
     ///
-    /// Unlike `shards`, this is *configuration*: each lane owns predictor,
-    /// buffer and policy state for its flow partition, so changing the lane
+    /// Unlike `shards`, this is *configuration*: each lane owns an instance
+    /// of every query, fed its partition of the flows, so changing the lane
     /// count changes the output — like changing the seed.
     pub fn with_shard_lanes(mut self, lanes: usize) -> Self {
         self.config.shard_lanes = lanes;
@@ -194,10 +195,10 @@ impl MonitorBuilder {
         self.build_with(|config| config.validate().map(|()| Monitor::new(config)))
     }
 
-    /// Validates the configuration and builds a flow-sharded
-    /// [`ShardedMonitor`] fleet with every queued query registered on every
-    /// lane. Each lane instantiates the configured policy and predictor for
-    /// itself, so anything [`build`](Self::build) accepts shards.
+    /// Validates the configuration and builds a [`ShardedMonitor`] fleet —
+    /// the same control loop with query execution sharded over
+    /// `shard_lanes` lanes — with every queued query registered, one
+    /// instance per lane. Anything [`build`](Self::build) accepts shards.
     pub fn build_sharded(self) -> Result<ShardedMonitor, NetshedError> {
         self.build_with(ShardedMonitor::new)
     }

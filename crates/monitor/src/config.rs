@@ -4,9 +4,8 @@
 //! not an instance: [`MonitorConfig::policy`] and
 //! [`MonitorConfig::predictor`] are [`Spec`]s — a name plus a shared
 //! constructor. Whatever starts from a clone of the config (a solo monitor,
-//! every lane of a fleet, a daemon restore) constructs its own instance, so a
-//! policy that works solo works sharded and checkpointed with no further
-//! code. The [`Strategy`] and [`PredictorKind`] enums are the *validated
+//! a fleet, a daemon restore) constructs its own instance, so a policy that
+//! works solo works sharded and checkpointed with no further code. The [`Strategy`] and [`PredictorKind`] enums are the *validated
 //! constructors* for the built-ins the paper evaluates and convert with
 //! `.into()`; anything else is a closure handed to [`PolicySpec::new`] /
 //! [`PredictorSpec::new`] (see DESIGN.md, "Control plane").
@@ -58,8 +57,9 @@ impl<T: ?Sized> std::fmt::Debug for Spec<T> {
 }
 
 impl PolicySpec {
-    /// Describes a policy by its constructor, which runs once per monitor —
-    /// per lane in a fleet, again per restore — and once here, for the name.
+    /// Describes a policy by its constructor, which runs once per engine
+    /// (whatever its lane count), again per restore — and once here, for the
+    /// name.
     pub fn new<P: ControlPolicy + 'static>(make: impl Fn() -> P + Send + Sync + 'static) -> Self {
         Self { name: make().name(), make: Arc::new(move || Box::new(make())) }
     }
@@ -269,24 +269,26 @@ pub struct MonitorConfig {
     /// (see DESIGN.md, "Execution plane"). The default honours the
     /// `NETSHED_THREADS` environment variable when it holds a valid count.
     pub workers: usize,
-    /// Shard threads a [`ShardedMonitor`](crate::ShardedMonitor) executes
-    /// its virtual lanes on. Like `workers`, a pure wall-clock knob: lane
-    /// `i` runs on shard `i % shards`, and any value produces bit-identical
-    /// output (see DESIGN.md, "Shard plane"). Ignored by a plain
-    /// [`Monitor`](crate::Monitor). The default honours the
-    /// `NETSHED_SHARDS` environment variable when it holds a valid count.
+    /// Shard threads of a [`ShardedMonitor`](crate::ShardedMonitor): a
+    /// multiplier on `workers` for the execute stage's (query, lane) tasks,
+    /// which run on up to `workers × min(shards, lanes)` threads. Like
+    /// `workers`, a pure wall-clock knob: any value produces bit-identical
+    /// output (see DESIGN.md, "Shard plane"). Ignored by a one-lane engine.
+    /// The default honours the `NETSHED_SHARDS` environment variable when it
+    /// holds a valid count.
     pub shards: usize,
-    /// Virtual lanes of a [`ShardedMonitor`](crate::ShardedMonitor): the
-    /// fixed, state-owning partition of flow space (each lane owns a full
-    /// monitor — predictor, capture buffer, policy state). Changing the lane
-    /// count changes the partition and therefore the output stream, like
-    /// changing the seed — it is configuration, not a wall-clock knob.
+    /// Lanes of a [`ShardedMonitor`](crate::ShardedMonitor): the fixed
+    /// partition of flow space its query instances own (every registered
+    /// query runs one instance per lane; the control loop is not
+    /// partitioned). Changing the lane count changes which instance sees
+    /// which flow and therefore the output stream, like changing the seed —
+    /// it is configuration, not a wall-clock knob. A [`Monitor`]
+    /// (crate::Monitor) built directly has one lane and ignores the field.
     pub shard_lanes: usize,
 }
 
-/// Default number of virtual lanes of a sharded monitor: enough to spread
-/// load over the shard counts CI pins ({1, 2, 4}) without fragmenting
-/// per-lane predictor history.
+/// Default number of lanes of a sharded monitor: enough to spread the lane
+/// tasks over the shard counts CI pins ({1, 2, 4}).
 pub const DEFAULT_SHARD_LANES: usize = 4;
 
 impl Default for MonitorConfig {

@@ -1,16 +1,19 @@
 //! The engine contract: the one seam between the bin pipeline and whatever
 //! hosts it.
 //!
-//! The paper's system is one pipeline per time bin (Algorithm 1); a solo
-//! [`Monitor`], a [`ShardedMonitor`] fleet and the service-plane daemon are
-//! three process shapes around it. [`Engine`] is the small contract a host
-//! depends on: nine required methods — the registry, the policy swap, the
-//! interval flush, the stage telemetry and [`ingest`](Engine::ingest), the
-//! per-bin observer protocol — and one provided method,
-//! [`run`](Engine::run), the only
-//! spelling in the workspace of the run loop. `Monitor::run`,
-//! `ShardedMonitor::run` and the daemon's final flush are calls into it, and
-//! a harness generic over engines needs nothing else.
+//! The paper's system is one control loop per time bin (Algorithm 1), and
+//! there is one implementation of it: [`Monitor`]. A
+//! [`ShardedMonitor`](crate::ShardedMonitor) fleet is that monitor with a
+//! lane count above one, and the service-plane daemon a process around
+//! either. [`Engine`] is the small contract a host depends on: nine required
+//! methods — the registry, the policy swap, the interval flush, the stage
+//! telemetry and [`ingest`](Engine::ingest), the per-bin observer protocol —
+//! and one provided method, [`run`](Engine::run), the only spelling in the
+//! workspace of the run loop. It is implemented once, for everything that
+//! borrows as a `Monitor` — the monitor itself and the fleet newtype — so
+//! the two engine types cannot drift apart: `Monitor::run`, the daemon's
+//! final flush and a harness generic over engines all land in the same
+//! bodies.
 
 use crate::config::{MonitorConfig, PolicySpec};
 use crate::error::NetshedError;
@@ -18,33 +21,28 @@ use crate::exec::StageStats;
 use crate::monitor::{Monitor, QueryId};
 use crate::observer::RunObserver;
 use crate::report::{BinRecord, RunSummary};
-use crate::sharded::ShardedMonitor;
 use netshed_queries::{QueryOutput, QuerySpec};
 use netshed_trace::{Batch, PacketSource};
+use std::borrow::BorrowMut;
 
 /// A computation that turns batches into bin records and interval outputs:
-/// a solo [`Monitor`] or a [`ShardedMonitor`] fleet.
+/// one record per bin, whatever the engine's lane count.
 pub trait Engine {
-    /// What one ingested bin yields, in lane order: exactly one record for a
-    /// solo monitor, one per non-idle lane for a fleet.
-    type Records: AsRef<[BinRecord]>;
-
-    /// The configuration of the run. For a fleet this is the *global*
-    /// configuration — checkpoint cross-checks compare against it bit for
-    /// bit, and per-lane budgets are coordinator state, not config.
+    /// The configuration of the run — checkpoint cross-checks compare
+    /// against it bit for bit.
     fn config(&self) -> &MonitorConfig;
 
     /// Name of the active control policy.
     fn policy_name(&self) -> String;
 
-    /// Registers a query (fleet-wide for a sharded engine).
+    /// Registers a query (one instance per lane).
     fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError>;
 
     /// Deregisters a query by handle.
     fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError>;
 
-    /// Swaps the control policy for a fresh instance of `policy` (one per
-    /// lane in a fleet); a [`Strategy`](crate::Strategy) converts into one.
+    /// Swaps the control policy for a fresh instance of `policy`; a
+    /// [`Strategy`](crate::Strategy) converts into one.
     fn set_policy(&mut self, policy: PolicySpec);
 
     /// Whether a measurement interval is currently open.
@@ -58,10 +56,10 @@ pub trait Engine {
     fn stage_stats(&self) -> StageStats;
 
     /// Processes one non-empty bin, reporting to `observer` in the engine's
-    /// canonical order: `on_batch` with the undivided batch, `on_interval`
-    /// when the bin closed a measurement interval, then `on_decision` and
-    /// `on_bin` per record.
-    fn ingest<O>(&mut self, batch: &Batch, observer: &mut O) -> Result<Self::Records, NetshedError>
+    /// canonical order: `on_batch`, `on_interval` when the bin closed a
+    /// measurement interval (a fleet's outputs already merged over its
+    /// lanes), then `on_decision` and `on_bin` with the bin's record.
+    fn ingest<O>(&mut self, batch: &Batch, observer: &mut O) -> Result<BinRecord, NetshedError>
     where
         O: RunObserver + ?Sized;
 
@@ -90,7 +88,7 @@ pub trait Engine {
                 summary.empty_bins += 1;
                 continue;
             }
-            summary.absorb(self.ingest(&batch, observer)?.as_ref());
+            summary.absorb(&self.ingest(&batch, observer)?);
         }
         if self.interval_open() {
             observer.on_interval(&self.finish_interval());
@@ -100,95 +98,50 @@ pub trait Engine {
     }
 }
 
-impl Engine for Monitor {
-    type Records = [BinRecord; 1];
-
+impl<E: BorrowMut<Monitor>> Engine for E {
     fn config(&self) -> &MonitorConfig {
-        Monitor::config(self)
+        Monitor::config(self.borrow())
     }
 
     fn policy_name(&self) -> String {
-        Monitor::policy_name(self)
+        Monitor::policy_name(self.borrow())
     }
 
     fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
-        Monitor::register(self, spec)
+        Monitor::register(self.borrow_mut(), spec)
     }
 
     fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
-        Monitor::deregister(self, id)
+        Monitor::deregister(self.borrow_mut(), id)
     }
 
     fn set_policy(&mut self, policy: PolicySpec) {
-        Monitor::set_policy(self, policy);
+        Monitor::set_policy(self.borrow_mut(), policy);
     }
 
     fn interval_open(&self) -> bool {
-        Monitor::interval_open(self)
+        Monitor::interval_open(self.borrow())
     }
 
     fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
-        Monitor::finish_interval(self)
+        Monitor::finish_interval(self.borrow_mut())
     }
 
     fn stage_stats(&self) -> StageStats {
-        Monitor::stage_stats(self)
+        Monitor::stage_stats(self.borrow())
     }
 
-    fn ingest<O>(&mut self, batch: &Batch, observer: &mut O) -> Result<Self::Records, NetshedError>
+    fn ingest<O>(&mut self, batch: &Batch, observer: &mut O) -> Result<BinRecord, NetshedError>
     where
         O: RunObserver + ?Sized,
     {
         observer.on_batch(batch);
-        let record = self.process_batch(batch)?;
+        let record = self.borrow_mut().process_batch(batch)?;
         if let Some(outputs) = &record.interval_outputs {
             observer.on_interval(outputs);
         }
         observer.on_decision(record.bin_index, &record.decision);
         observer.on_bin(&record);
-        Ok([record])
-    }
-}
-
-impl Engine for ShardedMonitor {
-    type Records = Vec<BinRecord>;
-
-    fn config(&self) -> &MonitorConfig {
-        ShardedMonitor::config(self)
-    }
-
-    fn policy_name(&self) -> String {
-        ShardedMonitor::policy_name(self)
-    }
-
-    fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
-        ShardedMonitor::register(self, spec)
-    }
-
-    fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
-        ShardedMonitor::deregister(self, id)
-    }
-
-    fn set_policy(&mut self, policy: PolicySpec) {
-        ShardedMonitor::set_policy(self, policy);
-    }
-
-    fn interval_open(&self) -> bool {
-        ShardedMonitor::interval_open(self)
-    }
-
-    fn finish_interval(&mut self) -> Vec<(String, QueryOutput)> {
-        ShardedMonitor::finish_interval(self)
-    }
-
-    fn stage_stats(&self) -> StageStats {
-        ShardedMonitor::stage_stats(self)
-    }
-
-    fn ingest<O>(&mut self, batch: &Batch, observer: &mut O) -> Result<Self::Records, NetshedError>
-    where
-        O: RunObserver + ?Sized,
-    {
-        self.process_bin(batch, observer)
+        Ok(record)
     }
 }

@@ -1,9 +1,10 @@
 //! The parallel execution plane: scoped worker dispatch for the per-bin
 //! query work, and the one clock that times the bin's stages.
 //!
-//! The per-query work of a bin (`bin.rs`: the predict, shadow and tail
-//! tasks) is embarrassingly parallel: every task touches only its own
-//! query's state plus shared read-only data. [`run_tasks`] fans those tasks
+//! The per-query work of a bin (`bin.rs`: the predict, shadow and deliver
+//! tasks, and the execute stage's (query, lane) tasks) is embarrassingly
+//! parallel: every task touches only its own query's — or its own lane
+//! instance's — state plus shared read-only data. [`run_tasks`] fans those tasks
 //! out over a scoped pool of `std::thread` workers; the monitor merges the
 //! results back in registration order, so the output stream is bit-identical
 //! whatever the worker count (see DESIGN.md, "Execution plane"). With
@@ -25,26 +26,29 @@ pub const MAX_WORKERS: usize = 256;
 ///
 /// Tasks are pulled from a shared queue in order, so an expensive task never
 /// serialises the cheap ones behind it. The call returns when all tasks have
-/// completed. With `workers <= 1` (or fewer than two tasks) the tasks run
-/// inline on the caller's thread — no thread is spawned, no synchronisation
-/// is touched.
+/// completed. With `workers <= 1` the tasks run inline on the caller's
+/// thread — no thread is spawned, no synchronisation is touched; callers cap
+/// `workers` at their task count, so a lone task runs inline too.
 ///
 /// Determinism: the function imposes no ordering on *effects* because each
 /// task may only touch state it exclusively owns (`&mut T`) plus `Sync`
 /// shared inputs; results stay in the task they belong to, so callers merging
 /// in index order observe the same stream regardless of `workers`.
-pub(crate) fn run_tasks<T, F>(workers: usize, tasks: &mut [T], run: F)
-where
-    T: Send,
+pub(crate) fn run_tasks<'a, T, F>(
+    workers: usize,
+    tasks: impl Iterator<Item = &'a mut T> + Send,
+    run: F,
+) where
+    T: Send + 'a,
     F: Fn(&mut T) + Sync,
 {
-    let worker_count = workers.clamp(1, MAX_WORKERS).min(tasks.len());
+    let worker_count = workers.clamp(1, MAX_WORKERS);
     if worker_count <= 1 {
-        tasks.iter_mut().for_each(run);
+        tasks.for_each(run);
         return;
     }
 
-    let queue = Mutex::new(tasks.iter_mut());
+    let queue = Mutex::new(tasks);
     let drain = || loop {
         // Hold the queue lock only for the pop, never across a task.
         // lint:allow(no-unwrap): a poisoned queue means a worker panicked mid-task; propagating the panic is the only sound continuation
@@ -65,9 +69,9 @@ where
     });
 }
 
-/// A named stage of a bin: the seven a [`Monitor`](crate::Monitor) runs per
-/// batch, in execution order (`bin.rs`), then the four of a
-/// [`ShardedMonitor`](crate::ShardedMonitor)'s front end around its lanes.
+/// A named stage of a bin, in execution order (`bin.rs`). Every engine runs
+/// these seven, whatever its lane count: lanes shard the execute stage, not
+/// the bin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Validation, interval roll, capture-buffer drop.
@@ -80,25 +84,17 @@ pub enum Stage {
     Decide,
     /// The plan: penalties, hasher refresh, RNG-drawn samples, noise draws.
     Shed,
-    /// The tail dispatch: sample, re-extract, run the query, feed back.
+    /// The two tail dispatches — sample and re-extract per query, then run
+    /// every (query, lane) — and the feedback into the predictors.
     Execute,
     /// The merge: enforcement, EWMAs, buffer accounting, the bin's record.
     Account,
-    /// Fleet: the coordinator's budget redistribution.
-    Coordinate,
-    /// Fleet: splitting the global batch over the lanes.
-    Split,
-    /// Fleet: the lane dispatch, from the fan-out to the last lane's
-    /// completion — it spans every lane's own seven stages.
-    Lanes,
-    /// Fleet: the lane-order merge and the observer callbacks.
-    Merge,
 }
 
 impl Stage {
     /// Number of stages, the length of [`StageStats::ns`].
-    pub const COUNT: usize = 11;
-    /// The stages of a monitor's bin, in execution order.
+    pub const COUNT: usize = 7;
+    /// The stages of a bin, in execution order.
     pub const BIN: [Stage; 7] = [
         Stage::Admit,
         Stage::Extract,
@@ -108,20 +104,17 @@ impl Stage {
         Stage::Execute,
         Stage::Account,
     ];
-    /// The stages of a fleet's front end, in execution order.
-    pub const FLEET: [Stage; 4] = [Stage::Coordinate, Stage::Split, Stage::Lanes, Stage::Merge];
 }
 
 /// Cumulative per-stage wall time of an engine, as its lap clock read it.
 /// Telemetry only: it never feeds a decision, a snapshot or a digest, and a
-/// fixed array costs no allocation. A monitor fills the [`Stage::BIN`]
-/// slots; a fleet fills the [`Stage::FLEET`] slots and reports in the bin
-/// slots the sum over its lanes — which its `Lanes` slot already spans.
+/// fixed array costs no allocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
-    /// Bins processed (a fleet counts global bins).
+    /// Bins processed.
     pub bins: u64,
-    /// Tasks dispatched: one per query per dispatch, one per lane per bin.
+    /// Tasks dispatched: one per query per dispatch, and one per (query,
+    /// lane) in the execute stage's lane dispatch.
     pub tasks: u64,
     /// Wall nanoseconds per stage, indexed by `Stage as usize`.
     pub ns: [u64; Stage::COUNT],
@@ -133,14 +126,9 @@ impl StageStats {
         self.ns[stage as usize]
     }
 
-    /// Wall nanoseconds of the bins measured: the front end's four slots on
-    /// a fleet, the seven bin slots on a monitor.
+    /// Wall nanoseconds of the bins measured: the seven slots summed.
     pub fn bin_ns(&self) -> u64 {
-        let total = |stages: &[Stage]| stages.iter().map(|stage| self.ns(*stage)).sum();
-        match total(&Stage::FLEET) {
-            0 => total(&Stage::BIN),
-            front_end => front_end,
-        }
+        self.ns.iter().sum()
     }
 
     /// `stage`'s share of [`bin_ns`](Self::bin_ns) (0 before the first bin).
@@ -151,23 +139,11 @@ impl StageStats {
         }
     }
 
-    /// Share of the bin spent in dispatches — the lanes on a fleet, predict
-    /// and execute on a monitor. On a 1-thread run this is the part of the
-    /// bin more threads could overlap at all: the plane's Amdahl ceiling.
+    /// Share of the bin spent in the dispatched stages, predict and execute.
+    /// On a 1-thread run this is the part of the bin more threads could
+    /// overlap at all: the plane's Amdahl ceiling.
     pub fn parallel_fraction(&self) -> f64 {
-        match self.ns(Stage::Lanes) {
-            0 => self.share(Stage::Predict) + self.share(Stage::Execute),
-            _ => self.share(Stage::Lanes),
-        }
-    }
-
-    /// Adds `other` field by field.
-    pub fn absorb(&mut self, other: &StageStats) {
-        self.bins += other.bins;
-        self.tasks += other.tasks;
-        for (ns, other_ns) in self.ns.iter_mut().zip(other.ns) {
-            *ns += other_ns;
-        }
+        self.share(Stage::Predict) + self.share(Stage::Execute)
     }
 }
 
@@ -260,7 +236,7 @@ mod tests {
     fn run_tasks_runs_every_task_exactly_once_at_any_worker_count() {
         for workers in [1, 2, 4, 9] {
             let mut tasks: Vec<u32> = vec![0; 7];
-            run_tasks(workers, &mut tasks, |task| *task += 1);
+            run_tasks(workers, tasks.iter_mut(), |task| *task += 1);
             assert_eq!(tasks, vec![1; 7], "workers = {workers}");
         }
     }
@@ -268,9 +244,9 @@ mod tests {
     #[test]
     fn run_tasks_handles_empty_and_single_task_sets() {
         let mut none: Vec<u32> = Vec::new();
-        run_tasks(4, &mut none, |_| unreachable!());
+        run_tasks(4, none.iter_mut(), |_| unreachable!());
         let mut one = vec![10u32];
-        run_tasks(4, &mut one, |task| *task *= 2);
+        run_tasks(4, one.iter_mut(), |task| *task *= 2);
         assert_eq!(one, vec![20]);
     }
 
@@ -281,8 +257,8 @@ mod tests {
         // Two tasks that can only finish if two workers run them at once.
         let barrier = Barrier::new(2);
         let hits = AtomicUsize::new(0);
-        let mut tasks = vec![(); 2];
-        run_tasks(2, &mut tasks, |()| {
+        let mut tasks = [(); 2];
+        run_tasks(2, tasks.iter_mut(), |()| {
             barrier.wait();
             hits.fetch_add(1, Ordering::SeqCst);
         });
@@ -301,18 +277,6 @@ mod tests {
         assert!((solo.share(Stage::Extract) - 200.0 / 2800.0).abs() < 1e-12);
         // Predict (300) and execute (600) are the dispatched stages.
         assert!((solo.parallel_fraction() - 900.0 / 2800.0).abs() < 1e-12);
-
-        // A fleet: its own four slots are the bin; the lanes' seven ride
-        // along without being counted twice.
-        let mut fleet = StageStats { bins: 1, tasks: 4, ..StageStats::default() };
-        for stage in Stage::FLEET {
-            fleet.ns[stage as usize] = 1000;
-        }
-        fleet.absorb(&solo);
-        assert_eq!((fleet.bins, fleet.tasks), (1, 4));
-        assert_eq!(fleet.ns(Stage::Shed), 500);
-        assert_eq!(fleet.bin_ns(), 4000);
-        assert!((fleet.parallel_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -53,8 +53,9 @@
 //! pattern through [`MonitorBuilder::with_predictor`]. Either way the
 //! [`MonitorConfig`] ends up carrying one [`PolicySpec`] and one
 //! [`PredictorSpec`] — a name plus a constructor — from which a solo
-//! monitor, every lane of a [`ShardedMonitor`] and every daemon restore
-//! build their own instances.
+//! monitor, a [`ShardedMonitor`] and every daemon restore build their own
+//! instances. A `ShardedMonitor` is the same control loop with query
+//! execution sharded over lanes (see [`sharded`]).
 //!
 //! The [`robust`] module is the control-plane half of the robustness plane:
 //! [`DegradationGuard`] wraps any policy with a per-bin under-prediction

@@ -6,6 +6,15 @@
 //! query registry, the policy swap, the interval clock, checkpoint and
 //! restore. The bin itself ([`Monitor::process_batch`] and its stages) is
 //! `bin.rs`, which is why the fields it works on are crate-visible.
+//!
+//! A monitor has a lane count: 1 from [`MonitorBuilder::build`],
+//! `shard_lanes` behind a [`ShardedMonitor`](crate::ShardedMonitor). Lanes
+//! shard *query execution* and nothing else — every registered query keeps
+//! one instance per lane, fed the flows whose
+//! [`shard_key`](netshed_trace::shard_key) names the lane — while the
+//! extractor, the feature window, the capture buffer, the policy, both RNGs
+//! and each query's predictor and sampled extractor exist once, whatever the
+//! lane count (DESIGN.md, "Shard plane").
 
 use crate::bin::{Bin, BinSlot};
 use crate::builder::MonitorBuilder;
@@ -23,7 +32,7 @@ use netshed_queries::{
     build_query_from_spec, MeasurementNoise, Query, QueryOutput, QuerySpec, SheddingMethod,
 };
 use netshed_sketch::{H3Hasher, StateError, StateReader, StateWriter};
-use netshed_trace::{Batch, KeepListPool, PacketSource};
+use netshed_trace::{Batch, BatchView, KeepListPool, PacketSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -59,9 +68,10 @@ impl std::fmt::Display for QueryId {
 /// One query registered in the monitor, together with its prediction state.
 ///
 /// The query is also the unit of dispatch: the execution plane hands each
-/// worker one `&mut RegisteredQuery`, so everything a task mutates — the
-/// query, its shadow twin, its predictor, its extractor, its keep-list pool
-/// and its [`BinSlot`] — lives here and nowhere else.
+/// worker one `&mut RegisteredQuery` — or, in the execute stage's lane
+/// dispatch, one `&mut LaneQuery` of it — so everything a task mutates — the
+/// lane instances, the shadow twin, the predictor, the extractor, the
+/// keep-list pool and the [`BinSlot`] — lives here and nowhere else.
 pub(crate) struct RegisteredQuery {
     pub(crate) id: QueryId,
     pub(crate) label: String,
@@ -78,28 +88,51 @@ pub(crate) struct RegisteredQuery {
     pub(crate) overuse_ratio: f64,
     pub(crate) violations: u32,
     pub(crate) penalty_remaining: u32,
-    pub(crate) query: Box<dyn Query>,
+    /// The query's instances, one per lane of the monitor, in lane order.
+    pub(crate) lanes: Vec<LaneQuery>,
     /// Shadow twin fed the full (unsampled) stream to measure the bin's
     /// actual cycles for oracle-style policies. Its work is not charged
     /// against the capacity.
     pub(crate) shadow: Option<Box<dyn Query>>,
     pub(crate) predictor: Box<dyn Predictor>,
     /// Extractor used to recompute features over this query's sampled stream
-    /// (needed to keep the MLR history consistent, Section 4.3).
+    /// (needed to keep the MLR history consistent, Section 4.3) — the global
+    /// sample, before it is split over the lanes.
     pub(crate) sampled_extractor: FeatureExtractor,
-    /// Keep-list pool for the flow-sampled view this query's task builds;
-    /// owned per query so the dispatch needs no shared state.
+    /// Keep-list pool for the views this query's task builds (the
+    /// flow-sampled one, the lane views); owned per query so the dispatch
+    /// needs no shared state.
     pub(crate) shed_pool: KeepListPool,
     /// This bin's plan and results (see `bin.rs`).
     pub(crate) slot: BinSlot,
 }
 
-// Registered queries cross the scoped-thread boundary as `&mut` borrows;
-// `Query`, `Predictor` and the extractor are all `Send` by bound or by
-// construction. Compile-time proof:
+/// One lane's instance of a registered query, and the unit of the execute
+/// stage's lane dispatch. It owns the query state of the lane's share of
+/// flow space and nothing else: what to run on arrives per bin, what it cost
+/// is folded back into the query's one measurement.
+pub(crate) struct LaneQuery {
+    pub(crate) query: Box<dyn Query>,
+    /// This bin's work, taken when run: the lane's share of the delivered
+    /// view and the granted rate. `None` on a bin the query sits out.
+    pub(crate) work: Option<(BatchView, f64)>,
+    /// Cycles the instance metered on this bin's view.
+    pub(crate) cycles: u64,
+}
+
+impl LaneQuery {
+    fn new(query: Box<dyn Query>) -> Self {
+        Self { query, work: None, cycles: 0 }
+    }
+}
+
+// Registered queries and their lane instances cross the scoped-thread
+// boundary as `&mut` borrows; `Query`, `Predictor` and the extractor are all
+// `Send` by bound or by construction. Compile-time proof:
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<RegisteredQuery>();
+    assert_send::<LaneQuery>();
 };
 
 /// A fresh extractor on the monitor's measurement interval: the full-batch
@@ -125,43 +158,14 @@ fn shadow_twin(spec: Option<&QuerySpec>, needs_shadow: bool) -> Option<Box<dyn Q
     spec.filter(|_| needs_shadow).map(build_query_from_spec)
 }
 
-impl RegisteredQuery {
-    /// A query as it stands right after registration: a fresh predictor and
-    /// sampled extractor from `config`, the registration-time flow hasher
-    /// and clean enforcement state.
-    fn new(
-        config: &MonitorConfig,
-        id: QueryId,
-        label: String,
-        min_rate: f64,
-        spec: Option<QuerySpec>,
-        query: Box<dyn Query>,
-        needs_shadow: bool,
-    ) -> Self {
-        Self {
-            id,
-            label,
-            shedding: query.preferred_shedding(),
-            min_rate,
-            flow_hasher: flow_hasher(config.seed, id, 0),
-            hasher_generation: 0,
-            overuse_ratio: 1.0,
-            violations: 0,
-            penalty_remaining: 0,
-            query,
-            shadow: shadow_twin(spec.as_ref(), needs_shadow),
-            spec,
-            predictor: config.predictor.make(),
-            sampled_extractor: extractor(config),
-            shed_pool: KeepListPool::new(),
-            slot: BinSlot::default(),
-        }
-    }
-}
-
 /// The load-shedding monitoring system.
 pub struct Monitor {
     pub(crate) config: MonitorConfig,
+    /// Lanes the execute stage shards every query over (see the module doc).
+    pub(crate) lane_count: usize,
+    /// The lane of every flow of the bin under way, by flow id; execute's
+    /// scratch, refilled per bin when there is more than one lane.
+    pub(crate) lane_of_flow: Vec<u32>,
     /// The control-plane policy deciding per-bin sampling rates: this
     /// monitor's own instance of `config.policy`.
     pub(crate) policy: Box<dyn ControlPolicy>,
@@ -206,6 +210,7 @@ impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
             .field("policy", &self.policy.name())
+            .field("lanes", &self.lane_count)
             .field("capacity_cycles_per_bin", &self.config.capacity_cycles_per_bin)
             .field("queries", &self.query_names())
             .field("error_ewma", &self.error_ewma)
@@ -214,10 +219,15 @@ impl std::fmt::Debug for Monitor {
 }
 
 impl Monitor {
-    /// Creates a monitor with no queries registered, running a fresh
-    /// instance of the policy the configuration describes (and, per query
-    /// registered later, of its predictor).
+    /// Creates a (one-lane) monitor with no queries registered, running a
+    /// fresh instance of the policy the configuration describes (and, per
+    /// query registered later, of its predictor).
     pub fn new(config: MonitorConfig) -> Self {
+        Self::with_lanes(config, 1)
+    }
+
+    /// [`Monitor::new`] with query execution sharded over `lanes` lanes.
+    pub(crate) fn with_lanes(config: MonitorConfig, lanes: usize) -> Self {
         let buffer = CaptureBuffer::new(config.capacity_cycles_per_bin, BUFFER_CAPACITY_BINS);
         let noise = MeasurementNoise::new(
             config.seed ^ 0x9e3779b97f4a7c15,
@@ -227,6 +237,8 @@ impl Monitor {
         );
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
+            lane_count: lanes,
+            lane_of_flow: Vec::new(),
             policy: config.policy.make(),
             extractor: extractor(&config),
             queries: Vec::new(),
@@ -301,7 +313,8 @@ impl Monitor {
     ///
     /// Instances registered this way carry no [`QuerySpec`], so oracle-style
     /// policies cannot build a shadow twin for them and fall back to the
-    /// predicted cycles.
+    /// predicted cycles — and an engine with more than one lane cannot build
+    /// the other lanes' instances, and refuses them.
     pub fn register_instance(
         &mut self,
         query: Box<dyn Query>,
@@ -309,6 +322,41 @@ impl Monitor {
         min_rate: Option<f64>,
     ) -> Result<QueryId, NetshedError> {
         self.register_inner(query, None, label, min_rate)
+    }
+
+    /// A query as it stands right after registration: a fresh predictor and
+    /// sampled extractor, the registration-time flow hasher, clean
+    /// enforcement state and one instance per lane — `query` on lane 0, the
+    /// others built from `spec` (a bare instance has only the one).
+    fn new_query(
+        &self,
+        id: QueryId,
+        label: String,
+        min_rate: f64,
+        spec: Option<QuerySpec>,
+        query: Box<dyn Query>,
+    ) -> RegisteredQuery {
+        let shedding = query.preferred_shedding();
+        let others =
+            spec.iter().flat_map(|spec| (1..self.lane_count).map(|_| build_query_from_spec(spec)));
+        RegisteredQuery {
+            id,
+            label,
+            shedding,
+            min_rate,
+            flow_hasher: flow_hasher(self.config.seed, id, 0),
+            hasher_generation: 0,
+            overuse_ratio: 1.0,
+            violations: 0,
+            penalty_remaining: 0,
+            lanes: std::iter::once(query).chain(others).map(LaneQuery::new).collect(),
+            shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
+            spec,
+            predictor: self.config.predictor.make(),
+            sampled_extractor: extractor(&self.config),
+            shed_pool: KeepListPool::new(),
+            slot: BinSlot::default(),
+        }
     }
 
     fn register_inner(
@@ -326,17 +374,18 @@ impl Monitor {
                 )));
             }
         }
+        if spec.is_none() && self.lane_count > 1 {
+            return Err(NetshedError::InvalidConfig(format!(
+                "'{}' is a bare instance: {} lanes need a QuerySpec to build one each from",
+                label.as_deref().unwrap_or(query.name()),
+                self.lane_count
+            )));
+        }
         let id = QueryId(self.next_query_id);
         self.next_query_id += 1;
-        self.queries.push(RegisteredQuery::new(
-            &self.config,
-            id,
-            label.unwrap_or_else(|| query.name().to_string()),
-            min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0),
-            spec,
-            query,
-            self.policy.needs_measured_cycles(),
-        ));
+        let label = label.unwrap_or_else(|| query.name().to_string());
+        let min_rate = min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0);
+        self.queries.push(self.new_query(id, label, min_rate, spec, query));
         Ok(id)
     }
 
@@ -378,6 +427,12 @@ impl Monitor {
         self.config.workers
     }
 
+    /// Number of lanes query execution is sharded over (1 unless the monitor
+    /// sits behind a [`ShardedMonitor`](crate::ShardedMonitor)).
+    pub fn lane_count(&self) -> usize {
+        self.lane_count
+    }
+
     /// Cumulative per-stage wall time of the bins processed so far, and the
     /// tasks dispatched. See [`StageStats`].
     pub fn stage_stats(&self) -> StageStats {
@@ -400,30 +455,24 @@ impl Monitor {
         self.close_interval()
     }
 
-    /// Replaces the cycle budget of the *next* bins.
+    /// Replaces the cycle budget of the *next* bins; the capture buffer keeps
+    /// the depth it was built with.
     ///
-    /// This is the cross-shard coordinator's knob: only the compute budget
-    /// (`capacity_cycles_per_bin`) moves — the capture buffer keeps the
-    /// depth it was built with, because buffer memory models the NIC-drain
-    /// capacity of the deployment, which reallocating compute does not
-    /// change. The budget must be positive and finite (enforced by
-    /// [`Monitor::process_batch`] as `CapacityUnderflow` otherwise).
+    /// Vestigial: the retired cross-shard coordinator's knob. No engine calls
+    /// it; `benchmark/src/sut.rs` pins the name for its stand-alone lane
+    /// replicas until a benchmark-only PR frees it (ROADMAP item 2(i)).
+    #[doc(hidden)]
     pub fn set_bin_capacity(&mut self, cycles_per_bin: f64) {
         self.config.capacity_cycles_per_bin = cycles_per_bin;
     }
 
-    /// Advances the measurement-interval clock over an *empty* bin,
-    /// returning the closed interval's outputs when the bin starts a new
-    /// interval — the interval-bookkeeping head of
-    /// [`Monitor::process_batch`] without any packet work.
+    /// Advances the measurement-interval clock over an *empty* bin, returning
+    /// the closed interval's outputs when the bin starts a new interval.
     ///
-    /// [`Monitor::run`] skips empty bins entirely, which is sound for a
-    /// single monitor (the next non-empty batch closes the interval).
-    /// Lock-step lane fleets cannot skip: every lane must close intervals on
-    /// the *same* bins, including lanes that happened to receive no packets
-    /// for a bin whose global batch was non-empty. Such drivers feed every
-    /// lane every bin — non-empty sub-batches through `process_batch`, empty
-    /// ones through this method.
+    /// Vestigial, like [`Monitor::set_bin_capacity`]: the lock-step lane
+    /// monitors it served are gone ([`Engine::run`] skips empty bins), and the
+    /// name waits for the same benchmark-only PR.
+    #[doc(hidden)]
     pub fn advance_empty_bin(&mut self, batch: &Batch) -> Option<Vec<(String, QueryOutput)>> {
         self.roll_interval(batch.measurement_interval(self.config.measurement_interval_us))
     }
@@ -454,7 +503,10 @@ impl Monitor {
         Engine::run(self, source, observer)
     }
 
-    /// Collects the per-query outputs for the interval that just ended.
+    /// Collects the per-query outputs for the interval that just ended: per
+    /// query, lane 0's output with the other lanes' folded in, in lane order,
+    /// under the per-variant rules of [`QueryOutput::merge_lanes`] (the
+    /// identity when there is one lane).
     fn close_interval(&mut self) -> Vec<(String, QueryOutput)> {
         self.queries
             .iter_mut()
@@ -465,7 +517,12 @@ impl Monitor {
                 if let Some(shadow) = registered.shadow.as_mut() {
                     let _ = shadow.end_interval();
                 }
-                (registered.label.clone(), registered.query.end_interval())
+                let mut lanes = registered.lanes.iter_mut().map(|lane| lane.query.end_interval());
+                // lint:allow(no-unwrap): a registered query has one instance per lane and a monitor at least one lane
+                let mut output = lanes.next().expect("a query runs on at least one lane");
+                let others: Vec<QueryOutput> = lanes.collect();
+                output.merge_lanes(&others);
+                (registered.label.clone(), output)
             })
             .collect()
     }
@@ -477,6 +534,10 @@ impl Monitor {
     /// query's enforcement counters. Derivable state (H3 hashers, scratch
     /// buffers, execution telemetry) is reconstructed on load instead of
     /// stored.
+    ///
+    /// Of a query's lane instances only lane 0's is written, where the
+    /// query's state always sat, so the layout does not depend on the lane
+    /// count; the other lanes' go through [`Monitor::save_lane_state`].
     ///
     /// Fails with [`StateError::Unsupported`] when a query was registered
     /// through [`Monitor::register_instance`] (no [`QuerySpec`] to rebuild it
@@ -516,7 +577,7 @@ impl Monitor {
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            registered.query.save_state(writer)?;
+            registered.lanes[0].query.save_state(writer)?;
             match &registered.shadow {
                 None => writer.bool(false),
                 Some(shadow) => {
@@ -528,6 +589,40 @@ impl Monitor {
             registered.sampled_extractor.save_state(writer);
         }
         writer.u64(self.next_query_id);
+        Ok(())
+    }
+
+    /// Serializes what [`Monitor::save_state`] leaves out when there is more
+    /// than one lane: the lane count, then per query in registration order
+    /// the instances of lanes 1 and up, in lane order.
+    pub fn save_lane_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
+        writer.usize(self.lane_count);
+        for lane in self.queries.iter().flat_map(|registered| &registered.lanes[1..]) {
+            lane.query.save_state(writer)?;
+        }
+        Ok(())
+    }
+
+    /// Restores state written by [`Monitor::save_lane_state`], after
+    /// [`Monitor::load_state`] has restored the registry. Lanes own query
+    /// state, so a section written at another lane count is a
+    /// [`StateError::Mismatch`] naming both; a table no run could have
+    /// written is rejected by the query's own loader, with the lane named.
+    pub fn load_lane_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+        let lanes = reader.usize()?;
+        if lanes != self.lane_count {
+            return Err(StateError::mismatch("lanes", lanes, self.lane_count));
+        }
+        for registered in &mut self.queries {
+            for (lane, instance) in registered.lanes.iter_mut().enumerate().skip(1) {
+                instance.query.load_state(reader).map_err(|error| match error {
+                    StateError::Corrupt(message) => {
+                        StateError::corrupt(format!("lane {lane}: {message}"))
+                    }
+                    other => other,
+                })?;
+            }
+        }
         Ok(())
     }
 
@@ -564,7 +659,6 @@ impl Monitor {
         self.current_interval = reader.opt_u64()?;
         self.policy.load_state(reader)?;
         let count = reader.usize()?;
-        let needs_shadow = self.policy.needs_measured_cycles();
         self.queries.clear();
         for _ in 0..count {
             let id = QueryId(reader.u64()?);
@@ -575,21 +669,13 @@ impl Monitor {
             let overuse_ratio =
                 bounded(reader.f64()?, &format!("query '{label}' overuse_ratio"), f64::MAX)?;
             let query = build_query_from_spec(&spec);
-            let mut registered = RegisteredQuery::new(
-                &self.config,
-                id,
-                label,
-                min_rate,
-                Some(spec),
-                query,
-                needs_shadow,
-            );
+            let mut registered = self.new_query(id, label, min_rate, Some(spec), query);
             registered.flow_hasher = flow_hasher(self.config.seed, id, hasher_generation);
             registered.hasher_generation = hasher_generation;
             registered.overuse_ratio = overuse_ratio;
             registered.violations = reader.u32()?;
             registered.penalty_remaining = reader.u32()?;
-            registered.query.load_state(reader)?;
+            registered.lanes[0].query.load_state(reader)?;
             if reader.bool()? {
                 let Some(shadow) = registered.shadow.as_mut() else {
                     return Err(StateError::corrupt(format!(

@@ -78,7 +78,7 @@ impl RunObserver for NullObserver {}
 /// A [`RunSummary`] can observe a run directly, accumulating itself.
 impl RunObserver for RunSummary {
     fn on_bin(&mut self, record: &BinRecord) {
-        self.absorb(std::slice::from_ref(record));
+        self.absorb(record);
     }
 
     fn on_end(&mut self, summary: &RunSummary) {

@@ -52,7 +52,7 @@
 //! — so every lane of a fleet and every daemon restore builds its own.
 
 use crate::capture::bounded;
-use netshed_fairness::{Allocation, AllocationStrategy, MmfsCpu, QueryDemand};
+use netshed_fairness::{Allocation, AllocationStrategy, QueryDemand};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
 /// Everything a [`ControlPolicy`] sees when deciding one bin, in
@@ -208,14 +208,6 @@ pub trait ControlPolicy: Send {
         false
     }
 
-    /// The allocator a fleet's coordinator divides the global budget over
-    /// its lanes with. Policies built around an allocator answer with their
-    /// own, so lanes and queries are arbitrated by one rule; max-min CPU
-    /// fairness is the neutral default for the rest.
-    fn allocator(&self) -> &dyn AllocationStrategy {
-        &MmfsCpu
-    }
-
     /// Serializes the policy's cross-bin state for a checkpoint. The default
     /// writes nothing — correct for stateless policies (all the built-ins
     /// except [`HysteresisReactivePolicy`]); stateful policies must override
@@ -241,10 +233,6 @@ impl ControlPolicy for Box<dyn ControlPolicy> {
 
     fn needs_measured_cycles(&self) -> bool {
         self.as_ref().needs_measured_cycles()
-    }
-
-    fn allocator(&self) -> &dyn AllocationStrategy {
-        self.as_ref().allocator()
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
@@ -349,10 +337,6 @@ impl ControlPolicy for ReactivePolicy {
     fn name(&self) -> String {
         reactive_family_name("reactive", self.allocator.as_ref())
     }
-
-    fn allocator(&self) -> &dyn AllocationStrategy {
-        self.allocator.as_ref()
-    }
 }
 
 /// The paper's predictive scheme (Algorithm 1): inflate the predicted demand
@@ -394,10 +378,6 @@ impl ControlPolicy for PredictivePolicy {
 
     fn name(&self) -> String {
         self.allocator.name().to_string()
-    }
-
-    fn allocator(&self) -> &dyn AllocationStrategy {
-        self.allocator.as_ref()
     }
 }
 
@@ -452,10 +432,6 @@ impl ControlPolicy for OraclePolicy {
     fn needs_measured_cycles(&self) -> bool {
         true
     }
-
-    fn allocator(&self) -> &dyn AllocationStrategy {
-        self.allocator.as_ref()
-    }
 }
 
 /// A reactive variant with hysteresis: the rate follows Eq. 4.1 *down*
@@ -500,10 +476,6 @@ impl ControlPolicy for HysteresisReactivePolicy {
 
     fn name(&self) -> String {
         reactive_family_name("reactive_hysteresis", self.allocator.as_ref())
-    }
-
-    fn allocator(&self) -> &dyn AllocationStrategy {
-        self.allocator.as_ref()
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {

@@ -109,24 +109,16 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Folds one bin into the summary: its records in lane order — one for a
-    /// solo monitor, one per non-idle lane for a fleet. The bin counts once
-    /// and contributes one `cycles_per_bin` entry (the lanes' cycles summed);
-    /// every record contributes its packets, its drops and one prediction
-    /// error sample.
-    pub fn absorb(&mut self, records: &[BinRecord]) {
+    /// Folds one bin's record into the summary.
+    pub fn absorb(&mut self, record: &BinRecord) {
         self.bins += 1;
-        let mut cycles = 0.0;
-        for record in records {
-            self.total_packets += record.incoming_packets;
-            self.total_uncontrolled_drops += record.uncontrolled_drops;
-            cycles += record.total_cycles();
-            if record.query_cycles > 0.0 {
-                self.prediction_errors
-                    .push((1.0 - record.predicted_cycles / record.query_cycles).abs());
-            }
+        self.total_packets += record.incoming_packets;
+        self.total_uncontrolled_drops += record.uncontrolled_drops;
+        self.cycles_per_bin.push(record.total_cycles());
+        if record.query_cycles > 0.0 {
+            self.prediction_errors
+                .push((1.0 - record.predicted_cycles / record.query_cycles).abs());
         }
-        self.cycles_per_bin.push(cycles);
     }
 
     /// Fraction of all packets that were dropped without control.
@@ -185,8 +177,8 @@ mod tests {
     #[test]
     fn summary_accumulates_bins_and_drops() {
         let mut summary = RunSummary::default();
-        summary.absorb(&[record(100.0, 90.0)]);
-        summary.absorb(&[record(200.0, 210.0)]);
+        summary.absorb(&record(100.0, 90.0));
+        summary.absorb(&record(200.0, 210.0));
         assert_eq!(summary.bins, 2);
         assert_eq!(summary.total_packets, 200);
         assert_eq!(summary.total_uncontrolled_drops, 20);
@@ -206,10 +198,10 @@ mod tests {
     fn summaries_compare_for_roundtrip_tests() {
         let mut a = RunSummary::default();
         let mut b = RunSummary::default();
-        a.absorb(&[record(100.0, 90.0)]);
-        b.absorb(&[record(100.0, 90.0)]);
+        a.absorb(&record(100.0, 90.0));
+        b.absorb(&record(100.0, 90.0));
         assert_eq!(a, b);
-        b.absorb(&[record(1.0, 1.0)]);
+        b.absorb(&record(1.0, 1.0));
         assert_ne!(a, b);
     }
 }

@@ -335,10 +335,6 @@ impl ControlPolicy for DegradationGuard {
         self.inner.needs_measured_cycles()
     }
 
-    fn allocator(&self) -> &dyn AllocationStrategy {
-        self.inner.allocator()
-    }
-
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         self.inner.save_state(writer)?;
         writer.opt_f64(self.expected);
@@ -432,10 +428,6 @@ impl ControlPolicy for AllocationGameAttacker {
 
     fn needs_measured_cycles(&self) -> bool {
         self.inner.needs_measured_cycles()
-    }
-
-    fn allocator(&self) -> &dyn AllocationStrategy {
-        self.inner.allocator()
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {

@@ -53,9 +53,8 @@ use crate::snapshot::{Snapshot, SnapshotError};
 pub const DEFAULT_BINS_PER_TICK: u64 = 64;
 
 /// Names of the service-plane `.nsck` sections every daemon checkpoint
-/// carries; the hosted engine contributes its own sections between `config`
-/// and `daemon` (`monitor` for a solo run, `shard.{i}` + `sharded` for a
-/// fleet).
+/// carries; the hosted engine contributes its own between `config` and
+/// `daemon` (`monitor`, and `lanes` when it has more than one).
 const SECTION_CONFIG: &str = "config";
 const SECTION_DAEMON: &str = "daemon";
 const SECTION_DIGEST: &str = "digest";

@@ -492,12 +492,45 @@ fn a_sharded_daemon_run_matches_the_fleet_run_exactly() {
     assert_eq!(daemon.bins_ingested(), TRACE_BINS as u64);
 }
 
+/// A checkpoint of engine `E` nine bins into the recorded trace — inside a
+/// measurement interval, so every query table is populated.
+fn checkpoint_at_bin_nine<E: MonitorEngine>(config: &MonitorConfig) -> Vec<u8> {
+    let (daemon, _control) = Daemon::new(engine_with_queries::<E>(config), recorded_trace());
+    let mut daemon = daemon.with_bins_per_tick(9);
+    assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 9 }));
+    daemon.checkpoint().expect("checkpoint")
+}
+
+/// Restores a fleet of `lanes` lanes from `bytes`, for the error.
+fn restore_fleet(config: &MonitorConfig, lanes: usize, bytes: &[u8]) -> Result<(), ServiceError> {
+    let config = config.clone().with_shard_lanes(lanes);
+    Daemon::<_, ShardedMonitor>::restore_engine(config, recorded_trace(), bytes).map(|_| ())
+}
+
+/// The lane counts of a restore that failed on them: (snapshot's, engine's).
+fn lane_mismatch(error: ServiceError) -> (String, String) {
+    match error {
+        ServiceError::Snapshot(SnapshotError::State(StateError::Mismatch {
+            what,
+            found,
+            expected,
+        })) => {
+            assert_eq!(what, "lanes");
+            // Snapshot value first, live value second — like every other mismatch.
+            (found, expected)
+        }
+        other => panic!("expected a lane-count mismatch naming both sides, got {other}"),
+    }
+}
+
 #[test]
 fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
-    // One .nsck carries the whole fleet: per-lane `shard.{i}` sections plus
-    // the coordinator's `sharded` section. Restoring at a different
-    // shard-thread count must finish on the uninterrupted run's digest —
-    // `shards`, like `workers`, is a pure wall-clock knob.
+    // One .nsck carries the whole fleet: the `monitor` section a solo engine
+    // writes (the one control loop, every query's lane-0 instance) plus a
+    // `lanes` section (the lane count, the other lanes' query state).
+    // Restoring at a different shard-thread count must finish on the
+    // uninterrupted run's digest — `shards`, like `workers`, is a pure
+    // wall-clock knob.
     let config = overloaded_config(1).with_shard_lanes(4);
     let reference = run_digest::<ShardedMonitor>(&config);
 
@@ -513,11 +546,7 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
     drop(daemon);
 
     let snapshot = Snapshot::from_bytes(&bytes).expect("valid container");
-    for lane in 0..4 {
-        let section = format!("shard.{lane}");
-        assert!(snapshot.section(&section).is_ok(), "checkpoint carries {section}");
-    }
-    assert!(snapshot.section("sharded").is_ok(), "checkpoint carries the coordinator");
+    assert_eq!(snapshot.section_names(), ["config", "monitor", "lanes", "daemon", "digest"]);
 
     for shards in [1usize, 2, 4] {
         let (mut resumed, _control) = Daemon::<_, ShardedMonitor>::restore_engine(
@@ -537,87 +566,89 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
         );
     }
 
-    // A fleet with a different lane partition must refuse the checkpoint:
-    // lanes own state, so the lane count is configuration, not a knob.
-    let error = Daemon::<_, ShardedMonitor>::restore_engine(
-        config.with_shard_lanes(2),
-        recorded_trace(),
-        &bytes,
-    )
-    .map(|_| ())
-    .unwrap_err();
-    // Snapshot value first, live value second — like every other mismatch.
-    match error {
-        ServiceError::Snapshot(SnapshotError::State(StateError::Mismatch {
-            what,
-            found,
-            expected,
-        })) => {
-            assert_eq!(what, "sharded.lanes");
-            assert_eq!((found.as_str(), expected.as_str()), ("4", "2"));
-        }
-        other => panic!("expected a lane-count mismatch naming both sides, got {other}"),
-    }
+    // An engine with a different lane partition must refuse the checkpoint:
+    // lanes own query state, so the lane count is configuration, not a knob.
+    let counts = |lanes| {
+        let (found, expected) = lane_mismatch(restore_fleet(&config, lanes, &bytes).unwrap_err());
+        (found.parse::<usize>().expect("a count"), expected.parse::<usize>().expect("a count"))
+    };
+    assert_eq!(counts(2), (4, 2));
+    assert_eq!(counts(1), (4, 1));
+    let solo = Daemon::<_, Monitor>::restore_engine(config.clone(), recorded_trace(), &bytes);
+    assert_eq!(lane_mismatch(solo.map(|_| ()).unwrap_err()), ("4".into(), "1".into()));
 }
 
 #[test]
-fn a_crafted_coordinator_section_is_rejected_naming_lane_and_field() {
-    // A `.nsck` is outside input and its checksums are not cryptographic: a
-    // re-encoded container is checksum-valid whatever its `sharded` section
-    // holds. A budget or demand the coordinator could never have written
-    // must fail the restore, not wedge the fleet in CapacityUnderflow or
-    // reach the allocator.
-    let config = overloaded_config(1).with_shard_lanes(4);
-    let (daemon, _control) =
-        Daemon::new(engine_with_queries::<ShardedMonitor>(&config), recorded_trace());
-    let mut daemon = daemon.with_bins_per_tick(9);
-    assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 9 }));
-    let honest = daemon.checkpoint().expect("checkpoint");
-    let restore = |bytes: &[u8]| {
-        Daemon::<_, ShardedMonitor>::restore_engine(config.clone(), recorded_trace(), bytes)
-            .map(|_| ())
-    };
-    restore(&honest).expect("the honest checkpoint restores");
+fn a_one_lane_fleet_checkpoint_is_the_solo_checkpoint() {
+    // One engine, one schema: with one lane there is no `lanes` section and
+    // the bytes are the solo monitor's, so either type restores the other's —
+    // and a fleet with more lanes refuses both, naming the counts.
+    let config = overloaded_config(1).with_shard_lanes(1);
+    let solo_bytes = checkpoint_at_bin_nine::<Monitor>(&config);
+    let fleet_bytes = checkpoint_at_bin_nine::<ShardedMonitor>(&config);
+    assert!(solo_bytes == fleet_bytes, "a one-lane fleet writes the solo monitor's bytes");
 
-    // The section: a u64 lane count, then (capacity, demand) per lane.
-    let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
-    let craft = |lane: usize, field: usize, poison: f64| {
-        let mut crafted = Snapshot::new();
-        for name in snapshot.section_names() {
-            let mut body = snapshot.section(name).expect("listed section").to_vec();
-            if name == "sharded" {
-                let at = 8 + (lane * 2 + field) * 8;
-                body[at..at + 8].copy_from_slice(&poison.to_le_bytes());
-            }
-            crafted.push(name, body).expect("section");
-        }
-        crafted.to_bytes()
-    };
-    assert_eq!(craft(0, 0, daemon.monitor().lane_capacities()[0]), honest, "re-encoding is exact");
+    let reference = run_digest::<Monitor>(&config);
+    let (mut resumed, _control) =
+        Daemon::<_, ShardedMonitor>::restore_engine(config.clone(), recorded_trace(), &solo_bytes)
+            .expect("a one-lane fleet restores a solo checkpoint");
+    resumed.run_to_exhaustion().expect("resume");
+    assert_eq!(resumed.digest(), reference);
 
-    for (lane, field, label, poisons) in [
-        (0, 0, "capacity", &[f64::NAN, f64::INFINITY, 0.0, -1.0e6][..]),
-        (3, 0, "capacity", &[f64::NEG_INFINITY, -0.0][..]),
-        (2, 1, "demand", &[f64::NAN, f64::INFINITY, -1.0][..]),
-    ] {
-        for &poison in poisons {
-            let error = restore(&craft(lane, field, poison)).expect_err("must not restore");
-            let ServiceError::Snapshot(SnapshotError::State(StateError::Corrupt(message))) = &error
-            else {
-                panic!(
-                    "lane {lane} {label} = {poison}: expected a corrupt-state error, got {error}"
-                );
-            };
-            assert!(
-                message.contains(&format!("lane {lane} {label}")),
-                "lane {lane} {label} = {poison}: {message}"
-            );
-        }
-    }
+    let error = restore_fleet(&config, 4, &solo_bytes).unwrap_err();
+    assert_eq!(lane_mismatch(error), ("1".into(), "4".into()));
 }
 
-/// Reads a monitor section (`monitor`, or a fleet's `shard.{i}`) the way
-/// `Monitor::load_state` does, up to the registry's query count, which it
+#[test]
+fn a_pre_change_fleet_layout_is_a_typed_error_not_a_panic() {
+    // Before the fleet became one control loop a sharded checkpoint held a
+    // whole monitor per lane (`shard.0` ... `shard.3`) and a coordinator
+    // section (`sharded`), and no `monitor` or `lanes` section. The container
+    // version did not move (solo sections are byte-identical), so such a file
+    // still parses — and must be refused by name, whichever half it lacks.
+    let config = overloaded_config(1).with_shard_lanes(4);
+    let honest = checkpoint_at_bin_nine::<ShardedMonitor>(&config);
+    let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
+    let relaid = |keep_monitor: bool| {
+        let mut old = Snapshot::new();
+        for name in snapshot.section_names() {
+            let body = snapshot.section(name).expect("listed section").to_vec();
+            match name {
+                // The lane monitors: each a full solo-layout section.
+                "monitor" => {
+                    for lane in 0..4 {
+                        old.push(&format!("shard.{lane}"), body.clone()).expect("section");
+                    }
+                    if keep_monitor {
+                        old.push(name, body).expect("section");
+                    }
+                }
+                // The coordinator: a lane count, then (budget, demand) per lane.
+                "lanes" => {
+                    let mut coordinator = StateWriter::new();
+                    coordinator.u64(4);
+                    (0..8).for_each(|_| coordinator.f64(1.0e5));
+                    old.push("sharded", coordinator.into_bytes()).expect("section");
+                }
+                _ => old.push(name, body).expect("section"),
+            }
+        }
+        old.to_bytes()
+    };
+
+    match restore_fleet(&config, 4, &relaid(false)).unwrap_err() {
+        ServiceError::Snapshot(SnapshotError::MissingSection { name }) => {
+            assert_eq!(name, "monitor");
+        }
+        other => panic!("expected the missing `monitor` section to be named, got {other}"),
+    }
+    // With a control loop to restore but no per-lane query state, the file is
+    // what a one-lane engine writes.
+    let error = restore_fleet(&config, 4, &relaid(true)).unwrap_err();
+    assert_eq!(lane_mismatch(error), ("1".into(), "4".into()));
+}
+
+/// Reads a `monitor` section the way `Monitor::load_state` does, up to the registry's query count, which it
 /// returns; `float` is called on every float on the way: (field, reader).
 fn read_control_loop(
     reader: &mut StateReader<'_>,
@@ -681,10 +712,7 @@ fn control_float_offsets(section: &[u8]) -> Vec<(String, usize)> {
 /// `section` replaced at a time: every value the save side could not have
 /// written must fail the restore naming the field.
 fn assert_crafted_floats_are_rejected<M: MonitorEngine>(config: &MonitorConfig, section: &str) {
-    let (daemon, _control) = Daemon::new(engine_with_queries::<M>(config), recorded_trace());
-    let mut daemon = daemon.with_bins_per_tick(9);
-    assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 9 }));
-    let honest = daemon.checkpoint().expect("checkpoint");
+    let honest = checkpoint_at_bin_nine::<M>(config);
     let restore = |bytes: &[u8]| {
         Daemon::<_, M>::restore_engine(config.clone(), recorded_trace(), bytes).map(|_| ())
     };
@@ -732,12 +760,12 @@ fn assert_crafted_floats_are_rejected<M: MonitorEngine>(config: &MonitorConfig, 
 #[test]
 fn crafted_control_loop_floats_are_rejected_naming_the_field() {
     // A NaN in `error_ewma` used to restore cleanly and feed every later
-    // `ControlContext`. Solo, the floats live in the `monitor` section; in a
-    // fleet every lane carries its own in `shard.{i}`.
+    // `ControlContext`. There is one control loop whatever the lane count,
+    // and its floats live in the `monitor` section.
     assert_crafted_floats_are_rejected::<Monitor>(&overloaded_config(1), "monitor");
     assert_crafted_floats_are_rejected::<ShardedMonitor>(
         &overloaded_config(1).with_shard_lanes(4),
-        "shard.2",
+        "monitor",
     );
 }
 
@@ -828,62 +856,99 @@ fn query_state_spans(
         .collect()
 }
 
-#[test]
-fn a_crafted_query_table_is_rejected_naming_query_and_entry() {
-    // The tables of `flows`, `top-k`, `super-sources`, `autofocus`,
-    // `p2p-detector` and `application` are restored by re-inserting their
-    // entries. A table that lists a key twice used to restore shorter than
-    // it declares, the later value silently winning — a state no run
-    // reaches and no checkpoint re-serialises to — and a NaN weight went
-    // straight into the interval's sums.
-    let config = MonitorConfig::default().with_capacity(1e12).with_seed(11).without_noise();
-    let mut monitor = Monitor::new(config.clone());
+/// Where the state of each registered query's instance on `lane` (1 and up)
+/// sits in a `lanes` section: a lane count, then per query the instances of
+/// lanes 1 and up in lane order.
+fn lane_state_spans(
+    section: &[u8],
+    specs: &[QuerySpec],
+    lane: usize,
+) -> Vec<(QuerySpec, std::ops::Range<usize>)> {
+    let mut reader = StateReader::new(section);
+    let lanes = reader.usize().expect("lane count");
+    let mut spans = Vec::new();
+    for spec in specs {
+        for instance in 1..lanes {
+            let start = section.len() - reader.remaining();
+            build_query_from_spec(spec).load_state(&mut reader).expect("query state");
+            if instance == lane {
+                spans.push((spec.clone(), start..section.len() - reader.remaining()));
+            }
+        }
+    }
+    reader.finish().expect("the section holds nothing else");
+    spans
+}
+
+/// Checkpoints engine `M` running all ten query kinds mid-interval, then
+/// re-encodes the snapshot with one keyed table of one query instance crafted
+/// at a time — the lane-0 instances in the `monitor` section, or with `lane`
+/// that lane's in the `lanes` section: a key listed twice, or a weight no run
+/// could have summed, must fail the restore naming the table and the entry
+/// (and the lane, when it is not lane 0).
+fn assert_crafted_query_tables_are_rejected<M: MonitorEngine>(
+    config: &MonitorConfig,
+    lane: Option<usize>,
+) {
+    let mut engine = M::from_config(config.clone()).expect("valid configuration");
     for kind in QueryKind::ALL {
         // Only a custom-shedding detector tracks per-flow inspection counts.
         let spec = match kind {
             QueryKind::P2pDetector => QuerySpec::new(kind).with_custom(CustomBehavior::Honest),
             _ => QuerySpec::new(kind),
         };
-        monitor.register(&spec).expect("valid spec");
+        engine.register(&spec).expect("valid spec");
     }
-    let (daemon, _control) = Daemon::new(monitor, recorded_trace());
+    let (daemon, _control) = Daemon::new(engine, recorded_trace());
     // Nine bins: inside a measurement interval, so every table is populated.
     let mut daemon = daemon.with_bins_per_tick(9);
     assert!(matches!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 9 }));
     let honest = daemon.checkpoint().expect("checkpoint");
-    let restore = |bytes: &[u8]| Daemon::restore(config.clone(), recorded_trace(), bytes);
+    let restore =
+        |bytes: &[u8]| Daemon::<_, M>::restore_engine(config.clone(), recorded_trace(), bytes);
     let (restored, _control) = restore(&honest).expect("the honest checkpoint restores");
-    assert_eq!(
-        restored.checkpoint().expect("checkpoint"),
-        honest,
+    assert!(
+        restored.checkpoint().expect("checkpoint") == honest,
         "all ten query kinds re-serialise byte for byte"
     );
 
     let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
-    let section = snapshot.section("monitor").expect("monitor section");
-    // Re-encodes the container with the state of one query replaced.
+    let monitor_spans =
+        query_state_spans(snapshot.section("monitor").expect("monitor section"), config);
+    let (crafted_section, spans) = match lane {
+        None => ("monitor", monitor_spans),
+        Some(lane) => {
+            let specs: Vec<QuerySpec> = monitor_spans.into_iter().map(|(spec, _)| spec).collect();
+            let section = snapshot.section("lanes").expect("lanes section");
+            ("lanes", lane_state_spans(section, &specs, lane))
+        }
+    };
+    let section = snapshot.section(crafted_section).expect("listed section");
+    // Re-encodes the container with the state of one query instance replaced.
     let craft = |span: &std::ops::Range<usize>, state: &[u8]| {
         let mut crafted = Snapshot::new();
         for name in snapshot.section_names() {
             let mut body = snapshot.section(name).expect("listed section").to_vec();
-            if name == "monitor" {
+            if name == crafted_section {
                 body.splice(span.clone(), state.iter().copied());
             }
             crafted.push(name, body).expect("section");
         }
         crafted.to_bytes()
     };
+    let named_lane = lane.map_or(String::new(), |lane| format!("lane {lane}: "));
     let rejection = |bytes: &[u8], context: &str| {
         let error = restore(bytes).map(|_| ()).expect_err("must not restore");
         let ServiceError::Snapshot(SnapshotError::State(StateError::Corrupt(message))) = error
         else {
             panic!("{context}: expected a corrupt-state error, got {error}");
         };
+        assert!(message.starts_with(&named_lane), "{context}: {message}");
         message
     };
 
     let mut crafted_tables = 0;
-    for (spec, span) in query_state_spans(section, &config) {
+    for (spec, span) in spans {
         // Decode the query's tables; what follows them stays as it is.
         let layout = checkpointed_tables(spec.kind);
         let mut reader = StateReader::new(&section[span.clone()]);
@@ -937,4 +1002,33 @@ fn a_crafted_query_table_is_rejected_naming_query_and_entry() {
         }
     }
     assert_eq!(crafted_tables, 8, "six queries, two of them with two tables");
+}
+
+#[test]
+fn a_crafted_query_table_is_rejected_naming_query_and_entry() {
+    // The tables of `flows`, `top-k`, `super-sources`, `autofocus`,
+    // `p2p-detector` and `application` are restored by re-inserting their
+    // entries. A table that lists a key twice used to restore shorter than
+    // it declares, the later value silently winning — a state no run
+    // reaches and no checkpoint re-serialises to — and a NaN weight went
+    // straight into the interval's sums.
+    let config = MonitorConfig::default().with_capacity(1e12).with_seed(11).without_noise();
+    assert_crafted_query_tables_are_rejected::<Monitor>(&config, None);
+}
+
+#[test]
+fn a_crafted_lane_query_table_is_rejected_naming_lane_query_and_entry() {
+    // A fleet's `lanes` section is outside input like the rest of a `.nsck`:
+    // the query instances of lanes 1 and up restore through the same loaders
+    // as the lane-0 ones in `monitor`, so a repeated key or a NaN / infinite /
+    // negative weight in *their* tables must fail the restore too — naming
+    // the lane beside the table and the entry. Two lanes, so that each lane's
+    // share of the trace still populates every table.
+    let config = MonitorConfig::default()
+        .with_capacity(1e12)
+        .with_seed(11)
+        .without_noise()
+        .with_shard_lanes(2);
+    assert_crafted_query_tables_are_rejected::<ShardedMonitor>(&config, None);
+    assert_crafted_query_tables_are_rejected::<ShardedMonitor>(&config, Some(1));
 }

@@ -12,8 +12,8 @@
 //! The store is *struct-of-arrays*: timestamps, five-tuples, IP lengths and
 //! TCP flags each live in their own dense column, built once per batch.
 //! Consumers that stream one attribute — [`BatchStats`] accumulation, the
-//! flow grouping, shard routing — walk a contiguous column instead of
-//! striding over a packet struct, and payload bytes (the one cold,
+//! flow grouping — walk a contiguous column instead of striding over a
+//! packet struct, and payload bytes (the one cold,
 //! variable-width attribute) never pollute the hot columns. Individual
 //! packets are addressed through the cheap [`PacketRef`] accessor; [`Packet`]
 //! remains the construction and interop type.
@@ -24,8 +24,9 @@
 //!   columns are filled,
 //! * the [`FlowIndex`] (packets grouped by 5-tuple, ten bitmap slots per
 //!   flow) feeding the fused feature extractor, flowwise sampling and the
-//!   flow-keyed queries — the "locate once per flow" invariant — lazy, so a
-//!   batch nothing examines (a recording, a lane-split parent) hashes nothing.
+//!   flow-keyed queries and a fleet's lane routing — the "locate once per
+//!   flow" invariant — lazy, so a batch nothing examines (a recording)
+//!   hashes nothing.
 //!
 //! Steady-state sampling is allocation-free: a [`KeepListPool`] recycles both
 //! the keep-index buffers and their `Arc` control blocks, so
@@ -38,8 +39,8 @@ use bytes::Bytes;
 use netshed_sketch::hash_bytes;
 use std::sync::{Arc, OnceLock};
 
-/// Fixed seed of the symmetric host-pair shard keys (see
-/// [`PacketStore::shard_keys`]). Deliberately *not* configurable: the shard
+/// Fixed seed of the symmetric host-pair shard keys (see [`shard_key`]).
+/// Deliberately *not* configurable: the shard
 /// routing must agree across every component of a deployment (front end,
 /// checkpoint restore, replay verification), so the seed is part of the wire
 /// contract like the `.nstr` frame checksum seed.
@@ -53,7 +54,8 @@ const SHARD_KEY_SEED: u64 = 0x7368_6172_644b_6579; // "shardKey"
 /// super-sources query shard-atomic; hashing hosts rather than full tuples
 /// keeps every flow of a host pair on one shard regardless of ports. The key
 /// is independent of the shard count — lane assignment reduces it modulo the
-/// number of lanes, so the key column can be shared by any topology.
+/// number of lanes. It is a function of the 5-tuple, so an engine asks it once
+/// per *flow* of a bin ([`PacketStore::flow_lanes`]), never per packet.
 pub fn shard_key(tuple: &FiveTuple) -> u64 {
     let (lo, hi) = if tuple.src_ip <= tuple.dst_ip {
         (tuple.src_ip, tuple.dst_ip)
@@ -69,9 +71,8 @@ pub fn shard_key(tuple: &FiveTuple) -> u64 {
 /// The owning, reference-counted, struct-of-arrays storage behind a
 /// [`Batch`].
 ///
-/// Immutable after construction; the lazy caches (flow index, shard keys)
-/// are initialise-once (`OnceLock`) and therefore safe to share across
-/// threads.
+/// Immutable after construction; the lazy flow index is initialise-once
+/// (`OnceLock`) and therefore safe to share across threads.
 /// Construct through [`PacketStore::builder`] (one streaming pass that fills
 /// every column and the stats) or implicitly through [`Batch::new`].
 pub struct PacketStore {
@@ -91,9 +92,6 @@ pub struct PacketStore {
     stats: BatchStats,
     /// The packets grouped by 5-tuple (see [`PacketStore::flow_index`]).
     flows: OnceLock<FlowIndex>,
-    /// Per-packet shard-routing keys (see [`shard_key`]). Lazy like the
-    /// flow index: single-instance runs never pay for the column.
-    shard_keys: OnceLock<Vec<u64>>,
 }
 
 /// Streaming constructor for a [`PacketStore`]: one pass fills every column
@@ -178,7 +176,6 @@ impl StoreBuilder {
             payloads: self.payloads,
             stats: self.stats,
             flows: OnceLock::new(),
-            shard_keys: OnceLock::new(),
         }
     }
 }
@@ -267,16 +264,14 @@ impl PacketStore {
         self.flows.get_or_init(|| FlowIndex::build(&self.tuples))
     }
 
-    /// The per-packet shard-routing key column (see [`shard_key`]).
-    ///
-    /// Computed in one pass over the tuple column on first request and cached
-    /// for the life of the store, like the flow index: the front end routes
-    /// once, and every shard's view borrows the same column.
-    pub fn shard_keys(&self) -> &[u64] {
-        self.shard_keys.get_or_init(|| {
-            // lint:allow(hot-path-alloc): the once-per-batch key-column build; every later call borrows it
-            self.tuples.iter().map(shard_key).collect()
-        })
+    /// The lane of every flow of the store, by flow id, written into `out`
+    /// (the caller's scratch, refilled in place): `shard_key % lanes` of the
+    /// flow's first packet — one [`shard_key`] per flow, whatever the
+    /// packet count, because every packet of a flow shares the verdict.
+    pub fn flow_lanes(&self, lanes: usize, out: &mut Vec<u32>) {
+        let first = self.flow_index().first().iter();
+        out.clear();
+        out.extend(first.map(|&at| (shard_key(&self.tuples[at as usize]) % lanes as u64) as u32));
     }
 
     /// Copies the columns back into owned [`Packet`]s (interop only; payload
@@ -528,28 +523,27 @@ impl Batch {
         }
     }
 
-    /// Splits the batch into `lanes` per-lane sub-batches by shard-routing
-    /// key (`lane = shard_key % lanes`, see [`shard_key`]).
+    /// Copies the batch into `lanes` per-lane sub-batches by shard-routing key
+    /// (`lane = shard_key % lanes`), each keeping this batch's bin geometry
+    /// and capture order; idle lanes get an empty batch.
     ///
-    /// Every sub-batch keeps this batch's bin geometry (`bin_index`,
-    /// `start_ts`, `duration_us`), so each lane's monitor observes the same
-    /// bin clock and closes measurement intervals on the same bins; lanes
-    /// that receive no packets get an empty batch rather than a gap. Within
-    /// a lane the original timestamp order is preserved (the split is a
-    /// stable partition). Payload bytes are shared, not copied.
+    /// Vestigial: no engine calls it — a fleet routes *views* per flow
+    /// ([`BatchView::split_lanes_with`]) and copies nothing. The name stays
+    /// because `benchmark/src/sut.rs` pins it for its stand-alone lane
+    /// replicas, until a benchmark-only PR frees it (ROADMAP item 2(i)).
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
+    #[doc(hidden)]
     pub fn split_shards(&self, lanes: usize) -> Vec<Batch> {
         assert!(lanes > 0, "split_shards needs at least one lane");
-        let keys = self.packets.shard_keys();
         let mut builders: Vec<StoreBuilder> = Vec::with_capacity(lanes);
         for _ in 0..lanes {
             builders.push(PacketStore::builder(self.len() / lanes + 1));
         }
-        for (packet, key) in self.packets.iter().zip(keys) {
-            let lane = (key % lanes as u64) as usize;
+        for packet in self.packets.iter() {
+            let lane = (shard_key(packet.tuple()) % lanes as u64) as usize;
             builders[lane].push(
                 packet.ts(),
                 *packet.tuple(),
@@ -561,7 +555,7 @@ impl Batch {
         builders
             .into_iter()
             .map(|b| Batch::from_store(self.bin_index, self.start_ts, self.duration_us, b.finish()))
-            .collect() // lint:allow(hot-path-alloc): one lane-batch vector per global bin, not per packet
+            .collect() // lint:allow(hot-path-alloc): off the engines' path — the benchmark's lane replicas only
     }
 
     /// Summary statistics for the batch, accumulated at construction.
@@ -597,6 +591,9 @@ pub struct KeepListPool {
     slots: Vec<Arc<Vec<u32>>>,
     /// [`BatchView::filter_flows_with`]'s scratch: flow id → verdict so far.
     fates: Vec<Option<bool>>,
+    /// [`BatchView::split_lanes_with`]'s scratch: the lane lists being
+    /// filled, swapped into claimed slots when the pass ends.
+    lane_lists: Vec<Vec<u32>>,
 }
 
 impl KeepListPool {
@@ -847,6 +844,32 @@ impl BatchView {
         }
         list.truncate(kept);
         self.with_keep_arc(Arc::clone(&pool.slots[slot]))
+    }
+
+    /// Splits the view into `lanes` views, one per lane, by the lane of each
+    /// packet's flow (`lane_of_flow`, by flow id: [`PacketStore::flow_lanes`]),
+    /// and hands each to `emit` in lane order. One pass over the view; the
+    /// lane views keep its order, share its store and take their keep lists
+    /// from `pool`, so nothing is copied and a warm pool allocates nothing.
+    pub fn split_lanes_with(
+        &self,
+        pool: &mut KeepListPool,
+        lane_of_flow: &[u32],
+        lanes: usize,
+        mut emit: impl FnMut(usize, BatchView),
+    ) {
+        let flow_of = self.store.flow_index().flow_of();
+        // lint:allow(hot-path-alloc): grows the scratch to the lane count once; a zero-capacity Vec never touches the heap
+        pool.lane_lists.resize_with(lanes, Vec::new);
+        for (at, _) in self.indexed_packets() {
+            pool.lane_lists[lane_of_flow[flow_of[at] as usize] as usize].push(at as u32);
+        }
+        for lane in 0..lanes {
+            // The claimed slot's (cleared) buffer becomes the next scratch.
+            let slot = pool.claim();
+            std::mem::swap(Arc::make_mut(&mut pool.slots[slot]), &mut pool.lane_lists[lane]);
+            emit(lane, self.with_keep_arc(Arc::clone(&pool.slots[slot])));
+        }
     }
 
     /// A view over the same bin retaining no packets; its (empty) keep list
@@ -1164,6 +1187,47 @@ mod tests {
         for sub in &lanes {
             assert_eq!(sub.bin_index, 3);
         }
+    }
+
+    #[test]
+    fn lane_views_are_the_split_without_the_copy() {
+        // Sixteen host pairs, five packets each, interleaved.
+        let packets: Vec<Packet> = (0..80u32)
+            .map(|i| {
+                let tuple = FiveTuple::new(i % 16, 1000 + i % 16, 10, 20, 6);
+                Packet::header_only(1000 + u64::from(i), tuple, 100, 0)
+            })
+            .collect();
+        let batch = Batch::new(7, 1000, 100_000, packets);
+        let (mut pool, mut lane_of_flow) = (KeepListPool::new(), Vec::new());
+        for lanes in [1usize, 3, 4] {
+            batch.packets.flow_lanes(lanes, &mut lane_of_flow);
+            assert_eq!(lane_of_flow.len(), 16, "one verdict per flow, not per packet");
+            // A full view and a sampled one: each lane view holds exactly the
+            // lane's packets of the view, in view order, over the one store.
+            let sampled = batch.view().filter_indexed(|at, _| at % 3 != 0);
+            for view in [batch.view(), sampled] {
+                let mut views = Vec::new();
+                view.split_lanes_with(&mut pool, &lane_of_flow, lanes, |lane, lane_view| {
+                    assert_eq!(lane, views.len(), "emitted in lane order");
+                    views.push(lane_view);
+                });
+                assert_eq!(views.len(), lanes);
+                for (lane, lane_view) in views.iter().enumerate() {
+                    assert!(lane_view.shares_store(&view), "no packet is copied");
+                    let expected: Vec<usize> = view
+                        .indexed_packets()
+                        .filter(|(_, p)| (shard_key(p.tuple()) % lanes as u64) as usize == lane)
+                        .map(|(at, _)| at)
+                        .collect();
+                    let got: Vec<usize> = lane_view.indexed_packets().map(|(at, _)| at).collect();
+                    assert_eq!(got, expected, "lane {lane} of {lanes}");
+                }
+            }
+        }
+        // The views of each round were dropped before the next claimed its
+        // slots: the pool holds the widest round and no more.
+        assert_eq!(pool.slots(), 4);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * the `RunSummary` the loop returns on one corpus scenario is pinned to
 //!   the bit — counters, and every `cycles_per_bin` / `prediction_errors`
 //!   element as its `u64` pattern — as captured at the commit before the
-//!   loop was unified (`payload-shift`: quiet bins for the skip-and-count
-//!   path, idle lanes and uncontrolled lane drops for the fleet's fold);
+//!   loop was unified for the solo monitor and re-captured for the fleet
+//!   when its lanes stopped being monitors (`payload-shift`: quiet bins for
+//!   the skip-and-count path, lanes with nothing to run for the fleet);
 //! * the three ways to drive an engine — `run`, daemon ticks, a hand-driven
 //!   `ingest` loop — agree on all three digest streams.
 
@@ -73,48 +74,14 @@ const SOLO: PinnedSummary = PinnedSummary {
     ],
 };
 
-const FLEET: PinnedSummary = PinnedSummary {
-    total_uncontrolled_drops: 59,
-    cycles_per_bin: &[
-        0x40e84b4000000000,
-        0x40c01d0000000000,
-        0x40dd8d8000000000,
-        0x40cd7c8000000000,
-        0x40e628c000000000,
-        0x40bbfa0000000000,
-        0x40a9640000000000,
-        0x40ca440000000000,
-        0x40cb398000000000,
-        0x40d0c00000000000,
-        0x40d6258000000000,
-        0x40d6af4000000000,
-        0x40daf78000000000,
-        0x40dc6a0000000000,
-        0x40e171e000000000,
-        0x40d7e18000000000,
-        0x40d3430000000000,
-        0x40d7260000000000,
-        0x40dec68000000000,
-        0x40d11a4000000000,
-    ],
-    prediction_errors: &[
-        0x3ff0000000000000,
-        0x3ff0000000000000,
-        0x3ff0000000000000,
-        0x3ff0000000000000,
-        0x3fec14e5e0a72f06,
-        0x3fd1a4370c8e5686,
-        0x3fe3edcba9876543,
-        0x400e305160a2c146,
-        0x404a2c909d271446,
-        0x400d19e9b0f1efda,
-        0x40087f9d186f2e8a,
-        0x4032ab8be0547420,
-        0x400207891b00a0c2,
-        0x400d9bc8b1f5301e,
-        0x406520aa8aaed25b,
-    ],
-};
+/// Re-captured when the fleet became the solo bin with a lane-sharded
+/// execute stage (the per-lane control loops it replaced summed to other
+/// cycles and dropped 59 packets uncontrolled here). The 4-lane summary now
+/// *is* the solo one, bit for bit: one control loop sees the same predictions
+/// and makes the same decisions, and the five corpus queries' cycle models
+/// are additive over a partition of the flows, so the lanes' meters fold to
+/// the cycles one instance would have metered.
+const FLEET: PinnedSummary = SOLO;
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|value| value.to_bits()).collect()
@@ -196,18 +163,23 @@ fn assert_pinned_across_engines_workers_and_a_restore(
     }
 }
 
-/// The three digest streams of the tenant run below, as captured at the
-/// commit before predictors started sharing an engine's feature window.
+/// The three digest streams of the tenant run below on a solo monitor, as
+/// captured at the commit before predictors started sharing an engine's
+/// feature window.
 const TENANTS_SOLO: RunDigest = RunDigest {
     bins: 150,
     records: 0xd47bce35f181b53f,
     decisions: 0x8838c012af1cb294,
     intervals: 0xec0d307d541cfb68,
 };
+/// Re-captured with the lane-sharded execute stage: one record per bin (150,
+/// not one per non-idle lane), one predictor per tenant. The interval stream
+/// did not move — nothing is shed, so every lane instance sees what its lane
+/// monitor saw.
 const TENANTS_FOUR_LANES: RunDigest = RunDigest {
-    bins: 599,
-    records: 0xcdd2a008f8b3910a,
-    decisions: 0x834164e9b0f65b18,
+    bins: 150,
+    records: 0x98f556911b6bd5fd,
+    decisions: 0xd1c0c4696dfee087,
     intervals: 0xafe7bc927e5113fd,
 };
 
@@ -289,11 +261,12 @@ const CHURN_SOLO: RunDigest = RunDigest {
     decisions: 0xedd85e843cda7e8b,
     intervals: 0x4fce30ec6db2fae4,
 };
+/// Re-captured with the lane-sharded execute stage, like `TENANTS_FOUR_LANES`.
 const CHURN_FOUR_LANES: RunDigest = RunDigest {
-    bins: 480,
-    records: 0xd6b70f94fcdfdc41,
-    decisions: 0x7783f51f8c2ecf0b,
-    intervals: 0xed6036d16dba4cba,
+    bins: 120,
+    records: 0x9b2452bff2c5582f,
+    decisions: 0x7091b67e9e182951,
+    intervals: 0xc29ae50af895731c,
 };
 
 /// 120 overloaded bins (noise on) under a daemon while the registry shrinks

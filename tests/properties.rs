@@ -667,6 +667,8 @@ proptest! {
     /// `split_shards` is an exact partition: every packet lands on the lane
     /// its shard key names, nothing is lost or duplicated, per-lane order is
     /// the original capture order, and the bin geometry survives untouched.
+    /// The engines' own routing — one lane verdict per *flow*, then views over
+    /// the one store — selects exactly the packets the copying split does.
     #[test]
     fn split_shards_partitions_exactly_for_any_lane_count(
         hosts in proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX, 0u16..u16::MAX), 1..150),
@@ -702,5 +704,14 @@ proptest! {
             }
         }
         prop_assert_eq!(total, batch.len(), "the split must be an exact partition");
+
+        let (mut pool, mut lane_of_flow, mut views) = (KeepListPool::new(), Vec::new(), Vec::new());
+        batch.packets.flow_lanes(lanes, &mut lane_of_flow);
+        prop_assert_eq!(lane_of_flow.len(), batch.packets.flow_index().flows());
+        batch.view().split_lanes_with(&mut pool, &lane_of_flow, lanes, |_, view| views.push(view));
+        for (view, sub) in views.iter().zip(&sub_batches) {
+            prop_assert!(view.shares_store(&batch.view()), "a lane view copies no packet");
+            prop_assert_eq!(&view.materialize(), sub);
+        }
     }
 }
