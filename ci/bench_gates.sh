@@ -52,6 +52,14 @@ forbid '"(sequential_ns|dispatch_ns)"|ExecStats' "carries a retired ExecStats ro
 # `coordinate` or `split` stage) coming back means the second loop is back.
 require '"bin_ns_vs_solo"' "lost the fleet's bin_ns_vs_solo"
 forbid '"(front_end_share|coordinate|split)"' "carries a retired fleet front-end row"
+# What four lanes cost on one thread is an intra-run ratio, held on a full
+# run: 1.15 solo bins when the lane split landed; folding the lanes' query
+# state at interval close (`Query::absorb`, in `admit`, on the one bin in ten
+# that closes an interval) may not take it past 1.18.
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"bin_ns_vs_solo"/ { if ($2 + 0 > 1.18) exit 1 }' "$file" ||
+    fail "the 4-lane fleet's bin_ns_vs_solo is above 1.18"
+fi
 
 # The flow index's worst case is priced, not guessed: on a batch whose
 # 5-tuples are all distinct the index saves nothing, and building it may cost

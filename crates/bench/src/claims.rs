@@ -200,9 +200,25 @@ pub const ALL: &[Claim] = &[
         id: "fleet_quality",
         reference: "ROADMAP aim 2",
         expectation: HOLDS,
-        statement: "a 1-lane fleet's row is the solo monitor's, cell for cell, and a 4-lane fleet's \
-         mean accuracy is within 0.056 of solo's on every workload",
+        statement: "under load a 1-lane fleet's row is the solo monitor's, cell for cell, a 4-lane \
+         fleet's mean accuracy is within 0.0321 of solo's and an 8-lane fleet's at most 0.0321 below it",
         check: |tables| all([0, 1, 2].map(|at| fleet_tracks_solo(table(tables, at)?))),
+    },
+    Claim {
+        id: "fleet_quality",
+        reference: "ROADMAP aim 2, unshed",
+        expectation: HOLDS,
+        statement: "with nothing shed a fleet's row is the solo monitor's, cell for cell, at every lane count",
+        check: |tables| {
+            let unshed = table(tables, 3)?;
+            let solo = engine_row(unshed, "solo")?;
+            let differing: Vec<String> = (unshed.rows.iter())
+                .filter(|row| &row[1..] != solo)
+                .map(|row| row[0].to_string())
+                .collect();
+            let compared = format!("{} rows, differing from solo: {differing:?}", unshed.rows.len());
+            judge(unshed.rows.len() == 5 && differing.is_empty(), compared)
+        },
     },
 ];
 
@@ -239,29 +255,39 @@ fn ordered<const N: usize>(table: &Table, column: &str, rows: [(&str, f64); N]) 
     judge(holds, compared.join(", "))
 }
 
-/// Widest |4-lane − solo| mean accuracy `fleet_quality` may show. Measured: at
-/// most 0.0372 (the Chapter 4 mix, seed 2; 0.021 / 0.032 / 0.020 on seeds 1 / 3
-/// and the tier-1 run, under 0.022 on both corpus scenarios) — that plus half
-/// of it. The per-lane control loops this replaced sat 0.30 below solo.
-const FLEET_ACCURACY_BAND: f64 = 0.056;
+/// Widest |4-lane − solo| mean accuracy `fleet_quality` may show under load.
+/// Measured over seeds 1–3: at most 0.0214 (`steady-cesca`, seed 2; 0.0208 on
+/// seed 3 there, under 0.010 on the Chapter 4 mix and on `ddos-spike`) — that
+/// plus half of it. What is left is trajectory, not merging: the lane
+/// instances meter other cycles than one instance does, so the one control
+/// loop grants other rates; unshed, the rows are equal (the claim above).
+const FLEET_ACCURACY_BAND: f64 = 0.0321;
 
-/// One `fleet_quality` table: the `1 lane` row repeats the `solo` row exactly
-/// and the `4 lanes` row's mean accuracy is inside the band around it.
+/// The cells of `engine`'s row of a `fleet_quality` table, after its name.
+fn engine_row<'a>(workload: &'a Table, engine: &str) -> Result<&'a [Cell], String> {
+    let named = |row: &&Vec<Cell>| row.first().is_some_and(|name| name.to_string() == engine);
+    let found = workload.rows.iter().find(named).map(|row| &row[1..]);
+    found.ok_or_else(|| format!("{:?} has no {engine} row", workload.title))
+}
+
+/// One loaded `fleet_quality` table: the `1 lane` row repeats the `solo` row
+/// exactly, the `4 lanes` row's mean accuracy is inside the band around it
+/// and the `8 lanes` row's not below the band. The last is held from below
+/// only: on `steady-cesca`, seed 2, eight lanes score 0.093 *above* solo
+/// (`p2p-detector` 0.69 against 0.22 over the scenario's two intervals) —
+/// trajectory again, and not a cost.
 fn fleet_tracks_solo(workload: &Table) -> Checked {
-    let row = |engine: &str| {
-        let named = |row: &&Vec<Cell>| row.first().is_some_and(|name| name.to_string() == engine);
-        let found = workload.rows.iter().find(named).map(|row| &row[1..]);
-        found.ok_or_else(|| format!("{:?} has no {engine} row", workload.title))
-    };
-    let one_lane_is_solo = row("1 lane")? == row("solo")?;
+    let one_lane_is_solo = engine_row(workload, "1 lane")? == engine_row(workload, "solo")?;
     let solo = workload.lookup("solo", "mean accuracy")?;
     let four = workload.lookup("4 lanes", "mean accuracy")?;
+    let eight = workload.lookup("8 lanes", "mean accuracy")?;
     let compared = format!(
-        "{}: 1 lane {} solo, 4 lanes {four:.4} vs solo {solo:.4}",
+        "{}: 1 lane {} solo, 4 lanes {four:.4} and 8 lanes {eight:.4} vs solo {solo:.4}",
         workload.title,
         if one_lane_is_solo { "==" } else { "!=" }
     );
-    judge(one_lane_is_solo && (four - solo).abs() <= FLEET_ACCURACY_BAND, compared)
+    let tracks = (four - solo).abs() <= FLEET_ACCURACY_BAND && solo - eight <= FLEET_ACCURACY_BAND;
+    judge(one_lane_is_solo && tracks, compared)
 }
 
 /// Figures 6.10 and 6.11 make the same statement about a different offender.

@@ -1167,9 +1167,13 @@ fn fleet_quality_table(
 
 /// What sharding query execution costs in quality: per-query accuracy,
 /// uncontrolled drops and predictions per bin at 1 / 2 / 4 / 8 lanes beside
-/// the solo monitor, on the Chapter 4 mix at 2x overload and on two corpus
+/// the solo monitor, on the Chapter 4 mix at 2x overload, on two corpus
 /// scenarios (their recorded traffic and K = 0.5 capacity, whatever
-/// `--batches` says).
+/// `--batches` says) and — where it must cost nothing — on the same payload
+/// traffic unshed, with `autofocus` and `p2p-detector` beside the mix
+/// (`super-sources` breaks ties at its cut by arrival order, which scored
+/// against the reference reads as an error: its rule is stated, and tested,
+/// in `tests/fleet.rs`).
 fn fleet_quality(options: &Options) -> Vec<Table> {
     let specs = specs_of(&QueryKind::CHAPTER4_SET);
     let batches = trace(TraceProfile::CescaII, options);
@@ -1188,7 +1192,17 @@ fn fleet_quality(options: &Options) -> Vec<Table> {
         let title = format!("corpus scenario {name}");
         fleet_quality_table(&title, &corpus_specs(), &batches, capacity, options.seed)
     });
-    once(chapter4).chain(corpus).collect()
+    let unshed_kinds = [QueryKind::Autofocus, QueryKind::P2pDetector];
+    let unshed_specs: Vec<QuerySpec> =
+        specs.iter().cloned().chain(specs_of(&unshed_kinds)).collect();
+    let unshed = fleet_quality_table(
+        "unshed: the mix, autofocus and p2p-detector at ample capacity",
+        &unshed_specs,
+        &batches,
+        1e15,
+        options.seed,
+    );
+    once(chapter4).chain(corpus).chain(once(unshed)).collect()
 }
 
 #[cfg(test)]

@@ -153,7 +153,7 @@ impl MonitorBuilder {
     /// Like [`with_workers`](Self::with_workers) this is a pure wall-clock
     /// knob — any shard count produces bit-identical output, because the
     /// state-owning partition is [`with_shard_lanes`](Self::with_shard_lanes)
-    /// and lanes are merged in a fixed order (see DESIGN.md, "Shard plane").
+    /// and lanes are folded in a fixed order (see DESIGN.md, "Shard plane").
     /// Defaults to `NETSHED_SHARDS` when set, else 1.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;

@@ -57,8 +57,8 @@ pub trait Engine {
 
     /// Processes one non-empty bin, reporting to `observer` in the engine's
     /// canonical order: `on_batch`, `on_interval` when the bin closed a
-    /// measurement interval (a fleet's outputs already merged over its
-    /// lanes), then `on_decision` and `on_bin` with the bin's record.
+    /// measurement interval (a fleet's queries report once, its lanes
+    /// folded), then `on_decision` and `on_bin` with the bin's record.
     fn ingest<O>(&mut self, batch: &Batch, observer: &mut O) -> Result<BinRecord, NetshedError>
     where
         O: RunObserver + ?Sized;

@@ -503,10 +503,11 @@ impl Monitor {
         Engine::run(self, source, observer)
     }
 
-    /// Collects the per-query outputs for the interval that just ended: per
-    /// query, lane 0's output with the other lanes' folded in, in lane order,
-    /// under the per-variant rules of [`QueryOutput::merge_lanes`] (the
-    /// identity when there is one lane).
+    /// Collects the per-query outputs for the interval that just ended. A
+    /// query reports once, over the link: its lane-0 instance
+    /// [absorbs](Query::absorb) the state of the other lanes' instances, in
+    /// lane order, and then closes the interval as the only instance of a
+    /// one-lane monitor does (which has nothing to absorb).
     fn close_interval(&mut self) -> Vec<(String, QueryOutput)> {
         self.queries
             .iter_mut()
@@ -517,12 +518,13 @@ impl Monitor {
                 if let Some(shadow) = registered.shadow.as_mut() {
                     let _ = shadow.end_interval();
                 }
-                let mut lanes = registered.lanes.iter_mut().map(|lane| lane.query.end_interval());
+                let lanes = registered.lanes.split_first_mut();
                 // lint:allow(no-unwrap): a registered query has one instance per lane and a monitor at least one lane
-                let mut output = lanes.next().expect("a query runs on at least one lane");
-                let others: Vec<QueryOutput> = lanes.collect();
-                output.merge_lanes(&others);
-                (registered.label.clone(), output)
+                let (first, others) = lanes.expect("a query runs on at least one lane");
+                for lane in others {
+                    first.query.absorb(lane.query.as_mut());
+                }
+                (registered.label.clone(), first.query.end_interval())
             })
             .collect()
     }

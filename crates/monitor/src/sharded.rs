@@ -12,9 +12,11 @@
 //! [`shard_key`](netshed_trace::shard_key) (`lane = key % lanes`, asked once
 //! per flow of the batch's flow index), runs each lane's own instance of the
 //! query on its share and folds the lane meters back into one measurement.
-//! A lane owns query state and nothing else; per-interval outputs are merged
-//! per query, in lane order, by
-//! [`QueryOutput::merge_lanes`](netshed_queries::QueryOutput::merge_lanes).
+//! A lane owns a shard of each query's interval state and nothing else: at
+//! interval close a query's lane-0 instance
+//! [absorbs](netshed_queries::Query::absorb) the other lanes' state, in lane
+//! order, and reports once, over the link, as the solo monitor's instance
+//! does — so an unshed fleet emits the solo monitor's interval outputs.
 //!
 //! `shard_lanes` is configuration: it decides which instance sees which flow,
 //! so changing it changes the output, like changing the seed. `shards`, like
@@ -203,7 +205,7 @@ mod tests {
     #[test]
     fn lanes_with_nothing_to_run_still_merge_into_every_interval() {
         // Single-pair traffic leaves three of the four lane instances with an
-        // empty view every bin; the interval outputs are still the merge over
+        // empty view every bin; the interval outputs are still the fold over
         // all four (25 bins of 100 ms: closes at bins 10 and 20, plus the
         // final flush) and count every packet exactly once.
         let mut fleet = fleet(4, &[QueryKind::Counter]);

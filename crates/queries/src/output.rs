@@ -169,101 +169,6 @@ impl QueryOutput {
     pub fn accuracy_against(&self, truth: &QueryOutput) -> f64 {
         1.0 - self.error_against(truth)
     }
-
-    /// Folds the outputs the same query produced on the other lanes of a
-    /// flow-sharded fleet into `self` (lane 0's output), in lane order.
-    ///
-    /// The per-variant rules: counts and sums add, a high watermark takes the
-    /// maximum, set-valued outputs union, a ranking re-ranks its summed
-    /// entries and is cut once, after the last lane, to the longest lane
-    /// list. Every sum folds lane by lane and every container is ordered, so
-    /// the result is bit-stable; with no other lane the output is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outputs come from different query types.
-    pub fn merge_lanes<'a>(&mut self, lanes: impl IntoIterator<Item = &'a QueryOutput>) {
-        let mut top_k = None;
-        for lane in lanes {
-            match (&mut *self, lane) {
-                (
-                    QueryOutput::Counter { packets, bytes },
-                    QueryOutput::Counter { packets: p, bytes: b },
-                ) => {
-                    *packets += p;
-                    *bytes += b;
-                }
-                (
-                    QueryOutput::Application { per_app },
-                    QueryOutput::Application { per_app: lane },
-                ) => {
-                    for (&app, &(p, b)) in lane {
-                        let entry = per_app.entry(app).or_insert((0.0, 0.0));
-                        entry.0 += p;
-                        entry.1 += b;
-                    }
-                }
-                // Flows of one host pair stay on one lane (the routing key is
-                // the host pair), so lane counts are disjoint and add exactly.
-                (QueryOutput::Flows { count }, QueryOutput::Flows { count: c }) => *count += c,
-                // A lane watermark lower-bounds the link watermark (lane peaks
-                // need not coincide in time); the max is the standard
-                // distributed-watermark estimate.
-                (QueryOutput::HighWatermark { mbps }, QueryOutput::HighWatermark { mbps: m }) => {
-                    if *m > *mbps {
-                        *mbps = *m;
-                    }
-                }
-                (QueryOutput::TopK { ranking }, QueryOutput::TopK { ranking: lane }) => {
-                    top_k = Some(top_k.unwrap_or(ranking.len()).max(lane.len()));
-                    ranking.extend_from_slice(lane);
-                }
-                (
-                    QueryOutput::Autofocus { clusters },
-                    QueryOutput::Autofocus { clusters: lane },
-                ) => {
-                    let mut volumes: BTreeMap<(u32, u8), f64> = BTreeMap::new();
-                    for &(prefix, len, volume) in clusters.iter().chain(lane) {
-                        *volumes.entry((prefix, len)).or_insert(0.0) += volume;
-                    }
-                    *clusters = volumes.into_iter().map(|((p, l), v)| (p, l, v)).collect();
-                }
-                // A source's peers split across lanes by host pair, so
-                // per-lane fanouts count disjoint peer sets.
-                (
-                    QueryOutput::SuperSources { fanouts },
-                    QueryOutput::SuperSources { fanouts: lane },
-                ) => {
-                    for (&source, &fanout) in lane {
-                        *fanouts.entry(source).or_insert(0.0) += fanout;
-                    }
-                }
-                (QueryOutput::P2pFlows { flows }, QueryOutput::P2pFlows { flows: lane }) => {
-                    flows.extend(lane);
-                }
-                (
-                    QueryOutput::Coverage { processed_packets, total_packets },
-                    QueryOutput::Coverage { processed_packets: p, total_packets: t },
-                ) => {
-                    *processed_packets += p;
-                    *total_packets += t;
-                }
-                _ => panic!("cannot merge outputs of different query types"),
-            }
-        }
-        // Distributed top-k from per-lane top-k lists is inherently lossy (a
-        // destination just below every lane's cut is lost), so the lanes'
-        // entries are summed whole and cut only here.
-        if let (Some(k), QueryOutput::TopK { ranking }) = (top_k, self) {
-            let mut per_dst: BTreeMap<u32, f64> = BTreeMap::new();
-            for &(dst, count) in ranking.iter() {
-                *per_dst.entry(dst).or_insert(0.0) += count;
-            }
-            *ranking = per_dst.into_iter().collect();
-            ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            ranking.truncate(k);
-        }
-    }
 }
 
 /// `|1 - estimate / actual|`, with the conventions the paper uses for zero
@@ -293,15 +198,13 @@ fn misranked_pairs_error(ranking: &[(u32, f64)], truth: &[(u32, f64)]) -> f64 {
     // Count true top-k members that the query failed to place in its top-k:
     // each such member forms a misranked pair with every reported non-member.
     let mut misranked = 0usize;
-    let mut possible = 0usize;
     for (ip, _) in truth {
         let in_reported = reported.iter().take(k).any(|r| r == ip);
-        possible += 1;
         if !in_reported {
             misranked += 1;
         }
     }
-    misranked as f64 / possible as f64
+    misranked as f64 / k as f64
 }
 
 /// Autofocus delta-report error: one minus the fraction of true clusters that
@@ -376,87 +279,6 @@ mod tests {
         assert_eq!(est.error_against(&truth), 0.0);
         let est2 = QueryOutput::Counter { packets: 10.0, bytes: 0.0 };
         assert!(est2.error_against(&truth) > 0.0);
-    }
-
-    /// One non-trivial output per variant (unsorted ranking and cluster
-    /// lists included, so an identity merge cannot hide a re-sort).
-    fn one_of_each() -> Vec<QueryOutput> {
-        vec![
-            QueryOutput::Counter { packets: 10.0, bytes: 1500.0 },
-            QueryOutput::Application { per_app: [("http", (4.0, 400.0))].into_iter().collect() },
-            QueryOutput::Flows { count: 7.0 },
-            QueryOutput::HighWatermark { mbps: 3.5 },
-            QueryOutput::TopK { ranking: vec![(9, 50.0), (2, 50.0), (5, 80.0)] },
-            QueryOutput::Autofocus { clusters: vec![(20, 8, 1.0), (10, 16, 2.0), (20, 8, 3.0)] },
-            QueryOutput::SuperSources { fanouts: [(1, 12.0), (2, 3.0)].into_iter().collect() },
-            QueryOutput::P2pFlows { flows: [4u64, 8].into_iter().collect() },
-            QueryOutput::Coverage { processed_packets: 30.0, total_packets: 100.0 },
-        ]
-    }
-
-    #[test]
-    fn merge_of_one_lane_is_the_identity() {
-        for output in one_of_each() {
-            let mut merged = output.clone();
-            merged.merge_lanes([]);
-            assert_eq!(merged, output);
-        }
-    }
-
-    #[test]
-    fn merge_applies_the_per_variant_rule_in_lane_order() {
-        let lanes = [
-            QueryOutput::Counter { packets: 1.0, bytes: 100.0 },
-            QueryOutput::Application {
-                per_app: [("dns", (1.0, 60.0)), ("http", (2.0, 200.0))].into_iter().collect(),
-            },
-            QueryOutput::Flows { count: 3.0 },
-            QueryOutput::HighWatermark { mbps: 9.0 },
-            QueryOutput::TopK { ranking: vec![(7, 60.0), (2, 1.0)] },
-            QueryOutput::Autofocus { clusters: vec![(10, 16, 5.0), (30, 24, 1.0)] },
-            QueryOutput::SuperSources { fanouts: [(2, 4.0), (3, 1.0)].into_iter().collect() },
-            QueryOutput::P2pFlows { flows: [8u64, 15].into_iter().collect() },
-            QueryOutput::Coverage { processed_packets: 10.0, total_packets: 20.0 },
-        ];
-        let expected = [
-            QueryOutput::Counter { packets: 11.0, bytes: 1600.0 },
-            QueryOutput::Application {
-                per_app: [("dns", (1.0, 60.0)), ("http", (6.0, 600.0))].into_iter().collect(),
-            },
-            QueryOutput::Flows { count: 10.0 },
-            QueryOutput::HighWatermark { mbps: 9.0 },
-            // Summed per destination, re-ranked (ties by address), cut to the
-            // longest lane list.
-            QueryOutput::TopK { ranking: vec![(5, 80.0), (7, 60.0), (2, 51.0)] },
-            QueryOutput::Autofocus { clusters: vec![(10, 16, 7.0), (20, 8, 4.0), (30, 24, 1.0)] },
-            QueryOutput::SuperSources {
-                fanouts: [(1, 12.0), (2, 7.0), (3, 1.0)].into_iter().collect(),
-            },
-            QueryOutput::P2pFlows { flows: [4u64, 8, 15].into_iter().collect() },
-            QueryOutput::Coverage { processed_packets: 40.0, total_packets: 120.0 },
-        ];
-        for ((mut merged, lane), expected) in one_of_each().into_iter().zip(&lanes).zip(&expected) {
-            merged.merge_lanes([lane]);
-            assert_eq!(&merged, expected);
-        }
-    }
-
-    #[test]
-    fn top_k_is_cut_once_after_the_last_lane() {
-        // Destination 3 sits below the cut after two lanes and above it after
-        // three: cutting per step would lose it.
-        let mut merged = QueryOutput::TopK { ranking: vec![(1, 10.0), (3, 4.0)] };
-        merged.merge_lanes(&[
-            QueryOutput::TopK { ranking: vec![(2, 9.0), (4, 5.0)] },
-            QueryOutput::TopK { ranking: vec![(3, 8.0)] },
-        ]);
-        assert_eq!(merged, QueryOutput::TopK { ranking: vec![(3, 12.0), (1, 10.0)] });
-    }
-
-    #[test]
-    #[should_panic(expected = "different query types")]
-    fn mismatched_lanes_panic() {
-        QueryOutput::Flows { count: 1.0 }.merge_lanes([&QueryOutput::HighWatermark { mbps: 1.0 }]);
     }
 
     #[test]

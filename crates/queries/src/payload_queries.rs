@@ -12,7 +12,7 @@
 use crate::boyer_moore::BoyerMoore;
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
-use crate::query::{repeated_key, Query, SheddingMethod};
+use crate::query::{repeated_key, restored_weight, same_kind, Query, SheddingMethod};
 // Per-packet state lives in the replay-stable hashed containers
 // (determinism contract, rule `det-map`): same insertion history, same
 // iteration order, O(1) hot-path updates.
@@ -27,7 +27,6 @@ const HEADER_BYTES: u64 = 40;
 #[derive(Debug, Default)]
 pub struct TraceQuery {
     processed_packets: f64,
-    stored_bytes: f64,
 }
 
 impl TraceQuery {
@@ -57,7 +56,6 @@ impl Query for TraceQuery {
             meter.charge(costs::PER_PACKET_BASE);
             meter.charge_n(costs::STORE_BYTE, stored);
             self.processed_packets += 1.0;
-            self.stored_bytes += stored as f64;
         }
     }
 
@@ -67,19 +65,20 @@ impl Query for TraceQuery {
             total_packets: self.processed_packets,
         };
         self.processed_packets = 0.0;
-        self.stored_bytes = 0.0;
         output
+    }
+
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        self.processed_packets += std::mem::take(same_kind::<Self>(lane)).processed_packets;
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         writer.f64(self.processed_packets);
-        writer.f64(self.stored_bytes);
         Ok(())
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.processed_packets = reader.f64()?;
-        self.stored_bytes = reader.f64()?;
+        self.processed_packets = restored_weight("trace processed_packets", 0, reader.f64()?)?;
         Ok(())
     }
 }
@@ -148,6 +147,12 @@ impl Query for PatternSearchQuery {
         output
     }
 
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        let lane = same_kind::<Self>(lane);
+        self.processed_packets += std::mem::take(&mut lane.processed_packets);
+        self.matches += std::mem::take(&mut lane.matches);
+    }
+
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         writer.f64(self.processed_packets);
         writer.u64(self.matches);
@@ -155,7 +160,8 @@ impl Query for PatternSearchQuery {
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.processed_packets = reader.f64()?;
+        self.processed_packets =
+            restored_weight("pattern-search processed_packets", 0, reader.f64()?)?;
         self.matches = reader.u64()?;
         Ok(())
     }
@@ -329,6 +335,16 @@ impl Query for P2pDetectorQuery {
     fn end_interval(&mut self) -> QueryOutput {
         self.inspected_per_flow.clear();
         QueryOutput::P2pFlows { flows: self.identified.drain().collect() }
+    }
+
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        // A flow lives on one lane, so the lane's per-flow inspection counts
+        // describe flows this instance never budgets for: dropped, not folded.
+        let lane = same_kind::<Self>(lane);
+        lane.inspected_per_flow.clear();
+        for flow in lane.identified.drain() {
+            self.identified.insert(flow);
+        }
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {

@@ -2,8 +2,10 @@
 
 use crate::cost::CycleMeter;
 use crate::output::QueryOutput;
-use netshed_sketch::{StateError, StateReader, StateWriter};
+use netshed_sketch::{DetHashMap, StateError, StateReader, StateWriter};
 use netshed_trace::BatchView;
+use std::any::Any;
+use std::hash::Hash;
 
 /// How excess load should be shed for a query (Section 4.2 and Chapter 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,8 +27,8 @@ pub enum SheddingMethod {
 /// [`CycleMeter`], and collects a [`QueryOutput`] at the end of every
 /// measurement interval. Implementations must scale their estimates by the
 /// inverse of the sampling rate they were given, exactly as the paper's
-/// modified queries do.
-pub trait Query: Send {
+/// modified queries do. (`Any`: [`Query::absorb`] needs the concrete type.)
+pub trait Query: Any + Send {
     /// The query's name as used in the paper's tables.
     fn name(&self) -> &'static str;
 
@@ -55,6 +57,25 @@ pub trait Query: Send {
     /// resetting the per-interval state.
     fn end_interval(&mut self) -> QueryOutput;
 
+    /// Folds another instance's share of the open interval into this one.
+    ///
+    /// A flow-sharded fleet runs one instance per lane, but a report is
+    /// defined over the link: at interval close the lanes' *state* is folded
+    /// into one instance, which reports once through [`Query::end_interval`].
+    /// `absorb` adds what `lane` accumulated this interval into `self` (sums
+    /// add, keyed tables add entry by entry, sets union; scratch that only
+    /// serves `process_batch` is dropped) and leaves `lane` as its own
+    /// `end_interval` would. The law, for a stream split by
+    /// [`shard_key`](netshed_trace::shard_key) and fed at the same per-bin
+    /// rates: the fold reports what one instance fed the whole stream does,
+    /// bit for bit at rate 1.0 and up to float summation order below it.
+    /// No default: a query that cannot fold cannot run on several lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is a different kind of query.
+    fn absorb(&mut self, lane: &mut dyn Query);
+
     /// Serializes the query's mid-interval state for a checkpoint.
     ///
     /// Only *essential* state belongs here: whatever cannot be rebuilt from
@@ -75,6 +96,15 @@ pub trait Query: Send {
     fn load_state(&mut self, _reader: &mut StateReader<'_>) -> Result<(), StateError> {
         Err(StateError::unsupported(self.name()))
     }
+}
+
+/// The instance a query is asked to [`absorb`](Query::absorb), as the
+/// absorbing query's own type; panics if it is another kind's.
+pub(crate) fn same_kind<Q: Query>(lane: &mut dyn Query) -> &mut Q {
+    let name = lane.name();
+    let lane: &mut dyn Any = lane;
+    lane.downcast_mut()
+        .unwrap_or_else(|| panic!("cannot absorb a '{name}' instance into a different query type"))
 }
 
 /// Blanket helpers shared by query implementations.
@@ -119,6 +149,49 @@ pub(crate) fn repeated_key(table: &str, entry: usize) -> StateError {
     StateError::corrupt(format!(
         "{table} checkpoint entry {entry} repeats the key of an earlier entry"
     ))
+}
+
+/// Writes a keyed table of weights in its iteration (= insertion) order, the
+/// layout [`restore_weights`] reads back.
+pub(crate) fn save_weights<K>(
+    table: &DetHashMap<K, f64>,
+    writer: &mut StateWriter,
+    key: impl Fn(&mut StateWriter, &K),
+) {
+    writer.usize(table.len());
+    for (entry, weight) in table.iter() {
+        key(writer, entry);
+        writer.f64(*weight);
+    }
+}
+
+/// Restores a keyed table of weights entry by entry, in the serialised order:
+/// every weight a [`restored_weight`], a repeated key a [`repeated_key`].
+pub(crate) fn restore_weights<'a, K: Hash + Eq>(
+    table: &mut DetHashMap<K, f64>,
+    name: &str,
+    reader: &mut StateReader<'a>,
+    key: impl Fn(&mut StateReader<'a>) -> Result<K, StateError>,
+) -> Result<(), StateError> {
+    table.clear();
+    for entry in 0..reader.usize()? {
+        let key = key(reader)?;
+        if table.insert(key, restored_weight(name, entry, reader.f64()?)?).is_some() {
+            return Err(repeated_key(name, entry));
+        }
+    }
+    Ok(())
+}
+
+/// Adds `lane`'s table of weights into `table` entry by entry, emptying it:
+/// how [`Query::absorb`] folds a keyed table.
+pub(crate) fn fold_weights<K: Hash + Eq>(
+    table: &mut DetHashMap<K, f64>,
+    lane: &mut DetHashMap<K, f64>,
+) {
+    for (key, weight) in lane.drain() {
+        *table.entry(key).or_insert(0.0) += weight;
+    }
 }
 
 #[cfg(test)]

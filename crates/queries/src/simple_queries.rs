@@ -7,7 +7,7 @@
 
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
-use crate::query::{repeated_key, restored_weight, scale, Query, SheddingMethod};
+use crate::query::{repeated_key, restored_weight, same_kind, scale, Query, SheddingMethod};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use netshed_trace::{AppProtocol, BatchView};
 // Ordered so the emitted `QueryOutput::Application` iterates replay-stably
@@ -56,6 +56,12 @@ impl Query for CounterQuery {
         output
     }
 
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        let lane = std::mem::take(same_kind::<Self>(lane));
+        self.packets += lane.packets;
+        self.bytes += lane.bytes;
+    }
+
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         writer.f64(self.packets);
         writer.f64(self.bytes);
@@ -63,8 +69,8 @@ impl Query for CounterQuery {
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.packets = reader.f64()?;
-        self.bytes = reader.f64()?;
+        self.packets = restored_weight("counter packets", 0, reader.f64()?)?;
+        self.bytes = restored_weight("counter bytes", 0, reader.f64()?)?;
         Ok(())
     }
 }
@@ -154,6 +160,17 @@ impl Query for ApplicationQuery {
         QueryOutput::Application { per_app }
     }
 
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        let lane = std::mem::take(same_kind::<Self>(lane));
+        for (sums, seen) in self.per_slot.iter_mut().zip(lane.per_slot) {
+            if let Some((packets, bytes)) = seen {
+                let sums = sums.get_or_insert((0.0, 0.0));
+                sums.0 += packets;
+                sums.1 += bytes;
+            }
+        }
+    }
+
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         let per_app = self.per_app();
         writer.usize(per_app.len());
@@ -184,19 +201,31 @@ impl Query for ApplicationQuery {
     }
 }
 
-/// `high-watermark`: high watermark of link utilisation over time (Table 2.2).
-///
-/// The query tracks the peak estimated load over fixed sub-intervals (the
-/// paper uses the batch granularity) within each measurement interval.
+/// `high-watermark`: high watermark of link utilisation over time (Table 2.2):
+/// the peak estimated load over the bins (the paper's sub-interval) of each
+/// measurement interval. The peak is the *link's*, and the peak of a lane's
+/// share of the bins says nothing about it, so the query keeps the open
+/// interval's bytes per bin — state [`Query::absorb`] can add — and takes the
+/// maximum when the interval closes.
 #[derive(Debug, Default)]
 pub struct HighWatermarkQuery {
-    peak_mbps: f64,
+    /// (bin index, bin duration in µs, estimated bytes), ascending by bin; at
+    /// most the interval's bin count, emptied (not freed) at every close.
+    bins: Vec<(u64, u64, f64)>,
 }
 
 impl HighWatermarkQuery {
     /// Creates the query.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Adds `bytes` to bin `bin` (bins arrive in order: the search is short).
+    fn add(&mut self, bin: u64, duration_us: u64, bytes: f64) {
+        match self.bins.binary_search_by_key(&bin, |entry| entry.0) {
+            Ok(at) => self.bins[at].2 += bytes,
+            Err(at) => self.bins.insert(at, (bin, duration_us, bytes)),
+        }
     }
 }
 
@@ -219,28 +248,64 @@ impl Query for HighWatermarkQuery {
             meter.charge(costs::PER_PACKET_BASE + costs::COUNTER_UPDATE);
             batch_bytes += scale(f64::from(packet.ip_len()), sampling_rate);
         }
-        let seconds = batch.duration_us() as f64 / 1e6;
-        if seconds > 0.0 {
-            let mbps = batch_bytes * 8.0 / seconds / 1e6;
-            if mbps > self.peak_mbps {
-                self.peak_mbps = mbps;
-            }
-        }
+        self.add(batch.bin_index(), batch.duration_us(), batch_bytes);
     }
 
     fn end_interval(&mut self) -> QueryOutput {
-        let output = QueryOutput::HighWatermark { mbps: self.peak_mbps };
-        self.peak_mbps = 0.0;
-        output
+        let mut peak_mbps = 0.0;
+        for (_, duration_us, bytes) in self.bins.drain(..) {
+            let seconds = duration_us as f64 / 1e6;
+            if seconds > 0.0 {
+                let mbps = bytes * 8.0 / seconds / 1e6;
+                if mbps > peak_mbps {
+                    peak_mbps = mbps;
+                }
+            }
+        }
+        QueryOutput::HighWatermark { mbps: peak_mbps }
+    }
+
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        for (bin, duration_us, bytes) in same_kind::<Self>(lane).bins.drain(..) {
+            self.add(bin, duration_us, bytes);
+        }
     }
 
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
-        writer.f64(self.peak_mbps);
+        writer.usize(self.bins.len());
+        for (bin, duration_us, bytes) in &self.bins {
+            writer.u64(*bin);
+            writer.u64(*duration_us);
+            writer.f64(*bytes);
+        }
         Ok(())
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.peak_mbps = reader.f64()?;
+        self.bins.clear();
+        let (entries, left) = (reader.usize()?, reader.remaining());
+        // The bins per interval are configuration the query never sees: what
+        // bounds the count is the bytes that are left, 24 an entry.
+        if entries > left / 24 {
+            return Err(StateError::corrupt(format!(
+                "high-watermark checkpoint declares {entries} bins in {left} bytes"
+            )));
+        }
+        for entry in 0..entries {
+            let (bin, duration_us) = (reader.u64()?, reader.u64()?);
+            let bytes = restored_weight("high-watermark", entry, reader.f64()?)?;
+            match self.bins.last() {
+                Some(&(last, ..)) if last == bin => {
+                    return Err(repeated_key("high-watermark", entry));
+                }
+                Some(&(last, ..)) if last > bin => {
+                    return Err(StateError::corrupt(format!(
+                        "high-watermark checkpoint entry {entry} is bin {bin}, after bin {last}"
+                    )));
+                }
+                _ => self.bins.push((bin, duration_us, bytes)),
+            }
+        }
         Ok(())
     }
 }
@@ -251,12 +316,16 @@ mod tests {
     use netshed_trace::{FiveTuple, Packet};
 
     fn batch_with_packets(n: usize, size: u32) -> BatchView {
+        batch_in_bin(0, n, size)
+    }
+
+    fn batch_in_bin(bin: u64, n: usize, size: u32) -> BatchView {
         let packets: Vec<Packet> = (0..n)
             .map(|i| {
                 Packet::header_only(i as u64, FiveTuple::new(i as u32, 2, 1024, 80, 6), size, 0)
             })
             .collect();
-        netshed_trace::Batch::new(0, 0, 100_000, packets).view()
+        netshed_trace::Batch::new(bin, bin * 100_000, 100_000, packets).view()
     }
 
     #[test]
@@ -319,9 +388,9 @@ mod tests {
     fn high_watermark_tracks_peak_batch_load() {
         let mut q = HighWatermarkQuery::new();
         let mut meter = CycleMeter::new();
-        q.process_batch(&batch_with_packets(10, 1000), 1.0, &mut meter);
-        q.process_batch(&batch_with_packets(100, 1000), 1.0, &mut meter);
-        q.process_batch(&batch_with_packets(5, 1000), 1.0, &mut meter);
+        q.process_batch(&batch_in_bin(0, 10, 1000), 1.0, &mut meter);
+        q.process_batch(&batch_in_bin(1, 100, 1000), 1.0, &mut meter);
+        q.process_batch(&batch_in_bin(2, 5, 1000), 1.0, &mut meter);
         match q.end_interval() {
             QueryOutput::HighWatermark { mbps } => {
                 // Peak batch: 100 packets * 1000 B * 8 / 0.1 s = 8 Mbps.
@@ -329,6 +398,40 @@ mod tests {
             }
             other => panic!("unexpected output {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_crafted_watermark_table_is_refused_not_loaded() {
+        let load = |count: usize, entries: &[(u64, u64, f64)]| {
+            let mut writer = StateWriter::new();
+            writer.usize(count);
+            for (bin, duration_us, bytes) in entries {
+                writer.u64(*bin);
+                writer.u64(*duration_us);
+                writer.f64(*bytes);
+            }
+            let bytes = writer.into_bytes();
+            let mut query = HighWatermarkQuery::new();
+            query.load_state(&mut StateReader::new(&bytes)).map(|()| query.bins)
+        };
+        let honest = [(3, 100_000, 10.0), (4, 100_000, 0.0), (7, 100_000, 2.5)];
+        assert_eq!(load(3, &honest).expect("ascending bins load"), honest);
+
+        let refusal = |count, entries: &[(u64, u64, f64)]| match load(count, entries) {
+            Err(StateError::Corrupt(message)) => message,
+            other => panic!("expected a corrupt-state error, got {other:?}"),
+        };
+        let repeated = refusal(2, &[(3, 100_000, 1.0), (3, 100_000, 1.0)]);
+        assert!(repeated.contains("entry 1 repeats the key"), "{repeated}");
+        let descending = refusal(2, &[(4, 100_000, 1.0), (3, 100_000, 1.0)]);
+        assert!(descending.contains("entry 1 is bin 3, after bin 4"), "{descending}");
+        for poison in [f64::NAN, f64::INFINITY, -1.0] {
+            let poisoned = refusal(2, &[(3, 100_000, 1.0), (4, 100_000, poison)]);
+            assert!(poisoned.contains("high-watermark checkpoint entry 1"), "{poisoned}");
+        }
+        // A count the bytes cannot hold is refused before anything is read.
+        let oversized = refusal(usize::MAX / 2, &honest);
+        assert!(oversized.contains("bins in 72 bytes"), "{oversized}");
     }
 
     #[test]

@@ -7,7 +7,10 @@
 
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
-use crate::query::{repeated_key, restored_weight, scale, Query, SheddingMethod};
+use crate::query::{
+    fold_weights, repeated_key, restore_weights, restored_weight, same_kind, save_weights, scale,
+    Query, SheddingMethod,
+};
 use netshed_sketch::{hash_bytes, DetHashMap, DetHashSet, StateError, StateReader, StateWriter};
 use netshed_trace::{BatchView, FlowSet};
 
@@ -63,26 +66,21 @@ impl Query for FlowsQuery {
         QueryOutput::Flows { count }
     }
 
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
-        writer.usize(self.table.len());
-        for (key, weight) in self.table.iter() {
-            writer.u64(*key);
-            writer.f64(*weight);
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        // A flow lives on one lane, so the tables are disjoint and this is a
+        // union; a flow listed twice keeps the weight it was first seen at.
+        for (key, weight) in same_kind::<Self>(lane).table.drain() {
+            self.table.entry(key).or_insert(weight);
         }
+    }
+
+    fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
+        save_weights(&self.table, writer, |writer, key| writer.u64(*key));
         Ok(())
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.table.clear();
-        let entries = reader.usize()?;
-        for entry in 0..entries {
-            let key = reader.u64()?;
-            let weight = restored_weight("flows", entry, reader.f64()?)?;
-            if self.table.insert(key, weight).is_some() {
-                return Err(repeated_key("flows", entry));
-            }
-        }
-        Ok(())
+        restore_weights(&mut self.table, "flows", reader, StateReader::u64)
     }
 }
 
@@ -140,26 +138,17 @@ impl Query for TopKQuery {
         QueryOutput::TopK { ranking }
     }
 
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        fold_weights(&mut self.bytes_per_dst, &mut same_kind::<Self>(lane).bytes_per_dst);
+    }
+
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
-        writer.usize(self.bytes_per_dst.len());
-        for (dst, bytes) in self.bytes_per_dst.iter() {
-            writer.u32(*dst);
-            writer.f64(*bytes);
-        }
+        save_weights(&self.bytes_per_dst, writer, |writer, dst| writer.u32(*dst));
         Ok(())
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.bytes_per_dst.clear();
-        let entries = reader.usize()?;
-        for entry in 0..entries {
-            let dst = reader.u32()?;
-            let bytes = restored_weight("top-k", entry, reader.f64()?)?;
-            if self.bytes_per_dst.insert(dst, bytes).is_some() {
-                return Err(repeated_key("top-k", entry));
-            }
-        }
-        Ok(())
+        restore_weights(&mut self.bytes_per_dst, "top-k", reader, StateReader::u32)
     }
 }
 
@@ -232,16 +221,21 @@ impl Query for SuperSourcesQuery {
         QueryOutput::SuperSources { fanouts: sources.into_iter().collect() }
     }
 
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        // A host pair lives on one lane: the lanes counted disjoint sets of a
+        // source's peers, so the fan-outs add, and the lane's pair set — only
+        // ever asked whether a pair is new — has nothing left to answer.
+        let lane = same_kind::<Self>(lane);
+        lane.pairs_seen.clear();
+        fold_weights(&mut self.fanout, &mut lane.fanout);
+    }
+
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         writer.usize(self.pairs_seen.len());
         for pair in self.pairs_seen.iter() {
             writer.u64(*pair);
         }
-        writer.usize(self.fanout.len());
-        for (src, fanout) in self.fanout.iter() {
-            writer.u32(*src);
-            writer.f64(*fanout);
-        }
+        save_weights(&self.fanout, writer, |writer, source| writer.u32(*source));
         Ok(())
     }
 
@@ -253,16 +247,7 @@ impl Query for SuperSourcesQuery {
                 return Err(repeated_key("super-sources pair", entry));
             }
         }
-        self.fanout.clear();
-        let sources = reader.usize()?;
-        for entry in 0..sources {
-            let src = reader.u32()?;
-            let fanout = restored_weight("super-sources fan-out", entry, reader.f64()?)?;
-            if self.fanout.insert(src, fanout).is_some() {
-                return Err(repeated_key("super-sources fan-out", entry));
-            }
-        }
-        Ok(())
+        restore_weights(&mut self.fanout, "super-sources fan-out", reader, StateReader::u32)
     }
 }
 
@@ -275,7 +260,6 @@ pub struct AutofocusQuery {
     /// Bytes per (prefix value, prefix length).
     prefixes: DetHashMap<(u32, u8), f64>,
     total_bytes: f64,
-    sampling_rate: f64,
 }
 
 impl AutofocusQuery {
@@ -286,7 +270,6 @@ impl AutofocusQuery {
             threshold_fraction: threshold_fraction.clamp(0.0001, 1.0),
             prefixes: DetHashMap::default(),
             total_bytes: 0.0,
-            sampling_rate: 1.0,
         }
     }
 
@@ -314,7 +297,6 @@ impl Query for AutofocusQuery {
     }
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
-        self.sampling_rate = sampling_rate;
         for packet in batch.packets() {
             meter.charge(costs::PER_PACKET_BASE);
             let bytes = f64::from(packet.ip_len());
@@ -347,31 +329,25 @@ impl Query for AutofocusQuery {
         QueryOutput::Autofocus { clusters }
     }
 
+    fn absorb(&mut self, lane: &mut dyn Query) {
+        let lane = same_kind::<Self>(lane);
+        fold_weights(&mut self.prefixes, &mut lane.prefixes);
+        self.total_bytes += std::mem::take(&mut lane.total_bytes);
+    }
+
     fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
-        writer.usize(self.prefixes.len());
-        for ((prefix, len), bytes) in self.prefixes.iter() {
+        save_weights(&self.prefixes, writer, |writer, (prefix, len)| {
             writer.u32(*prefix);
             writer.u8(*len);
-            writer.f64(*bytes);
-        }
+        });
         writer.f64(self.total_bytes);
-        writer.f64(self.sampling_rate);
         Ok(())
     }
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.prefixes.clear();
-        let entries = reader.usize()?;
-        for entry in 0..entries {
-            let prefix = reader.u32()?;
-            let len = reader.u8()?;
-            let bytes = restored_weight("autofocus", entry, reader.f64()?)?;
-            if self.prefixes.insert((prefix, len), bytes).is_some() {
-                return Err(repeated_key("autofocus", entry));
-            }
-        }
-        self.total_bytes = reader.f64()?;
-        self.sampling_rate = reader.f64()?;
+        let prefix = |reader: &mut StateReader<'_>| Ok((reader.u32()?, reader.u8()?));
+        restore_weights(&mut self.prefixes, "autofocus", reader, prefix)?;
+        self.total_bytes = restored_weight("autofocus total_bytes", 0, reader.f64()?)?;
         Ok(())
     }
 }

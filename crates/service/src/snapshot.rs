@@ -44,7 +44,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
 ///
 /// Version 2: a feature extractor's state no longer carries its per-batch
 /// bitmaps (empty between bins), only the per-interval ones.
-pub const SNAPSHOT_FORMAT_VERSION: u16 = 2;
+///
+/// Version 3: `high-watermark` checkpoints the open interval's bytes per bin
+/// (the table lanes fold) in place of a running peak, and the two words no
+/// query ever read back (`autofocus`'s last sampling rate, `trace`'s stored
+/// bytes) are gone. A version-2 file is refused, not migrated.
+pub const SNAPSHOT_FORMAT_VERSION: u16 = 3;
 
 /// Seed of the container checksums (header, per-section and end frame).
 const CHECKSUM_SEED: u64 = 0x6e73_636b; // "nsck"
@@ -436,6 +441,17 @@ mod tests {
         let message = err.to_string();
         let expected = SNAPSHOT_FORMAT_VERSION.to_string();
         assert!(message.contains("99") && message.contains(&expected), "{message}");
+
+        // The version before this one — whose query sections are laid out
+        // differently — is refused the same way, not misread.
+        bytes[4] = 2;
+        let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
+        fnv.write(&bytes[..16]);
+        bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
+        assert_eq!(
+            Snapshot::from_bytes(&bytes).unwrap_err(),
+            SnapshotError::UnsupportedVersion { found: 2, expected: 3 }
+        );
     }
 
     #[test]

@@ -435,6 +435,22 @@ fn version_skew_names_found_and_expected() {
         message.contains("77") && message.contains(&expected),
         "version-skew message must name found and expected: {message}"
     );
+
+    // A version-2 container (before `high-watermark` kept a per-bin table and
+    // two dead words left the query sections) is refused by the restore with
+    // both versions named, never read under the wrong layout.
+    bytes[4] = 2;
+    let mut fnv = netshed_sketch::IncrementalFnv::new(0x6e73_636b);
+    fnv.write(&bytes[..16]);
+    bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
+    let restored =
+        Daemon::<_, Monitor>::restore_engine(overloaded_config(1), recorded_trace(), &bytes);
+    match restored.map(|_| ()).unwrap_err() {
+        ServiceError::Snapshot(error) => {
+            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 2, expected: 3 });
+        }
+        other => panic!("expected the version skew to be named, got {other}"),
+    }
 }
 
 mod properties {
@@ -604,8 +620,10 @@ fn a_pre_change_fleet_layout_is_a_typed_error_not_a_panic() {
     // Before the fleet became one control loop a sharded checkpoint held a
     // whole monitor per lane (`shard.0` ... `shard.3`) and a coordinator
     // section (`sharded`), and no `monitor` or `lanes` section. The container
-    // version did not move (solo sections are byte-identical), so such a file
-    // still parses — and must be refused by name, whichever half it lacks.
+    // version did not move with that change (it has since: such a *file* is
+    // version 2 and refused as that), so the sections are what tells the
+    // layouts apart — and one laid out that way must be refused by name,
+    // whichever half it lacks.
     let config = overloaded_config(1).with_shard_lanes(4);
     let honest = checkpoint_at_bin_nine::<ShardedMonitor>(&config);
     let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
@@ -821,11 +839,22 @@ fn checkpointed_tables(kind: QueryKind) -> Vec<(&'static str, usize, Vec<Field>)
             ("p2p-detector identified-flow", 1, vec![u64.clone()]),
             ("p2p-detector tracked-flow", 1, vec![u64, u32.clone(), u32]),
         ],
+        // One entry per bin of the open interval: (bin, duration, bytes).
+        QueryKind::HighWatermark => vec![("high-watermark", 1, vec![u64.clone(), u64, f64])],
         // Scalars only: nothing keyed to repeat.
-        QueryKind::Counter
-        | QueryKind::HighWatermark
-        | QueryKind::PatternSearch
-        | QueryKind::Trace => Vec::new(),
+        QueryKind::Counter | QueryKind::PatternSearch | QueryKind::Trace => Vec::new(),
+    }
+}
+
+/// The `f64` scalars a query kind checkpoints right after its tables, by
+/// their names in error messages.
+fn checkpointed_scalars(kind: QueryKind) -> &'static [&'static str] {
+    match kind {
+        QueryKind::Counter => &["counter packets", "counter bytes"],
+        QueryKind::Autofocus => &["autofocus total_bytes"],
+        QueryKind::Trace => &["trace processed_packets"],
+        QueryKind::PatternSearch => &["pattern-search processed_packets"],
+        _ => &[],
     }
 }
 
@@ -881,11 +910,12 @@ fn lane_state_spans(
 }
 
 /// Checkpoints engine `M` running all ten query kinds mid-interval, then
-/// re-encodes the snapshot with one keyed table of one query instance crafted
-/// at a time — the lane-0 instances in the `monitor` section, or with `lane`
-/// that lane's in the `lanes` section: a key listed twice, or a weight no run
-/// could have summed, must fail the restore naming the table and the entry
-/// (and the lane, when it is not lane 0).
+/// re-encodes the snapshot with one keyed table or one scalar of one query
+/// instance crafted at a time — the lane-0 instances in the `monitor` section,
+/// or with `lane` that lane's in the `lanes` section: a key listed twice, or a
+/// weight or sum no run could have accumulated, must fail the restore naming
+/// the table and the entry, or the scalar (and the lane, when it is not
+/// lane 0).
 fn assert_crafted_query_tables_are_rejected<M: MonitorEngine>(
     config: &MonitorConfig,
     lane: Option<usize>,
@@ -947,7 +977,7 @@ fn assert_crafted_query_tables_are_rejected<M: MonitorEngine>(
         message
     };
 
-    let mut crafted_tables = 0;
+    let (mut crafted_tables, mut crafted_scalars) = (0, 0);
     for (spec, span) in spans {
         // Decode the query's tables; what follows them stays as it is.
         let layout = checkpointed_tables(spec.kind);
@@ -1000,18 +1030,37 @@ fn assert_crafted_query_tables_are_rejected<M: MonitorEngine>(
                 }
             }
         }
+
+        // Every sum the query keeps beside its tables, poisoned: lanes *add*
+        // state, so one NaN would reach the query's one report.
+        let honest_state = encode(&tables);
+        for (slot, name) in checkpointed_scalars(spec.kind).iter().enumerate() {
+            crafted_scalars += 1;
+            let at = honest_state.len() - tail.len() + slot * 8;
+            for poison in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut poisoned = honest_state.clone();
+                poisoned[at..at + 8].copy_from_slice(&poison.to_le_bytes());
+                let context = format!("{name} = {poison}");
+                let message = rejection(&craft(&span, &poisoned), &context);
+                assert!(message.contains(name), "{context}: {message}");
+            }
+        }
     }
-    assert_eq!(crafted_tables, 8, "six queries, two of them with two tables");
+    assert_eq!(crafted_tables, 9, "seven queries, two of them with two tables");
+    assert_eq!(crafted_scalars, 5, "four queries, one of them with two sums");
 }
 
 #[test]
 fn a_crafted_query_table_is_rejected_naming_query_and_entry() {
     // The tables of `flows`, `top-k`, `super-sources`, `autofocus`,
-    // `p2p-detector` and `application` are restored by re-inserting their
-    // entries. A table that lists a key twice used to restore shorter than
-    // it declares, the later value silently winning — a state no run
-    // reaches and no checkpoint re-serialises to — and a NaN weight went
-    // straight into the interval's sums.
+    // `p2p-detector`, `application` and `high-watermark` are restored by
+    // re-inserting their entries. A table that lists a key twice used to
+    // restore shorter than it declares, the later value silently winning — a
+    // state no run reaches and no checkpoint re-serialises to — and a NaN
+    // weight went straight into the interval's sums; so did a NaN in any of
+    // the scalar sums (`counter`'s two, `autofocus`'s total — after which it
+    // reported no cluster for the rest of the interval —, `trace`'s and
+    // `pattern-search`'s packet counts), which loaded unchecked.
     let config = MonitorConfig::default().with_capacity(1e12).with_seed(11).without_noise();
     assert_crafted_query_tables_are_rejected::<Monitor>(&config, None);
 }
@@ -1021,9 +1070,10 @@ fn a_crafted_lane_query_table_is_rejected_naming_lane_query_and_entry() {
     // A fleet's `lanes` section is outside input like the rest of a `.nsck`:
     // the query instances of lanes 1 and up restore through the same loaders
     // as the lane-0 ones in `monitor`, so a repeated key or a NaN / infinite /
-    // negative weight in *their* tables must fail the restore too — naming
-    // the lane beside the table and the entry. Two lanes, so that each lane's
-    // share of the trace still populates every table.
+    // negative weight in *their* tables, or sum beside them, must fail the
+    // restore too — naming the lane beside the table and the entry. Two
+    // lanes, so that each lane's share of the trace still populates every
+    // table.
     let config = MonitorConfig::default()
         .with_capacity(1e12)
         .with_seed(11)

@@ -172,15 +172,16 @@ const TENANTS_SOLO: RunDigest = RunDigest {
     decisions: 0x8838c012af1cb294,
     intervals: 0xec0d307d541cfb68,
 };
-/// Re-captured with the lane-sharded execute stage: one record per bin (150,
-/// not one per non-idle lane), one predictor per tenant. The interval stream
-/// did not move — nothing is shed, so every lane instance sees what its lane
-/// monitor saw.
+/// Re-captured when lanes started folding query state instead of reports
+/// (`Query::absorb`). Nothing is shed, so the interval stream *is* the solo
+/// one, bit for bit, for all five kinds; the records differ from solo's in
+/// the cycles the lane instances metered (and carry the interval outputs,
+/// which is why they moved), the decisions did not move.
 const TENANTS_FOUR_LANES: RunDigest = RunDigest {
     bins: 150,
-    records: 0x98f556911b6bd5fd,
+    records: 0x0b22061bcf955cbb,
     decisions: 0xd1c0c4696dfee087,
-    intervals: 0xafe7bc927e5113fd,
+    intervals: TENANTS_SOLO.intervals,
 };
 
 /// 25 tenants over 150 unshed bins under a daemon: a 26th registers after
@@ -261,12 +262,13 @@ const CHURN_SOLO: RunDigest = RunDigest {
     decisions: 0xedd85e843cda7e8b,
     intervals: 0x4fce30ec6db2fae4,
 };
-/// Re-captured with the lane-sharded execute stage, like `TENANTS_FOUR_LANES`.
+/// Re-captured with `Query::absorb`, like `TENANTS_FOUR_LANES`: the decisions
+/// did not move, the interval outputs (and the records that carry them) did.
 const CHURN_FOUR_LANES: RunDigest = RunDigest {
     bins: 120,
-    records: 0x9b2452bff2c5582f,
+    records: 0x05f9bbc5f2bf9afc,
     decisions: 0x7091b67e9e182951,
-    intervals: 0xc29ae50af895731c,
+    intervals: 0xcbdb4cc1c01ac0f1,
 };
 
 /// 120 overloaded bins (noise on) under a daemon while the registry shrinks

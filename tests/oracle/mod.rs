@@ -4,7 +4,8 @@
 //! kernel is replaced in place — the ten-pass extractor by the fused one,
 //! one linear-counting bitmap per component by the flat layout, copy-out
 //! shedding by views, the column-at-a-time Pearson FCBF by the row passes,
-//! the per-packet `flows` / `super-sources` kernels by one probe per flow —
+//! the per-packet `flows` / `super-sources` kernels by one probe per flow,
+//! `high-watermark`'s running peak by the per-bin table its lanes fold —
 //! the old one moves here for as long as a test compares against it,
 //! restated on public types only: nothing in this module calls the code it
 //! checks, and nothing here comes from `netshed_bench`. What is shared with
@@ -416,6 +417,31 @@ impl PerPacketFlows {
             writer.u64(*key);
             writer.f64(*weight);
         }
+    }
+}
+
+/// `high-watermark` before it kept the open interval's bytes per bin (the
+/// state a fleet's lanes fold): a running peak over the bins.
+#[derive(Default)]
+pub struct RunningPeakWatermark {
+    peak_mbps: f64,
+}
+
+impl RunningPeakWatermark {
+    pub fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
+        let mut batch_bytes = 0.0;
+        for packet in batch.packets() {
+            meter.charge(costs::PER_PACKET_BASE + costs::COUNTER_UPDATE);
+            batch_bytes += f64::from(packet.ip_len()) / rate;
+        }
+        let mbps = batch_bytes * 8.0 / (batch.duration_us() as f64 / 1e6) / 1e6;
+        if mbps > self.peak_mbps {
+            self.peak_mbps = mbps;
+        }
+    }
+
+    pub fn end_interval(&mut self) -> QueryOutput {
+        QueryOutput::HighWatermark { mbps: std::mem::take(&mut self.peak_mbps) }
     }
 }
 

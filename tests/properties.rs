@@ -504,6 +504,48 @@ proptest! {
         prop_assert_eq!(sources.end_interval(), sources_oracle.end_interval());
     }
 
+    /// `high-watermark` keeps the open interval's bytes per bin so that a
+    /// fleet's lanes can be folded, and takes the peak when the interval
+    /// closes; the running peak it replaced lives in `tests/oracle/`. On one
+    /// instance — bins delivered in order, once each, full or strided, at a
+    /// rate that changes bin to bin, over several intervals (the table is
+    /// emptied and reused) — both charge the same cycles and report the same
+    /// peak, to the bit.
+    #[test]
+    fn high_watermark_table_reports_the_running_peak(
+        bins in proptest::collection::vec(
+            (proptest::collection::vec(40u32..1500, 0..120), 0usize..2, 0.03f64..1.0),
+            1..30,
+        ),
+        bins_per_interval in 1usize..12,
+    ) {
+        use netshed::queries::{CycleMeter, HighWatermarkQuery, Query};
+
+        let (mut query, mut oracle) =
+            (HighWatermarkQuery::new(), oracle::RunningPeakWatermark::default());
+        let (mut meter, mut oracle_meter) = (CycleMeter::new(), CycleMeter::new());
+        let tuple = FiveTuple::new(1, 2, 3, 80, 6);
+        for (bin, (sizes, shape, rate)) in bins.iter().enumerate() {
+            if bin > 0 && bin % bins_per_interval == 0 {
+                prop_assert_eq!(query.end_interval(), oracle.end_interval(), "before bin {}", bin);
+            }
+            let packets: Vec<Packet> = sizes
+                .iter()
+                .enumerate()
+                .map(|(ts, size)| Packet::header_only(bin as u64 * 100_000 + ts as u64, tuple, *size, 0))
+                .collect();
+            let batch = Batch::new(bin as u64, bin as u64 * 100_000, 100_000, packets);
+            let view = match shape {
+                0 => batch.view(),
+                _ => batch.view().filter_indexed(|index, _| index % 3 != 0),
+            };
+            query.process_batch(&view, *rate, &mut meter);
+            oracle.process_batch(&view, *rate, &mut oracle_meter);
+        }
+        prop_assert_eq!(query.end_interval(), oracle.end_interval());
+        prop_assert_eq!(meter.cycles(), oracle_meter.cycles());
+    }
+
     /// OLS through the SVD pseudo-inverse recovers exact linear models.
     #[test]
     fn ols_recovers_linear_models(
