@@ -61,6 +61,23 @@ if [ "$kind" = committed ]; then
     fail "the 4-lane fleet's bin_ns_vs_solo is above 1.18"
 fi
 
+# Sampling costs what it keeps: a packet sample is one generator draw and one
+# integer compare per packet, written at the keep list's tail, so on the same
+# fresh 10k-packet views it may not cost more than a flow sample (one H3
+# verdict per flow and a verdict lookup per packet; 1.1–1.6 before the
+# branch-free sampler, 0.33–0.36 after) — and the solo bin's shed stage, five such
+# passes, may not take more than 0.17 of the bin (0.22 before). The small-view
+# re-extraction row is measured the way a monitor's worker runs it: eight
+# extractors taking turns on one shared scratch.
+require '"packet_vs_flow_view"' "lost the packet-vs-flow sampler row"
+require '"shared_scratch_ns_per_call"' "lost the shared-scratch re-extraction column"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"packet_vs_flow_view"/ { if ($2 + 0 > 1.0) exit 1 }' "$file" ||
+    fail "packet_vs_flow_view is above 1.0"
+  awk -F': *' '/"solo"/ { solo = 1 } solo && /"shed"/ { if ($2 + 0 > 0.17) exit 1; exit 0 }' "$file" ||
+    fail "the solo bin's measured shed share is above 0.17"
+fi
+
 # The flow index's worst case is priced, not guessed: on a batch whose
 # 5-tuples are all distinct the index saves nothing, and building it may cost
 # at most 15 % more than the bare per-packet slot-row build it replaced (an

@@ -13,13 +13,16 @@
 //!    per-query re-extraction) and cold (packets grouped into flows, flows
 //!    hashed and located as part of the call, the first touch of a batch) —
 //!    plus sampled views of ~50 / 200 / 1000 packets, where the per-call
-//!    fixed cost shows; and the same batch with every 5-tuple made unique
+//!    fixed cost shows, on one warm extractor and on eight taking turns on
+//!    one shared scratch as a monitor's worker runs them; and the same batch with every 5-tuple made unique
 //!    (`all_distinct`, the flow index's worst case: a spoofed-source flood),
 //!    where the index build is priced against the bare per-packet slot-row
 //!    build it replaced (`index_overhead_all_distinct`).
-//! 2. **shedding**: pooled packet/flow sampling of a 10k-packet view, plus a
-//!    structural check that the sampled view shares the packet store (zero
-//!    per-packet copies).
+//! 2. **shedding**: pooled packet/flow sampling of a 10k-packet view and
+//!    their intra-run ratio (`packet_vs_flow_view`: one draw and one integer
+//!    compare per packet against one H3 verdict per flow), plus a structural
+//!    check that the sampled view shares the packet store (zero per-packet
+//!    copies).
 //! 3. **data plane**: replay→shed→extract over one in-memory `.nstr`
 //!    container — borrowed zero-copy decode, pooled shed, fused extractor —
 //!    plus the steady-state allocation guard: a warmed shed→extract loop
@@ -53,8 +56,8 @@
 
 use netshed_bench::report::{num, Report, Table};
 use netshed_features::{
-    FeatureExtractor, FeatureId, FeatureVector, AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY,
-    FEATURE_COUNT,
+    ExtractScratch, FeatureExtractor, FeatureId, FeatureVector, AGGREGATE_HASH_SEED,
+    AGGREGATE_MAX_CARDINALITY, FEATURE_COUNT,
 };
 use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{
@@ -197,8 +200,12 @@ fn bench_extract(iterations: u64) -> Report {
     // Small views: what a query shed to a few percent re-extracts. Eight
     // views per size, taken in turn, so no call replays the previous one's
     // bit pattern. Ns per call, not per packet — at these sizes the call's
-    // fixed cost (fold, reset, estimates) is most of it.
-    let mut small_views = Table::new(&["kept", "fused_ns_per_call"]);
+    // fixed cost (fold, reset, estimates) is most of it. Once on one warm
+    // extractor with a scratch of its own, and once the way a monitor's
+    // worker runs them: eight extractors (one per view) taking turns on one
+    // shared scratch, each folding into interval bitmaps the seven calls in
+    // between have pushed out of the nearest cache.
+    let mut small_views = Table::new(&["kept", "fused_ns_per_call", "shared_scratch_ns_per_call"]);
     for target in [50usize, 200, 1000] {
         let stride = packets / target;
         let views: Vec<_> = (0..8)
@@ -210,7 +217,14 @@ fn bench_extract(iterations: u64) -> Report {
             black_box(fused.extract_view(&views[turn % 8]));
             turn += 1;
         });
-        small_views.row([views[0].len().into(), num(fused_ns, 0)]);
+        let mut scratch = ExtractScratch::default();
+        let mut extractors: Vec<_> = (0..8).map(|_| FeatureExtractor::with_defaults()).collect();
+        let shared_ns = time_ns(iterations * 8, || {
+            let extractor = &mut extractors[turn % 8];
+            black_box(extractor.extract_view_with(&views[turn % 8], &mut scratch));
+            turn += 1;
+        });
+        small_views.row([views[0].len().into(), num(fused_ns, 0), num(shared_ns, 0)]);
     }
 
     // The worst case: the same packets with a source address of their own
@@ -263,30 +277,43 @@ fn bench_extract(iterations: u64) -> Report {
 fn bench_shedding(iterations: u64) -> Report {
     // Payload-carrying traffic, as on the paper's full-payload traces: a
     // view records indices only, whatever a packet carries.
-    let batch = TraceGenerator::new(
+    // Eight batches taken in turn, so no call replays the flow pattern of the
+    // one before it; their flow indexes are built up front, as the full-batch
+    // extraction has built a bin's by the time the monitor sheds it.
+    let views: Vec<_> = TraceGenerator::new(
         TraceConfig::default().with_seed(12).with_mean_packets_per_batch(1e4).with_payloads(true),
     )
-    .next_batch();
-    let view = batch.view();
+    .batches(8)
+    .iter()
+    .map(|batch| {
+        batch.packets.flow_index();
+        batch.view()
+    })
+    .collect();
     let rate = 0.37;
 
     let mut pool = KeepListPool::new();
     let mut rng = StdRng::seed_from_u64(3);
+    let mut turn = 0usize;
     let packet_view_ns = time_ns(iterations, || {
-        black_box(packet_sample_with(&view, rate, &mut rng, &mut pool));
+        black_box(packet_sample_with(&views[turn % 8], rate, &mut rng, &mut pool));
+        turn += 1;
     });
     let hasher = H3Hasher::new(13, 9);
     let flow_view_ns = time_ns(iterations, || {
-        black_box(flow_sample_with(&view, rate, &hasher, &mut pool));
+        black_box(flow_sample_with(&views[turn % 8], rate, &hasher, &mut pool));
+        turn += 1;
     });
 
     // The structural half of the zero-copy claim: a sampled view records
     // indices into the store it was taken from.
-    let (sampled, _) = packet_sample_with(&view, rate, &mut rng, &mut pool);
+    let view = &views[0];
+    let (sampled, _) = packet_sample_with(view, rate, &mut rng, &mut pool);
     Report::new()
         .cell("packet_view_ns", num(packet_view_ns, 1))
         .cell("flow_view_ns", num(flow_view_ns, 1))
-        .cell("view_shares_store", sampled.shares_store(&view))
+        .cell("packet_vs_flow_view", num(packet_view_ns / flow_view_ns, 3))
+        .cell("view_shares_store", sampled.shares_store(view))
         .cell("per_packet_copies", 0u64)
 }
 

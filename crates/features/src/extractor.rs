@@ -3,18 +3,22 @@
 //! The extractor is *fused*: instead of one pass over the batch per aggregate
 //! (ten passes, each re-serialising and re-hashing a 13-byte key per packet),
 //! it walks the batch once and sets ten precomputed
-//! [`AggregateSlots`](netshed_trace::AggregateSlots) in the ten per-batch
+//! [`AggregateSlots`] in ten per-batch
 //! bitmaps — once per *flow* of the view: a set bit is idempotent and the
 //! slots are a function of the 5-tuple. They are computed once per flow per
 //! batch and cached on the shared packet store (its `FlowIndex`), so a
 //! query's sampled re-extraction reuses what the full-batch extraction paid
 //! for. Seed and geometry are therefore constants, not configuration: an
 //! extractor that disagreed with the store would read another bitmap's rows.
+//!
+//! The per-batch bitmaps are all zeros between two extractions, so they are
+//! nobody's state: the caller lends an [`ExtractScratch`] for the call (a
+//! monitor keeps one per worker) and an extractor owns the interval half.
 
 use crate::aggregate::{Aggregate, AGGREGATE_COUNT, AGGREGATE_MAX_CARDINALITY};
 use crate::vector::{CounterKind, FeatureId, FeatureVector};
 use netshed_sketch::{BitmapGeometry, MultiResolutionBitmap, StateError, StateReader, StateWriter};
-use netshed_trace::{Batch, BatchView, FlowSet};
+use netshed_trace::{AggregateSlots, Batch, BatchView, FlowSet};
 
 /// Configuration of the feature extractor.
 #[derive(Debug, Clone)]
@@ -30,29 +34,87 @@ impl Default for ExtractorConfig {
     }
 }
 
-/// Per-aggregate bitmap state.
-struct AggregateState {
-    /// Distinct items observed in the current batch. Empty between
-    /// extractions: the fold into `interval_seen` drains it.
-    batch_unique: MultiResolutionBitmap,
-    /// Distinct items observed in the current measurement interval.
-    interval_seen: MultiResolutionBitmap,
+/// What one extraction needs and nothing outlives: the ten per-batch bitmaps
+/// — flat words and per-component counts, aggregate-major, each laid out as
+/// a [`MultiResolutionBitmap`]'s — and the distinct flows of a sampled view.
+/// All zeros between calls, so any number of extractors take turns on one and
+/// which one served a call cannot show; never in a snapshot or a digest.
+#[derive(Debug)]
+pub struct ExtractScratch {
+    geometry: BitmapGeometry,
+    words: Vec<u64>,
+    set: Vec<u32>,
+    /// The distinct flows of the view under way, in view order, and the set
+    /// that tells a flow's first sighting from its later ones.
+    flows: Vec<u32>,
+    seen: FlowSet,
 }
 
-impl AggregateState {
-    /// Folds the filled per-batch bitmap into the interval state and returns
-    /// the four counters, in vector order: unique, new (derived from the
-    /// interval-estimate difference around a single merge per batch, as in
-    /// the paper), repeated and batch-repeated.
-    fn interval_counters(&mut self, packets: f64) -> [f64; 4] {
-        let unique = self.batch_unique.estimate().min(packets).round();
-        let before = self.interval_seen.estimate();
-        self.interval_seen.absorb(&mut self.batch_unique);
-        let after = self.interval_seen.estimate();
-        let new = (after - before).clamp(0.0, unique).round();
-        let repeated = (packets - unique).max(0.0);
-        let batch_repeated = (packets - new).max(0.0);
-        [unique, new, repeated, batch_repeated]
+impl Default for ExtractScratch {
+    fn default() -> Self {
+        let geometry = BitmapGeometry::for_cardinality(AGGREGATE_MAX_CARDINALITY);
+        Self {
+            geometry,
+            words: vec![0; AGGREGATE_COUNT * geometry.words()],
+            set: vec![0; AGGREGATE_COUNT * geometry.components()],
+            flows: Vec::default(),
+            seen: FlowSet::default(),
+        }
+    }
+}
+
+impl ExtractScratch {
+    /// Memory footprint of the per-batch bitmaps in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.words.len() * 8
+    }
+
+    /// Returns `true` if no bit is set: the state between two extractions.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&word| word == 0) && self.set.iter().all(|&set| set == 0)
+    }
+
+    /// Each aggregate's words and per-component counts, in aggregate order.
+    fn bitmaps(&mut self) -> impl Iterator<Item = (&mut [u64], &mut [u32])> {
+        let words = self.words.chunks_exact_mut(self.geometry.words());
+        words.zip(self.set.chunks_exact_mut(self.geometry.components()))
+    }
+
+    /// Sets the ten slots of every distinct flow of `view` and returns the
+    /// view's IP bytes. A full view holds every flow of the index; a sampled
+    /// one is walked once, branch-free: each packet's flow id is written at
+    /// the flow list's tail and the tail moves only at a flow's first
+    /// sighting, so the inserts run per flow behind no per-packet coin flip.
+    fn fill(&mut self, view: &BatchView) -> u64 {
+        let index = view.store().flow_index();
+        if view.is_full() {
+            self.insert(index.rows().iter());
+            return view.stats().bytes;
+        }
+        let mut flows = std::mem::take(&mut self.flows);
+        flows.resize(view.len(), 0);
+        self.seen.reset(index.flows());
+        let (mut distinct, mut bytes) = (0, 0);
+        for (at, packet) in view.indexed_packets() {
+            let flow = index.flow_of()[at];
+            flows[distinct] = flow;
+            distinct += usize::from(self.seen.insert(flow as usize));
+            bytes += u64::from(packet.ip_len());
+        }
+        flows.truncate(distinct);
+        self.insert(flows.iter().map(|&flow| &index.rows()[flow as usize]));
+        self.flows = flows;
+        bytes
+    }
+
+    /// Sets every row's ten slots, one per aggregate's bitmap.
+    fn insert<'a>(&mut self, rows: impl Iterator<Item = &'a AggregateSlots>) {
+        let geometry = self.geometry;
+        for row in rows {
+            for ((words, set), &slot) in self.bitmaps().zip(row.as_array()) {
+                geometry.set_slot(words, set, slot);
+            }
+        }
     }
 }
 
@@ -63,11 +125,12 @@ impl AggregateState {
 /// interval, so batches must be fed in order.
 pub struct FeatureExtractor {
     config: ExtractorConfig,
-    aggregates: [AggregateState; AGGREGATE_COUNT],
+    /// Distinct items seen in the current measurement interval, by aggregate.
+    interval_seen: [MultiResolutionBitmap; AGGREGATE_COUNT],
     current_interval: Option<u64>,
     batches_processed: u64,
-    /// Scratch: the flows of a sampled view whose bits are already set.
-    seen: FlowSet,
+    /// What [`FeatureExtractor::extract_view`] lends, created on first use.
+    own_scratch: Option<ExtractScratch>,
 }
 
 // Per-query extractors are handed to execution-plane workers (`&mut` moves
@@ -93,16 +156,12 @@ impl FeatureExtractor {
     /// Creates an extractor with the given configuration.
     pub fn new(config: ExtractorConfig) -> Self {
         let geometry = BitmapGeometry::for_cardinality(AGGREGATE_MAX_CARDINALITY);
-        let aggregates = std::array::from_fn(|_| AggregateState {
-            batch_unique: MultiResolutionBitmap::with_geometry(geometry),
-            interval_seen: MultiResolutionBitmap::with_geometry(geometry),
-        });
         Self {
             config,
-            aggregates,
+            interval_seen: std::array::from_fn(|_| MultiResolutionBitmap::with_geometry(geometry)),
             current_interval: None,
             batches_processed: 0,
-            seen: FlowSet::default(),
+            own_scratch: None,
         }
     }
 
@@ -116,12 +175,10 @@ impl FeatureExtractor {
         self.batches_processed
     }
 
-    /// Approximate memory footprint of the bitmap state in bytes.
+    /// Memory footprint of the bitmaps the extractor owns (the per-interval
+    /// ones; the per-batch ones are the lent scratch's) in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.aggregates
-            .iter()
-            .map(|a| a.batch_unique.memory_bytes() + a.interval_seen.memory_bytes())
-            .sum()
+        self.interval_seen.iter().map(MultiResolutionBitmap::memory_bytes).sum()
     }
 
     /// Serializes the extractor's interval state for a checkpoint: the
@@ -129,12 +186,12 @@ impl FeatureExtractor {
     /// per-interval bitmap. The "new items" counters compare each batch
     /// against everything seen since the interval began, so this state is
     /// essential — it cannot be rebuilt without replaying the whole interval.
-    /// The per-batch bitmaps are empty between batches and are not written.
+    /// The per-batch bitmaps are the scratch's, empty between batches.
     pub fn save_state(&self, writer: &mut StateWriter) {
         writer.opt_u64(self.current_interval);
         writer.u64(self.batches_processed);
-        for state in &self.aggregates {
-            state.interval_seen.save_state(writer);
+        for interval_seen in &self.interval_seen {
+            interval_seen.save_state(writer);
         }
     }
 
@@ -143,8 +200,8 @@ impl FeatureExtractor {
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.current_interval = reader.opt_u64()?;
         self.batches_processed = reader.u64()?;
-        for state in &mut self.aggregates {
-            state.interval_seen.load_state(reader)?;
+        for interval_seen in &mut self.interval_seen {
+            interval_seen.load_state(reader)?;
         }
         Ok(())
     }
@@ -163,38 +220,54 @@ impl FeatureExtractor {
     ///
     /// Identical to [`FeatureExtractor::extract`] but operates on the
     /// zero-copy [`BatchView`] the shedders produce; the per-flow aggregate
-    /// slots are shared with every other consumer of the same batch.
+    /// slots are shared with every other consumer of the same batch. Lends
+    /// [`FeatureExtractor::extract_view_with`] a scratch of the extractor's own.
     pub fn extract_view(&mut self, view: &BatchView) -> (FeatureVector, u64) {
+        let mut scratch = self.own_scratch.take().unwrap_or_default();
+        let extracted = self.extract_view_with(view, &mut scratch);
+        self.own_scratch = Some(scratch);
+        extracted
+    }
+
+    /// [`FeatureExtractor::extract_view`] on a scratch the caller lends: any
+    /// empty one will do, and it is handed back empty.
+    pub fn extract_view_with(
+        &mut self,
+        view: &BatchView,
+        scratch: &mut ExtractScratch,
+    ) -> (FeatureVector, u64) {
         let interval = view.measurement_interval(self.config.measurement_interval_us);
         if self.current_interval != Some(interval) {
-            for state in &mut self.aggregates {
-                state.interval_seen.clear();
+            for interval_seen in &mut self.interval_seen {
+                interval_seen.clear();
             }
             self.current_interval = Some(interval);
         }
         self.batches_processed += 1;
 
         let packets = view.len() as f64;
-        // Fused single pass, flow-major: a flow's ten slots are set once, at
-        // its first packet in the view; the others could only set them again.
-        let rows = view.store().flow_index().rows();
-        for (flow, _) in view.first_of_flows(&mut self.seen) {
-            for (state, &slot) in self.aggregates.iter_mut().zip(rows[flow].as_array()) {
-                state.batch_unique.insert_slot(slot);
-            }
-        }
+        // Fused single pass, flow-major: a flow's ten slots are set once per
+        // view; its other packets could only set them again.
+        let bytes = scratch.fill(view);
 
         let mut vector = FeatureVector::zeros();
         vector.set(FeatureId::Packets, packets);
-        vector.set(FeatureId::Bytes, view.total_bytes() as f64);
-        for (agg_idx, aggregate) in Aggregate::ALL.iter().enumerate() {
-            let [unique, new, repeated, batch_repeated] =
-                self.aggregates[agg_idx].interval_counters(packets);
-            vector.set(FeatureId::Counter(*aggregate, CounterKind::Unique), unique);
-            vector.set(FeatureId::Counter(*aggregate, CounterKind::New), new);
-            vector.set(FeatureId::Counter(*aggregate, CounterKind::Repeated), repeated);
-            vector.set(FeatureId::Counter(*aggregate, CounterKind::BatchRepeated), batch_repeated);
+        vector.set(FeatureId::Bytes, bytes as f64);
+        let aggregates = Aggregate::ALL.iter().zip(&mut self.interval_seen);
+        for ((aggregate, interval_seen), (words, set)) in aggregates.zip(scratch.bitmaps()) {
+            // New items are the rise of the interval estimate around the one
+            // merge per batch, as in the paper; the merge empties the scratch.
+            let unique = interval_seen.estimate_of(set).min(packets).round();
+            let before = interval_seen.estimate();
+            interval_seen.absorb_words(words, set);
+            let new = (interval_seen.estimate() - before).clamp(0.0, unique).round();
+            let counter = |kind| FeatureId::Counter(*aggregate, kind);
+            vector.set(counter(CounterKind::Unique), unique);
+            vector.set(counter(CounterKind::New), new);
+            vector.set(counter(CounterKind::Repeated), (packets - unique).max(0.0));
+            vector.set(counter(CounterKind::BatchRepeated), (packets - new).max(0.0));
         }
+        debug_assert!(scratch.is_empty(), "the fold hands the scratch back all zeros");
         let operations = view.len() as u64 * Aggregate::ALL.len() as u64;
         (vector, operations)
     }
@@ -280,10 +353,12 @@ mod tests {
         extractor.extract(&batch_of(&tuples, 0));
         let mut writer = StateWriter::new();
         extractor.save_state(&mut writer);
-        // Half the bitmap memory (the per-interval half) plus framing.
+        // The bitmaps the extractor owns (the per-interval ones) plus
+        // framing; the per-batch ones are the scratch's, as large again.
         let bitmaps = extractor.memory_bytes();
-        assert!(writer.len() > bitmaps / 2, "{} of {bitmaps}", writer.len());
-        assert!(writer.len() < bitmaps / 2 + 1024, "{} of {bitmaps}", writer.len());
+        assert_eq!(bitmaps, ExtractScratch::default().memory_bytes());
+        assert!(writer.len() > bitmaps, "{} of {bitmaps}", writer.len());
+        assert!(writer.len() < bitmaps + 1024, "{} of {bitmaps}", writer.len());
 
         let bytes = writer.into_bytes();
         let mut restored = FeatureExtractor::with_defaults();

@@ -22,7 +22,7 @@ use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
 use crate::shedder::{flow_sample_with, packet_sample_with};
 use netshed_fairness::QueryDemand;
-use netshed_features::FeatureVector;
+use netshed_features::{ExtractScratch, FeatureVector};
 use netshed_predict::FeatureWindow;
 use netshed_queries::{CycleMeter, NoiseDraw, QueryOutput, SheddingMethod};
 use netshed_trace::{Batch, BatchView};
@@ -139,7 +139,12 @@ impl RegisteredQuery {
     /// delivered — split by the lane of each packet's flow (`lane_of_flow`),
     /// or, with one lane, the delivered view as it is. A query the plan sat
     /// out is walked and left untouched.
-    fn deliver(&mut self, post_drop: &BatchView, lane_of_flow: &[u32]) {
+    fn deliver(
+        &mut self,
+        post_drop: &BatchView,
+        lane_of_flow: &[u32],
+        scratch: &mut ExtractScratch,
+    ) {
         let Some((rate, _)) = self.slot.run else { return };
         let (delivered, resampled) = match self.slot.sampled.take() {
             Some(sampled) => (sampled, true),
@@ -155,9 +160,9 @@ impl RegisteredQuery {
 
         // Recompute the features over the sampled stream so the MLR history
         // stays consistent (Section 4.3); the per-query extractor belongs to
-        // this task alone.
+        // this task alone, the scratch to the worker running it.
         (self.slot.sampled_features, self.slot.reextract_ops) = if resampled {
-            let (extracted, ops) = self.sampled_extractor.extract_view(&delivered);
+            let (extracted, ops) = self.sampled_extractor.extract_view_with(&delivered, scratch);
             (Some(extracted), ops)
         } else {
             (None, 0)
@@ -304,7 +309,8 @@ impl Monitor {
     /// slots per flow) is built and cached on the batch; every per-query
     /// re-extraction, flow sample and flow-keyed query later reuses it.
     fn extract(&mut self, post_drop: &BatchView) {
-        let (features, extraction_ops) = self.extractor.extract_view(post_drop);
+        let (features, extraction_ops) =
+            self.extractor.extract_view_with(post_drop, &mut self.scratch[0]);
         self.bin.features = features;
         self.bin.prediction_cycles = extraction_ops * FEATURE_OP_CYCLES;
     }
@@ -323,7 +329,7 @@ impl Monitor {
     /// deterministic state, so this is dispatched too.
     fn predict(&mut self, post_drop: &BatchView) {
         let features = self.bin.features;
-        self.dispatch(|query, window| query.predict(window, &features));
+        self.dispatch(|query, window, _| query.predict(window, &features));
         self.window.push(&features);
         let bin = &mut self.bin;
         for registered in &self.queries {
@@ -332,7 +338,7 @@ impl Monitor {
         }
 
         if self.policy.needs_measured_cycles() {
-            self.dispatch(|query, _| query.measure_shadow(post_drop));
+            self.dispatch(|query, _, _| query.measure_shadow(post_drop));
             let shadows = self.queries.iter().map(|registered| registered.slot.shadow_cycles);
             self.bin.measured_full.extend(shadows);
         }
@@ -446,13 +452,15 @@ impl Monitor {
             post_drop.store().flow_lanes(self.lane_count, &mut self.lane_of_flow);
         }
         let lane_of_flow = std::mem::take(&mut self.lane_of_flow);
-        self.dispatch(|query, _| query.deliver(post_drop, &lane_of_flow));
+        self.dispatch(|query, _, scratch| query.deliver(post_drop, &lane_of_flow, scratch));
         self.lane_of_flow = lane_of_flow;
 
         let tasks = self.queries.len() * self.lane_count;
         let threads = self.config.workers * self.config.shards.min(self.lane_count);
         let instances = self.queries.iter_mut().flat_map(|query| &mut query.lanes);
-        exec::run_tasks(threads.min(tasks), instances, LaneQuery::run);
+        exec::run_tasks(threads.min(tasks), &mut [(); exec::MAX_WORKERS], instances, |lane, ()| {
+            lane.run()
+        });
         self.clock.stats.tasks += tasks as u64;
 
         for query in &mut self.queries {
@@ -567,10 +575,17 @@ impl Monitor {
     }
 
     /// Fans `run` out over the registered queries on the execution plane,
-    /// each beside the shared feature window.
-    fn dispatch(&mut self, run: impl Fn(&mut RegisteredQuery, &FeatureWindow) + Sync) {
+    /// each beside the shared feature window and lent the extraction scratch
+    /// of the worker it runs on.
+    fn dispatch(
+        &mut self,
+        run: impl Fn(&mut RegisteredQuery, &FeatureWindow, &mut ExtractScratch) + Sync,
+    ) {
         let (window, workers) = (&self.window, self.config.workers.min(self.queries.len()));
-        exec::run_tasks(workers, self.queries.iter_mut(), |query| run(query, window));
+        let queries = self.queries.iter_mut();
+        exec::run_tasks(workers, &mut self.scratch, queries, |query, scratch| {
+            run(query, window, scratch)
+        });
         self.clock.stats.tasks += self.queries.len() as u64;
     }
 

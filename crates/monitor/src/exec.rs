@@ -30,31 +30,42 @@ pub const MAX_WORKERS: usize = 256;
 /// thread — no thread is spawned, no synchronisation is touched; callers cap
 /// `workers` at their task count, so a lone task runs inline too.
 ///
+/// Every thread is lent one element of `scratch` for the whole dispatch —
+/// the caller's thread `scratch[0]`, each spawned worker the next one — and
+/// hands it to each task it runs: no lock, no thread-local, no allocation.
+/// At most `scratch.len()` (≥ 1) threads run; a dispatch that lends nothing
+/// passes `[(); MAX_WORKERS]`.
+///
 /// Determinism: the function imposes no ordering on *effects* because each
 /// task may only touch state it exclusively owns (`&mut T`) plus `Sync`
-/// shared inputs; results stay in the task they belong to, so callers merging
-/// in index order observe the same stream regardless of `workers`.
-pub(crate) fn run_tasks<'a, T, F>(
+/// shared inputs — and a scratch that carries nothing from one task to the
+/// next, since the schedule decides which one serves which task; results stay
+/// in the task they belong to, so callers merging in index order observe the
+/// same stream regardless of `workers`.
+pub(crate) fn run_tasks<'a, T, S, F>(
     workers: usize,
+    scratch: &mut [S],
     tasks: impl Iterator<Item = &'a mut T> + Send,
     run: F,
 ) where
     T: Send + 'a,
-    F: Fn(&mut T) + Sync,
+    S: Send,
+    F: Fn(&mut T, &mut S) + Sync,
 {
-    let worker_count = workers.clamp(1, MAX_WORKERS);
-    if worker_count <= 1 {
-        tasks.for_each(run);
+    let (mine, others) = scratch.split_at_mut(1);
+    let spawned = (workers.clamp(1, MAX_WORKERS) - 1).min(others.len());
+    if spawned == 0 {
+        tasks.for_each(|task| run(task, &mut mine[0]));
         return;
     }
 
     let queue = Mutex::new(tasks);
-    let drain = || loop {
+    let drain = |scratch: &mut S| loop {
         // Hold the queue lock only for the pop, never across a task.
         // lint:allow(no-unwrap): a poisoned queue means a worker panicked mid-task; propagating the panic is the only sound continuation
         let next = queue.lock().expect("task queue poisoned").next();
         let Some(task) = next else { break };
-        run(task);
+        run(task, scratch);
     };
     std::thread::scope(|scope| {
         // The caller participates, so a dispatch spawns only `workers - 1`
@@ -62,10 +73,10 @@ pub(crate) fn run_tasks<'a, T, F>(
         // pool is never idle waiting for the calling thread.
         // `drain` captures only shared references, so it is `Copy` and each
         // spawn gets its own handle onto the same queue.
-        for _ in 1..worker_count {
-            scope.spawn(drain);
+        for scratch in &mut others[..spawned] {
+            scope.spawn(move || drain(scratch));
         }
-        drain();
+        drain(&mut mine[0]);
     });
 }
 
@@ -236,7 +247,7 @@ mod tests {
     fn run_tasks_runs_every_task_exactly_once_at_any_worker_count() {
         for workers in [1, 2, 4, 9] {
             let mut tasks: Vec<u32> = vec![0; 7];
-            run_tasks(workers, tasks.iter_mut(), |task| *task += 1);
+            run_tasks(workers, &mut [(); MAX_WORKERS], tasks.iter_mut(), |task, ()| *task += 1);
             assert_eq!(tasks, vec![1; 7], "workers = {workers}");
         }
     }
@@ -244,9 +255,9 @@ mod tests {
     #[test]
     fn run_tasks_handles_empty_and_single_task_sets() {
         let mut none: Vec<u32> = Vec::new();
-        run_tasks(4, none.iter_mut(), |_| unreachable!());
+        run_tasks(4, &mut [(); 4], none.iter_mut(), |_, ()| unreachable!());
         let mut one = vec![10u32];
-        run_tasks(4, one.iter_mut(), |task| *task *= 2);
+        run_tasks(4, &mut [(); 4], one.iter_mut(), |task, ()| *task *= 2);
         assert_eq!(one, vec![20]);
     }
 
@@ -258,7 +269,7 @@ mod tests {
         let barrier = Barrier::new(2);
         let hits = AtomicUsize::new(0);
         let mut tasks = [(); 2];
-        run_tasks(2, tasks.iter_mut(), |()| {
+        run_tasks(2, &mut [(); 2], tasks.iter_mut(), |(), ()| {
             barrier.wait();
             hits.fetch_add(1, Ordering::SeqCst);
         });

@@ -26,7 +26,7 @@ use crate::exec::{StageClock, StageStats};
 use crate::observer::RunObserver;
 use crate::policy::ControlPolicy;
 use crate::report::RunSummary;
-use netshed_features::{ExtractorConfig, FeatureExtractor};
+use netshed_features::{ExtractScratch, ExtractorConfig, FeatureExtractor};
 use netshed_predict::{FeatureWindow, Predictor};
 use netshed_queries::{
     build_query_from_spec, MeasurementNoise, Query, QueryOutput, QuerySpec, SheddingMethod,
@@ -170,6 +170,9 @@ pub struct Monitor {
     /// monitor's own instance of `config.policy`.
     pub(crate) policy: Box<dyn ControlPolicy>,
     pub(crate) extractor: FeatureExtractor,
+    /// One extraction scratch per worker, lent to whichever task runs there
+    /// (the plan thread uses the first); empty between extractions.
+    pub(crate) scratch: Vec<ExtractScratch>,
     pub(crate) queries: Vec<RegisteredQuery>,
     pub(crate) buffer: CaptureBuffer,
     pub(crate) noise: MeasurementNoise,
@@ -241,6 +244,7 @@ impl Monitor {
             lane_of_flow: Vec::new(),
             policy: config.policy.make(),
             extractor: extractor(&config),
+            scratch: (0..config.workers.max(1)).map(|_| ExtractScratch::default()).collect(),
             queries: Vec::new(),
             buffer,
             noise,

@@ -32,9 +32,19 @@ pub fn packet_sample_with(
     if rate <= 0.0 {
         return (batch.cleared_with(pool), batch.len() as u64);
     }
-    let sampled = batch.filter_indexed_with(pool, |_, _| rng.gen::<f64>() < rate);
+    let threshold = keep_threshold(rate);
+    let sampled = batch.filter_indexed_with(pool, |_, _| (rng.next_u64() >> 11) < threshold);
     let dropped = batch.len() as u64 - sampled.len() as u64;
     (sampled, dropped)
+}
+
+/// The keep test `rng.gen::<f64>() < rate` in integers. The draw is `k · 2⁻⁵³`
+/// for `k = next_u64() >> 11`, and that product and `rate · 2⁵³` are both exact
+/// (a power of two only moves the exponent), so `k · 2⁻⁵³ < rate` ⇔
+/// `k < ⌈rate · 2⁵³⌉`: the same verdict from the same draw. A NaN rate casts
+/// to 0 and keeps nothing, as `x < NaN` does.
+fn keep_threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Flowwise sampling: a flow is kept if the H3 hash of its 5-tuple, mapped to
@@ -177,6 +187,50 @@ mod tests {
         }
         // Views are dropped each round, so the pool never needs many slots.
         assert!(pool.slots() <= 2, "pool grew to {} slots", pool.slots());
+    }
+
+    proptest::proptest! {
+        /// The integer verdict is the float comparison, draw for draw: on
+        /// rates at and one ulp either side of the draw itself (the only
+        /// place the two could part), at the ends of the unit interval, on
+        /// NaN and on rates `clamp` folds to 0 and 1.
+        #[test]
+        fn integer_verdict_is_the_float_comparison(seed in 0u64..u64::MAX, rate in 0.0f64..1.0) {
+            let mut integer_rng = StdRng::seed_from_u64(seed);
+            let mut float_rng = integer_rng.clone();
+            for _ in 0..64 {
+                let draw = integer_rng.next_u64() >> 11;
+                let unit: f64 = float_rng.gen();
+                let rates = [
+                    rate,
+                    unit,
+                    unit.next_up(),
+                    unit.next_down(),
+                    f64::MIN_POSITIVE,
+                    f64::from_bits(1),
+                    f64::from_bits(0x000f_ffff_ffff_ffff),
+                    (0.5f64).powi(53),
+                    (0.5f64).powi(53).next_down(),
+                    1.0 - (0.5f64).powi(53),
+                    f64::NAN,
+                    -0.0,
+                    -1.0,
+                    1.0,
+                    2.5,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                ];
+                for rate in rates.map(|rate| rate.clamp(0.0, 1.0)) {
+                    proptest::prop_assert_eq!(
+                        draw < keep_threshold(rate),
+                        unit < rate,
+                        "draw {} against rate {:e}",
+                        draw,
+                        rate
+                    );
+                }
+            }
+        }
     }
 
     #[test]

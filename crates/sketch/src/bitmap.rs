@@ -110,6 +110,27 @@ impl BitmapGeometry {
         (component * self.bits + bit as u32) as u16
     }
 
+    /// Number of 64-bit words the slots fill.
+    pub fn words(&self) -> usize {
+        self.slots() / 64
+    }
+
+    /// Sets `slot`'s bit in `words` (laid out by this geometry: component `c`
+    /// owns words `c · bits/64 .. (c + 1) · bits/64`) and counts it in its
+    /// component's entry of `set` if newly set, which it returns. A
+    /// [`MultiResolutionBitmap`] is such a pair; so is a per-batch side kept
+    /// outside one and folded in by [`MultiResolutionBitmap::absorb_words`].
+    /// Panics on a slot beyond `words` (one located under another geometry).
+    #[inline]
+    pub fn set_slot(&self, words: &mut [u64], set: &mut [u32], slot: u16) -> bool {
+        let word = &mut words[usize::from(slot >> 6)];
+        let mask = 1u64 << (slot & 63);
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        set[self.component_of(slot)] += u32::from(fresh);
+        fresh
+    }
+
     #[inline]
     fn component_of(&self, slot: u16) -> usize {
         match self.shift {
@@ -222,24 +243,26 @@ impl MultiResolutionBitmap {
     /// Panics on a slot beyond the geometry (one located under another).
     #[inline]
     pub fn insert_slot(&mut self, slot: u16) -> bool {
-        let word = &mut self.words[usize::from(slot >> 6)];
-        let mask = 1u64 << (slot & 63);
-        let fresh = *word & mask == 0;
-        *word |= mask;
-        self.set[self.geometry.component_of(slot)] += u32::from(fresh);
-        fresh
+        self.geometry.set_slot(&mut self.words, &mut self.set, slot)
     }
 
     /// Estimates the number of distinct items inserted.
     pub fn estimate(&self) -> f64 {
+        self.estimate_of(&self.set)
+    }
+
+    /// [`estimate`](Self::estimate) of a bitmap of this geometry holding
+    /// `set[c]` set bits in component `c` (a per-batch side's counts).
+    pub fn estimate_of(&self, set: &[u32]) -> f64 {
+        debug_assert_eq!(set.len(), self.set.len());
         // Find the first component that is still reliable.
-        let last = self.set.len() - 1;
+        let last = set.len() - 1;
         let mut base = 0usize;
-        while base < last && self.set[base] >= self.table.saturated_from {
+        while base < last && set[base] >= self.table.saturated_from {
             base += 1;
         }
         let mut sum = 0.0;
-        for &set in &self.set[base..] {
+        for &set in &set[base..] {
             sum += self.table.estimates[set as usize];
         }
         // Components `base..` observe a fraction 2^-base of the items.
@@ -270,9 +293,10 @@ impl MultiResolutionBitmap {
         }
     }
 
-    /// Merges `batch` into this bitmap and leaves `batch` empty, in one pass
-    /// over the components `batch` set a bit in: the per-batch → per-interval
-    /// fold of Section 3.2.1 together with the per-batch reset.
+    /// Merges a per-batch side (`words` and `set`, filled through
+    /// [`BitmapGeometry::set_slot`]) into this bitmap and leaves it all zeros,
+    /// in one pass over the components it set a bit in: the per-batch →
+    /// per-interval fold of Section 3.2.1 together with the per-batch reset.
     ///
     /// Within a component every word is folded unconditionally. Skipping the
     /// zero words looks cheaper, but whether a word of a sampled batch is
@@ -281,13 +305,16 @@ impl MultiResolutionBitmap {
     ///
     /// # Panics
     ///
-    /// Panics if the geometries differ.
-    pub fn absorb(&mut self, batch: &mut MultiResolutionBitmap) {
-        assert_eq!(self.geometry, batch.geometry, "cannot merge bitmaps of different geometries");
+    /// Panics if the lengths are not this geometry's.
+    pub fn absorb_words(&mut self, words: &mut [u64], set: &mut [u32]) {
+        assert!(
+            words.len() == self.words.len() && set.len() == self.set.len(),
+            "cannot merge bitmaps of different geometries"
+        );
         let per_component = self.geometry.words_per_component();
         let mine = self.words.chunks_exact_mut(per_component);
-        let theirs = batch.words.chunks_exact_mut(per_component);
-        let counters = self.set.iter_mut().zip(&mut batch.set);
+        let theirs = words.chunks_exact_mut(per_component);
+        let counters = self.set.iter_mut().zip(set);
         for ((mine, theirs), (set, batch_set)) in mine.zip(theirs).zip(counters) {
             if *batch_set == 0 {
                 continue;

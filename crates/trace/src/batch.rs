@@ -583,9 +583,11 @@ impl Batch {
 /// simultaneous views per bin therefore stops allocating entirely once the
 /// pool is warm (the property the allocation-guard bench pins).
 ///
-/// The pool itself is plain mutable state: keep one per thread of control
-/// (the monitor keeps one for plan-phase sampling and one per query
-/// execution state for worker-side sampling).
+/// The pool is plain mutable state whose slots outlive the call that filled
+/// them (a view holds one until it is dropped), so it goes with the views:
+/// the monitor keeps one for the views its plan draws and one per query for
+/// those the query's task builds — not one per worker, like the extraction
+/// scratch, which is empty again when its call returns.
 #[derive(Debug, Default)]
 pub struct KeepListPool {
     slots: Vec<Arc<Vec<u32>>>,
@@ -744,17 +746,6 @@ impl BatchView {
         }
     }
 
-    /// Total number of IP bytes retained by the view (equal to
-    /// `stats().bytes`, without folding the other five statistics).
-    pub fn total_bytes(&self) -> u64 {
-        match &self.keep {
-            Some(keep) => {
-                keep.iter().map(|&index| u64::from(self.store.ip_lens[index as usize])).sum()
-            }
-            None => self.store.stats.bytes,
-        }
-    }
-
     /// Iterates over `(flow id, packet)` for the first retained packet of
     /// every distinct flow of the view, in view order: what a consumer whose
     /// per-packet step is idempotent per 5-tuple has to look at. A full view
@@ -802,21 +793,14 @@ impl BatchView {
     /// Pooled variant of [`BatchView::filter_indexed`]: the keep list (buffer
     /// *and* `Arc` control block) is claimed from `pool` and returns to it
     /// once the derived view is dropped, so a warm steady state allocates
-    /// nothing.
+    /// nothing. `keep` is asked once per packet of the view, in view order.
     pub fn filter_indexed_with<F>(&self, pool: &mut KeepListPool, mut keep: F) -> BatchView
     where
         F: FnMut(usize, PacketRef<'_>) -> bool,
     {
         let slot = pool.claim();
-        {
-            let list = Arc::make_mut(&mut pool.slots[slot]);
-            list.reserve(self.len());
-            for (index, packet) in self.indexed_packets() {
-                if keep(index, packet) {
-                    list.push(index as u32);
-                }
-            }
-        }
+        let list = Arc::make_mut(&mut pool.slots[slot]);
+        self.compact_into(list, |at| keep(at, self.store.get(at)));
         self.with_keep_arc(Arc::clone(&pool.slots[slot]))
     }
 
@@ -832,18 +816,29 @@ impl BatchView {
         let slot = pool.claim();
         pool.fates.clear();
         pool.fates.resize(index.flows(), None);
-        let list = Arc::make_mut(&mut pool.slots[slot]);
-        // Every index is written at the tail and the tail moves only for a
-        // kept flow: no branch on a verdict that is a coin flip per packet.
+        let (list, fates) = (Arc::make_mut(&mut pool.slots[slot]), &mut pool.fates);
+        self.compact_into(list, |at| {
+            let fate = &mut fates[index.flow_of()[at] as usize];
+            *fate.get_or_insert_with(|| keep(&self.store.tuples[at]))
+        });
+        self.with_keep_arc(Arc::clone(&pool.slots[slot]))
+    }
+
+    /// Fills `list` with the store indices of the view's packets `verdict`
+    /// accepts, asked once per packet in view order. Every index is written
+    /// at the tail and the tail moves only for a kept one: no branch on a
+    /// verdict that is a coin flip per packet. One loop for both kinds of
+    /// view, so `verdict` has one call site and is inlined into it.
+    fn compact_into(&self, list: &mut Vec<u32>, mut verdict: impl FnMut(usize) -> bool) {
         list.resize(self.len(), 0);
+        let keep = self.keep.as_ref().map(|keep| keep.as_slice());
         let mut kept = 0;
-        for (at, packet) in self.indexed_packets() {
-            let fate = &mut pool.fates[index.flow_of()[at] as usize];
+        for position in 0..list.len() {
+            let at = keep.map_or(position, |keep| keep[position] as usize);
             list[kept] = at as u32;
-            kept += usize::from(*fate.get_or_insert_with(|| keep(packet.tuple())));
+            kept += usize::from(verdict(at));
         }
         list.truncate(kept);
-        self.with_keep_arc(Arc::clone(&pool.slots[slot]))
     }
 
     /// Splits the view into `lanes` views, one per lane, by the lane of each
@@ -1415,31 +1410,12 @@ mod tests {
     }
 
     #[test]
-    fn view_total_bytes_equals_the_stats_fold() {
-        let packets: Vec<Packet> = (0..40u32)
-            .map(|i| {
-                Packet::header_only(u64::from(i), FiveTuple::new(i, 2, 3, 4, 6), 40 + i * 7, 0)
-            })
-            .collect();
-        let batch = Batch::new(0, 0, 100_000, packets);
-        let full = batch.view();
-        for view in [
-            full.clone(),
-            full.filter_indexed(|index, _| index % 3 == 1),
-            full.filter_indexed(|_, _| true),
-            full.cleared_with(&mut KeepListPool::new()),
-        ] {
-            assert_eq!(view.total_bytes(), view.stats().bytes, "{} kept", view.len());
-        }
-    }
-
-    #[test]
     fn view_stats_cover_only_retained_packets() {
         let batch = Batch::new(0, 0, 100_000, vec![pkt(0), pkt(10), pkt(20)]);
         let view = batch.view().filter_indexed(|_, p| p.ts() >= 10);
-        assert_eq!(view.total_bytes(), 200);
+        assert_eq!(view.stats().bytes, 200);
         assert_eq!(view.stats().packets, 2);
-        assert_eq!(batch.view().total_bytes(), 300);
+        assert_eq!(batch.view().stats().bytes, 300);
         assert!(view.cleared_with(&mut KeepListPool::new()).is_empty());
     }
 

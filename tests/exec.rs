@@ -177,6 +177,48 @@ fn penalised_slots_are_walked_identically_at_any_worker_count() {
     }
 }
 
+/// Tasks migrate between scratches: nine sampled queries (every one of them
+/// re-extracts each bin it runs) over one, two and four workers, solo and as a
+/// four-lane fleet. Which worker — and so which extraction scratch — serves
+/// which query differs from bin to bin and from run to run; the digest of
+/// everything the engine emits does not.
+#[test]
+fn more_queries_than_workers_share_the_worker_scratches_invisibly() {
+    let batches = recorded_batches(40);
+    let sampled = [QueryKind::Counter, QueryKind::Flows, QueryKind::PatternSearch];
+    let specs: Vec<QuerySpec> =
+        (0..9).map(|i| QuerySpec::new(sampled[i % 3]).with_label(format!("tenant-{i}"))).collect();
+    let demand = netshed::monitor::reference::measure_total_demand(&specs, &batches[..20])
+        .expect("valid query specs");
+    let digest_of = |workers: usize, fleet: bool| {
+        let builder = Monitor::builder()
+            .capacity(demand / 3.0)
+            .seed(29)
+            .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+            .with_workers(workers)
+            .queries(specs.clone());
+        let mut observers = (DigestObserver::new(), FullTape::default());
+        let mut source = BatchReplay::new(batches.clone());
+        if fleet {
+            let mut engine = builder.with_shard_lanes(4).build_sharded().expect("valid fleet");
+            engine.run(&mut source, &mut observers).expect("run");
+        } else {
+            builder.build().expect("valid monitor").run(&mut source, &mut observers).expect("run");
+        }
+        let sampled_runs = (observers.1.records.iter().flat_map(|record| &record.queries))
+            .filter(|query| !query.disabled && query.sampling_rate < 1.0)
+            .count();
+        (observers.0.digest(), sampled_runs)
+    };
+    for fleet in [false, true] {
+        let (sequential, sampled_runs) = digest_of(1, fleet);
+        assert!(sampled_runs > 9 * 20, "most runs must re-extract: {sampled_runs}");
+        for workers in [2, 4] {
+            assert_eq!(digest_of(workers, fleet).0, sequential, "{workers} workers, fleet {fleet}");
+        }
+    }
+}
+
 /// Runs the 20-bin unshed trace through `engine` and returns its stage
 /// telemetry with the wall nanoseconds taken around the run.
 fn stage_stats_of<E: Engine>(mut engine: E) -> (StageStats, u64) {

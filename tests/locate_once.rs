@@ -14,8 +14,8 @@
 mod oracle;
 
 use netshed::features::{
-    Aggregate, AggregateHashes, CounterKind, FeatureExtractor, FeatureId, FeatureVector,
-    AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY,
+    Aggregate, AggregateHashes, CounterKind, ExtractScratch, FeatureExtractor, FeatureId,
+    FeatureVector, AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY,
 };
 use netshed::monitor::{flow_sample_with, packet_sample_with};
 use netshed::sketch::{
@@ -97,39 +97,50 @@ proptest! {
     }
 
     /// (b) After any sequence of inserts, merges, fused merge-and-clears and
-    /// clears, the flat bitmap pair agrees with the `LinearCounting`
-    /// composition on the estimate (to the bit), on membership and on the
-    /// serialized bytes — and a restore of those bytes agrees again.
+    /// clears, the flat bitmap — and a per-batch side kept outside it as bare
+    /// words and counts, the extractor's scratch — agrees with the
+    /// `LinearCounting` composition on the estimate (to the bit), on
+    /// membership and on the serialized bytes — and a restore of those bytes
+    /// agrees again.
     #[test]
     fn flat_bitmap_matches_the_linear_counting_composition(
         operations in proptest::collection::vec((0u8..16, 0u64..u64::MAX), 1..900),
         shape in 0usize..GEOMETRIES.len(),
     ) {
         let (components, bits) = GEOMETRIES[shape];
-        let mut batch = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
-        let mut interval = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
+        let geometry = BitmapGeometry::new(components, bits);
+        let (mut words, mut set) = (vec![0u64; geometry.words()], vec![0u32; components]);
+        let mut interval = MultiResolutionBitmap::with_geometry(geometry);
         let mut batch_reference = ReferenceBitmap::new(components, bits);
         let mut interval_reference = ReferenceBitmap::new(components, bits);
         let probes: Vec<u64> = operations.iter().map(|(_, hash)| *hash).step_by(7).collect();
+        // The per-batch side as a bitmap of its own: a copy folded into an
+        // empty one.
+        let as_bitmap = |words: &[u64], set: &[u32]| {
+            let mut bitmap = MultiResolutionBitmap::with_geometry(geometry);
+            bitmap.absorb_words(&mut words.to_vec(), &mut set.to_vec());
+            bitmap
+        };
 
         for (operation, hash) in &operations {
             match operation {
                 0..=8 => {
                     prop_assert_eq!(
-                        insert_hash(&mut batch, *hash),
+                        geometry.set_slot(&mut words, &mut set, geometry.slot(*hash)),
                         batch_reference.insert_hash(*hash)
                     );
                 }
                 9..=11 => {
-                    let slot = batch.geometry().slot(*hash);
+                    let slot = geometry.slot(*hash);
                     prop_assert_eq!(interval.insert_slot(slot), interval_reference.insert_hash(*hash));
                 }
                 12 => {
-                    interval.merge(&batch);
+                    interval.merge(&as_bitmap(&words, &set));
                     interval_reference.merge(&batch_reference);
                 }
                 13 | 14 => {
-                    interval.absorb(&mut batch);
+                    interval.absorb_words(&mut words, &mut set);
+                    prop_assert!(words.iter().all(|&w| w == 0) && set.iter().all(|&s| s == 0));
                     interval_reference.merge(&batch_reference);
                     batch_reference.clear();
                 }
@@ -138,21 +149,24 @@ proptest! {
                     interval_reference.clear();
                 }
             }
-            prop_assert_eq!(batch.estimate().to_bits(), batch_reference.estimate().to_bits());
+            prop_assert_eq!(
+                interval.estimate_of(&set).to_bits(),
+                batch_reference.estimate().to_bits()
+            );
             prop_assert_eq!(interval.estimate().to_bits(), interval_reference.estimate().to_bits());
         }
-        assert_same_bitmap(&batch, &batch_reference, &probes);
+        assert_same_bitmap(&as_bitmap(&words, &set), &batch_reference, &probes);
         assert_same_bitmap(&interval, &interval_reference, &probes);
 
         let bytes = saved(|w| interval.save_state(w));
-        let mut restored = MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
+        let mut restored = MultiResolutionBitmap::with_geometry(geometry);
         let mut reader = StateReader::new(&bytes);
         restored.load_state(&mut reader).expect("same geometry");
         reader.finish().expect("no trailing bytes");
         assert_same_bitmap(&restored, &interval_reference, &probes);
         // The restored set-bit counters must keep counting from the right
         // place, not only read back right.
-        restored.absorb(&mut batch);
+        restored.absorb_words(&mut words, &mut set);
         interval_reference.merge(&batch_reference);
         assert_same_bitmap(&restored, &interval_reference, &probes);
     }
@@ -217,10 +231,16 @@ fn every_fill_level_up_to_saturation_agrees_with_the_reference() {
             assert_eq!(flat.estimate().to_bits(), reference.estimate().to_bits(), "item {item}");
         }
         assert_same_bitmap(&flat, &reference, &[mix64(7), mix64(123_456_789)]);
-        let mut interval =
-            MultiResolutionBitmap::with_geometry(BitmapGeometry::new(components, bits));
-        interval.absorb(&mut flat);
-        assert_eq!(flat.estimate(), 0.0);
+        // The same fill as a per-batch side, folded into an empty interval.
+        let geometry = flat.geometry();
+        let (mut words, mut set) = (vec![0u64; geometry.words()], vec![0u32; components]);
+        for item in 0..20_000u64 {
+            geometry.set_slot(&mut words, &mut set, geometry.slot(mix64(item)));
+        }
+        let mut interval = MultiResolutionBitmap::with_geometry(geometry);
+        assert_eq!(interval.estimate_of(&set).to_bits(), reference.estimate().to_bits());
+        interval.absorb_words(&mut words, &mut set);
+        assert_eq!(interval.estimate_of(&set), 0.0);
         assert_same_bitmap(&interval, &reference, &[mix64(7), mix64(123_456_789)]);
     }
 }
@@ -298,6 +318,58 @@ fn single_flow_and_all_distinct_batches_match_the_ten_pass_reference() {
                 assert_eq!(ops, expected_ops, "{name}, {shape} view, bin {bin}");
                 assert_same_features(&actual, &expected, &format!("{name}, {shape}, bin {bin}"));
             }
+        }
+    }
+}
+
+/// A shared scratch is invisible: eight extractors taking turns on one
+/// scratch — the order a monitor's worker produces, the full-batch extractor
+/// then every query's — agree bit for bit, vector by vector and in their
+/// checkpoint bytes, with eight extractors lent a scratch each and with eight
+/// ten-pass references, over 32 bins (three interval closes) of full,
+/// packet-sampled, flow-sampled, nested and empty views; and the scratch is
+/// all zeros after every call.
+#[test]
+fn a_shared_scratch_is_invisible() {
+    let batches = traffic(23, 32);
+    let hasher = H3Hasher::new(13, 31);
+    let mut rng = StdRng::seed_from_u64(47);
+    let mut pool = KeepListPool::new();
+
+    let mut shared_scratch = ExtractScratch::default();
+    let mut shared: Vec<_> = (0..8).map(|_| FeatureExtractor::with_defaults()).collect();
+    let mut private: Vec<_> =
+        (0..8).map(|_| (FeatureExtractor::with_defaults(), ExtractScratch::default())).collect();
+    let mut references: Vec<_> = (0..8).map(|_| TenPassExtractor::with_defaults()).collect();
+
+    for (bin, batch) in batches.iter().enumerate() {
+        let full = batch.view();
+        let (by_packet, _) = packet_sample_with(&full, 0.19, &mut rng, &mut pool);
+        let (by_flow, _) = flow_sample_with(&full, 0.37, &hasher, &mut pool);
+        let (nested, _) = flow_sample_with(&by_packet, 0.6, &hasher, &mut pool);
+        let (thin, _) = packet_sample_with(&by_flow, 0.05, &mut rng, &mut pool);
+        let empty = full.cleared_with(&mut pool);
+        // Each extractor sees another shape every bin, and no two calls in a
+        // row leave the scratch the same bit pattern to clear.
+        let shapes = [&full, &by_packet, &by_flow, &nested, &empty, &thin, &by_packet, &full];
+        for turn in 0..8 {
+            let view = shapes[(turn + bin) % 8];
+            let (on_shared, shared_ops) = shared[turn].extract_view_with(view, &mut shared_scratch);
+            assert!(shared_scratch.is_empty(), "bin {bin}, turn {turn}");
+            let (extractor, scratch) = &mut private[turn];
+            let (on_private, private_ops) = extractor.extract_view_with(view, scratch);
+            assert!(scratch.is_empty(), "bin {bin}, turn {turn}");
+            let (expected, expected_ops) = references[turn].extract(&view.materialize());
+
+            let context = format!("bin {bin}, turn {turn}");
+            assert_eq!((shared_ops, private_ops), (expected_ops, expected_ops), "{context}");
+            assert_same_features(&on_shared, &expected, &context);
+            assert_same_features(&on_private, &expected, &context);
+            assert_eq!(
+                saved(|w| shared[turn].save_state(w)),
+                saved(|w| extractor.save_state(w)),
+                "{context}"
+            );
         }
     }
 }

@@ -119,31 +119,62 @@ proptest! {
     }
 
     /// Zero-copy packet sampling selects exactly the packets the historical
-    /// clone-based path selected, for the same RNG seed, across the shedding
-    /// rates the monitor actually uses (0, a fractional rate, 1).
+    /// clone-based path selected, for the same RNG seed, and leaves the
+    /// generator where that path leaves it (one draw per packet of the view,
+    /// whatever was kept) — on a full view and on a sampled parent view,
+    /// across the shedding rates the monitor uses (0, a fractional rate, 1)
+    /// and the edges of the integer verdict: the smallest rates, one draw's
+    /// own value and its neighbours, NaN, and rates `clamp` folds to 0 and 1.
     #[test]
     fn view_packet_sampling_matches_the_clone_path(
         trace_seed in 0u64..200,
         rng_seed in 0u64..200,
-        rate_index in 0usize..3,
+        rate_index in 0usize..16,
     ) {
-        let rate = [0.0, 0.37, 1.0][rate_index];
+        // The unit value of the generator's first draw: a rate the first
+        // packet's verdict sits exactly on.
+        let first_draw: f64 = StdRng::seed_from_u64(rng_seed).gen();
+        let rate = [
+            0.0,
+            0.37,
+            1.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            (0.5f64).powi(53),
+            1.0 - (0.5f64).powi(53),
+            first_draw,
+            first_draw.next_up(),
+            first_draw.next_down(),
+            f64::NAN,
+            -1.0,
+            2.5,
+            f64::INFINITY,
+            0.05,
+            0.9,
+        ][rate_index];
         let batch = shed_test_batch(trace_seed);
+        let sampled_parent = batch.view().filter_indexed(|index, _| index % 3 != 0);
 
-        let mut view_rng = StdRng::seed_from_u64(rng_seed);
-        let (view, view_dropped) =
-            packet_sample_with(&batch.view(), rate, &mut view_rng, &mut KeepListPool::new());
-        let mut clone_rng = StdRng::seed_from_u64(rng_seed);
-        let (cloned, clone_dropped) = clone_packet_sample(&batch, rate, &mut clone_rng);
+        for parent in [batch.view(), sampled_parent] {
+            let mut view_rng = StdRng::seed_from_u64(rng_seed);
+            let (view, view_dropped) =
+                packet_sample_with(&parent, rate, &mut view_rng, &mut KeepListPool::new());
+            let mut clone_rng = StdRng::seed_from_u64(rng_seed);
+            let (cloned, clone_dropped) =
+                clone_packet_sample(&parent.materialize(), rate, &mut clone_rng);
 
-        prop_assert_eq!(view_dropped, clone_dropped);
-        let from_view: Vec<Packet> = view.packets().map(|p| p.to_packet()).collect();
-        let from_clone: Vec<Packet> = cloned.packets.iter().map(|p| p.to_packet()).collect();
-        prop_assert_eq!(from_view, from_clone);
-        // Both RNGs must have consumed the same number of draws.
-        prop_assert_eq!(view_rng.gen::<u64>(), clone_rng.gen::<u64>());
-        // And the view must actually be zero-copy.
-        prop_assert!(std::sync::Arc::ptr_eq(view.store(), &batch.packets));
+            prop_assert_eq!(view_dropped, clone_dropped);
+            let from_view: Vec<Packet> = view.packets().map(|p| p.to_packet()).collect();
+            let from_clone: Vec<Packet> = cloned.packets.iter().map(|p| p.to_packet()).collect();
+            prop_assert_eq!(from_view, from_clone);
+            // The kept store indices are the parent's, in its order.
+            let mut of_parent = parent.indexed_packets().map(|(at, _)| at);
+            prop_assert!(view.indexed_packets().all(|(at, _)| of_parent.any(|other| other == at)));
+            // Both RNGs must stand at the same point of the stream.
+            prop_assert_eq!(view_rng.state(), clone_rng.state());
+            // And the view must actually be zero-copy.
+            prop_assert!(std::sync::Arc::ptr_eq(view.store(), &batch.packets));
+        }
     }
 
     /// Zero-copy flow sampling selects exactly the flows the clone-based
