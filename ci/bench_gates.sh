@@ -31,6 +31,14 @@ forbid 'projected_|_basis' "carries a modelled (projected_/_basis) figure"
 require '"fcbf_ns_per_bin"' "lost the prediction plane's FCBF row"
 require '"shared_ns_per_bin"' "lost the prediction plane's shared-window row"
 forbid '"alloc_ns_per_bin"' "carries the retired alloc_ns_per_bin row"
+# An aligned predictor reads the window's factorisation of the features it
+# selected and pays only its own projection: its cycle may not cost more than
+# 0.45 of a private one's (0.566 when it shared the moments alone).
+require '"shared_vs_private"' "lost the prediction plane's shared_vs_private row"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"shared_vs_private"/ { if ($2 + 0 > 0.45) exit 1 }' "$file" ||
+    fail "shared_vs_private is above 0.45"
+fi
 
 # The pipeline bench times only code the monitor runs. The ten-pass
 # extractor, the clone shedders and the AoS replay are test oracles now
@@ -59,6 +67,16 @@ forbid '"(front_end_share|coordinate|split)"' "carries a retired fleet front-end
 if [ "$kind" = committed ]; then
   awk -F': *' '/"bin_ns_vs_solo"/ { if ($2 + 0 > 1.18) exit 1 }' "$file" ||
     fail "the 4-lane fleet's bin_ns_vs_solo is above 1.18"
+fi
+
+# The benchmark's unshed 200-tenant shape, by the same clock: predict was
+# 0.42 of its bin while every tenant decomposed its own design matrix; with
+# one factorisation per selected feature sequence it may not take more than
+# 0.36.
+require '"tenants_200"' "lost the 200-tenant stage breakdown"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"tenants_200"/ { t = 1 } t && /"predict"/ { if ($2 + 0 > 0.36) exit 1; exit 0 }' \
+    "$file" || fail "the 200-tenant bin's measured predict share is above 0.36"
 fi
 
 # Sampling costs what it keeps: a packet sample is one generator draw and one

@@ -31,7 +31,10 @@
 //! 4. **pipeline**: packets/second through `Monitor::run` with the paper's
 //!    Chapter 4 query mix under 2× overload.
 //! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle
-//!    (reselecting every bin, and with `reselect_every = 10`), and of its
+//!    (reselecting every bin, and with `reselect_every = 10`), the same
+//!    cycle for a predictor aligned with a warm shared feature window and
+//!    its ratio to the private one (`shared_vs_private`: the window's
+//!    moments and factorisation made by another tenant), and the cycle's
 //!    two halves on the same stream: the FCBF selection over the 60 x 42
 //!    history and the least-squares solve over the selected columns.
 //! 6. **registry scale**: the service-plane daemon at 10/100/1000 live
@@ -49,7 +52,9 @@
 //!    seven stages of the solo pipeline run (4), and the same seven for the
 //!    4-lane fleet on one thread, with the fleet's bin in solo bins
 //!    (`bin_ns_vs_solo`) — beside the shares of the modelled cycles the same
-//!    runs' records carry: the cost model against the clock.
+//!    runs' records carry: the cost model against the clock; and the seven
+//!    shares of the repo benchmark's unshed 200-tenant shape (`tenants_200`),
+//!    where per-query fixed costs — predict above all — make the bin.
 //!
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
@@ -62,7 +67,8 @@ use netshed_features::{
 use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{
     flow_sample_with, packet_sample_with, AllocationPolicy, BinRecord, Engine, Monitor,
-    MonitorBuilder, MonitorConfig, NetshedError, RunObserver, Stage, StageStats, Strategy,
+    MonitorBuilder, MonitorConfig, NetshedError, NullObserver, RunObserver, Stage, StageStats,
+    Strategy,
 };
 use netshed_predict::{
     fcbf_select_with, FcbfScratch, FeatureWindow, History, MlrConfig, MlrPredictor, Predictor,
@@ -565,7 +571,8 @@ fn bench_prediction_plane(bins: usize) -> Report {
     let ns_per_bin = best_ns_per_bin(MlrPredictor::new(MlrConfig::default()));
 
     // Two tenants of one engine with the same cost: the first pays for the
-    // window's moments each bin, the second — the one timed — reads them.
+    // window's moments and for the factorisation of the features they both
+    // select each bin, the second — the one timed — reads them.
     let mut shared_ns_per_bin = f64::INFINITY;
     for _ in 0..3 {
         let mut window = FeatureWindow::new();
@@ -629,9 +636,43 @@ fn bench_prediction_plane(bins: usize) -> Report {
         .cell("bins", bins)
         .cell("ns_per_bin", num(ns_per_bin, 0))
         .cell("shared_ns_per_bin", num(shared_ns_per_bin, 0))
+        .cell("shared_vs_private", num(shared_ns_per_bin / ns_per_bin, 3))
         .cell("reselect10_ns_per_bin", num(reselect10_ns_per_bin, 0))
         .cell("fcbf_ns_per_bin", num(best_fcbf, 0))
         .cell("ols_ns_per_bin", num(best_ols, 0))
+}
+
+/// The repo benchmark's `tenants-underload` shape — 200 tenants of five
+/// kinds on 500-packet bins, capacity so large that nothing is shed — and
+/// where the engine's own clock says its bins went.
+fn bench_tenants(bins: usize) -> Report {
+    const KINDS: [QueryKind; 5] = [
+        QueryKind::Counter,
+        QueryKind::Application,
+        QueryKind::Flows,
+        QueryKind::TopK,
+        QueryKind::HighWatermark,
+    ];
+    let batches = TraceGenerator::new(
+        TraceConfig::default().with_seed(61).with_mean_packets_per_batch(500.0),
+    )
+    .batches(bins);
+    let specs = (0..200)
+        .map(|i| QuerySpec::new(KINDS[i % KINDS.len()]).with_label(format!("tenant-{i:04}")));
+    let mut monitor = Monitor::builder()
+        .capacity(1e15)
+        .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+        .no_noise()
+        .with_workers(1)
+        .queries(specs)
+        .build()
+        .expect("valid configuration");
+    monitor.run(&mut BatchReplay::new(batches), &mut NullObserver).expect("run");
+    let stages = monitor.stage_stats();
+    Report::new()
+        .cell("bins", stages.bins)
+        .cell("bin_ns", num(mean_bin_ns(&stages), 0))
+        .report("measured_share", stage_shares(&stages))
 }
 
 /// Measures `run_at` at 1, 2 and 4 threads: a table of each throughput and
@@ -784,7 +825,10 @@ fn main() {
         .report("modelled_cycle_share", fleet.modelled.shares());
     section(
         "stage_breakdown",
-        Report::new().report("solo", solo).report("fleet_1_thread", fleet_1_thread),
+        Report::new()
+            .report("solo", solo)
+            .report("fleet_1_thread", fleet_1_thread)
+            .report("tenants_200", bench_tenants(if smoke { 40 } else { 200 })),
     );
 
     sections

@@ -10,9 +10,10 @@
 //!
 //! * [`Matrix`] — a column-major dense `f64` matrix,
 //! * [`SvdWorkspace`] — one-sided Jacobi singular value decomposition,
-//! * [`OlsWorkspace`] — least-squares solve through the SVD pseudo-inverse,
-//!   both over caller-owned working memory, so a predictor that refits every
-//!   bin allocates nothing once warm,
+//! * [`OlsWorkspace`] — least-squares solve through the SVD pseudo-inverse
+//!   (a decomposition, then one projection — or the projection alone, onto a
+//!   decomposition several responses share), both over caller-owned working
+//!   memory, so a predictor that refits every bin allocates nothing once warm,
 //! * [`stats`] — mean / variance / percentile / EWMA helpers shared by the
 //!   predictors and the experiment harness.
 

@@ -7,6 +7,14 @@ use crate::svd::{Svd, SvdWorkspace};
 /// workspace, the projection `U^T y` and the coefficients — so a predictor
 /// that refits every bin allocates nothing once it has seen its widest
 /// design matrix.
+///
+/// A solve is a decomposition of the design followed by a projection of the
+/// response onto it. [`OlsWorkspace::solve`] makes both;
+/// [`OlsWorkspace::solve_decomposed`] makes only the projection, against a
+/// decomposition computed elsewhere — e.g. once for every response regressed
+/// on the same design. Both run the one projection below, so a response gets
+/// the same coefficients, bit for bit, whichever way its design was
+/// decomposed.
 #[derive(Debug, Default)]
 pub struct OlsWorkspace {
     svd: SvdWorkspace,
@@ -31,23 +39,18 @@ impl OlsWorkspace {
     /// Panics if `y.len()` differs from the number of rows of `x`.
     pub fn solve(&mut self, x: &Matrix, y: &[f64], rcond: f64) -> usize {
         assert_eq!(x.rows(), y.len(), "observation count mismatch");
-        let Svd { u, singular_values, v } = self.svd.decompose(x);
-        let max_sv = singular_values.first().copied().unwrap_or(0.0);
-        let threshold = max_sv * rcond.max(f64::EPSILON);
+        let Self { svd, projection, coefficients } = self;
+        project(svd.decompose(x), y, rcond, projection, coefficients)
+    }
 
-        // b = V * diag(1/s) * U^T * y, zeroing the small singular values.
-        u.tr_mul_vec_into(y, &mut self.projection);
-        let mut rank = 0usize;
-        for (projected, &s) in self.projection.iter_mut().zip(singular_values) {
-            if s > threshold && s > 0.0 {
-                *projected /= s;
-                rank += 1;
-            } else {
-                *projected = 0.0;
-            }
-        }
-        v.mul_vec_into(&self.projection, &mut self.coefficients);
-        rank
+    /// [`OlsWorkspace::solve`] against `svd`, the decomposition of the
+    /// design matrix ([`SvdWorkspace::decompose`]): the projection only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len()` differs from the number of rows of the design.
+    pub fn solve_decomposed(&mut self, svd: &Svd, y: &[f64], rcond: f64) -> usize {
+        project(svd, y, rcond, &mut self.projection, &mut self.coefficients)
     }
 
     /// Coefficients of the last fit, one per column of its design matrix.
@@ -64,6 +67,33 @@ impl OlsWorkspace {
         assert_eq!(x.len(), self.coefficients.len(), "predictor count mismatch");
         x.iter().zip(&self.coefficients).map(|(a, b)| a * b).sum()
     }
+}
+
+/// `b = V * diag(1/s) * U^T * y`, zeroing the singular values at or below
+/// `rcond` times the largest; returns how many were kept (the rank).
+fn project(
+    svd: &Svd,
+    y: &[f64],
+    rcond: f64,
+    projection: &mut Vec<f64>,
+    coefficients: &mut Vec<f64>,
+) -> usize {
+    let Svd { u, singular_values, v } = svd;
+    let max_sv = singular_values.first().copied().unwrap_or(0.0);
+    let threshold = max_sv * rcond.max(f64::EPSILON);
+
+    u.tr_mul_vec_into(y, projection);
+    let mut rank = 0usize;
+    for (projected, &s) in projection.iter_mut().zip(singular_values) {
+        if s > threshold && s > 0.0 {
+            *projected /= s;
+            rank += 1;
+        } else {
+            *projected = 0.0;
+        }
+    }
+    v.mul_vec_into(projection, coefficients);
+    rank
 }
 
 #[cfg(test)]
@@ -181,6 +211,29 @@ mod tests {
             assert_eq!(workspace.coefficients(), fresh.coefficients());
             let probe = vec![1.5; x.cols()];
             assert_eq!(workspace.predict(&probe).to_bits(), fresh.predict(&probe).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_shared_decomposition_solves_every_response_as_a_private_one_does() {
+        // One design, decomposed once, against responses solved privately:
+        // the projection is the same code, so the coefficients are the same
+        // bits — including on a rank-deficient design (copied column).
+        let x = Matrix::from_rows(&[
+            vec![1.0, 2.0, 2.0],
+            vec![1.0, 3.0, 3.0],
+            vec![1.0, 5.0, 5.0],
+            vec![1.0, 7.0, 7.0],
+        ]);
+        let mut decomposition = SvdWorkspace::default();
+        let svd = decomposition.decompose(&x);
+        let mut shared = OlsWorkspace::default();
+        for y in [[1.0, 2.0, 2.5, 4.0], [10.0, 0.0, -3.0, 8.0], [5.0; 4]] {
+            let (private, private_rank) = fit(&x, &y, 1e-9);
+            assert_eq!(shared.solve_decomposed(svd, &y, 1e-9), private_rank);
+            assert_eq!(private_rank, 2);
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(shared.coefficients()), bits(private.coefficients()));
         }
     }
 

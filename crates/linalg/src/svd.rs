@@ -144,6 +144,12 @@ impl SvdWorkspace {
         }
         svd
     }
+
+    /// The decomposition the last [`SvdWorkspace::decompose`] produced (an
+    /// empty one before the first).
+    pub fn decomposition(&self) -> &Svd {
+        &self.svd
+    }
 }
 
 /// Applies the plane rotation `[c, s; -s, c]` to a pair of columns.

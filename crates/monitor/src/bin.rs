@@ -146,15 +146,17 @@ impl RegisteredQuery {
         scratch: &mut ExtractScratch,
     ) {
         let Some((rate, _)) = self.slot.run else { return };
-        let (delivered, resampled) = match self.slot.sampled.take() {
-            Some(sampled) => (sampled, true),
-            None if rate < 1.0 && self.shedding == SheddingMethod::FlowSampling => {
-                let (sampled, _) =
-                    flow_sample_with(post_drop, rate, &self.flow_hasher, &mut self.shed_pool);
+        let (delivered, resampled) = match (self.slot.sampled.take(), &self.flow_hasher) {
+            (Some(sampled), _) => (sampled, true),
+            // The plan built the table of this interval's generation.
+            (None, Some((_, hasher)))
+                if rate < 1.0 && self.shedding == SheddingMethod::FlowSampling =>
+            {
+                let (sampled, _) = flow_sample_with(post_drop, rate, hasher, &mut self.shed_pool);
                 (sampled, true)
             }
             // Full rate, or custom shedding (the query scales its own work).
-            None => (post_drop.clone(), false),
+            (None, _) => (post_drop.clone(), false),
         };
         self.slot.delivered_packets = delivered.len() as u64;
 
@@ -402,14 +404,13 @@ impl Monitor {
                 bin.unsampled_accumulator += packets;
                 continue;
             }
-            // Refresh the flow-sampling hash function once per interval so
-            // selection cannot be evaded and is unbiased (Section 4.2). Keyed
-            // by the stable handle, not the position, so deregistrations do
-            // not reshuffle the selection of the surviving queries.
-            if registered.shedding == SheddingMethod::FlowSampling
-                && registered.hasher_generation != bin.interval
-            {
-                registered.flow_hasher = flow_hasher(self.config.seed, registered.id, bin.interval);
+            // A new flow-sampling hash function every interval, so selection
+            // cannot be evaded and is unbiased (Section 4.2): the generation
+            // moves here, the table is drawn below if the query samples.
+            // Keyed by the stable handle, not the position, so
+            // deregistrations do not reshuffle the selection of the
+            // surviving queries.
+            if registered.shedding == SheddingMethod::FlowSampling {
                 registered.hasher_generation = bin.interval;
             }
             if rate < 1.0 {
@@ -424,8 +425,16 @@ impl Monitor {
                         bin.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
                     }
                     // Flow sampling is deterministic per query and happens
-                    // inside the query's own task.
+                    // inside the query's own task, with the table of this
+                    // generation — a pure function of it, so it is built the
+                    // first time the generation samples, not before.
                     SheddingMethod::FlowSampling => {
+                        let generation = registered.hasher_generation;
+                        if !matches!(registered.flow_hasher, Some((built, _)) if built == generation)
+                        {
+                            let hasher = flow_hasher(self.config.seed, registered.id, generation);
+                            registered.flow_hasher = Some((generation, hasher));
+                        }
                         bin.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
                     }
                     SheddingMethod::Custom => {}

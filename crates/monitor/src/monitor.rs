@@ -81,9 +81,14 @@ pub(crate) struct RegisteredQuery {
     /// [`Monitor::register`]; lets the monitor build a shadow twin for
     /// policies that need the true full-batch cycles.
     spec: Option<QuerySpec>,
-    /// Flow-sampling hash function, redrawn every measurement interval.
-    pub(crate) flow_hasher: H3Hasher,
+    /// The measurement interval the flow-sampling hash function was last
+    /// redrawn in (0 = the registration-time draw): advanced every interval
+    /// the query runs, and checkpointed.
     pub(crate) hasher_generation: u64,
+    /// That hash function, with the generation it was built for. Built in
+    /// the plan only when the query is flow-sampled, so a query that never
+    /// is holds no table.
+    pub(crate) flow_hasher: Option<(u64, H3Hasher)>,
     /// Chapter 6 enforcement state.
     pub(crate) overuse_ratio: f64,
     pub(crate) violations: u32,
@@ -329,7 +334,7 @@ impl Monitor {
     }
 
     /// A query as it stands right after registration: a fresh predictor and
-    /// sampled extractor, the registration-time flow hasher, clean
+    /// sampled extractor, flow-hasher generation 0 (its table unbuilt), clean
     /// enforcement state and one instance per lane — `query` on lane 0, the
     /// others built from `spec` (a bare instance has only the one).
     fn new_query(
@@ -348,8 +353,8 @@ impl Monitor {
             label,
             shedding,
             min_rate,
-            flow_hasher: flow_hasher(self.config.seed, id, 0),
             hasher_generation: 0,
+            flow_hasher: None,
             overuse_ratio: 1.0,
             violations: 0,
             penalty_remaining: 0,
@@ -537,9 +542,9 @@ impl Monitor {
     /// process needs to continue the run bit-identically: sketch tables and
     /// predictor histories, both RNG positions, the control-loop EWMAs, the
     /// buffer-discovery thresholds, the capture backlog and every registered
-    /// query's enforcement counters. Derivable state (H3 hashers, scratch
-    /// buffers, execution telemetry) is reconstructed on load instead of
-    /// stored.
+    /// query's enforcement counters. Derivable state (H3 hashers, rebuilt
+    /// from their generation when next needed; scratch buffers, execution
+    /// telemetry) is not stored.
     ///
     /// Of a query's lane instances only lane 0's is written, where the
     /// query's state always sat, so the layout does not depend on the lane
@@ -676,7 +681,6 @@ impl Monitor {
                 bounded(reader.f64()?, &format!("query '{label}' overuse_ratio"), f64::MAX)?;
             let query = build_query_from_spec(&spec);
             let mut registered = self.new_query(id, label, min_rate, Some(spec), query);
-            registered.flow_hasher = flow_hasher(self.config.seed, id, hasher_generation);
             registered.hasher_generation = hasher_generation;
             registered.overuse_ratio = overuse_ratio;
             registered.violations = reader.u32()?;

@@ -3,6 +3,7 @@
 use crate::guard::{clamp_features, clamp_sample, MAX_SAMPLE};
 use crate::window::FeatureWindow;
 use netshed_features::{FeatureVector, FEATURE_COUNT};
+use netshed_linalg::Matrix;
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use std::collections::VecDeque;
 
@@ -50,6 +51,18 @@ impl RowRing {
         assert_eq!(out.len(), self.len(), "column buffer must match the row count");
         for (slot, row) in out.iter_mut().zip(&self.rows) {
             *slot = row.get_index(feature_index);
+        }
+    }
+
+    /// Makes `design` the regression's design matrix over these rows: an
+    /// intercept column of ones, then one column per entry of `predictors`,
+    /// in that order. Every fit builds its design here — a predictor's
+    /// private one and the shared one of a [`FeatureWindow`].
+    pub(crate) fn fill_design(&self, predictors: &[usize], design: &mut Matrix) {
+        design.reshape_zeroed(self.len(), predictors.len() + 1);
+        design.column_mut(0).fill(1.0);
+        for (j, &feature) in predictors.iter().enumerate() {
+            self.fill_column(feature, design.column_mut(j + 1));
         }
     }
 }

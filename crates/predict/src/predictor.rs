@@ -2,11 +2,11 @@
 
 use crate::fcbf::{fcbf_select_in, FcbfConfig, FcbfScratch};
 use crate::guard::clamp_sample;
-use crate::history::{History, RowRing};
+use crate::history::History;
 use crate::window::FeatureWindow;
 use netshed_features::{FeatureId, FeatureVector, FEATURE_COUNT};
 use netshed_linalg::stats::{mean, Ewma};
-use netshed_linalg::{Matrix, OlsWorkspace};
+use netshed_linalg::{Matrix, OlsWorkspace, Svd};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
 /// A per-query CPU-usage predictor.
@@ -148,23 +148,24 @@ impl Regression {
         mean(&self.responses)
     }
 
-    /// Fits the history's responses on an intercept plus the `predictors`
-    /// columns of `rows` — the history's own, or those of the window it is
-    /// aligned with — and predicts the response for `features`.
+    /// Fits the history's responses on an intercept plus its `predictors`
+    /// columns and predicts the response for `features`. The design is
+    /// decomposed here, or — for a history aligned with a window — `shared`
+    /// is the window's decomposition of that same design.
     fn fit_and_predict(
         &mut self,
-        rows: &RowRing,
         history: &History,
+        shared: Option<&Svd>,
         predictors: &[usize],
         features: &FeatureVector,
     ) -> f64 {
-        self.design.reshape_zeroed(rows.len(), predictors.len() + 1);
-        self.design.column_mut(0).fill(1.0);
-        for (j, &feature) in predictors.iter().enumerate() {
-            rows.fill_column(feature, self.design.column_mut(j + 1));
-        }
         history.fill_responses(&mut self.responses);
-        self.ols.solve(&self.design, &self.responses, OLS_RCOND);
+        if let Some(svd) = shared {
+            self.ols.solve_decomposed(svd, &self.responses, OLS_RCOND);
+        } else {
+            history.rows().fill_design(predictors, &mut self.design);
+            self.ols.solve(&self.design, &self.responses, OLS_RCOND);
+        }
 
         self.row.clear();
         self.row.push(1.0);
@@ -247,8 +248,8 @@ impl MlrPredictor {
         let k = self.selected.len() as u64 + 1;
         self.last_cost = correlation_cost + n as u64 * k * k;
 
-        let rows = window.map_or(self.history.rows(), FeatureWindow::rows);
-        self.regression.fit_and_predict(rows, &self.history, &self.selected, features)
+        let shared = window.map(|window| window.decomposition(&self.selected));
+        self.regression.fit_and_predict(&self.history, shared, &self.selected, features)
     }
 }
 
@@ -296,23 +297,57 @@ impl Predictor for MlrPredictor {
         Ok(())
     }
 
+    /// Refuses, as the history does, what no run could have stored: a
+    /// selection FCBF could not have made (longer than `max_features`, an
+    /// index repeated or out of range) or a cost `predict` could not have
+    /// modelled for this history capacity.
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.history.load_state(reader)?;
+        // FCBF keeps its first candidate even when `max_features` is 0, and
+        // never a feature twice.
+        let max_features = self.config.fcbf.max_features.clamp(1, FEATURE_COUNT);
         let selected = reader.usize()?;
+        if selected > max_features {
+            return Err(StateError::corrupt(format!(
+                "selected features: {selected}, more than the {max_features} FCBF selects"
+            )));
+        }
         self.selected.clear();
         for _ in 0..selected {
             let feature = reader.usize()?;
-            if feature >= FEATURE_COUNT {
+            if feature >= FEATURE_COUNT || self.selected.contains(&feature) {
                 return Err(StateError::corrupt(format!(
-                    "selected feature index {feature} out of range"
+                    "selected features: index {feature} out of range or repeated"
                 )));
             }
             self.selected.push(feature);
         }
         self.batches_since_selection = reader.usize()?;
-        self.last_cost = reader.u64()?;
+        // `predict_from`'s cost model at its largest: a reselection over a
+        // full history and the widest solve.
+        let k = max_features as u64 + 1;
+        self.last_cost = restored_cost(reader, &self.history, FEATURE_COUNT as u64 + k * k)?;
         Ok(())
     }
+}
+
+/// Reads a restored `last_cost`, refusing one above what a prediction over
+/// a full `history` can cost at `per_row` modelled operations a row: the
+/// monitor charges it as cycles, and a crafted `u64::MAX` would overflow
+/// that (a prediction over fewer than three rows keeps the restored value).
+fn restored_cost(
+    reader: &mut StateReader<'_>,
+    history: &History,
+    per_row: u64,
+) -> Result<u64, StateError> {
+    let cost = reader.u64()?;
+    let max = (history.capacity() as u64).saturating_mul(per_row);
+    if cost > max {
+        return Err(StateError::corrupt(format!(
+            "last_cost {cost} exceeds the {max} operations a prediction can cost"
+        )));
+    }
+    Ok(cost)
 }
 
 /// Simple linear regression on one fixed feature (packets by default).
@@ -349,12 +384,7 @@ impl Predictor for SlrPredictor {
             return self.regression.response_mean(&self.history);
         }
         self.last_cost = n as u64 * 4;
-        self.regression.fit_and_predict(
-            self.history.rows(),
-            &self.history,
-            &[self.feature],
-            features,
-        )
+        self.regression.fit_and_predict(&self.history, None, &[self.feature], features)
     }
 
     fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
@@ -381,7 +411,7 @@ impl Predictor for SlrPredictor {
 
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.history.load_state(reader)?;
-        self.last_cost = reader.u64()?;
+        self.last_cost = restored_cost(reader, &self.history, 4)?;
         Ok(())
     }
 }

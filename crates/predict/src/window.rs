@@ -10,6 +10,14 @@
 //! [aligned](crate::History::aligned_with) with it; the others compute the
 //! same moments over their own rows, as a stand-alone predictor does.
 //!
+//! The same holds one step later. An aligned predictor regresses its own
+//! responses on the window's rows, so its design matrix — an intercept and
+//! the columns it selected, in FCBF's order — and that matrix's SVD are a
+//! function of the window and the ordered selection alone. The window keeps
+//! one factorisation per ordered selection asked for since the last push,
+//! and every aligned predictor that selected that sequence projects its
+//! responses onto it ([`OlsWorkspace::solve_decomposed`]).
+//!
 //! The window is a cache of pure functions of the rows pushed to it: it is
 //! never serialised and never reaches a digest, and what it returns is the
 //! value the private computation returns, operation for operation
@@ -17,13 +25,16 @@
 //! [`OnceLock`], so predictors dispatched across worker threads may race to
 //! fill one — a single initialiser runs, the others wait and read the value
 //! it stored, and that value does not depend on who won.
+//!
+//! [`OlsWorkspace::solve_decomposed`]: netshed_linalg::OlsWorkspace::solve_decomposed
 
 use crate::fcbf::{column_means, ColumnMoments};
 use crate::guard::clamp_features;
 use crate::history::RowRing;
 use netshed_features::{FeatureVector, FEATURE_COUNT};
+use netshed_linalg::{Matrix, Svd, SvdWorkspace};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Source of window identities. Only ever compared for equality (a history
 /// must not mistake another window's sequence numbers for its own), so the
@@ -31,7 +42,8 @@ use std::sync::OnceLock;
 static NEXT_WINDOW: AtomicU64 = AtomicU64::new(0);
 
 /// The last [`FeatureWindow::ROWS`] full-batch feature rows of one engine,
-/// with the feature side of FCBF computed at most once per push.
+/// with the feature side of FCBF, and the factorisation of each selected
+/// design, computed at most once per push.
 #[derive(Debug)]
 pub struct FeatureWindow {
     id: u64,
@@ -47,6 +59,87 @@ struct Cache {
     moments: OnceLock<WindowMoments>,
     /// Per feature `q`, the covariance sum of every column with column `q`.
     with_feature: [OnceLock<[f64; FEATURE_COUNT]>; FEATURE_COUNT],
+    /// The head of the factorisations of the current rows.
+    fits: FitSlot,
+}
+
+/// One factorisation of the current rows, and the slot after it: a list
+/// claimed front to back, one slot per ordered selection asked for since the
+/// last push.
+#[derive(Debug, Default)]
+struct FitSlot {
+    selection: OnceLock<Selection>,
+    fit: OnceLock<SharedFit>,
+    /// The buffers of the fit the last push forgot, for the next initialiser
+    /// to take. Locked only to take them, never across a decomposition; any
+    /// contents are valid (a fit overwrites them), so poisoning is ignored.
+    spare: Mutex<SharedFit>,
+    /// Allocated the first time a push is asked for more distinct selections
+    /// than any push before it — growth to a new high-water mark — and kept,
+    /// like every slot's buffers, across pushes.
+    next: OnceLock<Box<FitSlot>>,
+}
+
+/// A design matrix and its SVD.
+#[derive(Debug, Default)]
+struct SharedFit {
+    design: Matrix,
+    svd: SvdWorkspace,
+}
+
+/// An ordered selection as a key: FCBF's order is the design's column order,
+/// so `[0, 7]` and `[7, 0]` are different matrices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Selection {
+    len: usize,
+    features: [u8; FEATURE_COUNT],
+}
+
+impl Selection {
+    /// # Panics
+    ///
+    /// Panics unless `selected` is at most [`FEATURE_COUNT`] feature indices,
+    /// as every selection FCBF makes or a snapshot restores is.
+    fn of(selected: &[usize]) -> Self {
+        assert!(selected.len() <= FEATURE_COUNT, "a selection is at most every feature once");
+        let mut features = [0; FEATURE_COUNT];
+        for (key, &feature) in features.iter_mut().zip(selected) {
+            assert!(feature < FEATURE_COUNT, "feature index {feature} out of range");
+            *key = feature as u8;
+        }
+        Self { len: selected.len(), features }
+    }
+}
+
+impl FitSlot {
+    /// The slot of `selection`, claiming the first free one if no slot holds
+    /// it yet. Two tasks asking for one selection find the same slot: each
+    /// walks from the front, and a slot's selection is set once.
+    fn claim(&self, selection: &Selection) -> &FitSlot {
+        let mut slot = self;
+        while slot.selection.get_or_init(|| *selection) != selection {
+            slot = slot.next.get_or_init(Box::default);
+        }
+        slot
+    }
+
+    /// Forgets every selection and fit from here on, keeping the buffers.
+    fn forget(&mut self) {
+        // Slots are claimed front to back: past a free one all are free.
+        if self.selection.take().is_some() {
+            if let Some(fit) = self.fit.take() {
+                *self.spare.get_mut().unwrap_or_else(PoisonError::into_inner) = fit;
+            }
+            if let Some(next) = self.next.get_mut() {
+                next.forget();
+            }
+        }
+    }
+
+    fn decompositions(&self) -> usize {
+        usize::from(self.fit.get().is_some())
+            + self.next.get().map_or(0, |next| next.decompositions())
+    }
 }
 
 /// The window's column moments and its rows centred on the column means.
@@ -119,6 +212,7 @@ impl FeatureWindow {
             cache: Box::new(Cache {
                 moments: OnceLock::new(),
                 with_feature: std::array::from_fn(|_| OnceLock::new()),
+                fits: FitSlot::default(),
             }),
         }
     }
@@ -136,7 +230,7 @@ impl FeatureWindow {
     /// Appends the bin's full-batch feature vector, sanitised as
     /// [`History::push`](crate::History::push) sanitises, evicting the
     /// oldest row if full, and forgets everything computed for the previous
-    /// rows.
+    /// rows (recycling the factorisations' buffers).
     pub fn push(&mut self, features: &FeatureVector) {
         self.rows.push(&clamp_features(features));
         self.newest += 1;
@@ -144,6 +238,15 @@ impl FeatureWindow {
         for slot in &mut self.cache.with_feature {
             *slot = OnceLock::new();
         }
+        self.cache.fits.forget();
+    }
+
+    /// How many design matrices were decomposed for the current rows: one
+    /// per distinct ordered selection an aligned predictor regressed on.
+    /// Exposed for the sharing tests only.
+    #[doc(hidden)]
+    pub fn decompositions(&self) -> usize {
+        self.cache.fits.decompositions()
     }
 
     /// The newest row, as sanitised by [`FeatureWindow::push`].
@@ -163,10 +266,6 @@ impl FeatureWindow {
         (self.id, self.newest)
     }
 
-    pub(crate) fn rows(&self) -> &RowRing {
-        &self.rows
-    }
-
     pub(crate) fn moments(&self) -> &WindowMoments {
         self.cache.moments.get_or_init(|| WindowMoments::of(&self.rows))
     }
@@ -184,6 +283,21 @@ impl FeatureWindow {
             }
             with_kept
         })
+    }
+
+    /// The SVD of the design matrix over these rows for the ordered
+    /// selection `selected` ([`RowRing::fill_design`]): decomposed by the
+    /// first aligned predictor to ask this push, read by the others.
+    pub(crate) fn decomposition(&self, selected: &[usize]) -> &Svd {
+        let slot = self.cache.fits.claim(&Selection::of(selected));
+        let fit = slot.fit.get_or_init(|| {
+            let mut fit =
+                std::mem::take(&mut *slot.spare.lock().unwrap_or_else(PoisonError::into_inner));
+            self.rows.fill_design(selected, &mut fit.design);
+            fit.svd.decompose(&fit.design);
+            fit
+        });
+        fit.svd.decomposition()
     }
 }
 
@@ -226,6 +340,32 @@ mod tests {
         window.push(&row(9.0));
         assert_ne!(window.moments().columns.mean[0].to_bits(), before.to_bits());
         assert_ne!(window.covariance_with(0)[1].to_bits(), covariance.to_bits());
+    }
+
+    #[test]
+    fn one_decomposition_per_ordered_selection_and_push() {
+        let mut window = FeatureWindow::new();
+        for bin in 0..5 {
+            window.push(&row(f64::from(bin)));
+        }
+        fn private(window: &FeatureWindow, selected: &[usize]) -> Svd {
+            let mut design = Matrix::default();
+            window.rows.fill_design(selected, &mut design);
+            SvdWorkspace::default().decompose(&design).clone()
+        }
+        let selections: Vec<Vec<usize>> =
+            (2..6).map(|feature| vec![0, feature]).chain([vec![1, 0], vec![0, 1]]).collect();
+        for selected in selections.iter().chain(&selections) {
+            let shared = window.decomposition(selected);
+            assert_eq!(shared.u, private(&window, selected).u, "{selected:?}");
+            assert_eq!(shared.v, private(&window, selected).v, "{selected:?}");
+        }
+        assert_eq!(window.decompositions(), selections.len(), "[0, 1] and [1, 0] differ");
+        window.push(&row(9.0));
+        assert_eq!(window.decompositions(), 0, "a push forgets every fit");
+        let after = window.decomposition(&[0, 1]).singular_values.clone();
+        assert_eq!(after, private(&window, &[0, 1]).singular_values);
+        assert_eq!(window.decompositions(), 1);
     }
 
     /// The alignment rule, case by case: a history is aligned exactly while

@@ -1082,3 +1082,74 @@ fn a_crafted_lane_query_table_is_rejected_naming_lane_query_and_entry() {
     assert_crafted_query_tables_are_rejected::<ShardedMonitor>(&config, None);
     assert_crafted_query_tables_are_rejected::<ShardedMonitor>(&config, Some(1));
 }
+
+#[test]
+fn a_crafted_predictor_selection_or_cost_is_rejected_naming_the_field() {
+    // A restored MLR predictor's selection becomes a design matrix's width
+    // (and a key of the shared window's fits), its modelled cost a product
+    // the monitor charges every bin: a 500-entry selection restored, and a
+    // `last_cost` of `u64::MAX` survived a prediction over a short history
+    // and overflowed `predict_ops * PREDICT_OP_CYCLES`.
+    let config = overloaded_config(1);
+    let honest = checkpoint_at_bin_nine::<Monitor>(&config);
+    let restore = |bytes: &[u8]| {
+        Daemon::<_, Monitor>::restore_engine(config.clone(), recorded_trace(), bytes).map(|_| ())
+    };
+    let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
+    let section = snapshot.section("monitor").expect("monitor section");
+
+    // The first query's predictor: its history, then the selection (a
+    // length, then the indices), the bins since it was made and the cost.
+    let mut reader = StateReader::new(section);
+    let mut float = |reader: &mut StateReader<'_>, _: String| {
+        reader.f64().expect("float");
+    };
+    read_control_loop(&mut reader, &mut float);
+    let (_, spec) = read_query_header(&mut reader, &mut float);
+    build_query_from_spec(&spec).load_state(&mut reader).expect("query state");
+    assert!(!reader.bool().expect("shadow flag"), "the predictive policy runs no shadow");
+    reader.usize().expect("history capacity");
+    let observations = reader.usize().expect("history length");
+    for _ in 0..observations * (netshed_features::FEATURE_COUNT + 1) {
+        reader.f64().expect("observation");
+    }
+    let selection_at = section.len() - reader.remaining();
+    let selected: Vec<usize> =
+        (0..reader.usize().expect("length")).map(|_| reader.usize().expect("index")).collect();
+    assert!(!selected.is_empty(), "nine bins in, the predictor has selected");
+    let batches = reader.usize().expect("bins since the selection");
+    reader.u64().expect("last cost");
+    let cost_end = section.len() - reader.remaining();
+
+    let craft = |selection: &[usize], cost: u64| {
+        let mut writer = StateWriter::new();
+        writer.usize(selection.len());
+        selection.iter().for_each(|&feature| writer.usize(feature));
+        writer.usize(batches);
+        writer.u64(cost);
+        let mut crafted = Snapshot::new();
+        for name in snapshot.section_names() {
+            let mut body = snapshot.section(name).expect("listed section").to_vec();
+            if name == "monitor" {
+                body.splice(selection_at..cost_end, writer.as_bytes().iter().copied());
+            }
+            crafted.push(name, body).expect("section");
+        }
+        crafted.to_bytes()
+    };
+    restore(&craft(&selected, 0)).expect("an honest selection and cost restore");
+    for (selection, cost, field) in [
+        (vec![0; 500], 0, "selected features"),
+        (vec![5, 5], 0, "selected features"),
+        (vec![42], 0, "selected features"),
+        (selected.clone(), u64::MAX, "last_cost"),
+    ] {
+        let context = format!("{selection:?} costing {cost}");
+        let error = restore(&craft(&selection, cost)).expect_err("must not restore");
+        let ServiceError::Snapshot(SnapshotError::State(StateError::Corrupt(message))) = &error
+        else {
+            panic!("{context}: expected a corrupt-state error, got {error}");
+        };
+        assert!(message.contains(field), "{context}: {message}");
+    }
+}

@@ -219,6 +219,44 @@ fn more_queries_than_workers_share_the_worker_scratches_invisibly() {
     }
 }
 
+/// Tasks race to fill one shared fit: in an unshed engine every predictor is
+/// aligned with the feature window, and tenants of one kind tend to select
+/// the same features, so several prediction tasks ask the window for the
+/// same factorisation in the same bin — one decomposes it, the others wait
+/// for it or find it made. Forty-four tenants over four kinds at one, two
+/// and four workers: whoever wins, the digest does not move.
+#[test]
+fn tenants_racing_for_one_shared_fit_emit_one_digest_at_any_worker_count() {
+    let batches = recorded_batches(70);
+    let kinds = [QueryKind::Counter, QueryKind::Flows, QueryKind::TopK, QueryKind::HighWatermark];
+    let specs: Vec<QuerySpec> = (0..44)
+        .map(|i| QuerySpec::new(kinds[i % kinds.len()]).with_label(format!("tenant-{i:02}")))
+        .collect();
+    let digest_of = |workers: usize| {
+        let builder = Monitor::builder()
+            .capacity(1e15)
+            .seed(31)
+            .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+            .with_workers(workers)
+            .queries(specs.clone());
+        let mut observers = (DigestObserver::new(), FullTape::default());
+        builder
+            .build()
+            .expect("valid monitor")
+            .run(&mut BatchReplay::new(batches.clone()), &mut observers)
+            .expect("run");
+        let shed = (observers.1.records.iter().flat_map(|record| &record.queries))
+            .filter(|query| query.disabled || query.sampling_rate < 1.0)
+            .count();
+        assert_eq!(shed, 0, "{workers} workers: the engine must stay unshed");
+        observers.0.digest()
+    };
+    let sequential = digest_of(1);
+    for workers in [2, 4] {
+        assert_eq!(digest_of(workers), sequential, "{workers} workers");
+    }
+}
+
 /// Runs the 20-bin unshed trace through `engine` and returns its stage
 /// telemetry with the wall nanoseconds taken around the run.
 fn stage_stats_of<E: Engine>(mut engine: E) -> (StageStats, u64) {

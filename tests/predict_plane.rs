@@ -614,6 +614,70 @@ fn crafted_snapshots_are_rejected_by_every_history_backed_predictor() {
                 );
             }
         }
+        if name == "slr" {
+            // Its history, then the modelled cost: at most 4 per row.
+            let mut crafted = bytes.clone();
+            let at = crafted.len() - 8;
+            crafted[at..].copy_from_slice(&(60u64 * 4).to_le_bytes());
+            build().load_state(&mut StateReader::new(&crafted)).expect("the largest cost restores");
+            crafted[at..].copy_from_slice(&(60u64 * 4 + 1).to_le_bytes());
+            let error = build().load_state(&mut StateReader::new(&crafted)).unwrap_err();
+            assert!(matches!(&error, StateError::Corrupt(m) if m.contains("last_cost")), "{error}");
+        } else {
+            crafted_selection_and_cost_are_rejected(name, build, &bytes);
+        }
+    }
+}
+
+/// An MLR state (plain or robust) re-encoded with the selection and the
+/// modelled cost that follow the history replaced: what FCBF and `predict`
+/// could not have produced must not restore, naming the field; the largest
+/// cost they could have must.
+fn crafted_selection_and_cost_are_rejected(
+    name: &str,
+    build: fn() -> Box<dyn Predictor>,
+    honest: &[u8],
+) {
+    let mut reader = StateReader::new(honest);
+    History::new(60).load_state(&mut reader).expect("history");
+    let history = &honest[..honest.len() - reader.remaining()];
+    let selected: Vec<usize> =
+        (0..reader.usize().expect("length")).map(|_| reader.usize().expect("index")).collect();
+    assert!(!selected.is_empty(), "{name}: the honest state holds a selection");
+    let batches = reader.usize().expect("batches since selection");
+    let cost = reader.u64().expect("last cost");
+    let tail = &honest[honest.len() - reader.remaining()..];
+    let craft = |selected: &[usize], cost: u64| {
+        let mut writer = StateWriter::new();
+        writer.usize(selected.len());
+        selected.iter().for_each(|&feature| writer.usize(feature));
+        writer.usize(batches);
+        writer.u64(cost);
+        [history, &writer.into_bytes(), tail].concat()
+    };
+    assert_eq!(craft(&selected, cost), honest, "{name}: re-encoding is exact");
+
+    // The defaults: at most 8 features over a history of 60.
+    let largest_cost = 60 * (FEATURE_COUNT as u64 + 9 * 9);
+    build()
+        .load_state(&mut StateReader::new(&craft(&(0..8).collect::<Vec<_>>(), largest_cost)))
+        .expect("the widest selection and its cost restore");
+    for (selected, cost, field) in [
+        ((0..9).collect(), cost, "selected features"),
+        (vec![0; 500], cost, "selected features"),
+        (vec![3, 7, 3], cost, "selected features"),
+        (vec![FEATURE_COUNT], cost, "selected features"),
+        (selected.clone(), largest_cost + 1, "last_cost"),
+        (Vec::new(), u64::MAX, "last_cost"),
+    ] {
+        let context = format!("{name}: {selected:?} costing {cost}");
+        let error = build()
+            .load_state(&mut StateReader::new(&craft(&selected, cost)))
+            .expect_err("a state no run produces must not restore");
+        let StateError::Corrupt(message) = &error else {
+            panic!("{context}: expected a corrupt-state error, got {error}");
+        };
+        assert!(message.contains(field), "{context}: {message}");
     }
 }
 
@@ -648,19 +712,17 @@ struct Pair {
     fresh: fn() -> Box<dyn Tenant>,
     shared: Box<dyn Tenant>,
     twin: Box<dyn Tenant>,
-    /// The cost model of this tenant's query: cycles per packet, and per unit
-    /// of one more feature.
-    per_packet: f64,
-    driver: usize,
-    per_driver: f64,
+    /// The cost model of this tenant's query: cycles per unit of each of
+    /// these features, on top of a fixed 10 000.
+    terms: &'static [(usize, f64)],
     /// From this bin on the cost is ninefold (never, for most).
     surge_from: usize,
 }
 
 impl Pair {
     fn cost(&self, row: &FeatureVector, bin: usize) -> f64 {
-        let calm =
-            1e4 + self.per_packet * row.packets() + self.per_driver * row.get_index(self.driver);
+        let calm = 1e4
+            + self.terms.iter().map(|&(feature, per)| per * row.get_index(feature)).sum::<f64>();
         if bin >= self.surge_from {
             9.0 * calm
         } else {
@@ -704,10 +766,31 @@ fn state_bytes(predictor: &dyn Tenant) -> Vec<u8> {
     writer.into_bytes()
 }
 
+/// Two features the test writes itself, over what the extractor produced:
+/// independent noise until `COPIED_FROM`, then `B` a bit-for-bit copy of `A`,
+/// then from `CONSTANT_FROM` both a constant — so a selection cached across
+/// the phase changes regresses on a copied column, then on a zero-variance
+/// one.
+const A: usize = 40;
+const B: usize = 41;
+const COPIED_FROM: usize = 100;
+const CONSTANT_FROM: usize = 200;
+
+fn overwrite_synthetic(row: &mut FeatureVector, bin: usize, rng: &mut StdRng) {
+    let (a, b) = if bin >= CONSTANT_FROM {
+        (7.0, 7.0)
+    } else {
+        let a = rng.gen_range(0.0f64..1000.0).round();
+        (a, if bin >= COPIED_FROM { a } else { rng.gen_range(0.0f64..1000.0).round() })
+    };
+    row.set(FeatureId::from_index(A), a);
+    row.set(FeatureId::from_index(B), b);
+}
+
 #[test]
 fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
     // Long enough for a 60-row ring to wrap twice after the latest event
-    // below (the surge at bin 170).
+    // below (the surge at bin 170), and to cross both synthetic phases.
     const BINS: usize = 320;
     const NEVER: usize = usize::MAX;
 
@@ -721,11 +804,14 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(0x5eed);
     let mut pool = KeepListPool::new();
     let rows: Vec<(FeatureVector, FeatureVector)> = (0..BINS)
-        .map(|_| {
+        .map(|bin| {
             let batch = generator.next_batch();
-            let (full, _) = full_extractor.extract_view(&batch.view());
+            let (mut full, _) = full_extractor.extract_view(&batch.view());
             let sampled = packet_sample_with(&batch.view(), 0.4, &mut rng, &mut pool).0;
-            (full, sampled_extractor.extract_view(&sampled).0)
+            let (mut sampled, _) = sampled_extractor.extract_view(&sampled);
+            overwrite_synthetic(&mut full, bin, &mut rng);
+            overwrite_synthetic(&mut sampled, bin, &mut rng);
+            (full, sampled)
         })
         .collect();
 
@@ -737,30 +823,47 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         let fcbf = FcbfConfig { threshold: 0.2, max_features: 8 };
         Box::new(MlrPredictor::new(MlrConfig { fcbf, ..MlrConfig::default() }))
     };
+    // Selects both synthetic features while they are independent, in the
+    // order of their weights.
+    let paired: Fresh = || {
+        let fcbf = FcbfConfig { threshold: 0.45, max_features: 8 };
+        Box::new(MlrPredictor::new(MlrConfig { fcbf, ..MlrConfig::default() }))
+    };
+    // Keeps a selection for 90 bins: across the copy, then the constant.
+    let pinned: Fresh = || {
+        let fcbf = FcbfConfig { threshold: 0.45, max_features: 8 };
+        Box::new(MlrPredictor::new(MlrConfig { fcbf, reselect_every: 90, ..MlrConfig::default() }))
+    };
     // A history shorter than the window aligns only until it first evicts.
     let short: Fresh =
         || Box::new(MlrPredictor::new(MlrConfig { history: 25, ..MlrConfig::default() }));
     let robust: Fresh = || Box::new(RobustMlrPredictor::with_defaults());
-    let pair = |name, from_bin, fresh: Fresh, per_packet, driver, per_driver, surge_from| Pair {
+    let pair = |name, from_bin, fresh: Fresh, terms, surge_from| Pair {
         name,
         from_bin,
         fresh,
         shared: fresh(),
         twin: fresh(),
-        per_packet,
-        driver,
-        per_driver,
+        terms,
         surge_from,
     };
     let mut pairs = [
-        pair("packets", 0, plain, 300.0, 0, 0.0, NEVER),
-        pair("bytes", 0, plain, 5.0, FeatureId::Bytes.index(), 0.4, NEVER),
-        pair("flows", 0, plain, 40.0, 6, 2500.0, NEVER),
-        pair("mixed", 0, loose, 120.0, 14, 900.0, NEVER),
-        pair("cached", 0, cached, 200.0, 10, 700.0, NEVER),
-        pair("short", 0, short, 250.0, 2, 300.0, NEVER),
-        pair("late", 25, plain, 150.0, 18, 1200.0, NEVER),
-        pair("robust", 0, robust, 220.0, 6, 800.0, 170),
+        // Three tenants driven by the packet count alone: one selection,
+        // three responses.
+        pair("packets", 0, plain, &[(0, 300.0)], NEVER),
+        pair("packets-cheap", 0, plain, &[(0, 40.0)], NEVER),
+        pair("packets-dear", 0, plain, &[(0, 2500.0)], NEVER),
+        pair("bytes", 0, plain, &[(0, 5.0), (1 /* bytes */, 0.4)], NEVER),
+        pair("flows", 0, plain, &[(0, 40.0), (6, 2500.0)], NEVER),
+        pair("mixed", 0, loose, &[(0, 120.0), (14, 900.0)], NEVER),
+        pair("cached", 0, cached, &[(0, 200.0), (10, 700.0)], NEVER),
+        pair("short", 0, short, &[(0, 250.0), (2, 300.0)], NEVER),
+        pair("late", 25, plain, &[(0, 150.0), (18, 1200.0)], NEVER),
+        pair("robust", 0, robust, &[(0, 220.0), (6, 800.0)], 170),
+        // The same two features, selected in opposite orders.
+        pair("a-then-b", 0, paired, &[(A, 1000.0), (B, 600.0)], NEVER),
+        pair("b-then-a", 0, paired, &[(B, 1000.0), (A, 600.0)], NEVER),
+        pair("pinned", 0, pinned, &[(A, 1000.0), (B, 600.0)], NEVER),
     ];
 
     let mut window = FeatureWindow::new();
@@ -769,9 +872,15 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
     let mut actions_seen = Vec::new();
     let mut late_aligned = false;
     let (mut robust_forgot, mut robust_realigned) = (false, false);
+    // What the shared fits were exercised on: window lengths, and designs
+    // with a copied column, a zero-variance column, a selection read by more
+    // than one tenant and one read reversed by another.
+    let mut shared_lengths = std::collections::BTreeSet::new();
+    let (mut copied, mut constant, mut shared_by_many, mut reversed) = (false, false, false, false);
     for (bin, (full, sampled)) in rows.iter().enumerate() {
         // Predict phase, against the window of the bins before this one.
         let mut planned: Vec<Option<(Action, f64)>> = Vec::new();
+        let mut selections: Vec<Vec<usize>> = Vec::new();
         for pair in &mut pairs {
             if bin < pair.from_bin {
                 planned.push(None);
@@ -780,7 +889,8 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
             let context = format!("bin {bin} pair {}", pair.name);
             let aligned = pair.shared.history().aligned_with(&window);
             assert!(!pair.twin.history().aligned_with(&window), "{context}: twins stand alone");
-            if pair.shared.history().len() >= 3 {
+            let regresses = pair.shared.history().len() >= 3;
+            if regresses {
                 predictor_bins += 1;
                 aligned_bins += usize::from(aligned);
                 late_aligned |= aligned && pair.name == "late";
@@ -801,8 +911,26 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
                 pair.twin.last_cost_operations(),
                 "{context}"
             );
+            if aligned && regresses {
+                let selected = pair.shared.selected_features();
+                let column = |feature: usize| pair.shared.history().feature_column(feature);
+                copied |= selected.contains(&A) && selected.contains(&B) && column(A) == column(B);
+                constant |= selected.contains(&A) && column(A).iter().all(|&value| value == 7.0);
+                shared_lengths.insert(window.len());
+                selections.push(selected);
+            }
             planned.push(Some((action, got)));
         }
+
+        // One factorisation per distinct ordered selection, however many
+        // aligned tenants regressed on it.
+        let distinct: std::collections::BTreeSet<&Vec<usize>> = selections.iter().collect();
+        assert_eq!(window.decompositions(), distinct.len(), "bin {bin}: {selections:?}");
+        shared_by_many |= distinct.len() < selections.len();
+        reversed |= distinct.iter().any(|selected| {
+            let reverse: Vec<usize> = selected.iter().rev().copied().collect();
+            selected.len() > 1 && distinct.contains(&reverse)
+        });
 
         window.push(full);
 
@@ -864,4 +992,12 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         aligned_bins * 100 >= predictor_bins * 40,
         "{aligned_bins} of {predictor_bins} predictor-bins read the shared window"
     );
+    // And the shared fits were read at every warm-up length, by several
+    // tenants at once, in both orders of one pair of features, and on the
+    // two rank-deficient designs.
+    assert_eq!(shared_lengths, (3..=FeatureWindow::ROWS).collect(), "warm-up lengths");
+    assert!(shared_by_many, "some selection must be shared by several tenants");
+    assert!(reversed, "some selection must be read in both orders in one bin");
+    assert!(copied, "a cached selection must regress on a copied column");
+    assert!(constant, "a cached selection must regress on a zero-variance column");
 }
