@@ -69,14 +69,26 @@ if [ "$kind" = committed ]; then
     fail "the 4-lane fleet's bin_ns_vs_solo is above 1.18"
 fi
 
-# The benchmark's unshed 200-tenant shape, by the same clock: predict was
-# 0.42 of its bin while every tenant decomposed its own design matrix; with
-# one factorisation per selected feature sequence it may not take more than
-# 0.36.
+# The benchmark's unshed 200-tenant shape, by the same clock. Execute is the
+# largest stage: 0.59 of the bin while top-k, autofocus and application
+# looked their tables up per packet and every flows tenant hashed every flow
+# itself; with one lookup per flow and one memoised flows key per flow per
+# batch it may not take more than 0.54. Predict was 0.42 while every tenant
+# decomposed its own design matrix and 0.30 with one factorisation per
+# selected feature sequence; its nanoseconds did not move when execute
+# shrank beneath it (the engine's stage clock, parent and change alternating
+# on this shape), so its ceiling is re-based from 0.36 to 0.42 on a smaller
+# bin, not loosened.
 require '"tenants_200"' "lost the 200-tenant stage breakdown"
 if [ "$kind" = committed ]; then
-  awk -F': *' '/"tenants_200"/ { t = 1 } t && /"predict"/ { if ($2 + 0 > 0.36) exit 1; exit 0 }' \
-    "$file" || fail "the 200-tenant bin's measured predict share is above 0.36"
+  tenants_share() {
+    awk -F': *' -v stage="\"$1\"" \
+      '/"tenants_200"/ { t = 1 } t && $1 ~ stage { print $2 + 0; exit }' "$file"
+  }
+  awk -v share="$(tenants_share execute)" 'BEGIN { exit !(share != "" && share <= 0.54) }' ||
+    fail "the 200-tenant bin's measured execute share is above 0.54"
+  awk -v share="$(tenants_share predict)" 'BEGIN { exit !(share != "" && share <= 0.42) }' ||
+    fail "the 200-tenant bin's measured predict share is above 0.42"
 fi
 
 # Sampling costs what it keeps: a packet sample is one generator draw and one

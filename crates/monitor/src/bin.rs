@@ -26,6 +26,7 @@ use netshed_features::{ExtractScratch, FeatureVector};
 use netshed_predict::FeatureWindow;
 use netshed_queries::{CycleMeter, NoiseDraw, QueryOutput, SheddingMethod};
 use netshed_trace::{Batch, BatchView};
+use std::sync::Arc;
 
 /// Cycles charged per feature-extraction elementary operation (one hash plus
 /// one bitmap update). Keeps the prediction overhead in the ~10% range of
@@ -551,7 +552,7 @@ impl Monitor {
             };
             records.push(QueryBinRecord {
                 id: registered.id,
-                name: registered.label.clone(),
+                name: Arc::clone(&registered.label),
                 sampling_rate,
                 predicted_cycles: slot.predicted,
                 measured_cycles,

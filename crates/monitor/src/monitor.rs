@@ -35,6 +35,7 @@ use netshed_sketch::{H3Hasher, StateError, StateReader, StateWriter};
 use netshed_trace::{Batch, BatchView, KeepListPool, PacketSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Capture buffer size in time bins of backlog the system can accumulate
 /// before uncontrolled drops start (the DAG buffer of the paper).
@@ -74,7 +75,7 @@ impl std::fmt::Display for QueryId {
 /// keep-list pool and the [`BinSlot`] — lives here and nowhere else.
 pub(crate) struct RegisteredQuery {
     pub(crate) id: QueryId,
-    pub(crate) label: String,
+    pub(crate) label: Arc<str>,
     pub(crate) shedding: SheddingMethod,
     pub(crate) min_rate: f64,
     /// The spec this instance was built from, when registered through
@@ -340,7 +341,7 @@ impl Monitor {
     fn new_query(
         &self,
         id: QueryId,
-        label: String,
+        label: Arc<str>,
         min_rate: f64,
         spec: Option<QuerySpec>,
         query: Box<dyn Query>,
@@ -392,7 +393,7 @@ impl Monitor {
         }
         let id = QueryId(self.next_query_id);
         self.next_query_id += 1;
-        let label = label.unwrap_or_else(|| query.name().to_string());
+        let label = label.map_or_else(|| query.name().into(), Arc::from);
         let min_rate = min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0);
         self.queries.push(self.new_query(id, label, min_rate, spec, query));
         Ok(id)
@@ -412,12 +413,12 @@ impl Monitor {
 
     /// Labels of the registered queries, in registration order.
     pub fn query_names(&self) -> Vec<String> {
-        self.queries.iter().map(|q| q.label.clone()).collect()
+        self.queries.iter().map(|q| q.label.to_string()).collect()
     }
 
     /// Handles and labels of the registered queries, in registration order.
     pub fn query_handles(&self) -> Vec<(QueryId, &str)> {
-        self.queries.iter().map(|q| (q.id, q.label.as_str())).collect()
+        self.queries.iter().map(|q| (q.id, &*q.label)).collect()
     }
 
     /// Number of packets dropped without control since the start of the run.
@@ -533,7 +534,7 @@ impl Monitor {
                 for lane in others {
                     first.query.absorb(lane.query.as_mut());
                 }
-                (registered.label.clone(), first.query.end_interval())
+                (registered.label.to_string(), first.query.end_interval())
             })
             .collect()
     }
@@ -680,7 +681,7 @@ impl Monitor {
             let overuse_ratio =
                 bounded(reader.f64()?, &format!("query '{label}' overuse_ratio"), f64::MAX)?;
             let query = build_query_from_spec(&spec);
-            let mut registered = self.new_query(id, label, min_rate, Some(spec), query);
+            let mut registered = self.new_query(id, label.into(), min_rate, Some(spec), query);
             registered.hasher_generation = hasher_generation;
             registered.overuse_ratio = overuse_ratio;
             registered.violations = reader.u32()?;

@@ -3,6 +3,7 @@
 use crate::monitor::QueryId;
 use crate::policy::ControlDecision;
 use netshed_queries::QueryOutput;
+use std::sync::Arc;
 
 /// What happened to one query during one time bin.
 #[derive(Debug, Clone, PartialEq)]
@@ -10,8 +11,8 @@ pub struct QueryBinRecord {
     /// Handle of the query instance.
     pub id: QueryId,
     /// Label of the query instance (the kind's paper name unless the spec
-    /// set an explicit label).
-    pub name: String,
+    /// set an explicit label), shared with the registration, not copied.
+    pub name: Arc<str>,
     /// Sampling rate assigned to the query for this bin (0 = disabled).
     pub sampling_rate: f64,
     /// Cycles the prediction subsystem expected the query to need for the

@@ -35,13 +35,41 @@ impl BoyerMoore {
     /// number of byte positions examined, which the queries charge to their
     /// cycle meter.
     pub fn find(&self, haystack: &[u8]) -> (Option<usize>, u64) {
+        if haystack.len() < self.pattern.len() {
+            return (None, haystack.len() as u64);
+        }
+        self.resume(haystack, 0, 0)
+    }
+
+    /// `[self.find(haystack), other.find(haystack)]`, with the two searches'
+    /// alignment chains advanced side by side while neither sits on its
+    /// pattern's last byte (such a step is two dependent loads), after which
+    /// each finishes alone through `find`'s body.
+    pub fn find_pair(&self, other: &BoyerMoore, haystack: &[u8]) -> [(Option<usize>, u64); 2] {
+        let n = haystack.len();
+        let (m, other_m) = (self.pattern.len(), other.pattern.len());
+        if n < m || n < other_m {
+            return [self.find(haystack), other.find(haystack)];
+        }
+        let (last, other_last) = (self.pattern[m - 1], other.pattern[other_m - 1]);
+        let (mut pos, mut other_pos, mut steps) = (0, 0, 0);
+        while pos <= n - m && other_pos <= n - other_m {
+            let (byte, other_byte) = (haystack[pos + m - 1], haystack[other_pos + other_m - 1]);
+            if byte == last || other_byte == other_last {
+                break;
+            }
+            pos += self.skip[usize::from(byte)];
+            other_pos += other.skip[usize::from(other_byte)];
+            steps += 1;
+        }
+        [self.resume(haystack, pos, steps), other.resume(haystack, other_pos, steps)]
+    }
+
+    /// `find`'s body from alignment `pos` with `examined` positions examined;
+    /// `haystack` is at least as long as the pattern.
+    fn resume(&self, haystack: &[u8], mut pos: usize, mut examined: u64) -> (Option<usize>, u64) {
         let m = self.pattern.len();
         let n = haystack.len();
-        if n < m {
-            return (None, n as u64);
-        }
-        let mut examined = 0u64;
-        let mut pos = 0usize;
         while pos <= n - m {
             let mut j = m;
             while j > 0 && haystack[pos + j - 1] == self.pattern[j - 1] {

@@ -209,7 +209,8 @@ impl CustomBehavior {
 /// (Figure 6.2).
 #[derive(Debug)]
 pub struct P2pDetectorQuery {
-    signatures: Vec<BoyerMoore>,
+    /// "BitTorrent protocol", then "GNUTELLA CONNECT".
+    signatures: [BoyerMoore; 2],
     p2p_ports: Vec<u16>,
     shedding: SheddingMethod,
     behavior: CustomBehavior,
@@ -234,7 +235,7 @@ impl P2pDetectorQuery {
 
     fn with_shedding(shedding: SheddingMethod, behavior: CustomBehavior) -> Self {
         Self {
-            signatures: vec![
+            signatures: [
                 BoyerMoore::new(b"BitTorrent protocol"),
                 BoyerMoore::new(b"GNUTELLA CONNECT"),
             ],
@@ -315,16 +316,14 @@ impl Query for P2pDetectorQuery {
             let mut is_p2p = self.p2p_ports.contains(&tuple.src_port)
                 || self.p2p_ports.contains(&tuple.dst_port);
             if let Some(payload) = packet.payload() {
-                let mut examined_total = 0u64;
-                for signature in &self.signatures {
-                    let (found, examined) = signature.find(payload);
-                    examined_total += examined;
-                    if found.is_some() {
-                        is_p2p = true;
-                        break;
-                    }
-                }
-                meter.charge_n(costs::P2P_SCAN_BYTE, examined_total);
+                // Both scans at once; the second is charged, as when it ran
+                // second, only where the first found nothing.
+                let [bittorrent, gnutella] = &self.signatures;
+                let [(first, first_examined), (second, second_examined)] =
+                    bittorrent.find_pair(gnutella, payload);
+                let examined = first_examined + if first.is_none() { second_examined } else { 0 };
+                is_p2p |= first.is_some() || second.is_some();
+                meter.charge_n(costs::P2P_SCAN_BYTE, examined);
             }
             if is_p2p && self.identified.insert(key) {
                 meter.charge(costs::P2P_FLOW_SETUP);

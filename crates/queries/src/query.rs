@@ -3,7 +3,7 @@
 use crate::cost::CycleMeter;
 use crate::output::QueryOutput;
 use netshed_sketch::{DetHashMap, StateError, StateReader, StateWriter};
-use netshed_trace::BatchView;
+use netshed_trace::{BatchView, FlowSet, PacketRef};
 use std::any::Any;
 use std::hash::Hash;
 
@@ -181,6 +181,42 @@ pub(crate) fn restore_weights<'a, K: Hash + Eq>(
         }
     }
     Ok(())
+}
+
+/// The grow-only scratch of a kernel that looks its state up once per flow
+/// and adds once per packet: what each flow's lookup returned, by flow id.
+/// Every entry a call reads, the same call wrote, so it is never
+/// checkpointed. Probing in view order meets the keys in the order a
+/// per-packet walk does (DESIGN.md, "Locate-once-per-flow invariant").
+#[derive(Debug, Default)]
+pub(crate) struct FlowSlots<T> {
+    seen: FlowSet,
+    slot_of_flow: Vec<T>,
+}
+
+impl<T: Copy + Default> FlowSlots<T> {
+    /// Calls `lookup` on the first packet of every flow of `batch`, in view
+    /// order, and keeps what it returns for [`FlowSlots::packets`].
+    pub(crate) fn probe(&mut self, batch: &BatchView, mut lookup: impl FnMut(PacketRef<'_>) -> T) {
+        let flows = batch.store().flow_index().flows();
+        if self.slot_of_flow.len() < flows {
+            self.slot_of_flow.resize(flows, T::default());
+        }
+        for (flow, packet) in batch.first_of_flows(&mut self.seen) {
+            self.slot_of_flow[flow] = lookup(packet);
+        }
+    }
+
+    /// Every packet of `batch`, in view order, with its flow's last probe.
+    pub(crate) fn packets<'a>(
+        &'a self,
+        batch: &'a BatchView,
+    ) -> impl Iterator<Item = (T, PacketRef<'a>)> + 'a {
+        let flow_of = batch.store().flow_index().flow_of();
+        batch
+            .indexed_packets()
+            .map(move |(at, packet)| (self.slot_of_flow[flow_of[at] as usize], packet))
+    }
 }
 
 /// Adds `lane`'s table of weights into `table` entry by entry, emptying it:

@@ -7,6 +7,7 @@
 
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
+use crate::query::FlowSlots;
 use crate::query::{repeated_key, restored_weight, same_kind, scale, Query, SheddingMethod};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use netshed_trace::{AppProtocol, BatchView};
@@ -77,14 +78,16 @@ impl Query for CounterQuery {
 
 /// `application`: port-based application classification (Table 2.2).
 ///
-/// The per-packet path classifies to a slot index and adds into a fixed
-/// array; the label-keyed map the output and the checkpoint speak is
-/// assembled only when one of them is asked for.
+/// The kernel classifies once per flow (its packets share its ports) to a
+/// slot index and adds every packet into a fixed array; the label-keyed map
+/// the output and the checkpoint speak is assembled only when asked for.
 #[derive(Debug, Default)]
 pub struct ApplicationQuery {
     /// (packets, bytes) per label, in [`ApplicationQuery::label`] order;
     /// `None` until the interval first sees the label.
     per_slot: [Option<(f64, f64)>; ApplicationQuery::SLOTS],
+    /// Scratch: each flow's slot.
+    flow_slots: FlowSlots<usize>,
 }
 
 impl ApplicationQuery {
@@ -144,10 +147,15 @@ impl Query for ApplicationQuery {
     }
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
-        for packet in batch.packets() {
-            meter.charge(costs::PER_PACKET_BASE + costs::PORT_LOOKUP + costs::COUNTER_UPDATE);
+        meter.charge_n(
+            costs::PER_PACKET_BASE + costs::PORT_LOOKUP + costs::COUNTER_UPDATE,
+            batch.len() as u64,
+        );
+        self.flow_slots.probe(batch, |packet| {
             let tuple = packet.tuple();
-            let slot = Self::classify(tuple.src_port, tuple.dst_port, tuple.proto);
+            Self::classify(tuple.src_port, tuple.dst_port, tuple.proto)
+        });
+        for (slot, packet) in self.flow_slots.packets(batch) {
             let sums = self.per_slot[slot].get_or_insert((0.0, 0.0));
             sums.0 += scale(1.0, sampling_rate);
             sums.1 += scale(f64::from(packet.ip_len()), sampling_rate);
@@ -161,8 +169,8 @@ impl Query for ApplicationQuery {
     }
 
     fn absorb(&mut self, lane: &mut dyn Query) {
-        let lane = std::mem::take(same_kind::<Self>(lane));
-        for (sums, seen) in self.per_slot.iter_mut().zip(lane.per_slot) {
+        let seen_per_slot = std::mem::take(&mut same_kind::<Self>(lane).per_slot);
+        for (sums, seen) in self.per_slot.iter_mut().zip(seen_per_slot) {
             if let Some((packets, bytes)) = seen {
                 let sums = sums.get_or_insert((0.0, 0.0));
                 sums.0 += packets;

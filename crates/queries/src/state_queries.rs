@@ -9,7 +9,7 @@ use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
 use crate::query::{
     fold_weights, repeated_key, restore_weights, restored_weight, same_kind, save_weights, scale,
-    Query, SheddingMethod,
+    FlowSlots, Query, SheddingMethod,
 };
 use netshed_sketch::{hash_bytes, DetHashMap, DetHashSet, StateError, StateReader, StateWriter};
 use netshed_trace::{BatchView, FlowSet};
@@ -47,9 +47,10 @@ impl Query for FlowsQuery {
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
         meter.charge_n(costs::PER_PACKET_BASE + costs::HASH_LOOKUP, batch.len() as u64);
-        // A flow's later packets would find its entry occupied.
-        for (_, packet) in batch.first_of_flows(&mut self.seen) {
-            let key = hash_bytes(&packet.flow_key(), 0xf10f);
+        // A flow's later packets would find its entry occupied; its key is the
+        // store's memo, hashed once per flow for every `flows` instance.
+        for (flow, _) in batch.first_of_flows(&mut self.seen) {
+            let key = batch.store().flow_key_hash(flow);
             if let netshed_sketch::Entry::Vacant(vacant) = self.table.entry(key) {
                 meter.charge(costs::HASH_INSERT);
                 // The sampling rate may change from batch to batch, so each
@@ -89,12 +90,14 @@ impl Query for FlowsQuery {
 pub struct TopKQuery {
     k: usize,
     bytes_per_dst: DetHashMap<u32, f64>,
+    /// Scratch: each flow's position in `bytes_per_dst`.
+    flow_slots: FlowSlots<usize>,
 }
 
 impl TopKQuery {
     /// Creates a query reporting the top `k` destinations.
     pub fn new(k: usize) -> Self {
-        Self { k: k.max(1), bytes_per_dst: DetHashMap::default() }
+        Self { k: k.max(1), bytes_per_dst: DetHashMap::default(), flow_slots: FlowSlots::default() }
     }
 }
 
@@ -118,16 +121,22 @@ impl Query for TopKQuery {
     }
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
-        for packet in batch.packets() {
-            meter.charge(costs::PER_PACKET_BASE + costs::HASH_LOOKUP + costs::RANKING_UPDATE);
-            let bytes = scale(f64::from(packet.ip_len()), sampling_rate);
-            let entry = self.bytes_per_dst.entry(packet.tuple().dst_ip);
-            if let netshed_sketch::Entry::Vacant(vacant) = entry {
+        meter.charge_n(
+            costs::PER_PACKET_BASE + costs::HASH_LOOKUP + costs::RANKING_UPDATE,
+            batch.len() as u64,
+        );
+        // A flow's packets share a destination: one probe per flow. A new one
+        // enters at +0.0, which its first packet's bytes turn into exactly those.
+        let table = &mut self.bytes_per_dst;
+        self.flow_slots.probe(batch, |packet| {
+            let (position, inserted) = table.position_or_insert(packet.tuple().dst_ip, 0.0);
+            if inserted {
                 meter.charge(costs::HASH_INSERT);
-                vacant.insert(bytes);
-            } else if let netshed_sketch::Entry::Occupied(mut occupied) = entry {
-                *occupied.get_mut() += bytes;
             }
+            position
+        });
+        for (position, packet) in self.flow_slots.packets(batch) {
+            *table.value_at_mut(position) += scale(f64::from(packet.ip_len()), sampling_rate);
         }
     }
 
@@ -260,6 +269,8 @@ pub struct AutofocusQuery {
     /// Bytes per (prefix value, prefix length).
     prefixes: DetHashMap<(u32, u8), f64>,
     total_bytes: f64,
+    /// Scratch: each flow's positions in `prefixes`, one per level.
+    flow_slots: FlowSlots<[usize; 3]>,
 }
 
 impl AutofocusQuery {
@@ -270,6 +281,7 @@ impl AutofocusQuery {
             threshold_fraction: threshold_fraction.clamp(0.0001, 1.0),
             prefixes: DetHashMap::default(),
             total_bytes: 0.0,
+            flow_slots: FlowSlots::default(),
         }
     }
 
@@ -297,21 +309,28 @@ impl Query for AutofocusQuery {
     }
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
-        for packet in batch.packets() {
-            meter.charge(costs::PER_PACKET_BASE);
-            let bytes = f64::from(packet.ip_len());
-            self.total_bytes += scale(bytes, sampling_rate);
-            for &len in &Self::LEVELS {
-                meter.charge(costs::PREFIX_LEVEL);
+        let packets = batch.len() as u64;
+        meter.charge_n(costs::PER_PACKET_BASE, packets);
+        meter.charge_n(costs::PREFIX_LEVEL, packets * Self::LEVELS.len() as u64);
+        // A flow's packets share a destination, so its prefixes: one probe
+        // per flow and level, shallowest first, as `top-k` probes its table.
+        let prefixes = &mut self.prefixes;
+        self.flow_slots.probe(batch, |packet| {
+            Self::LEVELS.map(|len| {
                 let mask = if len == 32 { u32::MAX } else { !0u32 << (32 - len) };
-                let prefix = packet.tuple().dst_ip & mask;
-                let entry = self.prefixes.entry((prefix, len));
-                if let netshed_sketch::Entry::Vacant(vacant) = entry {
+                let key = (packet.tuple().dst_ip & mask, len);
+                let (position, inserted) = prefixes.position_or_insert(key, 0.0);
+                if inserted {
                     meter.charge(costs::HASH_INSERT);
-                    vacant.insert(scale(bytes, sampling_rate));
-                } else if let netshed_sketch::Entry::Occupied(mut occupied) = entry {
-                    *occupied.get_mut() += scale(bytes, sampling_rate);
                 }
+                position
+            })
+        });
+        for (positions, packet) in self.flow_slots.packets(batch) {
+            let bytes = scale(f64::from(packet.ip_len()), sampling_rate);
+            self.total_bytes += bytes;
+            for position in positions {
+                *prefixes.value_at_mut(position) += bytes;
             }
         }
     }

@@ -28,8 +28,11 @@
 //! this module's own [`Entry`] type standing in for
 //! `std::collections::hash_map::Entry`. Removal of individual keys is
 //! deliberately unsupported: the monitor's tables only ever grow within an
-//! interval and are cleared at its end, and leaving removal out keeps every
-//! entry index stable.
+//! interval and are cleared at its end, so an entry's position (its
+//! insertion rank) is stable until the next `clear`/`drain` — a contract
+//! callers rely on: query kernels look a key up once per flow
+//! ([`DetHashMap::position_or_insert`]) and add each packet at the position
+//! found ([`DetHashMap::value_at_mut`]).
 
 use crate::hash::DetBuildHasher;
 use std::hash::{BuildHasher, Hash};
@@ -100,6 +103,13 @@ impl<K, V> DetHashMap<K, V> {
     /// Iterates mutably over values in insertion order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
+    }
+
+    /// The value at a position [`DetHashMap::position_or_insert`] returned;
+    /// panics if `position >= len()`.
+    #[inline]
+    pub fn value_at_mut(&mut self, position: usize) -> &mut V {
+        &mut self.entries[position].1
     }
 
     /// Removes every entry, keeping the allocated capacity.
@@ -198,6 +208,15 @@ impl<K: Hash + Eq, V> DetHashMap<K, V> {
     /// Returns `true` when `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
         self.find(key).is_ok()
+    }
+
+    /// The position of `key`'s entry — inserting `default` first when the
+    /// key is absent — and whether it inserted.
+    pub fn position_or_insert(&mut self, key: K, default: V) -> (usize, bool) {
+        match self.find(&key) {
+            Ok(entry) => (entry, false),
+            Err(hash) => (self.push_new(key, default, hash), true),
+        }
     }
 
     /// Looks up `key` for in-place manipulation (the deterministic stand-in
@@ -450,6 +469,26 @@ mod tests {
         assert_eq!(map.get(&8), Some(&10));
         assert_eq!(*map.entry(9).or_insert_with(|| 42), 42);
         assert_eq!(map.get(&7), Some(&99));
+    }
+
+    #[test]
+    fn positions_are_insertion_ranks_and_survive_growth() {
+        let mut map: DetHashMap<u64, f64> = DetHashMap::new();
+        assert_eq!(map.position_or_insert(7, 0.0), (0, true));
+        assert_eq!(map.position_or_insert(9, 0.0), (1, true));
+        *map.value_at_mut(0) += 1.5;
+        // Enough keys to reindex several times: the early positions hold.
+        for key in 100..2_000u64 {
+            map.position_or_insert(key, key as f64);
+        }
+        assert_eq!(map.position_or_insert(7, -1.0), (0, false), "a present key keeps its value");
+        assert_eq!(map.position_or_insert(9, -1.0), (1, false));
+        assert_eq!(map.get(&7), Some(&1.5));
+        assert_eq!(map.position_or_insert(1_999, 0.0), (1_901, false));
+        *map.value_at_mut(1_901) += 1.0;
+        assert_eq!(map.get(&1_999), Some(&2_000.0));
+        map.clear();
+        assert_eq!(map.position_or_insert(9, 0.0), (0, true), "positions restart after a clear");
     }
 
     #[test]

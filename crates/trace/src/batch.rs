@@ -26,7 +26,9 @@
 //!   flow) feeding the fused feature extractor, flowwise sampling and the
 //!   flow-keyed queries and a fleet's lane routing — the "locate once per
 //!   flow" invariant — lazy, so a batch nothing examines (a recording)
-//!   hashes nothing.
+//!   hashes nothing,
+//! * the `flows` table key of each flow ([`PacketStore::flow_key_hash`]),
+//!   hashed the first time a view asks for that flow.
 //!
 //! Steady-state sampling is allocation-free: a [`KeepListPool`] recycles both
 //! the keep-index buffers and their `Arc` control blocks, so
@@ -37,6 +39,7 @@ use crate::flows::{FlowIndex, FlowSet};
 use crate::packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_SYN};
 use bytes::Bytes;
 use netshed_sketch::hash_bytes;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Fixed seed of the symmetric host-pair shard keys (see [`shard_key`]).
@@ -45,6 +48,10 @@ use std::sync::{Arc, OnceLock};
 /// checkpoint restore, replay verification), so the seed is part of the wire
 /// contract like the `.nstr` frame checksum seed.
 const SHARD_KEY_SEED: u64 = 0x7368_6172_644b_6579; // "shardKey"
+
+/// Seed of the `flows` query's table key, `hash_bytes(&tuple.as_key(),
+/// FLOW_KEY_SEED)`, which [`PacketStore::flow_key_hash`] memoises.
+pub const FLOW_KEY_SEED: u64 = 0xf10f;
 
 /// The shard-routing key of a five-tuple: a hash of the *unordered*
 /// `{src_ip, dst_ip}` host pair.
@@ -72,7 +79,8 @@ pub fn shard_key(tuple: &FiveTuple) -> u64 {
 /// [`Batch`].
 ///
 /// Immutable after construction; the lazy flow index is initialise-once
-/// (`OnceLock`) and therefore safe to share across threads.
+/// (`OnceLock`) and therefore safe to share across threads, like the
+/// flow-key memo's atomics.
 /// Construct through [`PacketStore::builder`] (one streaming pass that fills
 /// every column and the stats) or implicitly through [`Batch::new`].
 pub struct PacketStore {
@@ -92,6 +100,8 @@ pub struct PacketStore {
     stats: BatchStats,
     /// The packets grouped by 5-tuple (see [`PacketStore::flow_index`]).
     flows: OnceLock<FlowIndex>,
+    /// See [`PacketStore::flow_key_hash`].
+    flow_keys: OnceLock<Box<[AtomicU64]>>,
 }
 
 /// Streaming constructor for a [`PacketStore`]: one pass fills every column
@@ -176,6 +186,7 @@ impl StoreBuilder {
             payloads: self.payloads,
             stats: self.stats,
             flows: OnceLock::new(),
+            flow_keys: OnceLock::new(),
         }
     }
 }
@@ -264,6 +275,33 @@ impl PacketStore {
         self.flows.get_or_init(|| FlowIndex::build(&self.tuples))
     }
 
+    /// The `flows` table key of flow `flow` (an id of
+    /// [`PacketStore::flow_index`]), `hash_bytes(&tuple.as_key(),
+    /// FLOW_KEY_SEED)`, hashed when a view first asks for that flow and read
+    /// back by every later caller: a sampled view hashes only the flows it
+    /// kept (DESIGN.md, "Locate-once-per-flow invariant"). `Relaxed` is
+    /// enough because a slot publishes nothing but its own value, a pure
+    /// function of the tuple, so racing workers store the same bits; 0
+    /// means "not yet" (a key that hashes to 0 is only recomputed).
+    pub fn flow_key_hash(&self, flow: usize) -> u64 {
+        let memo = self.flow_keys.get_or_init(|| {
+            // The memo's one allocation per batch.
+            let flows = self.flow_index().flows();
+            let mut memo = Vec::with_capacity(flows);
+            memo.resize_with(flows, || AtomicU64::new(0));
+            memo.into_boxed_slice()
+        });
+        match memo[flow].load(Ordering::Relaxed) {
+            0 => {
+                let first = self.flow_index().first()[flow] as usize;
+                let key = hash_bytes(&self.tuples[first].as_key(), FLOW_KEY_SEED);
+                memo[flow].store(key, Ordering::Relaxed);
+                key
+            }
+            key => key,
+        }
+    }
+
     /// The lane of every flow of the store, by flow id, written into `out`
     /// (the caller's scratch, refilled in place): `shard_key % lanes` of the
     /// flow's first packet — one [`shard_key`] per flow, whatever the
@@ -339,11 +377,6 @@ impl<'a> PacketRef<'a> {
     /// Returns `true` if the packet carries the given IP protocol.
     pub fn is_proto(&self, proto: u8) -> bool {
         self.proto() == proto
-    }
-
-    /// The packet's serialised 13-byte flow key.
-    pub fn flow_key(&self) -> [u8; 13] {
-        self.tuple().as_key()
     }
 
     /// Copies the packet out into an owned [`Packet`] (payload bytes are
@@ -1347,7 +1380,6 @@ mod tests {
         assert_eq!(store.tuples()[0], tuple);
         assert_eq!(store.ip_lens(), &[60, 80]);
         assert_eq!(store.tcp_flag_bytes(), &[0, TCP_SYN]);
-        assert_eq!(store.get(0).flow_key(), tuple.as_key());
         assert_eq!(store.payload(0), None);
         assert_eq!(store.payload(1).map(bytes::Bytes::as_slice), Some(&b"abc"[..]));
         assert!(store.has_payloads());
@@ -1435,7 +1467,9 @@ mod tests {
         let sampled = batch.view().filter_indexed(|_, _| true);
         assert!(std::ptr::eq(index, sampled.store().flow_index()), "the index is built once");
         assert_eq!((index.flow_of(), index.first()), (&[0, 0][..], &[0][..]));
-        assert_eq!(batch.packets.get(1).flow_key(), batch.packets.tuples()[1].as_key());
+        let key = hash_bytes(&batch.packets.tuples()[1].as_key(), FLOW_KEY_SEED);
+        assert_eq!(sampled.store().flow_key_hash(0), key, "the memo is the flows key");
+        assert_eq!(batch.packets.flow_key_hash(0), key, "and shared with the batch");
     }
 
     #[test]

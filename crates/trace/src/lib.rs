@@ -50,7 +50,7 @@ pub use aggregate::{
 pub use anomaly::{Anomaly, AnomalyInjector, AnomalyKind};
 pub use batch::{
     shard_key, Batch, BatchBuilder, BatchStats, BatchView, IndexedPackets, KeepListPool, PacketRef,
-    PacketStore, StoreBuilder, TimestampJumpError, MAX_GAP_BINS,
+    PacketStore, StoreBuilder, TimestampJumpError, FLOW_KEY_SEED, MAX_GAP_BINS,
 };
 pub use flows::{FlowIndex, FlowSet};
 pub use format::{

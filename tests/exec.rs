@@ -257,6 +257,56 @@ fn tenants_racing_for_one_shared_fit_emit_one_digest_at_any_worker_count() {
     }
 }
 
+/// Tasks race to fill one memo: forty `flows` tenants ask the batch's store
+/// for the same flows' table keys in the same bin, each filling whichever
+/// slots nobody has yet, beside tenants of the four other kinds of the
+/// benchmark's tenant mix. Unshed, every tenant walks every flow; shed, each
+/// `flows` tenant flow-samples under its own hash function and asks for a
+/// different subset. At one, two and four workers the digest does not move.
+#[test]
+fn flows_tenants_racing_for_one_key_memo_emit_one_digest_at_any_worker_count() {
+    let batches = recorded_batches(40);
+    let others =
+        [QueryKind::Counter, QueryKind::Application, QueryKind::TopK, QueryKind::HighWatermark];
+    let specs: Vec<QuerySpec> = (0..40)
+        .map(|_| QueryKind::Flows)
+        .chain(others.iter().cycle().take(8).copied())
+        .enumerate()
+        .map(|(i, kind)| QuerySpec::new(kind).with_label(format!("tenant-{i:02}")))
+        .collect();
+    let demand = netshed::monitor::reference::measure_total_demand(&specs, &batches[..20])
+        .expect("valid query specs");
+    let digest_of = |capacity: f64, workers: usize| {
+        let builder = Monitor::builder()
+            .capacity(capacity)
+            .seed(37)
+            .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+            .with_workers(workers)
+            .queries(specs.clone());
+        let mut observers = (DigestObserver::new(), FullTape::default());
+        builder
+            .build()
+            .expect("valid monitor")
+            .run(&mut BatchReplay::new(batches.clone()), &mut observers)
+            .expect("run");
+        let sampled_flows = (observers.1.records.iter().flat_map(|record| &record.queries))
+            .filter(|query| &*query.name < "tenant-40" && query.sampling_rate < 1.0)
+            .count();
+        (observers.0.digest(), sampled_flows)
+    };
+    for (capacity, shed) in [(1e15, false), (demand / 2.0, true)] {
+        let (sequential, sampled_flows) = digest_of(capacity, 1);
+        assert_eq!(sampled_flows > 0, shed, "capacity {capacity}: {sampled_flows} sampled runs");
+        for workers in [2, 4] {
+            assert_eq!(
+                digest_of(capacity, workers).0,
+                sequential,
+                "{workers} workers, shed {shed}"
+            );
+        }
+    }
+}
+
 /// Runs the 20-bin unshed trace through `engine` and returns its stage
 /// telemetry with the wall nanoseconds taken around the run.
 fn stage_stats_of<E: Engine>(mut engine: E) -> (StageStats, u64) {

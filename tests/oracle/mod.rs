@@ -5,6 +5,8 @@
 //! one linear-counting bitmap per component by the flat layout, copy-out
 //! shedding by views, the column-at-a-time Pearson FCBF by the row passes,
 //! the per-packet `flows` / `super-sources` kernels by one probe per flow,
+//! the per-packet `top-k` / `autofocus` / `application` lookups by one per
+//! flow (their additions stay per packet),
 //! `high-watermark`'s running peak by the per-bin table its lanes fold —
 //! the old one moves here for as long as a test compares against it,
 //! restated on public types only: nothing in this module calls the code it
@@ -24,11 +26,12 @@ use netshed::predict::{FcbfConfig, History};
 use netshed::queries::{costs, CycleMeter, QueryOutput};
 use netshed::sketch::{hash_bytes, mix64, H3Hasher, StateWriter};
 use netshed::trace::{
-    Batch, BatchView, FiveTuple, PacketRef, PacketStore, DEFAULT_MEASUREMENT_INTERVAL_US,
+    AppProtocol, Batch, BatchView, FiveTuple, PacketRef, PacketStore,
+    DEFAULT_MEASUREMENT_INTERVAL_US, FLOW_KEY_SEED,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
 // Aggregate keys and hashes, one key and one `hash_bytes` call at a time.
@@ -378,10 +381,19 @@ pub fn clone_flow_sample(batch: &Batch, rate: f64, hasher: &H3Hasher) -> (Batch,
 }
 
 // ---------------------------------------------------------------------------
-// The flow-keyed queries, one key, one hash and one table probe per packet.
+// The flow-keyed queries, one key, one hash and one table lookup per packet.
 // Entries live in insertion order in plain vectors (what the production
 // tables' iteration order is defined to be); sampling rates are in (0, 1].
 // ---------------------------------------------------------------------------
+
+/// What every per-packet restatement below answers, so one property can
+/// drive them side by side with the kernels that replaced them.
+pub trait PerPacketKernel {
+    fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter);
+    fn end_interval(&mut self) -> QueryOutput;
+    /// The bytes the production query's `save_state` writes.
+    fn save_state(&self, writer: &mut StateWriter);
+}
 
 /// `flows` before the flow index: every packet serialises its 5-tuple,
 /// hashes it and probes the flow table.
@@ -392,11 +404,11 @@ pub struct PerPacketFlows {
     known: HashSet<u64>,
 }
 
-impl PerPacketFlows {
-    pub fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
+impl PerPacketKernel for PerPacketFlows {
+    fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
         for packet in batch.packets() {
             meter.charge(costs::PER_PACKET_BASE + costs::HASH_LOOKUP);
-            let key = hash_bytes(&packet.tuple().as_key(), 0xf10f);
+            let key = hash_bytes(&packet.tuple().as_key(), FLOW_KEY_SEED);
             if self.known.insert(key) {
                 meter.charge(costs::HASH_INSERT);
                 self.entries.push((key, 1.0 / rate));
@@ -404,18 +416,168 @@ impl PerPacketFlows {
         }
     }
 
-    pub fn end_interval(&mut self) -> QueryOutput {
+    fn end_interval(&mut self) -> QueryOutput {
         let count = self.entries.iter().map(|(_, weight)| weight).sum();
         self.entries.clear();
         self.known.clear();
         QueryOutput::Flows { count }
     }
 
-    pub fn save_state(&self, writer: &mut StateWriter) {
+    fn save_state(&self, writer: &mut StateWriter) {
         writer.usize(self.entries.len());
         for (key, weight) in &self.entries {
             writer.u64(*key);
             writer.f64(*weight);
+        }
+    }
+}
+
+/// `top-k` before it probed once per flow: every packet looks its
+/// destination up, and a new destination enters with the packet's bytes.
+pub struct PerPacketTopK {
+    k: usize,
+    /// (destination, bytes), in insertion order, and where each one sits.
+    entries: Vec<(u32, f64)>,
+    position: HashMap<u32, usize>,
+}
+
+impl PerPacketTopK {
+    pub fn new(k: usize) -> Self {
+        Self { k, entries: Vec::new(), position: HashMap::new() }
+    }
+}
+
+impl PerPacketKernel for PerPacketTopK {
+    fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
+        for packet in batch.packets() {
+            meter.charge(costs::PER_PACKET_BASE + costs::HASH_LOOKUP + costs::RANKING_UPDATE);
+            let bytes = f64::from(packet.ip_len()) / rate;
+            let dst = packet.tuple().dst_ip;
+            match self.position.get(&dst) {
+                Some(&at) => self.entries[at].1 += bytes,
+                None => {
+                    meter.charge(costs::HASH_INSERT);
+                    self.position.insert(dst, self.entries.len());
+                    self.entries.push((dst, bytes));
+                }
+            }
+        }
+    }
+
+    fn end_interval(&mut self) -> QueryOutput {
+        let mut ranking = std::mem::take(&mut self.entries);
+        self.position.clear();
+        ranking.sort_by(|a, b| b.1.total_cmp(&a.1));
+        ranking.truncate(self.k);
+        QueryOutput::TopK { ranking }
+    }
+
+    fn save_state(&self, writer: &mut StateWriter) {
+        writer.usize(self.entries.len());
+        for (dst, bytes) in &self.entries {
+            writer.u32(*dst);
+            writer.f64(*bytes);
+        }
+    }
+}
+
+/// `autofocus` before it probed once per flow: every packet looks up its
+/// destination's /8, /16 and /24, in that order, and a new prefix enters
+/// with the packet's bytes.
+pub struct PerPacketAutofocus {
+    threshold_fraction: f64,
+    /// ((prefix, length), bytes), in insertion order, and where each sits.
+    entries: Vec<((u32, u8), f64)>,
+    position: HashMap<(u32, u8), usize>,
+    total_bytes: f64,
+}
+
+impl PerPacketAutofocus {
+    pub fn new(threshold_fraction: f64) -> Self {
+        Self { threshold_fraction, entries: Vec::new(), position: HashMap::new(), total_bytes: 0.0 }
+    }
+}
+
+impl PerPacketKernel for PerPacketAutofocus {
+    fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
+        for packet in batch.packets() {
+            meter.charge(costs::PER_PACKET_BASE);
+            let bytes = f64::from(packet.ip_len()) / rate;
+            self.total_bytes += bytes;
+            for len in [8u8, 16, 24] {
+                meter.charge(costs::PREFIX_LEVEL);
+                let key = (packet.tuple().dst_ip & (!0u32 << (32 - len)), len);
+                match self.position.get(&key) {
+                    Some(&at) => self.entries[at].1 += bytes,
+                    None => {
+                        meter.charge(costs::HASH_INSERT);
+                        self.position.insert(key, self.entries.len());
+                        self.entries.push((key, bytes));
+                    }
+                }
+            }
+        }
+    }
+
+    fn end_interval(&mut self) -> QueryOutput {
+        let threshold = std::mem::take(&mut self.total_bytes) * self.threshold_fraction;
+        self.position.clear();
+        let mut clusters: Vec<(u32, u8, f64)> = std::mem::take(&mut self.entries)
+            .into_iter()
+            .filter(|(_, bytes)| *bytes >= threshold && threshold > 0.0)
+            .map(|((prefix, len), bytes)| (prefix, len, bytes))
+            .collect();
+        clusters.sort_by(|a, b| b.2.total_cmp(&a.2));
+        QueryOutput::Autofocus { clusters }
+    }
+
+    fn save_state(&self, writer: &mut StateWriter) {
+        writer.usize(self.entries.len());
+        for ((prefix, len), bytes) in &self.entries {
+            writer.u32(*prefix);
+            writer.u8(*len);
+            writer.f64(*bytes);
+        }
+        writer.f64(self.total_bytes);
+    }
+}
+
+/// `application` before it classified once per flow: every packet is
+/// classified by its ports and protocol and counted under its label.
+#[derive(Default)]
+pub struct PerPacketApplication {
+    per_app: BTreeMap<&'static str, (f64, f64)>,
+}
+
+impl PerPacketKernel for PerPacketApplication {
+    fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
+        for packet in batch.packets() {
+            meter.charge(costs::PER_PACKET_BASE + costs::PORT_LOOKUP + costs::COUNTER_UPDATE);
+            let tuple = packet.tuple();
+            let label = AppProtocol::ALL
+                .iter()
+                .find(|app| {
+                    app.ip_proto() == tuple.proto
+                        && (tuple.src_port == app.server_port()
+                            || tuple.dst_port == app.server_port())
+                })
+                .map_or("unknown", |app| app.name());
+            let sums = self.per_app.entry(label).or_insert((0.0, 0.0));
+            sums.0 += 1.0 / rate;
+            sums.1 += f64::from(packet.ip_len()) / rate;
+        }
+    }
+
+    fn end_interval(&mut self) -> QueryOutput {
+        QueryOutput::Application { per_app: std::mem::take(&mut self.per_app) }
+    }
+
+    fn save_state(&self, writer: &mut StateWriter) {
+        writer.usize(self.per_app.len());
+        for (label, (packets, bytes)) in &self.per_app {
+            writer.str(label);
+            writer.f64(*packets);
+            writer.f64(*bytes);
         }
     }
 }
@@ -467,8 +629,10 @@ impl PerPacketSuperSources {
             fanout_at: HashMap::new(),
         }
     }
+}
 
-    pub fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
+impl PerPacketKernel for PerPacketSuperSources {
+    fn process_batch(&mut self, batch: &BatchView, rate: f64, meter: &mut CycleMeter) {
         for packet in batch.packets() {
             meter.charge(costs::PER_PACKET_BASE + costs::DISTINCT_UPDATE);
             let tuple = packet.tuple();
@@ -488,7 +652,7 @@ impl PerPacketSuperSources {
         }
     }
 
-    pub fn end_interval(&mut self) -> QueryOutput {
+    fn end_interval(&mut self) -> QueryOutput {
         let mut sources = std::mem::take(&mut self.fanout);
         sources.sort_by(|a, b| b.1.total_cmp(&a.1));
         sources.truncate(self.top);
@@ -498,7 +662,7 @@ impl PerPacketSuperSources {
         QueryOutput::SuperSources { fanouts: sources.into_iter().collect() }
     }
 
-    pub fn save_state(&self, writer: &mut StateWriter) {
+    fn save_state(&self, writer: &mut StateWriter) {
         writer.usize(self.pairs.len());
         for pair in &self.pairs {
             writer.u64(*pair);

@@ -322,7 +322,7 @@ proptest! {
     /// Layout equivalence: the struct-of-arrays packet store is
     /// observationally identical to packet-at-a-time construction. For an
     /// arbitrary packet mix, every column round-trips back to the source
-    /// packet, the flow key matches per-packet serialisation, the eager
+    /// packet, the eager
     /// stats match a scalar fold over the packets, the cached slot row of
     /// every packet's flow matches the oracle's padded-key hashes located by
     /// locate-then-modulo, and the fused extractor's output over the store
@@ -358,11 +358,10 @@ proptest! {
         packets.sort_by_key(|p| p.ts);
         let batch = Batch::new(0, 0, 100_000, packets.clone());
 
-        // Column round-trip and the flow key.
+        // Column round-trip.
         prop_assert_eq!(batch.len(), packets.len());
         for (packet, stored) in packets.iter().zip(batch.packets.iter()) {
             prop_assert_eq!(packet, &stored.to_packet());
-            prop_assert_eq!(packet.tuple.as_key(), stored.flow_key());
         }
 
         // Eager stats vs a scalar fold.
@@ -461,28 +460,40 @@ proptest! {
         prop_assert_eq!(index.rows().len(), first_seen.len());
     }
 
-    /// `flows` and `super-sources` probe once per flow of the view; their
-    /// per-packet restatements in `tests/oracle/` probe once per packet.
-    /// Over bins of heavily repeating traffic delivered as full, strided and
-    /// flow-sampled views at a rate that changes bin to bin, with an interval
-    /// roll in the middle, both leave the same charged cycles and
-    /// operations, the same checkpoint bytes after every bin and the same
-    /// interval outputs.
+    /// `flows` and `super-sources` probe once per flow of the view, and
+    /// `top-k`, `autofocus` and `application` look up once per flow and add
+    /// once per packet; their per-packet restatements in `tests/oracle/`
+    /// look up once per packet. Over bins of heavily repeating traffic — a
+    /// packet length drawn per packet and a rate that is not a power of two,
+    /// so an accumulator that received its additions in another order or
+    /// grouping would differ in the last bit — delivered as full, strided,
+    /// flow-sampled, fleet-lane and view-of-view views, with an interval
+    /// roll and a checkpoint restore in the middle, both leave the same
+    /// charged cycles and operations and the same checkpoint bytes after
+    /// every bin, and the same interval outputs.
     #[test]
     fn flow_keyed_queries_match_their_per_packet_restatement(
         bins in proptest::collection::vec(
             (
-                proptest::collection::vec((0u32..5, 0u32..5, 0u16..3, 0usize..2), 1..150),
-                0usize..3,
+                proptest::collection::vec(
+                    ((0u32..4, 0usize..5), (0usize..3, 0usize..2, 40u32..1500)),
+                    1..150,
+                ),
+                0usize..5,
                 0.05f64..1.0,
                 0u64..500,
             ),
             2..7,
         ),
         roll in 1usize..6,
+        restore in 1usize..6,
     ) {
-        use netshed::queries::{CycleMeter, FlowsQuery, Query, SuperSourcesQuery};
-        use netshed::sketch::StateWriter;
+        use netshed::queries::{
+            ApplicationQuery, AutofocusQuery, CycleMeter, FlowsQuery, Query, SuperSourcesQuery,
+            TopKQuery,
+        };
+        use netshed::sketch::{StateReader, StateWriter};
+        use oracle::PerPacketKernel;
 
         fn saved(save: impl FnOnce(&mut StateWriter)) -> Vec<u8> {
             let mut writer = StateWriter::new();
@@ -490,49 +501,191 @@ proptest! {
             writer.into_bytes()
         }
 
-        let (mut flows, mut flows_oracle) = (FlowsQuery::new(), oracle::PerPacketFlows::default());
-        let mut sources = SuperSourcesQuery::new(3);
-        let mut sources_oracle = oracle::PerPacketSuperSources::new(3);
+        // Destinations that share their /8, /16 or /24 with another, and
+        // ports that classify as three applications or none.
+        const DSTS: [u32; 5] = [0x0a00_0001, 0x0a00_0102, 0x0a01_0001, 0x0b00_0001, 0xc0a8_0101];
+        const PORTS: [u16; 3] = [1024, 53, 6881];
+        let fresh = || -> Vec<(Box<dyn Query>, Box<dyn PerPacketKernel>)> {
+            vec![
+                (Box::new(FlowsQuery::new()), Box::new(oracle::PerPacketFlows::default())),
+                (Box::new(SuperSourcesQuery::new(3)), Box::new(oracle::PerPacketSuperSources::new(3))),
+                (Box::new(TopKQuery::new(3)), Box::new(oracle::PerPacketTopK::new(3))),
+                (Box::new(AutofocusQuery::new(0.02)), Box::new(oracle::PerPacketAutofocus::new(0.02))),
+                (Box::new(ApplicationQuery::new()), Box::new(oracle::PerPacketApplication::default())),
+            ]
+        };
+        let mut pairs = fresh();
+        let (mut pool, mut lane_of_flow) = (KeepListPool::new(), Vec::new());
         for (bin, (picks, shape, rate, hash_seed)) in bins.iter().enumerate() {
             if bin == roll {
-                prop_assert_eq!(flows.end_interval(), flows_oracle.end_interval());
-                prop_assert_eq!(sources.end_interval(), sources_oracle.end_interval());
+                for (query, oracle) in &mut pairs {
+                    prop_assert_eq!(query.end_interval(), oracle.end_interval(), "roll at bin {}", bin);
+                }
+            }
+            if bin == restore {
+                // A restored instance carries on from the bytes, not from
+                // anything the old one kept beside them.
+                let mut restored = fresh();
+                for ((query, _), (into, _)) in pairs.iter().zip(&mut restored) {
+                    let bytes = saved(|w| query.save_state(w).expect("state"));
+                    into.load_state(&mut StateReader::new(&bytes)).expect("restores");
+                }
+                for ((query, _), (into, _)) in pairs.iter_mut().zip(restored) {
+                    *query = into;
+                }
             }
             let packets: Vec<Packet> = picks
                 .iter()
                 .enumerate()
-                .map(|(ts, (src, dst, port, proto))| {
-                    let tuple = FiveTuple::new(*src, *dst, *port, 80, [6, 17][*proto]);
-                    Packet::header_only(ts as u64, tuple, 100, 0)
+                .map(|(ts, ((src, dst), (port, proto, ip_len)))| {
+                    let dst_port = [80, 443][*src as usize % 2];
+                    let tuple = FiveTuple::new(*src, DSTS[*dst], PORTS[*port], dst_port, [6, 17][*proto]);
+                    Packet::header_only(ts as u64, tuple, *ip_len, 0)
                 })
                 .collect();
             let batch = Batch::new(bin as u64, bin as u64 * 100_000, 100_000, packets);
+            let hasher = H3Hasher::new(13, *hash_seed);
+            let strided = batch.view().filter_indexed(|index, _| index % 3 != 0);
             let view = match shape {
                 0 => batch.view(),
-                1 => batch.view().filter_indexed(|index, _| index % 3 != 0),
-                _ => flow_sample(&batch.view(), *rate, &H3Hasher::new(13, *hash_seed)).0,
+                1 => strided,
+                2 => flow_sample(&batch.view(), *rate, &hasher).0,
+                3 => {
+                    // One lane of a three-lane fleet, as its execute stage
+                    // hands it over.
+                    batch.packets.flow_lanes(3, &mut lane_of_flow);
+                    let mut lanes = Vec::new();
+                    batch.view().split_lanes_with(&mut pool, &lane_of_flow, 3, |_, lane| lanes.push(lane));
+                    lanes.swap_remove(*hash_seed as usize % 3)
+                }
+                _ => flow_sample(&strided, *rate, &hasher).0,
             };
 
-            let (mut meter, mut oracle_meter) = (CycleMeter::new(), CycleMeter::new());
-            flows.process_batch(&view, *rate, &mut meter);
-            flows_oracle.process_batch(&view, *rate, &mut oracle_meter);
-            sources.process_batch(&view, *rate, &mut meter);
-            sources_oracle.process_batch(&view, *rate, &mut oracle_meter);
-            prop_assert_eq!(meter.cycles(), oracle_meter.cycles(), "bin {}", bin);
-            prop_assert_eq!(meter.operations(), oracle_meter.operations(), "bin {}", bin);
-            prop_assert_eq!(
-                saved(|w| flows.save_state(w).expect("flows state")),
-                saved(|w| flows_oracle.save_state(w)),
-                "flows checkpoint after bin {}", bin
-            );
-            prop_assert_eq!(
-                saved(|w| sources.save_state(w).expect("super-sources state")),
-                saved(|w| sources_oracle.save_state(w)),
-                "super-sources checkpoint after bin {}", bin
-            );
+            for (query, oracle) in &mut pairs {
+                let (mut meter, mut oracle_meter) = (CycleMeter::new(), CycleMeter::new());
+                query.process_batch(&view, *rate, &mut meter);
+                oracle.process_batch(&view, *rate, &mut oracle_meter);
+                let name = query.name();
+                prop_assert_eq!(meter.cycles(), oracle_meter.cycles(), "{} cycles, bin {}", name, bin);
+                prop_assert_eq!(meter.operations(), oracle_meter.operations(), "{} ops, bin {}", name, bin);
+                prop_assert_eq!(
+                    saved(|w| query.save_state(w).expect("state")),
+                    saved(|w| oracle.save_state(w)),
+                    "{} checkpoint after bin {}", name, bin
+                );
+            }
         }
-        prop_assert_eq!(flows.end_interval(), flows_oracle.end_interval());
-        prop_assert_eq!(sources.end_interval(), sources_oracle.end_interval());
+        for (query, oracle) in &mut pairs {
+            prop_assert_eq!(query.end_interval(), oracle.end_interval(), "{}", query.name());
+        }
+    }
+
+    /// The store's memo of the `flows` key is the key: for every flow of a
+    /// full and a sampled view of one store, `flow_key_hash` returns
+    /// `hash_bytes(&tuple.as_key(), FLOW_KEY_SEED)` of each of the flow's
+    /// packets — asked by the two views' walks in turn (one forwards, one
+    /// backwards, the sampled one first, so it fills only its own flows),
+    /// and on a fresh store by two threads at once in opposite orders.
+    #[test]
+    fn the_flow_key_memo_is_the_flow_key(
+        picks in proptest::collection::vec((0u32..6, 0u32..6, 0u16..3, 0usize..2), 1..300),
+        stride in 2usize..5,
+    ) {
+        use netshed::sketch::hash_bytes;
+        use netshed::trace::{FlowSet, FLOW_KEY_SEED};
+
+        let packets: Vec<Packet> = picks
+            .iter()
+            .enumerate()
+            .map(|(ts, (src, dst, port, proto))| {
+                let tuple = FiveTuple::new(*src, *dst, *port, 80, [6, 17][*proto]);
+                Packet::header_only(ts as u64, tuple, 100, 0)
+            })
+            .collect();
+        let batch = Batch::new(0, 0, 100_000, packets.clone());
+        let sampled = batch.view().filter_indexed(|index, _| index % stride == 0);
+        let flows_of = |view: &BatchView| -> Vec<usize> {
+            view.first_of_flows(&mut FlowSet::default()).map(|(flow, _)| flow).collect()
+        };
+        let (in_sample, in_full) = (flows_of(&sampled), flows_of(&batch.view()));
+        let store = &batch.packets;
+        let mut asked = Vec::new();
+        for turn in 0..in_sample.len().max(in_full.len()) {
+            asked.extend(in_sample.get(turn).map(|&flow| store.flow_key_hash(flow)));
+            asked.extend(in_full.iter().rev().nth(turn).map(|&flow| store.flow_key_hash(flow)));
+        }
+        prop_assert_eq!(asked.len(), in_sample.len() + in_full.len());
+        let flow_of = store.flow_index().flow_of();
+        for view in [&sampled, &batch.view()] {
+            for (at, packet) in view.indexed_packets() {
+                prop_assert_eq!(
+                    store.flow_key_hash(flow_of[at] as usize),
+                    hash_bytes(&packet.tuple().as_key(), FLOW_KEY_SEED)
+                );
+            }
+        }
+
+        let racing = Batch::new(0, 0, 100_000, packets);
+        let flows = racing.packets.flow_index().flows();
+        let keys: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let forwards = scope.spawn(|| (0..flows).map(|f| racing.packets.flow_key_hash(f)).collect());
+            let backwards = scope.spawn(|| {
+                let mut keys: Vec<u64> =
+                    (0..flows).rev().map(|f| racing.packets.flow_key_hash(f)).collect();
+                keys.reverse();
+                keys
+            });
+            [forwards, backwards].map(|walk| walk.join().expect("no panic")).into()
+        });
+        let expected: Vec<u64> = (0..flows).map(|flow| store.flow_key_hash(flow)).collect();
+        prop_assert_eq!(&keys[0], &expected);
+        prop_assert_eq!(&keys[1], &expected);
+    }
+
+    /// The p2p detector's lockstep scan is two `find`s: over random bytes
+    /// drawn from both patterns' alphabets, haystacks holding either pattern
+    /// (at the very end too, so a chain's last alignment sits on its last
+    /// byte), haystacks shorter than either pattern and `bm-mimicry`'s tiled
+    /// near misses, `find_pair` returns what `find` returns for each
+    /// pattern, in either pairing.
+    #[test]
+    fn a_find_pair_is_two_finds(
+        noise in proptest::collection::vec(0usize..24, 0..160),
+        shape in 0usize..6,
+        cut in 0usize..200,
+    ) {
+        use netshed::queries::BoyerMoore;
+
+        const BITTORRENT: &[u8] = b"BitTorrent protocol";
+        const GNUTELLA: &[u8] = b"GNUTELLA CONNECT";
+        let alphabet = b"BitTorent pcl GNUELACOZ.";
+        let mut haystack: Vec<u8> = noise.iter().map(|&at| alphabet[at]).collect();
+        let at = cut.min(haystack.len());
+        match shape {
+            0 => {}
+            1 => haystack.splice(at..at, BITTORRENT.iter().copied()).for_each(drop),
+            2 => haystack.extend_from_slice([BITTORRENT, GNUTELLA][cut % 2]),
+            3 => haystack.truncate(cut % GNUTELLA.len()),
+            4 => {
+                // Each signature with its first byte replaced, tiled: every
+                // alignment walks almost the whole pattern before it fails.
+                let tile = [&b"Z"[..], &BITTORRENT[1..], b"Z", &GNUTELLA[1..]].concat();
+                haystack = tile.iter().copied().cycle().skip(cut % tile.len()).take(noise.len() * 3).collect();
+            }
+            _ => {
+                haystack.splice(at..at, GNUTELLA.iter().copied()).for_each(drop);
+                haystack.extend_from_slice(&BITTORRENT[cut % BITTORRENT.len()..]);
+            }
+        }
+        let (bittorrent, gnutella) = (BoyerMoore::new(BITTORRENT), BoyerMoore::new(GNUTELLA));
+        prop_assert_eq!(
+            bittorrent.find_pair(&gnutella, &haystack),
+            [bittorrent.find(&haystack), gnutella.find(&haystack)]
+        );
+        prop_assert_eq!(
+            gnutella.find_pair(&bittorrent, &haystack),
+            [gnutella.find(&haystack), bittorrent.find(&haystack)]
+        );
     }
 
     /// `high-watermark` keeps the open interval's bytes per bin so that a
