@@ -17,11 +17,14 @@ fail() {
 require() { grep -F "$1" "$file" || fail "$2"; }
 forbid() { ! grep -E "$1" "$file" || fail "$2"; }
 
-# The sharded parallel_scaling row (the fleet's measured intra-run speedup).
-# Every scaling figure is measured: a `projected_` or `_basis` key means a
-# modelled number was published as a measured one.
-require '"sharded_speedup_4s"' "lost the sharded parallel_scaling row"
+# The sharded parallel_scaling row (the fleet's measured intra-run speedup at
+# 1/2/4 workers). Every scaling figure is measured: a `projected_` or `_basis`
+# key means a modelled number was published as a measured one. The fleet has
+# no thread count of its own any more: a `shards` table or its
+# `sharded_speedup_4s` coming back means the shard-thread knob is back.
+require '"fleet_speedup_4w"' "lost the sharded parallel_scaling row"
 require '"shard_lanes"' "lost the sharded parallel_scaling row"
+forbid '"(shards|sharded_speedup_4s)"' "carries the retired shard-thread row"
 forbid 'projected_|_basis' "carries a modelled (projected_/_basis) figure"
 
 # The prediction plane is measured as it runs (whole cycle, the same cycle

@@ -43,7 +43,7 @@
 //!    additional tenant adds per bin.
 //! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers, and
 //!    the **sharded** row: the same pipeline through the fixed-lane
-//!    `ShardedMonitor` fleet at 1/2/4 shard threads. Every figure is a
+//!    `ShardedMonitor` fleet at 1/2/4 workers. Every figure is a
 //!    measured wall-clock throughput and its intra-run ratio to the 1-thread
 //!    point of the same invocation; `host_cores` says how many of those
 //!    threads the host could actually run at once.
@@ -468,7 +468,7 @@ fn fleet_bin_in_solo_bins(batches: usize) -> f64 {
     let mut ratios: Vec<f64> = (0..3)
         .map(|_| {
             let solo = bench_pipeline_at(batches, 1);
-            let fleet = bench_sharded_pipeline_at(batches, 1);
+            let fleet = bench_fleet_pipeline_at(batches, 1);
             mean_bin_ns(&fleet.stages) / mean_bin_ns(&solo.stages)
         })
         .collect();
@@ -522,11 +522,11 @@ fn bench_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
     bench_engine(batches, |builder| builder.with_workers(workers).build())
 }
 
-/// The sharded fleet (default lane count) at the given shard-thread count.
-/// The lane layout is fixed, so every shard count replays the identical
+/// The sharded fleet (default lane count) at the given worker count. The
+/// lane layout is fixed, so every worker count replays the identical
 /// computation — the row reports pure wall-clock scaling.
-fn bench_sharded_pipeline_at(batches: usize, shards: usize) -> PipelineNumbers {
-    bench_engine(batches, |builder| builder.with_shards(shards).build_sharded())
+fn bench_fleet_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
+    bench_engine(batches, |builder| builder.with_workers(workers).build_sharded())
 }
 
 /// Times one predict+observe cycle per bin over a synthetic feature stream:
@@ -694,21 +694,21 @@ fn scaling_row(
     (table, speedup, baseline)
 }
 
-/// The 2× overload pipeline at 1/2/4 workers, then through the fixed-lane
-/// fleet at 1/2/4 shard threads; also returns the fleet's 1-shard-thread run,
-/// for the stage breakdown. Both rows are intra-run: every endpoint is
-/// measured in this invocation on the identical trace (and lane layout). A
-/// ratio at more threads than `host_cores` measures dispatch overhead, not
-/// scaling — the row reports it as measured either way.
+/// The 2× overload pipeline at 1/2/4 workers, solo and through the
+/// fixed-lane fleet; also returns the fleet's 1-worker run, for the stage
+/// breakdown. Both rows are intra-run: every endpoint is measured in this
+/// invocation on the identical trace (and lane layout). A ratio at more
+/// threads than `host_cores` measures dispatch overhead, not scaling — the
+/// row reports it as measured either way.
 fn bench_parallel_scaling(batches: usize) -> (Report, PipelineNumbers) {
     let (workers, speedup_4w, baseline) =
         scaling_row("workers", |workers| bench_pipeline_at(batches, workers));
-    let (shards, sharded_speedup_4s, sharded_baseline) =
-        scaling_row("shards", |shards| bench_sharded_pipeline_at(batches, shards));
+    let (fleet_workers, fleet_speedup_4w, fleet_baseline) =
+        scaling_row("workers", |workers| bench_fleet_pipeline_at(batches, workers));
     let sharded = Report::new()
         .cell("shard_lanes", netshed_monitor::DEFAULT_SHARD_LANES)
-        .table("shards", shards)
-        .cell("sharded_speedup_4s", num(sharded_speedup_4s, 3));
+        .table("workers", fleet_workers)
+        .cell("fleet_speedup_4w", num(fleet_speedup_4w, 3));
     let report = Report::new()
         .cell("batches", batches)
         .cell("host_cores", std::thread::available_parallelism().map_or(1, usize::from))
@@ -716,7 +716,7 @@ fn bench_parallel_scaling(batches: usize) -> (Report, PipelineNumbers) {
         .table("workers", workers)
         .cell("speedup_4w", num(speedup_4w, 3))
         .report("sharded", sharded);
-    (report, sharded_baseline)
+    (report, fleet_baseline)
 }
 
 /// Costs the multi-tenant live registry at 10/100/1000 concurrent queries:

@@ -72,10 +72,10 @@ pub fn corpus_capacity(batches: &[Batch]) -> f64 {
 pub const ADVERSARIAL_SCENARIOS: [&str; 3] = ["bm-mimicry", "flow-churn", "agg-skew"];
 
 /// The corpus configuration of one policy run — a built-in [`Strategy`] or
-/// any [`PolicySpec`]. Callers layer the knobs of
-/// the plane under test on top (`with_shards`, `with_shard_lanes`,
-/// `with_predictor`); the service-plane helpers below pass it to `.nsck`
-/// restore, which cross-checks it against the checkpointing process's.
+/// any [`PolicySpec`]. Callers layer the knobs of the plane under test on top
+/// (`with_shard_lanes`, `with_predictor`); the service-plane helpers below
+/// pass it to `.nsck` restore, which cross-checks it against the
+/// checkpointing process's.
 pub fn corpus_config(
     policy: impl Into<PolicySpec>,
     capacity: f64,
@@ -102,9 +102,9 @@ pub fn corpus_engine<E: MonitorEngine>(config: MonitorConfig) -> Result<E, Netsh
 /// Replays a batch vector through a [`corpus_engine`] and returns the run
 /// fingerprint.
 ///
-/// Per the determinism contract the result depends on neither `workers` nor
-/// `shards` — `tests/golden.rs` proves that over the whole corpus and the
-/// full shards×workers matrix for all seven strategies.
+/// Per the determinism contract the result does not depend on `workers` —
+/// `tests/golden.rs` proves that over the whole corpus at 1, 2 and 4 workers
+/// for all seven strategies, solo and fleet.
 pub fn digest_run<E: MonitorEngine>(
     batches: &[Batch],
     config: MonitorConfig,
@@ -142,7 +142,7 @@ pub fn checkpoint_run<E: MonitorEngine>(
 /// Restores a [`checkpoint_run`] `.nsck` in this process (typically a fresh
 /// one) into engine `E` built from `config`, replays the remaining bins and
 /// returns the final fingerprint — which must equal the uninterrupted
-/// [`digest_run`] digest bit for bit, at any worker or shard-thread count.
+/// [`digest_run`] digest bit for bit, at any worker count.
 pub fn resume_run<E: MonitorEngine>(
     bytes: &[u8],
     batches: &[Batch],

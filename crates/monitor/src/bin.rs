@@ -6,9 +6,9 @@
 //! across bins — and, per query, the query's own [`BinSlot`]. Determinism is
 //! the execution plane's plan → dispatch → merge (DESIGN.md): shed is the
 //! plan (every draw, sequentially, in registration order, on the caller's
-//! thread), predict and execute are the dispatches (a task touches only its
-//! own query, or its own lane instance of one), account is the merge (every
-//! sum folds in registration order).
+//! thread), predict and execute are the dispatches (one task per query,
+//! touching only that query), account is the merge (every sum folds in
+//! registration order).
 //!
 //! This is the bin of every engine. Everything up to and including shed
 //! works on the global post-drop view whatever the lane count; execute is
@@ -17,14 +17,14 @@
 
 use crate::error::NetshedError;
 use crate::exec::{self, Stage};
-use crate::monitor::{flow_hasher, LaneQuery, Monitor, RegisteredQuery};
+use crate::monitor::{flow_hasher, Monitor, RegisteredQuery};
 use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
 use crate::shedder::{flow_sample_with, packet_sample_with};
 use netshed_fairness::QueryDemand;
 use netshed_features::{ExtractScratch, FeatureVector};
 use netshed_predict::FeatureWindow;
-use netshed_queries::{CycleMeter, NoiseDraw, QueryOutput, SheddingMethod};
+use netshed_queries::{CycleMeter, NoiseDraw, Query, QueryOutput, SheddingMethod};
 use netshed_trace::{Batch, BatchView};
 use std::sync::Arc;
 
@@ -52,7 +52,7 @@ const RTTHRESH_MAX_FRACTION: f64 = 0.25;
 const REACTIVE_MIN_RATE: f64 = 0.05;
 
 /// One bin's plan and results for one query — the per-query hand-off between
-/// the stages: shed fills the plan on the caller's thread, the dispatches
+/// the stages: shed fills the plan on the caller's thread, the two dispatches
 /// complete it inside the query's own task, and account reads it back in
 /// registration order.
 #[derive(Default)]
@@ -73,9 +73,6 @@ pub(crate) struct BinSlot {
     /// works from the post-drop view (flow sampling is deterministic per
     /// query, so it happens inside the task).
     sampled: Option<BatchView>,
-    /// The features re-extracted over the delivered view, between the
-    /// deliver task and the feedback; `None` when nothing was sampled.
-    sampled_features: Option<FeatureVector>,
     // Outputs of the tail, valid when `run` is `Some`.
     measured: f64,
     outlier: bool,
@@ -122,31 +119,33 @@ impl RegisteredQuery {
         };
     }
 
-    /// Shadow task: the bin's true full-batch cycles, measured on the twin
-    /// fed the unsampled stream (the prediction when there is no twin).
+    /// Shadow, the rest of the predict task under a policy that needs
+    /// measured cycles: the bin's true full-batch cycles, measured on the
+    /// twin fed the unsampled stream (the prediction when there is no twin).
     fn measure_shadow(&mut self, post_drop: &BatchView) {
         self.slot.shadow_cycles = match self.shadow.as_mut() {
-            Some(shadow) => {
-                let mut meter = CycleMeter::new();
-                shadow.process_batch(post_drop, 1.0, &mut meter);
-                meter.cycles() as f64
-            }
+            Some(shadow) => metered(shadow.as_mut(), post_drop, 1.0) as f64,
             None => self.slot.predicted,
         };
     }
 
-    /// Deliver task, the first half of the tail: shed and re-extract once on
-    /// the global view, then hand every lane instance its share of what was
+    /// Execute task, the whole tail of one query. Shed and re-extract once
+    /// on the global view; run every lane instance on its share of what was
     /// delivered — split by the lane of each packet's flow (`lane_of_flow`),
-    /// or, with one lane, the delivered view as it is. A query the plan sat
-    /// out is walked and left untouched.
-    fn deliver(
+    /// or, with one lane, the delivered view as it is — summing the
+    /// instances' meters in lane order into the query's one measured cost;
+    /// apply the pre-drawn noise and feed the observation back into the
+    /// prediction history, against `window`, whose newest row is this bin's
+    /// full-batch vector. A query the plan sat out is walked and left
+    /// untouched.
+    fn execute(
         &mut self,
         post_drop: &BatchView,
         lane_of_flow: &[u32],
+        window: &FeatureWindow,
         scratch: &mut ExtractScratch,
     ) {
-        let Some((rate, _)) = self.slot.run else { return };
+        let Some((rate, noise)) = self.slot.run else { return };
         let (delivered, resampled) = match (self.slot.sampled.take(), &self.flow_hasher) {
             (Some(sampled), _) => (sampled, true),
             // The plan built the table of this interval's generation.
@@ -164,35 +163,28 @@ impl RegisteredQuery {
         // Recompute the features over the sampled stream so the MLR history
         // stays consistent (Section 4.3); the per-query extractor belongs to
         // this task alone, the scratch to the worker running it.
-        (self.slot.sampled_features, self.slot.reextract_ops) = if resampled {
+        let sampled_features = if resampled {
             let (extracted, ops) = self.sampled_extractor.extract_view_with(&delivered, scratch);
-            (Some(extracted), ops)
+            self.slot.reextract_ops = ops;
+            Some(extracted)
         } else {
-            (None, 0)
+            self.slot.reextract_ops = 0;
+            None
         };
 
-        if let [only] = self.lanes.as_mut_slice() {
-            only.work = Some((delivered, rate));
-        } else {
-            let lanes = &mut self.lanes;
-            delivered.split_lanes_with(
-                &mut self.shed_pool,
-                lane_of_flow,
-                lanes.len(),
-                |lane, view| {
-                    lanes[lane].work = Some((view, rate));
-                },
-            );
-        }
-    }
-
-    /// Feedback, the tail's last step: fold the lane meters in lane order
-    /// into the query's one measured cost, apply the pre-drawn noise and
-    /// feed the observation back into the prediction history — against
-    /// `window`, whose newest row is this bin's full-batch vector.
-    fn feed_back(&mut self, window: &FeatureWindow) {
-        let Some((rate, noise)) = self.slot.run else { return };
-        let cycles: u64 = self.lanes.iter().map(|lane| lane.cycles).sum();
+        let cycles = match self.lanes.as_mut_slice() {
+            [only] => metered(only.as_mut(), &delivered, rate),
+            lanes => {
+                let (count, mut cycles) = (lanes.len(), 0);
+                delivered.split_lanes_with(
+                    &mut self.shed_pool,
+                    lane_of_flow,
+                    count,
+                    |lane, view| cycles += metered(lanes[lane].as_mut(), &view, rate),
+                );
+                cycles
+            }
+        };
         let (measured, outlier) = noise.apply(cycles);
         let measured = measured as f64;
 
@@ -209,7 +201,7 @@ impl RegisteredQuery {
         } else {
             (measured, false)
         };
-        match self.slot.sampled_features.take() {
+        match sampled_features {
             // Nothing was re-extracted (full rate, or custom shedding): the
             // row to store is the bin's shared vector, taken from the window.
             None => self.predictor.observe_shared(window, cycles, corrupted),
@@ -221,16 +213,12 @@ impl RegisteredQuery {
     }
 }
 
-impl LaneQuery {
-    /// Lane task: runs the lane's instance on its share of the delivered
-    /// view and keeps what it metered (nothing on a bin the query sat out).
-    fn run(&mut self) {
-        let mut meter = CycleMeter::new();
-        if let Some((view, rate)) = self.work.take() {
-            self.query.process_batch(&view, rate, &mut meter);
-        }
-        self.cycles = meter.cycles();
-    }
+/// Runs one query instance on `view` at `rate` and returns the cycles it
+/// metered, on a meter of its own.
+fn metered(query: &mut dyn Query, view: &BatchView, rate: f64) -> u64 {
+    let mut meter = CycleMeter::new();
+    query.process_batch(view, rate, &mut meter);
+    meter.cycles()
 }
 
 impl Monitor {
@@ -326,24 +314,27 @@ impl Monitor {
     /// The window takes this bin's vector only after the predictions: they
     /// regress over the bins before it.
     ///
-    /// For oracle-style policies the stage also measures each query's true
-    /// full-batch cycles on a shadow twin fed the unsampled stream — an
+    /// For oracle-style policies the same task also measures its query's
+    /// true full-batch cycles on a shadow twin fed the unsampled stream — an
     /// idealised upper bound, not charged to the bin; twins are independent
-    /// deterministic state, so this is dispatched too.
+    /// deterministic state, folded beside the predictions.
     fn predict(&mut self, post_drop: &BatchView) {
         let features = self.bin.features;
-        self.dispatch(|query, window, _| query.predict(window, &features));
+        let shadows = self.policy.needs_measured_cycles();
+        self.dispatch(|query, window, _| {
+            query.predict(window, &features);
+            if shadows {
+                query.measure_shadow(post_drop);
+            }
+        });
         self.window.push(&features);
         let bin = &mut self.bin;
         for registered in &self.queries {
             bin.prediction_cycles += registered.slot.predict_ops * PREDICT_OP_CYCLES;
             bin.predictions.push(registered.slot.predicted);
-        }
-
-        if self.policy.needs_measured_cycles() {
-            self.dispatch(|query, _, _| query.measure_shadow(post_drop));
-            let shadows = self.queries.iter().map(|registered| registered.slot.shadow_cycles);
-            self.bin.measured_full.extend(shadows);
+            if shadows {
+                bin.measured_full.push(registered.slot.shadow_cycles);
+            }
         }
     }
 
@@ -448,34 +439,19 @@ impl Monitor {
         }
     }
 
-    /// Execute: the expensive tail, as two dispatches and a fold. Per query,
-    /// sample and re-extract once on the global view and split what is
-    /// delivered over the lanes — the lane verdict is asked once per flow of
-    /// the batch's index, here, for every query to share. Then every (query,
-    /// lane) instance runs as a task of its own, on up to `workers × shards`
-    /// threads (`shards` counts for nothing beyond the lane count, so a
-    /// one-lane engine ignores it). Then, in registration order, each
-    /// query's lane meters fold into its one measurement and its predictor
-    /// learns from it.
+    /// Execute: the expensive tail, one dispatch of one task per query (see
+    /// [`RegisteredQuery::execute`]). The lane verdict is asked once per flow
+    /// of the batch's index, here, for every query's task to share; the
+    /// window was pushed in predict and is only read.
     fn execute(&mut self, post_drop: &BatchView) {
         if self.lane_count > 1 {
             post_drop.store().flow_lanes(self.lane_count, &mut self.lane_of_flow);
         }
         let lane_of_flow = std::mem::take(&mut self.lane_of_flow);
-        self.dispatch(|query, _, scratch| query.deliver(post_drop, &lane_of_flow, scratch));
-        self.lane_of_flow = lane_of_flow;
-
-        let tasks = self.queries.len() * self.lane_count;
-        let threads = self.config.workers * self.config.shards.min(self.lane_count);
-        let instances = self.queries.iter_mut().flat_map(|query| &mut query.lanes);
-        exec::run_tasks(threads.min(tasks), &mut [(); exec::MAX_WORKERS], instances, |lane, ()| {
-            lane.run()
+        self.dispatch(|query, window, scratch| {
+            query.execute(post_drop, &lane_of_flow, window, scratch)
         });
-        self.clock.stats.tasks += tasks as u64;
-
-        for query in &mut self.queries {
-            query.feed_back(&self.window);
-        }
+        self.lane_of_flow = lane_of_flow;
     }
 
     /// Account — the *merge*: folds the queries' slots in registration

@@ -146,17 +146,14 @@ impl MonitorBuilder {
         self
     }
 
-    /// Sets how many shard threads a [`build_sharded`](Self::build_sharded)
-    /// fleet multiplies its workers by when it runs its (query, lane) tasks
-    /// (validated into `[1, MAX_WORKERS]` at build time).
+    /// Does nothing and returns the builder unchanged.
     ///
-    /// Like [`with_workers`](Self::with_workers) this is a pure wall-clock
-    /// knob — any shard count produces bit-identical output, because the
-    /// state-owning partition is [`with_shard_lanes`](Self::with_shard_lanes)
-    /// and lanes are folded in a fixed order (see DESIGN.md, "Shard plane").
-    /// Defaults to `NETSHED_SHARDS` when set, else 1.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
+    /// Vestigial: the retired shard-thread multiplier. A fleet runs one task
+    /// per query, lanes included, on the [`with_workers`](Self::with_workers)
+    /// threads; `benchmark/src/sut.rs` pins the name until a benchmark-only
+    /// PR frees it (ROADMAP item 2(i)).
+    #[doc(hidden)]
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -164,7 +161,7 @@ impl MonitorBuilder {
     /// fleet partitions flow space into (validated into `[1, MAX_WORKERS]`
     /// at build time).
     ///
-    /// Unlike `shards`, this is *configuration*: each lane owns an instance
+    /// Unlike `workers`, this is *configuration*: each lane owns an instance
     /// of every query, fed its partition of the flows, so changing the lane
     /// count changes the output — like changing the seed.
     pub fn with_shard_lanes(mut self, lanes: usize) -> Self {
@@ -198,7 +195,7 @@ impl MonitorBuilder {
     /// Validates the configuration and builds a [`ShardedMonitor`] fleet —
     /// the same control loop with query execution sharded over
     /// `shard_lanes` lanes — with every queued query registered, one
-    /// instance per lane. Anything [`build`](Self::build) accepts shards.
+    /// instance per lane. Anything [`build`](Self::build) accepts, this accepts.
     pub fn build_sharded(self) -> Result<ShardedMonitor, NetshedError> {
         self.build_with(ShardedMonitor::new)
     }

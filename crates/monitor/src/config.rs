@@ -269,14 +269,6 @@ pub struct MonitorConfig {
     /// (see DESIGN.md, "Execution plane"). The default honours the
     /// `NETSHED_THREADS` environment variable when it holds a valid count.
     pub workers: usize,
-    /// Shard threads of a [`ShardedMonitor`](crate::ShardedMonitor): a
-    /// multiplier on `workers` for the execute stage's (query, lane) tasks,
-    /// which run on up to `workers × min(shards, lanes)` threads. Like
-    /// `workers`, a pure wall-clock knob: any value produces bit-identical
-    /// output (see DESIGN.md, "Shard plane"). Ignored by a one-lane engine.
-    /// The default honours the `NETSHED_SHARDS` environment variable when it
-    /// holds a valid count.
-    pub shards: usize,
     /// Lanes of a [`ShardedMonitor`](crate::ShardedMonitor): the fixed
     /// partition of flow space its query instances own (every registered
     /// query runs one instance per lane; the control loop is not
@@ -287,8 +279,9 @@ pub struct MonitorConfig {
     pub shard_lanes: usize,
 }
 
-/// Default number of lanes of a sharded monitor: enough to spread the lane
-/// tasks over the shard counts CI pins ({1, 2, 4}).
+/// Default number of lanes of a sharded monitor. The fleet digests and pins
+/// (`tests/engine.rs`, the fleet legs of the golden and checkpoint tests) are
+/// taken at 4 lanes, so changing it is a digest change.
 pub const DEFAULT_SHARD_LANES: usize = 4;
 
 impl Default for MonitorConfig {
@@ -307,7 +300,6 @@ impl Default for MonitorConfig {
             enforcement: EnforcementConfig::default(),
             seed: 1,
             workers: crate::exec::workers_from_env(),
-            shards: crate::exec::shards_from_env(),
             shard_lanes: DEFAULT_SHARD_LANES,
         }
     }
@@ -341,13 +333,6 @@ impl MonitorConfig {
     /// Sets the execution-plane worker count (1 = sequential).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the shard-thread count of a sharded monitor (1 = all lanes run
-    /// on the calling thread).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -432,13 +417,6 @@ impl MonitorConfig {
                 "workers must be in [1, {}], got {}",
                 crate::exec::MAX_WORKERS,
                 self.workers
-            ));
-        }
-        if !(1..=crate::exec::MAX_WORKERS).contains(&self.shards) {
-            return invalid(format!(
-                "shards must be in [1, {}], got {}",
-                crate::exec::MAX_WORKERS,
-                self.shards
             ));
         }
         if !(1..=crate::exec::MAX_WORKERS).contains(&self.shard_lanes) {

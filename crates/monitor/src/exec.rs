@@ -1,16 +1,15 @@
 //! The parallel execution plane: scoped worker dispatch for the per-bin
 //! query work, and the one clock that times the bin's stages.
 //!
-//! The per-query work of a bin (`bin.rs`: the predict, shadow and deliver
-//! tasks, and the execute stage's (query, lane) tasks) is embarrassingly
-//! parallel: every task touches only its own query's — or its own lane
-//! instance's — state plus shared read-only data. [`run_tasks`] fans those tasks
-//! out over a scoped pool of `std::thread` workers; the monitor merges the
-//! results back in registration order, so the output stream is bit-identical
-//! whatever the worker count (see DESIGN.md, "Execution plane"). With
-//! `workers == 1` (the default) no thread is ever spawned: tasks run inline
-//! on the caller's thread in task order, which *is* the historical
-//! sequential path.
+//! The per-query work of a bin (`bin.rs`: one predict task and one execute
+//! task per query, lanes included) is embarrassingly parallel: every task
+//! touches only its own query's state plus shared read-only data.
+//! [`run_tasks`] fans those tasks out over a scoped pool of `std::thread`
+//! workers; the monitor merges the results back in registration order, so
+//! the output stream is bit-identical whatever the worker count (see
+//! DESIGN.md, "Execution plane"). With `workers == 1` (the default) no
+//! thread is ever spawned: tasks run inline on the caller's thread in task
+//! order, which *is* the historical sequential path.
 //!
 //! This is also the only place an engine reads a clock: a [`StageClock`]
 //! laps once per [`Stage`] into a [`StageStats`] that is reported and never
@@ -33,8 +32,7 @@ pub const MAX_WORKERS: usize = 256;
 /// Every thread is lent one element of `scratch` for the whole dispatch —
 /// the caller's thread `scratch[0]`, each spawned worker the next one — and
 /// hands it to each task it runs: no lock, no thread-local, no allocation.
-/// At most `scratch.len()` (≥ 1) threads run; a dispatch that lends nothing
-/// passes `[(); MAX_WORKERS]`.
+/// At most `scratch.len()` (≥ 1) threads run.
 ///
 /// Determinism: the function imposes no ordering on *effects* because each
 /// task may only touch state it exclusively owns (`&mut T`) plus `Sync`
@@ -89,14 +87,15 @@ pub enum Stage {
     Admit,
     /// Full-batch feature extraction.
     Extract,
-    /// The predict dispatch, its fold, and the shadow dispatch when needed.
+    /// The predict dispatch (shadow twins included, when needed) and its
+    /// fold.
     Predict,
     /// Demands, control context, the policy decision.
     Decide,
     /// The plan: penalties, hasher refresh, RNG-drawn samples, noise draws.
     Shed,
-    /// The two tail dispatches — sample and re-extract per query, then run
-    /// every (query, lane) — and the feedback into the predictors.
+    /// The tail dispatch: per query, sample and re-extract, run every lane
+    /// instance, feed the predictor.
     Execute,
     /// The merge: enforcement, EWMAs, buffer accounting, the bin's record.
     Account,
@@ -124,8 +123,8 @@ impl Stage {
 pub struct StageStats {
     /// Bins processed.
     pub bins: u64,
-    /// Tasks dispatched: one per query per dispatch, and one per (query,
-    /// lane) in the execute stage's lane dispatch.
+    /// Tasks dispatched: one per query per dispatch, two dispatches a bin —
+    /// `2·Q` for `Q` registered queries, whatever the lane count or policy.
     pub tasks: u64,
     /// Wall nanoseconds per stage, indexed by `Stage as usize`.
     pub ns: [u64; Stage::COUNT],
@@ -193,27 +192,12 @@ impl StageClock {
 /// silently serialises a production run.
 pub(crate) fn workers_from_env() -> usize {
     static DIAGNOSED: std::sync::Once = std::sync::Once::new();
-    count_from_env("NETSHED_THREADS", &DIAGNOSED)
-}
-
-/// Parses the `NETSHED_SHARDS` environment override: a shard count in
-/// `[1, MAX_WORKERS]`, with the same fallback and once-per-process
-/// rejection diagnostic as [`workers_from_env`].
-pub(crate) fn shards_from_env() -> usize {
-    static DIAGNOSED: std::sync::Once = std::sync::Once::new();
-    count_from_env("NETSHED_SHARDS", &DIAGNOSED)
-}
-
-/// Reads and parses one count-valued environment override, emitting the
-/// rejection diagnostic (at most once per process per variable, gated by the
-/// caller's `Once`).
-fn count_from_env(var: &str, diagnosed: &'static std::sync::Once) -> usize {
-    let raw = std::env::var(var).ok();
+    let raw = std::env::var("NETSHED_THREADS").ok();
     let (count, rejected) = parse_count(raw.as_deref());
     if let Some(rejected) = rejected {
-        diagnosed.call_once(|| {
+        DIAGNOSED.call_once(|| {
             eprintln!(
-                "netshed: ignoring invalid {var}={rejected:?} \
+                "netshed: ignoring invalid NETSHED_THREADS={rejected:?} \
                  (expected an integer in 1..={MAX_WORKERS}); falling back to 1"
             );
         });
@@ -221,11 +205,10 @@ fn count_from_env(var: &str, diagnosed: &'static std::sync::Once) -> usize {
     count
 }
 
-/// The pure parsing rule behind [`workers_from_env`] / [`shards_from_env`]:
-/// the effective count, plus — when a present, non-empty value was rejected —
-/// the offending raw string for the diagnostic. Unset and empty (after
-/// trimming) values are the documented "disabled" spelling and are not
-/// flagged.
+/// The pure parsing rule behind [`workers_from_env`]: the effective count,
+/// plus — when a present, non-empty value was rejected — the offending raw
+/// string for the diagnostic. Unset and empty (after trimming) values are the
+/// documented "disabled" spelling and are not flagged.
 fn parse_count(raw: Option<&str>) -> (usize, Option<String>) {
     let Some(raw) = raw else {
         return (1, None);

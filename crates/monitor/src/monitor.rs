@@ -32,7 +32,7 @@ use netshed_queries::{
     build_query_from_spec, MeasurementNoise, Query, QueryOutput, QuerySpec, SheddingMethod,
 };
 use netshed_sketch::{H3Hasher, StateError, StateReader, StateWriter};
-use netshed_trace::{Batch, BatchView, KeepListPool, PacketSource};
+use netshed_trace::{Batch, KeepListPool, PacketSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -68,9 +68,8 @@ impl std::fmt::Display for QueryId {
 
 /// One query registered in the monitor, together with its prediction state.
 ///
-/// The query is also the unit of dispatch: the execution plane hands each
-/// worker one `&mut RegisteredQuery` — or, in the execute stage's lane
-/// dispatch, one `&mut LaneQuery` of it — so everything a task mutates — the
+/// The query is also the only unit of dispatch: the execution plane hands
+/// each worker one `&mut RegisteredQuery`, so everything a task mutates — the
 /// lane instances, the shadow twin, the predictor, the extractor, the
 /// keep-list pool and the [`BinSlot`] — lives here and nowhere else.
 pub(crate) struct RegisteredQuery {
@@ -95,7 +94,7 @@ pub(crate) struct RegisteredQuery {
     pub(crate) violations: u32,
     pub(crate) penalty_remaining: u32,
     /// The query's instances, one per lane of the monitor, in lane order.
-    pub(crate) lanes: Vec<LaneQuery>,
+    pub(crate) lanes: Vec<Box<dyn Query>>,
     /// Shadow twin fed the full (unsampled) stream to measure the bin's
     /// actual cycles for oracle-style policies. Its work is not charged
     /// against the capacity.
@@ -113,32 +112,12 @@ pub(crate) struct RegisteredQuery {
     pub(crate) slot: BinSlot,
 }
 
-/// One lane's instance of a registered query, and the unit of the execute
-/// stage's lane dispatch. It owns the query state of the lane's share of
-/// flow space and nothing else: what to run on arrives per bin, what it cost
-/// is folded back into the query's one measurement.
-pub(crate) struct LaneQuery {
-    pub(crate) query: Box<dyn Query>,
-    /// This bin's work, taken when run: the lane's share of the delivered
-    /// view and the granted rate. `None` on a bin the query sits out.
-    pub(crate) work: Option<(BatchView, f64)>,
-    /// Cycles the instance metered on this bin's view.
-    pub(crate) cycles: u64,
-}
-
-impl LaneQuery {
-    fn new(query: Box<dyn Query>) -> Self {
-        Self { query, work: None, cycles: 0 }
-    }
-}
-
-// Registered queries and their lane instances cross the scoped-thread
-// boundary as `&mut` borrows; `Query`, `Predictor` and the extractor are all
-// `Send` by bound or by construction. Compile-time proof:
+// Registered queries cross the scoped-thread boundary as `&mut` borrows;
+// `Query`, `Predictor` and the extractor are all `Send` by bound or by
+// construction. Compile-time proof:
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<RegisteredQuery>();
-    assert_send::<LaneQuery>();
 };
 
 /// A fresh extractor on the monitor's measurement interval: the full-batch
@@ -167,7 +146,7 @@ fn shadow_twin(spec: Option<&QuerySpec>, needs_shadow: bool) -> Option<Box<dyn Q
 /// The load-shedding monitoring system.
 pub struct Monitor {
     pub(crate) config: MonitorConfig,
-    /// Lanes the execute stage shards every query over (see the module doc).
+    /// Lanes the execute stage splits every query over (see the module doc).
     pub(crate) lane_count: usize,
     /// The lane of every flow of the bin under way, by flow id; execute's
     /// scratch, refilled per bin when there is more than one lane.
@@ -359,7 +338,7 @@ impl Monitor {
             overuse_ratio: 1.0,
             violations: 0,
             penalty_remaining: 0,
-            lanes: std::iter::once(query).chain(others).map(LaneQuery::new).collect(),
+            lanes: std::iter::once(query).chain(others).collect(),
             shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
             spec,
             predictor: self.config.predictor.make(),
@@ -532,9 +511,9 @@ impl Monitor {
                 // lint:allow(no-unwrap): a registered query has one instance per lane and a monitor at least one lane
                 let (first, others) = lanes.expect("a query runs on at least one lane");
                 for lane in others {
-                    first.query.absorb(lane.query.as_mut());
+                    first.absorb(lane.as_mut());
                 }
-                (registered.label.to_string(), first.query.end_interval())
+                (registered.label.to_string(), first.end_interval())
             })
             .collect()
     }
@@ -589,7 +568,7 @@ impl Monitor {
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            registered.lanes[0].query.save_state(writer)?;
+            registered.lanes[0].save_state(writer)?;
             match &registered.shadow {
                 None => writer.bool(false),
                 Some(shadow) => {
@@ -610,7 +589,7 @@ impl Monitor {
     pub fn save_lane_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         writer.usize(self.lane_count);
         for lane in self.queries.iter().flat_map(|registered| &registered.lanes[1..]) {
-            lane.query.save_state(writer)?;
+            lane.save_state(writer)?;
         }
         Ok(())
     }
@@ -627,7 +606,7 @@ impl Monitor {
         }
         for registered in &mut self.queries {
             for (lane, instance) in registered.lanes.iter_mut().enumerate().skip(1) {
-                instance.query.load_state(reader).map_err(|error| match error {
+                instance.load_state(reader).map_err(|error| match error {
                     StateError::Corrupt(message) => {
                         StateError::corrupt(format!("lane {lane}: {message}"))
                     }
@@ -686,7 +665,7 @@ impl Monitor {
             registered.overuse_ratio = overuse_ratio;
             registered.violations = reader.u32()?;
             registered.penalty_remaining = reader.u32()?;
-            registered.lanes[0].query.load_state(reader)?;
+            registered.lanes[0].load_state(reader)?;
             if reader.bool()? {
                 let Some(shadow) = registered.shadow.as_mut() else {
                     return Err(StateError::corrupt(format!(

@@ -11,7 +11,8 @@
 //! the lanes by the symmetric host-pair
 //! [`shard_key`](netshed_trace::shard_key) (`lane = key % lanes`, asked once
 //! per flow of the batch's flow index), runs each lane's own instance of the
-//! query on its share and folds the lane meters back into one measurement.
+//! query on its share and folds the lane meters back into one measurement —
+//! all inside the query's one execute task.
 //! A lane owns a shard of each query's interval state and nothing else: at
 //! interval close a query's lane-0 instance
 //! [absorbs](netshed_queries::Query::absorb) the other lanes' state, in lane
@@ -19,11 +20,10 @@
 //! does — so an unshed fleet emits the solo monitor's interval outputs.
 //!
 //! `shard_lanes` is configuration: it decides which instance sees which flow,
-//! so changing it changes the output, like changing the seed. `shards`, like
-//! `workers`, is a pure wall-clock knob — the (query, lane) tasks run on up
-//! to `workers × shards` threads and the output stream is bit-identical at
-//! any combination (see DESIGN.md, "Shard plane"). A one-lane fleet *is* the
-//! solo monitor: the same code with a lane count of 1.
+//! so changing it changes the output, like changing the seed. `workers` is a
+//! pure wall-clock knob — the output stream is bit-identical at any worker
+//! count (see DESIGN.md, "Shard plane"). A one-lane fleet *is* the solo
+//! monitor: the same code with a lane count of 1.
 //!
 //! The type exists because `benchmark/src/sut.rs` names it; everything a
 //! [`Monitor`] does it does by dereferencing to the monitor inside.
@@ -162,14 +162,15 @@ mod tests {
         fleet.deregister(id).expect("deregister");
         assert_eq!(fleet.query_names().len(), 7);
 
-        // One record per bin, seven predictions a bin, 28 lane tasks.
+        // One record per bin, and two dispatches of seven tasks a bin — the
+        // lanes run inside each query's execute task.
         for bin in 0..3 {
             let [record] =
                 fleet.process_bin(&single_pair_batch(bin, 200), &mut NullObserver).expect("bin");
             assert_eq!((record.bin_index, record.queries.len()), (bin, 7));
         }
         let StageStats { bins, tasks, .. } = fleet.stage_stats();
-        assert_eq!((bins, tasks), (3, 3 * (7 + 7 + 28)));
+        assert_eq!((bins, tasks), (3, 3 * (7 + 7)));
 
         fleet.set_policy(Strategy::NoShedding.into());
         assert_eq!(

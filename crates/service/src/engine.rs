@@ -17,9 +17,8 @@
 //! [`Monitor::save_lane_state`] (the lane count and the other lanes' query
 //! state). A one-lane fleet's checkpoint is therefore the solo monitor's,
 //! byte for byte. The sections capture essential state only, so a restored
-//! engine continues bit-identically at any worker or shard-thread count;
-//! restoring at another *lane* count is a [`StateError::Mismatch`] naming
-//! both.
+//! engine continues bit-identically at any worker count; restoring at another
+//! *lane* count is a [`StateError::Mismatch`] naming both.
 
 use netshed_monitor::{Engine, Monitor, MonitorConfig, NetshedError, ShardedMonitor};
 use netshed_sketch::{StateError, StateReader, StateWriter};

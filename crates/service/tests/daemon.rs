@@ -540,13 +540,13 @@ fn lane_mismatch(error: ServiceError) -> (String, String) {
 }
 
 #[test]
-fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
+fn a_sharded_checkpoint_restores_bit_identically_at_any_worker_count() {
     // One .nsck carries the whole fleet: the `monitor` section a solo engine
     // writes (the one control loop, every query's lane-0 instance) plus a
     // `lanes` section (the lane count, the other lanes' query state).
-    // Restoring at a different shard-thread count must finish on the
-    // uninterrupted run's digest — `shards`, like `workers`, is a pure
-    // wall-clock knob.
+    // Restoring at a different worker count must finish on the uninterrupted
+    // run's digest — the fleet's lanes run on its workers, a pure wall-clock
+    // knob.
     let config = overloaded_config(1).with_shard_lanes(4);
     let reference = run_digest::<ShardedMonitor>(&config);
 
@@ -564,9 +564,9 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
     let snapshot = Snapshot::from_bytes(&bytes).expect("valid container");
     assert_eq!(snapshot.section_names(), ["config", "monitor", "lanes", "daemon", "digest"]);
 
-    for shards in [1usize, 2, 4] {
+    for workers in [1usize, 2, 4] {
         let (mut resumed, _control) = Daemon::<_, ShardedMonitor>::restore_engine(
-            config.clone().with_shards(shards),
+            config.clone().with_workers(workers),
             recorded_trace(),
             &bytes,
         )
@@ -578,7 +578,7 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_shard_thread_count() {
         assert_eq!(
             resumed.digest(),
             reference,
-            "restore at {shards} shard threads must finish bit-identically"
+            "restore at {workers} workers must finish bit-identically"
         );
     }
 

@@ -148,28 +148,29 @@ fn every_cut_point_resumes_to_the_pinned_digest() {
 
 /// The fleet leg: the same harness over a `ShardedMonitor`. A fleet's digest
 /// is its own contract (the manifest pins solo runs), so the reference is the
-/// uninterrupted fleet run; the midpoint checkpoint restores at a *different*
-/// shard-thread count — `shards`, like `workers`, never reaches the `.nsck`.
+/// uninterrupted one-worker fleet run; the midpoint checkpoint restores at a
+/// *different* worker count — the fleet's lanes run on its workers, and
+/// neither reaches the `.nsck`.
 #[test]
-fn a_fleet_checkpoint_resumes_at_another_shard_thread_count() {
+fn a_fleet_checkpoint_resumes_at_another_worker_count() {
     for scenario in builtins() {
         let batches = scenario.generate().expect("builtins are valid");
         let capacity = corpus_capacity(&batches);
         let at = midpoint(&batches);
         let (name, strategy) = all_strategies().into_iter().last().expect("seven strategies");
-        let config = |shards| corpus_config(strategy, capacity, 1).with_shards(shards);
+        let config = |workers| corpus_config(strategy, capacity, workers);
         let reference = digest_run::<ShardedMonitor>(&batches, config(1)).expect("fleet run");
-        for (checkpoint_shards, resume_shards) in [(1usize, 4usize), (4, 2)] {
+        for (checkpoint_workers, resume_workers) in [(1usize, 4usize), (4, 2)] {
             let snapshot =
-                checkpoint_run::<ShardedMonitor>(&batches, config(checkpoint_shards), at)
+                checkpoint_run::<ShardedMonitor>(&batches, config(checkpoint_workers), at)
                     .expect("checkpoint");
-            let resumed = resume_run::<ShardedMonitor>(&snapshot, &batches, config(resume_shards))
+            let resumed = resume_run::<ShardedMonitor>(&snapshot, &batches, config(resume_workers))
                 .expect("resume");
             let drift = diff_digests(scenario.name(), &name, reference, resumed);
             assert!(
                 drift.is_empty(),
-                "fleet checkpoint at {checkpoint_shards} shard thread(s) + resume at \
-                 {resume_shards} drifted:\n  {}",
+                "fleet checkpoint at {checkpoint_workers} worker(s) + resume at \
+                 {resume_workers} drifted:\n  {}",
                 drift.join("\n  ")
             );
         }
@@ -195,10 +196,9 @@ fn degraded_before<E: MonitorEngine>(batches: &[Batch], config: MonitorConfig, a
 
 /// Composition, service leg: midpoint checkpoint → restore equals the
 /// uninterrupted run for every custom policy on every adversarial scenario —
-/// on a solo monitor (restored at another worker count) and on a fleet
-/// (restored at another shard-thread count). The guard must have tripped
-/// before the cut somewhere, on both shapes, or the test would not prove its
-/// state travels.
+/// on a solo monitor and on a fleet, each checkpointed at one worker count
+/// and restored at another. The guard must have tripped before the cut
+/// somewhere, on both shapes, or the test would not prove its state travels.
 #[test]
 fn custom_policies_resume_to_the_uninterrupted_digest_solo_and_fleet() {
     let (mut solo_tripped, mut fleet_tripped) = (0, 0);
@@ -215,7 +215,7 @@ fn custom_policies_resume_to_the_uninterrupted_digest_solo_and_fleet() {
             let drift = diff_digests(scenario.name(), name, reference, resumed);
             assert!(drift.is_empty(), "solo restore drifted:\n  {}", drift.join("\n  "));
 
-            let fleet = |shards| config.clone().with_shards(shards);
+            let fleet = |workers| config.clone().with_workers(workers);
             let reference = digest_run::<ShardedMonitor>(&batches, fleet(1)).expect("fleet run");
             let snapshot =
                 checkpoint_run::<ShardedMonitor>(&batches, fleet(4), at).expect("checkpoint");

@@ -92,7 +92,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
 fn check<E: MonitorEngine>(pinned: &PinnedSummary) {
     let batches = builtin("payload-shift").expect("builtin scenario").generate().expect("valid");
     let (_, strategy) = all_strategies().into_iter().last().expect("seven strategies");
-    let config = corpus_config(strategy, corpus_capacity(&batches), 1).with_shards(1);
+    let config = corpus_config(strategy, corpus_capacity(&batches), 1);
     let build = || corpus_engine::<E>(config.clone()).expect("valid corpus configuration");
 
     let mut ran = DigestObserver::new();
@@ -151,7 +151,7 @@ fn assert_pinned_across_engines_workers_and_a_restore(
     four_lanes: RunDigest,
 ) {
     for workers in [1, 4] {
-        let config = base.clone().with_workers(workers).with_shards(1);
+        let config = base.clone().with_workers(workers);
         let one_lane = config.clone().with_shard_lanes(1);
         let four = config.clone().with_shard_lanes(4);
         for cut in [false, true] {
@@ -274,7 +274,7 @@ const CHURN_FOUR_LANES: RunDigest = RunDigest {
 /// 120 overloaded bins (noise on) under a daemon while the registry shrinks
 /// and grows — 40 tenants of all ten kinds, 37 of them gone after bin 20, ten
 /// new ones after bin 30 — and the policy swaps to the oracle (which adds the
-/// shadow dispatch and the measured-cycles vector) after bin 40 and back
+/// shadow twins and the measured-cycles vector) after bin 40 and back
 /// after bin 60. With `cut`, the run is checkpointed after bin 70 and
 /// finished by a daemon restored from the bytes. Every vector a bin fills per
 /// query changes length four times and one of them comes and goes.

@@ -84,7 +84,8 @@ fn run_to_tape(batches: &[Batch], builder: MonitorBuilder) -> (FullTape, RunSumm
 /// The acceptance criterion of the execution plane: replaying the same trace
 /// with 1, 2 and 4 workers yields bit-identical `BinRecord` streams,
 /// control decisions and interval outputs for all seven built-in strategy
-/// names plus the oracle policy (which adds the shadow-twin dispatch).
+/// names plus the oracle policy (which adds the shadow twins to the predict
+/// task).
 #[test]
 fn worker_count_never_changes_the_output_stream() {
     let batches = recorded_batches(50);
@@ -316,58 +317,60 @@ fn stage_stats_of<E: Engine>(mut engine: E) -> (StageStats, u64) {
     (engine.stage_stats(), wall_ns)
 }
 
+/// `base` under a built-in policy and under the oracle, which adds the
+/// shadow twins to the predict task — and no task to the bin.
+fn under_each_policy(base: impl Fn() -> MonitorBuilder) -> [(&'static str, MonitorBuilder); 2] {
+    [
+        ("eq_srates", base().strategy(Strategy::Predictive(AllocationPolicy::EqualRates))),
+        ("oracle", base().with_policy(|| OraclePolicy::new(MmfsPkt))),
+    ]
+}
+
 /// The lap clock must account for every bin: each of the seven stages saw
 /// time, the charges fit inside the wall time around the run, and the tasks
-/// are the ones the plane actually dispatched.
+/// are the ones the plane actually dispatched — one predict and one execute
+/// task per query, under a built-in policy and under the oracle alike.
 #[test]
 fn stage_stats_account_for_every_bin() {
-    let monitor = Monitor::builder()
-        .capacity(1e12)
-        .seed(5)
-        .with_workers(2)
-        .queries(specs())
-        .build()
-        .expect("valid configuration");
-    assert_eq!(monitor.workers(), 2);
-    let (stats, wall_ns) = stage_stats_of(monitor);
-    assert!(stats.bins > 0, "bins must be counted");
-    // Per bin: five prediction tasks, five deliver tasks and five (query,
-    // lane) tasks — one lane. Extraction runs on the plan thread.
-    assert_eq!(stats.tasks, stats.bins * 15);
-    for stage in Stage::BIN {
-        assert!(stats.ns(stage) > 0, "{stage:?} saw no time");
+    let base = || Monitor::builder().capacity(1e12).seed(5).with_workers(2).queries(specs());
+    for (policy, builder) in under_each_policy(base) {
+        let monitor = builder.build().expect("valid configuration");
+        assert_eq!(monitor.workers(), 2);
+        let (stats, wall_ns) = stage_stats_of(monitor);
+        assert!(stats.bins > 0, "{policy}: bins must be counted");
+        // Two dispatches a bin of five tasks each; extraction runs on the
+        // plan thread.
+        assert_eq!(stats.tasks, stats.bins * 2 * 5, "{policy}");
+        for stage in Stage::BIN {
+            assert!(stats.ns(stage) > 0, "{policy}: {stage:?} saw no time");
+        }
+        assert_eq!(stats.bin_ns(), stats.ns.iter().sum::<u64>());
+        assert!(stats.parallel_fraction() > 0.0 && stats.parallel_fraction() < 1.0);
+        assert!(stats.bin_ns() <= wall_ns, "{policy}: laps overlap: {stats:?} in {wall_ns} ns");
     }
-    assert_eq!(stats.bin_ns(), stats.ns.iter().sum::<u64>());
-    assert!(stats.parallel_fraction() > 0.0 && stats.parallel_fraction() < 1.0);
-    assert!(stats.bin_ns() <= wall_ns, "laps overlap: {stats:?} in {wall_ns} ns");
 }
 
 /// The fleet twin: a fleet's bin is the same seven stages read by the same
-/// one clock — no front-end slots, no per-lane clocks — and only the execute
-/// stage's lane dispatch grows with the lane count: one task per (query,
-/// lane).
+/// one clock — no front-end slots, no per-lane clocks — and the same two
+/// dispatches of one task per query: the lanes run inside each query's
+/// execute task, so the task count does not grow with the lane count.
 #[test]
 fn fleet_stage_stats_are_the_same_seven_stages() {
-    let fleet = Monitor::builder()
-        .capacity(1e12)
-        .seed(5)
-        .with_shard_lanes(4)
-        .with_shards(1)
-        .queries(specs())
-        .build_sharded()
-        .expect("valid configuration");
-    assert_eq!(fleet.lane_count(), 4);
-    let (stats, wall_ns) = stage_stats_of(fleet);
-    assert_eq!(stats.bins, 20);
-    assert_eq!(Stage::COUNT, Stage::BIN.len(), "a fleet adds no stage");
-    // Five predictions and five deliveries a bin — not twenty of each — and
-    // the twenty lane tasks.
-    assert_eq!(stats.tasks, stats.bins * (5 + 5 + 5 * 4));
-    for stage in Stage::BIN {
-        assert!(stats.ns(stage) > 0, "{stage:?} saw no time");
+    let base = || Monitor::builder().capacity(1e12).seed(5).with_shard_lanes(4).queries(specs());
+    for (policy, builder) in under_each_policy(base) {
+        let fleet = builder.build_sharded().expect("valid configuration");
+        assert_eq!(fleet.lane_count(), 4);
+        let (stats, wall_ns) = stage_stats_of(fleet);
+        assert_eq!(stats.bins, 20, "{policy}");
+        assert_eq!(Stage::COUNT, Stage::BIN.len(), "a fleet adds no stage");
+        // Five predictions and five executions a bin — not twenty of either.
+        assert_eq!(stats.tasks, stats.bins * 2 * 5, "{policy}");
+        for stage in Stage::BIN {
+            assert!(stats.ns(stage) > 0, "{policy}: {stage:?} saw no time");
+        }
+        assert!(stats.bin_ns() <= wall_ns, "{policy}: laps overlap: {stats:?} in {wall_ns} ns");
+        assert!(stats.parallel_fraction() > 0.0 && stats.parallel_fraction() < 1.0);
     }
-    assert!(stats.bin_ns() <= wall_ns, "laps overlap: {stats:?} in {wall_ns} ns");
-    assert!(stats.parallel_fraction() > 0.0 && stats.parallel_fraction() < 1.0);
 }
 
 /// `with_workers` is validated like every other builder knob.

@@ -3,7 +3,7 @@
 //! A fleet is the solo bin with a lane-sharded execute stage: one control
 //! loop on the global view, `shard_lanes` instances of every query. Two
 //! differentials pin what that buys, beside the golden matrix (which pins
-//! that `shards` and `workers` never reach the output):
+//! that `workers` never reaches the output):
 //!
 //! * **unshed** — with ample capacity and no noise nothing a lane count
 //!   could perturb is in play, so an N-lane fleet must emit, bin for bin,

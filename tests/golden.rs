@@ -18,15 +18,15 @@
 //!
 //! The CI golden-corpus job runs this file under `NETSHED_THREADS=1` and
 //! `=4`. Most runs below pin their worker counts explicitly (so the digests
-//! cannot depend on the env knob); the ambient-config test at the bottom
-//! deliberately leaves the worker count to the environment, which is what
-//! makes the `=4` CI pass exercise the parallel plane against the manifest
-//! for real.
+//! cannot depend on the env knob); the two ambient-config tests deliberately
+//! leave the worker count to the environment, which is what makes the `=4`
+//! CI pass exercise the parallel plane — solo and fleet — against the pinned
+//! digests for real.
 //!
 //! The policies outside the `Strategy` enum — the hardened stack, the oracle,
 //! the hysteresis policy — have no manifest rows; the last two tests pin
 //! them on the adversarial scenarios by the same *invariants* the built-ins
-//! obey: fleet digests independent of shards×workers, and a one-lane fleet
+//! obey: fleet digests independent of the worker count, and a one-lane fleet
 //! bit-identical to the solo monitor.
 
 mod common;
@@ -256,34 +256,32 @@ fn ambient_worker_config_matches_the_manifest() {
 }
 
 /// The shard-plane acceptance criterion: a flow-sharded fleet produces
-/// bit-identical digests at every shards×workers combination in
-/// {1,2,4}×{1,4}, for all seven strategies, over the whole corpus. The
-/// (shards=1, workers=1) run is the reference — a multi-lane fleet's output
-/// is its own contract (it legitimately differs from the solo monitor's,
-/// because the lane partition owns predictor and policy state; the one-lane
-/// fleet below is the case where it may not).
+/// bit-identical digests at 1, 2 and 4 workers, for all seven strategies,
+/// over the whole corpus. The one-worker run is the reference — a multi-lane
+/// fleet's output is its own contract (it legitimately differs from the solo
+/// monitor's, because the lane instances meter other cycles than one
+/// instance; the one-lane fleet below is the case where it may not).
 #[test]
-fn sharded_digests_are_invariant_across_the_shards_workers_matrix() {
+fn sharded_digests_are_invariant_across_worker_counts() {
     for scenario in builtins() {
         let batches = scenario.generate().expect("builtins are valid");
         let capacity = corpus_capacity(&batches);
         for (name, strategy) in all_strategies() {
-            let run = |shards, workers| {
-                let config = corpus_config(strategy, capacity, workers).with_shards(shards);
+            let run = |workers| {
+                let config = corpus_config(strategy, capacity, workers);
                 digest_run::<ShardedMonitor>(&batches, config).expect("corpus run")
             };
-            let reference = run(1, 1);
+            let reference = run(1);
             assert!(
                 reference.bins > 0,
                 "{}/{name}: the sharded corpus run must process bins",
                 scenario.name()
             );
-            for (shards, workers) in [(1, 4), (2, 1), (2, 4), (4, 1), (4, 4)] {
-                let digest = run(shards, workers);
+            for workers in [2, 4] {
                 assert_eq!(
                     reference,
-                    digest,
-                    "{}/{name}: sharded digest changed at {shards} shards x {workers} workers",
+                    run(workers),
+                    "{}/{name}: sharded digest changed at {workers} workers",
                     scenario.name()
                 );
             }
@@ -291,36 +289,37 @@ fn sharded_digests_are_invariant_across_the_shards_workers_matrix() {
     }
 }
 
-/// Fleets built *without* an explicit shard-thread count inherit
-/// `NETSHED_SHARDS`; their digests must equal the pinned-count reference.
-/// This is what makes the CI golden-corpus job's `NETSHED_SHARDS=2` / `=4`
-/// passes genuinely different from the default one — the matrix test above
-/// pins its shard counts explicitly.
+/// The fleet twin of `ambient_worker_config_matches_the_manifest`: a 4-lane
+/// fleet built *without* an explicit worker count inherits `NETSHED_THREADS`,
+/// and its digests must equal the pinned one-worker reference. This is what
+/// makes the CI golden-corpus job's `NETSHED_THREADS=4` pass run the fleet's
+/// lanes on more than one thread — every other fleet run here pins its
+/// workers explicitly.
 #[test]
 fn ambient_shard_config_matches_the_pinned_reference() {
     let scenario = &builtins()[1]; // ddos-spike: the shard-borrowing workload
     let batches = scenario.generate().expect("builtins are valid");
     let capacity = corpus_capacity(&batches);
     let (name, strategy) = all_strategies().into_iter().last().expect("seven strategies");
-    let reference =
-        digest_run::<ShardedMonitor>(&batches, corpus_config(strategy, capacity, 1).with_shards(1))
-            .expect("corpus run");
+    let reference = digest_run::<ShardedMonitor>(&batches, corpus_config(strategy, capacity, 1))
+        .expect("corpus run");
     let mut fleet = Monitor::builder()
         .capacity(capacity)
         .seed(netshed_bench::corpus::CORPUS_SEED)
         .strategy(strategy)
-        // No .with_shards(): the count comes from NETSHED_SHARDS.
+        // No .with_workers(): the count comes from NETSHED_THREADS.
         .queries(corpus_specs())
         .build_sharded()
         .expect("valid corpus configuration");
+    assert_eq!(fleet.lane_count(), 4);
     let mut digest = DigestObserver::new();
     fleet.run(&mut BatchReplay::new(batches), &mut digest).expect("corpus run");
     assert_eq!(
         reference,
         digest.digest(),
-        "{}/{name}: ambient-shard run drifted (shards from NETSHED_SHARDS={:?})",
+        "{}/{name}: ambient-worker fleet run drifted (workers from NETSHED_THREADS={:?})",
         scenario.name(),
-        std::env::var("NETSHED_SHARDS").ok()
+        std::env::var("NETSHED_THREADS").ok()
     );
 }
 
@@ -328,7 +327,7 @@ fn ambient_shard_config_matches_the_pinned_reference() {
 /// is the solo monitor. The lane sees every packet, the coordinator's budget
 /// for it is exactly the capacity, and merging one lane's outputs is the
 /// identity — so all three digest streams must equal `build()`'s, over the
-/// whole corpus and all seven strategies, at every shards×workers corner.
+/// whole corpus and all seven strategies, at 1, 2 and 4 workers.
 #[test]
 fn one_lane_fleet_is_the_solo_monitor() {
     let mut drift: Vec<String> = Vec::new();
@@ -338,13 +337,11 @@ fn one_lane_fleet_is_the_solo_monitor() {
         for (name, strategy) in all_strategies() {
             let solo = digest_run::<Monitor>(&batches, corpus_config(strategy, capacity, 1))
                 .expect("solo run");
-            for (shards, workers) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
-                let config = corpus_config(strategy, capacity, workers)
-                    .with_shards(shards)
-                    .with_shard_lanes(1);
+            for workers in [1, 2, 4] {
+                let config = corpus_config(strategy, capacity, workers).with_shard_lanes(1);
                 let fleet = digest_run::<ShardedMonitor>(&batches, config).expect("fleet run");
                 for line in diff_digests(scenario.name(), &name, solo, fleet) {
-                    drift.push(format!("[{shards} shard(s) x {workers} worker(s)] {line}"));
+                    drift.push(format!("[{workers} worker(s)] {line}"));
                 }
             }
         }
@@ -357,27 +354,27 @@ fn one_lane_fleet_is_the_solo_monitor() {
 }
 
 /// Composition, fleet leg: the custom policies shard like the built-ins do.
-/// Every lane builds its own instance from the configuration's constructor,
-/// so the fleet's three digest streams are invariant over shards×workers
-/// {1,2,4}×{1,4} on every adversarial scenario.
+/// The fleet builds its one policy instance from the configuration's
+/// constructor, so its three digest streams are invariant over 1, 2 and 4
+/// workers on every adversarial scenario.
 #[test]
-fn custom_policy_fleet_digests_are_invariant_across_the_shards_workers_matrix() {
+fn custom_policy_fleet_digests_are_invariant_across_worker_counts() {
     for scenario in adversarial_scenarios() {
         let batches = scenario.generate().expect("builtins are valid");
         let capacity = corpus_capacity(&batches);
         for (name, config) in custom_configs(capacity) {
             assert_eq!(config.policy.name(), name);
-            let run = |shards, workers| {
-                let config = config.clone().with_shards(shards).with_workers(workers);
+            let run = |workers| {
+                let config = config.clone().with_workers(workers);
                 digest_run::<ShardedMonitor>(&batches, config).expect("custom policies shard")
             };
-            let reference = run(1, 1);
+            let reference = run(1);
             assert!(reference.bins > 0, "{}/{name}: the fleet must process bins", scenario.name());
-            for (shards, workers) in [(1, 4), (2, 1), (2, 4), (4, 1), (4, 4)] {
+            for workers in [2, 4] {
                 assert_eq!(
                     reference,
-                    run(shards, workers),
-                    "{}/{name}: fleet digest changed at {shards} shards x {workers} workers",
+                    run(workers),
+                    "{}/{name}: fleet digest changed at {workers} workers",
                     scenario.name()
                 );
             }
@@ -396,11 +393,11 @@ fn one_lane_fleet_is_the_solo_monitor_for_custom_policies() {
         let capacity = corpus_capacity(&batches);
         for (name, config) in custom_configs(capacity) {
             let solo = digest_run::<Monitor>(&batches, config.clone()).expect("solo run");
-            for shards in [1, 4] {
-                let config = config.clone().with_shards(shards).with_shard_lanes(1);
+            for workers in [1, 2, 4] {
+                let config = config.clone().with_workers(workers).with_shard_lanes(1);
                 let fleet = digest_run::<ShardedMonitor>(&batches, config).expect("fleet run");
                 for line in diff_digests(scenario.name(), name, solo, fleet) {
-                    drift.push(format!("[{shards} shard thread(s)] {line}"));
+                    drift.push(format!("[{workers} worker(s)] {line}"));
                 }
             }
         }
