@@ -75,23 +75,35 @@ fi
 # The benchmark's unshed 200-tenant shape, by the same clock. Execute is the
 # largest stage: 0.59 of the bin while top-k, autofocus and application
 # looked their tables up per packet and every flows tenant hashed every flow
-# itself; with one lookup per flow and one memoised flows key per flow per
-# batch it may not take more than 0.54. Predict was 0.42 while every tenant
-# decomposed its own design matrix and 0.30 with one factorisation per
-# selected feature sequence; its nanoseconds did not move when execute
-# shrank beneath it (the engine's stage clock, parent and change alternating
-# on this shape), so its ceiling is re-based from 0.36 to 0.42 on a smaller
-# bin, not loosened.
+# itself, 0.51 with one lookup per flow and one memoised flows key per flow
+# per batch; with the unit-rate sums added once per batch or per flow, not
+# once per packet, it may not take more than 0.44. Predict was 0.42 while
+# every tenant decomposed its own design matrix and 0.30 with one
+# factorisation per selected feature sequence; its nanoseconds did not move
+# when execute shrank beneath it, twice (the engine's stage clock, parent and
+# change alternating on this shape), so its ceiling is re-based from 0.36 to
+# 0.42 and then to 0.52 on a smaller bin each time, not loosened.
 require '"tenants_200"' "lost the 200-tenant stage breakdown"
 if [ "$kind" = committed ]; then
   tenants_share() {
     awk -F': *' -v stage="\"$1\"" \
       '/"tenants_200"/ { t = 1 } t && $1 ~ stage { print $2 + 0; exit }' "$file"
   }
-  awk -v share="$(tenants_share execute)" 'BEGIN { exit !(share != "" && share <= 0.54) }' ||
-    fail "the 200-tenant bin's measured execute share is above 0.54"
-  awk -v share="$(tenants_share predict)" 'BEGIN { exit !(share != "" && share <= 0.42) }' ||
-    fail "the 200-tenant bin's measured predict share is above 0.42"
+  awk -v share="$(tenants_share execute)" 'BEGIN { exit !(share != "" && share <= 0.44) }' ||
+    fail "the 200-tenant bin's measured execute share is above 0.44"
+  awk -v share="$(tenants_share predict)" 'BEGIN { exit !(share != "" && share <= 0.52) }' ||
+    fail "the 200-tenant bin's measured predict share is above 0.52"
+fi
+
+# At rate 1.0 on a full view every packet length is an integer term, so the
+# kernels the tenants run add one exact total per batch or per flow: on the
+# same 500-packet bins, counter, high-watermark, application and top-k may
+# not take more than 0.6 of what the per-packet additions over the all-kept
+# twin views take (an intra-run ratio, both sides alternating).
+require '"unit_rate_vs_per_packet"' "lost the unit-rate kernels row"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"unit_rate_vs_per_packet"/ { if ($2 + 0 > 0.6) exit 1 }' "$file" ||
+    fail "unit_rate_vs_per_packet is above 0.6"
 fi
 
 # Sampling costs what it keeps: a packet sample is one generator draw and one

@@ -6,7 +6,7 @@
 //! extraction, clone shedding, the AoS replay) live on as test oracles in
 //! `tests/oracle/`, and their last measured rows are in CHANGES.md (PR 17).
 //!
-//! Eight measurements:
+//! Nine measurements:
 //!
 //! 1. **extract**: fused single-pass feature extraction on a 10k-packet
 //!    batch — warm (flow index cached on the batch, the steady state for
@@ -55,6 +55,10 @@
 //!    runs' records carry: the cost model against the clock; and the seven
 //!    shares of the repo benchmark's unshed 200-tenant shape (`tenants_200`),
 //!    where per-query fixed costs — predict above all — make the bin.
+//! 9. **unit-rate kernels**: `counter`, `high-watermark`, `application` and
+//!    `top-k` on 500-packet full views at rate 1.0, where they add one exact
+//!    total per batch or per flow, against the same packets as all-kept
+//!    views, where they add per packet (`unit_rate_vs_per_packet`).
 //!
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
@@ -74,12 +78,12 @@ use netshed_predict::{
     fcbf_select_with, FcbfScratch, FeatureWindow, History, MlrConfig, MlrPredictor, Predictor,
     OLS_RCOND,
 };
-use netshed_queries::{QueryKind, QuerySpec};
+use netshed_queries::{build_query, CycleMeter, QueryKind, QuerySpec};
 use netshed_service::Daemon;
 use netshed_sketch::{BitmapGeometry, H3Hasher};
 use netshed_trace::{
-    decode_batches_shared, encode_batches, AggregateSlots, Batch, BatchReplay, Bytes, KeepListPool,
-    TraceConfig, TraceGenerator,
+    decode_batches_shared, encode_batches, AggregateSlots, Batch, BatchReplay, BatchView, Bytes,
+    KeepListPool, TraceConfig, TraceGenerator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -321,6 +325,45 @@ fn bench_shedding(iterations: u64) -> Report {
         .cell("packet_vs_flow_view", num(packet_view_ns / flow_view_ns, 3))
         .cell("view_shares_store", sampled.shares_store(view))
         .cell("per_packet_copies", 0u64)
+}
+
+/// The four kernels the benchmark's tenants run most — `counter`,
+/// `high-watermark`, `application`, `top-k` — at rate 1.0 on 500-packet
+/// bins: the full view, where each adds one exact total per batch or per
+/// flow, against its all-kept twin, the same packets through the per-packet
+/// additions. Eight bins taken in turn, the two sides alternating pass by
+/// pass and reporting their medians; the store's flow totals are summed on
+/// each bin's first pass, as the first of a bin's tenants sums them.
+fn bench_unit_rate(passes: usize) -> Report {
+    const KINDS: [QueryKind; 4] =
+        [QueryKind::Counter, QueryKind::HighWatermark, QueryKind::Application, QueryKind::TopK];
+    let batches = TraceGenerator::new(
+        TraceConfig::default().with_seed(61).with_mean_packets_per_batch(500.0),
+    )
+    .batches(8);
+    let sides = [
+        batches.iter().map(Batch::view).collect::<Vec<_>>(),
+        batches.iter().map(|batch| batch.view().filter_indexed(|_, _| true)).collect(),
+    ];
+    let mut kernels = [(); 2].map(|()| KINDS.map(build_query));
+    let mut samples = [Vec::new(), Vec::new()];
+    for _ in 0..passes {
+        for ((views, kernels), samples) in sides.iter().zip(&mut kernels).zip(&mut samples) {
+            let start = Instant::now();
+            for view in views {
+                for kernel in kernels.iter_mut() {
+                    kernel.process_batch(view, 1.0, &mut CycleMeter::new());
+                }
+            }
+            samples.push(start.elapsed().as_nanos() as f64 / views.len() as f64);
+        }
+    }
+    let [unit_rate_ns, per_packet_ns] = samples.map(median);
+    Report::new()
+        .cell("packets_per_bin", sides[0].iter().map(BatchView::len).sum::<usize>() / 8)
+        .cell("unit_rate_ns_per_bin", num(unit_rate_ns, 0))
+        .cell("per_packet_ns_per_bin", num(per_packet_ns, 0))
+        .cell("unit_rate_vs_per_packet", num(unit_rate_ns / per_packet_ns, 3))
 }
 
 struct DataPlaneNumbers {
@@ -793,6 +836,7 @@ fn main() {
 
     section("extract_10k_batch", bench_extract(iterations));
     section("shedding_10k_batch_rate_0_37", bench_shedding(iterations));
+    section("unit_rate_kernels_500_pkt", bench_unit_rate(iterations as usize));
 
     let data_plane = bench_data_plane(pipeline_batches.min(200), if smoke { 2 } else { 3 });
     let pipeline = bench_pipeline_at(pipeline_batches, 1);

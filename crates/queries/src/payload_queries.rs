@@ -12,7 +12,9 @@
 use crate::boyer_moore::BoyerMoore;
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
-use crate::query::{repeated_key, restored_weight, same_kind, Query, SheddingMethod};
+use crate::query::{
+    count_packets, repeated_key, restored_weight, same_kind, Query, SheddingMethod,
+};
 // Per-packet state lives in the replay-stable hashed containers
 // (determinism contract, rule `det-map`): same insertion history, same
 // iteration order, O(1) hot-path updates.
@@ -55,8 +57,9 @@ impl Query for TraceQuery {
                 if packet.payload().is_some() { u64::from(packet.ip_len()) } else { HEADER_BYTES };
             meter.charge(costs::PER_PACKET_BASE);
             meter.charge_n(costs::STORE_BYTE, stored);
-            self.processed_packets += 1.0;
         }
+        // A packet counts 1.0 whatever the rate: an integer term.
+        count_packets(&mut self.processed_packets, batch.len() as u64);
     }
 
     fn end_interval(&mut self) -> QueryOutput {
@@ -133,8 +136,8 @@ impl Query for PatternSearchQuery {
                     self.matches += 1;
                 }
             }
-            self.processed_packets += 1.0;
         }
+        count_packets(&mut self.processed_packets, batch.len() as u64);
     }
 
     fn end_interval(&mut self) -> QueryOutput {

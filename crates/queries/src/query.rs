@@ -3,7 +3,7 @@
 use crate::cost::CycleMeter;
 use crate::output::QueryOutput;
 use netshed_sketch::{DetHashMap, StateError, StateReader, StateWriter};
-use netshed_trace::{BatchView, FlowSet, PacketRef};
+use netshed_trace::{BatchStats, BatchView, FlowSet, FlowTotals, PacketRef};
 use std::any::Any;
 use std::hash::Hash;
 
@@ -125,18 +125,57 @@ pub(crate) fn scale(value: f64, sampling_rate: f64) -> f64 {
     }
 }
 
+/// 2⁵³: every integer from 0 up to it is an `f64`.
+const EXACT_INTEGERS: u64 = 1 << 53;
+
+/// The store's totals when `batch` reaches its query whole and at rate 1.0,
+/// where every [`scale`]d term is an integer — a packet's 1.0, its length —
+/// and `None` otherwise (a sampled view would have to walk its keep list).
+pub(crate) fn unit_rate_stats(batch: &BatchView, sampling_rate: f64) -> Option<BatchStats> {
+    (sampling_rate == 1.0 && batch.is_full()).then(|| batch.stats())
+}
+
+/// Whether adding the integer `total` to the accumulator `acc` in one
+/// addition leaves the bits that adding the integer terms `total` sums one
+/// by one leaves, in any order or grouping. It does when `acc` is an integer,
+/// at least +0.0, and `acc + total ≤ 2⁵³`: every partial sum is then an
+/// integer no larger than 2⁵³, which an `f64` holds exactly, so no addition
+/// rounds and none can show its order. An accumulator a sub-unit rate made
+/// fractional, or one near 2⁵³, rounds per addition; its owner adds per
+/// packet (DESIGN.md, "Locate-once-per-flow invariant").
+pub(crate) fn adds_exactly(acc: f64, total: u64) -> bool {
+    // On [+0, 2⁵³] an f64 is an integer when truncation gives it back.
+    acc.is_sign_positive() && acc <= EXACT_INTEGERS as f64 && {
+        let whole = acc as u64;
+        whole as f64 == acc && total <= EXACT_INTEGERS - whole
+    }
+}
+
+/// Adds `packets` terms of 1.0 to `acc`: in one addition where
+/// [`adds_exactly`] allows it, one per packet where it does not.
+pub(crate) fn count_packets(acc: &mut f64, packets: u64) {
+    if adds_exactly(*acc, packets) {
+        *acc += packets as f64;
+    } else {
+        for _ in 0..packets {
+            *acc += 1.0;
+        }
+    }
+}
+
 /// Checks a weight or byte count read back from a checkpointed table: every
-/// one a query accumulates is a sum of [`scale`]d terms, finite and not
-/// negative, so anything else marks a crafted or damaged snapshot (whose
-/// checksum is not cryptographic). `table` names the query — and the table,
-/// where a query keeps two — and `entry` the position in it.
+/// one a query accumulates is a sum of [`scale`]d terms onto +0.0, finite
+/// and not negative — never -0.0, which no addition onto +0.0 yields — so
+/// anything else marks a crafted or damaged snapshot (whose checksum is not
+/// cryptographic). `table` names the query — and the table, where a query
+/// keeps two — and `entry` the position in it.
 pub(crate) fn restored_weight(table: &str, entry: usize, value: f64) -> Result<f64, StateError> {
-    if value.is_finite() && value >= 0.0 {
+    if value.is_finite() && value.is_sign_positive() {
         Ok(value)
     } else {
         Err(StateError::corrupt(format!(
             "{table} checkpoint entry {entry} holds {value}, which no run accumulates \
-             (weights and byte counts are finite and non-negative)"
+             (weights and byte counts are finite, +0.0 or above)"
         )))
     }
 }
@@ -216,6 +255,18 @@ impl<T: Copy + Default> FlowSlots<T> {
         batch
             .indexed_packets()
             .map(move |(at, packet)| (self.slot_of_flow[flow_of[at] as usize], packet))
+    }
+
+    /// Every flow of a *full* `batch`, by flow id, with its last probe and
+    /// its packets and IP bytes (the store's memo,
+    /// [`PacketStore::flow_totals`](netshed_trace::PacketStore::flow_totals)).
+    pub(crate) fn flows<'a>(
+        &'a self,
+        batch: &'a BatchView,
+    ) -> impl Iterator<Item = (T, FlowTotals)> + 'a {
+        debug_assert!(batch.is_full(), "a sampled view holds part of a flow's packets");
+        let totals = batch.store().flow_totals();
+        self.slot_of_flow.iter().copied().zip(totals.iter().copied())
     }
 }
 

@@ -7,8 +7,10 @@
 
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
-use crate::query::FlowSlots;
-use crate::query::{repeated_key, restored_weight, same_kind, scale, Query, SheddingMethod};
+use crate::query::{
+    adds_exactly, repeated_key, restored_weight, same_kind, scale, unit_rate_stats, FlowSlots,
+    Query, SheddingMethod,
+};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 use netshed_trace::{AppProtocol, BatchView};
 // Ordered so the emitted `QueryOutput::Application` iterates replay-stably
@@ -43,10 +45,21 @@ impl Query for CounterQuery {
     }
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
-        for packet in batch.packets() {
-            meter.charge(costs::PER_PACKET_BASE + costs::COUNTER_UPDATE);
-            self.packets += scale(1.0, sampling_rate);
-            self.bytes += scale(f64::from(packet.ip_len()), sampling_rate);
+        meter.charge_n(costs::PER_PACKET_BASE + costs::COUNTER_UPDATE, batch.len() as u64);
+        match unit_rate_stats(batch, sampling_rate) {
+            Some(stats)
+                if adds_exactly(self.packets, stats.packets)
+                    && adds_exactly(self.bytes, stats.bytes) =>
+            {
+                self.packets += stats.packets as f64;
+                self.bytes += stats.bytes as f64;
+            }
+            _ => {
+                for packet in batch.packets() {
+                    self.packets += scale(1.0, sampling_rate);
+                    self.bytes += scale(f64::from(packet.ip_len()), sampling_rate);
+                }
+            }
         }
     }
 
@@ -155,6 +168,22 @@ impl Query for ApplicationQuery {
             let tuple = packet.tuple();
             Self::classify(tuple.src_port, tuple.dst_port, tuple.proto)
         });
+        // Whole at rate 1.0, each flow's totals in one addition each, if
+        // every sum a flow reaches stays exact with the whole batch added.
+        let whole = unit_rate_stats(batch, sampling_rate).filter(|stats| {
+            self.flow_slots.flows(batch).all(|(slot, _)| {
+                let (packets, bytes) = self.per_slot[slot].unwrap_or_default();
+                adds_exactly(packets, stats.packets) && adds_exactly(bytes, stats.bytes)
+            })
+        });
+        if whole.is_some() {
+            for (slot, flow) in self.flow_slots.flows(batch) {
+                let sums = self.per_slot[slot].get_or_insert((0.0, 0.0));
+                sums.0 += flow.packets as f64;
+                sums.1 += flow.bytes as f64;
+            }
+            return;
+        }
         for (slot, packet) in self.flow_slots.packets(batch) {
             let sums = self.per_slot[slot].get_or_insert((0.0, 0.0));
             sums.0 += scale(1.0, sampling_rate);
@@ -251,11 +280,17 @@ impl Query for HighWatermarkQuery {
     }
 
     fn process_batch(&mut self, batch: &BatchView, sampling_rate: f64, meter: &mut CycleMeter) {
-        let mut batch_bytes = 0.0;
-        for packet in batch.packets() {
-            meter.charge(costs::PER_PACKET_BASE + costs::COUNTER_UPDATE);
-            batch_bytes += scale(f64::from(packet.ip_len()), sampling_rate);
-        }
+        meter.charge_n(costs::PER_PACKET_BASE + costs::COUNTER_UPDATE, batch.len() as u64);
+        let batch_bytes = match unit_rate_stats(batch, sampling_rate) {
+            Some(stats) if adds_exactly(0.0, stats.bytes) => stats.bytes as f64,
+            _ => {
+                let mut batch_bytes = 0.0;
+                for packet in batch.packets() {
+                    batch_bytes += scale(f64::from(packet.ip_len()), sampling_rate);
+                }
+                batch_bytes
+            }
+        };
         self.add(batch.bin_index(), batch.duration_us(), batch_bytes);
     }
 

@@ -8,8 +8,8 @@
 use crate::cost::{costs, CycleMeter};
 use crate::output::QueryOutput;
 use crate::query::{
-    fold_weights, repeated_key, restore_weights, restored_weight, same_kind, save_weights, scale,
-    FlowSlots, Query, SheddingMethod,
+    adds_exactly, fold_weights, repeated_key, restore_weights, restored_weight, same_kind,
+    save_weights, scale, unit_rate_stats, FlowSlots, Query, SheddingMethod,
 };
 use netshed_sketch::{hash_bytes, DetHashMap, DetHashSet, StateError, StateReader, StateWriter};
 use netshed_trace::{BatchView, FlowSet};
@@ -135,6 +135,18 @@ impl Query for TopKQuery {
             }
             position
         });
+        // Whole at rate 1.0, each flow's bytes in one addition, if every
+        // entry a flow reaches stays exact with the whole batch added.
+        let whole = unit_rate_stats(batch, sampling_rate).filter(|stats| {
+            (self.flow_slots.flows(batch))
+                .all(|(position, _)| adds_exactly(*table.value_at_mut(position), stats.bytes))
+        });
+        if whole.is_some() {
+            for (position, flow) in self.flow_slots.flows(batch) {
+                *table.value_at_mut(position) += flow.bytes as f64;
+            }
+            return;
+        }
         for (position, packet) in self.flow_slots.packets(batch) {
             *table.value_at_mut(position) += scale(f64::from(packet.ip_len()), sampling_rate);
         }
@@ -326,6 +338,25 @@ impl Query for AutofocusQuery {
                 position
             })
         });
+        // Whole at rate 1.0, each flow's bytes in one addition per level, if
+        // the total and every prefix a flow reaches stay exact with the whole
+        // batch added.
+        let whole = unit_rate_stats(batch, sampling_rate).filter(|stats| {
+            let exact = |sum: f64| adds_exactly(sum, stats.bytes);
+            exact(self.total_bytes)
+                && (self.flow_slots.flows(batch)).all(|(positions, _)| {
+                    positions.iter().all(|&position| exact(*prefixes.value_at_mut(position)))
+                })
+        });
+        if let Some(stats) = whole {
+            self.total_bytes += stats.bytes as f64;
+            for (positions, flow) in self.flow_slots.flows(batch) {
+                for position in positions {
+                    *prefixes.value_at_mut(position) += flow.bytes as f64;
+                }
+            }
+            return;
+        }
         for (positions, packet) in self.flow_slots.packets(batch) {
             let bytes = scale(f64::from(packet.ip_len()), sampling_rate);
             self.total_bytes += bytes;

@@ -1153,3 +1153,43 @@ fn a_crafted_predictor_selection_or_cost_is_rejected_naming_the_field() {
         assert!(message.contains(field), "{context}: {message}");
     }
 }
+
+#[test]
+fn a_crafted_negative_zero_sum_is_rejected_naming_the_field() {
+    // Every sum a query keeps starts at +0.0 and adds terms of +0.0 or above,
+    // so no run holds -0.0. A restore that let one in would make a unit-rate
+    // query's one exact addition over an empty view (-0.0 + 0.0 is +0.0)
+    // differ in the sign bit from the per-packet walk, which adds nothing.
+    let config = MonitorConfig::default().with_capacity(1e12).with_seed(11).without_noise();
+    let honest = checkpoint_at_bin_nine::<Monitor>(&config);
+    let restore = |bytes: &[u8]| {
+        Daemon::<_, Monitor>::restore_engine(config.clone(), recorded_trace(), bytes).map(|_| ())
+    };
+    let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
+    let section = snapshot.section("monitor").expect("monitor section");
+    let spans = query_state_spans(section, &config);
+    let span_of = |kind| &spans.iter().find(|(spec, _)| spec.kind == kind).expect("registered").1;
+    // `counter`'s second sum, and the weight of `top-k`'s first entry (after
+    // the table's length and the entry's destination).
+    let (counter, top_k) = (span_of(QueryKind::Counter), span_of(QueryKind::TopK));
+    for (at, field) in [(counter.start + 8, "counter bytes"), (top_k.start + 12, "top-k")] {
+        let craft = |value: f64| {
+            let mut crafted = Snapshot::new();
+            for name in snapshot.section_names() {
+                let mut body = snapshot.section(name).expect("listed section").to_vec();
+                if name == "monitor" {
+                    body[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                }
+                crafted.push(name, body).expect("section");
+            }
+            crafted.to_bytes()
+        };
+        restore(&craft(0.0)).expect("+0.0 restores");
+        let error = restore(&craft(-0.0)).expect_err("-0.0 must not restore");
+        let ServiceError::Snapshot(SnapshotError::State(StateError::Corrupt(message))) = &error
+        else {
+            panic!("{field} = -0.0: expected a corrupt-state error, got {error}");
+        };
+        assert!(message.contains(field) && message.contains("-0"), "{field}: {message}");
+    }
+}

@@ -28,14 +28,16 @@
 //!   flow" invariant — lazy, so a batch nothing examines (a recording)
 //!   hashes nothing,
 //! * the `flows` table key of each flow ([`PacketStore::flow_key_hash`]),
-//!   hashed the first time a view asks for that flow.
+//!   hashed the first time a view asks for that flow,
+//! * each flow's packets and IP bytes ([`PacketStore::flow_totals`]), summed
+//!   the first time a unit-rate query asks for them.
 //!
 //! Steady-state sampling is allocation-free: a [`KeepListPool`] recycles both
 //! the keep-index buffers and their `Arc` control blocks, so
 //! [`BatchView::filter_indexed_with`] performs no heap allocation once the
 //! pool is warm (see DESIGN.md, "Memory plane").
 
-use crate::flows::{FlowIndex, FlowSet};
+use crate::flows::{FlowIndex, FlowSet, FlowTotals};
 use crate::packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_SYN};
 use bytes::Bytes;
 use netshed_sketch::hash_bytes;
@@ -78,9 +80,9 @@ pub fn shard_key(tuple: &FiveTuple) -> u64 {
 /// The owning, reference-counted, struct-of-arrays storage behind a
 /// [`Batch`].
 ///
-/// Immutable after construction; the lazy flow index is initialise-once
-/// (`OnceLock`) and therefore safe to share across threads, like the
-/// flow-key memo's atomics.
+/// Immutable after construction; the lazy flow index and flow totals are
+/// initialise-once (`OnceLock`) and therefore safe to share across threads,
+/// like the flow-key memo's atomics.
 /// Construct through [`PacketStore::builder`] (one streaming pass that fills
 /// every column and the stats) or implicitly through [`Batch::new`].
 pub struct PacketStore {
@@ -102,6 +104,8 @@ pub struct PacketStore {
     flows: OnceLock<FlowIndex>,
     /// See [`PacketStore::flow_key_hash`].
     flow_keys: OnceLock<Box<[AtomicU64]>>,
+    /// See [`PacketStore::flow_totals`].
+    flow_totals: OnceLock<Box<[FlowTotals]>>,
 }
 
 /// Streaming constructor for a [`PacketStore`]: one pass fills every column
@@ -187,6 +191,7 @@ impl StoreBuilder {
             stats: self.stats,
             flows: OnceLock::new(),
             flow_keys: OnceLock::new(),
+            flow_totals: OnceLock::new(),
         }
     }
 }
@@ -300,6 +305,27 @@ impl PacketStore {
             }
             key => key,
         }
+    }
+
+    /// Every flow's packets and IP bytes, by flow id of
+    /// [`PacketStore::flow_index`]: summed over the columns the first time
+    /// anyone asks and read back by every later caller, so the tenants that
+    /// take a batch whole at rate 1.0 sum each flow once between them
+    /// (DESIGN.md, "Locate-once-per-flow invariant"). A pure function of the
+    /// store, like the index: whichever thread builds it builds the same
+    /// table, and the others wait for it.
+    pub fn flow_totals(&self) -> &[FlowTotals] {
+        self.flow_totals.get_or_init(|| {
+            // The memo's one allocation per batch.
+            let index = self.flow_index();
+            let mut totals = vec![FlowTotals::default(); index.flows()];
+            for (&flow, &ip_len) in index.flow_of().iter().zip(&self.ip_lens) {
+                let flow = &mut totals[flow as usize];
+                flow.packets += 1;
+                flow.bytes += u64::from(ip_len);
+            }
+            totals.into_boxed_slice()
+        })
     }
 
     /// The lane of every flow of the store, by flow id, written into `out`
@@ -1470,6 +1496,9 @@ mod tests {
         let key = hash_bytes(&batch.packets.tuples()[1].as_key(), FLOW_KEY_SEED);
         assert_eq!(sampled.store().flow_key_hash(0), key, "the memo is the flows key");
         assert_eq!(batch.packets.flow_key_hash(0), key, "and shared with the batch");
+        let totals = sampled.store().flow_totals();
+        assert_eq!(totals, [FlowTotals { packets: 2, bytes: 200 }], "the memo is the flow's sums");
+        assert!(std::ptr::eq(totals, batch.packets.flow_totals()), "summed once");
     }
 
     #[test]

@@ -99,6 +99,16 @@ impl FlowIndex {
     }
 }
 
+/// One flow's packets and IP bytes in its store, an entry of
+/// [`PacketStore::flow_totals`](crate::PacketStore::flow_totals).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlowTotals {
+    /// Packets of the flow.
+    pub packets: u64,
+    /// IP bytes of those packets.
+    pub bytes: u64,
+}
+
 /// A reusable set of flow ids, the "already handled in this view" scratch of
 /// a once-per-flow consumer; grow-only, so it stops allocating when warm.
 #[derive(Debug, Default)]

@@ -52,7 +52,7 @@ pub use batch::{
     shard_key, Batch, BatchBuilder, BatchStats, BatchView, IndexedPackets, KeepListPool, PacketRef,
     PacketStore, StoreBuilder, TimestampJumpError, FLOW_KEY_SEED, MAX_GAP_BINS,
 };
-pub use flows::{FlowIndex, FlowSet};
+pub use flows::{FlowIndex, FlowSet, FlowTotals};
 pub use format::{
     decode_batches, decode_batches_shared, encode_batches, FormatError, SharedTraceReader,
     TraceReader, TraceWriter, TRACE_FORMAT_VERSION, TRACE_MAGIC,

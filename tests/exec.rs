@@ -308,6 +308,46 @@ fn flows_tenants_racing_for_one_key_memo_emit_one_digest_at_any_worker_count() {
     }
 }
 
+/// Tasks race to fill one totals memo: unshed, forty `top-k` and forty
+/// `application` tenants take every bin whole at rate 1.0 and ask the batch's
+/// store for each flow's packets and bytes in the same bin — one task sums
+/// them, the others wait for it or find them summed. At one, two and four
+/// workers the digest does not move.
+#[test]
+fn unit_rate_tenants_racing_for_one_totals_memo_emit_one_digest_at_any_worker_count() {
+    let batches = recorded_batches(40);
+    let specs: Vec<QuerySpec> = [QueryKind::TopK, QueryKind::Application]
+        .iter()
+        .cycle()
+        .take(80)
+        .enumerate()
+        .map(|(i, kind)| QuerySpec::new(*kind).with_label(format!("tenant-{i:02}")))
+        .collect();
+    let digest_of = |workers: usize| {
+        let builder = Monitor::builder()
+            .capacity(1e15)
+            .seed(43)
+            .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+            .with_workers(workers)
+            .queries(specs.clone());
+        let mut observers = (DigestObserver::new(), FullTape::default());
+        builder
+            .build()
+            .expect("valid monitor")
+            .run(&mut BatchReplay::new(batches.clone()), &mut observers)
+            .expect("run");
+        let shed = (observers.1.records.iter().flat_map(|record| &record.queries))
+            .filter(|query| query.disabled || query.sampling_rate < 1.0)
+            .count();
+        assert_eq!(shed, 0, "{workers} workers: the engine must stay unshed");
+        observers.0.digest()
+    };
+    let sequential = digest_of(1);
+    for workers in [2, 4] {
+        assert_eq!(digest_of(workers), sequential, "{workers} workers");
+    }
+}
+
 /// Runs the 20-bin unshed trace through `engine` and returns its stage
 /// telemetry with the wall nanoseconds taken around the run.
 fn stage_stats_of<E: Engine>(mut engine: E) -> (StageStats, u64) {

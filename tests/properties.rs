@@ -580,6 +580,232 @@ proptest! {
         }
     }
 
+    /// At rate 1.0 on a full view, `counter` and `high-watermark` add the
+    /// batch's totals once and `top-k`, `autofocus` and `application` each
+    /// flow's once, where every sum stays an integer no larger than 2⁵³;
+    /// `trace` and `pattern-search` count a batch's packets in one addition
+    /// at any rate on the same terms. Each kind's twin is fed the same
+    /// packets as an all-kept view, which adds per packet. Over bins that mix
+    /// rate 1.0 with non-dyadic sub-unit rates in one interval (so sums turn
+    /// fractional and the guard must refuse), empty bins, an interval roll and
+    /// a restore planting every sum at 2⁵³ − k (so the bound must refuse),
+    /// the twins leave the same cycles, operations and checkpoint bytes after
+    /// every bin and report the same outputs at every close — and the two
+    /// packet counts are the per-packet count. A sub-unit bin carries a few
+    /// packets only: it leaves its sums small and fractional, so a unit-rate
+    /// bin after it carries them across several binades, where one rounding
+    /// and one per addition part ways.
+    #[test]
+    fn unit_rate_sums_are_the_per_packet_sums(
+        bins in proptest::collection::vec(
+            (
+                proptest::collection::vec(
+                    ((0u32..4, 0usize..5), (0usize..3, 0usize..2, 40u32..1500)),
+                    0..150,
+                ),
+                0usize..3,
+                (0.05f64..1.0, 1usize..6),
+            ),
+            2..9,
+        ),
+        roll in 1usize..8,
+        restore in 1usize..8,
+        below_bound in (0u64..300, 0u64..300_000),
+    ) {
+        use netshed::queries::{
+            ApplicationQuery, AutofocusQuery, CounterQuery, CycleMeter, HighWatermarkQuery,
+            PatternSearchQuery, Query, QueryOutput, TopKQuery, TraceQuery,
+        };
+        use netshed::sketch::{StateReader, StateWriter};
+        use netshed::trace::AppProtocol;
+
+        fn saved(query: &dyn Query) -> Vec<u8> {
+            let mut writer = StateWriter::new();
+            query.save_state(&mut writer).expect("state");
+            writer.into_bytes()
+        }
+        fn closed(queries: &mut [Box<dyn Query>]) -> Vec<QueryOutput> {
+            queries.iter_mut().map(|query| query.end_interval()).collect()
+        }
+
+        const DSTS: [u32; 5] = [0x0a00_0001, 0x0a00_0102, 0x0a01_0001, 0x0b00_0001, 0xc0a8_0101];
+        const PORTS: [u16; 3] = [1024, 53, 6881];
+        const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+        let fresh = || -> Vec<Box<dyn Query>> {
+            vec![
+                Box::new(CounterQuery::new()),
+                Box::new(HighWatermarkQuery::new()),
+                Box::new(ApplicationQuery::new()),
+                Box::new(TopKQuery::new(3)),
+                Box::new(AutofocusQuery::new(0.02)),
+                Box::new(TraceQuery::new()),
+                Box::new(PatternSearchQuery::default()),
+            ]
+        };
+        // Every sum of every kind at 2⁵³ − k, packet counts and byte sums
+        // each with their own k: the state a long-lived query could reach.
+        let (packet_sum, byte_sum) =
+            (EXACT_INTEGERS - below_bound.0 as f64, EXACT_INTEGERS - below_bound.1 as f64);
+        let planted = |query: &dyn Query| -> Vec<u8> {
+            let mut w = StateWriter::new();
+            match query.name() {
+                "counter" => [packet_sum, byte_sum].into_iter().for_each(|sum| w.f64(sum)),
+                "high-watermark" => {
+                    w.usize(1);
+                    w.u64(0);
+                    w.u64(100_000);
+                    w.f64(byte_sum);
+                }
+                "application" => {
+                    let labels = AppProtocol::ALL.iter().map(|app| app.name());
+                    let labels: Vec<&str> = labels.chain(["unknown"]).collect();
+                    w.usize(labels.len());
+                    for label in labels {
+                        w.str(label);
+                        w.f64(packet_sum);
+                        w.f64(byte_sum);
+                    }
+                }
+                "top-k" => {
+                    w.usize(DSTS.len());
+                    for dst in DSTS {
+                        w.u32(dst);
+                        w.f64(byte_sum);
+                    }
+                }
+                "autofocus" => {
+                    w.usize(3);
+                    for len in [8u8, 16, 24] {
+                        w.u32(DSTS[0] & (!0u32 << (32 - len)));
+                        w.u8(len);
+                        w.f64(byte_sum);
+                    }
+                    w.f64(byte_sum);
+                }
+                "trace" => w.f64(packet_sum),
+                _ => {
+                    w.f64(packet_sum);
+                    w.u64(0);
+                }
+            }
+            w.into_bytes()
+        };
+        let packet_count = |outputs: &[QueryOutput]| -> Vec<f64> {
+            outputs[5..]
+                .iter()
+                .map(|output| match output {
+                    QueryOutput::Coverage { processed_packets, .. } => *processed_packets,
+                    other => panic!("a coverage query reported {other:?}"),
+                })
+                .collect()
+        };
+
+        let restored = || -> Vec<Box<dyn Query>> {
+            let mut queries = fresh();
+            for query in &mut queries {
+                let state = planted(query.as_ref());
+                query.load_state(&mut StateReader::new(&state)).expect("restores");
+            }
+            queries
+        };
+
+        let (mut whole, mut twins) = (fresh(), fresh());
+        // `trace`'s and `pattern-search`'s count, one addition per packet.
+        let mut counted = 0.0;
+        for (bin, (picks, rate_pick, (sub_unit_rate, few))) in bins.iter().enumerate() {
+            if bin == roll {
+                let outputs = closed(&mut whole);
+                prop_assert_eq!(&outputs, &closed(&mut twins), "roll at bin {}", bin);
+                prop_assert_eq!(packet_count(&outputs), vec![counted; 2]);
+                counted = 0.0;
+            }
+            if bin == restore {
+                (whole, twins, counted) = (restored(), restored(), packet_sum);
+            }
+            let (rate, picks) = match rate_pick {
+                0 | 1 => (1.0, &picks[..]),
+                _ => (*sub_unit_rate, &picks[..picks.len().min(*few)]),
+            };
+            let packets: Vec<Packet> = picks
+                .iter()
+                .enumerate()
+                .map(|(ts, ((src, dst), (port, proto, ip_len)))| {
+                    let dst_port = [80, 443][*src as usize % 2];
+                    let proto = [6, 17][*proto];
+                    let tuple = FiveTuple::new(*src, DSTS[*dst], PORTS[*port], dst_port, proto);
+                    Packet::header_only(ts as u64, tuple, *ip_len, 0)
+                })
+                .collect();
+            let batch = Batch::new(bin as u64, bin as u64 * 100_000, 100_000, packets);
+            let all_kept = batch.view().filter_indexed(|_, _| true);
+            for _ in 0..batch.len() {
+                counted += 1.0;
+            }
+            for (query, twin) in whole.iter_mut().zip(&mut twins) {
+                let (mut meter, mut twin_meter) = (CycleMeter::new(), CycleMeter::new());
+                query.process_batch(&batch.view(), rate, &mut meter);
+                twin.process_batch(&all_kept, rate, &mut twin_meter);
+                prop_assert_eq!(
+                    (meter.cycles(), meter.operations(), saved(query.as_ref())),
+                    (twin_meter.cycles(), twin_meter.operations(), saved(twin.as_ref())),
+                    "{} cycles, operations and checkpoint after bin {}", query.name(), bin
+                );
+            }
+        }
+        let outputs = closed(&mut whole);
+        prop_assert_eq!(&outputs, &closed(&mut twins));
+        prop_assert_eq!(packet_count(&outputs), vec![counted; 2]);
+    }
+
+    /// The store's memo of each flow's packets and IP bytes is their sums:
+    /// on drawn traffic (most packets repeating a tuple), a single flow,
+    /// all-distinct tuples and an empty store, `flow_totals` lists, by flow
+    /// id, what summing the packets grouped by tuple equality gives — asked by
+    /// two threads at once on a fresh store, each reading the one table.
+    #[test]
+    fn the_flow_totals_memo_is_the_flow_sums(
+        picks in proptest::collection::vec((0u32..6, 0u32..6, 0u16..3, 40u32..1500), 1..300),
+        shape in 0usize..4,
+    ) {
+        use netshed::trace::FlowTotals;
+
+        let packets: Vec<Packet> = picks
+            .iter()
+            .enumerate()
+            .take(if shape == 3 { 0 } else { picks.len() })
+            .map(|(at, (src, dst, port, ip_len))| {
+                let tuple = match shape {
+                    1 => FiveTuple::new(7, 7, 7, 7, 6),
+                    2 => FiveTuple::new(at as u32, 1, 2, 3, 6),
+                    _ => FiveTuple::new(*src, *dst, *port, 80, 6),
+                };
+                Packet::header_only(at as u64, tuple, *ip_len, 0)
+            })
+            .collect();
+        let mut first_seen: Vec<FiveTuple> = Vec::new();
+        let mut expected: Vec<FlowTotals> = Vec::new();
+        for packet in &packets {
+            let flow = first_seen.iter().position(|seen| *seen == packet.tuple).unwrap_or_else(|| {
+                first_seen.push(packet.tuple);
+                expected.push(FlowTotals::default());
+                first_seen.len() - 1
+            });
+            expected[flow].packets += 1;
+            expected[flow].bytes += u64::from(packet.ip_len);
+        }
+        let flows = [0, 1, packets.len(), 0][shape];
+        prop_assert!(shape == 0 || expected.len() == flows, "shape {}: {} flows", shape, flows);
+
+        let batch = Batch::new(0, 0, 100_000, packets);
+        let tables: Vec<&[FlowTotals]> = std::thread::scope(|scope| {
+            let readers = [(); 2].map(|()| scope.spawn(|| batch.packets.flow_totals()));
+            readers.map(|reader| reader.join().expect("no panic")).into()
+        });
+        prop_assert!(std::ptr::eq(tables[0], tables[1]), "one table, summed once");
+        prop_assert_eq!(tables[0], &expected[..]);
+        prop_assert!(std::ptr::eq(tables[0], batch.view().store().flow_totals()));
+    }
+
     /// The store's memo of the `flows` key is the key: for every flow of a
     /// full and a sampled view of one store, `flow_key_hash` returns
     /// `hash_bytes(&tuple.as_key(), FLOW_KEY_SEED)` of each of the flow's
