@@ -3,7 +3,7 @@
 //! ```sh
 //! cargo run -p netshed-bench --release --bin scenarios -- list
 //! cargo run -p netshed-bench --release --bin scenarios -- record [--dir corpus]
-//! cargo run -p netshed-bench --release --bin scenarios -- verify [--dir corpus] [--workers N] [--borrowed]
+//! cargo run -p netshed-bench --release --bin scenarios -- verify [--dir corpus] [--workers N]
 //! cargo run -p netshed-bench --release --bin scenarios -- run <name> [--strategy mmfs_pkt] [--predictor mlr_fcbf] [--workers N]
 //! cargo run -p netshed-bench --release --bin scenarios -- checkpoint <name> <strategy> [--at BIN] [--out FILE]
 //! cargo run -p netshed-bench --release --bin scenarios -- resume <name> <strategy> --from FILE [--dir corpus]
@@ -14,10 +14,7 @@
 //! run it (and commit the result) only when an intentional change moves the
 //! golden outputs. `verify` replays the committed corpus and fails loudly,
 //! naming each drifted stream, when any digest moved; this is what the CI
-//! golden-corpus job runs. `verify --borrowed` decodes the recordings
-//! through the zero-copy [`decode_batches_shared`] path instead of the
-//! copying reader (both are always cross-checked against each other), so CI
-//! proves the borrowed replay plane produces the same pinned digests.
+//! golden-corpus job runs.
 //!
 //! `checkpoint` and `resume` exercise the service plane: the scenario runs
 //! under a daemon (queries registered through the control channel) to a
@@ -38,7 +35,7 @@ use netshed_bench::corpus::{
 };
 use netshed_monitor::{Monitor, PredictorKind, Strategy};
 use netshed_trace::scenario::{builtin, builtins};
-use netshed_trace::{decode_batches, decode_batches_shared, encode_batches, Batch, Bytes};
+use netshed_trace::{decode_batches_shared, encode_batches, Batch, Bytes};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -59,7 +56,7 @@ fn main() -> ExitCode {
         }
         ScenariosCommand::List => list(),
         ScenariosCommand::Record { dir } => record(&dir),
-        ScenariosCommand::Verify { dir, workers, borrowed } => verify(&dir, workers, borrowed),
+        ScenariosCommand::Verify { dir, workers } => verify(&dir, workers),
         ScenariosCommand::Run { name, strategy, predictor, workers } => {
             run_one(&name, strategy.as_deref(), predictor.as_deref(), workers)
         }
@@ -156,7 +153,7 @@ fn record(dir: &Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn verify(dir: &Path, workers: usize, borrowed: bool) -> ExitCode {
+fn verify(dir: &Path, workers: usize) -> ExitCode {
     let manifest_path = dir.join(MANIFEST_NAME);
     let text = match std::fs::read_to_string(&manifest_path) {
         Ok(text) => text,
@@ -186,34 +183,13 @@ fn verify(dir: &Path, workers: usize, borrowed: bool) -> ExitCode {
                 continue;
             }
         };
-        let copied = match decode_batches(&bytes) {
+        let recorded = match decode_batches_shared(&Bytes::from(bytes)) {
             Ok(batches) => batches,
             Err(error) => {
                 drift.push(format!("{}: recording does not decode: {error}", scenario.name()));
                 continue;
             }
         };
-        // Both replay planes must agree bit-for-bit on the same container;
-        // the digests below then run over whichever plane was requested.
-        let container = Bytes::from(bytes);
-        let shared = match decode_batches_shared(&container) {
-            Ok(batches) => batches,
-            Err(error) => {
-                drift.push(format!(
-                    "{}: recording does not decode through the borrowed reader: {error}",
-                    scenario.name()
-                ));
-                continue;
-            }
-        };
-        if shared != copied {
-            drift.push(format!(
-                "{}: the zero-copy and copying readers decoded different batch streams",
-                scenario.name()
-            ));
-            continue;
-        }
-        let recorded = if borrowed { shared } else { copied };
         // The recording must still equal what the generator produces today —
         // otherwise the digests below would silently pin drifted traffic.
         let generated = scenario.generate().expect("builtins are valid");
@@ -265,10 +241,9 @@ fn verify(dir: &Path, workers: usize, borrowed: bool) -> ExitCode {
         }
     }
     if drift.is_empty() {
-        let plane = if borrowed { "borrowed (zero-copy)" } else { "copying" };
         println!(
             "golden corpus conformant: {checked} (scenario, strategy) digests verified at \
-             {workers} worker(s) through the {plane} replay plane"
+             {workers} worker(s)"
         );
         ExitCode::SUCCESS
     } else {

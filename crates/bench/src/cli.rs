@@ -22,14 +22,12 @@ pub enum ScenariosCommand {
         /// Corpus directory.
         dir: PathBuf,
     },
-    /// `scenarios verify [--dir D] [--workers N] [--borrowed]`.
+    /// `scenarios verify [--dir D] [--workers N]`.
     Verify {
         /// Corpus directory.
         dir: PathBuf,
         /// Worker count for the digest runs.
         workers: usize,
-        /// Replay through the zero-copy decode path.
-        borrowed: bool,
     },
     /// `scenarios run <scenario> [--strategy S] [--predictor P]
     /// [--workers N]`.
@@ -125,9 +123,8 @@ pub fn usage(topic: Option<&str>) -> String {
              regenerate every scenario, write the .nstr recordings and pin the\n\
              per-strategy digests into GOLDEN.digests (default --dir corpus)"
             .to_string(),
-        Some("verify") => "usage: scenarios verify [--dir DIR] [--workers N] [--borrowed]\n\
-             replay the committed corpus and fail loudly on any digest drift;\n\
-             --borrowed decodes through the zero-copy replay plane"
+        Some("verify") => "usage: scenarios verify [--dir DIR] [--workers N]\n\
+             replay the committed corpus and fail loudly on any digest drift"
             .to_string(),
         Some("run") => "usage: scenarios run <scenario> [--strategy NAME] [--predictor NAME] \
              [--workers N]\n\
@@ -197,7 +194,6 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
     let mut at: Option<u64> = None;
     let mut out: Option<PathBuf> = None;
     let mut from: Option<PathBuf> = None;
-    let mut borrowed = false;
     let mut help = false;
     let mut positional: Vec<String> = Vec::new();
 
@@ -212,7 +208,6 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
         };
         match arg.as_str() {
             "--help" | "-h" => help = true,
-            "--borrowed" => borrowed = true,
             "--dir" => dir = Some(PathBuf::from(value_of("--dir")?)),
             "--out" => out = Some(PathBuf::from(value_of("--out")?)),
             "--from" => from = Some(PathBuf::from(value_of("--from")?)),
@@ -246,11 +241,11 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
     }
 
     // Flags a command ignores are rejected, not silently dropped — a caller
-    // passing `run … --borrowed` must not believe the borrowed plane ran.
+    // passing `record … --workers 4` must not believe four workers ran.
     let applicable: &[&str] = match command {
         "list" | "help" => &[],
         "record" => &["--dir"],
-        "verify" => &["--dir", "--workers", "--borrowed"],
+        "verify" => &["--dir", "--workers"],
         "run" => &["--workers", "--strategy", "--predictor"],
         "checkpoint" => &["--at", "--out", "--workers"],
         "resume" => &["--from", "--dir", "--workers"],
@@ -264,7 +259,6 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
         ("--at", at.is_some()),
         ("--out", out.is_some()),
         ("--from", from.is_some()),
-        ("--borrowed", borrowed),
     ] {
         if set && !applicable.contains(&flag) {
             return Err(error(Some(command), format!("{flag} does not apply to `{command}`")));
@@ -300,7 +294,6 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
             Ok(ScenariosCommand::Verify {
                 dir: dir.unwrap_or_else(|| PathBuf::from("corpus")),
                 workers,
-                borrowed,
             })
         }
         "run" => {
@@ -460,8 +453,8 @@ mod tests {
 
     #[test]
     fn inapplicable_flags_are_rejected_per_command() {
-        let err = parse(&["run", "ddos-spike", "--borrowed"]).expect_err("inapplicable");
-        assert!(err.message.contains("--borrowed"));
+        let err = parse(&["run", "ddos-spike", "--dir", "corpus"]).expect_err("inapplicable");
+        assert!(err.message.contains("--dir"));
         assert!(err.message.contains("run"));
         let err = parse(&["record", "--workers", "4"]).expect_err("inapplicable");
         assert!(err.message.contains("--workers"));
@@ -515,13 +508,8 @@ mod tests {
     #[test]
     fn verify_collects_its_flags() {
         assert_eq!(
-            parse(&["verify", "--dir", "elsewhere", "--workers", "4", "--borrowed"])
-                .expect("parse"),
-            ScenariosCommand::Verify {
-                dir: PathBuf::from("elsewhere"),
-                workers: 4,
-                borrowed: true
-            }
+            parse(&["verify", "--dir", "elsewhere", "--workers", "4"]).expect("parse"),
+            ScenariosCommand::Verify { dir: PathBuf::from("elsewhere"), workers: 4 }
         );
     }
 

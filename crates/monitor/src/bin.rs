@@ -449,7 +449,7 @@ impl Monitor {
         }
         let lane_of_flow = std::mem::take(&mut self.lane_of_flow);
         self.dispatch(|query, window, scratch| {
-            query.execute(post_drop, &lane_of_flow, window, scratch)
+            query.execute(post_drop, &lane_of_flow, window, scratch);
         });
         self.lane_of_flow = lane_of_flow;
     }
@@ -570,7 +570,7 @@ impl Monitor {
         let (window, workers) = (&self.window, self.config.workers.min(self.queries.len()));
         let queries = self.queries.iter_mut();
         exec::run_tasks(workers, &mut self.scratch, queries, |query, scratch| {
-            run(query, window, scratch)
+            run(query, window, scratch);
         });
         self.clock.stats.tasks += self.queries.len() as u64;
     }

@@ -1124,7 +1124,9 @@ fn a_crafted_predictor_selection_or_cost_is_rejected_naming_the_field() {
     let craft = |selection: &[usize], cost: u64| {
         let mut writer = StateWriter::new();
         writer.usize(selection.len());
-        selection.iter().for_each(|&feature| writer.usize(feature));
+        for &feature in selection {
+            writer.usize(feature);
+        }
         writer.usize(batches);
         writer.u64(cost);
         let mut crafted = Snapshot::new();

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// The kind of anomaly to inject.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnomalyKind {
     /// Volume-based distributed denial of service: an overwhelming number of
     /// small packets from spoofed sources towards a single target, with
@@ -311,30 +311,6 @@ impl Anomaly {
             };
             out.push(packet);
         }
-    }
-}
-
-/// Convenience collection of anomalies applied to a batch stream.
-#[derive(Debug, Clone, Default)]
-pub struct AnomalyInjector {
-    anomalies: Vec<Anomaly>,
-}
-
-impl AnomalyInjector {
-    /// Creates an empty injector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an anomaly to the set.
-    pub fn add(&mut self, anomaly: Anomaly) -> &mut Self {
-        self.anomalies.push(anomaly);
-        self
-    }
-
-    /// Returns the configured anomalies.
-    pub fn anomalies(&self) -> &[Anomaly] {
-        &self.anomalies
     }
 }
 

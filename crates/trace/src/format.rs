@@ -27,28 +27,23 @@
 //! `u32::MAX` as the *no payload captured* sentinel (distinct from an empty
 //! payload). [`TraceWriter`] streams frames to any [`Write`].
 //!
-//! Two readers share one frame walker and one frame decoder (each frame body
+//! [`SharedTraceReader`] replays a caller-held in-memory container (a
+//! [`Bytes`] buffer — e.g. a file read or mapped once). Each frame body
 //! decodes in a single pass straight into the columns of a [`PacketStore`] —
-//! there is no intermediate `Vec<Packet>`); they differ only in where the
-//! bytes come from:
-//!
-//! * [`TraceReader`] streams from any [`Read`], copying payload bytes out of
-//!   its frame buffer.
-//! * [`SharedTraceReader`] replays a caller-held in-memory container (a
-//!   [`Bytes`] buffer — e.g. a file read or mapped once): payloads become
-//!   zero-copy windows into that buffer, so replay cost is independent of
-//!   payload volume.
-//!
-//! Both validate magic, version and every checksum, latch decode errors when
-//! driven as a streaming [`PacketSource`], and plug into the pipeline via
-//! `read_all` + [`BatchReplay`] or the `into_replay` shortcut.
+//! there is no intermediate `Vec<Packet>` — and payloads become zero-copy
+//! windows into the container, so replay cost is independent of payload
+//! volume. The reader validates magic, version and every checksum, latches
+//! decode errors when driven as a streaming [`PacketSource`], and plugs into
+//! the pipeline via `read_all` + [`BatchReplay`] or the `into_replay`
+//! shortcut.
 
 use crate::batch::{Batch, PacketStore};
 use crate::packet::FiveTuple;
 use crate::source::{BatchReplay, PacketSource};
 use bytes::Bytes;
 use netshed_sketch::{hash_block, mix64, IncrementalFnv};
-use std::io::{Read, Write};
+use std::io::Write;
+use std::ops::Range;
 
 /// File magic: "NSTR" (netshed trace).
 pub const TRACE_MAGIC: [u8; 4] = *b"NSTR";
@@ -303,47 +298,10 @@ pub fn encode_batches(batches: &[Batch], time_bin_us: u64) -> Result<Vec<u8>, Fo
     writer.finish()
 }
 
-/// Decodes every batch of an in-memory `.nstr` container, copying payloads.
-pub fn decode_batches(bytes: &[u8]) -> Result<Vec<Batch>, FormatError> {
-    TraceReader::new(bytes)?.read_all()
-}
-
 /// Decodes every batch of a shared in-memory `.nstr` container; payloads are
 /// zero-copy windows into `buffer` (see [`SharedTraceReader`]).
 pub fn decode_batches_shared(buffer: &Bytes) -> Result<Vec<Batch>, FormatError> {
     SharedTraceReader::new(buffer.clone())?.read_all()
-}
-
-/// Validates an `.nstr` header in `fixed` (16 bytes) + `declared` (8-byte
-/// checksum); returns the recorded time-bin duration.
-fn validate_header(fixed: &[u8; 16], declared: [u8; 8]) -> Result<u64, FormatError> {
-    validate_magic(fixed)?;
-    let version = u16::from_le_bytes([fixed[4], fixed[5]]);
-    if version != TRACE_FORMAT_VERSION {
-        return Err(FormatError::UnsupportedVersion {
-            found: version,
-            expected: TRACE_FORMAT_VERSION,
-        });
-    }
-    let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
-    fnv.write(fixed);
-    if fnv.finish() != u64::from_le_bytes(declared) {
-        return Err(FormatError::ChecksumMismatch { location: "header".into() });
-    }
-    Ok(le_u64(fixed, 8))
-}
-
-/// Checks the magic of the fixed header prefix. Called as soon as the first
-/// 16 bytes are in, *before* the 8-byte header checksum is read, so that a
-/// short non-`.nstr` input reports [`FormatError::BadMagic`] rather than the
-/// misleading [`FormatError::Truncated`].
-fn validate_magic(fixed: &[u8; 16]) -> Result<(), FormatError> {
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&fixed[..4]);
-    if magic != TRACE_MAGIC {
-        return Err(FormatError::BadMagic { found: magic });
-    }
-    Ok(())
 }
 
 /// Validates an end frame (`kind` byte already consumed, `rest` = count +
@@ -380,122 +338,25 @@ fn frame_checksum(head: &[u8], body: &[u8]) -> u64 {
 /// Encoded size of one packet record without its payload bytes.
 const PACKET_RECORD_BYTES: u64 = 30;
 
-/// A run of container bytes a [`ByteSource`] just consumed.
-struct Run<'a> {
-    bytes: &'a [u8],
-    /// The shared container and the offset of `bytes` in it; `None` when the
-    /// bytes sit in a reader's scratch buffer, which the next frame reuses.
-    container: Option<(&'a Bytes, usize)>,
-}
-
-impl Run<'_> {
-    /// The payload at `range` of the run: an O(1) window into the shared
-    /// container when there is one, a copy out of the scratch buffer
-    /// otherwise.
-    fn payload(&self, range: std::ops::Range<usize>) -> Bytes {
-        match self.container {
-            Some((buffer, base)) => buffer.slice(base + range.start..base + range.end),
-            None => Bytes::copy_from_slice(&self.bytes[range]),
-        }
-    }
-}
-
-/// Where a [`FrameWalker`] gets its bytes. Running off the end is
-/// [`FormatError::Truncated`] on every method.
-trait ByteSource {
-    /// Consumes the next `N` bytes by value (kind bytes, frame heads).
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError>;
-    /// Consumes the next `len` bytes. `len` comes from a not-yet-verified
-    /// frame head, so an implementation must not allocate for it before the
-    /// bytes are known to exist.
-    fn run(&mut self, len: u64) -> Result<Run<'_>, FormatError>;
-    /// Discards the next `len` bytes unread.
-    fn skip(&mut self, len: u64) -> Result<(), FormatError>;
-}
-
-/// A [`Read`] plus the scratch buffer its frame bodies land in.
-struct Streamed<R> {
-    reader: R,
-    frame: Vec<u8>,
-}
-
-impl<R: Read> ByteSource for Streamed<R> {
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
-        let mut bytes = [0u8; N];
-        self.reader.read_exact(&mut bytes).map_err(|error| {
-            if error.kind() == std::io::ErrorKind::UnexpectedEof {
-                FormatError::Truncated
-            } else {
-                FormatError::Io(error)
-            }
-        })?;
-        Ok(bytes)
-    }
-
-    fn run(&mut self, len: u64) -> Result<Run<'_>, FormatError> {
-        // Grow the buffer only as bytes actually arrive: a corrupt length on
-        // a short file fails as `Truncated` instead of allocating gigabytes
-        // up front.
-        self.frame.clear();
-        let read = (&mut self.reader).take(len).read_to_end(&mut self.frame)?;
-        if read as u64 != len {
-            return Err(FormatError::Truncated);
-        }
-        Ok(Run { bytes: &self.frame, container: None })
-    }
-
-    fn skip(&mut self, len: u64) -> Result<(), FormatError> {
-        let copied = std::io::copy(&mut (&mut self.reader).take(len), &mut std::io::sink())?;
-        if copied != len {
-            return Err(FormatError::Truncated);
-        }
-        Ok(())
-    }
-}
-
-/// A cursor over a caller-held container.
-struct Shared {
+/// Decodes `.nstr` frames from a caller-held in-memory container without
+/// copying packet bytes.
+///
+/// The whole container lives in one shared [`Bytes`] buffer (read or mapped
+/// into memory once by the caller); each decoded payload is an O(1) window
+/// into that buffer, so replaying a payload-heavy recording costs the same
+/// as replaying a header-only one. Frame fields stream straight into the
+/// [`PacketStore`] columns — there is no intermediate `Vec<Packet>`
+/// decode-copy anywhere on this path.
+///
+/// The reader validates magic, version, every checksum and the end-frame
+/// count; running off the end of the buffer reports
+/// [`FormatError::Truncated`]. The container buffer stays alive as long as
+/// any decoded payload does — dropping the reader does not invalidate
+/// batches it produced.
+pub struct SharedTraceReader {
     buffer: Bytes,
+    /// Offset of the next unread byte of `buffer`.
     at: usize,
-}
-
-impl Shared {
-    /// Bounds-checks the next `len` bytes and steps the cursor past them.
-    fn advance(&mut self, len: u64) -> Result<std::ops::Range<usize>, FormatError> {
-        let end = usize::try_from(len)
-            .ok()
-            .and_then(|len| self.at.checked_add(len))
-            .filter(|&end| end <= self.buffer.len())
-            .ok_or(FormatError::Truncated)?;
-        let start = std::mem::replace(&mut self.at, end);
-        Ok(start..end)
-    }
-}
-
-impl ByteSource for Shared {
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
-        let range = self.advance(N as u64)?;
-        let mut bytes = [0u8; N];
-        bytes.copy_from_slice(&self.buffer.as_slice()[range]);
-        Ok(bytes)
-    }
-
-    fn run(&mut self, len: u64) -> Result<Run<'_>, FormatError> {
-        let range = self.advance(len)?;
-        let base = range.start;
-        Ok(Run { bytes: &self.buffer.as_slice()[range], container: Some((&self.buffer, base)) })
-    }
-
-    fn skip(&mut self, len: u64) -> Result<(), FormatError> {
-        self.advance(len).map(drop)
-    }
-}
-
-/// The one `.nstr` frame walker behind both public readers: header
-/// validation, frame-by-frame decode or skip, the end-frame count check and
-/// the error latch of the [`PacketSource`] adapter.
-struct FrameWalker<S> {
-    source: S,
     time_bin_us: u64,
     decoded: u64,
     /// Set once the end frame was seen (further reads return `None`).
@@ -504,13 +365,101 @@ struct FrameWalker<S> {
     error: Option<FormatError>,
 }
 
-impl<S: ByteSource> FrameWalker<S> {
-    /// Reads and validates the container header.
-    fn open(mut source: S) -> Result<Self, FormatError> {
-        let fixed = source.array::<16>()?;
-        validate_magic(&fixed)?;
-        let time_bin_us = validate_header(&fixed, source.array::<8>()?)?;
-        Ok(Self { source, time_bin_us, decoded: 0, finished: false, error: None })
+impl SharedTraceReader {
+    /// Validates the container header of a shared buffer.
+    pub fn new(buffer: Bytes) -> Result<Self, FormatError> {
+        let mut reader =
+            Self { buffer, at: 0, time_bin_us: 0, decoded: 0, finished: false, error: None };
+        let fixed = reader.array::<16>()?;
+        // The magic is checked before the 8-byte header checksum is read, so
+        // a short non-`.nstr` input reports `BadMagic` rather than the
+        // misleading `Truncated`.
+        let magic = [fixed[0], fixed[1], fixed[2], fixed[3]];
+        if magic != TRACE_MAGIC {
+            return Err(FormatError::BadMagic { found: magic });
+        }
+        let declared = reader.array::<8>()?;
+        let version = u16::from_le_bytes([fixed[4], fixed[5]]);
+        if version != TRACE_FORMAT_VERSION {
+            return Err(FormatError::UnsupportedVersion {
+                found: version,
+                expected: TRACE_FORMAT_VERSION,
+            });
+        }
+        let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
+        fnv.write(&fixed);
+        if fnv.finish() != u64::from_le_bytes(declared) {
+            return Err(FormatError::ChecksumMismatch { location: "header".into() });
+        }
+        reader.time_bin_us = le_u64(&fixed, 8);
+        Ok(reader)
+    }
+
+    /// The time-bin duration recorded in the header.
+    pub fn time_bin_us(&self) -> u64 {
+        self.time_bin_us
+    }
+
+    /// The first decode error hit by the [`PacketSource`] adapter, if any.
+    ///
+    /// `next_batch` has no error channel, so a corrupt tail latches here and
+    /// the stream ends early; callers that must distinguish "clean end" from
+    /// "corrupt end" check this after the run.
+    pub fn error(&self) -> Option<&FormatError> {
+        self.error.as_ref()
+    }
+
+    /// Decodes the next batch, `Ok(None)` at the (validated) end frame.
+    pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
+        if !self.at_batch_frame()? {
+            return Ok(None);
+        }
+        let head = self.array::<32>()?;
+        let body = self.advance(u64::from(le_u32(&head, 28)))?;
+        let declared = u64::from_le_bytes(self.array::<8>()?);
+        if frame_checksum(&head, &self.buffer.as_slice()[body.clone()]) != declared {
+            return Err(FormatError::ChecksumMismatch {
+                location: format!("frame {}", self.decoded),
+            });
+        }
+        let store = decode_store(&self.buffer, body, le_u32(&head, 24), self.decoded)?;
+        self.decoded += 1;
+        Ok(Some(Batch::from_store(le_u64(&head, 0), le_u64(&head, 8), le_u64(&head, 16), store)))
+    }
+
+    /// Decodes the whole trace into a batch vector.
+    pub fn read_all(mut self) -> Result<Vec<Batch>, FormatError> {
+        let mut batches = Vec::new();
+        while let Some(batch) = self.read_batch()? {
+            batches.push(batch);
+        }
+        Ok(batches)
+    }
+
+    /// Decodes the whole trace into a rewindable [`BatchReplay`].
+    pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
+        Ok(BatchReplay::new(self.read_all()?))
+    }
+
+    /// Bounds-checks the next `len` bytes and steps the cursor past them.
+    /// `len` may come from a not-yet-verified frame head, so nothing is
+    /// sized from it before the bytes are known to exist.
+    fn advance(&mut self, len: u64) -> Result<Range<usize>, FormatError> {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.at.checked_add(len))
+            .filter(|&end| end <= self.buffer.len())
+            .ok_or(FormatError::Truncated)?;
+        let start = std::mem::replace(&mut self.at, end);
+        Ok(start..end)
+    }
+
+    /// Consumes the next `N` bytes by value (kind bytes, frame heads).
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FormatError> {
+        let range = self.advance(N as u64)?;
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(&self.buffer.as_slice()[range]);
+        Ok(bytes)
     }
 
     /// Consumes the next frame's kind byte: `Ok(true)` at a batch frame,
@@ -519,9 +468,9 @@ impl<S: ByteSource> FrameWalker<S> {
         if self.finished {
             return Ok(false);
         }
-        match self.source.array::<1>()?[0] {
+        match self.array::<1>()?[0] {
             FRAME_END => {
-                validate_end_frame(&self.source.array::<16>()?, self.decoded)?;
+                validate_end_frame(&self.array::<16>()?, self.decoded)?;
                 self.finished = true;
                 Ok(false)
             }
@@ -530,30 +479,10 @@ impl<S: ByteSource> FrameWalker<S> {
         }
     }
 
-    fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
-        if !self.at_batch_frame()? {
-            return Ok(None);
-        }
-        let head = self.source.array::<32>()?;
-        let packet_count = le_u32(&head, 24);
-        let body_len = le_u32(&head, 28) as usize;
-        // Body and trailing checksum in one run.
-        let run = self.source.run(body_len as u64 + 8)?;
-        let (body, declared) = run.bytes.split_at(body_len);
-        if frame_checksum(&head, body) != le_u64(declared, 0) {
-            return Err(FormatError::ChecksumMismatch {
-                location: format!("frame {}", self.decoded),
-            });
-        }
-        let store = decode_store(&run, body, packet_count, self.decoded)?;
-        self.decoded += 1;
-        Ok(Some(Batch::from_store(le_u64(&head, 0), le_u64(&head, 8), le_u64(&head, 16), store)))
-    }
-
     /// Skips the next frame without decoding its body: `Ok(true)` when a
     /// batch frame was stepped over, `Ok(false)` at the (validated) end
     /// frame. The 32-byte frame head is read to learn the body length, then
-    /// `body_len + 8` bytes (body plus trailing checksum) are discarded
+    /// `body_len + 8` bytes (body plus trailing checksum) are stepped over
     /// unread — no column decode, no body hash. The container header
     /// checksum was already verified on open; a frame whose declared length
     /// overruns the container still reports [`FormatError::Truncated`].
@@ -561,20 +490,16 @@ impl<S: ByteSource> FrameWalker<S> {
         if !self.at_batch_frame()? {
             return Ok(false);
         }
-        let head = self.source.array::<32>()?;
-        self.source.skip(u64::from(le_u32(&head, 28)) + 8)?;
+        let head = self.array::<32>()?;
+        self.advance(u64::from(le_u32(&head, 28)) + 8)?;
         self.decoded += 1;
         Ok(true)
     }
+}
 
-    fn read_all(mut self) -> Result<Vec<Batch>, FormatError> {
-        let mut batches = Vec::new();
-        while let Some(batch) = self.read_batch()? {
-            batches.push(batch);
-        }
-        Ok(batches)
-    }
-
+/// The reader is a streaming [`PacketSource`]: decode errors end the stream
+/// and latch in [`SharedTraceReader::error`].
+impl PacketSource for SharedTraceReader {
     fn next_batch(&mut self) -> Option<Batch> {
         if self.error.is_some() {
             return None;
@@ -585,6 +510,11 @@ impl<S: ByteSource> FrameWalker<S> {
         })
     }
 
+    /// Frame-skip fast path: steps over `count` frames by their declared
+    /// lengths instead of decoding and checksumming every body (the default
+    /// implementation's cost on a daemon restore over a large `.nstr`).
+    /// Cursor, frame counter and error latching behave exactly like `count`
+    /// calls to `next_batch` that drop their result.
     fn skip_batches(&mut self, count: u64) -> u64 {
         let mut skipped = 0;
         while skipped < count && self.error.is_none() {
@@ -597,108 +527,6 @@ impl<S: ByteSource> FrameWalker<S> {
         skipped
     }
 }
-
-/// Decodes `.nstr` frames from any [`Read`], verifying every checksum.
-///
-/// Frame bodies decode straight into the column store ([`PacketStore`]);
-/// payload bytes are copied out of the reader's frame buffer. For repeated
-/// in-memory replay prefer [`SharedTraceReader`], which borrows payloads
-/// from the container instead.
-pub struct TraceReader<R: Read> {
-    walker: FrameWalker<Streamed<R>>,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Reads and validates the container header.
-    pub fn new(reader: R) -> Result<Self, FormatError> {
-        Ok(Self { walker: FrameWalker::open(Streamed { reader, frame: Vec::new() })? })
-    }
-}
-
-/// Decodes `.nstr` frames from a caller-held in-memory container without
-/// copying packet bytes.
-///
-/// The whole container lives in one shared [`Bytes`] buffer (read or mapped
-/// into memory once by the caller); each decoded payload is an O(1) window
-/// into that buffer, so replaying a payload-heavy recording costs the same
-/// as replaying a header-only one. Frame fields still stream straight into
-/// the [`PacketStore`] columns — there is no intermediate `Vec<Packet>`
-/// decode-copy anywhere on this path.
-///
-/// Validation (magic, version, every checksum, end-frame count) and the
-/// error taxonomy are those of [`TraceReader`] — the same walker runs both;
-/// running off the end of the buffer reports [`FormatError::Truncated`]. The
-/// container buffer stays alive as long as any decoded payload does —
-/// dropping the reader does not invalidate batches it produced.
-pub struct SharedTraceReader {
-    walker: FrameWalker<Shared>,
-}
-
-impl SharedTraceReader {
-    /// Validates the container header of a shared buffer.
-    pub fn new(buffer: Bytes) -> Result<Self, FormatError> {
-        Ok(Self { walker: FrameWalker::open(Shared { buffer, at: 0 })? })
-    }
-}
-
-/// The public surface both readers share, written once over their walker.
-macro_rules! reader_api {
-    ([$($generics:tt)*] $reader:ty) => {
-        impl<$($generics)*> $reader {
-            /// The time-bin duration recorded in the header.
-            pub fn time_bin_us(&self) -> u64 {
-                self.walker.time_bin_us
-            }
-
-            /// The first decode error hit by the [`PacketSource`] adapter,
-            /// if any.
-            ///
-            /// `next_batch` has no error channel, so a corrupt tail latches
-            /// here and the stream ends early; callers that must distinguish
-            /// "clean end" from "corrupt end" check this after the run.
-            pub fn error(&self) -> Option<&FormatError> {
-                self.walker.error.as_ref()
-            }
-
-            /// Decodes the next batch, `Ok(None)` at the (validated) end
-            /// frame.
-            pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
-                self.walker.read_batch()
-            }
-
-            /// Decodes the whole trace into a batch vector.
-            pub fn read_all(self) -> Result<Vec<Batch>, FormatError> {
-                self.walker.read_all()
-            }
-
-            /// Decodes the whole trace into a rewindable [`BatchReplay`].
-            pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
-                Ok(BatchReplay::new(self.read_all()?))
-            }
-        }
-
-        /// A reader is a streaming [`PacketSource`]: decode errors end the
-        /// stream and latch in the reader's `error()`.
-        impl<$($generics)*> PacketSource for $reader {
-            fn next_batch(&mut self) -> Option<Batch> {
-                self.walker.next_batch()
-            }
-
-            /// Frame-skip fast path: steps over `count` frames by their
-            /// declared lengths instead of decoding and checksumming every
-            /// body (the default implementation's cost on a daemon restore
-            /// over a large `.nstr`). Cursor, frame counter and error
-            /// latching behave exactly like `count` calls to `next_batch`
-            /// that drop their result.
-            fn skip_batches(&mut self, count: u64) -> u64 {
-                self.walker.skip_batches(count)
-            }
-        }
-    };
-}
-
-reader_api!([R: Read] TraceReader<R>);
-reader_api!([] SharedTraceReader);
 
 /// Decodes a little-endian `u64` at `bytes[at..at + 8]`.
 ///
@@ -723,15 +551,11 @@ fn le_u16(bytes: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([bytes[at], bytes[at + 1]])
 }
 
-/// Decodes one frame body straight into a [`PacketStore`].
-///
-/// `body` is the checksummed prefix of `run`, which turns each payload's byte
-/// range into its [`Bytes`] (a copy, or a window into the shared container).
-/// This is the single decode loop both readers share, so their batch streams
-/// (and error behaviour) cannot diverge.
+/// Decodes the checksummed frame body at `container[body]` straight into a
+/// [`PacketStore`]; each payload is an O(1) window into `container`.
 fn decode_store(
-    run: &Run<'_>,
-    body: &[u8],
+    container: &Bytes,
+    body: Range<usize>,
     count: u32,
     frame: u64,
 ) -> Result<PacketStore, FormatError> {
@@ -741,14 +565,15 @@ fn decode_store(
     if u64::from(count) * PACKET_RECORD_BYTES > body.len() as u64 {
         return Err(corrupt());
     }
-    let mut at = 0usize;
-    let mut take = |n: usize| -> Result<std::ops::Range<usize>, FormatError> {
-        let end = at.checked_add(n).filter(|&end| end <= body.len()).ok_or_else(corrupt)?;
+    let bytes = container.as_slice();
+    let mut at = body.start;
+    let mut take = |n: usize| -> Result<Range<usize>, FormatError> {
+        let end = at.checked_add(n).filter(|&end| end <= body.end).ok_or_else(corrupt)?;
         Ok(std::mem::replace(&mut at, end)..end)
     };
     let mut builder = PacketStore::builder(count as usize);
     for _ in 0..count {
-        let record = &body[take(PACKET_RECORD_BYTES as usize)?];
+        let record = &bytes[take(PACKET_RECORD_BYTES as usize)?];
         let tuple = FiveTuple::new(
             le_u32(record, 8),
             le_u32(record, 12),
@@ -758,11 +583,11 @@ fn decode_store(
         );
         let payload = match le_u32(record, 26) {
             NO_PAYLOAD => None,
-            len => Some(run.payload(take(len as usize)?)),
+            len => Some(container.slice(take(len as usize)?)),
         };
         builder.push(le_u64(record, 0), tuple, le_u32(record, 22), record[21], payload);
     }
-    if at != body.len() {
+    if at != body.end {
         return Err(corrupt());
     }
     Ok(builder.finish())
@@ -784,6 +609,14 @@ mod tests {
         .batches(5)
     }
 
+    fn reader(bytes: &[u8]) -> Result<SharedTraceReader, FormatError> {
+        SharedTraceReader::new(Bytes::copy_from_slice(bytes))
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Vec<Batch>, FormatError> {
+        decode_batches_shared(&Bytes::copy_from_slice(bytes))
+    }
+
     /// Rewrites the end frame's batch count in place, fixing up its checksum
     /// so only the count (not the container integrity) is wrong.
     fn falsify_end_count(bytes: &mut [u8], declared: u64) {
@@ -801,7 +634,7 @@ mod tests {
         let batches = sample_batches(true);
         let bytes = encode_batches(&batches, 100_000).expect("encode");
 
-        // Reference cursor: a wrapper that hides the readers' overrides, so
+        // Reference cursor: a wrapper that hides the reader's override, so
         // `skip_batches` resolves to the trait's decode-and-drop default.
         struct DefaultSkip<S>(S);
         impl<S: PacketSource> PacketSource for DefaultSkip<S> {
@@ -812,23 +645,17 @@ mod tests {
 
         // 0 = no-op, mid-stream, exact end, past the end (shortfall).
         for skip in [0u64, 1, 3, 5, 7] {
-            let mut reference = DefaultSkip(TraceReader::new(&bytes[..]).expect("header"));
+            let mut reference = DefaultSkip(reader(&bytes).expect("header"));
             let reference_skipped = reference.skip_batches(skip);
             let reference_rest: Vec<Batch> =
                 std::iter::from_fn(|| reference.next_batch()).collect();
             assert!(reference.0.error().is_none());
 
-            let mut fast = TraceReader::new(&bytes[..]).expect("header");
+            let mut fast = reader(&bytes).expect("header");
             assert_eq!(fast.skip_batches(skip), reference_skipped, "skip={skip}");
             let fast_rest: Vec<Batch> = std::iter::from_fn(|| fast.next_batch()).collect();
             assert!(fast.error().is_none(), "skip={skip}");
             assert_eq!(fast_rest, reference_rest, "skip={skip}");
-
-            let mut shared = SharedTraceReader::new(Bytes::from(bytes.clone())).expect("header");
-            assert_eq!(shared.skip_batches(skip), reference_skipped, "skip={skip}");
-            let shared_rest: Vec<Batch> = std::iter::from_fn(|| shared.next_batch()).collect();
-            assert!(shared.error().is_none(), "skip={skip}");
-            assert_eq!(shared_rest, reference_rest, "skip={skip}");
         }
     }
 
@@ -837,16 +664,18 @@ mod tests {
         let batches = sample_batches(false);
         let bytes = encode_batches(&batches, 100_000).expect("encode");
         // Cut mid-body of some frame: the skip must run off the end and
-        // latch `Truncated` instead of silently succeeding.
+        // latch `Truncated` instead of silently succeeding, after exactly
+        // the frames the decoding cursor gets through.
         let cut = &bytes[..bytes.len() / 2];
-        let mut reader = TraceReader::new(cut).expect("header");
-        let skipped = reader.skip_batches(u64::from(u32::MAX));
+        let mut skipping = reader(cut).expect("header");
+        let skipped = skipping.skip_batches(u64::from(u32::MAX));
         assert!(skipped < batches.len() as u64);
-        assert!(matches!(reader.error(), Some(FormatError::Truncated)));
+        assert!(matches!(skipping.error(), Some(FormatError::Truncated)));
 
-        let mut shared = SharedTraceReader::new(Bytes::from(cut.to_vec())).expect("header");
-        assert_eq!(shared.skip_batches(u64::from(u32::MAX)), skipped);
-        assert!(matches!(shared.error(), Some(FormatError::Truncated)));
+        let mut decoding = reader(cut).expect("header");
+        let decoded = std::iter::from_fn(|| decoding.next_batch()).count() as u64;
+        assert_eq!(decoded, skipped);
+        assert!(matches!(decoding.error(), Some(FormatError::Truncated)));
     }
 
     #[test]
@@ -854,8 +683,7 @@ mod tests {
         for payloads in [false, true] {
             let batches = sample_batches(payloads);
             let bytes = encode_batches(&batches, 100_000).expect("encode");
-            let decoded = decode_batches(&bytes).expect("decode");
-            assert_eq!(batches, decoded, "payloads={payloads}");
+            assert_eq!(batches, decode(&bytes).expect("decode"), "payloads={payloads}");
         }
     }
 
@@ -897,45 +725,29 @@ mod tests {
                 crate::packet::Packet::with_payload(2, tuple, 40, 0, Bytes::new()),
             ],
         );
-        let bytes = encode_batches(&[batch], 100_000).expect("encode");
-        for decoded in [
-            decode_batches(&bytes).expect("decode"),
-            decode_batches_shared(&Bytes::from(bytes.clone())).expect("shared decode"),
-        ] {
-            assert_eq!(decoded[0].packets.get(0).payload(), None);
-            assert_eq!(decoded[0].packets.get(1).payload(), Some(&Bytes::new()));
-        }
+        let decoded = decode(&encode_batches(&[batch], 100_000).expect("encode")).expect("decode");
+        assert_eq!(decoded[0].packets.get(0).payload(), None);
+        assert_eq!(decoded[0].packets.get(1).payload(), Some(&Bytes::new()));
     }
 
     #[test]
     fn empty_batches_survive_the_container() {
         let batches = vec![Batch::empty(3, 300_000, 100_000), Batch::empty(4, 400_000, 100_000)];
         let bytes = encode_batches(&batches, 100_000).expect("encode");
-        assert_eq!(decode_batches(&bytes).expect("decode"), batches);
-        assert_eq!(decode_batches_shared(&Bytes::from(bytes)).expect("shared"), batches);
+        assert_eq!(decode(&bytes).expect("decode"), batches);
     }
 
     #[test]
     fn reader_reports_the_header_time_bin() {
         let bytes = encode_batches(&[], 250_000).expect("encode");
-        let reader = TraceReader::new(&bytes[..]).expect("header");
-        assert_eq!(reader.time_bin_us(), 250_000);
-        let shared = SharedTraceReader::new(Bytes::from(bytes)).expect("header");
-        assert_eq!(shared.time_bin_us(), 250_000);
+        assert_eq!(reader(&bytes).expect("header").time_bin_us(), 250_000);
     }
 
     #[test]
     fn bad_magic_is_rejected() {
         let mut bytes = encode_batches(&sample_batches(false), 100_000).expect("encode");
         bytes[0] = b'X';
-        assert!(matches!(
-            TraceReader::new(&bytes[..]).err().expect("must fail"),
-            FormatError::BadMagic { .. }
-        ));
-        assert!(matches!(
-            SharedTraceReader::new(Bytes::from(bytes)).err().expect("must fail"),
-            FormatError::BadMagic { .. }
-        ));
+        assert!(matches!(reader(&bytes).err().expect("must fail"), FormatError::BadMagic { .. }));
     }
 
     #[test]
@@ -944,19 +756,9 @@ mod tests {
         // *before* the 8-byte header checksum is read: feeding a short
         // non-`.nstr` input must say "wrong format", not "truncated trace".
         let garbage = b"not a trace at all"; // 18 bytes: fixed header fits, checksum doesn't
-        assert!(matches!(
-            TraceReader::new(&garbage[..]).err().expect("must fail"),
-            FormatError::BadMagic { .. }
-        ));
-        assert!(matches!(
-            SharedTraceReader::new(Bytes::from(&garbage[..])).err().expect("must fail"),
-            FormatError::BadMagic { .. }
-        ));
+        assert!(matches!(reader(garbage).err().expect("must fail"), FormatError::BadMagic { .. }));
         // Shorter than the magic itself: truncation is the honest answer.
-        assert!(matches!(
-            TraceReader::new(&garbage[..3]).err().expect("must fail"),
-            FormatError::Truncated
-        ));
+        assert!(matches!(reader(&garbage[..3]).err().expect("must fail"), FormatError::Truncated));
     }
 
     #[test]
@@ -966,12 +768,7 @@ mod tests {
         for skewed in [TRACE_FORMAT_VERSION + 1, TRACE_FORMAT_VERSION - 1] {
             let mut bytes = encode_batches(&[], 100_000).expect("encode");
             bytes[4..6].copy_from_slice(&skewed.to_le_bytes());
-            assert!(matches!(
-                TraceReader::new(&bytes[..]).err().expect("must fail"),
-                FormatError::UnsupportedVersion { found, expected }
-                    if found == skewed && expected == TRACE_FORMAT_VERSION
-            ));
-            let err = SharedTraceReader::new(Bytes::from(bytes)).err().expect("must fail");
+            let err = reader(&bytes).err().expect("must fail");
             assert!(matches!(
                 err,
                 FormatError::UnsupportedVersion { found, expected }
@@ -993,11 +790,7 @@ mod tests {
         let mut bytes = encode_batches(&[], 100_000).expect("encode");
         bytes[9] ^= 0xff; // inside time_bin_us
         assert!(matches!(
-            TraceReader::new(&bytes[..]).err().expect("must fail"),
-            FormatError::ChecksumMismatch { .. }
-        ));
-        assert!(matches!(
-            SharedTraceReader::new(Bytes::from(bytes)).err().expect("must fail"),
+            reader(&bytes).err().expect("must fail"),
             FormatError::ChecksumMismatch { .. }
         ));
     }
@@ -1009,7 +802,7 @@ mod tests {
         // Flip a byte inside the first frame body (past the 24-byte header).
         let mut corrupt = clean.clone();
         corrupt[24 + 40] ^= 0x01;
-        let error = decode_batches(&corrupt).expect_err("corruption must be detected");
+        let error = decode(&corrupt).expect_err("corruption must be detected");
         assert!(
             matches!(error, FormatError::ChecksumMismatch { .. }),
             "got {error:?} instead of a checksum mismatch"
@@ -1017,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn every_single_byte_flip_is_detected_by_both_readers() {
+    fn every_single_byte_flip_is_detected() {
         // Exhaustive corruption sweep: every byte of the container is
         // covered by the header, a frame, or the end-frame checksum, so any
         // single-bit flip must surface as *some* FormatError — never as a
@@ -1027,10 +820,7 @@ mod tests {
         for at in 0..clean.len() {
             let mut corrupt = clean.clone();
             corrupt[at] ^= 0x01;
-            let copy_err = decode_batches(&corrupt);
-            assert!(copy_err.is_err(), "flip at byte {at} went undetected (copying reader)");
-            let shared_err = decode_batches_shared(&Bytes::from(corrupt));
-            assert!(shared_err.is_err(), "flip at byte {at} went undetected (shared reader)");
+            assert!(decode(&corrupt).is_err(), "flip at byte {at} went undetected");
         }
     }
 
@@ -1040,7 +830,7 @@ mod tests {
         // in an empty body, under a *valid* checksum (FNV + `hash_block` is
         // no secret). Sizing the columns for the claim would ask for 34 GB
         // and abort the process; the count must be checked against the body
-        // first, by both readers, before anything is allocated.
+        // first, before anything is allocated.
         let mut bytes = encode_batches(&[], 100_000).expect("encode");
         bytes.truncate(24);
         let mut head = [0u8; 32];
@@ -1054,17 +844,11 @@ mod tests {
             FormatError::ChecksumMismatch { location } => assert_eq!(location, "frame 0 body"),
             other => panic!("expected frame-body corruption, got {other:?}"),
         };
-        expect_body_corruption(&decode_batches(&bytes).expect_err("copying reader"));
-        expect_body_corruption(
-            &decode_batches_shared(&Bytes::from(bytes.clone())).expect_err("shared reader"),
-        );
-        // The streaming adapters latch the same error instead of dying.
-        let mut streamed = TraceReader::new(&bytes[..]).expect("header");
+        expect_body_corruption(&decode(&bytes).expect_err("decode"));
+        // The streaming adapter latches the same error instead of dying.
+        let mut streamed = reader(&bytes).expect("header");
         assert!(streamed.next_batch().is_none());
         expect_body_corruption(streamed.error().expect("latched"));
-        let mut shared = SharedTraceReader::new(Bytes::from(bytes)).expect("header");
-        assert!(shared.next_batch().is_none());
-        expect_body_corruption(shared.error().expect("latched"));
     }
 
     #[test]
@@ -1072,12 +856,7 @@ mod tests {
         let batches = sample_batches(true).into_iter().take(2).collect::<Vec<_>>();
         let clean = encode_batches(&batches, 100_000).expect("encode");
         for len in 0..clean.len() {
-            let cut = &clean[..len];
-            assert!(decode_batches(cut).is_err(), "prefix of {len} bytes decoded cleanly");
-            assert!(
-                decode_batches_shared(&Bytes::copy_from_slice(cut)).is_err(),
-                "prefix of {len} bytes decoded cleanly (shared reader)"
-            );
+            assert!(decode(&clean[..len]).is_err(), "prefix of {len} bytes decoded cleanly");
         }
     }
 
@@ -1087,7 +866,7 @@ mod tests {
         // Drop the end frame (and a bit more).
         let cut = &bytes[..bytes.len() - 20];
         assert!(matches!(
-            decode_batches(cut).expect_err("must fail"),
+            decode(cut).expect_err("must fail"),
             FormatError::Truncated | FormatError::ChecksumMismatch { .. }
         ));
     }
@@ -1097,17 +876,13 @@ mod tests {
         let batches = sample_batches(false);
         let mut bytes = encode_batches(&batches, 100_000).expect("encode");
         falsify_end_count(&mut bytes, batches.len() as u64 + 2);
-        match decode_batches(&bytes).expect_err("must fail") {
+        match decode(&bytes).expect_err("must fail") {
             FormatError::CountMismatch { declared, decoded } => {
                 assert_eq!(declared, batches.len() as u64 + 2);
                 assert_eq!(decoded, batches.len() as u64);
             }
             other => panic!("expected CountMismatch, got {other:?}"),
         }
-        assert!(matches!(
-            decode_batches_shared(&Bytes::from(bytes)).expect_err("must fail"),
-            FormatError::CountMismatch { .. }
-        ));
     }
 
     #[test]
@@ -1115,55 +890,36 @@ mod tests {
         let mut bytes = encode_batches(&sample_batches(false), 100_000).expect("encode");
         let last = bytes.len() - 1; // inside the end frame's checksum
         bytes[last] ^= 0xff;
-        for error in [
-            decode_batches(&bytes).expect_err("must fail"),
-            decode_batches_shared(&Bytes::from(bytes.clone())).expect_err("must fail"),
-        ] {
-            match error {
-                FormatError::ChecksumMismatch { location } => assert_eq!(location, "end frame"),
-                other => panic!("expected an end-frame checksum mismatch, got {other:?}"),
-            }
+        match decode(&bytes).expect_err("must fail") {
+            FormatError::ChecksumMismatch { location } => assert_eq!(location, "end frame"),
+            other => panic!("expected an end-frame checksum mismatch, got {other:?}"),
         }
     }
 
     #[test]
-    fn reader_is_a_packet_source_and_latches_errors() {
+    fn reader_is_a_packet_source_and_latches_the_right_error() {
         let batches = sample_batches(true);
         let bytes = encode_batches(&batches, 100_000).expect("encode");
-        let mut source = TraceReader::new(&bytes[..]).expect("header").take_batches(3);
-        let mut produced = 0;
-        while source.next_batch().is_some() {
-            produced += 1;
-        }
-        assert_eq!(produced, 3);
+        let mut source = reader(&bytes).expect("header").take_batches(3);
+        assert_eq!(std::iter::from_fn(|| source.next_batch()).count(), 3);
 
         // A truncated stream ends early and reports why. Cut past the end
         // frame (17 bytes) and into the last batch frame's checksum.
-        let cut = &bytes[..bytes.len() - 25];
-        let mut reader = TraceReader::new(cut).expect("header survives");
-        let mut decoded = 0;
-        while PacketSource::next_batch(&mut reader).is_some() {
-            decoded += 1;
-        }
-        assert!(decoded < batches.len());
-        assert!(reader.error().is_some(), "the decode error must be latched");
-    }
+        let mut truncated = reader(&bytes[..bytes.len() - 25]).expect("header survives");
+        let decoded = std::iter::from_fn(|| truncated.next_batch()).count();
+        assert_eq!(decoded, batches.len() - 1);
+        assert!(matches!(truncated.error(), Some(FormatError::Truncated)));
 
-    #[test]
-    fn shared_reader_is_a_packet_source_and_latches_the_right_error() {
-        let batches = sample_batches(true);
-        let mut bytes = encode_batches(&batches, 100_000).expect("encode");
-        falsify_end_count(&mut bytes, 0);
-        let mut reader = SharedTraceReader::new(Bytes::from(bytes)).expect("header");
-        let mut decoded = 0;
-        while PacketSource::next_batch(&mut reader).is_some() {
-            decoded += 1;
-        }
+        // A bad end frame latches only after every frame decoded.
+        let mut miscounted = bytes;
+        falsify_end_count(&mut miscounted, 0);
+        let mut miscounted = reader(&miscounted).expect("header");
+        let decoded = std::iter::from_fn(|| miscounted.next_batch()).count();
         assert_eq!(decoded, batches.len(), "all frames decode before the bad end frame");
         assert!(
-            matches!(reader.error(), Some(FormatError::CountMismatch { .. })),
+            matches!(miscounted.error(), Some(FormatError::CountMismatch { .. })),
             "the count mismatch must latch, got {:?}",
-            reader.error()
+            miscounted.error()
         );
     }
 
@@ -1171,10 +927,7 @@ mod tests {
     fn into_replay_rewinds_the_recording() {
         let batches = sample_batches(false);
         let bytes = encode_batches(&batches, 100_000).expect("encode");
-        let mut replay = SharedTraceReader::new(Bytes::from(bytes))
-            .expect("header")
-            .into_replay()
-            .expect("decode");
+        let mut replay = reader(&bytes).expect("header").into_replay().expect("decode");
         assert_eq!(replay.len(), batches.len());
         let first: Vec<u64> =
             std::iter::from_fn(|| replay.next_batch()).map(|b| b.bin_index).collect();

@@ -12,8 +12,11 @@
 //!   feature counters (unique/new/repeated items) behave like real traffic,
 //! * an application mix (web, DNS, P2P, bulk transfer) with optional payloads
 //!   so that signature-matching queries have something to match,
-//! * injectable anomalies (DDoS floods with spoofed sources, SYN floods, worm
-//!   outbreaks, byte bursts) reproducing Section 3.4.3 of the paper.
+//! * injectable anomalies, one [`AnomalyKind`] vocabulary for the generator
+//!   and for scenarios: the attacks of Section 3.4.3 of the paper (DDoS
+//!   floods with spoofed sources, SYN floods, worm outbreaks, byte bursts),
+//!   port scans and flash crowds, and three that game the cost predictor
+//!   (Boyer–Moore worst-case payloads, flow churn, aggregate-key skew).
 //!
 //! The fundamental unit consumed by the monitoring system is the [`Batch`]:
 //! all packets that arrived during one *time bin* (100 ms in the paper).
@@ -47,22 +50,21 @@ pub use aggregate::{
     Aggregate, AggregateHashes, AggregateSlots, AGGREGATE_COUNT, AGGREGATE_HASH_SEED,
     AGGREGATE_MAX_CARDINALITY,
 };
-pub use anomaly::{Anomaly, AnomalyInjector, AnomalyKind};
+pub use anomaly::{Anomaly, AnomalyKind};
 pub use batch::{
     shard_key, Batch, BatchBuilder, BatchStats, BatchView, IndexedPackets, KeepListPool, PacketRef,
     PacketStore, StoreBuilder, TimestampJumpError, FLOW_KEY_SEED, MAX_GAP_BINS,
 };
 pub use flows::{FlowIndex, FlowSet, FlowTotals};
 pub use format::{
-    decode_batches, decode_batches_shared, encode_batches, FormatError, SharedTraceReader,
-    TraceReader, TraceWriter, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    decode_batches_shared, encode_batches, FormatError, SharedTraceReader, TraceWriter,
+    TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 pub use generator::{AppProtocol, TraceConfig, TraceGenerator};
 pub use packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN};
 pub use profiles::TraceProfile;
 pub use scenario::{
-    AnomalyEvent, Link, Phase, Scenario, ScenarioAnomaly, ScenarioError, ScenarioSource,
-    TrafficSpec,
+    AnomalyEvent, Link, Phase, Scenario, ScenarioError, ScenarioSource, TrafficSpec,
 };
 pub use source::{BatchReplay, Interleave, PacketSource, PacketSourceExt, Take};
 

@@ -175,50 +175,11 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// The anomaly shapes a scenario can inject, one per threat family the
-/// paper's robustness evaluation exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioAnomaly {
-    /// Volume DDoS flood from spoofed sources towards one target.
-    Ddos {
-        /// Target host of the attack.
-        target: u32,
-    },
-    /// Port scan: one source probing low ports across many hosts.
-    PortScan {
-        /// Scanning host.
-        source: u32,
-    },
-    /// Flash crowd: legitimate-looking clients rushing one server.
-    FlashCrowd {
-        /// The suddenly-popular server.
-        target: u32,
-        /// Server port the crowd connects to.
-        port: u16,
-    },
-    /// Link flap: the link goes dark — base traffic is generated but lost,
-    /// so the affected bins arrive empty (and the generator state, including
-    /// any other link's stream, is unaffected).
-    LinkFlap,
-    /// Adversarial payload pathology: HTTP-looking traffic tiled with a
-    /// Boyer–Moore worst-case block, so string-search cost per byte explodes
-    /// while every aggregate feature stays calm
-    /// ([`AnomalyKind::PatternStress`]).
-    PatternStress,
-    /// Adversarial flow churn: constant packet volume whose flow identities
-    /// alternate between a reused pool and fresh spoofed tuples, thrashing
-    /// state-query hash tables ([`AnomalyKind::FlowChurn`]).
-    FlowChurn,
-    /// Adversarial aggregate-key skew: elephant flows that turn per-flow
-    /// sampling into an all-or-nothing lottery
-    /// ([`AnomalyKind::AggregateSkew`]).
-    AggregateSkew,
-}
-
 /// One anomaly, placed on a window of phase-relative bins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnomalyEvent {
-    kind: ScenarioAnomaly,
+    /// The shape of the injected packets; `None` is a link flap.
+    kind: Option<AnomalyKind>,
     start_bin: u64,
     /// `None` = until the end of the phase (resolved at validation time).
     duration_bins: Option<u64>,
@@ -227,45 +188,51 @@ pub struct AnomalyEvent {
 }
 
 impl AnomalyEvent {
-    /// An event of the given kind covering its whole phase (narrow it with
-    /// [`AnomalyEvent::over`]).
-    pub fn new(kind: ScenarioAnomaly) -> Self {
+    /// An event injecting `kind` packets over its whole phase (narrow it
+    /// with [`AnomalyEvent::over`]).
+    pub fn new(kind: AnomalyKind) -> Self {
+        Self::placed(Some(kind))
+    }
+
+    fn placed(kind: Option<AnomalyKind>) -> Self {
         Self { kind, start_bin: 0, duration_bins: None, packets_per_bin: 200, duty_cycle_bins: 0 }
     }
 
-    /// A volume DDoS flood against `target`.
+    /// A volume DDoS flood from spoofed sources against `target`.
     pub fn ddos(target: u32) -> Self {
-        Self::new(ScenarioAnomaly::Ddos { target })
+        Self::new(AnomalyKind::DdosFlood { target })
     }
 
     /// A port scan from `source`.
     pub fn port_scan(source: u32) -> Self {
-        Self::new(ScenarioAnomaly::PortScan { source })
+        Self::new(AnomalyKind::PortScan { source })
     }
 
     /// A flash crowd towards `target:port`.
     pub fn flash_crowd(target: u32, port: u16) -> Self {
-        Self::new(ScenarioAnomaly::FlashCrowd { target, port })
+        Self::new(AnomalyKind::FlashCrowd { target, port })
     }
 
-    /// A link flap (the link's traffic is lost for the window).
+    /// A link flap: the link goes dark for the window — base traffic is
+    /// generated but lost, so the affected bins arrive empty (and the
+    /// generator state, including any other link's stream, is unaffected).
     pub fn link_flap() -> Self {
-        Self::new(ScenarioAnomaly::LinkFlap)
+        Self::placed(None)
     }
 
     /// A Boyer–Moore worst-case payload attack (feature mimicry).
     pub fn pattern_stress() -> Self {
-        Self::new(ScenarioAnomaly::PatternStress)
+        Self::new(AnomalyKind::PatternStress)
     }
 
     /// A flow-churn attack on stateful queries.
     pub fn flow_churn() -> Self {
-        Self::new(ScenarioAnomaly::FlowChurn)
+        Self::new(AnomalyKind::FlowChurn)
     }
 
     /// An aggregate-key skew attack on flow sampling.
     pub fn aggregate_skew() -> Self {
-        Self::new(ScenarioAnomaly::AggregateSkew)
+        Self::new(AnomalyKind::AggregateSkew)
     }
 
     /// Places the event on `[start_bin, start_bin + duration_bins)`,
@@ -289,8 +256,8 @@ impl AnomalyEvent {
         self
     }
 
-    /// The anomaly shape.
-    pub fn kind(&self) -> ScenarioAnomaly {
+    /// The shape of the injected packets; `None` for a link flap.
+    pub fn kind(&self) -> Option<AnomalyKind> {
         self.kind
     }
 
@@ -592,7 +559,7 @@ impl Scenario {
                             duration: phase.duration_bins,
                         });
                     }
-                    if event.kind != ScenarioAnomaly::LinkFlap {
+                    if event.kind.is_some() {
                         if matches!(phase.traffic, TrafficSpec::Silent) {
                             return Err(ScenarioError::AnomalyOnSilentPhase {
                                 phase: phase.name.clone(),
@@ -675,22 +642,9 @@ impl Scenario {
             for event in &phase.anomalies {
                 let (start, end) = event.window(phase.duration_bins);
                 match event.kind {
-                    ScenarioAnomaly::LinkFlap => flaps.push((start, end)),
-                    kind => {
-                        let injected = match kind {
-                            ScenarioAnomaly::Ddos { target } => AnomalyKind::DdosFlood { target },
-                            ScenarioAnomaly::PortScan { source } => {
-                                AnomalyKind::PortScan { source }
-                            }
-                            ScenarioAnomaly::FlashCrowd { target, port } => {
-                                AnomalyKind::FlashCrowd { target, port }
-                            }
-                            ScenarioAnomaly::PatternStress => AnomalyKind::PatternStress,
-                            ScenarioAnomaly::FlowChurn => AnomalyKind::FlowChurn,
-                            ScenarioAnomaly::AggregateSkew => AnomalyKind::AggregateSkew,
-                            ScenarioAnomaly::LinkFlap => unreachable!("handled above"),
-                        };
-                        let anomaly = Anomaly::new(injected, start, end, event.packets_per_bin)
+                    None => flaps.push((start, end)),
+                    Some(kind) => {
+                        let anomaly = Anomaly::new(kind, start, end, event.packets_per_bin)
                             .with_duty_cycle(event.duty_cycle_bins);
                         generator
                             .as_mut()
@@ -940,6 +894,7 @@ pub fn builtin(name: &str) -> Option<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::TCP_SYN;
 
     fn tiny(name: &str) -> Scenario {
         Scenario::new(name)
@@ -1001,6 +956,33 @@ mod tests {
                 assert!(attack_packets < 50, "bin {bin} should be clean");
             }
         }
+    }
+
+    #[test]
+    fn every_anomaly_kind_schedules_through_the_one_vocabulary() {
+        // `AnomalyEvent::new` takes the generator's own `AnomalyKind`, so the
+        // kinds without a named constructor schedule like the rest.
+        let (target, port) = (0x0a00_0063, 8080);
+        let flood = AnomalyEvent::new(AnomalyKind::SynFlood { target, port });
+        let scenario = Scenario::new("syn").seed(3).phase(
+            Phase::new("p", 6)
+                .profile(TraceProfile::CescaI)
+                .scale(0.05)
+                .anomaly(flood.over(2, 2).intensity(300)),
+        );
+        for (bin, batch) in scenario.generate().expect("valid").iter().enumerate() {
+            let syns = batch
+                .packets
+                .iter()
+                .filter(|p| {
+                    let tuple = p.tuple();
+                    tuple.dst_ip == target && tuple.dst_port == port && p.tcp_flags() == TCP_SYN
+                })
+                .count();
+            assert_eq!(syns >= 300, (2..4).contains(&bin), "bin {bin}: {syns} SYNs");
+        }
+        assert_eq!(flood.kind(), Some(AnomalyKind::SynFlood { target, port }));
+        assert_eq!(AnomalyEvent::link_flap().kind(), None);
     }
 
     #[test]

@@ -132,7 +132,8 @@ impl PacketSource for BatchReplay {
     }
 }
 
-/// A slice of batches is a replay source too (clones on demand).
+/// An owning batch iterator is a one-shot replay source too: each batch is
+/// moved out, not cloned.
 impl PacketSource for std::vec::IntoIter<Batch> {
     fn next_batch(&mut self) -> Option<Batch> {
         self.next()

@@ -7,8 +7,8 @@
 //! ```
 
 use netshed::prelude::*;
-use netshed_trace::encode_batches;
 use netshed_trace::scenario::builtin;
+use netshed_trace::{encode_batches, Bytes};
 
 fn main() -> Result<(), NetshedError> {
     // 1. A declarative workload: the built-in DDoS scenario (calm traffic,
@@ -25,7 +25,7 @@ fn main() -> Result<(), NetshedError> {
     // 2. Record it: scenario → batches → `.nstr` bytes (a file on disk in
     //    real deployments; in-memory here).
     let batches = scenario.generate()?;
-    let recording = encode_batches(&batches, scenario.bin_duration_us())?;
+    let recording = Bytes::from(encode_batches(&batches, scenario.bin_duration_us())?);
     println!(
         "\nrecorded {} packets into {} bytes (checksummed, versioned)",
         batches.iter().map(Batch::len).sum::<usize>(),
@@ -48,7 +48,7 @@ fn main() -> Result<(), NetshedError> {
             Monitor::builder().capacity(capacity).seed(7).queries(specs.clone()).build()?;
         let mut digest = DigestObserver::new();
         let summary = if replayed {
-            let mut source = TraceReader::new(&recording[..])?.into_replay()?;
+            let mut source = SharedTraceReader::new(recording.clone())?.into_replay()?;
             monitor.run(&mut source, &mut digest)?
         } else {
             let mut source = scenario.compile()?;

@@ -48,8 +48,8 @@ pub use netshed_predict::{Predictor, RobustMlrConfig, RobustMlrPredictor};
 pub use netshed_queries::{QueryKind, QueryOutput, QuerySpec};
 pub use netshed_trace::{
     shard_key, AnomalyEvent, Batch, BatchReplay, BatchView, FormatError, Interleave, Link,
-    PacketSource, PacketSourceExt, Phase, Scenario, ScenarioAnomaly, ScenarioError, ScenarioSource,
-    TraceConfig, TraceGenerator, TraceProfile, TraceReader, TraceWriter,
+    PacketSource, PacketSourceExt, Phase, Scenario, ScenarioError, ScenarioSource,
+    SharedTraceReader, TraceConfig, TraceGenerator, TraceProfile, TraceWriter,
 };
 
 /// Everything a typical experiment needs, in one import.
@@ -68,8 +68,7 @@ pub mod prelude {
     pub use netshed_queries::{CustomBehavior, QueryKind, QueryOutput, QuerySpec};
     pub use netshed_trace::{
         shard_key, Anomaly, AnomalyEvent, AnomalyKind, Batch, BatchReplay, BatchView, FormatError,
-        Interleave, Link, PacketSource, PacketSourceExt, Phase, Scenario, ScenarioAnomaly,
-        ScenarioError, ScenarioSource, TraceConfig, TraceGenerator, TraceProfile, TraceReader,
-        TraceWriter,
+        Interleave, Link, PacketSource, PacketSourceExt, Phase, Scenario, ScenarioError,
+        ScenarioSource, SharedTraceReader, TraceConfig, TraceGenerator, TraceProfile, TraceWriter,
     };
 }

@@ -38,7 +38,7 @@ use netshed_bench::corpus::{
     parse_manifest, GoldenEntry, MANIFEST_NAME, TRACE_EXTENSION,
 };
 use netshed_trace::scenario::builtins;
-use netshed_trace::{decode_batches, decode_batches_shared, encode_batches, Bytes};
+use netshed_trace::{decode_batches_shared, encode_batches, Bytes};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -94,7 +94,7 @@ fn committed_recordings_match_the_generators() {
                 path.display()
             )
         });
-        let recorded = decode_batches(&bytes).unwrap_or_else(|e| {
+        let recorded = decode_batches_shared(&Bytes::from(bytes)).unwrap_or_else(|e| {
             panic!("{}: committed recording does not decode: {e}", scenario.name())
         });
         let generated = scenario.generate().expect("builtins are valid");
@@ -115,13 +115,8 @@ fn roundtrip_replay_is_bit_identical_for_every_strategy_and_worker_count() {
     for scenario in builtins() {
         let generated = scenario.generate().expect("builtins are valid");
         let encoded = encode_batches(&generated, scenario.bin_duration_us()).expect("encode");
-        let replayed = decode_batches(&encoded).expect("decode");
+        let replayed = decode_batches_shared(&Bytes::from(encoded)).expect("decode");
         assert_eq!(generated, replayed, "{}: packet round-trip", scenario.name());
-        // The zero-copy reader is a full peer of the copying one: its batches
-        // (payloads borrowed from the container) must compare bit-identical.
-        let container = Bytes::from(encoded);
-        let borrowed = decode_batches_shared(&container).expect("shared decode");
-        assert_eq!(generated, borrowed, "{}: borrowed-replay round-trip", scenario.name());
 
         let capacity = corpus_capacity(&generated);
         for (name, strategy) in all_strategies() {

@@ -453,13 +453,12 @@ impl PerPacketKernel for PerPacketTopK {
             meter.charge(costs::PER_PACKET_BASE + costs::HASH_LOOKUP + costs::RANKING_UPDATE);
             let bytes = f64::from(packet.ip_len()) / rate;
             let dst = packet.tuple().dst_ip;
-            match self.position.get(&dst) {
-                Some(&at) => self.entries[at].1 += bytes,
-                None => {
-                    meter.charge(costs::HASH_INSERT);
-                    self.position.insert(dst, self.entries.len());
-                    self.entries.push((dst, bytes));
-                }
+            if let Some(&at) = self.position.get(&dst) {
+                self.entries[at].1 += bytes;
+            } else {
+                meter.charge(costs::HASH_INSERT);
+                self.position.insert(dst, self.entries.len());
+                self.entries.push((dst, bytes));
             }
         }
     }
@@ -507,13 +506,12 @@ impl PerPacketKernel for PerPacketAutofocus {
             for len in [8u8, 16, 24] {
                 meter.charge(costs::PREFIX_LEVEL);
                 let key = (packet.tuple().dst_ip & (!0u32 << (32 - len)), len);
-                match self.position.get(&key) {
-                    Some(&at) => self.entries[at].1 += bytes,
-                    None => {
-                        meter.charge(costs::HASH_INSERT);
-                        self.position.insert(key, self.entries.len());
-                        self.entries.push((key, bytes));
-                    }
+                if let Some(&at) = self.position.get(&key) {
+                    self.entries[at].1 += bytes;
+                } else {
+                    meter.charge(costs::HASH_INSERT);
+                    self.position.insert(key, self.entries.len());
+                    self.entries.push((key, bytes));
                 }
             }
         }

@@ -650,7 +650,9 @@ fn crafted_selection_and_cost_are_rejected(
     let craft = |selected: &[usize], cost: u64| {
         let mut writer = StateWriter::new();
         writer.usize(selected.len());
-        selected.iter().for_each(|&feature| writer.usize(feature));
+        for &feature in selected {
+            writer.usize(feature);
+        }
         writer.usize(batches);
         writer.u64(cost);
         [history, &writer.into_bytes(), tail].concat()

@@ -4,7 +4,7 @@
 
 use netshed::prelude::*;
 use netshed_trace::scenario::builtin;
-use netshed_trace::{decode_batches, encode_batches};
+use netshed_trace::{decode_batches_shared, encode_batches, Bytes};
 
 fn specs() -> Vec<QuerySpec> {
     vec![QuerySpec::new(QueryKind::Counter), QuerySpec::new(QueryKind::Flows)]
@@ -36,11 +36,11 @@ fn a_compiled_scenario_drives_a_monitor_run() {
 #[test]
 fn scenario_runs_equal_their_recorded_replays() {
     // The streaming path (monitor fed by the compiled source) and the
-    // recorded path (monitor fed by a TraceReader over the encoded bytes)
-    // must produce identical summaries and digests.
+    // recorded path (monitor fed by a SharedTraceReader over the encoded
+    // bytes) must produce identical summaries and digests.
     let scenario = demo_scenario();
     let batches = scenario.generate().expect("valid scenario");
-    let bytes = encode_batches(&batches, scenario.bin_duration_us()).expect("encode");
+    let bytes = Bytes::from(encode_batches(&batches, scenario.bin_duration_us()).expect("encode"));
 
     let run = |source: &mut dyn PacketSource| {
         let mut monitor = Monitor::builder()
@@ -57,13 +57,14 @@ fn scenario_runs_equal_their_recorded_replays() {
 
     let mut live = scenario.compile().expect("valid scenario");
     let (live_summary, live_digest) = run(&mut live);
-    let mut replay = TraceReader::new(&bytes[..]).expect("header").into_replay().expect("decode");
+    let mut replay =
+        SharedTraceReader::new(bytes.clone()).expect("header").into_replay().expect("decode");
     let (replay_summary, replay_digest) = run(&mut replay);
     assert_eq!(live_summary, replay_summary);
     assert_eq!(live_digest, replay_digest);
 
     // Streaming straight from the reader (no materialised Vec) matches too.
-    let mut streamed = TraceReader::new(&bytes[..]).expect("header");
+    let mut streamed = SharedTraceReader::new(bytes).expect("header");
     let (streamed_summary, streamed_digest) = run(&mut streamed);
     assert!(streamed.error().is_none(), "clean stream must not latch an error");
     assert_eq!(streamed_summary, live_summary);
@@ -94,7 +95,8 @@ fn scenario_validation_errors_convert_to_typed_netshed_errors() {
     assert!(error.to_string().contains("CESCA-III"), "{error}");
 
     // And format errors convert too.
-    let error: NetshedError = decode_batches(b"not a trace at all").expect_err("must fail").into();
+    let garbage = Bytes::from_static(b"not a trace at all");
+    let error: NetshedError = decode_batches_shared(&garbage).expect_err("must fail").into();
     assert!(matches!(error, NetshedError::TraceFormat(_)));
     assert!(error.to_string().contains("NSTR"), "{error}");
 }
