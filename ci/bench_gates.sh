@@ -36,11 +36,19 @@ require '"shared_ns_per_bin"' "lost the prediction plane's shared-window row"
 forbid '"alloc_ns_per_bin"' "carries the retired alloc_ns_per_bin row"
 # An aligned predictor reads the window's factorisation of the features it
 # selected and pays only its own projection: its cycle may not cost more than
-# 0.45 of a private one's (0.566 when it shared the moments alone).
+# 0.55 of a private one's (0.566 when it shared the moments alone, 0.435 with
+# the factorisation too while the timed tenant had the first one's cycles).
+# Since a tenant with the same inputs copies the whole prediction, the timed
+# tenant meters twice the first one's cycles, so it computes its own and pays
+# the table's miss path besides: the fingerprint, the probe and the filing.
+# Six alternating full runs read the cycle at that 2x tenant 0.30-0.50
+# (median 0.438) before the table and 0.480-0.530 (median 0.496) with it; a
+# stand-alone loop of the two cycles, best of 15 passes, put the miss path
+# at +60-90 ns on a ~1.1 us cycle. The ceiling is re-based from 0.45 on that.
 require '"shared_vs_private"' "lost the prediction plane's shared_vs_private row"
 if [ "$kind" = committed ]; then
-  awk -F': *' '/"shared_vs_private"/ { if ($2 + 0 > 0.45) exit 1 }' "$file" ||
-    fail "shared_vs_private is above 0.45"
+  awk -F': *' '/"shared_vs_private"/ { if ($2 + 0 > 0.55) exit 1 }' "$file" ||
+    fail "shared_vs_private is above 0.55"
 fi
 
 # The pipeline bench times only code the monitor runs. The ten-pass
@@ -72,27 +80,34 @@ if [ "$kind" = committed ]; then
     fail "the 4-lane fleet's bin_ns_vs_solo is above 1.18"
 fi
 
-# The benchmark's unshed 200-tenant shape, by the same clock. Execute is the
-# largest stage: 0.59 of the bin while top-k, autofocus and application
-# looked their tables up per packet and every flows tenant hashed every flow
-# itself, 0.51 with one lookup per flow and one memoised flows key per flow
-# per batch; with the unit-rate sums added once per batch or per flow, not
-# once per packet, it may not take more than 0.44. Predict was 0.42 while
-# every tenant decomposed its own design matrix and 0.30 with one
-# factorisation per selected feature sequence; its nanoseconds did not move
-# when execute shrank beneath it, twice (the engine's stage clock, parent and
-# change alternating on this shape), so its ceiling is re-based from 0.36 to
-# 0.42 and then to 0.52 on a smaller bin each time, not loosened.
+# The benchmark's unshed 200-tenant shape, by the same clock. Predict was
+# 0.42 while every tenant decomposed its own design matrix, 0.30 with one
+# factorisation per selected feature sequence, and 0.45 once execute shrank
+# beneath it; with one prediction per distinct history a bin (tenants whose
+# inputs are equal bit for bit copy it) it may not take more than 0.15. The
+# window computes ~4 of the bin's 200 predictions in full
+# (`full_predictions_per_bin`, a count, so held on every run): more than 8
+# means tenants of one kind stopped sharing theirs. Execute was 0.59 while
+# top-k, autofocus and application looked their tables up per packet, 0.51
+# with one lookup per flow, 0.40 with the unit-rate sums; its nanoseconds did
+# not move when predict shrank (the engine's stage clock on this shape,
+# eight pairs with parent and change alternating, the fastest run of each
+# side: execute 253 -> 226 us, predict 281 -> 48 us, bin 615 -> 353 us), but
+# its share of the smaller bin rose to ~0.64, so its ceiling is re-based
+# from 0.44 to 0.70, not loosened.
 require '"tenants_200"' "lost the 200-tenant stage breakdown"
+require '"full_predictions_per_bin"' "lost the 200-tenant full_predictions_per_bin"
+awk -F': *' '/"full_predictions_per_bin"/ { if ($2 + 0 > 8) exit 1 }' "$file" ||
+  fail "the 200-tenant bin computes more than 8 predictions in full"
 if [ "$kind" = committed ]; then
   tenants_share() {
     awk -F': *' -v stage="\"$1\"" \
       '/"tenants_200"/ { t = 1 } t && $1 ~ stage { print $2 + 0; exit }' "$file"
   }
-  awk -v share="$(tenants_share execute)" 'BEGIN { exit !(share != "" && share <= 0.44) }' ||
-    fail "the 200-tenant bin's measured execute share is above 0.44"
-  awk -v share="$(tenants_share predict)" 'BEGIN { exit !(share != "" && share <= 0.52) }' ||
-    fail "the 200-tenant bin's measured predict share is above 0.52"
+  awk -v share="$(tenants_share execute)" 'BEGIN { exit !(share != "" && share <= 0.70) }' ||
+    fail "the 200-tenant bin's measured execute share is above 0.70"
+  awk -v share="$(tenants_share predict)" 'BEGIN { exit !(share != "" && share <= 0.15) }' ||
+    fail "the 200-tenant bin's measured predict share is above 0.15"
 fi
 
 # At rate 1.0 on a full view every packet length is an integer term, so the

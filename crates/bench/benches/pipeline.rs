@@ -34,13 +34,15 @@
 //!    (reselecting every bin, and with `reselect_every = 10`), the same
 //!    cycle for a predictor aligned with a warm shared feature window and
 //!    its ratio to the private one (`shared_vs_private`: the window's
-//!    moments and factorisation made by another tenant), and the cycle's
+//!    moments and factorisation made by another tenant, whose responses
+//!    differ, so the prediction is the predictor's own), and the cycle's
 //!    two halves on the same stream: the FCBF selection over the 60 x 42
 //!    history and the least-squares solve over the selected columns.
 //! 6. **registry scale**: the service-plane daemon at 10/100/1000 live
 //!    tenants — control-channel registration cost per query and the
 //!    steady-state per-bin cost, with the marginal nanoseconds each
-//!    additional tenant adds per bin.
+//!    additional tenant adds per bin — of identical tenants, so each one
+//!    after the first of a bin copies its prediction from the feature window.
 //! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers, and
 //!    the **sharded** row: the same pipeline through the fixed-lane
 //!    `ShardedMonitor` fleet at 1/2/4 workers. Every figure is a
@@ -54,7 +56,10 @@
 //!    (`bin_ns_vs_solo`) — beside the shares of the modelled cycles the same
 //!    runs' records carry: the cost model against the clock; and the seven
 //!    shares of the repo benchmark's unshed 200-tenant shape (`tenants_200`),
-//!    where per-query fixed costs — predict above all — make the bin.
+//!    where per-query fixed costs make the bin, with how many of its 200
+//!    predictions a bin the engine's feature window computed in full
+//!    (`full_predictions_per_bin`; the other tenants copy one made from the
+//!    same inputs).
 //! 9. **unit-rate kernels**: `counter`, `high-watermark`, `application` and
 //!    `top-k` on 500-packet full views at rate 1.0, where they add one exact
 //!    total per batch or per flow, against the same packets as all-kept
@@ -89,7 +94,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A counting wrapper around the system allocator: every heap acquisition
@@ -574,8 +580,9 @@ fn bench_fleet_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
 
 /// Times one predict+observe cycle per bin over a synthetic feature stream:
 /// the MLR predictor reselecting every bin (as the paper does), the same
-/// predictor aligned with a feature window another tenant has already read
-/// that bin (what each further query of an unshed engine pays), and with
+/// predictor aligned with a feature window another tenant, of other
+/// responses, has already read that bin (what each further query of an
+/// unshed engine pays unless its inputs equal another's), and with
 /// `reselect_every = 10` to show the FCBF amortisation; then the two halves
 /// of a prediction on the same stream, each over its own warm scratch — the
 /// FCBF selection over the full history, and the least-squares solve over
@@ -613,9 +620,12 @@ fn bench_prediction_plane(bins: usize) -> Report {
     };
     let ns_per_bin = best_ns_per_bin(MlrPredictor::new(MlrConfig::default()));
 
-    // Two tenants of one engine with the same cost: the first pays for the
-    // window's moments and for the factorisation of the features they both
-    // select each bin, the second — the one timed — reads them.
+    // Two tenants of one engine, the second at twice the first's cost: a
+    // power-of-two scale moves no correlation's bits, so both select the same
+    // features every bin, but their responses differ, so the second cannot
+    // copy the first's prediction. The first pays for the window's moments
+    // and for the factorisation of the features they both select, the
+    // second — the one timed — reads them and projects its own responses.
     let mut shared_ns_per_bin = f64::INFINITY;
     for _ in 0..3 {
         let mut window = FeatureWindow::new();
@@ -630,7 +640,7 @@ fn bench_prediction_plane(bins: usize) -> Report {
             window.push(features);
             first.observe_shared(&window, *cycles, false);
             let start = Instant::now();
-            second.observe_shared(&window, *cycles, false);
+            second.observe_shared(&window, 2.0 * *cycles, false);
             shared_ns += start.elapsed().as_nanos();
         }
         assert!(second.history().aligned_with(&window));
@@ -685,9 +695,65 @@ fn bench_prediction_plane(bins: usize) -> Report {
         .cell("ols_ns_per_bin", num(best_ols, 0))
 }
 
+/// The engine's default MLR predictor, recording after each prediction how
+/// many predictions the engine's feature window has computed in full since
+/// its last push; on one worker the bin's last prediction records the bin's
+/// count.
+struct Tallied {
+    inner: MlrPredictor,
+    computed: Arc<AtomicUsize>,
+}
+
+impl Predictor for Tallied {
+    fn predict(&mut self, features: &FeatureVector) -> f64 {
+        self.inner.predict(features)
+    }
+
+    fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
+        self.inner.observe(features, actual_cycles);
+    }
+
+    fn observe_corrupted(&mut self, features: &FeatureVector, predicted_cycles: f64) {
+        self.inner.observe_corrupted(features, predicted_cycles);
+    }
+
+    fn predict_shared(&mut self, window: &FeatureWindow, features: &FeatureVector) -> f64 {
+        let predicted = self.inner.predict_shared(window, features);
+        self.computed.store(window.predictions(), Ordering::Relaxed);
+        predicted
+    }
+
+    fn observe_shared(&mut self, window: &FeatureWindow, cycles: f64, corrupted: bool) {
+        self.inner.observe_shared(window, cycles, corrupted);
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn last_cost_operations(&self) -> u64 {
+        self.inner.last_cost_operations()
+    }
+}
+
+/// Adds up, bin by bin, the count the bin's last prediction recorded.
+struct Tally {
+    computed: Arc<AtomicUsize>,
+    total: usize,
+}
+
+impl RunObserver for Tally {
+    fn on_bin(&mut self, _: &BinRecord) {
+        self.total += self.computed.load(Ordering::Relaxed);
+    }
+}
+
 /// The repo benchmark's `tenants-underload` shape — 200 tenants of five
-/// kinds on 500-packet bins, capacity so large that nothing is shed — and
-/// where the engine's own clock says its bins went.
+/// kinds on 500-packet bins, capacity so large that nothing is shed — where
+/// the engine's own clock says its bins went, and how many of a bin's 200
+/// predictions the feature window computed in full (the others copy one
+/// made from the same inputs), counted on a second, untimed run of the same
+/// engine whose predictors record it.
 fn bench_tenants(bins: usize) -> Report {
     const KINDS: [QueryKind; 5] = [
         QueryKind::Counter,
@@ -700,21 +766,36 @@ fn bench_tenants(bins: usize) -> Report {
         TraceConfig::default().with_seed(61).with_mean_packets_per_batch(500.0),
     )
     .batches(bins);
-    let specs = (0..200)
-        .map(|i| QuerySpec::new(KINDS[i % KINDS.len()]).with_label(format!("tenant-{i:04}")));
-    let mut monitor = Monitor::builder()
-        .capacity(1e15)
-        .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
-        .no_noise()
-        .with_workers(1)
-        .queries(specs)
+    let tenants = || {
+        Monitor::builder()
+            .capacity(1e15)
+            .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+            .no_noise()
+            .with_workers(1)
+            .queries((0..200).map(|i| {
+                QuerySpec::new(KINDS[i % KINDS.len()]).with_label(format!("tenant-{i:04}"))
+            }))
+    };
+    let mut monitor = tenants().build().expect("valid configuration");
+    monitor.run(&mut BatchReplay::new(batches.clone()), &mut NullObserver).expect("run");
+    let stages = monitor.stage_stats();
+
+    let computed = Arc::new(AtomicUsize::new(0));
+    let recorded = Arc::clone(&computed);
+    let mut tallied = tenants()
+        .with_predictor(move || {
+            let computed = Arc::clone(&recorded);
+            Box::new(Tallied { inner: MlrPredictor::new(MlrConfig::default()), computed })
+                as Box<dyn Predictor>
+        })
         .build()
         .expect("valid configuration");
-    monitor.run(&mut BatchReplay::new(batches), &mut NullObserver).expect("run");
-    let stages = monitor.stage_stats();
+    let mut tally = Tally { computed, total: 0 };
+    tallied.run(&mut BatchReplay::new(batches), &mut tally).expect("run");
     Report::new()
         .cell("bins", stages.bins)
         .cell("bin_ns", num(mean_bin_ns(&stages), 0))
+        .cell("full_predictions_per_bin", num(tally.total as f64 / stages.bins as f64, 2))
         .report("measured_share", stage_shares(&stages))
 }
 
@@ -767,7 +848,10 @@ fn bench_parallel_scaling(batches: usize) -> (Report, PipelineNumbers) {
 /// bin boundary), and the steady-state per-bin processing cost as the
 /// tenant count scales. The marginal row — extra nanoseconds per bin each
 /// additional tenant costs, from the 10→1000 spread — is the number a
-/// capacity planner multiplies.
+/// capacity planner multiplies. The tenants are identical `counter` queries,
+/// so every one after the first of a bin copies the prediction the feature
+/// window holds for its inputs: the marginal prices a recalled prediction,
+/// not a computed one.
 fn bench_registry_scale(bins: usize) -> Report {
     let batches = TraceGenerator::new(
         TraceConfig::default().with_seed(51).with_mean_packets_per_batch(500.0),

@@ -224,7 +224,9 @@ fn more_queries_than_workers_share_the_worker_scratches_invisibly() {
 /// aligned with the feature window, and tenants of one kind tend to select
 /// the same features, so several prediction tasks ask the window for the
 /// same factorisation in the same bin — one decomposes it, the others wait
-/// for it or find it made. Forty-four tenants over four kinds at one, two
+/// for it or find it made — and tenants of one kind, metering the same
+/// cycles, ask for the same whole prediction: each that misses computes it,
+/// the first to file it wins. Forty-four tenants over four kinds at one, two
 /// and four workers: whoever wins, the digest does not move.
 #[test]
 fn tenants_racing_for_one_shared_fit_emit_one_digest_at_any_worker_count() {
