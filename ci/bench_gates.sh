@@ -51,6 +51,14 @@ if [ "$kind" = committed ]; then
     fail "shared_vs_private is above 0.55"
 fi
 
+# On the 2x overload shape the share of predictions that probe the feature
+# window's prediction table (a regression on a history aligned with the
+# window) and of those copied from it is measured, not assumed: both read
+# 0.0000 — every query is sampled every bin, so no history stays aligned and
+# the table's miss path costs that shape nothing.
+require '"aligned_prediction_share"' "lost the overload shape's aligned_prediction_share"
+require '"recalled_prediction_share"' "lost the overload shape's recalled_prediction_share"
+
 # The pipeline bench times only code the monitor runs. The ten-pass
 # extractor, the clone shedders and the AoS replay are test oracles now
 # (`tests/oracle/`); their rows were retired to CHANGES.md (PR 17) and a key
@@ -82,23 +90,31 @@ fi
 
 # The benchmark's unshed 200-tenant shape, by the same clock. Predict was
 # 0.42 while every tenant decomposed its own design matrix, 0.30 with one
-# factorisation per selected feature sequence, and 0.45 once execute shrank
-# beneath it; with one prediction per distinct history a bin (tenants whose
-# inputs are equal bit for bit copy it) it may not take more than 0.15. The
-# window computes ~4 of the bin's 200 predictions in full
-# (`full_predictions_per_bin`, a count, so held on every run): more than 8
-# means tenants of one kind stopped sharing theirs. Execute was 0.59 while
-# top-k, autofocus and application looked their tables up per packet, 0.51
-# with one lookup per flow, 0.40 with the unit-rate sums; its nanoseconds did
-# not move when predict shrank (the engine's stage clock on this shape,
-# eight pairs with parent and change alternating, the fastest run of each
-# side: execute 253 -> 226 us, predict 281 -> 48 us, bin 615 -> 353 us), but
-# its share of the smaller bin rose to ~0.64, so its ceiling is re-based
-# from 0.44 to 0.70, not loosened.
+# factorisation per selected feature sequence, 0.45 once execute shrank
+# beneath it, and 0.13 with one prediction per distinct history a bin
+# (tenants whose inputs are equal bit for bit copy it). The window computes
+# ~4 of the bin's 200 predictions in full (`full_predictions_per_bin`, a
+# count, so held on every run): more than 8 means tenants of one kind
+# stopped sharing theirs. Execute was 0.59 while top-k, autofocus and
+# application looked their tables up per packet, 0.51 with one lookup per
+# flow, 0.40 with the unit-rate sums, and ~0.64 of the smaller bin once
+# predict shrank (ceiling re-based from 0.44 to 0.70 then). Tenants
+# registered from equal specs now form a cohort that runs one set of query
+# instances a bin (`query_runs_per_bin` ~5, a count, held on every run: more
+# than 10 means tenants of a kind stopped sharing theirs), so execute fell to
+# ~0.40. Predict's nanoseconds did not grow, but its share of the smaller bin
+# rose from 0.13 to 0.32-0.38, so its ceiling is re-based from 0.15 to 0.45,
+# not loosened: the engine's stage clock on this shape, eight pairs with
+# parent and change alternating, read predict 50-86 us before and 49-55 us
+# after, and the fastest run of each side execute 260 -> 54 us, admit (which
+# closes the intervals) 58 -> 6 us, bin 385 -> 130 us.
 require '"tenants_200"' "lost the 200-tenant stage breakdown"
 require '"full_predictions_per_bin"' "lost the 200-tenant full_predictions_per_bin"
 awk -F': *' '/"full_predictions_per_bin"/ { if ($2 + 0 > 8) exit 1 }' "$file" ||
   fail "the 200-tenant bin computes more than 8 predictions in full"
+require '"query_runs_per_bin"' "lost the 200-tenant query_runs_per_bin"
+awk -F': *' '/"query_runs_per_bin"/ { if ($2 + 0 > 10) exit 1 }' "$file" ||
+  fail "the 200-tenant bin runs more than 10 sets of query instances"
 if [ "$kind" = committed ]; then
   tenants_share() {
     awk -F': *' -v stage="\"$1\"" \
@@ -106,8 +122,8 @@ if [ "$kind" = committed ]; then
   }
   awk -v share="$(tenants_share execute)" 'BEGIN { exit !(share != "" && share <= 0.70) }' ||
     fail "the 200-tenant bin's measured execute share is above 0.70"
-  awk -v share="$(tenants_share predict)" 'BEGIN { exit !(share != "" && share <= 0.15) }' ||
-    fail "the 200-tenant bin's measured predict share is above 0.15"
+  awk -v share="$(tenants_share predict)" 'BEGIN { exit !(share != "" && share <= 0.45) }' ||
+    fail "the 200-tenant bin's measured predict share is above 0.45"
 fi
 
 # At rate 1.0 on a full view every packet length is an integer term, so the

@@ -29,7 +29,12 @@
 //!    must perform **zero** heap allocations per bin (`alloc_per_bin`,
 //!    counted by this binary's global allocator and asserted to be 0).
 //! 4. **pipeline**: packets/second through `Monitor::run` with the paper's
-//!    Chapter 4 query mix under 2× overload.
+//!    Chapter 4 query mix under 2× overload, and on an untimed run of the
+//!    same shape the share of its predictions that regressed on a history
+//!    aligned with the engine's feature window (`aligned_prediction_share`:
+//!    the ones that probe the window's prediction table) and of those
+//!    copied from it (`recalled_prediction_share`): how often the overload
+//!    workloads pay the table's miss path is measured, not assumed.
 //! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle
 //!    (reselecting every bin, and with `reselect_every = 10`), the same
 //!    cycle for a predictor aligned with a warm shared feature window and
@@ -42,7 +47,10 @@
 //!    tenants — control-channel registration cost per query and the
 //!    steady-state per-bin cost, with the marginal nanoseconds each
 //!    additional tenant adds per bin — of identical tenants, so each one
-//!    after the first of a bin copies its prediction from the feature window.
+//!    after the first of a bin copies its prediction from the feature window
+//!    and, registered together, they form one cohort: the marginal prices a
+//!    cohort member (its prediction, noise, feedback and record), not a run
+//!    of its query.
 //! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers, and
 //!    the **sharded** row: the same pipeline through the fixed-lane
 //!    `ShardedMonitor` fleet at 1/2/4 workers. Every figure is a
@@ -59,7 +67,8 @@
 //!    where per-query fixed costs make the bin, with how many of its 200
 //!    predictions a bin the engine's feature window computed in full
 //!    (`full_predictions_per_bin`; the other tenants copy one made from the
-//!    same inputs).
+//!    same inputs) and how many sets of query instances a bin ran
+//!    (`query_runs_per_bin`; the tenants of a kind form one cohort).
 //! 9. **unit-rate kernels**: `counter`, `high-watermark`, `application` and
 //!    `top-k` on 500-packet full views at rate 1.0, where they add one exact
 //!    total per batch or per flow, against the same packets as all-kept
@@ -525,29 +534,34 @@ fn fleet_bin_in_solo_bins(batches: usize) -> f64 {
     ratios[1]
 }
 
-/// Runs the 2× overload pipeline (Chapter 4 query mix, MmfsPkt) on the
-/// engine `build` makes of the shared configuration and reports wall-clock
-/// throughput, the engine's own stage clock and the modelled cycles of the
-/// records it emitted.
-fn bench_engine<E: Engine>(
-    batches: usize,
-    build: impl FnOnce(MonitorBuilder) -> Result<E, NetshedError>,
-) -> PipelineNumbers {
+/// The 2× overload pipeline's `batches` bins and its configuration: the
+/// Chapter 4 query mix at half its measured demand, MmfsPkt.
+fn overload_shape(batches: usize) -> (Vec<Batch>, MonitorBuilder) {
     let recorded = TraceGenerator::new(
         TraceConfig::default().with_seed(21).with_mean_packets_per_batch(2000.0),
     )
     .batches(batches);
-    let total_packets: u64 = recorded.iter().map(|b| b.len() as u64).sum();
     let specs: Vec<QuerySpec> =
         QueryKind::CHAPTER4_SET.iter().map(|kind| QuerySpec::new(*kind)).collect();
     let demand = netshed_monitor::reference::measure_total_demand(&specs, &recorded[..batches / 4])
         .expect("valid query specs");
-
     let builder = Monitor::builder()
         .capacity(demand / 2.0)
         .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
         .no_noise()
         .queries(specs);
+    (recorded, builder)
+}
+
+/// Runs the 2× overload pipeline on the engine `build` makes of its
+/// configuration and reports wall-clock throughput, the engine's own stage
+/// clock and the modelled cycles of the records it emitted.
+fn bench_engine<E: Engine>(
+    batches: usize,
+    build: impl FnOnce(MonitorBuilder) -> Result<E, NetshedError>,
+) -> PipelineNumbers {
+    let (recorded, builder) = overload_shape(batches);
+    let total_packets: u64 = recorded.iter().map(|b| b.len() as u64).sum();
     let mut engine = build(builder).expect("valid configuration");
     let mut source = BatchReplay::new(recorded);
     let mut modelled = ModelledCycles::default();
@@ -695,13 +709,23 @@ fn bench_prediction_plane(bins: usize) -> Report {
         .cell("ols_ns_per_bin", num(best_ols, 0))
 }
 
-/// The engine's default MLR predictor, recording after each prediction how
-/// many predictions the engine's feature window has computed in full since
-/// its last push; on one worker the bin's last prediction records the bin's
-/// count.
+/// What an engine's predictors did, as `Tallied` counts it: the predictions
+/// made, those that regressed on a history aligned with the feature window
+/// (and so probed its prediction table), and — stored after each prediction
+/// — how many aligned predictions the window has computed in full since its
+/// last push, which on one worker the bin's last prediction leaves as the
+/// bin's count.
+#[derive(Default)]
+struct Counts {
+    predictions: AtomicUsize,
+    aligned: AtomicUsize,
+    computed: AtomicUsize,
+}
+
+/// The engine's default MLR predictor, counting into `counts`.
 struct Tallied {
     inner: MlrPredictor,
-    computed: Arc<AtomicUsize>,
+    counts: Arc<Counts>,
 }
 
 impl Predictor for Tallied {
@@ -718,8 +742,15 @@ impl Predictor for Tallied {
     }
 
     fn predict_shared(&mut self, window: &FeatureWindow, features: &FeatureVector) -> f64 {
+        self.counts.predictions.fetch_add(1, Ordering::Relaxed);
+        // The predictor regresses from its third row on; before that it
+        // returns the mean of its responses and asks the window nothing.
+        let history = self.inner.history();
+        if history.len() >= 3 && history.aligned_with(window) {
+            self.counts.aligned.fetch_add(1, Ordering::Relaxed);
+        }
         let predicted = self.inner.predict_shared(window, features);
-        self.computed.store(window.predictions(), Ordering::Relaxed);
+        self.counts.computed.store(window.predictions(), Ordering::Relaxed);
         predicted
     }
 
@@ -736,24 +767,58 @@ impl Predictor for Tallied {
     }
 }
 
-/// Adds up, bin by bin, the count the bin's last prediction recorded.
-struct Tally {
-    computed: Arc<AtomicUsize>,
-    total: usize,
+/// How an engine shared its work over a run: per bin, the predictions made,
+/// the aligned ones, those of them the feature window computed in full (the
+/// other aligned ones copy one made from the same inputs), and the sets of
+/// lane instances run (`Monitor::query_runs`; a cohort runs one set for all
+/// its members).
+struct Sharing {
+    predictions: f64,
+    aligned: f64,
+    full: f64,
+    runs: f64,
 }
 
-impl RunObserver for Tally {
-    fn on_bin(&mut self, _: &BinRecord) {
-        self.total += self.computed.load(Ordering::Relaxed);
+impl Sharing {
+    /// Counts, on one worker and untimed, the engine `builder` configures
+    /// with `Tallied` predictors over `batches`.
+    fn of(builder: MonitorBuilder, batches: &[Batch]) -> Self {
+        let counts = Arc::new(Counts::default());
+        let recorded = Arc::clone(&counts);
+        let mut monitor = builder
+            .with_workers(1)
+            .with_predictor(move || {
+                let (inner, counts) =
+                    (MlrPredictor::new(MlrConfig::default()), Arc::clone(&recorded));
+                Box::new(Tallied { inner, counts }) as Box<dyn Predictor>
+            })
+            .build()
+            .expect("valid configuration");
+        let (mut bins, mut full, mut runs) = (0, 0, 0);
+        for batch in batches.iter().filter(|batch| !batch.is_empty()) {
+            counts.computed.store(0, Ordering::Relaxed);
+            monitor.process_batch(batch).expect("bin");
+            bins += 1;
+            full += counts.computed.load(Ordering::Relaxed);
+            runs += monitor.query_runs();
+        }
+        let per_bin = |count: usize| count as f64 / bins as f64;
+        Self {
+            predictions: per_bin(counts.predictions.load(Ordering::Relaxed)),
+            aligned: per_bin(counts.aligned.load(Ordering::Relaxed)),
+            full: per_bin(full),
+            runs: per_bin(runs),
+        }
     }
 }
 
 /// The repo benchmark's `tenants-underload` shape — 200 tenants of five
 /// kinds on 500-packet bins, capacity so large that nothing is shed — where
-/// the engine's own clock says its bins went, and how many of a bin's 200
+/// the engine's own clock says its bins went, how many of a bin's 200
 /// predictions the feature window computed in full (the others copy one
-/// made from the same inputs), counted on a second, untimed run of the same
-/// engine whose predictors record it.
+/// made from the same inputs) and how many sets of query instances a bin
+/// ran (tenants of one kind form one cohort), counted on a second, untimed
+/// run of the same engine whose predictors record it.
 fn bench_tenants(bins: usize) -> Report {
     const KINDS: [QueryKind; 5] = [
         QueryKind::Counter,
@@ -779,23 +844,12 @@ fn bench_tenants(bins: usize) -> Report {
     let mut monitor = tenants().build().expect("valid configuration");
     monitor.run(&mut BatchReplay::new(batches.clone()), &mut NullObserver).expect("run");
     let stages = monitor.stage_stats();
-
-    let computed = Arc::new(AtomicUsize::new(0));
-    let recorded = Arc::clone(&computed);
-    let mut tallied = tenants()
-        .with_predictor(move || {
-            let computed = Arc::clone(&recorded);
-            Box::new(Tallied { inner: MlrPredictor::new(MlrConfig::default()), computed })
-                as Box<dyn Predictor>
-        })
-        .build()
-        .expect("valid configuration");
-    let mut tally = Tally { computed, total: 0 };
-    tallied.run(&mut BatchReplay::new(batches), &mut tally).expect("run");
+    let sharing = Sharing::of(tenants(), &batches);
     Report::new()
         .cell("bins", stages.bins)
         .cell("bin_ns", num(mean_bin_ns(&stages), 0))
-        .cell("full_predictions_per_bin", num(tally.total as f64 / stages.bins as f64, 2))
+        .cell("full_predictions_per_bin", num(sharing.full, 2))
+        .cell("query_runs_per_bin", num(sharing.runs, 2))
         .report("measured_share", stage_shares(&stages))
 }
 
@@ -850,8 +904,9 @@ fn bench_parallel_scaling(batches: usize) -> (Report, PipelineNumbers) {
 /// additional tenant costs, from the 10→1000 spread — is the number a
 /// capacity planner multiplies. The tenants are identical `counter` queries,
 /// so every one after the first of a bin copies the prediction the feature
-/// window holds for its inputs: the marginal prices a recalled prediction,
-/// not a computed one.
+/// window holds for its inputs, and all of them, registered at one bin
+/// boundary, share one cohort's instances: the marginal prices a cohort
+/// member with a recalled prediction, not a computed one or a run.
 fn bench_registry_scale(bins: usize) -> Report {
     let batches = TraceGenerator::new(
         TraceConfig::default().with_seed(51).with_mean_packets_per_batch(500.0),
@@ -924,6 +979,8 @@ fn main() {
 
     let data_plane = bench_data_plane(pipeline_batches.min(200), if smoke { 2 } else { 3 });
     let pipeline = bench_pipeline_at(pipeline_batches, 1);
+    let (recorded, builder) = overload_shape(pipeline_batches);
+    let sharing = Sharing::of(builder, &recorded);
     section(
         "pipeline_2x_overload",
         Report::new()
@@ -934,7 +991,12 @@ fn main() {
             .cell("data_plane_batches", data_plane.batches)
             .cell("data_plane_packets", data_plane.packets)
             .cell("soa_replay_packets_per_sec", num(data_plane.soa_packets_per_sec, 0))
-            .cell("alloc_per_bin", data_plane.alloc_per_bin),
+            .cell("alloc_per_bin", data_plane.alloc_per_bin)
+            .cell("aligned_prediction_share", num(sharing.aligned / sharing.predictions, 4))
+            .cell(
+                "recalled_prediction_share",
+                num((sharing.aligned - sharing.full) / sharing.predictions, 4),
+            ),
     );
     section("prediction_plane", bench_prediction_plane(if smoke { 200 } else { 600 }));
     section("registry_scale", bench_registry_scale(if smoke { 12 } else { 40 }));

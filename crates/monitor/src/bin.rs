@@ -10,6 +10,11 @@
 //! touching only that query), account is the merge (every sum folds in
 //! registration order).
 //!
+//! A cohort's members (`monitor.rs`) share their lane instances: the plan
+//! detaches every member whose delivery differs from the first planned
+//! member's, so the first member task to reach the instances in execute runs
+//! them on inputs equal for all, and the others read the cycles it filed.
+//!
 //! This is the bin of every engine. Everything up to and including shed
 //! works on the global post-drop view whatever the lane count; execute is
 //! the one stage that knows about lanes, and with one lane it only skips the
@@ -17,7 +22,7 @@
 
 use crate::error::NetshedError;
 use crate::exec::{self, Stage};
-use crate::monitor::{flow_hasher, Monitor, RegisteredQuery};
+use crate::monitor::{flow_hasher, Cohort, Monitor, RegisteredQuery};
 use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
 use crate::shedder::{flow_sample_with, packet_sample_with};
@@ -25,7 +30,7 @@ use netshed_fairness::QueryDemand;
 use netshed_features::{ExtractScratch, FeatureVector};
 use netshed_predict::FeatureWindow;
 use netshed_queries::{CycleMeter, NoiseDraw, Query, QueryOutput, SheddingMethod};
-use netshed_trace::{Batch, BatchView};
+use netshed_trace::{Batch, BatchView, KeepListPool};
 use std::sync::Arc;
 
 /// Cycles charged per feature-extraction elementary operation (one hash plus
@@ -78,6 +83,9 @@ pub(crate) struct BinSlot {
     outlier: bool,
     delivered_packets: u64,
     reextract_ops: u64,
+    /// Whether this query's task ran the lane instances; a cohort's other
+    /// members read the cycles the one that did filed.
+    ran: bool,
 }
 
 /// What one stage of a bin hands the next. The monitor owns one and reuses
@@ -144,6 +152,7 @@ impl RegisteredQuery {
         lane_of_flow: &[u32],
         window: &FeatureWindow,
         scratch: &mut ExtractScratch,
+        stamp: u64,
     ) {
         let Some((rate, noise)) = self.slot.run else { return };
         let (delivered, resampled) = match (self.slot.sampled.take(), &self.flow_hasher) {
@@ -172,19 +181,7 @@ impl RegisteredQuery {
             None
         };
 
-        let cycles = match self.lanes.as_mut_slice() {
-            [only] => metered(only.as_mut(), &delivered, rate),
-            lanes => {
-                let (count, mut cycles) = (lanes.len(), 0);
-                delivered.split_lanes_with(
-                    &mut self.shed_pool,
-                    lane_of_flow,
-                    count,
-                    |lane, view| cycles += metered(lanes[lane].as_mut(), &view, rate),
-                );
-                cycles
-            }
-        };
+        let cycles = self.run_lanes(&delivered, rate, lane_of_flow, stamp);
         let (measured, outlier) = noise.apply(cycles);
         let measured = measured as f64;
 
@@ -210,6 +207,51 @@ impl RegisteredQuery {
         }
         self.slot.measured = measured;
         self.slot.outlier = outlier;
+    }
+
+    /// The cycles the query's lane instances meter on `delivered` at `rate`.
+    /// A query alone runs them without the lock; in a cohort — whose
+    /// members the plan gave this very delivery — the first member to get
+    /// here in bin `stamp` runs them and files the cycles, the others read
+    /// them.
+    fn run_lanes(
+        &mut self,
+        delivered: &BatchView,
+        rate: f64,
+        lane_of_flow: &[u32],
+        stamp: u64,
+    ) -> u64 {
+        let pool = &mut self.shed_pool;
+        if let Some(own) = Cohort::alone(&mut self.cohort) {
+            self.slot.ran = true;
+            return meter_lanes(&mut own.lanes, delivered, rate, lane_of_flow, pool);
+        }
+        let (cycles, ran) =
+            self.cohort.run(stamp, |lanes| meter_lanes(lanes, delivered, rate, lane_of_flow, pool));
+        self.slot.ran = ran;
+        cycles
+    }
+}
+
+/// Runs every lane instance on its share of `delivered` — split by the lane
+/// of each packet's flow (`lane_of_flow`), or, with one lane, the delivered
+/// view as it is — and sums their meters in lane order.
+fn meter_lanes(
+    lanes: &mut [Box<dyn Query>],
+    delivered: &BatchView,
+    rate: f64,
+    lane_of_flow: &[u32],
+    pool: &mut KeepListPool,
+) -> u64 {
+    match lanes {
+        [only] => metered(only.as_mut(), delivered, rate),
+        lanes => {
+            let (count, mut cycles) = (lanes.len(), 0);
+            delivered.split_lanes_with(pool, lane_of_flow, count, |lane, view| {
+                cycles += metered(lanes[lane].as_mut(), &view, rate);
+            });
+            cycles
+        }
     }
 }
 
@@ -379,21 +421,27 @@ impl Monitor {
 
     /// Shed — the *plan*: sequentially, in registration order, on the
     /// caller's thread, everything whose stream order matters — penalty
-    /// accounting, the flow-hasher refresh, RNG-driven packet sampling and
-    /// the measurement-noise pre-draw. Execute then receives fully
-    /// determined inputs and only writes per-query state, which is why the
-    /// merged output is bit-identical for any worker count.
+    /// accounting, the flow-hasher refresh, RNG-driven packet sampling, the
+    /// measurement-noise pre-draw and the cohorts' detaching. Execute then
+    /// receives fully determined inputs and only writes per-query state (a
+    /// cohort's instances once, on inputs equal for every member), which is
+    /// why the merged output is bit-identical for any worker count.
     fn shed(&mut self, post_drop: &BatchView) {
-        let bin = &mut self.bin;
+        // Nothing is fresh once a bin runs.
+        self.fresh.clear();
+        self.stamp += 1;
+        let (bin, stamp) = (&mut self.bin, self.stamp);
         let packets = post_drop.len() as u64;
         for (registered, &rate) in self.queries.iter_mut().zip(&bin.decision.rates) {
-            registered.slot.run = None;
+            (registered.slot.run, registered.slot.ran) = (None, false);
             if registered.penalty_remaining > 0 {
                 registered.penalty_remaining -= 1;
+                registered.plan_cohort(stamp, Some(0.0));
                 continue;
             }
             if rate <= 0.0 {
                 bin.unsampled_accumulator += packets;
+                registered.plan_cohort(stamp, Some(0.0));
                 continue;
             }
             // A new flow-sampling hash function every interval, so selection
@@ -436,6 +484,10 @@ impl Monitor {
             // configuration-fixed number of samples per running query, so
             // the stream matches the sequential path bit for bit.
             registered.slot.run = Some((rate, self.noise.draw()));
+            // Only a sample of its own makes a running query's view differ
+            // from the post-drop view the other members of its cohort see.
+            let sampled = rate < 1.0 && registered.shedding != SheddingMethod::Custom;
+            registered.plan_cohort(stamp, (!sampled).then_some(rate));
         }
     }
 
@@ -447,9 +499,9 @@ impl Monitor {
         if self.lane_count > 1 {
             post_drop.store().flow_lanes(self.lane_count, &mut self.lane_of_flow);
         }
-        let lane_of_flow = std::mem::take(&mut self.lane_of_flow);
+        let (lane_of_flow, stamp) = (std::mem::take(&mut self.lane_of_flow), self.stamp);
         self.dispatch(|query, window, scratch| {
-            query.execute(post_drop, &lane_of_flow, window, scratch);
+            query.execute(post_drop, &lane_of_flow, window, scratch, stamp);
         });
         self.lane_of_flow = lane_of_flow;
     }
@@ -515,13 +567,14 @@ impl Monitor {
     /// The registration-order merge of the queries' slots: the per-query
     /// records (the one vector the bin body allocates — the record owns it)
     /// and the query-cycle total, with Chapter 6 enforcement for custom load
-    /// shedding queries on the same pass.
+    /// shedding queries on the same pass, and the count of lane runs.
     fn merge_queries(&mut self, packets: u64) -> (Vec<QueryBinRecord>, f64) {
         let bin = &mut self.bin;
-        let mut query_cycles = 0.0;
+        let (mut query_cycles, mut runs) = (0.0, 0);
         let mut records = Vec::with_capacity(self.queries.len());
         for registered in &mut self.queries {
             let slot = &registered.slot;
+            runs += usize::from(slot.ran);
             let (sampling_rate, measured_cycles, delivered_packets) = match slot.run {
                 Some((rate, _)) => (rate, slot.measured, slot.delivered_packets),
                 None => (0.0, 0.0, 0),
@@ -557,6 +610,7 @@ impl Monitor {
                 }
             }
         }
+        self.query_runs = runs;
         (records, query_cycles)
     }
 

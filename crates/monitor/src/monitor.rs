@@ -15,6 +15,11 @@
 //! extractor, the feature window, the capture buffer, the policy, both RNGs
 //! and each query's predictor and sampled extractor exist once, whatever the
 //! lane count (DESIGN.md, "Shard plane").
+//!
+//! Queries registered from equal specs share one set of lane instances, a
+//! [`Cohort`], for as long as the plan gives them the same delivery: the
+//! instances advance once per bin and every member is charged their cycles
+//! (DESIGN.md, "Cohorts").
 
 use crate::bin::{Bin, BinSlot};
 use crate::builder::MonitorBuilder;
@@ -29,13 +34,15 @@ use crate::report::RunSummary;
 use netshed_features::{ExtractScratch, ExtractorConfig, FeatureExtractor};
 use netshed_predict::{FeatureWindow, Predictor};
 use netshed_queries::{
-    build_query_from_spec, MeasurementNoise, Query, QueryOutput, QuerySpec, SheddingMethod,
+    build_query_from_spec, CustomBehavior, MeasurementNoise, Query, QueryKind, QueryOutput,
+    QuerySpec, SheddingMethod,
 };
-use netshed_sketch::{H3Hasher, StateError, StateReader, StateWriter};
+use netshed_sketch::{DetHashMap, H3Hasher, StateError, StateReader, StateWriter};
 use netshed_trace::{Batch, KeepListPool, PacketSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Capture buffer size in time bins of backlog the system can accumulate
 /// before uncontrolled drops start (the DAG buffer of the paper).
@@ -70,8 +77,9 @@ impl std::fmt::Display for QueryId {
 ///
 /// The query is also the only unit of dispatch: the execution plane hands
 /// each worker one `&mut RegisteredQuery`, so everything a task mutates — the
-/// lane instances, the shadow twin, the predictor, the extractor, the
-/// keep-list pool and the [`BinSlot`] — lives here and nowhere else.
+/// shadow twin, the predictor, the extractor, the keep-list pool and the
+/// [`BinSlot`] — lives here and nowhere else, and so do the lane instances
+/// unless the query shares them with its cohort, behind the cohort's lock.
 pub(crate) struct RegisteredQuery {
     pub(crate) id: QueryId,
     pub(crate) label: Arc<str>,
@@ -93,8 +101,9 @@ pub(crate) struct RegisteredQuery {
     pub(crate) overuse_ratio: f64,
     pub(crate) violations: u32,
     pub(crate) penalty_remaining: u32,
-    /// The query's instances, one per lane of the monitor, in lane order.
-    pub(crate) lanes: Vec<Box<dyn Query>>,
+    /// The query's lane instances, shared with the other members of its
+    /// cohort; the only reference while it is alone.
+    pub(crate) cohort: Arc<Cohort>,
     /// Shadow twin fed the full (unsampled) stream to measure the bin's
     /// actual cycles for oracle-style policies. Its work is not charged
     /// against the capacity.
@@ -119,6 +128,210 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<RegisteredQuery>();
 };
+
+/// The lane instances of a cohort — the registered queries whose instances
+/// are provably in one state — and what the first member to reach them in a
+/// bin or at a close filed for the others. The stamps are the monitor's
+/// (`Monitor::stamp`), so nothing filed in one bin or close is read in
+/// another.
+pub(crate) struct Cohort {
+    /// The instances, and the last close's filing.
+    instances: Mutex<Instances>,
+    /// The stamp of the last plan that reached the cohort, and the bits of
+    /// the rate it gave the first member it planned. Only the plan touches
+    /// them, on one thread, so `Relaxed` suffices.
+    planned_stamp: AtomicU64,
+    planned_rate: AtomicU64,
+    /// The cycles the instances metered in the bin whose stamp `ran_stamp`
+    /// holds: stored before it (`Release`), read after it (`Acquire`), so a
+    /// member that finds its bin's stamp reads them without the lock.
+    ran_cycles: AtomicU64,
+    ran_stamp: AtomicU64,
+}
+
+/// What a cohort's lock guards.
+pub(crate) struct Instances {
+    /// One per lane of the monitor, in lane order.
+    pub(crate) lanes: Vec<Box<dyn Query>>,
+    /// The stamp of the last close, and the output the instances reported.
+    closed: Option<(u64, QueryOutput)>,
+}
+
+impl Cohort {
+    /// A cohort of one, running `lanes`.
+    fn of(lanes: Vec<Box<dyn Query>>) -> Arc<Cohort> {
+        Arc::new(Cohort {
+            instances: Mutex::new(Instances { lanes, closed: None }),
+            planned_stamp: AtomicU64::new(0),
+            planned_rate: AtomicU64::new(0),
+            ran_cycles: AtomicU64::new(0),
+            ran_stamp: AtomicU64::new(0),
+        })
+    }
+
+    /// The instances, locked. Poisoning is ignored: a kernel that panics
+    /// under the lock leaves them as a panic leaves a lone query's, which no
+    /// lock guards, and the panic propagates out of the dispatch that raised
+    /// it.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Instances> {
+        self.instances.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The instances of a cohort of one, reached without the lock. Only the
+    /// plan and the registry clone or drop a cohort, so the count a task
+    /// reads holds for the whole dispatch.
+    pub(crate) fn alone(cohort: &mut Arc<Cohort>) -> Option<&mut Instances> {
+        if Arc::strong_count(cohort) > 1 {
+            return None;
+        }
+        let instances = &mut Arc::get_mut(cohort)?.instances;
+        Some(instances.get_mut().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The cycles the instances meter in bin `stamp`, and whether this call
+    /// metered them: the first member to ask runs them, the others read
+    /// what it filed.
+    pub(crate) fn run(
+        &self,
+        stamp: u64,
+        meter: impl FnOnce(&mut [Box<dyn Query>]) -> u64,
+    ) -> (u64, bool) {
+        let mut ran = false;
+        if self.ran_stamp.load(Ordering::Acquire) != stamp {
+            let mut instances = self.lock();
+            // Another member may have run them while this one waited; the
+            // lock orders this load after that member's stores.
+            if self.ran_stamp.load(Ordering::Relaxed) != stamp {
+                ran = true;
+                self.ran_cycles.store(meter(&mut instances.lanes), Ordering::Relaxed);
+                self.ran_stamp.store(stamp, Ordering::Release);
+            }
+        }
+        (self.ran_cycles.load(Ordering::Relaxed), ran)
+    }
+}
+
+/// What two registrations must agree on, bit for bit, to share instances:
+/// the spec except its label, and the minimum rate and shedding method it
+/// resolved to.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct CohortKey {
+    kind: QueryKind,
+    min_sampling_rate: Option<u64>,
+    custom_behavior: Option<CustomBehavior>,
+    min_rate: u64,
+    shedding: SheddingMethod,
+}
+
+impl CohortKey {
+    /// The key of a registered query; `None` for a bare instance, which
+    /// has no spec to agree on and always runs alone.
+    fn of(registered: &RegisteredQuery) -> Option<Self> {
+        registered.spec.as_ref().map(|spec| Self {
+            kind: spec.kind,
+            min_sampling_rate: spec.min_sampling_rate.map(f64::to_bits),
+            custom_behavior: spec.custom_behavior,
+            min_rate: registered.min_rate.to_bits(),
+            shedding: registered.shedding,
+        })
+    }
+}
+
+/// A fresh instance of `spec` in `query`'s state, copied through the query's
+/// own checkpoint, which is bit-exact by contract.
+fn copy_of(query: &dyn Query, spec: &QuerySpec) -> Box<dyn Query> {
+    let (mut copy, mut writer) = (build_query_from_spec(spec), StateWriter::new());
+    let copied = query
+        .save_state(&mut writer)
+        .and_then(|()| copy.load_state(&mut StateReader::new(writer.as_bytes())));
+    // lint:allow(no-unwrap): only spec'd queries share instances, and every kind a spec builds round-trips its state bit for bit (the checkpoint contract)
+    copied.expect("a spec-built query round-trips its state");
+    copy
+}
+
+/// The bytes a load consumed: `before` is a copy of the reader taken ahead of
+/// it, `after` the reader once it returned.
+fn consumed<'a>(before: &StateReader<'a>, after: &StateReader<'a>) -> &'a [u8] {
+    &before.unread()[..before.remaining() - after.remaining()]
+}
+
+/// Restores lanes 1 and up of `lanes` from `reader`; a table no run could
+/// have written is rejected by the query's own loader, with the lane named.
+fn load_lanes(
+    lanes: &mut [Box<dyn Query>],
+    reader: &mut StateReader<'_>,
+) -> Result<(), StateError> {
+    for (lane, instance) in lanes.iter_mut().enumerate().skip(1) {
+        instance.load_state(reader).map_err(|error| match error {
+            StateError::Corrupt(message) => StateError::corrupt(format!("lane {lane}: {message}")),
+            other => other,
+        })?;
+    }
+    Ok(())
+}
+
+/// Closes an interval on one query's lane instances: lane 0
+/// [absorbs](Query::absorb) the other lanes' state, in lane order, and
+/// reports — as the only instance of a one-lane monitor does, with nothing
+/// to absorb.
+fn end_interval(lanes: &mut [Box<dyn Query>]) -> QueryOutput {
+    let (first, others) = lanes.split_at_mut(1);
+    for lane in others {
+        first[0].absorb(lane.as_mut());
+    }
+    first[0].end_interval()
+}
+
+impl RegisteredQuery {
+    /// The plan's last step for the query, given the rate its instances run
+    /// at on the post-drop view this bin — 0 when it sits the bin out — or
+    /// `None` when it runs on a sample of its own (packet or flow sampling
+    /// below rate 1), which no other query sees. A member of a cohort stays
+    /// in it when that rate has the bits of the first planned member's, and
+    /// otherwise detaches onto a copy of the instances, before anything
+    /// runs. Called sequentially, in registration order, with the bin's
+    /// `stamp`; a query alone pays one reference-count read.
+    pub(crate) fn plan_cohort(&mut self, stamp: u64, unsampled_rate: Option<f64>) {
+        if Arc::strong_count(&self.cohort) == 1 {
+            return;
+        }
+        let cohort = &self.cohort;
+        let stays = match unsampled_rate.map(f64::to_bits) {
+            None => false,
+            Some(bits) if cohort.planned_stamp.load(Ordering::Relaxed) != stamp => {
+                cohort.planned_stamp.store(stamp, Ordering::Relaxed);
+                cohort.planned_rate.store(bits, Ordering::Relaxed);
+                true
+            }
+            Some(bits) => cohort.planned_rate.load(Ordering::Relaxed) == bits,
+        };
+        if !stays {
+            // Only a spec'd query ever shares its instances (`CohortKey`).
+            if let Some(spec) = &self.spec {
+                let lanes =
+                    cohort.lock().lanes.iter().map(|lane| copy_of(lane.as_ref(), spec)).collect();
+                self.cohort = Cohort::of(lanes);
+            }
+        }
+    }
+
+    /// Closes the interval on the query's instances; in a cohort the first
+    /// member to close at `stamp` files the output and the others clone it.
+    fn close(&mut self, stamp: u64) -> QueryOutput {
+        if let Some(own) = Cohort::alone(&mut self.cohort) {
+            return end_interval(&mut own.lanes);
+        }
+        let mut instances = self.cohort.lock();
+        match &instances.closed {
+            Some((closed, output)) if *closed == stamp => output.clone(),
+            _ => {
+                let output = end_interval(&mut instances.lanes);
+                instances.closed = Some((stamp, output.clone()));
+                output
+            }
+        }
+    }
+}
 
 /// A fresh extractor on the monitor's measurement interval: the full-batch
 /// one and every query's sampled one.
@@ -192,6 +405,17 @@ pub struct Monitor {
     /// The lap clock behind [`Monitor::stage_stats`]: telemetry only, never
     /// snapshot, digest or decision input.
     pub(crate) clock: StageClock,
+    /// The cohorts whose instances have neither run a bin nor closed an
+    /// interval, by key: a registration with an equal key joins one. The
+    /// next plan or close empties it.
+    pub(crate) fresh: DetHashMap<CohortKey, Arc<Cohort>>,
+    /// Bumped by every plan and every interval close: what a cohort's
+    /// filings are stamped with. Neither snapshot nor digest state — a
+    /// restored cohort has filed nothing.
+    pub(crate) stamp: u64,
+    /// How many sets of lane instances the last bin ran (see
+    /// [`Monitor::query_runs`]).
+    pub(crate) query_runs: usize,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -247,6 +471,9 @@ impl Monitor {
             window: FeatureWindow::new(),
             bin: Bin::default(),
             clock: StageClock::new(),
+            fresh: DetHashMap::new(),
+            stamp: 0,
+            query_runs: 0,
             config,
         }
     }
@@ -287,6 +514,11 @@ impl Monitor {
     /// handle. Queries may be added at any point during a run (Figure 6.9
     /// studies query arrivals): the new instance takes part in prediction and
     /// allocation from the next batch on.
+    ///
+    /// A query whose spec equals, but for the label, that of one registered
+    /// since the last bin or interval close shares its instances until the
+    /// plan gives the two different deliveries; the outputs, records and
+    /// checkpoints are those of separate instances, bit for bit.
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
         self.register_inner(
             build_query_from_spec(spec),
@@ -315,8 +547,9 @@ impl Monitor {
 
     /// A query as it stands right after registration: a fresh predictor and
     /// sampled extractor, flow-hasher generation 0 (its table unbuilt), clean
-    /// enforcement state and one instance per lane — `query` on lane 0, the
-    /// others built from `spec` (a bare instance has only the one).
+    /// enforcement state and a cohort of its own with one instance per lane —
+    /// `query` on lane 0, the others built from `spec` (a bare instance has
+    /// only the one).
     fn new_query(
         &self,
         id: QueryId,
@@ -338,7 +571,7 @@ impl Monitor {
             overuse_ratio: 1.0,
             violations: 0,
             penalty_remaining: 0,
-            lanes: std::iter::once(query).chain(others).collect(),
+            cohort: Cohort::of(std::iter::once(query).chain(others).collect()),
             shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
             spec,
             predictor: self.config.predictor.make(),
@@ -374,12 +607,18 @@ impl Monitor {
         self.next_query_id += 1;
         let label = label.map_or_else(|| query.name().into(), Arc::from);
         let min_rate = min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0);
-        self.queries.push(self.new_query(id, label, min_rate, spec, query));
+        let mut registered = self.new_query(id, label, min_rate, spec, query);
+        if let Some(key) = CohortKey::of(&registered) {
+            let cohort = self.fresh.entry(key).or_insert_with(|| Arc::clone(&registered.cohort));
+            registered.cohort = Arc::clone(cohort);
+        }
+        self.queries.push(registered);
         Ok(id)
     }
 
     /// Deregisters a query instance by handle. The instance's state
-    /// (predictor history, pending interval output) is discarded.
+    /// (predictor history, pending interval output) is discarded — or, when
+    /// it shares its instances with a cohort, its reference to them.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
         match self.queries.iter().position(|q| q.id == id) {
             Some(position) => {
@@ -426,6 +665,14 @@ impl Monitor {
     /// tasks dispatched. See [`StageStats`].
     pub fn stage_stats(&self) -> StageStats {
         self.clock.stats
+    }
+
+    /// How many sets of lane instances the last bin ran: one per running
+    /// cohort, however many members it has (a query alone is a cohort of
+    /// one). Exposed for the cohort tests and the pipeline bench only.
+    #[doc(hidden)]
+    pub fn query_runs(&self) -> usize {
+        self.query_runs
     }
 
     /// Whether a measurement interval is currently open (at least one batch
@@ -496,8 +743,12 @@ impl Monitor {
     /// query reports once, over the link: its lane-0 instance
     /// [absorbs](Query::absorb) the state of the other lanes' instances, in
     /// lane order, and then closes the interval as the only instance of a
-    /// one-lane monitor does (which has nothing to absorb).
+    /// one-lane monitor does (which has nothing to absorb). A cohort closes
+    /// once, and its members report the same output.
     fn close_interval(&mut self) -> Vec<(String, QueryOutput)> {
+        self.fresh.clear();
+        self.stamp += 1;
+        let stamp = self.stamp;
         self.queries
             .iter_mut()
             .map(|registered| {
@@ -507,13 +758,7 @@ impl Monitor {
                 if let Some(shadow) = registered.shadow.as_mut() {
                     let _ = shadow.end_interval();
                 }
-                let lanes = registered.lanes.split_first_mut();
-                // lint:allow(no-unwrap): a registered query has one instance per lane and a monitor at least one lane
-                let (first, others) = lanes.expect("a query runs on at least one lane");
-                for lane in others {
-                    first.absorb(lane.as_mut());
-                }
-                (registered.label.to_string(), first.end_interval())
+                (registered.label.to_string(), registered.close(stamp))
             })
             .collect()
     }
@@ -529,6 +774,8 @@ impl Monitor {
     /// Of a query's lane instances only lane 0's is written, where the
     /// query's state always sat, so the layout does not depend on the lane
     /// count; the other lanes' go through [`Monitor::save_lane_state`].
+    /// Every member of a cohort writes the instances it shares, so the bytes
+    /// are those of separate instances.
     ///
     /// Fails with [`StateError::Unsupported`] when a query was registered
     /// through [`Monitor::register_instance`] (no [`QuerySpec`] to rebuild it
@@ -568,7 +815,7 @@ impl Monitor {
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            registered.lanes[0].save_state(writer)?;
+            registered.cohort.lock().lanes[0].save_state(writer)?;
             match &registered.shadow {
                 None => writer.bool(false),
                 Some(shadow) => {
@@ -588,8 +835,10 @@ impl Monitor {
     /// the instances of lanes 1 and up, in lane order.
     pub fn save_lane_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
         writer.usize(self.lane_count);
-        for lane in self.queries.iter().flat_map(|registered| &registered.lanes[1..]) {
-            lane.save_state(writer)?;
+        for registered in &self.queries {
+            for lane in &registered.cohort.lock().lanes[1..] {
+                lane.save_state(writer)?;
+            }
         }
         Ok(())
     }
@@ -599,19 +848,37 @@ impl Monitor {
     /// state, so a section written at another lane count is a
     /// [`StateError::Mismatch`] naming both; a table no run could have
     /// written is rejected by the query's own loader, with the lane named.
+    ///
+    /// A cohort [`Monitor::load_state`] re-formed from equal lane-0 bytes
+    /// stays one only while its members' bytes for the other lanes are equal
+    /// too: a member whose bytes differ detaches onto instances of its own.
     pub fn load_lane_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let lanes = reader.usize()?;
         if lanes != self.lane_count {
             return Err(StateError::mismatch("lanes", lanes, self.lane_count));
         }
+        // Per shared cohort, the bytes its first member's lanes consumed.
+        let mut restored: Vec<(Arc<Cohort>, &[u8])> = Vec::new();
         for registered in &mut self.queries {
-            for (lane, instance) in registered.lanes.iter_mut().enumerate().skip(1) {
-                instance.load_state(reader).map_err(|error| match error {
-                    StateError::Corrupt(message) => {
-                        StateError::corrupt(format!("lane {lane}: {message}"))
-                    }
-                    other => other,
-                })?;
+            let before = reader.clone();
+            if let Some(own) = Cohort::alone(&mut registered.cohort) {
+                load_lanes(&mut own.lanes, reader)?;
+                continue;
+            }
+            // The cohort's first member loads the shared instances; a later
+            // one loads a copy, and keeps it only when its bytes differ.
+            let first = restored.iter().find(|(cohort, _)| Arc::ptr_eq(cohort, &registered.cohort));
+            let (Some((_, state)), Some(spec)) = (first, &registered.spec) else {
+                load_lanes(&mut registered.cohort.lock().lanes, reader)?;
+                restored.push((Arc::clone(&registered.cohort), consumed(&before, reader)));
+                continue;
+            };
+            let mut own: Vec<Box<dyn Query>> =
+                (0..lanes).map(|_| build_query_from_spec(spec)).collect();
+            load_lanes(&mut own, reader)?;
+            if consumed(&before, reader) != *state {
+                own[0] = copy_of(registered.cohort.lock().lanes[0].as_ref(), spec);
+                registered.cohort = Cohort::of(own);
             }
         }
         Ok(())
@@ -622,6 +889,10 @@ impl Monitor {
     /// specs included). Any queries registered on `self`
     /// before the call are discarded; the snapshot's registry — ids, labels
     /// and all per-query state — replaces them wholesale.
+    ///
+    /// Queries whose specs are equal but for the label and whose lane-0
+    /// bytes are equal share their instances again, as a cohort
+    /// ([`Monitor::load_lane_state`] has the last word on a fleet's).
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let policy_name = reader.str()?;
         if policy_name != self.policy.name() {
@@ -651,6 +922,9 @@ impl Monitor {
         self.policy.load_state(reader)?;
         let count = reader.usize()?;
         self.queries.clear();
+        self.fresh.clear();
+        // The cohorts restored so far, by key and lane-0 bytes.
+        let mut restored = DetHashMap::new();
         for _ in 0..count {
             let id = QueryId(reader.u64()?);
             let label = reader.str()?;
@@ -665,7 +939,14 @@ impl Monitor {
             registered.overuse_ratio = overuse_ratio;
             registered.violations = reader.u32()?;
             registered.penalty_remaining = reader.u32()?;
-            registered.lanes[0].load_state(reader)?;
+            let before = reader.clone();
+            registered.cohort.lock().lanes[0].load_state(reader)?;
+            if let Some(key) = CohortKey::of(&registered) {
+                let state = consumed(&before, reader);
+                let cohort =
+                    restored.entry((key, state)).or_insert_with(|| Arc::clone(&registered.cohort));
+                registered.cohort = Arc::clone(cohort);
+            }
             if reader.bool()? {
                 let Some(shadow) = registered.shadow.as_mut() else {
                     return Err(StateError::corrupt(format!(
@@ -698,7 +979,7 @@ mod tests {
     use super::*;
     use crate::config::{AllocationPolicy, Strategy};
     use crate::report::BinRecord;
-    use netshed_queries::QueryKind;
+    use netshed_queries::CycleMeter;
     use netshed_trace::{TraceConfig, TraceGenerator};
 
     fn small_trace(batches: usize, mean_packets: f64) -> Vec<Batch> {
@@ -1211,6 +1492,53 @@ mod tests {
                 }
                 other => panic!("expected Unsupported, got {other:?}"),
             }
+        }
+
+        /// A restore re-forms a cohort from equal lane-0 bytes, and a fleet
+        /// member whose other lanes' bytes differ detaches onto instances
+        /// of its own, restored from its own bytes.
+        #[test]
+        fn a_restored_member_whose_other_lanes_differ_detaches() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let spec = QuerySpec::new(QueryKind::Counter);
+            let mut monitor = Monitor::with_lanes(config.clone(), 2);
+            for label in ["first", "second"] {
+                monitor.register(&spec.clone().with_label(label)).expect("valid spec");
+            }
+            let shared = |monitor: &Monitor| {
+                Arc::ptr_eq(&monitor.queries[0].cohort, &monitor.queries[1].cohort)
+            };
+            assert!(shared(&monitor));
+            let batches = small_trace(3, 100.0);
+            for batch in &batches[..2] {
+                monitor.process_batch(batch).expect("batch");
+            }
+            // Only the second query's lane-1 instance sees the third batch.
+            let second = &mut monitor.queries[1];
+            let lanes = second
+                .cohort
+                .lock()
+                .lanes
+                .iter()
+                .map(|lane| copy_of(lane.as_ref(), &spec))
+                .collect();
+            second.cohort = Cohort::of(lanes);
+            let view = batches[2].view();
+            second.cohort.lock().lanes[1].process_batch(&view, 1.0, &mut CycleMeter::new());
+
+            let saved = |monitor: &Monitor| {
+                let (mut state, mut lanes) = (StateWriter::new(), StateWriter::new());
+                monitor.save_state(&mut state).expect("save");
+                monitor.save_lane_state(&mut lanes).expect("save lanes");
+                (state.into_bytes(), lanes.into_bytes())
+            };
+            let (state, lanes) = saved(&monitor);
+            let mut restored = Monitor::with_lanes(config, 2);
+            restored.load_state(&mut StateReader::new(&state)).expect("load");
+            assert!(shared(&restored), "equal lane-0 bytes share the instances");
+            restored.load_lane_state(&mut StateReader::new(&lanes)).expect("load lanes");
+            assert!(!shared(&restored), "other lane-1 bytes detach the second query");
+            assert!(saved(&restored) == (state, lanes), "the restored bytes are the saved ones");
         }
 
         #[test]

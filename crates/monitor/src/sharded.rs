@@ -154,11 +154,11 @@ mod tests {
         let mut fleet = fleet(4, &QueryKind::CHAPTER4_SET);
         assert_eq!(fleet.lane_count(), 4);
         assert_eq!(fleet.queries.len(), 7, "seven predictors, not twenty-eight");
-        assert!(fleet.queries.iter().all(|query| query.lanes.len() == 4));
+        assert!(fleet.queries.iter().all(|query| query.cohort.lock().lanes.len() == 4));
         assert_eq!(fleet.lane_capacities(), [1.25e8; 4]);
 
         let id = fleet.register(&QuerySpec::new(QueryKind::TopK).with_label("late")).expect("ok");
-        assert_eq!(fleet.queries[7].lanes.len(), 4);
+        assert_eq!(fleet.queries[7].cohort.lock().lanes.len(), 4);
         fleet.deregister(id).expect("deregister");
         assert_eq!(fleet.query_names().len(), 7);
 

@@ -172,7 +172,7 @@ impl Query for PatternSearchQuery {
 
 /// Behaviour of the `p2p-detector` when asked to shed load itself
 /// (Chapter 6, Figures 6.10 and 6.11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CustomBehavior {
     /// Applies its custom load shedding method correctly.
     Honest,

@@ -8,7 +8,7 @@ use std::any::Any;
 use std::hash::Hash;
 
 /// How excess load should be shed for a query (Section 4.2 and Chapter 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SheddingMethod {
     /// Uniform random packet sampling.
     PacketSampling,

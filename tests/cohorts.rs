@@ -1,0 +1,250 @@
+//! Cohorts change nothing. Queries registered from specs that are equal but
+//! for the label share one set of lane instances until the plan gives them
+//! different deliveries (DESIGN.md, "Cohorts"). The oracle needs no knob: an
+//! engine whose queries were registered as bare instances of the same specs,
+//! under the same labels and minimum rates, has no specs to compare, so no
+//! cohort forms in it — and it must emit the same three digest streams, bit
+//! for bit, at any worker count.
+
+use netshed::monitor::{flow_sample_with, packet_sample_with};
+use netshed::prelude::*;
+use netshed::queries::{build_query_from_spec, CycleMeter, Query};
+use netshed::sketch::{H3Hasher, StateReader, StateWriter};
+use netshed::trace::KeepListPool;
+use netshed_bench::corpus::CORPUS_SEED;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// A run: the tenants registered before the first bin, and the registry's
+/// changes before given bins — a registration, or the deregistration of the
+/// tenant at an index of `tenants`.
+struct Script {
+    tenants: Vec<QuerySpec>,
+    late: Vec<(usize, QuerySpec)>,
+    leave: Vec<(usize, usize)>,
+}
+
+/// Registers `spec` from the spec, or — the oracle — as a bare instance of
+/// it under the same label and minimum rate.
+fn register(engine: &mut Monitor, spec: &QuerySpec, bare: bool) -> QueryId {
+    let registered = if bare {
+        let label = Some(spec.resolved_label());
+        engine.register_instance(build_query_from_spec(spec), label, spec.min_sampling_rate)
+    } else {
+        engine.register(spec)
+    };
+    registered.expect("valid spec")
+}
+
+/// Runs `script` over `batches` and returns the digest and each bin's
+/// [`Monitor::query_runs`].
+fn run(
+    config: &MonitorConfig,
+    script: &Script,
+    batches: &[Batch],
+    bare: bool,
+) -> (RunDigest, Vec<usize>) {
+    let mut engine = Monitor::new(config.clone());
+    let ids: Vec<QueryId> =
+        script.tenants.iter().map(|spec| register(&mut engine, spec, bare)).collect();
+    let (mut digest, mut runs) = (DigestObserver::new(), Vec::new());
+    for (bin, batch) in batches.iter().enumerate() {
+        for (_, spec) in script.late.iter().filter(|(at, _)| *at == bin) {
+            register(&mut engine, spec, bare);
+        }
+        for (_, index) in script.leave.iter().filter(|(at, _)| *at == bin) {
+            engine.deregister(ids[*index]).expect("registered");
+        }
+        engine.ingest(batch, &mut digest).expect("bin");
+        runs.push(engine.query_runs());
+    }
+    digest.on_interval(&engine.finish_interval());
+    (digest.digest(), runs)
+}
+
+/// The spec'd engine at workers {1, 2, 4} against the bare oracle; returns
+/// the spec'd engine's runs a bin.
+fn assert_cohorts_change_nothing(
+    config: &MonitorConfig,
+    script: &Script,
+    batches: &[Batch],
+) -> Vec<usize> {
+    let (oracle, alone) = run(config, script, batches, true);
+    let mut runs = Vec::new();
+    for workers in [1, 2, 4] {
+        let (digest, ran) = run(&config.clone().with_workers(workers), script, batches, false);
+        assert_eq!(digest, oracle, "workers {workers}");
+        assert!(ran.iter().zip(&alone).all(|(cohorts, queries)| cohorts <= queries));
+        runs = ran;
+    }
+    runs
+}
+
+fn tenants(kinds: &[QueryKind], count: usize) -> Vec<QuerySpec> {
+    (0..count)
+        .map(|index| {
+            QuerySpec::new(kinds[index % kinds.len()]).with_label(format!("tenant-{index:02}"))
+        })
+        .collect()
+}
+
+const FIVE: [QueryKind; 5] = [
+    QueryKind::Counter,
+    QueryKind::Application,
+    QueryKind::Flows,
+    QueryKind::TopK,
+    QueryKind::HighWatermark,
+];
+
+fn unshed() -> MonitorConfig {
+    MonitorConfig::default()
+        .with_capacity(1e15)
+        .with_seed(CORPUS_SEED)
+        .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+        .without_noise()
+}
+
+fn traffic(seed: u64, bins: usize, payloads: bool) -> Vec<Batch> {
+    let config = TraceConfig::default()
+        .with_seed(seed)
+        .with_mean_packets_per_batch(300.0)
+        .with_payloads(payloads);
+    TraceGenerator::new(config).batches(bins)
+}
+
+/// The 25-tenant unshed run of `tests/engine.rs`: five cohorts of five run
+/// five times a bin, and a same-spec tenant registered after bin 40 — whose
+/// instances would have to have seen the 40 bins it missed — runs alone.
+#[test]
+fn an_unshed_tenant_run_runs_one_instance_set_per_kind() {
+    let script = Script {
+        tenants: tenants(&FIVE, 25),
+        late: vec![(40, QuerySpec::new(QueryKind::Counter).with_label("tenant-25"))],
+        leave: Vec::new(),
+    };
+    let runs = assert_cohorts_change_nothing(&unshed(), &script, &traffic(29, 80, false));
+    assert!(runs[..40].iter().all(|&runs| runs == 5), "{runs:?}");
+    assert!(runs[40..].iter().all(|&runs| runs == 6), "{runs:?}");
+}
+
+/// Four tenants of each of the ten kinds, the `p2p-detector`s under custom
+/// shedding, with noise on and a CPU-fair capacity that sheds some bins and
+/// not others: packet- and flow-sampled twins detach the first time they are
+/// sampled, custom twins the first time the plan gives them different rates
+/// (their noisy predictions make their fair rates differ) — partway
+/// through the run's first interval — and every tenant keeps reporting what
+/// instances of its own would have.
+#[test]
+fn twins_that_the_plan_tells_apart_detach_and_change_nothing() {
+    let specs: Vec<QuerySpec> = tenants(&QueryKind::ALL, 40)
+        .into_iter()
+        .map(|spec| match spec.kind {
+            QueryKind::P2pDetector => spec.with_custom(CustomBehavior::Honest),
+            _ => spec,
+        })
+        .collect();
+    let batches = traffic(31, 60, true);
+    let script = Script { tenants: specs, late: Vec::new(), leave: Vec::new() };
+
+    // The capacity: nine tenths of the mean unshed demand, in cycles a bin.
+    let mut demand = 0.0;
+    let mut probe = Monitor::new(unshed());
+    for spec in &script.tenants {
+        probe.register(spec).expect("valid spec");
+    }
+    for batch in &batches {
+        demand += probe.process_batch(batch).expect("bin").total_cycles();
+    }
+    let config = MonitorConfig::default()
+        .with_capacity(0.9 * demand / batches.len() as f64)
+        .with_seed(CORPUS_SEED)
+        .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsCpu));
+
+    let mut engine = Monitor::new(config.clone());
+    for spec in &script.tenants {
+        engine.register(spec).expect("valid spec");
+    }
+    let (mut shed, mut unshed_bins) = (0, 0);
+    for batch in &batches {
+        let record = engine.process_batch(batch).expect("bin");
+        if record.queries.iter().all(|query| query.sampling_rate == 1.0) {
+            unshed_bins += 1;
+        } else {
+            shed += 1;
+        }
+    }
+    assert!(shed > 5 && unshed_bins > 5, "{shed} shed bins, {unshed_bins} unshed");
+
+    let runs = assert_cohorts_change_nothing(&config, &script, &batches);
+    assert_eq!(runs[0], 10, "one instance set per kind until the plan tells twins apart");
+    assert!(runs[..10].iter().any(|&runs| runs > 10 && runs < 40), "{runs:?}");
+}
+
+/// A cohort's first-registered member leaves mid-interval: the cohort's
+/// other members carry on with the instances, and plan under the next one.
+#[test]
+fn deregistering_a_cohorts_first_member_changes_nothing() {
+    let script = Script {
+        tenants: tenants(&FIVE, 15),
+        late: Vec::new(),
+        leave: vec![(25, 0), (25, 1), (33, 5)],
+    };
+    let runs = assert_cohorts_change_nothing(&unshed(), &script, &traffic(37, 50, false));
+    assert!(runs.iter().all(|&runs| runs == 5), "{runs:?}");
+}
+
+/// What detaching rests on: a mid-interval `save_state` → `load_state` copy
+/// of a query continues bit-identically — the same cycles every bin, the
+/// same bytes, the same output at every close — for every kind, on full
+/// views and packet- and flow-sampled ones, at full rate and below.
+#[test]
+fn a_mid_interval_state_copy_continues_bit_identically_for_every_kind() {
+    let batches = traffic(43, 36, true);
+    let hasher = H3Hasher::new(13, 5);
+    let (mut rng, mut pool) = (StdRng::seed_from_u64(3), KeepListPool::new());
+    let state = |query: &dyn Query| {
+        let mut writer = StateWriter::new();
+        query.save_state(&mut writer).expect("saves");
+        writer.into_bytes()
+    };
+    let specs = QueryKind::ALL
+        .into_iter()
+        .map(QuerySpec::new)
+        .chain([QuerySpec::new(QueryKind::P2pDetector).with_custom(CustomBehavior::Honest)]);
+    for spec in specs {
+        let context = format!("{} ({:?})", spec.kind.name(), spec.custom_behavior);
+        let mut original = build_query_from_spec(&spec);
+        let mut copy = None::<Box<dyn Query>>;
+        for (bin, batch) in batches.iter().enumerate() {
+            if bin % 10 == 0 && bin > 0 {
+                let output = original.end_interval();
+                if let Some(copy) = copy.as_mut() {
+                    assert_eq!(copy.end_interval(), output, "{context}, close at bin {bin}");
+                }
+            }
+            if bin == 14 {
+                let mut restored = build_query_from_spec(&spec);
+                restored
+                    .load_state(&mut StateReader::new(&state(original.as_ref())))
+                    .expect("loads");
+                copy = Some(restored);
+            }
+            let (view, rate) = match bin % 4 {
+                0 => (batch.view(), 1.0),
+                1 => (batch.view(), 0.6),
+                2 => (packet_sample_with(&batch.view(), 0.5, &mut rng, &mut pool).0, 0.5),
+                _ => (flow_sample_with(&batch.view(), 0.4, &hasher, &mut pool).0, 0.4),
+            };
+            let mut meter = CycleMeter::new();
+            original.process_batch(&view, rate, &mut meter);
+            if let Some(copy) = copy.as_mut() {
+                let mut copied = CycleMeter::new();
+                copy.process_batch(&view, rate, &mut copied);
+                assert_eq!(copied.cycles(), meter.cycles(), "{context}, bin {bin}");
+                assert!(state(copy.as_ref()) == state(original.as_ref()), "{context}, bin {bin}");
+            }
+        }
+        let copy = copy.as_mut().expect("copied at bin 14");
+        assert_eq!(copy.end_interval(), original.end_interval(), "{context}, last close");
+    }
+}

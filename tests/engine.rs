@@ -20,6 +20,7 @@ use netshed_bench::corpus::{
 };
 use netshed_service::{Daemon, MonitorEngine, TickStatus};
 use netshed_trace::scenario::builtin;
+use std::borrow::Borrow;
 
 /// What `run` must return on the pinned scenario.
 struct PinnedSummary {
@@ -223,6 +224,11 @@ fn tenant_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest 
         control = restored_control;
     }
     advance(&mut daemon, 30);
+    // Five cohorts of five run a set of instances each, and so does the late
+    // tenant, which missed 40 bins — unless a restore found its bytes equal
+    // to its kind's, as they are in any interval it saw from the start.
+    let runs = Borrow::<Monitor>::borrow(daemon.monitor()).query_runs();
+    assert_eq!(runs, if cut { 5 } else { 6 }, "instance sets run in a bin");
     let left = control.deregister_query(ids[3]);
     assert_eq!(daemon.run_to_exhaustion().expect("ticks"), TickStatus::SourceExhausted);
     left.wait().expect("deregistered");
