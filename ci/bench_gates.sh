@@ -141,17 +141,34 @@ fi
 # integer compare per packet, written at the keep list's tail, so on the same
 # fresh 10k-packet views it may not cost more than a flow sample (one H3
 # verdict per flow and a verdict lookup per packet; 1.1–1.6 before the
-# branch-free sampler, 0.33–0.36 after) — and the solo bin's shed stage, five such
-# passes, may not take more than 0.17 of the bin (0.22 before). The small-view
-# re-extraction row is measured the way a monitor's worker runs it: eight
-# extractors taking turns on one shared scratch.
+# branch-free sampler, 0.33–0.36 after). The small-view re-extraction row is
+# measured the way a monitor's worker runs it: eight extractors taking turns
+# on one shared scratch.
 require '"packet_vs_flow_view"' "lost the packet-vs-flow sampler row"
 require '"shared_scratch_ns_per_call"' "lost the shared-scratch re-extraction column"
 if [ "$kind" = committed ]; then
   awk -F': *' '/"packet_vs_flow_view"/ { if ($2 + 0 > 1.0) exit 1 }' "$file" ||
     fail "packet_vs_flow_view is above 1.0"
-  awk -F': *' '/"solo"/ { solo = 1 } solo && /"shed"/ { if ($2 + 0 > 0.17) exit 1; exit 0 }' "$file" ||
-    fail "the solo bin's measured shed share is above 0.17"
+fi
+
+# Coordinated packet sampling: the bin draws one key per packet for every
+# packet-sampled query together, and each query keeps the keys below its
+# threshold, so the samples nest. The solo bin's shed stage — one draw pass
+# and one compare pass per distinct rate, each cut from the next larger
+# sample — may not take more than 0.05 of the bin (0.22 with a draw per
+# packet per query and a copy per sample, 0.11 with a draw per packet per
+# query). The nested samples are re-extracted in one walk of the bin, so
+# under eq_srates, where every packet-sampled query keeps one sample, a bin
+# makes at most two re-extraction walks: that one and the flow-sampled
+# query's (6.41 walks a bin under mmfs_pkt with a walk per sample). A count,
+# so held on every run.
+require '"reextraction_walks_per_bin_mmfs_pkt"' "lost the mmfs_pkt re-extraction walk count"
+require '"reextraction_walks_per_bin_eq_srates"' "lost the eq_srates re-extraction walk count"
+awk -F': *' '/"reextraction_walks_per_bin_eq_srates"/ { if ($2 + 0 > 2) exit 1 }' "$file" ||
+  fail "a bin under eq_srates makes more than 2 re-extraction walks"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"solo"/ { solo = 1 } solo && /"shed"/ { if ($2 + 0 > 0.05) exit 1; exit 0 }' "$file" ||
+    fail "the solo bin's measured shed share is above 0.05"
 fi
 
 # The flow index's worst case is priced, not guessed: on a batch whose

@@ -34,7 +34,10 @@
 //!    aligned with the engine's feature window (`aligned_prediction_share`:
 //!    the ones that probe the window's prediction table) and of those
 //!    copied from it (`recalled_prediction_share`): how often the overload
-//!    workloads pay the table's miss path is measured, not assumed.
+//!    workloads pay the table's miss path is measured, not assumed; and the
+//!    re-extraction walks a bin makes under `mmfs_pkt` and under `eq_srates`
+//!    (`reextraction_walks_per_bin_*`: the packet-sampled queries' samples
+//!    nest, so one walk re-extracts them all; each flow sample is one more).
 //! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle
 //!    (reselecting every bin, and with `reselect_every = 10`), the same
 //!    cycle for a predictor aligned with a warm shared feature window and
@@ -769,14 +772,16 @@ impl Predictor for Tallied {
 
 /// How an engine shared its work over a run: per bin, the predictions made,
 /// the aligned ones, those of them the feature window computed in full (the
-/// other aligned ones copy one made from the same inputs), and the sets of
-/// lane instances run (`Monitor::query_runs`; a cohort runs one set for all
-/// its members).
+/// other aligned ones copy one made from the same inputs), the sets of lane
+/// instances run (`Monitor::query_runs`; a cohort runs one set for all its
+/// members) and the re-extraction walks made (`Monitor::reextraction_walks`:
+/// one for every packet-sampled query together, one per flow-sampled one).
 struct Sharing {
     predictions: f64,
     aligned: f64,
     full: f64,
     runs: f64,
+    walks: f64,
 }
 
 impl Sharing {
@@ -794,13 +799,14 @@ impl Sharing {
             })
             .build()
             .expect("valid configuration");
-        let (mut bins, mut full, mut runs) = (0, 0, 0);
+        let (mut bins, mut full, mut runs, mut walks) = (0, 0, 0, 0);
         for batch in batches.iter().filter(|batch| !batch.is_empty()) {
             counts.computed.store(0, Ordering::Relaxed);
             monitor.process_batch(batch).expect("bin");
             bins += 1;
             full += counts.computed.load(Ordering::Relaxed);
             runs += monitor.query_runs();
+            walks += monitor.reextraction_walks();
         }
         let per_bin = |count: usize| count as f64 / bins as f64;
         Self {
@@ -808,6 +814,7 @@ impl Sharing {
             aligned: per_bin(counts.aligned.load(Ordering::Relaxed)),
             full: per_bin(full),
             runs: per_bin(runs),
+            walks: per_bin(walks),
         }
     }
 }
@@ -981,6 +988,11 @@ fn main() {
     let pipeline = bench_pipeline_at(pipeline_batches, 1);
     let (recorded, builder) = overload_shape(pipeline_batches);
     let sharing = Sharing::of(builder, &recorded);
+    let (recorded, builder) = overload_shape(pipeline_batches);
+    let equal_rates = Sharing::of(
+        builder.strategy(Strategy::Predictive(AllocationPolicy::EqualRates)),
+        &recorded,
+    );
     section(
         "pipeline_2x_overload",
         Report::new()
@@ -996,7 +1008,9 @@ fn main() {
             .cell(
                 "recalled_prediction_share",
                 num((sharing.aligned - sharing.full) / sharing.predictions, 4),
-            ),
+            )
+            .cell("reextraction_walks_per_bin_mmfs_pkt", num(sharing.walks, 2))
+            .cell("reextraction_walks_per_bin_eq_srates", num(equal_rates.walks, 2)),
     );
     section("prediction_plane", bench_prediction_plane(if smoke { 200 } else { 600 }));
     section("registry_scale", bench_registry_scale(if smoke { 12 } else { 40 }));

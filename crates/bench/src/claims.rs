@@ -156,11 +156,7 @@ pub const ALL: &[Claim] = &[
     Claim {
         id: "fig6_1_3",
         reference: "Fig. 6.1-3",
-        expectation: Expectation::Deviates(
-            "custom shedding scores 0.06-0.13 against 0.38-0.41 under plain packet sampling on \
-             seeds 1, 2, 3 and 42, since the experiment was first measured (PR 21); a named bug \
-             in ROADMAP item 1",
-        ),
+        expectation: HOLDS,
         statement: "the p2p-detector is at least as accurate under its custom shedding as under packet sampling",
         check: |tables| {
             let methods = [("packet sampling", 1.0), ("custom shedding", 1.0)];

@@ -35,6 +35,15 @@ pub const TRACE_EXTENSION: &str = "nstr";
 /// Name of the digest manifest inside the corpus directory.
 pub const MANIFEST_NAME: &str = "GOLDEN.digests";
 
+/// The digest epoch of this engine: which draw order and numerics its
+/// outputs follow (`corpus/README.md`, "Epochs"). Epoch 1 is every engine
+/// before coordinated packet sampling, whose manifests carry no epoch line;
+/// epoch 2 draws one packet key per bin for every packet-sampled query.
+pub const DIGEST_EPOCH: u32 = 2;
+
+/// The manifest line that names its epoch.
+const EPOCH_LINE: &str = "# digest epoch ";
+
 /// The corpus query set: one query per shedding method (packet sampling,
 /// flow sampling, custom shedding) plus top-k, whose high minimum rate
 /// forces the disabled path under overload.
@@ -185,9 +194,10 @@ pub fn compute_golden(
 /// Renders manifest rows in the committed `GOLDEN.digests` format.
 pub fn format_manifest(entries: &[GoldenEntry]) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from(
+    let mut out = format!(
         "# netshed golden-replay corpus manifest v1\n\
-         # scenario strategy bins records decisions intervals\n",
+         {EPOCH_LINE}{DIGEST_EPOCH}\n\
+         # scenario strategy bins records decisions intervals\n"
     );
     for entry in entries {
         // Writing to a String is infallible.
@@ -206,10 +216,18 @@ pub fn format_manifest(entries: &[GoldenEntry]) -> String {
 }
 
 /// Parses a `GOLDEN.digests` manifest (inverse of [`format_manifest`]).
+/// A manifest of another digest epoch than [`DIGEST_EPOCH`] (one with no
+/// epoch line is epoch 1) is rejected: its digests pin another draw order.
 pub fn parse_manifest(text: &str) -> Result<Vec<GoldenEntry>, String> {
     let mut entries = Vec::new();
+    let mut epoch = 1;
     for (number, line) in text.lines().enumerate() {
         let line = line.trim();
+        if let Some(named) = line.strip_prefix(EPOCH_LINE) {
+            epoch = named
+                .parse::<u32>()
+                .map_err(|e| format!("manifest line {}: bad digest epoch: {e}", number + 1))?;
+        }
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -238,6 +256,12 @@ pub fn parse_manifest(text: &str) -> Result<Vec<GoldenEntry>, String> {
                 intervals: hex(fields[5], "intervals")?,
             },
         });
+    }
+    if epoch != DIGEST_EPOCH {
+        return Err(format!(
+            "manifest of digest epoch {epoch}, engine of epoch {DIGEST_EPOCH}: re-record it \
+             under the epoch procedure (corpus/README.md)"
+        ));
     }
     Ok(entries)
 }
@@ -302,6 +326,18 @@ mod tests {
             .expect_err("bad bins")
             .contains("line 2"));
         assert!(parse_manifest("s strat 1 zz 0 0\n").expect_err("bad hex").contains("records"));
+    }
+
+    #[test]
+    fn a_manifest_of_another_epoch_is_rejected() {
+        let row = "s strat 1 0 0 0\n";
+        let this_epoch = format!("{EPOCH_LINE}{DIGEST_EPOCH}\n{row}");
+        assert_eq!(parse_manifest(&this_epoch).expect("this epoch").len(), 1);
+        // No epoch line: epoch 1.
+        assert!(parse_manifest(row).expect_err("epoch 1").contains("epoch 1"));
+        let next = format!("{EPOCH_LINE}{}\n{row}", DIGEST_EPOCH + 1);
+        assert!(parse_manifest(&next).expect_err("a later epoch").contains("re-record"));
+        assert!(parse_manifest(&format!("{EPOCH_LINE}two\n")).expect_err("bad").contains("line 1"));
     }
 
     #[test]

@@ -172,6 +172,9 @@ pub trait Rng {
 }
 
 impl Rng for StdRng {
+    // Inlined across crates: a sampler's per-packet draw is this body, and a
+    // call per packet costs more than the generator step itself.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         // xoshiro256++ by Blackman & Vigna (public domain).
         let s = &mut self.state;

@@ -14,6 +14,12 @@
 //! The per-batch bitmaps are all zeros between two extractions, so they are
 //! nobody's state: the caller lends an [`ExtractScratch`] for the call (a
 //! monitor keeps one per worker) and an extractor owns the interval half.
+//!
+//! Samples that nest — each packet carries one key and a sample keeps the
+//! packets whose key is below its threshold — are re-extracted by one
+//! [`NestedPass`] instead of one walk each: the scratch grows band by band,
+//! smallest threshold first, and each sample's extractor folds it as it
+//! stands when its threshold is reached (DESIGN.md, "Fused extractor").
 
 use crate::aggregate::{Aggregate, AGGREGATE_COUNT, AGGREGATE_MAX_CARDINALITY};
 use crate::vector::{CounterKind, FeatureId, FeatureVector};
@@ -45,9 +51,26 @@ pub struct ExtractScratch {
     words: Vec<u64>,
     set: Vec<u32>,
     /// The distinct flows of the view under way, in view order, and the set
-    /// that tells a flow's first sighting from its later ones.
+    /// that tells a flow's first sighting from its later ones; a nested pass
+    /// keeps its flows here too, by band.
     flows: Vec<u32>,
     seen: FlowSet,
+    bands: Bands,
+}
+
+/// A nested pass's bands: band `b` holds the packets whose key is at least
+/// the pass's `b`-th threshold and below the next (band 0 starts at 0, and
+/// one band past the last holds the packets no threshold keeps).
+#[derive(Debug, Default)]
+struct Bands {
+    /// Packets and IP bytes by band.
+    packets: Vec<u64>,
+    bytes: Vec<u64>,
+    /// Flow id → the lowest band a packet of the flow fell in: the first
+    /// sample the flow belongs to.
+    band_of_flow: Vec<u32>,
+    /// Where each band's flows end in the scratch's flow list.
+    ends: Vec<usize>,
 }
 
 impl Default for ExtractScratch {
@@ -59,6 +82,7 @@ impl Default for ExtractScratch {
             set: vec![0; AGGREGATE_COUNT * geometry.components()],
             flows: Vec::default(),
             seen: FlowSet::default(),
+            bands: Bands::default(),
         }
     }
 }
@@ -116,6 +140,139 @@ impl ExtractScratch {
             }
         }
     }
+
+    /// Zeroes every component a bit was set in.
+    fn clear(&mut self) {
+        let per_component = self.geometry.words_per_component();
+        for (words, set) in self.words.chunks_exact_mut(per_component).zip(&mut self.set) {
+            if *set != 0 {
+                words.fill(0);
+                *set = 0;
+            }
+        }
+    }
+
+    /// Opens a nested pass over `view`: `keys` holds one key per packet of
+    /// its store, by store index, and the sample at threshold `t` — one of
+    /// `thresholds`, ascending and distinct — is the view's packets whose key
+    /// is below `t` (so `view` may be the sample at the largest threshold
+    /// itself, or any view containing it). One walk of the view sorts the
+    /// packets into the bands the thresholds cut and every flow into the
+    /// band of its first sample; [`NestedPass::extract`] then extracts the
+    /// samples smallest first, and the scratch is handed back empty when the
+    /// pass is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` holds no key for a packet of the view, or (debug
+    /// builds) if the thresholds are not ascending and distinct.
+    pub fn nested<'a>(
+        &'a mut self,
+        view: &'a BatchView,
+        keys: &[u64],
+        thresholds: &'a [u64],
+    ) -> NestedPass<'a> {
+        debug_assert!(thresholds.windows(2).all(|pair| pair[0] < pair[1]));
+        let index = view.store().flow_index();
+        let (bands, outside) = (&mut self.bands, thresholds.len());
+        for sums in [&mut bands.packets, &mut bands.bytes] {
+            sums.clear();
+            sums.resize(outside + 1, 0);
+        }
+        bands.band_of_flow.clear();
+        bands.band_of_flow.resize(index.flows(), outside as u32);
+        for (at, packet) in view.indexed_packets() {
+            let band = thresholds.partition_point(|&threshold| threshold <= keys[at]);
+            bands.packets[band] += 1;
+            bands.bytes[band] += u64::from(packet.ip_len());
+            let first = &mut bands.band_of_flow[index.flow_of()[at] as usize];
+            *first = (*first).min(band as u32);
+        }
+        // The flows by band (a counting sort): `ends` counts, then holds
+        // each band's start, then — once every flow is placed — its end.
+        bands.ends.clear();
+        bands.ends.resize(outside + 1, 0);
+        for &band in &bands.band_of_flow {
+            bands.ends[band as usize] += 1;
+        }
+        let mut start = 0;
+        for end in &mut bands.ends {
+            (*end, start) = (start, start + *end);
+        }
+        self.flows.resize(index.flows(), 0);
+        for (flow, &band) in bands.band_of_flow.iter().enumerate() {
+            let at = &mut bands.ends[band as usize];
+            self.flows[*at] = flow as u32;
+            *at += 1;
+        }
+        NestedPass { scratch: self, view, thresholds, inserted: 0, packets: 0, bytes: 0 }
+    }
+}
+
+/// One nested pass over a view, opened by [`ExtractScratch::nested`]: the
+/// lent scratch holds the union of the bands extracted so far.
+#[derive(Debug)]
+pub struct NestedPass<'a> {
+    scratch: &'a mut ExtractScratch,
+    view: &'a BatchView,
+    thresholds: &'a [u64],
+    /// Bands inserted into the scratch, and their packets and IP bytes.
+    inserted: usize,
+    packets: u64,
+    bytes: u64,
+}
+
+impl NestedPass<'_> {
+    /// [`FeatureExtractor::extract_view_with`] of the sample at `threshold`,
+    /// bit for bit, on `extractor`: the bands below the threshold not yet in
+    /// the scratch are inserted (each flow once, at its first sample) and the
+    /// extractor folds the scratch without emptying it. Samples are asked
+    /// smallest threshold first; several extractors may ask for one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is not one the pass was opened with, or is below
+    /// one already asked for.
+    pub fn extract(
+        &mut self,
+        extractor: &mut FeatureExtractor,
+        threshold: u64,
+    ) -> (FeatureVector, u64) {
+        let scratch = &mut *self.scratch;
+        let band = self.thresholds.partition_point(|&t| t < threshold);
+        assert_eq!(
+            self.thresholds.get(band),
+            Some(&threshold),
+            "a threshold the pass was opened with"
+        );
+        assert!(band + 1 >= self.inserted, "samples are extracted smallest first");
+        let rows = self.view.store().flow_index().rows();
+        let flows = std::mem::take(&mut scratch.flows);
+        while self.inserted <= band {
+            let end = scratch.bands.ends[self.inserted];
+            let start = if self.inserted == 0 { 0 } else { scratch.bands.ends[self.inserted - 1] };
+            scratch.insert(flows[start..end].iter().map(|&flow| &rows[flow as usize]));
+            self.packets += scratch.bands.packets[self.inserted];
+            self.bytes += scratch.bands.bytes[self.inserted];
+            self.inserted += 1;
+        }
+        scratch.flows = flows;
+        extractor.fold(self.view, self.packets, self.bytes, scratch, Fold::Keep)
+    }
+}
+
+impl Drop for NestedPass<'_> {
+    fn drop(&mut self) {
+        self.scratch.clear();
+    }
+}
+
+/// Whether a fold leaves the scratch empty (one extraction) or as it is (a
+/// nested pass, whose next sample contains this one).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    Empty,
+    Keep,
 }
 
 /// Extracts the 42-feature vector from every batch.
@@ -236,6 +393,25 @@ impl FeatureExtractor {
         view: &BatchView,
         scratch: &mut ExtractScratch,
     ) -> (FeatureVector, u64) {
+        // Fused single pass, flow-major: a flow's ten slots are set once per
+        // view; its other packets could only set them again.
+        let bytes = scratch.fill(view);
+        let extracted = self.fold(view, view.len() as u64, bytes, scratch, Fold::Empty);
+        debug_assert!(scratch.is_empty(), "the fold hands the scratch back all zeros");
+        extracted
+    }
+
+    /// The vector of a view of `packets` packets and `bytes` IP bytes whose
+    /// flows the scratch holds, folding the scratch into the interval
+    /// bitmaps — emptying it, or leaving it for a nested pass's next sample.
+    fn fold(
+        &mut self,
+        view: &BatchView,
+        packets: u64,
+        bytes: u64,
+        scratch: &mut ExtractScratch,
+        fold: Fold,
+    ) -> (FeatureVector, u64) {
         let interval = view.measurement_interval(self.config.measurement_interval_us);
         if self.current_interval != Some(interval) {
             for interval_seen in &mut self.interval_seen {
@@ -245,21 +421,21 @@ impl FeatureExtractor {
         }
         self.batches_processed += 1;
 
-        let packets = view.len() as f64;
-        // Fused single pass, flow-major: a flow's ten slots are set once per
-        // view; its other packets could only set them again.
-        let bytes = scratch.fill(view);
-
+        let operations = packets * Aggregate::ALL.len() as u64;
+        let packets = packets as f64;
         let mut vector = FeatureVector::zeros();
         vector.set(FeatureId::Packets, packets);
         vector.set(FeatureId::Bytes, bytes as f64);
         let aggregates = Aggregate::ALL.iter().zip(&mut self.interval_seen);
         for ((aggregate, interval_seen), (words, set)) in aggregates.zip(scratch.bitmaps()) {
             // New items are the rise of the interval estimate around the one
-            // merge per batch, as in the paper; the merge empties the scratch.
+            // merge per batch, as in the paper.
             let unique = interval_seen.estimate_of(set).min(packets).round();
             let before = interval_seen.estimate();
-            interval_seen.absorb_words(words, set);
+            match fold {
+                Fold::Empty => interval_seen.absorb_words(words, set),
+                Fold::Keep => interval_seen.merge_words(words, set),
+            }
             let new = (interval_seen.estimate() - before).clamp(0.0, unique).round();
             let counter = |kind| FeatureId::Counter(*aggregate, kind);
             vector.set(counter(CounterKind::Unique), unique);
@@ -267,8 +443,6 @@ impl FeatureExtractor {
             vector.set(counter(CounterKind::Repeated), (packets - unique).max(0.0));
             vector.set(counter(CounterKind::BatchRepeated), (packets - new).max(0.0));
         }
-        debug_assert!(scratch.is_empty(), "the fold hands the scratch back all zeros");
-        let operations = view.len() as u64 * Aggregate::ALL.len() as u64;
         (vector, operations)
     }
 }

@@ -24,5 +24,5 @@ pub mod vector;
 pub use aggregate::{
     Aggregate, AggregateHashes, AGGREGATE_COUNT, AGGREGATE_HASH_SEED, AGGREGATE_MAX_CARDINALITY,
 };
-pub use extractor::{ExtractScratch, ExtractorConfig, FeatureExtractor};
+pub use extractor::{ExtractScratch, ExtractorConfig, FeatureExtractor, NestedPass};
 pub use vector::{CounterKind, FeatureId, FeatureVector, FEATURE_COUNT};

@@ -8,7 +8,8 @@
 //! plan (every draw, sequentially, in registration order, on the caller's
 //! thread), predict and execute are the dispatches (one task per query,
 //! touching only that query), account is the merge (every sum folds in
-//! registration order).
+//! registration order). Execute opens with one sequential step on the
+//! caller's thread: the nested re-extraction of every packet-sampled query.
 //!
 //! A cohort's members (`monitor.rs`) share their lane instances: the plan
 //! detaches every member whose delivery differs from the first planned
@@ -25,7 +26,7 @@ use crate::exec::{self, Stage};
 use crate::monitor::{flow_hasher, Cohort, Monitor, RegisteredQuery};
 use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
-use crate::shedder::{flow_sample_with, packet_sample_with};
+use crate::shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};
 use netshed_fairness::QueryDemand;
 use netshed_features::{ExtractScratch, FeatureVector};
 use netshed_predict::FeatureWindow;
@@ -73,11 +74,14 @@ pub(crate) struct BinSlot {
     /// the query runs this bin; `None` when it sits the bin out (penalised,
     /// or granted rate 0).
     run: Option<(f64, NoiseDraw)>,
-    /// The packet-sampled view, drawn in the shed stage because it consumes
-    /// the shared RNG. `None` for every other shedding outcome: the tail
-    /// works from the post-drop view (flow sampling is deterministic per
+    /// The packet-sampled view, cut in the shed stage because its keys
+    /// consume the shared RNG. `None` for every other shedding outcome: the
+    /// tail works from the post-drop view (flow sampling is deterministic per
     /// query, so it happens inside the task).
     sampled: Option<BatchView>,
+    /// The packet-sampled view's feature vector and operations, from the
+    /// nested pass that opens the execute stage.
+    reextracted: Option<(FeatureVector, u64)>,
     // Outputs of the tail, valid when `run` is `Some`.
     measured: f64,
     outlier: bool,
@@ -112,6 +116,13 @@ pub(crate) struct Bin {
     // Shed; account adds the re-extraction and delivery shares.
     shedding_cycles: u64,
     unsampled_accumulator: u64,
+    /// Queries that re-extract a flow sample of their own in execute.
+    flow_walks: usize,
+    /// The packet-sampled queries by (key threshold, position), ascending,
+    /// and the distinct thresholds: what the plan cut and the nested pass
+    /// re-extracts.
+    nested: Vec<(u64, usize)>,
+    thresholds: Vec<u64>,
 }
 
 impl RegisteredQuery {
@@ -155,31 +166,26 @@ impl RegisteredQuery {
         stamp: u64,
     ) {
         let Some((rate, noise)) = self.slot.run else { return };
-        let (delivered, resampled) = match (self.slot.sampled.take(), &self.flow_hasher) {
-            (Some(sampled), _) => (sampled, true),
+        // The features recomputed over the sampled stream, so the MLR history
+        // stays consistent (Section 4.3): a packet sample's by the nested
+        // pass, a flow sample's here — the per-query extractor belongs to
+        // this task alone, the scratch to the worker running it.
+        let (delivered, reextracted) = match (self.slot.sampled.take(), &self.flow_hasher) {
+            (Some(sampled), _) => (sampled, self.slot.reextracted.take()),
             // The plan built the table of this interval's generation.
             (None, Some((_, hasher)))
                 if rate < 1.0 && self.shedding == SheddingMethod::FlowSampling =>
             {
                 let (sampled, _) = flow_sample_with(post_drop, rate, hasher, &mut self.shed_pool);
-                (sampled, true)
+                let extracted = self.sampled_extractor.extract_view_with(&sampled, scratch);
+                (sampled, Some(extracted))
             }
             // Full rate, or custom shedding (the query scales its own work).
-            (None, _) => (post_drop.clone(), false),
+            (None, _) => (post_drop.clone(), None),
         };
         self.slot.delivered_packets = delivered.len() as u64;
-
-        // Recompute the features over the sampled stream so the MLR history
-        // stays consistent (Section 4.3); the per-query extractor belongs to
-        // this task alone, the scratch to the worker running it.
-        let sampled_features = if resampled {
-            let (extracted, ops) = self.sampled_extractor.extract_view_with(&delivered, scratch);
-            self.slot.reextract_ops = ops;
-            Some(extracted)
-        } else {
-            self.slot.reextract_ops = 0;
-            None
-        };
+        self.slot.reextract_ops = reextracted.map_or(0, |(_, ops)| ops);
+        let sampled_features = reextracted.map(|(row, _)| row);
 
         let cycles = self.run_lanes(&delivered, rate, lane_of_flow, stamp);
         let (measured, outlier) = noise.apply(cycles);
@@ -317,7 +323,8 @@ impl Monitor {
         bin.predictions.clear();
         bin.measured_full.clear();
         bin.demands.clear();
-        (bin.shedding_cycles, bin.unsampled_accumulator) = (0, 0);
+        (bin.shedding_cycles, bin.unsampled_accumulator, bin.flow_walks) = (0, 0, 0);
+        bin.nested.clear();
         bin.index = batch.bin_index;
         bin.interval = interval;
         bin.interval_outputs = interval_outputs;
@@ -421,7 +428,7 @@ impl Monitor {
 
     /// Shed — the *plan*: sequentially, in registration order, on the
     /// caller's thread, everything whose stream order matters — penalty
-    /// accounting, the flow-hasher refresh, RNG-driven packet sampling, the
+    /// accounting, the flow-hasher refresh, the packet keys, the
     /// measurement-noise pre-draw and the cohorts' detaching. Execute then
     /// receives fully determined inputs and only writes per-query state (a
     /// cohort's instances once, on inputs equal for every member), which is
@@ -432,7 +439,8 @@ impl Monitor {
         self.stamp += 1;
         let (bin, stamp) = (&mut self.bin, self.stamp);
         let packets = post_drop.len() as u64;
-        for (registered, &rate) in self.queries.iter_mut().zip(&bin.decision.rates) {
+        let queries = self.queries.iter_mut().enumerate();
+        for ((position, registered), &rate) in queries.zip(&bin.decision.rates) {
             (registered.slot.run, registered.slot.ran) = (None, false);
             if registered.penalty_remaining > 0 {
                 registered.penalty_remaining -= 1;
@@ -455,13 +463,10 @@ impl Monitor {
             }
             if rate < 1.0 {
                 match registered.shedding {
-                    // Packet sampling draws from the shared RNG, so it stays
-                    // in the plan in registration order — the stream is
-                    // consumed exactly as the sequential path does.
+                    // Packet sampling is cut below, from keys the shared RNG
+                    // draws once for every such query.
                     SheddingMethod::PacketSampling => {
-                        let (sampled, _) =
-                            packet_sample_with(post_drop, rate, &mut self.rng, &mut self.shed_pool);
-                        registered.slot.sampled = Some(sampled);
+                        bin.nested.push((keep_threshold(rate), position));
                         bin.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
                     }
                     // Flow sampling is deterministic per query and happens
@@ -476,6 +481,7 @@ impl Monitor {
                             registered.flow_hasher = Some((generation, hasher));
                         }
                         bin.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
+                        bin.flow_walks += 1;
                     }
                     SheddingMethod::Custom => {}
                 }
@@ -489,13 +495,45 @@ impl Monitor {
             let sampled = rate < 1.0 && registered.shedding != SheddingMethod::Custom;
             registered.plan_cohort(stamp, (!sampled).then_some(rate));
         }
+        self.cut_packet_samples(post_drop);
     }
 
-    /// Execute: the expensive tail, one dispatch of one task per query (see
-    /// [`RegisteredQuery::execute`]). The lane verdict is asked once per flow
-    /// of the batch's index, here, for every query's task to share; the
-    /// window was pushed in predict and is only read.
+    /// The packet samples of the plan: one key per packet of the bin, drawn
+    /// from the shared RNG only if some query packet-samples — and then
+    /// exactly where the first such query's own draws stood, since nothing
+    /// else in the plan reads this generator — and each query keeps the
+    /// packets whose key is below its threshold. Samples nest, so each
+    /// distinct threshold's view is cut from the next larger one, largest
+    /// first, and queries with equal thresholds share one keep list.
+    fn cut_packet_samples(&mut self, post_drop: &BatchView) {
+        let bin = &mut self.bin;
+        bin.thresholds.clear();
+        if bin.nested.is_empty() {
+            return;
+        }
+        let mut keys = std::mem::take(self.shed_pool.keys());
+        draw_keys(post_drop, &mut self.rng, &mut keys);
+        bin.nested.sort_unstable();
+        bin.thresholds.extend(bin.nested.iter().map(|&(threshold, _)| threshold));
+        bin.thresholds.dedup();
+        let (mut within, mut cut) = (post_drop.clone(), None);
+        for &(threshold, position) in bin.nested.iter().rev() {
+            if cut != Some(threshold) {
+                within = within.filter_keys_below_with(&mut self.shed_pool, &keys, threshold);
+                cut = Some(threshold);
+            }
+            self.queries[position].slot.sampled = Some(within.clone());
+        }
+        *self.shed_pool.keys() = keys;
+    }
+
+    /// Execute: the nested re-extraction, then the expensive tail, one
+    /// dispatch of one task per query (see [`RegisteredQuery::execute`]).
+    /// The lane verdict is asked once per flow of the batch's index, here,
+    /// for every query's task to share; the window was pushed in predict and
+    /// is only read.
     fn execute(&mut self, post_drop: &BatchView) {
+        self.reextract_nested();
         if self.lane_count > 1 {
             post_drop.store().flow_lanes(self.lane_count, &mut self.lane_of_flow);
         }
@@ -504,6 +542,33 @@ impl Monitor {
             query.execute(post_drop, &lane_of_flow, window, scratch, stamp);
         });
         self.lane_of_flow = lane_of_flow;
+    }
+
+    /// The packet-sampled queries' re-extraction, on the caller's thread
+    /// before the dispatch: their samples nest, so one
+    /// [`NestedPass`](netshed_features::NestedPass) walks the largest sample
+    /// once and each query's extractor folds the scratch at its threshold,
+    /// smallest first — bit for bit what `extract_view_with` makes of each
+    /// sample. Each extractor is its own query's; the order they fold in
+    /// moves nothing, the thresholds' order only saves the walks.
+    fn reextract_nested(&mut self) {
+        let bin = &self.bin;
+        self.reextraction_walks = bin.flow_walks + usize::from(!bin.nested.is_empty());
+        // The largest sample holds every packet any query keeps: the pass
+        // walks it, not the post-drop view.
+        let Some(largest) = bin
+            .nested
+            .last()
+            .and_then(|&(_, position)| self.queries[position].slot.sampled.clone())
+        else {
+            return;
+        };
+        let mut pass = self.scratch[0].nested(&largest, self.shed_pool.keys(), &bin.thresholds);
+        for &(threshold, position) in &bin.nested {
+            let registered = &mut self.queries[position];
+            let extracted = pass.extract(&mut registered.sampled_extractor, threshold);
+            registered.slot.reextracted = Some(extracted);
+        }
     }
 
     /// Account — the *merge*: folds the queries' slots in registration

@@ -104,4 +104,4 @@ pub use reference::ReferenceRunner;
 pub use report::{BinRecord, QueryBinRecord, RunSummary};
 pub use robust::{AllocationGameAttacker, DegradationGuard, DegradationGuardConfig};
 pub use sharded::ShardedMonitor;
-pub use shedder::{flow_sample_with, packet_sample_with};
+pub use shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};

@@ -394,6 +394,10 @@ pub struct Monitor {
     next_query_id: u64,
     /// Keep-list pool for the shed views drawn on the caller's thread
     /// (capture-buffer overflow and packet sampling), recycled across bins.
+    /// Its key buffer holds the plan's packet keys, one per packet of the
+    /// bin, which every packet-sampled query's cut and the nested
+    /// re-extraction read (see `shedder.rs`): scratch, neither snapshot nor
+    /// digest state.
     pub(crate) shed_pool: KeepListPool,
     /// The last full-batch feature rows, with the feature side of FCBF
     /// computed once per bin for every predictor still aligned with it. A
@@ -416,6 +420,9 @@ pub struct Monitor {
     /// How many sets of lane instances the last bin ran (see
     /// [`Monitor::query_runs`]).
     pub(crate) query_runs: usize,
+    /// How many re-extraction walks the last bin made (see
+    /// [`Monitor::reextraction_walks`]).
+    pub(crate) reextraction_walks: usize,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -474,6 +481,7 @@ impl Monitor {
             fresh: DetHashMap::new(),
             stamp: 0,
             query_runs: 0,
+            reextraction_walks: 0,
             config,
         }
     }
@@ -673,6 +681,15 @@ impl Monitor {
     #[doc(hidden)]
     pub fn query_runs(&self) -> usize {
         self.query_runs
+    }
+
+    /// How many re-extraction walks the last bin made: one for all its
+    /// packet-sampled queries together (their samples nest, so one pass
+    /// re-extracts them all) and one per flow-sampled query. Exposed for the
+    /// pipeline bench only.
+    #[doc(hidden)]
+    pub fn reextraction_walks(&self) -> usize {
+        self.reextraction_walks
     }
 
     /// Whether a measurement interval is currently open (at least one batch

@@ -150,8 +150,8 @@ pub struct DegradationGuard {
     /// The rate the fallback used last bin, rationing the rebound to
     /// [`FALLBACK_GROWTH`]; `None` while healthy.
     fallback_rate: Option<f64>,
-    /// The previous decision committed zero cycles while the budget was in
-    /// debt: the bin went fully dark paying off an earlier overrun. Dark
+    /// The previous decision committed zero cycles because the budget was
+    /// in debt: the bin went fully dark paying off an earlier overrun. Dark
     /// bins produce no cycle-ratio evidence at all, which is exactly how a
     /// single catastrophically under-predicted bin escapes the tripwire —
     /// its overrun is served as budget debt by the bins after it.
@@ -252,23 +252,30 @@ impl DegradationGuard {
         } else {
             let bad = dropped || dark_debt || ratio.is_some_and(|r| r > self.config.trip_ratio);
             if bad {
-                self.bad += 1;
+                self.count_bad();
             } else if ratio.is_some() {
                 self.bad = 0;
             }
             // A bin with no evidence either way — zero committed cycles and
-            // no drops, e.g. the forced zero-rate bins while a previous
-            // overrun's backlog debt is paid off — leaves the streak
-            // untouched: absence of evidence is not evidence of health, and
-            // resetting here would let a single catastrophic bin hide behind
-            // the very debt bins it caused.
-            if self.bad >= self.config.trip_bins {
-                self.degraded = true;
-                self.trips += 1;
-                self.good = 0;
-            }
+            // no drops — leaves the streak untouched: absence of evidence is
+            // not evidence of health.
         }
     }
+
+    /// Counts one bad bin while healthy, tripping on the streak's last.
+    fn count_bad(&mut self) {
+        self.bad += 1;
+        if self.bad >= self.config.trip_bins {
+            self.degraded = true;
+            self.trips += 1;
+            self.good = 0;
+        }
+    }
+}
+
+/// The cycles `decision` commits to: Σ prediction × rate.
+fn committed_cycles(ctx: &ControlContext<'_>, decision: &ControlDecision) -> f64 {
+    ctx.predictions.iter().zip(&decision.rates).map(|(p, r)| p * r).sum()
 }
 
 impl ControlPolicy for DegradationGuard {
@@ -286,6 +293,22 @@ impl ControlPolicy for DegradationGuard {
         // error ratio above `recover_ratio` forever once the predictor has
         // a chronic bias and recovery would never happen.
         let inflation = decision.inflation;
+        // Forced dark by debt: the inner policy commits nothing because an
+        // earlier overrun left no query budget — the available cycles, if
+        // any, do not even cover the shedder's own smoothed cost. That is
+        // bad evidence however thin the sliver left. While degraded it ends
+        // the good streak; while healthy, when it completes the bad streak
+        // the guard trips for this very bin, whose fallback then runs lit at
+        // the floor instead of dark (otherwise the next bin counts it).
+        let dark_debt =
+            committed_cycles(ctx, &decision) <= 0.0 && ctx.available_cycles <= ctx.shed_cycles_ewma;
+        if dark_debt && ctx.bin_index >= self.config.warmup_bins {
+            if self.degraded {
+                self.good = 0;
+            } else if self.bad + 1 >= self.config.trip_bins {
+                self.count_bad();
+            }
+        }
         if self.degraded {
             let target = (query_budget_rate(ctx) * self.config.safety).clamp(ctx.rate_floor, 1.0);
             let dropped = ctx.uncontrolled_drops > 0;
@@ -320,10 +343,11 @@ impl ControlPolicy for DegradationGuard {
         } else {
             self.fallback_rate = None;
         }
-        let committed: f64 = ctx.predictions.iter().zip(&decision.rates).map(|(p, r)| p * r).sum();
+        let committed = committed_cycles(ctx, &decision);
         let expected = committed * inflation;
         self.expected = (expected > 0.0).then_some(expected);
-        self.prev_dark_debt = committed <= 0.0 && ctx.available_cycles <= 0.0;
+        // Still dark: the next bin counts it.
+        self.prev_dark_debt = dark_debt && committed <= 0.0;
         decision
     }
 
@@ -523,12 +547,12 @@ mod tests {
     }
 
     #[test]
-    fn debt_forced_dark_bins_count_as_bad_evidence() {
+    fn a_debt_forced_dark_bin_completes_the_streak_and_runs_lit() {
         // One catastrophically under-predicted bin throws the budget into
-        // debt; the bins paying it off run at zero rates and produce no
-        // cycle-ratio evidence. Without the dark-debt symptom the streak
-        // would stall at one bad bin and the overrun would escape the
-        // tripwire entirely.
+        // debt, and the inner policy would pay it off with a fully dark bin
+        // that produces no cycle-ratio evidence. The dark bin is the
+        // overrun's symptom: it completes the streak at once, and the
+        // fallback keeps the bin lit at the floor instead.
         let mut guard = DegradationGuard::new(PredictivePolicy::new(EqualRates));
         let predictions = [500.0];
         let demands = demands_of(&predictions, 0.0);
@@ -537,25 +561,48 @@ mod tests {
         let decision = guard.decide(&first); // commits 500 cycles
         assert_eq!(decision.rates, vec![1.0]);
 
-        // The bin blew up 10×: bad streak 1, and the budget is now in debt,
-        // so the inner policy forces this bin fully dark.
+        // The bin blew up 10×: bad streak 1, and the budget is now in debt.
         first.available_cycles = -500.0;
         first.prev_total_cycles = 5000.0;
         first.prev_query_cycles = 5000.0;
-        let dark = guard.decide(&first);
-        assert!(!guard.is_degraded(), "one bad bin must not trip");
-        assert_eq!(dark.rates, vec![0.0], "a debt bin is forced dark");
-
-        // The dark bin yields no ratio at all — only the dark-debt symptom
-        // reaches the streak and completes the trip.
-        let mut paying = ctx(&predictions, &demands, -200.0);
-        paying.prev_mean_rate = 0.05;
-        let tripped = guard.decide(&paying);
-        assert!(guard.is_degraded(), "dark debt must complete the streak");
+        let tripped = guard.decide(&first);
+        assert!(guard.is_degraded(), "the forced-dark bin must complete the streak");
+        assert_eq!(guard.trips(), 1);
         assert_eq!(tripped.reason, DecisionReason::DegradedFallback);
         // Still in debt: the fallback sits at the rate floor, keeping the
         // bin lit instead of dark.
         assert_eq!(tripped.rates, vec![0.05]);
+    }
+
+    #[test]
+    fn a_sliver_of_budget_does_not_hide_the_debt() {
+        // A bin is forced dark when the available cycles do not cover the
+        // shedder's own smoothed cost, however far above zero they sit.
+        let config = DegradationGuardConfig { trip_bins: 3, ..Default::default() };
+        let mut guard = DegradationGuard::with_config(PredictivePolicy::new(EqualRates), config);
+        let predictions = [500.0];
+        let demands = demands_of(&predictions, 0.0);
+        let mut bin = ctx(&predictions, &demands, 1000.0);
+        let _ = guard.decide(&bin); // commits 500 cycles
+
+        // A 10× overrun (bad 1) leaves 248 cycles, under the shedder's 300.
+        bin.available_cycles = 248.0;
+        bin.shed_cycles_ewma = 300.0;
+        bin.prev_query_cycles = 5000.0;
+        let dark = guard.decide(&bin);
+        assert_eq!(dark.rates, vec![0.0], "no query budget: the inner policy goes dark");
+        assert!(!guard.is_degraded(), "two bad bins do not complete a streak of three");
+
+        // The next bin counts the dark one (bad 2); one more overrun trips.
+        bin.available_cycles = 1000.0;
+        bin.shed_cycles_ewma = 0.0;
+        bin.prev_query_cycles = 0.0;
+        let lit = guard.decide(&bin);
+        assert!(!guard.is_degraded());
+        assert_eq!(lit.rates, vec![1.0]);
+        bin.prev_query_cycles = 5000.0;
+        let _ = guard.decide(&bin);
+        assert!(guard.is_degraded(), "the dark bin's evidence must carry into the streak");
     }
 
     #[test]

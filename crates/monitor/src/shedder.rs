@@ -9,6 +9,13 @@
 //! copy-out samplers (same RNG draw order for packet sampling, the same H3
 //! verdict for every packet of a flow), which `tests/properties.rs` pins
 //! against their restatement in `tests/oracle/`.
+//!
+//! The queries of one bin sample packets in coordination: one key per packet,
+//! drawn once for all of them ([`draw_keys`]), and a query at rate `r` keeps
+//! the packets whose key is below [`keep_threshold`]`(r)`
+//! ([`BatchView::filter_keys_below_with`]). Each query's sample is still
+//! Bernoulli(`r`) per packet, and the samples nest: a packet kept at `r` is
+//! kept at every `r' ≥ r` (DESIGN.md, "Data plane").
 
 use netshed_sketch::H3Hasher;
 use netshed_trace::{BatchView, KeepListPool};
@@ -16,7 +23,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Uniform random packet sampling: every packet of the view is kept
-/// independently with probability `rate`.
+/// independently with probability `rate` — one query's cut of
+/// [`draw_keys`], with the keys in the pool's buffer.
 ///
 /// Returns the sampled view and the number of packets discarded.
 pub fn packet_sample_with(
@@ -32,8 +40,10 @@ pub fn packet_sample_with(
     if rate <= 0.0 {
         return (batch.cleared_with(pool), batch.len() as u64);
     }
-    let threshold = keep_threshold(rate);
-    let sampled = batch.filter_indexed_with(pool, |_, _| (rng.next_u64() >> 11) < threshold);
+    let mut keys = std::mem::take(pool.keys());
+    draw_keys(batch, rng, &mut keys);
+    let sampled = batch.filter_keys_below_with(pool, &keys, keep_threshold(rate));
+    *pool.keys() = keys;
     let dropped = batch.len() as u64 - sampled.len() as u64;
     (sampled, dropped)
 }
@@ -42,9 +52,30 @@ pub fn packet_sample_with(
 /// for `k = next_u64() >> 11`, and that product and `rate · 2⁵³` are both exact
 /// (a power of two only moves the exponent), so `k · 2⁻⁵³ < rate` ⇔
 /// `k < ⌈rate · 2⁵³⌉`: the same verdict from the same draw. A NaN rate casts
-/// to 0 and keeps nothing, as `x < NaN` does.
-fn keep_threshold(rate: f64) -> u64 {
+/// to 0 and keeps nothing, as `x < NaN` does; the cast saturates, so a rate
+/// below 0 keeps nothing and one above 1 everything. Monotone in `rate`
+/// (a product by a power of two, `ceil` and the saturating cast all are), so
+/// samples drawn from one key per packet nest.
+pub fn keep_threshold(rate: f64) -> u64 {
     (rate * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Draws one 53-bit key `next_u64() >> 11` per packet of `batch`, in view
+/// order, into `keys` by store index (a packet outside the view gets
+/// `u64::MAX`, which no threshold keeps, so [`packet_sample_with`] can cut
+/// any view). Every query's sample is still Bernoulli(rate) per packet, and
+/// the samples nest: the sample at a threshold is the same cut from the
+/// whole batch or from the sample at any higher threshold.
+pub fn draw_keys(batch: &BatchView, rng: &mut StdRng, keys: &mut Vec<u64>) {
+    keys.clear();
+    if batch.is_full() {
+        keys.extend((0..batch.len()).map(|_| rng.next_u64() >> 11));
+        return;
+    }
+    keys.resize(batch.store().len(), u64::MAX);
+    for (at, _) in batch.indexed_packets() {
+        keys[at] = rng.next_u64() >> 11;
+    }
 }
 
 /// Flowwise sampling: a flow is kept if the H3 hash of its 5-tuple, mapped to
@@ -228,6 +259,81 @@ mod tests {
                         draw,
                         rate
                     );
+                }
+            }
+        }
+    }
+
+    /// A rate from `pick`: one of the special values (0, 1, the smallest
+    /// subnormal and normal, the largest subnormal, 2⁻⁵³ and its neighbour,
+    /// one ulp below 1, values outside [0, 1], the infinities and NaN), a
+    /// random rate in [-0.5, 1.5), or one ulp above or below it.
+    fn rate_of(pick: usize, random: f64) -> f64 {
+        const SPECIAL: [f64; 15] = [
+            0.0,
+            -0.0,
+            1.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            1.1102230246251565e-16,
+            1.1102230246251563e-16,
+            0.9999999999999999,
+            -1.0,
+            2.5,
+            1.0000000000000002,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        match pick {
+            pick if pick < SPECIAL.len() => SPECIAL[pick],
+            15 => random,
+            16 => random.next_up(),
+            _ => random.next_down(),
+        }
+    }
+
+    proptest::proptest! {
+        /// The samples of one set of keys nest: `keep_threshold` is monotone
+        /// in the rate, so for r ≤ r′ every key kept at r is kept at r′ —
+        /// on one-ulp neighbours, subnormals, 0, 1, rates outside [0, 1]; a
+        /// NaN rate keeps nothing, below every other rate's sample.
+        #[test]
+        fn samples_at_lower_rates_nest_in_samples_at_higher_ones(
+            seed in 0u64..u64::MAX,
+            random in -0.5f64..1.5,
+            picks in proptest::collection::vec(0usize..18, 2..8),
+        ) {
+            let rates: Vec<f64> = picks.iter().map(|&pick| rate_of(pick, random)).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keys: Vec<u64> = (0..256).map(|_| rng.next_u64() >> 11).collect();
+            for &low in &rates {
+                if low.is_nan() {
+                    proptest::prop_assert_eq!(keep_threshold(low), 0);
+                    continue;
+                }
+                for &high in rates.iter().filter(|high| low <= **high) {
+                    let (at_low, at_high) = (keep_threshold(low), keep_threshold(high));
+                    proptest::prop_assert!(at_low <= at_high, "{:e} → {}, {:e} → {}", low, at_low, high, at_high);
+                    for &key in &keys {
+                        proptest::prop_assert!(key >= at_low || key < at_high);
+                    }
+                }
+            }
+            // Through the sampler: a view at each rate holds the view at
+            // every lower rate.
+            let batch = test_batch(16, 16);
+            let (view, mut pool) = (batch.view(), KeepListPool::new());
+            let kept = |rate: f64, pool: &mut KeepListPool| -> Vec<usize> {
+                let sample = view.filter_keys_below_with(pool, &keys, keep_threshold(rate));
+                sample.indexed_packets().map(|(at, _)| at).collect()
+            };
+            for &low in rates.iter().filter(|rate| !rate.is_nan()) {
+                let lower = kept(low, &mut pool);
+                for &high in rates.iter().filter(|high| low <= **high) {
+                    let higher = kept(high, &mut pool);
+                    proptest::prop_assert!(lower.iter().all(|at| higher.contains(at)));
                 }
             }
         }

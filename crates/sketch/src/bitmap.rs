@@ -139,7 +139,8 @@ impl BitmapGeometry {
         }
     }
 
-    fn words_per_component(&self) -> usize {
+    /// Number of 64-bit words one component fills.
+    pub fn words_per_component(&self) -> usize {
         self.bits as usize / 64
     }
 }
@@ -307,10 +308,7 @@ impl MultiResolutionBitmap {
     ///
     /// Panics if the lengths are not this geometry's.
     pub fn absorb_words(&mut self, words: &mut [u64], set: &mut [u32]) {
-        assert!(
-            words.len() == self.words.len() && set.len() == self.set.len(),
-            "cannot merge bitmaps of different geometries"
-        );
+        self.assert_side(words, set);
         let per_component = self.geometry.words_per_component();
         let mine = self.words.chunks_exact_mut(per_component);
         let theirs = words.chunks_exact_mut(per_component);
@@ -328,6 +326,40 @@ impl MultiResolutionBitmap {
             *set += fresh;
             *batch_set = 0;
         }
+    }
+
+    /// [`absorb_words`](Self::absorb_words) that leaves the per-batch side as
+    /// it was: for a side that keeps growing after the fold (a nested pass
+    /// folds several samples out of one side, smallest first) and that its
+    /// owner zeroes after the last one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths are not this geometry's.
+    pub fn merge_words(&mut self, words: &[u64], set: &[u32]) {
+        self.assert_side(words, set);
+        let per_component = self.geometry.words_per_component();
+        let mine = self.words.chunks_exact_mut(per_component);
+        let theirs = words.chunks_exact(per_component);
+        let counters = self.set.iter_mut().zip(set);
+        for ((mine, theirs), (set, &batch_set)) in mine.zip(theirs).zip(counters) {
+            if batch_set == 0 {
+                continue;
+            }
+            let mut fresh = 0;
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                fresh += (*b & !*a).count_ones();
+                *a |= *b;
+            }
+            *set += fresh;
+        }
+    }
+
+    fn assert_side(&self, words: &[u64], set: &[u32]) {
+        assert!(
+            words.len() == self.words.len() && set.len() == self.set.len(),
+            "cannot merge bitmaps of different geometries"
+        );
     }
 
     /// Serializes the counter contents (component count + every bitmap).

@@ -655,6 +655,9 @@ pub struct KeepListPool {
     /// [`BatchView::split_lanes_with`]'s scratch: the lane lists being
     /// filled, swapped into claimed slots when the pass ends.
     lane_lists: Vec<Vec<u32>>,
+    /// A caller's per-packet keys for [`BatchView::filter_keys_below_with`]
+    /// ([`KeepListPool::keys`]).
+    keys: Vec<u64>,
 }
 
 impl KeepListPool {
@@ -667,6 +670,14 @@ impl KeepListPool {
     /// steady state stops growing).
     pub fn slots(&self) -> usize {
         self.slots.len()
+    }
+
+    /// A key buffer kept with the pool for a sampler that draws one key per
+    /// packet and cuts a view from them, so a warm pool's sampling
+    /// allocates nothing. Take it out (`std::mem::take`) for the cut, which
+    /// borrows the pool, and put it back.
+    pub fn keys(&mut self) -> &mut Vec<u64> {
+        &mut self.keys
     }
 
     /// Claims a free slot (strong count 1), clearing its buffer; grows the
@@ -860,6 +871,45 @@ impl BatchView {
         let slot = pool.claim();
         let list = Arc::make_mut(&mut pool.slots[slot]);
         self.compact_into(list, |at| keep(at, self.store.get(at)));
+        self.with_keep_arc(Arc::clone(&pool.slots[slot]))
+    }
+
+    /// Derives a narrower view retaining the packets whose key is below
+    /// `threshold`, pooled like [`BatchView::filter_indexed_with`]: `keys`
+    /// holds one key per packet of the store, by store index. One compare
+    /// per packet, in a loop of its own per kind of view: through
+    /// `compact_into`, which tests for a keep list per packet, cutting a
+    /// 1 691-packet full view took 2.1 µs against 1.7 here, and a sampled
+    /// one 1.05 against 0.93 (best of 400, 2-vCPU x86-64 VM).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` holds no key for a packet of the view.
+    pub fn filter_keys_below_with(
+        &self,
+        pool: &mut KeepListPool,
+        keys: &[u64],
+        threshold: u64,
+    ) -> BatchView {
+        let slot = pool.claim();
+        let list = Arc::make_mut(&mut pool.slots[slot]);
+        list.resize(self.len(), 0);
+        let mut kept = 0;
+        match &self.keep {
+            None => {
+                for (at, &key) in keys[..self.store.len()].iter().enumerate() {
+                    list[kept] = at as u32;
+                    kept += usize::from(key < threshold);
+                }
+            }
+            Some(keep) => {
+                for &at in keep.iter() {
+                    list[kept] = at;
+                    kept += usize::from(keys[at as usize] < threshold);
+                }
+            }
+        }
+        list.truncate(kept);
         self.with_keep_arc(Arc::clone(&pool.slots[slot]))
     }
 

@@ -7,9 +7,13 @@
 //! * the `RunSummary` the loop returns on one corpus scenario is pinned to
 //!   the bit — counters, and every `cycles_per_bin` / `prediction_errors`
 //!   element as its `u64` pattern — as captured at the commit before the
-//!   loop was unified for the solo monitor and re-captured for the fleet
+//!   loop was unified for the solo monitor, re-captured for the fleet
 //!   when its lanes stopped being monitors (`payload-shift`: quiet bins for
-//!   the skip-and-count path, lanes with nothing to run for the fleet);
+//!   the skip-and-count path, lanes with nothing to run for the fleet) and
+//!   re-captured for both at digest epoch 2 (coordinated packet sampling:
+//!   one key per packet for every packet-sampled query moved the draws; the
+//!   p2p-detector's custom method, whose cycles now follow its rate, moved
+//!   the cycles and the plan);
 //! * the three ways to drive an engine — `run`, daemon ticks, a hand-driven
 //!   `ingest` loop — agree on all three digest streams.
 
@@ -34,44 +38,40 @@ const SOLO: PinnedSummary = PinnedSummary {
     cycles_per_bin: &[
         0x40e9932000000000,
         0x40d0d88000000000,
-        0x40e1f9c000000000,
-        0x40d2508000000000,
-        0x40e056a000000000,
-        0x40e01dc000000000,
-        0x40e1e10000000000,
-        0x40d65d0000000000,
-        0x40e20d8000000000,
-        0x40d8bf0000000000,
-        0x40e1392000000000,
-        0x40dccd8000000000,
-        0x40e1ad4000000000,
-        0x40dcca4000000000,
-        0x40e1334000000000,
-        0x40dccbc000000000,
-        0x40e0812000000000,
-        0x40df248000000000,
-        0x40e019a000000000,
-        0x40dea4c000000000,
+        0x40dd168000000000,
+        0x40d6c38000000000,
+        0x40e3272000000000,
+        0x40d5c90000000000,
+        0x40e43e2000000000,
+        0x40d6ff0000000000,
+        0x40e2890000000000,
+        0x40d88c8000000000,
+        0x40e2614000000000,
+        0x40da4b0000000000,
+        0x40e3124000000000,
+        0x40d9840000000000,
+        0x40e24b4000000000,
+        0x40dbcf8000000000,
+        0x40e062c000000000,
+        0x40e0006000000000,
+        0x40de658000000000,
+        0x40e0e4e000000000,
     ],
     prediction_errors: &[
         0x3ff0000000000000,
-        0x3fef3661420d062c,
-        0x40232df63120e07c,
-        0x4014bf363ef27114,
-        0x3ffc11cdfc5f5822,
-        0x3ffe8c620dbafdfc,
-        0x4002d007a417851a,
-        0x4031f5224005c850,
-        0x40249a69e1352798,
-        0x403b5aed003a1b80,
-        0x4022c91dab0607ba,
-        0x403398ba3e292ee1,
-        0x403247908374d87e,
-        0x404a9b1f93b9b18c,
-        0x402f3b8863e5b856,
-        0x403139cc3a0bf5c4,
-        0x40555671e1d58e63,
-        0x4049ddc859d7c753,
+        0x4001eb02734f03bf,
+        0x400803ebb79e3a36,
+        0x4006b23d5a18c2c0,
+        0x402033b4843d7050,
+        0x3fdf2b017a0119d8,
+        0x3ff7a555f0416914,
+        0x40416a639ef2a21f,
+        0x4022bd4e754702b8,
+        0x401bf429e7f368a1,
+        0x402744015766d933,
+        0x40346bd362d52181,
+        0x4029af88bcc201f9,
+        0x402237c69e5bdc1a,
     ],
 };
 
@@ -258,23 +258,26 @@ fn an_unshed_tenant_run_is_pinned_across_engines_workers_and_a_restore() {
 // ---------------------------------------------------------------------------
 
 /// The three digest streams of the churn run below, as captured at the
-/// commit before the bin's scratch vectors became one reused context.
+/// commit before the bin's scratch vectors became one reused context and
+/// re-captured at digest epoch 2 (its packet-sampled tenants share one key
+/// per packet).
 /// Capacity of the churn run: the 13-tenant phases run about 2x overloaded,
 /// the 40-tenant phase about 5x, the 3-tenant phase unshed.
 const CHURN_CAPACITY: f64 = 7.0e5;
 const CHURN_SOLO: RunDigest = RunDigest {
     bins: 120,
-    records: 0x003bb68130b61dce,
-    decisions: 0xedd85e843cda7e8b,
-    intervals: 0x4fce30ec6db2fae4,
+    records: 0x43cb9d37b5f24d6e,
+    decisions: 0xf57b118abec3676f,
+    intervals: 0xde17088f666e4c2e,
 };
 /// Re-captured with `Query::absorb`, like `TENANTS_FOUR_LANES`: the decisions
-/// did not move, the interval outputs (and the records that carry them) did.
+/// did not move, the interval outputs (and the records that carry them) did;
+/// and again at digest epoch 2, with `CHURN_SOLO`.
 const CHURN_FOUR_LANES: RunDigest = RunDigest {
     bins: 120,
-    records: 0x05f9bbc5f2bf9afc,
-    decisions: 0x7091b67e9e182951,
-    intervals: 0xcbdb4cc1c01ac0f1,
+    records: 0x3baecf8297c8a304,
+    decisions: 0x5fbf3b8711c595df,
+    intervals: 0x657f46dcdf02820b,
 };
 
 /// 120 overloaded bins (noise on) under a daemon while the registry shrinks
