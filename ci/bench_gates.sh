@@ -126,6 +126,17 @@ if [ "$kind" = committed ]; then
     fail "the 200-tenant bin's measured predict share is above 0.45"
 fi
 
+# The run digest on the same 200-tenant run: the nanoseconds a
+# DigestObserver spends between bins over the nanoseconds of the bins, an
+# intra-run ratio. The byte-serial FNV-1a digest (one dependent multiply per
+# canonical byte, ~19 KB a bin on this shape) read 0.20-0.29; absorbing one
+# 64-bit word per multiply-rotate step (digest epoch 3) reads ~0.07.
+require '"digest_vs_bin"' "lost the 200-tenant digest_vs_bin"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"digest_vs_bin"/ { if ($2 + 0 > 0.10) exit 1 }' "$file" ||
+    fail "the 200-tenant run digest costs more than 0.10 of the bin"
+fi
+
 # At rate 1.0 on a full view every packet length is an integer term, so the
 # kernels the tenants run add one exact total per batch or per flow: on the
 # same 500-packet bins, counter, high-watermark, application and top-k may

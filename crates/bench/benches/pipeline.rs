@@ -70,8 +70,10 @@
 //!    where per-query fixed costs make the bin, with how many of its 200
 //!    predictions a bin the engine's feature window computed in full
 //!    (`full_predictions_per_bin`; the other tenants copy one made from the
-//!    same inputs) and how many sets of query instances a bin ran
-//!    (`query_runs_per_bin`; the tenants of a kind form one cohort).
+//!    same inputs), how many sets of query instances a bin ran
+//!    (`query_runs_per_bin`; the tenants of a kind form one cohort) and the
+//!    run digest's nanoseconds over the bins' from the same run
+//!    (`digest_vs_bin`; the digest runs between bins, outside the stages).
 //! 9. **unit-rate kernels**: `counter`, `high-watermark`, `application` and
 //!    `top-k` on 500-packet full views at rate 1.0, where they add one exact
 //!    total per batch or per flow, against the same packets as all-kept
@@ -87,15 +89,15 @@ use netshed_features::{
 };
 use netshed_linalg::{Matrix, OlsWorkspace};
 use netshed_monitor::{
-    flow_sample_with, packet_sample_with, AllocationPolicy, BinRecord, Engine, Monitor,
-    MonitorBuilder, MonitorConfig, NetshedError, NullObserver, RunObserver, Stage, StageStats,
-    Strategy,
+    flow_sample_with, packet_sample_with, AllocationPolicy, BinRecord, ControlDecision,
+    DigestObserver, Engine, Monitor, MonitorBuilder, MonitorConfig, NetshedError, RunObserver,
+    Stage, StageStats, Strategy,
 };
 use netshed_predict::{
     fcbf_select_with, FcbfScratch, FeatureWindow, History, MlrConfig, MlrPredictor, Predictor,
     OLS_RCOND,
 };
-use netshed_queries::{build_query, CycleMeter, QueryKind, QuerySpec};
+use netshed_queries::{build_query, CycleMeter, QueryKind, QueryOutput, QuerySpec};
 use netshed_service::Daemon;
 use netshed_sketch::{BitmapGeometry, H3Hasher};
 use netshed_trace::{
@@ -849,15 +851,49 @@ fn bench_tenants(bins: usize) -> Report {
             }))
     };
     let mut monitor = tenants().build().expect("valid configuration");
-    monitor.run(&mut BatchReplay::new(batches.clone()), &mut NullObserver).expect("run");
+    let mut digest = TimedDigest::default();
+    monitor.run(&mut BatchReplay::new(batches.clone()), &mut digest).expect("run");
     let stages = monitor.stage_stats();
     let sharing = Sharing::of(tenants(), &batches);
     Report::new()
         .cell("bins", stages.bins)
         .cell("bin_ns", num(mean_bin_ns(&stages), 0))
+        .cell("digest_vs_bin", num(digest.ns as f64 / stages.bin_ns() as f64, 4))
         .cell("full_predictions_per_bin", num(sharing.full, 2))
         .cell("query_runs_per_bin", num(sharing.runs, 2))
         .report("measured_share", stage_shares(&stages))
+}
+
+/// A [`DigestObserver`] that keeps the wall time spent in it. The run loop
+/// calls its observer between bins, outside the engine's stage clock, so
+/// its nanoseconds over the stages' are the run digest's cost per unit of
+/// bin.
+#[derive(Default)]
+struct TimedDigest {
+    digest: DigestObserver,
+    ns: u64,
+}
+
+impl TimedDigest {
+    fn timed(&mut self, event: impl FnOnce(&mut DigestObserver)) {
+        let start = Instant::now();
+        event(&mut self.digest);
+        self.ns += start.elapsed().as_nanos() as u64;
+    }
+}
+
+impl RunObserver for TimedDigest {
+    fn on_decision(&mut self, bin_index: u64, decision: &ControlDecision) {
+        self.timed(|digest| digest.on_decision(bin_index, decision));
+    }
+
+    fn on_bin(&mut self, record: &BinRecord) {
+        self.timed(|digest| digest.on_bin(record));
+    }
+
+    fn on_interval(&mut self, outputs: &[(String, QueryOutput)]) {
+        self.timed(|digest| digest.on_interval(outputs));
+    }
 }
 
 /// Measures `run_at` at 1, 2 and 4 threads: a table of each throughput and

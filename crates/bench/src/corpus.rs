@@ -38,8 +38,9 @@ pub const MANIFEST_NAME: &str = "GOLDEN.digests";
 /// The digest epoch of this engine: which draw order and numerics its
 /// outputs follow (`corpus/README.md`, "Epochs"). Epoch 1 is every engine
 /// before coordinated packet sampling, whose manifests carry no epoch line;
-/// epoch 2 draws one packet key per bin for every packet-sampled query.
-pub const DIGEST_EPOCH: u32 = 2;
+/// epoch 2 draws one packet key per bin for every packet-sampled query;
+/// epoch 3 fingerprints the same runs with the word-wise digest.
+pub const DIGEST_EPOCH: u32 = 3;
 
 /// The manifest line that names its epoch.
 const EPOCH_LINE: &str = "# digest epoch ";
@@ -217,7 +218,8 @@ pub fn format_manifest(entries: &[GoldenEntry]) -> String {
 
 /// Parses a `GOLDEN.digests` manifest (inverse of [`format_manifest`]).
 /// A manifest of another digest epoch than [`DIGEST_EPOCH`] (one with no
-/// epoch line is epoch 1) is rejected: its digests pin another draw order.
+/// epoch line is epoch 1) is rejected: its digests pin another draw order,
+/// other numerics or another fingerprint function.
 pub fn parse_manifest(text: &str) -> Result<Vec<GoldenEntry>, String> {
     let mut entries = Vec::new();
     let mut epoch = 1;

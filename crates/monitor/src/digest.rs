@@ -4,31 +4,52 @@
 //! **bit-identical** [`BinRecord`] streams, control decisions and interval
 //! outputs regardless of worker count. Pinning whole tapes in a golden
 //! corpus would be huge and unreadable; a [`DigestObserver`] instead folds
-//! each of the three event streams into a 64-bit FNV-1a digest over a
-//! *canonical* byte encoding — floats by `to_bits`, hash-map-backed query
-//! outputs sorted by key — so the digest depends only on the emitted values,
-//! never on process-local hash seeds or iteration order. Equal digests ⇔
-//! equal streams (up to hash collisions), which is what `tests/golden.rs`
-//! and the `netshed-bench` `scenarios verify` subcommand compare against the
+//! each of the three event streams into a 64-bit digest over a *canonical*
+//! encoding — floats by `to_bits`, hash-map-backed query outputs sorted by
+//! key — so the digest depends only on the emitted values, never on
+//! process-local hash seeds or iteration order. Equal digests ⇔ equal
+//! streams (up to hash collisions), which is what `tests/golden.rs` and the
+//! `netshed-bench` `scenarios verify` subcommand compare against the
 //! committed corpus manifest.
 
 use crate::policy::{ControlDecision, DecisionReason};
 use crate::report::{BinRecord, RunSummary};
 use netshed_queries::QueryOutput;
-use netshed_sketch::IncrementalFnv;
+use netshed_sketch::mix64;
 
-/// Seed of the digest FNV chains (any fixed value works; this one spells
-/// "bins").
+/// Starting state of the digest chains (any fixed value works; this one
+/// spells "bins").
 const DIGEST_SEED: u64 = 0x6269_6e73;
 
-/// Folds canonically-encoded values into one 64-bit FNV-1a digest.
+/// Multiplier of the absorption step: odd, so the step is a bijection of the
+/// state, and dense (the golden-ratio constant), so one multiply carries a
+/// word's low bits into every higher state bit — unlike FNV's sparse prime.
+const ABSORB_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Rotation of the absorption step: brings the product's well-mixed high
+/// bits down to where the next word's low bits land.
+const ABSORB_ROT: u32 = 31;
+
+/// Folds canonically-encoded values into one 64-bit digest, one 64-bit word
+/// per step.
 ///
-/// The encoding is part of the corpus format: changing it invalidates every
-/// pinned digest, so extend it only together with a corpus regeneration
+/// Every canonical value is one word — a `u64` or an `f64`'s bits as itself,
+/// a `u8` or `bool` widened — except a string, which is its length word and
+/// then its bytes packed little-endian into zero-padded words. Each word is
+/// absorbed by `state = (state ^ word) · ABSORB_MUL ⟲ ABSORB_ROT`. For a
+/// fixed word that step is a bijection of the state, and for a fixed state a
+/// bijection of the word, so two streams of equal length that differ in
+/// exactly one word always end in different states; [`mix64`], which
+/// finishes [`StreamDigest::value`], is a bijection too. A word per step
+/// keeps the dependent chain at one multiply per value, where a byte-serial
+/// hash pays one per byte.
+///
+/// The encoding and the step are part of the corpus format: changing either
+/// invalidates every pinned digest, so change them only as a digest epoch
 /// (see `corpus/README.md`).
 #[derive(Debug, Clone, Copy)]
 pub struct StreamDigest {
-    fnv: IncrementalFnv,
+    state: u64,
     items: u64,
 }
 
@@ -41,7 +62,7 @@ impl Default for StreamDigest {
 impl StreamDigest {
     /// An empty digest.
     pub fn new() -> Self {
-        Self { fnv: IncrementalFnv::new(DIGEST_SEED), items: 0 }
+        Self { state: DIGEST_SEED, items: 0 }
     }
 
     /// Number of items absorbed.
@@ -51,14 +72,14 @@ impl StreamDigest {
 
     /// The digest value over everything absorbed so far.
     pub fn value(&self) -> u64 {
-        self.fnv.finish()
+        mix64(self.state)
     }
 
-    /// Serializes the digest position (FNV state + item count) so a restored
+    /// Serializes the digest position (chain state + item count) so a restored
     /// run continues the *same* digest chain an uninterrupted run would
     /// produce.
     pub fn save_state(&self, writer: &mut netshed_sketch::StateWriter) {
-        writer.u64(self.fnv.state());
+        writer.u64(self.state);
         writer.u64(self.items);
     }
 
@@ -67,28 +88,38 @@ impl StreamDigest {
         &mut self,
         reader: &mut netshed_sketch::StateReader<'_>,
     ) -> Result<(), netshed_sketch::StateError> {
-        self.fnv = IncrementalFnv::from_state(reader.u64()?);
+        self.state = reader.u64()?;
         self.items = reader.u64()?;
         Ok(())
     }
 
+    /// One absorption step.
+    #[inline]
+    fn word(&mut self, word: u64) {
+        self.state = (self.state ^ word).wrapping_mul(ABSORB_MUL).rotate_left(ABSORB_ROT);
+    }
+
     fn u8(&mut self, v: u8) {
-        self.fnv.write(&[v]);
+        self.word(u64::from(v));
     }
 
     fn u64(&mut self, v: u64) {
-        self.fnv.write(&v.to_le_bytes());
+        self.word(v);
     }
 
     fn f64(&mut self, v: f64) {
         // `to_bits` keeps the digest bit-exact; bit-identical replay is the
         // contract being checked, so no epsilon is wanted here.
-        self.u64(v.to_bits());
+        self.word(v.to_bits());
     }
 
     fn str(&mut self, v: &str) {
-        self.u64(v.len() as u64);
-        self.fnv.write(v.as_bytes());
+        self.word(v.len() as u64);
+        for chunk in v.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
     }
 
     fn bool(&mut self, v: bool) {
@@ -362,7 +393,7 @@ impl crate::observer::RunObserver for DigestObserver {
 mod tests {
     use super::*;
     use crate::config::MonitorConfig;
-    use crate::monitor::Monitor;
+    use crate::monitor::{Monitor, QueryId};
     use crate::observer::RunObserver;
     use netshed_queries::{QueryKind, QuerySpec};
     use netshed_trace::{BatchReplay, TraceConfig, TraceGenerator};
@@ -448,6 +479,176 @@ mod tests {
         assert!(text.contains("bins=3"));
         assert!(text.contains("records=0000000000000abc"));
         assert!(text.contains("intervals=ffffffffffffffff"));
+    }
+
+    /// A splitmix64 generator: the properties below want many distinct
+    /// inputs, not any particular distribution.
+    struct Draw(u64);
+
+    impl Draw {
+        fn word(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            mix64(self.0)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.word() % bound
+        }
+
+        fn float(&mut self) -> f64 {
+            f64::from_bits(self.word() >> 2)
+        }
+    }
+
+    fn digest_of_words(stream: &[u64]) -> u64 {
+        let mut digest = StreamDigest::new();
+        for &word in stream {
+            digest.word(word);
+        }
+        digest.value()
+    }
+
+    #[test]
+    fn flipping_any_bit_of_any_absorbed_word_changes_the_digest() {
+        for (length, seed) in [(1usize, 1u64), (2, 2), (5, 3), (17, 4), (64, 5)] {
+            let mut draw = Draw(seed);
+            let stream: Vec<u64> = (0..length).map(|_| draw.word()).collect();
+            let base = digest_of_words(&stream);
+            for at in 0..length {
+                for bit in 0..64 {
+                    let mut flipped = stream.clone();
+                    flipped[at] ^= 1 << bit;
+                    assert_ne!(digest_of_words(&flipped), base, "word {at}, bit {bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_boundaries_and_presence_are_part_of_the_digest() {
+        let strings = |parts: &[&str]| {
+            let mut digest = StreamDigest::new();
+            for part in parts {
+                digest.str(part);
+            }
+            digest.u64(7);
+            digest.value()
+        };
+        assert_ne!(strings(&["ab", "c"]), strings(&["a", "bc"]));
+        assert_ne!(strings(&["abcdefgh", ""]), strings(&["", "abcdefgh"]));
+        assert_ne!(strings(&[""]), strings(&[]), "an empty string is not an omitted one");
+        assert_ne!(strings(&["a"]), strings(&["a\0"]), "zero padding is not content");
+        assert_ne!(strings(&["abcdefgh"]), strings(&["abcdefgh\0"]));
+    }
+
+    /// A random bin record over some of `ids`: every field the digest reads
+    /// drawn, one bin in three carrying interval outputs.
+    fn random_record(draw: &mut Draw, ids: &[QueryId]) -> BinRecord {
+        let rows = draw.below(ids.len() as u64 + 1) as usize;
+        let queries: Vec<_> = ids[..rows]
+            .iter()
+            .map(|&id| crate::report::QueryBinRecord {
+                id,
+                name: format!("tenant-{}", draw.below(1000)).into(),
+                sampling_rate: draw.float(),
+                predicted_cycles: draw.float(),
+                measured_cycles: draw.float(),
+                delivered_packets: draw.below(4096),
+                disabled: draw.below(2) == 0,
+            })
+            .collect();
+        let rates = queries.iter().map(|query| query.sampling_rate).collect();
+        let interval_outputs = (draw.below(3) == 0).then(|| {
+            vec![
+                (
+                    "counter".to_string(),
+                    QueryOutput::Counter { packets: draw.float(), bytes: draw.float() },
+                ),
+                ("flows".to_string(), QueryOutput::Flows { count: draw.float() }),
+            ]
+        });
+        BinRecord {
+            bin_index: draw.below(1000),
+            incoming_packets: draw.below(100_000),
+            uncontrolled_drops: draw.below(100),
+            unsampled_packets: draw.below(1000),
+            available_cycles: draw.float(),
+            predicted_cycles: draw.float(),
+            query_cycles: draw.float(),
+            prediction_cycles: draw.float(),
+            shedding_cycles: draw.float(),
+            platform_cycles: draw.float(),
+            buffer_occupation: draw.float(),
+            queries,
+            interval_outputs,
+            decision: ControlDecision {
+                rates,
+                budget: (draw.below(2) == 0).then(|| draw.float()),
+                inflation: draw.float(),
+                ..ControlDecision::default()
+            },
+        }
+    }
+
+    fn registered_ids(count: usize) -> Vec<QueryId> {
+        let mut monitor = Monitor::new(MonitorConfig::default());
+        (0..count)
+            .map(|_| monitor.register(&QuerySpec::new(QueryKind::Counter)).expect("valid spec"))
+            .collect()
+    }
+
+    #[test]
+    fn distinct_random_record_streams_do_not_collide() {
+        let ids = registered_ids(4);
+        let mut draw = Draw(11);
+        let (mut streams, mut values) = (Vec::new(), Vec::new());
+        while streams.len() < 10_000 {
+            let length = 1 + draw.below(3) as usize;
+            let stream: Vec<BinRecord> =
+                (0..length).map(|_| random_record(&mut draw, &ids)).collect();
+            let mut digest = StreamDigest::new();
+            for record in &stream {
+                digest.absorb_record(record);
+            }
+            streams.push(stream);
+            values.push(digest.value());
+        }
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.sort_by_key(|&at| values[at]);
+        for pair in order.windows(2) {
+            if values[pair[0]] == values[pair[1]] {
+                assert_eq!(streams[pair[0]], streams[pair[1]], "two distinct streams collide");
+            }
+        }
+    }
+
+    #[test]
+    fn a_saved_position_continues_the_same_chain() {
+        let ids = registered_ids(3);
+        let mut draw = Draw(23);
+        let records: Vec<BinRecord> = (0..12).map(|_| random_record(&mut draw, &ids)).collect();
+        let mut whole = StreamDigest::new();
+        for record in &records {
+            whole.absorb_record(record);
+        }
+        for cut in 0..=records.len() {
+            let mut first = StreamDigest::new();
+            for record in &records[..cut] {
+                first.absorb_record(record);
+            }
+            let mut writer = netshed_sketch::StateWriter::new();
+            first.save_state(&mut writer);
+            let bytes = writer.into_bytes();
+            let mut resumed = StreamDigest::new();
+            resumed
+                .load_state(&mut netshed_sketch::StateReader::new(&bytes))
+                .expect("a written position loads");
+            for record in &records[cut..] {
+                resumed.absorb_record(record);
+            }
+            assert_eq!(resumed.items(), whole.items(), "cut at {cut}");
+            assert_eq!(resumed.value(), whole.value(), "cut at {cut}");
+        }
     }
 
     #[test]

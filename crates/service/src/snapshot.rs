@@ -49,7 +49,14 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
 /// (the table lanes fold) in place of a running peak, and the two words no
 /// query ever read back (`autofocus`'s last sampling rate, `trace`'s stored
 /// bytes) are gone. A version-2 file is refused, not migrated.
-pub const SNAPSHOT_FORMAT_VERSION: u16 = 3;
+///
+/// Version 4 moves no layout: the `digest` section still holds one chain
+/// state and one item count per stream, but the states are the word-wise
+/// run digest's (digest epoch 3), where a version-3 file holds the
+/// byte-serial FNV-1a chains'. The new absorber would silently continue an
+/// old chain under another function, so a version-3 file is refused, not
+/// migrated.
+pub const SNAPSHOT_FORMAT_VERSION: u16 = 4;
 
 /// Seed of the container checksums (header, per-section and end frame).
 const CHECKSUM_SEED: u64 = 0x6e73_636b; // "nsck"
@@ -442,15 +449,15 @@ mod tests {
         let expected = SNAPSHOT_FORMAT_VERSION.to_string();
         assert!(message.contains("99") && message.contains(&expected), "{message}");
 
-        // The version before this one — whose query sections are laid out
-        // differently — is refused the same way, not misread.
-        bytes[4] = 2;
+        // The version before this one — whose digest chains belong to
+        // another function — is refused the same way, not misread.
+        bytes[4] = 3;
         let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
         fnv.write(&bytes[..16]);
         bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
         assert_eq!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 2, expected: 3 }
+            SnapshotError::UnsupportedVersion { found: 3, expected: 4 }
         );
     }
 

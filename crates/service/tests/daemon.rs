@@ -436,10 +436,10 @@ fn version_skew_names_found_and_expected() {
         "version-skew message must name found and expected: {message}"
     );
 
-    // A version-2 container (before `high-watermark` kept a per-bin table and
-    // two dead words left the query sections) is refused by the restore with
-    // both versions named, never read under the wrong layout.
-    bytes[4] = 2;
+    // A version-3 container (whose digest section holds byte-serial FNV
+    // chain states the word-wise digest must not continue) is refused by
+    // the restore with both versions named, never read as this version.
+    bytes[4] = 3;
     let mut fnv = netshed_sketch::IncrementalFnv::new(0x6e73_636b);
     fnv.write(&bytes[..16]);
     bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
@@ -447,7 +447,7 @@ fn version_skew_names_found_and_expected() {
         Daemon::<_, Monitor>::restore_engine(overloaded_config(1), recorded_trace(), &bytes);
     match restored.map(|_| ()).unwrap_err() {
         ServiceError::Snapshot(error) => {
-            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 2, expected: 3 });
+            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 3, expected: 4 });
         }
         other => panic!("expected the version skew to be named, got {other}"),
     }

@@ -94,11 +94,8 @@ impl IncrementalFnv {
         mix64(self.0)
     }
 
-    /// The raw accumulator state, for checkpointing a mid-stream hasher.
-    ///
-    /// Digest observers fold a whole run's event stream into incremental FNV
-    /// chains; a `.nsck` snapshot must persist those chains mid-run so a
-    /// restored run's final digest equals the uninterrupted one.
+    /// The raw accumulator state, so a caller can continue the chain by
+    /// other steps ([`DetHasher`]'s whole-integer step) or persist it.
     #[inline]
     pub fn state(self) -> u64 {
         self.0

@@ -1070,14 +1070,12 @@ impl BatchStats {
         self.packets += 1;
         self.bytes += u64::from(ip_len);
         self.payload_bytes += payload_len;
-        if proto == 6 && tcp_flags & TCP_SYN != 0 && tcp_flags & TCP_ACK == 0 {
-            self.syn_packets += 1;
-        }
-        match proto {
-            6 => self.tcp_packets += 1,
-            17 => self.udp_packets += 1,
-            _ => {}
-        }
+        // Counted, not branched on: the protocol mix is data, so a branch per
+        // counter would mispredict on every mixed batch.
+        let tcp = proto == 6;
+        self.syn_packets += u64::from(tcp && tcp_flags & (TCP_SYN | TCP_ACK) == TCP_SYN);
+        self.tcp_packets += u64::from(tcp);
+        self.udp_packets += u64::from(proto == 17);
     }
 }
 

@@ -129,14 +129,14 @@ proptest! {
 /// Everything an extraction hands back or leaves behind: the vector's bits,
 /// the operation count and the extractor's serialised interval state.
 fn outcome(
-    extracted: (netshed::features::FeatureVector, u64),
+    extracted: &(netshed::features::FeatureVector, u64),
     extractor: &FeatureExtractor,
 ) -> (Vec<u64>, u64, Vec<u8>) {
     let (vector, operations) = extracted;
     let bits = FeatureId::all().into_iter().map(|id| vector.get(id).to_bits()).collect();
     let mut state = StateWriter::new();
     extractor.save_state(&mut state);
-    (bits, operations, state.into_bytes())
+    (bits, *operations, state.into_bytes())
 }
 
 /// Restores an extractor from another's checkpoint bytes.
@@ -188,7 +188,7 @@ fn the_nested_pass_is_extract_view_with_on_every_sample() {
             .map(|(&threshold, extractor)| {
                 let sample = parent.filter_keys_below_with(&mut pool, &keys, threshold);
                 let extracted = extractor.extract_view_with(&sample, &mut scratch);
-                outcome(extracted, extractor)
+                outcome(&extracted, extractor)
             })
             .collect();
 
@@ -207,7 +207,7 @@ fn the_nested_pass_is_extract_view_with_on_every_sample() {
             let mut pass = nested_scratch.nested(walked, &keys, &distinct);
             for &query in &order {
                 let extracted = pass.extract(&mut nested[query], thresholds[query]);
-                actual[query] = Some(outcome(extracted, &nested[query]));
+                actual[query] = Some(outcome(&extracted, &nested[query]));
             }
         }
         assert!(nested_scratch.is_empty(), "bin {bin}: the pass hands the scratch back empty");

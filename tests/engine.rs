@@ -16,6 +16,13 @@
 //!   the cycles and the plan);
 //! * the three ways to drive an engine — `run`, daemon ticks, a hand-driven
 //!   `ingest` loop — agree on all three digest streams.
+//!
+//! The digest pins below were re-captured at digest epoch 3, which changed
+//! the fingerprint function and nothing else: one run of each pinned shape
+//! lands on the new pin under the word-wise digest and on epoch 2's pin
+//! (kept in `tests/oracle/`) under the byte-serial one.
+
+mod oracle;
 
 use netshed::fairness::MmfsPkt;
 use netshed::prelude::*;
@@ -24,6 +31,10 @@ use netshed_bench::corpus::{
 };
 use netshed_service::{Daemon, MonitorEngine, TickStatus};
 use netshed_trace::scenario::builtin;
+use oracle::{
+    ByteDigestObserver, EPOCH2_CHURN_FOUR_LANES, EPOCH2_CHURN_SOLO, EPOCH2_TENANTS_FOUR_LANES,
+    EPOCH2_TENANTS_SOLO,
+};
 use std::borrow::Borrow;
 
 /// What `run` must return on the pinned scenario.
@@ -166,12 +177,13 @@ fn assert_pinned_across_engines_workers_and_a_restore(
 
 /// The three digest streams of the tenant run below on a solo monitor, as
 /// captured at the commit before predictors started sharing an engine's
-/// feature window.
+/// feature window (re-captured at digest epoch 3, like every digest pin
+/// here).
 const TENANTS_SOLO: RunDigest = RunDigest {
     bins: 150,
-    records: 0xd47bce35f181b53f,
-    decisions: 0x8838c012af1cb294,
-    intervals: 0xec0d307d541cfb68,
+    records: 0xfe6d6827f1be794a,
+    decisions: 0xe03a6283429c093c,
+    intervals: 0x30ca0e8cee8f8e8a,
 };
 /// Re-captured when lanes started folding query state instead of reports
 /// (`Query::absorb`). Nothing is shed, so the interval stream *is* the solo
@@ -180,10 +192,35 @@ const TENANTS_SOLO: RunDigest = RunDigest {
 /// which is why they moved), the decisions did not move.
 const TENANTS_FOUR_LANES: RunDigest = RunDigest {
     bins: 150,
-    records: 0x0b22061bcf955cbb,
-    decisions: 0xd1c0c4696dfee087,
+    records: 0x77c70d8495c767e1,
+    decisions: 0x4e4eaa3a9c61050e,
     intervals: TENANTS_SOLO.intervals,
 };
+
+/// Tenant `index` of the unshed run: five kinds in turn.
+fn tenant_spec(index: usize) -> QuerySpec {
+    const KINDS: [QueryKind; 5] = [
+        QueryKind::Counter,
+        QueryKind::Application,
+        QueryKind::Flows,
+        QueryKind::TopK,
+        QueryKind::HighWatermark,
+    ];
+    QuerySpec::new(KINDS[index % KINDS.len()]).with_label(format!("tenant-{index:02}"))
+}
+
+fn tenant_config() -> MonitorConfig {
+    MonitorConfig::default()
+        .with_capacity(1e15)
+        .with_seed(CORPUS_SEED)
+        .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+        .without_noise()
+}
+
+fn tenant_source() -> BatchReplay {
+    let traffic = TraceConfig::default().with_seed(29).with_mean_packets_per_batch(300.0);
+    BatchReplay::record(&mut TraceGenerator::new(traffic), 150)
+}
 
 /// 25 tenants over 150 unshed bins under a daemon: a 26th registers after
 /// bin 40 and the fourth leaves after bin 100, so the engine holds
@@ -192,34 +229,20 @@ const TENANTS_FOUR_LANES: RunDigest = RunDigest {
 /// restored from the bytes — whose predictors start with a window that has
 /// seen nothing.
 fn tenant_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest {
-    const KINDS: [QueryKind; 5] = [
-        QueryKind::Counter,
-        QueryKind::Application,
-        QueryKind::Flows,
-        QueryKind::TopK,
-        QueryKind::HighWatermark,
-    ];
-    let tenant = |index: usize| {
-        QuerySpec::new(KINDS[index % KINDS.len()]).with_label(format!("tenant-{index:02}"))
-    };
-    let source = || {
-        let traffic = TraceConfig::default().with_seed(29).with_mean_packets_per_batch(300.0);
-        BatchReplay::record(&mut TraceGenerator::new(traffic), 150)
-    };
-
     let mut engine = E::from_config(config.clone()).expect("valid configuration");
     let ids: Vec<QueryId> =
-        (0..25).map(|index| engine.register(&tenant(index)).expect("valid spec")).collect();
-    let (daemon, mut control) = Daemon::new(engine, source());
+        (0..25).map(|index| engine.register(&tenant_spec(index)).expect("valid spec")).collect();
+    let (daemon, mut control) = Daemon::new(engine, tenant_source());
     let mut daemon = daemon.with_bins_per_tick(10);
     advance(&mut daemon, 40);
-    let late = control.register_query(tenant(25));
+    let late = control.register_query(tenant_spec(25));
     advance(&mut daemon, 30);
     late.wait().expect("registered");
     if cut {
         let bytes = daemon.checkpoint().expect("checkpoint");
         let (restored, restored_control) =
-            Daemon::<_, E>::restore_engine(config.clone(), source(), &bytes).expect("restore");
+            Daemon::<_, E>::restore_engine(config.clone(), tenant_source(), &bytes)
+                .expect("restore");
         daemon = restored.with_bins_per_tick(10);
         control = restored_control;
     }
@@ -238,13 +261,8 @@ fn tenant_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest 
 
 #[test]
 fn an_unshed_tenant_run_is_pinned_across_engines_workers_and_a_restore() {
-    let config = MonitorConfig::default()
-        .with_capacity(1e15)
-        .with_seed(CORPUS_SEED)
-        .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
-        .without_noise();
     assert_pinned_across_engines_workers_and_a_restore(
-        &config,
+        &tenant_config(),
         tenant_run::<Monitor>,
         tenant_run::<ShardedMonitor>,
         TENANTS_SOLO,
@@ -266,19 +284,38 @@ fn an_unshed_tenant_run_is_pinned_across_engines_workers_and_a_restore() {
 const CHURN_CAPACITY: f64 = 7.0e5;
 const CHURN_SOLO: RunDigest = RunDigest {
     bins: 120,
-    records: 0x43cb9d37b5f24d6e,
-    decisions: 0xf57b118abec3676f,
-    intervals: 0xde17088f666e4c2e,
+    records: 0x984dd1a3c5410f4b,
+    decisions: 0xc6b29b691289039a,
+    intervals: 0x6f8bd12c2efa3916,
 };
 /// Re-captured with `Query::absorb`, like `TENANTS_FOUR_LANES`: the decisions
 /// did not move, the interval outputs (and the records that carry them) did;
 /// and again at digest epoch 2, with `CHURN_SOLO`.
 const CHURN_FOUR_LANES: RunDigest = RunDigest {
     bins: 120,
-    records: 0x3baecf8297c8a304,
-    decisions: 0x5fbf3b8711c595df,
-    intervals: 0x657f46dcdf02820b,
+    records: 0xf281c37aaa85f0e6,
+    decisions: 0xaaff054c1d7a68c7,
+    intervals: 0xb1012ff5c7e658df,
 };
+
+/// Tenant `index` of the churn run: all ten kinds in turn.
+fn churn_spec(index: usize) -> QuerySpec {
+    QuerySpec::new(QueryKind::ALL[index % QueryKind::ALL.len()])
+        .with_label(format!("tenant-{index:02}"))
+}
+
+fn churn_config() -> MonitorConfig {
+    MonitorConfig::default()
+        .with_capacity(CHURN_CAPACITY)
+        .with_seed(CORPUS_SEED)
+        .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
+}
+
+fn churn_source() -> BatchReplay {
+    let traffic =
+        TraceConfig::default().with_seed(31).with_mean_packets_per_batch(300.0).with_payloads(true);
+    BatchReplay::record(&mut TraceGenerator::new(traffic), 120)
+}
 
 /// 120 overloaded bins (noise on) under a daemon while the registry shrinks
 /// and grows — 40 tenants of all ten kinds, 37 of them gone after bin 20, ten
@@ -288,22 +325,10 @@ const CHURN_FOUR_LANES: RunDigest = RunDigest {
 /// finished by a daemon restored from the bytes. Every vector a bin fills per
 /// query changes length four times and one of them comes and goes.
 fn churn_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest {
-    let tenant = |index: usize| {
-        QuerySpec::new(QueryKind::ALL[index % QueryKind::ALL.len()])
-            .with_label(format!("tenant-{index:02}"))
-    };
-    let source = || {
-        let traffic = TraceConfig::default()
-            .with_seed(31)
-            .with_mean_packets_per_batch(300.0)
-            .with_payloads(true);
-        BatchReplay::record(&mut TraceGenerator::new(traffic), 120)
-    };
-
     let mut engine = E::from_config(config.clone()).expect("valid configuration");
     let ids: Vec<QueryId> =
-        (0..40).map(|index| engine.register(&tenant(index)).expect("valid spec")).collect();
-    let (daemon, control) = Daemon::new(engine, source());
+        (0..40).map(|index| engine.register(&churn_spec(index)).expect("valid spec")).collect();
+    let (daemon, control) = Daemon::new(engine, churn_source());
     let mut daemon = daemon.with_bins_per_tick(10);
     advance(&mut daemon, 20);
     let left: Vec<_> = ids[3..].iter().map(|id| control.deregister_query(*id)).collect();
@@ -311,7 +336,7 @@ fn churn_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest {
     for pending in left {
         pending.wait().expect("deregistered");
     }
-    let joined: Vec<_> = (40..50).map(|index| control.register_query(tenant(index))).collect();
+    let joined: Vec<_> = (40..50).map(|index| control.register_query(churn_spec(index))).collect();
     advance(&mut daemon, 10);
     for pending in joined {
         pending.wait().expect("registered");
@@ -324,8 +349,8 @@ fn churn_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest {
     assert_eq!(back.wait().expect("swapped back"), config.policy.name());
     if cut {
         let bytes = daemon.checkpoint().expect("checkpoint");
-        let (restored, _) =
-            Daemon::<_, E>::restore_engine(config.clone(), source(), &bytes).expect("restore");
+        let (restored, _) = Daemon::<_, E>::restore_engine(config.clone(), churn_source(), &bytes)
+            .expect("restore");
         daemon = restored.with_bins_per_tick(10);
     }
     assert_eq!(daemon.run_to_exhaustion().expect("ticks"), TickStatus::SourceExhausted);
@@ -335,17 +360,105 @@ fn churn_run<E: MonitorEngine>(config: &MonitorConfig, cut: bool) -> RunDigest {
 
 #[test]
 fn a_run_that_churns_registry_and_policy_is_pinned_across_engines_workers_and_a_restore() {
-    let config = MonitorConfig::default()
-        .with_capacity(CHURN_CAPACITY)
-        .with_seed(CORPUS_SEED)
-        .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt));
     assert_pinned_across_engines_workers_and_a_restore(
-        &config,
+        &churn_config(),
         churn_run::<Monitor>,
         churn_run::<ShardedMonitor>,
         CHURN_SOLO,
         CHURN_FOUR_LANES,
     );
+}
+
+// ---------------------------------------------------------------------------
+// Digest epoch 3 moved the fingerprint, not the run.
+// ---------------------------------------------------------------------------
+
+/// Drives engine `E` the way a pinned run's daemon does — `ingest` per
+/// non-empty bin with `before(bins done, engine)` ahead of each, then the
+/// open interval flushed by a `run` over nothing — with the word-wise and
+/// the byte-serial digest attached to the one run.
+fn both_digests<E: MonitorEngine>(
+    mut engine: E,
+    mut source: BatchReplay,
+    mut before: impl FnMut(u64, &mut E),
+) -> (RunDigest, RunDigest) {
+    let mut observers = (DigestObserver::new(), ByteDigestObserver::default());
+    let mut bins = 0;
+    while let Some(batch) = source.next_batch() {
+        if batch.is_empty() {
+            continue;
+        }
+        before(bins, &mut engine);
+        engine.ingest(&batch, &mut observers).expect("ingest");
+        bins += 1;
+    }
+    engine.run(&mut BatchReplay::new(Vec::new()), &mut observers).expect("flush");
+    (observers.0.digest(), observers.1.digest())
+}
+
+/// The tenant run's registry changes, applied by hand.
+fn tenant_digests<E: MonitorEngine>(config: MonitorConfig) -> (RunDigest, RunDigest) {
+    let mut engine = E::from_config(config).expect("valid configuration");
+    let ids: Vec<QueryId> =
+        (0..25).map(|index| engine.register(&tenant_spec(index)).expect("valid spec")).collect();
+    both_digests(engine, tenant_source(), |bins, engine| match bins {
+        40 => {
+            engine.register(&tenant_spec(25)).expect("valid spec");
+        }
+        100 => engine.deregister(ids[3]).expect("registered"),
+        _ => {}
+    })
+}
+
+/// The churn run's registry and policy changes, applied by hand.
+fn churn_digests<E: MonitorEngine>(config: MonitorConfig) -> (RunDigest, RunDigest) {
+    let policy = config.policy.clone();
+    let mut engine = E::from_config(config).expect("valid configuration");
+    let ids: Vec<QueryId> =
+        (0..40).map(|index| engine.register(&churn_spec(index)).expect("valid spec")).collect();
+    both_digests(engine, churn_source(), |bins, engine| match bins {
+        20 => ids[3..].iter().for_each(|id| engine.deregister(*id).expect("registered")),
+        30 => (40..50).for_each(|index| {
+            engine.register(&churn_spec(index)).expect("valid spec");
+        }),
+        40 => engine.set_policy(PolicySpec::new(|| OraclePolicy::new(MmfsPkt))),
+        60 => engine.set_policy(policy.clone()),
+        _ => {}
+    })
+}
+
+/// In one run of each pinned shape, the word-wise digest lands on this
+/// epoch's pin and the byte-serial digest of epochs 1 and 2
+/// (`tests/oracle/`) on the pin epoch 2 captured: the runs did not move,
+/// only their fingerprint did.
+#[test]
+fn the_engine_pins_moved_only_their_fingerprint_at_digest_epoch_3() {
+    let four = |config: MonitorConfig| config.with_shard_lanes(4);
+    let cases = [
+        (
+            "tenants, solo",
+            tenant_digests::<Monitor>(tenant_config()),
+            TENANTS_SOLO,
+            EPOCH2_TENANTS_SOLO,
+        ),
+        (
+            "tenants, four lanes",
+            tenant_digests::<ShardedMonitor>(four(tenant_config())),
+            TENANTS_FOUR_LANES,
+            EPOCH2_TENANTS_FOUR_LANES,
+        ),
+        ("churn, solo", churn_digests::<Monitor>(churn_config()), CHURN_SOLO, EPOCH2_CHURN_SOLO),
+        (
+            "churn, four lanes",
+            churn_digests::<ShardedMonitor>(four(churn_config())),
+            CHURN_FOUR_LANES,
+            EPOCH2_CHURN_FOUR_LANES,
+        ),
+    ];
+    for (shape, (words, bytes), pinned, epoch2) in cases {
+        assert_eq!(bytes, epoch2, "{shape}: the byte-serial digest left epoch 2's pin");
+        assert_eq!(words, pinned, "{shape}: the word-wise digest left this epoch's pin");
+    }
 }
 
 /// Telemetry reaches neither the checkpoint nor the digest: two runs of one

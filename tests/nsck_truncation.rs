@@ -15,73 +15,20 @@
 //!   `StateError::Truncated { needed, remaining }` reports, one read at a
 //!   time) — each restore ends in `StateError::Truncated`.
 //!
-//! The peak-request allocator below holds every failed restore to the
-//! largest single request the untruncated restore makes: a buffer sized from
-//! a length whose data is not there would exceed it.
+//! The peak-request allocator (`tests/nsck/`) holds every failed restore to
+//! the largest single request the untruncated restore makes: a buffer sized
+//! from a length whose data is not there would exceed it.
 
-use netshed::monitor::reference::measure_total_demand;
-use netshed::prelude::*;
-use netshed_bench::corpus::CORPUS_SEED;
-use netshed_service::{Daemon, MonitorEngine, ServiceError, Snapshot, SnapshotError, TickStatus};
+mod nsck;
+
+use netshed_service::{ServiceError, Snapshot, SnapshotError};
 use netshed_sketch::StateError;
 use netshed_trace::scenario::builtin;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The system allocator, remembering the largest single request since the
-/// last reset. This file holds one test, so no other test's allocations mix
-/// in.
-struct PeakRequest;
-
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: defers all allocation to `System` with the caller's own arguments;
-// the peak is a relaxed atomic touched nowhere else and never changes what
-// is returned.
-unsafe impl GlobalAlloc for PeakRequest {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        PEAK.fetch_max(layout.size(), Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        PEAK.fetch_max(layout.size(), Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        PEAK.fetch_max(new_size, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: PeakRequest = PeakRequest;
+use nsck::{clean_restore_peak, failed_restore, fleet_checkpoint};
 
 /// Header bytes before the first frame: magic, version, flags, section
 /// count, checksum.
 const HEADER_BYTES: usize = 24;
-
-/// Restores `bytes` into a fresh fleet and returns the error and the
-/// largest single allocation the attempt requested.
-fn failed_restore(
-    config: &MonitorConfig,
-    batches: &[Batch],
-    bytes: &[u8],
-) -> (ServiceError, usize) {
-    let source = BatchReplay::new(batches.to_vec());
-    PEAK.store(0, Ordering::Relaxed);
-    let restored = Daemon::<_, ShardedMonitor>::restore_engine(config.clone(), source, bytes);
-    let peak = PEAK.load(Ordering::Relaxed);
-    match restored {
-        Ok(_) => panic!("a truncated checkpoint of {} bytes restored", bytes.len()),
-        Err(error) => (error, peak),
-    }
-}
 
 /// The container's structural offsets: every boundary a truncation can end
 /// on, and every byte inside a length field.
@@ -114,25 +61,6 @@ fn resealed(snapshot: &Snapshot, name: &str, body: &[u8]) -> Vec<u8> {
     copy.to_bytes()
 }
 
-/// A two-lane fleet running a packet-sampled and a flow-sampled query at
-/// twice its capacity, checkpointed after 15 of `steady-cesca`'s bins.
-fn fleet_checkpoint(batches: &[Batch]) -> (MonitorConfig, Vec<u8>) {
-    let specs = [QuerySpec::new(QueryKind::Counter), QuerySpec::new(QueryKind::Flows)];
-    let demand = measure_total_demand(&specs, &batches[..10]).expect("valid specs");
-    let config = MonitorConfig::default()
-        .with_capacity(demand / 2.0)
-        .with_seed(CORPUS_SEED)
-        .with_shard_lanes(2);
-    let mut fleet = ShardedMonitor::from_config(config.clone()).expect("valid configuration");
-    for spec in &specs {
-        fleet.register(spec).expect("valid spec");
-    }
-    let (daemon, _control) = Daemon::new(fleet, BatchReplay::new(batches.to_vec()));
-    let mut daemon = daemon.with_bins_per_tick(15);
-    assert_eq!(daemon.tick().expect("tick"), TickStatus::Progressed { bins: 15 });
-    (config, daemon.checkpoint().expect("checkpoint"))
-}
-
 /// The read of a truncated section body that failed, as (start, needed).
 fn failed_read(error: ServiceError, name: &str, cut: usize) -> (usize, usize) {
     match error {
@@ -150,14 +78,7 @@ fn every_structural_truncation_of_a_fleet_checkpoint_fails_typed() {
     let (config, bytes) = fleet_checkpoint(&batches);
     let snapshot = Snapshot::from_bytes(&bytes).expect("a clean checkpoint decodes");
 
-    PEAK.store(0, Ordering::Relaxed);
-    Daemon::<_, ShardedMonitor>::restore_engine(
-        config.clone(),
-        BatchReplay::new(batches.clone()),
-        &bytes,
-    )
-    .expect("the untruncated checkpoint restores");
-    let ceiling = PEAK.load(Ordering::Relaxed);
+    let ceiling = clean_restore_peak(&config, &batches, &bytes);
 
     for cut in container_cuts(&bytes, &snapshot) {
         let (error, peak) = failed_restore(&config, &batches, &bytes[..cut]);

@@ -7,13 +7,14 @@
 //! the per-packet `flows` / `super-sources` kernels by one probe per flow,
 //! the per-packet `top-k` / `autofocus` / `application` lookups by one per
 //! flow (their additions stay per packet),
-//! `high-watermark`'s running peak by the per-bin table its lanes fold —
+//! `high-watermark`'s running peak by the per-bin table its lanes fold,
+//! the byte-serial run digest by the word-wise one —
 //! the old one moves here for as long as a test compares against it,
 //! restated on public types only: nothing in this module calls the code it
 //! checks, and nothing here comes from `netshed_bench`. What is shared with
-//! production is the *definition* being pinned (`hash_bytes`, `mix64`, the
-//! extractor's seed and dimensioning constants), not an implementation of
-//! the operation under test.
+//! production is the *definition* being pinned (`hash_bytes`, `mix64`,
+//! `IncrementalFnv`, the extractor's seed and dimensioning constants), not
+//! an implementation of the operation under test.
 //!
 //! Each test binary uses its own part of the module.
 #![allow(dead_code)]
@@ -22,9 +23,10 @@ use netshed::features::{
     Aggregate, CounterKind, FeatureId, FeatureVector, AGGREGATE_HASH_SEED,
     AGGREGATE_MAX_CARDINALITY,
 };
+use netshed::monitor::{BinRecord, ControlDecision, DecisionReason, RunDigest, RunObserver};
 use netshed::predict::{FcbfConfig, History};
 use netshed::queries::{costs, CycleMeter, QueryOutput};
-use netshed::sketch::{hash_bytes, mix64, H3Hasher, StateWriter};
+use netshed::sketch::{hash_bytes, mix64, H3Hasher, IncrementalFnv, StateWriter};
 use netshed::trace::{
     AppProtocol, Batch, BatchView, FiveTuple, PacketRef, PacketStore,
     DEFAULT_MEASUREMENT_INTERVAL_US, FLOW_KEY_SEED,
@@ -769,3 +771,296 @@ pub fn epoch1_packet_plan(view: &BatchView, rates: &[f64], rng: &mut StdRng) -> 
         })
         .collect()
 }
+
+// ---------------------------------------------------------------------------
+// The run digest of epochs 1 and 2: byte-serial FNV-1a over the canonical
+// encoding, and what it pinned.
+// ---------------------------------------------------------------------------
+
+/// `StreamDigest` before it absorbed a word per step: every canonical value
+/// as its little-endian bytes (a `u8` or `bool` one byte, a string its length
+/// as eight bytes and then its bytes), one FNV-1a multiply per byte from the
+/// seed "bins", finished by `mix64`.
+#[derive(Debug, Clone, Copy)]
+pub struct ByteStreamDigest {
+    fnv: IncrementalFnv,
+    items: u64,
+}
+
+impl Default for ByteStreamDigest {
+    fn default() -> Self {
+        Self { fnv: IncrementalFnv::new(0x6269_6e73), items: 0 }
+    }
+}
+
+impl ByteStreamDigest {
+    pub fn items(&self) -> u64 {
+        self.items
+    }
+
+    pub fn value(&self) -> u64 {
+        self.fnv.finish()
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.fnv.write(&[v]);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.fnv.write(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn str(&mut self, v: &str) {
+        self.u64(v.len() as u64);
+        self.fnv.write(v.as_bytes());
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+
+    pub fn absorb_record(&mut self, record: &BinRecord) {
+        self.items += 1;
+        self.u64(record.bin_index);
+        self.u64(record.incoming_packets);
+        self.u64(record.uncontrolled_drops);
+        self.u64(record.unsampled_packets);
+        for cycles in [
+            record.available_cycles,
+            record.predicted_cycles,
+            record.query_cycles,
+            record.prediction_cycles,
+            record.shedding_cycles,
+            record.platform_cycles,
+            record.buffer_occupation,
+        ] {
+            self.f64(cycles);
+        }
+        self.u64(record.queries.len() as u64);
+        for query in &record.queries {
+            self.u64(query.id.index());
+            self.str(&query.name);
+            self.f64(query.sampling_rate);
+            self.f64(query.predicted_cycles);
+            self.f64(query.measured_cycles);
+            self.u64(query.delivered_packets);
+            self.bool(query.disabled);
+        }
+        match &record.interval_outputs {
+            None => self.u8(0),
+            Some(outputs) => {
+                self.u8(1);
+                self.absorb_outputs_body(outputs);
+            }
+        }
+        self.absorb_decision_body(&record.decision);
+    }
+
+    pub fn absorb_decision(&mut self, bin_index: u64, decision: &ControlDecision) {
+        self.items += 1;
+        self.u64(bin_index);
+        self.absorb_decision_body(decision);
+    }
+
+    pub fn absorb_outputs(&mut self, outputs: &[(String, QueryOutput)]) {
+        self.items += 1;
+        self.absorb_outputs_body(outputs);
+    }
+
+    fn absorb_decision_body(&mut self, decision: &ControlDecision) {
+        self.u64(decision.rates.len() as u64);
+        for rate in &decision.rates {
+            self.f64(*rate);
+        }
+        match decision.budget {
+            None => self.u8(0),
+            Some(budget) => {
+                self.u8(1);
+                self.f64(budget);
+            }
+        }
+        self.f64(decision.inflation);
+        match &decision.allocations {
+            None => self.u8(0),
+            Some(allocations) => {
+                self.u8(1);
+                self.u64(allocations.len() as u64);
+                for allocation in allocations {
+                    self.bool(allocation.is_disabled());
+                    self.f64(allocation.rate());
+                }
+            }
+        }
+        self.u8(match decision.reason {
+            DecisionReason::FitsInBudget => 0,
+            DecisionReason::ReactiveFeedback => 1,
+            DecisionReason::Overload => 2,
+            DecisionReason::Custom => 3,
+            DecisionReason::DegradedFallback => 4,
+        });
+    }
+
+    fn absorb_outputs_body(&mut self, outputs: &[(String, QueryOutput)]) {
+        self.u64(outputs.len() as u64);
+        for (name, output) in outputs {
+            self.str(name);
+            self.absorb_output(output);
+        }
+    }
+
+    fn absorb_output(&mut self, output: &QueryOutput) {
+        match output {
+            QueryOutput::Counter { packets, bytes } => {
+                self.u8(0);
+                self.f64(*packets);
+                self.f64(*bytes);
+            }
+            QueryOutput::Application { per_app } => {
+                self.u8(1);
+                let mut entries: Vec<_> = per_app.iter().collect();
+                entries.sort_by_key(|(app, _)| **app);
+                self.u64(entries.len() as u64);
+                for (app, (packets, bytes)) in entries {
+                    self.str(app);
+                    self.f64(*packets);
+                    self.f64(*bytes);
+                }
+            }
+            QueryOutput::Flows { count } => {
+                self.u8(2);
+                self.f64(*count);
+            }
+            QueryOutput::HighWatermark { mbps } => {
+                self.u8(3);
+                self.f64(*mbps);
+            }
+            QueryOutput::TopK { ranking } => {
+                self.u8(4);
+                self.u64(ranking.len() as u64);
+                for (ip, bytes) in ranking {
+                    self.u64(u64::from(*ip));
+                    self.f64(*bytes);
+                }
+            }
+            QueryOutput::Autofocus { clusters } => {
+                self.u8(5);
+                self.u64(clusters.len() as u64);
+                for (prefix, len, bytes) in clusters {
+                    self.u64(u64::from(*prefix));
+                    self.u8(*len);
+                    self.f64(*bytes);
+                }
+            }
+            QueryOutput::SuperSources { fanouts } => {
+                self.u8(6);
+                let mut entries: Vec<_> = fanouts.iter().collect();
+                entries.sort_by_key(|(src, _)| **src);
+                self.u64(entries.len() as u64);
+                for (src, fanout) in entries {
+                    self.u64(u64::from(*src));
+                    self.f64(*fanout);
+                }
+            }
+            QueryOutput::P2pFlows { flows } => {
+                self.u8(7);
+                let mut keys: Vec<u64> = flows.iter().copied().collect();
+                keys.sort_unstable();
+                self.u64(keys.len() as u64);
+                for key in keys {
+                    self.u64(key);
+                }
+            }
+            QueryOutput::Coverage { processed_packets, total_packets } => {
+                self.u8(8);
+                self.f64(*processed_packets);
+                self.f64(*total_packets);
+            }
+        }
+    }
+}
+
+/// `DigestObserver` over [`ByteStreamDigest`]s: the run fingerprint of
+/// epochs 1 and 2.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ByteDigestObserver {
+    records: ByteStreamDigest,
+    decisions: ByteStreamDigest,
+    intervals: ByteStreamDigest,
+}
+
+impl ByteDigestObserver {
+    pub fn digest(&self) -> RunDigest {
+        RunDigest {
+            bins: self.records.items(),
+            records: self.records.value(),
+            decisions: self.decisions.value(),
+            intervals: self.intervals.value(),
+        }
+    }
+}
+
+impl RunObserver for ByteDigestObserver {
+    fn on_bin(&mut self, record: &BinRecord) {
+        self.records.absorb_record(record);
+    }
+
+    fn on_decision(&mut self, bin_index: u64, decision: &ControlDecision) {
+        self.decisions.absorb_decision(bin_index, decision);
+    }
+
+    fn on_interval(&mut self, outputs: &[(String, QueryOutput)]) {
+        self.intervals.absorb_outputs(outputs);
+    }
+}
+
+/// The 63 rows of `corpus/GOLDEN.digests` as digest epoch 2 recorded them:
+/// (scenario, strategy, fingerprint), in manifest order.
+pub fn epoch2_manifest() -> Vec<(String, String, RunDigest)> {
+    include_str!("GOLDEN.epoch-2.digests")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let hex = |at: usize| u64::from_str_radix(fields[at], 16).expect("hex digest");
+            let digest = RunDigest {
+                bins: fields[2].parse().expect("bin count"),
+                records: hex(3),
+                decisions: hex(4),
+                intervals: hex(5),
+            };
+            (fields[0].to_string(), fields[1].to_string(), digest)
+        })
+        .collect()
+}
+
+/// `tests/engine.rs`'s digest pins as digest epoch 2 captured them: the
+/// unshed tenant run and the churn run, on a solo monitor and a 4-lane
+/// fleet.
+pub const EPOCH2_TENANTS_SOLO: RunDigest = RunDigest {
+    bins: 150,
+    records: 0xd47bce35f181b53f,
+    decisions: 0x8838c012af1cb294,
+    intervals: 0xec0d307d541cfb68,
+};
+pub const EPOCH2_TENANTS_FOUR_LANES: RunDigest = RunDigest {
+    bins: 150,
+    records: 0x0b22061bcf955cbb,
+    decisions: 0xd1c0c4696dfee087,
+    intervals: 0xec0d307d541cfb68,
+};
+pub const EPOCH2_CHURN_SOLO: RunDigest = RunDigest {
+    bins: 120,
+    records: 0x43cb9d37b5f24d6e,
+    decisions: 0xf57b118abec3676f,
+    intervals: 0xde17088f666e4c2e,
+};
+pub const EPOCH2_CHURN_FOUR_LANES: RunDigest = RunDigest {
+    bins: 120,
+    records: 0x3baecf8297c8a304,
+    decisions: 0x5fbf3b8711c595df,
+    intervals: 0x657f46dcdf02820b,
+};
