@@ -137,6 +137,22 @@ if [ "$kind" = committed ]; then
     fail "the 200-tenant run digest costs more than 0.10 of the bin"
 fi
 
+# The .nstr decode the daemon runs before each bin, outside the engine's
+# stage clock, on the solo 2x overload shape and on the 200-tenant one: the
+# nanoseconds a timed SharedTraceReader spends decoding a run's own encoded
+# batches over the nanoseconds of that run's bins, an intra-run ratio. The
+# record-at-a-time decoder (one StoreBuilder push per record, one container
+# reference per payload) read 0.244 on the solo row of a full run (0.094 on
+# the 200-tenant row; ~0.25 in a daemon-shaped probe); one pass into
+# exactly-sized columns and one payload window per frame reads 0.16-0.18
+# (0.07) on two full runs. The solo row is held on a full run.
+[ "$(grep -c '"decode_vs_bin"' "$file")" -ge 2 ] ||
+  fail "lost the solo or the 200-tenant decode_vs_bin"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"solo"/ { solo = 1 } solo && /"decode_vs_bin"/ { if ($2 + 0 > 0.20) exit 1; exit 0 }' "$file" ||
+    fail "the solo bin's .nstr decode costs more than 0.20 of the bin"
+fi
+
 # At rate 1.0 on a full view every packet length is an integer term, so the
 # kernels the tenants run add one exact total per batch or per flow: on the
 # same 500-packet bins, counter, high-watermark, application and top-k may

@@ -73,7 +73,11 @@
 //!    same inputs), how many sets of query instances a bin ran
 //!    (`query_runs_per_bin`; the tenants of a kind form one cohort) and the
 //!    run digest's nanoseconds over the bins' from the same run
-//!    (`digest_vs_bin`; the digest runs between bins, outside the stages).
+//!    (`digest_vs_bin`; the digest runs between bins, outside the stages);
+//!    and, for the solo and the 200-tenant shapes, the `.nstr` decode's
+//!    nanoseconds over the bins' (`decode_vs_bin`: a run replaying its own
+//!    batches' encoding through a timed `SharedTraceReader`, the way the
+//!    daemon reads a trace before each bin, outside the stage clock).
 //! 9. **unit-rate kernels**: `counter`, `high-watermark`, `application` and
 //!    `top-k` on 500-packet full views at rate 1.0, where they add one exact
 //!    total per batch or per flow, against the same packets as all-kept
@@ -82,7 +86,7 @@
 //! Run with `cargo bench -p netshed-bench --bench pipeline`; pass
 //! `-- --smoke` for a fast CI run (fewer iterations, same JSON shape).
 
-use netshed_bench::report::{num, Report, Table};
+use netshed_bench::report::{num, Cell, Report, Table};
 use netshed_features::{
     ExtractScratch, FeatureExtractor, FeatureId, FeatureVector, AGGREGATE_HASH_SEED,
     AGGREGATE_MAX_CARDINALITY, FEATURE_COUNT,
@@ -102,7 +106,7 @@ use netshed_service::Daemon;
 use netshed_sketch::{BitmapGeometry, H3Hasher};
 use netshed_trace::{
     decode_batches_shared, encode_batches, AggregateSlots, Batch, BatchReplay, BatchView, Bytes,
-    KeepListPool, TraceConfig, TraceGenerator,
+    KeepListPool, PacketSource, SharedTraceReader, TraceConfig, TraceGenerator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -433,8 +437,8 @@ fn bench_data_plane(batches: usize, repeats: u32) -> DataPlaneNumbers {
     drop(recorded);
 
     // One full cold run per repeat: borrowed zero-copy decode straight into
-    // the column store (payloads are windows into `buffer`), then the pass
-    // on a fresh extractor and pool.
+    // the column store (each frame's payloads stay behind one window into
+    // `buffer`), then the pass on a fresh extractor and pool.
     let mut soa_s = f64::INFINITY;
     for _ in 0..repeats {
         let start = Instant::now();
@@ -583,6 +587,49 @@ fn bench_engine<E: Engine>(
         stages: engine.stage_stats(),
         modelled,
     }
+}
+
+/// A trace source that decodes the `.nstr` encoding of a batch vector and
+/// keeps the wall time its reads took: what the daemon spends on a bin
+/// before the engine's stage clock starts.
+struct TimedReader {
+    reader: SharedTraceReader,
+    ns: u64,
+}
+
+impl TimedReader {
+    fn over(batches: &[Batch]) -> Self {
+        let container = encode_batches(batches, batches[0].duration_us).expect("encode");
+        let reader = SharedTraceReader::new(Bytes::from(container)).expect("header");
+        Self { reader, ns: 0 }
+    }
+
+    /// The decode's nanoseconds over those of the bins `stats` measured,
+    /// once the run has read every frame cleanly.
+    fn share_of(&self, stats: &StageStats) -> Cell {
+        assert!(self.reader.error().is_none(), "decode failed: {:?}", self.reader.error());
+        num(self.ns as f64 / stats.bin_ns() as f64, 4)
+    }
+}
+
+impl PacketSource for TimedReader {
+    fn next_batch(&mut self) -> Option<Batch> {
+        let start = Instant::now();
+        let batch = self.reader.next_batch();
+        self.ns += start.elapsed().as_nanos() as u64;
+        batch
+    }
+}
+
+/// The solo 2× overload pipeline replaying its `batches` bins from their
+/// `.nstr` encoding on one worker: the decode's share of the bin.
+fn solo_decode_vs_bin(batches: usize) -> Cell {
+    let (recorded, builder) = overload_shape(batches);
+    let mut source = TimedReader::over(&recorded);
+    drop(recorded);
+    let mut monitor = builder.with_workers(1).build().expect("valid configuration");
+    monitor.run(&mut source, &mut ModelledCycles::default()).expect("run");
+    source.share_of(&monitor.stage_stats())
 }
 
 /// The solo monitor at the given worker count.
@@ -822,7 +869,8 @@ impl Sharing {
 }
 
 /// The repo benchmark's `tenants-underload` shape — 200 tenants of five
-/// kinds on 500-packet bins, capacity so large that nothing is shed — where
+/// kinds on 500-packet bins, capacity so large that nothing is shed, read
+/// from its `.nstr` encoding — where
 /// the engine's own clock says its bins went, how many of a bin's 200
 /// predictions the feature window computed in full (the others copy one
 /// made from the same inputs) and how many sets of query instances a bin
@@ -852,13 +900,15 @@ fn bench_tenants(bins: usize) -> Report {
     };
     let mut monitor = tenants().build().expect("valid configuration");
     let mut digest = TimedDigest::default();
-    monitor.run(&mut BatchReplay::new(batches.clone()), &mut digest).expect("run");
+    let mut source = TimedReader::over(&batches);
+    monitor.run(&mut source, &mut digest).expect("run");
     let stages = monitor.stage_stats();
     let sharing = Sharing::of(tenants(), &batches);
     Report::new()
         .cell("bins", stages.bins)
         .cell("bin_ns", num(mean_bin_ns(&stages), 0))
         .cell("digest_vs_bin", num(digest.ns as f64 / stages.bin_ns() as f64, 4))
+        .cell("decode_vs_bin", source.share_of(&stages))
         .cell("full_predictions_per_bin", num(sharing.full, 2))
         .cell("query_runs_per_bin", num(sharing.runs, 2))
         .report("measured_share", stage_shares(&stages))
@@ -1055,6 +1105,7 @@ fn main() {
 
     let solo = Report::new()
         .cell("bins", pipeline.stages.bins)
+        .cell("decode_vs_bin", solo_decode_vs_bin(pipeline_batches))
         .report("measured_share", stage_shares(&pipeline.stages))
         .report("modelled_cycle_share", pipeline.modelled.shares());
     let fleet_1_thread = Report::new()

@@ -7,6 +7,7 @@
 //! cargo run -p netshed-bench --release --bin scenarios -- run <name> [--strategy mmfs_pkt] [--predictor mlr_fcbf] [--workers N]
 //! cargo run -p netshed-bench --release --bin scenarios -- checkpoint <name> <strategy> [--at BIN] [--out FILE]
 //! cargo run -p netshed-bench --release --bin scenarios -- resume <name> <strategy> --from FILE [--dir corpus]
+//! cargo run -p netshed-bench --release --bin scenarios -- inspect corpus/ddos-spike.nstr
 //! ```
 //!
 //! `record` regenerates every built-in scenario, writes the `.nstr`
@@ -23,6 +24,10 @@
 //! final digest against the pinned manifest row, which is what the CI
 //! checkpoint-restore job loops over.
 //!
+//! `inspect` prints a `.nstr` recording's header and one line per frame
+//! (bin, packets, body and payload bytes, checksum verdict) without decoding
+//! a packet; it exits nonzero when a checksum fails or the walk stops early.
+//!
 //! Argument parsing lives in [`netshed_bench::cli`] so its hygiene rules
 //! (unknown flags and subcommands fail with usage on stderr, `--help`
 //! everywhere) are unit-tested.
@@ -30,8 +35,8 @@
 use netshed_bench::cli::{parse_scenarios_args, usage, ScenariosCommand};
 use netshed_bench::corpus::{
     all_strategies, checkpoint_run, compute_golden, corpus_capacity, corpus_config, diff_digests,
-    digest_run, format_manifest, parse_manifest, resume_run, GoldenEntry, MANIFEST_NAME,
-    TRACE_EXTENSION,
+    digest_run, format_manifest, inspect_trace, parse_manifest, resume_run, GoldenEntry,
+    MANIFEST_NAME, TRACE_EXTENSION,
 };
 use netshed_monitor::{Monitor, PredictorKind, Strategy};
 use netshed_trace::scenario::{builtin, builtins};
@@ -65,6 +70,31 @@ fn main() -> ExitCode {
         }
         ScenariosCommand::Resume { name, strategy, from, dir, workers } => {
             resume(&name, &strategy, &from, dir.as_deref(), workers)
+        }
+        ScenariosCommand::Inspect { file } => inspect(&file),
+    }
+}
+
+fn inspect(file: &Path) -> ExitCode {
+    let bytes = match std::fs::read(file) {
+        Ok(bytes) => bytes,
+        Err(error) => {
+            eprintln!("cannot read {}: {error}", file.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    match inspect_trace(Bytes::from(bytes)) {
+        Ok(inspection) => {
+            print!("{}", inspection.frames);
+            if inspection.is_clean() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
+        }
+        Err(error) => {
+            eprintln!("{}: {error}", file.display());
+            ExitCode::FAILURE
         }
     }
 }

@@ -74,6 +74,12 @@ pub enum ScenariosCommand {
         /// Worker count.
         workers: usize,
     },
+    /// `scenarios inspect <file.nstr>` — describe a recording frame by
+    /// frame without decoding it.
+    Inspect {
+        /// Path of the `.nstr` file.
+        file: PathBuf,
+    },
     /// `scenarios help [command]` / `scenarios --help` /
     /// `scenarios <command> --help`.
     Help {
@@ -99,8 +105,8 @@ impl std::fmt::Display for CliError {
     }
 }
 
-const COMMAND_NAMES: [&str; 7] =
-    ["list", "record", "verify", "run", "checkpoint", "resume", "help"];
+const COMMAND_NAMES: [&str; 8] =
+    ["list", "record", "verify", "run", "checkpoint", "resume", "inspect", "help"];
 
 /// The usage text for one `scenarios` command (or for the `experiments`
 /// binary, topic `"experiments"`), or the global `scenarios` synopsis for
@@ -146,6 +152,11 @@ pub fn usage(topic: Option<&str>) -> String {
              it against GOLDEN.digests and fail on drift"
                 .to_string()
         }
+        Some("inspect") => "usage: scenarios inspect <file.nstr>\n\
+             print a .nstr recording's header (version, time bin) and, per\n\
+             frame, its bin index, packets, body and payload bytes and whether\n\
+             its checksum holds, without decoding a packet"
+            .to_string(),
         Some("help") => "usage: scenarios help [command]".to_string(),
         _ => "usage: scenarios <command> [options]\n\
               commands:\n  \
@@ -155,6 +166,7 @@ pub fn usage(topic: Option<&str>) -> String {
                 run         digest one scenario / strategy pair\n  \
                 checkpoint  run to a midpoint and write a .nsck snapshot\n  \
                 resume      restore a .nsck snapshot and finish the run\n  \
+                inspect     describe a .nstr recording frame by frame\n  \
                 help        show this message or one command's usage\n\
               run `scenarios <command> --help` for details on one command"
             .to_string(),
@@ -243,7 +255,7 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
     // Flags a command ignores are rejected, not silently dropped — a caller
     // passing `record … --workers 4` must not believe four workers ran.
     let applicable: &[&str] = match command {
-        "list" | "help" => &[],
+        "list" | "inspect" | "help" => &[],
         "record" => &["--dir"],
         "verify" => &["--dir", "--workers"],
         "run" => &["--workers", "--strategy", "--predictor"],
@@ -319,6 +331,10 @@ pub fn parse_scenarios_args(args: &[String]) -> Result<ScenariosCommand, CliErro
                 dir,
                 workers,
             })
+        }
+        "inspect" => {
+            expect_positionals(2, "a .nstr file")?;
+            Ok(ScenariosCommand::Inspect { file: PathBuf::from(&positional[1]) })
         }
         "help" => {
             if positional.len() > 2 {
@@ -536,6 +552,18 @@ mod tests {
                 workers: 2,
             }
         );
+    }
+
+    #[test]
+    fn inspect_takes_exactly_one_file_and_no_flags() {
+        assert_eq!(
+            parse(&["inspect", "corpus/ddos-spike.nstr"]).expect("parse"),
+            ScenariosCommand::Inspect { file: PathBuf::from("corpus/ddos-spike.nstr") }
+        );
+        assert!(parse(&["inspect"]).expect_err("no file").message.contains(".nstr file"));
+        assert!(parse(&["inspect", "a.nstr", "b.nstr"]).is_err());
+        assert!(parse(&["inspect", "a.nstr", "--workers", "2"]).is_err());
+        assert!(usage(None).contains("inspect"));
     }
 
     #[test]

@@ -15,15 +15,18 @@
 //! * [`format_manifest`] / [`parse_manifest`] read and write the
 //!   `GOLDEN.digests` manifest;
 //! * [`diff_digests`] renders a drift as a readable report naming the
-//!   scenario, the strategy and the exact stream that diverged.
+//!   scenario, the strategy and the exact stream that diverged;
+//! * [`inspect_trace`] describes a recording frame by frame without
+//!   decoding it (`scenarios inspect`).
 
+use crate::report::{Cell, Table};
 use netshed_monitor::{
     DigestObserver, Monitor, MonitorConfig, NetshedError, PolicySpec, RunDigest, Strategy,
 };
 use netshed_queries::{CustomBehavior, QueryKind, QuerySpec};
 use netshed_service::{Daemon, MonitorEngine, ServiceError, TickStatus};
 use netshed_trace::scenario::Scenario;
-use netshed_trace::{Batch, BatchReplay};
+use netshed_trace::{Batch, BatchReplay, Bytes, FormatError, FrameWalk, TRACE_FORMAT_VERSION};
 
 /// Monitor seed of every corpus run (the traffic seed lives in the
 /// scenario).
@@ -375,4 +378,63 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.bins > 0);
     }
+}
+
+/// What [`inspect_trace`] found in a `.nstr` container.
+#[derive(Debug)]
+pub struct TraceInspection {
+    /// One row per batch frame — its position, bin index, packets, body
+    /// bytes, payload bytes and checksum verdict — under a title naming the
+    /// header's version and time bin; the note reports the end frame.
+    pub frames: Table,
+    /// Frames whose checksum did not hold.
+    pub bad_checksums: usize,
+    /// Why the walk stopped before a valid end frame, if it did.
+    pub error: Option<FormatError>,
+}
+
+impl TraceInspection {
+    /// Whether every frame's checksum held and the walk reached a valid
+    /// end frame.
+    pub fn is_clean(&self) -> bool {
+        self.bad_checksums == 0 && self.error.is_none()
+    }
+}
+
+/// Describes a `.nstr` container frame by frame through the trace crate's
+/// frame walk, which builds no store: each frame's payload bytes come from
+/// its records' length fields (`corrupt` when they do not tile the body)
+/// and its checksum is verified but not enforced, so one bad frame does not
+/// hide the ones after it. A header that does not open is the error.
+pub fn inspect_trace(container: Bytes) -> Result<TraceInspection, FormatError> {
+    let mut walk = FrameWalk::new(container)?;
+    let title = format!(".nstr version {TRACE_FORMAT_VERSION}, time bin {} us", walk.time_bin_us());
+    let mut frames = Table::titled(
+        &title,
+        &["frame", "bin", "packets", "body_bytes", "payload_bytes", "checksum"],
+    );
+    let mut bad_checksums = 0;
+    let error = loop {
+        match walk.next_frame() {
+            Ok(Some(frame)) => {
+                let checksum_ok = frame.checksum_ok();
+                bad_checksums += usize::from(!checksum_ok);
+                frames.row([
+                    Cell::from(frame.index()),
+                    Cell::from(frame.bin_index()),
+                    Cell::from(u64::from(frame.packets())),
+                    Cell::from(frame.body().len()),
+                    frame.payload_bytes().map_or_else(|_| Cell::from("corrupt"), Cell::from),
+                    Cell::from(if checksum_ok { "ok" } else { "BAD" }),
+                ]);
+            }
+            Ok(None) => break None,
+            Err(error) => break Some(error),
+        }
+    };
+    frames.note = match &error {
+        None => format!("end frame: {} batch frames, checksum ok", frames.rows.len()),
+        Some(error) => format!("walk stopped: {error}"),
+    };
+    Ok(TraceInspection { frames, bad_checksums, error })
 }

@@ -2,8 +2,9 @@
 //!
 //! Provides the subset netshed uses: [`Bytes`], a cheaply cloneable,
 //! reference-counted, immutable byte slice with O(1) sub-slicing. The storage
-//! is a shared `Arc<[u8]>` plus a window, so cloning a payload or slicing a
-//! template never copies the underlying bytes.
+//! is a shared `Arc<Vec<u8>>` plus a window, so cloning a payload or slicing a
+//! template never copies the underlying bytes, and — as upstream — turning a
+//! `Vec<u8>` into `Bytes` takes the vector's buffer without copying it.
 
 #![forbid(unsafe_code)]
 
@@ -15,7 +16,7 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable slice of bytes.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -34,15 +35,13 @@ impl Bytes {
 
     /// Copies `bytes` into new shared storage.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        let data: Arc<[u8]> = Arc::from(bytes);
-        let end = data.len();
-        Bytes { data, start: 0, end }
+        Bytes::from_vec(bytes.to_vec())
     }
 
+    /// Shares `vec`'s buffer as the storage (no byte copy).
     fn from_vec(vec: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = Arc::from(vec.into_boxed_slice());
-        let end = data.len();
-        Bytes { data, start: 0, end }
+        let end = vec.len();
+        Bytes { data: Arc::new(vec), start: 0, end }
     }
 
     /// Number of bytes in the slice.
@@ -75,6 +74,13 @@ impl Bytes {
         };
         assert!(begin <= end && end <= len, "slice {begin}..{end} out of bounds of {len}");
         Bytes { data: Arc::clone(&self.data), start: self.start + begin, end: self.start + end }
+    }
+
+    /// Number of `Bytes` sharing this one's storage (itself included).
+    /// Not part of the upstream API: ownership tests use it to count the
+    /// windows a decoder keeps onto a buffer.
+    pub fn strong_count(this: &Bytes) -> usize {
+        Arc::strong_count(&this.data)
     }
 
     /// The slice contents.
@@ -170,6 +176,18 @@ mod tests {
         assert_eq!(slice.len(), 3);
         let nested = slice.slice(..2);
         assert_eq!(&nested[..], &[2, 3]);
+    }
+
+    #[test]
+    fn a_vector_becomes_the_storage_without_a_copy() {
+        let vec = vec![7u8; 64];
+        let at = vec.as_ptr();
+        let bytes = Bytes::from(vec);
+        assert_eq!(bytes.as_slice().as_ptr(), at);
+        assert_eq!(Bytes::strong_count(&bytes), 1);
+        let window = bytes.slice(8..16);
+        assert_eq!(Bytes::strong_count(&bytes), 2);
+        assert_eq!(window.as_slice().as_ptr(), at.wrapping_add(8));
     }
 
     #[test]

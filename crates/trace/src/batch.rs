@@ -14,14 +14,15 @@
 //! Consumers that stream one attribute — [`BatchStats`] accumulation, the
 //! flow grouping — walk a contiguous column instead of striding over a
 //! packet struct, and payload bytes (the one cold,
-//! variable-width attribute) never pollute the hot columns. Individual
+//! variable-width attribute) never pollute the hot columns: they live in one
+//! shared window per store, addressed by a `u32` offset column. Individual
 //! packets are addressed through the cheap [`PacketRef`] accessor; [`Packet`]
 //! remains the construction and interop type.
 //!
 //! Derived data computed at most once per batch, shared by every view:
 //!
-//! * [`BatchStats`] (packet/byte/flag totals) — accumulated eagerly while the
-//!   columns are filled,
+//! * [`BatchStats`] (packet/byte/flag totals) — folded over the finished
+//!   columns when the store is built,
 //! * the [`FlowIndex`] (packets grouped by 5-tuple, ten bitmap slots per
 //!   flow) feeding the fused feature extractor, flowwise sampling and the
 //!   flow-keyed queries and a fleet's lane routing — the "locate once per
@@ -83,8 +84,9 @@ pub fn shard_key(tuple: &FiveTuple) -> u64 {
 /// Immutable after construction; the lazy flow index and flow totals are
 /// initialise-once (`OnceLock`) and therefore safe to share across threads,
 /// like the flow-key memo's atomics.
-/// Construct through [`PacketStore::builder`] (one streaming pass that fills
-/// every column and the stats) or implicitly through [`Batch::new`].
+/// Construct through [`PacketStore::builder`] (a packet at a time) or
+/// implicitly through [`Batch::new`]; the `.nstr` decoder writes a frame
+/// straight into exactly-sized columns.
 pub struct PacketStore {
     /// Per-packet timestamps in microseconds, ascending.
     ts: Vec<Timestamp>,
@@ -94,11 +96,10 @@ pub struct PacketStore {
     ip_lens: Vec<u32>,
     /// Per-packet TCP flag bytes (0 for non-TCP).
     tcp_flags: Vec<u8>,
-    /// Captured payloads. Canonically empty when *no* packet carries one (the
-    /// common header-only trace pays nothing for the column); otherwise one
-    /// entry per packet.
-    payloads: Vec<Option<Bytes>>,
-    /// Summary statistics, accumulated while the columns were filled.
+    /// Captured payloads. `None` when *no* packet carries one (the common
+    /// header-only trace pays nothing for the column).
+    payloads: Option<PayloadColumn>,
+    /// Summary statistics, folded over the finished columns.
     stats: BatchStats,
     /// The packets grouped by 5-tuple (see [`PacketStore::flow_index`]).
     flows: OnceLock<FlowIndex>,
@@ -108,20 +109,75 @@ pub struct PacketStore {
     flow_totals: OnceLock<Box<[FlowTotals]>>,
 }
 
-/// Streaming constructor for a [`PacketStore`]: one pass fills every column
-/// and accumulates the [`BatchStats`].
-///
-/// Used by [`Batch::new`], by [`BatchBuilder`] and by the borrowed `.nstr`
-/// decode path, which pushes decoded fields straight into the columns without
-/// an intermediate `Vec<Packet>`.
+/// The payload column: one shared window of bytes per store and, per
+/// packet, where its payload lies in it. A decoded frame's window is its
+/// frame body inside the container (one reference, however many payloads);
+/// a store built from packets copies their payloads into a window of its
+/// own once.
+#[derive(Clone)]
+pub(crate) struct PayloadColumn {
+    window: Bytes,
+    spans: Vec<PayloadSpan>,
+}
+
+/// One packet's payload in its store's window: a `u32` offset and a `u32`
+/// length, [`PayloadSpan::NONE`]'s length for "no payload captured" — an
+/// empty payload is a zero length, so the two stay apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PayloadSpan {
+    start: u32,
+    len: u32,
+}
+
+impl PayloadSpan {
+    /// No payload captured.
+    pub(crate) const NONE: PayloadSpan = PayloadSpan { start: 0, len: u32::MAX };
+
+    /// The payload at `window[start..start + len]`; `len` is not `u32::MAX`.
+    pub(crate) fn new(start: u32, len: u32) -> Self {
+        debug_assert!(len != u32::MAX);
+        Self { start, len }
+    }
+
+    /// Captured payload bytes (0 for none).
+    fn bytes(self) -> u64 {
+        if self.len == u32::MAX {
+            0
+        } else {
+            u64::from(self.len)
+        }
+    }
+}
+
+impl PayloadColumn {
+    /// The column over `window`. Every span lies inside it.
+    pub(crate) fn new(window: Bytes, spans: Vec<PayloadSpan>) -> Self {
+        Self { window, spans }
+    }
+
+    fn range(&self, index: usize) -> Option<std::ops::Range<usize>> {
+        let span = self.spans[index];
+        (span.len != u32::MAX).then(|| span.start as usize..span.start as usize + span.len as usize)
+    }
+
+    fn get(&self, index: usize) -> Option<&[u8]> {
+        self.range(index).map(|range| &self.window.as_slice()[range])
+    }
+}
+
+/// Packet-at-a-time constructor for a [`PacketStore`], for stores built
+/// from packets rather than decoded: [`Batch::new`], [`BatchBuilder`] and
+/// [`BatchView::materialize`]. Payload bytes are copied into the store's
+/// one window as they arrive.
 #[derive(Debug, Default)]
 pub struct StoreBuilder {
     ts: Vec<Timestamp>,
     tuples: Vec<FiveTuple>,
     ip_lens: Vec<u32>,
     tcp_flags: Vec<u8>,
-    payloads: Vec<Option<Bytes>>,
-    stats: BatchStats,
+    window: Vec<u8>,
+    /// Empty until the first payload arrives, then one span per packet.
+    spans: Vec<PayloadSpan>,
 }
 
 impl StoreBuilder {
@@ -133,9 +189,7 @@ impl StoreBuilder {
             tuples: Vec::with_capacity(capacity),
             ip_lens: Vec::with_capacity(capacity),
             tcp_flags: Vec::with_capacity(capacity),
-            // lint:allow(hot-path-alloc): zero-capacity lazy column, no heap touch
-            payloads: Vec::new(),
-            stats: BatchStats::default(),
+            ..Self::default()
         }
     }
 
@@ -149,24 +203,30 @@ impl StoreBuilder {
         self.ts.is_empty()
     }
 
-    /// Appends one packet's fields to the columns.
+    /// Appends one packet's fields to the columns, copying its payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store's payload bytes pass 4 GiB, the `.nstr` frame
+    /// limit.
     pub fn push(
         &mut self,
         ts: Timestamp,
         tuple: FiveTuple,
         ip_len: u32,
         tcp_flags: u8,
-        payload: Option<Bytes>,
+        payload: Option<&[u8]>,
     ) {
-        let payload_len = payload.as_ref().map_or(0, |p| p.len() as u64);
-        self.stats.absorb(tuple.proto, tcp_flags, ip_len, payload_len);
-        if payload.is_some() || !self.payloads.is_empty() {
+        if payload.is_some() || !self.spans.is_empty() {
             // First payload seen: backfill the column so it stays
             // index-aligned. Header-only stores never enter here.
-            if self.payloads.len() < self.ts.len() {
-                self.payloads.resize(self.ts.len(), None);
-            }
-            self.payloads.push(payload);
+            self.spans.resize(self.ts.len(), PayloadSpan::NONE);
+            self.spans.push(payload.map_or(PayloadSpan::NONE, |payload| {
+                let start = self.window.len();
+                self.window.extend_from_slice(payload);
+                assert!(self.window.len() < u32::MAX as usize, "payload window past 4 GiB");
+                PayloadSpan::new(start as u32, payload.len() as u32)
+            }));
         }
         self.ts.push(ts);
         self.tuples.push(tuple);
@@ -174,42 +234,81 @@ impl StoreBuilder {
         self.tcp_flags.push(tcp_flags);
     }
 
-    /// Appends a [`Packet`], consuming it (the payload moves, no byte copy).
+    /// Appends a [`Packet`]'s fields, consuming it.
     pub fn push_packet(&mut self, packet: Packet) {
         let Packet { ts, tuple, ip_len, tcp_flags, payload } = packet;
-        self.push(ts, tuple, ip_len, tcp_flags, payload);
+        self.push(ts, tuple, ip_len, tcp_flags, payload.as_deref());
     }
 
     /// Finalises the columns into an immutable [`PacketStore`].
     pub fn finish(self) -> PacketStore {
+        let payloads = (!self.spans.is_empty())
+            .then(|| PayloadColumn::new(Bytes::from(self.window), self.spans));
+        PacketStore::from_columns(self.ts, self.tuples, self.ip_lens, self.tcp_flags, payloads)
+    }
+}
+
+impl PacketStore {
+    /// Starts a [`StoreBuilder`] with the given packet capacity.
+    pub fn builder(capacity: usize) -> StoreBuilder {
+        StoreBuilder::with_capacity(capacity)
+    }
+
+    /// Builds a store from packets, copying their payloads into the store's
+    /// window once.
+    pub fn from_packets(packets: Vec<Packet>) -> Self {
+        let mut builder = StoreBuilder::with_capacity(packets.len());
+        let payload_bytes = packets.iter().filter_map(|p| p.payload.as_ref()).map(Bytes::len).sum();
+        builder.window.reserve_exact(payload_bytes);
+        for packet in packets {
+            builder.push_packet(packet);
+        }
+        builder.finish()
+    }
+
+    /// A store over finished columns of one length; the stats are folded
+    /// over them here.
+    pub(crate) fn from_columns(
+        ts: Vec<Timestamp>,
+        tuples: Vec<FiveTuple>,
+        ip_lens: Vec<u32>,
+        tcp_flags: Vec<u8>,
+        payloads: Option<PayloadColumn>,
+    ) -> Self {
+        debug_assert!(tuples.len() == ts.len() && ip_lens.len() == ts.len());
+        debug_assert!(tcp_flags.len() == ts.len());
+        debug_assert!(payloads.as_ref().is_none_or(|column| column.spans.len() == ts.len()));
+        let mut stats = BatchStats::default();
+        for ((tuple, &flags), &ip_len) in tuples.iter().zip(&tcp_flags).zip(&ip_lens) {
+            stats.absorb(tuple.proto, flags, ip_len, 0);
+        }
+        stats.payload_bytes =
+            payloads.as_ref().map_or(0, |column| column.spans.iter().map(|s| s.bytes()).sum());
         PacketStore {
-            ts: self.ts,
-            tuples: self.tuples,
-            ip_lens: self.ip_lens,
-            tcp_flags: self.tcp_flags,
-            payloads: self.payloads,
-            stats: self.stats,
+            ts,
+            tuples,
+            ip_lens,
+            tcp_flags,
+            payloads,
+            stats,
             flows: OnceLock::new(),
             flow_keys: OnceLock::new(),
             flow_totals: OnceLock::new(),
         }
     }
-}
 
-impl PacketStore {
-    /// Starts a streaming [`StoreBuilder`] with the given packet capacity.
-    pub fn builder(capacity: usize) -> StoreBuilder {
-        StoreBuilder::with_capacity(capacity)
-    }
-
-    /// Builds a store from an owned packet vector (the interop path; the
-    /// borrowed `.nstr` decode and the batch builder push columns directly).
-    pub fn from_packets(packets: Vec<Packet>) -> Self {
-        let mut builder = StoreBuilder::with_capacity(packets.len());
-        for packet in packets {
-            builder.push_packet(packet);
-        }
-        builder.finish()
+    /// The same packets `shift` microseconds later, in a store of their
+    /// own that shares this one's payload window (no payload byte copied).
+    pub(crate) fn shifted(&self, shift: Timestamp) -> PacketStore {
+        let mut ts = Vec::with_capacity(self.len());
+        ts.extend(self.ts.iter().map(|&at| at + shift));
+        PacketStore::from_columns(
+            ts,
+            self.tuples.clone(),
+            self.ip_lens.clone(),
+            self.tcp_flags.clone(),
+            self.payloads.clone(),
+        )
     }
 
     /// Number of stored packets.
@@ -257,18 +356,25 @@ impl PacketStore {
         &self.tcp_flags
     }
 
-    /// The captured payload of the packet at `index`, if any.
-    pub fn payload(&self, index: usize) -> Option<&Bytes> {
-        self.payloads.get(index).and_then(Option::as_ref)
+    /// The captured payload of the packet at `index`, if any: a slice of
+    /// the store's payload window.
+    pub fn payload(&self, index: usize) -> Option<&[u8]> {
+        self.payloads.as_ref().and_then(|column| column.get(index))
+    }
+
+    /// The captured payload of the packet at `index` as a [`Bytes`] window
+    /// sharing the store's (no byte copy).
+    fn shared_payload(&self, index: usize) -> Option<Bytes> {
+        let column = self.payloads.as_ref()?;
+        column.range(index).map(|range| column.window.slice(range))
     }
 
     /// Returns `true` if at least one stored packet carries a payload.
     pub fn has_payloads(&self) -> bool {
-        !self.payloads.is_empty()
+        self.payloads.is_some()
     }
 
-    /// Summary statistics over all stored packets, accumulated at
-    /// construction.
+    /// Summary statistics over all stored packets, folded at construction.
     pub fn stats(&self) -> BatchStats {
         self.stats
     }
@@ -386,13 +492,13 @@ impl<'a> PacketRef<'a> {
     }
 
     /// The captured payload, if any.
-    pub fn payload(&self) -> Option<&'a Bytes> {
+    pub fn payload(&self) -> Option<&'a [u8]> {
         self.store.payload(self.index)
     }
 
     /// Number of captured payload bytes (0 if no payload was captured).
     pub fn payload_len(&self) -> usize {
-        self.payload().map_or(0, Bytes::len)
+        self.payload().map_or(0, <[u8]>::len)
     }
 
     /// Returns `true` for a pure TCP SYN (SYN set, ACK clear).
@@ -413,7 +519,7 @@ impl<'a> PacketRef<'a> {
             tuple: *self.tuple(),
             ip_len: self.ip_len(),
             tcp_flags: self.tcp_flags(),
-            payload: self.payload().cloned(),
+            payload: self.store.shared_payload(self.index),
         }
     }
 }
@@ -474,13 +580,15 @@ const _: () = {
 
 impl PartialEq for PacketStore {
     fn eq(&self, other: &Self) -> bool {
-        // Packet contents only: caches and telemetry are excluded, and the
-        // payload column's empty-means-all-header-only form is canonical.
+        // Packet contents only: caches, telemetry and where the payload
+        // bytes live are excluded, and the payload column's absent-means-
+        // all-header-only form is canonical.
         self.ts == other.ts
             && self.tuples == other.tuples
             && self.ip_lens == other.ip_lens
             && self.tcp_flags == other.tcp_flags
-            && self.payloads == other.payloads
+            && self.has_payloads() == other.has_payloads()
+            && (0..self.len()).all(|index| self.payload(index) == other.payload(index))
     }
 }
 
@@ -608,7 +716,7 @@ impl Batch {
                 *packet.tuple(),
                 packet.ip_len(),
                 packet.tcp_flags(),
-                packet.payload().cloned(),
+                packet.payload(),
             );
         }
         builders
@@ -1000,7 +1108,13 @@ impl BatchView {
     pub fn materialize(&self) -> Batch {
         let mut builder = PacketStore::builder(self.len());
         for packet in self.packets() {
-            builder.push_packet(packet.to_packet());
+            builder.push(
+                packet.ts(),
+                *packet.tuple(),
+                packet.ip_len(),
+                packet.tcp_flags(),
+                packet.payload(),
+            );
         }
         Batch::from_store(self.bin_index, self.start_ts, self.duration_us, builder.finish())
     }
@@ -1064,7 +1178,7 @@ pub struct BatchStats {
 
 impl BatchStats {
     /// Folds one packet's fields in — the single accumulation rule shared by
-    /// the store builder and sampled-view stats.
+    /// the store's fold over its columns and sampled-view stats.
     #[inline]
     fn absorb(&mut self, proto: u8, tcp_flags: u8, ip_len: u32, payload_len: u64) {
         self.packets += 1;
@@ -1455,7 +1569,7 @@ mod tests {
         assert_eq!(store.ip_lens(), &[60, 80]);
         assert_eq!(store.tcp_flag_bytes(), &[0, TCP_SYN]);
         assert_eq!(store.payload(0), None);
-        assert_eq!(store.payload(1).map(bytes::Bytes::as_slice), Some(&b"abc"[..]));
+        assert_eq!(store.payload(1), Some(&b"abc"[..]));
         assert!(store.has_payloads());
         let p1 = store.get(1);
         assert!(p1.is_syn());
@@ -1667,7 +1781,7 @@ mod tests {
         let via_vec = PacketStore::from_packets(packets.clone());
         let mut builder = PacketStore::builder(packets.len());
         for p in &packets {
-            builder.push(p.ts, p.tuple, p.ip_len, p.tcp_flags, p.payload.clone());
+            builder.push(p.ts, p.tuple, p.ip_len, p.tcp_flags, p.payload.as_deref());
         }
         let via_builder = builder.finish();
         assert_eq!(via_vec, via_builder);

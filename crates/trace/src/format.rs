@@ -27,17 +27,19 @@
 //! `u32::MAX` as the *no payload captured* sentinel (distinct from an empty
 //! payload). [`TraceWriter`] streams frames to any [`Write`].
 //!
-//! [`SharedTraceReader`] replays a caller-held in-memory container (a
-//! [`Bytes`] buffer — e.g. a file read or mapped once). Each frame body
-//! decodes in a single pass straight into the columns of a [`PacketStore`] —
-//! there is no intermediate `Vec<Packet>` — and payloads become zero-copy
-//! windows into the container, so replay cost is independent of payload
+//! [`FrameWalk`] steps through a caller-held in-memory container (a
+//! [`Bytes`] buffer — e.g. a file read or mapped once) frame by frame
+//! without decoding a body. [`SharedTraceReader`] decodes what it walks:
+//! each frame body in one pass over its records, straight into the
+//! exactly-sized columns of a [`PacketStore`] — there is no intermediate
+//! `Vec<Packet>` — with the frame's payloads left in place behind one
+//! window onto the frame body, so replay cost is independent of payload
 //! volume. The reader validates magic, version and every checksum, latches
 //! decode errors when driven as a streaming [`PacketSource`], and plugs into
 //! the pipeline via `read_all` + [`BatchReplay`] or the `into_replay`
 //! shortcut.
 
-use crate::batch::{Batch, PacketStore};
+use crate::batch::{Batch, PacketStore, PayloadColumn, PayloadSpan};
 use crate::packet::FiveTuple;
 use crate::source::{BatchReplay, PacketSource};
 use bytes::Bytes;
@@ -298,15 +300,15 @@ pub fn encode_batches(batches: &[Batch], time_bin_us: u64) -> Result<Vec<u8>, Fo
     writer.finish()
 }
 
-/// Decodes every batch of a shared in-memory `.nstr` container; payloads are
-/// zero-copy windows into `buffer` (see [`SharedTraceReader`]).
+/// Decodes every batch of a shared in-memory `.nstr` container; each decoded
+/// store's payloads are one window into `buffer` (see [`SharedTraceReader`]).
 pub fn decode_batches_shared(buffer: &Bytes) -> Result<Vec<Batch>, FormatError> {
     SharedTraceReader::new(buffer.clone())?.read_all()
 }
 
 /// Validates an end frame (`kind` byte already consumed, `rest` = count +
-/// checksum) against the number of frames actually decoded.
-fn validate_end_frame(rest: &[u8; 16], decoded: u64) -> Result<(), FormatError> {
+/// checksum) against the number of frames actually walked.
+fn validate_end_frame(rest: &[u8; 16], walked: u64) -> Result<(), FormatError> {
     let declared_count = le_u64(rest, 0);
     let declared_sum = le_u64(rest, 8);
     let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
@@ -315,8 +317,8 @@ fn validate_end_frame(rest: &[u8; 16], decoded: u64) -> Result<(), FormatError> 
     if fnv.finish() != declared_sum {
         return Err(FormatError::ChecksumMismatch { location: "end frame".into() });
     }
-    if declared_count != decoded {
-        return Err(FormatError::CountMismatch { declared: declared_count, decoded });
+    if declared_count != walked {
+        return Err(FormatError::CountMismatch { declared: declared_count, decoded: walked });
     }
     Ok(())
 }
@@ -336,41 +338,35 @@ fn frame_checksum(head: &[u8], body: &[u8]) -> u64 {
 }
 
 /// Encoded size of one packet record without its payload bytes.
-const PACKET_RECORD_BYTES: u64 = 30;
+const PACKET_RECORD_BYTES: usize = 30;
 
-/// Decodes `.nstr` frames from a caller-held in-memory container without
-/// copying packet bytes.
+/// Walks the frames of an in-memory `.nstr` container without decoding a
+/// body.
 ///
-/// The whole container lives in one shared [`Bytes`] buffer (read or mapped
-/// into memory once by the caller); each decoded payload is an O(1) window
-/// into that buffer, so replaying a payload-heavy recording costs the same
-/// as replaying a header-only one. Frame fields stream straight into the
-/// [`PacketStore`] columns — there is no intermediate `Vec<Packet>`
-/// decode-copy anywhere on this path.
-///
-/// The reader validates magic, version, every checksum and the end-frame
-/// count; running off the end of the buffer reports
-/// [`FormatError::Truncated`]. The container buffer stays alive as long as
-/// any decoded payload does — dropping the reader does not invalidate
-/// batches it produced.
-pub struct SharedTraceReader {
+/// Opening validates magic, version and the header checksum; each step
+/// reads one batch frame's head and locates its body and checksum, and the
+/// end frame's checksum and batch count are validated when it is reached.
+/// Running off the end of the buffer is [`FormatError::Truncated`]. The walk
+/// builds no store and hashes no body unless asked ([`Frame::checksum_ok`]):
+/// [`SharedTraceReader`] decodes the frames it walks, and a trace inspector
+/// can describe a container without decoding it.
+#[derive(Debug)]
+pub struct FrameWalk {
     buffer: Bytes,
     /// Offset of the next unread byte of `buffer`.
     at: usize,
     time_bin_us: u64,
-    decoded: u64,
-    /// Set once the end frame was seen (further reads return `None`).
+    /// Batch frames stepped over so far.
+    frames: u64,
+    /// Set once the end frame was seen (further steps return `None`).
     finished: bool,
-    /// First decode error, latched for the `PacketSource` adapter.
-    error: Option<FormatError>,
 }
 
-impl SharedTraceReader {
+impl FrameWalk {
     /// Validates the container header of a shared buffer.
     pub fn new(buffer: Bytes) -> Result<Self, FormatError> {
-        let mut reader =
-            Self { buffer, at: 0, time_bin_us: 0, decoded: 0, finished: false, error: None };
-        let fixed = reader.array::<16>()?;
+        let mut walk = Self { buffer, at: 0, time_bin_us: 0, frames: 0, finished: false };
+        let fixed = walk.array::<16>()?;
         // The magic is checked before the 8-byte header checksum is read, so
         // a short non-`.nstr` input reports `BadMagic` rather than the
         // misleading `Truncated`.
@@ -378,7 +374,7 @@ impl SharedTraceReader {
         if magic != TRACE_MAGIC {
             return Err(FormatError::BadMagic { found: magic });
         }
-        let declared = reader.array::<8>()?;
+        let declared = walk.array::<8>()?;
         let version = u16::from_le_bytes([fixed[4], fixed[5]]);
         if version != TRACE_FORMAT_VERSION {
             return Err(FormatError::UnsupportedVersion {
@@ -391,8 +387,8 @@ impl SharedTraceReader {
         if fnv.finish() != u64::from_le_bytes(declared) {
             return Err(FormatError::ChecksumMismatch { location: "header".into() });
         }
-        reader.time_bin_us = le_u64(&fixed, 8);
-        Ok(reader)
+        walk.time_bin_us = le_u64(&fixed, 8);
+        Ok(walk)
     }
 
     /// The time-bin duration recorded in the header.
@@ -400,45 +396,34 @@ impl SharedTraceReader {
         self.time_bin_us
     }
 
-    /// The first decode error hit by the [`PacketSource`] adapter, if any.
-    ///
-    /// `next_batch` has no error channel, so a corrupt tail latches here and
-    /// the stream ends early; callers that must distinguish "clean end" from
-    /// "corrupt end" check this after the run.
-    pub fn error(&self) -> Option<&FormatError> {
-        self.error.as_ref()
-    }
-
-    /// Decodes the next batch, `Ok(None)` at the (validated) end frame.
-    pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
+    /// Steps to the next batch frame, `Ok(None)` at the (validated) end
+    /// frame. The frame's body is located, not read.
+    pub fn next_frame(&mut self) -> Result<Option<Frame<'_>>, FormatError> {
         if !self.at_batch_frame()? {
             return Ok(None);
         }
         let head = self.array::<32>()?;
         let body = self.advance(u64::from(le_u32(&head, 28)))?;
         let declared = u64::from_le_bytes(self.array::<8>()?);
-        if frame_checksum(&head, &self.buffer.as_slice()[body.clone()]) != declared {
-            return Err(FormatError::ChecksumMismatch {
-                location: format!("frame {}", self.decoded),
-            });
-        }
-        let store = decode_store(&self.buffer, body, le_u32(&head, 24), self.decoded)?;
-        self.decoded += 1;
-        Ok(Some(Batch::from_store(le_u64(&head, 0), le_u64(&head, 8), le_u64(&head, 16), store)))
+        let index = self.frames;
+        self.frames += 1;
+        Ok(Some(Frame { container: &self.buffer, index, head, body, declared }))
     }
 
-    /// Decodes the whole trace into a batch vector.
-    pub fn read_all(mut self) -> Result<Vec<Batch>, FormatError> {
-        let mut batches = Vec::new();
-        while let Some(batch) = self.read_batch()? {
-            batches.push(batch);
+    /// Skips the next frame: `Ok(true)` when a batch frame was stepped over,
+    /// `Ok(false)` at the (validated) end frame. The 32-byte frame head is
+    /// read to learn the body length, then `body_len + 8` bytes (body plus
+    /// trailing checksum) are stepped over unread — no column decode, no
+    /// body hash. A frame whose declared length overruns the container still
+    /// reports [`FormatError::Truncated`].
+    fn skip_frame(&mut self) -> Result<bool, FormatError> {
+        if !self.at_batch_frame()? {
+            return Ok(false);
         }
-        Ok(batches)
-    }
-
-    /// Decodes the whole trace into a rewindable [`BatchReplay`].
-    pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
-        Ok(BatchReplay::new(self.read_all()?))
+        let head = self.array::<32>()?;
+        self.advance(u64::from(le_u32(&head, 28)) + 8)?;
+        self.frames += 1;
+        Ok(true)
     }
 
     /// Bounds-checks the next `len` bytes and steps the cursor past them.
@@ -470,7 +455,7 @@ impl SharedTraceReader {
         }
         match self.array::<1>()?[0] {
             FRAME_END => {
-                validate_end_frame(&self.array::<16>()?, self.decoded)?;
+                validate_end_frame(&self.array::<16>()?, self.frames)?;
                 self.finished = true;
                 Ok(false)
             }
@@ -478,22 +463,167 @@ impl SharedTraceReader {
             kind => Err(FormatError::UnknownFrame { kind }),
         }
     }
+}
 
-    /// Skips the next frame without decoding its body: `Ok(true)` when a
-    /// batch frame was stepped over, `Ok(false)` at the (validated) end
-    /// frame. The 32-byte frame head is read to learn the body length, then
-    /// `body_len + 8` bytes (body plus trailing checksum) are stepped over
-    /// unread — no column decode, no body hash. The container header
-    /// checksum was already verified on open; a frame whose declared length
-    /// overruns the container still reports [`FormatError::Truncated`].
-    fn skip_frame(&mut self) -> Result<bool, FormatError> {
-        if !self.at_batch_frame()? {
-            return Ok(false);
+/// One batch frame as [`FrameWalk`] found it: the head's fields and where
+/// the body lies. Nothing of the body has been read.
+#[derive(Debug)]
+pub struct Frame<'a> {
+    container: &'a Bytes,
+    index: u64,
+    head: [u8; 32],
+    body: Range<usize>,
+    /// The checksum stored after the body.
+    declared: u64,
+}
+
+impl Frame<'_> {
+    /// 0-based position of the frame among the container's batch frames.
+    pub fn index(&self) -> u64 {
+        self.index
+    }
+
+    /// The batch's time-bin index.
+    pub fn bin_index(&self) -> u64 {
+        le_u64(&self.head, 0)
+    }
+
+    /// The batch's start timestamp, in microseconds.
+    pub fn start_ts(&self) -> u64 {
+        le_u64(&self.head, 8)
+    }
+
+    /// The batch's bin duration, in microseconds.
+    pub fn duration_us(&self) -> u64 {
+        le_u64(&self.head, 16)
+    }
+
+    /// The packet count the head declares (not yet checked against the
+    /// body).
+    pub fn packets(&self) -> u32 {
+        le_u32(&self.head, 24)
+    }
+
+    /// The frame body: the packet records.
+    pub fn body(&self) -> &[u8] {
+        &self.container.as_slice()[self.body.clone()]
+    }
+
+    /// Whether the stored checksum matches the frame's kind, head and body.
+    pub fn checksum_ok(&self) -> bool {
+        frame_checksum(&self.head, self.body()) == self.declared
+    }
+
+    /// The captured payload bytes of the frame's records, read from their
+    /// length fields alone; a record walk that does not end exactly at the
+    /// end of the body is corruption of the frame's body.
+    pub fn payload_bytes(&self) -> Result<u64, FormatError> {
+        let body = self.body();
+        let (mut at, mut total) = (0usize, 0u64);
+        for _ in 0..self.packets() {
+            let record = self.record(body, at)?;
+            at += PACKET_RECORD_BYTES;
+            let len = le_u32(record, 26);
+            if len != NO_PAYLOAD {
+                at = self.payload_end(at, len)?;
+                total += u64::from(len);
+            }
         }
-        let head = self.array::<32>()?;
-        self.advance(u64::from(le_u32(&head, 28)) + 8)?;
-        self.decoded += 1;
-        Ok(true)
+        if at != body.len() {
+            return Err(self.corrupt());
+        }
+        Ok(total)
+    }
+
+    /// The packet record at offset `at` of `body`, this frame's body.
+    fn record<'b>(
+        &self,
+        body: &'b [u8],
+        at: usize,
+    ) -> Result<&'b [u8; PACKET_RECORD_BYTES], FormatError> {
+        body.get(at..).and_then(<[u8]>::first_chunk).ok_or_else(|| self.corrupt())
+    }
+
+    /// The end of a `len`-byte payload starting at body offset `at`.
+    fn payload_end(&self, at: usize, len: u32) -> Result<usize, FormatError> {
+        (at.checked_add(len as usize).filter(|&end| end <= self.body.len()))
+            .ok_or_else(|| self.corrupt())
+    }
+
+    /// The error for a body whose records do not fit it. The checksum is
+    /// no secret, so a checksum-valid frame can still be corrupt.
+    fn corrupt(&self) -> FormatError {
+        FormatError::ChecksumMismatch { location: format!("frame {} body", self.index) }
+    }
+}
+
+/// Decodes `.nstr` frames from a caller-held in-memory container without
+/// copying packet bytes.
+///
+/// The whole container lives in one shared [`Bytes`] buffer (read or mapped
+/// into memory once by the caller). Each frame decodes in one pass over its
+/// records straight into exactly-sized [`PacketStore`] columns, and a
+/// frame's payloads stay where they are: the store keeps one window onto
+/// the frame body and an offset per packet, so replaying a payload-heavy
+/// recording copies no payload byte and takes one reference to the
+/// container per store.
+///
+/// The reader walks the container with a [`FrameWalk`] and verifies every
+/// frame checksum before decoding the body. The container buffer stays
+/// alive as long as any decoded store does — dropping the reader does not
+/// invalidate batches it produced.
+pub struct SharedTraceReader {
+    walk: FrameWalk,
+    /// First decode error, latched for the `PacketSource` adapter.
+    error: Option<FormatError>,
+}
+
+impl SharedTraceReader {
+    /// Validates the container header of a shared buffer.
+    pub fn new(buffer: Bytes) -> Result<Self, FormatError> {
+        Ok(Self { walk: FrameWalk::new(buffer)?, error: None })
+    }
+
+    /// The time-bin duration recorded in the header.
+    pub fn time_bin_us(&self) -> u64 {
+        self.walk.time_bin_us()
+    }
+
+    /// The first decode error hit by the [`PacketSource`] adapter, if any.
+    ///
+    /// `next_batch` has no error channel, so a corrupt tail latches here and
+    /// the stream ends early; callers that must distinguish "clean end" from
+    /// "corrupt end" check this after the run.
+    pub fn error(&self) -> Option<&FormatError> {
+        self.error.as_ref()
+    }
+
+    /// Decodes the next batch, `Ok(None)` at the (validated) end frame.
+    pub fn read_batch(&mut self) -> Result<Option<Batch>, FormatError> {
+        let Some(frame) = self.walk.next_frame()? else {
+            return Ok(None);
+        };
+        if !frame.checksum_ok() {
+            return Err(FormatError::ChecksumMismatch {
+                location: format!("frame {}", frame.index()),
+            });
+        }
+        let store = decode_store(&frame)?;
+        Ok(Some(Batch::from_store(frame.bin_index(), frame.start_ts(), frame.duration_us(), store)))
+    }
+
+    /// Decodes the whole trace into a batch vector.
+    pub fn read_all(mut self) -> Result<Vec<Batch>, FormatError> {
+        let mut batches = Vec::new();
+        while let Some(batch) = self.read_batch()? {
+            batches.push(batch);
+        }
+        Ok(batches)
+    }
+
+    /// Decodes the whole trace into a rewindable [`BatchReplay`].
+    pub fn into_replay(self) -> Result<BatchReplay, FormatError> {
+        Ok(BatchReplay::new(self.read_all()?))
     }
 }
 
@@ -518,7 +648,7 @@ impl PacketSource for SharedTraceReader {
     fn skip_batches(&mut self, count: u64) -> u64 {
         let mut skipped = 0;
         while skipped < count && self.error.is_none() {
-            match self.skip_frame() {
+            match self.walk.skip_frame() {
                 Ok(true) => skipped += 1,
                 Ok(false) => break,
                 Err(error) => self.error = Some(error),
@@ -551,46 +681,65 @@ fn le_u16(bytes: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([bytes[at], bytes[at + 1]])
 }
 
-/// Decodes the checksummed frame body at `container[body]` straight into a
-/// [`PacketStore`]; each payload is an O(1) window into `container`.
-fn decode_store(
-    container: &Bytes,
-    body: Range<usize>,
-    count: u32,
-    frame: u64,
-) -> Result<PacketStore, FormatError> {
-    let corrupt = || FormatError::ChecksumMismatch { location: format!("frame {frame} body") };
-    // The checksum is not a secret, so `count` is attacker-chosen: bound it
-    // by what the body can hold before sizing any column for it.
-    if u64::from(count) * PACKET_RECORD_BYTES > body.len() as u64 {
-        return Err(corrupt());
+/// Decodes a checksummed frame body in one pass over its records.
+///
+/// The head's packet count sizes every column exactly — after it has been
+/// bounded by what the body can hold, because the checksum is no secret and
+/// the count is attacker-chosen — and each record's fields are written
+/// straight into their slots. The payload column is made at the first
+/// record that carries a payload (header-only frames never make one): one
+/// window onto the frame body and a span per packet. The stats are folded
+/// over the finished columns.
+fn decode_store(frame: &Frame<'_>) -> Result<PacketStore, FormatError> {
+    let body = frame.body();
+    let count = frame.packets() as usize;
+    if count as u64 * PACKET_RECORD_BYTES as u64 > body.len() as u64 {
+        return Err(frame.corrupt());
     }
-    let bytes = container.as_slice();
-    let mut at = body.start;
-    let mut take = |n: usize| -> Result<Range<usize>, FormatError> {
-        let end = at.checked_add(n).filter(|&end| end <= body.end).ok_or_else(corrupt)?;
-        Ok(std::mem::replace(&mut at, end)..end)
-    };
-    let mut builder = PacketStore::builder(count as usize);
-    for _ in 0..count {
-        let record = &bytes[take(PACKET_RECORD_BYTES as usize)?];
-        let tuple = FiveTuple::new(
+    let mut ts = vec![0; count];
+    let mut tuples = vec![FiveTuple::new(0, 0, 0, 0, 0); count];
+    let mut ip_lens = vec![0; count];
+    let mut tcp_flags = vec![0; count];
+    let mut spans = Vec::new();
+    let mut at = 0;
+    let columns = ts.iter_mut().zip(&mut tuples).zip(&mut ip_lens).zip(&mut tcp_flags);
+    for (packet, (((ts, tuple), ip_len), flags)) in columns.enumerate() {
+        let record = frame.record(body, at)?;
+        *ts = le_u64(record, 0);
+        *tuple = FiveTuple::new(
             le_u32(record, 8),
             le_u32(record, 12),
             le_u16(record, 16),
             le_u16(record, 18),
             record[20],
         );
-        let payload = match le_u32(record, 26) {
-            NO_PAYLOAD => None,
-            len => Some(container.slice(take(len as usize)?)),
-        };
-        builder.push(le_u64(record, 0), tuple, le_u32(record, 22), record[21], payload);
+        *flags = record[21];
+        *ip_len = le_u32(record, 22);
+        at += PACKET_RECORD_BYTES;
+        let len = le_u32(record, 26);
+        if len != NO_PAYLOAD || !spans.is_empty() {
+            if spans.is_empty() {
+                // The first payload of the frame: the column starts here,
+                // every earlier packet without one.
+                spans.reserve_exact(count);
+                spans.resize(packet, PayloadSpan::NONE);
+            }
+            spans.push(if len == NO_PAYLOAD {
+                PayloadSpan::NONE
+            } else {
+                // The body is at most `u32::MAX` bytes long, so is `at`.
+                let span = PayloadSpan::new(at as u32, len);
+                at = frame.payload_end(at, len)?;
+                span
+            });
+        }
     }
-    if at != body.end {
-        return Err(corrupt());
+    if at != body.len() {
+        return Err(frame.corrupt());
     }
-    Ok(builder.finish())
+    let payloads = (!spans.is_empty())
+        .then(|| PayloadColumn::new(frame.container.slice(frame.body.clone()), spans));
+    Ok(PacketStore::from_columns(ts, tuples, ip_lens, tcp_flags, payloads))
 }
 
 #[cfg(test)]
@@ -688,29 +837,36 @@ mod tests {
     }
 
     #[test]
-    fn shared_replay_is_bit_identical_and_borrows_payloads() {
+    fn each_decoded_store_holds_one_reference_to_the_container() {
         let batches = sample_batches(true);
         let container = Bytes::from(encode_batches(&batches, 100_000).expect("encode"));
+        let before = Bytes::strong_count(&container);
         let decoded = decode_batches_shared(&container).expect("decode");
         assert_eq!(batches, decoded);
-        // Every decoded payload must be a window into the container buffer,
-        // not a copy.
-        let base = container.as_slice().as_ptr() as usize;
-        let end = base + container.len();
+        // Each live store with a payload column adds exactly one reference,
+        // however many payloads it holds; a header-only one adds none.
+        let with_payloads = decoded.iter().filter(|b| b.packets.has_payloads()).count();
+        assert!(with_payloads > 1, "the sample trace must exercise payloads");
+        assert_eq!(Bytes::strong_count(&container), before + with_payloads);
+
+        // Every payload slice lies inside its own frame's body.
+        let mut walk = FrameWalk::new(container.clone()).expect("header");
         let mut payloads = 0usize;
         for batch in &decoded {
+            let frame = walk.next_frame().expect("walk").expect("a frame per batch");
+            let body = frame.body().as_ptr_range();
             for packet in batch.packets.iter() {
                 if let Some(payload) = packet.payload() {
-                    if payload.is_empty() {
-                        continue;
-                    }
-                    let at = payload.as_slice().as_ptr() as usize;
-                    assert!(at >= base && at + payload.len() <= end, "payload was copied");
-                    payloads += 1;
+                    let inside = payload.as_ptr_range();
+                    assert!(body.start <= inside.start && inside.end <= body.end, "copied");
+                    payloads += usize::from(!payload.is_empty());
                 }
             }
         }
-        assert!(payloads > 0, "the sample trace must exercise payloads");
+        assert!(payloads > 100, "only {payloads} payloads were checked");
+        drop(walk);
+        drop(decoded);
+        assert_eq!(Bytes::strong_count(&container), before, "the stores let go");
     }
 
     #[test]
@@ -727,7 +883,7 @@ mod tests {
         );
         let decoded = decode(&encode_batches(&[batch], 100_000).expect("encode")).expect("decode");
         assert_eq!(decoded[0].packets.get(0).payload(), None);
-        assert_eq!(decoded[0].packets.get(1).payload(), Some(&Bytes::new()));
+        assert_eq!(decoded[0].packets.get(1).payload(), Some(&[][..]));
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub use batch::{
 };
 pub use flows::{FlowIndex, FlowSet, FlowTotals};
 pub use format::{
-    decode_batches_shared, encode_batches, FormatError, SharedTraceReader, TraceWriter,
-    TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    decode_batches_shared, encode_batches, FormatError, Frame, FrameWalk, SharedTraceReader,
+    TraceWriter, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 pub use generator::{AppProtocol, TraceConfig, TraceGenerator};
 pub use packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN};

@@ -728,16 +728,8 @@ impl PacketSource for PhasedLink {
                         // timeline (the generator restarts at bin 0 each
                         // phase).
                         let shift = start_ts - raw.start_ts;
-                        let packets = raw
-                            .packets
-                            .iter()
-                            .map(|p| {
-                                let mut p = p.to_packet();
-                                p.ts += shift;
-                                p
-                            })
-                            .collect();
-                        Batch::new(global, start_ts, self.time_bin_us, packets)
+                        let packets = raw.packets.shifted(shift);
+                        Batch::from_store(global, start_ts, self.time_bin_us, packets)
                     }
                 }
                 None => Batch::empty(global, start_ts, self.time_bin_us),

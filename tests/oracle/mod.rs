@@ -8,7 +8,8 @@
 //! the per-packet `top-k` / `autofocus` / `application` lookups by one per
 //! flow (their additions stay per packet),
 //! `high-watermark`'s running peak by the per-bin table its lanes fold,
-//! the byte-serial run digest by the word-wise one —
+//! the byte-serial run digest by the word-wise one, the record-at-a-time
+//! `.nstr` body decoder by the single pass into exactly-sized columns —
 //! the old one moves here for as long as a test compares against it,
 //! restated on public types only: nothing in this module calls the code it
 //! checks, and nothing here comes from `netshed_bench`. What is shared with
@@ -28,8 +29,8 @@ use netshed::predict::{FcbfConfig, History};
 use netshed::queries::{costs, CycleMeter, QueryOutput};
 use netshed::sketch::{hash_bytes, mix64, H3Hasher, IncrementalFnv, StateWriter};
 use netshed::trace::{
-    AppProtocol, Batch, BatchView, FiveTuple, PacketRef, PacketStore,
-    DEFAULT_MEASUREMENT_INTERVAL_US, FLOW_KEY_SEED,
+    AppProtocol, Batch, BatchView, Bytes, FiveTuple, FormatError, FrameWalk, PacketRef,
+    PacketStore, DEFAULT_MEASUREMENT_INTERVAL_US, FLOW_KEY_SEED,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -339,7 +340,7 @@ pub fn filtered<F: FnMut(PacketRef<'_>) -> bool>(batch: &Batch, mut keep: F) -> 
                 *packet.tuple(),
                 packet.ip_len(),
                 packet.tcp_flags(),
-                packet.payload().cloned(),
+                packet.payload(),
             );
         }
     }
@@ -1064,3 +1065,66 @@ pub const EPOCH2_CHURN_FOUR_LANES: RunDigest = RunDigest {
     decisions: 0x5fbf3b8711c595df,
     intervals: 0x657f46dcdf02820b,
 };
+
+// ---------------------------------------------------------------------------
+// The `.nstr` body decoder before the single pass: one bounds-checked take
+// and one `StoreBuilder::push` per record.
+// ---------------------------------------------------------------------------
+
+/// Decodes every batch of `container` record at a time: frames come from
+/// the public [`FrameWalk`] and their checksums are checked the way the
+/// reader checks them; each body is read one record at a time into a
+/// packet-at-a-time store builder.
+pub fn decode_record_at_a_time(container: &Bytes) -> Result<Vec<Batch>, FormatError> {
+    const RECORD: usize = 30;
+    const NO_PAYLOAD: u32 = u32::MAX;
+    let u16_at = |b: &[u8], at: usize| u16::from_le_bytes([b[at], b[at + 1]]);
+    let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let mut walk = FrameWalk::new(container.clone())?;
+    let mut batches = Vec::new();
+    while let Some(frame) = walk.next_frame()? {
+        if !frame.checksum_ok() {
+            return Err(FormatError::ChecksumMismatch {
+                location: format!("frame {}", frame.index()),
+            });
+        }
+        let corrupt =
+            || FormatError::ChecksumMismatch { location: format!("frame {} body", frame.index()) };
+        let (body, count) = (frame.body(), frame.packets());
+        if u64::from(count) * RECORD as u64 > body.len() as u64 {
+            return Err(corrupt());
+        }
+        let mut at = 0usize;
+        let mut take = |n: usize| -> Result<std::ops::Range<usize>, FormatError> {
+            let end = at.checked_add(n).filter(|&end| end <= body.len()).ok_or_else(corrupt)?;
+            Ok(std::mem::replace(&mut at, end)..end)
+        };
+        let mut builder = PacketStore::builder(count as usize);
+        for _ in 0..count {
+            let record = &body[take(RECORD)?];
+            let tuple = FiveTuple::new(
+                u32_at(record, 8),
+                u32_at(record, 12),
+                u16_at(record, 16),
+                u16_at(record, 18),
+                record[20],
+            );
+            let payload = match u32_at(record, 26) {
+                NO_PAYLOAD => None,
+                len => Some(&body[take(len as usize)?]),
+            };
+            builder.push(u64_at(record, 0), tuple, u32_at(record, 22), record[21], payload);
+        }
+        if at != body.len() {
+            return Err(corrupt());
+        }
+        batches.push(Batch::from_store(
+            frame.bin_index(),
+            frame.start_ts(),
+            frame.duration_us(),
+            builder.finish(),
+        ));
+    }
+    Ok(batches)
+}
