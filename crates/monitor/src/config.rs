@@ -274,8 +274,9 @@ pub struct MonitorConfig {
     /// query runs one instance per lane; the control loop is not
     /// partitioned). Changing the lane count changes which instance sees
     /// which flow and therefore the output stream, like changing the seed —
-    /// it is configuration, not a wall-clock knob. A [`Monitor`]
-    /// (crate::Monitor) built directly has one lane and ignores the field.
+    /// it is configuration, not a wall-clock knob. A
+    /// [`Monitor`](crate::Monitor) built directly has one lane and ignores
+    /// the field.
     pub shard_lanes: usize,
 }
 

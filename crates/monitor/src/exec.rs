@@ -4,14 +4,14 @@
 //! The per-query work of a bin (`bin.rs`: one predict task and one execute
 //! task per query, lanes included) is embarrassingly parallel: every task
 //! touches only its own query's state plus shared read-only data.
-//! [`run_tasks`] fans those tasks out over a scoped pool of `std::thread`
+//! `run_tasks` fans those tasks out over a scoped pool of `std::thread`
 //! workers; the monitor merges the results back in registration order, so
 //! the output stream is bit-identical whatever the worker count (see
 //! DESIGN.md, "Execution plane"). With `workers == 1` (the default) no
 //! thread is ever spawned: tasks run inline on the caller's thread in task
 //! order, which *is* the historical sequential path.
 //!
-//! This is also the only place an engine reads a clock: a [`StageClock`]
+//! This is also the only place an engine reads a clock: a `StageClock`
 //! laps once per [`Stage`] into a [`StageStats`] that is reported and never
 //! read back.
 

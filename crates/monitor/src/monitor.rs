@@ -17,7 +17,7 @@
 //! lane count (DESIGN.md, "Shard plane").
 //!
 //! Queries registered from equal specs share one set of lane instances, a
-//! [`Cohort`], for as long as the plan gives them the same delivery: the
+//! `Cohort`, for as long as the plan gives them the same delivery: the
 //! instances advance once per bin and every member is charged their cycles
 //! (DESIGN.md, "Cohorts").
 
@@ -55,7 +55,7 @@ const NOISE_OUTLIER_CYCLES: u64 = 200_000;
 /// Handles are unique for the lifetime of the monitor: deregistering a query
 /// retires its id, and registering the same [`QuerySpec`] again yields a new
 /// one. Because instances are identified by handle rather than by name, the
-/// same [`QueryKind`](netshed_queries::QueryKind) can run several times
+/// same [`QueryKind`] can run several times
 /// concurrently under distinct labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(u64);
@@ -255,15 +255,18 @@ fn consumed<'a>(before: &StateReader<'a>, after: &StateReader<'a>) -> &'a [u8] {
     &before.unread()[..before.remaining() - after.remaining()]
 }
 
-/// Restores lanes 1 and up of `lanes` from `reader`; a table no run could
-/// have written is rejected by the query's own loader, with the lane named.
+/// Restores a query's lane instances from `reader`, in lane order; a table
+/// no run could have written is rejected by the query's own loader, with the
+/// lane named from lane 1 on.
 fn load_lanes(
     lanes: &mut [Box<dyn Query>],
     reader: &mut StateReader<'_>,
 ) -> Result<(), StateError> {
-    for (lane, instance) in lanes.iter_mut().enumerate().skip(1) {
+    for (lane, instance) in lanes.iter_mut().enumerate() {
         instance.load_state(reader).map_err(|error| match error {
-            StateError::Corrupt(message) => StateError::corrupt(format!("lane {lane}: {message}")),
+            StateError::Corrupt(message) if lane > 0 => {
+                StateError::corrupt(format!("lane {lane}: {message}"))
+            }
             other => other,
         })?;
     }
@@ -693,9 +696,8 @@ impl Monitor {
     }
 
     /// Whether a measurement interval is currently open (at least one batch
-    /// has been processed since the last [`finish_interval`]
-    /// (Monitor::finish_interval)) — i.e. whether a final flush is due when
-    /// the source is exhausted.
+    /// has been processed since the last [`Monitor::finish_interval`]) — i.e.
+    /// whether a final flush is due when the source is exhausted.
     pub fn interval_open(&self) -> bool {
         self.current_interval.is_some()
     }
@@ -788,16 +790,16 @@ impl Monitor {
     /// from their generation when next needed; scratch buffers, execution
     /// telemetry) is not stored.
     ///
-    /// Of a query's lane instances only lane 0's is written, where the
-    /// query's state always sat, so the layout does not depend on the lane
-    /// count; the other lanes' go through [`Monitor::save_lane_state`].
-    /// Every member of a cohort writes the instances it shares, so the bytes
-    /// are those of separate instances.
+    /// The lane count comes first; then each query, in registration order,
+    /// writes all of its lane instances in lane order, so a one-lane fleet
+    /// writes the solo monitor's bytes. Every member of a cohort writes the
+    /// instances it shares, so the bytes are those of separate instances.
     ///
     /// Fails with [`StateError::Unsupported`] when a query was registered
     /// through [`Monitor::register_instance`] (no [`QuerySpec`] to rebuild it
     /// from) or runs a query/predictor without checkpoint support.
     pub fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
+        writer.usize(self.lane_count);
         writer.str(&self.policy.name());
         self.extractor.save_state(writer);
         self.buffer.save_state(writer);
@@ -832,7 +834,9 @@ impl Monitor {
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            registered.cohort.lock().lanes[0].save_state(writer)?;
+            for lane in &registered.cohort.lock().lanes {
+                lane.save_state(writer)?;
+            }
             match &registered.shadow {
                 None => writer.bool(false),
                 Some(shadow) => {
@@ -847,70 +851,21 @@ impl Monitor {
         Ok(())
     }
 
-    /// Serializes what [`Monitor::save_state`] leaves out when there is more
-    /// than one lane: the lane count, then per query in registration order
-    /// the instances of lanes 1 and up, in lane order.
-    pub fn save_lane_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
-        writer.usize(self.lane_count);
-        for registered in &self.queries {
-            for lane in &registered.cohort.lock().lanes[1..] {
-                lane.save_state(writer)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Restores state written by [`Monitor::save_lane_state`], after
-    /// [`Monitor::load_state`] has restored the registry. Lanes own query
-    /// state, so a section written at another lane count is a
-    /// [`StateError::Mismatch`] naming both; a table no run could have
-    /// written is rejected by the query's own loader, with the lane named.
-    ///
-    /// A cohort [`Monitor::load_state`] re-formed from equal lane-0 bytes
-    /// stays one only while its members' bytes for the other lanes are equal
-    /// too: a member whose bytes differ detaches onto instances of its own.
-    pub fn load_lane_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        let lanes = reader.usize()?;
-        if lanes != self.lane_count {
-            return Err(StateError::mismatch("lanes", lanes, self.lane_count));
-        }
-        // Per shared cohort, the bytes its first member's lanes consumed.
-        let mut restored: Vec<(Arc<Cohort>, &[u8])> = Vec::new();
-        for registered in &mut self.queries {
-            let before = reader.clone();
-            if let Some(own) = Cohort::alone(&mut registered.cohort) {
-                load_lanes(&mut own.lanes, reader)?;
-                continue;
-            }
-            // The cohort's first member loads the shared instances; a later
-            // one loads a copy, and keeps it only when its bytes differ.
-            let first = restored.iter().find(|(cohort, _)| Arc::ptr_eq(cohort, &registered.cohort));
-            let (Some((_, state)), Some(spec)) = (first, &registered.spec) else {
-                load_lanes(&mut registered.cohort.lock().lanes, reader)?;
-                restored.push((Arc::clone(&registered.cohort), consumed(&before, reader)));
-                continue;
-            };
-            let mut own: Vec<Box<dyn Query>> =
-                (0..lanes).map(|_| build_query_from_spec(spec)).collect();
-            load_lanes(&mut own, reader)?;
-            if consumed(&before, reader) != *state {
-                own[0] = copy_of(registered.cohort.lock().lanes[0].as_ref(), spec);
-                registered.cohort = Cohort::of(own);
-            }
-        }
-        Ok(())
-    }
-
     /// Restores state written by [`Monitor::save_state`] into a monitor
     /// freshly built from the *same* configuration (its policy and predictor
     /// specs included). Any queries registered on `self`
     /// before the call are discarded; the snapshot's registry — ids, labels
     /// and all per-query state — replaces them wholesale.
     ///
-    /// Queries whose specs are equal but for the label and whose lane-0
-    /// bytes are equal share their instances again, as a cohort
-    /// ([`Monitor::load_lane_state`] has the last word on a fleet's).
+    /// Lanes own query state, so a snapshot written at another lane count is
+    /// a [`StateError::Mismatch`] naming both. Queries whose specs are equal
+    /// but for the label and whose lanes' bytes are all equal share their
+    /// instances again, as a cohort.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+        let lanes = reader.usize()?;
+        if lanes != self.lane_count {
+            return Err(StateError::mismatch("lanes", lanes, self.lane_count));
+        }
         let policy_name = reader.str()?;
         if policy_name != self.policy.name() {
             return Err(StateError::mismatch("policy name", policy_name, self.policy.name()));
@@ -940,7 +895,7 @@ impl Monitor {
         let count = reader.usize()?;
         self.queries.clear();
         self.fresh.clear();
-        // The cohorts restored so far, by key and lane-0 bytes.
+        // The cohorts restored so far, by key and the bytes of every lane.
         let mut restored = DetHashMap::new();
         for _ in 0..count {
             let id = QueryId(reader.u64()?);
@@ -957,7 +912,7 @@ impl Monitor {
             registered.violations = reader.u32()?;
             registered.penalty_remaining = reader.u32()?;
             let before = reader.clone();
-            registered.cohort.lock().lanes[0].load_state(reader)?;
+            load_lanes(&mut registered.cohort.lock().lanes, reader)?;
             if let Some(key) = CohortKey::of(&registered) {
                 let state = consumed(&before, reader);
                 let cohort =
@@ -1511,9 +1466,9 @@ mod tests {
             }
         }
 
-        /// A restore re-forms a cohort from equal lane-0 bytes, and a fleet
-        /// member whose other lanes' bytes differ detaches onto instances
-        /// of its own, restored from its own bytes.
+        /// A restore re-forms a cohort from equal bytes on every lane, and a
+        /// fleet member whose other lanes' bytes differ restores onto
+        /// instances of its own, from its own bytes.
         #[test]
         fn a_restored_member_whose_other_lanes_differ_detaches() {
             let config = MonitorConfig::default().with_capacity(1e12).without_noise();
@@ -1525,11 +1480,24 @@ mod tests {
             let shared = |monitor: &Monitor| {
                 Arc::ptr_eq(&monitor.queries[0].cohort, &monitor.queries[1].cohort)
             };
+            let saved = |monitor: &Monitor| {
+                let mut writer = StateWriter::new();
+                monitor.save_state(&mut writer).expect("save");
+                writer.into_bytes()
+            };
+            let restore = |state: &[u8]| {
+                let mut restored = Monitor::with_lanes(config.clone(), 2);
+                restored.load_state(&mut StateReader::new(state)).expect("load");
+                restored
+            };
             assert!(shared(&monitor));
             let batches = small_trace(3, 100.0);
             for batch in &batches[..2] {
                 monitor.process_batch(batch).expect("batch");
             }
+            let state = saved(&monitor);
+            assert!(shared(&restore(&state)), "equal bytes on every lane share the instances");
+
             // Only the second query's lane-1 instance sees the third batch.
             let second = &mut monitor.queries[1];
             let lanes = second
@@ -1543,19 +1511,10 @@ mod tests {
             let view = batches[2].view();
             second.cohort.lock().lanes[1].process_batch(&view, 1.0, &mut CycleMeter::new());
 
-            let saved = |monitor: &Monitor| {
-                let (mut state, mut lanes) = (StateWriter::new(), StateWriter::new());
-                monitor.save_state(&mut state).expect("save");
-                monitor.save_lane_state(&mut lanes).expect("save lanes");
-                (state.into_bytes(), lanes.into_bytes())
-            };
-            let (state, lanes) = saved(&monitor);
-            let mut restored = Monitor::with_lanes(config, 2);
-            restored.load_state(&mut StateReader::new(&state)).expect("load");
-            assert!(shared(&restored), "equal lane-0 bytes share the instances");
-            restored.load_lane_state(&mut StateReader::new(&lanes)).expect("load lanes");
+            let state = saved(&monitor);
+            let restored = restore(&state);
             assert!(!shared(&restored), "other lane-1 bytes detach the second query");
-            assert!(saved(&restored) == (state, lanes), "the restored bytes are the saved ones");
+            assert!(saved(&restored) == state, "the restored bytes are the saved ones");
         }
 
         #[test]

@@ -39,9 +39,9 @@ use netshed_trace::Batch;
 /// A [`Monitor`] whose execute stage is sharded over the configuration's
 /// `shard_lanes` lanes.
 ///
-/// Construct through [`MonitorBuilder::build_sharded`]
-/// (crate::MonitorBuilder::build_sharded) or [`ShardedMonitor::new`]; drive
-/// it like the monitor it dereferences to.
+/// Construct through
+/// [`MonitorBuilder::build_sharded`](crate::MonitorBuilder::build_sharded) or
+/// [`ShardedMonitor::new`]; drive it like the monitor it dereferences to.
 #[derive(Debug)]
 pub struct ShardedMonitor {
     monitor: Monitor,

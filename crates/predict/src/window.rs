@@ -6,7 +6,7 @@
 //! covariances of the redundancy phase) is a property of the window, not of
 //! a query. A [`FeatureWindow`] keeps the engine's last
 //! [`FeatureWindow::ROWS`] full-batch rows and computes that side lazily,
-//! once per bin, for every predictor whose [`History`](crate::History) is
+//! once per bin, for every predictor whose [`History`] is
 //! [aligned](crate::History::aligned_with) with it; the others compute the
 //! same moments over their own rows, as a stand-alone predictor does.
 //!

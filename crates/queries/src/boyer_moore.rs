@@ -2,7 +2,7 @@
 //!
 //! The `pattern-search` and `p2p-detector` queries of the paper use the
 //! Boyer–Moore algorithm to locate byte sequences in packet payloads
-//! (Section 2.2, reference [23]); their cost is linear in the number of
+//! (Section 2.2, reference \[23\]); their cost is linear in the number of
 //! bytes scanned. The Horspool simplification keeps the same average-case
 //! behaviour with a single skip table, which is what matters for the cost
 //! model.

@@ -37,6 +37,7 @@
 //! assert_eq!(daemon.monitor().query_handles(), vec![(id, "counter")]);
 //! ```
 
+use std::borrow::{Borrow, BorrowMut};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
 use netshed_monitor::{
@@ -52,10 +53,13 @@ use crate::snapshot::{Snapshot, SnapshotError};
 /// Default number of non-empty bins one [`Daemon::tick`] processes.
 pub const DEFAULT_BINS_PER_TICK: u64 = 64;
 
-/// Names of the service-plane `.nsck` sections every daemon checkpoint
-/// carries; the hosted engine contributes its own between `config` and
-/// `daemon` (`monitor`, and `lanes` when it has more than one).
+/// Names of the `.nsck` sections every daemon checkpoint carries, in order:
+/// the run's configuration, the hosted engine's state
+/// ([`Monitor::save_state`]: the lane count, the control loop, then each
+/// query with all of its lane instances), the replay cursor and the digest
+/// streams.
 const SECTION_CONFIG: &str = "config";
+const SECTION_MONITOR: &str = "monitor";
 const SECTION_DAEMON: &str = "daemon";
 const SECTION_DIGEST: &str = "digest";
 
@@ -242,8 +246,8 @@ impl ControlChannel {
 }
 
 /// A long-running monitoring service: a [`Monitor`] fed from a
-/// [`PacketSource`], advanced a bounded number of bins per [`tick`]
-/// (Daemon::tick), administered through a [`ControlChannel`] and
+/// [`PacketSource`], advanced a bounded number of bins per
+/// [`tick`](Daemon::tick), administered through a [`ControlChannel`] and
 /// checkpointable to the `.nsck` format.
 pub struct Daemon<S, M = Monitor> {
     monitor: M,
@@ -413,7 +417,9 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
         section.str(config.predictor.name());
         snapshot.push(SECTION_CONFIG, section.into_bytes())?;
 
-        self.monitor.save_sections(&mut snapshot)?;
+        let mut section = StateWriter::new();
+        Borrow::<Monitor>::borrow(&self.monitor).save_state(&mut section)?;
+        snapshot.push(SECTION_MONITOR, section.into_bytes())?;
 
         let mut section = StateWriter::new();
         section.u64(self.bins_ingested);
@@ -439,7 +445,7 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
     /// wall-clock knob, and restoring at a different count is supported and
     /// tested. `source` must replay the same stream from the beginning; it
     /// is fast-forwarded past the bins the checkpoint already consumed
-    /// (O(1) for [`BatchReplay`](netshed_trace::BatchReplay)).
+    /// (O(1) for [`BatchReplay`]).
     pub fn restore_engine(
         mut config: MonitorConfig,
         mut source: S,
@@ -469,8 +475,12 @@ impl<S: PacketSource, M: MonitorEngine> Daemon<S, M> {
             config.policy = swapped_in.into();
         }
 
+        // The engine is built from a configuration whose policy is the
+        // snapshot's, so shadow reconstruction follows the right policy.
         let mut monitor = M::from_config(config)?;
-        monitor.load_sections(&snapshot)?;
+        let mut section = StateReader::new(snapshot.section(SECTION_MONITOR)?);
+        BorrowMut::<Monitor>::borrow_mut(&mut monitor).load_state(&mut section)?;
+        section.finish()?;
 
         let mut section = StateReader::new(snapshot.section(SECTION_DAEMON)?);
         let bins_ingested = section.u64()?;

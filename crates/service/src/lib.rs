@@ -7,8 +7,8 @@
 //! administered by multiple tenants through a clonable [`ControlChannel`]:
 //!
 //! * **Live registry** — queries register and deregister mid-run through
-//!   [`ControlChannel::register_query`] / [`deregister_query`]
-//!   (ControlChannel::deregister_query); the control policy itself can be
+//!   [`ControlChannel::register_query`] /
+//!   [`ControlChannel::deregister_query`]; the control policy itself can be
 //!   swapped hot ([`ControlChannel::swap_policy`]). Commands apply only at
 //!   bin boundaries, in arrival order, which keeps administered runs exactly
 //!   replayable.

@@ -17,8 +17,7 @@
 //! fixed metadata (kind, lengths, name) through the byte-serial
 //! [`IncrementalFnv`] and the body — which carries the megabytes of sketch
 //! and history state — through the word-parallel 4-lane
-//! [`hash_block`](netshed_sketch::hash_block), folding the halves with
-//! [`mix64`](netshed_sketch::mix64): verifying a large snapshot costs memory
+//! [`hash_block`], folding the halves with [`mix64`]: verifying a large snapshot costs memory
 //! bandwidth, not a multiply per byte (the same trade `.nstr` v2 makes).
 //!
 //! Section *names* are the schema: readers look bodies up by name
@@ -56,7 +55,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
 /// byte-serial FNV-1a chains'. The new absorber would silently continue an
 /// old chain under another function, so a version-3 file is refused, not
 /// migrated.
-pub const SNAPSHOT_FORMAT_VERSION: u16 = 4;
+///
+/// Version 5: one engine section. The `monitor` section starts with the lane
+/// count and holds every lane instance of each query with the query, in lane
+/// order, where a version-4 file held lane 0's there and the other lanes' in
+/// a `lanes` section of their own. A version-4 file is refused, not
+/// migrated.
+pub const SNAPSHOT_FORMAT_VERSION: u16 = 5;
 
 /// Seed of the container checksums (header, per-section and end frame).
 const CHECKSUM_SEED: u64 = 0x6e73_636b; // "nsck"
@@ -449,15 +454,15 @@ mod tests {
         let expected = SNAPSHOT_FORMAT_VERSION.to_string();
         assert!(message.contains("99") && message.contains(&expected), "{message}");
 
-        // The version before this one — whose digest chains belong to
-        // another function — is refused the same way, not misread.
-        bytes[4] = 3;
+        // The version before this one — whose fleet checkpoints split every
+        // query over two sections — is refused the same way, not misread.
+        bytes[4] = 4;
         let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
         fnv.write(&bytes[..16]);
         bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
         assert_eq!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 3, expected: 4 }
+            SnapshotError::UnsupportedVersion { found: 4, expected: 5 }
         );
     }
 

@@ -436,10 +436,10 @@ fn version_skew_names_found_and_expected() {
         "version-skew message must name found and expected: {message}"
     );
 
-    // A version-3 container (whose digest section holds byte-serial FNV
-    // chain states the word-wise digest must not continue) is refused by
-    // the restore with both versions named, never read as this version.
-    bytes[4] = 3;
+    // A version-4 container (whose fleet checkpoints split every query
+    // over a `monitor` and a `lanes` section) is refused by the restore with
+    // both versions named, never read as this version.
+    bytes[4] = 4;
     let mut fnv = netshed_sketch::IncrementalFnv::new(0x6e73_636b);
     fnv.write(&bytes[..16]);
     bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
@@ -447,7 +447,7 @@ fn version_skew_names_found_and_expected() {
         Daemon::<_, Monitor>::restore_engine(overloaded_config(1), recorded_trace(), &bytes);
     match restored.map(|_| ()).unwrap_err() {
         ServiceError::Snapshot(error) => {
-            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 3, expected: 4 });
+            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 4, expected: 5 });
         }
         other => panic!("expected the version skew to be named, got {other}"),
     }
@@ -541,12 +541,11 @@ fn lane_mismatch(error: ServiceError) -> (String, String) {
 
 #[test]
 fn a_sharded_checkpoint_restores_bit_identically_at_any_worker_count() {
-    // One .nsck carries the whole fleet: the `monitor` section a solo engine
-    // writes (the one control loop, every query's lane-0 instance) plus a
-    // `lanes` section (the lane count, the other lanes' query state).
-    // Restoring at a different worker count must finish on the uninterrupted
-    // run's digest — the fleet's lanes run on its workers, a pure wall-clock
-    // knob.
+    // One .nsck carries the whole fleet in the sections a solo engine
+    // writes: its `monitor` section holds the lane count, the one control
+    // loop and each query with all of its lane instances. Restoring at a
+    // different worker count must finish on the uninterrupted run's digest —
+    // the fleet's lanes run on its workers, a pure wall-clock knob.
     let config = overloaded_config(1).with_shard_lanes(4);
     let reference = run_digest::<ShardedMonitor>(&config);
 
@@ -562,7 +561,7 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_worker_count() {
     drop(daemon);
 
     let snapshot = Snapshot::from_bytes(&bytes).expect("valid container");
-    assert_eq!(snapshot.section_names(), ["config", "monitor", "lanes", "daemon", "digest"]);
+    assert_eq!(snapshot.section_names(), ["config", "monitor", "daemon", "digest"]);
 
     for workers in [1usize, 2, 4] {
         let (mut resumed, _control) = Daemon::<_, ShardedMonitor>::restore_engine(
@@ -592,13 +591,16 @@ fn a_sharded_checkpoint_restores_bit_identically_at_any_worker_count() {
     assert_eq!(counts(1), (4, 1));
     let solo = Daemon::<_, Monitor>::restore_engine(config.clone(), recorded_trace(), &bytes);
     assert_eq!(lane_mismatch(solo.map(|_| ()).unwrap_err()), ("4".into(), "1".into()));
+    let two_lanes = checkpoint_at_bin_nine::<ShardedMonitor>(&config.clone().with_shard_lanes(2));
+    let error = restore_fleet(&config, 4, &two_lanes).unwrap_err();
+    assert_eq!(lane_mismatch(error), ("2".into(), "4".into()));
 }
 
 #[test]
 fn a_one_lane_fleet_checkpoint_is_the_solo_checkpoint() {
-    // One engine, one schema: with one lane there is no `lanes` section and
-    // the bytes are the solo monitor's, so either type restores the other's —
-    // and a fleet with more lanes refuses both, naming the counts.
+    // One engine, one schema: with one lane the bytes are the solo
+    // monitor's, so either type restores the other's — and a fleet with more
+    // lanes refuses both, naming the counts.
     let config = overloaded_config(1).with_shard_lanes(1);
     let solo_bytes = checkpoint_at_bin_nine::<Monitor>(&config);
     let fleet_bytes = checkpoint_at_bin_nine::<ShardedMonitor>(&config);
@@ -619,59 +621,48 @@ fn a_one_lane_fleet_checkpoint_is_the_solo_checkpoint() {
 fn a_pre_change_fleet_layout_is_a_typed_error_not_a_panic() {
     // Before the fleet became one control loop a sharded checkpoint held a
     // whole monitor per lane (`shard.0` ... `shard.3`) and a coordinator
-    // section (`sharded`), and no `monitor` or `lanes` section. The container
-    // version did not move with that change (it has since: such a *file* is
-    // version 2 and refused as that), so the sections are what tells the
-    // layouts apart — and one laid out that way must be refused by name,
-    // whichever half it lacks.
+    // section (`sharded`), and no `monitor` section. The container version
+    // did not move with that change (it has since: such a *file* is version
+    // 2 and refused as that), so the sections are what tells the layouts
+    // apart — and one laid out that way must be refused by name.
     let config = overloaded_config(1).with_shard_lanes(4);
     let honest = checkpoint_at_bin_nine::<ShardedMonitor>(&config);
     let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
-    let relaid = |keep_monitor: bool| {
-        let mut old = Snapshot::new();
-        for name in snapshot.section_names() {
-            let body = snapshot.section(name).expect("listed section").to_vec();
-            match name {
-                // The lane monitors: each a full solo-layout section.
-                "monitor" => {
-                    for lane in 0..4 {
-                        old.push(&format!("shard.{lane}"), body.clone()).expect("section");
-                    }
-                    if keep_monitor {
-                        old.push(name, body).expect("section");
-                    }
+    let mut old = Snapshot::new();
+    for name in snapshot.section_names() {
+        let body = snapshot.section(name).expect("listed section").to_vec();
+        match name {
+            // The lane monitors: each a full solo-layout section, and the
+            // coordinator: a lane count, then (budget, demand) per lane.
+            "monitor" => {
+                for lane in 0..4 {
+                    old.push(&format!("shard.{lane}"), body.clone()).expect("section");
                 }
-                // The coordinator: a lane count, then (budget, demand) per lane.
-                "lanes" => {
-                    let mut coordinator = StateWriter::new();
-                    coordinator.u64(4);
-                    (0..8).for_each(|_| coordinator.f64(1.0e5));
-                    old.push("sharded", coordinator.into_bytes()).expect("section");
-                }
-                _ => old.push(name, body).expect("section"),
+                let mut coordinator = StateWriter::new();
+                coordinator.u64(4);
+                (0..8).for_each(|_| coordinator.f64(1.0e5));
+                old.push("sharded", coordinator.into_bytes()).expect("section");
             }
+            _ => old.push(name, body).expect("section"),
         }
-        old.to_bytes()
-    };
+    }
 
-    match restore_fleet(&config, 4, &relaid(false)).unwrap_err() {
+    match restore_fleet(&config, 4, &old.to_bytes()).unwrap_err() {
         ServiceError::Snapshot(SnapshotError::MissingSection { name }) => {
             assert_eq!(name, "monitor");
         }
         other => panic!("expected the missing `monitor` section to be named, got {other}"),
     }
-    // With a control loop to restore but no per-lane query state, the file is
-    // what a one-lane engine writes.
-    let error = restore_fleet(&config, 4, &relaid(true)).unwrap_err();
-    assert_eq!(lane_mismatch(error), ("1".into(), "4".into()));
 }
 
-/// Reads a `monitor` section the way `Monitor::load_state` does, up to the registry's query count, which it
-/// returns; `float` is called on every float on the way: (field, reader).
+/// Reads a `monitor` section the way `Monitor::load_state` does, up to the
+/// registry's query count, returning the lane count and the query count;
+/// `float` is called on every float on the way: (field, reader).
 fn read_control_loop(
     reader: &mut StateReader<'_>,
     float: &mut impl FnMut(&mut StateReader<'_>, String),
-) -> usize {
+) -> (usize, usize) {
+    let lanes = reader.usize().expect("lane count");
     reader.str().expect("policy name");
     netshed_features::FeatureExtractor::with_defaults().load_state(reader).expect("extractor");
     float(reader, "capture backlog_cycles".into());
@@ -692,7 +683,7 @@ fn read_control_loop(
     }
     reader.opt_u64().expect("current interval");
     // The predictive policy keeps no state of its own; the registry follows.
-    reader.usize().expect("query count")
+    (lanes, reader.usize().expect("query count"))
 }
 
 /// Reads one registered query's header up to its own state, returning its
@@ -721,7 +712,7 @@ fn control_float_offsets(section: &[u8]) -> Vec<(String, usize)> {
         fields.push((field, section.len() - reader.remaining()));
         reader.f64().expect("float");
     };
-    assert_eq!(read_control_loop(&mut reader, &mut float), KINDS.len());
+    assert_eq!(read_control_loop(&mut reader, &mut float).1, KINDS.len());
     read_query_header(&mut reader, &mut float);
     fields
 }
@@ -858,68 +849,50 @@ fn checkpointed_scalars(kind: QueryKind) -> &'static [&'static str] {
     }
 }
 
-/// Where each registered query's own state sits in a monitor section:
-/// (spec, byte range).
+/// Where the state of each registered query's instance on `lane` sits in a
+/// monitor section, whose queries each hold all of their lane instances in
+/// lane order: (spec, byte range).
 fn query_state_spans(
     section: &[u8],
     config: &MonitorConfig,
+    lane: usize,
 ) -> Vec<(QuerySpec, std::ops::Range<usize>)> {
     let mut reader = StateReader::new(section);
     let mut float = |reader: &mut StateReader<'_>, _: String| {
         reader.f64().expect("float");
     };
-    let queries = read_control_loop(&mut reader, &mut float);
-    (0..queries)
+    let (lanes, queries) = read_control_loop(&mut reader, &mut float);
+    assert!(lane < lanes, "lane {lane} of {lanes}");
+    let spans = (0..queries)
         .map(|_| {
             let (_, spec) = read_query_header(&mut reader, &mut float);
-            let start = section.len() - reader.remaining();
-            build_query_from_spec(&spec).load_state(&mut reader).expect("query state");
-            let end = section.len() - reader.remaining();
+            let mut span = 0..0;
+            for instance in 0..lanes {
+                let start = section.len() - reader.remaining();
+                build_query_from_spec(&spec).load_state(&mut reader).expect("query state");
+                if instance == lane {
+                    span = start..section.len() - reader.remaining();
+                }
+            }
             assert!(!reader.bool().expect("shadow flag"), "the predictive policy runs no shadow");
             config.predictor.make().load_state(&mut reader).expect("predictor state");
             netshed_features::FeatureExtractor::with_defaults()
                 .load_state(&mut reader)
                 .expect("sampled extractor");
-            (spec, start..end)
+            (spec, span)
         })
-        .collect()
-}
-
-/// Where the state of each registered query's instance on `lane` (1 and up)
-/// sits in a `lanes` section: a lane count, then per query the instances of
-/// lanes 1 and up in lane order.
-fn lane_state_spans(
-    section: &[u8],
-    specs: &[QuerySpec],
-    lane: usize,
-) -> Vec<(QuerySpec, std::ops::Range<usize>)> {
-    let mut reader = StateReader::new(section);
-    let lanes = reader.usize().expect("lane count");
-    let mut spans = Vec::new();
-    for spec in specs {
-        for instance in 1..lanes {
-            let start = section.len() - reader.remaining();
-            build_query_from_spec(spec).load_state(&mut reader).expect("query state");
-            if instance == lane {
-                spans.push((spec.clone(), start..section.len() - reader.remaining()));
-            }
-        }
-    }
+        .collect();
+    reader.u64().expect("next query id");
     reader.finish().expect("the section holds nothing else");
     spans
 }
 
 /// Checkpoints engine `M` running all ten query kinds mid-interval, then
 /// re-encodes the snapshot with one keyed table or one scalar of one query
-/// instance crafted at a time — the lane-0 instances in the `monitor` section,
-/// or with `lane` that lane's in the `lanes` section: a key listed twice, or a
-/// weight or sum no run could have accumulated, must fail the restore naming
-/// the table and the entry, or the scalar (and the lane, when it is not
-/// lane 0).
-fn assert_crafted_query_tables_are_rejected<M: MonitorEngine>(
-    config: &MonitorConfig,
-    lane: Option<usize>,
-) {
+/// instance on `lane` crafted at a time: a key listed twice, or a weight or
+/// sum no run could have accumulated, must fail the restore naming the table
+/// and the entry, or the scalar (and the lane, when it is not lane 0).
+fn assert_crafted_query_tables_are_rejected<M: MonitorEngine>(config: &MonitorConfig, lane: usize) {
     let mut engine = M::from_config(config.clone()).expect("valid configuration");
     for kind in QueryKind::ALL {
         // Only a custom-shedding detector tracks per-flow inspection counts.
@@ -943,30 +916,21 @@ fn assert_crafted_query_tables_are_rejected<M: MonitorEngine>(
     );
 
     let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
-    let monitor_spans =
-        query_state_spans(snapshot.section("monitor").expect("monitor section"), config);
-    let (crafted_section, spans) = match lane {
-        None => ("monitor", monitor_spans),
-        Some(lane) => {
-            let specs: Vec<QuerySpec> = monitor_spans.into_iter().map(|(spec, _)| spec).collect();
-            let section = snapshot.section("lanes").expect("lanes section");
-            ("lanes", lane_state_spans(section, &specs, lane))
-        }
-    };
-    let section = snapshot.section(crafted_section).expect("listed section");
+    let section = snapshot.section("monitor").expect("monitor section");
+    let spans = query_state_spans(section, config, lane);
     // Re-encodes the container with the state of one query instance replaced.
     let craft = |span: &std::ops::Range<usize>, state: &[u8]| {
         let mut crafted = Snapshot::new();
         for name in snapshot.section_names() {
             let mut body = snapshot.section(name).expect("listed section").to_vec();
-            if name == crafted_section {
+            if name == "monitor" {
                 body.splice(span.clone(), state.iter().copied());
             }
             crafted.push(name, body).expect("section");
         }
         crafted.to_bytes()
     };
-    let named_lane = lane.map_or(String::new(), |lane| format!("lane {lane}: "));
+    let named_lane = if lane == 0 { String::new() } else { format!("lane {lane}: ") };
     let rejection = |bytes: &[u8], context: &str| {
         let error = restore(bytes).map(|_| ()).expect_err("must not restore");
         let ServiceError::Snapshot(SnapshotError::State(StateError::Corrupt(message))) = error
@@ -1062,25 +1026,25 @@ fn a_crafted_query_table_is_rejected_naming_query_and_entry() {
     // reported no cluster for the rest of the interval —, `trace`'s and
     // `pattern-search`'s packet counts), which loaded unchecked.
     let config = MonitorConfig::default().with_capacity(1e12).with_seed(11).without_noise();
-    assert_crafted_query_tables_are_rejected::<Monitor>(&config, None);
+    assert_crafted_query_tables_are_rejected::<Monitor>(&config, 0);
 }
 
 #[test]
 fn a_crafted_lane_query_table_is_rejected_naming_lane_query_and_entry() {
-    // A fleet's `lanes` section is outside input like the rest of a `.nsck`:
-    // the query instances of lanes 1 and up restore through the same loaders
-    // as the lane-0 ones in `monitor`, so a repeated key or a NaN / infinite /
-    // negative weight in *their* tables, or sum beside them, must fail the
-    // restore too — naming the lane beside the table and the entry. Two
-    // lanes, so that each lane's share of the trace still populates every
-    // table.
+    // A fleet's query instances of lanes 1 and up are outside input like
+    // the rest of a `.nsck`: they restore through the same loaders as the
+    // lane-0 ones beside them in `monitor`, so a repeated key or a NaN /
+    // infinite / negative weight in *their* tables, or sum beside them, must
+    // fail the restore too — naming the lane beside the table and the entry.
+    // Two lanes, so that each lane's share of the trace still populates
+    // every table.
     let config = MonitorConfig::default()
         .with_capacity(1e12)
         .with_seed(11)
         .without_noise()
         .with_shard_lanes(2);
-    assert_crafted_query_tables_are_rejected::<ShardedMonitor>(&config, None);
-    assert_crafted_query_tables_are_rejected::<ShardedMonitor>(&config, Some(1));
+    assert_crafted_query_tables_are_rejected::<ShardedMonitor>(&config, 0);
+    assert_crafted_query_tables_are_rejected::<ShardedMonitor>(&config, 1);
 }
 
 #[test]
@@ -1169,7 +1133,7 @@ fn a_crafted_negative_zero_sum_is_rejected_naming_the_field() {
     };
     let snapshot = Snapshot::from_bytes(&honest).expect("valid container");
     let section = snapshot.section("monitor").expect("monitor section");
-    let spans = query_state_spans(section, &config);
+    let spans = query_state_spans(section, &config, 0);
     let span_of = |kind| &spans.iter().find(|(spec, _)| spec.kind == kind).expect("registered").1;
     // `counter`'s second sum, and the weight of `top-k`'s first entry (after
     // the table's length and the entry's destination).

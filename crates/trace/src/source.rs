@@ -2,7 +2,7 @@
 //!
 //! The monitoring pipeline consumes batches from a [`PacketSource`]: an
 //! abstraction over "something that produces the next time bin of traffic".
-//! The synthetic [`TraceGenerator`](crate::TraceGenerator) is one (infinite)
+//! The synthetic [`TraceGenerator`] is one (infinite)
 //! source; a recorded batch vector replayed by [`BatchReplay`] is another;
 //! [`Interleave`] merges several sources bin by bin, modelling several links
 //! (or several anomaly generators) feeding one monitor. Finite prefixes of an

@@ -1,28 +1,27 @@
-//! Coordinated packet sampling (digest epoch 2) against what it replaced.
+//! Coordinated packet sampling (digest epoch 2) against stand-alone sampling
+//! and extraction.
 //!
 //! One key per packet serves every packet-sampled query of a bin, and the
 //! samples nest. Two things are pinned here:
 //!
 //! * a bin where exactly one query packet-samples keeps, packet for packet,
-//!   what the epoch-1 plan (a draw per packet per query, restated in
-//!   `tests/oracle/`) kept, and leaves the generator where that plan did —
-//!   so the epoch moved digests only where two or more queries sample;
+//!   what the stand-alone sampler [`packet_sample_with`] keeps at its rate —
+//!   a draw per packet, each kept when below the rate — and leaves the
+//!   generator where that sampler does, so the epoch moved digests only
+//!   where two or more queries sample;
 //! * the nested re-extraction ([`ExtractScratch::nested`]) is, bit for bit,
 //!   `extract_view_with` on each query's sample: vector, operations and the
 //!   interval state the extractor carries on, over parents that are full,
 //!   flow-sampled and packet-sampled, across an interval boundary and a
 //!   `save_state` / `load_state` restore.
 
-mod oracle;
-
 use netshed::features::{ExtractScratch, FeatureExtractor, FeatureId};
-use netshed::monitor::{draw_keys, flow_sample_with, keep_threshold};
+use netshed::monitor::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};
 use netshed::sketch::{H3Hasher, StateReader, StateWriter};
 use netshed::trace::{Batch, BatchView, KeepListPool, TraceConfig, TraceGenerator};
-use oracle::epoch1_packet_plan;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn kept(view: &BatchView) -> Vec<usize> {
     view.indexed_packets().map(|(at, _)| at).collect()
@@ -61,10 +60,11 @@ fn coordinated_plan(view: &BatchView, rates: &[f64], rng: &mut StdRng) -> Vec<Ve
 
 proptest! {
     /// With one packet-sampled query among queries that do not sample, the
-    /// coordinated plan is the epoch-1 plan: the same packets, and the
-    /// generator at the same point of its stream.
+    /// coordinated plan is the stand-alone sampler: the query keeps what
+    /// `packet_sample_with` keeps at its rate, the others all or nothing,
+    /// and the generator ends at the same point of its stream.
     #[test]
-    fn one_sampled_query_keeps_the_epoch_1_packets_and_draws(
+    fn one_sampled_query_keeps_the_stand_alone_samplers_packets_and_draws(
         trace_seed in 0u64..500,
         rng_seed in 0u64..u64::MAX,
         rate in 0.0f64..1.0,
@@ -81,12 +81,27 @@ proptest! {
         let mut rates: Vec<f64> = others.iter().map(|&other| [0.0, 1.0, 2.5, -1.0][other]).collect();
         rates.insert(at.min(rates.len()), rate);
 
-        let mut epoch1_rng = StdRng::seed_from_u64(rng_seed);
-        let mut coordinated_rng = epoch1_rng.clone();
-        let epoch1 = epoch1_packet_plan(&view, &rates, &mut epoch1_rng);
+        let mut alone_rng = StdRng::seed_from_u64(rng_seed);
+        let mut coordinated_rng = alone_rng.clone();
+        let (sample, _) = packet_sample_with(&view, rate, &mut alone_rng, &mut KeepListPool::new());
+        let alone: Vec<Vec<usize>> = rates
+            .iter()
+            .map(|&other| match other {
+                other if other == rate => kept(&sample),
+                other if other >= 1.0 => kept(&view),
+                _ => Vec::new(),
+            })
+            .collect();
         let coordinated = coordinated_plan(&view, &rates, &mut coordinated_rng);
-        prop_assert_eq!(coordinated, epoch1);
-        prop_assert_eq!(coordinated_rng.state(), epoch1_rng.state());
+        prop_assert_eq!(coordinated, alone);
+        prop_assert_eq!(coordinated_rng.state(), alone_rng.state());
+        // The sampler is a uniform draw per packet of the view, in view
+        // order, keeping the packets drawn below the rate.
+        let mut draws = StdRng::seed_from_u64(rng_seed);
+        let drawn: Vec<usize> =
+            kept(&view).into_iter().filter(|_| draws.gen::<f64>() < rate).collect();
+        prop_assert_eq!(kept(&sample), drawn);
+        prop_assert_eq!(draws.state(), alone_rng.state());
     }
 
     /// Several packet-sampled queries share one key per packet: each sample

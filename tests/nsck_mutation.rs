@@ -6,9 +6,7 @@
 //! checksums cannot catch the change and the structure checks must:
 //!
 //! * a section appearing twice is `DuplicateSection`;
-//! * a section dropped or renamed is `MissingSection` (the `lanes` section
-//!   of a two-lane fleet is a lane-count `Mismatch`: a one-lane engine
-//!   writes none);
+//! * a section dropped or renamed is `MissingSection`;
 //! * a frame of an unknown kind is a `Corrupt` state;
 //! * header and end-frame section counts that disagree — with each other,
 //!   or with the frames between them, up to `u64::MAX` — are
@@ -120,15 +118,7 @@ fn every_section_table_mutation_of_a_fleet_checkpoint_fails_typed() {
             let declared = table.len() as u64;
             let error =
                 snapshot_error(&what, restore(&what, sealed(version, &table, declared, declared)));
-            match error {
-                SnapshotError::MissingSection { name: missing } => assert_eq!(missing, *name),
-                SnapshotError::State(StateError::Mismatch { what: field, .. })
-                    if *name == "lanes" =>
-                {
-                    assert_eq!(field, "lanes");
-                }
-                other => panic!("{what}: {other}"),
-            }
+            assert_eq!(error, SnapshotError::MissingSection { name: name.to_string() }, "{what}");
         }
 
         for kind in [2u8, 0x7f, 0xff] {
@@ -160,5 +150,5 @@ fn every_section_table_mutation_of_a_fleet_checkpoint_fails_typed() {
 
     let what = "the version before this one";
     let error = snapshot_error(what, restore(what, sealed(version - 1, &frames, count, count)));
-    assert_eq!(error, SnapshotError::UnsupportedVersion { found: 3, expected: 4 });
+    assert_eq!(error, SnapshotError::UnsupportedVersion { found: 4, expected: 5 });
 }

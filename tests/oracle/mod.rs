@@ -747,33 +747,6 @@ pub fn fcbf(
 }
 
 // ---------------------------------------------------------------------------
-// The shed stage's packet-sampling plan of digest epoch 1: a draw per packet
-// per packet-sampled query, in registration order.
-// ---------------------------------------------------------------------------
-
-/// The packets each query of a bin kept before coordinated sampling: every
-/// query with a rate strictly between 0 and 1 draws its own
-/// `rng.gen::<f64>()` per packet of `view`, in registration order, and keeps
-/// the packets whose draw is below its rate; a query at rate 1 or above keeps
-/// every packet and one at 0 or below none, without a draw. Returns each
-/// query's kept store indices.
-pub fn epoch1_packet_plan(view: &BatchView, rates: &[f64], rng: &mut StdRng) -> Vec<Vec<usize>> {
-    let packets: Vec<usize> = view.indexed_packets().map(|(at, _)| at).collect();
-    rates
-        .iter()
-        .map(|&rate| {
-            if rate >= 1.0 {
-                packets.clone()
-            } else if rate > 0.0 {
-                packets.iter().copied().filter(|_| rng.gen::<f64>() < rate).collect()
-            } else {
-                Vec::new()
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
 // The run digest of epochs 1 and 2: byte-serial FNV-1a over the canonical
 // encoding, and what it pinned.
 // ---------------------------------------------------------------------------
