@@ -30,11 +30,11 @@
 //!    counted by this binary's global allocator and asserted to be 0).
 //! 4. **pipeline**: packets/second through `Monitor::run` with the paper's
 //!    Chapter 4 query mix under 2× overload, and on an untimed run of the
-//!    same shape the share of its predictions that regressed on a history
-//!    aligned with the engine's feature window (`aligned_prediction_share`:
-//!    the ones that probe the window's prediction table) and of those
-//!    copied from it (`recalled_prediction_share`): how often the overload
-//!    workloads pay the table's miss path is measured, not assumed; and the
+//!    same shape the share of its computed predictions that regressed on a
+//!    history aligned with the engine's feature window
+//!    (`aligned_prediction_share`: the ones that read its shared moments and
+//!    factorisations) and the share of its queries' predictions a follower
+//!    copied from its leader (`followed_prediction_share`); and the
 //!    re-extraction walks a bin makes under `mmfs_pkt` and under `eq_srates`
 //!    (`reextraction_walks_per_bin_*`: the packet-sampled queries' samples
 //!    nest, so one walk re-extracts them all; each flow sample is one more).
@@ -50,11 +50,11 @@
 //!    tenants — control-channel registration cost per query and the
 //!    steady-state per-bin cost, with the marginal nanoseconds each
 //!    additional tenant adds per bin — of identical tenants with the default
-//!    measurement noise on. Each tenant draws its own noise, so the histories
-//!    differ and the feature window computes every tenant's prediction in
-//!    full, none copied; registered together, they still form one cohort,
-//!    one run a bin: the marginal prices a cohort member (its own
-//!    prediction, noise, feedback and record), not a run of its query.
+//!    measurement noise on. Each tenant draws its own noise, so every
+//!    follower detaches from its leader's predictor at its first run and
+//!    computes its own predictions; registered together, they still form
+//!    one cohort, one run a bin: the marginal prices a cohort member (its
+//!    own prediction, noise, feedback and record), not a run of its query.
 //! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers, and
 //!    the **sharded** row: the same pipeline through the fixed-lane
 //!    `ShardedMonitor` fleet at 1/2/4 workers. Every figure is a
@@ -69,12 +69,14 @@
 //!    runs' records carry: the cost model against the clock; and the seven
 //!    shares of the repo benchmark's unshed 200-tenant shape (`tenants_200`),
 //!    where per-query fixed costs make the bin, with how many of its 200
-//!    predictions a bin the engine's feature window computed in full
-//!    (`full_predictions_per_bin`; the other tenants copy one made from the
-//!    same inputs), how many sets of query instances a bin ran
-//!    (`query_runs_per_bin`; the tenants of a kind form one cohort) and the
-//!    run digest's nanoseconds over the bins' from the same run
+//!    predictions a bin computed (`full_predictions_per_bin`; the tenants of
+//!    a kind follow one predictor), how many sets of query instances a bin
+//!    ran (`query_runs_per_bin`; the tenants of a kind form one cohort) and
+//!    the run digest's nanoseconds over the bins' from the same run
 //!    (`digest_vs_bin`; the digest runs between bins, outside the stages);
+//!    the same shape with the default measurement noise
+//!    (`tenants_200_noisy`, where every follower detaches at its first run,
+//!    with its bin over the noise-off one, `bin_vs_noise_off`);
 //!    and, for the solo and the 200-tenant shapes, the `.nstr` decode's
 //!    nanoseconds over the bins' (`decode_vs_bin`: a run replaying its own
 //!    batches' encoding through a timed `SharedTraceReader`, the way the
@@ -104,7 +106,7 @@ use netshed_predict::{
 };
 use netshed_queries::{build_query, CycleMeter, QueryKind, QueryOutput, QuerySpec};
 use netshed_service::Daemon;
-use netshed_sketch::{BitmapGeometry, H3Hasher};
+use netshed_sketch::{BitmapGeometry, H3Hasher, StateError, StateReader, StateWriter};
 use netshed_trace::{
     decode_batches_shared, encode_batches, AggregateSlots, Batch, BatchReplay, BatchView, Bytes,
     KeepListPool, PacketSource, SharedTraceReader, TraceConfig, TraceGenerator,
@@ -649,7 +651,7 @@ fn bench_fleet_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
 /// the MLR predictor reselecting every bin (as the paper does), the same
 /// predictor aligned with a feature window another tenant, of other
 /// responses, has already read that bin (what each further query of an
-/// unshed engine pays unless its inputs equal another's), and with
+/// unshed engine pays that owns its predictor), and with
 /// `reselect_every = 10` to show the FCBF amortisation; then the two halves
 /// of a prediction on the same stream, each over its own warm scratch — the
 /// FCBF selection over the full history, and the least-squares solve over
@@ -689,10 +691,11 @@ fn bench_prediction_plane(bins: usize) -> Report {
 
     // Two tenants of one engine, the second at twice the first's cost: a
     // power-of-two scale moves no correlation's bits, so both select the same
-    // features every bin, but their responses differ, so the second cannot
-    // copy the first's prediction. The first pays for the window's moments
-    // and for the factorisation of the features they both select, the
-    // second — the one timed — reads them and projects its own responses.
+    // features every bin, but their responses differ, as those of two
+    // tenants that do not follow one predictor do. The first pays for the
+    // window's moments and for the factorisation of the features they both
+    // select, the second — the one timed — reads them and projects its own
+    // responses.
     let mut shared_ns_per_bin = f64::INFINITY;
     for _ in 0..3 {
         let mut window = FeatureWindow::new();
@@ -762,20 +765,18 @@ fn bench_prediction_plane(bins: usize) -> Report {
         .cell("ols_ns_per_bin", num(best_ols, 0))
 }
 
-/// What an engine's predictors did, as `Tallied` counts it: the predictions
-/// made, those that regressed on a history aligned with the feature window
-/// (and so probed its prediction table), and — stored after each prediction
-/// — how many aligned predictions the window has computed in full since its
-/// last push, which on one worker the bin's last prediction leaves as the
-/// bin's count.
+/// How many predictions an engine's `Tallied` predictors made, and how many
+/// of them regressed on a history aligned with the feature window (and so
+/// read its shared moments and factorisations).
 #[derive(Default)]
 struct Counts {
     predictions: AtomicUsize,
     aligned: AtomicUsize,
-    computed: AtomicUsize,
 }
 
-/// The engine's default MLR predictor, counting into `counts`.
+/// The engine's default MLR predictor, counting into `counts`. It forwards
+/// its checkpoint too, so that the tenants it counts can follow one another
+/// (a follower's predictor must be copyable).
 struct Tallied {
     inner: MlrPredictor,
     counts: Arc<Counts>,
@@ -802,9 +803,7 @@ impl Predictor for Tallied {
         if history.len() >= 3 && history.aligned_with(window) {
             self.counts.aligned.fetch_add(1, Ordering::Relaxed);
         }
-        let predicted = self.inner.predict_shared(window, features);
-        self.counts.computed.store(window.predictions(), Ordering::Relaxed);
-        predicted
+        self.inner.predict_shared(window, features)
     }
 
     fn observe_shared(&mut self, window: &FeatureWindow, cycles: f64, corrupted: bool) {
@@ -818,18 +817,27 @@ impl Predictor for Tallied {
     fn last_cost_operations(&self) -> u64 {
         self.inner.last_cost_operations()
     }
+
+    fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
+        self.inner.save_state(writer)
+    }
+
+    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
+        self.inner.load_state(reader)
+    }
 }
 
-/// How an engine shared its work over a run: per bin, the predictions made,
-/// the aligned ones, those of them the feature window computed in full (the
-/// other aligned ones copy one made from the same inputs), the sets of lane
+/// How an engine shared its work over a run, per bin: the queries, the
+/// predictions computed (`Monitor::predictions`: one per query that owns
+/// its predictor; a follower copies its leader's), the computed ones that
+/// regressed on a history aligned with the feature window, the sets of lane
 /// instances run (`Monitor::query_runs`; a cohort runs one set for all its
 /// members) and the re-extraction walks made (`Monitor::reextraction_walks`:
 /// one for every packet-sampled query together, one per flow-sampled one).
 struct Sharing {
-    predictions: f64,
-    aligned: f64,
+    queries: f64,
     full: f64,
+    aligned: f64,
     runs: f64,
     walks: f64,
 }
@@ -851,18 +859,19 @@ impl Sharing {
             .expect("valid configuration");
         let (mut bins, mut full, mut runs, mut walks) = (0, 0, 0, 0);
         for batch in batches.iter().filter(|batch| !batch.is_empty()) {
-            counts.computed.store(0, Ordering::Relaxed);
             monitor.process_batch(batch).expect("bin");
             bins += 1;
-            full += counts.computed.load(Ordering::Relaxed);
+            full += monitor.predictions();
             runs += monitor.query_runs();
             walks += monitor.reextraction_walks();
         }
+        let computed = counts.predictions.load(Ordering::Relaxed);
+        assert_eq!(computed, full, "every computed prediction is a Tallied one");
         let per_bin = |count: usize| count as f64 / bins as f64;
         Self {
-            predictions: per_bin(counts.predictions.load(Ordering::Relaxed)),
-            aligned: per_bin(counts.aligned.load(Ordering::Relaxed)),
+            queries: monitor.query_handles().len() as f64,
             full: per_bin(full),
+            aligned: per_bin(counts.aligned.load(Ordering::Relaxed)),
             runs: per_bin(runs),
             walks: per_bin(walks),
         }
@@ -871,13 +880,14 @@ impl Sharing {
 
 /// The repo benchmark's `tenants-underload` shape — 200 tenants of five
 /// kinds on 500-packet bins, capacity so large that nothing is shed, read
-/// from its `.nstr` encoding — where
-/// the engine's own clock says its bins went, how many of a bin's 200
-/// predictions the feature window computed in full (the others copy one
-/// made from the same inputs) and how many sets of query instances a bin
-/// ran (tenants of one kind form one cohort), counted on a second, untimed
-/// run of the same engine whose predictors record it.
-fn bench_tenants(bins: usize) -> Report {
+/// from its `.nstr` encoding — without measurement noise as the benchmark
+/// runs it (`tenants_200`) and with the default noise (`tenants_200_noisy`,
+/// with its bin over the noise-off one): where the engine's own clock says
+/// its bins went, how many of a bin's 200 predictions were computed (a
+/// tenant that follows another's predictor copies its prediction) and how
+/// many sets of query instances a bin ran (tenants of one kind form one
+/// cohort), counted on a second, untimed run of the same engine.
+fn bench_tenants(bins: usize) -> (Report, Report) {
     const KINDS: [QueryKind; 5] = [
         QueryKind::Counter,
         QueryKind::Application,
@@ -889,30 +899,40 @@ fn bench_tenants(bins: usize) -> Report {
         TraceConfig::default().with_seed(61).with_mean_packets_per_batch(500.0),
     )
     .batches(bins);
-    let tenants = || {
-        Monitor::builder()
+    let tenants = |noisy: bool| {
+        let builder = Monitor::builder()
             .capacity(1e15)
             .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
-            .no_noise()
             .with_workers(1)
             .queries((0..200).map(|i| {
                 QuerySpec::new(KINDS[i % KINDS.len()]).with_label(format!("tenant-{i:04}"))
-            }))
+            }));
+        if noisy {
+            builder
+        } else {
+            builder.no_noise()
+        }
     };
-    let mut monitor = tenants().build().expect("valid configuration");
-    let mut digest = TimedDigest::default();
-    let mut source = TimedReader::over(&batches);
-    monitor.run(&mut source, &mut digest).expect("run");
-    let stages = monitor.stage_stats();
-    let sharing = Sharing::of(tenants(), &batches);
-    Report::new()
-        .cell("bins", stages.bins)
-        .cell("bin_ns", num(mean_bin_ns(&stages), 0))
-        .cell("digest_vs_bin", num(digest.ns as f64 / stages.bin_ns() as f64, 4))
-        .cell("decode_vs_bin", source.share_of(&stages))
-        .cell("full_predictions_per_bin", num(sharing.full, 2))
-        .cell("query_runs_per_bin", num(sharing.runs, 2))
-        .report("measured_share", stage_shares(&stages))
+    let run = |noisy: bool| {
+        let mut monitor = tenants(noisy).build().expect("valid configuration");
+        let mut digest = TimedDigest::default();
+        let mut source = TimedReader::over(&batches);
+        monitor.run(&mut source, &mut digest).expect("run");
+        let stages = monitor.stage_stats();
+        let sharing = Sharing::of(tenants(noisy), &batches);
+        let report = Report::new()
+            .cell("bins", stages.bins)
+            .cell("bin_ns", num(mean_bin_ns(&stages), 0))
+            .cell("digest_vs_bin", num(digest.ns as f64 / stages.bin_ns() as f64, 4))
+            .cell("decode_vs_bin", source.share_of(&stages))
+            .cell("full_predictions_per_bin", num(sharing.full, 2))
+            .cell("query_runs_per_bin", num(sharing.runs, 2))
+            .report("measured_share", stage_shares(&stages));
+        (report, mean_bin_ns(&stages))
+    };
+    let (quiet, quiet_bin_ns) = run(false);
+    let (noisy, noisy_bin_ns) = run(true);
+    (quiet, noisy.cell("bin_vs_noise_off", num(noisy_bin_ns / quiet_bin_ns, 3)))
 }
 
 /// A [`DigestObserver`] that keeps the wall time spent in it. The run loop
@@ -998,12 +1018,11 @@ fn bench_parallel_scaling(batches: usize) -> (Report, PipelineNumbers) {
 /// additional tenant costs, from the 10→1000 spread — is the number a
 /// capacity planner multiplies. The tenants are identical `counter` queries
 /// under the default configuration, noise on: each draws its own noise, so
-/// no two histories are equal and every prediction from a tenant's fourth
-/// bin on is computed in full (`FeatureWindow::predictions()` counts 0.925 a
-/// tenant a bin over 40 bins, at 10, 100 and 1000 tenants; none is copied).
-/// All of them, registered at one bin boundary, share one cohort's
-/// instances (one run a bin): the marginal prices a cohort member with a
-/// computed prediction, not a recalled one or a run.
+/// every follower detaches from its leader's predictor at its first run and
+/// every tenant computes its own prediction. All of them, registered at one
+/// bin boundary, share one cohort's instances (one run a bin): the marginal
+/// prices a cohort member with a computed prediction, not a copied one or a
+/// run.
 fn bench_registry_scale(bins: usize) -> Report {
     let batches = TraceGenerator::new(
         TraceConfig::default().with_seed(51).with_mean_packets_per_batch(500.0),
@@ -1094,11 +1113,8 @@ fn main() {
             .cell("data_plane_packets", data_plane.packets)
             .cell("soa_replay_packets_per_sec", num(data_plane.soa_packets_per_sec, 0))
             .cell("alloc_per_bin", data_plane.alloc_per_bin)
-            .cell("aligned_prediction_share", num(sharing.aligned / sharing.predictions, 4))
-            .cell(
-                "recalled_prediction_share",
-                num((sharing.aligned - sharing.full) / sharing.predictions, 4),
-            )
+            .cell("aligned_prediction_share", num(sharing.aligned / sharing.full, 4))
+            .cell("followed_prediction_share", num(1.0 - sharing.full / sharing.queries, 4))
             .cell("reextraction_walks_per_bin_mmfs_pkt", num(sharing.walks, 2))
             .cell("reextraction_walks_per_bin_eq_srates", num(equal_rates.walks, 2)),
     );
@@ -1118,12 +1134,14 @@ fn main() {
         .report("measured_share", stage_shares(&fleet.stages))
         .cell("bin_ns_vs_solo", num(fleet_bin_in_solo_bins(pipeline_batches), 3))
         .report("modelled_cycle_share", fleet.modelled.shares());
+    let (tenants_200, tenants_200_noisy) = bench_tenants(if smoke { 40 } else { 200 });
     section(
         "stage_breakdown",
         Report::new()
             .report("solo", solo)
             .report("fleet_1_thread", fleet_1_thread)
-            .report("tenants_200", bench_tenants(if smoke { 40 } else { 200 })),
+            .report("tenants_200", tenants_200)
+            .report("tenants_200_noisy", tenants_200_noisy),
     );
 
     sections

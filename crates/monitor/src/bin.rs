@@ -15,6 +15,11 @@
 //! detaches every member whose delivery differs from the first planned
 //! member's, so the first member task to reach the instances in execute runs
 //! them on inputs equal for all, and the others read the cycles it filed.
+//! A follower shares its leader's predictor the same way: its predict task
+//! does nothing and the registration-order fold copies the leader's
+//! prediction, the plan detaches it onto a copy of that predictor as soon as
+//! its run would differ from the leader's, and until then its execute task
+//! stores no observation — the leader's is the one it would have stored.
 //!
 //! This is the bin of every engine. Everything up to and including shed
 //! works on the global post-drop view whatever the lane count; execute is
@@ -23,7 +28,7 @@
 
 use crate::error::NetshedError;
 use crate::exec::{self, Stage};
-use crate::monitor::{flow_hasher, Cohort, Monitor, RegisteredQuery};
+use crate::monitor::{flow_hasher, Cohort, Monitor, Predicts, RegisteredQuery};
 use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
 use crate::shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};
@@ -92,6 +97,33 @@ pub(crate) struct BinSlot {
     ran: bool,
 }
 
+impl BinSlot {
+    /// Whether the plan gave this query the run it gave the query of
+    /// `other`: both sit the bin out, or both run at a rate and under a
+    /// measurement-noise draw of the same bits.
+    pub(crate) fn planned_alike(&self, other: &BinSlot) -> bool {
+        match (&self.run, &other.run) {
+            (None, None) => true,
+            (Some((rate, noise)), Some((other_rate, other_noise))) => {
+                rate.to_bits() == other_rate.to_bits() && noise == other_noise
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether the query's bin was the bin of `other`'s query, bit for bit:
+    /// the plan, the prediction and, when they ran, the measured cycles, the
+    /// outlier verdict and the packets delivered.
+    fn same_bin(&self, other: &BinSlot) -> bool {
+        self.planned_alike(other)
+            && self.predicted.to_bits() == other.predicted.to_bits()
+            && (self.run.is_none()
+                || (self.measured.to_bits() == other.measured.to_bits()
+                    && self.outlier == other.outlier
+                    && self.delivered_packets == other.delivered_packets))
+    }
+}
+
 /// What one stage of a bin hands the next. The monitor owns one and reuses
 /// it: [`Monitor::admit`] clears it, so the per-query vectors are refilled
 /// in place instead of allocated, and nothing is ever read across bins.
@@ -128,13 +160,15 @@ pub(crate) struct Bin {
 impl RegisteredQuery {
     /// Predict task: the full-batch cost from the shared feature vector,
     /// against the window of the bins before this one. A penalised query is
-    /// not predicted (and charged nothing for it).
+    /// not predicted (and charged nothing for it); a follower's slot is
+    /// filled from its leader's by the fold.
     fn predict(&mut self, window: &FeatureWindow, features: &FeatureVector) {
+        let Predicts::Own(predictor) = &mut self.predictor else { return };
         (self.slot.predicted, self.slot.predict_ops) = if self.penalty_remaining > 0 {
             (0.0, 0)
         } else {
-            let predicted = self.predictor.predict_shared(window, features);
-            (predicted, self.predictor.last_cost_operations())
+            let predicted = predictor.predict_shared(window, features);
+            (predicted, predictor.last_cost_operations())
         };
     }
 
@@ -204,12 +238,16 @@ impl RegisteredQuery {
         } else {
             (measured, false)
         };
-        match sampled_features {
-            // Nothing was re-extracted (full rate, or custom shedding): the
-            // row to store is the bin's shared vector, taken from the window.
-            None => self.predictor.observe_shared(window, cycles, corrupted),
-            Some(row) if corrupted => self.predictor.observe_corrupted(&row, cycles),
-            Some(row) => self.predictor.observe(&row, cycles),
+        // A follower's observation is its leader's, which the leader stores.
+        if let Predicts::Own(predictor) = &mut self.predictor {
+            match sampled_features {
+                // Nothing was re-extracted (full rate, or custom shedding): the
+                // row to store is the bin's shared vector, taken from the
+                // window.
+                None => predictor.observe_shared(window, cycles, corrupted),
+                Some(row) if corrupted => predictor.observe_corrupted(&row, cycles),
+                Some(row) => predictor.observe(&row, cycles),
+            }
         }
         self.slot.measured = measured;
         self.slot.outlier = outlier;
@@ -359,9 +397,10 @@ impl Monitor {
     /// predictor owns its history and otherwise only reads — the shared
     /// feature vector, and the feature window, whose lazily cached moments
     /// hold the same value whichever task fills them — so the predictions
-    /// are dispatched, then folded (values and cost) in registration order.
-    /// The window takes this bin's vector only after the predictions: they
-    /// regress over the bins before it.
+    /// are dispatched, then folded (values and cost) in registration order,
+    /// where a follower takes its leader's, folded before it. The window
+    /// takes this bin's vector only after the predictions: they regress over
+    /// the bins before it.
     ///
     /// For oracle-style policies the same task also measures its query's
     /// true full-batch cycles on a shadow twin fed the unsampled stream — an
@@ -377,14 +416,25 @@ impl Monitor {
             }
         });
         self.window.push(&features);
-        let bin = &mut self.bin;
-        for registered in &self.queries {
+        let (bin, mut predictions) = (&mut self.bin, 0);
+        for position in 0..self.queries.len() {
+            let (earlier, rest) = self.queries.split_at_mut(position);
+            let registered = &mut rest[0];
+            match registered.predictor {
+                Predicts::Follows(leader) => {
+                    let leader = &earlier[leader].slot;
+                    (registered.slot.predicted, registered.slot.predict_ops) =
+                        (leader.predicted, leader.predict_ops);
+                }
+                Predicts::Own(_) => predictions += usize::from(registered.penalty_remaining == 0),
+            }
             bin.prediction_cycles += registered.slot.predict_ops * PREDICT_OP_CYCLES;
             bin.predictions.push(registered.slot.predicted);
             if shadows {
                 bin.measured_full.push(registered.slot.shadow_cycles);
             }
         }
+        self.predictions = predictions;
     }
 
     /// Decide: hands the control policy everything the monitor knows about
@@ -429,10 +479,12 @@ impl Monitor {
     /// Shed — the *plan*: sequentially, in registration order, on the
     /// caller's thread, everything whose stream order matters — penalty
     /// accounting, the flow-hasher refresh, the packet keys, the
-    /// measurement-noise pre-draw and the cohorts' detaching. Execute then
-    /// receives fully determined inputs and only writes per-query state (a
-    /// cohort's instances once, on inputs equal for every member), which is
-    /// why the merged output is bit-identical for any worker count.
+    /// measurement-noise pre-draw, the cohorts' detaching and then the
+    /// followers'. Execute then receives fully determined inputs and only
+    /// writes per-query state (a cohort's instances once, on inputs equal
+    /// for every member; a leader's predictor, with the observation equal
+    /// for every follower), which is why the merged output is bit-identical
+    /// for any worker count.
     fn shed(&mut self, post_drop: &BatchView) {
         // Nothing is fresh once a bin runs.
         self.fresh.clear();
@@ -494,6 +546,10 @@ impl Monitor {
             // from the post-drop view the other members of its cohort see.
             let sampled = rate < 1.0 && registered.shedding != SheddingMethod::Custom;
             registered.plan_cohort(stamp, (!sampled).then_some(rate));
+        }
+        for position in 0..self.queries.len() {
+            let (earlier, rest) = self.queries.split_at_mut(position);
+            rest[0].plan_follower(earlier, &self.config.predictor);
         }
         self.cut_packet_samples(post_drop);
     }
@@ -634,6 +690,13 @@ impl Monitor {
     /// and the query-cycle total, with Chapter 6 enforcement for custom load
     /// shedding queries on the same pass, and the count of lane runs.
     fn merge_queries(&mut self, packets: u64) -> (Vec<QueryBinRecord>, f64) {
+        debug_assert!(
+            self.queries.iter().all(|registered| match registered.predictor {
+                Predicts::Follows(leader) => registered.slot.same_bin(&self.queries[leader].slot),
+                Predicts::Own(_) => true,
+            }),
+            "a follower's bin differs from its leader's"
+        );
         let bin = &mut self.bin;
         let (mut query_cycles, mut runs) = (0.0, 0);
         let mut records = Vec::with_capacity(self.queries.len());

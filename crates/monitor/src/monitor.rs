@@ -19,12 +19,14 @@
 //! Queries registered from equal specs share one set of lane instances, a
 //! `Cohort`, for as long as the plan gives them the same delivery: the
 //! instances advance once per bin and every member is charged their cycles
-//! (DESIGN.md, "Cohorts").
+//! (DESIGN.md, "Cohorts"). The members that joined a fresh cohort together
+//! also follow one predictor, its first member's, for as long as the plan
+//! gives them the same inputs (`Predicts`).
 
 use crate::bin::{Bin, BinSlot};
 use crate::builder::MonitorBuilder;
 use crate::capture::{bounded, CaptureBuffer};
-use crate::config::{MonitorConfig, PolicySpec};
+use crate::config::{MonitorConfig, PolicySpec, PredictorSpec};
 use crate::engine::Engine;
 use crate::error::NetshedError;
 use crate::exec::{StageClock, StageStats};
@@ -108,7 +110,8 @@ pub(crate) struct RegisteredQuery {
     /// actual cycles for oracle-style policies. Its work is not charged
     /// against the capacity.
     pub(crate) shadow: Option<Box<dyn Query>>,
-    pub(crate) predictor: Box<dyn Predictor>,
+    /// The query's own predictor, or the leader whose predictor it follows.
+    pub(crate) predictor: Predicts,
     /// Extractor used to recompute features over this query's sampled stream
     /// (needed to keep the MLR history consistent, Section 4.3) — the global
     /// sample, before it is split over the lanes.
@@ -128,6 +131,51 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<RegisteredQuery>();
 };
+
+/// Who predicts a registered query's cost. A follower owns no predictor: it
+/// joined a fresh cohort after its leader, so the two predictors started
+/// equal, and the plan has proved their inputs equal in every bin since
+/// ([`RegisteredQuery::plan_follower`]), so the leader's predictor holds, bit
+/// for bit, what the follower's own would. The leader is an owner registered
+/// before its followers, which is what lets the registration-order fold
+/// copy its prediction into theirs.
+pub(crate) enum Predicts {
+    /// The query's own predictor.
+    Own(Box<dyn Predictor>),
+    /// The position in the registry of the query whose predictor this one
+    /// follows.
+    Follows(usize),
+}
+
+/// The predictor that predicts for the query at `position`: its own, or its
+/// leader's.
+pub(crate) fn predictor_at(queries: &[RegisteredQuery], mut position: usize) -> &dyn Predictor {
+    loop {
+        match &queries[position].predictor {
+            Predicts::Own(predictor) => return predictor.as_ref(),
+            // A leader precedes its followers, so the walk ends.
+            Predicts::Follows(leader) => position = *leader,
+        }
+    }
+}
+
+/// A fresh predictor from `spec` in `predictor`'s state, copied through its
+/// checkpoint, which is bit-exact by contract.
+fn copy_predictor(predictor: &dyn Predictor, spec: &PredictorSpec) -> Box<dyn Predictor> {
+    let (mut copy, mut writer) = (spec.make(), StateWriter::new());
+    let copied = predictor
+        .save_state(&mut writer)
+        .and_then(|()| copy.load_state(&mut StateReader::new(writer.as_bytes())));
+    // lint:allow(no-unwrap): only a predictor whose checkpoint succeeded when its cohort formed leads one (`Monitor::register_inner`), and a checkpoint restores bit for bit (the checkpoint contract)
+    copied.expect("a leader's predictor round-trips its state");
+    copy
+}
+
+/// Whether a freshly made predictor can lead or follow: its state can be
+/// copied, which a follower that detaches needs.
+fn copyable(predictor: &dyn Predictor) -> bool {
+    predictor.save_state(&mut StateWriter::new()).is_ok()
+}
 
 /// The lane instances of a cohort — the registered queries whose instances
 /// are provably in one state — and what the first member to reach them in a
@@ -214,7 +262,7 @@ impl Cohort {
 /// What two registrations must agree on, bit for bit, to share instances:
 /// the spec except its label, and the minimum rate and shedding method it
 /// resolved to.
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CohortKey {
     kind: QueryKind,
     min_sampling_rate: Option<u64>,
@@ -318,6 +366,22 @@ impl RegisteredQuery {
         }
     }
 
+    /// The plan's rule for a follower, once it and its leader — one of the
+    /// `earlier` queries — are planned: it stays one while it shares the
+    /// leader's instances and the plan gave it the leader's run (both sitting
+    /// the bin out, or both running at a rate and under a measurement-noise
+    /// draw of the same bits), so that the leader's predictor stores the
+    /// observation its own would. Otherwise it detaches onto a copy of that
+    /// predictor, made with `spec`, before anything runs. Called
+    /// sequentially, in registration order; an owner returns at once.
+    pub(crate) fn plan_follower(&mut self, earlier: &[RegisteredQuery], spec: &PredictorSpec) {
+        let Predicts::Follows(position) = self.predictor else { return };
+        let leader = &earlier[position];
+        if !(self.slot.planned_alike(&leader.slot) && Arc::ptr_eq(&self.cohort, &leader.cohort)) {
+            self.predictor = Predicts::Own(copy_predictor(predictor_at(earlier, position), spec));
+        }
+    }
+
     /// Closes the interval on the query's instances; in a cohort the first
     /// member to close at `stamp` files the output and the others clone it.
     fn close(&mut self, stamp: u64) -> QueryOutput {
@@ -413,9 +477,11 @@ pub struct Monitor {
     /// snapshot, digest or decision input.
     pub(crate) clock: StageClock,
     /// The cohorts whose instances have neither run a bin nor closed an
-    /// interval, by key: a registration with an equal key joins one. The
-    /// next plan or close empties it.
-    pub(crate) fresh: DetHashMap<CohortKey, Arc<Cohort>>,
+    /// interval, by key, each with the position of its leader — its first
+    /// member with a copyable predictor, if any: a registration with an equal
+    /// key joins the cohort and follows the leader. The next plan or close
+    /// empties it.
+    pub(crate) fresh: DetHashMap<CohortKey, (Arc<Cohort>, Option<usize>)>,
     /// Bumped by every plan and every interval close: what a cohort's
     /// filings are stamped with. Neither snapshot nor digest state — a
     /// restored cohort has filed nothing.
@@ -423,6 +489,8 @@ pub struct Monitor {
     /// How many sets of lane instances the last bin ran (see
     /// [`Monitor::query_runs`]).
     pub(crate) query_runs: usize,
+    /// How many predictions the last bin made (see [`Monitor::predictions`]).
+    pub(crate) predictions: usize,
     /// How many re-extraction walks the last bin made (see
     /// [`Monitor::reextraction_walks`]).
     pub(crate) reextraction_walks: usize,
@@ -484,6 +552,7 @@ impl Monitor {
             fresh: DetHashMap::new(),
             stamp: 0,
             query_runs: 0,
+            predictions: 0,
             reextraction_walks: 0,
             config,
         }
@@ -528,8 +597,10 @@ impl Monitor {
     ///
     /// A query whose spec equals, but for the label, that of one registered
     /// since the last bin or interval close shares its instances until the
-    /// plan gives the two different deliveries; the outputs, records and
-    /// checkpoints are those of separate instances, bit for bit.
+    /// plan gives the two different deliveries, and follows that query's
+    /// predictor until the plan gives the two different inputs; the outputs,
+    /// records and checkpoints are those of separate instances and
+    /// predictors, bit for bit.
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
         self.register_inner(
             build_query_from_spec(spec),
@@ -585,7 +656,7 @@ impl Monitor {
             cohort: Cohort::of(std::iter::once(query).chain(others).collect()),
             shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
             spec,
-            predictor: self.config.predictor.make(),
+            predictor: Predicts::Own(self.config.predictor.make()),
             sampled_extractor: extractor(&self.config),
             shed_pool: KeepListPool::new(),
             slot: BinSlot::default(),
@@ -620,8 +691,20 @@ impl Monitor {
         let min_rate = min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0);
         let mut registered = self.new_query(id, label, min_rate, spec, query);
         if let Some(key) = CohortKey::of(&registered) {
-            let cohort = self.fresh.entry(key).or_insert_with(|| Arc::clone(&registered.cohort));
+            let position = self.queries.len();
+            let (cohort, leader) =
+                self.fresh.entry(key).or_insert_with(|| (Arc::clone(&registered.cohort), None));
             registered.cohort = Arc::clone(cohort);
+            // A fresh cohort has never run, so its leader's predictor is as
+            // fresh as this one.
+            if let Predicts::Own(predictor) = &registered.predictor {
+                if copyable(predictor.as_ref()) {
+                    match leader {
+                        Some(leader) => registered.predictor = Predicts::Follows(*leader),
+                        None => *leader = Some(position),
+                    }
+                }
+            }
         }
         self.queries.push(registered);
         Ok(id)
@@ -629,15 +712,38 @@ impl Monitor {
 
     /// Deregisters a query instance by handle. The instance's state
     /// (predictor history, pending interval output) is discarded — or, when
-    /// it shares its instances with a cohort, its reference to them.
+    /// it shares its instances with a cohort, its reference to them, and
+    /// when it leads followers, its predictor passes to the first of them,
+    /// which leads the others from then on.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
-        match self.queries.iter().position(|q| q.id == id) {
-            Some(position) => {
-                self.queries.remove(position);
-                Ok(())
+        let Some(position) = self.queries.iter().position(|q| q.id == id) else {
+            return Err(NetshedError::UnknownQuery(id.to_string()));
+        };
+        let mut predictor = Some(self.queries.remove(position).predictor);
+        // Every leader's position past the removed query's moves down by
+        // one, and the removed query's followers follow its heir: the first
+        // of them, which inherits its predictor.
+        let renumber = |leader: usize, heir: Option<usize>| match leader.cmp(&position) {
+            std::cmp::Ordering::Less => Some(leader),
+            std::cmp::Ordering::Equal => heir,
+            std::cmp::Ordering::Greater => Some(leader - 1),
+        };
+        let mut heir = None;
+        for (at, registered) in self.queries.iter_mut().enumerate().skip(position) {
+            let Predicts::Follows(leader) = registered.predictor else { continue };
+            if let Some(leader) = renumber(leader, heir) {
+                registered.predictor = Predicts::Follows(leader);
+            } else {
+                heir = Some(at);
+                if let Some(own) = predictor.take() {
+                    registered.predictor = own;
+                }
             }
-            None => Err(NetshedError::UnknownQuery(id.to_string())),
         }
+        for (_, leader) in self.fresh.values_mut() {
+            *leader = leader.and_then(|leader| renumber(leader, heir));
+        }
+        Ok(())
     }
 
     /// Labels of the registered queries, in registration order.
@@ -684,6 +790,14 @@ impl Monitor {
     #[doc(hidden)]
     pub fn query_runs(&self) -> usize {
         self.query_runs
+    }
+
+    /// How many predictions the last bin made: one per query that owns its
+    /// predictor and was not serving a penalty — a follower copies its
+    /// leader's. Exposed for the cohort tests and the pipeline bench only.
+    #[doc(hidden)]
+    pub fn predictions(&self) -> usize {
+        self.predictions
     }
 
     /// How many re-extraction walks the last bin made: one for all its
@@ -793,7 +907,8 @@ impl Monitor {
     /// The lane count comes first; then each query, in registration order,
     /// writes all of its lane instances in lane order, so a one-lane fleet
     /// writes the solo monitor's bytes. Every member of a cohort writes the
-    /// instances it shares, so the bytes are those of separate instances.
+    /// instances it shares, and every follower its leader's predictor, so the
+    /// bytes are those of separate instances and predictors.
     ///
     /// Fails with [`StateError::Unsupported`] when a query was registered
     /// through [`Monitor::register_instance`] (no [`QuerySpec`] to rebuild it
@@ -819,7 +934,7 @@ impl Monitor {
         writer.opt_u64(self.current_interval);
         self.policy.save_state(writer)?;
         writer.usize(self.queries.len());
-        for registered in &self.queries {
+        for (position, registered) in self.queries.iter().enumerate() {
             let spec = registered.spec.as_ref().ok_or_else(|| {
                 StateError::unsupported(format!(
                     "query '{}' was registered as a bare instance (no QuerySpec to rebuild from)",
@@ -844,7 +959,7 @@ impl Monitor {
                     shadow.save_state(writer)?;
                 }
             }
-            registered.predictor.save_state(writer)?;
+            predictor_at(&self.queries, position).save_state(writer)?;
             registered.sampled_extractor.save_state(writer);
         }
         writer.u64(self.next_query_id);
@@ -860,7 +975,9 @@ impl Monitor {
     /// Lanes own query state, so a snapshot written at another lane count is
     /// a [`StateError::Mismatch`] naming both. Queries whose specs are equal
     /// but for the label and whose lanes' bytes are all equal share their
-    /// instances again, as a cohort.
+    /// instances again, as a cohort; those of them whose predictors' bytes
+    /// and enforcement counters are equal too follow the first one's
+    /// predictor again.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let lanes = reader.usize()?;
         if lanes != self.lane_count {
@@ -895,9 +1012,11 @@ impl Monitor {
         let count = reader.usize()?;
         self.queries.clear();
         self.fresh.clear();
-        // The cohorts restored so far, by key and the bytes of every lane.
-        let mut restored = DetHashMap::new();
-        for _ in 0..count {
+        // The cohorts restored so far, by key and the bytes of every lane; and
+        // the leaders, by those and by what a follower shares with its leader
+        // besides: the predictor's bytes and the enforcement counters.
+        let (mut restored, mut leaders) = (DetHashMap::new(), DetHashMap::new());
+        for position in 0..count {
             let id = QueryId(reader.u64()?);
             let label = reader.str()?;
             let spec = QuerySpec::load_state(reader)?;
@@ -913,10 +1032,12 @@ impl Monitor {
             registered.penalty_remaining = reader.u32()?;
             let before = reader.clone();
             load_lanes(&mut registered.cohort.lock().lanes, reader)?;
-            if let Some(key) = CohortKey::of(&registered) {
-                let state = consumed(&before, reader);
-                let cohort =
-                    restored.entry((key, state)).or_insert_with(|| Arc::clone(&registered.cohort));
+            let lanes = consumed(&before, reader);
+            let key = CohortKey::of(&registered);
+            if let Some(key) = &key {
+                let cohort = restored
+                    .entry((key.clone(), lanes))
+                    .or_insert_with(|| Arc::clone(&registered.cohort));
                 registered.cohort = Arc::clone(cohort);
             }
             if reader.bool()? {
@@ -929,7 +1050,22 @@ impl Monitor {
                 };
                 shadow.load_state(reader)?;
             }
-            registered.predictor.load_state(reader)?;
+            let before = reader.clone();
+            if let Predicts::Own(predictor) = &mut registered.predictor {
+                predictor.load_state(reader)?;
+            }
+            if let Some(key) = key {
+                let counters = (
+                    registered.overuse_ratio.to_bits(),
+                    registered.violations,
+                    registered.penalty_remaining,
+                );
+                let state = consumed(&before, reader);
+                let leader = *leaders.entry((key, lanes, state, counters)).or_insert(position);
+                if leader != position {
+                    registered.predictor = Predicts::Follows(leader);
+                }
+            }
             registered.sampled_extractor.load_state(reader)?;
             self.queries.push(registered);
         }
@@ -1143,6 +1279,46 @@ mod tests {
             monitor.deregister(flows_id),
             Err(NetshedError::UnknownQuery(flows_id.to_string()))
         );
+    }
+
+    /// The leader of a fresh cohort deregisters before the cohort's first
+    /// bin: its first follower inherits its predictor and the lead, a later
+    /// registration follows the heir, and once every member has left the
+    /// next registration leads.
+    #[test]
+    fn a_fresh_cohorts_lead_passes_to_its_first_follower() {
+        let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+        let spec = QuerySpec::new(QueryKind::Counter);
+        let mut monitor = Monitor::new(config);
+        let register =
+            |monitor: &mut Monitor, label: &str| monitor.register(&spec.clone().with_label(label));
+        let first = register(&mut monitor, "first").expect("valid spec");
+        register(&mut monitor, "second").expect("valid spec");
+        register(&mut monitor, "third").expect("valid spec");
+        let leaders = |monitor: &Monitor| -> Vec<Option<usize>> {
+            let leader = |registered: &RegisteredQuery| match registered.predictor {
+                Predicts::Follows(leader) => Some(leader),
+                Predicts::Own(_) => None,
+            };
+            monitor.queries.iter().map(leader).collect()
+        };
+        monitor.deregister(first).expect("registered");
+        register(&mut monitor, "fourth").expect("valid spec");
+        assert_eq!(leaders(&monitor), [None, Some(0), Some(0)]);
+
+        let ids: Vec<QueryId> = monitor.query_handles().iter().map(|(id, _)| *id).collect();
+        for id in ids {
+            monitor.deregister(id).expect("registered");
+        }
+        register(&mut monitor, "fifth").expect("valid spec");
+        register(&mut monitor, "sixth").expect("valid spec");
+        assert_eq!(leaders(&monitor), [None, Some(0)]);
+        for batch in &small_trace(3, 100.0) {
+            let record = monitor.process_batch(batch).expect("batch");
+            assert_eq!(monitor.predictions(), 1);
+            let [fifth, sixth] = &record.queries[..] else { panic!("two queries") };
+            assert_eq!(fifth.predicted_cycles.to_bits(), sixth.predicted_cycles.to_bits());
+        }
     }
 
     #[test]
@@ -1515,6 +1691,43 @@ mod tests {
             let restored = restore(&state);
             assert!(!shared(&restored), "other lane-1 bytes detach the second query");
             assert!(saved(&restored) == state, "the restored bytes are the saved ones");
+        }
+
+        /// A restore re-forms a follower from its leader's cohort key, lane
+        /// bytes, predictor bytes and enforcement counters: a member whose
+        /// predictor bytes equal its would-be leader's but whose penalty
+        /// differs keeps a predictor of its own.
+        #[test]
+        fn a_restored_member_serving_another_penalty_keeps_its_own_predictor() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let spec = QuerySpec::new(QueryKind::Counter);
+            let mut monitor = Monitor::new(config.clone());
+            for label in ["first", "second", "third"] {
+                monitor.register(&spec.clone().with_label(label)).expect("valid spec");
+            }
+            let leaders = |monitor: &Monitor| -> Vec<Option<usize>> {
+                let leader = |registered: &RegisteredQuery| match registered.predictor {
+                    Predicts::Follows(leader) => Some(leader),
+                    Predicts::Own(_) => None,
+                };
+                monitor.queries.iter().map(leader).collect()
+            };
+            for batch in &small_trace(3, 100.0) {
+                monitor.process_batch(batch).expect("batch");
+            }
+            assert_eq!(leaders(&monitor), [None, Some(0), Some(0)]);
+
+            monitor.queries[2].penalty_remaining = 3;
+            let mut writer = StateWriter::new();
+            monitor.save_state(&mut writer).expect("save");
+            let state = writer.into_bytes();
+            let mut restored = Monitor::new(config);
+            restored.load_state(&mut StateReader::new(&state)).expect("load");
+            assert_eq!(leaders(&restored), [None, Some(0), None]);
+            assert!(Arc::ptr_eq(&restored.queries[0].cohort, &restored.queries[2].cohort));
+            let mut again = StateWriter::new();
+            restored.save_state(&mut again).expect("save");
+            assert!(again.into_bytes() == state, "the restored bytes are the saved ones");
         }
 
         #[test]

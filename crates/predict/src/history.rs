@@ -200,11 +200,6 @@ impl History {
         self.responses.iter().copied()
     }
 
-    /// The response column, oldest first, as the ring's two slices.
-    pub(crate) fn response_slices(&self) -> (&[f64], &[f64]) {
-        self.responses.as_slices()
-    }
-
     /// Returns the response column (observed cycles) as a vector.
     pub fn responses(&self) -> Vec<f64> {
         self.responses.iter().copied().collect()

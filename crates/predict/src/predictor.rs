@@ -3,7 +3,7 @@
 use crate::fcbf::{fcbf_select_in, FcbfConfig, FcbfScratch};
 use crate::guard::clamp_sample;
 use crate::history::History;
-use crate::window::{FeatureWindow, PredictionKey};
+use crate::window::FeatureWindow;
 use netshed_features::{FeatureId, FeatureVector, FEATURE_COUNT};
 use netshed_linalg::stats::{mean, Ewma};
 use netshed_linalg::{Matrix, OlsWorkspace, Svd};
@@ -35,10 +35,9 @@ pub trait Predictor: Send {
     /// other queries' predictors, against the engine's [`FeatureWindow`]:
     /// `window` holds the full-batch rows of the bins before this one. A
     /// predictor whose history is [aligned](History::aligned_with) with the
-    /// window may read the feature-side moments the window computed once
-    /// for everyone, or the whole prediction another predictor made from the
-    /// same inputs; the prediction is the one `predict` returns either way,
-    /// bit for bit. The default ignores the window.
+    /// window may read the feature-side moments and the factorisations the
+    /// window computed once for everyone; the prediction is the one `predict`
+    /// returns either way, bit for bit. The default ignores the window.
     fn predict_shared(&mut self, window: &FeatureWindow, features: &FeatureVector) -> f64 {
         let _ = window;
         self.predict(features)
@@ -209,8 +208,6 @@ impl MlrPredictor {
 
     /// The prediction, reading the feature side from `window` while the
     /// history is aligned with it and from the history's own rows otherwise.
-    /// Aligned, a prediction some tenant with the same [`PredictionKey`]
-    /// already made from the window's rows is copied, not recomputed.
     fn predict_from(&mut self, window: Option<&FeatureWindow>, features: &FeatureVector) -> f64 {
         let window = window.filter(|window| self.history.aligned_with(window));
         let n = self.history.len();
@@ -225,32 +222,21 @@ impl MlrPredictor {
         // correlation pass is paid once per `reselect_every` bins.
         let reselected =
             self.selected.is_empty() || self.batches_since_selection >= self.config.reselect_every;
-        // Aligned, the selection and the prediction are a function of the
-        // window's rows and this key: another tenant of the bin with the
-        // same key may have made them already.
-        let key = window.map(|window| {
-            let carried = (!reselected).then_some(&self.selected[..]);
-            (window, PredictionKey::new(&self.history, &self.config.fcbf, carried, features))
-        });
-        let recalled =
-            key.as_ref().and_then(|(window, key)| window.recall(key, &mut self.selected));
         if reselected {
-            if recalled.is_none() {
-                let picked = fcbf_select_in(
-                    &self.history,
-                    window,
-                    &self.config.fcbf,
-                    FEATURE_COUNT,
-                    &mut self.fcbf_scratch,
-                );
-                self.selected.clear();
-                self.selected.extend_from_slice(picked);
-                if self.selected.is_empty() {
-                    // Nothing cleared the threshold: fall back to the packet
-                    // count, which the paper reports as the most broadly
-                    // useful feature.
-                    self.selected.push(FeatureId::Packets.index());
-                }
+            let picked = fcbf_select_in(
+                &self.history,
+                window,
+                &self.config.fcbf,
+                FEATURE_COUNT,
+                &mut self.fcbf_scratch,
+            );
+            self.selected.clear();
+            self.selected.extend_from_slice(picked);
+            if self.selected.is_empty() {
+                // Nothing cleared the threshold: fall back to the packet
+                // count, which the paper reports as the most broadly useful
+                // feature.
+                self.selected.push(FeatureId::Packets.index());
             }
             self.batches_since_selection = 0;
         }
@@ -258,22 +244,13 @@ impl MlrPredictor {
 
         // Cost accounting: the FCBF correlation pass (n * p) is charged only
         // on bins that actually reselected — cached bins skip it — plus the
-        // OLS solve (~ n * k^2) every bin. A recalled prediction is charged
-        // the same: the cost is the model's, not the host's.
+        // OLS solve (~ n * k^2) every bin.
         let correlation_cost = if reselected { n as u64 * FEATURE_COUNT as u64 } else { 0 };
         let k = self.selected.len() as u64 + 1;
         self.last_cost = correlation_cost + n as u64 * k * k;
 
-        if let Some(predicted) = recalled {
-            return predicted;
-        }
         let shared = window.map(|window| window.decomposition(&self.selected));
-        let predicted =
-            self.regression.fit_and_predict(&self.history, shared, &self.selected, features);
-        if let Some((window, key)) = &key {
-            window.remember(key, &self.selected, predicted);
-        }
-        predicted
+        self.regression.fit_and_predict(&self.history, shared, &self.selected, features)
     }
 }
 

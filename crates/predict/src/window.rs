@@ -6,7 +6,7 @@
 //! covariances of the redundancy phase) is a property of the window, not of
 //! a query. A [`FeatureWindow`] keeps the engine's last
 //! [`FeatureWindow::ROWS`] full-batch rows and computes that side lazily,
-//! once per bin, for every predictor whose [`History`] is
+//! once per bin, for every predictor whose [`History`](crate::History) is
 //! [aligned](crate::History::aligned_with) with it; the others compute the
 //! same moments over their own rows, as a stand-alone predictor does.
 //!
@@ -18,36 +18,28 @@
 //! and every aligned predictor that selected that sequence projects its
 //! responses onto it ([`OlsWorkspace::solve_decomposed`]).
 //!
-//! And at the end: an aligned predictor's selection and predicted cycles are
-//! a function of the window's rows and of a `PredictionKey` — its
-//! responses, its FCBF configuration, whether it reselects (and the
-//! selection it carries if not) and the probe vector. Tenants of one kind
-//! see the same batch and meter the same cycles, so their keys are equal:
-//! the window keeps one prediction per key asked for since the last push,
-//! and every aligned predictor with that key copies it.
+//! The window shares the feature side only. Whole predictions are shared one
+//! level up, by the engine: tenants whose inputs the plan proves equal follow
+//! one predictor (DESIGN.md, "Cohorts"), so no two predictors of one engine
+//! are asked the same question in a bin by construction, not by comparison.
 //!
-//! The window is a cache of pure functions of the rows pushed to it — and,
-//! for a prediction, of its full key, which every probe compares bit for
-//! bit: it is never serialised and never reaches a digest, and what it
-//! returns is the value the private computation returns, operation for
-//! operation ([`fcbf_select_in`](crate::fcbf_select_in)). Each cached moment
-//! and fit sits in a [`OnceLock`], so predictors dispatched across worker
-//! threads may race to fill one — a single initialiser runs, the others wait
-//! and read the value it stored, and that value does not depend on who won.
-//! The predictions sit in one table behind a [`Mutex`] held only to probe or
-//! to file: two tasks that miss on one key both compute it, to the same
-//! bits, and the first to file it wins.
+//! The window is a cache of pure functions of the rows pushed to it: it is
+//! never serialised and never reaches a digest, and what it returns is the
+//! value the private computation returns, operation for operation
+//! ([`fcbf_select_in`](crate::fcbf_select_in)). Each cached moment and fit
+//! sits in a [`OnceLock`], so predictors dispatched across worker threads may
+//! race to fill one — a single initialiser runs, the others wait and read the
+//! value it stored, and that value does not depend on who won.
 //!
 //! [`OlsWorkspace::solve_decomposed`]: netshed_linalg::OlsWorkspace::solve_decomposed
 
-use crate::fcbf::{column_means, ColumnMoments, FcbfConfig, SUM_LANES};
+use crate::fcbf::{column_means, ColumnMoments, SUM_LANES};
 use crate::guard::clamp_features;
-use crate::history::{History, RowRing};
+use crate::history::RowRing;
 use netshed_features::{FeatureVector, FEATURE_COUNT};
 use netshed_linalg::{Matrix, Svd, SvdWorkspace};
-use netshed_sketch::DetHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Source of window identities. Only ever compared for equality (a history
 /// must not mistake another window's sequence numbers for its own), so the
@@ -55,8 +47,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 static NEXT_WINDOW: AtomicU64 = AtomicU64::new(0);
 
 /// The last [`FeatureWindow::ROWS`] full-batch feature rows of one engine,
-/// with the feature side of FCBF, the factorisation of each selected design
-/// and each distinct aligned prediction, computed at most once per push.
+/// with the feature side of FCBF and the factorisation of each selected
+/// design, computed at most once per push.
 #[derive(Debug)]
 pub struct FeatureWindow {
     id: u64,
@@ -74,8 +66,6 @@ struct Cache {
     with_feature: [OnceLock<[f64; FEATURE_COUNT]>; FEATURE_COUNT],
     /// The head of the factorisations of the current rows.
     fits: FitSlot,
-    /// The aligned predictions made from the current rows, by key.
-    predictions: Mutex<Predictions>,
 }
 
 /// One factorisation of the current rows, and the slot after it: a list
@@ -123,167 +113,6 @@ impl Selection {
             *key = feature as u8;
         }
         Self { len: selected.len(), features }
-    }
-
-    fn features(&self) -> impl Iterator<Item = usize> + '_ {
-        self.features[..self.len].iter().map(|&feature| usize::from(feature))
-    }
-}
-
-/// Every input of an aligned prediction but the window's rows
-/// (`MlrPredictor::predict_from`), borrowed from the predictor that asks:
-/// two aligned predictors with equal keys make the same selection and
-/// predict the same bits. Floats are compared by their bits, so `0.0` and
-/// `-0.0` are different keys.
-pub(crate) struct PredictionKey<'a> {
-    /// What tells the keys of one bin apart, and the table's index: the
-    /// history's length and its newest responses.
-    fingerprint: u64,
-    history: &'a History,
-    fcbf: &'a FcbfConfig,
-    /// The selection the bin regresses on without reselecting; `None` when
-    /// it reselects.
-    carried: Option<Selection>,
-    probe: &'a FeatureVector,
-}
-
-impl<'a> PredictionKey<'a> {
-    /// The key of a prediction over `history` with FCBF configured as
-    /// `fcbf`, reselecting unless a selection is `carried`, probed at
-    /// `probe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `history` is longer than a window — no such history is
-    /// aligned — or if `carried` is not a selection ([`Selection::of`]).
-    pub(crate) fn new(
-        history: &'a History,
-        fcbf: &'a FcbfConfig,
-        carried: Option<&[usize]>,
-        probe: &'a FeatureVector,
-    ) -> Self {
-        assert!(history.len() <= FeatureWindow::ROWS, "an aligned history fits in the window");
-        // The length and the newest responses: tenants that meter other
-        // cycles differ there in every bin, and keys that agree there but
-        // not further back share a fingerprint and are told apart by the
-        // comparison. The table's hasher mixes it.
-        const NEWEST: usize = 4;
-        let (front, back) = history.response_slices();
-        let mut fingerprint = history.len() as u64;
-        for response in front.iter().chain(back).rev().take(NEWEST) {
-            fingerprint = fingerprint.rotate_left(17) ^ response.to_bits();
-        }
-        Self { fingerprint, history, fcbf, carried: carried.map(Selection::of), probe }
-    }
-
-    /// Whether `filed` was filed under this key, compared field by field and
-    /// float by float on the bits.
-    fn matches(&self, filed: &Filed) -> bool {
-        let (front, back) = self.history.response_slices();
-        let bits_equal =
-            |bits: &[u64], values: &[f64]| bits.iter().zip(values).all(|(b, v)| *b == v.to_bits());
-        filed.len == self.history.len()
-            && filed.threshold == self.fcbf.threshold.to_bits()
-            && filed.max_features == self.fcbf.max_features
-            && filed.carried == self.carried
-            && bits_equal(&filed.responses[..front.len()], front)
-            && bits_equal(&filed.responses[front.len()..filed.len], back)
-            && bits_equal(&filed.probe, self.probe.as_array())
-    }
-}
-
-/// One aligned prediction of the current rows: the key it was made for,
-/// written out by bits, and what the tenants with that key copy — the
-/// selection after the packets fallback and the predicted cycles.
-#[derive(Debug)]
-struct Filed {
-    /// The entry filed before this one under the same fingerprint, if any.
-    previous: Option<usize>,
-    len: usize,
-    /// The responses, oldest first; only `..len` are this key's.
-    responses: [u64; FeatureWindow::ROWS],
-    threshold: u64,
-    max_features: usize,
-    carried: Option<Selection>,
-    probe: [u64; FEATURE_COUNT],
-    selection: Selection,
-    prediction: f64,
-}
-
-/// The aligned predictions made from the current rows, by key. An entry is
-/// written in place into a buffer earlier pushes left, so the table
-/// allocates only when a push is asked for more distinct keys than any push
-/// before it, and filing copies a key once.
-#[derive(Debug, Default)]
-struct Predictions {
-    /// `..len` are this push's entries, in filing order; the rest are the
-    /// buffers of earlier pushes.
-    filed: Vec<Filed>,
-    len: usize,
-    /// Per fingerprint, the newest entry filed under it.
-    newest: DetHashMap<u64, usize>,
-}
-
-impl Predictions {
-    fn find(&self, key: &PredictionKey) -> Option<&Filed> {
-        let mut at = self.newest.get(&key.fingerprint).copied();
-        while let Some(index) = at {
-            let filed = &self.filed[index];
-            if key.matches(filed) {
-                return Some(filed);
-            }
-            at = filed.previous;
-        }
-        None
-    }
-
-    fn file(&mut self, key: &PredictionKey, selected: &[usize], prediction: f64) {
-        // A task that missed on the same key may have filed it first, with
-        // the same bits: the first stays.
-        if self.find(key).is_some() {
-            return;
-        }
-        if self.len == self.filed.len() {
-            let blank = Selection::of(&[]);
-            self.filed.push(Filed {
-                previous: None,
-                len: 0,
-                responses: [0; FeatureWindow::ROWS],
-                threshold: 0,
-                max_features: 0,
-                carried: None,
-                probe: [0; FEATURE_COUNT],
-                selection: blank,
-                prediction: 0.0,
-            });
-        }
-        let previous = self.newest.insert(key.fingerprint, self.len);
-        let filed = &mut self.filed[self.len];
-        let (front, back) = key.history.response_slices();
-        let (to_front, to_back) = filed.responses.split_at_mut(front.len());
-        for (bits, response) in to_front.iter_mut().zip(front) {
-            *bits = response.to_bits();
-        }
-        for (bits, response) in to_back.iter_mut().zip(back) {
-            *bits = response.to_bits();
-        }
-        for (bits, value) in filed.probe.iter_mut().zip(key.probe.as_array()) {
-            *bits = value.to_bits();
-        }
-        filed.previous = previous;
-        filed.len = key.history.len();
-        filed.threshold = key.fcbf.threshold.to_bits();
-        filed.max_features = key.fcbf.max_features;
-        filed.carried = key.carried;
-        filed.selection = Selection::of(selected);
-        filed.prediction = prediction;
-        self.len += 1;
-    }
-
-    /// Forgets every entry, keeping the buffers.
-    fn forget(&mut self) {
-        self.len = 0;
-        self.newest.clear();
     }
 }
 
@@ -395,7 +224,6 @@ impl FeatureWindow {
                 moments: OnceLock::new(),
                 with_feature: std::array::from_fn(|_| OnceLock::new()),
                 fits: FitSlot::default(),
-                predictions: Mutex::default(),
             }),
         }
     }
@@ -413,7 +241,7 @@ impl FeatureWindow {
     /// Appends the bin's full-batch feature vector, sanitised as
     /// [`History::push`](crate::History::push) sanitises, evicting the
     /// oldest row if full, and forgets everything computed for the previous
-    /// rows (recycling the factorisations' and predictions' buffers).
+    /// rows (recycling the factorisations' buffers).
     pub fn push(&mut self, features: &FeatureVector) {
         self.rows.push(&clamp_features(features));
         self.newest += 1;
@@ -422,7 +250,6 @@ impl FeatureWindow {
             *slot = OnceLock::new();
         }
         self.cache.fits.forget();
-        self.cache.predictions.get_mut().unwrap_or_else(PoisonError::into_inner).forget();
     }
 
     /// How many design matrices were decomposed for the current rows: one
@@ -431,39 +258,6 @@ impl FeatureWindow {
     #[doc(hidden)]
     pub fn decompositions(&self) -> usize {
         self.cache.fits.decompositions()
-    }
-
-    /// How many aligned predictions were computed in full from the current
-    /// rows: one per distinct [`PredictionKey`] asked for (two tasks that
-    /// raced on one key count once). Exposed for the sharing tests and the
-    /// pipeline bench only.
-    #[doc(hidden)]
-    pub fn predictions(&self) -> usize {
-        self.table().len
-    }
-
-    /// The prediction table, locked. Whatever a panic could leave it holding
-    /// answers a probe with a prediction made for that key or with nothing,
-    /// so poisoning is ignored.
-    fn table(&self) -> MutexGuard<'_, Predictions> {
-        self.cache.predictions.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The prediction an aligned predictor made from these rows for `key`
-    /// since the last push, if one did, with its selection written into
-    /// `selected`.
-    pub(crate) fn recall(&self, key: &PredictionKey, selected: &mut Vec<usize>) -> Option<f64> {
-        let table = self.table();
-        let filed = table.find(key)?;
-        selected.clear();
-        selected.extend(filed.selection.features());
-        Some(filed.prediction)
-    }
-
-    /// Files the prediction an aligned predictor just computed for `key`,
-    /// and the selection it regressed on, for the tenants that ask next.
-    pub(crate) fn remember(&self, key: &PredictionKey, selected: &[usize], prediction: f64) {
-        self.table().file(key, selected, prediction);
     }
 
     /// The newest row, as sanitised by [`FeatureWindow::push`].
@@ -585,59 +379,11 @@ mod tests {
         assert_eq!(window.decompositions(), 1);
     }
 
-    #[test]
-    fn one_prediction_per_key_and_push() {
-        let mut window = FeatureWindow::new();
-        let fcbf = FcbfConfig::default();
-        let probe = row(3.0);
-        // Forty responses, so the index grows past its first sizes, and a
-        // key differing from another only in the sign of a zero.
-        let histories: Vec<History> = (0..40)
-            .map(|tenant| {
-                let mut history = History::new(FeatureWindow::ROWS);
-                for bin in 0..5 {
-                    history.push(row(f64::from(bin)), f64::from(tenant * bin));
-                }
-                history
-            })
-            .collect();
-        let keys: Vec<PredictionKey> = histories
-            .iter()
-            .map(|history| PredictionKey::new(history, &fcbf, None, &probe))
-            .collect();
-        // Keys that share a history, so a fingerprint, with another: the
-        // table must tell them apart by the rest of the key.
-        let (negative, positive) =
-            (FcbfConfig { threshold: -0.0, ..fcbf }, FcbfConfig { threshold: 0.0, ..fcbf });
-        let other_probe = row(4.0);
-        let twins = [
-            PredictionKey::new(&histories[0], &fcbf, Some(&[1, 0]), &probe),
-            PredictionKey::new(&histories[1], &negative, None, &probe),
-            PredictionKey::new(&histories[1], &positive, None, &probe),
-            PredictionKey::new(&histories[2], &fcbf, None, &other_probe),
-        ];
-        for push in 0..2 {
-            let mut selected = Vec::new();
-            for (tenant, key) in keys.iter().chain(&twins).enumerate() {
-                assert_eq!(window.recall(key, &mut selected), None, "push {push} tenant {tenant}");
-                window.remember(key, &[tenant % FEATURE_COUNT, 41], tenant as f64);
-                // A second task that raced on the key inserts nothing.
-                window.remember(key, &[0], -1.0);
-            }
-            assert_eq!(window.predictions(), keys.len() + twins.len());
-            for (tenant, key) in keys.iter().chain(&twins).enumerate() {
-                assert_eq!(window.recall(key, &mut selected), Some(tenant as f64));
-                assert_eq!(selected, [tenant % FEATURE_COUNT, 41]);
-            }
-            window.push(&row(9.0));
-            assert_eq!(window.predictions(), 0, "a push forgets every prediction");
-        }
-    }
-
     /// Eight identical tenants predicting at once against one window race
-    /// on one key every bin: whichever computes it first files it, and each
-    /// of them — computing or copying — matches a stand-alone twin bit for
-    /// bit, selection and modelled cost included.
+    /// for its moments and for one factorisation every bin: whichever fills
+    /// a slot first stores it, and each of them — filling or reading —
+    /// matches a stand-alone twin bit for bit, selection and modelled cost
+    /// included.
     #[test]
     fn racing_identical_predictors_match_a_stand_alone_twin() {
         use crate::predictor::{MlrPredictor, Predictor};
@@ -677,7 +423,7 @@ mod tests {
                 assert_eq!(tenant.last_cost_operations(), twin.last_cost_operations(), "bin {bin}");
             }
             let regressed = twin.history().len() >= 3;
-            assert_eq!(window.predictions(), usize::from(regressed), "bin {bin}: one key");
+            assert_eq!(window.decompositions(), usize::from(regressed), "bin {bin}: one fit");
 
             // The cost follows the packets, then from bin 60 the bytes.
             let driver = if bin < 60 { features.packets() * 900.0 } else { features.bytes() * 2.0 };

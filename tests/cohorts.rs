@@ -1,12 +1,16 @@
 //! Cohorts change nothing. Queries registered from specs that are equal but
 //! for the label share one set of lane instances until the plan gives them
-//! different deliveries (DESIGN.md, "Cohorts"). The oracle needs no knob: an
-//! engine whose queries were registered as bare instances of the same specs,
-//! under the same labels and minimum rates, has no specs to compare, so no
-//! cohort forms in it — and it must emit the same three digest streams, bit
-//! for bit, at any worker count.
+//! different deliveries, and those that joined a fresh cohort together follow
+//! its first member's predictor until the plan gives them different inputs
+//! (DESIGN.md, "Cohorts"). The oracle needs no knob: an engine whose queries
+//! were registered as bare instances of the same specs, under the same labels
+//! and minimum rates, has no specs to compare, so no cohort forms in it and
+//! nobody follows — and it must emit the same three digest streams, bit for
+//! bit, at any worker count.
 
+use netshed::features::FeatureVector;
 use netshed::monitor::{flow_sample_with, packet_sample_with};
+use netshed::predict::MlrPredictor;
 use netshed::prelude::*;
 use netshed::queries::{build_query_from_spec, CycleMeter, Query};
 use netshed::sketch::{H3Hasher, StateReader, StateWriter};
@@ -36,14 +40,28 @@ fn register(engine: &mut Monitor, spec: &QuerySpec, bare: bool) -> QueryId {
     registered.expect("valid spec")
 }
 
-/// Runs `script` over `batches` and returns the digest and each bin's
-/// [`Monitor::query_runs`].
+/// What a bin shared: its [`Monitor::query_runs`] and its
+/// [`Monitor::predictions`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Shared {
+    runs: usize,
+    predictions: usize,
+}
+
+impl Shared {
+    fn of(engine: &Monitor) -> Self {
+        Self { runs: engine.query_runs(), predictions: engine.predictions() }
+    }
+}
+
+/// Runs `script` over `batches` and returns the digest and what each bin
+/// shared.
 fn run(
     config: &MonitorConfig,
     script: &Script,
     batches: &[Batch],
     bare: bool,
-) -> (RunDigest, Vec<usize>) {
+) -> (RunDigest, Vec<Shared>) {
     let mut engine = Monitor::new(config.clone());
     let ids: Vec<QueryId> =
         script.tenants.iter().map(|spec| register(&mut engine, spec, bare)).collect();
@@ -56,28 +74,36 @@ fn run(
             engine.deregister(ids[*index]).expect("registered");
         }
         engine.ingest(batch, &mut digest).expect("bin");
-        runs.push(engine.query_runs());
+        runs.push(Shared::of(&engine));
     }
     digest.on_interval(&engine.finish_interval());
     (digest.digest(), runs)
 }
 
 /// The spec'd engine at workers {1, 2, 4} against the bare oracle; returns
-/// the spec'd engine's runs a bin.
+/// what each bin of the spec'd engine shared, the same at every worker count.
 fn assert_cohorts_change_nothing(
     config: &MonitorConfig,
     script: &Script,
     batches: &[Batch],
-) -> Vec<usize> {
+) -> Vec<Shared> {
     let (oracle, alone) = run(config, script, batches, true);
-    let mut runs = Vec::new();
+    let mut shared = None;
     for workers in [1, 2, 4] {
         let (digest, ran) = run(&config.clone().with_workers(workers), script, batches, false);
         assert_eq!(digest, oracle, "workers {workers}");
-        assert!(ran.iter().zip(&alone).all(|(cohorts, queries)| cohorts <= queries));
-        runs = ran;
+        assert!(ran.iter().zip(&alone).all(|(cohorts, queries)| {
+            cohorts.runs <= queries.runs && cohorts.predictions <= queries.predictions
+        }));
+        assert!(shared.as_ref().is_none_or(|shared| *shared == ran), "workers {workers}");
+        shared = Some(ran);
     }
-    runs
+    shared.expect("three worker counts")
+}
+
+/// Every bin's query runs and predictions, one vector each.
+fn counts(shared: &[Shared]) -> (Vec<usize>, Vec<usize>) {
+    shared.iter().map(|bin| (bin.runs, bin.predictions)).unzip()
 }
 
 fn tenants(kinds: &[QueryKind], count: usize) -> Vec<QuerySpec> {
@@ -113,29 +139,131 @@ fn traffic(seed: u64, bins: usize, payloads: bool) -> Vec<Batch> {
 }
 
 /// The 25-tenant unshed run of `tests/engine.rs`: five cohorts of five run
-/// five times a bin, and a same-spec tenant registered after bin 40 — whose
-/// instances would have to have seen the 40 bins it missed — runs alone.
+/// five times a bin and make five predictions, and a same-spec tenant
+/// registered after bin 40 — whose instances and predictor would have to
+/// have seen the 40 bins it missed — runs and predicts alone.
 #[test]
 fn an_unshed_tenant_run_runs_one_instance_set_per_kind() {
-    let script = Script {
+    let (runs, predictions) = counts(&assert_cohorts_change_nothing(
+        &unshed(),
+        &late_tenant_script(),
+        &traffic(29, 80, false),
+    ));
+    for counts in [&runs, &predictions] {
+        assert!(counts[..40].iter().all(|&count| count == 5), "{counts:?}");
+        assert!(counts[40..].iter().all(|&count| count == 6), "{counts:?}");
+    }
+}
+
+fn late_tenant_script() -> Script {
+    Script {
         tenants: tenants(&FIVE, 25),
         late: vec![(40, QuerySpec::new(QueryKind::Counter).with_label("tenant-25"))],
         leave: Vec::new(),
-    };
-    let runs = assert_cohorts_change_nothing(&unshed(), &script, &traffic(29, 80, false));
+    }
+}
+
+/// The engine's MLR predictor without its checkpoint, which the trait's
+/// default declines.
+struct Uncopyable(MlrPredictor);
+
+impl Predictor for Uncopyable {
+    fn predict(&mut self, features: &FeatureVector) -> f64 {
+        self.0.predict(features)
+    }
+
+    fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
+        self.0.observe(features, actual_cycles);
+    }
+
+    fn observe_corrupted(&mut self, features: &FeatureVector, predicted_cycles: f64) {
+        self.0.observe_corrupted(features, predicted_cycles);
+    }
+
+    fn name(&self) -> &'static str {
+        "uncopyable-mlr"
+    }
+
+    fn last_cost_operations(&self) -> u64 {
+        self.0.last_cost_operations()
+    }
+}
+
+/// A follower that detaches needs a copy of its leader's predictor, so a
+/// tenant whose predictor cannot be checkpointed never follows: the same run
+/// shares its instances as before, and every tenant predicts for itself.
+#[test]
+fn tenants_whose_predictor_declines_its_checkpoint_never_follow() {
+    let config = unshed().with_predictor(PredictorSpec::new(|| {
+        Box::new(Uncopyable(MlrPredictor::with_defaults())) as Box<dyn Predictor>
+    }));
+    let (runs, predictions) = counts(&assert_cohorts_change_nothing(
+        &config,
+        &late_tenant_script(),
+        &traffic(29, 50, false),
+    ));
     assert!(runs[..40].iter().all(|&runs| runs == 5), "{runs:?}");
-    assert!(runs[40..].iter().all(|&runs| runs == 6), "{runs:?}");
+    assert!(predictions[..40].iter().all(|&count| count == 25), "{predictions:?}");
+    assert!(predictions[40..].iter().all(|&count| count == 26), "{predictions:?}");
+}
+
+/// A checkpoint cut mid-interval restores the cohorts and the followers
+/// (DESIGN.md, "Cohorts"): every bin after the restore runs and predicts as
+/// often as in the uninterrupted run, the restored engine writes the bytes it
+/// read, and the run ends on the uninterrupted digest.
+#[test]
+fn a_mid_interval_restore_re_forms_the_followers() {
+    let config = unshed();
+    let script = late_tenant_script();
+    let batches = traffic(47, 60, false);
+    let (digest, uninterrupted) = run(&config, &script, &batches, false);
+
+    // Mid-interval, with five cohorts of followers; the late tenant
+    // registers on the restored engine.
+    const CUT: usize = 23;
+    let (mut observer, mut shared) = (DigestObserver::new(), Vec::new());
+    let mut engine = Monitor::new(config.clone());
+    for spec in &script.tenants {
+        register(&mut engine, spec, false);
+    }
+    for batch in &batches[..CUT] {
+        engine.ingest(batch, &mut observer).expect("bin");
+        shared.push(Shared::of(&engine));
+    }
+    let mut writer = StateWriter::new();
+    engine.save_state(&mut writer).expect("save");
+    observer.save_state(&mut writer);
+    let bytes = writer.into_bytes();
+    drop(engine);
+
+    let mut restored = Monitor::new(config);
+    let mut reader = StateReader::new(&bytes);
+    restored.load_state(&mut reader).expect("load");
+    let mut observer = DigestObserver::new();
+    observer.load_state(&mut reader).expect("digest state");
+    reader.finish().expect("no trailing bytes");
+    let mut resaved = StateWriter::new();
+    restored.save_state(&mut resaved).expect("save");
+    observer.save_state(&mut resaved);
+    assert!(resaved.into_bytes() == bytes, "the restored engine writes the bytes it read");
+
+    for (bin, batch) in batches.iter().enumerate().skip(CUT) {
+        for (_, spec) in script.late.iter().filter(|(at, _)| *at == bin) {
+            register(&mut restored, spec, false);
+        }
+        restored.ingest(batch, &mut observer).expect("bin");
+        shared.push(Shared::of(&restored));
+    }
+    observer.on_interval(&restored.finish_interval());
+    assert_eq!(shared, uninterrupted);
+    assert_eq!(observer.digest(), digest);
 }
 
 /// Four tenants of each of the ten kinds, the `p2p-detector`s under custom
-/// shedding, with noise on and a CPU-fair capacity that sheds some bins and
-/// not others: packet- and flow-sampled twins detach the first time they are
-/// sampled, custom twins the first time the plan gives them different rates
-/// (their noisy predictions make their fair rates differ) — partway
-/// through the run's first interval — and every tenant keeps reporting what
-/// instances of its own would have.
-#[test]
-fn twins_that_the_plan_tells_apart_detach_and_change_nothing() {
+/// shedding, and a CPU-fair capacity — nine tenths of the mean unshed
+/// demand — that sheds some bins and not others, with the default
+/// measurement noise or without it.
+fn shed_twins(noise: bool) -> (MonitorConfig, Script, Vec<Batch>) {
     let specs: Vec<QuerySpec> = tenants(&QueryKind::ALL, 40)
         .into_iter()
         .map(|spec| match spec.kind {
@@ -159,6 +287,7 @@ fn twins_that_the_plan_tells_apart_detach_and_change_nothing() {
         .with_capacity(0.9 * demand / batches.len() as f64)
         .with_seed(CORPUS_SEED)
         .with_strategy(Strategy::Predictive(AllocationPolicy::MmfsCpu));
+    let config = if noise { config } else { config.without_noise() };
 
     let mut engine = Monitor::new(config.clone());
     for spec in &script.tenants {
@@ -174,14 +303,42 @@ fn twins_that_the_plan_tells_apart_detach_and_change_nothing() {
         }
     }
     assert!(shed > 5 && unshed_bins > 5, "{shed} shed bins, {unshed_bins} unshed");
-
-    let runs = assert_cohorts_change_nothing(&config, &script, &batches);
-    assert_eq!(runs[0], 10, "one instance set per kind until the plan tells twins apart");
-    assert!(runs[..10].iter().any(|&runs| runs > 10 && runs < 40), "{runs:?}");
+    (config, script, batches)
 }
 
-/// A cohort's first-registered member leaves mid-interval: the cohort's
-/// other members carry on with the instances, and plan under the next one.
+/// The shed run with noise on: packet- and flow-sampled twins detach the
+/// first time they are sampled, custom twins the first time the plan gives
+/// them different rates (their noisy predictions make their fair rates
+/// differ) — partway through the run's first interval — and every tenant
+/// keeps reporting what instances of its own would have.
+#[test]
+fn twins_that_the_plan_tells_apart_detach_and_change_nothing() {
+    let (config, script, batches) = shed_twins(true);
+    let (runs, predictions) = counts(&assert_cohorts_change_nothing(&config, &script, &batches));
+    assert_eq!(runs[0], 10, "one instance set per kind until the plan tells twins apart");
+    assert!(runs[..10].iter().any(|&runs| runs > 10 && runs < 40), "{runs:?}");
+    // Every tenant draws its own noise, so every follower detaches at its
+    // first run, before its first observation.
+    assert_eq!(predictions[0], 10, "one prediction per kind before the first run");
+    assert!(predictions[1..].iter().all(|&count| count == 40), "{predictions:?}");
+}
+
+/// The shed run without noise: followers detach from their leaders' predictors
+/// only when the plan tells them apart — a sample of their own, or another
+/// rate — and until then make one prediction for all.
+#[test]
+fn followers_detach_when_the_plan_tells_them_apart_and_change_nothing() {
+    let (config, script, batches) = shed_twins(false);
+    let (_, predictions) = counts(&assert_cohorts_change_nothing(&config, &script, &batches));
+    assert_eq!(predictions[0], 10, "one prediction per kind before the first run");
+    assert!(predictions.iter().any(|&count| count > 10 && count < 40), "{predictions:?}");
+    assert!(predictions.windows(2).all(|pair| pair[0] <= pair[1]), "nobody re-follows");
+}
+
+/// A cohort's first-registered member, its leader, leaves mid-interval: the
+/// cohort's other members carry on with the instances, plan under the next
+/// one, and follow the leader's predictor, which passes to the first of
+/// them — tenant 5, which leaves in turn.
 #[test]
 fn deregistering_a_cohorts_first_member_changes_nothing() {
     let script = Script {
@@ -189,8 +346,10 @@ fn deregistering_a_cohorts_first_member_changes_nothing() {
         late: Vec::new(),
         leave: vec![(25, 0), (25, 1), (33, 5)],
     };
-    let runs = assert_cohorts_change_nothing(&unshed(), &script, &traffic(37, 50, false));
+    let (runs, predictions) =
+        counts(&assert_cohorts_change_nothing(&unshed(), &script, &traffic(37, 50, false)));
     assert!(runs.iter().all(|&runs| runs == 5), "{runs:?}");
+    assert!(predictions.iter().all(|&count| count == 5), "{predictions:?}");
 }
 
 /// What detaching rests on: a mid-interval `save_state` → `load_state` copy

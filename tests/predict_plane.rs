@@ -12,7 +12,7 @@
 //! and checks that a crafted snapshot cannot smuggle a value into the history
 //! that `push` would have clamped. Last, predictors reading an engine's
 //! shared `FeatureWindow` are held, by bits, to stand-alone twins that never
-//! saw one, and the window to one full prediction per distinct input.
+//! saw one, and the window to one factorisation per distinct selection.
 
 mod oracle;
 
@@ -31,7 +31,7 @@ use netshed::trace::{KeepListPool, TraceConfig, TraceGenerator};
 use oracle::{fcbf as oracle_fcbf, pearson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A least-squares fit on a workspace nothing else has used.
 fn fresh_fit(x: &Matrix, y: &[f64], rcond: f64) -> (OlsWorkspace, usize) {
@@ -720,13 +720,6 @@ impl Build {
             Build::Robust(config) => Box::new(RobustMlrPredictor::new(config)),
         }
     }
-
-    fn mlr(self) -> MlrConfig {
-        match self {
-            Build::Plain(config) => config,
-            Build::Robust(config) => config.mlr,
-        }
-    }
 }
 
 /// A predictor driven against the shared window, and its twin driven through
@@ -746,8 +739,6 @@ struct Pair {
     /// The pair earlier in the list whose action this one takes every bin,
     /// so that equal costs make equal response histories.
     follows: Option<usize>,
-    /// In this bin the cost is one ulp above the model's (never, for most).
-    ulp_at: usize,
 }
 
 impl Pair {
@@ -756,8 +747,6 @@ impl Pair {
             + self.terms.iter().map(|&(feature, per)| per * row.get_index(feature)).sum::<f64>();
         if bin >= self.surge_from {
             9.0 * calm
-        } else if bin == self.ulp_at {
-            f64::from_bits(calm.to_bits() + 1)
         } else {
             calm
         }
@@ -766,39 +755,6 @@ impl Pair {
     fn following(self, leader: usize) -> Self {
         Self { follows: Some(leader), ..self }
     }
-
-    /// Everything the shared predictor's next prediction depends on beside
-    /// the window's rows, as the window keys it: the responses, the FCBF
-    /// configuration, the selection carried when the prediction will not
-    /// reselect (read from the predictor's checkpoint: its history, its
-    /// selection, the bins since that was made) and the probe's bits.
-    fn key(&self, probe: &FeatureVector) -> PredictionKey {
-        let config = self.build.mlr();
-        let bytes = state_bytes(self.shared.as_ref());
-        let mut reader = StateReader::new(&bytes);
-        History::new(config.history).load_state(&mut reader).expect("history");
-        let selected: Vec<usize> =
-            (0..reader.usize().expect("length")).map(|_| reader.usize().expect("index")).collect();
-        let since = reader.usize().expect("bins since selection");
-        let reselects = selected.is_empty() || since >= config.reselect_every;
-        PredictionKey {
-            responses: bits(&self.shared.history().responses()),
-            threshold: config.fcbf.threshold.to_bits(),
-            max_features: config.fcbf.max_features,
-            carried: (!reselects).then_some(selected),
-            probe: bits(probe.as_array()),
-        }
-    }
-}
-
-/// What the window files an aligned prediction under, restated from outside.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct PredictionKey {
-    responses: Vec<u64>,
-    threshold: u64,
-    max_features: usize,
-    carried: Option<Vec<usize>>,
-    probe: Vec<u64>,
 }
 
 /// What happens to a pair in one bin.
@@ -892,7 +848,6 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         Build::Plain(MlrConfig { fcbf, reselect_every, ..MlrConfig::default() })
     };
     let loose = with_fcbf(0.2, 1);
-    let strict = with_fcbf(0.8, 1);
     // Selects both synthetic features while they are independent, in the
     // order of their weights.
     let paired = with_fcbf(0.45, 1);
@@ -910,9 +865,7 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         terms,
         surge_from,
         follows: None,
-        ulp_at: NEVER,
     };
-    const ULP_AT: usize = 150;
     let mut pairs = [
         // Three tenants driven by the packet count alone: one selection,
         // three responses.
@@ -929,17 +882,9 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         // The same two features, selected in opposite orders.
         pair("a-then-b", 0, paired, &[(A, 1000.0), (B, 600.0)], NEVER),
         pair("b-then-a", 0, paired, &[(B, 1000.0), (A, 600.0)], NEVER),
-        // The responses of `a-then-b`, but a selection carried between
-        // reselections: another key on every bin it does not reselect.
+        // The responses and actions of `a-then-b`, but a selection carried
+        // between reselections.
         pair("pinned", 0, pinned, &[(A, 1000.0), (B, 600.0)], NEVER).following(10),
-        // The costs and actions of `packets`: the same key, one prediction.
-        pair("packets-again", 0, plain, &[(0, 300.0)], NEVER).following(0),
-        // The same, one ulp dearer in one bin: another key until that
-        // response is evicted.
-        Pair { ulp_at: ULP_AT, ..pair("packets-ulp", 0, plain, &[(0, 300.0)], NEVER) }.following(0),
-        // The same under a stricter FCBF threshold: equal responses, another
-        // key.
-        pair("packets-strict", 0, strict, &[(0, 300.0)], NEVER).following(0),
     ];
 
     let mut window = FeatureWindow::new();
@@ -953,15 +898,11 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
     // than one tenant and one read reversed by another.
     let mut shared_lengths = BTreeSet::new();
     let (mut copied, mut constant, mut shared_by_many, mut reversed) = (false, false, false, false);
-    // And which cases of the prediction key the shared predictions met.
-    let mut cases = BTreeSet::new();
     for (bin, (full, sampled)) in rows.iter().enumerate() {
         // Predict phase, against the window of the bins before this one.
         let mut planned: Vec<Option<(Action, f64)>> = Vec::new();
         let mut actions = Vec::new();
         let mut selections: Vec<Vec<usize>> = Vec::new();
-        // The key of every prediction an aligned tenant made, by tenant.
-        let mut keys = BTreeMap::new();
         for pair in &mut pairs {
             if bin < pair.from_bin {
                 planned.push(None);
@@ -986,7 +927,6 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
                 planned.push(Some((action, 0.0)));
                 continue;
             }
-            let key = (aligned && regresses).then(|| pair.key(full));
             let got = pair.shared.predict_shared(&window, full);
             let want = pair.twin.predict(full);
             assert_eq!(got.to_bits(), want.to_bits(), "{context}: {got} vs {want}");
@@ -996,14 +936,13 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
                 pair.twin.last_cost_operations(),
                 "{context}"
             );
-            if let Some(key) = key {
+            if aligned && regresses {
                 let selected = pair.shared.selected_features();
                 let column = |feature: usize| pair.shared.history().feature_column(feature);
                 copied |= selected.contains(&A) && selected.contains(&B) && column(A) == column(B);
                 constant |= selected.contains(&A) && column(A).iter().all(|&value| value == 7.0);
                 shared_lengths.insert(window.len());
                 selections.push(selected);
-                keys.insert(pair.name, key);
             }
             planned.push(Some((action, got)));
         }
@@ -1017,45 +956,6 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
             let reverse: Vec<usize> = selected.iter().rev().copied().collect();
             selected.len() > 1 && distinct.contains(&reverse)
         });
-
-        // One prediction computed in full per distinct key, however many
-        // aligned tenants asked for it. The same costs and actions make one
-        // key; a single ulp, another threshold or a carried selection part
-        // two.
-        let distinct: BTreeSet<&PredictionKey> = keys.values().collect();
-        assert_eq!(window.predictions(), distinct.len(), "bin {bin}: {:?}", keys.keys());
-        if distinct.len() < keys.len() {
-            cases.insert("recalled");
-        }
-        let both = |a: &str, b: &str| keys.get(a).zip(keys.get(b));
-        if let Some((packets, again)) = both("packets", "packets-again") {
-            assert_eq!(packets, again, "bin {bin}: the same inputs, the same key");
-        }
-        if let Some((packets, ulp)) = both("packets", "packets-ulp") {
-            if packets == ulp {
-                cases.insert("one key for equal responses");
-            } else if packets.responses.iter().zip(&ulp.responses).all(|(a, b)| a.abs_diff(*b) <= 1)
-            {
-                cases.insert("one ulp apart");
-            }
-        }
-        if let Some((packets, strict)) = both("packets", "packets-strict") {
-            if packets.responses == strict.responses {
-                assert_ne!(packets, strict, "bin {bin}: another threshold, another key");
-                cases.insert("another threshold");
-            }
-        }
-        if let Some((reselecting, pinned)) = both("a-then-b", "pinned") {
-            if reselecting.responses == pinned.responses {
-                let carries = pinned.carried.is_some();
-                assert_eq!(reselecting != pinned, carries, "bin {bin}: a carried selection");
-                cases.insert(if carries {
-                    "a carried selection"
-                } else {
-                    "one key on reselecting"
-                });
-            }
-        }
 
         window.push(full);
 
@@ -1125,19 +1025,4 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
     assert!(reversed, "some selection must be read in both orders in one bin");
     assert!(copied, "a cached selection must regress on a copied column");
     assert!(constant, "a cached selection must regress on a zero-variance column");
-    // And the shared predictions met every case of the key: a recall, equal
-    // and one-ulp-apart responses, another threshold, and a selection carried
-    // and not.
-    assert_eq!(
-        cases,
-        BTreeSet::from([
-            "recalled",
-            "one key for equal responses",
-            "one ulp apart",
-            "another threshold",
-            "a carried selection",
-            "one key on reselecting",
-        ]),
-        "prediction key cases"
-    );
 }
