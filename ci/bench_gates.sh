@@ -126,6 +126,17 @@ awk -F': *' '/"tenants_200"/ { t = 1 } t && /"full_predictions_per_bin"/ { if ($
 require '"query_runs_per_bin"' "lost the 200-tenant query_runs_per_bin"
 awk -F': *' '/"query_runs_per_bin"/ { if ($2 + 0 > 10) exit 1 }' "$file" ||
   fail "the 200-tenant bin runs more than 10 sets of query instances"
+# Only owners are dispatched: a follower borrows its head's instances (and,
+# while their runs agree, its predictor) by position and is completed from
+# the head's slot on the caller's thread, so the shape's bin dispatches one
+# predict and one execute task per cohort, ~10 (`tasks_per_bin`, a count,
+# held on every run: more than 20 means followers are dispatched again — it
+# was 400, two per tenant, while a cohort's members met at its lock). Read
+# off the `tenants_200` row: in its noisy twin every follower owns its
+# predictor after its first run, and so has a predict task.
+require '"tasks_per_bin"' "lost the 200-tenant tasks_per_bin"
+awk -F': *' '/"tenants_200"/ { t = 1 } t && /"tasks_per_bin"/ { if ($2 + 0 > 20) exit 1; exit 0 }' "$file" ||
+  fail "the 200-tenant bin dispatches more than 20 tasks"
 # The same shape with the default measurement noise (2 % jitter, 0.5 %
 # outliers), the configuration a monitor runs unless told otherwise: every
 # tenant draws its own noise, so every follower detaches at its first run

@@ -34,7 +34,7 @@
 //!    history aligned with the engine's feature window
 //!    (`aligned_prediction_share`: the ones that read its shared moments and
 //!    factorisations) and the share of its queries' predictions a follower
-//!    copied from its leader (`followed_prediction_share`); and the
+//!    copied from its head (`followed_prediction_share`); and the
 //!    re-extraction walks a bin makes under `mmfs_pkt` and under `eq_srates`
 //!    (`reextraction_walks_per_bin_*`: the packet-sampled queries' samples
 //!    nest, so one walk re-extracts them all; each flow sample is one more).
@@ -51,7 +51,7 @@
 //!    steady-state per-bin cost, with the marginal nanoseconds each
 //!    additional tenant adds per bin — of identical tenants with the default
 //!    measurement noise on. Each tenant draws its own noise, so every
-//!    follower detaches from its leader's predictor at its first run and
+//!    follower detaches from its head's predictor at its first run and
 //!    computes its own predictions; registered together, they still form
 //!    one cohort, one run a bin: the marginal prices a cohort member (its
 //!    own prediction, noise, feedback and record), not a run of its query.
@@ -71,7 +71,9 @@
 //!    where per-query fixed costs make the bin, with how many of its 200
 //!    predictions a bin computed (`full_predictions_per_bin`; the tenants of
 //!    a kind follow one predictor), how many sets of query instances a bin
-//!    ran (`query_runs_per_bin`; the tenants of a kind form one cohort) and
+//!    ran (`query_runs_per_bin`; the tenants of a kind form one cohort), how
+//!    many tasks a bin dispatched (`tasks_per_bin`; only owners are
+//!    dispatched, so one predict and one execute task per cohort) and
 //!    the run digest's nanoseconds over the bins' from the same run
 //!    (`digest_vs_bin`; the digest runs between bins, outside the stages);
 //!    the same shape with the default measurement noise
@@ -829,7 +831,7 @@ impl Predictor for Tallied {
 
 /// How an engine shared its work over a run, per bin: the queries, the
 /// predictions computed (`Monitor::predictions`: one per query that owns
-/// its predictor; a follower copies its leader's), the computed ones that
+/// its predictor; a follower copies its head's), the computed ones that
 /// regressed on a history aligned with the feature window, the sets of lane
 /// instances run (`Monitor::query_runs`; a cohort runs one set for all its
 /// members) and the re-extraction walks made (`Monitor::reextraction_walks`:
@@ -886,7 +888,8 @@ impl Sharing {
 /// its bins went, how many of a bin's 200 predictions were computed (a
 /// tenant that follows another's predictor copies its prediction) and how
 /// many sets of query instances a bin ran (tenants of one kind form one
-/// cohort), counted on a second, untimed run of the same engine.
+/// cohort), counted on a second, untimed run of the same engine, and how many
+/// tasks the timed run dispatched a bin (only owners are dispatched).
 fn bench_tenants(bins: usize) -> (Report, Report) {
     const KINDS: [QueryKind; 5] = [
         QueryKind::Counter,
@@ -927,6 +930,7 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
             .cell("decode_vs_bin", source.share_of(&stages))
             .cell("full_predictions_per_bin", num(sharing.full, 2))
             .cell("query_runs_per_bin", num(sharing.runs, 2))
+            .cell("tasks_per_bin", num(stages.tasks as f64 / stages.bins as f64, 2))
             .report("measured_share", stage_shares(&stages));
         (report, mean_bin_ns(&stages))
     };
@@ -1018,7 +1022,7 @@ fn bench_parallel_scaling(batches: usize) -> (Report, PipelineNumbers) {
 /// additional tenant costs, from the 10→1000 spread — is the number a
 /// capacity planner multiplies. The tenants are identical `counter` queries
 /// under the default configuration, noise on: each draws its own noise, so
-/// every follower detaches from its leader's predictor at its first run and
+/// every follower detaches from its head's predictor at its first run and
 /// every tenant computes its own prediction. All of them, registered at one
 /// bin boundary, share one cohort's instances (one run a bin): the marginal
 /// prices a cohort member with a computed prediction, not a copied one or a

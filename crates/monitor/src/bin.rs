@@ -6,20 +6,23 @@
 //! across bins — and, per query, the query's own [`BinSlot`]. Determinism is
 //! the execution plane's plan → dispatch → merge (DESIGN.md): shed is the
 //! plan (every draw, sequentially, in registration order, on the caller's
-//! thread), predict and execute are the dispatches (one task per query,
-//! touching only that query), account is the merge (every sum folds in
-//! registration order). Execute opens with one sequential step on the
-//! caller's thread: the nested re-extraction of every packet-sampled query.
+//! thread), predict and execute are the dispatches (one task per query that
+//! owns what the stage advances, touching only that query), account is the
+//! merge (every sum folds in registration order). Execute opens with one
+//! sequential step on the caller's thread, the nested re-extraction of every
+//! packet-sampled query, and closes with another, which completes the
+//! followers.
 //!
-//! A cohort's members (`monitor.rs`) share their lane instances: the plan
-//! detaches every member whose delivery differs from the first planned
-//! member's, so the first member task to reach the instances in execute runs
-//! them on inputs equal for all, and the others read the cycles it filed.
-//! A follower shares its leader's predictor the same way: its predict task
-//! does nothing and the registration-order fold copies the leader's
-//! prediction, the plan detaches it onto a copy of that predictor as soon as
-//! its run would differ from the leader's, and until then its execute task
-//! stores no observation — the leader's is the one it would have stored.
+//! A follower (`monitor.rs`) borrows its cohort head's lane instances, and
+//! maybe its predictor, by position; only owners are dispatched. The plan's
+//! last step detaches every follower whose delivery differs from its head's
+//! onto copies, so the head's execute task runs the instances on inputs
+//! equal for both and files their raw cycles in its slot, from which the
+//! sequential step completes the follower — its own noise, its own
+//! observation. A follower of the predictor too is not predicted: the
+//! registration-order fold copies its head's prediction, and it stores no
+//! observation, because the plan detaches it onto a copy of that predictor
+//! as soon as its run would differ from the head's.
 //!
 //! This is the bin of every engine. Everything up to and including shed
 //! works on the global post-drop view whatever the lane count; execute is
@@ -28,7 +31,7 @@
 
 use crate::error::NetshedError;
 use crate::exec::{self, Stage};
-use crate::monitor::{flow_hasher, Cohort, Monitor, Predicts, RegisteredQuery};
+use crate::monitor::{flow_hasher, plan_followers, Monitor, RegisteredQuery};
 use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
 use crate::shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};
@@ -64,8 +67,9 @@ const REACTIVE_MIN_RATE: f64 = 0.05;
 
 /// One bin's plan and results for one query — the per-query hand-off between
 /// the stages: shed fills the plan on the caller's thread, the two dispatches
-/// complete it inside the query's own task, and account reads it back in
-/// registration order.
+/// complete it inside the query's own task (a follower's, from its head's
+/// slot, on the caller's thread), and account reads it back in registration
+/// order.
 #[derive(Default)]
 pub(crate) struct BinSlot {
     /// Predicted full-batch cycles (0 while the query serves a penalty).
@@ -87,14 +91,14 @@ pub(crate) struct BinSlot {
     /// The packet-sampled view's feature vector and operations, from the
     /// nested pass that opens the execute stage.
     reextracted: Option<(FeatureVector, u64)>,
-    // Outputs of the tail, valid when `run` is `Some`.
+    // Outputs of the tail, valid when `run` is `Some`: the lane instances'
+    // raw metered cycles, which a follower copies from its head, and what
+    // the query made of them.
+    cycles: u64,
     measured: f64,
     outlier: bool,
     delivered_packets: u64,
     reextract_ops: u64,
-    /// Whether this query's task ran the lane instances; a cohort's other
-    /// members read the cycles the one that did filed.
-    ran: bool,
 }
 
 impl BinSlot {
@@ -111,16 +115,28 @@ impl BinSlot {
         }
     }
 
-    /// Whether the query's bin was the bin of `other`'s query, bit for bit:
-    /// the plan, the prediction and, when they ran, the measured cycles, the
-    /// outlier verdict and the packets delivered.
-    fn same_bin(&self, other: &BinSlot) -> bool {
+    /// Whether the query's lane instances were fed what `other`'s were: both
+    /// sat the bin out, or both ran at a rate of the same bits on the same
+    /// number of packets.
+    fn delivered_alike(&self, other: &BinSlot) -> bool {
+        match (&self.run, &other.run) {
+            (None, None) => true,
+            (Some((rate, _)), Some((other_rate, _))) => {
+                rate.to_bits() == other_rate.to_bits()
+                    && self.delivered_packets == other.delivered_packets
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether the query ran `other`'s run, bit for bit: the plan and, when
+    /// they ran, the measured cycles and the outlier verdict, which each
+    /// query makes of its raw cycles under its own noise draw.
+    fn ran_alike(&self, other: &BinSlot) -> bool {
         self.planned_alike(other)
-            && self.predicted.to_bits() == other.predicted.to_bits()
             && (self.run.is_none()
                 || (self.measured.to_bits() == other.measured.to_bits()
-                    && self.outlier == other.outlier
-                    && self.delivered_packets == other.delivered_packets))
+                    && self.outlier == other.outlier))
     }
 }
 
@@ -158,48 +174,55 @@ pub(crate) struct Bin {
 }
 
 impl RegisteredQuery {
+    /// What the plan feeds the query's lane instances this bin, as far as a
+    /// cohort can tell: the bits of the rate they run at on the post-drop
+    /// view — 0 when the query sits the bin out — or `None` for a sample of
+    /// its own (packet or flow sampling below rate 1), which no other query
+    /// sees.
+    pub(crate) fn delivery(&self) -> Option<u64> {
+        match self.slot.run {
+            None => Some(0f64.to_bits()),
+            Some((rate, _)) if rate < 1.0 && self.shedding != SheddingMethod::Custom => None,
+            Some((rate, _)) => Some(rate.to_bits()),
+        }
+    }
+
     /// Predict task: the full-batch cost from the shared feature vector,
-    /// against the window of the bins before this one. A penalised query is
-    /// not predicted (and charged nothing for it); a follower's slot is
-    /// filled from its leader's by the fold.
-    fn predict(&mut self, window: &FeatureWindow, features: &FeatureVector) {
-        let Predicts::Own(predictor) = &mut self.predictor else { return };
-        (self.slot.predicted, self.slot.predict_ops) = if self.penalty_remaining > 0 {
-            (0.0, 0)
-        } else {
-            let predicted = predictor.predict_shared(window, features);
-            (predicted, predictor.last_cost_operations())
-        };
+    /// against the window of the bins before this one, and under a policy
+    /// that needs measured cycles the bin's true full-batch cycles, measured
+    /// on the shadow twin fed the unsampled stream. A penalised query is not
+    /// predicted (and charged nothing for it); a follower of its head's
+    /// predictor is not predicted either — the fold copies the head's slot.
+    fn predict(&mut self, window: &FeatureWindow, features: &FeatureVector, post_drop: &BatchView) {
+        if let Some(predictor) = &mut self.predictor {
+            (self.slot.predicted, self.slot.predict_ops) = if self.penalty_remaining > 0 {
+                (0.0, 0)
+            } else {
+                let predicted = predictor.predict_shared(window, features);
+                (predicted, predictor.last_cost_operations())
+            };
+        }
+        if let Some(shadow) = self.shadow.as_mut() {
+            self.slot.shadow_cycles = metered(shadow.as_mut(), post_drop, 1.0) as f64;
+        }
     }
 
-    /// Shadow, the rest of the predict task under a policy that needs
-    /// measured cycles: the bin's true full-batch cycles, measured on the
-    /// twin fed the unsampled stream (the prediction when there is no twin).
-    fn measure_shadow(&mut self, post_drop: &BatchView) {
-        self.slot.shadow_cycles = match self.shadow.as_mut() {
-            Some(shadow) => metered(shadow.as_mut(), post_drop, 1.0) as f64,
-            None => self.slot.predicted,
-        };
-    }
-
-    /// Execute task, the whole tail of one query. Shed and re-extract once
-    /// on the global view; run every lane instance on its share of what was
-    /// delivered — split by the lane of each packet's flow (`lane_of_flow`),
-    /// or, with one lane, the delivered view as it is — summing the
-    /// instances' meters in lane order into the query's one measured cost;
-    /// apply the pre-drawn noise and feed the observation back into the
-    /// prediction history, against `window`, whose newest row is this bin's
-    /// full-batch vector. A query the plan sat out is walked and left
-    /// untouched.
+    /// Execute task of an owner, the whole tail of one query. Shed and
+    /// re-extract once on the global view; run every lane instance on its
+    /// share of what was delivered — split by the lane of each packet's flow
+    /// (`lane_of_flow`), or, with one lane, the delivered view as it is —
+    /// filing the instances' meters, summed in lane order, as the query's raw
+    /// cycles; then [`observe`](Self::observe) them, against `window`, whose
+    /// newest row is this bin's full-batch vector. A query the plan sat out
+    /// is walked and left untouched.
     fn execute(
         &mut self,
         post_drop: &BatchView,
         lane_of_flow: &[u32],
         window: &FeatureWindow,
         scratch: &mut ExtractScratch,
-        stamp: u64,
     ) {
-        let Some((rate, noise)) = self.slot.run else { return };
+        let Some((rate, _)) = self.slot.run else { return };
         // The features recomputed over the sampled stream, so the MLR history
         // stays consistent (Section 4.3): a packet sample's by the nested
         // pass, a flow sample's here — the per-query extractor belongs to
@@ -219,10 +242,21 @@ impl RegisteredQuery {
         };
         self.slot.delivered_packets = delivered.len() as u64;
         self.slot.reextract_ops = reextracted.map_or(0, |(_, ops)| ops);
-        let sampled_features = reextracted.map(|(row, _)| row);
+        let pool = &mut self.shed_pool;
+        self.slot.cycles = meter_lanes(&mut self.lanes, &delivered, rate, lane_of_flow, pool);
+        self.observe(window, reextracted.as_ref().map(|(row, _)| row));
+    }
 
-        let cycles = self.run_lanes(&delivered, rate, lane_of_flow, stamp);
-        let (measured, outlier) = noise.apply(cycles);
+    /// The rest of a running query's tail once its raw cycles are in its
+    /// slot — filed by its own execute task, or copied from its head's by
+    /// the step that completes the followers: apply the pre-drawn noise and
+    /// feed the observation back into the query's own predictor, if it has
+    /// one — a follower of its head's stores nothing, since the head stores
+    /// the observation it would. `sampled_features` is the row re-extracted
+    /// over the query's own sample, if it has one.
+    fn observe(&mut self, window: &FeatureWindow, sampled_features: Option<&FeatureVector>) {
+        let Some((rate, noise)) = self.slot.run else { return };
+        let (measured, outlier) = noise.apply(self.slot.cycles);
         let measured = measured as f64;
 
         // For custom shedding the assigned rate plays the same role as a
@@ -238,42 +272,18 @@ impl RegisteredQuery {
         } else {
             (measured, false)
         };
-        // A follower's observation is its leader's, which the leader stores.
-        if let Predicts::Own(predictor) = &mut self.predictor {
+        if let Some(predictor) = &mut self.predictor {
             match sampled_features {
                 // Nothing was re-extracted (full rate, or custom shedding): the
                 // row to store is the bin's shared vector, taken from the
                 // window.
                 None => predictor.observe_shared(window, cycles, corrupted),
-                Some(row) if corrupted => predictor.observe_corrupted(&row, cycles),
-                Some(row) => predictor.observe(&row, cycles),
+                Some(row) if corrupted => predictor.observe_corrupted(row, cycles),
+                Some(row) => predictor.observe(row, cycles),
             }
         }
         self.slot.measured = measured;
         self.slot.outlier = outlier;
-    }
-
-    /// The cycles the query's lane instances meter on `delivered` at `rate`.
-    /// A query alone runs them without the lock; in a cohort — whose
-    /// members the plan gave this very delivery — the first member to get
-    /// here in bin `stamp` runs them and files the cycles, the others read
-    /// them.
-    fn run_lanes(
-        &mut self,
-        delivered: &BatchView,
-        rate: f64,
-        lane_of_flow: &[u32],
-        stamp: u64,
-    ) -> u64 {
-        let pool = &mut self.shed_pool;
-        if let Some(own) = Cohort::alone(&mut self.cohort) {
-            self.slot.ran = true;
-            return meter_lanes(&mut own.lanes, delivered, rate, lane_of_flow, pool);
-        }
-        let (cycles, ran) =
-            self.cohort.run(stamp, |lanes| meter_lanes(lanes, delivered, rate, lane_of_flow, pool));
-        self.slot.ran = ran;
-        cycles
     }
 }
 
@@ -396,42 +406,44 @@ impl Monitor {
     /// Predict: per-query predictions of the full-batch cost. Every
     /// predictor owns its history and otherwise only reads — the shared
     /// feature vector, and the feature window, whose lazily cached moments
-    /// hold the same value whichever task fills them — so the predictions
-    /// are dispatched, then folded (values and cost) in registration order,
-    /// where a follower takes its leader's, folded before it. The window
-    /// takes this bin's vector only after the predictions: they regress over
-    /// the bins before it.
+    /// hold the same value whichever task fills them — so the queries that
+    /// own one are dispatched, then every query is folded (values and cost)
+    /// in registration order, where a follower of its head's predictor takes
+    /// the head's, folded before it. The window takes this bin's vector only
+    /// after the predictions: they regress over the bins before it.
     ///
-    /// For oracle-style policies the same task also measures its query's
-    /// true full-batch cycles on a shadow twin fed the unsampled stream — an
-    /// idealised upper bound, not charged to the bin; twins are independent
-    /// deterministic state, folded beside the predictions.
+    /// For oracle-style policies the task of every query with a shadow twin,
+    /// followers included, also measures the query's true full-batch cycles
+    /// on the twin, fed the unsampled stream — an idealised upper bound, not
+    /// charged to the bin; twins are independent deterministic state, folded
+    /// beside the predictions (a query without one, a bare instance, is
+    /// folded its prediction).
     fn predict(&mut self, post_drop: &BatchView) {
         let features = self.bin.features;
-        let shadows = self.policy.needs_measured_cycles();
-        self.dispatch(|query, window, _| {
-            query.predict(window, &features);
-            if shadows {
-                query.measure_shadow(post_drop);
-            }
-        });
+        self.dispatch(
+            |query| query.predictor.is_some() || query.shadow.is_some(),
+            |query, window, _| query.predict(window, &features, post_drop),
+        );
         self.window.push(&features);
+        let shadows = self.policy.needs_measured_cycles();
         let (bin, mut predictions) = (&mut self.bin, 0);
         for position in 0..self.queries.len() {
             let (earlier, rest) = self.queries.split_at_mut(position);
             let registered = &mut rest[0];
-            match registered.predictor {
-                Predicts::Follows(leader) => {
-                    let leader = &earlier[leader].slot;
-                    (registered.slot.predicted, registered.slot.predict_ops) =
-                        (leader.predicted, leader.predict_ops);
-                }
-                Predicts::Own(_) => predictions += usize::from(registered.penalty_remaining == 0),
+            if registered.predictor.is_some() {
+                predictions += usize::from(registered.penalty_remaining == 0);
+            } else if let Some(head) = registered.head {
+                let head = &earlier[head].slot;
+                (registered.slot.predicted, registered.slot.predict_ops) =
+                    (head.predicted, head.predict_ops);
             }
-            bin.prediction_cycles += registered.slot.predict_ops * PREDICT_OP_CYCLES;
-            bin.predictions.push(registered.slot.predicted);
+            let slot = &registered.slot;
+            bin.prediction_cycles += slot.predict_ops * PREDICT_OP_CYCLES;
+            bin.predictions.push(slot.predicted);
             if shadows {
-                bin.measured_full.push(registered.slot.shadow_cycles);
+                let measured =
+                    if registered.shadow.is_some() { slot.shadow_cycles } else { slot.predicted };
+                bin.measured_full.push(measured);
             }
         }
         self.predictions = predictions;
@@ -479,29 +491,26 @@ impl Monitor {
     /// Shed — the *plan*: sequentially, in registration order, on the
     /// caller's thread, everything whose stream order matters — penalty
     /// accounting, the flow-hasher refresh, the packet keys, the
-    /// measurement-noise pre-draw, the cohorts' detaching and then the
-    /// followers'. Execute then receives fully determined inputs and only
-    /// writes per-query state (a cohort's instances once, on inputs equal
-    /// for every member; a leader's predictor, with the observation equal
-    /// for every follower), which is why the merged output is bit-identical
-    /// for any worker count.
+    /// measurement-noise pre-draw, and then who keeps following whom
+    /// ([`plan_followers`]). Execute then receives fully determined inputs
+    /// and only writes per-query state (an owner's instances, on inputs
+    /// equal for its followers; a head's predictor, with the observation
+    /// equal for every follower of it), which is why the merged output is
+    /// bit-identical for any worker count.
     fn shed(&mut self, post_drop: &BatchView) {
         // Nothing is fresh once a bin runs.
         self.fresh.clear();
-        self.stamp += 1;
-        let (bin, stamp) = (&mut self.bin, self.stamp);
+        let bin = &mut self.bin;
         let packets = post_drop.len() as u64;
         let queries = self.queries.iter_mut().enumerate();
         for ((position, registered), &rate) in queries.zip(&bin.decision.rates) {
-            (registered.slot.run, registered.slot.ran) = (None, false);
+            registered.slot.run = None;
             if registered.penalty_remaining > 0 {
                 registered.penalty_remaining -= 1;
-                registered.plan_cohort(stamp, Some(0.0));
                 continue;
             }
             if rate <= 0.0 {
                 bin.unsampled_accumulator += packets;
-                registered.plan_cohort(stamp, Some(0.0));
                 continue;
             }
             // A new flow-sampling hash function every interval, so selection
@@ -542,15 +551,8 @@ impl Monitor {
             // configuration-fixed number of samples per running query, so
             // the stream matches the sequential path bit for bit.
             registered.slot.run = Some((rate, self.noise.draw()));
-            // Only a sample of its own makes a running query's view differ
-            // from the post-drop view the other members of its cohort see.
-            let sampled = rate < 1.0 && registered.shedding != SheddingMethod::Custom;
-            registered.plan_cohort(stamp, (!sampled).then_some(rate));
         }
-        for position in 0..self.queries.len() {
-            let (earlier, rest) = self.queries.split_at_mut(position);
-            rest[0].plan_follower(earlier, &self.config.predictor);
-        }
+        plan_followers(&mut self.queries, &self.config.predictor);
         self.cut_packet_samples(post_drop);
     }
 
@@ -584,20 +586,41 @@ impl Monitor {
     }
 
     /// Execute: the nested re-extraction, then the expensive tail, one
-    /// dispatch of one task per query (see [`RegisteredQuery::execute`]).
-    /// The lane verdict is asked once per flow of the batch's index, here,
-    /// for every query's task to share; the window was pushed in predict and
-    /// is only read.
+    /// dispatch of one task per owner of lane instances (see
+    /// [`RegisteredQuery::execute`]), then the followers. The lane verdict
+    /// is asked once per flow of the batch's index, here, for every task to
+    /// share; the window was pushed in predict and is only read.
     fn execute(&mut self, post_drop: &BatchView) {
         self.reextract_nested();
         if self.lane_count > 1 {
             post_drop.store().flow_lanes(self.lane_count, &mut self.lane_of_flow);
         }
-        let (lane_of_flow, stamp) = (std::mem::take(&mut self.lane_of_flow), self.stamp);
-        self.dispatch(|query, window, scratch| {
-            query.execute(post_drop, &lane_of_flow, window, scratch, stamp);
-        });
+        let lane_of_flow = std::mem::take(&mut self.lane_of_flow);
+        self.dispatch(
+            |query| query.head.is_none(),
+            |query, window, scratch| query.execute(post_drop, &lane_of_flow, window, scratch),
+        );
         self.lane_of_flow = lane_of_flow;
+        self.complete_followers(post_drop.len() as u64);
+    }
+
+    /// Completes every running follower from its head's slot, sequentially,
+    /// in registration order: the plan gave the two one delivery, so the
+    /// head's instances metered the follower's raw cycles on the follower's
+    /// packets — the whole post-drop view, `packets` long, since a follower
+    /// has no sample of its own to re-extract; the follower applies its own
+    /// noise draw to the cycles and observes the result, if it owns a
+    /// predictor, on the bin's shared row.
+    fn complete_followers(&mut self, packets: u64) {
+        for position in 0..self.queries.len() {
+            let (earlier, rest) = self.queries.split_at_mut(position);
+            let follower = &mut rest[0];
+            let (Some(head), Some(_)) = (follower.head, follower.slot.run) else { continue };
+            let slot = &mut follower.slot;
+            (slot.cycles, slot.delivered_packets, slot.reextract_ops) =
+                (earlier[head].slot.cycles, packets, 0);
+            follower.observe(&self.window, None);
+        }
     }
 
     /// The packet-sampled queries' re-extraction, on the caller's thread
@@ -691,18 +714,28 @@ impl Monitor {
     /// shedding queries on the same pass, and the count of lane runs.
     fn merge_queries(&mut self, packets: u64) -> (Vec<QueryBinRecord>, f64) {
         debug_assert!(
-            self.queries.iter().all(|registered| match registered.predictor {
-                Predicts::Follows(leader) => registered.slot.same_bin(&self.queries[leader].slot),
-                Predicts::Own(_) => true,
+            self.queries.iter().enumerate().all(|(position, follower)| {
+                let Some(head) = follower.head.filter(|&head| head < position) else {
+                    return follower.head.is_none();
+                };
+                let head = &self.queries[head];
+                head.head.is_none()
+                    && !head.lanes.is_empty()
+                    && follower.lanes.is_empty()
+                    && follower.slot.delivered_alike(&head.slot)
+                    && match follower.predictor {
+                        Some(_) => true,
+                        None => head.predictor.is_some() && follower.slot.ran_alike(&head.slot),
+                    }
             }),
-            "a follower's bin differs from its leader's"
+            "a follower's head does not precede it, own what it borrows, or run its run"
         );
         let bin = &mut self.bin;
         let (mut query_cycles, mut runs) = (0.0, 0);
         let mut records = Vec::with_capacity(self.queries.len());
         for registered in &mut self.queries {
             let slot = &registered.slot;
-            runs += usize::from(slot.ran);
+            runs += usize::from(registered.head.is_none() && slot.run.is_some());
             let (sampling_rate, measured_cycles, delivered_packets) = match slot.run {
                 Some((rate, _)) => (rate, slot.measured, slot.delivered_packets),
                 None => (0.0, 0.0, 0),
@@ -742,19 +775,21 @@ impl Monitor {
         (records, query_cycles)
     }
 
-    /// Fans `run` out over the registered queries on the execution plane,
-    /// each beside the shared feature window and lent the extraction scratch
-    /// of the worker it runs on.
+    /// Fans `run` out over the registered queries that are `dispatched` on
+    /// the execution plane, each beside the shared feature window and lent
+    /// the extraction scratch of the worker it runs on.
     fn dispatch(
         &mut self,
+        dispatched: fn(&RegisteredQuery) -> bool,
         run: impl Fn(&mut RegisteredQuery, &FeatureWindow, &mut ExtractScratch) + Sync,
     ) {
-        let (window, workers) = (&self.window, self.config.workers.min(self.queries.len()));
-        let queries = self.queries.iter_mut();
+        let tasks = self.queries.iter().filter(|query| dispatched(query)).count();
+        let (window, workers) = (&self.window, self.config.workers.min(tasks));
+        let queries = self.queries.iter_mut().filter(|query| dispatched(query));
         exec::run_tasks(workers, &mut self.scratch, queries, |query, scratch| {
             run(query, window, scratch);
         });
-        self.clock.stats.tasks += self.queries.len() as u64;
+        self.clock.stats.tasks += tasks as u64;
     }
 
     /// Slow-start-like buffer discovery (Section 4.1).

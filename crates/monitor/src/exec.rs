@@ -1,9 +1,12 @@
 //! The parallel execution plane: scoped worker dispatch for the per-bin
 //! query work, and the one clock that times the bin's stages.
 //!
-//! The per-query work of a bin (`bin.rs`: one predict task and one execute
-//! task per query, lanes included) is embarrassingly parallel: every task
-//! touches only its own query's state plus shared read-only data.
+//! The per-query work of a bin (`bin.rs`: one predict task per query that
+//! owns a predictor or a shadow twin, one execute task per query that owns
+//! lane instances, lanes included) is embarrassingly parallel: every task
+//! touches only its own query's state plus shared read-only data — a cohort
+//! follower borrows its head's state by position and is never dispatched for
+//! it.
 //! `run_tasks` fans those tasks out over a scoped pool of `std::thread`
 //! workers; the monitor merges the results back in registration order, so
 //! the output stream is bit-identical whatever the worker count (see
@@ -92,10 +95,12 @@ pub enum Stage {
     Predict,
     /// Demands, control context, the policy decision.
     Decide,
-    /// The plan: penalties, hasher refresh, RNG-drawn samples, noise draws.
+    /// The plan: penalties, hasher refresh, RNG-drawn samples, noise draws,
+    /// who keeps following whom.
     Shed,
-    /// The tail dispatch: per query, sample and re-extract, run every lane
-    /// instance, feed the predictor.
+    /// The tail dispatch: per owner of lane instances, sample and
+    /// re-extract, run every lane instance, feed the predictor; then the
+    /// followers, completed from their heads' slots.
     Execute,
     /// The merge: enforcement, EWMAs, buffer accounting, the bin's record.
     Account,
@@ -123,8 +128,11 @@ impl Stage {
 pub struct StageStats {
     /// Bins processed.
     pub bins: u64,
-    /// Tasks dispatched: one per query per dispatch, two dispatches a bin —
-    /// `2·Q` for `Q` registered queries, whatever the lane count or policy.
+    /// Tasks dispatched: one per owner per dispatch, two dispatches a bin,
+    /// whatever the lane count — a predict task per query that owns a
+    /// predictor or a shadow twin, an execute task per query that owns lane
+    /// instances; `2·Q` for `Q` registered queries of which no two follow one
+    /// another.
     pub tasks: u64,
     /// Wall nanoseconds per stage, indexed by `Stage as usize`.
     pub ns: [u64; Stage::COUNT],

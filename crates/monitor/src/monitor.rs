@@ -16,12 +16,13 @@
 //! and each query's predictor and sampled extractor exist once, whatever the
 //! lane count (DESIGN.md, "Shard plane").
 //!
-//! Queries registered from equal specs share one set of lane instances, a
-//! `Cohort`, for as long as the plan gives them the same delivery: the
-//! instances advance once per bin and every member is charged their cycles
-//! (DESIGN.md, "Cohorts"). The members that joined a fresh cohort together
-//! also follow one predictor, its first member's, for as long as the plan
-//! gives them the same inputs (`Predicts`).
+//! Queries registered together from equal specs form a cohort: every member
+//! after the first *follows* that first one, its head, by position — it
+//! borrows the head's lane instances for as long as the plan gives the two
+//! the same delivery, and the head's predictor for as long as the plan gives
+//! them the same run. Only owners are dispatched; a follower is completed
+//! from its head's slot, so no task ever reaches another query's state
+//! (DESIGN.md, "Cohorts").
 
 use crate::bin::{Bin, BinSlot};
 use crate::builder::MonitorBuilder;
@@ -43,8 +44,7 @@ use netshed_sketch::{DetHashMap, H3Hasher, StateError, StateReader, StateWriter}
 use netshed_trace::{Batch, KeepListPool, PacketSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Capture buffer size in time bins of backlog the system can accumulate
 /// before uncontrolled drops start (the DAG buffer of the paper).
@@ -79,9 +79,10 @@ impl std::fmt::Display for QueryId {
 ///
 /// The query is also the only unit of dispatch: the execution plane hands
 /// each worker one `&mut RegisteredQuery`, so everything a task mutates — the
-/// shadow twin, the predictor, the extractor, the keep-list pool and the
-/// [`BinSlot`] — lives here and nowhere else, and so do the lane instances
-/// unless the query shares them with its cohort, behind the cohort's lock.
+/// lane instances, the shadow twin, the predictor, the extractor, the
+/// keep-list pool and the [`BinSlot`] — lives here and nowhere else. A
+/// follower owns no lane instances and may own no predictor: it borrows its
+/// head's, and is never dispatched for them.
 pub(crate) struct RegisteredQuery {
     pub(crate) id: QueryId,
     pub(crate) label: Arc<str>,
@@ -103,15 +104,21 @@ pub(crate) struct RegisteredQuery {
     pub(crate) overuse_ratio: f64,
     pub(crate) violations: u32,
     pub(crate) penalty_remaining: u32,
-    /// The query's lane instances, shared with the other members of its
-    /// cohort; the only reference while it is alone.
-    pub(crate) cohort: Arc<Cohort>,
+    /// The position in the registry of the cohort head whose lane instances
+    /// this query follows — an owner registered before it — or `None` when
+    /// it owns its own.
+    pub(crate) head: Option<usize>,
+    /// The query's lane instances, one per lane of the monitor, in lane
+    /// order; empty while it follows its head's.
+    pub(crate) lanes: Vec<Box<dyn Query>>,
     /// Shadow twin fed the full (unsampled) stream to measure the bin's
     /// actual cycles for oracle-style policies. Its work is not charged
     /// against the capacity.
     pub(crate) shadow: Option<Box<dyn Query>>,
-    /// The query's own predictor, or the leader whose predictor it follows.
-    pub(crate) predictor: Predicts,
+    /// The query's own predictor, or `None` while it follows its head's. An
+    /// owner always owns one; a follower may (it detaches from the head's
+    /// predictor as soon as the plan gives the two different runs).
+    pub(crate) predictor: Option<Box<dyn Predictor>>,
     /// Extractor used to recompute features over this query's sampled stream
     /// (needed to keep the MLR history consistent, Section 4.3) — the global
     /// sample, before it is split over the lanes.
@@ -132,131 +139,54 @@ const _: () = {
     assert_send::<RegisteredQuery>();
 };
 
-/// Who predicts a registered query's cost. A follower owns no predictor: it
-/// joined a fresh cohort after its leader, so the two predictors started
-/// equal, and the plan has proved their inputs equal in every bin since
-/// ([`RegisteredQuery::plan_follower`]), so the leader's predictor holds, bit
-/// for bit, what the follower's own would. The leader is an owner registered
-/// before its followers, which is what lets the registration-order fold
-/// copy its prediction into theirs.
-pub(crate) enum Predicts {
-    /// The query's own predictor.
-    Own(Box<dyn Predictor>),
-    /// The position in the registry of the query whose predictor this one
-    /// follows.
-    Follows(usize),
+/// The lane instances that run for the query at `position`: its own, or its
+/// head's.
+pub(crate) fn lanes_at(queries: &[RegisteredQuery], position: usize) -> &[Box<dyn Query>] {
+    &queries[queries[position].head.unwrap_or(position)].lanes
 }
 
 /// The predictor that predicts for the query at `position`: its own, or its
-/// leader's.
-pub(crate) fn predictor_at(queries: &[RegisteredQuery], mut position: usize) -> &dyn Predictor {
-    loop {
-        match &queries[position].predictor {
-            Predicts::Own(predictor) => return predictor.as_ref(),
-            // A leader precedes its followers, so the walk ends.
-            Predicts::Follows(leader) => position = *leader,
-        }
-    }
+/// head's.
+pub(crate) fn predictor_at(queries: &[RegisteredQuery], position: usize) -> &dyn Predictor {
+    let registered = &queries[position];
+    let owner = match registered.predictor {
+        Some(_) => registered,
+        None => &queries[registered.head.unwrap_or(position)],
+    };
+    // lint:allow(no-unwrap): an owner owns its predictor, and a follower that owns none borrows its head's, an owner (`RegisteredQuery::predictor`)
+    owner.predictor.as_deref().expect("a follower's head owns a predictor")
 }
 
-/// A fresh predictor from `spec` in `predictor`'s state, copied through its
-/// checkpoint, which is bit-exact by contract.
-fn copy_predictor(predictor: &dyn Predictor, spec: &PredictorSpec) -> Box<dyn Predictor> {
-    let (mut copy, mut writer) = (spec.make(), StateWriter::new());
-    let copied = predictor
-        .save_state(&mut writer)
-        .and_then(|()| copy.load_state(&mut StateReader::new(writer.as_bytes())));
-    // lint:allow(no-unwrap): only a predictor whose checkpoint succeeded when its cohort formed leads one (`Monitor::register_inner`), and a checkpoint restores bit for bit (the checkpoint contract)
-    copied.expect("a leader's predictor round-trips its state");
+/// Loads into a fresh instance (`load`) what an original's checkpoint
+/// writes (`save`), which is bit-exact by contract.
+fn copy_state(
+    save: impl FnOnce(&mut StateWriter) -> Result<(), StateError>,
+    load: impl FnOnce(&mut StateReader<'_>) -> Result<(), StateError>,
+) {
+    let mut writer = StateWriter::new();
+    let copied = save(&mut writer).and_then(|()| load(&mut StateReader::new(writer.as_bytes())));
+    // lint:allow(no-unwrap): only spec'd queries are followed, every kind a spec builds round-trips its state bit for bit, and only a predictor whose checkpoint succeeded at registration is followed (`Monitor::register_inner`) — the checkpoint contract
+    copied.expect("a followed query or predictor round-trips its state");
+}
+
+/// A fresh instance of `spec` in `query`'s state.
+fn copy_of(query: &dyn Query, spec: &QuerySpec) -> Box<dyn Query> {
+    let mut copy = build_query_from_spec(spec);
+    copy_state(|writer| query.save_state(writer), |reader| copy.load_state(reader));
     copy
 }
 
-/// Whether a freshly made predictor can lead or follow: its state can be
+/// A fresh predictor from `spec` in `predictor`'s state.
+fn copy_predictor(predictor: &dyn Predictor, spec: &PredictorSpec) -> Box<dyn Predictor> {
+    let mut copy = spec.make();
+    copy_state(|writer| predictor.save_state(writer), |reader| copy.load_state(reader));
+    copy
+}
+
+/// Whether a freshly made predictor can be followed: its state can be
 /// copied, which a follower that detaches needs.
 fn copyable(predictor: &dyn Predictor) -> bool {
     predictor.save_state(&mut StateWriter::new()).is_ok()
-}
-
-/// The lane instances of a cohort — the registered queries whose instances
-/// are provably in one state — and what the first member to reach them in a
-/// bin or at a close filed for the others. The stamps are the monitor's
-/// (`Monitor::stamp`), so nothing filed in one bin or close is read in
-/// another.
-pub(crate) struct Cohort {
-    /// The instances, and the last close's filing.
-    instances: Mutex<Instances>,
-    /// The stamp of the last plan that reached the cohort, and the bits of
-    /// the rate it gave the first member it planned. Only the plan touches
-    /// them, on one thread, so `Relaxed` suffices.
-    planned_stamp: AtomicU64,
-    planned_rate: AtomicU64,
-    /// The cycles the instances metered in the bin whose stamp `ran_stamp`
-    /// holds: stored before it (`Release`), read after it (`Acquire`), so a
-    /// member that finds its bin's stamp reads them without the lock.
-    ran_cycles: AtomicU64,
-    ran_stamp: AtomicU64,
-}
-
-/// What a cohort's lock guards.
-pub(crate) struct Instances {
-    /// One per lane of the monitor, in lane order.
-    pub(crate) lanes: Vec<Box<dyn Query>>,
-    /// The stamp of the last close, and the output the instances reported.
-    closed: Option<(u64, QueryOutput)>,
-}
-
-impl Cohort {
-    /// A cohort of one, running `lanes`.
-    fn of(lanes: Vec<Box<dyn Query>>) -> Arc<Cohort> {
-        Arc::new(Cohort {
-            instances: Mutex::new(Instances { lanes, closed: None }),
-            planned_stamp: AtomicU64::new(0),
-            planned_rate: AtomicU64::new(0),
-            ran_cycles: AtomicU64::new(0),
-            ran_stamp: AtomicU64::new(0),
-        })
-    }
-
-    /// The instances, locked. Poisoning is ignored: a kernel that panics
-    /// under the lock leaves them as a panic leaves a lone query's, which no
-    /// lock guards, and the panic propagates out of the dispatch that raised
-    /// it.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Instances> {
-        self.instances.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The instances of a cohort of one, reached without the lock. Only the
-    /// plan and the registry clone or drop a cohort, so the count a task
-    /// reads holds for the whole dispatch.
-    pub(crate) fn alone(cohort: &mut Arc<Cohort>) -> Option<&mut Instances> {
-        if Arc::strong_count(cohort) > 1 {
-            return None;
-        }
-        let instances = &mut Arc::get_mut(cohort)?.instances;
-        Some(instances.get_mut().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// The cycles the instances meter in bin `stamp`, and whether this call
-    /// metered them: the first member to ask runs them, the others read
-    /// what it filed.
-    pub(crate) fn run(
-        &self,
-        stamp: u64,
-        meter: impl FnOnce(&mut [Box<dyn Query>]) -> u64,
-    ) -> (u64, bool) {
-        let mut ran = false;
-        if self.ran_stamp.load(Ordering::Acquire) != stamp {
-            let mut instances = self.lock();
-            // Another member may have run them while this one waited; the
-            // lock orders this load after that member's stores.
-            if self.ran_stamp.load(Ordering::Relaxed) != stamp {
-                ran = true;
-                self.ran_cycles.store(meter(&mut instances.lanes), Ordering::Relaxed);
-                self.ran_stamp.store(stamp, Ordering::Release);
-            }
-        }
-        (self.ran_cycles.load(Ordering::Relaxed), ran)
-    }
 }
 
 /// What two registrations must agree on, bit for bit, to share instances:
@@ -283,18 +213,6 @@ impl CohortKey {
             shedding: registered.shedding,
         })
     }
-}
-
-/// A fresh instance of `spec` in `query`'s state, copied through the query's
-/// own checkpoint, which is bit-exact by contract.
-fn copy_of(query: &dyn Query, spec: &QuerySpec) -> Box<dyn Query> {
-    let (mut copy, mut writer) = (build_query_from_spec(spec), StateWriter::new());
-    let copied = query
-        .save_state(&mut writer)
-        .and_then(|()| copy.load_state(&mut StateReader::new(writer.as_bytes())));
-    // lint:allow(no-unwrap): only spec'd queries share instances, and every kind a spec builds round-trips its state bit for bit (the checkpoint contract)
-    copied.expect("a spec-built query round-trips its state");
-    copy
 }
 
 /// The bytes a load consumed: `before` is a copy of the reader taken ahead of
@@ -333,70 +251,103 @@ fn end_interval(lanes: &mut [Box<dyn Query>]) -> QueryOutput {
     first[0].end_interval()
 }
 
+/// The plan's last step, once every query's run is drawn (`bin.rs`):
+/// sequentially, in registration order, before anything runs, it settles
+/// who still follows whom (see [`RegisteredQuery::plan_follower`] and
+/// [`RegisteredQuery::plan_sampled_owner`]).
+pub(crate) fn plan_followers(queries: &mut [RegisteredQuery], spec: &PredictorSpec) {
+    for position in 0..queries.len() {
+        let (earlier, rest) = queries.split_at_mut(position);
+        let Some((registered, later)) = rest.split_first_mut() else { break };
+        match registered.head {
+            Some(head) => registered.plan_follower(&earlier[head], spec),
+            None if registered.delivery().is_none() => {
+                registered.plan_sampled_owner(position, later, spec);
+            }
+            None => {}
+        }
+    }
+}
+
+/// Hands the lane instances of the owner at position `owner` to its first
+/// follower among `later` — the queries from position `first` on — which
+/// owns them from then on and heads the owner's other followers; `lanes`
+/// makes them only once there is an heir. Followers that borrowed the
+/// owner's `predictor` take a copy of it, made with `spec`: the heir, or,
+/// when the heir owns its own, each of the others. Returns the heir's
+/// position, or `None` when the owner had no follower.
+fn hand_off(
+    later: &mut [RegisteredQuery],
+    first: usize,
+    owner: usize,
+    lanes: impl FnOnce() -> Vec<Box<dyn Query>>,
+    predictor: Option<&dyn Predictor>,
+    spec: &PredictorSpec,
+) -> Option<usize> {
+    let index = later.iter().position(|follower| follower.head == Some(owner))?;
+    let (heir, others) = later[index..].split_first_mut()?;
+    (heir.lanes, heir.head) = (lanes(), None);
+    // Only a copyable predictor is ever borrowed (`Monitor::register_inner`).
+    let copy = || predictor.map(|predictor| copy_predictor(predictor, spec));
+    let heir_borrowed = heir.predictor.is_none();
+    if heir_borrowed {
+        heir.predictor = copy();
+    }
+    for follower in others.iter_mut().filter(|follower| follower.head == Some(owner)) {
+        follower.head = Some(first + index);
+        if !heir_borrowed && follower.predictor.is_none() {
+            follower.predictor = copy();
+        }
+    }
+    Some(first + index)
+}
+
 impl RegisteredQuery {
-    /// The plan's last step for the query, given the rate its instances run
-    /// at on the post-drop view this bin — 0 when it sits the bin out — or
-    /// `None` when it runs on a sample of its own (packet or flow sampling
-    /// below rate 1), which no other query sees. A member of a cohort stays
-    /// in it when that rate has the bits of the first planned member's, and
-    /// otherwise detaches onto a copy of the instances, before anything
-    /// runs. Called sequentially, in registration order, with the bin's
-    /// `stamp`; a query alone pays one reference-count read.
-    pub(crate) fn plan_cohort(&mut self, stamp: u64, unsampled_rate: Option<f64>) {
-        if Arc::strong_count(&self.cohort) == 1 {
-            return;
-        }
-        let cohort = &self.cohort;
-        let stays = match unsampled_rate.map(f64::to_bits) {
-            None => false,
-            Some(bits) if cohort.planned_stamp.load(Ordering::Relaxed) != stamp => {
-                cohort.planned_stamp.store(stamp, Ordering::Relaxed);
-                cohort.planned_rate.store(bits, Ordering::Relaxed);
-                true
+    /// The plan's rule for a follower of `head`, once both are planned: it
+    /// keeps borrowing the head's instances while the plan gives the two one
+    /// delivery, and the head's predictor while it also gives them one run
+    /// (both sitting the bin out, or both running at a rate and under a
+    /// measurement-noise draw of the same bits), so that the head's
+    /// predictor stores the observation its own would. Otherwise it detaches
+    /// onto copies — of the instances, made with its spec, and of the
+    /// predictor, made with `spec` — before anything runs.
+    fn plan_follower(&mut self, head: &RegisteredQuery, spec: &PredictorSpec) {
+        let same_delivery = matches!(
+            (self.delivery(), head.delivery()),
+            (Some(mine), Some(heads)) if mine == heads
+        );
+        if !same_delivery {
+            // Only a spec'd query ever follows (`CohortKey`).
+            if let Some(query_spec) = &self.spec {
+                self.lanes =
+                    head.lanes.iter().map(|lane| copy_of(lane.as_ref(), query_spec)).collect();
             }
-            Some(bits) => cohort.planned_rate.load(Ordering::Relaxed) == bits,
+            self.head = None;
+        }
+        if self.predictor.is_none() && !(same_delivery && self.slot.planned_alike(&head.slot)) {
+            self.predictor = head.predictor.as_deref().map(|own| copy_predictor(own, spec));
+        }
+    }
+
+    /// The plan's rule for an owner, at `position`, that the plan feeds a
+    /// sample of its own, which no other query sees: it keeps a copy of its
+    /// instances and hands the originals to its first follower among `later`
+    /// — the hand-off [`Monitor::deregister`] makes, so what is shared does
+    /// not change.
+    fn plan_sampled_owner(
+        &mut self,
+        position: usize,
+        later: &mut [RegisteredQuery],
+        spec: &PredictorSpec,
+    ) {
+        // Only a spec'd query is ever followed (`CohortKey`).
+        let Some(query_spec) = &self.spec else { return };
+        let lanes = &mut self.lanes;
+        let originals = || {
+            let copies = lanes.iter().map(|lane| copy_of(lane.as_ref(), query_spec)).collect();
+            std::mem::replace(lanes, copies)
         };
-        if !stays {
-            // Only a spec'd query ever shares its instances (`CohortKey`).
-            if let Some(spec) = &self.spec {
-                let lanes =
-                    cohort.lock().lanes.iter().map(|lane| copy_of(lane.as_ref(), spec)).collect();
-                self.cohort = Cohort::of(lanes);
-            }
-        }
-    }
-
-    /// The plan's rule for a follower, once it and its leader — one of the
-    /// `earlier` queries — are planned: it stays one while it shares the
-    /// leader's instances and the plan gave it the leader's run (both sitting
-    /// the bin out, or both running at a rate and under a measurement-noise
-    /// draw of the same bits), so that the leader's predictor stores the
-    /// observation its own would. Otherwise it detaches onto a copy of that
-    /// predictor, made with `spec`, before anything runs. Called
-    /// sequentially, in registration order; an owner returns at once.
-    pub(crate) fn plan_follower(&mut self, earlier: &[RegisteredQuery], spec: &PredictorSpec) {
-        let Predicts::Follows(position) = self.predictor else { return };
-        let leader = &earlier[position];
-        if !(self.slot.planned_alike(&leader.slot) && Arc::ptr_eq(&self.cohort, &leader.cohort)) {
-            self.predictor = Predicts::Own(copy_predictor(predictor_at(earlier, position), spec));
-        }
-    }
-
-    /// Closes the interval on the query's instances; in a cohort the first
-    /// member to close at `stamp` files the output and the others clone it.
-    fn close(&mut self, stamp: u64) -> QueryOutput {
-        if let Some(own) = Cohort::alone(&mut self.cohort) {
-            return end_interval(&mut own.lanes);
-        }
-        let mut instances = self.cohort.lock();
-        match &instances.closed {
-            Some((closed, output)) if *closed == stamp => output.clone(),
-            _ => {
-                let output = end_interval(&mut instances.lanes);
-                instances.closed = Some((stamp, output.clone()));
-                output
-            }
-        }
+        hand_off(later, position + 1, position, originals, self.predictor.as_deref(), spec);
     }
 }
 
@@ -476,16 +427,10 @@ pub struct Monitor {
     /// The lap clock behind [`Monitor::stage_stats`]: telemetry only, never
     /// snapshot, digest or decision input.
     pub(crate) clock: StageClock,
-    /// The cohorts whose instances have neither run a bin nor closed an
-    /// interval, by key, each with the position of its leader — its first
-    /// member with a copyable predictor, if any: a registration with an equal
-    /// key joins the cohort and follows the leader. The next plan or close
-    /// empties it.
-    pub(crate) fresh: DetHashMap<CohortKey, (Arc<Cohort>, Option<usize>)>,
-    /// Bumped by every plan and every interval close: what a cohort's
-    /// filings are stamped with. Neither snapshot nor digest state — a
-    /// restored cohort has filed nothing.
-    pub(crate) stamp: u64,
+    /// The heads of the cohorts that have neither run a bin nor closed an
+    /// interval, by key: a registration with an equal key follows the head.
+    /// The next plan or close empties it.
+    pub(crate) fresh: DetHashMap<CohortKey, usize>,
     /// How many sets of lane instances the last bin ran (see
     /// [`Monitor::query_runs`]).
     pub(crate) query_runs: usize,
@@ -550,7 +495,6 @@ impl Monitor {
             bin: Bin::default(),
             clock: StageClock::new(),
             fresh: DetHashMap::new(),
-            stamp: 0,
             query_runs: 0,
             predictions: 0,
             reextraction_walks: 0,
@@ -596,11 +540,11 @@ impl Monitor {
     /// allocation from the next batch on.
     ///
     /// A query whose spec equals, but for the label, that of one registered
-    /// since the last bin or interval close shares its instances until the
-    /// plan gives the two different deliveries, and follows that query's
-    /// predictor until the plan gives the two different inputs; the outputs,
-    /// records and checkpoints are those of separate instances and
-    /// predictors, bit for bit.
+    /// since the last bin or interval close follows the first such query: it
+    /// borrows that query's instances until the plan gives the two different
+    /// deliveries, and its predictor until the plan gives the two different
+    /// inputs; the outputs, records and checkpoints are those of separate
+    /// instances and predictors, bit for bit.
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
         self.register_inner(
             build_query_from_spec(spec),
@@ -629,9 +573,9 @@ impl Monitor {
 
     /// A query as it stands right after registration: a fresh predictor and
     /// sampled extractor, flow-hasher generation 0 (its table unbuilt), clean
-    /// enforcement state and a cohort of its own with one instance per lane —
-    /// `query` on lane 0, the others built from `spec` (a bare instance has
-    /// only the one).
+    /// enforcement state and, following nobody, one instance per lane of its
+    /// own — `query` on lane 0, the others built from `spec` (a bare instance
+    /// has only the one).
     fn new_query(
         &self,
         id: QueryId,
@@ -653,10 +597,11 @@ impl Monitor {
             overuse_ratio: 1.0,
             violations: 0,
             penalty_remaining: 0,
-            cohort: Cohort::of(std::iter::once(query).chain(others).collect()),
+            head: None,
+            lanes: std::iter::once(query).chain(others).collect(),
             shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
             spec,
-            predictor: Predicts::Own(self.config.predictor.make()),
+            predictor: Some(self.config.predictor.make()),
             sampled_extractor: extractor(&self.config),
             shed_pool: KeepListPool::new(),
             slot: BinSlot::default(),
@@ -692,17 +637,14 @@ impl Monitor {
         let mut registered = self.new_query(id, label, min_rate, spec, query);
         if let Some(key) = CohortKey::of(&registered) {
             let position = self.queries.len();
-            let (cohort, leader) =
-                self.fresh.entry(key).or_insert_with(|| (Arc::clone(&registered.cohort), None));
-            registered.cohort = Arc::clone(cohort);
-            // A fresh cohort has never run, so its leader's predictor is as
-            // fresh as this one.
-            if let Predicts::Own(predictor) = &registered.predictor {
-                if copyable(predictor.as_ref()) {
-                    match leader {
-                        Some(leader) => registered.predictor = Predicts::Follows(*leader),
-                        None => *leader = Some(position),
-                    }
+            let head = *self.fresh.entry(key).or_insert(position);
+            // A fresh cohort has never run, so its head's instances and
+            // predictor are as fresh as this query's own.
+            if head != position {
+                (registered.head, registered.lanes) = (Some(head), Vec::new());
+                let fresh = [&registered.predictor, &self.queries[head].predictor];
+                if fresh.iter().all(|predictor| predictor.as_deref().is_some_and(copyable)) {
+                    registered.predictor = None;
                 }
             }
         }
@@ -711,38 +653,33 @@ impl Monitor {
     }
 
     /// Deregisters a query instance by handle. The instance's state
-    /// (predictor history, pending interval output) is discarded — or, when
-    /// it shares its instances with a cohort, its reference to them, and
-    /// when it leads followers, its predictor passes to the first of them,
-    /// which leads the others from then on.
+    /// (predictor history, pending interval output) is discarded — unless
+    /// others follow it: then its instances pass to the first of them, the
+    /// heir, which the others follow from then on; and a copy of its
+    /// predictor to the heir, when it followed that too (the others that did
+    /// borrow the heir's), or else to each of the others that did.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
         let Some(position) = self.queries.iter().position(|q| q.id == id) else {
             return Err(NetshedError::UnknownQuery(id.to_string()));
         };
-        let mut predictor = Some(self.queries.remove(position).predictor);
-        // Every leader's position past the removed query's moves down by
-        // one, and the removed query's followers follow its heir: the first
-        // of them, which inherits its predictor.
-        let renumber = |leader: usize, heir: Option<usize>| match leader.cmp(&position) {
-            std::cmp::Ordering::Less => Some(leader),
-            std::cmp::Ordering::Equal => heir,
-            std::cmp::Ordering::Greater => Some(leader - 1),
-        };
-        let mut heir = None;
-        for (at, registered) in self.queries.iter_mut().enumerate().skip(position) {
-            let Predicts::Follows(leader) = registered.predictor else { continue };
-            if let Some(leader) = renumber(leader, heir) {
-                registered.predictor = Predicts::Follows(leader);
-            } else {
-                heir = Some(at);
-                if let Some(own) = predictor.take() {
-                    registered.predictor = own;
-                }
-            }
+        let removed = self.queries.remove(position);
+        // Only an owner is followed, and only by queries registered after it.
+        // Their heads still hold the positions before the removal, so the
+        // hand-off numbers the heir that way, and then every head past the
+        // removed query moves down by one.
+        let later = &mut self.queries[position..];
+        let (lanes, predictor) = (removed.lanes, removed.predictor.as_deref());
+        let heir =
+            hand_off(later, position + 1, position, || lanes, predictor, &self.config.predictor);
+        let renumber = |head: usize| if head > position { head - 1 } else { head };
+        for registered in later {
+            registered.head = registered.head.map(renumber);
         }
-        for (_, leader) in self.fresh.values_mut() {
-            *leader = leader.and_then(|leader| renumber(leader, heir));
-        }
+        let fresh = self.fresh.drain().filter_map(|(key, head)| {
+            let head = if head == position { heir? } else { head };
+            Some((key, renumber(head)))
+        });
+        self.fresh = fresh.collect();
         Ok(())
     }
 
@@ -785,16 +722,17 @@ impl Monitor {
     }
 
     /// How many sets of lane instances the last bin ran: one per running
-    /// cohort, however many members it has (a query alone is a cohort of
-    /// one). Exposed for the cohort tests and the pipeline bench only.
+    /// owner, however many followers borrow its instances. Exposed for the
+    /// cohort tests and the pipeline bench only.
     #[doc(hidden)]
     pub fn query_runs(&self) -> usize {
         self.query_runs
     }
 
     /// How many predictions the last bin made: one per query that owns its
-    /// predictor and was not serving a penalty — a follower copies its
-    /// leader's. Exposed for the cohort tests and the pipeline bench only.
+    /// predictor and was not serving a penalty — a follower of its head's
+    /// copies the head's. Exposed for the cohort tests and the pipeline bench
+    /// only.
     #[doc(hidden)]
     pub fn predictions(&self) -> usize {
         self.predictions
@@ -876,24 +814,25 @@ impl Monitor {
     /// query reports once, over the link: its lane-0 instance
     /// [absorbs](Query::absorb) the state of the other lanes' instances, in
     /// lane order, and then closes the interval as the only instance of a
-    /// one-lane monitor does (which has nothing to absorb). A cohort closes
-    /// once, and its members report the same output.
+    /// one-lane monitor does (which has nothing to absorb). A follower
+    /// reports its head's output, which precedes it in the vector.
     fn close_interval(&mut self) -> Vec<(String, QueryOutput)> {
         self.fresh.clear();
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.queries
-            .iter_mut()
-            .map(|registered| {
-                // Shadow twins close intervals on the same boundaries so
-                // their per-interval state cannot grow without bound; their
-                // outputs are discarded (only their cycles matter).
-                if let Some(shadow) = registered.shadow.as_mut() {
-                    let _ = shadow.end_interval();
-                }
-                (registered.label.to_string(), registered.close(stamp))
-            })
-            .collect()
+        let mut outputs: Vec<(String, QueryOutput)> = Vec::with_capacity(self.queries.len());
+        for registered in &mut self.queries {
+            // Shadow twins close intervals on the same boundaries so their
+            // per-interval state cannot grow without bound; their outputs
+            // are discarded (only their cycles matter).
+            if let Some(shadow) = registered.shadow.as_mut() {
+                let _ = shadow.end_interval();
+            }
+            let output = match registered.head {
+                Some(head) => outputs[head].1.clone(),
+                None => end_interval(&mut registered.lanes),
+            };
+            outputs.push((registered.label.to_string(), output));
+        }
+        outputs
     }
 
     /// Serializes the monitor's *essential* state — everything a restored
@@ -906,9 +845,9 @@ impl Monitor {
     ///
     /// The lane count comes first; then each query, in registration order,
     /// writes all of its lane instances in lane order, so a one-lane fleet
-    /// writes the solo monitor's bytes. Every member of a cohort writes the
-    /// instances it shares, and every follower its leader's predictor, so the
-    /// bytes are those of separate instances and predictors.
+    /// writes the solo monitor's bytes. A follower writes the instances and
+    /// the predictor it borrows from its head, so the bytes are those of
+    /// separate instances and predictors.
     ///
     /// Fails with [`StateError::Unsupported`] when a query was registered
     /// through [`Monitor::register_instance`] (no [`QuerySpec`] to rebuild it
@@ -949,7 +888,7 @@ impl Monitor {
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            for lane in &registered.cohort.lock().lanes {
+            for lane in lanes_at(&self.queries, position) {
                 lane.save_state(writer)?;
             }
             match &registered.shadow {
@@ -973,11 +912,11 @@ impl Monitor {
     /// and all per-query state — replaces them wholesale.
     ///
     /// Lanes own query state, so a snapshot written at another lane count is
-    /// a [`StateError::Mismatch`] naming both. Queries whose specs are equal
-    /// but for the label and whose lanes' bytes are all equal share their
-    /// instances again, as a cohort; those of them whose predictors' bytes
-    /// and enforcement counters are equal too follow the first one's
-    /// predictor again.
+    /// a [`StateError::Mismatch`] naming both. A query whose spec equals, but
+    /// for the label, that of one restored before it, and whose lanes' bytes
+    /// are all equal to that one's, follows the first such query again — its
+    /// predictor too when the predictors' bytes and the enforcement counters
+    /// are equal as well.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let lanes = reader.usize()?;
         if lanes != self.lane_count {
@@ -1012,10 +951,10 @@ impl Monitor {
         let count = reader.usize()?;
         self.queries.clear();
         self.fresh.clear();
-        // The cohorts restored so far, by key and the bytes of every lane; and
-        // the leaders, by those and by what a follower shares with its leader
-        // besides: the predictor's bytes and the enforcement counters.
-        let (mut restored, mut leaders) = (DetHashMap::new(), DetHashMap::new());
+        // The heads restored so far, by key and the bytes of every lane, with
+        // what a follower of the predictor shares with its head besides: the
+        // predictor's bytes and the enforcement counters.
+        let mut heads = DetHashMap::new();
         for position in 0..count {
             let id = QueryId(reader.u64()?);
             let label = reader.str()?;
@@ -1031,15 +970,8 @@ impl Monitor {
             registered.violations = reader.u32()?;
             registered.penalty_remaining = reader.u32()?;
             let before = reader.clone();
-            load_lanes(&mut registered.cohort.lock().lanes, reader)?;
+            load_lanes(&mut registered.lanes, reader)?;
             let lanes = consumed(&before, reader);
-            let key = CohortKey::of(&registered);
-            if let Some(key) = &key {
-                let cohort = restored
-                    .entry((key.clone(), lanes))
-                    .or_insert_with(|| Arc::clone(&registered.cohort));
-                registered.cohort = Arc::clone(cohort);
-            }
             if reader.bool()? {
                 let Some(shadow) = registered.shadow.as_mut() else {
                     return Err(StateError::corrupt(format!(
@@ -1051,19 +983,23 @@ impl Monitor {
                 shadow.load_state(reader)?;
             }
             let before = reader.clone();
-            if let Predicts::Own(predictor) = &mut registered.predictor {
+            if let Some(predictor) = &mut registered.predictor {
                 predictor.load_state(reader)?;
             }
-            if let Some(key) = key {
+            if let Some(key) = CohortKey::of(&registered) {
                 let counters = (
                     registered.overuse_ratio.to_bits(),
                     registered.violations,
                     registered.penalty_remaining,
                 );
-                let state = consumed(&before, reader);
-                let leader = *leaders.entry((key, lanes, state, counters)).or_insert(position);
-                if leader != position {
-                    registered.predictor = Predicts::Follows(leader);
+                let predicted = (consumed(&before, reader), counters);
+                let (head, heads_predicted) =
+                    *heads.entry((key, lanes)).or_insert((position, predicted));
+                if head != position {
+                    (registered.head, registered.lanes) = (Some(head), Vec::new());
+                    if heads_predicted == predicted {
+                        registered.predictor = None;
+                    }
                 }
             }
             registered.sampled_extractor.load_state(reader)?;
@@ -1086,6 +1022,7 @@ impl Monitor {
 mod tests {
     use super::*;
     use crate::config::{AllocationPolicy, Strategy};
+    use crate::policy::{ControlContext, ControlDecision};
     use crate::report::BinRecord;
     use netshed_queries::CycleMeter;
     use netshed_trace::{TraceConfig, TraceGenerator};
@@ -1281,10 +1218,20 @@ mod tests {
         );
     }
 
-    /// The leader of a fresh cohort deregisters before the cohort's first
-    /// bin: its first follower inherits its predictor and the lead, a later
-    /// registration follows the heir, and once every member has left the
-    /// next registration leads.
+    /// The positions whose predictor each query follows (`None` for an
+    /// owner of one).
+    fn predictor_heads(monitor: &Monitor) -> Vec<Option<usize>> {
+        let head = |registered: &RegisteredQuery| match registered.predictor {
+            Some(_) => None,
+            None => registered.head,
+        };
+        monitor.queries.iter().map(head).collect()
+    }
+
+    /// The head of a fresh cohort deregisters before the cohort's first
+    /// bin: its first follower inherits its instances, its predictor and the
+    /// lead, a later registration follows the heir, and once every member
+    /// has left the next registration heads a cohort of its own.
     #[test]
     fn a_fresh_cohorts_lead_passes_to_its_first_follower() {
         let config = MonitorConfig::default().with_capacity(1e12).without_noise();
@@ -1295,16 +1242,9 @@ mod tests {
         let first = register(&mut monitor, "first").expect("valid spec");
         register(&mut monitor, "second").expect("valid spec");
         register(&mut monitor, "third").expect("valid spec");
-        let leaders = |monitor: &Monitor| -> Vec<Option<usize>> {
-            let leader = |registered: &RegisteredQuery| match registered.predictor {
-                Predicts::Follows(leader) => Some(leader),
-                Predicts::Own(_) => None,
-            };
-            monitor.queries.iter().map(leader).collect()
-        };
         monitor.deregister(first).expect("registered");
         register(&mut monitor, "fourth").expect("valid spec");
-        assert_eq!(leaders(&monitor), [None, Some(0), Some(0)]);
+        assert_eq!(predictor_heads(&monitor), [None, Some(0), Some(0)]);
 
         let ids: Vec<QueryId> = monitor.query_handles().iter().map(|(id, _)| *id).collect();
         for id in ids {
@@ -1312,12 +1252,125 @@ mod tests {
         }
         register(&mut monitor, "fifth").expect("valid spec");
         register(&mut monitor, "sixth").expect("valid spec");
-        assert_eq!(leaders(&monitor), [None, Some(0)]);
+        assert_eq!(predictor_heads(&monitor), [None, Some(0)]);
         for batch in &small_trace(3, 100.0) {
             let record = monitor.process_batch(batch).expect("batch");
             assert_eq!(monitor.predictions(), 1);
             let [fifth, sixth] = &record.queries[..] else { panic!("two queries") };
             assert_eq!(fifth.predicted_cycles.to_bits(), sixth.predicted_cycles.to_bits());
+        }
+    }
+
+    /// Half rate for the first registered query and full rate for the
+    /// others, every bin.
+    struct HalveTheFirst;
+
+    impl ControlPolicy for HalveTheFirst {
+        fn decide(&mut self, context: &ControlContext<'_>) -> ControlDecision {
+            let mut decision = ControlDecision::full_rates(context.predictions.len());
+            decision.rates[0] = 0.5;
+            decision
+        }
+
+        fn name(&self) -> String {
+            "halve-the-first".into()
+        }
+    }
+
+    /// A head whose plan gives it a sample of its own keeps a copy of its
+    /// instances and hands the originals to its first follower, which heads
+    /// the third member from then on; two bins of the cohort are those of
+    /// three lone instances, bit for bit.
+    #[test]
+    fn a_head_sampled_on_its_own_hands_its_instances_to_its_first_follower() {
+        use crate::digest::DigestObserver;
+
+        let config = MonitorConfig::default()
+            .with_capacity(1e12)
+            .with_strategy(PolicySpec::new(|| HalveTheFirst))
+            .without_noise();
+        let (mut cohort, mut lone) = (Monitor::new(config.clone()), Monitor::new(config));
+        for label in ["first", "second", "third"] {
+            let spec = QuerySpec::new(QueryKind::Counter).with_label(label);
+            cohort.register(&spec).expect("valid spec");
+            let instance = build_query_from_spec(&spec);
+            lone.register_instance(instance, Some(label.into()), None).expect("valid instance");
+        }
+        let instance = |monitor: &Monitor, position: usize| {
+            let lane: &dyn Query = lanes_at(&monitor.queries, position)[0].as_ref();
+            std::ptr::from_ref::<dyn Query>(lane).cast::<()>()
+        };
+        let originals = instance(&cohort, 0);
+        assert_eq!([1, 2].map(|position| instance(&cohort, position)), [originals; 2]);
+
+        let (mut shared, mut alone) = (DigestObserver::new(), DigestObserver::new());
+        for batch in &small_trace(2, 200.0) {
+            cohort.ingest(batch, &mut shared).expect("bin");
+            lone.ingest(batch, &mut alone).expect("bin");
+            let heads: Vec<Option<usize>> = cohort.queries.iter().map(|q| q.head).collect();
+            assert_eq!(heads, [None, None, Some(1)]);
+            assert_eq!(
+                predictor_heads(&cohort),
+                [None, None, Some(1)],
+                "the third follows the heir's copy"
+            );
+            assert_ne!(instance(&cohort, 0), originals, "the head runs a copy");
+            assert_eq!(instance(&cohort, 1), originals, "the heir runs the originals");
+            assert_eq!(cohort.query_runs(), 2);
+        }
+        flush(&mut cohort, &mut shared);
+        flush(&mut lone, &mut alone);
+        assert_eq!(shared.digest(), alone.digest());
+    }
+
+    /// Under a policy that needs measured cycles, every follower still runs
+    /// its shadow twin: a tenant run's digest, and its checkpoint in the
+    /// middle of its first interval, equal those of the same run with no
+    /// cohort — every tenant owning its instances, predictor and twin — at
+    /// workers {1, 2, 4}, with measurement noise (every follower owns a
+    /// predictor after its first run) or without (none ever does).
+    #[test]
+    fn followers_shadow_twins_advance_under_the_oracle() {
+        use crate::digest::{DigestObserver, RunDigest};
+        use crate::policy::OraclePolicy;
+        use netshed_fairness::MmfsPkt;
+
+        const CUT: usize = 5;
+        let batches = small_trace(16, 300.0);
+        let oracle = MonitorConfig::default()
+            .with_capacity(1e12)
+            .with_strategy(PolicySpec::new(|| OraclePolicy::new(MmfsPkt)));
+        for config in [oracle.clone(), oracle.without_noise()] {
+            let run = |workers: usize, cohorts: bool| -> (RunDigest, Vec<u8>) {
+                let mut monitor = Monitor::new(config.clone().with_workers(workers));
+                for index in 0..9 {
+                    let kind = [QueryKind::Counter, QueryKind::Flows, QueryKind::TopK][index % 3];
+                    let spec = QuerySpec::new(kind).with_label(format!("tenant-{index}"));
+                    monitor.register(&spec).expect("valid spec");
+                    if !cohorts {
+                        monitor.fresh.clear();
+                    }
+                }
+                let (mut digest, mut checkpoint) = (DigestObserver::new(), Vec::new());
+                for (bin, batch) in batches.iter().enumerate() {
+                    if bin == CUT {
+                        let followers = monitor.queries.iter().filter(|q| q.head.is_some());
+                        assert_eq!(followers.count(), if cohorts { 6 } else { 0 });
+                        let mut writer = StateWriter::new();
+                        monitor.save_state(&mut writer).expect("save");
+                        checkpoint = writer.into_bytes();
+                    }
+                    monitor.ingest(batch, &mut digest).expect("bin");
+                }
+                flush(&mut monitor, &mut digest);
+                (digest.digest(), checkpoint)
+            };
+            let (digest, checkpoint) = run(1, false);
+            for workers in [1, 2, 4] {
+                let (cohort_digest, cohort_checkpoint) = run(workers, true);
+                assert_eq!(cohort_digest, digest, "workers {workers}");
+                assert!(cohort_checkpoint == checkpoint, "workers {workers}: checkpoints differ");
+            }
         }
     }
 
@@ -1653,9 +1706,7 @@ mod tests {
             for label in ["first", "second"] {
                 monitor.register(&spec.clone().with_label(label)).expect("valid spec");
             }
-            let shared = |monitor: &Monitor| {
-                Arc::ptr_eq(&monitor.queries[0].cohort, &monitor.queries[1].cohort)
-            };
+            let shared = |monitor: &Monitor| monitor.queries[1].head == Some(0);
             let saved = |monitor: &Monitor| {
                 let mut writer = StateWriter::new();
                 monitor.save_state(&mut writer).expect("save");
@@ -1675,17 +1726,13 @@ mod tests {
             assert!(shared(&restore(&state)), "equal bytes on every lane share the instances");
 
             // Only the second query's lane-1 instance sees the third batch.
+            let first = &monitor.queries[0];
+            let lanes = first.lanes.iter().map(|lane| copy_of(lane.as_ref(), &spec)).collect();
+            let predictor = copy_predictor(predictor_at(&monitor.queries, 0), &config.predictor);
             let second = &mut monitor.queries[1];
-            let lanes = second
-                .cohort
-                .lock()
-                .lanes
-                .iter()
-                .map(|lane| copy_of(lane.as_ref(), &spec))
-                .collect();
-            second.cohort = Cohort::of(lanes);
+            (second.head, second.lanes, second.predictor) = (None, lanes, Some(predictor));
             let view = batches[2].view();
-            second.cohort.lock().lanes[1].process_batch(&view, 1.0, &mut CycleMeter::new());
+            second.lanes[1].process_batch(&view, 1.0, &mut CycleMeter::new());
 
             let state = saved(&monitor);
             let restored = restore(&state);
@@ -1693,9 +1740,9 @@ mod tests {
             assert!(saved(&restored) == state, "the restored bytes are the saved ones");
         }
 
-        /// A restore re-forms a follower from its leader's cohort key, lane
-        /// bytes, predictor bytes and enforcement counters: a member whose
-        /// predictor bytes equal its would-be leader's but whose penalty
+        /// A restore re-forms a follower of the predictor from its head's
+        /// cohort key, lane bytes, predictor bytes and enforcement counters:
+        /// a member whose predictor bytes equal its head's but whose penalty
         /// differs keeps a predictor of its own.
         #[test]
         fn a_restored_member_serving_another_penalty_keeps_its_own_predictor() {
@@ -1705,17 +1752,10 @@ mod tests {
             for label in ["first", "second", "third"] {
                 monitor.register(&spec.clone().with_label(label)).expect("valid spec");
             }
-            let leaders = |monitor: &Monitor| -> Vec<Option<usize>> {
-                let leader = |registered: &RegisteredQuery| match registered.predictor {
-                    Predicts::Follows(leader) => Some(leader),
-                    Predicts::Own(_) => None,
-                };
-                monitor.queries.iter().map(leader).collect()
-            };
             for batch in &small_trace(3, 100.0) {
                 monitor.process_batch(batch).expect("batch");
             }
-            assert_eq!(leaders(&monitor), [None, Some(0), Some(0)]);
+            assert_eq!(predictor_heads(&monitor), [None, Some(0), Some(0)]);
 
             monitor.queries[2].penalty_remaining = 3;
             let mut writer = StateWriter::new();
@@ -1723,8 +1763,8 @@ mod tests {
             let state = writer.into_bytes();
             let mut restored = Monitor::new(config);
             restored.load_state(&mut StateReader::new(&state)).expect("load");
-            assert_eq!(leaders(&restored), [None, Some(0), None]);
-            assert!(Arc::ptr_eq(&restored.queries[0].cohort, &restored.queries[2].cohort));
+            assert_eq!(predictor_heads(&restored), [None, Some(0), None]);
+            assert_eq!(restored.queries[2].head, Some(0), "it follows the instances still");
             let mut again = StateWriter::new();
             restored.save_state(&mut again).expect("save");
             assert!(again.into_bytes() == state, "the restored bytes are the saved ones");

@@ -1,12 +1,12 @@
 //! Cohorts change nothing. Queries registered from specs that are equal but
-//! for the label share one set of lane instances until the plan gives them
-//! different deliveries, and those that joined a fresh cohort together follow
-//! its first member's predictor until the plan gives them different inputs
-//! (DESIGN.md, "Cohorts"). The oracle needs no knob: an engine whose queries
-//! were registered as bare instances of the same specs, under the same labels
-//! and minimum rates, has no specs to compare, so no cohort forms in it and
-//! nobody follows — and it must emit the same three digest streams, bit for
-//! bit, at any worker count.
+//! for the label follow the first of them, their head: they borrow its lane
+//! instances until the plan gives them different deliveries, and its
+//! predictor until the plan gives them different inputs (DESIGN.md,
+//! "Cohorts"). The oracle needs no knob: an engine whose queries were
+//! registered as bare instances of the same specs, under the same labels and
+//! minimum rates, has no specs to compare, so nobody follows anybody in it —
+//! and it must emit the same three digest streams, bit for bit, at any worker
+//! count.
 
 use netshed::features::FeatureVector;
 use netshed::monitor::{flow_sample_with, packet_sample_with};
@@ -189,14 +189,17 @@ impl Predictor for Uncopyable {
     }
 }
 
-/// A follower that detaches needs a copy of its leader's predictor, so a
-/// tenant whose predictor cannot be checkpointed never follows: the same run
-/// shares its instances as before, and every tenant predicts for itself.
+/// The engine's MLR predictor, made [`Uncopyable`].
+fn uncopyable() -> PredictorSpec {
+    PredictorSpec::new(|| Box::new(Uncopyable(MlrPredictor::with_defaults())) as Box<dyn Predictor>)
+}
+
+/// A follower that detaches needs a copy of its head's predictor, so a
+/// tenant whose predictor cannot be checkpointed never follows one: the same
+/// run shares its instances as before, and every tenant predicts for itself.
 #[test]
 fn tenants_whose_predictor_declines_its_checkpoint_never_follow() {
-    let config = unshed().with_predictor(PredictorSpec::new(|| {
-        Box::new(Uncopyable(MlrPredictor::with_defaults())) as Box<dyn Predictor>
-    }));
+    let config = unshed().with_predictor(uncopyable());
     let (runs, predictions) = counts(&assert_cohorts_change_nothing(
         &config,
         &late_tenant_script(),
@@ -323,7 +326,7 @@ fn twins_that_the_plan_tells_apart_detach_and_change_nothing() {
     assert!(predictions[1..].iter().all(|&count| count == 40), "{predictions:?}");
 }
 
-/// The shed run without noise: followers detach from their leaders' predictors
+/// The shed run without noise: followers detach from their heads' predictors
 /// only when the plan tells them apart — a sample of their own, or another
 /// rate — and until then make one prediction for all.
 #[test]
@@ -335,10 +338,24 @@ fn followers_detach_when_the_plan_tells_them_apart_and_change_nothing() {
     assert!(predictions.windows(2).all(|pair| pair[0] <= pair[1]), "nobody re-follows");
 }
 
-/// A cohort's first-registered member, its leader, leaves mid-interval: the
-/// cohort's other members carry on with the instances, plan under the next
-/// one, and follow the leader's predictor, which passes to the first of
-/// them — tenant 5, which leaves in turn.
+/// The shed run without noise, on predictors that decline their checkpoint:
+/// nobody follows a predictor, but twins share instances until the plan
+/// feeds a head a sample of its own — then the head keeps a copy of its
+/// instances and hands the originals to its first follower, and no
+/// predictor is copied, since nobody borrowed one.
+#[test]
+fn a_sampled_head_whose_predictor_declines_its_checkpoint_hands_off_its_instances() {
+    let (config, script, batches) = shed_twins(false);
+    let config = config.with_predictor(uncopyable());
+    let (runs, predictions) = counts(&assert_cohorts_change_nothing(&config, &script, &batches));
+    assert_eq!(runs[0], 10, "one instance set per kind until the plan samples a head");
+    assert!(runs.iter().any(|&runs| runs > 10), "{runs:?}");
+    assert!(predictions.iter().all(|&count| count == 40), "{predictions:?}");
+}
+
+/// A cohort's first-registered member, its head, leaves mid-interval: its
+/// instances and predictor pass to the first of the other members — tenant
+/// 5, which the others follow from then on and which leaves in turn.
 #[test]
 fn deregistering_a_cohorts_first_member_changes_nothing() {
     let script = Script {
@@ -350,6 +367,49 @@ fn deregistering_a_cohorts_first_member_changes_nothing() {
         counts(&assert_cohorts_change_nothing(&unshed(), &script, &traffic(37, 50, false)));
     assert!(runs.iter().all(|&runs| runs == 5), "{runs:?}");
     assert!(predictions.iter().all(|&count| count == 5), "{predictions:?}");
+}
+
+/// With outlier noise on — no jitter, so only a context-switch outlier tells
+/// two runs apart — a follower detaches from its head's predictor the first
+/// bin one of the two draws an outlier and the other does not, and keeps
+/// following the head's instances. By bin 8 the cohorts' followers are
+/// mixed: in two of them the first follows the instances alone and the
+/// second both, in one the other way round. Then the heads leave: each first
+/// follower inherits the instances — and the predictor, when it followed
+/// that — and a second that followed the predictor while the heir owns its
+/// own takes a copy of the old head's; from then on each of the ten who stay
+/// predicts for itself.
+#[test]
+fn deregistering_a_head_whose_followers_are_mixed_changes_nothing() {
+    const LEAVE: usize = 8;
+    let config = MonitorConfig { noise_outlier_probability: 0.05, ..unshed() };
+    let script = Script {
+        tenants: tenants(&FIVE, 15),
+        late: Vec::new(),
+        leave: (0..5).map(|head| (LEAVE, head)).collect(),
+    };
+    let (runs, predictions) =
+        counts(&assert_cohorts_change_nothing(&config, &script, &traffic(41, 30, false)));
+    assert!(runs.iter().all(|&runs| runs == 5), "{runs:?}");
+    assert_eq!(predictions[..LEAVE], [5, 8, 9, 9, 9, 11, 11, 11]);
+    assert!(predictions[LEAVE..].iter().all(|&count| count == 10), "{predictions:?}");
+}
+
+/// Only owners are dispatched: the unshed 25-tenant run's five cohorts make
+/// five predict tasks and five execute tasks a bin, at any worker count.
+#[test]
+fn an_unshed_tenant_run_dispatches_one_task_per_cohort_and_dispatch() {
+    for workers in [1, 2] {
+        let mut engine = Monitor::new(unshed().with_workers(workers));
+        for spec in &tenants(&FIVE, 25) {
+            engine.register(spec).expect("valid spec");
+        }
+        for batch in &traffic(29, 20, false) {
+            engine.process_batch(batch).expect("bin");
+        }
+        let stats = engine.stage_stats();
+        assert_eq!((stats.bins, stats.tasks), (20, 20 * 10), "workers {workers}");
+    }
 }
 
 /// What detaching rests on: a mid-interval `save_state` → `load_state` copy
