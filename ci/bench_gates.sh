@@ -34,6 +34,10 @@ forbid 'projected_|_basis' "carries a modelled (projected_/_basis) figure"
 require '"fcbf_ns_per_bin"' "lost the prediction plane's FCBF row"
 require '"shared_ns_per_bin"' "lost the prediction plane's shared-window row"
 forbid '"alloc_ns_per_bin"' "carries the retired alloc_ns_per_bin row"
+# `reselect10_ns_per_bin` timed the cycle with FCBF rerun every tenth bin, a
+# configuration no engine runs: the predictor reselects every bin, as the
+# paper does, and the reselection period is gone.
+forbid '"reselect10_ns_per_bin"' "carries the retired reselect10_ns_per_bin row"
 # An aligned predictor reads the window's factorisation of the features it
 # selected and pays only its own projection: its cycle may not cost more than
 # 0.55 of a private one's (0.566 when it shared the moments alone, 0.435 with

@@ -39,13 +39,13 @@
 //!    (`reextraction_walks_per_bin_*`: the packet-sampled queries' samples
 //!    nest, so one walk re-extracts them all; each flow sample is one more).
 //! 5. **prediction plane**: ns per bin of the MLR predict/observe cycle
-//!    (reselecting every bin, and with `reselect_every = 10`), the same
-//!    cycle for a predictor aligned with a warm shared feature window and
-//!    its ratio to the private one (`shared_vs_private`: the window's
-//!    moments and factorisation made by another tenant, whose responses
-//!    differ, so the prediction is the predictor's own), and the cycle's
-//!    two halves on the same stream: the FCBF selection over the 60 x 42
-//!    history and the least-squares solve over the selected columns.
+//!    (reselecting every bin, as the paper does), the same cycle for a
+//!    predictor aligned with a warm shared feature window and its ratio to
+//!    the private one (`shared_vs_private`: the window's moments and
+//!    factorisation made by another tenant, whose responses differ, so the
+//!    prediction is the predictor's own), and the cycle's two halves on the
+//!    same stream: the FCBF selection over the 60 x 42 history and the
+//!    least-squares solve over the selected columns.
 //! 6. **registry scale**: the service-plane daemon at 10/100/1000 live
 //!    tenants — control-channel registration cost per query and the
 //!    steady-state per-bin cost, with the marginal nanoseconds each
@@ -653,8 +653,7 @@ fn bench_fleet_pipeline_at(batches: usize, workers: usize) -> PipelineNumbers {
 /// the MLR predictor reselecting every bin (as the paper does), the same
 /// predictor aligned with a feature window another tenant, of other
 /// responses, has already read that bin (what each further query of an
-/// unshed engine pays that owns its predictor), and with
-/// `reselect_every = 10` to show the FCBF amortisation; then the two halves
+/// unshed engine pays that owns its predictor); then the two halves
 /// of a prediction on the same stream, each over its own warm scratch — the
 /// FCBF selection over the full history, and the least-squares solve over
 /// the columns it selected.
@@ -718,11 +717,6 @@ fn bench_prediction_plane(bins: usize) -> Report {
         assert!(second.history().aligned_with(&window));
         shared_ns_per_bin = shared_ns_per_bin.min(shared_ns as f64 / bins as f64);
     }
-    let reselect10_ns_per_bin = best_ns_per_bin(MlrPredictor::new(MlrConfig {
-        reselect_every: 10,
-        ..MlrConfig::default()
-    }));
-
     // The halves: per bin, select over the window, then solve over the
     // selected columns, each under its own clock.
     let config = MlrConfig::default();
@@ -762,7 +756,6 @@ fn bench_prediction_plane(bins: usize) -> Report {
         .cell("ns_per_bin", num(ns_per_bin, 0))
         .cell("shared_ns_per_bin", num(shared_ns_per_bin, 0))
         .cell("shared_vs_private", num(shared_ns_per_bin / ns_per_bin, 3))
-        .cell("reselect10_ns_per_bin", num(reselect10_ns_per_bin, 0))
         .cell("fcbf_ns_per_bin", num(best_fcbf, 0))
         .cell("ols_ns_per_bin", num(best_ols, 0))
 }

@@ -265,7 +265,7 @@ fn pooled_errors(series: &[Series], make: MakePredictor) -> ErrorStats {
 
 fn mlr_predictor(history: usize, threshold: f64) -> MlrPredictor {
     let fcbf = FcbfConfig { threshold, max_features: 8 };
-    MlrPredictor::new(MlrConfig { history, fcbf, ..MlrConfig::default() })
+    MlrPredictor::new(MlrConfig { history, fcbf })
 }
 
 /// Per series, the mean error and the per-bin cost (operations) of an MLR

@@ -13,10 +13,7 @@
 use crate::error::NetshedError;
 use crate::policy::{ControlPolicy, NoSheddingPolicy, PredictivePolicy, ReactivePolicy};
 use netshed_fairness::{AllocationStrategy, EqualRates, MmfsCpu, MmfsPkt};
-use netshed_predict::{
-    EwmaPredictor, MlrConfig, MlrPredictor, Predictor, RobustMlrConfig, RobustMlrPredictor,
-    SlrPredictor,
-};
+use netshed_predict::{EwmaPredictor, MlrPredictor, Predictor, RobustMlrPredictor, SlrPredictor};
 use std::sync::Arc;
 
 /// A cloneable description of one pluggable component: the name its
@@ -203,10 +200,8 @@ impl PredictorKind {
     /// its default (paper) configuration.
     pub fn predictor(self) -> Box<dyn Predictor> {
         match self {
-            PredictorKind::MlrFcbf => Box::new(MlrPredictor::new(MlrConfig::default())),
-            PredictorKind::RobustMlrFcbf => {
-                Box::new(RobustMlrPredictor::new(RobustMlrConfig::default()))
-            }
+            PredictorKind::MlrFcbf => Box::new(MlrPredictor::with_defaults()),
+            PredictorKind::RobustMlrFcbf => Box::new(RobustMlrPredictor::with_defaults()),
             PredictorKind::Slr => Box::new(SlrPredictor::on_packets()),
             PredictorKind::Ewma => Box::new(EwmaPredictor::default()),
         }

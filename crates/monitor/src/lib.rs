@@ -102,6 +102,6 @@ pub use policy::{
 };
 pub use reference::ReferenceRunner;
 pub use report::{BinRecord, QueryBinRecord, RunSummary};
-pub use robust::{AllocationGameAttacker, DegradationGuard, DegradationGuardConfig};
+pub use robust::{AllocationGameAttacker, DegradationGuard};
 pub use sharded::ShardedMonitor;
 pub use shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};

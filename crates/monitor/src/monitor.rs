@@ -165,7 +165,7 @@ fn copy_state(
 ) {
     let mut writer = StateWriter::new();
     let copied = save(&mut writer).and_then(|()| load(&mut StateReader::new(writer.as_bytes())));
-    // lint:allow(no-unwrap): only spec'd queries are followed, every kind a spec builds round-trips its state bit for bit, and only a predictor whose checkpoint succeeded at registration is followed (`Monitor::register_inner`) — the checkpoint contract
+    // lint:allow(no-unwrap): only spec'd queries are followed, every kind a spec builds round-trips its state bit for bit, and only a predictor whose checkpoint succeeded at registration is followed (`Monitor::new_query`) — the checkpoint contract
     copied.expect("a followed query or predictor round-trips its state");
 }
 
@@ -189,29 +189,44 @@ fn copyable(predictor: &dyn Predictor) -> bool {
     predictor.save_state(&mut StateWriter::new()).is_ok()
 }
 
-/// What two registrations must agree on, bit for bit, to share instances:
-/// the spec except its label, and the minimum rate and shedding method it
-/// resolved to.
+/// What two registrations' specs must agree on, bit for bit, to share
+/// instances: all but the label. The minimum rate and the shedding method a
+/// spec resolves to follow from these. A bare instance has no spec to agree
+/// on and always runs alone.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CohortKey {
     kind: QueryKind,
     min_sampling_rate: Option<u64>,
     custom_behavior: Option<CustomBehavior>,
-    min_rate: u64,
-    shedding: SheddingMethod,
 }
 
 impl CohortKey {
-    /// The key of a registered query; `None` for a bare instance, which
-    /// has no spec to agree on and always runs alone.
-    fn of(registered: &RegisteredQuery) -> Option<Self> {
-        registered.spec.as_ref().map(|spec| Self {
+    fn of(spec: &QuerySpec) -> Self {
+        Self {
             kind: spec.kind,
             min_sampling_rate: spec.min_sampling_rate.map(f64::to_bits),
             custom_behavior: spec.custom_behavior,
-            min_rate: registered.min_rate.to_bits(),
-            shedding: registered.shedding,
-        })
+        }
+    }
+}
+
+/// What a new registration runs: instances of its own — the given one on
+/// lane 0, the others built from its spec — at the given minimum rate, or
+/// those of the fresh cohort head at a position.
+enum Runs {
+    Own(Box<dyn Query>, f64),
+    Follows(usize),
+}
+
+/// Refuses a minimum sampling rate outside `[0, 1]`.
+fn check_min_rate(min_rate: Option<f64>, label: &str) -> Result<(), NetshedError> {
+    match min_rate {
+        Some(rate) if !rate.is_finite() || !(0.0..=1.0).contains(&rate) => {
+            Err(NetshedError::InvalidConfig(format!(
+                "min_sampling_rate for '{label}' must be in [0, 1], got {rate}"
+            )))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -287,7 +302,7 @@ fn hand_off(
     let index = later.iter().position(|follower| follower.head == Some(owner))?;
     let (heir, others) = later[index..].split_first_mut()?;
     (heir.lanes, heir.head) = (lanes(), None);
-    // Only a copyable predictor is ever borrowed (`Monitor::register_inner`).
+    // Only a copyable predictor is ever borrowed (`Monitor::new_query`).
     let copy = || predictor.map(|predictor| copy_predictor(predictor, spec));
     let heir_borrowed = heir.predictor.is_none();
     if heir_borrowed {
@@ -546,12 +561,21 @@ impl Monitor {
     /// inputs; the outputs, records and checkpoints are those of separate
     /// instances and predictors, bit for bit.
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
-        self.register_inner(
-            build_query_from_spec(spec),
-            Some(spec.clone()),
-            Some(spec.resolved_label()),
-            spec.min_sampling_rate,
-        )
+        let label = spec.resolved_label();
+        check_min_rate(spec.min_sampling_rate, &label)?;
+        // A fresh cohort has never run, so its head's instances and
+        // predictor are as fresh as this query's own would be: a query that
+        // joins one builds neither.
+        let position = self.queries.len();
+        let runs = match *self.fresh.entry(CohortKey::of(spec)).or_insert(position) {
+            head if head != position => Runs::Follows(head),
+            _ => {
+                let query = build_query_from_spec(spec);
+                let min_rate = spec.min_sampling_rate.unwrap_or(query.min_sampling_rate());
+                Runs::Own(query, min_rate.clamp(0.0, 1.0))
+            }
+        };
+        Ok(self.push_query(label, Some(spec.clone()), runs))
     }
 
     /// Registers an already constructed query instance under an optional
@@ -568,25 +592,57 @@ impl Monitor {
         label: Option<String>,
         min_rate: Option<f64>,
     ) -> Result<QueryId, NetshedError> {
-        self.register_inner(query, None, label, min_rate)
+        let label = label.unwrap_or_else(|| query.name().to_string());
+        check_min_rate(min_rate, &label)?;
+        if self.lane_count > 1 {
+            return Err(NetshedError::InvalidConfig(format!(
+                "'{label}' is a bare instance: {} lanes need a QuerySpec to build one each from",
+                self.lane_count
+            )));
+        }
+        let min_rate = min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0);
+        Ok(self.push_query(label, None, Runs::Own(query, min_rate)))
     }
 
-    /// A query as it stands right after registration: a fresh predictor and
-    /// sampled extractor, flow-hasher generation 0 (its table unbuilt), clean
-    /// enforcement state and, following nobody, one instance per lane of its
-    /// own — `query` on lane 0, the others built from `spec` (a bare instance
-    /// has only the one).
+    /// Files a new registration of what `runs` under `label`, and returns
+    /// its handle.
+    fn push_query(&mut self, label: String, spec: Option<QuerySpec>, runs: Runs) -> QueryId {
+        let id = QueryId(self.next_query_id);
+        self.next_query_id += 1;
+        let registered = self.new_query(id, label.into(), spec, runs);
+        self.queries.push(registered);
+        id
+    }
+
+    /// A query as it stands right after registration: a fresh sampled
+    /// extractor, flow-hasher generation 0 (its table unbuilt), clean
+    /// enforcement state, and what it `runs`. An owner has one instance per
+    /// lane of its own (a bare instance has only the one) and a fresh
+    /// predictor. A follower builds no instance, and borrows its head's
+    /// predictor unless that one cannot be copied, as a follower that
+    /// detaches must; then it makes its own.
     fn new_query(
         &self,
         id: QueryId,
         label: Arc<str>,
-        min_rate: f64,
         spec: Option<QuerySpec>,
-        query: Box<dyn Query>,
+        runs: Runs,
     ) -> RegisteredQuery {
-        let shedding = query.preferred_shedding();
-        let others =
-            spec.iter().flat_map(|spec| (1..self.lane_count).map(|_| build_query_from_spec(spec)));
+        let make = || self.config.predictor.make();
+        let (shedding, min_rate, head, lanes, predictor) = match runs {
+            Runs::Own(query, min_rate) => {
+                let others = spec
+                    .iter()
+                    .flat_map(|spec| (1..self.lane_count).map(|_| build_query_from_spec(spec)));
+                let lanes = std::iter::once(query).chain(others).collect::<Vec<_>>();
+                (lanes[0].preferred_shedding(), min_rate, None, lanes, Some(make()))
+            }
+            Runs::Follows(position) => {
+                let head = &self.queries[position];
+                let copyable = head.predictor.as_deref().is_some_and(copyable);
+                (head.shedding, head.min_rate, Some(position), Vec::new(), (!copyable).then(make))
+            }
+        };
         RegisteredQuery {
             id,
             label,
@@ -597,59 +653,15 @@ impl Monitor {
             overuse_ratio: 1.0,
             violations: 0,
             penalty_remaining: 0,
-            head: None,
-            lanes: std::iter::once(query).chain(others).collect(),
+            head,
+            lanes,
             shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
             spec,
-            predictor: Some(self.config.predictor.make()),
+            predictor,
             sampled_extractor: extractor(&self.config),
             shed_pool: KeepListPool::new(),
             slot: BinSlot::default(),
         }
-    }
-
-    fn register_inner(
-        &mut self,
-        query: Box<dyn Query>,
-        spec: Option<QuerySpec>,
-        label: Option<String>,
-        min_rate: Option<f64>,
-    ) -> Result<QueryId, NetshedError> {
-        if let Some(rate) = min_rate {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(NetshedError::InvalidConfig(format!(
-                    "min_sampling_rate for '{}' must be in [0, 1], got {rate}",
-                    label.as_deref().unwrap_or(query.name())
-                )));
-            }
-        }
-        if spec.is_none() && self.lane_count > 1 {
-            return Err(NetshedError::InvalidConfig(format!(
-                "'{}' is a bare instance: {} lanes need a QuerySpec to build one each from",
-                label.as_deref().unwrap_or(query.name()),
-                self.lane_count
-            )));
-        }
-        let id = QueryId(self.next_query_id);
-        self.next_query_id += 1;
-        let label = label.map_or_else(|| query.name().into(), Arc::from);
-        let min_rate = min_rate.unwrap_or(query.min_sampling_rate()).clamp(0.0, 1.0);
-        let mut registered = self.new_query(id, label, min_rate, spec, query);
-        if let Some(key) = CohortKey::of(&registered) {
-            let position = self.queries.len();
-            let head = *self.fresh.entry(key).or_insert(position);
-            // A fresh cohort has never run, so its head's instances and
-            // predictor are as fresh as this query's own.
-            if head != position {
-                (registered.head, registered.lanes) = (Some(head), Vec::new());
-                let fresh = [&registered.predictor, &self.queries[head].predictor];
-                if fresh.iter().all(|predictor| predictor.as_deref().is_some_and(copyable)) {
-                    registered.predictor = None;
-                }
-            }
-        }
-        self.queries.push(registered);
-        Ok(id)
     }
 
     /// Deregisters a query instance by handle. The instance's state
@@ -963,8 +975,9 @@ impl Monitor {
             let hasher_generation = reader.u64()?;
             let overuse_ratio =
                 bounded(reader.f64()?, &format!("query '{label}' overuse_ratio"), f64::MAX)?;
-            let query = build_query_from_spec(&spec);
-            let mut registered = self.new_query(id, label.into(), min_rate, Some(spec), query);
+            let key = CohortKey::of(&spec);
+            let runs = Runs::Own(build_query_from_spec(&spec), min_rate);
+            let mut registered = self.new_query(id, label.into(), Some(spec), runs);
             registered.hasher_generation = hasher_generation;
             registered.overuse_ratio = overuse_ratio;
             registered.violations = reader.u32()?;
@@ -986,20 +999,18 @@ impl Monitor {
             if let Some(predictor) = &mut registered.predictor {
                 predictor.load_state(reader)?;
             }
-            if let Some(key) = CohortKey::of(&registered) {
-                let counters = (
-                    registered.overuse_ratio.to_bits(),
-                    registered.violations,
-                    registered.penalty_remaining,
-                );
-                let predicted = (consumed(&before, reader), counters);
-                let (head, heads_predicted) =
-                    *heads.entry((key, lanes)).or_insert((position, predicted));
-                if head != position {
-                    (registered.head, registered.lanes) = (Some(head), Vec::new());
-                    if heads_predicted == predicted {
-                        registered.predictor = None;
-                    }
+            let counters = (
+                registered.overuse_ratio.to_bits(),
+                registered.violations,
+                registered.penalty_remaining,
+            );
+            let predicted = (consumed(&before, reader), counters);
+            let (head, heads_predicted) =
+                *heads.entry((key, lanes)).or_insert((position, predicted));
+            if head != position {
+                (registered.head, registered.lanes) = (Some(head), Vec::new());
+                if heads_predicted == predicted {
+                    registered.predictor = None;
                 }
             }
             registered.sampled_extractor.load_state(reader)?;

@@ -19,24 +19,25 @@
 //!   cycles its queries actually consumed exceed what the guard's own
 //!   previous decision committed to — Σ prediction × rate × the policy's
 //!   own error-EWMA inflation, so drift the inner policy is already
-//!   compensating for does not count — by more than `trip_ratio`, **or**
+//!   compensating for does not count — by more than `TRIP_RATIO`, **or**
 //!   when it dropped packets without control (an overloaded bin caps its
 //!   consumption at roughly the capacity, so the cycle ratio alone can be
 //!   gamed into silence while drops pile up), **or** when the budget debt
 //!   left by an earlier overrun forced it fully dark — zero rates commit
 //!   zero cycles, so a single catastrophically under-predicted bin would
 //!   otherwise pay itself off through bins that produce no ratio evidence
-//!   at all. After `trip_bins` consecutive
+//!   at all. After `TRIP_BINS` consecutive
 //!   bad bins the guard degrades: rates come from a conservative reactive
-//!   fallback (Eq. 4.1 in query denomination scaled by a safety factor,
+//!   fallback (Eq. 4.1 in query denomination, spread with equal rates,
 //!   with the rebound after an over-shed bin rationed and the rate halved
 //!   again while drops persist,
 //!   so the feedback loop cannot oscillate) and every decision carries
 //!   [`DecisionReason::DegradedFallback`] so observers — and the
 //!   `scenarios` CLI — can see the tripwire state per bin. Recovery is
-//!   hysteretic: only after `recover_bins` consecutive bins whose error
-//!   ratio is back under `recover_ratio` does the guard trust the
-//!   predictions again.
+//!   hysteretic: only after `RECOVER_BINS` consecutive bins whose error
+//!   ratio is back under `RECOVER_RATIO` does the guard trust the
+//!   predictions again. The thresholds are constants, tuned once; that the
+//!   two ratios form a hysteresis band is checked at compile time.
 //! * [`AllocationGameAttacker`] models the Section 5.3 resource-allocation
 //!   game played dishonestly: one registered query unilaterally over-declares
 //!   its demand toward `greed ×` the Nash-equilibrium action `C / |Q|`
@@ -47,7 +48,7 @@ use crate::capture::bounded;
 use crate::policy::{
     spread_global_rate, ControlContext, ControlDecision, ControlPolicy, DecisionReason,
 };
-use netshed_fairness::{AllocationGame, AllocationStrategy, EqualRates, FairnessMode, QueryDemand};
+use netshed_fairness::{AllocationGame, EqualRates, FairnessMode, QueryDemand};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
 /// Per-bin multiplicative cap on how fast the degraded fallback rate may
@@ -83,43 +84,30 @@ fn query_budget_rate(ctx: &ControlContext<'_>) -> f64 {
 /// point in a few bins instead.
 const DROP_BACKOFF: f64 = 0.5;
 
-/// Tripwire and recovery thresholds of a [`DegradationGuard`].
-#[derive(Debug, Clone, Copy)]
-pub struct DegradationGuardConfig {
-    /// A bin is *bad* when its query cycles exceed the cycles the guard's
-    /// previous decision committed to by more than this factor.
-    pub trip_ratio: f64,
-    /// Consecutive bad bins before the guard degrades.
-    pub trip_bins: u32,
-    /// While degraded, a bin is *good* when its error ratio is at or below
-    /// this factor (strictly below [`trip_ratio`](Self::trip_ratio) — the
-    /// hysteresis band that prevents flapping at the threshold).
-    pub recover_ratio: f64,
-    /// Consecutive good bins before the guard trusts predictions again.
-    pub recover_bins: u32,
-    /// Extra conservatism applied to the Eq. 4.1 fallback rate while
-    /// degraded (the predictions that normally bound the admitted work are
-    /// exactly what cannot be trusted).
-    pub safety: f64,
-    /// Bins at the start of a run during which the tripwire is disarmed.
-    /// A cold predictor mispredicts wildly until its history warms up;
-    /// those errors are expected and self-correcting, and tripping on them
-    /// would leave the guard degraded before any attack could begin.
-    pub warmup_bins: u64,
-}
+/// A bin is *bad* when its query cycles exceed the cycles the guard's
+/// previous decision committed to by more than this factor.
+const TRIP_RATIO: f64 = 2.0;
 
-impl Default for DegradationGuardConfig {
-    fn default() -> Self {
-        Self {
-            trip_ratio: 2.0,
-            trip_bins: 2,
-            recover_ratio: 1.5,
-            recover_bins: 4,
-            safety: 1.0,
-            warmup_bins: 10,
-        }
-    }
-}
+/// Consecutive bad bins before the guard degrades.
+const TRIP_BINS: u32 = 2;
+
+/// While degraded, a bin is *good* when its error ratio is at or below this
+/// factor.
+const RECOVER_RATIO: f64 = 1.5;
+
+/// Consecutive good bins before the guard trusts predictions again.
+const RECOVER_BINS: u32 = 4;
+
+/// Bins at the start of a run during which the tripwire is disarmed. A cold
+/// predictor mispredicts wildly until its history warms up; those errors are
+/// expected and self-correcting, and tripping on them would leave the guard
+/// degraded before any attack could begin.
+const WARMUP_BINS: u64 = 10;
+
+// The recovery ratio sits in `[1, TRIP_RATIO]`: the hysteresis band that
+// keeps the guard from flapping at the threshold. Both streaks need a bin.
+const _: () = assert!(1.0 <= RECOVER_RATIO && RECOVER_RATIO <= TRIP_RATIO);
+const _: () = assert!(TRIP_BINS > 0 && RECOVER_BINS > 0);
 
 /// Wraps a [`ControlPolicy`] with an under-prediction tripwire and a
 /// conservative reactive fallback: graceful degradation when the predictor
@@ -139,8 +127,6 @@ impl Default for DegradationGuardConfig {
 /// ```
 pub struct DegradationGuard {
     inner: Box<dyn ControlPolicy>,
-    fallback_allocator: Box<dyn AllocationStrategy>,
-    config: DegradationGuardConfig,
     /// Cycles the previous decision committed to
     /// (Σ prediction × rate × inflation — the policy's own EWMA-corrected
     /// expectation, so a predictor error the inner policy is already
@@ -166,40 +152,11 @@ pub struct DegradationGuard {
 }
 
 impl DegradationGuard {
-    /// Guards `inner` with the default thresholds, spreading the fallback
-    /// rate with the Chapter 4 equal-rates scheme.
+    /// Guards `inner`, spreading the fallback rate with the Chapter 4
+    /// equal-rates scheme.
     pub fn new(inner: impl ControlPolicy + 'static) -> Self {
-        Self::with_config(inner, DegradationGuardConfig::default())
-    }
-
-    /// Guards `inner` with explicit thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the thresholds are not a hysteresis band
-    /// (`1 ≤ recover_ratio ≤ trip_ratio`, both finite), when either bin
-    /// count is zero, or when `safety` is outside `(0, 1]`.
-    pub fn with_config(
-        inner: impl ControlPolicy + 'static,
-        config: DegradationGuardConfig,
-    ) -> Self {
-        assert!(
-            config.trip_ratio.is_finite() && config.recover_ratio.is_finite(),
-            "guard ratios must be finite"
-        );
-        assert!(
-            1.0 <= config.recover_ratio && config.recover_ratio <= config.trip_ratio,
-            "recover ratio must sit in [1, trip_ratio] to form a hysteresis band"
-        );
-        assert!(config.trip_bins > 0 && config.recover_bins > 0, "bin counts must be positive");
-        assert!(
-            config.safety.is_finite() && config.safety > 0.0 && config.safety <= 1.0,
-            "safety factor must be in (0, 1]"
-        );
         Self {
             inner: Box::new(inner),
-            fallback_allocator: Box::new(EqualRates),
-            config,
             expected: None,
             fallback_rate: None,
             prev_dark_debt: false,
@@ -222,7 +179,7 @@ impl DegradationGuard {
 
     /// Folds the previous bin's outcome into the tripwire state.
     fn observe_previous_bin(&mut self, ctx: &ControlContext<'_>) {
-        if ctx.bin_index < self.config.warmup_bins {
+        if ctx.bin_index < WARMUP_BINS {
             self.expected = None;
             self.prev_dark_debt = false;
             return;
@@ -241,16 +198,15 @@ impl DegradationGuard {
         // predictor hides its overshoot.
         let dropped = ctx.uncontrolled_drops > 0;
         if self.degraded {
-            let good =
-                !dropped && !dark_debt && ratio.is_none_or(|r| r <= self.config.recover_ratio);
+            let good = !dropped && !dark_debt && ratio.is_none_or(|r| r <= RECOVER_RATIO);
             self.good = if good { self.good + 1 } else { 0 };
-            if self.good >= self.config.recover_bins {
+            if self.good >= RECOVER_BINS {
                 self.degraded = false;
                 self.bad = 0;
                 self.good = 0;
             }
         } else {
-            let bad = dropped || dark_debt || ratio.is_some_and(|r| r > self.config.trip_ratio);
+            let bad = dropped || dark_debt || ratio.is_some_and(|r| r > TRIP_RATIO);
             if bad {
                 self.count_bad();
             } else if ratio.is_some() {
@@ -265,7 +221,7 @@ impl DegradationGuard {
     /// Counts one bad bin while healthy, tripping on the streak's last.
     fn count_bad(&mut self) {
         self.bad += 1;
-        if self.bad >= self.config.trip_bins {
+        if self.bad >= TRIP_BINS {
             self.degraded = true;
             self.trips += 1;
             self.good = 0;
@@ -302,15 +258,15 @@ impl ControlPolicy for DegradationGuard {
         // the floor instead of dark (otherwise the next bin counts it).
         let dark_debt =
             committed_cycles(ctx, &decision) <= 0.0 && ctx.available_cycles <= ctx.shed_cycles_ewma;
-        if dark_debt && ctx.bin_index >= self.config.warmup_bins {
+        if dark_debt && ctx.bin_index >= WARMUP_BINS {
             if self.degraded {
                 self.good = 0;
-            } else if self.bad + 1 >= self.config.trip_bins {
+            } else if self.bad + 1 >= TRIP_BINS {
                 self.count_bad();
             }
         }
         if self.degraded {
-            let target = (query_budget_rate(ctx) * self.config.safety).clamp(ctx.rate_floor, 1.0);
+            let target = query_budget_rate(ctx);
             let dropped = ctx.uncontrolled_drops > 0;
             let rate = if ctx.available_cycles <= 0.0 {
                 // The budget is in debt from a previous overrun: there is no
@@ -338,7 +294,7 @@ impl ControlPolicy for DegradationGuard {
                 target
             };
             self.fallback_rate = Some(rate);
-            decision = spread_global_rate(self.fallback_allocator.as_ref(), rate, ctx.demands);
+            decision = spread_global_rate(&EqualRates, rate, ctx.demands);
             decision.reason = DecisionReason::DegradedFallback;
         } else {
             self.fallback_rate = None;
@@ -578,22 +534,22 @@ mod tests {
     fn a_sliver_of_budget_does_not_hide_the_debt() {
         // A bin is forced dark when the available cycles do not cover the
         // shedder's own smoothed cost, however far above zero they sit.
-        let config = DegradationGuardConfig { trip_bins: 3, ..Default::default() };
-        let mut guard = DegradationGuard::with_config(PredictivePolicy::new(EqualRates), config);
+        let mut guard = DegradationGuard::new(PredictivePolicy::new(EqualRates));
         let predictions = [500.0];
         let demands = demands_of(&predictions, 0.0);
         let mut bin = ctx(&predictions, &demands, 1000.0);
         let _ = guard.decide(&bin); // commits 500 cycles
 
-        // A 10× overrun (bad 1) leaves 248 cycles, under the shedder's 300.
+        // The bin ran on budget (no bad bin yet), but 248 cycles are left,
+        // under the shedder's 300: dark, and not yet a whole streak.
         bin.available_cycles = 248.0;
         bin.shed_cycles_ewma = 300.0;
-        bin.prev_query_cycles = 5000.0;
+        bin.prev_query_cycles = 500.0;
         let dark = guard.decide(&bin);
         assert_eq!(dark.rates, vec![0.0], "no query budget: the inner policy goes dark");
-        assert!(!guard.is_degraded(), "two bad bins do not complete a streak of three");
+        assert!(!guard.is_degraded(), "one bad bin does not complete a streak of {TRIP_BINS}");
 
-        // The next bin counts the dark one (bad 2); one more overrun trips.
+        // The next bin counts the dark one (bad 1); one overrun then trips.
         bin.available_cycles = 1000.0;
         bin.shed_cycles_ewma = 0.0;
         bin.prev_query_cycles = 0.0;
@@ -607,8 +563,7 @@ mod tests {
 
     #[test]
     fn recovery_needs_consecutive_good_bins() {
-        let config = DegradationGuardConfig { recover_bins: 3, ..Default::default() };
-        let mut guard = DegradationGuard::with_config(NoSheddingPolicy, config);
+        let mut guard = DegradationGuard::new(NoSheddingPolicy);
         let predictions = [500.0];
         let _ = step(&mut guard, &predictions, 1000.0, 0.0);
         let _ = step(&mut guard, &predictions, 1000.0, 5000.0);
@@ -616,16 +571,19 @@ mod tests {
         assert!(guard.is_degraded());
 
         // The fallback ran at rate 0.2, so a good-bin report of 50 cycles
-        // sits well under the committed 500 × 0.2. Two good bins then a
-        // bad one must reset the streak.
-        let _ = step(&mut guard, &predictions, 1000.0, 50.0);
-        let _ = step(&mut guard, &predictions, 1000.0, 50.0);
+        // sits well under the committed 500 × 0.2. One good bin short of
+        // recovery, a bad one must reset the streak.
+        for _ in 1..RECOVER_BINS {
+            let _ = step(&mut guard, &predictions, 1000.0, 50.0);
+        }
         let _ = step(&mut guard, &predictions, 1000.0, 5000.0);
         assert!(guard.is_degraded(), "a bad bin must reset the recovery streak");
-        let _ = step(&mut guard, &predictions, 1000.0, 50.0);
-        let _ = step(&mut guard, &predictions, 1000.0, 50.0);
+        for _ in 1..RECOVER_BINS {
+            let _ = step(&mut guard, &predictions, 1000.0, 50.0);
+            assert!(guard.is_degraded(), "recovery needs {RECOVER_BINS} good bins in a row");
+        }
         let recovered = step(&mut guard, &predictions, 1000.0, 50.0);
-        assert!(!guard.is_degraded(), "three consecutive good bins must recover");
+        assert!(!guard.is_degraded(), "{RECOVER_BINS} consecutive good bins must recover");
         assert_eq!(recovered.reason, DecisionReason::FitsInBudget);
         assert_eq!(recovered.rates, vec![1.0]);
     }
@@ -692,17 +650,12 @@ mod tests {
     }
 
     #[test]
-    fn guard_names_compose_and_invalid_configs_panic() {
+    fn guard_names_compose() {
         assert_eq!(DegradationGuard::new(NoSheddingPolicy).name(), "guarded_no_lshed");
         assert_eq!(
             DegradationGuard::new(PredictivePolicy::new(MmfsCpu)).name(),
             "guarded_mmfs_cpu"
         );
-        let invalid = DegradationGuardConfig { recover_ratio: 5.0, ..Default::default() };
-        let result = std::panic::catch_unwind(|| {
-            let _ = DegradationGuard::with_config(NoSheddingPolicy, invalid);
-        });
-        assert!(result.is_err(), "an inverted hysteresis band must be rejected");
     }
 
     #[test]

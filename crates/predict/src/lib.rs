@@ -43,5 +43,5 @@ pub use fcbf::{fcbf_select_in, fcbf_select_with, FcbfConfig, FcbfScratch};
 pub use guard::{clamp_features, clamp_sample, MAX_SAMPLE};
 pub use history::History;
 pub use predictor::{EwmaPredictor, MlrConfig, MlrPredictor, Predictor, SlrPredictor, OLS_RCOND};
-pub use robust::{RobustMlrConfig, RobustMlrPredictor};
+pub use robust::RobustMlrPredictor;
 pub use window::FeatureWindow;

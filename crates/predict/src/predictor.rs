@@ -95,9 +95,6 @@ pub struct MlrConfig {
     pub history: usize,
     /// FCBF feature selection configuration.
     pub fcbf: FcbfConfig,
-    /// How often (in batches) the feature selection is re-run; 1 re-runs it
-    /// every batch as in the paper.
-    pub reselect_every: usize,
 }
 
 /// Relative singular-value cutoff every regression here solves with.
@@ -105,7 +102,7 @@ pub const OLS_RCOND: f64 = 1e-9;
 
 impl Default for MlrConfig {
     fn default() -> Self {
-        Self { history: FeatureWindow::ROWS, fcbf: FcbfConfig::default(), reselect_every: 1 }
+        Self { history: FeatureWindow::ROWS, fcbf: FcbfConfig::default() }
     }
 }
 
@@ -115,16 +112,15 @@ impl Default for MlrConfig {
 /// A prediction allocates nothing in the steady state: the FCBF scratch,
 /// the design matrix, response column and probe row, and the least-squares
 /// workspace are all owned by the predictor and refilled in place every bin.
-/// The FCBF-selected feature set is cached between reselections
-/// (`reselect_every`).
+/// FCBF reselects the predictors on every bin that regresses, as the paper
+/// does (Section 3.2.3).
 #[derive(Debug)]
 pub struct MlrPredictor {
     config: MlrConfig,
     history: History,
     selected: Vec<usize>,
-    batches_since_selection: usize,
     last_cost: u64,
-    /// Scratch buffers of the FCBF passes, reused per reselection.
+    /// Scratch buffers of the FCBF passes, reused every bin.
     fcbf_scratch: FcbfScratch,
     regression: Regression,
 }
@@ -183,7 +179,6 @@ impl MlrPredictor {
             history: History::new(config.history),
             config,
             selected: Vec::new(),
-            batches_since_selection: 0,
             last_cost: 0,
             fcbf_scratch: FcbfScratch::default(),
             regression: Regression::default(),
@@ -217,37 +212,25 @@ impl MlrPredictor {
             return self.regression.response_mean(&self.history);
         }
 
-        // Re-run feature selection periodically (every batch by default); in
-        // between, the cached selection is reused so the 42-column FCBF
-        // correlation pass is paid once per `reselect_every` bins.
-        let reselected =
-            self.selected.is_empty() || self.batches_since_selection >= self.config.reselect_every;
-        if reselected {
-            let picked = fcbf_select_in(
-                &self.history,
-                window,
-                &self.config.fcbf,
-                FEATURE_COUNT,
-                &mut self.fcbf_scratch,
-            );
-            self.selected.clear();
-            self.selected.extend_from_slice(picked);
-            if self.selected.is_empty() {
-                // Nothing cleared the threshold: fall back to the packet
-                // count, which the paper reports as the most broadly useful
-                // feature.
-                self.selected.push(FeatureId::Packets.index());
-            }
-            self.batches_since_selection = 0;
+        let picked = fcbf_select_in(
+            &self.history,
+            window,
+            &self.config.fcbf,
+            FEATURE_COUNT,
+            &mut self.fcbf_scratch,
+        );
+        self.selected.clear();
+        self.selected.extend_from_slice(picked);
+        if self.selected.is_empty() {
+            // Nothing cleared the threshold: fall back to the packet count,
+            // which the paper reports as the most broadly useful feature.
+            self.selected.push(FeatureId::Packets.index());
         }
-        self.batches_since_selection += 1;
 
-        // Cost accounting: the FCBF correlation pass (n * p) is charged only
-        // on bins that actually reselected — cached bins skip it — plus the
-        // OLS solve (~ n * k^2) every bin.
-        let correlation_cost = if reselected { n as u64 * FEATURE_COUNT as u64 } else { 0 };
+        // Cost accounting: the FCBF correlation pass (n * p) plus the OLS
+        // solve (~ n * k^2).
         let k = self.selected.len() as u64 + 1;
-        self.last_cost = correlation_cost + n as u64 * k * k;
+        self.last_cost = n as u64 * FEATURE_COUNT as u64 + n as u64 * k * k;
 
         let shared = window.map(|window| window.decomposition(&self.selected));
         self.regression.fit_and_predict(&self.history, shared, &self.selected, features)
@@ -293,14 +276,17 @@ impl Predictor for MlrPredictor {
         for &feature in &self.selected {
             writer.usize(feature);
         }
-        writer.usize(self.batches_since_selection);
+        // Bins since the selection was made: 1 once there is one, as one is
+        // made every bin that regresses. The word keeps the format.
+        writer.usize(usize::from(!self.selected.is_empty()));
         writer.u64(self.last_cost);
         Ok(())
     }
 
     /// Refuses, as the history does, what no run could have stored: a
     /// selection FCBF could not have made (longer than `max_features`, an
-    /// index repeated or out of range) or a cost `predict` could not have
+    /// index repeated or out of range), a selection age other than the one
+    /// `save_state` writes for it, or a cost `predict` could not have
     /// modelled for this history capacity.
     fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         self.history.load_state(reader)?;
@@ -323,7 +309,13 @@ impl Predictor for MlrPredictor {
             }
             self.selected.push(feature);
         }
-        self.batches_since_selection = reader.usize()?;
+        let age = reader.usize()?;
+        if age != usize::from(selected > 0) {
+            return Err(StateError::corrupt(format!(
+                "selection age: {age} for {selected} selected features, where a selection is \
+                 made anew every bin that regresses"
+            )));
+        }
         // `predict_from`'s cost model at its largest: a reselection over a
         // full history and the widest solve.
         let k = max_features as u64 + 1;
@@ -351,30 +343,24 @@ fn restored_cost(
     Ok(cost)
 }
 
-/// Simple linear regression on one fixed feature (packets by default).
+/// The feature [`SlrPredictor`] regresses on: the packet count.
+const SLR_FEATURE: FeatureId = FeatureId::Packets;
+
+/// Observations in [`SlrPredictor`]'s history: the paper's 6 s.
+const SLR_HISTORY: usize = 60;
+
+/// Simple linear regression on the packet count.
 #[derive(Debug)]
 pub struct SlrPredictor {
-    feature: usize,
     history: History,
     last_cost: u64,
     regression: Regression,
 }
 
 impl SlrPredictor {
-    /// Creates an SLR predictor regressing on the given feature index with
-    /// the given history length.
-    pub fn new(feature: FeatureId, history: usize) -> Self {
-        Self {
-            feature: feature.index(),
-            history: History::new(history),
-            last_cost: 0,
-            regression: Regression::default(),
-        }
-    }
-
     /// SLR on the number of packets with the paper's 6 s history.
     pub fn on_packets() -> Self {
-        Self::new(FeatureId::Packets, 60)
+        Self { history: History::new(SLR_HISTORY), last_cost: 0, regression: Regression::default() }
     }
 }
 
@@ -385,7 +371,7 @@ impl Predictor for SlrPredictor {
             return self.regression.response_mean(&self.history);
         }
         self.last_cost = n as u64 * 4;
-        self.regression.fit_and_predict(&self.history, None, &[self.feature], features)
+        self.regression.fit_and_predict(&self.history, None, &[SLR_FEATURE.index()], features)
     }
 
     fn observe(&mut self, features: &FeatureVector, actual_cycles: f64) {
@@ -397,7 +383,7 @@ impl Predictor for SlrPredictor {
     }
 
     fn selected_features(&self) -> Vec<usize> {
-        vec![self.feature]
+        vec![SLR_FEATURE.index()]
     }
 
     fn last_cost_operations(&self) -> u64 {

@@ -10,20 +10,19 @@
 //!
 //! 1. **Non-finite guards** — probe features and observed responses pass
 //!    through [`crate::guard`] before touching any model state.
-//! 2. **Outlier-clamped residuals** — an observation that exceeds the last
-//!    prediction by more than [`RobustMlrConfig::trip_ratio`] is stored
-//!    clamped to [`RobustMlrConfig::clamp_ratio`] times the prediction, so a
-//!    single poisoned measurement (an all-or-nothing sampling extrapolation,
-//!    say) cannot yank the regression; under a *sustained* shift the clamp
-//!    ratchets geometrically, reaching the true level within a few bins.
-//! 3. **Forgetting-factor history** — [`RobustMlrConfig::forget_trips`]
-//!    *consecutive* trips mark a regime shift (an isolated trip is merely
-//!    clamped — dropping a good history over one poisoned measurement would
-//!    be self-harm) and shrink the history to its newest
-//!    [`RobustMlrConfig::forget_keep`] observations: the pre-shift window is
-//!    exactly what keeps the model wrong, so it is dropped and the model
-//!    relearns the new regime in a handful of bins instead of averaging
-//!    over the full 60-bin window.
+//! 2. **Outlier-clamped residuals** — an observation more than `TRIP_RATIO`
+//!    times the last prediction is stored clamped to `CLAMP_RATIO` times the
+//!    prediction, so a single poisoned measurement (an all-or-nothing
+//!    sampling extrapolation, say) cannot yank the regression; under a
+//!    *sustained* shift the clamp ratchets geometrically, reaching the true
+//!    level within a few bins.
+//! 3. **Forgetting-factor history** — `FORGET_TRIPS` *consecutive* trips
+//!    mark a regime shift (an isolated trip is merely clamped — dropping a
+//!    good history over one poisoned measurement would be self-harm) and
+//!    shrink the history to its newest `FORGET_KEEP` observations: the
+//!    pre-shift window is exactly what keeps the model wrong, so it is
+//!    dropped and the model relearns the new regime in a handful of bins
+//!    instead of averaging over the full 60-bin window.
 //!
 //! The trip is deliberately conservative (warm history, positive prediction,
 //! a multi-x ratio): on benign traffic it never fires, and an untripped
@@ -31,63 +30,53 @@
 //! [`MlrPredictor`] — the property the `robustness` integration tests and
 //! the golden-scenario equivalence proptest pin down. The hardened variant
 //! is therefore a strict opt-in: zero behavioral drift unattacked.
+//!
+//! The six thresholds are constants, tuned once; their ordering (a trip
+//! above 1, a clamp at or above the trip, a non-empty kept window) is
+//! checked at compile time.
 
 use crate::guard::{clamp_features, clamp_sample};
 use crate::history::History;
-use crate::predictor::{MlrConfig, MlrPredictor, Predictor};
+use crate::predictor::{MlrPredictor, Predictor};
 use crate::window::FeatureWindow;
 use netshed_features::FeatureVector;
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
-/// Configuration of the [`RobustMlrPredictor`].
-#[derive(Debug, Clone, Copy)]
-pub struct RobustMlrConfig {
-    /// Configuration of the wrapped MLR predictor.
-    pub mlr: MlrConfig,
-    /// An observation more than `trip_ratio` times the last prediction trips
-    /// the outlier defense. Must be comfortably above any benign
-    /// misprediction: the default 4.0 is roughly twice the worst ratio the
-    /// benign golden scenarios produce.
-    pub trip_ratio: f64,
-    /// A tripped observation is stored clamped to `clamp_ratio` times the
-    /// prediction (≥ `trip_ratio`, so observations between the two pass
-    /// through unclamped and only the history is forgotten).
-    pub clamp_ratio: f64,
-    /// The trip is armed only once the history holds at least this many
-    /// observations — a cold model mispredicts for honest reasons.
-    pub min_history: usize,
-    /// Consecutive trips required before the history is forgotten. An
-    /// isolated trip (an all-or-nothing sampling extrapolation under skewed
-    /// traffic) is merely clamped — throwing away a good history for one
-    /// poisoned measurement is self-harm — while a run of trips marks a
-    /// genuine regime shift worth relearning from scratch.
-    pub forget_trips: usize,
-    /// How many of the newest observations survive the forgetting step.
-    pub forget_keep: usize,
-    /// After a trip the predictor stays alert for this many further
-    /// observations: each of them keeps trimming the history to
-    /// `forget_keep` even without tripping, so the stale pre-shift window is
-    /// fully flushed while the model relearns the new regime.
-    pub alert_bins: usize,
-}
+/// An observation more than `TRIP_RATIO` times the last prediction trips the
+/// outlier defense. Comfortably above any benign misprediction: roughly
+/// twice the worst ratio the benign golden scenarios produce.
+const TRIP_RATIO: f64 = 4.0;
 
-impl Default for RobustMlrConfig {
-    fn default() -> Self {
-        Self {
-            mlr: MlrConfig::default(),
-            trip_ratio: 4.0,
-            clamp_ratio: 12.0,
-            min_history: 8,
-            forget_trips: 2,
-            // Keep enough post-shift observations for the regression to
-            // refit meaningfully: trimming much below the selected-feature
-            // count leaves the OLS rank-starved and the "defense" becomes
-            // self-harm under repeated trips.
-            forget_keep: 6,
-            alert_bins: 2,
-        }
-    }
-}
+/// A tripped observation is stored clamped to `CLAMP_RATIO` times the
+/// prediction (at least `TRIP_RATIO`, so observations between the two
+/// pass through unclamped and only the history is forgotten).
+const CLAMP_RATIO: f64 = 12.0;
+
+/// The trip is armed only once the history holds at least this many
+/// observations — a cold model mispredicts for honest reasons.
+const MIN_HISTORY: usize = 8;
+
+/// Consecutive trips required before the history is forgotten. An isolated
+/// trip (an all-or-nothing sampling extrapolation under skewed traffic) is
+/// merely clamped — throwing away a good history for one poisoned
+/// measurement is self-harm — while a run of trips marks a genuine regime
+/// shift worth relearning from scratch.
+const FORGET_TRIPS: usize = 2;
+
+/// How many of the newest observations survive the forgetting step. Enough
+/// post-shift observations for the regression to refit meaningfully:
+/// trimming much below the selected-feature count leaves the OLS
+/// rank-starved and the "defense" becomes self-harm under repeated trips.
+const FORGET_KEEP: usize = 6;
+
+/// After a trip the predictor stays alert for this many further
+/// observations: each of them keeps trimming the history to `FORGET_KEEP`
+/// even without tripping, so the stale pre-shift window is fully flushed
+/// while the model relearns the new regime.
+const ALERT_BINS: usize = 2;
+
+// Each ordering the defense needs not to turn into self-harm.
+const _: () = assert!(1.0 < TRIP_RATIO && TRIP_RATIO <= CLAMP_RATIO && FORGET_KEEP > 0);
 
 /// [`MlrPredictor`] hardened against predictor-gaming workloads.
 ///
@@ -98,7 +87,6 @@ impl Default for RobustMlrConfig {
 #[derive(Debug)]
 pub struct RobustMlrPredictor {
     inner: MlrPredictor,
-    config: RobustMlrConfig,
     /// The prediction issued for the bin whose observation comes next.
     last_prediction: Option<f64>,
     /// How many observations tripped the outlier defense so far.
@@ -110,36 +98,15 @@ pub struct RobustMlrPredictor {
 }
 
 impl RobustMlrPredictor {
-    /// Creates a hardened predictor with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ratios are not finite and greater than 1, if
-    /// `clamp_ratio < trip_ratio`, or if `forget_keep` is zero — each of
-    /// those would turn the defense into self-harm.
-    pub fn new(config: RobustMlrConfig) -> Self {
-        assert!(
-            config.trip_ratio.is_finite() && config.trip_ratio > 1.0,
-            "trip ratio must be finite and above 1"
-        );
-        assert!(
-            config.clamp_ratio.is_finite() && config.clamp_ratio >= config.trip_ratio,
-            "clamp ratio must be finite and at least the trip ratio"
-        );
-        assert!(config.forget_keep > 0, "forgetting must keep at least one observation");
+    /// Creates a hardened predictor around a default [`MlrPredictor`].
+    pub fn with_defaults() -> Self {
         Self {
-            inner: MlrPredictor::new(config.mlr),
-            config,
+            inner: MlrPredictor::with_defaults(),
             last_prediction: None,
             tripped: 0,
             streak: 0,
             alert: 0,
         }
-    }
-
-    /// Creates a hardened predictor with the default parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(RobustMlrConfig::default())
     }
 
     /// Returns the regression history of the wrapped predictor.
@@ -163,9 +130,9 @@ impl RobustMlrPredictor {
         let mut stored = actual;
         let mut trip = false;
         if let Some(predicted) = self.last_prediction.take() {
-            let warm = self.inner.history().len() >= self.config.min_history;
-            if warm && predicted > 0.0 && actual > predicted * self.config.trip_ratio {
-                stored = actual.min(predicted * self.config.clamp_ratio);
+            let warm = self.inner.history().len() >= MIN_HISTORY;
+            if warm && predicted > 0.0 && actual > predicted * TRIP_RATIO {
+                stored = actual.min(predicted * CLAMP_RATIO);
                 trip = true;
             }
         }
@@ -175,9 +142,9 @@ impl RobustMlrPredictor {
             // An isolated trip is only clamped; a *run* of trips marks a
             // regime shift, and the pre-shift window is what keeps the
             // model wrong, so it is dropped.
-            if self.streak >= self.config.forget_trips {
-                self.inner.history_mut().forget_oldest(self.config.forget_keep);
-                self.alert = self.config.alert_bins;
+            if self.streak >= FORGET_TRIPS {
+                self.inner.history_mut().forget_oldest(FORGET_KEEP);
+                self.alert = ALERT_BINS;
             }
         } else {
             self.streak = 0;
@@ -186,7 +153,7 @@ impl RobustMlrPredictor {
                 // pre-shift window so only post-shift observations shape
                 // the model.
                 self.alert -= 1;
-                self.inner.history_mut().forget_oldest(self.config.forget_keep);
+                self.inner.history_mut().forget_oldest(FORGET_KEEP);
             }
         }
         stored
@@ -354,12 +321,12 @@ mod tests {
         assert_eq!(robust.tripped_observations(), 1);
         let after = robust.predict(&f);
         assert!(
-            after < before * robust.config.clamp_ratio,
+            after < before * CLAMP_RATIO,
             "a single outlier moved the prediction from {before} to {after}"
         );
         let worst = robust.history().responses().into_iter().fold(0.0f64, f64::max);
         assert!(
-            worst <= before * robust.config.clamp_ratio * 1.01,
+            worst <= before * CLAMP_RATIO * 1.01,
             "the stored outlier must be clamped (stored {worst}, predicted {before})"
         );
     }
@@ -409,15 +376,5 @@ mod tests {
         restored.load_state(&mut StateReader::new(&bytes)).expect("loads");
         assert_eq!(restored.tripped_observations(), robust.tripped_observations());
         assert_eq!(restored.predict(&probe).to_bits(), issued.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "clamp ratio must be finite and at least the trip ratio")]
-    fn inverted_ratios_are_rejected() {
-        let _ = RobustMlrPredictor::new(RobustMlrConfig {
-            trip_ratio: 8.0,
-            clamp_ratio: 4.0,
-            ..RobustMlrConfig::default()
-        });
     }
 }

@@ -100,11 +100,6 @@ impl<K, V> DetHashMap<K, V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
-    /// Iterates mutably over values in insertion order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
-    }
-
     /// The value at a position [`DetHashMap::position_or_insert`] returned;
     /// panics if `position >= len()`.
     #[inline]

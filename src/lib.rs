@@ -37,14 +37,14 @@ pub use netshed_trace as trace;
 pub use netshed_fairness::{AllocationStrategy, QueryDemand};
 pub use netshed_monitor::{
     AccuracyTracker, AllocationGameAttacker, AllocationPolicy, BinRecord, ControlContext,
-    ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DegradationGuardConfig,
-    DigestObserver, EnforcementConfig, Engine, HysteresisReactivePolicy, Monitor, MonitorBuilder,
-    MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy, PolicySpec,
-    PredictivePolicy, PredictorKind, PredictorSpec, QueryId, ReactivePolicy, RecordSink,
-    ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Stage, StageStats,
-    Strategy, StreamDigest, DEFAULT_SHARD_LANES,
+    ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DigestObserver,
+    EnforcementConfig, Engine, HysteresisReactivePolicy, Monitor, MonitorBuilder, MonitorConfig,
+    NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy, PolicySpec, PredictivePolicy,
+    PredictorKind, PredictorSpec, QueryId, ReactivePolicy, RecordSink, ReferenceRunner, RunDigest,
+    RunObserver, RunSummary, ShardedMonitor, Stage, StageStats, Strategy, StreamDigest,
+    DEFAULT_SHARD_LANES,
 };
-pub use netshed_predict::{Predictor, RobustMlrConfig, RobustMlrPredictor};
+pub use netshed_predict::{Predictor, RobustMlrPredictor};
 pub use netshed_queries::{QueryKind, QueryOutput, QuerySpec};
 pub use netshed_trace::{
     shard_key, AnomalyEvent, Batch, BatchReplay, BatchView, FormatError, Interleave, Link,
@@ -57,14 +57,14 @@ pub mod prelude {
     pub use netshed_fairness::{Allocation, AllocationStrategy, QueryDemand};
     pub use netshed_monitor::{
         AccuracyTracker, AllocationGameAttacker, AllocationPolicy, BinRecord, ControlContext,
-        ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DegradationGuardConfig,
-        DigestObserver, EnforcementConfig, Engine, HysteresisReactivePolicy, Monitor,
-        MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy,
-        PolicySpec, PredictivePolicy, PredictorKind, PredictorSpec, QueryBinRecord, QueryId,
-        ReactivePolicy, RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary,
-        ShardedMonitor, Stage, StageStats, Strategy, StreamDigest, DEFAULT_SHARD_LANES,
+        ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DigestObserver,
+        EnforcementConfig, Engine, HysteresisReactivePolicy, Monitor, MonitorBuilder,
+        MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy, PolicySpec,
+        PredictivePolicy, PredictorKind, PredictorSpec, QueryBinRecord, QueryId, ReactivePolicy,
+        RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Stage,
+        StageStats, Strategy, StreamDigest, DEFAULT_SHARD_LANES,
     };
-    pub use netshed_predict::{Predictor, RobustMlrConfig, RobustMlrPredictor};
+    pub use netshed_predict::{Predictor, RobustMlrPredictor};
     pub use netshed_queries::{CustomBehavior, QueryKind, QueryOutput, QuerySpec};
     pub use netshed_trace::{
         shard_key, Anomaly, AnomalyEvent, AnomalyKind, Batch, BatchReplay, BatchView, FormatError,

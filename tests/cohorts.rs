@@ -18,6 +18,8 @@ use netshed::trace::KeepListPool;
 use netshed_bench::corpus::CORPUS_SEED;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A run: the tenants registered before the first bin, and the registry's
 /// changes before given bins — a registration, or the deregistration of the
@@ -208,6 +210,37 @@ fn tenants_whose_predictor_declines_its_checkpoint_never_follow() {
     assert!(runs[..40].iter().all(|&runs| runs == 5), "{runs:?}");
     assert!(predictions[..40].iter().all(|&count| count == 25), "{predictions:?}");
     assert!(predictions[40..].iter().all(|&count| count == 26), "{predictions:?}");
+}
+
+/// A registration that joins a fresh cohort builds no predictor when it
+/// borrows its head's — the one a follower that detaches copies — and makes
+/// its own only when that one cannot be copied. A tenant that arrives after
+/// the first bin heads a cohort of its own and makes one too.
+#[test]
+fn a_follower_of_a_fresh_head_builds_no_predictor() {
+    for copyable in [true, false] {
+        let made = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&made);
+        let spec = PredictorSpec::new(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+            let predictor = MlrPredictor::with_defaults();
+            if copyable {
+                Box::new(predictor) as Box<dyn Predictor>
+            } else {
+                Box::new(Uncopyable(predictor))
+            }
+        });
+        let mut engine = Monitor::new(unshed().with_predictor(spec));
+        let before = made.load(Ordering::Relaxed);
+        for spec in tenants(&FIVE, 25) {
+            register(&mut engine, &spec, false);
+        }
+        let heads = if copyable { 5 } else { 25 };
+        assert_eq!(made.load(Ordering::Relaxed) - before, heads, "copyable {copyable}");
+        engine.ingest(&traffic(29, 1, false)[0], &mut DigestObserver::new()).expect("bin");
+        register(&mut engine, &late_tenant_script().late[0].1, false);
+        assert_eq!(made.load(Ordering::Relaxed) - before, heads + 1, "copyable {copyable}");
+    }
 }
 
 /// A checkpoint cut mid-interval restores the cohorts and the followers

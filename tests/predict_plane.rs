@@ -10,9 +10,11 @@
 //! synthetic histories built to hit the edge cases, on real extracted
 //! features end to end, on known-answer vectors captured before the rewrite,
 //! and checks that a crafted snapshot cannot smuggle a value into the history
-//! that `push` would have clamped. Last, predictors reading an engine's
-//! shared `FeatureWindow` are held, by bits, to stand-alone twins that never
-//! saw one, and the window to one factorisation per distinct selection.
+//! that `push` would have clamped, nor a selection age no run writes, and
+//! pins the MLR predictors' checkpoint bytes. Last, predictors reading an
+//! engine's shared `FeatureWindow` are held, by bits, to stand-alone twins
+//! that never saw one, and the window to one factorisation per distinct
+//! selection.
 
 mod oracle;
 
@@ -22,8 +24,7 @@ use netshed::linalg::{Matrix, OlsWorkspace, SvdWorkspace};
 use netshed::monitor::packet_sample_with;
 use netshed::predict::{
     clamp_sample, fcbf_select_with, FcbfConfig, FcbfScratch, FeatureWindow, History, MlrConfig,
-    MlrPredictor, Predictor, RobustMlrConfig, RobustMlrPredictor, SlrPredictor, MAX_SAMPLE,
-    OLS_RCOND,
+    MlrPredictor, Predictor, RobustMlrPredictor, SlrPredictor, MAX_SAMPLE, OLS_RCOND,
 };
 use netshed::queries::{build_query, CycleMeter, QueryKind};
 use netshed::sketch::{StateError, StateReader, StateWriter};
@@ -46,13 +47,12 @@ fn fresh_fit(x: &Matrix, y: &[f64], rcond: f64) -> (OlsWorkspace, usize) {
 struct OracleMlr {
     config: MlrConfig,
     selected: Vec<usize>,
-    batches_since_selection: usize,
     last_cost: u64,
 }
 
 impl OracleMlr {
     fn new(config: MlrConfig) -> Self {
-        Self { config, selected: Vec::new(), batches_since_selection: 0, last_cost: 0 }
+        Self { config, selected: Vec::new(), last_cost: 0 }
     }
 
     fn predict(&mut self, history: &History, features: &FeatureVector) -> f64 {
@@ -60,24 +60,17 @@ impl OracleMlr {
         if n < 3 {
             return mean(&history.responses());
         }
-        let reselected =
-            self.selected.is_empty() || self.batches_since_selection >= self.config.reselect_every;
-        if reselected {
-            self.selected = oracle_fcbf(history, &self.config.fcbf, FEATURE_COUNT).0;
-            if self.selected.is_empty() {
-                self.selected = vec![FeatureId::Packets.index()];
-            }
-            self.batches_since_selection = 0;
+        self.selected = oracle_fcbf(history, &self.config.fcbf, FEATURE_COUNT).0;
+        if self.selected.is_empty() {
+            self.selected = vec![FeatureId::Packets.index()];
         }
-        self.batches_since_selection += 1;
 
         let mut columns = vec![vec![1.0; n]];
         columns.extend(self.selected.iter().map(|&feature| history.feature_column(feature)));
         let (fit, _) = fresh_fit(&Matrix::from_columns(&columns), &history.responses(), OLS_RCOND);
 
-        let correlation_cost = if reselected { n as u64 * FEATURE_COUNT as u64 } else { 0 };
         let k = self.selected.len() as u64 + 1;
-        self.last_cost = correlation_cost + n as u64 * k * k;
+        self.last_cost = n as u64 * FEATURE_COUNT as u64 + n as u64 * k * k;
 
         let mut row = vec![1.0];
         row.extend(self.selected.iter().map(|&i| clamp_sample(features.get_index(i))));
@@ -313,12 +306,7 @@ fn mlr_predictions_match_the_oracle_bit_for_bit() {
     let stream = real_feature_stream(11, 140, 1.0);
     for config in [
         MlrConfig::default(),
-        MlrConfig { reselect_every: 3, ..MlrConfig::default() },
-        MlrConfig {
-            fcbf: FcbfConfig { threshold: 0.2, max_features: 8 },
-            history: 25,
-            ..MlrConfig::default()
-        },
+        MlrConfig { fcbf: FcbfConfig { threshold: 0.2, max_features: 8 }, history: 25 },
     ] {
         assert_matches_the_oracle(
             MlrPredictor::new(config),
@@ -335,8 +323,7 @@ fn robust_mlr_predictions_match_the_oracle_bit_for_bit() {
     // The surge trips the outlier defence, so the oracle also follows the
     // window through `forget_oldest` (short, wide design matrices included).
     let stream = real_feature_stream(12, 140, 9.0);
-    let config = RobustMlrConfig::default();
-    let mut tripped = RobustMlrPredictor::new(config);
+    let mut tripped = RobustMlrPredictor::with_defaults();
     for (features, cycles) in &stream {
         tripped.predict(features);
         tripped.observe(features, *cycles);
@@ -344,10 +331,10 @@ fn robust_mlr_predictions_match_the_oracle_bit_for_bit() {
     assert!(tripped.tripped_observations() > 0, "the surge must trip the defence");
 
     assert_matches_the_oracle(
-        RobustMlrPredictor::new(config),
-        || RobustMlrPredictor::new(config),
+        RobustMlrPredictor::with_defaults(),
+        RobustMlrPredictor::with_defaults,
         RobustMlrPredictor::history,
-        config.mlr,
+        MlrConfig::default(),
         &stream,
     );
 }
@@ -571,11 +558,13 @@ fn svd_and_ols_reproduce_the_known_answers() {
 // (d) A crafted snapshot cannot put into the history what `push` would clamp.
 // ---------------------------------------------------------------------------
 
+/// A constructor a snapshot restores into.
+type MakePredictor = fn() -> Box<dyn Predictor>;
+
 #[test]
 fn crafted_snapshots_are_rejected_by_every_history_backed_predictor() {
     let stream = real_feature_stream(14, 12, 1.0);
-    type Build = fn() -> Box<dyn Predictor>;
-    let predictors: [(&str, Build); 3] = [
+    let predictors: [(&str, MakePredictor); 3] = [
         ("mlr", || Box::new(MlrPredictor::with_defaults())),
         ("slr", || Box::new(SlrPredictor::on_packets())),
         ("robust_mlr", || Box::new(RobustMlrPredictor::with_defaults())),
@@ -634,18 +623,14 @@ fn crafted_snapshots_are_rejected_by_every_history_backed_predictor() {
 /// modelled cost that follow the history replaced: what FCBF and `predict`
 /// could not have produced must not restore, naming the field; the largest
 /// cost they could have must.
-fn crafted_selection_and_cost_are_rejected(
-    name: &str,
-    build: fn() -> Box<dyn Predictor>,
-    honest: &[u8],
-) {
+fn crafted_selection_and_cost_are_rejected(name: &str, build: MakePredictor, honest: &[u8]) {
     let mut reader = StateReader::new(honest);
     History::new(60).load_state(&mut reader).expect("history");
     let history = &honest[..honest.len() - reader.remaining()];
     let selected: Vec<usize> =
         (0..reader.usize().expect("length")).map(|_| reader.usize().expect("index")).collect();
     assert!(!selected.is_empty(), "{name}: the honest state holds a selection");
-    let batches = reader.usize().expect("batches since selection");
+    assert_eq!(reader.usize().expect("selection age"), 1, "{name}: a warm selection's age");
     let cost = reader.u64().expect("last cost");
     let tail = &honest[honest.len() - reader.remaining()..];
     let craft = |selected: &[usize], cost: u64| {
@@ -654,7 +639,9 @@ fn crafted_selection_and_cost_are_rejected(
         for &feature in selected {
             writer.usize(feature);
         }
-        writer.usize(batches);
+        // The age the selection implies: a wrong one is refused on its own
+        // (`a_selection_age_no_run_writes_does_not_restore`).
+        writer.usize(usize::from(!selected.is_empty()));
         writer.u64(cost);
         [history, &writer.into_bytes(), tail].concat()
     };
@@ -684,6 +671,96 @@ fn crafted_selection_and_cost_are_rejected(
     }
 }
 
+/// FNV-1a over a checkpoint: a pin that moves with any one of its bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The checkpoints of a plain and a robust MLR predictor, each fresh, cold
+/// (two observations: too few to regress, so nothing selected yet) and warm
+/// (80 bins: the ring has wrapped, and the surge from bin 70 has tripped the
+/// robust defence), with the constructor each restores into.
+fn mlr_snapshots() -> Vec<(String, MakePredictor, Vec<u8>)> {
+    let stream = real_feature_stream(15, 80, 9.0);
+    let predictors: [(&str, MakePredictor); 2] = [
+        ("mlr", || Box::new(MlrPredictor::with_defaults())),
+        ("robust_mlr", || Box::new(RobustMlrPredictor::with_defaults())),
+    ];
+    let mut snapshots = Vec::new();
+    for (name, build) in predictors {
+        for (stage, bins) in [("fresh", 0), ("cold", 2), ("warm", stream.len())] {
+            let mut predictor = build();
+            for (features, cycles) in &stream[..bins] {
+                predictor.predict(features);
+                predictor.observe(features, *cycles);
+            }
+            let mut writer = StateWriter::new();
+            predictor.save_state(&mut writer).expect("predictor checkpoints");
+            snapshots.push((format!("{name} {stage}"), build, writer.into_bytes()));
+        }
+    }
+    snapshots
+}
+
+#[test]
+fn mlr_checkpoint_bytes_are_pinned() {
+    // (snapshot, length, FNV-1a) as recorded while the selection could still
+    // be kept for several bins: the checkpoint format did not move with it.
+    const PINNED: [(&str, usize, u64); 6] = [
+        ("mlr fresh", 40, 0xd186_348f_8f17_1cb9),
+        ("mlr cold", 728, 0x6c59_6273_1f44_734d),
+        ("mlr warm", 20_688, 0xe268_d53c_bbf5_069a),
+        ("robust_mlr fresh", 65, 0x8b4a_f019_5f65_5e7b),
+        ("robust_mlr cold", 753, 0x74eb_90d0_2309_e277),
+        ("robust_mlr warm", 4_553, 0x1c43_7625_2194_daa8),
+    ];
+    let snapshots = mlr_snapshots();
+    let got: Vec<(&str, usize, u64)> = snapshots
+        .iter()
+        .map(|(name, _, bytes)| (name.as_str(), bytes.len(), fnv1a(bytes)))
+        .collect();
+    assert_eq!(got, PINNED);
+}
+
+/// The offset of an MLR checkpoint's selection-age word, and the number of
+/// features selected before it.
+fn selection_age_at(bytes: &[u8]) -> (usize, usize) {
+    let mut reader = StateReader::new(bytes);
+    History::new(60).load_state(&mut reader).expect("history");
+    let selected = reader.usize().expect("selection length");
+    for _ in 0..selected {
+        reader.usize().expect("selected feature");
+    }
+    (bytes.len() - reader.remaining(), selected)
+}
+
+#[test]
+fn a_selection_age_no_run_writes_does_not_restore() {
+    // A selection is made anew every bin that regresses, so a checkpoint
+    // holds age 1 beside a selection and 0 before the first one; any other
+    // word is a state no run stores.
+    for (name, build, bytes) in mlr_snapshots() {
+        let (at, selected) = selection_age_at(&bytes);
+        let honest = usize::from(selected > 0);
+        assert_eq!(bytes[at..at + 8], (honest as u64).to_le_bytes(), "{name}: honest age");
+        assert_eq!(selected > 0, name.ends_with("warm"), "{name}: selects once warm");
+        build().load_state(&mut StateReader::new(&bytes)).expect("the honest snapshot restores");
+        for age in [0u64, 1, 2].into_iter().filter(|&age| age != honest as u64) {
+            let mut crafted = bytes.clone();
+            crafted[at..at + 8].copy_from_slice(&age.to_le_bytes());
+            let error = build()
+                .load_state(&mut StateReader::new(&crafted))
+                .expect_err("a selection age no run writes must not restore");
+            assert!(
+                matches!(&error, StateError::Corrupt(m) if m.contains("selection age")),
+                "{name} at age {age}: {error}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // (e) Shared ≡ private: a predictor reading the engine's feature window is
 // its stand-alone twin, by bits.
@@ -710,14 +787,14 @@ impl Tenant for RobustMlrPredictor {
 #[derive(Clone, Copy)]
 enum Build {
     Plain(MlrConfig),
-    Robust(RobustMlrConfig),
+    Robust,
 }
 
 impl Build {
     fn fresh(self) -> Box<dyn Tenant> {
         match self {
             Build::Plain(config) => Box::new(MlrPredictor::new(config)),
-            Build::Robust(config) => Box::new(RobustMlrPredictor::new(config)),
+            Build::Robust => Box::new(RobustMlrPredictor::with_defaults()),
         }
     }
 }
@@ -736,9 +813,6 @@ struct Pair {
     terms: &'static [(usize, f64)],
     /// From this bin on the cost is ninefold (never, for most).
     surge_from: usize,
-    /// The pair earlier in the list whose action this one takes every bin,
-    /// so that equal costs make equal response histories.
-    follows: Option<usize>,
 }
 
 impl Pair {
@@ -750,10 +824,6 @@ impl Pair {
         } else {
             calm
         }
-    }
-
-    fn following(self, leader: usize) -> Self {
-        Self { follows: Some(leader), ..self }
     }
 }
 
@@ -794,9 +864,9 @@ fn state_bytes(predictor: &dyn Tenant) -> Vec<u8> {
 
 /// Two features the test writes itself, over what the extractor produced:
 /// independent noise until `COPIED_FROM`, then `B` a bit-for-bit copy of `A`,
-/// then from `CONSTANT_FROM` both a constant — so a selection cached across
-/// the phase changes regresses on a copied column, then on a zero-variance
-/// one.
+/// then from `CONSTANT_FROM` both a constant — so selections made on the
+/// window's moments meet an exact copy, which FCBF must drop as redundant,
+/// then a zero-variance column.
 const A: usize = 40;
 const B: usize = 41;
 const COPIED_FROM: usize = 100;
@@ -842,20 +912,17 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         .collect();
 
     let plain = Build::Plain(MlrConfig::default());
-    let cached = Build::Plain(MlrConfig { reselect_every: 3, ..MlrConfig::default() });
-    let with_fcbf = |threshold, reselect_every| {
+    let with_fcbf = |threshold| {
         let fcbf = FcbfConfig { threshold, max_features: 8 };
-        Build::Plain(MlrConfig { fcbf, reselect_every, ..MlrConfig::default() })
+        Build::Plain(MlrConfig { fcbf, ..MlrConfig::default() })
     };
-    let loose = with_fcbf(0.2, 1);
+    let loose = with_fcbf(0.2);
     // Selects both synthetic features while they are independent, in the
     // order of their weights.
-    let paired = with_fcbf(0.45, 1);
-    // Keeps a selection for 90 bins: across the copy, then the constant.
-    let pinned = with_fcbf(0.45, 90);
+    let paired = with_fcbf(0.45);
     // A history shorter than the window aligns only until it first evicts.
     let short = Build::Plain(MlrConfig { history: 25, ..MlrConfig::default() });
-    let robust = Build::Robust(RobustMlrConfig::default());
+    let robust = Build::Robust;
     let pair = |name, from_bin, build: Build, terms, surge_from| Pair {
         name,
         from_bin,
@@ -864,7 +931,6 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         twin: build.fresh(),
         terms,
         surge_from,
-        follows: None,
     };
     let mut pairs = [
         // Three tenants driven by the packet count alone: one selection,
@@ -875,16 +941,12 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         pair("bytes", 0, plain, &[(0, 5.0), (1 /* bytes */, 0.4)], NEVER),
         pair("flows", 0, plain, &[(0, 40.0), (6, 2500.0)], NEVER),
         pair("mixed", 0, loose, &[(0, 120.0), (14, 900.0)], NEVER),
-        pair("cached", 0, cached, &[(0, 200.0), (10, 700.0)], NEVER),
         pair("short", 0, short, &[(0, 250.0), (2, 300.0)], NEVER),
         pair("late", 25, plain, &[(0, 150.0), (18, 1200.0)], NEVER),
         pair("robust", 0, robust, &[(0, 220.0), (6, 800.0)], 170),
         // The same two features, selected in opposite orders.
         pair("a-then-b", 0, paired, &[(A, 1000.0), (B, 600.0)], NEVER),
         pair("b-then-a", 0, paired, &[(B, 1000.0), (A, 600.0)], NEVER),
-        // The responses and actions of `a-then-b`, but a selection carried
-        // between reselections.
-        pair("pinned", 0, pinned, &[(A, 1000.0), (B, 600.0)], NEVER).following(10),
     ];
 
     let mut window = FeatureWindow::new();
@@ -893,20 +955,19 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
     let mut actions_seen = Vec::new();
     let mut late_aligned = false;
     let (mut robust_forgot, mut robust_realigned) = (false, false);
-    // What the shared fits were exercised on: window lengths, and designs
-    // with a copied column, a zero-variance column, a selection read by more
-    // than one tenant and one read reversed by another.
+    // What the shared moments and fits were exercised on: window lengths,
+    // an exact copy dropped, a zero-variance column, a selection read by
+    // more than one tenant and one read reversed by another.
     let mut shared_lengths = BTreeSet::new();
-    let (mut copied, mut constant, mut shared_by_many, mut reversed) = (false, false, false, false);
+    let (mut copy_dropped, mut constant, mut shared_by_many, mut reversed) =
+        (false, false, false, false);
     for (bin, (full, sampled)) in rows.iter().enumerate() {
         // Predict phase, against the window of the bins before this one.
         let mut planned: Vec<Option<(Action, f64)>> = Vec::new();
-        let mut actions = Vec::new();
         let mut selections: Vec<Vec<usize>> = Vec::new();
         for pair in &mut pairs {
             if bin < pair.from_bin {
                 planned.push(None);
-                actions.push(Action::Skipped);
                 continue;
             }
             let context = format!("bin {bin} pair {}", pair.name);
@@ -919,9 +980,7 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
                 late_aligned |= aligned && pair.name == "late";
                 robust_realigned |= aligned && robust_forgot && pair.name == "robust";
             }
-            let action =
-                pair.follows.map_or_else(|| draw_action(&mut rng), |leader| actions[leader]);
-            actions.push(action);
+            let action = draw_action(&mut rng);
             actions_seen.push(action);
             if action == Action::Skipped {
                 planned.push(Some((action, 0.0)));
@@ -939,8 +998,9 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
             if aligned && regresses {
                 let selected = pair.shared.selected_features();
                 let column = |feature: usize| pair.shared.history().feature_column(feature);
-                copied |= selected.contains(&A) && selected.contains(&B) && column(A) == column(B);
-                constant |= selected.contains(&A) && column(A).iter().all(|&value| value == 7.0);
+                copy_dropped |=
+                    selected.contains(&A) != selected.contains(&B) && column(A) == column(B);
+                constant |= column(A).iter().all(|&value| value == 7.0);
                 shared_lengths.insert(window.len());
                 selections.push(selected);
             }
@@ -1018,11 +1078,11 @@ fn predictors_on_a_shared_window_match_their_stand_alone_twins_bit_for_bit() {
         "{aligned_bins} of {predictor_bins} predictor-bins read the shared window"
     );
     // And the shared fits were read at every warm-up length, by several
-    // tenants at once, in both orders of one pair of features, and on the
-    // two rank-deficient designs.
+    // tenants at once and in both orders of one pair of features, and the
+    // shared moments across an exact copy and a zero-variance column.
     assert_eq!(shared_lengths, (3..=FeatureWindow::ROWS).collect(), "warm-up lengths");
     assert!(shared_by_many, "some selection must be shared by several tenants");
     assert!(reversed, "some selection must be read in both orders in one bin");
-    assert!(copied, "a cached selection must regress on a copied column");
-    assert!(constant, "a cached selection must regress on a zero-variance column");
+    assert!(copy_dropped, "a selection on the window must drop an exact copy");
+    assert!(constant, "a selection on the window must meet a zero-variance column");
 }
