@@ -141,6 +141,15 @@ awk -F': *' '/"query_runs_per_bin"/ { if ($2 + 0 > 10) exit 1 }' "$file" ||
 require '"tasks_per_bin"' "lost the 200-tenant tasks_per_bin"
 awk -F': *' '/"tenants_200"/ { t = 1 } t && /"tasks_per_bin"/ { if ($2 + 0 > 20) exit 1; exit 0 }' "$file" ||
   fail "the 200-tenant bin dispatches more than 20 tasks"
+# The same run's checkpoint: each piece of state is written once, by its
+# owner — a follower writes its head's position, and a query the plan never
+# sampled on its own writes no bytes for the extractor it never built —
+# so the 200 tenants' snapshot is ~0.16 MB (`snapshot_bytes`, a byte count,
+# deterministic, held on every run; ~11 MB while every follower wrote a copy
+# of its head's instances and predictor and every query an empty extractor).
+require '"snapshot_bytes"' "lost the 200-tenant snapshot_bytes"
+awk -F': *' '/"tenants_200"/ { t = 1 } t && /"snapshot_bytes"/ { if ($2 + 0 > 1500000) exit 1; exit 0 }' "$file" ||
+  fail "the 200-tenant checkpoint is larger than 1 500 000 bytes"
 # The same shape with the default measurement noise (2 % jitter, 0.5 %
 # outliers), the configuration a monitor runs unless told otherwise: every
 # tenant draws its own noise, so every follower detaches at its first run

@@ -75,7 +75,9 @@
 //!    many tasks a bin dispatched (`tasks_per_bin`; only owners are
 //!    dispatched, so one predict and one execute task per cohort) and
 //!    the run digest's nanoseconds over the bins' from the same run
-//!    (`digest_vs_bin`; the digest runs between bins, outside the stages);
+//!    (`digest_vs_bin`; the digest runs between bins, outside the stages)
+//!    and the length of its checkpoint after the run (`snapshot_bytes`;
+//!    a follower writes its head's position, not its head's state);
 //!    the same shape with the default measurement noise
 //!    (`tenants_200_noisy`, where every follower detaches at its first run,
 //!    with its bin over the noise-off one, `bin_vs_noise_off`);
@@ -881,8 +883,9 @@ impl Sharing {
 /// its bins went, how many of a bin's 200 predictions were computed (a
 /// tenant that follows another's predictor copies its prediction) and how
 /// many sets of query instances a bin ran (tenants of one kind form one
-/// cohort), counted on a second, untimed run of the same engine, and how many
-/// tasks the timed run dispatched a bin (only owners are dispatched).
+/// cohort), counted on a second, untimed run of the same engine, how many
+/// tasks the timed run dispatched a bin (only owners are dispatched), and how
+/// many bytes its `Monitor::save_state` writes after the run.
 fn bench_tenants(bins: usize) -> (Report, Report) {
     const KINDS: [QueryKind; 5] = [
         QueryKind::Counter,
@@ -915,6 +918,8 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
         let mut source = TimedReader::over(&batches);
         monitor.run(&mut source, &mut digest).expect("run");
         let stages = monitor.stage_stats();
+        let mut snapshot = StateWriter::new();
+        monitor.save_state(&mut snapshot).expect("every tenant checkpoints");
         let sharing = Sharing::of(tenants(noisy), &batches);
         let report = Report::new()
             .cell("bins", stages.bins)
@@ -924,6 +929,7 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
             .cell("full_predictions_per_bin", num(sharing.full, 2))
             .cell("query_runs_per_bin", num(sharing.runs, 2))
             .cell("tasks_per_bin", num(stages.tasks as f64 / stages.bins as f64, 2))
+            .cell("snapshot_bytes", snapshot.len())
             .report("measured_share", stage_shares(&stages));
         (report, mean_bin_ns(&stages))
     };

@@ -31,7 +31,7 @@
 
 use crate::error::NetshedError;
 use crate::exec::{self, Stage};
-use crate::monitor::{flow_hasher, plan_followers, Monitor, RegisteredQuery};
+use crate::monitor::{extractor, flow_hasher, plan_followers, Monitor, RegisteredQuery};
 use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
 use crate::shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};
@@ -227,18 +227,20 @@ impl RegisteredQuery {
         // stays consistent (Section 4.3): a packet sample's by the nested
         // pass, a flow sample's here — the per-query extractor belongs to
         // this task alone, the scratch to the worker running it.
-        let (delivered, reextracted) = match (self.slot.sampled.take(), &self.flow_hasher) {
-            (Some(sampled), _) => (sampled, self.slot.reextracted.take()),
-            // The plan built the table of this interval's generation.
-            (None, Some((_, hasher)))
+        let plan = (self.slot.sampled.take(), &self.flow_hasher, &mut self.sampled_extractor);
+        let (delivered, reextracted) = match plan {
+            (Some(sampled), ..) => (sampled, self.slot.reextracted.take()),
+            // The plan built the table of this interval's generation, and the
+            // extractor.
+            (None, Some((_, hasher)), Some(own))
                 if rate < 1.0 && self.shedding == SheddingMethod::FlowSampling =>
             {
                 let (sampled, _) = flow_sample_with(post_drop, rate, hasher, &mut self.shed_pool);
-                let extracted = self.sampled_extractor.extract_view_with(&sampled, scratch);
+                let extracted = own.extract_view_with(&sampled, scratch);
                 (sampled, Some(extracted))
             }
             // Full rate, or custom shedding (the query scales its own work).
-            (None, _) => (post_drop.clone(), None),
+            (None, ..) => (post_drop.clone(), None),
         };
         self.slot.delivered_packets = delivered.len() as u64;
         self.slot.reextract_ops = reextracted.map_or(0, |(_, ops)| ops);
@@ -534,7 +536,10 @@ impl Monitor {
                     // inside the query's own task, with the table of this
                     // generation — a pure function of it, so it is built the
                     // first time the generation samples, not before.
+                    // So is the extractor that re-extracts the sample, the
+                    // first time the plan flow-samples the query.
                     SheddingMethod::FlowSampling => {
+                        registered.sampled_extractor.get_or_insert_with(|| extractor(&self.config));
                         let generation = registered.hasher_generation;
                         if !matches!(registered.flow_hasher, Some((built, _)) if built == generation)
                         {
@@ -644,9 +649,10 @@ impl Monitor {
         };
         let mut pass = self.scratch[0].nested(&largest, self.shed_pool.keys(), &bin.thresholds);
         for &(threshold, position) in &bin.nested {
+            // A query's extractor is built the first time it is sampled.
             let registered = &mut self.queries[position];
-            let extracted = pass.extract(&mut registered.sampled_extractor, threshold);
-            registered.slot.reextracted = Some(extracted);
+            let own = registered.sampled_extractor.get_or_insert_with(|| extractor(&self.config));
+            registered.slot.reextracted = Some(pass.extract(own, threshold));
         }
     }
 

@@ -13,8 +13,9 @@
 //! one instance per lane, fed the flows whose
 //! [`shard_key`](netshed_trace::shard_key) names the lane — while the
 //! extractor, the feature window, the capture buffer, the policy, both RNGs
-//! and each query's predictor and sampled extractor exist once, whatever the
-//! lane count (DESIGN.md, "Shard plane").
+//! and each query's predictor and sampled extractor — built the first time
+//! the plan samples the query on its own — exist once, whatever the lane
+//! count (DESIGN.md, "Shard plane").
 //!
 //! Queries registered together from equal specs form a cohort: every member
 //! after the first *follows* that first one, its head, by position — it
@@ -121,8 +122,11 @@ pub(crate) struct RegisteredQuery {
     pub(crate) predictor: Option<Box<dyn Predictor>>,
     /// Extractor used to recompute features over this query's sampled stream
     /// (needed to keep the MLR history consistent, Section 4.3) — the global
-    /// sample, before it is split over the lanes.
-    pub(crate) sampled_extractor: FeatureExtractor,
+    /// sample, before it is split over the lanes. Built by the plan the first
+    /// time it feeds the query a sample of its own (a fresh extractor's state
+    /// is all an unused one would hold), so a query never sampled on its own
+    /// has none.
+    pub(crate) sampled_extractor: Option<FeatureExtractor>,
     /// Keep-list pool for the views this query's task builds (the
     /// flow-sampled one, the lane views); owned per query so the dispatch
     /// needs no shared state.
@@ -138,24 +142,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<RegisteredQuery>();
 };
-
-/// The lane instances that run for the query at `position`: its own, or its
-/// head's.
-pub(crate) fn lanes_at(queries: &[RegisteredQuery], position: usize) -> &[Box<dyn Query>] {
-    &queries[queries[position].head.unwrap_or(position)].lanes
-}
-
-/// The predictor that predicts for the query at `position`: its own, or its
-/// head's.
-pub(crate) fn predictor_at(queries: &[RegisteredQuery], position: usize) -> &dyn Predictor {
-    let registered = &queries[position];
-    let owner = match registered.predictor {
-        Some(_) => registered,
-        None => &queries[registered.head.unwrap_or(position)],
-    };
-    // lint:allow(no-unwrap): an owner owns its predictor, and a follower that owns none borrows its head's, an owner (`RegisteredQuery::predictor`)
-    owner.predictor.as_deref().expect("a follower's head owns a predictor")
-}
 
 /// Loads into a fresh instance (`load`) what an original's checkpoint
 /// writes (`save`), which is bit-exact by contract.
@@ -212,11 +198,20 @@ impl CohortKey {
 
 /// What a new registration runs: instances of its own — the given one on
 /// lane 0, the others built from its spec — at the given minimum rate, or
-/// those of the fresh cohort head at a position.
+/// those of the cohort head at a position, with a fresh predictor of its own
+/// or none (it borrows the head's).
 enum Runs {
     Own(Box<dyn Query>, f64),
-    Follows(usize),
+    Follows(usize, bool),
 }
+
+/// The bits of the flags byte in a query's checkpoint record, which say what
+/// the record holds besides the fields every record has: the query follows
+/// the head whose position comes next, and holds no lane instances; it owns
+/// a predictor (an owner always does); it holds a sampled extractor.
+const FOLLOWS: u8 = 1;
+const OWNS_PREDICTOR: u8 = 2;
+const SAMPLED: u8 = 4;
 
 /// Refuses a minimum sampling rate outside `[0, 1]`.
 fn check_min_rate(min_rate: Option<f64>, label: &str) -> Result<(), NetshedError> {
@@ -228,12 +223,6 @@ fn check_min_rate(min_rate: Option<f64>, label: &str) -> Result<(), NetshedError
         }
         _ => Ok(()),
     }
-}
-
-/// The bytes a load consumed: `before` is a copy of the reader taken ahead of
-/// it, `after` the reader once it returned.
-fn consumed<'a>(before: &StateReader<'a>, after: &StateReader<'a>) -> &'a [u8] {
-    &before.unread()[..before.remaining() - after.remaining()]
 }
 
 /// Restores a query's lane instances from `reader`, in lane order; a table
@@ -368,7 +357,7 @@ impl RegisteredQuery {
 
 /// A fresh extractor on the monitor's measurement interval: the full-batch
 /// one and every query's sampled one.
-fn extractor(config: &MonitorConfig) -> FeatureExtractor {
+pub(crate) fn extractor(config: &MonitorConfig) -> FeatureExtractor {
     FeatureExtractor::new(ExtractorConfig {
         measurement_interval_us: config.measurement_interval_us,
     })
@@ -558,8 +547,8 @@ impl Monitor {
     /// since the last bin or interval close follows the first such query: it
     /// borrows that query's instances until the plan gives the two different
     /// deliveries, and its predictor until the plan gives the two different
-    /// inputs; the outputs, records and checkpoints are those of separate
-    /// instances and predictors, bit for bit.
+    /// inputs; the outputs and records are those of separate instances and
+    /// predictors, bit for bit, and a checkpoint names the head it follows.
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
         let label = spec.resolved_label();
         check_min_rate(spec.min_sampling_rate, &label)?;
@@ -568,7 +557,11 @@ impl Monitor {
         // joins one builds neither.
         let position = self.queries.len();
         let runs = match *self.fresh.entry(CohortKey::of(spec)).or_insert(position) {
-            head if head != position => Runs::Follows(head),
+            // It borrows the head's predictor unless that one cannot be
+            // copied, as a follower that detaches must; then it makes its own.
+            head if head != position => {
+                Runs::Follows(head, !self.queries[head].predictor.as_deref().is_some_and(copyable))
+            }
             _ => {
                 let query = build_query_from_spec(spec);
                 let min_rate = spec.min_sampling_rate.unwrap_or(query.min_sampling_rate());
@@ -614,13 +607,11 @@ impl Monitor {
         id
     }
 
-    /// A query as it stands right after registration: a fresh sampled
-    /// extractor, flow-hasher generation 0 (its table unbuilt), clean
-    /// enforcement state, and what it `runs`. An owner has one instance per
-    /// lane of its own (a bare instance has only the one) and a fresh
-    /// predictor. A follower builds no instance, and borrows its head's
-    /// predictor unless that one cannot be copied, as a follower that
-    /// detaches must; then it makes its own.
+    /// A query as it stands right after registration: no sampled extractor,
+    /// flow-hasher generation 0 (its table unbuilt), clean enforcement state,
+    /// and what it `runs`. An owner has one instance per lane of its own (a
+    /// bare instance has only the one) and a fresh predictor. A follower
+    /// builds no instance, and a predictor only when `runs` says it owns one.
     fn new_query(
         &self,
         id: QueryId,
@@ -637,10 +628,9 @@ impl Monitor {
                 let lanes = std::iter::once(query).chain(others).collect::<Vec<_>>();
                 (lanes[0].preferred_shedding(), min_rate, None, lanes, Some(make()))
             }
-            Runs::Follows(position) => {
+            Runs::Follows(position, owns) => {
                 let head = &self.queries[position];
-                let copyable = head.predictor.as_deref().is_some_and(copyable);
-                (head.shedding, head.min_rate, Some(position), Vec::new(), (!copyable).then(make))
+                (head.shedding, head.min_rate, Some(position), Vec::new(), owns.then(make))
             }
         };
         RegisteredQuery {
@@ -658,7 +648,7 @@ impl Monitor {
             shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
             spec,
             predictor,
-            sampled_extractor: extractor(&self.config),
+            sampled_extractor: None,
             shed_pool: KeepListPool::new(),
             slot: BinSlot::default(),
         }
@@ -856,10 +846,14 @@ impl Monitor {
     /// telemetry) is not stored.
     ///
     /// The lane count comes first; then each query, in registration order,
-    /// writes all of its lane instances in lane order, so a one-lane fleet
-    /// writes the solo monitor's bytes. A follower writes the instances and
-    /// the predictor it borrows from its head, so the bytes are those of
-    /// separate instances and predictors.
+    /// writes what it owns, once: its id, label, spec and minimum rate; a
+    /// flags byte saying whether it follows a head, owns a predictor (an
+    /// owner always does) and holds a sampled extractor; its head's position,
+    /// if it follows one; its hasher generation and enforcement counters; all
+    /// of its lane instances in lane order (a follower has none); its
+    /// predictor, if it owns one; its shadow twin, if the policy runs them;
+    /// and its sampled extractor, if it has one. A one-lane fleet writes the
+    /// solo monitor's bytes.
     ///
     /// Fails with [`StateError::Unsupported`] when a query was registered
     /// through [`Monitor::register_instance`] (no [`QuerySpec`] to rebuild it
@@ -885,7 +879,7 @@ impl Monitor {
         writer.opt_u64(self.current_interval);
         self.policy.save_state(writer)?;
         writer.usize(self.queries.len());
-        for (position, registered) in self.queries.iter().enumerate() {
+        for registered in &self.queries {
             let spec = registered.spec.as_ref().ok_or_else(|| {
                 StateError::unsupported(format!(
                     "query '{}' was registered as a bare instance (no QuerySpec to rebuild from)",
@@ -896,22 +890,28 @@ impl Monitor {
             writer.str(&registered.label);
             spec.save_state(writer);
             writer.f64(registered.min_rate);
+            writer.u8(registered.head.map_or(0, |_| FOLLOWS)
+                | registered.predictor.as_ref().map_or(0, |_| OWNS_PREDICTOR)
+                | registered.sampled_extractor.as_ref().map_or(0, |_| SAMPLED));
+            if let Some(head) = registered.head {
+                writer.usize(head);
+            }
             writer.u64(registered.hasher_generation);
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            for lane in lanes_at(&self.queries, position) {
+            for lane in &registered.lanes {
                 lane.save_state(writer)?;
             }
-            match &registered.shadow {
-                None => writer.bool(false),
-                Some(shadow) => {
-                    writer.bool(true);
-                    shadow.save_state(writer)?;
-                }
+            if let Some(predictor) = &registered.predictor {
+                predictor.save_state(writer)?;
             }
-            predictor_at(&self.queries, position).save_state(writer)?;
-            registered.sampled_extractor.save_state(writer);
+            if let Some(shadow) = &registered.shadow {
+                shadow.save_state(writer)?;
+            }
+            if let Some(extractor) = &registered.sampled_extractor {
+                extractor.save_state(writer);
+            }
         }
         writer.u64(self.next_query_id);
         Ok(())
@@ -924,11 +924,14 @@ impl Monitor {
     /// and all per-query state — replaces them wholesale.
     ///
     /// Lanes own query state, so a snapshot written at another lane count is
-    /// a [`StateError::Mismatch`] naming both. A query whose spec equals, but
-    /// for the label, that of one restored before it, and whose lanes' bytes
-    /// are all equal to that one's, follows the first such query again — its
-    /// predictor too when the predictors' bytes and the enforcement counters
-    /// are equal as well.
+    /// a [`StateError::Mismatch`] naming both. Each query builds only what
+    /// its record says it owns: a follower follows the head its record names
+    /// and builds no lane instance, and no predictor unless it owns one — the
+    /// saved relation, exactly. Records no run writes are
+    /// [`StateError::Corrupt`]: ids that do not increase, a minimum sampling
+    /// rate `register` refuses, flags no run sets, and a follower whose head
+    /// is not an earlier owner registered from an equal spec (but for the
+    /// label) at the same minimum rate.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let lanes = reader.usize()?;
         if lanes != self.lane_count {
@@ -963,69 +966,76 @@ impl Monitor {
         let count = reader.usize()?;
         self.queries.clear();
         self.fresh.clear();
-        // The heads restored so far, by key and the bytes of every lane, with
-        // what a follower of the predictor shares with its head besides: the
-        // predictor's bytes and the enforcement counters.
-        let mut heads = DetHashMap::new();
-        for position in 0..count {
-            let id = QueryId(reader.u64()?);
-            let label = reader.str()?;
-            let spec = QuerySpec::load_state(reader)?;
-            let min_rate = bounded(reader.f64()?, &format!("query '{label}' min_rate"), 1.0)?;
-            let hasher_generation = reader.u64()?;
-            let overuse_ratio =
-                bounded(reader.f64()?, &format!("query '{label}' overuse_ratio"), f64::MAX)?;
-            let key = CohortKey::of(&spec);
-            let runs = Runs::Own(build_query_from_spec(&spec), min_rate);
-            let mut registered = self.new_query(id, label.into(), Some(spec), runs);
-            registered.hasher_generation = hasher_generation;
-            registered.overuse_ratio = overuse_ratio;
-            registered.violations = reader.u32()?;
-            registered.penalty_remaining = reader.u32()?;
-            let before = reader.clone();
-            load_lanes(&mut registered.lanes, reader)?;
-            let lanes = consumed(&before, reader);
-            if reader.bool()? {
-                let Some(shadow) = registered.shadow.as_mut() else {
-                    return Err(StateError::corrupt(format!(
-                        "query '{}' carries shadow state but policy \
-                         '{policy_name}' does not run shadows",
-                        registered.label
-                    )));
-                };
-                shadow.load_state(reader)?;
-            }
-            let before = reader.clone();
-            if let Some(predictor) = &mut registered.predictor {
-                predictor.load_state(reader)?;
-            }
-            let counters = (
-                registered.overuse_ratio.to_bits(),
-                registered.violations,
-                registered.penalty_remaining,
-            );
-            let predicted = (consumed(&before, reader), counters);
-            let (head, heads_predicted) =
-                *heads.entry((key, lanes)).or_insert((position, predicted));
-            if head != position {
-                (registered.head, registered.lanes) = (Some(head), Vec::new());
-                if heads_predicted == predicted {
-                    registered.predictor = None;
-                }
-            }
-            registered.sampled_extractor.load_state(reader)?;
-            self.queries.push(registered);
+        for _ in 0..count {
+            self.queries.push(self.load_query(reader)?);
         }
         self.next_query_id = reader.u64()?;
-        if let Some(max_id) = self.queries.iter().map(|q| q.id.0).max() {
-            if self.next_query_id <= max_id {
-                return Err(StateError::corrupt(format!(
-                    "next_query_id {} does not exceed the largest restored id {max_id}",
-                    self.next_query_id
-                )));
-            }
+        if self.queries.last().is_some_and(|last| self.next_query_id <= last.id.0) {
+            let next = self.next_query_id;
+            return Err(StateError::corrupt(format!("next_query_id {next} is not a new id")));
         }
         Ok(())
+    }
+
+    /// Restores the record of the query after the ones restored so far (see
+    /// [`Monitor::load_state`]).
+    fn load_query(&self, reader: &mut StateReader<'_>) -> Result<RegisteredQuery, StateError> {
+        let id = QueryId(reader.u64()?);
+        // Ids are handed out in increasing order, and the registry keeps
+        // registration order.
+        if self.queries.last().is_some_and(|previous| previous.id >= id) {
+            return Err(StateError::corrupt(format!("{id} does not exceed the id before it")));
+        }
+        let label = reader.str()?;
+        let spec = QuerySpec::load_state(reader)?;
+        check_min_rate(spec.min_sampling_rate, &label)
+            .map_err(|error| StateError::corrupt(error.to_string()))?;
+        let min_rate = bounded(reader.f64()?, &format!("query '{label}' min_rate"), 1.0)?;
+        let flags = reader.u8()?;
+        // No bit but those, and an owner always owns its predictor.
+        if flags > FOLLOWS | OWNS_PREDICTOR | SAMPLED || flags & (FOLLOWS | OWNS_PREDICTOR) == 0 {
+            let why = format!("query '{label}' has record flags {flags:#b}, which no run writes");
+            return Err(StateError::corrupt(why));
+        }
+        let runs = if flags & FOLLOWS == 0 {
+            Runs::Own(build_query_from_spec(&spec), min_rate)
+        } else {
+            let head = reader.u64()?;
+            let Some(position) = self.head_for(head, &spec, min_rate) else {
+                let why = format!("query '{label}' follows {head}, no earlier owner like it");
+                return Err(StateError::corrupt(why));
+            };
+            Runs::Follows(position, flags & OWNS_PREDICTOR != 0)
+        };
+        let what = format!("query '{label}' overuse_ratio");
+        let mut registered = self.new_query(id, label.into(), Some(spec), runs);
+        registered.hasher_generation = reader.u64()?;
+        registered.overuse_ratio = bounded(reader.f64()?, &what, f64::MAX)?;
+        registered.violations = reader.u32()?;
+        registered.penalty_remaining = reader.u32()?;
+        load_lanes(&mut registered.lanes, reader)?;
+        if let Some(predictor) = &mut registered.predictor {
+            predictor.load_state(reader)?;
+        }
+        // The policy, whose name the checkpoint holds, says who has a twin.
+        if let Some(shadow) = &mut registered.shadow {
+            shadow.load_state(reader)?;
+        }
+        if flags & SAMPLED != 0 {
+            registered.sampled_extractor.insert(extractor(&self.config)).load_state(reader)?;
+        }
+        Ok(registered)
+    }
+
+    /// The position of the head a restored follower's record names, if a run
+    /// could have written it: an earlier owner, registered from a spec equal
+    /// to the follower's `spec` but for the label, at the same minimum rate.
+    fn head_for(&self, head: u64, spec: &QuerySpec, min_rate: f64) -> Option<usize> {
+        let position = usize::try_from(head).ok().filter(|&head| head < self.queries.len())?;
+        let owner = &self.queries[position];
+        let equal = owner.spec.as_ref().map(CohortKey::of) == Some(CohortKey::of(spec));
+        (owner.head.is_none() && equal && owner.min_rate.to_bits() == min_rate.to_bits())
+            .then_some(position)
     }
 }
 
@@ -1229,6 +1239,30 @@ mod tests {
         );
     }
 
+    /// The lane instances that run for the query at `position`: its own, or
+    /// its head's.
+    fn lanes_at(queries: &[RegisteredQuery], position: usize) -> &[Box<dyn Query>] {
+        &queries[queries[position].head.unwrap_or(position)].lanes
+    }
+
+    /// What the query at `position` runs on, as separate instances would
+    /// write it: the lane instances and the predictor it owns or borrows,
+    /// and its shadow twin.
+    fn runs_on(monitor: &Monitor, position: usize) -> Vec<u8> {
+        let registered = &monitor.queries[position];
+        let head = &monitor.queries[registered.head.unwrap_or(position)];
+        let mut writer = StateWriter::new();
+        for lane in &head.lanes {
+            lane.save_state(&mut writer).expect("save");
+        }
+        let predictor = registered.predictor.as_ref().or(head.predictor.as_ref());
+        predictor.expect("an owner owns a predictor").save_state(&mut writer).expect("save");
+        if let Some(shadow) = &registered.shadow {
+            shadow.save_state(&mut writer).expect("save");
+        }
+        writer.into_bytes()
+    }
+
     /// The positions whose predictor each query follows (`None` for an
     /// owner of one).
     fn predictor_heads(monitor: &Monitor) -> Vec<Option<usize>> {
@@ -1335,11 +1369,13 @@ mod tests {
     }
 
     /// Under a policy that needs measured cycles, every follower still runs
-    /// its shadow twin: a tenant run's digest, and its checkpoint in the
-    /// middle of its first interval, equal those of the same run with no
-    /// cohort — every tenant owning its instances, predictor and twin — at
-    /// workers {1, 2, 4}, with measurement noise (every follower owns a
-    /// predictor after its first run) or without (none ever does).
+    /// its shadow twin: a tenant run's digest, and what each tenant runs on
+    /// in the middle of its first interval (see `runs_on`), equal those of
+    /// the same run with no cohort — every tenant owning its instances,
+    /// predictor and twin — at workers {1, 2, 4}, with measurement noise
+    /// (every follower owns a predictor after its first run) or without
+    /// (none ever does); the cohort run's checkpoint there is one at every
+    /// worker count.
     #[test]
     fn followers_shadow_twins_advance_under_the_oracle() {
         use crate::digest::{DigestObserver, RunDigest};
@@ -1352,7 +1388,7 @@ mod tests {
             .with_capacity(1e12)
             .with_strategy(PolicySpec::new(|| OraclePolicy::new(MmfsPkt)));
         for config in [oracle.clone(), oracle.without_noise()] {
-            let run = |workers: usize, cohorts: bool| -> (RunDigest, Vec<u8>) {
+            let run = |workers: usize, cohorts: bool| -> (RunDigest, Vec<Vec<u8>>, Vec<u8>) {
                 let mut monitor = Monitor::new(config.clone().with_workers(workers));
                 for index in 0..9 {
                     let kind = [QueryKind::Counter, QueryKind::Flows, QueryKind::TopK][index % 3];
@@ -1362,11 +1398,14 @@ mod tests {
                         monitor.fresh.clear();
                     }
                 }
-                let (mut digest, mut checkpoint) = (DigestObserver::new(), Vec::new());
+                let mut digest = DigestObserver::new();
+                let (mut state, mut checkpoint) = (Vec::new(), Vec::new());
                 for (bin, batch) in batches.iter().enumerate() {
                     if bin == CUT {
                         let followers = monitor.queries.iter().filter(|q| q.head.is_some());
                         assert_eq!(followers.count(), if cohorts { 6 } else { 0 });
+                        state =
+                            (0..monitor.queries.len()).map(|at| runs_on(&monitor, at)).collect();
                         let mut writer = StateWriter::new();
                         monitor.save_state(&mut writer).expect("save");
                         checkpoint = writer.into_bytes();
@@ -1374,12 +1413,17 @@ mod tests {
                     monitor.ingest(batch, &mut digest).expect("bin");
                 }
                 flush(&mut monitor, &mut digest);
-                (digest.digest(), checkpoint)
+                (digest.digest(), state, checkpoint)
             };
-            let (digest, checkpoint) = run(1, false);
+            let (digest, state, _) = run(1, false);
+            let (_, _, checkpoint) = run(1, true);
             for workers in [1, 2, 4] {
-                let (cohort_digest, cohort_checkpoint) = run(workers, true);
+                let (cohort_digest, cohort_state, cohort_checkpoint) = run(workers, true);
                 assert_eq!(cohort_digest, digest, "workers {workers}");
+                assert!(
+                    cohort_state == state,
+                    "workers {workers}: what the tenants run on differs"
+                );
                 assert!(cohort_checkpoint == checkpoint, "workers {workers}: checkpoints differ");
             }
         }
@@ -1706,79 +1750,178 @@ mod tests {
             }
         }
 
-        /// A restore re-forms a cohort from equal bytes on every lane, and a
-        /// fleet member whose other lanes' bytes differ restores onto
-        /// instances of its own, from its own bytes.
-        #[test]
-        fn a_restored_member_whose_other_lanes_differ_detaches() {
-            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
-            let spec = QuerySpec::new(QueryKind::Counter);
-            let mut monitor = Monitor::with_lanes(config.clone(), 2);
-            for label in ["first", "second"] {
-                monitor.register(&spec.clone().with_label(label)).expect("valid spec");
-            }
-            let shared = |monitor: &Monitor| monitor.queries[1].head == Some(0);
-            let saved = |monitor: &Monitor| {
-                let mut writer = StateWriter::new();
-                monitor.save_state(&mut writer).expect("save");
-                writer.into_bytes()
-            };
-            let restore = |state: &[u8]| {
-                let mut restored = Monitor::with_lanes(config.clone(), 2);
-                restored.load_state(&mut StateReader::new(state)).expect("load");
-                restored
-            };
-            assert!(shared(&monitor));
-            let batches = small_trace(3, 100.0);
-            for batch in &batches[..2] {
-                monitor.process_batch(batch).expect("batch");
-            }
-            let state = saved(&monitor);
-            assert!(shared(&restore(&state)), "equal bytes on every lane share the instances");
-
-            // Only the second query's lane-1 instance sees the third batch.
-            let first = &monitor.queries[0];
-            let lanes = first.lanes.iter().map(|lane| copy_of(lane.as_ref(), &spec)).collect();
-            let predictor = copy_predictor(predictor_at(&monitor.queries, 0), &config.predictor);
-            let second = &mut monitor.queries[1];
-            (second.head, second.lanes, second.predictor) = (None, lanes, Some(predictor));
-            let view = batches[2].view();
-            second.lanes[1].process_batch(&view, 1.0, &mut CycleMeter::new());
-
-            let state = saved(&monitor);
-            let restored = restore(&state);
-            assert!(!shared(&restored), "other lane-1 bytes detach the second query");
-            assert!(saved(&restored) == state, "the restored bytes are the saved ones");
-        }
-
-        /// A restore re-forms a follower of the predictor from its head's
-        /// cohort key, lane bytes, predictor bytes and enforcement counters:
-        /// a member whose predictor bytes equal its head's but whose penalty
-        /// differs keeps a predictor of its own.
-        #[test]
-        fn a_restored_member_serving_another_penalty_keeps_its_own_predictor() {
-            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
-            let spec = QuerySpec::new(QueryKind::Counter);
-            let mut monitor = Monitor::new(config.clone());
-            for label in ["first", "second", "third"] {
-                monitor.register(&spec.clone().with_label(label)).expect("valid spec");
-            }
-            for batch in &small_trace(3, 100.0) {
-                monitor.process_batch(batch).expect("batch");
-            }
-            assert_eq!(predictor_heads(&monitor), [None, Some(0), Some(0)]);
-
-            monitor.queries[2].penalty_remaining = 3;
+        /// What `monitor` writes.
+        fn saved(monitor: &Monitor) -> Vec<u8> {
             let mut writer = StateWriter::new();
             monitor.save_state(&mut writer).expect("save");
-            let state = writer.into_bytes();
-            let mut restored = Monitor::new(config);
-            restored.load_state(&mut StateReader::new(&state)).expect("load");
-            assert_eq!(predictor_heads(&restored), [None, Some(0), None]);
-            assert_eq!(restored.queries[2].head, Some(0), "it follows the instances still");
-            let mut again = StateWriter::new();
-            restored.save_state(&mut again).expect("save");
-            assert!(again.into_bytes() == state, "the restored bytes are the saved ones");
+            writer.into_bytes()
+        }
+
+        /// `state` restored into a fresh monitor of `config` and `lanes`
+        /// lanes, which must write the bytes it read.
+        fn restored(config: &MonitorConfig, lanes: usize, state: &[u8]) -> Monitor {
+            let mut restored = Monitor::with_lanes(config.clone(), lanes);
+            restored.load_state(&mut StateReader::new(state)).expect("load");
+            assert!(saved(&restored) == state, "the restored engine writes the bytes it read");
+            restored
+        }
+
+        /// Who follows whose instances, and who owns a predictor.
+        fn relation(monitor: &Monitor) -> Vec<(Option<usize>, bool)> {
+            monitor.queries.iter().map(|q| (q.head, q.predictor.is_some())).collect()
+        }
+
+        /// Three equal-spec counters on `lanes` lanes that ran `batches`:
+        /// the second and third follow the first.
+        fn trio(config: &MonitorConfig, lanes: usize, batches: &[Batch]) -> Monitor {
+            let mut monitor = Monitor::with_lanes(config.clone(), lanes);
+            for label in ["first", "second", "third"] {
+                let spec = QuerySpec::new(QueryKind::Counter).with_label(label);
+                monitor.register(&spec).expect("valid spec");
+            }
+            for batch in batches {
+                monitor.process_batch(batch).expect("batch");
+            }
+            assert_eq!(relation(&monitor), [(None, true), (Some(0), false), (Some(0), false)]);
+            monitor
+        }
+
+        /// A restore keeps the relation it saved, on a fleet: a member that
+        /// detached onto copies of its head's instances stays detached though
+        /// every lane's bytes equal the head's, and so it does once its
+        /// lane-1 bytes differ; the follower beside it keeps following and
+        /// builds neither instances nor a predictor.
+        #[test]
+        fn a_restored_fleet_keeps_a_detached_member_detached() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let spec = QuerySpec::new(QueryKind::Counter);
+            let batches = small_trace(3, 100.0);
+            let mut monitor = trio(&config, 2, &batches[..2]);
+
+            let first = &monitor.queries[0];
+            let lanes = first.lanes.iter().map(|lane| copy_of(lane.as_ref(), &spec)).collect();
+            let predictor = first.predictor.as_deref().expect("an owner owns its predictor");
+            let predictor = copy_predictor(predictor, &config.predictor);
+            let second = &mut monitor.queries[1];
+            (second.head, second.lanes, second.predictor) = (None, lanes, Some(predictor));
+            let detached = [(None, true), (None, true), (Some(0), false)];
+            let restore = |monitor: &Monitor| {
+                let restored = restored(&config, 2, &saved(monitor));
+                assert_eq!(relation(&restored), detached);
+                assert!(restored.queries[2].lanes.is_empty(), "a follower builds no instance");
+            };
+            restore(&monitor);
+
+            // Only the second query's lane-1 instance sees the third batch.
+            let view = batches[2].view();
+            monitor.queries[1].lanes[1].process_batch(&view, 1.0, &mut CycleMeter::new());
+            restore(&monitor);
+        }
+
+        /// A follower that borrows its head's instances but owns its
+        /// predictor restores so, whether its predictor's bytes and its
+        /// enforcement counters equal its head's or its penalty differs.
+        #[test]
+        fn a_restored_follower_that_owns_its_predictor_keeps_it() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let mut monitor = trio(&config, 1, &small_trace(3, 100.0));
+            let head = monitor.queries[0].predictor.as_deref().expect("an owner owns one");
+            let copies = [(); 2].map(|()| copy_predictor(head, &config.predictor));
+            for (follower, copy) in monitor.queries[1..].iter_mut().zip(copies) {
+                follower.predictor = Some(copy);
+            }
+            monitor.queries[2].penalty_remaining = 3;
+            let restored = restored(&config, 1, &saved(&monitor));
+            assert_eq!(relation(&restored), [(None, true), (Some(0), true), (Some(0), true)]);
+            assert!(restored.queries[1..].iter().all(|q| q.lanes.is_empty()));
+        }
+
+        /// The restore's refusal of the bytes `monitor` writes once `tamper`
+        /// has made its registry one no run makes.
+        fn refused(mut monitor: Monitor, tamper: impl FnOnce(&mut Monitor)) -> String {
+            tamper(&mut monitor);
+            let mut restored = Monitor::with_lanes(monitor.config.clone(), monitor.lane_count);
+            match restored.load_state(&mut StateReader::new(&saved(&monitor))) {
+                Err(StateError::Corrupt(message)) => message,
+                other => panic!("expected a corrupt record, got {other:?}"),
+            }
+        }
+
+        /// A follower's record must name an earlier owner: not itself, a
+        /// later position, a position past the registry, or a follower.
+        #[test]
+        fn a_follower_of_no_earlier_owner_is_refused() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let batches = small_trace(2, 100.0);
+            for (follower, head) in [(1, 1), (1, 2), (1, usize::MAX), (2, 1)] {
+                let message = refused(trio(&config, 1, &batches), |monitor| {
+                    monitor.queries[follower].head = Some(head);
+                });
+                assert!(message.contains("no earlier owner like it"), "{head}: {message}");
+            }
+        }
+
+        /// An owner's record that says it owns no predictor is refused.
+        #[test]
+        fn an_owner_without_a_predictor_is_refused() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let monitor = monitor_with_queries(config, &[QueryKind::Counter]);
+            let message = refused(monitor, |monitor| monitor.queries[0].predictor = None);
+            assert!(message.contains("record flags 0b0"), "{message}");
+        }
+
+        /// A follower's record must name a head registered from an equal
+        /// spec (but for the label) at the same minimum rate.
+        #[test]
+        fn a_follower_of_another_spec_or_rate_is_refused() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let counter = QuerySpec::new(QueryKind::Counter);
+            for other in [QuerySpec::new(QueryKind::Flows), counter.clone().with_min_rate(0.5)] {
+                let mut monitor = monitor_with_queries(config.clone(), &[QueryKind::Counter]);
+                monitor.register(&other).expect("valid spec");
+                assert_eq!(monitor.queries[1].head, None);
+                let message = refused(monitor, |monitor| {
+                    let second = &mut monitor.queries[1];
+                    (second.head, second.lanes) = (Some(0), Vec::new());
+                });
+                assert!(message.contains("no earlier owner like it"), "{other:?}: {message}");
+            }
+            let message = refused(trio(&config, 1, &[]), |monitor| {
+                monitor.queries[1].min_rate = 0.5;
+            });
+            assert!(message.contains("no earlier owner like it"), "{message}");
+        }
+
+        /// Ids are handed out in increasing order and the registry keeps
+        /// registration order, so a record whose id does not exceed the one
+        /// before it — a repeat, or a smaller one — is refused.
+        #[test]
+        fn restored_ids_must_increase() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let kinds = [QueryKind::Counter, QueryKind::Flows];
+            for ids in [[0, 0], [1, 0]] {
+                let monitor = monitor_with_queries(config.clone(), &kinds);
+                let message = refused(monitor, |monitor| {
+                    for (registered, id) in monitor.queries.iter_mut().zip(ids) {
+                        registered.id = QueryId(id);
+                    }
+                });
+                assert!(message.contains("does not exceed the id"), "{ids:?}: {message}");
+            }
+        }
+
+        /// A restored spec must pass the minimum-rate check `register` makes.
+        #[test]
+        fn a_restored_spec_register_refuses_is_refused() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            for rate in [1.5, -0.25, f64::NAN] {
+                let monitor = monitor_with_queries(config.clone(), &[QueryKind::Counter]);
+                let message = refused(monitor, |monitor| {
+                    let spec = monitor.queries[0].spec.as_mut().expect("registered from a spec");
+                    spec.min_sampling_rate = Some(rate);
+                });
+                assert!(message.contains("min_sampling_rate"), "{rate}: {message}");
+            }
         }
 
         #[test]

@@ -154,12 +154,12 @@ mod tests {
         let mut fleet = fleet(4, &QueryKind::CHAPTER4_SET);
         assert_eq!(fleet.lane_count(), 4);
         assert_eq!(fleet.queries.len(), 7, "seven predictors, not twenty-eight");
-        let lanes = |position| crate::monitor::lanes_at(&fleet.queries, position).len();
-        assert!((0..fleet.queries.len()).all(|position| lanes(position) == 4));
+        assert!(fleet.queries.iter().all(|query| query.head.is_none() && query.lanes.len() == 4));
         assert_eq!(fleet.lane_capacities(), [1.25e8; 4]);
 
         let id = fleet.register(&QuerySpec::new(QueryKind::TopK).with_label("late")).expect("ok");
-        assert_eq!(crate::monitor::lanes_at(&fleet.queries, 7).len(), 4);
+        let runs = fleet.queries[7].head.unwrap_or(7);
+        assert_eq!(fleet.queries[runs].lanes.len(), 4);
         fleet.deregister(id).expect("deregister");
         assert_eq!(fleet.query_names().len(), 7);
 

@@ -61,7 +61,17 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
 /// order, where a version-4 file held lane 0's there and the other lanes' in
 /// a `lanes` section of their own. A version-4 file is refused, not
 /// migrated.
-pub const SNAPSHOT_FORMAT_VERSION: u16 = 5;
+///
+/// Version 6: each piece of state is written once, by its owner. A query's
+/// record carries a flags byte — it follows a head, it owns a predictor, it
+/// holds a sampled extractor — in place of the shadow flag, which the policy
+/// already says. A cohort follower's record names its head's position and
+/// holds its own predictor only if it owns one, where a version-5 file held
+/// copies of the head's lane instances and predictor and a restore re-formed
+/// the cohorts by comparing those bytes; a sampled extractor nobody built —
+/// a query the plan never sampled on its own — is one clear bit. A version-5
+/// file is refused, not migrated.
+pub const SNAPSHOT_FORMAT_VERSION: u16 = 6;
 
 /// Seed of the container checksums (header, per-section and end frame).
 const CHECKSUM_SEED: u64 = 0x6e73_636b; // "nsck"
@@ -454,15 +464,15 @@ mod tests {
         let expected = SNAPSHOT_FORMAT_VERSION.to_string();
         assert!(message.contains("99") && message.contains(&expected), "{message}");
 
-        // The version before this one — whose fleet checkpoints split every
-        // query over two sections — is refused the same way, not misread.
-        bytes[4] = 4;
+        // The version before this one — whose followers carry copies of their
+        // heads' state — is refused the same way, not misread.
+        bytes[4] = 5;
         let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
         fnv.write(&bytes[..16]);
         bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
         assert_eq!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 4, expected: 5 }
+            SnapshotError::UnsupportedVersion { found: 5, expected: 6 }
         );
     }
 

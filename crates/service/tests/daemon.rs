@@ -436,10 +436,10 @@ fn version_skew_names_found_and_expected() {
         "version-skew message must name found and expected: {message}"
     );
 
-    // A version-4 container (whose fleet checkpoints split every query
-    // over a `monitor` and a `lanes` section) is refused by the restore with
-    // both versions named, never read as this version.
-    bytes[4] = 4;
+    // A version-5 container (whose cohort followers carry copies of their
+    // heads' instances and predictors) is refused by the restore with both
+    // versions named, never read as this version.
+    bytes[4] = 5;
     let mut fnv = netshed_sketch::IncrementalFnv::new(0x6e73_636b);
     fnv.write(&bytes[..16]);
     bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
@@ -447,7 +447,7 @@ fn version_skew_names_found_and_expected() {
         Daemon::<_, Monitor>::restore_engine(overloaded_config(1), recorded_trace(), &bytes);
     match restored.map(|_| ()).unwrap_err() {
         ServiceError::Snapshot(error) => {
-            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 4, expected: 5 });
+            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 5, expected: 6 });
         }
         other => panic!("expected the version skew to be named, got {other}"),
     }
@@ -687,20 +687,25 @@ fn read_control_loop(
 }
 
 /// Reads one registered query's header up to its own state, returning its
-/// label and spec.
+/// label, its spec and whether it holds a sampled extractor. Every query here
+/// owns its instances and predictor: the kinds differ, so nobody follows
+/// anybody.
 fn read_query_header(
     reader: &mut StateReader<'_>,
     float: &mut impl FnMut(&mut StateReader<'_>, String),
-) -> (String, QuerySpec) {
+) -> (String, QuerySpec, bool) {
     reader.u64().expect("query id");
     let label = reader.str().expect("label");
     let spec = QuerySpec::load_state(reader).expect("spec");
     float(reader, format!("query '{label}' min_rate"));
+    // The flags: follows a head (1), owns a predictor (2), sampled (4).
+    let flags = reader.u8().expect("record flags");
+    assert_eq!(flags & 3, 2, "'{label}' owns its instances and predictor");
     reader.u64().expect("hasher generation");
     float(reader, format!("query '{label}' overuse_ratio"));
     reader.u32().expect("violations");
     reader.u32().expect("penalty");
-    (label, spec)
+    (label, spec, flags & 4 != 0)
 }
 
 /// Where the control-loop, capture-buffer and first query's floats sit in a
@@ -865,7 +870,7 @@ fn query_state_spans(
     assert!(lane < lanes, "lane {lane} of {lanes}");
     let spans = (0..queries)
         .map(|_| {
-            let (_, spec) = read_query_header(&mut reader, &mut float);
+            let (_, spec, sampled) = read_query_header(&mut reader, &mut float);
             let mut span = 0..0;
             for instance in 0..lanes {
                 let start = section.len() - reader.remaining();
@@ -874,11 +879,13 @@ fn query_state_spans(
                     span = start..section.len() - reader.remaining();
                 }
             }
-            assert!(!reader.bool().expect("shadow flag"), "the predictive policy runs no shadow");
+            // The predictive policy runs no shadow twin.
             config.predictor.make().load_state(&mut reader).expect("predictor state");
-            netshed_features::FeatureExtractor::with_defaults()
-                .load_state(&mut reader)
-                .expect("sampled extractor");
+            if sampled {
+                netshed_features::FeatureExtractor::with_defaults()
+                    .load_state(&mut reader)
+                    .expect("sampled extractor");
+            }
             (spec, span)
         })
         .collect();
@@ -1069,9 +1076,8 @@ fn a_crafted_predictor_selection_or_cost_is_rejected_naming_the_field() {
         reader.f64().expect("float");
     };
     read_control_loop(&mut reader, &mut float);
-    let (_, spec) = read_query_header(&mut reader, &mut float);
+    let (_, spec, _) = read_query_header(&mut reader, &mut float);
     build_query_from_spec(&spec).load_state(&mut reader).expect("query state");
-    assert!(!reader.bool().expect("shadow flag"), "the predictive policy runs no shadow");
     reader.usize().expect("history capacity");
     let observations = reader.usize().expect("history length");
     for _ in 0..observations * (netshed_features::FEATURE_COUNT + 1) {

@@ -225,13 +225,6 @@ impl<'a> StateReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// The unconsumed bytes. A copy of the reader taken before a load and
-    /// the reader after it give the bytes the load consumed:
-    /// `&before.unread()[..before.remaining() - after.remaining()]`.
-    pub fn unread(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
     /// Fails with [`StateError::TrailingBytes`] unless fully consumed.
     pub fn finish(self) -> Result<(), StateError> {
         match self.remaining() {

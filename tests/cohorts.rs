@@ -295,6 +295,42 @@ fn a_mid_interval_restore_re_forms_the_followers() {
     assert_eq!(observer.digest(), digest);
 }
 
+/// A restore keeps the relation the checkpoint saved — who follows whose
+/// instances, who borrows whose predictor — whenever it is cut: the shed run,
+/// with noise or without, restored after any of its bins, runs and predicts
+/// every later bin as often as the uninterrupted run, and ends on its digest.
+#[test]
+fn a_restore_after_any_bin_keeps_the_saved_relation() {
+    for noise in [true, false] {
+        let (config, script, batches) = shed_twins(noise);
+        let (digest, uninterrupted) = run(&config, &script, &batches, false);
+        let (mut engine, mut observer) = (Monitor::new(config.clone()), DigestObserver::new());
+        for spec in &script.tenants {
+            register(&mut engine, spec, false);
+        }
+        for cut in 1..batches.len() {
+            engine.ingest(&batches[cut - 1], &mut observer).expect("bin");
+            let mut writer = StateWriter::new();
+            engine.save_state(&mut writer).expect("save");
+            observer.save_state(&mut writer);
+            let bytes = writer.into_bytes();
+
+            let mut restored = Monitor::new(config.clone());
+            let mut reader = StateReader::new(&bytes);
+            restored.load_state(&mut reader).expect("load");
+            let mut resumed = DigestObserver::new();
+            resumed.load_state(&mut reader).expect("digest state");
+            for (bin, batch) in batches.iter().enumerate().skip(cut) {
+                restored.ingest(batch, &mut resumed).expect("bin");
+                let context = format!("noise {noise}, cut {cut}, bin {bin}");
+                assert_eq!(Shared::of(&restored), uninterrupted[bin], "{context}");
+            }
+            resumed.on_interval(&restored.finish_interval());
+            assert_eq!(resumed.digest(), digest, "noise {noise}, cut {cut}");
+        }
+    }
+}
+
 /// Four tenants of each of the ten kinds, the `p2p-detector`s under custom
 /// shedding, and a CPU-fair capacity — nine tenths of the mean unshed
 /// demand — that sheds some bins and not others, with the default
