@@ -120,9 +120,8 @@ fi
 # parent and change alternating, read predict 50-86 us before and 49-55 us
 # after, and the fastest run of each side execute 260 -> 54 us, admit (which
 # closes the intervals) 58 -> 6 us, bin 385 -> 130 us.
-# The prediction count is read off the `tenants_200` row: its noisy twin
-# below computes one prediction per tenant by design. The run count is held
-# on both rows.
+# The prediction count is read off the `tenants_200` row here and off its
+# noisy twin below. The run count is held on both rows.
 require '"tenants_200"' "lost the 200-tenant stage breakdown"
 require '"full_predictions_per_bin"' "lost the 200-tenant full_predictions_per_bin"
 awk -F': *' '/"tenants_200"/ { t = 1 } t && /"full_predictions_per_bin"/ { if ($2 + 0 > 8) exit 1; exit 0 }' "$file" ||
@@ -136,8 +135,7 @@ awk -F': *' '/"query_runs_per_bin"/ { if ($2 + 0 > 10) exit 1 }' "$file" ||
 # predict and one execute task per cohort, ~10 (`tasks_per_bin`, a count,
 # held on every run: more than 20 means followers are dispatched again — it
 # was 400, two per tenant, while a cohort's members met at its lock). Read
-# off the `tenants_200` row: in its noisy twin every follower owns its
-# predictor after its first run, and so has a predict task.
+# off the `tenants_200` row here and off its noisy twin below.
 require '"tasks_per_bin"' "lost the 200-tenant tasks_per_bin"
 awk -F': *' '/"tenants_200"/ { t = 1 } t && /"tasks_per_bin"/ { if ($2 + 0 > 20) exit 1; exit 0 }' "$file" ||
   fail "the 200-tenant bin dispatches more than 20 tasks"
@@ -151,13 +149,32 @@ require '"snapshot_bytes"' "lost the 200-tenant snapshot_bytes"
 awk -F': *' '/"tenants_200"/ { t = 1 } t && /"snapshot_bytes"/ { if ($2 + 0 > 1500000) exit 1; exit 0 }' "$file" ||
   fail "the 200-tenant checkpoint is larger than 1 500 000 bytes"
 # The same shape with the default measurement noise (2 % jitter, 0.5 %
-# outliers), the configuration a monitor runs unless told otherwise: every
-# tenant draws its own noise, so every follower detaches at its first run
-# and each tenant predicts for itself; its bin is measured beside the
-# noise-off one (`bin_vs_noise_off`).
+# outliers), the configuration a monitor runs unless told otherwise. A
+# cohort runs its instances once and is measured once: a follower takes its
+# head's noise draw, so it follows the head's predictor as long as its
+# instances, and the noisy bin shares what the quiet one does — one
+# prediction and two tasks per cohort (counts, held on every run, like the
+# quiet row's). While every tenant drew its own noise, every follower
+# detached from its head's predictor at its first run: 199 predictions and
+# 204 tasks a bin, a 4.19 MB checkpoint and a bin 6.5 times the noise-off
+# one. The checkpoint (`snapshot_bytes`, ≤ 1 500 000 like the quiet row's)
+# and the bin over the noise-off one (`bin_vs_noise_off`, ≤ 1.5, an
+# intra-run ratio) are held on a full run.
 require '"tenants_200_noisy"' "lost the noisy 200-tenant stage breakdown"
 require '"bin_vs_noise_off"' "lost the noisy 200-tenant bin_vs_noise_off"
+noisy_value() {
+  awk -F': *' -v key="\"$1\"" \
+    '/"tenants_200_noisy"/ { t = 1 } t && $1 ~ key { print $2 + 0; exit }' "$file"
+}
+awk -v count="$(noisy_value full_predictions_per_bin)" 'BEGIN { exit !(count != "" && count <= 8) }' ||
+  fail "the noisy 200-tenant bin computes more than 8 predictions in full"
+awk -v count="$(noisy_value tasks_per_bin)" 'BEGIN { exit !(count != "" && count <= 20) }' ||
+  fail "the noisy 200-tenant bin dispatches more than 20 tasks"
 if [ "$kind" = committed ]; then
+  awk -v bytes="$(noisy_value snapshot_bytes)" 'BEGIN { exit !(bytes != "" && bytes <= 1500000) }' ||
+    fail "the noisy 200-tenant checkpoint is larger than 1 500 000 bytes"
+  awk -v ratio="$(noisy_value bin_vs_noise_off)" 'BEGIN { exit !(ratio != "" && ratio <= 1.5) }' ||
+    fail "the noisy 200-tenant bin costs more than 1.5 noise-off bins"
   tenants_share() {
     awk -F': *' -v stage="\"$1\"" \
       '/"tenants_200"/ { t = 1 } t && $1 ~ stage { print $2 + 0; exit }' "$file"
@@ -248,6 +265,17 @@ require '"index_overhead_all_distinct"' "lost the flow index's all-distinct row"
 if [ "$kind" = committed ]; then
   awk -F': *' '/"index_overhead_all_distinct"/ { if ($2 + 0 > 1.15) exit 1 }' "$file" ||
     fail "index_overhead_all_distinct is above 1.15"
+fi
+
+# The registry at 10/100/1000 identical noisy tenants, which form one
+# cohort: the extra nanoseconds a bin each member adds, from the 10→1000
+# spread. A member copies its head's prediction and measurement and files
+# its record; 2 964 while every follower drew its own noise and owned a
+# predictor after its first run. Held on a full run.
+require '"marginal_ns_per_query_per_bin"' "lost the registry's marginal_ns_per_query_per_bin"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"marginal_ns_per_query_per_bin"/ { if ($2 + 0 > 300) exit 1 }' "$file" ||
+    fail "a registry member costs more than 300 ns a bin"
 fi
 
 # The steady-state shed→extract loop must be allocation-free: the bench's

@@ -50,11 +50,10 @@
 //!    tenants — control-channel registration cost per query and the
 //!    steady-state per-bin cost, with the marginal nanoseconds each
 //!    additional tenant adds per bin — of identical tenants with the default
-//!    measurement noise on. Each tenant draws its own noise, so every
-//!    follower detaches from its head's predictor at its first run and
-//!    computes its own predictions; registered together, they still form
-//!    one cohort, one run a bin: the marginal prices a cohort member (its
-//!    own prediction, noise, feedback and record), not a run of its query.
+//!    measurement noise on. Registered together, they form one cohort: one
+//!    run, one noise draw and one prediction a bin, so the marginal prices a
+//!    cohort member (its copied prediction and measurement, its record),
+//!    not a run of its query.
 //! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers, and
 //!    the **sharded** row: the same pipeline through the fixed-lane
 //!    `ShardedMonitor` fleet at 1/2/4 workers. Every figure is a
@@ -79,8 +78,9 @@
 //!    and the length of its checkpoint after the run (`snapshot_bytes`;
 //!    a follower writes its head's position, not its head's state);
 //!    the same shape with the default measurement noise
-//!    (`tenants_200_noisy`, where every follower detaches at its first run,
-//!    with its bin over the noise-off one, `bin_vs_noise_off`);
+//!    (`tenants_200_noisy`, where a cohort draws one noise sample a run, so
+//!    it shares as much as without noise, with its bin over the noise-off
+//!    one, `bin_vs_noise_off`);
 //!    and, for the solo and the 200-tenant shapes, the `.nstr` decode's
 //!    nanoseconds over the bins' (`decode_vs_bin`: a run replaying its own
 //!    batches' encoding through a timed `SharedTraceReader`, the way the
@@ -536,10 +536,10 @@ fn mean_bin_ns(stats: &StageStats) -> f64 {
 }
 
 /// The 4-lane fleet's bin in solo bins, both on one thread and by the
-/// engines' own clocks: the median of three adjacent solo/fleet pairs,
-/// because this host's speed moves between runs that are minutes apart.
+/// engines' own clocks: the median of nine adjacent solo/fleet pairs,
+/// because a host's speed moves between runs that are minutes apart.
 fn fleet_bin_in_solo_bins(batches: usize) -> f64 {
-    let mut ratios: Vec<f64> = (0..3)
+    let mut ratios: Vec<f64> = (0..9)
         .map(|_| {
             let solo = bench_pipeline_at(batches, 1);
             let fleet = bench_fleet_pipeline_at(batches, 1);
@@ -547,7 +547,7 @@ fn fleet_bin_in_solo_bins(batches: usize) -> f64 {
         })
         .collect();
     ratios.sort_by(f64::total_cmp);
-    ratios[1]
+    ratios[ratios.len() / 2]
 }
 
 /// The 2× overload pipeline's `batches` bins and its configuration: the
@@ -1020,12 +1020,10 @@ fn bench_parallel_scaling(batches: usize) -> (Report, PipelineNumbers) {
 /// tenant count scales. The marginal row — extra nanoseconds per bin each
 /// additional tenant costs, from the 10→1000 spread — is the number a
 /// capacity planner multiplies. The tenants are identical `counter` queries
-/// under the default configuration, noise on: each draws its own noise, so
-/// every follower detaches from its head's predictor at its first run and
-/// every tenant computes its own prediction. All of them, registered at one
-/// bin boundary, share one cohort's instances (one run a bin): the marginal
-/// prices a cohort member with a computed prediction, not a copied one or a
-/// run.
+/// under the default configuration, noise on. All of them, registered at one
+/// bin boundary, form one cohort: one run, one noise draw and one prediction
+/// a bin, which every follower copies, so the marginal prices a cohort
+/// member, not a run or a prediction.
 fn bench_registry_scale(bins: usize) -> Report {
     let batches = TraceGenerator::new(
         TraceConfig::default().with_seed(51).with_mean_packets_per_batch(500.0),

@@ -42,8 +42,10 @@ pub const MANIFEST_NAME: &str = "GOLDEN.digests";
 /// outputs follow (`corpus/README.md`, "Epochs"). Epoch 1 is every engine
 /// before coordinated packet sampling, whose manifests carry no epoch line;
 /// epoch 2 draws one packet key per bin for every packet-sampled query;
-/// epoch 3 fingerprints the same runs with the word-wise digest.
-pub const DIGEST_EPOCH: u32 = 3;
+/// epoch 3 fingerprints the same runs with the word-wise digest; epoch 4
+/// draws the measurement noise once per run of a cohort's instances, where a
+/// follower had drawn its own.
+pub const DIGEST_EPOCH: u32 = 4;
 
 /// The manifest line that names its epoch.
 const EPOCH_LINE: &str = "# digest epoch ";

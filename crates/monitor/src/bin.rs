@@ -13,16 +13,15 @@
 //! packet-sampled query, and closes with another, which completes the
 //! followers.
 //!
-//! A follower (`monitor.rs`) borrows its cohort head's lane instances, and
-//! maybe its predictor, by position; only owners are dispatched. The plan's
-//! last step detaches every follower whose delivery differs from its head's
-//! onto copies, so the head's execute task runs the instances on inputs
-//! equal for both and files their raw cycles in its slot, from which the
-//! sequential step completes the follower — its own noise, its own
-//! observation. A follower of the predictor too is not predicted: the
-//! registration-order fold copies its head's prediction, and it stores no
-//! observation, because the plan detaches it onto a copy of that predictor
-//! as soon as its run would differ from the head's.
+//! A follower (`monitor.rs`) borrows its cohort head's lane instances and
+//! predictor by position; only owners are dispatched. The plan's last step
+//! detaches every follower whose delivery differs from its head's onto
+//! copies of both, and draws the measurement noise once per owner that runs:
+//! a follower takes its head's draw. So the two runs are one: a follower is
+//! not predicted — the registration-order fold copies its head's prediction
+//! — and the head's execute task runs the instances, measures the run and
+//! stores its observation, from which the sequential step completes the
+//! follower by copying the head's measurement.
 //!
 //! This is the bin of every engine. Everything up to and including shed
 //! works on the global post-drop view whatever the lane count; execute is
@@ -31,7 +30,7 @@
 
 use crate::error::NetshedError;
 use crate::exec::{self, Stage};
-use crate::monitor::{extractor, flow_hasher, plan_followers, Monitor, RegisteredQuery};
+use crate::monitor::{extractor, flow_hasher, plan_followers, Monitor, RegisteredQuery, Role};
 use crate::policy::{ControlContext, ControlDecision};
 use crate::report::{BinRecord, QueryBinRecord};
 use crate::shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};
@@ -79,10 +78,12 @@ pub(crate) struct BinSlot {
     /// Full-batch cycles measured on the shadow twin (the prediction when
     /// the query has no twin); written only under oracle-style policies.
     shadow_cycles: f64,
-    /// The granted sampling rate and the pre-drawn measurement noise when
-    /// the query runs this bin; `None` when it sits the bin out (penalised,
-    /// or granted rate 0).
-    run: Option<(f64, NoiseDraw)>,
+    /// The granted sampling rate when the query runs this bin; `None` when
+    /// it sits the bin out (penalised, or granted rate 0).
+    pub(crate) run: Option<f64>,
+    /// The measurement noise the plan drew for the run — an owner's own
+    /// draw, a follower's its head's — and `None` with the run.
+    pub(crate) noise: Option<NoiseDraw>,
     /// The packet-sampled view, cut in the shed stage because its keys
     /// consume the shared RNG. `None` for every other shedding outcome: the
     /// tail works from the post-drop view (flow sampling is deterministic per
@@ -92,8 +93,8 @@ pub(crate) struct BinSlot {
     /// nested pass that opens the execute stage.
     reextracted: Option<(FeatureVector, u64)>,
     // Outputs of the tail, valid when `run` is `Some`: the lane instances'
-    // raw metered cycles, which a follower copies from its head, and what
-    // the query made of them.
+    // raw metered cycles and what the query made of them, which a follower
+    // copies from its head.
     cycles: u64,
     measured: f64,
     outlier: bool,
@@ -102,41 +103,18 @@ pub(crate) struct BinSlot {
 }
 
 impl BinSlot {
-    /// Whether the plan gave this query the run it gave the query of
-    /// `other`: both sit the bin out, or both run at a rate and under a
-    /// measurement-noise draw of the same bits.
-    pub(crate) fn planned_alike(&self, other: &BinSlot) -> bool {
-        match (&self.run, &other.run) {
-            (None, None) => true,
-            (Some((rate, noise)), Some((other_rate, other_noise))) => {
-                rate.to_bits() == other_rate.to_bits() && noise == other_noise
-            }
-            _ => false,
-        }
-    }
-
     /// Whether the query's lane instances were fed what `other`'s were: both
     /// sat the bin out, or both ran at a rate of the same bits on the same
     /// number of packets.
     fn delivered_alike(&self, other: &BinSlot) -> bool {
-        match (&self.run, &other.run) {
+        match (self.run, other.run) {
             (None, None) => true,
-            (Some((rate, _)), Some((other_rate, _))) => {
+            (Some(rate), Some(other_rate)) => {
                 rate.to_bits() == other_rate.to_bits()
                     && self.delivered_packets == other.delivered_packets
             }
             _ => false,
         }
-    }
-
-    /// Whether the query ran `other`'s run, bit for bit: the plan and, when
-    /// they ran, the measured cycles and the outlier verdict, which each
-    /// query makes of its raw cycles under its own noise draw.
-    fn ran_alike(&self, other: &BinSlot) -> bool {
-        self.planned_alike(other)
-            && (self.run.is_none()
-                || (self.measured.to_bits() == other.measured.to_bits()
-                    && self.outlier == other.outlier))
     }
 }
 
@@ -182,8 +160,8 @@ impl RegisteredQuery {
     pub(crate) fn delivery(&self) -> Option<u64> {
         match self.slot.run {
             None => Some(0f64.to_bits()),
-            Some((rate, _)) if rate < 1.0 && self.shedding != SheddingMethod::Custom => None,
-            Some((rate, _)) => Some(rate.to_bits()),
+            Some(rate) if rate < 1.0 && self.shedding != SheddingMethod::Custom => None,
+            Some(rate) => Some(rate.to_bits()),
         }
     }
 
@@ -191,10 +169,10 @@ impl RegisteredQuery {
     /// against the window of the bins before this one, and under a policy
     /// that needs measured cycles the bin's true full-batch cycles, measured
     /// on the shadow twin fed the unsampled stream. A penalised query is not
-    /// predicted (and charged nothing for it); a follower of its head's
-    /// predictor is not predicted either — the fold copies the head's slot.
+    /// predicted (and charged nothing for it); a follower is not predicted
+    /// either — the fold copies its head's slot.
     fn predict(&mut self, window: &FeatureWindow, features: &FeatureVector, post_drop: &BatchView) {
-        if let Some(predictor) = &mut self.predictor {
+        if let Role::Owns { predictor, .. } = &mut self.role {
             (self.slot.predicted, self.slot.predict_ops) = if self.penalty_remaining > 0 {
                 (0.0, 0)
             } else {
@@ -214,7 +192,8 @@ impl RegisteredQuery {
     /// filing the instances' meters, summed in lane order, as the query's raw
     /// cycles; then [`observe`](Self::observe) them, against `window`, whose
     /// newest row is this bin's full-batch vector. A query the plan sat out
-    /// is walked and left untouched.
+    /// is walked and left untouched, and so is a follower, which is never
+    /// dispatched.
     fn execute(
         &mut self,
         post_drop: &BatchView,
@@ -222,7 +201,11 @@ impl RegisteredQuery {
         window: &FeatureWindow,
         scratch: &mut ExtractScratch,
     ) {
-        let Some((rate, _)) = self.slot.run else { return };
+        let (Some(rate), Some(noise), Role::Owns { lanes, .. }) =
+            (self.slot.run, self.slot.noise, &mut self.role)
+        else {
+            return;
+        };
         // The features recomputed over the sampled stream, so the MLR history
         // stays consistent (Section 4.3): a packet sample's by the nested
         // pass, a flow sample's here — the per-query extractor belongs to
@@ -245,19 +228,21 @@ impl RegisteredQuery {
         self.slot.delivered_packets = delivered.len() as u64;
         self.slot.reextract_ops = reextracted.map_or(0, |(_, ops)| ops);
         let pool = &mut self.shed_pool;
-        self.slot.cycles = meter_lanes(&mut self.lanes, &delivered, rate, lane_of_flow, pool);
-        self.observe(window, reextracted.as_ref().map(|(row, _)| row));
+        self.slot.cycles = meter_lanes(lanes, &delivered, rate, lane_of_flow, pool);
+        self.observe(rate, noise, window, reextracted.as_ref().map(|(row, _)| row));
     }
 
-    /// The rest of a running query's tail once its raw cycles are in its
-    /// slot — filed by its own execute task, or copied from its head's by
-    /// the step that completes the followers: apply the pre-drawn noise and
-    /// feed the observation back into the query's own predictor, if it has
-    /// one — a follower of its head's stores nothing, since the head stores
-    /// the observation it would. `sampled_features` is the row re-extracted
-    /// over the query's own sample, if it has one.
-    fn observe(&mut self, window: &FeatureWindow, sampled_features: Option<&FeatureVector>) {
-        let Some((rate, noise)) = self.slot.run else { return };
+    /// The rest of an owner's tail once its raw cycles are in its slot: apply
+    /// the pre-drawn `noise` to the run at `rate` and feed the observation
+    /// back into the query's predictor. `sampled_features` is the row
+    /// re-extracted over the query's own sample, if it has one.
+    fn observe(
+        &mut self,
+        rate: f64,
+        noise: NoiseDraw,
+        window: &FeatureWindow,
+        sampled_features: Option<&FeatureVector>,
+    ) {
         let (measured, outlier) = noise.apply(self.slot.cycles);
         let measured = measured as f64;
 
@@ -274,7 +259,7 @@ impl RegisteredQuery {
         } else {
             (measured, false)
         };
-        if let Some(predictor) = &mut self.predictor {
+        if let Role::Owns { predictor, .. } = &mut self.role {
             match sampled_features {
                 // Nothing was re-extracted (full rate, or custom shedding): the
                 // row to store is the bin's shared vector, taken from the
@@ -410,8 +395,8 @@ impl Monitor {
     /// feature vector, and the feature window, whose lazily cached moments
     /// hold the same value whichever task fills them — so the queries that
     /// own one are dispatched, then every query is folded (values and cost)
-    /// in registration order, where a follower of its head's predictor takes
-    /// the head's, folded before it. The window takes this bin's vector only
+    /// in registration order, where a follower takes its head's, folded
+    /// before it. The window takes this bin's vector only
     /// after the predictions: they regress over the bins before it.
     ///
     /// For oracle-style policies the task of every query with a shadow twin,
@@ -423,7 +408,7 @@ impl Monitor {
     fn predict(&mut self, post_drop: &BatchView) {
         let features = self.bin.features;
         self.dispatch(
-            |query| query.predictor.is_some() || query.shadow.is_some(),
+            |query| query.head().is_none() || query.shadow.is_some(),
             |query, window, _| query.predict(window, &features, post_drop),
         );
         self.window.push(&features);
@@ -432,12 +417,13 @@ impl Monitor {
         for position in 0..self.queries.len() {
             let (earlier, rest) = self.queries.split_at_mut(position);
             let registered = &mut rest[0];
-            if registered.predictor.is_some() {
-                predictions += usize::from(registered.penalty_remaining == 0);
-            } else if let Some(head) = registered.head {
-                let head = &earlier[head].slot;
-                (registered.slot.predicted, registered.slot.predict_ops) =
-                    (head.predicted, head.predict_ops);
+            match registered.role {
+                Role::Owns { .. } => predictions += usize::from(registered.penalty_remaining == 0),
+                Role::Follows(head) => {
+                    let head = &earlier[head].slot;
+                    (registered.slot.predicted, registered.slot.predict_ops) =
+                        (head.predicted, head.predict_ops);
+                }
             }
             let slot = &registered.slot;
             bin.prediction_cycles += slot.predict_ops * PREDICT_OP_CYCLES;
@@ -492,13 +478,12 @@ impl Monitor {
 
     /// Shed — the *plan*: sequentially, in registration order, on the
     /// caller's thread, everything whose stream order matters — penalty
-    /// accounting, the flow-hasher refresh, the packet keys, the
-    /// measurement-noise pre-draw, and then who keeps following whom
+    /// accounting, the flow-hasher refresh, the packet keys, and then who
+    /// keeps following whom and the measurement-noise pre-draw
     /// ([`plan_followers`]). Execute then receives fully determined inputs
-    /// and only writes per-query state (an owner's instances, on inputs
-    /// equal for its followers; a head's predictor, with the observation
-    /// equal for every follower of it), which is why the merged output is
-    /// bit-identical for any worker count.
+    /// and only writes per-query state (an owner's instances and predictor,
+    /// on a run and a measurement equal for its followers), which is why the
+    /// merged output is bit-identical for any worker count.
     fn shed(&mut self, post_drop: &BatchView) {
         // Nothing is fresh once a bin runs.
         self.fresh.clear();
@@ -552,12 +537,9 @@ impl Monitor {
                     SheddingMethod::Custom => {}
                 }
             }
-            // Pre-drawn in registration order: the noise RNG consumes a
-            // configuration-fixed number of samples per running query, so
-            // the stream matches the sequential path bit for bit.
-            registered.slot.run = Some((rate, self.noise.draw()));
+            registered.slot.run = Some(rate);
         }
-        plan_followers(&mut self.queries, &self.config.predictor);
+        plan_followers(&mut self.queries, &mut self.noise, &self.config.predictor);
         self.cut_packet_samples(post_drop);
     }
 
@@ -602,7 +584,7 @@ impl Monitor {
         }
         let lane_of_flow = std::mem::take(&mut self.lane_of_flow);
         self.dispatch(
-            |query| query.head.is_none(),
+            |query| query.head().is_none(),
             |query, window, scratch| query.execute(post_drop, &lane_of_flow, window, scratch),
         );
         self.lane_of_flow = lane_of_flow;
@@ -610,21 +592,21 @@ impl Monitor {
     }
 
     /// Completes every running follower from its head's slot, sequentially,
-    /// in registration order: the plan gave the two one delivery, so the
-    /// head's instances metered the follower's raw cycles on the follower's
-    /// packets — the whole post-drop view, `packets` long, since a follower
-    /// has no sample of its own to re-extract; the follower applies its own
-    /// noise draw to the cycles and observes the result, if it owns a
-    /// predictor, on the bin's shared row.
+    /// in registration order: the plan gave the two one delivery and one
+    /// noise draw, so the head's run is the follower's — the whole post-drop
+    /// view, `packets` long, since a follower has no sample of its own — and
+    /// the follower copies its measurement: the raw and measured cycles and
+    /// the outlier verdict. The head's predictor stored the observation.
     fn complete_followers(&mut self, packets: u64) {
         for position in 0..self.queries.len() {
             let (earlier, rest) = self.queries.split_at_mut(position);
             let follower = &mut rest[0];
-            let (Some(head), Some(_)) = (follower.head, follower.slot.run) else { continue };
-            let slot = &mut follower.slot;
-            (slot.cycles, slot.delivered_packets, slot.reextract_ops) =
-                (earlier[head].slot.cycles, packets, 0);
-            follower.observe(&self.window, None);
+            let (Role::Follows(head), Some(_)) = (&follower.role, follower.slot.run) else {
+                continue;
+            };
+            let (head, slot) = (&earlier[*head].slot, &mut follower.slot);
+            (slot.cycles, slot.measured, slot.outlier) = (head.cycles, head.measured, head.outlier);
+            (slot.delivered_packets, slot.reextract_ops) = (packets, 0);
         }
     }
 
@@ -720,30 +702,22 @@ impl Monitor {
     /// shedding queries on the same pass, and the count of lane runs.
     fn merge_queries(&mut self, packets: u64) -> (Vec<QueryBinRecord>, f64) {
         debug_assert!(
-            self.queries.iter().enumerate().all(|(position, follower)| {
-                let Some(head) = follower.head.filter(|&head| head < position) else {
-                    return follower.head.is_none();
-                };
-                let head = &self.queries[head];
-                head.head.is_none()
-                    && !head.lanes.is_empty()
-                    && follower.lanes.is_empty()
-                    && follower.slot.delivered_alike(&head.slot)
-                    && match follower.predictor {
-                        Some(_) => true,
-                        None => head.predictor.is_some() && follower.slot.ran_alike(&head.slot),
-                    }
+            self.queries.iter().enumerate().all(|(position, follower)| match follower.role {
+                Role::Follows(head) => {
+                    head < position && follower.slot.delivered_alike(&self.queries[head].slot)
+                }
+                Role::Owns { .. } => true,
             }),
-            "a follower's head does not precede it, own what it borrows, or run its run"
+            "a follower's head does not precede it, or was delivered another run"
         );
         let bin = &mut self.bin;
         let (mut query_cycles, mut runs) = (0.0, 0);
         let mut records = Vec::with_capacity(self.queries.len());
         for registered in &mut self.queries {
             let slot = &registered.slot;
-            runs += usize::from(registered.head.is_none() && slot.run.is_some());
+            runs += usize::from(registered.head().is_none() && slot.run.is_some());
             let (sampling_rate, measured_cycles, delivered_packets) = match slot.run {
-                Some((rate, _)) => (rate, slot.measured, slot.delivered_packets),
+                Some(rate) => (rate, slot.measured, slot.delivered_packets),
                 None => (0.0, 0.0, 0),
             };
             records.push(QueryBinRecord {
@@ -755,7 +729,7 @@ impl Monitor {
                 delivered_packets,
                 disabled: slot.run.is_none(),
             });
-            if let Some((rate, _)) = slot.run {
+            if let Some(rate) = slot.run {
                 bin.shedding_cycles += slot.reextract_ops * REEXTRACT_OP_CYCLES;
                 bin.unsampled_accumulator += packets - slot.delivered_packets;
                 query_cycles += slot.measured;

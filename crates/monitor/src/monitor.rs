@@ -19,10 +19,10 @@
 //!
 //! Queries registered together from equal specs form a cohort: every member
 //! after the first *follows* that first one, its head, by position — it
-//! borrows the head's lane instances for as long as the plan gives the two
-//! the same delivery, and the head's predictor for as long as the plan gives
-//! them the same run. Only owners are dispatched; a follower is completed
-//! from its head's slot, so no task ever reaches another query's state
+//! borrows the head's lane instances and predictor for as long as the plan
+//! gives the two the same delivery, and takes the head's measurement of the
+//! run they share. Only owners are dispatched; a follower is completed from
+//! its head's slot, so no task ever reaches another query's state
 //! (DESIGN.md, "Cohorts").
 
 use crate::bin::{Bin, BinSlot};
@@ -82,8 +82,8 @@ impl std::fmt::Display for QueryId {
 /// each worker one `&mut RegisteredQuery`, so everything a task mutates — the
 /// lane instances, the shadow twin, the predictor, the extractor, the
 /// keep-list pool and the [`BinSlot`] — lives here and nowhere else. A
-/// follower owns no lane instances and may own no predictor: it borrows its
-/// head's, and is never dispatched for them.
+/// follower owns no lane instances and no predictor: it borrows its head's,
+/// and is never dispatched for them.
 pub(crate) struct RegisteredQuery {
     pub(crate) id: QueryId,
     pub(crate) label: Arc<str>,
@@ -105,21 +105,13 @@ pub(crate) struct RegisteredQuery {
     pub(crate) overuse_ratio: f64,
     pub(crate) violations: u32,
     pub(crate) penalty_remaining: u32,
-    /// The position in the registry of the cohort head whose lane instances
-    /// this query follows — an owner registered before it — or `None` when
-    /// it owns its own.
-    pub(crate) head: Option<usize>,
-    /// The query's lane instances, one per lane of the monitor, in lane
-    /// order; empty while it follows its head's.
-    pub(crate) lanes: Vec<Box<dyn Query>>,
+    /// What the query runs on: its own lane instances and predictor, or its
+    /// cohort head's.
+    pub(crate) role: Role,
     /// Shadow twin fed the full (unsampled) stream to measure the bin's
     /// actual cycles for oracle-style policies. Its work is not charged
     /// against the capacity.
     pub(crate) shadow: Option<Box<dyn Query>>,
-    /// The query's own predictor, or `None` while it follows its head's. An
-    /// owner always owns one; a follower may (it detaches from the head's
-    /// predictor as soon as the plan gives the two different runs).
-    pub(crate) predictor: Option<Box<dyn Predictor>>,
     /// Extractor used to recompute features over this query's sampled stream
     /// (needed to keep the MLR history consistent, Section 4.3) — the global
     /// sample, before it is split over the lanes. Built by the plan the first
@@ -151,7 +143,7 @@ fn copy_state(
 ) {
     let mut writer = StateWriter::new();
     let copied = save(&mut writer).and_then(|()| load(&mut StateReader::new(writer.as_bytes())));
-    // lint:allow(no-unwrap): only spec'd queries are followed, every kind a spec builds round-trips its state bit for bit, and only a predictor whose checkpoint succeeded at registration is followed (`Monitor::new_query`) — the checkpoint contract
+    // lint:allow(no-unwrap): only spec'd queries are followed, every kind a spec builds round-trips its state bit for bit, and only a predictor whose checkpoint succeeded at registration is followed (`RegisteredQuery::followable`) — the checkpoint contract
     copied.expect("a followed query or predictor round-trips its state");
 }
 
@@ -169,10 +161,29 @@ fn copy_predictor(predictor: &dyn Predictor, spec: &PredictorSpec) -> Box<dyn Pr
     copy
 }
 
-/// Whether a freshly made predictor can be followed: its state can be
-/// copied, which a follower that detaches needs.
-fn copyable(predictor: &dyn Predictor) -> bool {
-    predictor.save_state(&mut StateWriter::new()).is_ok()
+/// What a registered query runs on.
+pub(crate) enum Role {
+    /// Lane instances of its own, one per lane of the monitor in lane order
+    /// (a bare instance has only the one), and a predictor of its own.
+    Owns { lanes: Vec<Box<dyn Query>>, predictor: Box<dyn Predictor> },
+    /// The lane instances and predictor of the cohort head at this position
+    /// in the registry, an owner registered before it.
+    Follows(usize),
+}
+
+impl Role {
+    /// A bit-exact copy of what an owner holds: its lane instances made with
+    /// `query`, its predictor with `predictor`. A follower's is its head's
+    /// position.
+    fn copy(&self, query: &QuerySpec, predictor: &PredictorSpec) -> Self {
+        match self {
+            Self::Owns { lanes, predictor: own } => Self::Owns {
+                lanes: lanes.iter().map(|lane| copy_of(lane.as_ref(), query)).collect(),
+                predictor: copy_predictor(own.as_ref(), predictor),
+            },
+            Self::Follows(head) => Self::Follows(*head),
+        }
+    }
 }
 
 /// What two registrations' specs must agree on, bit for bit, to share
@@ -197,20 +208,19 @@ impl CohortKey {
 }
 
 /// What a new registration runs: instances of its own — the given one on
-/// lane 0, the others built from its spec — at the given minimum rate, or
-/// those of the cohort head at a position, with a fresh predictor of its own
-/// or none (it borrows the head's).
+/// lane 0, the others built from its spec — at the given minimum rate, with
+/// a fresh predictor, or those of the cohort head at a position.
 enum Runs {
     Own(Box<dyn Query>, f64),
-    Follows(usize, bool),
+    Follows(usize),
 }
 
 /// The bits of the flags byte in a query's checkpoint record, which say what
 /// the record holds besides the fields every record has: the query follows
-/// the head whose position comes next, and holds no lane instances; it owns
-/// a predictor (an owner always does); it holds a sampled extractor.
+/// the head whose position comes next, and holds neither lane instances nor
+/// a predictor (an owner holds both); it holds a sampled extractor. Bit 2
+/// said a record held a predictor, up to version 6.
 const FOLLOWS: u8 = 1;
-const OWNS_PREDICTOR: u8 = 2;
 const SAMPLED: u8 = 4;
 
 /// Refuses a minimum sampling rate outside `[0, 1]`.
@@ -255,89 +265,97 @@ fn end_interval(lanes: &mut [Box<dyn Query>]) -> QueryOutput {
     first[0].end_interval()
 }
 
-/// The plan's last step, once every query's run is drawn (`bin.rs`):
+/// The plan's last step, once every query's rate is drawn (`bin.rs`):
 /// sequentially, in registration order, before anything runs, it settles
 /// who still follows whom (see [`RegisteredQuery::plan_follower`] and
-/// [`RegisteredQuery::plan_sampled_owner`]).
-pub(crate) fn plan_followers(queries: &mut [RegisteredQuery], spec: &PredictorSpec) {
+/// [`RegisteredQuery::plan_sampled_owner`]) and then draws the measurement
+/// noise — one draw from `noise` per owner that runs, while a follower takes
+/// its head's, drawn before it.
+pub(crate) fn plan_followers(
+    queries: &mut [RegisteredQuery],
+    noise: &mut MeasurementNoise,
+    spec: &PredictorSpec,
+) {
     for position in 0..queries.len() {
         let (earlier, rest) = queries.split_at_mut(position);
         let Some((registered, later)) = rest.split_first_mut() else { break };
-        match registered.head {
-            Some(head) => registered.plan_follower(&earlier[head], spec),
-            None if registered.delivery().is_none() => {
+        match registered.role {
+            Role::Follows(head) => registered.plan_follower(&earlier[head], spec),
+            Role::Owns { .. } if registered.delivery().is_none() => {
                 registered.plan_sampled_owner(position, later, spec);
             }
-            None => {}
+            Role::Owns { .. } => {}
         }
+        registered.slot.noise = match registered.role {
+            Role::Follows(head) => earlier[head].slot.noise,
+            Role::Owns { .. } => registered.slot.run.map(|_| noise.draw()),
+        };
     }
 }
 
-/// Hands the lane instances of the owner at position `owner` to its first
-/// follower among `later` — the queries from position `first` on — which
-/// owns them from then on and heads the owner's other followers; `lanes`
-/// makes them only once there is an heir. Followers that borrowed the
-/// owner's `predictor` take a copy of it, made with `spec`: the heir, or,
-/// when the heir owns its own, each of the others. Returns the heir's
-/// position, or `None` when the owner had no follower.
+/// Hands what the owner at position `owner` holds, which `owned` makes only
+/// once there is an heir, to its first follower among `later` — the queries
+/// from position `first` on — which owns it from then on and heads the
+/// owner's other followers. Returns the heir's position, or `None` when the
+/// owner had no follower.
 fn hand_off(
     later: &mut [RegisteredQuery],
     first: usize,
     owner: usize,
-    lanes: impl FnOnce() -> Vec<Box<dyn Query>>,
-    predictor: Option<&dyn Predictor>,
-    spec: &PredictorSpec,
+    owned: impl FnOnce() -> Role,
 ) -> Option<usize> {
-    let index = later.iter().position(|follower| follower.head == Some(owner))?;
+    let follows =
+        |query: &RegisteredQuery| matches!(query.role, Role::Follows(head) if head == owner);
+    let index = later.iter().position(follows)?;
     let (heir, others) = later[index..].split_first_mut()?;
-    (heir.lanes, heir.head) = (lanes(), None);
-    // Only a copyable predictor is ever borrowed (`Monitor::new_query`).
-    let copy = || predictor.map(|predictor| copy_predictor(predictor, spec));
-    let heir_borrowed = heir.predictor.is_none();
-    if heir_borrowed {
-        heir.predictor = copy();
-    }
-    for follower in others.iter_mut().filter(|follower| follower.head == Some(owner)) {
-        follower.head = Some(first + index);
-        if !heir_borrowed && follower.predictor.is_none() {
-            follower.predictor = copy();
-        }
+    heir.role = owned();
+    for follower in others.iter_mut().filter(|follower| follows(follower)) {
+        follower.role = Role::Follows(first + index);
     }
     Some(first + index)
 }
 
 impl RegisteredQuery {
+    /// The position of the head the query follows, or `None` for an owner.
+    pub(crate) fn head(&self) -> Option<usize> {
+        match self.role {
+            Role::Follows(head) => Some(head),
+            Role::Owns { .. } => None,
+        }
+    }
+
+    /// Whether a fresh registration may follow the query: it owns a
+    /// predictor whose state can be copied, which a follower that detaches
+    /// needs.
+    fn followable(&self) -> bool {
+        matches!(&self.role, Role::Owns { predictor, .. }
+            if predictor.save_state(&mut StateWriter::new()).is_ok())
+    }
+
     /// The plan's rule for a follower of `head`, once both are planned: it
-    /// keeps borrowing the head's instances while the plan gives the two one
-    /// delivery, and the head's predictor while it also gives them one run
-    /// (both sitting the bin out, or both running at a rate and under a
-    /// measurement-noise draw of the same bits), so that the head's
-    /// predictor stores the observation its own would. Otherwise it detaches
-    /// onto copies — of the instances, made with its spec, and of the
-    /// predictor, made with `spec` — before anything runs.
+    /// keeps borrowing the head's instances and predictor while the plan
+    /// gives the two one delivery, and otherwise detaches onto copies of
+    /// both — the instances made with its spec, the predictor with `spec` —
+    /// before anything runs.
     fn plan_follower(&mut self, head: &RegisteredQuery, spec: &PredictorSpec) {
         let same_delivery = matches!(
             (self.delivery(), head.delivery()),
             (Some(mine), Some(heads)) if mine == heads
         );
-        if !same_delivery {
-            // Only a spec'd query ever follows (`CohortKey`).
-            if let Some(query_spec) = &self.spec {
-                self.lanes =
-                    head.lanes.iter().map(|lane| copy_of(lane.as_ref(), query_spec)).collect();
-            }
-            self.head = None;
+        if same_delivery {
+            return;
         }
-        if self.predictor.is_none() && !(same_delivery && self.slot.planned_alike(&head.slot)) {
-            self.predictor = head.predictor.as_deref().map(|own| copy_predictor(own, spec));
+        // Only a spec'd query ever follows (`CohortKey`).
+        if let Some(query_spec) = &self.spec {
+            self.role = head.role.copy(query_spec, spec);
         }
     }
 
     /// The plan's rule for an owner, at `position`, that the plan feeds a
-    /// sample of its own, which no other query sees: it keeps a copy of its
-    /// instances and hands the originals to its first follower among `later`
-    /// — the hand-off [`Monitor::deregister`] makes, so what is shared does
-    /// not change.
+    /// sample of its own, which no other query sees: it keeps copies of its
+    /// instances and predictor and hands the originals to its first follower
+    /// among `later` — the hand-off [`Monitor::deregister`] makes, so what is
+    /// shared does not change.
     fn plan_sampled_owner(
         &mut self,
         position: usize,
@@ -346,12 +364,12 @@ impl RegisteredQuery {
     ) {
         // Only a spec'd query is ever followed (`CohortKey`).
         let Some(query_spec) = &self.spec else { return };
-        let lanes = &mut self.lanes;
+        let role = &mut self.role;
         let originals = || {
-            let copies = lanes.iter().map(|lane| copy_of(lane.as_ref(), query_spec)).collect();
-            std::mem::replace(lanes, copies)
+            let copies = role.copy(query_spec, spec);
+            std::mem::replace(role, copies)
         };
-        hand_off(later, position + 1, position, originals, self.predictor.as_deref(), spec);
+        hand_off(later, position + 1, position, originals);
     }
 }
 
@@ -545,10 +563,13 @@ impl Monitor {
     ///
     /// A query whose spec equals, but for the label, that of one registered
     /// since the last bin or interval close follows the first such query: it
-    /// borrows that query's instances until the plan gives the two different
-    /// deliveries, and its predictor until the plan gives the two different
-    /// inputs; the outputs and records are those of separate instances and
-    /// predictors, bit for bit, and a checkpoint names the head it follows.
+    /// borrows that query's instances and predictor until the plan gives the
+    /// two different deliveries, and shares its measurement of every run
+    /// they share; its outputs and records are those of a query registered
+    /// apart, sharing one measurement per run, and a checkpoint names the
+    /// head it follows. A follower that detaches copies its head's
+    /// predictor, so when that predictor declines its checkpoint the query
+    /// owns instances and a predictor of its own instead.
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryId, NetshedError> {
         let label = spec.resolved_label();
         check_min_rate(spec.min_sampling_rate, &label)?;
@@ -557,11 +578,7 @@ impl Monitor {
         // joins one builds neither.
         let position = self.queries.len();
         let runs = match *self.fresh.entry(CohortKey::of(spec)).or_insert(position) {
-            // It borrows the head's predictor unless that one cannot be
-            // copied, as a follower that detaches must; then it makes its own.
-            head if head != position => {
-                Runs::Follows(head, !self.queries[head].predictor.as_deref().is_some_and(copyable))
-            }
+            head if head != position && self.queries[head].followable() => Runs::Follows(head),
             _ => {
                 let query = build_query_from_spec(spec);
                 let min_rate = spec.min_sampling_rate.unwrap_or(query.min_sampling_rate());
@@ -611,7 +628,7 @@ impl Monitor {
     /// flow-hasher generation 0 (its table unbuilt), clean enforcement state,
     /// and what it `runs`. An owner has one instance per lane of its own (a
     /// bare instance has only the one) and a fresh predictor. A follower
-    /// builds no instance, and a predictor only when `runs` says it owns one.
+    /// builds neither.
     fn new_query(
         &self,
         id: QueryId,
@@ -619,18 +636,18 @@ impl Monitor {
         spec: Option<QuerySpec>,
         runs: Runs,
     ) -> RegisteredQuery {
-        let make = || self.config.predictor.make();
-        let (shedding, min_rate, head, lanes, predictor) = match runs {
+        let (shedding, min_rate, role) = match runs {
             Runs::Own(query, min_rate) => {
                 let others = spec
                     .iter()
                     .flat_map(|spec| (1..self.lane_count).map(|_| build_query_from_spec(spec)));
                 let lanes = std::iter::once(query).chain(others).collect::<Vec<_>>();
-                (lanes[0].preferred_shedding(), min_rate, None, lanes, Some(make()))
+                let shedding = lanes[0].preferred_shedding();
+                (shedding, min_rate, Role::Owns { lanes, predictor: self.config.predictor.make() })
             }
-            Runs::Follows(position, owns) => {
+            Runs::Follows(position) => {
                 let head = &self.queries[position];
-                (head.shedding, head.min_rate, Some(position), Vec::new(), owns.then(make))
+                (head.shedding, head.min_rate, Role::Follows(position))
             }
         };
         RegisteredQuery {
@@ -643,11 +660,9 @@ impl Monitor {
             overuse_ratio: 1.0,
             violations: 0,
             penalty_remaining: 0,
-            head,
-            lanes,
+            role,
             shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
             spec,
-            predictor,
             sampled_extractor: None,
             shed_pool: KeepListPool::new(),
             slot: BinSlot::default(),
@@ -656,10 +671,8 @@ impl Monitor {
 
     /// Deregisters a query instance by handle. The instance's state
     /// (predictor history, pending interval output) is discarded — unless
-    /// others follow it: then its instances pass to the first of them, the
-    /// heir, which the others follow from then on; and a copy of its
-    /// predictor to the heir, when it followed that too (the others that did
-    /// borrow the heir's), or else to each of the others that did.
+    /// others follow it: then its instances and predictor pass to the first
+    /// of them, the heir, which the others follow from then on.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), NetshedError> {
         let Some(position) = self.queries.iter().position(|q| q.id == id) else {
             return Err(NetshedError::UnknownQuery(id.to_string()));
@@ -670,12 +683,12 @@ impl Monitor {
         // hand-off numbers the heir that way, and then every head past the
         // removed query moves down by one.
         let later = &mut self.queries[position..];
-        let (lanes, predictor) = (removed.lanes, removed.predictor.as_deref());
-        let heir =
-            hand_off(later, position + 1, position, || lanes, predictor, &self.config.predictor);
+        let heir = hand_off(later, position + 1, position, || removed.role);
         let renumber = |head: usize| if head > position { head - 1 } else { head };
         for registered in later {
-            registered.head = registered.head.map(renumber);
+            if let Role::Follows(head) = &mut registered.role {
+                *head = renumber(*head);
+            }
         }
         let fresh = self.fresh.drain().filter_map(|(key, head)| {
             let head = if head == position { heir? } else { head };
@@ -731,10 +744,9 @@ impl Monitor {
         self.query_runs
     }
 
-    /// How many predictions the last bin made: one per query that owns its
-    /// predictor and was not serving a penalty — a follower of its head's
-    /// copies the head's. Exposed for the cohort tests and the pipeline bench
-    /// only.
+    /// How many predictions the last bin made: one per owner not serving a
+    /// penalty — a follower copies its head's. Exposed for the cohort tests
+    /// and the pipeline bench only.
     #[doc(hidden)]
     pub fn predictions(&self) -> usize {
         self.predictions
@@ -828,9 +840,9 @@ impl Monitor {
             if let Some(shadow) = registered.shadow.as_mut() {
                 let _ = shadow.end_interval();
             }
-            let output = match registered.head {
-                Some(head) => outputs[head].1.clone(),
-                None => end_interval(&mut registered.lanes),
+            let output = match &mut registered.role {
+                Role::Follows(head) => outputs[*head].1.clone(),
+                Role::Owns { lanes, .. } => end_interval(lanes),
             };
             outputs.push((registered.label.to_string(), output));
         }
@@ -847,13 +859,13 @@ impl Monitor {
     ///
     /// The lane count comes first; then each query, in registration order,
     /// writes what it owns, once: its id, label, spec and minimum rate; a
-    /// flags byte saying whether it follows a head, owns a predictor (an
-    /// owner always does) and holds a sampled extractor; its head's position,
-    /// if it follows one; its hasher generation and enforcement counters; all
-    /// of its lane instances in lane order (a follower has none); its
-    /// predictor, if it owns one; its shadow twin, if the policy runs them;
-    /// and its sampled extractor, if it has one. A one-lane fleet writes the
-    /// solo monitor's bytes.
+    /// flags byte saying whether it follows a head and whether it holds a
+    /// sampled extractor; its head's position, if it follows one; its hasher
+    /// generation and enforcement counters; all of its lane instances in
+    /// lane order and its predictor, if it owns them (a follower owns
+    /// neither); its shadow twin, if the policy runs them; and its sampled
+    /// extractor, if it has one. A one-lane fleet writes the solo monitor's
+    /// bytes.
     ///
     /// Fails with [`StateError::Unsupported`] when a query was registered
     /// through [`Monitor::register_instance`] (no [`QuerySpec`] to rebuild it
@@ -890,20 +902,19 @@ impl Monitor {
             writer.str(&registered.label);
             spec.save_state(writer);
             writer.f64(registered.min_rate);
-            writer.u8(registered.head.map_or(0, |_| FOLLOWS)
-                | registered.predictor.as_ref().map_or(0, |_| OWNS_PREDICTOR)
+            writer.u8(registered.head().map_or(0, |_| FOLLOWS)
                 | registered.sampled_extractor.as_ref().map_or(0, |_| SAMPLED));
-            if let Some(head) = registered.head {
+            if let Role::Follows(head) = registered.role {
                 writer.usize(head);
             }
             writer.u64(registered.hasher_generation);
             writer.f64(registered.overuse_ratio);
             writer.u32(registered.violations);
             writer.u32(registered.penalty_remaining);
-            for lane in &registered.lanes {
-                lane.save_state(writer)?;
-            }
-            if let Some(predictor) = &registered.predictor {
+            if let Role::Owns { lanes, predictor } = &registered.role {
+                for lane in lanes {
+                    lane.save_state(writer)?;
+                }
                 predictor.save_state(writer)?;
             }
             if let Some(shadow) = &registered.shadow {
@@ -926,12 +937,13 @@ impl Monitor {
     /// Lanes own query state, so a snapshot written at another lane count is
     /// a [`StateError::Mismatch`] naming both. Each query builds only what
     /// its record says it owns: a follower follows the head its record names
-    /// and builds no lane instance, and no predictor unless it owns one — the
-    /// saved relation, exactly. Records no run writes are
+    /// and builds no lane instance and no predictor — the saved relation,
+    /// exactly. Records no run writes are
     /// [`StateError::Corrupt`]: ids that do not increase, a minimum sampling
-    /// rate `register` refuses, flags no run sets, and a follower whose head
-    /// is not an earlier owner registered from an equal spec (but for the
-    /// label) at the same minimum rate.
+    /// rate `register` refuses, flags no run sets, a follower whose head is
+    /// not an earlier owner registered from an equal spec (but for the
+    /// label) at the same minimum rate, and an owner whose predictor's bytes
+    /// do not fit the configured predictor.
     pub fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
         let lanes = reader.usize()?;
         if lanes != self.lane_count {
@@ -992,8 +1004,7 @@ impl Monitor {
             .map_err(|error| StateError::corrupt(error.to_string()))?;
         let min_rate = bounded(reader.f64()?, &format!("query '{label}' min_rate"), 1.0)?;
         let flags = reader.u8()?;
-        // No bit but those, and an owner always owns its predictor.
-        if flags > FOLLOWS | OWNS_PREDICTOR | SAMPLED || flags & (FOLLOWS | OWNS_PREDICTOR) == 0 {
+        if flags & !(FOLLOWS | SAMPLED) != 0 {
             let why = format!("query '{label}' has record flags {flags:#b}, which no run writes");
             return Err(StateError::corrupt(why));
         }
@@ -1005,7 +1016,7 @@ impl Monitor {
                 let why = format!("query '{label}' follows {head}, no earlier owner like it");
                 return Err(StateError::corrupt(why));
             };
-            Runs::Follows(position, flags & OWNS_PREDICTOR != 0)
+            Runs::Follows(position)
         };
         let what = format!("query '{label}' overuse_ratio");
         let mut registered = self.new_query(id, label.into(), Some(spec), runs);
@@ -1013,9 +1024,18 @@ impl Monitor {
         registered.overuse_ratio = bounded(reader.f64()?, &what, f64::MAX)?;
         registered.violations = reader.u32()?;
         registered.penalty_remaining = reader.u32()?;
-        load_lanes(&mut registered.lanes, reader)?;
-        if let Some(predictor) = &mut registered.predictor {
-            predictor.load_state(reader)?;
+        if let Role::Owns { lanes, predictor } = &mut registered.role {
+            load_lanes(lanes, reader)?;
+            // Restored into the configuration that wrote it, an owner's
+            // predictor of another shape is none: the record lost its own.
+            predictor.load_state(reader).map_err(|error| match error {
+                StateError::Mismatch { what, found, expected } => StateError::corrupt(format!(
+                    "query '{}' holds no predictor of this configuration: {what} {found}, not \
+                     {expected}",
+                    registered.label
+                )),
+                other => other,
+            })?;
         }
         // The policy, whose name the checkpoint holds, says who has a twin.
         if let Some(shadow) = &mut registered.shadow {
@@ -1034,7 +1054,7 @@ impl Monitor {
         let position = usize::try_from(head).ok().filter(|&head| head < self.queries.len())?;
         let owner = &self.queries[position];
         let equal = owner.spec.as_ref().map(CohortKey::of) == Some(CohortKey::of(spec));
-        (owner.head.is_none() && equal && owner.min_rate.to_bits() == min_rate.to_bits())
+        (owner.head().is_none() && equal && owner.min_rate.to_bits() == min_rate.to_bits())
             .then_some(position)
     }
 }
@@ -1239,38 +1259,37 @@ mod tests {
         );
     }
 
-    /// The lane instances that run for the query at `position`: its own, or
-    /// its head's.
-    fn lanes_at(queries: &[RegisteredQuery], position: usize) -> &[Box<dyn Query>] {
-        &queries[queries[position].head.unwrap_or(position)].lanes
+    /// The lane instances and predictor that run for the query at
+    /// `position`: its own, or its head's.
+    fn owned_at(
+        queries: &[RegisteredQuery],
+        position: usize,
+    ) -> (&[Box<dyn Query>], &dyn Predictor) {
+        match &queries[queries[position].head().unwrap_or(position)].role {
+            Role::Owns { lanes, predictor } => (lanes, predictor.as_ref()),
+            Role::Follows(_) => panic!("a head owns what it lends"),
+        }
     }
 
     /// What the query at `position` runs on, as separate instances would
     /// write it: the lane instances and the predictor it owns or borrows,
     /// and its shadow twin.
     fn runs_on(monitor: &Monitor, position: usize) -> Vec<u8> {
-        let registered = &monitor.queries[position];
-        let head = &monitor.queries[registered.head.unwrap_or(position)];
+        let (lanes, predictor) = owned_at(&monitor.queries, position);
         let mut writer = StateWriter::new();
-        for lane in &head.lanes {
+        for lane in lanes {
             lane.save_state(&mut writer).expect("save");
         }
-        let predictor = registered.predictor.as_ref().or(head.predictor.as_ref());
-        predictor.expect("an owner owns a predictor").save_state(&mut writer).expect("save");
-        if let Some(shadow) = &registered.shadow {
+        predictor.save_state(&mut writer).expect("save");
+        if let Some(shadow) = &monitor.queries[position].shadow {
             shadow.save_state(&mut writer).expect("save");
         }
         writer.into_bytes()
     }
 
-    /// The positions whose predictor each query follows (`None` for an
-    /// owner of one).
-    fn predictor_heads(monitor: &Monitor) -> Vec<Option<usize>> {
-        let head = |registered: &RegisteredQuery| match registered.predictor {
-            Some(_) => None,
-            None => registered.head,
-        };
-        monitor.queries.iter().map(head).collect()
+    /// The position each query follows (`None` for an owner).
+    fn heads(monitor: &Monitor) -> Vec<Option<usize>> {
+        monitor.queries.iter().map(RegisteredQuery::head).collect()
     }
 
     /// The head of a fresh cohort deregisters before the cohort's first
@@ -1289,7 +1308,7 @@ mod tests {
         register(&mut monitor, "third").expect("valid spec");
         monitor.deregister(first).expect("registered");
         register(&mut monitor, "fourth").expect("valid spec");
-        assert_eq!(predictor_heads(&monitor), [None, Some(0), Some(0)]);
+        assert_eq!(heads(&monitor), [None, Some(0), Some(0)]);
 
         let ids: Vec<QueryId> = monitor.query_handles().iter().map(|(id, _)| *id).collect();
         for id in ids {
@@ -1297,7 +1316,7 @@ mod tests {
         }
         register(&mut monitor, "fifth").expect("valid spec");
         register(&mut monitor, "sixth").expect("valid spec");
-        assert_eq!(predictor_heads(&monitor), [None, Some(0)]);
+        assert_eq!(heads(&monitor), [None, Some(0)]);
         for batch in &small_trace(3, 100.0) {
             let record = monitor.process_batch(batch).expect("batch");
             assert_eq!(monitor.predictions(), 1);
@@ -1322,10 +1341,10 @@ mod tests {
         }
     }
 
-    /// A head whose plan gives it a sample of its own keeps a copy of its
-    /// instances and hands the originals to its first follower, which heads
-    /// the third member from then on; two bins of the cohort are those of
-    /// three lone instances, bit for bit.
+    /// A head whose plan gives it a sample of its own keeps copies of its
+    /// instances and predictor and hands the originals to its first
+    /// follower, which heads the third member from then on; two bins of the
+    /// cohort are those of three lone instances, bit for bit.
     #[test]
     fn a_head_sampled_on_its_own_hands_its_instances_to_its_first_follower() {
         use crate::digest::DigestObserver;
@@ -1342,7 +1361,7 @@ mod tests {
             lone.register_instance(instance, Some(label.into()), None).expect("valid instance");
         }
         let instance = |monitor: &Monitor, position: usize| {
-            let lane: &dyn Query = lanes_at(&monitor.queries, position)[0].as_ref();
+            let lane: &dyn Query = owned_at(&monitor.queries, position).0[0].as_ref();
             std::ptr::from_ref::<dyn Query>(lane).cast::<()>()
         };
         let originals = instance(&cohort, 0);
@@ -1352,13 +1371,7 @@ mod tests {
         for batch in &small_trace(2, 200.0) {
             cohort.ingest(batch, &mut shared).expect("bin");
             lone.ingest(batch, &mut alone).expect("bin");
-            let heads: Vec<Option<usize>> = cohort.queries.iter().map(|q| q.head).collect();
-            assert_eq!(heads, [None, None, Some(1)]);
-            assert_eq!(
-                predictor_heads(&cohort),
-                [None, None, Some(1)],
-                "the third follows the heir's copy"
-            );
+            assert_eq!(heads(&cohort), [None, None, Some(1)], "the third follows the heir");
             assert_ne!(instance(&cohort, 0), originals, "the head runs a copy");
             assert_eq!(instance(&cohort, 1), originals, "the heir runs the originals");
             assert_eq!(cohort.query_runs(), 2);
@@ -1369,13 +1382,13 @@ mod tests {
     }
 
     /// Under a policy that needs measured cycles, every follower still runs
-    /// its shadow twin: a tenant run's digest, and what each tenant runs on
-    /// in the middle of its first interval (see `runs_on`), equal those of
-    /// the same run with no cohort — every tenant owning its instances,
-    /// predictor and twin — at workers {1, 2, 4}, with measurement noise
-    /// (every follower owns a predictor after its first run) or without
-    /// (none ever does); the cohort run's checkpoint there is one at every
-    /// worker count.
+    /// its shadow twin. Without noise, a tenant run's digest and what each
+    /// tenant runs on in the middle of its first interval (see `runs_on`)
+    /// equal those of the same run with no cohort — every tenant owning its
+    /// instances, predictor and twin. With measurement noise, which a cohort
+    /// draws once a run, what each tenant runs on there equals what the lone
+    /// tenant of its kind runs on in an engine of three. Either way the
+    /// cohort run's digest and checkpoint are one at workers {1, 2, 4}.
     #[test]
     fn followers_shadow_twins_advance_under_the_oracle() {
         use crate::digest::{DigestObserver, RunDigest};
@@ -1383,16 +1396,18 @@ mod tests {
         use netshed_fairness::MmfsPkt;
 
         const CUT: usize = 5;
+        const KINDS: [QueryKind; 3] = [QueryKind::Counter, QueryKind::Flows, QueryKind::TopK];
         let batches = small_trace(16, 300.0);
         let oracle = MonitorConfig::default()
             .with_capacity(1e12)
             .with_strategy(PolicySpec::new(|| OraclePolicy::new(MmfsPkt)));
-        for config in [oracle.clone(), oracle.without_noise()] {
-            let run = |workers: usize, cohorts: bool| -> (RunDigest, Vec<Vec<u8>>, Vec<u8>) {
+        for noise in [true, false] {
+            let config = if noise { oracle.clone() } else { oracle.clone().without_noise() };
+            let run = |workers: usize, tenants: usize, cohorts: bool| {
                 let mut monitor = Monitor::new(config.clone().with_workers(workers));
-                for index in 0..9 {
-                    let kind = [QueryKind::Counter, QueryKind::Flows, QueryKind::TopK][index % 3];
-                    let spec = QuerySpec::new(kind).with_label(format!("tenant-{index}"));
+                for index in 0..tenants {
+                    let spec =
+                        QuerySpec::new(KINDS[index % 3]).with_label(format!("tenant-{index}"));
                     monitor.register(&spec).expect("valid spec");
                     if !cohorts {
                         monitor.fresh.clear();
@@ -1402,31 +1417,40 @@ mod tests {
                 let (mut state, mut checkpoint) = (Vec::new(), Vec::new());
                 for (bin, batch) in batches.iter().enumerate() {
                     if bin == CUT {
-                        let followers = monitor.queries.iter().filter(|q| q.head.is_some());
-                        assert_eq!(followers.count(), if cohorts { 6 } else { 0 });
+                        let followers = monitor.queries.iter().filter(|q| q.head().is_some());
+                        assert_eq!(followers.count(), if cohorts { tenants - 3 } else { 0 });
                         state =
                             (0..monitor.queries.len()).map(|at| runs_on(&monitor, at)).collect();
-                        let mut writer = StateWriter::new();
-                        monitor.save_state(&mut writer).expect("save");
-                        checkpoint = writer.into_bytes();
+                        checkpoint = saved(&monitor);
                     }
                     monitor.ingest(batch, &mut digest).expect("bin");
                 }
                 flush(&mut monitor, &mut digest);
                 (digest.digest(), state, checkpoint)
             };
-            let (digest, state, _) = run(1, false);
-            let (_, _, checkpoint) = run(1, true);
+            let (alone, alone_state, _): (RunDigest, Vec<Vec<u8>>, _) =
+                if noise { run(1, 3, true) } else { run(1, 9, false) };
+            let state: Vec<Vec<u8>> =
+                (0..9).map(|at| alone_state[at % alone_state.len()].clone()).collect();
+            let (digest, _, checkpoint) = run(1, 9, true);
+            assert!(noise || digest == alone, "without noise the digest is the lone tenants'");
             for workers in [1, 2, 4] {
-                let (cohort_digest, cohort_state, cohort_checkpoint) = run(workers, true);
-                assert_eq!(cohort_digest, digest, "workers {workers}");
+                let (cohort_digest, cohort_state, cohort_checkpoint) = run(workers, 9, true);
+                assert_eq!(cohort_digest, digest, "noise {noise}, workers {workers}");
                 assert!(
                     cohort_state == state,
-                    "workers {workers}: what the tenants run on differs"
+                    "noise {noise}, workers {workers}: what the tenants run on differs"
                 );
                 assert!(cohort_checkpoint == checkpoint, "workers {workers}: checkpoints differ");
             }
         }
+    }
+
+    /// What `monitor` writes.
+    fn saved(monitor: &Monitor) -> Vec<u8> {
+        let mut writer = StateWriter::new();
+        monitor.save_state(&mut writer).expect("save");
+        writer.into_bytes()
     }
 
     #[test]
@@ -1750,13 +1774,6 @@ mod tests {
             }
         }
 
-        /// What `monitor` writes.
-        fn saved(monitor: &Monitor) -> Vec<u8> {
-            let mut writer = StateWriter::new();
-            monitor.save_state(&mut writer).expect("save");
-            writer.into_bytes()
-        }
-
         /// `state` restored into a fresh monitor of `config` and `lanes`
         /// lanes, which must write the bytes it read.
         fn restored(config: &MonitorConfig, lanes: usize, state: &[u8]) -> Monitor {
@@ -1764,11 +1781,6 @@ mod tests {
             restored.load_state(&mut StateReader::new(state)).expect("load");
             assert!(saved(&restored) == state, "the restored engine writes the bytes it read");
             restored
-        }
-
-        /// Who follows whose instances, and who owns a predictor.
-        fn relation(monitor: &Monitor) -> Vec<(Option<usize>, bool)> {
-            monitor.queries.iter().map(|q| (q.head, q.predictor.is_some())).collect()
         }
 
         /// Three equal-spec counters on `lanes` lanes that ran `batches`:
@@ -1782,15 +1794,15 @@ mod tests {
             for batch in batches {
                 monitor.process_batch(batch).expect("batch");
             }
-            assert_eq!(relation(&monitor), [(None, true), (Some(0), false), (Some(0), false)]);
+            assert_eq!(heads(&monitor), [None, Some(0), Some(0)]);
             monitor
         }
 
         /// A restore keeps the relation it saved, on a fleet: a member that
-        /// detached onto copies of its head's instances stays detached though
-        /// every lane's bytes equal the head's, and so it does once its
-        /// lane-1 bytes differ; the follower beside it keeps following and
-        /// builds neither instances nor a predictor.
+        /// detached onto copies of its head's instances and predictor stays
+        /// detached though every lane's bytes equal the head's, and so it
+        /// does once its lane-1 bytes differ; the follower beside it keeps
+        /// following.
         #[test]
         fn a_restored_fleet_keeps_a_detached_member_detached() {
             let config = MonitorConfig::default().with_capacity(1e12).without_noise();
@@ -1798,52 +1810,118 @@ mod tests {
             let batches = small_trace(3, 100.0);
             let mut monitor = trio(&config, 2, &batches[..2]);
 
-            let first = &monitor.queries[0];
-            let lanes = first.lanes.iter().map(|lane| copy_of(lane.as_ref(), &spec)).collect();
-            let predictor = first.predictor.as_deref().expect("an owner owns its predictor");
-            let predictor = copy_predictor(predictor, &config.predictor);
-            let second = &mut monitor.queries[1];
-            (second.head, second.lanes, second.predictor) = (None, lanes, Some(predictor));
-            let detached = [(None, true), (None, true), (Some(0), false)];
+            monitor.queries[1].role = monitor.queries[0].role.copy(&spec, &config.predictor);
             let restore = |monitor: &Monitor| {
                 let restored = restored(&config, 2, &saved(monitor));
-                assert_eq!(relation(&restored), detached);
-                assert!(restored.queries[2].lanes.is_empty(), "a follower builds no instance");
+                assert_eq!(heads(&restored), [None, None, Some(0)]);
             };
             restore(&monitor);
 
             // Only the second query's lane-1 instance sees the third batch.
-            let view = batches[2].view();
-            monitor.queries[1].lanes[1].process_batch(&view, 1.0, &mut CycleMeter::new());
+            let Role::Owns { lanes, .. } = &mut monitor.queries[1].role else {
+                panic!("the second query detached");
+            };
+            lanes[1].process_batch(&batches[2].view(), 1.0, &mut CycleMeter::new());
             restore(&monitor);
         }
 
-        /// A follower that borrows its head's instances but owns its
-        /// predictor restores so, whether its predictor's bytes and its
-        /// enforcement counters equal its head's or its penalty differs.
-        #[test]
-        fn a_restored_follower_that_owns_its_predictor_keeps_it() {
-            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
-            let mut monitor = trio(&config, 1, &small_trace(3, 100.0));
-            let head = monitor.queries[0].predictor.as_deref().expect("an owner owns one");
-            let copies = [(); 2].map(|()| copy_predictor(head, &config.predictor));
-            for (follower, copy) in monitor.queries[1..].iter_mut().zip(copies) {
-                follower.predictor = Some(copy);
+        /// The restore's refusal of `state`, in a fresh monitor of `config`
+        /// and `lanes` lanes.
+        fn refuse(config: &MonitorConfig, lanes: usize, state: &[u8]) -> String {
+            let mut restored = Monitor::with_lanes(config.clone(), lanes);
+            match restored.load_state(&mut StateReader::new(state)) {
+                Err(StateError::Corrupt(message)) => message,
+                other => panic!("expected a corrupt record, got {other:?}"),
             }
-            monitor.queries[2].penalty_remaining = 3;
-            let restored = restored(&config, 1, &saved(&monitor));
-            assert_eq!(relation(&restored), [(None, true), (Some(0), true), (Some(0), true)]);
-            assert!(restored.queries[1..].iter().all(|q| q.lanes.is_empty()));
         }
 
         /// The restore's refusal of the bytes `monitor` writes once `tamper`
         /// has made its registry one no run makes.
         fn refused(mut monitor: Monitor, tamper: impl FnOnce(&mut Monitor)) -> String {
             tamper(&mut monitor);
-            let mut restored = Monitor::with_lanes(monitor.config.clone(), monitor.lane_count);
-            match restored.load_state(&mut StateReader::new(&saved(&monitor))) {
-                Err(StateError::Corrupt(message)) => message,
-                other => panic!("expected a corrupt record, got {other:?}"),
+            refuse(&monitor.config, monitor.lane_count, &saved(&monitor))
+        }
+
+        /// Where the flags byte of the record at `position` sits in what
+        /// `monitor` writes: after the records before it and the record's
+        /// id, label, spec and minimum rate.
+        fn flags_offset(monitor: &mut Monitor, position: usize) -> usize {
+            let later = monitor.queries.split_off(position);
+            // What the registry before the record writes, but the next id.
+            let before = saved(monitor).len() - 8;
+            monitor.queries.extend(later);
+            let registered = &monitor.queries[position];
+            let mut header = StateWriter::new();
+            header.u64(registered.id.0);
+            header.str(&registered.label);
+            registered.spec.as_ref().expect("registered from a spec").save_state(&mut header);
+            header.f64(registered.min_rate);
+            before + header.as_bytes().len()
+        }
+
+        /// What `save` writes, as bytes.
+        fn bytes_of(save: impl FnOnce(&mut StateWriter) -> Result<(), StateError>) -> Vec<u8> {
+            let mut writer = StateWriter::new();
+            save(&mut writer).expect("save");
+            writer.into_bytes()
+        }
+
+        /// A follower's record holds no predictor: one that carries a copy
+        /// of its head's — the retired predictor bit set, and the copy after
+        /// its enforcement counters, where a version-6 record held it — is
+        /// refused.
+        #[test]
+        fn a_follower_record_that_carries_a_predictor_is_refused() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let mut monitor = trio(&config, 1, &small_trace(3, 100.0));
+            let flags = flags_offset(&mut monitor, 1);
+            let mut state = saved(&monitor);
+            assert_eq!(state[flags], FOLLOWS);
+            state[flags] |= 2;
+            let predictor = bytes_of(|writer| owned_at(&monitor.queries, 0).1.save_state(writer));
+            // The head's position, the hasher generation, the overuse ratio
+            // and the two counters.
+            let counters_end = flags + 1 + 8 + 8 + 8 + 4 + 4;
+            state.splice(counters_end..counters_end, predictor);
+            let message = refuse(&config, 1, &state);
+            assert!(message.contains("record flags 0b11"), "{message}");
+        }
+
+        /// An owner's record always holds a predictor: one whose predictor's
+        /// bytes are missing is refused.
+        #[test]
+        fn an_owner_record_without_a_predictor_is_refused() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let mut monitor =
+                monitor_with_queries(config.clone(), &[QueryKind::Counter, QueryKind::Flows]);
+            for batch in &small_trace(3, 100.0) {
+                monitor.process_batch(batch).expect("batch");
+            }
+            let flags = flags_offset(&mut monitor, 0);
+            let mut state = saved(&monitor);
+            let (lanes, predictor) = owned_at(&monitor.queries, 0);
+            let lanes = bytes_of(|writer| lanes[0].save_state(writer)).len();
+            let predictor = bytes_of(|writer| predictor.save_state(writer)).len();
+            // The hasher generation, the overuse ratio and the two counters.
+            let start = flags + 1 + 8 + 8 + 4 + 4 + lanes;
+            state.drain(start..start + predictor);
+            let message = refuse(&config, 1, &state);
+            assert!(message.contains("holds no predictor of this configuration"), "{message}");
+        }
+
+        /// A record's flags byte says whether it follows a head and whether it
+        /// holds a sampled extractor, and nothing else: the retired
+        /// predictor bit, or any bit above, is refused.
+        #[test]
+        fn a_record_with_a_flag_no_run_sets_is_refused() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            for bit in [2, 8, 128] {
+                let mut monitor = monitor_with_queries(config.clone(), &[QueryKind::Counter]);
+                let flags = flags_offset(&mut monitor, 0);
+                let mut state = saved(&monitor);
+                state[flags] |= bit;
+                let message = refuse(&config, 1, &state);
+                assert!(message.contains(&format!("record flags {bit:#b}")), "{bit}: {message}");
             }
         }
 
@@ -1855,19 +1933,10 @@ mod tests {
             let batches = small_trace(2, 100.0);
             for (follower, head) in [(1, 1), (1, 2), (1, usize::MAX), (2, 1)] {
                 let message = refused(trio(&config, 1, &batches), |monitor| {
-                    monitor.queries[follower].head = Some(head);
+                    monitor.queries[follower].role = Role::Follows(head);
                 });
                 assert!(message.contains("no earlier owner like it"), "{head}: {message}");
             }
-        }
-
-        /// An owner's record that says it owns no predictor is refused.
-        #[test]
-        fn an_owner_without_a_predictor_is_refused() {
-            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
-            let monitor = monitor_with_queries(config, &[QueryKind::Counter]);
-            let message = refused(monitor, |monitor| monitor.queries[0].predictor = None);
-            assert!(message.contains("record flags 0b0"), "{message}");
         }
 
         /// A follower's record must name a head registered from an equal
@@ -1879,11 +1948,9 @@ mod tests {
             for other in [QuerySpec::new(QueryKind::Flows), counter.clone().with_min_rate(0.5)] {
                 let mut monitor = monitor_with_queries(config.clone(), &[QueryKind::Counter]);
                 monitor.register(&other).expect("valid spec");
-                assert_eq!(monitor.queries[1].head, None);
-                let message = refused(monitor, |monitor| {
-                    let second = &mut monitor.queries[1];
-                    (second.head, second.lanes) = (Some(0), Vec::new());
-                });
+                assert_eq!(monitor.queries[1].head(), None);
+                let message =
+                    refused(monitor, |monitor| monitor.queries[1].role = Role::Follows(0));
                 assert!(message.contains("no earlier owner like it"), "{other:?}: {message}");
             }
             let message = refused(trio(&config, 1, &[]), |monitor| {

@@ -115,6 +115,7 @@ mod tests {
     use super::*;
     use crate::config::Strategy;
     use crate::exec::StageStats;
+    use crate::monitor::{RegisteredQuery, Role};
     use crate::observer::{NullObserver, RunObserver};
     use netshed_queries::{build_query, QueryKind, QueryOutput, QuerySpec};
     use netshed_trace::{FiveTuple, Packet};
@@ -154,12 +155,16 @@ mod tests {
         let mut fleet = fleet(4, &QueryKind::CHAPTER4_SET);
         assert_eq!(fleet.lane_count(), 4);
         assert_eq!(fleet.queries.len(), 7, "seven predictors, not twenty-eight");
-        assert!(fleet.queries.iter().all(|query| query.head.is_none() && query.lanes.len() == 4));
+        let lanes = |query: &RegisteredQuery| match &query.role {
+            Role::Owns { lanes, .. } => lanes.len(),
+            Role::Follows(_) => 0,
+        };
+        assert!(fleet.queries.iter().all(|query| lanes(query) == 4));
         assert_eq!(fleet.lane_capacities(), [1.25e8; 4]);
 
         let id = fleet.register(&QuerySpec::new(QueryKind::TopK).with_label("late")).expect("ok");
-        let runs = fleet.queries[7].head.unwrap_or(7);
-        assert_eq!(fleet.queries[runs].lanes.len(), 4);
+        let runs = fleet.queries[7].head().unwrap_or(7);
+        assert_eq!(lanes(&fleet.queries[runs]), 4);
         fleet.deregister(id).expect("deregister");
         assert_eq!(fleet.query_names().len(), 7);
 

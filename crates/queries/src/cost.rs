@@ -180,18 +180,6 @@ pub struct NoiseDraw {
     outlier_cycles: u64,
 }
 
-/// Two draws are equal when they disturb every cycle count alike: the same
-/// jitter factor, bit for bit, and the same outlier.
-impl PartialEq for NoiseDraw {
-    fn eq(&self, other: &Self) -> bool {
-        self.jitter_factor.to_bits() == other.jitter_factor.to_bits()
-            && self.outlier == other.outlier
-            && self.outlier_cycles == other.outlier_cycles
-    }
-}
-
-impl Eq for NoiseDraw {}
-
 impl NoiseDraw {
     /// Applies the drawn disturbances to a deterministic cycle count,
     /// returning the disturbed value and whether it was hit by an outlier.

@@ -71,7 +71,15 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
 /// the cohorts by comparing those bytes; a sampled extractor nobody built —
 /// a query the plan never sampled on its own — is one clear bit. A version-5
 /// file is refused, not migrated.
-pub const SNAPSHOT_FORMAT_VERSION: u16 = 6;
+///
+/// Version 7: a cohort follower takes its head's measurement-noise draw, so
+/// it never detaches from the head's predictor alone — a follower owns no
+/// predictor and an owner always owns one. The flags byte keeps two bits,
+/// follows a head (1) and holds a sampled extractor (4); bit 2, which said a
+/// record held a predictor, is retired, and a record with any bit but those
+/// two is corrupt. A version-6 file is refused, not migrated: its follower
+/// records may hold predictors a version-7 restore has nowhere to put.
+pub const SNAPSHOT_FORMAT_VERSION: u16 = 7;
 
 /// Seed of the container checksums (header, per-section and end frame).
 const CHECKSUM_SEED: u64 = 0x6e73_636b; // "nsck"
@@ -464,15 +472,15 @@ mod tests {
         let expected = SNAPSHOT_FORMAT_VERSION.to_string();
         assert!(message.contains("99") && message.contains(&expected), "{message}");
 
-        // The version before this one — whose followers carry copies of their
-        // heads' state — is refused the same way, not misread.
-        bytes[4] = 5;
+        // The version before this one — whose followers may own copies of
+        // their heads' predictors — is refused the same way, not misread.
+        bytes[4] = 6;
         let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
         fnv.write(&bytes[..16]);
         bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
         assert_eq!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 5, expected: 6 }
+            SnapshotError::UnsupportedVersion { found: 6, expected: 7 }
         );
     }
 

@@ -436,10 +436,10 @@ fn version_skew_names_found_and_expected() {
         "version-skew message must name found and expected: {message}"
     );
 
-    // A version-5 container (whose cohort followers carry copies of their
-    // heads' instances and predictors) is refused by the restore with both
-    // versions named, never read as this version.
-    bytes[4] = 5;
+    // A version-6 container (whose cohort followers may own copies of their
+    // heads' predictors) is refused by the restore with both versions named,
+    // never read as this version.
+    bytes[4] = 6;
     let mut fnv = netshed_sketch::IncrementalFnv::new(0x6e73_636b);
     fnv.write(&bytes[..16]);
     bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
@@ -447,7 +447,7 @@ fn version_skew_names_found_and_expected() {
         Daemon::<_, Monitor>::restore_engine(overloaded_config(1), recorded_trace(), &bytes);
     match restored.map(|_| ()).unwrap_err() {
         ServiceError::Snapshot(error) => {
-            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 5, expected: 6 });
+            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 6, expected: 7 });
         }
         other => panic!("expected the version skew to be named, got {other}"),
     }
@@ -698,9 +698,10 @@ fn read_query_header(
     let label = reader.str().expect("label");
     let spec = QuerySpec::load_state(reader).expect("spec");
     float(reader, format!("query '{label}' min_rate"));
-    // The flags: follows a head (1), owns a predictor (2), sampled (4).
+    // The flags: follows a head (1), sampled (4); an owner holds its
+    // instances and predictor.
     let flags = reader.u8().expect("record flags");
-    assert_eq!(flags & 3, 2, "'{label}' owns its instances and predictor");
+    assert_eq!(flags & !4, 0, "'{label}' owns its instances and predictor");
     reader.u64().expect("hasher generation");
     float(reader, format!("query '{label}' overuse_ratio"));
     reader.u32().expect("violations");

@@ -1,12 +1,17 @@
-//! Cohorts change nothing. Queries registered from specs that are equal but
-//! for the label follow the first of them, their head: they borrow its lane
-//! instances until the plan gives them different deliveries, and its
-//! predictor until the plan gives them different inputs (DESIGN.md,
-//! "Cohorts"). The oracle needs no knob: an engine whose queries were
+//! A cohort equals its members registered apart, sharing one measurement per
+//! run. Queries registered from specs that are equal but for the label follow
+//! the first of them, their head: they borrow its lane instances and
+//! predictor until the plan gives them different deliveries, and take its
+//! measurement of every run they share (DESIGN.md, "Cohorts").
+//!
+//! Without measurement noise a shared measurement is the one each member
+//! would make, so the oracle needs no knob: an engine whose queries were
 //! registered as bare instances of the same specs, under the same labels and
 //! minimum rates, has no specs to compare, so nobody follows anybody in it —
 //! and it must emit the same three digest streams, bit for bit, at any worker
-//! count.
+//! count. With noise, an unshed cohort is its first member alone: every
+//! member's records and outputs equal those of the lone tenant of its spec in
+//! an engine that registers only that one.
 
 use netshed::features::FeatureVector;
 use netshed::monitor::{flow_sample_with, packet_sample_with};
@@ -18,6 +23,7 @@ use netshed::trace::KeepListPool;
 use netshed_bench::corpus::CORPUS_SEED;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -82,6 +88,22 @@ fn run(
     (digest.digest(), runs)
 }
 
+/// The spec'd engine at workers {1, 2, 4}: returns its digest and what
+/// each of its bins shared, the same at every worker count.
+fn assert_worker_invariant(
+    config: &MonitorConfig,
+    script: &Script,
+    batches: &[Batch],
+) -> (RunDigest, Vec<Shared>) {
+    let mut first = None;
+    for workers in [1, 2, 4] {
+        let ran = run(&config.clone().with_workers(workers), script, batches, false);
+        assert!(first.as_ref().is_none_or(|first| *first == ran), "workers {workers}");
+        first = Some(ran);
+    }
+    first.expect("three worker counts")
+}
+
 /// The spec'd engine at workers {1, 2, 4} against the bare oracle; returns
 /// what each bin of the spec'd engine shared, the same at every worker count.
 fn assert_cohorts_change_nothing(
@@ -90,17 +112,115 @@ fn assert_cohorts_change_nothing(
     batches: &[Batch],
 ) -> Vec<Shared> {
     let (oracle, alone) = run(config, script, batches, true);
-    let mut shared = None;
-    for workers in [1, 2, 4] {
-        let (digest, ran) = run(&config.clone().with_workers(workers), script, batches, false);
-        assert_eq!(digest, oracle, "workers {workers}");
-        assert!(ran.iter().zip(&alone).all(|(cohorts, queries)| {
-            cohorts.runs <= queries.runs && cohorts.predictions <= queries.predictions
-        }));
-        assert!(shared.as_ref().is_none_or(|shared| *shared == ran), "workers {workers}");
-        shared = Some(ran);
+    let (digest, shared) = assert_worker_invariant(config, script, batches);
+    assert_eq!(digest, oracle);
+    assert!(shared.iter().zip(&alone).all(|(cohorts, queries)| {
+        cohorts.runs <= queries.runs && cohorts.predictions <= queries.predictions
+    }));
+    shared
+}
+
+/// What two registrations' specs agree on when they form a cohort: all but
+/// the label.
+fn cohort_key(spec: &QuerySpec) -> (QueryKind, Option<u64>, Option<CustomBehavior>) {
+    (spec.kind, spec.min_sampling_rate.map(f64::to_bits), spec.custom_behavior)
+}
+
+/// A tenant's bin, as its record says: the rate, the predicted and the
+/// measured cycles (as bits), the delivered packets, and whether it sat the
+/// bin out.
+type Row = (u64, u64, u64, u64, bool);
+
+/// What a tenant emitted: its record of every bin it was registered for,
+/// and its output at every interval close.
+type Emitted = (Vec<Row>, Vec<QueryOutput>);
+
+/// Runs `script` over `batches` and returns what each tenant emitted, by
+/// label, and what each bin shared. With `lone`, the engine registers only
+/// the first tenant of each spec (but for the label) and the late arrivals,
+/// and nobody leaves.
+fn emitted(
+    config: &MonitorConfig,
+    script: &Script,
+    batches: &[Batch],
+    lone: bool,
+) -> (BTreeMap<String, Emitted>, Vec<Shared>) {
+    let mut engine = Monitor::new(config.clone());
+    let mut ids = Vec::new();
+    for (index, spec) in script.tenants.iter().enumerate() {
+        let first = script.tenants.iter().position(|other| cohort_key(other) == cohort_key(spec));
+        if !lone || first == Some(index) {
+            ids.push(engine.register(spec).expect("valid spec"));
+        }
     }
-    shared.expect("three worker counts")
+    let (mut tenants, mut shared) = (BTreeMap::<String, Emitted>::new(), Vec::new());
+    let close = |tenants: &mut BTreeMap<String, Emitted>, outputs| {
+        for (label, output) in outputs {
+            tenants.entry(label).or_default().1.push(output);
+        }
+    };
+    for (bin, batch) in batches.iter().enumerate() {
+        for (_, spec) in script.late.iter().filter(|(at, _)| *at == bin) {
+            engine.register(spec).expect("valid spec");
+        }
+        for (_, index) in script.leave.iter().filter(|(at, _)| *at == bin && !lone) {
+            engine.deregister(ids[*index]).expect("registered");
+        }
+        let record = engine.process_batch(batch).expect("bin");
+        shared.push(Shared::of(&engine));
+        for query in &record.queries {
+            tenants.entry(query.name.to_string()).or_default().0.push((
+                query.sampling_rate.to_bits(),
+                query.predicted_cycles.to_bits(),
+                query.measured_cycles.to_bits(),
+                query.delivered_packets,
+                query.disabled,
+            ));
+        }
+        close(&mut tenants, record.interval_outputs.unwrap_or_default());
+    }
+    close(&mut tenants, engine.finish_interval());
+    (tenants, shared)
+}
+
+/// The spec'd engine at workers {1, 2, 4} against the lone oracle of an
+/// unshed run: every tenant's records and interval outputs equal, bit for
+/// bit, those of the lone tenant of its spec (the late arrivals' own) over
+/// the bins it was registered for. Returns what each bin of the spec'd
+/// engine shared, the same at every worker count.
+fn assert_members_measure_as_one(
+    config: &MonitorConfig,
+    script: &Script,
+    batches: &[Batch],
+) -> Vec<Shared> {
+    let (lone, _) = emitted(config, script, batches, true);
+    let mut first = None;
+    for workers in [1, 2, 4] {
+        let (tenants, shared) =
+            emitted(&config.clone().with_workers(workers), script, batches, false);
+        assert_eq!(tenants.len(), script.tenants.len() + script.late.len());
+        for (label, (bins, outputs)) in &tenants {
+            let spec = script.tenants.iter().find(|spec| spec.resolved_label() == *label);
+            let alone = match spec {
+                Some(spec) => script
+                    .tenants
+                    .iter()
+                    .find(|other| cohort_key(other) == cohort_key(spec))
+                    .map(QuerySpec::resolved_label),
+                None => Some(label.clone()),
+            };
+            let (lone_bins, lone_outputs) = &lone[&alone.expect("a lone tenant")];
+            let context = format!("workers {workers}, {label}");
+            assert!(lone_bins.get(..bins.len()) == Some(&bins[..]), "{context}: records differ");
+            assert!(
+                lone_outputs.get(..outputs.len()) == Some(&outputs[..]),
+                "{context}: outputs differ"
+            );
+        }
+        assert!(first.as_ref().is_none_or(|first| *first == shared), "workers {workers}");
+        first = Some(shared);
+    }
+    first.expect("three worker counts")
 }
 
 /// Every bin's query runs and predictions, one vector each.
@@ -165,6 +285,30 @@ fn late_tenant_script() -> Script {
     }
 }
 
+/// The same run with the default measurement noise: a cohort draws one
+/// noise sample a run, its head's, so every tenant reports what the lone
+/// tenant of its kind reports in an engine of five (six after bin 40) — the
+/// same rates, predictions, measurements and outputs — and the five cohorts
+/// still run and predict five times a bin.
+#[test]
+fn an_unshed_noisy_tenant_run_measures_each_cohort_once() {
+    let noisy = MonitorConfig::default();
+    let config = MonitorConfig {
+        noise_jitter: noisy.noise_jitter,
+        noise_outlier_probability: noisy.noise_outlier_probability,
+        ..unshed()
+    };
+    let (runs, predictions) = counts(&assert_members_measure_as_one(
+        &config,
+        &late_tenant_script(),
+        &traffic(29, 60, false),
+    ));
+    for counts in [&runs, &predictions] {
+        assert!(counts[..40].iter().all(|&count| count == 5), "{counts:?}");
+        assert!(counts[40..].iter().all(|&count| count == 6), "{counts:?}");
+    }
+}
+
 /// The engine's MLR predictor without its checkpoint, which the trait's
 /// default declines.
 struct Uncopyable(MlrPredictor);
@@ -197,8 +341,8 @@ fn uncopyable() -> PredictorSpec {
 }
 
 /// A follower that detaches needs a copy of its head's predictor, so a
-/// tenant whose predictor cannot be checkpointed never follows one: the same
-/// run shares its instances as before, and every tenant predicts for itself.
+/// tenant whose predictor cannot be checkpointed never follows: the same run
+/// runs every tenant's instances, and every tenant predicts for itself.
 #[test]
 fn tenants_whose_predictor_declines_its_checkpoint_never_follow() {
     let config = unshed().with_predictor(uncopyable());
@@ -207,15 +351,17 @@ fn tenants_whose_predictor_declines_its_checkpoint_never_follow() {
         &late_tenant_script(),
         &traffic(29, 50, false),
     ));
-    assert!(runs[..40].iter().all(|&runs| runs == 5), "{runs:?}");
-    assert!(predictions[..40].iter().all(|&count| count == 25), "{predictions:?}");
-    assert!(predictions[40..].iter().all(|&count| count == 26), "{predictions:?}");
+    for counts in [&runs, &predictions] {
+        assert!(counts[..40].iter().all(|&count| count == 25), "{counts:?}");
+        assert!(counts[40..].iter().all(|&count| count == 26), "{counts:?}");
+    }
 }
 
-/// A registration that joins a fresh cohort builds no predictor when it
-/// borrows its head's — the one a follower that detaches copies — and makes
-/// its own only when that one cannot be copied. A tenant that arrives after
-/// the first bin heads a cohort of its own and makes one too.
+/// A registration that joins a fresh cohort builds neither instances nor a
+/// predictor: it borrows its head's — the ones a follower that detaches
+/// copies — unless the head's predictor cannot be copied; then it owns both.
+/// A tenant that arrives after the first bin heads a cohort of its own and
+/// makes a predictor too.
 #[test]
 fn a_follower_of_a_fresh_head_builds_no_predictor() {
     for copyable in [true, false] {
@@ -238,6 +384,7 @@ fn a_follower_of_a_fresh_head_builds_no_predictor() {
         let heads = if copyable { 5 } else { 25 };
         assert_eq!(made.load(Ordering::Relaxed) - before, heads, "copyable {copyable}");
         engine.ingest(&traffic(29, 1, false)[0], &mut DigestObserver::new()).expect("bin");
+        assert_eq!(engine.query_runs(), heads, "instance sets, copyable {copyable}");
         register(&mut engine, &late_tenant_script().late[0].1, false);
         assert_eq!(made.load(Ordering::Relaxed) - before, heads + 1, "copyable {copyable}");
     }
@@ -295,10 +442,10 @@ fn a_mid_interval_restore_re_forms_the_followers() {
     assert_eq!(observer.digest(), digest);
 }
 
-/// A restore keeps the relation the checkpoint saved — who follows whose
-/// instances, who borrows whose predictor — whenever it is cut: the shed run,
-/// with noise or without, restored after any of its bins, runs and predicts
-/// every later bin as often as the uninterrupted run, and ends on its digest.
+/// A restore keeps the relation the checkpoint saved — who follows whom —
+/// whenever it is cut: the shed run, with noise or without, restored after
+/// any of its bins, runs and predicts every later bin as often as the
+/// uninterrupted run, and ends on its digest.
 #[test]
 fn a_restore_after_any_bin_keeps_the_saved_relation() {
     for noise in [true, false] {
@@ -380,19 +527,22 @@ fn shed_twins(noise: bool) -> (MonitorConfig, Script, Vec<Batch>) {
 
 /// The shed run with noise on: packet- and flow-sampled twins detach the
 /// first time they are sampled, custom twins the first time the plan gives
-/// them different rates (their noisy predictions make their fair rates
-/// differ) — partway through the run's first interval — and every tenant
-/// keeps reporting what instances of its own would have.
+/// them different rates — partway through the run's first interval. A
+/// follower takes its head's noise draw, so, as without noise, it detaches
+/// from the predictor only with the instances, and nobody re-follows. Its
+/// runs differ from its registered-apart twin's in the noise alone, so the
+/// checks are the worker invariance here, the restore at every cut
+/// (`a_restore_after_any_bin_keeps_the_saved_relation`) and the engine's
+/// debug check that a follower's head precedes it and was delivered its run.
 #[test]
 fn twins_that_the_plan_tells_apart_detach_and_change_nothing() {
     let (config, script, batches) = shed_twins(true);
-    let (runs, predictions) = counts(&assert_cohorts_change_nothing(&config, &script, &batches));
+    let (runs, predictions) = counts(&assert_worker_invariant(&config, &script, &batches).1);
     assert_eq!(runs[0], 10, "one instance set per kind until the plan tells twins apart");
     assert!(runs[..10].iter().any(|&runs| runs > 10 && runs < 40), "{runs:?}");
-    // Every tenant draws its own noise, so every follower detaches at its
-    // first run, before its first observation.
     assert_eq!(predictions[0], 10, "one prediction per kind before the first run");
-    assert!(predictions[1..].iter().all(|&count| count == 40), "{predictions:?}");
+    assert!(predictions.iter().any(|&count| count > 10 && count < 40), "{predictions:?}");
+    assert!(predictions.windows(2).all(|pair| pair[0] <= pair[1]), "nobody re-follows");
 }
 
 /// The shed run without noise: followers detach from their heads' predictors
@@ -405,21 +555,6 @@ fn followers_detach_when_the_plan_tells_them_apart_and_change_nothing() {
     assert_eq!(predictions[0], 10, "one prediction per kind before the first run");
     assert!(predictions.iter().any(|&count| count > 10 && count < 40), "{predictions:?}");
     assert!(predictions.windows(2).all(|pair| pair[0] <= pair[1]), "nobody re-follows");
-}
-
-/// The shed run without noise, on predictors that decline their checkpoint:
-/// nobody follows a predictor, but twins share instances until the plan
-/// feeds a head a sample of its own — then the head keeps a copy of its
-/// instances and hands the originals to its first follower, and no
-/// predictor is copied, since nobody borrowed one.
-#[test]
-fn a_sampled_head_whose_predictor_declines_its_checkpoint_hands_off_its_instances() {
-    let (config, script, batches) = shed_twins(false);
-    let config = config.with_predictor(uncopyable());
-    let (runs, predictions) = counts(&assert_cohorts_change_nothing(&config, &script, &batches));
-    assert_eq!(runs[0], 10, "one instance set per kind until the plan samples a head");
-    assert!(runs.iter().any(|&runs| runs > 10), "{runs:?}");
-    assert!(predictions.iter().all(|&count| count == 40), "{predictions:?}");
 }
 
 /// A cohort's first-registered member, its head, leaves mid-interval: its
@@ -438,18 +573,15 @@ fn deregistering_a_cohorts_first_member_changes_nothing() {
     assert!(predictions.iter().all(|&count| count == 5), "{predictions:?}");
 }
 
-/// With outlier noise on — no jitter, so only a context-switch outlier tells
-/// two runs apart — a follower detaches from its head's predictor the first
-/// bin one of the two draws an outlier and the other does not, and keeps
-/// following the head's instances. By bin 8 the cohorts' followers are
-/// mixed: in two of them the first follows the instances alone and the
-/// second both, in one the other way round. Then the heads leave: each first
-/// follower inherits the instances — and the predictor, when it followed
-/// that — and a second that followed the predictor while the heir owns its
-/// own takes a copy of the old head's; from then on each of the ten who stay
-/// predicts for itself.
+/// With outlier noise on — no jitter, so a context-switch outlier is the
+/// only noise — the cohorts' heads leave at bin 8: each first follower
+/// inherits its head's instances and predictor and the others follow it. A
+/// cohort measures each run once, before the hand-off and after it, so
+/// every member reports what the lone tenant of its kind — who never
+/// leaves — reports in an engine of five, and the cohorts run and predict
+/// five times a bin throughout.
 #[test]
-fn deregistering_a_head_whose_followers_are_mixed_changes_nothing() {
+fn deregistering_the_heads_of_noisy_cohorts_keeps_one_measurement_per_run() {
     const LEAVE: usize = 8;
     let config = MonitorConfig { noise_outlier_probability: 0.05, ..unshed() };
     let script = Script {
@@ -458,10 +590,9 @@ fn deregistering_a_head_whose_followers_are_mixed_changes_nothing() {
         leave: (0..5).map(|head| (LEAVE, head)).collect(),
     };
     let (runs, predictions) =
-        counts(&assert_cohorts_change_nothing(&config, &script, &traffic(41, 30, false)));
+        counts(&assert_members_measure_as_one(&config, &script, &traffic(41, 30, false)));
     assert!(runs.iter().all(|&runs| runs == 5), "{runs:?}");
-    assert_eq!(predictions[..LEAVE], [5, 8, 9, 9, 9, 11, 11, 11]);
-    assert!(predictions[LEAVE..].iter().all(|&count| count == 10), "{predictions:?}");
+    assert!(predictions.iter().all(|&count| count == 5), "{predictions:?}");
 }
 
 /// Only owners are dispatched: the unshed 25-tenant run's five cohorts make

@@ -227,13 +227,19 @@ fn more_queries_than_workers_share_the_worker_scratches_invisibly() {
 /// for it or find it made — and tenants of one kind, metering the same
 /// cycles, ask for the same whole prediction: each that misses computes it,
 /// the first to file it wins. Forty-four tenants over four kinds at one, two
-/// and four workers: whoever wins, the digest does not move.
+/// and four workers: whoever wins, the digest does not move. Each tenant has
+/// a minimum sampling rate of its own, below any the unshed run grants, so
+/// no two of them form a cohort and all forty-four predictors race.
 #[test]
 fn tenants_racing_for_one_shared_fit_emit_one_digest_at_any_worker_count() {
     let batches = recorded_batches(70);
     let kinds = [QueryKind::Counter, QueryKind::Flows, QueryKind::TopK, QueryKind::HighWatermark];
     let specs: Vec<QuerySpec> = (0..44)
-        .map(|i| QuerySpec::new(kinds[i % kinds.len()]).with_label(format!("tenant-{i:02}")))
+        .map(|i| {
+            QuerySpec::new(kinds[i % kinds.len()])
+                .with_label(format!("tenant-{i:02}"))
+                .with_min_rate(0.01 * (i + 1) as f64)
+        })
         .collect();
     let digest_of = |workers: usize| {
         let builder = Monitor::builder()
@@ -243,11 +249,9 @@ fn tenants_racing_for_one_shared_fit_emit_one_digest_at_any_worker_count() {
             .with_workers(workers)
             .queries(specs.clone());
         let mut observers = (DigestObserver::new(), FullTape::default());
-        builder
-            .build()
-            .expect("valid monitor")
-            .run(&mut BatchReplay::new(batches.clone()), &mut observers)
-            .expect("run");
+        let mut monitor = builder.build().expect("valid monitor");
+        monitor.run(&mut BatchReplay::new(batches.clone()), &mut observers).expect("run");
+        assert_eq!(monitor.predictions(), 44, "{workers} workers: every tenant predicts");
         let shed = (observers.1.records.iter().flat_map(|record| &record.queries))
             .filter(|query| query.disabled || query.sampling_rate < 1.0)
             .count();

@@ -1011,9 +1011,9 @@ pub fn epoch2_manifest() -> Vec<(String, String, RunDigest)> {
         .collect()
 }
 
-/// `tests/engine.rs`'s digest pins as digest epoch 2 captured them: the
-/// unshed tenant run and the churn run, on a solo monitor and a 4-lane
-/// fleet.
+/// `tests/engine.rs`'s digest pins of the unshed tenant run as digest epoch
+/// 2 captured them, on a solo monitor and a 4-lane fleet. (The churn run's
+/// left with digest epoch 4, which moved that run's noise draws.)
 pub const EPOCH2_TENANTS_SOLO: RunDigest = RunDigest {
     bins: 150,
     records: 0xd47bce35f181b53f,
@@ -1026,19 +1026,6 @@ pub const EPOCH2_TENANTS_FOUR_LANES: RunDigest = RunDigest {
     decisions: 0xd1c0c4696dfee087,
     intervals: 0xec0d307d541cfb68,
 };
-pub const EPOCH2_CHURN_SOLO: RunDigest = RunDigest {
-    bins: 120,
-    records: 0x43cb9d37b5f24d6e,
-    decisions: 0xf57b118abec3676f,
-    intervals: 0xde17088f666e4c2e,
-};
-pub const EPOCH2_CHURN_FOUR_LANES: RunDigest = RunDigest {
-    bins: 120,
-    records: 0x3baecf8297c8a304,
-    decisions: 0x5fbf3b8711c595df,
-    intervals: 0x657f46dcdf02820b,
-};
-
 // ---------------------------------------------------------------------------
 // The `.nstr` body decoder before the single pass: one bounds-checked take
 // and one `StoreBuilder::push` per record.
