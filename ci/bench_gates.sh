@@ -189,11 +189,26 @@ fi
 # DigestObserver spends between bins over the nanoseconds of the bins, an
 # intra-run ratio. The byte-serial FNV-1a digest (one dependent multiply per
 # canonical byte, ~19 KB a bin on this shape) read 0.20-0.29; absorbing one
-# 64-bit word per multiply-rotate step (digest epoch 3) reads ~0.07.
+# 64-bit word per multiply-rotate step (digest epoch 3) read ~0.07, and
+# 0.11-0.12 once the bin beneath it halved; four rotating chains that absorb
+# each emitted value once, with no variable-length copy per string (digest
+# epoch 5), read ~0.03.
 require '"digest_vs_bin"' "lost the 200-tenant digest_vs_bin"
 if [ "$kind" = committed ]; then
   awk -F': *' '/"digest_vs_bin"/ { if ($2 + 0 > 0.10) exit 1 }' "$file" ||
     fail "the 200-tenant run digest costs more than 0.10 of the bin"
+fi
+# The bins of the same run that close a measurement interval — every query
+# reports and the digest absorbs the outputs — over the other bins, each
+# timed from the bin's first observer call to its last, digest included. It
+# read ~2.0-2.2 while the digest absorbed every output twice and re-sorted
+# the tree-backed ones, and top-k sorted every destination of the interval
+# to keep ten; ~1.4-1.5 with each value absorbed once and top-N kept in one
+# bounded pass. Held on a full run.
+require '"interval_bin_vs_bin"' "lost the 200-tenant interval_bin_vs_bin"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"tenants_200"/ { t = 1 } t && /"interval_bin_vs_bin"/ { if ($2 + 0 > 1.7) exit 1; exit 0 }' "$file" ||
+    fail "the 200-tenant interval-closing bin costs more than 1.7 other bins"
 fi
 
 # The .nstr decode the daemon runs before each bin, outside the engine's
@@ -276,6 +291,18 @@ require '"marginal_ns_per_query_per_bin"' "lost the registry's marginal_ns_per_q
 if [ "$kind" = committed ]; then
   awk -F': *' '/"marginal_ns_per_query_per_bin"/ { if ($2 + 0 > 300) exit 1 }' "$file" ||
     fail "a registry member costs more than 300 ns a bin"
+fi
+# What the run digest adds a bin per member of that registry, from the
+# 10→1000 spread of a DigestObserver replaying the runs' records (best of
+# nine passes): a member's record row, its decision rate and allocation,
+# and its share of the interval outputs. The one-chain digest, which
+# absorbed every output and decision twice and copied every label's tail
+# through a variable-length copy, read ~38-40 ns; the four-lane one reads
+# ~8-9. The bound covers the host's slow phase. Held on a full run.
+require '"digest_marginal_ns_per_query_per_bin"' "lost the registry's digest marginal"
+if [ "$kind" = committed ]; then
+  awk -F': *' '/"digest_marginal_ns_per_query_per_bin"/ { if ($2 + 0 > 20) exit 1 }' "$file" ||
+    fail "the run digest costs a registry member more than 20 ns a bin"
 fi
 
 # The steady-state shed→extract loop must be allocation-free: the bench's

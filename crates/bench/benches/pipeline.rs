@@ -53,7 +53,9 @@
 //!    measurement noise on. Registered together, they form one cohort: one
 //!    run, one noise draw and one prediction a bin, so the marginal prices a
 //!    cohort member (its copied prediction and measurement, its record),
-//!    not a run of its query.
+//!    not a run of its query; and what the run digest adds a bin per
+//!    member (`digest_marginal_ns_per_query_per_bin`: a `DigestObserver`
+//!    replaying the 10- and 1000-tenant runs' records, best of nine).
 //! 7. **parallel scaling**: the 2× overload pipeline at 1/2/4 workers, and
 //!    the **sharded** row: the same pipeline through the fixed-lane
 //!    `ShardedMonitor` fleet at 1/2/4 workers. Every figure is a
@@ -74,7 +76,10 @@
 //!    many tasks a bin dispatched (`tasks_per_bin`; only owners are
 //!    dispatched, so one predict and one execute task per cohort) and
 //!    the run digest's nanoseconds over the bins' from the same run
-//!    (`digest_vs_bin`; the digest runs between bins, outside the stages)
+//!    (`digest_vs_bin`; the digest runs between bins, outside the stages),
+//!    the mean bin that closed a measurement interval over the mean other
+//!    bin, each timed from its first observer call to its last, digest
+//!    included (`interval_bin_vs_bin`: the bins whose queries report)
 //!    and the length of its checkpoint after the run (`snapshot_bytes`;
 //!    a follower writes its head's position, not its head's state);
 //!    the same shape with the default measurement noise
@@ -914,9 +919,10 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
     };
     let run = |noisy: bool| {
         let mut monitor = tenants(noisy).build().expect("valid configuration");
-        let mut digest = TimedDigest::default();
+        let mut observers = (TimedDigest::default(), BinClock::default());
         let mut source = TimedReader::over(&batches);
-        monitor.run(&mut source, &mut digest).expect("run");
+        monitor.run(&mut source, &mut observers).expect("run");
+        let (digest, clock) = observers;
         let stages = monitor.stage_stats();
         let mut snapshot = StateWriter::new();
         monitor.save_state(&mut snapshot).expect("every tenant checkpoints");
@@ -925,6 +931,7 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
             .cell("bins", stages.bins)
             .cell("bin_ns", num(mean_bin_ns(&stages), 0))
             .cell("digest_vs_bin", num(digest.ns as f64 / stages.bin_ns() as f64, 4))
+            .cell("interval_bin_vs_bin", num(clock.interval_vs_other(), 3))
             .cell("decode_vs_bin", source.share_of(&stages))
             .cell("full_predictions_per_bin", num(sharing.full, 2))
             .cell("query_runs_per_bin", num(sharing.runs, 2))
@@ -967,6 +974,46 @@ impl RunObserver for TimedDigest {
 
     fn on_interval(&mut self, outputs: &[(String, QueryOutput)]) {
         self.timed(|digest| digest.on_interval(outputs));
+    }
+}
+
+/// Each bin's wall time from `on_batch` to `on_bin` — the engine's bin and,
+/// for the observers ahead of this one in a tuple, their work on it — kept
+/// apart for the bins that closed a measurement interval (their queries
+/// report, and the digest absorbs the outputs) and for the others.
+#[derive(Default)]
+struct BinClock {
+    start: Option<Instant>,
+    closes_interval: bool,
+    /// (nanoseconds, bins) of the interval-closing bins and of the others.
+    interval: (u64, u64),
+    other: (u64, u64),
+}
+
+impl BinClock {
+    /// The mean interval-closing bin over the mean other bin.
+    fn interval_vs_other(&self) -> f64 {
+        let mean = |(ns, bins): (u64, u64)| ns as f64 / bins.max(1) as f64;
+        mean(self.interval) / mean(self.other)
+    }
+}
+
+impl RunObserver for BinClock {
+    fn on_batch(&mut self, _batch: &Batch) {
+        self.closes_interval = false;
+        self.start = Some(Instant::now());
+    }
+
+    fn on_interval(&mut self, _outputs: &[(String, QueryOutput)]) {
+        self.closes_interval = true;
+    }
+
+    fn on_bin(&mut self, _record: &BinRecord) {
+        if let Some(start) = self.start.take() {
+            let sum = if self.closes_interval { &mut self.interval } else { &mut self.other };
+            sum.0 += start.elapsed().as_nanos() as u64;
+            sum.1 += 1;
+        }
     }
 }
 
@@ -1072,11 +1119,53 @@ fn bench_registry_scale(bins: usize) -> Report {
         steady_state.push((queries, ns_per_bin));
     }
     let (low, high) = (steady_state[0], steady_state[steady_state.len() - 1]);
-    let marginal_ns_per_query_per_bin = (high.1 - low.1).max(0.0) / (high.0 - low.0) as f64;
+    let members = (high.0 - low.0) as f64;
+    let marginal_ns_per_query_per_bin = (high.1 - low.1).max(0.0) / members;
+    let digest_marginal_ns_per_query_per_bin =
+        (digest_ns_per_bin(high.0, &batches) - digest_ns_per_bin(low.0, &batches)).max(0.0)
+            / members;
     Report::new()
         .cell("bins", bins)
         .table("tenants", tenants)
         .cell("marginal_ns_per_query_per_bin", num(marginal_ns_per_query_per_bin, 0))
+        .cell("digest_marginal_ns_per_query_per_bin", num(digest_marginal_ns_per_query_per_bin, 1))
+}
+
+/// The run digest's nanoseconds a bin over the records of `queries`
+/// identical `counter` tenants (the registry row's shape) on `batches`: the
+/// bins are run once and kept, and a fresh `DigestObserver` absorbs them in
+/// the engine's order, best of nine passes.
+fn digest_ns_per_bin(queries: usize, batches: &[Batch]) -> f64 {
+    struct Tape(Vec<BinRecord>);
+    impl RunObserver for Tape {
+        fn on_bin(&mut self, record: &BinRecord) {
+            self.0.push(record.clone());
+        }
+    }
+    let mut monitor = Monitor::new(MonitorConfig::default().with_capacity(1e15).with_seed(7));
+    for i in 0..queries {
+        let spec = QuerySpec::new(QueryKind::Counter).with_label(format!("tenant-{i:04}"));
+        monitor.register(&spec).expect("valid spec");
+    }
+    let mut tape = Tape(Vec::new());
+    monitor.run(&mut BatchReplay::new(batches.to_vec()), &mut tape).expect("run");
+    let best_ns = (0..9)
+        .map(|_| {
+            let start = Instant::now();
+            let mut digest = DigestObserver::new();
+            for record in &tape.0 {
+                if let Some(outputs) = &record.interval_outputs {
+                    digest.on_interval(outputs);
+                }
+                digest.on_decision(record.bin_index, &record.decision);
+                digest.on_bin(record);
+            }
+            black_box(digest.digest());
+            start.elapsed().as_nanos()
+        })
+        .min()
+        .expect("nine passes");
+    best_ns as f64 / tape.0.len() as f64
 }
 
 fn main() {

@@ -44,8 +44,9 @@ pub const MANIFEST_NAME: &str = "GOLDEN.digests";
 /// epoch 2 draws one packet key per bin for every packet-sampled query;
 /// epoch 3 fingerprints the same runs with the word-wise digest; epoch 4
 /// draws the measurement noise once per run of a cohort's instances, where a
-/// follower had drawn its own.
-pub const DIGEST_EPOCH: u32 = 4;
+/// follower had drawn its own; epoch 5 fingerprints the same runs with the
+/// four-lane digest, which absorbs each emitted value once.
+pub const DIGEST_EPOCH: u32 = 5;
 
 /// The manifest line that names its epoch.
 const EPOCH_LINE: &str = "# digest epoch ";

@@ -5,9 +5,11 @@
 //! outputs regardless of worker count. Pinning whole tapes in a golden
 //! corpus would be huge and unreadable; a [`DigestObserver`] instead folds
 //! each of the three event streams into a 64-bit digest over a *canonical*
-//! encoding — floats by `to_bits`, hash-map-backed query outputs sorted by
-//! key — so the digest depends only on the emitted values, never on
-//! process-local hash seeds or iteration order. Equal digests ⇔ equal
+//! encoding — floats by `to_bits`, map- and set-backed query outputs in key
+//! order — so the digest depends only on the emitted values, never on
+//! process-local hash seeds or insertion order. Each emitted value is
+//! absorbed once: a bin record leaves its decision and its interval outputs
+//! to the decision and interval streams. Equal digests ⇔ equal
 //! streams (up to hash collisions), which is what `tests/golden.rs` and the
 //! `netshed-bench` `scenarios verify` subcommand compare against the
 //! committed corpus manifest.
@@ -31,25 +33,32 @@ const ABSORB_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 const ABSORB_ROT: u32 = 31;
 
 /// Folds canonically-encoded values into one 64-bit digest, one 64-bit word
-/// per step.
+/// per step, over four chains.
 ///
 /// Every canonical value is one word — a `u64` or an `f64`'s bits as itself,
 /// a `u8` or `bool` widened — except a string, which is its length word and
 /// then its bytes packed little-endian into zero-padded words. Each word is
-/// absorbed by `state = (state ^ word) · ABSORB_MUL ⟲ ABSORB_ROT`. For a
-/// fixed word that step is a bijection of the state, and for a fixed state a
-/// bijection of the word, so two streams of equal length that differ in
-/// exactly one word always end in different states; [`mix64`], which
-/// finishes [`StreamDigest::value`], is a bijection too. A word per step
-/// keeps the dependent chain at one multiply per value, where a byte-serial
-/// hash pays one per byte.
+/// absorbed into the front chain by `chain = (chain ^ word) · ABSORB_MUL ⟲
+/// ABSORB_ROT`, and the four chains rotate, so word `i` lands on chain
+/// `i mod 4` and four consecutive words form four independent multiplies
+/// instead of one dependent one. For a fixed word that step is a bijection
+/// of the chain, and for a fixed chain a bijection of the word;
+/// [`StreamDigest::value`] folds the four chains by the same step, which is
+/// injective in each chain while the other three are fixed, and finishes with
+/// [`mix64`], a bijection too. So two streams of equal length that differ in
+/// exactly one word always end in different digests.
 ///
 /// The encoding and the step are part of the corpus format: changing either
 /// invalidates every pinned digest, so change them only as a digest epoch
 /// (see `corpus/README.md`).
 #[derive(Debug, Clone, Copy)]
 pub struct StreamDigest {
-    state: u64,
+    // The chains in named fields, not an array indexed by position: the
+    // rotation keeps them in registers across a record.
+    front: u64,
+    second: u64,
+    third: u64,
+    back: u64,
     items: u64,
 }
 
@@ -59,10 +68,22 @@ impl Default for StreamDigest {
     }
 }
 
+/// One absorption step of `word` into `chain`.
+#[inline]
+fn step(chain: u64, word: u64) -> u64 {
+    (chain ^ word).wrapping_mul(ABSORB_MUL).rotate_left(ABSORB_ROT)
+}
+
 impl StreamDigest {
     /// An empty digest.
     pub fn new() -> Self {
-        Self { state: DIGEST_SEED, items: 0 }
+        Self {
+            front: DIGEST_SEED,
+            second: DIGEST_SEED,
+            third: DIGEST_SEED,
+            back: DIGEST_SEED,
+            items: 0,
+        }
     }
 
     /// Number of items absorbed.
@@ -72,15 +93,18 @@ impl StreamDigest {
 
     /// The digest value over everything absorbed so far.
     pub fn value(&self) -> u64 {
-        mix64(self.state)
+        let folded =
+            [self.front, self.second, self.third, self.back].into_iter().fold(DIGEST_SEED, step);
+        mix64(folded)
     }
 
-    /// Serializes the digest position (chain state + item count) so a restored
-    /// run continues the *same* digest chain an uninterrupted run would
-    /// produce.
+    /// Serializes the digest position (the four chains + item count) so a
+    /// restored run continues the *same* digest chains an uninterrupted run
+    /// would produce.
     pub fn save_state(&self, writer: &mut netshed_sketch::StateWriter) {
-        writer.u64(self.state);
-        writer.u64(self.items);
+        for word in [self.front, self.second, self.third, self.back, self.items] {
+            writer.u64(word);
+        }
     }
 
     /// Restores a position written by [`StreamDigest::save_state`].
@@ -88,15 +112,22 @@ impl StreamDigest {
         &mut self,
         reader: &mut netshed_sketch::StateReader<'_>,
     ) -> Result<(), netshed_sketch::StateError> {
-        self.state = reader.u64()?;
-        self.items = reader.u64()?;
+        for word in
+            [&mut self.front, &mut self.second, &mut self.third, &mut self.back, &mut self.items]
+        {
+            *word = reader.u64()?;
+        }
         Ok(())
     }
 
-    /// One absorption step.
+    /// Absorbs one word into the front chain and rotates the chains.
     #[inline]
     fn word(&mut self, word: u64) {
-        self.state = (self.state ^ word).wrapping_mul(ABSORB_MUL).rotate_left(ABSORB_ROT);
+        let absorbed = step(self.front, word);
+        self.front = self.second;
+        self.second = self.third;
+        self.third = self.back;
+        self.back = absorbed;
     }
 
     fn u8(&mut self, v: u8) {
@@ -114,20 +145,33 @@ impl StreamDigest {
     }
 
     fn str(&mut self, v: &str) {
-        self.word(v.len() as u64);
-        for chunk in v.as_bytes().chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.word(u64::from_le_bytes(word));
+        let bytes = v.as_bytes();
+        self.word(bytes.len() as u64);
+        let (chunks, tail) = bytes.as_chunks::<8>();
+        for chunk in chunks {
+            self.word(u64::from_le_bytes(*chunk));
         }
+        if tail.is_empty() {
+            return;
+        }
+        // The tail's bytes, zero-padded: the string's last eight shifted
+        // past those a full word already took, or, in a string shorter than
+        // a word, gathered one at a time — never a variable-length copy.
+        self.word(match bytes.last_chunk::<8>() {
+            Some(last) => u64::from_le_bytes(*last) >> (8 * (8 - tail.len())),
+            None => tail.iter().rev().fold(0, |word, &byte| word << 8 | u64::from(byte)),
+        });
     }
 
     fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
-    /// Absorbs one bin record (including its per-query rows, its decision
-    /// and any interval outputs riding on it).
+    /// Absorbs one bin record: its counters, cycles and per-query rows, and
+    /// whether interval outputs ride on it. The outputs themselves and the
+    /// record's decision are not absorbed again: a [`DigestObserver`]'s
+    /// interval and decision streams hold them, and the presence word ties
+    /// each interval's outputs to the bin that closed it.
     pub fn absorb_record(&mut self, record: &BinRecord) {
         self.items += 1;
         self.u64(record.bin_index);
@@ -151,31 +195,14 @@ impl StreamDigest {
             self.u64(query.delivered_packets);
             self.bool(query.disabled);
         }
-        match &record.interval_outputs {
-            None => self.u8(0),
-            Some(outputs) => {
-                self.u8(1);
-                self.absorb_outputs_body(outputs);
-            }
-        }
-        self.absorb_decision_body(record.decision.rates.len() as u64, &record.decision);
+        self.bool(record.interval_outputs.is_some());
     }
 
     /// Absorbs one control decision, prefixed by its bin index.
     pub fn absorb_decision(&mut self, bin_index: u64, decision: &ControlDecision) {
         self.items += 1;
         self.u64(bin_index);
-        self.absorb_decision_body(decision.rates.len() as u64, decision);
-    }
-
-    /// Absorbs one interval's query outputs.
-    pub fn absorb_outputs(&mut self, outputs: &[(String, QueryOutput)]) {
-        self.items += 1;
-        self.absorb_outputs_body(outputs);
-    }
-
-    fn absorb_decision_body(&mut self, len: u64, decision: &ControlDecision) {
-        self.u64(len);
+        self.u64(decision.rates.len() as u64);
         for rate in &decision.rates {
             self.f64(*rate);
         }
@@ -207,7 +234,9 @@ impl StreamDigest {
         });
     }
 
-    fn absorb_outputs_body(&mut self, outputs: &[(String, QueryOutput)]) {
+    /// Absorbs one interval's query outputs.
+    pub fn absorb_outputs(&mut self, outputs: &[(String, QueryOutput)]) {
+        self.items += 1;
         self.u64(outputs.len() as u64);
         for (name, output) in outputs {
             self.str(name);
@@ -216,8 +245,8 @@ impl StreamDigest {
     }
 
     /// Absorbs one query output in canonical form (map- and set-backed
-    /// variants are sorted by key so the digest is independent of the
-    /// process's hash seeds).
+    /// variants are ordered trees, read in key order, so the digest is
+    /// independent of the order their entries were inserted in).
     fn absorb_output(&mut self, output: &QueryOutput) {
         match output {
             QueryOutput::Counter { packets, bytes } => {
@@ -227,10 +256,8 @@ impl StreamDigest {
             }
             QueryOutput::Application { per_app } => {
                 self.u8(1);
-                let mut entries: Vec<_> = per_app.iter().collect();
-                entries.sort_by_key(|(app, _)| **app);
-                self.u64(entries.len() as u64);
-                for (app, (packets, bytes)) in entries {
+                self.u64(per_app.len() as u64);
+                for (app, (packets, bytes)) in per_app {
                     self.str(app);
                     self.f64(*packets);
                     self.f64(*bytes);
@@ -263,21 +290,17 @@ impl StreamDigest {
             }
             QueryOutput::SuperSources { fanouts } => {
                 self.u8(6);
-                let mut entries: Vec<_> = fanouts.iter().collect();
-                entries.sort_by_key(|(src, _)| **src);
-                self.u64(entries.len() as u64);
-                for (src, fanout) in entries {
+                self.u64(fanouts.len() as u64);
+                for (src, fanout) in fanouts {
                     self.u64(u64::from(*src));
                     self.f64(*fanout);
                 }
             }
             QueryOutput::P2pFlows { flows } => {
                 self.u8(7);
-                let mut keys: Vec<u64> = flows.iter().copied().collect();
-                keys.sort_unstable();
-                self.u64(keys.len() as u64);
-                for key in keys {
-                    self.u64(key);
+                self.u64(flows.len() as u64);
+                for key in flows {
+                    self.u64(*key);
                 }
             }
             QueryOutput::Coverage { processed_packets, total_packets } => {
@@ -294,7 +317,9 @@ impl StreamDigest {
 pub struct RunDigest {
     /// Bins that produced a [`BinRecord`].
     pub bins: u64,
-    /// Digest over the `BinRecord` stream.
+    /// Digest over the `BinRecord` stream: each record's counters, cycles
+    /// and per-query rows, and whether it closed an interval (its decision
+    /// and outputs are in the other two streams).
     pub records: u64,
     /// Digest over the `(bin_index, ControlDecision)` stream.
     pub decisions: u64,
@@ -541,6 +566,23 @@ mod tests {
         assert_ne!(strings(&["abcdefgh"]), strings(&["abcdefgh\0"]));
     }
 
+    #[test]
+    fn a_string_is_its_length_and_its_zero_padded_little_endian_words() {
+        let text = "tenant-0042/super-sources:§µ";
+        for end in (0..=text.len()).filter(|&end| text.is_char_boundary(end)) {
+            let v = &text[..end];
+            let mut words = vec![v.len() as u64];
+            for chunk in v.as_bytes().chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                words.push(u64::from_le_bytes(word));
+            }
+            let mut digest = StreamDigest::new();
+            digest.str(v);
+            assert_eq!(digest.value(), digest_of_words(&words), "{v:?}");
+        }
+    }
+
     /// A random bin record over some of `ids`: every field the digest reads
     /// drawn, one bin in three carrying interval outputs.
     fn random_record(draw: &mut Draw, ids: &[QueryId]) -> BinRecord {
@@ -597,6 +639,20 @@ mod tests {
             .collect()
     }
 
+    /// The fingerprint of `records` fed to a [`DigestObserver`] the way an
+    /// engine reports a bin: its interval outputs, its decision, the record.
+    fn observed(records: &[BinRecord]) -> RunDigest {
+        let mut observer = DigestObserver::new();
+        for record in records {
+            if let Some(outputs) = &record.interval_outputs {
+                observer.on_interval(outputs);
+            }
+            observer.on_decision(record.bin_index, &record.decision);
+            observer.on_bin(record);
+        }
+        observer.digest()
+    }
+
     #[test]
     fn distinct_random_record_streams_do_not_collide() {
         let ids = registered_ids(4);
@@ -606,19 +662,68 @@ mod tests {
             let length = 1 + draw.below(3) as usize;
             let stream: Vec<BinRecord> =
                 (0..length).map(|_| random_record(&mut draw, &ids)).collect();
-            let mut digest = StreamDigest::new();
-            for record in &stream {
-                digest.absorb_record(record);
-            }
+            values.push(observed(&stream));
             streams.push(stream);
-            values.push(digest.value());
         }
+        let key = |digest: &RunDigest| (digest.records, digest.decisions, digest.intervals);
         let mut order: Vec<usize> = (0..values.len()).collect();
-        order.sort_by_key(|&at| values[at]);
+        order.sort_by_key(|&at| key(&values[at]));
         for pair in order.windows(2) {
             if values[pair[0]] == values[pair[1]] {
                 assert_eq!(streams[pair[0]], streams[pair[1]], "two distinct streams collide");
             }
+        }
+    }
+
+    /// Each emitted value is absorbed once, by one stream, and still counts:
+    /// changing, dropping or moving one interval output, moving a whole
+    /// interval's outputs to the next bin, or changing one decision rate
+    /// changes the run's fingerprint.
+    #[test]
+    fn every_emitted_value_reaches_the_run_digest() {
+        let ids = registered_ids(4);
+        let mut draw = Draw(31);
+        let records: Vec<BinRecord> = (0..24)
+            .map(|bin| {
+                let mut record = random_record(&mut draw, &ids);
+                record.bin_index = bin;
+                record.interval_outputs = (bin % 4 == 3).then(|| {
+                    vec![
+                        (
+                            "counter".into(),
+                            QueryOutput::Counter { packets: draw.float(), bytes: 1.0 },
+                        ),
+                        ("flows".into(), QueryOutput::Flows { count: draw.float() }),
+                    ]
+                });
+                record.decision.rates = vec![draw.float(); 1 + draw.below(3) as usize];
+                record
+            })
+            .collect();
+        let base = observed(&records);
+        fn outputs(records: &mut [BinRecord], bin: usize) -> &mut Vec<(String, QueryOutput)> {
+            records[bin].interval_outputs.as_mut().expect("an interval closes here")
+        }
+        let mut mutants: Vec<(&str, Vec<BinRecord>)> = Vec::new();
+        let mut changed = records.clone();
+        outputs(&mut changed, 7)[1].1 = QueryOutput::Flows { count: 3.0 };
+        mutants.push(("an output changed", changed));
+        let mut dropped = records.clone();
+        outputs(&mut dropped, 7).pop();
+        mutants.push(("an output dropped", dropped));
+        let mut moved = records.clone();
+        let output = outputs(&mut moved, 7).pop().expect("two outputs");
+        outputs(&mut moved, 11).push(output);
+        mutants.push(("an output moved to the next interval", moved));
+        let mut late = records.clone();
+        late[8].interval_outputs = late[7].interval_outputs.take();
+        mutants.push(("an interval's outputs moved to the next bin", late));
+        let mut rate = records.clone();
+        rate[5].decision.rates[0] = 0.25;
+        mutants.push(("a decision rate changed", rate));
+        for (what, mutant) in mutants {
+            assert_ne!(mutant, records, "{what}: the mutant is another stream");
+            assert_ne!(observed(&mutant), base, "{what}: the run digest did not move");
         }
     }
 
@@ -631,11 +736,7 @@ mod tests {
         for record in &records {
             whole.absorb_record(record);
         }
-        for cut in 0..=records.len() {
-            let mut first = StreamDigest::new();
-            for record in &records[..cut] {
-                first.absorb_record(record);
-            }
+        let resumed = |first: &StreamDigest| {
             let mut writer = netshed_sketch::StateWriter::new();
             first.save_state(&mut writer);
             let bytes = writer.into_bytes();
@@ -643,11 +744,28 @@ mod tests {
             resumed
                 .load_state(&mut netshed_sketch::StateReader::new(&bytes))
                 .expect("a written position loads");
+            resumed
+        };
+        for cut in 0..=records.len() {
+            let mut first = StreamDigest::new();
+            for record in &records[..cut] {
+                first.absorb_record(record);
+            }
+            let mut resumed = resumed(&first);
             for record in &records[cut..] {
                 resumed.absorb_record(record);
             }
             assert_eq!(resumed.items(), whole.items(), "cut at {cut}");
             assert_eq!(resumed.value(), whole.value(), "cut at {cut}");
+        }
+        // Cut between any two words: at every phase of the chains' rotation.
+        let words: Vec<u64> = (0..9).map(|_| draw.word()).collect();
+        for cut in 0..=words.len() {
+            let mut first = StreamDigest::new();
+            words[..cut].iter().for_each(|&word| first.word(word));
+            let mut resumed = resumed(&first);
+            words[cut..].iter().for_each(|&word| resumed.word(word));
+            assert_eq!(resumed.value(), digest_of_words(&words), "word cut at {cut}");
         }
     }
 

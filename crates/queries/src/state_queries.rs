@@ -14,6 +14,29 @@ use crate::query::{
 use netshed_sketch::{hash_bytes, DetHashMap, DetHashSet, StateError, StateReader, StateWriter};
 use netshed_trace::{BatchView, FlowSet};
 
+/// The `n` entries of `entries` with the largest values by
+/// [`f64::total_cmp`], largest first, entries of equal value in the order
+/// met — what a stable descending sort of all of them followed by
+/// `truncate(n)` keeps, in one pass that holds at most `n` entries.
+///
+/// An entry not strictly above the `n`-th kept so far is skipped: a full
+/// sort would place it after all `n`. One that is kept goes after every
+/// kept entry whose value is at least its own.
+pub fn top_n<K>(entries: impl Iterator<Item = (K, f64)>, n: usize) -> Vec<(K, f64)> {
+    let mut top: Vec<(K, f64)> = Vec::with_capacity(n.min(entries.size_hint().0));
+    for (key, value) in entries {
+        if top.len() == n {
+            if !top.last().is_some_and(|last| value.total_cmp(&last.1).is_gt()) {
+                continue;
+            }
+            top.pop();
+        }
+        let at = top.partition_point(|kept| kept.1.total_cmp(&value).is_ge());
+        top.insert(at, (key, value));
+    }
+    top
+}
+
 /// `flows`: per-flow classification and count of active 5-tuple flows.
 ///
 /// Uses flow sampling (Table 2.2), since packet sampling biases flow counts.
@@ -153,10 +176,7 @@ impl Query for TopKQuery {
     }
 
     fn end_interval(&mut self) -> QueryOutput {
-        let mut ranking: Vec<(u32, f64)> = self.bytes_per_dst.drain().collect();
-        ranking.sort_by(|a, b| b.1.total_cmp(&a.1));
-        ranking.truncate(self.k);
-        QueryOutput::TopK { ranking }
+        QueryOutput::TopK { ranking: top_n(self.bytes_per_dst.drain(), self.k) }
     }
 
     fn absorb(&mut self, lane: &mut dyn Query) {
@@ -235,9 +255,7 @@ impl Query for SuperSourcesQuery {
     }
 
     fn end_interval(&mut self) -> QueryOutput {
-        let mut sources: Vec<(u32, f64)> = self.fanout.drain().collect();
-        sources.sort_by(|a, b| b.1.total_cmp(&a.1));
-        sources.truncate(self.top);
+        let sources = top_n(self.fanout.drain(), self.top);
         self.pairs_seen.clear();
         QueryOutput::SuperSources { fanouts: sources.into_iter().collect() }
     }

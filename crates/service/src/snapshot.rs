@@ -79,7 +79,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NSCK";
 /// record held a predictor, is retired, and a record with any bit but those
 /// two is corrupt. A version-6 file is refused, not migrated: its follower
 /// records may hold predictors a version-7 restore has nowhere to put.
-pub const SNAPSHOT_FORMAT_VERSION: u16 = 7;
+///
+/// Version 8: the `digest` section holds four chain states and one item
+/// count per stream, where a version-7 file holds one chain state: the run
+/// digest absorbs its words over four rotating chains (digest epoch 5). A
+/// version-7 file is refused, not migrated — its one chain cannot continue
+/// under the four.
+pub const SNAPSHOT_FORMAT_VERSION: u16 = 8;
 
 /// Seed of the container checksums (header, per-section and end frame).
 const CHECKSUM_SEED: u64 = 0x6e73_636b; // "nsck"
@@ -472,15 +478,15 @@ mod tests {
         let expected = SNAPSHOT_FORMAT_VERSION.to_string();
         assert!(message.contains("99") && message.contains(&expected), "{message}");
 
-        // The version before this one — whose followers may own copies of
-        // their heads' predictors — is refused the same way, not misread.
-        bytes[4] = 6;
+        // The version before this one — whose digest section holds one
+        // chain per stream — is refused the same way, not misread.
+        bytes[4] = 7;
         let mut fnv = IncrementalFnv::new(CHECKSUM_SEED);
         fnv.write(&bytes[..16]);
         bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
         assert_eq!(
             Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 6, expected: 7 }
+            SnapshotError::UnsupportedVersion { found: 7, expected: 8 }
         );
     }
 

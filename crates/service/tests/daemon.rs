@@ -436,10 +436,10 @@ fn version_skew_names_found_and_expected() {
         "version-skew message must name found and expected: {message}"
     );
 
-    // A version-6 container (whose cohort followers may own copies of their
-    // heads' predictors) is refused by the restore with both versions named,
-    // never read as this version.
-    bytes[4] = 6;
+    // A version-7 container (whose digest section holds one chain per
+    // stream) is refused by the restore with both versions named, never read
+    // as this version.
+    bytes[4] = 7;
     let mut fnv = netshed_sketch::IncrementalFnv::new(0x6e73_636b);
     fnv.write(&bytes[..16]);
     bytes[16..24].copy_from_slice(&fnv.finish().to_le_bytes());
@@ -447,7 +447,7 @@ fn version_skew_names_found_and_expected() {
         Daemon::<_, Monitor>::restore_engine(overloaded_config(1), recorded_trace(), &bytes);
     match restored.map(|_| ()).unwrap_err() {
         ServiceError::Snapshot(error) => {
-            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 6, expected: 7 });
+            assert_eq!(error, SnapshotError::UnsupportedVersion { found: 7, expected: 8 });
         }
         other => panic!("expected the version skew to be named, got {other}"),
     }

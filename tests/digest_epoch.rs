@@ -1,11 +1,12 @@
-//! Digest epoch 3 moved the corpus's fingerprints, not its runs.
+//! Digest epoch 5 moved the corpus's fingerprints, not its runs.
 //!
-//! The epoch replaced the byte-serial FNV-1a run digest by one that absorbs
-//! a 64-bit word per step, over the same canonical encoding. Every manifest
-//! row is replayed once with both digests attached to the one run: the
-//! byte-serial digest (`tests/oracle/`) must land on the row epoch 2
-//! recorded and the word-wise one on the row `corpus/GOLDEN.digests` holds
-//! now — so each epoch-3 row fingerprints exactly the run its epoch-2 row
+//! The epoch replaced the one-chain run digest by one that spreads its words
+//! over four rotating chains and absorbs each emitted value once (a bin
+//! record no longer re-absorbs its decision and interval outputs). Every
+//! manifest row is replayed once with both digests attached to the one run:
+//! the one-chain digest (`tests/oracle/`) must land on the row epoch 4
+//! recorded and the four-lane one on the row `corpus/GOLDEN.digests` holds
+//! now — so each epoch-5 row fingerprints exactly the run its epoch-4 row
 //! did. (`tests/engine.rs` does the same for its digest pins.)
 
 mod oracle;
@@ -15,18 +16,18 @@ use netshed_bench::corpus::{
     all_strategies, corpus_capacity, corpus_config, corpus_engine, parse_manifest, MANIFEST_NAME,
 };
 use netshed_trace::scenario::builtins;
-use oracle::{epoch2_manifest, ByteDigestObserver};
+use oracle::{epoch4_manifest, WordSerialDigestObserver};
 
 #[test]
-fn every_manifest_row_moved_only_its_fingerprint_at_digest_epoch_3() {
+fn every_manifest_row_moved_only_its_fingerprint_at_digest_epoch_5() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus").join(MANIFEST_NAME);
     let manifest = std::fs::read_to_string(path).expect("committed manifest");
-    let epoch3 = parse_manifest(&manifest).expect("a manifest of this epoch");
-    let epoch2 = epoch2_manifest();
-    assert_eq!(epoch2.len(), 63);
-    assert_eq!(epoch3.len(), epoch2.len());
+    let epoch5 = parse_manifest(&manifest).expect("a manifest of this epoch");
+    let epoch4 = epoch4_manifest();
+    assert_eq!(epoch4.len(), 63);
+    assert_eq!(epoch5.len(), epoch4.len());
 
-    let mut rows = epoch3.iter().zip(&epoch2);
+    let mut rows = epoch5.iter().zip(&epoch4);
     for scenario in builtins() {
         let batches = scenario.generate().expect("builtins are valid");
         let capacity = corpus_capacity(&batches);
@@ -39,16 +40,16 @@ fn every_manifest_row_moved_only_its_fingerprint_at_digest_epoch_3() {
             );
             assert_eq!((then.0.as_str(), then.1.as_str()), (scenario.name(), &*strategy_name));
 
-            let mut observers = (DigestObserver::new(), ByteDigestObserver::default());
+            let mut observers = (DigestObserver::new(), WordSerialDigestObserver::default());
             corpus_engine::<Monitor>(corpus_config(strategy, capacity, 1))
                 .expect("valid corpus configuration")
                 .run(&mut BatchReplay::new(batches.clone()), &mut observers)
                 .expect("corpus run");
-            assert_eq!(observers.1.digest(), then.2, "{row}: the byte-serial digest left epoch 2");
+            assert_eq!(observers.1.digest(), then.2, "{row}: the one-chain digest left epoch 4");
             assert_eq!(
                 observers.0.digest(),
                 now.digest,
-                "{row}: the word-wise digest left epoch 3"
+                "{row}: the four-lane digest left epoch 5"
             );
         }
     }

@@ -17,12 +17,10 @@
 //! * the three ways to drive an engine — `run`, daemon ticks, a hand-driven
 //!   `ingest` loop — agree on all three digest streams.
 //!
-//! The digest pins below were re-captured at digest epoch 3, which changed
-//! the fingerprint function and nothing else: one run of the tenant shape
-//! lands on the new pin under the word-wise digest and on epoch 2's pin
-//! (kept in `tests/oracle/`) under the byte-serial one. The churn pins were
-//! re-captured again at digest epoch 4, which moved that run's measurement
-//! noise draws: a cohort follower takes its head's.
+//! The digest pins below were re-captured at digest epoch 5, which changed
+//! the fingerprint function and nothing else: one run of each pinned shape
+//! lands on the new pin under the four-lane digest and on epoch 4's pin
+//! (kept in `tests/oracle/`) under the one-chain one.
 
 mod oracle;
 
@@ -33,7 +31,10 @@ use netshed_bench::corpus::{
 };
 use netshed_service::{Daemon, MonitorEngine, TickStatus};
 use netshed_trace::scenario::builtin;
-use oracle::{ByteDigestObserver, EPOCH2_TENANTS_FOUR_LANES, EPOCH2_TENANTS_SOLO};
+use oracle::{
+    WordSerialDigestObserver, EPOCH4_CHURN_FOUR_LANES, EPOCH4_CHURN_SOLO,
+    EPOCH4_TENANTS_FOUR_LANES, EPOCH4_TENANTS_SOLO,
+};
 use std::borrow::Borrow;
 
 /// What `run` must return on the pinned scenario.
@@ -176,13 +177,13 @@ fn assert_pinned_across_engines_workers_and_a_restore(
 
 /// The three digest streams of the tenant run below on a solo monitor, as
 /// captured at the commit before predictors started sharing an engine's
-/// feature window (re-captured at digest epoch 3, like every digest pin
-/// here).
+/// feature window (re-captured at digest epochs 3 and 5, like every digest
+/// pin here).
 const TENANTS_SOLO: RunDigest = RunDigest {
     bins: 150,
-    records: 0xfe6d6827f1be794a,
-    decisions: 0xe03a6283429c093c,
-    intervals: 0x30ca0e8cee8f8e8a,
+    records: 0xb249ded6f6394862,
+    decisions: 0x84f63971a4ecb1d0,
+    intervals: 0xfb6aec851f535344,
 };
 /// Re-captured when lanes started folding query state instead of reports
 /// (`Query::absorb`). Nothing is shed, so the interval stream *is* the solo
@@ -191,8 +192,8 @@ const TENANTS_SOLO: RunDigest = RunDigest {
 /// which is why they moved), the decisions did not move.
 const TENANTS_FOUR_LANES: RunDigest = RunDigest {
     bins: 150,
-    records: 0x77c70d8495c767e1,
-    decisions: 0x4e4eaa3a9c61050e,
+    records: 0x32b9a54c861d7afa,
+    decisions: 0x82459139ef61aa1b,
     intervals: TENANTS_SOLO.intervals,
 };
 
@@ -277,27 +278,28 @@ fn an_unshed_tenant_run_is_pinned_across_engines_workers_and_a_restore() {
 /// The three digest streams of the churn run below, as captured at the
 /// commit before the bin's scratch vectors became one reused context,
 /// re-captured at digest epoch 2 (its packet-sampled tenants share one key
-/// per packet), at digest epoch 3 (the fingerprint) and at digest epoch 4:
-/// its noisy 40-tenant phase runs cohorts of four, whose followers take
-/// their head's noise draw instead of drawing their own, which moved every
-/// later draw (`corpus/README.md`, "Epochs", holds the epoch-3 pins).
+/// per packet), at digest epoch 3 (the fingerprint), at digest epoch 4 (its
+/// noisy 40-tenant phase runs cohorts of four, whose followers take their
+/// head's noise draw instead of drawing their own, which moved every later
+/// draw; `corpus/README.md`, "Epochs", holds the epoch-3 pins) and at digest
+/// epoch 5 (the fingerprint).
 /// Capacity of the churn run: the 13-tenant phases run about 2x overloaded,
 /// the 40-tenant phase about 5x, the 3-tenant phase unshed.
 const CHURN_CAPACITY: f64 = 7.0e5;
 const CHURN_SOLO: RunDigest = RunDigest {
     bins: 120,
-    records: 0x3df8bd2faf0a956a,
-    decisions: 0x1dd6e26c3eab3d22,
-    intervals: 0x3d717fd68d0dacd7,
+    records: 0xc6834c260a856a49,
+    decisions: 0x28fe5eb0a07dbc1f,
+    intervals: 0xd8f35880f17dd4c2,
 };
 /// Re-captured with `Query::absorb`, like `TENANTS_FOUR_LANES`: the decisions
 /// did not move, the interval outputs (and the records that carry them) did;
-/// and again at digest epochs 2, 3 and 4, with `CHURN_SOLO`.
+/// and again at digest epochs 2, 3, 4 and 5, with `CHURN_SOLO`.
 const CHURN_FOUR_LANES: RunDigest = RunDigest {
     bins: 120,
-    records: 0x7e16b1baa2969b95,
-    decisions: 0x3d91b1e773494eb9,
-    intervals: 0x88bfa7d0bed4b5d6,
+    records: 0x6e62882b6cb5ac47,
+    decisions: 0xc78e5b46531ec93e,
+    intervals: 0x63d73d2040ecf77a,
 };
 
 /// Tenant `index` of the churn run: all ten kinds in turn.
@@ -372,19 +374,19 @@ fn a_run_that_churns_registry_and_policy_is_pinned_across_engines_workers_and_a_
 }
 
 // ---------------------------------------------------------------------------
-// Digest epoch 3 moved the fingerprint, not the run.
+// Digest epoch 5 moved the fingerprint, not the run.
 // ---------------------------------------------------------------------------
 
 /// Drives engine `E` the way a pinned run's daemon does — `ingest` per
 /// non-empty bin with `before(bins done, engine)` ahead of each, then the
-/// open interval flushed by a `run` over nothing — with the word-wise and
-/// the byte-serial digest attached to the one run.
+/// open interval flushed by a `run` over nothing — with the four-lane and
+/// the one-chain digest attached to the one run.
 fn both_digests<E: MonitorEngine>(
     mut engine: E,
     mut source: BatchReplay,
     mut before: impl FnMut(u64, &mut E),
 ) -> (RunDigest, RunDigest) {
-    let mut observers = (DigestObserver::new(), ByteDigestObserver::default());
+    let mut observers = (DigestObserver::new(), WordSerialDigestObserver::default());
     let mut bins = 0;
     while let Some(batch) = source.next_batch() {
         if batch.is_empty() {
@@ -412,32 +414,54 @@ fn tenant_digests<E: MonitorEngine>(config: MonitorConfig) -> (RunDigest, RunDig
     })
 }
 
-/// In one run of the tenant shape, solo and on four lanes, the word-wise
-/// digest lands on its pin and the byte-serial digest of epochs 1 and 2
-/// (`tests/oracle/`) on the pin epoch 2 captured: the run did not move at
-/// epoch 3, only its fingerprint did, and it is unshed and noise-free, so
-/// epoch 4 could not move it. The churn shape left this check at epoch 4,
-/// whose draw order moved its run.
+/// The churn run's registry and policy changes, applied by hand.
+fn churn_digests<E: MonitorEngine>(config: MonitorConfig) -> (RunDigest, RunDigest) {
+    let policy = config.policy.clone();
+    let mut engine = E::from_config(config).expect("valid configuration");
+    let ids: Vec<QueryId> =
+        (0..40).map(|index| engine.register(&churn_spec(index)).expect("valid spec")).collect();
+    both_digests(engine, churn_source(), |bins, engine| match bins {
+        20 => ids[3..].iter().for_each(|id| engine.deregister(*id).expect("registered")),
+        30 => (40..50).for_each(|index| {
+            engine.register(&churn_spec(index)).expect("valid spec");
+        }),
+        40 => engine.set_policy(PolicySpec::new(|| OraclePolicy::new(MmfsPkt))),
+        60 => engine.set_policy(policy.clone()),
+        _ => {}
+    })
+}
+
+/// In one run of each pinned shape, solo and on four lanes, the four-lane
+/// digest lands on this epoch's pin and the one-chain digest of epochs 3
+/// and 4 (`tests/oracle/`) on the pin epoch 4 captured: the runs did not
+/// move at epoch 5, only their fingerprint did.
 #[test]
-fn the_engine_pins_moved_only_their_fingerprint_at_digest_epoch_3() {
+fn the_engine_pins_moved_only_their_fingerprint_at_digest_epoch_5() {
     let four = |config: MonitorConfig| config.with_shard_lanes(4);
     let cases = [
         (
             "tenants, solo",
             tenant_digests::<Monitor>(tenant_config()),
             TENANTS_SOLO,
-            EPOCH2_TENANTS_SOLO,
+            EPOCH4_TENANTS_SOLO,
         ),
         (
             "tenants, four lanes",
             tenant_digests::<ShardedMonitor>(four(tenant_config())),
             TENANTS_FOUR_LANES,
-            EPOCH2_TENANTS_FOUR_LANES,
+            EPOCH4_TENANTS_FOUR_LANES,
+        ),
+        ("churn, solo", churn_digests::<Monitor>(churn_config()), CHURN_SOLO, EPOCH4_CHURN_SOLO),
+        (
+            "churn, four lanes",
+            churn_digests::<ShardedMonitor>(four(churn_config())),
+            CHURN_FOUR_LANES,
+            EPOCH4_CHURN_FOUR_LANES,
         ),
     ];
-    for (shape, (words, bytes), pinned, epoch2) in cases {
-        assert_eq!(bytes, epoch2, "{shape}: the byte-serial digest left epoch 2's pin");
-        assert_eq!(words, pinned, "{shape}: the word-wise digest left this epoch's pin");
+    for (shape, (lanes, serial), pinned, epoch4) in cases {
+        assert_eq!(serial, epoch4, "{shape}: the one-chain digest left epoch 4's pin");
+        assert_eq!(lanes, pinned, "{shape}: the four-lane digest left this epoch's pin");
     }
 }
 

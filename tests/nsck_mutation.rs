@@ -150,5 +150,5 @@ fn every_section_table_mutation_of_a_fleet_checkpoint_fails_typed() {
 
     let what = "the version before this one";
     let error = snapshot_error(what, restore(what, sealed(version - 1, &frames, count, count)));
-    assert_eq!(error, SnapshotError::UnsupportedVersion { found: 6, expected: 7 });
+    assert_eq!(error, SnapshotError::UnsupportedVersion { found: 7, expected: 8 });
 }

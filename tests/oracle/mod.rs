@@ -8,13 +8,13 @@
 //! the per-packet `top-k` / `autofocus` / `application` lookups by one per
 //! flow (their additions stay per packet),
 //! `high-watermark`'s running peak by the per-bin table its lanes fold,
-//! the byte-serial run digest by the word-wise one, the record-at-a-time
+//! the one-chain run digest by the four-lane one, the record-at-a-time
 //! `.nstr` body decoder by the single pass into exactly-sized columns —
 //! the old one moves here for as long as a test compares against it,
 //! restated on public types only: nothing in this module calls the code it
 //! checks, and nothing here comes from `netshed_bench`. What is shared with
 //! production is the *definition* being pinned (`hash_bytes`, `mix64`,
-//! `IncrementalFnv`, the extractor's seed and dimensioning constants), not
+//! the extractor's seed and dimensioning constants), not
 //! an implementation of the operation under test.
 //!
 //! Each test binary uses its own part of the module.
@@ -27,7 +27,7 @@ use netshed::features::{
 use netshed::monitor::{BinRecord, ControlDecision, DecisionReason, RunDigest, RunObserver};
 use netshed::predict::{FcbfConfig, History};
 use netshed::queries::{costs, CycleMeter, QueryOutput};
-use netshed::sketch::{hash_bytes, mix64, H3Hasher, IncrementalFnv, StateWriter};
+use netshed::sketch::{hash_bytes, mix64, H3Hasher, StateWriter};
 use netshed::trace::{
     AppProtocol, Batch, BatchView, Bytes, FiveTuple, FormatError, FrameWalk, PacketRef,
     PacketStore, DEFAULT_MEASUREMENT_INTERVAL_US, FLOW_KEY_SEED,
@@ -435,6 +435,15 @@ impl PerPacketKernel for PerPacketFlows {
     }
 }
 
+/// `top-k`'s and `super-sources`' ranking before one bounded pass: every
+/// entry, in the order the table drains them, sorted stably by value
+/// descending (`f64::total_cmp`), then cut to the first `n`.
+pub fn sort_then_truncate<K>(mut entries: Vec<(K, f64)>, n: usize) -> Vec<(K, f64)> {
+    entries.sort_by(|a, b| b.1.total_cmp(&a.1));
+    entries.truncate(n);
+    entries
+}
+
 /// `top-k` before it probed once per flow: every packet looks its
 /// destination up, and a new destination enters with the packet's bytes.
 pub struct PerPacketTopK {
@@ -467,10 +476,8 @@ impl PerPacketKernel for PerPacketTopK {
     }
 
     fn end_interval(&mut self) -> QueryOutput {
-        let mut ranking = std::mem::take(&mut self.entries);
+        let ranking = sort_then_truncate(std::mem::take(&mut self.entries), self.k);
         self.position.clear();
-        ranking.sort_by(|a, b| b.1.total_cmp(&a.1));
-        ranking.truncate(self.k);
         QueryOutput::TopK { ranking }
     }
 
@@ -654,9 +661,7 @@ impl PerPacketKernel for PerPacketSuperSources {
     }
 
     fn end_interval(&mut self) -> QueryOutput {
-        let mut sources = std::mem::take(&mut self.fanout);
-        sources.sort_by(|a, b| b.1.total_cmp(&a.1));
-        sources.truncate(self.top);
+        let sources = sort_then_truncate(std::mem::take(&mut self.fanout), self.top);
         self.fanout_at.clear();
         self.pairs.clear();
         self.known_pairs.clear();
@@ -747,50 +752,63 @@ pub fn fcbf(
 }
 
 // ---------------------------------------------------------------------------
-// The run digest of epochs 1 and 2: byte-serial FNV-1a over the canonical
-// encoding, and what it pinned.
+// The run digest of epochs 3 and 4: one chain, a word per multiply-rotate
+// step, every interval's outputs and every decision absorbed twice; and
+// what it pinned.
 // ---------------------------------------------------------------------------
 
-/// `StreamDigest` before it absorbed a word per step: every canonical value
-/// as its little-endian bytes (a `u8` or `bool` one byte, a string its length
-/// as eight bytes and then its bytes), one FNV-1a multiply per byte from the
-/// seed "bins", finished by `mix64`.
+/// Starting state of the epoch-4 chain ("bins").
+const WORD_SERIAL_SEED: u64 = 0x6269_6e73;
+
+/// `StreamDigest` before it kept four chains: every canonical value as one
+/// 64-bit word (a string its length word and then its bytes packed
+/// little-endian into zero-padded words), each absorbed into one chain by
+/// `state = (state ^ word) · 0x9e37_79b9_7f4a_7c15 ⟲ 31`, finished by
+/// `mix64`. A bin record carried its interval outputs and its decision too.
 #[derive(Debug, Clone, Copy)]
-pub struct ByteStreamDigest {
-    fnv: IncrementalFnv,
+pub struct WordSerialDigest {
+    state: u64,
     items: u64,
 }
 
-impl Default for ByteStreamDigest {
+impl Default for WordSerialDigest {
     fn default() -> Self {
-        Self { fnv: IncrementalFnv::new(0x6269_6e73), items: 0 }
+        Self { state: WORD_SERIAL_SEED, items: 0 }
     }
 }
 
-impl ByteStreamDigest {
+impl WordSerialDigest {
     pub fn items(&self) -> u64 {
         self.items
     }
 
     pub fn value(&self) -> u64 {
-        self.fnv.finish()
+        mix64(self.state)
+    }
+
+    fn word(&mut self, word: u64) {
+        self.state = (self.state ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31);
     }
 
     fn u8(&mut self, v: u8) {
-        self.fnv.write(&[v]);
+        self.word(u64::from(v));
     }
 
     fn u64(&mut self, v: u64) {
-        self.fnv.write(&v.to_le_bytes());
+        self.word(v);
     }
 
     fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+        self.word(v.to_bits());
     }
 
     fn str(&mut self, v: &str) {
-        self.u64(v.len() as u64);
-        self.fnv.write(v.as_bytes());
+        self.word(v.len() as u64);
+        for chunk in v.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
     }
 
     fn bool(&mut self, v: bool) {
@@ -803,17 +821,13 @@ impl ByteStreamDigest {
         self.u64(record.incoming_packets);
         self.u64(record.uncontrolled_drops);
         self.u64(record.unsampled_packets);
-        for cycles in [
-            record.available_cycles,
-            record.predicted_cycles,
-            record.query_cycles,
-            record.prediction_cycles,
-            record.shedding_cycles,
-            record.platform_cycles,
-            record.buffer_occupation,
-        ] {
-            self.f64(cycles);
-        }
+        self.f64(record.available_cycles);
+        self.f64(record.predicted_cycles);
+        self.f64(record.query_cycles);
+        self.f64(record.prediction_cycles);
+        self.f64(record.shedding_cycles);
+        self.f64(record.platform_cycles);
+        self.f64(record.buffer_occupation);
         self.u64(record.queries.len() as u64);
         for query in &record.queries {
             self.u64(query.id.index());
@@ -831,13 +845,13 @@ impl ByteStreamDigest {
                 self.absorb_outputs_body(outputs);
             }
         }
-        self.absorb_decision_body(&record.decision);
+        self.absorb_decision_body(record.decision.rates.len() as u64, &record.decision);
     }
 
     pub fn absorb_decision(&mut self, bin_index: u64, decision: &ControlDecision) {
         self.items += 1;
         self.u64(bin_index);
-        self.absorb_decision_body(decision);
+        self.absorb_decision_body(decision.rates.len() as u64, decision);
     }
 
     pub fn absorb_outputs(&mut self, outputs: &[(String, QueryOutput)]) {
@@ -845,8 +859,8 @@ impl ByteStreamDigest {
         self.absorb_outputs_body(outputs);
     }
 
-    fn absorb_decision_body(&mut self, decision: &ControlDecision) {
-        self.u64(decision.rates.len() as u64);
+    fn absorb_decision_body(&mut self, len: u64, decision: &ControlDecision) {
+        self.u64(len);
         for rate in &decision.rates {
             self.f64(*rate);
         }
@@ -957,16 +971,16 @@ impl ByteStreamDigest {
     }
 }
 
-/// `DigestObserver` over [`ByteStreamDigest`]s: the run fingerprint of
-/// epochs 1 and 2.
+/// `DigestObserver` over [`WordSerialDigest`]s: the run fingerprint of
+/// digest epochs 3 and 4.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ByteDigestObserver {
-    records: ByteStreamDigest,
-    decisions: ByteStreamDigest,
-    intervals: ByteStreamDigest,
+pub struct WordSerialDigestObserver {
+    records: WordSerialDigest,
+    decisions: WordSerialDigest,
+    intervals: WordSerialDigest,
 }
 
-impl ByteDigestObserver {
+impl WordSerialDigestObserver {
     pub fn digest(&self) -> RunDigest {
         RunDigest {
             bins: self.records.items(),
@@ -977,7 +991,7 @@ impl ByteDigestObserver {
     }
 }
 
-impl RunObserver for ByteDigestObserver {
+impl RunObserver for WordSerialDigestObserver {
     fn on_bin(&mut self, record: &BinRecord) {
         self.records.absorb_record(record);
     }
@@ -991,10 +1005,10 @@ impl RunObserver for ByteDigestObserver {
     }
 }
 
-/// The 63 rows of `corpus/GOLDEN.digests` as digest epoch 2 recorded them:
+/// The 63 rows of `corpus/GOLDEN.digests` as digest epoch 4 recorded them:
 /// (scenario, strategy, fingerprint), in manifest order.
-pub fn epoch2_manifest() -> Vec<(String, String, RunDigest)> {
-    include_str!("GOLDEN.epoch-2.digests")
+pub fn epoch4_manifest() -> Vec<(String, String, RunDigest)> {
+    include_str!("GOLDEN.epoch-4.digests")
         .lines()
         .filter(|line| !line.starts_with('#'))
         .map(|line| {
@@ -1011,21 +1025,34 @@ pub fn epoch2_manifest() -> Vec<(String, String, RunDigest)> {
         .collect()
 }
 
-/// `tests/engine.rs`'s digest pins of the unshed tenant run as digest epoch
-/// 2 captured them, on a solo monitor and a 4-lane fleet. (The churn run's
-/// left with digest epoch 4, which moved that run's noise draws.)
-pub const EPOCH2_TENANTS_SOLO: RunDigest = RunDigest {
+/// `tests/engine.rs`'s digest pins as digest epoch 4 captured them: the
+/// unshed tenant run and the churn run, on a solo monitor and a 4-lane
+/// fleet.
+pub const EPOCH4_TENANTS_SOLO: RunDigest = RunDigest {
     bins: 150,
-    records: 0xd47bce35f181b53f,
-    decisions: 0x8838c012af1cb294,
-    intervals: 0xec0d307d541cfb68,
+    records: 0xfe6d6827f1be794a,
+    decisions: 0xe03a6283429c093c,
+    intervals: 0x30ca0e8cee8f8e8a,
 };
-pub const EPOCH2_TENANTS_FOUR_LANES: RunDigest = RunDigest {
+pub const EPOCH4_TENANTS_FOUR_LANES: RunDigest = RunDigest {
     bins: 150,
-    records: 0x0b22061bcf955cbb,
-    decisions: 0xd1c0c4696dfee087,
-    intervals: 0xec0d307d541cfb68,
+    records: 0x77c70d8495c767e1,
+    decisions: 0x4e4eaa3a9c61050e,
+    intervals: 0x30ca0e8cee8f8e8a,
 };
+pub const EPOCH4_CHURN_SOLO: RunDigest = RunDigest {
+    bins: 120,
+    records: 0x3df8bd2faf0a956a,
+    decisions: 0x1dd6e26c3eab3d22,
+    intervals: 0x3d717fd68d0dacd7,
+};
+pub const EPOCH4_CHURN_FOUR_LANES: RunDigest = RunDigest {
+    bins: 120,
+    records: 0x7e16b1baa2969b95,
+    decisions: 0x3d91b1e773494eb9,
+    intervals: 0x88bfa7d0bed4b5d6,
+};
+
 // ---------------------------------------------------------------------------
 // The `.nstr` body decoder before the single pass: one bounds-checked take
 // and one `StoreBuilder::push` per record.

@@ -988,6 +988,67 @@ fn filtered_preserves_bin_identity() {
     assert_eq!(half.len(), 2);
 }
 
+/// `top-k` and `super-sources` keep their N largest entries in one bounded
+/// pass (`state_queries::top_n`): bit for bit what sorting every entry and
+/// cutting to N keeps (`tests/oracle/`), ties in drain order included — over
+/// values drawn from a small pool, so most entries tie, with `-0.0` beside
+/// `0.0`, N = 0, 1 and at or past the entry count, and an empty table. The
+/// two queries, restored onto the same entries, close on the same ranking.
+#[test]
+fn top_n_keeps_what_sort_then_truncate_keeps() {
+    use netshed::queries::state_queries::top_n;
+    use netshed::queries::{Query, QueryOutput, SuperSourcesQuery, TopKQuery};
+    use netshed::sketch::{StateReader, StateWriter};
+    use std::collections::BTreeMap;
+
+    const POOL: [f64; 9] = [-0.0, 0.0, 1.0, 1.0, 2.5, -1.0, f64::INFINITY, f64::MIN_POSITIVE, 7.0];
+    let bits = |ranking: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        ranking.iter().map(|(key, value)| (*key, value.to_bits())).collect()
+    };
+    let mut rng = StdRng::seed_from_u64(45);
+    for len in 0..=24usize {
+        for n in [0, 1, 2, 3, len.saturating_sub(1), len, len + 1, len + 7] {
+            for _ in 0..8 {
+                let entries: Vec<(u32, f64)> = (0..len)
+                    .map(|at| (1000 - at as u32, POOL[rng.gen_range(0..POOL.len())]))
+                    .collect();
+                let expected = oracle::sort_then_truncate(entries.clone(), n);
+                let kept = top_n(entries.iter().copied(), n);
+                assert_eq!(bits(&kept), bits(&expected), "len {len}, n {n}: {entries:?}");
+
+                // The queries hold finite weights of +0.0 or above and keep
+                // at least one entry.
+                let weights: Vec<(u32, f64)> =
+                    entries.iter().map(|&(key, value)| (key, value.abs().min(7.0))).collect();
+                let expected = oracle::sort_then_truncate(weights.clone(), n.max(1));
+                let state = |pairs_seen: Option<usize>| {
+                    let mut writer = StateWriter::new();
+                    pairs_seen.into_iter().for_each(|count| writer.usize(count));
+                    writer.usize(weights.len());
+                    for (key, weight) in &weights {
+                        writer.u32(*key);
+                        writer.f64(*weight);
+                    }
+                    writer.into_bytes()
+                };
+                let mut top_k = TopKQuery::new(n);
+                top_k.load_state(&mut StateReader::new(&state(None))).expect("restores");
+                match top_k.end_interval() {
+                    QueryOutput::TopK { ranking } => assert_eq!(bits(&ranking), bits(&expected)),
+                    other => panic!("top-k closed on {other:?}"),
+                }
+                let mut super_sources = SuperSourcesQuery::new(n);
+                super_sources.load_state(&mut StateReader::new(&state(Some(0)))).expect("restores");
+                let expected: BTreeMap<u32, f64> = expected.into_iter().collect();
+                match super_sources.end_interval() {
+                    QueryOutput::SuperSources { fanouts } => assert_eq!(fanouts, expected),
+                    other => panic!("super-sources closed on {other:?}"),
+                }
+            }
+        }
+    }
+}
+
 /// The worker-count half of the flow-sampling contract: the flows query's
 /// per-bin delivered-packet counts (the direct trace of its keep/drop
 /// decisions) are identical at 1, 2 and 4 workers, under load shedding.
