@@ -192,10 +192,12 @@ fi
 # 64-bit word per multiply-rotate step (digest epoch 3) read ~0.07, and
 # 0.11-0.12 once the bin beneath it halved; four rotating chains that absorb
 # each emitted value once, with no variable-length copy per string (digest
-# epoch 5), read ~0.03.
+# epoch 5), read ~0.03. Held on both 200-tenant rows; the 1 000-tenant row
+# after them, where five times the members share the same five runs, reports
+# its own unbounded.
 require '"digest_vs_bin"' "lost the 200-tenant digest_vs_bin"
 if [ "$kind" = committed ]; then
-  awk -F': *' '/"digest_vs_bin"/ { if ($2 + 0 > 0.10) exit 1 }' "$file" ||
+  awk -F': *' '/"tenants_1000"/ { exit 0 } /"digest_vs_bin"/ { if ($2 + 0 > 0.10) exit 1 }' "$file" ||
     fail "the 200-tenant run digest costs more than 0.10 of the bin"
 fi
 # The bins of the same run that close a measurement interval — every query
@@ -286,12 +288,17 @@ fi
 # cohort: the extra nanoseconds a bin each member adds, from the 10→1000
 # spread. A member copies its head's prediction and measurement and files
 # its record; 2 964 while every follower drew its own noise and owned a
-# predictor after its first run. Held on a full run.
+# predictor after its first run, 99 while the control loop walked every
+# member and each record took a reference on its label. Since the loop runs
+# once per cohort row and a bin's records share one label table, a member
+# is its prediction, demand and record. Held on a full run.
 require '"marginal_ns_per_query_per_bin"' "lost the registry's marginal_ns_per_query_per_bin"
 if [ "$kind" = committed ]; then
-  awk -F': *' '/"marginal_ns_per_query_per_bin"/ { if ($2 + 0 > 300) exit 1 }' "$file" ||
-    fail "a registry member costs more than 300 ns a bin"
+  awk -F': *' '/"marginal_ns_per_query_per_bin"/ { if ($2 + 0 > 50) exit 1 }' "$file" ||
+    fail "a registry member costs more than 50 ns a bin"
 fi
+# The same 200-tenant shape at 1 000 members.
+require '"tenants_1000"' "lost the 1000-tenant stage breakdown"
 # What the run digest adds a bin per member of that registry, from the
 # 10→1000 spread of a DigestObserver replaying the runs' records (best of
 # nine passes): a member's record row, its decision rate and allocation,

@@ -86,6 +86,8 @@
 //!    (`tenants_200_noisy`, where a cohort draws one noise sample a run, so
 //!    it shares as much as without noise, with its bin over the noise-off
 //!    one, `bin_vs_noise_off`);
+//!    the same shape at 1 000 members (`tenants_1000`, where what a member
+//!    costs beyond its cohort's run shows five times over);
 //!    and, for the solo and the 200-tenant shapes, the `.nstr` decode's
 //!    nanoseconds over the bins' (`decode_vs_bin`: a run replaying its own
 //!    batches' encoding through a timed `SharedTraceReader`, the way the
@@ -890,8 +892,12 @@ impl Sharing {
 /// many sets of query instances a bin ran (tenants of one kind form one
 /// cohort), counted on a second, untimed run of the same engine, how many
 /// tasks the timed run dispatched a bin (only owners are dispatched), and how
-/// many bytes its `Monitor::save_state` writes after the run.
-fn bench_tenants(bins: usize) -> (Report, Report) {
+/// many bytes its `Monitor::save_state` writes after the run; and the same
+/// shape at 1 000 members without noise (`tenants_1000`), where what a
+/// member costs beyond its cohort's run shows five times over: its
+/// prediction and demand, its record and its terms of the registration-order
+/// sums, since the control loop's passes run once per row.
+fn bench_tenants(bins: usize) -> (Report, Report, Report) {
     const KINDS: [QueryKind; 5] = [
         QueryKind::Counter,
         QueryKind::Application,
@@ -903,12 +909,12 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
         TraceConfig::default().with_seed(61).with_mean_packets_per_batch(500.0),
     )
     .batches(bins);
-    let tenants = |noisy: bool| {
+    let tenants = |members: usize, noisy: bool| {
         let builder = Monitor::builder()
             .capacity(1e15)
             .strategy(Strategy::Predictive(AllocationPolicy::MmfsPkt))
             .with_workers(1)
-            .queries((0..200).map(|i| {
+            .queries((0..members).map(|i| {
                 QuerySpec::new(KINDS[i % KINDS.len()]).with_label(format!("tenant-{i:04}"))
             }));
         if noisy {
@@ -917,8 +923,8 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
             builder.no_noise()
         }
     };
-    let run = |noisy: bool| {
-        let mut monitor = tenants(noisy).build().expect("valid configuration");
+    let run = |members: usize, noisy: bool| {
+        let mut monitor = tenants(members, noisy).build().expect("valid configuration");
         let mut observers = (TimedDigest::default(), BinClock::default());
         let mut source = TimedReader::over(&batches);
         monitor.run(&mut source, &mut observers).expect("run");
@@ -926,7 +932,7 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
         let stages = monitor.stage_stats();
         let mut snapshot = StateWriter::new();
         monitor.save_state(&mut snapshot).expect("every tenant checkpoints");
-        let sharing = Sharing::of(tenants(noisy), &batches);
+        let sharing = Sharing::of(tenants(members, noisy), &batches);
         let report = Report::new()
             .cell("bins", stages.bins)
             .cell("bin_ns", num(mean_bin_ns(&stages), 0))
@@ -940,9 +946,10 @@ fn bench_tenants(bins: usize) -> (Report, Report) {
             .report("measured_share", stage_shares(&stages));
         (report, mean_bin_ns(&stages))
     };
-    let (quiet, quiet_bin_ns) = run(false);
-    let (noisy, noisy_bin_ns) = run(true);
-    (quiet, noisy.cell("bin_vs_noise_off", num(noisy_bin_ns / quiet_bin_ns, 3)))
+    let (quiet, quiet_bin_ns) = run(200, false);
+    let (noisy, noisy_bin_ns) = run(200, true);
+    let (thousand, _) = run(1000, false);
+    (quiet, noisy.cell("bin_vs_noise_off", num(noisy_bin_ns / quiet_bin_ns, 3)), thousand)
 }
 
 /// A [`DigestObserver`] that keeps the wall time spent in it. The run loop
@@ -1224,14 +1231,16 @@ fn main() {
         .report("measured_share", stage_shares(&fleet.stages))
         .cell("bin_ns_vs_solo", num(fleet_bin_in_solo_bins(pipeline_batches), 3))
         .report("modelled_cycle_share", fleet.modelled.shares());
-    let (tenants_200, tenants_200_noisy) = bench_tenants(if smoke { 40 } else { 200 });
+    let (tenants_200, tenants_200_noisy, tenants_1000) =
+        bench_tenants(if smoke { 40 } else { 200 });
     section(
         "stage_breakdown",
         Report::new()
             .report("solo", solo)
             .report("fleet_1_thread", fleet_1_thread)
             .report("tenants_200", tenants_200)
-            .report("tenants_200_noisy", tenants_200_noisy),
+            .report("tenants_200_noisy", tenants_200_noisy)
+            .report("tenants_1000", tenants_1000),
     );
 
     sections

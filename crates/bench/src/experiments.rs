@@ -308,7 +308,10 @@ fn query_records<'a>(
     result: &'a RunResult,
     name: &'a str,
 ) -> impl Iterator<Item = &'a QueryBinRecord> {
-    result.bins.iter().flat_map(|bin| &bin.queries).filter(move |query| &*query.name == name)
+    result
+        .bins
+        .iter()
+        .flat_map(move |bin| bin.queries.iter().filter(move |query| bin.label(query) == name))
 }
 
 // --------------------------------------------------------------------------

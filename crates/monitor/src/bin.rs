@@ -10,24 +10,28 @@
 //! owns what the stage advances, touching only that query), account is the
 //! merge (every sum folds in registration order). Execute opens with one
 //! sequential step on the caller's thread, the nested re-extraction of every
-//! packet-sampled query, and closes with another, which completes the
-//! followers.
+//! packet-sampled query.
 //!
-//! A follower (`monitor.rs`) borrows its cohort head's lane instances and
-//! predictor by position; only owners are dispatched. The plan's last step
-//! detaches every follower whose delivery differs from its head's onto
-//! copies of both, and draws the measurement noise once per owner that runs:
-//! a follower takes its head's draw. So the two runs are one: a follower is
-//! not predicted — the registration-order fold copies its head's prediction
-//! — and the head's execute task runs the instances, measures the run and
-//! stores its observation, from which the sequential step completes the
-//! follower by copying the head's measurement.
+//! A follower (`monitor.rs`) borrows its cohort head's lane instances,
+//! predictor and control state by position; only owners are dispatched. The
+//! control loop works on rows — an owner and the followers that name it —
+//! and runs each pass once per row while every row holds: the plan, the
+//! noise draw (a follower takes its head's), the prediction's cost and the
+//! enforcement. A bin whose decision tells a follower apart from its owner
+//! is planned query by query instead, and its plan's last step detaches
+//! every follower whose delivery differs from its head's onto copies of
+//! both. So the two runs are one: a follower is not predicted, and the
+//! head's execute task runs the instances, measures the run and stores its
+//! observation; the fold and the merge read a follower's prediction and
+//! measurement off its row's owner, and its record is the owner's with its
+//! own handle and label.
 //!
 //! This is the bin of every engine. Everything up to and including shed
 //! works on the global post-drop view whatever the lane count; execute is
 //! the one stage that knows about lanes, and with one lane it only skips the
 //! split.
 
+use crate::config::MonitorConfig;
 use crate::error::NetshedError;
 use crate::exec::{self, Stage};
 use crate::monitor::{extractor, flow_hasher, plan_followers, Monitor, RegisteredQuery, Role};
@@ -39,7 +43,6 @@ use netshed_features::{ExtractScratch, FeatureVector};
 use netshed_predict::FeatureWindow;
 use netshed_queries::{CycleMeter, NoiseDraw, Query, QueryOutput, SheddingMethod};
 use netshed_trace::{Batch, BatchView, KeepListPool};
-use std::sync::Arc;
 
 /// Cycles charged per feature-extraction elementary operation (one hash plus
 /// one bitmap update). Keeps the prediction overhead in the ~10% range of
@@ -66,9 +69,10 @@ const REACTIVE_MIN_RATE: f64 = 0.05;
 
 /// One bin's plan and results for one query — the per-query hand-off between
 /// the stages: shed fills the plan on the caller's thread, the two dispatches
-/// complete it inside the query's own task (a follower's, from its head's
-/// slot, on the caller's thread), and account reads it back in registration
-/// order.
+/// complete it inside the query's own task, and account reads it back in
+/// registration order. A follower's is left behind while its row holds:
+/// every stage reads its row owner's instead (the plan copies the owner's
+/// prediction into it in a bin where the row may break).
 #[derive(Default)]
 pub(crate) struct BinSlot {
     /// Predicted full-batch cycles (0 while the query serves a penalty).
@@ -89,33 +93,20 @@ pub(crate) struct BinSlot {
     /// tail works from the post-drop view (flow sampling is deterministic per
     /// query, so it happens inside the task).
     sampled: Option<BatchView>,
-    /// The packet-sampled view's feature vector and operations, from the
-    /// nested pass that opens the execute stage.
-    reextracted: Option<(FeatureVector, u64)>,
+    /// Where the nested pass that opens the execute stage filed the
+    /// packet-sampled view's feature vector and operations in the bin's
+    /// `reextracted` — kept apart from the slot, so a query that is never
+    /// packet-sampled, a cohort member above all, does not carry a feature
+    /// vector's room.
+    reextracted: Option<usize>,
     // Outputs of the tail, valid when `run` is `Some`: the lane instances'
-    // raw metered cycles and what the query made of them, which a follower
-    // copies from its head.
+    // raw metered cycles and what the query made of them, which account
+    // reads for the owner and every follower of its row.
     cycles: u64,
     measured: f64,
     outlier: bool,
     delivered_packets: u64,
     reextract_ops: u64,
-}
-
-impl BinSlot {
-    /// Whether the query's lane instances were fed what `other`'s were: both
-    /// sat the bin out, or both ran at a rate of the same bits on the same
-    /// number of packets.
-    fn delivered_alike(&self, other: &BinSlot) -> bool {
-        match (self.run, other.run) {
-            (None, None) => true,
-            (Some(rate), Some(other_rate)) => {
-                rate.to_bits() == other_rate.to_bits()
-                    && self.delivered_packets == other.delivered_packets
-            }
-            _ => false,
-        }
-    }
 }
 
 /// What one stage of a bin hands the next. The monitor owns one and reuses
@@ -149,6 +140,76 @@ pub(crate) struct Bin {
     /// re-extracts.
     nested: Vec<(u64, usize)>,
     thresholds: Vec<u64>,
+    /// What the nested pass re-extracted, in its order: each packet-sampled
+    /// query's feature vector and operations, which its execute task reads.
+    reextracted: Vec<(FeatureVector, u64)>,
+}
+
+impl Bin {
+    /// Plans the query at `position` on its granted rate — for `members`
+    /// queries, its own and those of the followers its row plans with it,
+    /// where that counts: the packets a rate of 0 leaves unsampled. A
+    /// penalised query serves a bin of its penalty; a flow-sampled one that
+    /// runs moves its hash function to this interval's generation — and,
+    /// sampled below rate 1, builds the table and the extractor it needs, the
+    /// first time the generation (the query) is sampled; a packet-sampled
+    /// one below rate 1 joins the cut of the packet samples.
+    fn plan(
+        &mut self,
+        registered: &mut RegisteredQuery,
+        position: usize,
+        members: u64,
+        packets: u64,
+        config: &MonitorConfig,
+    ) {
+        let rate = self.decision.rates[position];
+        registered.slot.run = None;
+        let control = &mut registered.control;
+        if control.penalty_remaining > 0 {
+            control.penalty_remaining -= 1;
+            return;
+        }
+        if rate <= 0.0 {
+            self.unsampled_accumulator += packets * members;
+            return;
+        }
+        // A new flow-sampling hash function every interval, so selection
+        // cannot be evaded and is unbiased (Section 4.2): the generation
+        // moves here, the table is drawn below if the query samples. Keyed
+        // by the stable handle, not the position, so deregistrations do not
+        // reshuffle the selection of the surviving queries.
+        if registered.shedding == SheddingMethod::FlowSampling {
+            control.hasher_generation = self.interval;
+        }
+        if rate < 1.0 {
+            match registered.shedding {
+                // Packet sampling is cut after the plan, from keys the shared
+                // RNG draws once for every such query.
+                SheddingMethod::PacketSampling => {
+                    self.nested.push((keep_threshold(rate), position));
+                    self.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
+                }
+                // Flow sampling is deterministic per query and happens inside
+                // the query's own task, with the table of this generation — a
+                // pure function of it, so it is built the first time the
+                // generation samples, not before. So is the extractor that
+                // re-extracts the sample, the first time the plan
+                // flow-samples the query.
+                SheddingMethod::FlowSampling => {
+                    registered.sampled_extractor.get_or_insert_with(|| Box::new(extractor(config)));
+                    let generation = control.hasher_generation;
+                    if !matches!(registered.flow_hasher, Some((built, _)) if built == generation) {
+                        let hasher = flow_hasher(config.seed, registered.id, generation);
+                        registered.flow_hasher = Some((generation, hasher));
+                    }
+                    self.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
+                    self.flow_walks += 1;
+                }
+                SheddingMethod::Custom => {}
+            }
+        }
+        registered.slot.run = Some(rate);
+    }
 }
 
 impl RegisteredQuery {
@@ -170,10 +231,10 @@ impl RegisteredQuery {
     /// that needs measured cycles the bin's true full-batch cycles, measured
     /// on the shadow twin fed the unsampled stream. A penalised query is not
     /// predicted (and charged nothing for it); a follower is not predicted
-    /// either — the fold copies its head's slot.
+    /// either — the fold reads its row owner's slot.
     fn predict(&mut self, window: &FeatureWindow, features: &FeatureVector, post_drop: &BatchView) {
         if let Role::Owns { predictor, .. } = &mut self.role {
-            (self.slot.predicted, self.slot.predict_ops) = if self.penalty_remaining > 0 {
+            (self.slot.predicted, self.slot.predict_ops) = if self.control.penalty_remaining > 0 {
                 (0.0, 0)
             } else {
                 let predicted = predictor.predict_shared(window, features);
@@ -191,13 +252,15 @@ impl RegisteredQuery {
     /// (`lane_of_flow`), or, with one lane, the delivered view as it is —
     /// filing the instances' meters, summed in lane order, as the query's raw
     /// cycles; then [`observe`](Self::observe) them, against `window`, whose
-    /// newest row is this bin's full-batch vector. A query the plan sat out
-    /// is walked and left untouched, and so is a follower, which is never
-    /// dispatched.
+    /// newest row is this bin's full-batch vector. A packet sample's
+    /// re-extraction is the query's entry of the nested pass's
+    /// `reextracted`. A query the plan sat out is walked and left untouched,
+    /// and so is a follower, which is never dispatched.
     fn execute(
         &mut self,
         post_drop: &BatchView,
         lane_of_flow: &[u32],
+        reextracted: &[(FeatureVector, u64)],
         window: &FeatureWindow,
         scratch: &mut ExtractScratch,
     ) {
@@ -212,7 +275,9 @@ impl RegisteredQuery {
         // this task alone, the scratch to the worker running it.
         let plan = (self.slot.sampled.take(), &self.flow_hasher, &mut self.sampled_extractor);
         let (delivered, reextracted) = match plan {
-            (Some(sampled), ..) => (sampled, self.slot.reextracted.take()),
+            (Some(sampled), ..) => {
+                (sampled, self.slot.reextracted.take().map(|at| reextracted[at]))
+            }
             // The plan built the table of this interval's generation, and the
             // extractor.
             (None, Some((_, hasher)), Some(own))
@@ -360,6 +425,7 @@ impl Monitor {
         bin.demands.clear();
         (bin.shedding_cycles, bin.unsampled_accumulator, bin.flow_walks) = (0, 0, 0);
         bin.nested.clear();
+        bin.reextracted.clear();
         bin.index = batch.bin_index;
         bin.interval = interval;
         bin.interval_outputs = interval_outputs;
@@ -393,11 +459,11 @@ impl Monitor {
     /// Predict: per-query predictions of the full-batch cost. Every
     /// predictor owns its history and otherwise only reads — the shared
     /// feature vector, and the feature window, whose lazily cached moments
-    /// hold the same value whichever task fills them — so the queries that
-    /// own one are dispatched, then every query is folded (values and cost)
-    /// in registration order, where a follower takes its head's, folded
-    /// before it. The window takes this bin's vector only
-    /// after the predictions: they regress over the bins before it.
+    /// hold the same value whichever task fills them — so the owners are
+    /// dispatched, then the fold reads each query's prediction off its row's
+    /// owner, in registration order, and each row's cost once. The window
+    /// takes this bin's vector only after the predictions: they regress over
+    /// the bins before it.
     ///
     /// For oracle-style policies the task of every query with a shadow twin,
     /// followers included, also measures the query's true full-batch cycles
@@ -407,30 +473,27 @@ impl Monitor {
     /// folded its prediction).
     fn predict(&mut self, post_drop: &BatchView) {
         let features = self.bin.features;
-        self.dispatch(
-            |query| query.head().is_none() || query.shadow.is_some(),
-            |query, window, _| query.predict(window, &features, post_drop),
-        );
-        self.window.push(&features);
+        self.rows.refresh(&self.queries);
         let shadows = self.policy.needs_measured_cycles();
-        let (bin, mut predictions) = (&mut self.bin, 0);
-        for position in 0..self.queries.len() {
-            let (earlier, rest) = self.queries.split_at_mut(position);
-            let registered = &mut rest[0];
-            match registered.role {
-                Role::Owns { .. } => predictions += usize::from(registered.penalty_remaining == 0),
-                Role::Follows(head) => {
-                    let head = &earlier[head].slot;
-                    (registered.slot.predicted, registered.slot.predict_ops) =
-                        (head.predicted, head.predict_ops);
-                }
-            }
-            let slot = &registered.slot;
-            bin.prediction_cycles += slot.predict_ops * PREDICT_OP_CYCLES;
-            bin.predictions.push(slot.predicted);
+        self.dispatch(shadows, |query, window, _| query.predict(window, &features, post_drop));
+        self.window.push(&features);
+        let (bin, queries, mut predictions) = (&mut self.bin, &self.queries, 0);
+        for &(owner, members) in &self.rows.owners {
+            let registered = &queries[owner];
+            predictions += usize::from(registered.control.penalty_remaining == 0);
+            bin.prediction_cycles +=
+                registered.slot.predict_ops * PREDICT_OP_CYCLES * members as u64;
+        }
+        for (position, &(_, owner)) in self.rows.members.iter().enumerate() {
+            let predicted = queries[owner].slot.predicted;
+            bin.predictions.push(predicted);
             if shadows {
-                let measured =
-                    if registered.shadow.is_some() { slot.shadow_cycles } else { slot.predicted };
+                let registered = &queries[position];
+                let measured = if registered.shadow.is_some() {
+                    registered.slot.shadow_cycles
+                } else {
+                    predicted
+                };
                 bin.measured_full.push(measured);
             }
         }
@@ -438,26 +501,37 @@ impl Monitor {
     }
 
     /// Decide: hands the control policy everything the monitor knows about
-    /// the bin and keeps its (sanitised) per-query sampling rates.
+    /// the bin and keeps its (sanitised) per-query sampling rates. A
+    /// policy decides per query ([`ControlContext`]), so each query gets its
+    /// own demand: its prediction, corrected by its row owner's enforcement
+    /// state, at the row's minimum rate.
     fn decide(&mut self) {
+        let (queries, members) = (&self.queries, &self.rows.members);
+        let demands = self.bin.predictions.iter().zip(members).map(|(&prediction, &(_, owner))| {
+            let registered = &queries[owner];
+            // Chapter 6 correction: custom queries that habitually overuse
+            // their allocation are charged for it.
+            let corrected = if registered.shedding == SheddingMethod::Custom {
+                prediction * registered.control.overuse_ratio.max(1.0)
+            } else {
+                prediction
+            };
+            QueryDemand::new(corrected, registered.min_rate)
+        });
+        self.bin.demands.extend(demands);
+        self.consult_policy();
+    }
+
+    /// The policy's half of [`decide`](Self::decide), once the bin's demands
+    /// are in: the cycles available to the queries, the policy's decision,
+    /// sanitised against the demands.
+    fn consult_policy(&mut self) {
         let bin = &mut self.bin;
         let delay = self.buffer.delay_cycles();
         let rtthresh = if self.config.buffer_discovery { self.rtthresh } else { 0.0 };
         bin.available_cycles = self.config.capacity_cycles_per_bin
             - (self.config.platform_overhead_cycles + bin.prediction_cycles as f64)
             + (rtthresh - delay);
-        bin.demands.extend(bin.predictions.iter().zip(&self.queries).map(
-            |(&prediction, registered)| {
-                // Chapter 6 correction: custom queries that habitually
-                // overuse their allocation are charged for it.
-                let corrected = if registered.shedding == SheddingMethod::Custom {
-                    prediction * registered.overuse_ratio.max(1.0)
-                } else {
-                    prediction
-                };
-                QueryDemand::new(corrected, registered.min_rate)
-            },
-        ));
         let measured = self.policy.needs_measured_cycles();
         let context = ControlContext {
             bin_index: bin.index,
@@ -478,69 +552,76 @@ impl Monitor {
 
     /// Shed — the *plan*: sequentially, in registration order, on the
     /// caller's thread, everything whose stream order matters — penalty
-    /// accounting, the flow-hasher refresh, the packet keys, and then who
-    /// keeps following whom and the measurement-noise pre-draw
-    /// ([`plan_followers`]). Execute then receives fully determined inputs
-    /// and only writes per-query state (an owner's instances and predictor,
-    /// on a run and a measurement equal for its followers), which is why the
-    /// merged output is bit-identical for any worker count.
+    /// accounting, the flow-hasher refresh, the packet keys, who keeps
+    /// following whom and the measurement-noise pre-draw. Execute then
+    /// receives fully determined inputs and only writes per-query state (an
+    /// owner's instances and predictor, on a run and a measurement equal for
+    /// its followers), which is why the merged output is bit-identical for
+    /// any worker count.
+    ///
+    /// When every row holds ([`rows_hold`](Self::rows_hold)) the plan is one
+    /// step per row: its owner is planned for all its members and draws the
+    /// row's noise, in registration order. Otherwise some follower parts from
+    /// its owner, and the bin is planned query by query: every follower takes
+    /// its owner's control state and prediction, each query is planned on
+    /// its own rate, and [`plan_followers`] settles who follows whom and
+    /// draws the noise; the rows are rebuilt from the roles it leaves.
     fn shed(&mut self, post_drop: &BatchView) {
         // Nothing is fresh once a bin runs.
         self.fresh.clear();
-        let bin = &mut self.bin;
         let packets = post_drop.len() as u64;
-        let queries = self.queries.iter_mut().enumerate();
-        for ((position, registered), &rate) in queries.zip(&bin.decision.rates) {
-            registered.slot.run = None;
-            if registered.penalty_remaining > 0 {
-                registered.penalty_remaining -= 1;
-                continue;
+        let rows_hold = self.rows_hold();
+        let (bin, config) = (&mut self.bin, &self.config);
+        if rows_hold {
+            for &(owner, members) in &self.rows.owners {
+                let registered = &mut self.queries[owner];
+                bin.plan(registered, owner, members as u64, packets, config);
+                let slot = &mut registered.slot;
+                slot.noise = slot.run.map(|_| self.noise.draw());
             }
-            if rate <= 0.0 {
-                bin.unsampled_accumulator += packets;
-                continue;
-            }
-            // A new flow-sampling hash function every interval, so selection
-            // cannot be evaded and is unbiased (Section 4.2): the generation
-            // moves here, the table is drawn below if the query samples.
-            // Keyed by the stable handle, not the position, so
-            // deregistrations do not reshuffle the selection of the
-            // surviving queries.
-            if registered.shedding == SheddingMethod::FlowSampling {
-                registered.hasher_generation = bin.interval;
-            }
-            if rate < 1.0 {
-                match registered.shedding {
-                    // Packet sampling is cut below, from keys the shared RNG
-                    // draws once for every such query.
-                    SheddingMethod::PacketSampling => {
-                        bin.nested.push((keep_threshold(rate), position));
-                        bin.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
-                    }
-                    // Flow sampling is deterministic per query and happens
-                    // inside the query's own task, with the table of this
-                    // generation — a pure function of it, so it is built the
-                    // first time the generation samples, not before.
-                    // So is the extractor that re-extracts the sample, the
-                    // first time the plan flow-samples the query.
-                    SheddingMethod::FlowSampling => {
-                        registered.sampled_extractor.get_or_insert_with(|| extractor(&self.config));
-                        let generation = registered.hasher_generation;
-                        if !matches!(registered.flow_hasher, Some((built, _)) if built == generation)
-                        {
-                            let hasher = flow_hasher(self.config.seed, registered.id, generation);
-                            registered.flow_hasher = Some((generation, hasher));
-                        }
-                        bin.shedding_cycles += packets * SAMPLING_TEST_CYCLES;
-                        bin.flow_walks += 1;
-                    }
-                    SheddingMethod::Custom => {}
+        } else {
+            for position in 0..self.queries.len() {
+                let (earlier, rest) = self.queries.split_at_mut(position);
+                if let Role::Follows(head) = rest[0].role {
+                    let (head, follower) = (&earlier[head], &mut rest[0]);
+                    follower.control = head.control;
+                    (follower.slot.predicted, follower.slot.predict_ops) =
+                        (head.slot.predicted, head.slot.predict_ops);
                 }
             }
-            registered.slot.run = Some(rate);
+            for (position, registered) in self.queries.iter_mut().enumerate() {
+                bin.plan(registered, position, 1, packets, config);
+            }
+            plan_followers(&mut self.queries, &mut self.noise, &config.predictor);
+            self.rows.invalidate();
+            self.rows.refresh(&self.queries);
         }
-        plan_followers(&mut self.queries, &mut self.noise, &self.config.predictor);
         self.cut_packet_samples(post_drop);
+    }
+
+    /// Whether every row holds through this bin's plan: each follower was
+    /// granted its owner's rate, bit for bit, and no owner that leads a row
+    /// is fed a sample of its own, which no follower could share. A
+    /// follower's control state is its owner's, so then it is planned what
+    /// its owner is, and nobody parts.
+    fn rows_hold(&self) -> bool {
+        let rates = &self.bin.decision.rates;
+        let granted_alike = self
+            .rows
+            .members
+            .iter()
+            .enumerate()
+            .all(|(position, &(_, owner))| rates[position].to_bits() == rates[owner].to_bits());
+        granted_alike
+            && self.rows.owners.iter().all(|&(owner, members)| {
+                let registered = &self.queries[owner];
+                let rate = rates[owner];
+                members == 1
+                    || registered.control.penalty_remaining > 0
+                    || rate <= 0.0
+                    || rate >= 1.0
+                    || registered.shedding == SheddingMethod::Custom
+            })
     }
 
     /// The packet samples of the plan: one key per packet of the bin, drawn
@@ -574,40 +655,21 @@ impl Monitor {
 
     /// Execute: the nested re-extraction, then the expensive tail, one
     /// dispatch of one task per owner of lane instances (see
-    /// [`RegisteredQuery::execute`]), then the followers. The lane verdict
-    /// is asked once per flow of the batch's index, here, for every task to
-    /// share; the window was pushed in predict and is only read.
+    /// [`RegisteredQuery::execute`]). A follower's run is its owner's, which
+    /// account reads off the owner's slot. The lane verdict is asked once
+    /// per flow of the batch's index, here, for every task to share; the
+    /// window was pushed in predict and is only read.
     fn execute(&mut self, post_drop: &BatchView) {
         self.reextract_nested();
         if self.lane_count > 1 {
             post_drop.store().flow_lanes(self.lane_count, &mut self.lane_of_flow);
         }
         let lane_of_flow = std::mem::take(&mut self.lane_of_flow);
-        self.dispatch(
-            |query| query.head().is_none(),
-            |query, window, scratch| query.execute(post_drop, &lane_of_flow, window, scratch),
-        );
-        self.lane_of_flow = lane_of_flow;
-        self.complete_followers(post_drop.len() as u64);
-    }
-
-    /// Completes every running follower from its head's slot, sequentially,
-    /// in registration order: the plan gave the two one delivery and one
-    /// noise draw, so the head's run is the follower's — the whole post-drop
-    /// view, `packets` long, since a follower has no sample of its own — and
-    /// the follower copies its measurement: the raw and measured cycles and
-    /// the outlier verdict. The head's predictor stored the observation.
-    fn complete_followers(&mut self, packets: u64) {
-        for position in 0..self.queries.len() {
-            let (earlier, rest) = self.queries.split_at_mut(position);
-            let follower = &mut rest[0];
-            let (Role::Follows(head), Some(_)) = (&follower.role, follower.slot.run) else {
-                continue;
-            };
-            let (head, slot) = (&earlier[*head].slot, &mut follower.slot);
-            (slot.cycles, slot.measured, slot.outlier) = (head.cycles, head.measured, head.outlier);
-            (slot.delivered_packets, slot.reextract_ops) = (packets, 0);
-        }
+        let reextracted = std::mem::take(&mut self.bin.reextracted);
+        self.dispatch(false, |query, window, scratch| {
+            query.execute(post_drop, &lane_of_flow, &reextracted, window, scratch);
+        });
+        (self.lane_of_flow, self.bin.reextracted) = (lane_of_flow, reextracted);
     }
 
     /// The packet-sampled queries' re-extraction, on the caller's thread
@@ -618,7 +680,7 @@ impl Monitor {
     /// sample. Each extractor is its own query's; the order they fold in
     /// moves nothing, the thresholds' order only saves the walks.
     fn reextract_nested(&mut self) {
-        let bin = &self.bin;
+        let bin = &mut self.bin;
         self.reextraction_walks = bin.flow_walks + usize::from(!bin.nested.is_empty());
         // The largest sample holds every packet any query keeps: the pass
         // walks it, not the post-drop view.
@@ -630,20 +692,32 @@ impl Monitor {
             return;
         };
         let mut pass = self.scratch[0].nested(&largest, self.shed_pool.keys(), &bin.thresholds);
+        let rows = &mut bin.reextracted;
         for &(threshold, position) in &bin.nested {
             // A query's extractor is built the first time it is sampled.
             let registered = &mut self.queries[position];
-            let own = registered.sampled_extractor.get_or_insert_with(|| extractor(&self.config));
-            registered.slot.reextracted = Some(pass.extract(own, threshold));
+            let own = registered
+                .sampled_extractor
+                .get_or_insert_with(|| Box::new(extractor(&self.config)));
+            registered.slot.reextracted = Some(rows.len());
+            rows.push(pass.extract(own, threshold));
         }
     }
 
     /// Account — the *merge*: folds the queries' slots in registration
-    /// order, closes the control loop (the EWMAs, the capture buffer, buffer
-    /// discovery, the next bin's reactive state) and assembles the record,
-    /// which takes the decision and the interval outputs out of the context.
+    /// order (see [`merge_queries`](Self::merge_queries)) and closes the bin
+    /// ([`close_bin`](Self::close_bin)).
     fn account(&mut self, post_drop: &BatchView) -> BinRecord {
         let (queries, query_cycles) = self.merge_queries(post_drop.len() as u64);
+        self.close_bin(queries, query_cycles)
+    }
+
+    /// The rest of account once the per-query records and the query-cycle
+    /// total are in: closes the control loop (the EWMAs, the capture buffer,
+    /// buffer discovery, the next bin's reactive state) and assembles the
+    /// record, which takes the decision and the interval outputs out of the
+    /// context and shares the registry's label table.
+    fn close_bin(&mut self, queries: Vec<QueryBinRecord>, query_cycles: f64) -> BinRecord {
         let rates = &self.bin.decision.rates;
         let shedding_cycles = self.bin.shedding_cycles as f64;
         let alpha = self.config.ewma_alpha;
@@ -691,6 +765,7 @@ impl Monitor {
             platform_cycles,
             buffer_occupation: self.buffer.occupation(),
             queries,
+            labels: self.labels.clone(),
             interval_outputs: bin.interval_outputs.take(),
             decision: std::mem::take(&mut bin.decision),
         }
@@ -698,74 +773,84 @@ impl Monitor {
 
     /// The registration-order merge of the queries' slots: the per-query
     /// records (the one vector the bin body allocates — the record owns it)
-    /// and the query-cycle total, with Chapter 6 enforcement for custom load
-    /// shedding queries on the same pass, and the count of lane runs.
+    /// and the query-cycle total, then, once per row, what its owner's run
+    /// adds — the re-extraction and the packets it did not deliver (a
+    /// follower delivers the whole view and re-extracts nothing), the Chapter
+    /// 6 enforcement for custom load shedding queries, and the count of lane
+    /// runs. A follower's record is its owner's with its own handle and
+    /// label; each running query adds its measurement to the total.
     fn merge_queries(&mut self, packets: u64) -> (Vec<QueryBinRecord>, f64) {
+        let (queries, rows) = (&self.queries, &self.rows);
         debug_assert!(
-            self.queries.iter().enumerate().all(|(position, follower)| match follower.role {
-                Role::Follows(head) => {
-                    head < position && follower.slot.delivered_alike(&self.queries[head].slot)
-                }
-                Role::Owns { .. } => true,
+            rows.members.iter().enumerate().all(|(position, &(_, owner))| {
+                let (rates, head) = (&self.bin.decision.rates, &queries[owner]);
+                owner == position
+                    || (owner < position
+                        && rates[position].to_bits() == rates[owner].to_bits()
+                        && head.delivery().is_some()
+                        && head.slot.run.is_none_or(|_| head.slot.delivered_packets == packets))
             }),
-            "a follower's head does not precede it, or was delivered another run"
+            "a follower's owner does not precede it, or was delivered another run"
         );
-        let bin = &mut self.bin;
-        let (mut query_cycles, mut runs) = (0.0, 0);
-        let mut records = Vec::with_capacity(self.queries.len());
-        for registered in &mut self.queries {
-            let slot = &registered.slot;
-            runs += usize::from(registered.head().is_none() && slot.run.is_some());
+        let mut query_cycles = 0.0;
+        let mut records = Vec::with_capacity(rows.members.len());
+        records.extend(rows.members.iter().enumerate().map(|(position, &(id, owner))| {
+            let slot = &queries[owner].slot;
             let (sampling_rate, measured_cycles, delivered_packets) = match slot.run {
-                Some(rate) => (rate, slot.measured, slot.delivered_packets),
+                Some(rate) => {
+                    query_cycles += slot.measured;
+                    (rate, slot.measured, slot.delivered_packets)
+                }
                 None => (0.0, 0.0, 0),
             };
-            records.push(QueryBinRecord {
-                id: registered.id,
-                name: Arc::clone(&registered.label),
+            QueryBinRecord {
+                id,
+                label: position as u32,
                 sampling_rate,
                 predicted_cycles: slot.predicted,
                 measured_cycles,
                 delivered_packets,
                 disabled: slot.run.is_none(),
-            });
-            if let Some(rate) = slot.run {
-                bin.shedding_cycles += slot.reextract_ops * REEXTRACT_OP_CYCLES;
-                bin.unsampled_accumulator += packets - slot.delivered_packets;
-                query_cycles += slot.measured;
-
-                let expected = slot.predicted * rate;
-                if registered.shedding == SheddingMethod::Custom && expected > 0.0 && !slot.outlier
-                {
-                    let overuse = slot.measured / expected;
-                    registered.overuse_ratio = 0.3 * overuse + 0.7 * registered.overuse_ratio;
-                    if overuse > 1.0 + self.config.enforcement.tolerance {
-                        registered.violations += 1;
-                        if registered.violations >= self.config.enforcement.max_violations {
-                            registered.penalty_remaining = self.config.enforcement.penalty_bins;
-                            registered.violations = 0;
-                        }
-                    } else {
-                        registered.violations = 0;
-                    }
-                }
+            }
+        }));
+        let (bin, mut runs) = (&mut self.bin, 0);
+        for &(owner, _) in &self.rows.owners {
+            let registered = &mut self.queries[owner];
+            let (slot, control) = (&registered.slot, &mut registered.control);
+            let Some(rate) = slot.run else { continue };
+            runs += 1;
+            bin.shedding_cycles += slot.reextract_ops * REEXTRACT_OP_CYCLES;
+            bin.unsampled_accumulator += packets - slot.delivered_packets;
+            let expected = slot.predicted * rate;
+            if registered.shedding == SheddingMethod::Custom && expected > 0.0 && !slot.outlier {
+                control.enforce(slot.measured / expected, &self.config.enforcement);
             }
         }
         self.query_runs = runs;
         (records, query_cycles)
     }
 
-    /// Fans `run` out over the registered queries that are `dispatched` on
-    /// the execution plane, each beside the shared feature window and lent
-    /// the extraction scratch of the worker it runs on.
+    /// Fans `run` out on the execution plane over the owners — and, with
+    /// `shadows`, every query with a shadow twin, followers included — each
+    /// beside the shared feature window and lent the extraction scratch of
+    /// the worker it runs on.
     fn dispatch(
         &mut self,
-        dispatched: fn(&RegisteredQuery) -> bool,
+        shadows: bool,
         run: impl Fn(&mut RegisteredQuery, &FeatureWindow, &mut ExtractScratch) + Sync,
     ) {
-        let tasks = self.queries.iter().filter(|query| dispatched(query)).count();
+        let members = &self.rows.members;
+        let dispatched = |position: usize, query: &RegisteredQuery| {
+            members[position].1 == position || (shadows && query.shadow.is_some())
+        };
+        let tasks = if shadows {
+            self.queries.iter().enumerate().filter(|&(at, query)| dispatched(at, query)).count()
+        } else {
+            self.rows.owners.len()
+        };
         let (window, workers) = (&self.window, self.config.workers.min(tasks));
-        let queries = self.queries.iter_mut().filter(|query| dispatched(query));
+        let queries = self.queries.iter_mut().enumerate();
+        let queries = queries.filter(|(at, query)| dispatched(*at, query)).map(|(_, query)| query);
         exec::run_tasks(workers, &mut self.scratch, queries, |query, scratch| {
             run(query, window, scratch);
         });
@@ -920,3 +1005,9 @@ mod tests {
         }
     }
 }
+
+/// The per-member passes the rows replaced, and the property that holds
+/// the two loops equal.
+#[cfg(test)]
+#[path = "../../../tests/oracle/per_member.rs"]
+mod per_member;

@@ -188,7 +188,7 @@ impl StreamDigest {
         self.u64(record.queries.len() as u64);
         for query in &record.queries {
             self.u64(query.id.index());
-            self.str(&query.name);
+            self.str(record.label(query));
             self.f64(query.sampling_rate);
             self.f64(query.predicted_cycles);
             self.f64(query.measured_cycles);
@@ -587,11 +587,14 @@ mod tests {
     /// drawn, one bin in three carrying interval outputs.
     fn random_record(draw: &mut Draw, ids: &[QueryId]) -> BinRecord {
         let rows = draw.below(ids.len() as u64 + 1) as usize;
-        let queries: Vec<_> = ids[..rows]
-            .iter()
-            .map(|&id| crate::report::QueryBinRecord {
-                id,
-                name: format!("tenant-{}", draw.below(1000)).into(),
+        let mut labels = crate::report::LabelTable::default();
+        let queries: Vec<_> = (0..rows)
+            .map(|row| crate::report::QueryBinRecord {
+                id: ids[row],
+                label: {
+                    labels.edit().push(format!("tenant-{}", draw.below(1000)).into());
+                    row as u32
+                },
                 sampling_rate: draw.float(),
                 predicted_cycles: draw.float(),
                 measured_cycles: draw.float(),
@@ -622,6 +625,7 @@ mod tests {
             platform_cycles: draw.float(),
             buffer_occupation: draw.float(),
             queries,
+            labels,
             interval_outputs,
             decision: ControlDecision {
                 rates,

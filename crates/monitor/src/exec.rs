@@ -99,8 +99,7 @@ pub enum Stage {
     /// who keeps following whom.
     Shed,
     /// The tail dispatch: per owner of lane instances, sample and
-    /// re-extract, run every lane instance, feed the predictor; then the
-    /// followers, completed from their heads' slots.
+    /// re-extract, run every lane instance, feed the predictor.
     Execute,
     /// The merge: enforcement, EWMAs, buffer accounting, the bin's record.
     Account,

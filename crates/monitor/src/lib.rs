@@ -101,7 +101,7 @@ pub use policy::{
     NoSheddingPolicy, OraclePolicy, PredictivePolicy, ReactivePolicy,
 };
 pub use reference::ReferenceRunner;
-pub use report::{BinRecord, QueryBinRecord, RunSummary};
+pub use report::{BinRecord, LabelTable, QueryBinRecord, RunSummary};
 pub use robust::{AllocationGameAttacker, DegradationGuard};
 pub use sharded::ShardedMonitor;
 pub use shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};

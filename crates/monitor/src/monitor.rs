@@ -19,22 +19,23 @@
 //!
 //! Queries registered together from equal specs form a cohort: every member
 //! after the first *follows* that first one, its head, by position — it
-//! borrows the head's lane instances and predictor for as long as the plan
-//! gives the two the same delivery, and takes the head's measurement of the
-//! run they share. Only owners are dispatched; a follower is completed from
-//! its head's slot, so no task ever reaches another query's state
-//! (DESIGN.md, "Cohorts").
+//! borrows the head's lane instances, predictor and control state for as
+//! long as the plan gives the two the same delivery, and takes the head's
+//! measurement of the run they share. Only owners are dispatched, and the
+//! control loop reads a follower's run off its head's slot, once per row of
+//! an owner and its followers (`Rows`), so no task ever reaches another
+//! query's state (DESIGN.md, "Cohorts").
 
 use crate::bin::{Bin, BinSlot};
 use crate::builder::MonitorBuilder;
 use crate::capture::{bounded, CaptureBuffer};
-use crate::config::{MonitorConfig, PolicySpec, PredictorSpec};
+use crate::config::{EnforcementConfig, MonitorConfig, PolicySpec, PredictorSpec};
 use crate::engine::Engine;
 use crate::error::NetshedError;
 use crate::exec::{StageClock, StageStats};
 use crate::observer::RunObserver;
 use crate::policy::ControlPolicy;
-use crate::report::RunSummary;
+use crate::report::{LabelTable, RunSummary};
 use netshed_features::{ExtractScratch, ExtractorConfig, FeatureExtractor};
 use netshed_predict::{FeatureWindow, Predictor};
 use netshed_queries::{
@@ -45,7 +46,6 @@ use netshed_sketch::{DetHashMap, H3Hasher, StateError, StateReader, StateWriter}
 use netshed_trace::{Batch, KeepListPool, PacketSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Capture buffer size in time bins of backlog the system can accumulate
 /// before uncontrolled drops start (the DAG buffer of the paper).
@@ -86,25 +86,19 @@ impl std::fmt::Display for QueryId {
 /// and is never dispatched for them.
 pub(crate) struct RegisteredQuery {
     pub(crate) id: QueryId,
-    pub(crate) label: Arc<str>,
     pub(crate) shedding: SheddingMethod,
     pub(crate) min_rate: f64,
     /// The spec this instance was built from, when registered through
     /// [`Monitor::register`]; lets the monitor build a shadow twin for
     /// policies that need the true full-batch cycles.
     spec: Option<QuerySpec>,
-    /// The measurement interval the flow-sampling hash function was last
-    /// redrawn in (0 = the registration-time draw): advanced every interval
-    /// the query runs, and checkpointed.
-    pub(crate) hasher_generation: u64,
-    /// That hash function, with the generation it was built for. Built in
-    /// the plan only when the query is flow-sampled, so a query that never
-    /// is holds no table.
+    /// The flow-sampling hash function, with the generation it was built
+    /// for. Built in the plan only when the query is flow-sampled, so a
+    /// query that never is holds no table.
     pub(crate) flow_hasher: Option<(u64, H3Hasher)>,
-    /// Chapter 6 enforcement state.
-    pub(crate) overuse_ratio: f64,
-    pub(crate) violations: u32,
-    pub(crate) penalty_remaining: u32,
+    /// What the plan and the enforcement advance bin by bin — an owner's
+    /// own; a follower's is its head's (see [`Control`]).
+    pub(crate) control: Control,
     /// What the query runs on: its own lane instances and predictor, or its
     /// cohort head's.
     pub(crate) role: Role,
@@ -117,8 +111,10 @@ pub(crate) struct RegisteredQuery {
     /// sample, before it is split over the lanes. Built by the plan the first
     /// time it feeds the query a sample of its own (a fresh extractor's state
     /// is all an unused one would hold), so a query never sampled on its own
-    /// has none.
-    pub(crate) sampled_extractor: Option<FeatureExtractor>,
+    /// has none — and, boxed, costs the registry one pointer, not the
+    /// extractor's ≈ 1 KB (a registration copies the query into the
+    /// registry, and a cohort member is never sampled on its own).
+    pub(crate) sampled_extractor: Option<Box<FeatureExtractor>>,
     /// Keep-list pool for the views this query's task builds (the
     /// flow-sampled one, the lane views); owned per query so the dispatch
     /// needs no shared state.
@@ -159,6 +155,102 @@ fn copy_predictor(predictor: &dyn Predictor, spec: &PredictorSpec) -> Box<dyn Pr
     let mut copy = spec.make();
     copy_state(|writer| predictor.save_state(writer), |reader| copy.load_state(reader));
     copy
+}
+
+/// What the plan and the Chapter 6 enforcement advance for a query, bin by
+/// bin. A follower shares its head's: the control loop reads it through the
+/// query's row (see [`Rows`]), so a follower's own copy is left behind while
+/// it follows. The plan refreshes it from the head in a bin where the row
+/// may break (`bin.rs`), and a deregistration's hand-off gives the heir the
+/// leaving owner's — before either query acts on it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Control {
+    /// The measurement interval the flow-sampling hash function was last
+    /// redrawn in (0 = the registration-time draw): advanced every interval
+    /// the query runs, and checkpointed.
+    pub(crate) hasher_generation: u64,
+    /// Chapter 6 enforcement state.
+    pub(crate) overuse_ratio: f64,
+    pub(crate) violations: u32,
+    pub(crate) penalty_remaining: u32,
+}
+
+impl Default for Control {
+    fn default() -> Self {
+        Self { hasher_generation: 0, overuse_ratio: 1.0, violations: 0, penalty_remaining: 0 }
+    }
+}
+
+impl Control {
+    /// The Chapter 6 enforcement after a custom-shedding run that consumed
+    /// `overuse` times the cycles it was expected to: the smoothed overuse
+    /// ratio moves towards it, and a run past the tolerance is a violation —
+    /// the configured number of them in a row earn a penalty.
+    pub(crate) fn enforce(&mut self, overuse: f64, enforcement: &EnforcementConfig) {
+        self.overuse_ratio = 0.3 * overuse + 0.7 * self.overuse_ratio;
+        if overuse > 1.0 + enforcement.tolerance {
+            self.violations += 1;
+            if self.violations >= enforcement.max_violations {
+                self.penalty_remaining = enforcement.penalty_bins;
+                self.violations = 0;
+            }
+        } else {
+            self.violations = 0;
+        }
+    }
+
+    /// Whether two queries' states agree bit for bit.
+    fn same_as(&self, other: &Control) -> bool {
+        self.hasher_generation == other.hasher_generation
+            && self.overuse_ratio.to_bits() == other.overuse_ratio.to_bits()
+            && self.violations == other.violations
+            && self.penalty_remaining == other.penalty_remaining
+    }
+}
+
+/// The control loop's view of the registry, by row: an owner and the
+/// followers that name it (DESIGN.md "Cohorts"). A bin's per-query passes
+/// run once per row; a follower is touched only where a per-query value is
+/// due — its record, its prediction and demand, and its term of every sum
+/// that folds in registration order. Rebuilt from the roles before the
+/// first bin after they change.
+#[derive(Default)]
+pub(crate) struct Rows {
+    /// Per position: the query's handle and its row owner's position (its
+    /// own, for an owner).
+    pub(crate) members: Vec<(QueryId, usize)>,
+    /// The owners' positions in registration order, each with the number of
+    /// queries in its row.
+    pub(crate) owners: Vec<(usize, usize)>,
+    /// Whether a role changed since the last rebuild.
+    stale: bool,
+}
+
+impl Rows {
+    /// Marks the rows for a rebuild: a registration, a deregistration, a
+    /// restore or the plan changed who follows whom.
+    pub(crate) fn invalidate(&mut self) {
+        self.stale = true;
+    }
+
+    /// Rebuilds the rows of `queries` if a role changed since the last
+    /// rebuild.
+    pub(crate) fn refresh(&mut self, queries: &[RegisteredQuery]) {
+        if !self.stale {
+            return;
+        }
+        self.stale = false;
+        self.members.clear();
+        self.owners.clear();
+        for (position, registered) in queries.iter().enumerate() {
+            let owner = registered.head().unwrap_or(position);
+            self.members.push((registered.id, owner));
+            match self.owners.binary_search_by_key(&owner, |&(at, _)| at) {
+                Ok(row) => self.owners[row].1 += 1,
+                Err(_) => self.owners.push((position, 1)),
+            }
+        }
+    }
 }
 
 /// What a registered query runs on.
@@ -412,6 +504,11 @@ pub struct Monitor {
     /// (the plan thread uses the first); empty between extractions.
     pub(crate) scratch: Vec<ExtractScratch>,
     pub(crate) queries: Vec<RegisteredQuery>,
+    /// The registered queries' labels, in registration order: the table
+    /// every bin's records share.
+    pub(crate) labels: LabelTable,
+    /// Each registered query's row, for the bin's per-row passes.
+    pub(crate) rows: Rows,
     pub(crate) buffer: CaptureBuffer,
     pub(crate) noise: MeasurementNoise,
     pub(crate) rng: StdRng,
@@ -451,8 +548,11 @@ pub struct Monitor {
     pub(crate) clock: StageClock,
     /// The heads of the cohorts that have neither run a bin nor closed an
     /// interval, by key: a registration with an equal key follows the head.
-    /// The next plan or close empties it.
-    pub(crate) fresh: DetHashMap<CohortKey, usize>,
+    /// Beside each head's position, whether it may be followed, once a
+    /// registration asked: the head's predictor does not change before the
+    /// cohort runs, so the answer is the same for every member. The next
+    /// plan or close empties it.
+    pub(crate) fresh: DetHashMap<CohortKey, (usize, Option<bool>)>,
     /// How many sets of lane instances the last bin ran (see
     /// [`Monitor::query_runs`]).
     pub(crate) query_runs: usize,
@@ -500,6 +600,8 @@ impl Monitor {
             extractor: extractor(&config),
             scratch: (0..config.workers.max(1)).map(|_| ExtractScratch::default()).collect(),
             queries: Vec::new(),
+            labels: LabelTable::default(),
+            rows: Rows::default(),
             buffer,
             noise,
             rng,
@@ -577,8 +679,14 @@ impl Monitor {
         // predictor are as fresh as this query's own would be: a query that
         // joins one builds neither.
         let position = self.queries.len();
-        let runs = match *self.fresh.entry(CohortKey::of(spec)).or_insert(position) {
-            head if head != position && self.queries[head].followable() => Runs::Follows(head),
+        let (head, followable) = self.fresh.entry(CohortKey::of(spec)).or_insert((position, None));
+        let queries = &self.queries;
+        let runs = match *head {
+            head if head != position
+                && *followable.get_or_insert_with(|| queries[head].followable()) =>
+            {
+                Runs::Follows(head)
+            }
             _ => {
                 let query = build_query_from_spec(spec);
                 let min_rate = spec.min_sampling_rate.unwrap_or(query.min_sampling_rate());
@@ -619,8 +727,10 @@ impl Monitor {
     fn push_query(&mut self, label: String, spec: Option<QuerySpec>, runs: Runs) -> QueryId {
         let id = QueryId(self.next_query_id);
         self.next_query_id += 1;
-        let registered = self.new_query(id, label.into(), spec, runs);
+        let registered = self.new_query(id, spec, runs);
         self.queries.push(registered);
+        self.labels.edit().push(label.into());
+        self.rows.invalidate();
         id
     }
 
@@ -629,13 +739,7 @@ impl Monitor {
     /// and what it `runs`. An owner has one instance per lane of its own (a
     /// bare instance has only the one) and a fresh predictor. A follower
     /// builds neither.
-    fn new_query(
-        &self,
-        id: QueryId,
-        label: Arc<str>,
-        spec: Option<QuerySpec>,
-        runs: Runs,
-    ) -> RegisteredQuery {
+    fn new_query(&self, id: QueryId, spec: Option<QuerySpec>, runs: Runs) -> RegisteredQuery {
         let (shedding, min_rate, role) = match runs {
             Runs::Own(query, min_rate) => {
                 let others = spec
@@ -652,14 +756,10 @@ impl Monitor {
         };
         RegisteredQuery {
             id,
-            label,
             shedding,
             min_rate,
-            hasher_generation: 0,
             flow_hasher: None,
-            overuse_ratio: 1.0,
-            violations: 0,
-            penalty_remaining: 0,
+            control: Control::default(),
             role,
             shadow: shadow_twin(spec.as_ref(), self.policy.needs_measured_cycles()),
             spec,
@@ -678,10 +778,13 @@ impl Monitor {
             return Err(NetshedError::UnknownQuery(id.to_string()));
         };
         let removed = self.queries.remove(position);
+        self.labels.edit().remove(position);
+        self.rows.invalidate();
         // Only an owner is followed, and only by queries registered after it.
         // Their heads still hold the positions before the removal, so the
-        // hand-off numbers the heir that way, and then every head past the
-        // removed query moves down by one.
+        // hand-off numbers the heir that way — the heir takes the removed
+        // owner's control state with its instances, the one it shared — and
+        // then every head past the removed query moves down by one.
         let later = &mut self.queries[position..];
         let heir = hand_off(later, position + 1, position, || removed.role);
         let renumber = |head: usize| if head > position { head - 1 } else { head };
@@ -690,9 +793,14 @@ impl Monitor {
                 *head = renumber(*head);
             }
         }
-        let fresh = self.fresh.drain().filter_map(|(key, head)| {
+        if let Some(heir) = heir {
+            self.queries[renumber(heir)].control = removed.control;
+        }
+        // The heir owns the removed head's predictor, so whether it may be
+        // followed is the removed head's answer.
+        let fresh = self.fresh.drain().filter_map(|(key, (head, followable))| {
             let head = if head == position { heir? } else { head };
-            Some((key, renumber(head)))
+            Some((key, (renumber(head), followable)))
         });
         self.fresh = fresh.collect();
         Ok(())
@@ -700,12 +808,12 @@ impl Monitor {
 
     /// Labels of the registered queries, in registration order.
     pub fn query_names(&self) -> Vec<String> {
-        self.queries.iter().map(|q| q.label.to_string()).collect()
+        self.labels.iter().map(str::to_string).collect()
     }
 
     /// Handles and labels of the registered queries, in registration order.
     pub fn query_handles(&self) -> Vec<(QueryId, &str)> {
-        self.queries.iter().map(|q| (q.id, &*q.label)).collect()
+        self.queries.iter().zip(self.labels.iter()).map(|(q, label)| (q.id, label)).collect()
     }
 
     /// Number of packets dropped without control since the start of the run.
@@ -833,7 +941,7 @@ impl Monitor {
     fn close_interval(&mut self) -> Vec<(String, QueryOutput)> {
         self.fresh.clear();
         let mut outputs: Vec<(String, QueryOutput)> = Vec::with_capacity(self.queries.len());
-        for registered in &mut self.queries {
+        for (registered, label) in self.queries.iter_mut().zip(self.labels.iter()) {
             // Shadow twins close intervals on the same boundaries so their
             // per-interval state cannot grow without bound; their outputs
             // are discarded (only their cycles matter).
@@ -844,7 +952,7 @@ impl Monitor {
                 Role::Follows(head) => outputs[*head].1.clone(),
                 Role::Owns { lanes, .. } => end_interval(lanes),
             };
-            outputs.push((registered.label.to_string(), output));
+            outputs.push((label.to_string(), output));
         }
         outputs
     }
@@ -891,15 +999,16 @@ impl Monitor {
         writer.opt_u64(self.current_interval);
         self.policy.save_state(writer)?;
         writer.usize(self.queries.len());
-        for registered in &self.queries {
+        for (position, registered) in self.queries.iter().enumerate() {
+            let label = &self.labels[position];
             let spec = registered.spec.as_ref().ok_or_else(|| {
                 StateError::unsupported(format!(
-                    "query '{}' was registered as a bare instance (no QuerySpec to rebuild from)",
-                    registered.label
+                    "query '{label}' was registered as a bare instance (no QuerySpec to rebuild \
+                     from)"
                 ))
             })?;
             writer.u64(registered.id.0);
-            writer.str(&registered.label);
+            writer.str(label);
             spec.save_state(writer);
             writer.f64(registered.min_rate);
             writer.u8(registered.head().map_or(0, |_| FOLLOWS)
@@ -907,10 +1016,13 @@ impl Monitor {
             if let Role::Follows(head) = registered.role {
                 writer.usize(head);
             }
-            writer.u64(registered.hasher_generation);
-            writer.f64(registered.overuse_ratio);
-            writer.u32(registered.violations);
-            writer.u32(registered.penalty_remaining);
+            // A follower's control state is its head's (see `Control`).
+            let head = registered.head().and_then(|head| self.queries.get(head));
+            let control = &head.unwrap_or(registered).control;
+            writer.u64(control.hasher_generation);
+            writer.f64(control.overuse_ratio);
+            writer.u32(control.violations);
+            writer.u32(control.penalty_remaining);
             if let Role::Owns { lanes, predictor } = &registered.role {
                 for lane in lanes {
                     lane.save_state(writer)?;
@@ -977,9 +1089,13 @@ impl Monitor {
         self.policy.load_state(reader)?;
         let count = reader.usize()?;
         self.queries.clear();
+        self.labels = LabelTable::default();
+        self.rows.invalidate();
         self.fresh.clear();
         for _ in 0..count {
-            self.queries.push(self.load_query(reader)?);
+            let (registered, label) = self.load_query(reader)?;
+            self.queries.push(registered);
+            self.labels.edit().push(label.into());
         }
         self.next_query_id = reader.u64()?;
         if self.queries.last().is_some_and(|last| self.next_query_id <= last.id.0) {
@@ -991,7 +1107,10 @@ impl Monitor {
 
     /// Restores the record of the query after the ones restored so far (see
     /// [`Monitor::load_state`]).
-    fn load_query(&self, reader: &mut StateReader<'_>) -> Result<RegisteredQuery, StateError> {
+    fn load_query(
+        &self,
+        reader: &mut StateReader<'_>,
+    ) -> Result<(RegisteredQuery, String), StateError> {
         let id = QueryId(reader.u64()?);
         // Ids are handed out in increasing order, and the registry keeps
         // registration order.
@@ -1019,20 +1138,30 @@ impl Monitor {
             Runs::Follows(position)
         };
         let what = format!("query '{label}' overuse_ratio");
-        let mut registered = self.new_query(id, label.into(), Some(spec), runs);
-        registered.hasher_generation = reader.u64()?;
-        registered.overuse_ratio = bounded(reader.f64()?, &what, f64::MAX)?;
-        registered.violations = reader.u32()?;
-        registered.penalty_remaining = reader.u32()?;
+        let mut registered = self.new_query(id, Some(spec), runs);
+        registered.control = Control {
+            hasher_generation: reader.u64()?,
+            overuse_ratio: bounded(reader.f64()?, &what, f64::MAX)?,
+            violations: reader.u32()?,
+            penalty_remaining: reader.u32()?,
+        };
+        // A follower shares its head's control state, so a run writes the
+        // head's for it.
+        if let Some(head) = registered.head() {
+            if !registered.control.same_as(&self.queries[head].control) {
+                let why =
+                    format!("query '{label}' follows {head} under a control state of its own");
+                return Err(StateError::corrupt(why));
+            }
+        }
         if let Role::Owns { lanes, predictor } = &mut registered.role {
             load_lanes(lanes, reader)?;
             // Restored into the configuration that wrote it, an owner's
             // predictor of another shape is none: the record lost its own.
             predictor.load_state(reader).map_err(|error| match error {
                 StateError::Mismatch { what, found, expected } => StateError::corrupt(format!(
-                    "query '{}' holds no predictor of this configuration: {what} {found}, not \
-                     {expected}",
-                    registered.label
+                    "query '{label}' holds no predictor of this configuration: {what} {found}, \
+                     not {expected}"
                 )),
                 other => other,
             })?;
@@ -1042,9 +1171,12 @@ impl Monitor {
             shadow.load_state(reader)?;
         }
         if flags & SAMPLED != 0 {
-            registered.sampled_extractor.insert(extractor(&self.config)).load_state(reader)?;
+            registered
+                .sampled_extractor
+                .insert(Box::new(extractor(&self.config)))
+                .load_state(reader)?;
         }
-        Ok(registered)
+        Ok((registered, label))
     }
 
     /// The position of the head a restored follower's record names, if a run
@@ -1853,7 +1985,7 @@ mod tests {
             let registered = &monitor.queries[position];
             let mut header = StateWriter::new();
             header.u64(registered.id.0);
-            header.str(&registered.label);
+            header.str(&monitor.labels[position]);
             registered.spec.as_ref().expect("registered from a spec").save_state(&mut header);
             header.f64(registered.min_rate);
             before + header.as_bytes().len()
@@ -1885,6 +2017,27 @@ mod tests {
             state.splice(counters_end..counters_end, predictor);
             let message = refuse(&config, 1, &state);
             assert!(message.contains("record flags 0b11"), "{message}");
+        }
+
+        /// A follower shares its head's control state, so a run writes the
+        /// head's hasher generation and enforcement counters into every
+        /// follower's record: a follower record whose own differ in any of
+        /// the four is refused.
+        #[test]
+        fn a_follower_record_with_a_control_state_of_its_own_is_refused() {
+            let config = MonitorConfig::default().with_capacity(1e12).without_noise();
+            let mut monitor = trio(&config, 1, &small_trace(3, 100.0));
+            let flags = flags_offset(&mut monitor, 1);
+            let state = saved(&monitor);
+            // After the flags, the head's position: then the generation, the
+            // overuse ratio and the two counters.
+            for field in [flags + 1 + 8, flags + 1 + 16, flags + 1 + 24, flags + 1 + 28] {
+                let mut tampered = state.clone();
+                tampered[field] ^= 1;
+                let message = refuse(&config, 1, &tampered);
+                assert!(message.contains("control state of its own"), "{field}: {message}");
+            }
+            restored(&config, 1, &state);
         }
 
         /// An owner's record always holds a predictor: one whose predictor's

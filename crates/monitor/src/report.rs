@@ -5,14 +5,45 @@ use crate::policy::ControlDecision;
 use netshed_queries::QueryOutput;
 use std::sync::Arc;
 
+/// The labels of a monitor's registered queries, in registration order: the
+/// one table every record of a bin indexes (see [`BinRecord::label`]).
+///
+/// A bin shares the monitor's table — one reference count a bin, not one a
+/// query — and a registry change after it writes a new table rather than
+/// this one, so a kept record's labels stay the ones its queries had.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LabelTable(Arc<Vec<Arc<str>>>);
+
+impl LabelTable {
+    /// The labels in registration order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|label| &**label)
+    }
+
+    /// The labels themselves, for the registry to edit: in place while no
+    /// record shares the table, on a copy of it otherwise.
+    pub(crate) fn edit(&mut self) -> &mut Vec<Arc<str>> {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl std::ops::Index<usize> for LabelTable {
+    type Output = str;
+
+    fn index(&self, index: usize) -> &str {
+        &self.0[index]
+    }
+}
+
 /// What happened to one query during one time bin.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryBinRecord {
     /// Handle of the query instance.
     pub id: QueryId,
-    /// Label of the query instance (the kind's paper name unless the spec
-    /// set an explicit label), shared with the registration, not copied.
-    pub name: Arc<str>,
+    /// Where the query's label (the kind's paper name unless the spec set an
+    /// explicit label) sits in its bin's [`BinRecord::labels`]: resolve it
+    /// with [`BinRecord::label`].
+    pub label: u32,
     /// Sampling rate assigned to the query for this bin (0 = disabled).
     pub sampling_rate: f64,
     /// Cycles the prediction subsystem expected the query to need for the
@@ -61,6 +92,9 @@ pub struct BinRecord {
     pub buffer_occupation: f64,
     /// Per-query details.
     pub queries: Vec<QueryBinRecord>,
+    /// The labels of the queries registered when the bin ran, which every
+    /// per-query record indexes.
+    pub labels: LabelTable,
     /// Query outputs emitted at the end of the measurement interval this bin
     /// closed, if any (query label → output).
     pub interval_outputs: Option<Vec<(String, QueryOutput)>>,
@@ -88,6 +122,16 @@ impl BinRecord {
     /// The record of one query, looked up by handle.
     pub fn query(&self, id: QueryId) -> Option<&QueryBinRecord> {
         self.queries.iter().find(|q| q.id == id)
+    }
+
+    /// The label of one of this bin's per-query records.
+    ///
+    /// # Panics
+    ///
+    /// When `query` is not a record of this bin (its index is past the
+    /// bin's label table).
+    pub fn label(&self, query: &QueryBinRecord) -> &str {
+        &self.labels[query.label as usize]
     }
 }
 
@@ -165,6 +209,7 @@ mod tests {
             platform_cycles: 20.0,
             buffer_occupation: 0.5,
             queries: vec![],
+            labels: LabelTable::default(),
             interval_outputs: None,
             decision: ControlDecision::default(),
         }

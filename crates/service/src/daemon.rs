@@ -38,7 +38,7 @@
 //! ```
 
 use std::borrow::{Borrow, BorrowMut};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 
 use netshed_monitor::{
     DigestObserver, Monitor, MonitorConfig, NetshedError, PolicySpec, QueryId, RunDigest, Strategy,
@@ -154,11 +154,11 @@ pub enum TickStatus {
 /// A command travelling from a [`ControlChannel`] to its daemon. Applied
 /// only at bin boundaries, in arrival order.
 enum Command {
-    RegisterQuery { spec: QuerySpec, reply: Sender<Result<QueryId, ServiceError>> },
-    DeregisterQuery { id: QueryId, reply: Sender<Result<(), ServiceError>> },
-    SwapPolicy { policy: PolicySpec, reply: Sender<Result<String, ServiceError>> },
-    Checkpoint { reply: Sender<Result<Vec<u8>, ServiceError>> },
-    Shutdown { reply: Sender<Result<RunDigest, ServiceError>> },
+    RegisterQuery { spec: QuerySpec, reply: SyncSender<Result<QueryId, ServiceError>> },
+    DeregisterQuery { id: QueryId, reply: SyncSender<Result<(), ServiceError>> },
+    SwapPolicy { policy: PolicySpec, reply: SyncSender<Result<String, ServiceError>> },
+    Checkpoint { reply: SyncSender<Result<Vec<u8>, ServiceError>> },
+    Shutdown { reply: SyncSender<Result<RunDigest, ServiceError>> },
 }
 
 /// The answer to a control command, redeemable once the daemon has reached
@@ -200,8 +200,13 @@ pub struct ControlChannel {
 }
 
 impl ControlChannel {
-    fn send<T>(&self, make: impl FnOnce(Sender<Result<T, ServiceError>>) -> Command) -> Pending<T> {
-        let (reply, rx) = channel();
+    fn send<T>(
+        &self,
+        make: impl FnOnce(SyncSender<Result<T, ServiceError>>) -> Command,
+    ) -> Pending<T> {
+        // One slot: a command is answered once, where an unbounded
+        // channel's first send allocates a block of 31.
+        let (reply, rx) = sync_channel(1);
         // A send failure means the daemon is gone; the error surfaces as
         // ChannelClosed when the caller waits on the pending reply.
         let _ = self.tx.send(make(reply));

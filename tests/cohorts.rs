@@ -169,7 +169,7 @@ fn emitted(
         let record = engine.process_batch(batch).expect("bin");
         shared.push(Shared::of(&engine));
         for query in &record.queries {
-            tenants.entry(query.name.to_string()).or_default().0.push((
+            tenants.entry(record.label(query).to_string()).or_default().0.push((
                 query.sampling_rate.to_bits(),
                 query.predicted_cycles.to_bits(),
                 query.measured_cycles.to_bits(),

@@ -296,8 +296,9 @@ fn flows_tenants_racing_for_one_key_memo_emit_one_digest_at_any_worker_count() {
             .expect("valid monitor")
             .run(&mut BatchReplay::new(batches.clone()), &mut observers)
             .expect("run");
-        let sampled_flows = (observers.1.records.iter().flat_map(|record| &record.queries))
-            .filter(|query| &*query.name < "tenant-40" && query.sampling_rate < 1.0)
+        let sampled_flows = (observers.1.records.iter())
+            .flat_map(|record| record.queries.iter().map(move |query| (record.label(query), query)))
+            .filter(|(label, query)| *label < "tenant-40" && query.sampling_rate < 1.0)
             .count();
         (observers.0.digest(), sampled_flows)
     };

@@ -117,10 +117,13 @@ fn an_unshed_fleet_emits_the_solo_monitors_stream() {
             assert_eq!(fleet.incoming_packets, solo.incoming_packets, "{context}");
             assert_eq!((fleet.uncontrolled_drops, fleet.unsampled_packets), (0, 0), "{context}");
             assert_eq!(fleet.shedding_cycles, solo.shedding_cycles, "{context}");
-            for (solo, fleet) in solo.queries.iter().zip(&fleet.queries) {
-                assert_eq!((fleet.id, &fleet.name), (solo.id, &solo.name), "{context}");
-                assert_eq!(fleet.sampling_rate, 1.0, "{context}: {}", fleet.name);
-                assert_eq!(fleet.delivered_packets, solo.delivered_packets, "{context}");
+            for (solo_query, fleet_query) in solo.queries.iter().zip(&fleet.queries) {
+                let label = fleet.label(fleet_query);
+                let solo_label = solo.label(solo_query);
+                assert_eq!((fleet_query.id, label), (solo_query.id, solo_label), "{context}");
+                assert_eq!(fleet_query.sampling_rate, 1.0, "{context}: {label}");
+                let delivered = (fleet_query.delivered_packets, solo_query.delivered_packets);
+                assert_eq!(delivered.0, delivered.1, "{context}");
             }
         }
         assert_eq!(fleet.intervals.len(), solo.intervals.len(), "{lanes} lanes");

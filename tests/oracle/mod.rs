@@ -831,7 +831,7 @@ impl WordSerialDigest {
         self.u64(record.queries.len() as u64);
         for query in &record.queries {
             self.u64(query.id.index());
-            self.str(&query.name);
+            self.str(record.label(query));
             self.f64(query.sampling_rate);
             self.f64(query.predicted_cycles);
             self.f64(query.measured_cycles);
