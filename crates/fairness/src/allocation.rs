@@ -375,6 +375,32 @@ mod tests {
     }
 
     #[test]
+    fn an_over_bid_costs_the_honest_queries_under_eq_srates_and_only_the_bidder_under_mmfs_cpu() {
+        // Theorem 5.1 with three players at capacity 900: query 1 declares
+        // twice the equilibrium action C / |Q| where all three need 200, so
+        // the declared demand (200 + 600 + 200) overflows a budget the
+        // honest profile fits in.
+        let game = crate::game::AllocationGame::new(900.0, 3, crate::game::FairnessMode::Cpu);
+        let bid = 2.0 * game.equilibrium_action();
+        assert_eq!(bid, 600.0);
+        let demands = [
+            QueryDemand::new(200.0, 0.0),
+            QueryDemand::new(bid, 0.0),
+            QueryDemand::new(200.0, 0.0),
+        ];
+
+        // One rate for all: the honest queries pay for the over-bid.
+        let shared = eq_srates(&demands, 900.0);
+        assert!(shared[0].rate() < 1.0 && shared[2].rate() < 1.0, "{shared:?}");
+
+        // Max-min fair share contains the deviation: the honest queries
+        // keep their full rates, and only the over-bidder is cut.
+        let fair = mmfs_cpu(&demands, 900.0);
+        assert_eq!((fair[0].rate(), fair[2].rate()), (1.0, 1.0), "{fair:?}");
+        assert!(fair[1].rate() < 1.0, "the over-bidder absorbs its own cut: {fair:?}");
+    }
+
+    #[test]
     fn eq_srates_disables_queries_with_unmeetable_minimums() {
         let demands = vec![QueryDemand::new(1000.0, 0.9), QueryDemand::new(1000.0, 0.1)];
         let allocations = eq_srates(&demands, 600.0);

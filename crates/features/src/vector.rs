@@ -159,12 +159,6 @@ impl FeatureVector {
     pub fn bytes(&self) -> f64 {
         self.get(FeatureId::Bytes)
     }
-
-    /// Returns only the values at the selected indices (used to build the MLR
-    /// design matrix after feature selection).
-    pub fn select(&self, indices: &[usize]) -> Vec<f64> {
-        indices.iter().map(|&i| self.values[i]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -198,14 +192,6 @@ mod tests {
         v.set(id, 123.0);
         assert_eq!(v.get(id), 123.0);
         assert_eq!(v.get_index(id.index()), 123.0);
-    }
-
-    #[test]
-    fn select_extracts_requested_indices() {
-        let mut v = FeatureVector::zeros();
-        v.set(FeatureId::Packets, 10.0);
-        v.set(FeatureId::Bytes, 20.0);
-        assert_eq!(v.select(&[0, 1]), vec![10.0, 20.0]);
     }
 
     #[test]

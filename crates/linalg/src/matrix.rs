@@ -21,7 +21,8 @@ impl Matrix {
         Self { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Creates an identity matrix of the given size.
+    /// Creates an identity matrix of the given size (a test reference).
+    #[cfg(test)]
     pub fn identity(n: usize) -> Self {
         let mut m = Self::default();
         m.set_identity(n);
@@ -62,6 +63,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the rows have inconsistent lengths.
+    // lint:allow(unreached-pub): test fixtures build matrices with it, in this crate and in `tests/`
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         let nrows = rows.len();
         let ncols = rows.first().map_or(0, Vec::len);
@@ -123,18 +125,19 @@ impl Matrix {
         (&mut head[p * self.rows..(p + 1) * self.rows], &mut tail[..self.rows])
     }
 
-    /// Matrix-vector product `self * x`.
+    /// Matrix-vector product `self * x` (a test reference).
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
+    #[cfg(test)]
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
         self.mul_vec_into(x, &mut out);
         out
     }
 
-    /// [`Matrix::mul_vec`] into a caller-owned buffer.
+    /// Matrix-vector product `self * x` into a caller-owned buffer.
     ///
     /// # Panics
     ///
@@ -151,18 +154,8 @@ impl Matrix {
         }
     }
 
-    /// Transposed matrix-vector product `self^T * y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != self.rows()`.
-    pub fn tr_mul_vec(&self, y: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.tr_mul_vec_into(y, &mut out);
-        out
-    }
-
-    /// [`Matrix::tr_mul_vec`] into a caller-owned buffer.
+    /// Transposed matrix-vector product `self^T * y` into a caller-owned
+    /// buffer.
     ///
     /// # Panics
     ///
@@ -173,11 +166,12 @@ impl Matrix {
         out.extend((0..self.cols).map(|j| dot(self.column(j), y)));
     }
 
-    /// Matrix-matrix product `self * other`.
+    /// Matrix-matrix product `self * other` (a test reference).
     ///
     /// # Panics
     ///
     /// Panics if the inner dimensions do not match.
+    #[cfg(test)]
     pub fn mul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
@@ -303,9 +297,11 @@ mod tests {
     }
 
     #[test]
-    fn tr_mul_vec_matches_transpose_mul() {
+    fn tr_mul_vec_into_matches_transpose_mul() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let y = vec![1.0, 1.0, 1.0];
-        assert_eq!(a.tr_mul_vec(&y), a.transpose().mul_vec(&y));
+        let mut product = vec![f64::NAN; 5];
+        a.tr_mul_vec_into(&y, &mut product);
+        assert_eq!(product, a.transpose().mul_vec(&y));
     }
 }

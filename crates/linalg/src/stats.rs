@@ -68,11 +68,6 @@ impl Ewma {
         self.value.unwrap_or(0.0)
     }
 
-    /// Returns `true` if at least one observation has been folded in.
-    pub fn is_initialised(&self) -> bool {
-        self.value.is_some()
-    }
-
     /// Folds in a new observation and returns the updated value.
     pub fn update(&mut self, observation: f64) -> f64 {
         let next = match self.value {
@@ -132,7 +127,7 @@ mod tests {
     #[test]
     fn ewma_converges_to_constant_input() {
         let mut e = Ewma::new(0.3);
-        assert!(!e.is_initialised());
+        assert!(e.value.is_none());
         for _ in 0..100 {
             e.update(10.0);
         }

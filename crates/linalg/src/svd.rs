@@ -30,7 +30,8 @@ impl Svd {
         self.singular_values.iter().filter(|&&s| s > max * relative_tolerance).count()
     }
 
-    /// Reconstructs the original matrix (used by the tests).
+    /// Reconstructs the original matrix (a test reference).
+    #[cfg(test)]
     pub fn reconstruct(&self) -> Matrix {
         let k = self.singular_values.len();
         let mut scaled = self.u.clone();

@@ -17,6 +17,7 @@
 //! | `no-unwrap` | library code returns `NetshedError`, never panics |
 //! | `hot-path-alloc` | designated hot-path modules never allocate per bin |
 //! | `fused-float` | bit-exact float crates never fuse a multiply-add |
+//! | `unreached-pub` | a library `pub` item is reached by non-test code |
 //!
 //! Violations are suppressed inline with
 //! `// lint:allow(<rule>): <justification>` — the justification is
@@ -26,24 +27,32 @@
 #![forbid(unsafe_code)]
 
 pub mod lexer;
+pub mod reach;
 pub mod report;
 pub mod rules;
 pub mod suppress;
 pub mod walk;
 
 pub use report::{Diagnostic, Report};
-pub use rules::{lint_source, Config, BAD_SUPPRESSION, RULE_NAMES};
+pub use rules::{lint_files, lint_source, Config, BAD_SUPPRESSION, RULE_NAMES};
 
 use std::io;
 use std::path::Path;
 
-/// Lints every first-party source file under `root` with the given policy.
+/// Lints every first-party source file under `root` with the given policy;
+/// the benches, the benchmark package and the examples are read as users of
+/// the library's `pub` items but not linted.
 pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<Report> {
-    let mut report = Report::default();
-    for file in walk::workspace_sources(root)? {
-        let source = std::fs::read_to_string(&file.absolute)?;
-        report.diagnostics.extend(lint_source(&file.relative, &source, config));
-        report.files_scanned.push(file.relative);
-    }
-    Ok(report)
+    let read = |files: Vec<walk::SourceFile>| -> io::Result<Vec<(String, String)>> {
+        files
+            .into_iter()
+            .map(|file| Ok((file.relative, std::fs::read_to_string(&file.absolute)?)))
+            .collect()
+    };
+    let linted = read(walk::workspace_sources(root)?)?;
+    let readers = read(walk::reader_sources(root)?)?;
+    Ok(Report {
+        diagnostics: lint_files(&linted, &readers, config),
+        files_scanned: linted.into_iter().map(|(path, _)| path).collect(),
+    })
 }

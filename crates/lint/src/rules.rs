@@ -1,17 +1,22 @@
 //! The determinism-contract rules and the token-stream engine that runs them.
 //!
-//! Each rule is a named, suppressible check over the lexed token stream of a
-//! single file. Rules never look inside comments or literals (the lexer
-//! already dropped them) and never fire inside test code: `#[cfg(test)]` /
-//! `#[test]` items are masked out by [`test_regions`], and integration-test /
-//! bench / example trees are excluded by the walker before a file gets here.
+//! Each per-file rule is a named, suppressible check over the lexed token
+//! stream of a single file. Rules never look inside comments or literals (the
+//! lexer already dropped them) and never fire inside test code: `#[cfg(test)]`
+//! / `#[test]` items are masked out by [`test_regions`], and integration-test
+//! / bench / example trees are excluded by the walker before a file gets
+//! here. The one workspace rule, `unreached-pub` ([`crate::reach`]), runs
+//! after them over every linted file at once; its hits are suppressed the
+//! same way, on the line they name.
 
 use crate::lexer::{lex, Token, TokenKind};
+use crate::reach::{unreached_pub, Unit};
 use crate::report::Diagnostic;
 use crate::suppress::{parse_suppressions, Suppression};
 
-/// The seven contract rules, in reporting order.
-pub const RULE_NAMES: [&str; 7] = [
+/// The contract rules, in reporting order: seven per-file rules, then the
+/// workspace pass `unreached-pub` (see [`crate::reach`]).
+pub const RULE_NAMES: [&str; 8] = [
     "det-map",
     "plan-phase-rng",
     "telemetry-clock",
@@ -19,6 +24,7 @@ pub const RULE_NAMES: [&str; 7] = [
     "no-unwrap",
     "hot-path-alloc",
     "fused-float",
+    "unreached-pub",
 ];
 
 /// Pseudo-rule reported for malformed suppression comments (unknown rule
@@ -26,7 +32,7 @@ pub const RULE_NAMES: [&str; 7] = [
 /// suppressed: a suppression must always carry a justification.
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
 
-/// Returns true when `name` is one of the seven suppressible contract rules.
+/// Returns true when `name` is one of the suppressible contract rules.
 pub fn is_rule(name: &str) -> bool {
     RULE_NAMES.contains(&name)
 }
@@ -65,6 +71,10 @@ pub struct Config {
     /// to be rewritten only as the same sequence of IEEE operations — a
     /// fused multiply-add rounds once where `a * b + c` rounds twice.
     pub exact_float: Vec<String>,
+    /// Path prefixes of the files whose bare `pub` items `unreached-pub`
+    /// collects: the library crates. Every file the workspace pass reads
+    /// counts as a user.
+    pub pub_scope: Vec<String>,
 }
 
 impl Config {
@@ -121,6 +131,20 @@ impl Config {
                 "crates/linalg/src/ols.rs",
             ]),
             exact_float: owned(&["crates/linalg/", "crates/predict/", "crates/sketch/"]),
+            // The library crates and the facade; `crates/bench` and
+            // `crates/lint` are consumers, not surface.
+            pub_scope: owned(&[
+                "src/",
+                "crates/fairness/src/",
+                "crates/features/src/",
+                "crates/linalg/src/",
+                "crates/monitor/src/",
+                "crates/predict/src/",
+                "crates/queries/src/",
+                "crates/service/src/",
+                "crates/sketch/src/",
+                "crates/trace/src/",
+            ]),
         }
     }
 
@@ -135,6 +159,7 @@ impl Config {
             unwrap_skips_binaries: false,
             hot_path: vec![String::new()],
             exact_float: vec![String::new()],
+            pub_scope: vec![String::new()],
         }
     }
 
@@ -151,16 +176,63 @@ impl Config {
             // Inverted: active only inside the designated modules.
             "hot-path-alloc" => allowed(&self.hot_path),
             "fused-float" => allowed(&self.exact_float),
+            "unreached-pub" => allowed(&self.pub_scope),
             _ => true,
         }
     }
 }
 
-/// Lints one file's source. `path` is the workspace-relative path used both
-/// for allowlist matching and in emitted diagnostics.
+/// Lints one file's source with the per-file rules. `path` is the
+/// workspace-relative path used both for allowlist matching and in emitted
+/// diagnostics.
 pub fn lint_source(path: &str, source: &str, config: &Config) -> Vec<Diagnostic> {
-    let tokens = lex(source);
-    let in_test = test_regions(&tokens);
+    lint_tokens(path, &lex(source), config, Vec::new())
+}
+
+/// Lints a set of files as one workspace: the per-file rules on each
+/// `linted` file, then `unreached-pub` over the `pub` items of the linted
+/// files in [`Config::pub_scope`], with the tokens of `linted` and `readers`
+/// as the uses. Each entry is `(workspace-relative path, source)`.
+pub fn lint_files(
+    linted: &[(String, String)],
+    readers: &[(String, String)],
+    config: &Config,
+) -> Vec<Diagnostic> {
+    let lexed: Vec<(&str, Vec<Token>)> =
+        linted.iter().chain(readers).map(|(path, source)| (path.as_str(), lex(source))).collect();
+    let units: Vec<Unit> = lexed
+        .iter()
+        .enumerate()
+        .map(|(index, (path, tokens))| Unit {
+            tokens,
+            defines: index < linted.len() && config.rule_active("unreached-pub", path),
+        })
+        .collect();
+    let mut unreached: Vec<Vec<Hit>> = vec![Vec::new(); linted.len()];
+    for (index, line, name) in unreached_pub(&units) {
+        unreached[index].push((
+            "unreached-pub",
+            line,
+            format!(
+                "`pub` item `{name}` is named by no code outside its definition and the \
+                 tests; delete it, or say what reaches it"
+            ),
+        ));
+    }
+    lexed
+        .iter()
+        .zip(unreached)
+        .flat_map(|((path, tokens), hits)| lint_tokens(path, tokens, config, hits))
+        .collect()
+}
+
+/// A rule hit before suppression: `(rule, line, message)`.
+type Hit = (&'static str, u32, String);
+
+/// Runs the per-file rules over `tokens`, adds the workspace pass's `extra`
+/// hits, and applies the file's suppressions to all of them.
+fn lint_tokens(path: &str, tokens: &[Token], config: &Config, extra: Vec<Hit>) -> Vec<Diagnostic> {
+    let in_test = test_regions(tokens);
     let code_lines: Vec<u32> = {
         let mut lines: Vec<u32> = tokens
             .iter()
@@ -170,10 +242,10 @@ pub fn lint_source(path: &str, source: &str, config: &Config) -> Vec<Diagnostic>
         lines.dedup();
         lines
     };
-    let (mut suppressions, mut diagnostics) = parse_suppressions(path, &tokens, &code_lines);
+    let (mut suppressions, mut diagnostics) = parse_suppressions(path, tokens, &code_lines);
 
-    let mut raw = Vec::new();
-    scan(&tokens, &in_test, |rule, line, message| {
+    let mut raw = extra;
+    scan(tokens, &in_test, |rule, line, message| {
         if config.rule_active(rule, path) && !raw.iter().any(|(r, l, _)| *r == rule && *l == line) {
             raw.push((rule, line, message));
         }

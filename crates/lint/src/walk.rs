@@ -10,6 +10,8 @@
 //!   bans — that is their job — and are not netshed library code.
 //! - integration `tests/`, `benches/`, `examples/` trees: not library code;
 //!   inline `#[cfg(test)]` modules are masked by the rule engine instead.
+//!   The benches, `benchmark/src` and `examples/` are still *read*
+//!   ([`reader_sources`]): their uses keep a library `pub` item reached.
 
 use std::fs;
 use std::io;
@@ -37,6 +39,19 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     crate_dirs.sort();
     for dir in crate_dirs {
         collect_rs(&dir.join("src"), root, &mut files)?;
+    }
+    files.sort_by(|a, b| a.relative.cmp(&b.relative));
+    Ok(files)
+}
+
+/// Lists the sources read only for their uses of library `pub` items
+/// (`unreached-pub`): the benches, the benchmark package and the examples,
+/// sorted by relative path. They are consumers, so no per-file rule runs on
+/// them.
+pub fn reader_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut files = Vec::new();
+    for dir in ["crates/bench/benches", "benchmark/src", "examples"] {
+        collect_rs(&root.join(dir), root, &mut files)?;
     }
     files.sort_by(|a, b| a.relative.cmp(&b.relative));
     Ok(files)

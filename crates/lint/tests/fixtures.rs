@@ -3,7 +3,7 @@
 //! exact `(rule, line, suppressed)` expectations so any drift in the lexer
 //! or the rule engine shows up as a readable diff.
 
-use netshed_lint::{lint_source, Config, Diagnostic};
+use netshed_lint::{lint_files, lint_source, Config, Diagnostic};
 
 /// Lints a fixture under the strict (no-allowlist) policy and flattens the
 /// result to comparable tuples.
@@ -11,6 +11,14 @@ fn run(name: &str) -> Vec<(String, u32, bool)> {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     let source = std::fs::read_to_string(&path).expect("fixture must be readable");
     brief(&lint_source(&format!("fixtures/{name}"), &source, &Config::strict()))
+}
+
+/// Lints a fixture as a workspace of its own (the per-file rules, then the
+/// `unreached-pub` pass with the fixture as its only reader).
+fn run_as_workspace(name: &str) -> Vec<(String, u32, bool)> {
+    let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let source = std::fs::read_to_string(&path).expect("fixture must be readable");
+    brief(&lint_files(&[(format!("fixtures/{name}"), source)], &[], &Config::strict()))
 }
 
 fn brief(diagnostics: &[Diagnostic]) -> Vec<(String, u32, bool)> {
@@ -109,6 +117,55 @@ fn fused_float_fires_suppresses_and_stays_clean() {
             ("fused-float", 24, true), // telemetry-only, justified
         ])
     );
+}
+
+#[test]
+fn unreached_pub_fires_on_items_only_definitions_impls_re_exports_and_tests_name() {
+    assert_eq!(
+        run_as_workspace("unreached_pub.rs"),
+        expected(&[
+            ("unreached-pub", 5, false),  // only_defined
+            ("unreached-pub", 7, false),  // OnlyImplemented: impl headers do not reach
+            ("unreached-pub", 10, false), // only_tested: the test module does not reach
+            ("unreached-pub", 21, false), // ONLY_RE_EXPORTED: a `pub use` does not reach
+            ("unreached-pub", 27, true),  // kept, with its reason
+        ])
+    );
+}
+
+#[test]
+fn unreached_pub_stays_silent_when_code_reaches_every_item() {
+    assert_eq!(run_as_workspace("unreached_pub_reached.rs"), expected(&[]));
+}
+
+#[test]
+fn unreached_pub_collects_the_library_crates_and_counts_every_reader() {
+    let policy = Config::workspace();
+    let library = (
+        "crates/trace/src/x.rs".to_owned(),
+        "pub fn lonely() {}
+"
+        .to_owned(),
+    );
+    let consumer = (
+        "crates/bench/src/y.rs".to_owned(),
+        "pub fn bench_only() {}
+"
+        .to_owned(),
+    );
+    let flagged = lint_files(&[library.clone(), consumer], &[], &policy);
+    assert_eq!(
+        flagged.iter().map(|d| (d.file.as_str(), d.rule.as_str())).collect::<Vec<_>>(),
+        [("crates/trace/src/x.rs", "unreached-pub")],
+        "a library item is collected, a consumer's is not"
+    );
+    let example = (
+        "examples/z.rs".to_owned(),
+        "fn main() { lonely() }
+"
+        .to_owned(),
+    );
+    assert!(lint_files(&[library], &[example], &policy).is_empty(), "an example reaches");
 }
 
 #[test]

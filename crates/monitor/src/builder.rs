@@ -59,12 +59,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Sets the fixed per-bin platform overhead in cycles.
-    pub fn platform_overhead(mut self, cycles: f64) -> Self {
-        self.config.platform_overhead_cycles = cycles;
-        self
-    }
-
     /// Sets the control policy to a built-in [`Strategy`] — the validated
     /// constructor for the schemes the paper evaluates. Writes the same
     /// field as [`with_policy`](Self::with_policy); the later call wins.
@@ -252,8 +246,8 @@ mod tests {
 
     #[test]
     fn capacity_below_overhead_is_an_underflow() {
-        let error =
-            MonitorBuilder::new().capacity(100.0).platform_overhead(1000.0).build().unwrap_err();
+        let config = MonitorConfig { platform_overhead_cycles: 1000.0, ..MonitorConfig::default() };
+        let error = MonitorBuilder::from_config(config).capacity(100.0).build().unwrap_err();
         assert_eq!(error, NetshedError::CapacityUnderflow { capacity: 100.0, required: 1000.0 });
     }
 
@@ -268,24 +262,24 @@ mod tests {
 
     #[test]
     fn custom_policy_and_predictor_override_the_enums() {
-        use crate::policy::HysteresisReactivePolicy;
+        use crate::policy::OraclePolicy;
         use netshed_fairness::MmfsPkt;
         use netshed_predict::EwmaPredictor;
 
         let monitor = Monitor::builder()
             .capacity(1e9)
             .strategy(Strategy::Predictive(AllocationPolicy::EqualRates))
-            .with_policy(|| HysteresisReactivePolicy::new(MmfsPkt))
+            .with_policy(|| OraclePolicy::new(MmfsPkt))
             .with_predictor(|| Box::new(EwmaPredictor::new(0.5)) as Box<dyn Predictor>)
             .query(QuerySpec::new(QueryKind::Counter))
             .build()
             .expect("valid configuration");
-        assert_eq!(monitor.policy_name(), "reactive_hysteresis_mmfs_pkt");
+        assert_eq!(monitor.policy_name(), "oracle_mmfs_pkt");
         assert_eq!(monitor.config().predictor.name(), "ewma");
 
         // Both spellings write one field: the later call wins.
         let monitor = Monitor::builder()
-            .with_policy(|| HysteresisReactivePolicy::new(MmfsPkt))
+            .with_policy(|| OraclePolicy::new(MmfsPkt))
             .strategy(Strategy::NoShedding)
             .build()
             .expect("valid configuration");

@@ -55,11 +55,6 @@ impl CaptureBuffer {
         }
     }
 
-    /// Current backlog expressed in time bins of delay.
-    pub fn delay_bins(&self) -> f64 {
-        self.backlog_cycles / self.cycles_per_bin
-    }
-
     /// Current backlog in cycles (the `delay` of Algorithm 1).
     pub fn delay_cycles(&self) -> f64 {
         self.backlog_cycles
@@ -173,7 +168,6 @@ mod tests {
     fn delay_reporting_matches_backlog() {
         let mut buffer = CaptureBuffer::new(1000.0, 10.0);
         buffer.account_bin(3000.0);
-        assert!((buffer.delay_bins() - 2.0).abs() < 1e-9);
         assert!((buffer.delay_cycles() - 2000.0).abs() < 1e-9);
     }
 

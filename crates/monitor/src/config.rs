@@ -346,11 +346,6 @@ impl MonitorConfig {
         self
     }
 
-    /// Number of time bins per measurement interval.
-    pub fn bins_per_interval(&self) -> u64 {
-        (self.measurement_interval_us / self.time_bin_us).max(1)
-    }
-
     /// Checks every field against its valid domain.
     ///
     /// [`MonitorBuilder`](crate::MonitorBuilder) calls this before
@@ -464,7 +459,7 @@ mod tests {
     fn default_config_matches_paper_scale() {
         let config = MonitorConfig::default();
         assert_eq!(config.capacity_cycles_per_bin, 3.0e8);
-        assert_eq!(config.bins_per_interval(), 10);
+        assert_eq!(config.measurement_interval_us / config.time_bin_us, 10);
     }
 
     #[test]

@@ -46,9 +46,8 @@
 //!   [`AllocationPolicy::MmfsCpu`], [`AllocationPolicy::MmfsPkt`]).
 //!
 //! Beyond the enum, [`policy::OraclePolicy`] allocates from the bin's actual
-//! measured cycles (the upper bound on every predictor),
-//! [`policy::HysteresisReactivePolicy`] sheds immediately but recovers
-//! slowly, and user-defined policies plug in through
+//! measured cycles (the upper bound on every predictor), and user-defined
+//! policies plug in through
 //! [`MonitorBuilder::with_policy`]. Predictors follow the same registration
 //! pattern through [`MonitorBuilder::with_predictor`]. Either way the
 //! [`MonitorConfig`] ends up carrying one [`PolicySpec`] and one
@@ -60,10 +59,8 @@
 //! The [`robust`] module is the control-plane half of the robustness plane:
 //! [`DegradationGuard`] wraps any policy with a per-bin under-prediction
 //! tripwire and a conservative reactive fallback (surfaced as
-//! [`DecisionReason::DegradedFallback`]), and [`AllocationGameAttacker`]
-//! plays the Section 5.3 allocation game dishonestly so the defense can be
-//! measured. The hardened predictor rides along as
-//! [`PredictorKind::RobustMlrFcbf`].
+//! [`DecisionReason::DegradedFallback`]). The hardened predictor rides
+//! along as [`PredictorKind::RobustMlrFcbf`].
 
 #![forbid(unsafe_code)]
 
@@ -97,11 +94,11 @@ pub use exec::{Stage, StageStats, MAX_WORKERS};
 pub use monitor::{Monitor, QueryId};
 pub use observer::{AccuracyTracker, NullObserver, RecordSink, RunObserver};
 pub use policy::{
-    ControlContext, ControlDecision, ControlPolicy, DecisionReason, HysteresisReactivePolicy,
-    NoSheddingPolicy, OraclePolicy, PredictivePolicy, ReactivePolicy,
+    ControlContext, ControlDecision, ControlPolicy, DecisionReason, NoSheddingPolicy, OraclePolicy,
+    PredictivePolicy, ReactivePolicy,
 };
 pub use reference::ReferenceRunner;
 pub use report::{BinRecord, LabelTable, QueryBinRecord, RunSummary};
-pub use robust::{AllocationGameAttacker, DegradationGuard};
+pub use robust::DegradationGuard;
 pub use sharded::ShardedMonitor;
 pub use shedder::{draw_keys, flow_sample_with, keep_threshold, packet_sample_with};

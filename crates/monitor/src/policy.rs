@@ -15,10 +15,9 @@
 //! behaviour change rode along: reactive configurations whose per-query
 //! minimum sampling rates bind now honour them through the allocator
 //! instead of silently violating them — see the DESIGN.md control-plane
-//! notes; min-rate-free configurations are unchanged.) Two more built-ins
-//! open the surface beyond the enum: [`OraclePolicy`] (allocates from the
-//! bin's actual measured cycles, the upper bound on every predictor) and
-//! [`HysteresisReactivePolicy`] (sheds immediately, recovers slowly).
+//! notes; min-rate-free configurations are unchanged.) One more built-in
+//! opens the surface beyond the enum: [`OraclePolicy`] (allocates from the
+//! bin's actual measured cycles, the upper bound on every predictor).
 //!
 //! A custom policy is a struct:
 //!
@@ -51,7 +50,6 @@
 //! [`MonitorBuilder::with_policy`](crate::MonitorBuilder::with_policy)`(|| FixedRate(0.5))`
 //! — so every lane of a fleet and every daemon restore builds its own.
 
-use crate::capture::bounded;
 use netshed_fairness::{Allocation, AllocationStrategy, QueryDemand};
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
@@ -209,9 +207,10 @@ pub trait ControlPolicy: Send {
     }
 
     /// Serializes the policy's cross-bin state for a checkpoint. The default
-    /// writes nothing — correct for stateless policies (all the built-ins
-    /// except [`HysteresisReactivePolicy`]); stateful policies must override
-    /// both hooks or their restored runs diverge from uninterrupted ones.
+    /// writes nothing — correct for stateless policies (every built-in here;
+    /// [`DegradationGuard`](crate::DegradationGuard) carries state); stateful
+    /// policies must override both hooks or their restored runs diverge from
+    /// uninterrupted ones.
     fn save_state(&self, _writer: &mut StateWriter) -> Result<(), StateError> {
         Ok(())
     }
@@ -434,61 +433,6 @@ impl ControlPolicy for OraclePolicy {
     }
 }
 
-/// A reactive variant with hysteresis: the rate follows Eq. 4.1 *down*
-/// immediately (overload is dangerous) but recovers *up* only by a fraction
-/// of the gap per bin (slow decay of the shedding level), damping the
-/// oscillation the plain reactive scheme shows around the capacity.
-pub struct HysteresisReactivePolicy {
-    allocator: Box<dyn AllocationStrategy>,
-    /// Fraction of the gap to the target closed per bin when recovering.
-    recovery: f64,
-    /// The rate the previous bin ran with, according to this policy.
-    current: f64,
-}
-
-impl HysteresisReactivePolicy {
-    /// Default recovery fraction: closes a quarter of the gap per bin.
-    pub const DEFAULT_RECOVERY: f64 = 0.25;
-
-    /// A hysteresis policy resolving minimum-rate conflicts with `allocator`.
-    pub fn new(allocator: impl AllocationStrategy + 'static) -> Self {
-        Self { allocator: Box::new(allocator), recovery: Self::DEFAULT_RECOVERY, current: 1.0 }
-    }
-
-    /// Overrides the recovery fraction (clamped into `(0, 1]`).
-    pub fn with_recovery(mut self, recovery: f64) -> Self {
-        self.recovery = if recovery.is_finite() { recovery.clamp(1e-3, 1.0) } else { 1.0 };
-        self
-    }
-}
-
-impl ControlPolicy for HysteresisReactivePolicy {
-    fn decide(&mut self, ctx: &ControlContext<'_>) -> ControlDecision {
-        let target = eq_4_1_rate(ctx);
-        let rate = if target < self.current {
-            target
-        } else {
-            (self.current + self.recovery * (target - self.current)).min(1.0)
-        };
-        self.current = rate;
-        spread_global_rate(self.allocator.as_ref(), rate, ctx.demands)
-    }
-
-    fn name(&self) -> String {
-        reactive_family_name("reactive_hysteresis", self.allocator.as_ref())
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
-        writer.f64(self.current);
-        Ok(())
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.current = bounded(reader.f64()?, "reactive_hysteresis current rate", 1.0)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,28 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn hysteresis_sheds_immediately_but_recovers_slowly() {
-        let predictions = [500.0];
-        let demands = demands_of(&predictions, 0.0);
-        let mut policy = HysteresisReactivePolicy::new(EqualRates).with_recovery(0.25);
-
-        // Overloaded bin: target 0.25, taken immediately.
-        let mut context = ctx(&predictions, &demands, 250.0);
-        context.prev_mean_rate = 1.0;
-        context.prev_total_cycles = 1000.0;
-        let down = policy.decide(&context);
-        assert!((down.rates[0] - 0.25).abs() < 1e-9);
-
-        // Load vanishes: target 1.0, but only a quarter of the gap is closed.
-        let mut context = ctx(&predictions, &demands, 1000.0);
-        context.prev_mean_rate = 0.25;
-        context.prev_total_cycles = 100.0;
-        let up = policy.decide(&context);
-        let expected = 0.25 + 0.25 * (1.0 - 0.25);
-        assert!((up.rates[0] - expected).abs() < 1e-9, "{}", up.rates[0]);
-    }
-
-    #[test]
     fn names_compose_from_the_parts() {
         assert_eq!(NoSheddingPolicy.name(), "no_lshed");
         assert_eq!(ReactivePolicy::new(EqualRates).name(), "reactive");
@@ -628,7 +550,6 @@ mod tests {
         assert_eq!(PredictivePolicy::new(EqualRates).name(), "eq_srates");
         assert_eq!(PredictivePolicy::new(MmfsPkt).name(), "mmfs_pkt");
         assert_eq!(OraclePolicy::new(MmfsPkt).name(), "oracle_mmfs_pkt");
-        assert_eq!(HysteresisReactivePolicy::new(EqualRates).name(), "reactive_hysteresis");
     }
 
     #[test]

@@ -181,14 +181,6 @@ impl RunSummary {
         }
         self.cycles_per_bin.iter().sum::<f64>() / self.cycles_per_bin.len() as f64
     }
-
-    /// Mean relative prediction error over the run.
-    pub fn mean_prediction_error(&self) -> f64 {
-        if self.prediction_errors.is_empty() {
-            return 0.0;
-        }
-        self.prediction_errors.iter().sum::<f64>() / self.prediction_errors.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +224,7 @@ mod tests {
         assert!((summary.uncontrolled_drop_fraction() - 0.1).abs() < 1e-12);
         assert_eq!(summary.prediction_errors.len(), 2);
         assert!(summary.mean_cycles_per_bin() > 0.0);
-        assert!(summary.mean_prediction_error() > 0.0);
+        assert!(summary.prediction_errors.iter().all(|error| *error > 0.0));
     }
 
     #[test]

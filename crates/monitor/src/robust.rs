@@ -38,17 +38,12 @@
 //!   ratio is back under `RECOVER_RATIO` does the guard trust the
 //!   predictions again. The thresholds are constants, tuned once; that the
 //!   two ratios form a hysteresis band is checked at compile time.
-//! * [`AllocationGameAttacker`] models the Section 5.3 resource-allocation
-//!   game played dishonestly: one registered query unilaterally over-declares
-//!   its demand toward `greed ×` the Nash-equilibrium action `C / |Q|`
-//!   before the inner policy allocates. Deterministic and context-only, so
-//!   attacked runs replay bit-identically.
 
 use crate::capture::bounded;
 use crate::policy::{
     spread_global_rate, ControlContext, ControlDecision, ControlPolicy, DecisionReason,
 };
-use netshed_fairness::{AllocationGame, EqualRates, FairnessMode, QueryDemand};
+use netshed_fairness::EqualRates;
 use netshed_sketch::{StateError, StateReader, StateWriter};
 
 /// Per-bin multiplicative cap on how fast the degraded fallback rate may
@@ -165,11 +160,6 @@ impl DegradationGuard {
             degraded: false,
             trips: 0,
         }
-    }
-
-    /// Returns `true` while the guard is running the conservative fallback.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Number of times the tripwire has fired.
@@ -342,88 +332,11 @@ impl ControlPolicy for DegradationGuard {
     }
 }
 
-/// A non-cooperative player of the Section 5.3 allocation game, wired
-/// through the control plane: before the inner policy allocates, one query
-/// unilaterally over-declares its predicted cost toward `greed ×` the
-/// Nash-equilibrium action `C / |Q|` (Theorem 5.1), trying to grab more
-/// than its fair share of the bin.
-///
-/// The attacker manipulates only the *declared* demand the allocator sees;
-/// the data plane still runs the real queries, so the damage shows up as
-/// honest queries shed harder than the traffic warrants. Theorem 5.1
-/// predicts the max-min allocators punish the deviation (an over-bid that
-/// does not fit is disabled outright) while `eq_srates` lets it through —
-/// exactly what the robustness harness measures.
-pub struct AllocationGameAttacker {
-    inner: Box<dyn ControlPolicy>,
-    /// Registration index of the dishonest query.
-    attacker: usize,
-    /// Multiplier on the equilibrium action `C / |Q|`.
-    greed: f64,
-}
-
-impl AllocationGameAttacker {
-    /// Wraps `inner` with a dishonest player at registration index
-    /// `attacker` bidding `greed ×` the equilibrium action.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `greed` is not finite and positive.
-    pub fn new(inner: impl ControlPolicy + 'static, attacker: usize, greed: f64) -> Self {
-        assert!(greed.is_finite() && greed > 0.0, "greed must be finite and positive");
-        Self { inner: Box::new(inner), attacker, greed }
-    }
-
-    /// The bid the attacker declares for a context: `greed × C / |Q|`,
-    /// never less than its honest prediction (a rational player does not
-    /// under-bid below its real need).
-    fn bid(&self, ctx: &ControlContext<'_>) -> f64 {
-        let game = AllocationGame::new(
-            ctx.available_cycles.max(0.0),
-            ctx.predictions.len(),
-            FairnessMode::Cpu,
-        );
-        let honest = ctx.predictions.get(self.attacker).copied().unwrap_or(0.0);
-        (game.equilibrium_action() * self.greed).max(honest)
-    }
-}
-
-impl ControlPolicy for AllocationGameAttacker {
-    fn decide(&mut self, ctx: &ControlContext<'_>) -> ControlDecision {
-        if self.attacker >= ctx.predictions.len() {
-            return self.inner.decide(ctx);
-        }
-        let bid = self.bid(ctx);
-        let mut predictions = ctx.predictions.to_vec();
-        predictions[self.attacker] = bid;
-        let mut demands = ctx.demands.to_vec();
-        demands[self.attacker] = QueryDemand::new(bid, demands[self.attacker].min_rate);
-        let gamed = ControlContext { predictions: &predictions, demands: &demands, ..*ctx };
-        self.inner.decide(&gamed)
-    }
-
-    fn name(&self) -> String {
-        format!("gamed_q{}_{}", self.attacker, self.inner.name())
-    }
-
-    fn needs_measured_cycles(&self) -> bool {
-        self.inner.needs_measured_cycles()
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) -> Result<(), StateError> {
-        self.inner.save_state(writer)
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.inner.load_state(reader)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::{NoSheddingPolicy, PredictivePolicy};
-    use netshed_fairness::MmfsCpu;
+    use netshed_fairness::{MmfsCpu, QueryDemand};
 
     fn ctx<'a>(
         predictions: &'a [f64],
@@ -480,7 +393,7 @@ mod tests {
             // Actual tracks the committed expectation exactly: never trips.
             context.prev_query_cycles = if bin == 0 { 0.0 } else { 1000.0 };
             assert_eq!(guard.decide(&context), plain.decide(&context));
-            assert!(!guard.is_degraded());
+            assert!(!guard.degraded);
         }
         assert_eq!(guard.trips(), 0);
     }
@@ -493,9 +406,9 @@ mod tests {
         let first = step(&mut guard, &predictions, 1000.0, 0.0);
         assert_eq!(first.reason, DecisionReason::FitsInBudget);
         let _ = step(&mut guard, &predictions, 1000.0, 5000.0); // bad 1
-        assert!(!guard.is_degraded(), "one bad bin must not trip");
+        assert!(!guard.degraded, "one bad bin must not trip");
         let tripped = step(&mut guard, &predictions, 1000.0, 5000.0); // bad 2
-        assert!(guard.is_degraded());
+        assert!(guard.degraded);
         assert_eq!(guard.trips(), 1);
         assert_eq!(tripped.reason, DecisionReason::DegradedFallback);
         // Eq. 4.1 gives 1.0 × 1000 / 5000 = 0.2.
@@ -522,7 +435,7 @@ mod tests {
         first.prev_total_cycles = 5000.0;
         first.prev_query_cycles = 5000.0;
         let tripped = guard.decide(&first);
-        assert!(guard.is_degraded(), "the forced-dark bin must complete the streak");
+        assert!(guard.degraded, "the forced-dark bin must complete the streak");
         assert_eq!(guard.trips(), 1);
         assert_eq!(tripped.reason, DecisionReason::DegradedFallback);
         // Still in debt: the fallback sits at the rate floor, keeping the
@@ -547,18 +460,18 @@ mod tests {
         bin.prev_query_cycles = 500.0;
         let dark = guard.decide(&bin);
         assert_eq!(dark.rates, vec![0.0], "no query budget: the inner policy goes dark");
-        assert!(!guard.is_degraded(), "one bad bin does not complete a streak of {TRIP_BINS}");
+        assert!(!guard.degraded, "one bad bin does not complete a streak of {TRIP_BINS}");
 
         // The next bin counts the dark one (bad 1); one overrun then trips.
         bin.available_cycles = 1000.0;
         bin.shed_cycles_ewma = 0.0;
         bin.prev_query_cycles = 0.0;
         let lit = guard.decide(&bin);
-        assert!(!guard.is_degraded());
+        assert!(!guard.degraded);
         assert_eq!(lit.rates, vec![1.0]);
         bin.prev_query_cycles = 5000.0;
         let _ = guard.decide(&bin);
-        assert!(guard.is_degraded(), "the dark bin's evidence must carry into the streak");
+        assert!(guard.degraded, "the dark bin's evidence must carry into the streak");
     }
 
     #[test]
@@ -568,7 +481,7 @@ mod tests {
         let _ = step(&mut guard, &predictions, 1000.0, 0.0);
         let _ = step(&mut guard, &predictions, 1000.0, 5000.0);
         let _ = step(&mut guard, &predictions, 1000.0, 5000.0);
-        assert!(guard.is_degraded());
+        assert!(guard.degraded);
 
         // The fallback ran at rate 0.2, so a good-bin report of 50 cycles
         // sits well under the committed 500 × 0.2. One good bin short of
@@ -577,13 +490,13 @@ mod tests {
             let _ = step(&mut guard, &predictions, 1000.0, 50.0);
         }
         let _ = step(&mut guard, &predictions, 1000.0, 5000.0);
-        assert!(guard.is_degraded(), "a bad bin must reset the recovery streak");
+        assert!(guard.degraded, "a bad bin must reset the recovery streak");
         for _ in 1..RECOVER_BINS {
             let _ = step(&mut guard, &predictions, 1000.0, 50.0);
-            assert!(guard.is_degraded(), "recovery needs {RECOVER_BINS} good bins in a row");
+            assert!(guard.degraded, "recovery needs {RECOVER_BINS} good bins in a row");
         }
         let recovered = step(&mut guard, &predictions, 1000.0, 50.0);
-        assert!(!guard.is_degraded(), "{RECOVER_BINS} consecutive good bins must recover");
+        assert!(!guard.degraded, "{RECOVER_BINS} consecutive good bins must recover");
         assert_eq!(recovered.reason, DecisionReason::FitsInBudget);
         assert_eq!(recovered.rates, vec![1.0]);
     }
@@ -631,7 +544,7 @@ mod tests {
         let _ = step(&mut guard, &predictions, 1000.0, 0.0);
         let _ = step(&mut guard, &predictions, 1000.0, 5000.0);
         let _ = step(&mut guard, &predictions, 1000.0, 5000.0);
-        assert!(guard.is_degraded());
+        assert!(guard.degraded);
 
         let mut writer = StateWriter::new();
         guard.save_state(&mut writer).expect("save");
@@ -640,7 +553,7 @@ mod tests {
         let mut reader = StateReader::new(&bytes);
         restored.load_state(&mut reader).expect("load");
         reader.finish().expect("no trailing state");
-        assert!(restored.is_degraded());
+        assert!(restored.degraded);
         assert_eq!(restored.trips(), 1);
 
         // Both continue identically.
@@ -656,49 +569,5 @@ mod tests {
             DegradationGuard::new(PredictivePolicy::new(MmfsCpu)).name(),
             "guarded_mmfs_cpu"
         );
-    }
-
-    #[test]
-    fn attacker_hurts_equal_rates_but_max_min_contains_it() {
-        // Capacity 900, 3 players: equilibrium action 300, greed 2 → 600,
-        // so the declared demand (600 + 200 + 200) overflows the budget the
-        // honest profile (3 × 200) would have fit in.
-        let predictions = [200.0, 200.0, 200.0];
-        let demands = demands_of(&predictions, 0.0);
-        let context = ctx(&predictions, &demands, 900.0);
-        assert_eq!(
-            PredictivePolicy::new(EqualRates).decide(&context).rates,
-            vec![1.0, 1.0, 1.0],
-            "the honest profile fits without shedding"
-        );
-
-        // Under eq_srates everyone shares one rate: the honest queries pay
-        // for the attacker's over-bid.
-        let mut attacked = AllocationGameAttacker::new(PredictivePolicy::new(EqualRates), 1, 2.0);
-        let gamed = attacked.decide(&context);
-        assert_eq!(gamed.reason, DecisionReason::Overload);
-        assert!(
-            gamed.rates[0] < 1.0 && gamed.rates[2] < 1.0,
-            "honest queries pay under eq_srates: {:?}",
-            gamed.rates
-        );
-
-        // Max-min fair share contains the deviation (Theorem 5.1): the
-        // honest queries keep their full rates, only the over-bidder is cut.
-        let mut contained = AllocationGameAttacker::new(PredictivePolicy::new(MmfsCpu), 1, 2.0);
-        let fair = contained.decide(&context);
-        assert_eq!(fair.rates[0], 1.0, "{:?}", fair.rates);
-        assert_eq!(fair.rates[2], 1.0, "{:?}", fair.rates);
-        assert!(fair.rates[1] < 1.0, "the over-bidder absorbs its own cut: {:?}", fair.rates);
-    }
-
-    #[test]
-    fn attacker_name_and_out_of_range_index_passthrough() {
-        let mut attacked = AllocationGameAttacker::new(NoSheddingPolicy, 7, 3.0);
-        assert_eq!(attacked.name(), "gamed_q7_no_lshed");
-        let predictions = [100.0];
-        let demands = demands_of(&predictions, 0.0);
-        let decision = attacked.decide(&ctx(&predictions, &demands, 50.0));
-        assert_eq!(decision.rates, vec![1.0], "an absent attacker changes nothing");
     }
 }

@@ -28,11 +28,6 @@ impl ErrorStats {
         self.errors.push((1.0 - predicted / actual).abs());
     }
 
-    /// Records a pre-computed relative error.
-    pub fn record_error(&mut self, relative_error: f64) {
-        self.errors.push(relative_error.abs());
-    }
-
     /// Number of recorded observations.
     pub fn len(&self) -> usize {
         self.errors.len()
@@ -100,8 +95,9 @@ mod tests {
         let mut a = ErrorStats::new();
         let mut b = ErrorStats::new();
         for i in 1..=50 {
-            a.record_error(i as f64 / 100.0);
-            b.record_error(0.5 + i as f64 / 100.0);
+            // A prediction of `1 - e` against an actual 1 records error `e`.
+            a.record(1.0 - i as f64 / 100.0, 1.0);
+            b.record(0.5 - i as f64 / 100.0, 1.0);
         }
         a.merge(&b);
         assert_eq!(a.len(), 100);

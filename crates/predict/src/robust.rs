@@ -113,12 +113,6 @@ impl RobustMlrPredictor {
     pub fn history(&self) -> &History {
         self.inner.history()
     }
-
-    /// Number of observations that tripped the outlier defense so far.
-    /// Stays zero for the whole run on benign traffic.
-    pub fn tripped_observations(&self) -> u64 {
-        self.tripped
-    }
 }
 
 impl RobustMlrPredictor {
@@ -257,7 +251,7 @@ mod tests {
             plain.observe(&f, actual);
             robust.observe(&f, actual);
         }
-        assert_eq!(robust.tripped_observations(), 0);
+        assert_eq!(robust.tripped, 0);
     }
 
     #[test]
@@ -291,7 +285,7 @@ mod tests {
             plain.observe(&f, actual);
             robust.observe(&f, actual);
         }
-        assert!(robust.tripped_observations() > 0, "the attack must trip the defense");
+        assert!(robust.tripped > 0, "the attack must trip the defense");
         assert!(
             robust_err < plain_err * 0.75,
             "forgetting must relearn faster: robust {robust_err:.3} vs plain {plain_err:.3}"
@@ -318,7 +312,7 @@ mod tests {
         let before = robust.predict(&f);
         // One wild sampling extrapolation, 1000x the truth.
         robust.observe(&f, 1_000_000.0 * f.packets());
-        assert_eq!(robust.tripped_observations(), 1);
+        assert_eq!(robust.tripped, 1);
         let after = robust.predict(&f);
         assert!(
             after < before * CLAMP_RATIO,
@@ -374,7 +368,7 @@ mod tests {
         let bytes = writer.into_bytes();
         let mut restored = RobustMlrPredictor::with_defaults();
         restored.load_state(&mut StateReader::new(&bytes)).expect("loads");
-        assert_eq!(restored.tripped_observations(), robust.tripped_observations());
+        assert_eq!(restored.tripped, robust.tripped);
         assert_eq!(restored.predict(&probe).to_bits(), issued.to_bits());
     }
 }

@@ -121,12 +121,6 @@ impl MeasurementNoise {
         Self::new(seed, 0.02, 0.005, 3_000_000)
     }
 
-    /// A silent model that returns measurements unchanged (for tests that
-    /// need exact numbers).
-    pub fn none(seed: u64) -> Self {
-        Self::new(seed, 0.0, 0.0, 0)
-    }
-
     /// The raw RNG state, for checkpointing the noise stream mid-run.
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
@@ -209,7 +203,7 @@ mod tests {
 
     #[test]
     fn silent_noise_is_identity() {
-        let mut noise = MeasurementNoise::none(1);
+        let mut noise = MeasurementNoise::new(1, 0.0, 0.0, 0);
         let (measured, outlier) = noise.measure(123_456);
         assert_eq!(measured, 123_456);
         assert!(!outlier);

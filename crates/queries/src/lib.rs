@@ -30,7 +30,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod accuracy;
 pub mod boyer_moore;
 pub mod cost;
 pub mod output;

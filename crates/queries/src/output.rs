@@ -164,11 +164,6 @@ impl QueryOutput {
         };
         error.clamp(0.0, 1.0)
     }
-
-    /// Accuracy is one minus the error.
-    pub fn accuracy_against(&self, truth: &QueryOutput) -> f64 {
-        1.0 - self.error_against(truth)
-    }
 }
 
 /// `|1 - estimate / actual|`, with the conventions the paper uses for zero
@@ -233,7 +228,6 @@ mod tests {
     fn identical_outputs_have_zero_error() {
         let truth = QueryOutput::Flows { count: 500.0 };
         assert_eq!(truth.error_against(&truth), 0.0);
-        assert_eq!(truth.accuracy_against(&truth), 1.0);
     }
 
     #[test]

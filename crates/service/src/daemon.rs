@@ -180,6 +180,7 @@ impl<T> Pending<T> {
     /// once the reply is in — or, as [`ServiceError::ChannelClosed`], once
     /// none can come any more because the daemon was dropped with the
     /// command unapplied (what [`wait`](Pending::wait) reports then).
+    // lint:allow(unreached-pub): part of the daemon's command surface, the non-blocking reply probe
     pub fn poll(&self) -> Option<Result<T, ServiceError>> {
         match self.rx.try_recv() {
             Ok(reply) => Some(reply),
@@ -220,6 +221,7 @@ impl ControlChannel {
     }
 
     /// Deregisters a query by handle at the next bin boundary.
+    // lint:allow(unreached-pub): a daemon command
     pub fn deregister_query(&self, id: QueryId) -> Pending<()> {
         self.send(|reply| Command::DeregisterQuery { id, reply })
     }
@@ -229,6 +231,7 @@ impl ControlChannel {
     /// newly installed policy. A checkpoint taken after the swap restores if
     /// the new policy is a built-in or the one the restoring configuration
     /// constructs.
+    // lint:allow(unreached-pub): a daemon command
     pub fn swap_policy(&self, policy: impl Into<PolicySpec>) -> Pending<String> {
         let policy = policy.into();
         self.send(|reply| Command::SwapPolicy { policy, reply })

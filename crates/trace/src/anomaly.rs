@@ -346,7 +346,9 @@ mod tests {
         let mut out = Vec::new();
         a.inject(0, 0, 100_000, &mut rng, &mut out);
         assert_eq!(out.len(), 50);
-        assert!(out.iter().all(|p| p.is_syn() && p.tuple.dst_ip == 0x01020304 && p.ip_len == 40));
+        assert!(out
+            .iter()
+            .all(|p| p.tcp_flags == TCP_SYN && p.tuple.dst_ip == 0x01020304 && p.ip_len == 40));
     }
 
     #[test]
@@ -368,7 +370,7 @@ mod tests {
         assert_eq!(out.len(), 100);
         assert!(out.iter().all(|p| p.tuple.src_ip == 0xdead_beef
             && p.tuple.dst_port <= 1024
-            && p.is_syn()
+            && p.tcp_flags == TCP_SYN
             && p.ip_len == 40));
         let targets: std::collections::HashSet<u32> = out.iter().map(|p| p.tuple.dst_ip).collect();
         assert!(targets.len() > 50, "a scan probes many hosts");

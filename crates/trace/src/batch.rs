@@ -34,9 +34,10 @@
 //!   the first time a unit-rate query asks for them.
 //!
 //! Steady-state sampling is allocation-free: a [`KeepListPool`] recycles both
-//! the keep-index buffers and their `Arc` control blocks, so
-//! [`BatchView::filter_indexed_with`] performs no heap allocation once the
-//! pool is warm (see DESIGN.md, "Memory plane").
+//! the keep-index buffers and their `Arc` control blocks, so the pooled
+//! filters ([`BatchView::filter_keys_below_with`],
+//! [`BatchView::filter_flows_with`]) perform no heap allocation once the pool
+//! is warm (see DESIGN.md, "Memory plane").
 
 use crate::flows::{FlowIndex, FlowSet, FlowTotals};
 use crate::packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_SYN};
@@ -166,7 +167,7 @@ impl PayloadColumn {
 }
 
 /// Packet-at-a-time constructor for a [`PacketStore`], for stores built
-/// from packets rather than decoded: [`Batch::new`], [`BatchBuilder`] and
+/// from packets rather than decoded: [`Batch::new`] and
 /// [`BatchView::materialize`]. Payload bytes are copied into the store's
 /// one window as they arrive.
 #[derive(Debug, Default)]
@@ -336,11 +337,6 @@ impl PacketStore {
         Packets { store: self, range: 0..self.len() }
     }
 
-    /// The timestamp column, ascending, in microseconds.
-    pub fn timestamps(&self) -> &[Timestamp] {
-        &self.ts
-    }
-
     /// The five-tuple column.
     pub fn tuples(&self) -> &[FiveTuple] {
         &self.tuples
@@ -349,11 +345,6 @@ impl PacketStore {
     /// The IP-length column.
     pub fn ip_lens(&self) -> &[u32] {
         &self.ip_lens
-    }
-
-    /// The TCP-flags column (0 for non-TCP packets).
-    pub fn tcp_flag_bytes(&self) -> &[u8] {
-        &self.tcp_flags
     }
 
     /// The captured payload of the packet at `index`, if any: a slice of
@@ -499,16 +490,6 @@ impl<'a> PacketRef<'a> {
     /// Number of captured payload bytes (0 if no payload was captured).
     pub fn payload_len(&self) -> usize {
         self.payload().map_or(0, <[u8]>::len)
-    }
-
-    /// Returns `true` for a pure TCP SYN (SYN set, ACK clear).
-    pub fn is_syn(&self) -> bool {
-        self.proto() == 6 && self.tcp_flags() & TCP_SYN != 0 && self.tcp_flags() & TCP_ACK == 0
-    }
-
-    /// Returns `true` if the packet carries the given IP protocol.
-    pub fn is_proto(&self, proto: u8) -> bool {
-        self.proto() == proto
     }
 
     /// Copies the packet out into an owned [`Packet`] (payload bytes are
@@ -662,16 +643,6 @@ impl Batch {
         self.stats().bytes
     }
 
-    /// Total number of captured payload bytes in the batch.
-    pub fn total_payload_bytes(&self) -> u64 {
-        self.stats().payload_bytes
-    }
-
-    /// End timestamp of the time bin (exclusive).
-    pub fn end_ts(&self) -> Timestamp {
-        self.start_ts + self.duration_us
-    }
-
     /// Returns the measurement interval index this batch belongs to, given the
     /// measurement interval duration in microseconds.
     pub fn measurement_interval(&self, interval_us: u64) -> u64 {
@@ -729,21 +700,13 @@ impl Batch {
     pub fn stats(&self) -> BatchStats {
         self.packets.stats()
     }
-
-    /// Average bit rate of the batch over the time bin, in megabits per second.
-    pub fn load_mbps(&self) -> f64 {
-        if self.duration_us == 0 {
-            return 0.0;
-        }
-        let bits = self.total_bytes() as f64 * 8.0;
-        bits / (self.duration_us as f64 / 1e6) / 1e6
-    }
 }
 
 /// Recycles the keep-index lists behind sampled [`BatchView`]s.
 ///
-/// A pool slot is an `Arc<Vec<u32>>`. While a view derived through
-/// [`BatchView::filter_indexed_with`] is alive it shares the slot's `Arc`;
+/// A pool slot is an `Arc<Vec<u32>>`. While a view derived through a pooled
+/// filter ([`BatchView::filter_keys_below_with`],
+/// [`BatchView::filter_flows_with`]) is alive it shares the slot's `Arc`;
 /// once every such view is dropped the slot's strong count returns to one and
 /// the *next* sampling call reclaims it — index buffer capacity and `Arc`
 /// control block included. A steady state that derives a bounded number of
@@ -813,7 +776,7 @@ impl KeepListPool {
 ///
 /// Ownership rules: views are cheap to clone (two `Arc` bumps at most) and
 /// immutable; deriving a narrower view with [`BatchView::filter_indexed`] (or
-/// the pooled [`BatchView::filter_indexed_with`]) composes index lists
+/// a pooled filter such as [`BatchView::filter_flows_with`]) composes index lists
 /// against the *store*, so a view of a view still resolves packets in one
 /// hop.
 #[derive(Debug, Clone)]
@@ -840,11 +803,6 @@ impl BatchView {
     /// Duration of the time bin in microseconds.
     pub fn duration_us(&self) -> u64 {
         self.duration_us
-    }
-
-    /// End timestamp of the time bin (exclusive).
-    pub fn end_ts(&self) -> Timestamp {
-        self.start_ts + self.duration_us
     }
 
     /// Returns the measurement interval index this view belongs to.
@@ -955,9 +913,8 @@ impl BatchView {
     /// `true`. The closure receives the store index and the packet, in view
     /// order — no packet is copied.
     ///
-    /// Allocates a fresh keep list; steady-state callers should prefer
-    /// [`BatchView::filter_indexed_with`], which recycles lists through a
-    /// [`KeepListPool`].
+    /// Allocates a fresh keep list; steady-state callers use the pooled
+    /// filters, which recycle lists through a [`KeepListPool`].
     pub fn filter_indexed<F: FnMut(usize, PacketRef<'_>) -> bool>(&self, mut keep: F) -> BatchView {
         let mut kept = Vec::with_capacity(self.len());
         for (index, packet) in self.indexed_packets() {
@@ -968,22 +925,10 @@ impl BatchView {
         self.with_keep_arc(Arc::new(kept))
     }
 
-    /// Pooled variant of [`BatchView::filter_indexed`]: the keep list (buffer
-    /// *and* `Arc` control block) is claimed from `pool` and returns to it
-    /// once the derived view is dropped, so a warm steady state allocates
-    /// nothing. `keep` is asked once per packet of the view, in view order.
-    pub fn filter_indexed_with<F>(&self, pool: &mut KeepListPool, mut keep: F) -> BatchView
-    where
-        F: FnMut(usize, PacketRef<'_>) -> bool,
-    {
-        let slot = pool.claim();
-        let list = Arc::make_mut(&mut pool.slots[slot]);
-        self.compact_into(list, |at| keep(at, self.store.get(at)));
-        self.with_keep_arc(Arc::clone(&pool.slots[slot]))
-    }
-
     /// Derives a narrower view retaining the packets whose key is below
-    /// `threshold`, pooled like [`BatchView::filter_indexed_with`]: `keys`
+    /// `threshold`. The keep list (buffer *and* `Arc` control block) is
+    /// claimed from `pool` and returns to it once the derived view is
+    /// dropped, so a warm steady state allocates nothing. `keys`
     /// holds one key per packet of the store, by store index. One compare
     /// per packet, in a loop of its own per kind of view: through
     /// `compact_into`, which tests for a keep list per packet, cutting a
@@ -1022,7 +967,7 @@ impl BatchView {
     }
 
     /// Derives a narrower view retaining the packets of the flows `keep`
-    /// accepts, pooled like [`BatchView::filter_indexed_with`]. `keep` is
+    /// accepts, pooled like [`BatchView::filter_keys_below_with`]. `keep` is
     /// asked once per distinct 5-tuple of the view, at the flow's first
     /// retained packet; the flow's other packets share the verdict.
     pub fn filter_flows_with<F>(&self, pool: &mut KeepListPool, mut keep: F) -> BatchView
@@ -1085,7 +1030,7 @@ impl BatchView {
     }
 
     /// A view over the same bin retaining no packets; its (empty) keep list
-    /// is claimed from `pool` like [`BatchView::filter_indexed_with`]'s.
+    /// is claimed from `pool` like [`BatchView::filter_keys_below_with`]'s.
     pub fn cleared_with(&self, pool: &mut KeepListPool) -> BatchView {
         let slot = pool.claim();
         self.with_keep_arc(Arc::clone(&pool.slots[slot]))
@@ -1193,157 +1138,6 @@ impl BatchStats {
     }
 }
 
-/// Error returned by [`BatchBuilder::push_into`] when a packet's timestamp
-/// jumps so far ahead of the current bin that closing the gap would emit an
-/// unbounded run of empty batches (corrupt timestamps, not a quiet link).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimestampJumpError {
-    /// The bin the builder was filling when the jump was detected.
-    pub current_bin: u64,
-    /// The bin the offending packet's timestamp falls into.
-    pub packet_bin: u64,
-}
-
-impl std::fmt::Display for TimestampJumpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "packet timestamp jumps from bin {} to bin {} (more than {} empty bins)",
-            self.current_bin, self.packet_bin, MAX_GAP_BINS
-        )
-    }
-}
-
-impl std::error::Error for TimestampJumpError {}
-
-/// Maximum number of empty bins a single push may emit to bridge a timestamp
-/// gap. At the paper's 100 ms bins this is about seven minutes of silence —
-/// any larger jump is treated as corrupt input rather than a quiet link.
-pub const MAX_GAP_BINS: u64 = 4096;
-
-/// Accumulates packets into consecutive fixed-duration batches.
-///
-/// The builder assumes packets are pushed in non-decreasing timestamp order
-/// (as delivered by a capture device). The first packet anchors the builder
-/// to its time bin, so absolute timestamps (e.g. epoch microseconds) work
-/// without emitting empty batches for the eons before the capture started.
-/// Whenever a later packet belongs to a later time bin than the one
-/// currently being filled, the current batch is closed and returned; empty
-/// bins are emitted as empty batches so downstream consumers see a batch per
-/// time bin — up to a gap of [`MAX_GAP_BINS`] bins. A larger jump breaks the
-/// contiguous-bin guarantee instead of flooding the consumer with empties:
-/// [`BatchBuilder::push_into`] reports it as a [`TimestampJumpError`], while
-/// the convenience [`BatchBuilder::push`] re-anchors as if the capture had
-/// restarted.
-///
-/// The pending-packet buffer is *drained*, never replaced, when a batch
-/// closes, so its capacity is reused across bins: in the steady state
-/// [`BatchBuilder::push_into`] allocates only the closed batch's
-/// exactly-sized columns.
-#[derive(Debug)]
-pub struct BatchBuilder {
-    duration_us: u64,
-    current_bin: u64,
-    /// `false` until the first packet anchors `current_bin`.
-    anchored: bool,
-    pending: Vec<Packet>,
-}
-
-impl BatchBuilder {
-    /// Creates a builder producing batches of the given time-bin duration.
-    pub fn new(duration_us: u64) -> Self {
-        assert!(duration_us > 0, "time bin duration must be positive");
-        // lint:allow(hot-path-alloc): once-per-source builder construction
-        Self { duration_us, current_bin: 0, anchored: false, pending: Vec::new() }
-    }
-
-    /// Pushes a packet, appending any batches completed by this push to
-    /// `closed`; returns how many batches were appended.
-    ///
-    /// A single push can complete several batches if the packet timestamp
-    /// jumps over one or more empty bins. The caller owns (and can reuse)
-    /// the output buffer, so the common case — the packet lands in the bin
-    /// currently being filled — performs no allocation at all.
-    ///
-    /// # Errors
-    ///
-    /// If the packet's timestamp lies more than [`MAX_GAP_BINS`] bins ahead
-    /// of the bin being filled, the push is rejected with
-    /// [`TimestampJumpError`]: the packet is *not* consumed and the builder
-    /// state is unchanged, so the caller can decide whether to drop the
-    /// packet or reset the builder. The first packet ever pushed cannot
-    /// trigger this — it anchors the builder to its own bin instead.
-    pub fn push_into(
-        &mut self,
-        packet: Packet,
-        closed: &mut Vec<Batch>,
-    ) -> Result<usize, TimestampJumpError> {
-        let bin = packet.ts / self.duration_us;
-        if !self.anchored {
-            self.current_bin = bin;
-            self.anchored = true;
-        }
-        if bin > self.current_bin && bin - self.current_bin > MAX_GAP_BINS {
-            return Err(TimestampJumpError { current_bin: self.current_bin, packet_bin: bin });
-        }
-        let mut count = 0;
-        while bin > self.current_bin {
-            closed.push(self.close_current());
-            count += 1;
-        }
-        self.pending.push(packet);
-        Ok(count)
-    }
-
-    /// Pushes a packet; returns all batches that were completed by this push.
-    ///
-    /// Convenience wrapper over [`BatchBuilder::push_into`] that allocates a
-    /// fresh output vector only when batches actually close. A timestamp
-    /// jump larger than [`MAX_GAP_BINS`] bins is treated as a capture
-    /// restart: the bin being filled is closed and the builder re-anchors at
-    /// the packet's bin, instead of emitting thousands of empty batches or
-    /// failing. Use [`BatchBuilder::push_into`] to detect such jumps
-    /// explicitly.
-    pub fn push(&mut self, packet: Packet) -> Vec<Batch> {
-        // lint:allow(hot-path-alloc): allocating convenience wrapper; `push_into` is the hot path
-        let mut closed = Vec::new();
-        let bin = packet.ts / self.duration_us;
-        if self.anchored && bin > self.current_bin && bin - self.current_bin > MAX_GAP_BINS {
-            closed.push(self.close_current());
-            self.current_bin = bin;
-            self.pending.push(packet);
-        } else {
-            // lint:allow(no-unwrap): the else-branch condition just established the packet lands in the current bin range
-            self.push_into(packet, &mut closed).expect("in-range push cannot fail");
-        }
-        closed
-    }
-
-    /// Closes the batch currently being filled and advances to the next bin.
-    ///
-    /// Drains (rather than takes) the pending buffer so its capacity is
-    /// recycled for the next bin.
-    pub fn close_current(&mut self) -> Batch {
-        let mut store = PacketStore::builder(self.pending.len());
-        for packet in self.pending.drain(..) {
-            store.push_packet(packet);
-        }
-        let batch = Batch::from_store(
-            self.current_bin,
-            self.current_bin * self.duration_us,
-            self.duration_us,
-            store.finish(),
-        );
-        self.current_bin += 1;
-        batch
-    }
-
-    /// Flushes the final (possibly partial) batch.
-    pub fn finish(mut self) -> Batch {
-        self.close_current()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1447,100 +1241,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_groups_packets_by_bin() {
-        let mut b = BatchBuilder::new(100);
-        assert!(b.push(pkt(10)).is_empty());
-        assert!(b.push(pkt(50)).is_empty());
-        let closed = b.push(pkt(150));
-        assert_eq!(closed.len(), 1);
-        assert_eq!(closed[0].len(), 2);
-        assert_eq!(closed[0].bin_index, 0);
-        let last = b.finish();
-        assert_eq!(last.bin_index, 1);
-        assert_eq!(last.len(), 1);
-    }
-
-    #[test]
-    fn builder_emits_empty_bins_for_gaps() {
-        let mut b = BatchBuilder::new(100);
-        b.push(pkt(10));
-        let closed = b.push(pkt(350));
-        assert_eq!(closed.len(), 3);
-        assert_eq!(closed[0].len(), 1);
-        assert!(closed[1].is_empty());
-        assert!(closed[2].is_empty());
-        assert_eq!(closed[2].bin_index, 2);
-    }
-
-    #[test]
-    fn push_into_reuses_the_caller_buffer() {
-        let mut b = BatchBuilder::new(100);
-        let mut closed = Vec::new();
-        assert_eq!(b.push_into(pkt(10), &mut closed), Ok(0));
-        assert_eq!(b.push_into(pkt(250), &mut closed), Ok(2));
-        assert_eq!(closed.len(), 2);
-        assert_eq!(closed[0].len(), 1);
-        assert!(closed[1].is_empty());
-    }
-
-    #[test]
-    fn first_packet_anchors_the_builder_to_absolute_timestamps() {
-        // Epoch-microsecond timestamps: the first packet must not be treated
-        // as a pathological jump, and no leading empty batches are emitted.
-        let epoch_us = 1_700_000_000_000_000u64;
-        let mut b = BatchBuilder::new(100_000);
-        let mut closed = Vec::new();
-        assert_eq!(b.push_into(pkt(epoch_us), &mut closed), Ok(0));
-        assert_eq!(b.push_into(pkt(epoch_us + 150_000), &mut closed), Ok(1));
-        assert_eq!(closed[0].bin_index, epoch_us / 100_000);
-        assert_eq!(closed[0].len(), 1);
-        let last = b.finish();
-        assert_eq!(last.bin_index, epoch_us / 100_000 + 1);
-    }
-
-    #[test]
-    fn push_reanchors_across_a_pathological_gap_instead_of_failing() {
-        // A quiet link (or clock jump) beyond the gap cap: the convenience
-        // `push` closes the bin being filled and re-anchors — no panic, no
-        // flood of empty batches.
-        let mut b = BatchBuilder::new(100);
-        b.push(pkt(10));
-        let jump_ts = (MAX_GAP_BINS + 50) * 100;
-        let closed = b.push(pkt(jump_ts));
-        assert_eq!(closed.len(), 1, "only the pre-gap bin is closed");
-        assert_eq!(closed[0].bin_index, 0);
-        assert_eq!(closed[0].len(), 1);
-        let last = b.finish();
-        assert_eq!(last.bin_index, jump_ts / 100);
-        assert_eq!(last.len(), 1);
-    }
-
-    #[test]
-    fn pathological_timestamp_jump_is_rejected_without_state_change() {
-        let mut b = BatchBuilder::new(100);
-        let mut closed = Vec::new();
-        b.push_into(pkt(10), &mut closed).expect("in-bin push");
-        let jump = pkt((MAX_GAP_BINS + 2) * 100);
-        let err = b.push_into(jump.clone(), &mut closed).expect_err("jump must be rejected");
-        assert_eq!(err, TimestampJumpError { current_bin: 0, packet_bin: MAX_GAP_BINS + 2 });
-        assert!(closed.is_empty(), "no batches may be emitted for a rejected push");
-        // The builder is still on bin 0 and accepts in-range packets.
-        assert_eq!(b.push_into(pkt(50), &mut closed), Ok(0));
-        let last = b.finish();
-        assert_eq!(last.bin_index, 0);
-        assert_eq!(last.len(), 2);
-    }
-
-    #[test]
-    fn stats_and_load() {
+    fn stats_accumulate_at_construction() {
         let packets = vec![pkt(0), pkt(10), pkt(20)];
         let batch = Batch::new(0, 0, 100_000, packets);
         let stats = batch.stats();
         assert_eq!(stats.packets, 3);
         assert_eq!(stats.bytes, 300);
         assert_eq!(stats.tcp_packets, 3);
-        // 300 bytes over 100 ms = 2400 bits / 0.1 s = 24 kbit/s = 0.024 Mbps.
-        assert!((batch.load_mbps() - 0.024).abs() < 1e-9);
     }
 
     #[test]
@@ -1564,15 +1271,14 @@ mod tests {
         ];
         let batch = Batch::new(0, 0, 100_000, packets.clone());
         let store = batch.packets.as_ref();
-        assert_eq!(store.timestamps(), &[5, 9]);
+        let ts_and_flags: Vec<_> = store.iter().map(|p| (p.ts(), p.tcp_flags())).collect();
+        assert_eq!(ts_and_flags, [(5, 0), (9, TCP_SYN)]);
         assert_eq!(store.tuples()[0], tuple);
         assert_eq!(store.ip_lens(), &[60, 80]);
-        assert_eq!(store.tcp_flag_bytes(), &[0, TCP_SYN]);
         assert_eq!(store.payload(0), None);
         assert_eq!(store.payload(1), Some(&b"abc"[..]));
         assert!(store.has_payloads());
         let p1 = store.get(1);
-        assert!(p1.is_syn());
         assert_eq!(p1.payload_len(), 3);
         assert_eq!(p1.to_packet(), packets[1]);
         assert_eq!(store.to_packets(), packets);
@@ -1583,7 +1289,7 @@ mod tests {
         let batch = Batch::new(0, 0, 100_000, vec![pkt(0), pkt(1)]);
         assert!(!batch.packets.has_payloads());
         assert_eq!(batch.packets.payload(0), None);
-        assert_eq!(batch.total_payload_bytes(), 0);
+        assert_eq!(batch.stats().payload_bytes, 0);
     }
 
     #[test]
@@ -1645,7 +1351,7 @@ mod tests {
         let owned = batch.view().filter_indexed(|_, p| p.ts() != 10).materialize();
         assert_eq!(owned.bin_index, 5);
         assert_eq!(owned.len(), 2);
-        assert_eq!(owned.packets.timestamps(), &[0, 20]);
+        assert!(owned.packets.iter().map(|p| p.ts()).eq([0, 20]));
     }
 
     #[test]
@@ -1717,9 +1423,10 @@ mod tests {
     #[test]
     fn keep_list_pool_recycles_slots_across_bins() {
         let batch = Batch::new(0, 0, 100_000, (0..100).map(pkt).collect());
+        let every_third: Vec<u64> = (0..100).map(|index| u64::from(index % 3 != 0)).collect();
         let mut pool = KeepListPool::new();
         for round in 0..50 {
-            let view = batch.view().filter_indexed_with(&mut pool, |index, _| index % 3 == 0);
+            let view = batch.view().filter_keys_below_with(&mut pool, &every_third, 1);
             assert_eq!(view.len(), 34, "round {round}");
             let empty = view.cleared_with(&mut pool);
             assert!(empty.is_empty());
@@ -1737,7 +1444,8 @@ mod tests {
         let batch = Batch::new(0, 0, 100_000, (0..40).map(pkt).collect());
         let mut pool = KeepListPool::new();
         let plain = batch.view().filter_indexed(|index, _| index % 7 != 0);
-        let pooled = batch.view().filter_indexed_with(&mut pool, |index, _| index % 7 != 0);
+        let keys: Vec<u64> = (0..40).map(|index| u64::from(index % 7 == 0)).collect();
+        let pooled = batch.view().filter_keys_below_with(&mut pool, &keys, 1);
         assert!(plain
             .indexed_packets()
             .map(|(at, _)| at)
@@ -1749,12 +1457,12 @@ mod tests {
     fn pool_grows_only_while_views_are_live() {
         let batch = Batch::new(0, 0, 100_000, (0..10).map(pkt).collect());
         let mut pool = KeepListPool::new();
-        let a = batch.view().filter_indexed_with(&mut pool, |_, _| true);
-        let b = batch.view().filter_indexed_with(&mut pool, |_, _| true);
+        let a = batch.view().filter_flows_with(&mut pool, |_| true);
+        let b = batch.view().filter_flows_with(&mut pool, |_| true);
         assert_eq!(pool.slots(), 2, "live views hold their slots");
         drop(a);
         drop(b);
-        let c = batch.view().filter_indexed_with(&mut pool, |_, _| true);
+        let c = batch.view().filter_flows_with(&mut pool, |_| true);
         assert_eq!(pool.slots(), 2, "released slots are reclaimed before growing");
         drop(c);
     }

@@ -223,13 +223,6 @@ impl TraceConfig {
         self.payloads = payloads;
         self
     }
-
-    /// Sets the burstiness parameters (log-normal sigma and AR(1) rho).
-    pub fn with_burstiness(mut self, sigma: f64, rho: f64) -> Self {
-        self.burstiness_sigma = sigma;
-        self.burstiness_rho = rho;
-        self
-    }
 }
 
 /// State of one active synthetic flow.
@@ -511,10 +504,8 @@ mod tests {
 
     #[test]
     fn mean_load_tracks_configuration() {
-        let config = TraceConfig::default()
-            .with_seed(5)
-            .with_mean_packets_per_batch(300.0)
-            .with_burstiness(0.1, 0.5);
+        let config = TraceConfig::default().with_seed(5).with_mean_packets_per_batch(300.0);
+        let config = TraceConfig { burstiness_sigma: 0.1, burstiness_rho: 0.5, ..config };
         let mut g = TraceGenerator::new(config);
         let batches = g.batches(200);
         let mean = batches.iter().map(|b| b.len() as f64).sum::<f64>() / 200.0;
@@ -531,7 +522,7 @@ mod tests {
             let batch = g.next_batch();
             let mut last = batch.start_ts;
             for p in batch.packets.iter() {
-                assert!(p.ts() >= batch.start_ts && p.ts() < batch.end_ts());
+                assert!(p.ts() >= batch.start_ts && p.ts() < batch.start_ts + batch.duration_us);
                 assert!(p.ts() >= last);
                 last = p.ts();
             }
@@ -571,7 +562,7 @@ mod tests {
         let syns = batches
             .iter()
             .flat_map(|b| b.packets.iter())
-            .filter(crate::batch::PacketRef::is_syn)
+            .filter(|p| p.tcp_flags() == crate::packet::TCP_SYN)
             .count();
         assert!(syns > 0, "expected some SYN packets");
     }

@@ -52,8 +52,8 @@ pub use aggregate::{
 };
 pub use anomaly::{Anomaly, AnomalyKind};
 pub use batch::{
-    shard_key, Batch, BatchBuilder, BatchStats, BatchView, IndexedPackets, KeepListPool, PacketRef,
-    PacketStore, StoreBuilder, TimestampJumpError, FLOW_KEY_SEED, MAX_GAP_BINS,
+    shard_key, Batch, BatchStats, BatchView, IndexedPackets, KeepListPool, PacketRef, PacketStore,
+    StoreBuilder, FLOW_KEY_SEED,
 };
 pub use flows::{FlowIndex, FlowSet, FlowTotals};
 pub use format::{
@@ -61,7 +61,7 @@ pub use format::{
     TraceWriter, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 pub use generator::{AppProtocol, TraceConfig, TraceGenerator};
-pub use packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN};
+pub use packet::{FiveTuple, Packet, Timestamp, TCP_ACK, TCP_FIN, TCP_SYN};
 pub use profiles::TraceProfile;
 pub use scenario::{
     AnomalyEvent, Link, Phase, Scenario, ScenarioError, ScenarioSource, TrafficSpec,

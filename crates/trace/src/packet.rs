@@ -15,8 +15,6 @@ pub const TCP_SYN: u8 = 0x02;
 pub const TCP_ACK: u8 = 0x10;
 /// TCP FIN flag bit.
 pub const TCP_FIN: u8 = 0x01;
-/// TCP RST flag bit.
-pub const TCP_RST: u8 = 0x04;
 
 /// Packet timestamp in microseconds since the start of the trace.
 pub type Timestamp = u64;
@@ -118,6 +116,7 @@ impl Packet {
     }
 
     /// Creates a packet carrying a payload slice.
+    // lint:allow(unreached-pub): payload fixtures build packets with it, in the trace and query crates' tests and in `tests/`
     pub fn with_payload(
         ts: Timestamp,
         tuple: FiveTuple,
@@ -131,16 +130,6 @@ impl Packet {
     /// Returns the number of captured payload bytes (zero for header-only packets).
     pub fn payload_len(&self) -> usize {
         self.payload.as_ref().map_or(0, bytes::Bytes::len)
-    }
-
-    /// Returns `true` if this is a TCP packet with only the SYN flag set.
-    pub fn is_syn(&self) -> bool {
-        self.tuple.proto == 6 && (self.tcp_flags & TCP_SYN) != 0 && (self.tcp_flags & TCP_ACK) == 0
-    }
-
-    /// Returns `true` if the packet belongs to the given protocol number.
-    pub fn is_proto(&self, proto: u8) -> bool {
-        self.tuple.proto == proto
     }
 }
 
@@ -166,17 +155,6 @@ mod tests {
     fn format_ipv4_dotted_quad() {
         assert_eq!(format_ipv4(0xC0A80001), "192.168.0.1");
         assert_eq!(format_ipv4(0), "0.0.0.0");
-    }
-
-    #[test]
-    fn syn_detection_requires_tcp_and_no_ack() {
-        let t = FiveTuple::new(1, 2, 3, 4, 6);
-        let syn = Packet::header_only(0, t, 40, TCP_SYN);
-        let synack = Packet::header_only(0, t, 40, TCP_SYN | TCP_ACK);
-        let udp = Packet::header_only(0, FiveTuple::new(1, 2, 3, 4, 17), 40, TCP_SYN);
-        assert!(syn.is_syn());
-        assert!(!synack.is_syn());
-        assert!(!udp.is_syn());
     }
 
     #[test]

@@ -53,13 +53,6 @@ impl TraceProfile {
         }
     }
 
-    /// Resolves a profile from its paper name (`"CESCA-I"`, ...), case
-    /// insensitively. Returns `None` for unknown names — the scenario layer
-    /// turns that into a typed validation error instead of panicking.
-    pub fn from_name(name: &str) -> Option<TraceProfile> {
-        TraceProfile::ALL.into_iter().find(|p| p.name().eq_ignore_ascii_case(name))
-    }
-
     /// Returns `true` if the profile carries full packet payloads.
     pub fn has_payloads(self) -> bool {
         matches!(self, TraceProfile::CescaII | TraceProfile::UpcI)
@@ -145,15 +138,6 @@ mod tests {
                 assert!(!has_payload, "{} should be header-only", profile.name());
             }
         }
-    }
-
-    #[test]
-    fn from_name_round_trips_and_rejects_unknowns() {
-        for profile in TraceProfile::ALL {
-            assert_eq!(TraceProfile::from_name(profile.name()), Some(profile));
-            assert_eq!(TraceProfile::from_name(&profile.name().to_lowercase()), Some(profile));
-        }
-        assert_eq!(TraceProfile::from_name("NLANR-MOZART"), None);
     }
 
     #[test]

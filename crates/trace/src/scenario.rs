@@ -64,13 +64,6 @@ pub enum ScenarioError {
         /// Phase name.
         phase: String,
     },
-    /// A phase references a traffic profile name that does not exist.
-    UnknownProfile {
-        /// Phase name.
-        phase: String,
-        /// The unresolved profile name.
-        name: String,
-    },
     /// A phase's traffic scale is not a positive finite number.
     InvalidScale {
         /// Phase name.
@@ -136,9 +129,6 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::EmptyLink { link } => write!(f, "link {link:?} has no phases"),
             ScenarioError::ZeroDurationPhase { link, phase } => {
                 write!(f, "phase {phase:?} of link {link:?} lasts zero bins")
-            }
-            ScenarioError::UnknownProfile { phase, name } => {
-                write!(f, "phase {phase:?} references unknown trace profile {name:?}")
             }
             ScenarioError::InvalidScale { phase, scale } => {
                 write!(f, "phase {phase:?} has invalid traffic scale {scale}")
@@ -278,10 +268,6 @@ impl AnomalyEvent {
 pub enum TrafficSpec {
     /// A named stand-in for one of the paper's traces.
     Profile(TraceProfile),
-    /// A profile referenced by its paper name, resolved at validation time
-    /// (this is how machine-written configs say "CESCA-I" and get a typed
-    /// error for a typo instead of a panic).
-    Named(String),
     /// A fully explicit generator configuration (seed and time bin are
     /// overridden by the scenario; the mean is multiplied by the phase
     /// scale).
@@ -318,14 +304,6 @@ impl Phase {
     /// Sets the base traffic to a named profile (the phase scale is kept).
     pub fn profile(mut self, profile: TraceProfile) -> Self {
         self.traffic = TrafficSpec::Profile(profile);
-        self
-    }
-
-    /// Sets the base traffic to a profile referenced by its paper name;
-    /// unknown names surface as [`ScenarioError::UnknownProfile`] at
-    /// validation time.
-    pub fn profile_named(mut self, name: impl Into<String>) -> Self {
-        self.traffic = TrafficSpec::Named(name.into());
         self
     }
 
@@ -521,27 +499,18 @@ impl Scenario {
                         scale: phase.scale,
                     });
                 }
-                match &phase.traffic {
-                    TrafficSpec::Named(name) if TraceProfile::from_name(name).is_none() => {
-                        return Err(ScenarioError::UnknownProfile {
+                // The guard lands on the *effective* mean (config mean ×
+                // phase scale): NaN/∞/non-positive or absurd rates (which
+                // would saturate the Poisson draw) must not reach the
+                // generator.
+                if let TrafficSpec::Config(config) = &phase.traffic {
+                    let mean = config.mean_packets_per_batch * phase.scale;
+                    if !mean.is_finite() || mean <= 0.0 || mean > MAX_MEAN_PACKETS {
+                        return Err(ScenarioError::InvalidScale {
                             phase: phase.name.clone(),
-                            name: name.clone(),
+                            scale: mean,
                         });
                     }
-                    // The guard lands on the *effective* mean (config mean ×
-                    // phase scale): NaN/∞/non-positive or absurd rates
-                    // (which would saturate the Poisson draw) must not reach
-                    // the generator.
-                    TrafficSpec::Config(config) => {
-                        let mean = config.mean_packets_per_batch * phase.scale;
-                        if !mean.is_finite() || mean <= 0.0 || mean > MAX_MEAN_PACKETS {
-                            return Err(ScenarioError::InvalidScale {
-                                phase: phase.name.clone(),
-                                scale: mean,
-                            });
-                        }
-                    }
-                    _ => {}
                 }
                 let mut windows: Vec<(u64, u64)> = Vec::with_capacity(phase.anomalies.len());
                 for event in &phase.anomalies {
@@ -620,12 +589,6 @@ impl Scenario {
             let seed = derive_seed(self.seed, link_index, phase_index as u64);
             let mut config = match &phase.traffic {
                 TrafficSpec::Profile(profile) => Some(profile.config(seed, phase.scale)),
-                TrafficSpec::Named(name) => Some(
-                    TraceProfile::from_name(name)
-                        // lint:allow(no-unwrap): compile() validated every named profile before this loop
-                        .expect("validated above")
-                        .config(seed, phase.scale),
-                ),
                 TrafficSpec::Config(config) => {
                     let mut config = (**config).clone();
                     config.seed = seed;
@@ -905,7 +868,7 @@ mod tests {
             assert_eq!(batch.bin_index, expected_bin);
             assert_eq!(batch.start_ts, expected_bin * crate::DEFAULT_TIME_BIN_US);
             for p in batch.packets.iter() {
-                assert!(p.ts() >= batch.start_ts && p.ts() < batch.end_ts());
+                assert!(p.ts() >= batch.start_ts && p.ts() < batch.start_ts + batch.duration_us);
             }
         }
         assert!(source.next_batch().is_none());
@@ -1059,12 +1022,6 @@ mod tests {
             Err(ScenarioError::ZeroDurationPhase { ref phase, .. }) if phase == "nothing"
         ));
 
-        let unknown = Scenario::new("s").phase(Phase::new("p", 4).profile_named("CESCA-IX"));
-        assert_eq!(
-            unknown.validate(),
-            Err(ScenarioError::UnknownProfile { phase: "p".into(), name: "CESCA-IX".into() })
-        );
-
         let bad_scale = Scenario::new("s").phase(Phase::new("p", 4).scale(0.0));
         assert!(matches!(bad_scale.validate(), Err(ScenarioError::InvalidScale { .. })));
 
@@ -1208,18 +1165,5 @@ mod tests {
             assert!(builtin(adversarial).is_some(), "{adversarial} must stay in the corpus");
         }
         assert!(builtin("no-such-scenario").is_none());
-    }
-
-    #[test]
-    fn named_profiles_resolve_case_insensitively() {
-        let scenario = Scenario::new("s")
-            .seed(2)
-            .phase(Phase::new("p", 2).profile_named("cesca-i").scale(0.05));
-        let direct = Scenario::new("s")
-            .seed(2)
-            .phase(Phase::new("p", 2).profile(TraceProfile::CescaI).scale(0.05));
-        let a = scenario.generate().expect("valid");
-        let b = direct.generate().expect("valid");
-        assert_eq!(a[0].packets.as_ref(), b[0].packets.as_ref());
     }
 }

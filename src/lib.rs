@@ -36,13 +36,12 @@ pub use netshed_trace as trace;
 
 pub use netshed_fairness::{AllocationStrategy, QueryDemand};
 pub use netshed_monitor::{
-    AccuracyTracker, AllocationGameAttacker, AllocationPolicy, BinRecord, ControlContext,
-    ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DigestObserver,
-    EnforcementConfig, Engine, HysteresisReactivePolicy, Monitor, MonitorBuilder, MonitorConfig,
-    NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy, PolicySpec, PredictivePolicy,
-    PredictorKind, PredictorSpec, QueryId, ReactivePolicy, RecordSink, ReferenceRunner, RunDigest,
-    RunObserver, RunSummary, ShardedMonitor, Stage, StageStats, Strategy, StreamDigest,
-    DEFAULT_SHARD_LANES,
+    AccuracyTracker, AllocationPolicy, BinRecord, ControlContext, ControlDecision, ControlPolicy,
+    DecisionReason, DegradationGuard, DigestObserver, EnforcementConfig, Engine, Monitor,
+    MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy,
+    PolicySpec, PredictivePolicy, PredictorKind, PredictorSpec, QueryId, ReactivePolicy,
+    RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Stage,
+    StageStats, Strategy, StreamDigest, DEFAULT_SHARD_LANES,
 };
 pub use netshed_predict::{Predictor, RobustMlrPredictor};
 pub use netshed_queries::{QueryKind, QueryOutput, QuerySpec};
@@ -56,13 +55,12 @@ pub use netshed_trace::{
 pub mod prelude {
     pub use netshed_fairness::{Allocation, AllocationStrategy, QueryDemand};
     pub use netshed_monitor::{
-        AccuracyTracker, AllocationGameAttacker, AllocationPolicy, BinRecord, ControlContext,
-        ControlDecision, ControlPolicy, DecisionReason, DegradationGuard, DigestObserver,
-        EnforcementConfig, Engine, HysteresisReactivePolicy, Monitor, MonitorBuilder,
-        MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver, OraclePolicy, PolicySpec,
-        PredictivePolicy, PredictorKind, PredictorSpec, QueryBinRecord, QueryId, ReactivePolicy,
-        RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary, ShardedMonitor, Stage,
-        StageStats, Strategy, StreamDigest, DEFAULT_SHARD_LANES,
+        AccuracyTracker, AllocationPolicy, BinRecord, ControlContext, ControlDecision,
+        ControlPolicy, DecisionReason, DegradationGuard, DigestObserver, EnforcementConfig, Engine,
+        Monitor, MonitorBuilder, MonitorConfig, NetshedError, NoSheddingPolicy, NullObserver,
+        OraclePolicy, PolicySpec, PredictivePolicy, PredictorKind, PredictorSpec, QueryBinRecord,
+        QueryId, ReactivePolicy, RecordSink, ReferenceRunner, RunDigest, RunObserver, RunSummary,
+        ShardedMonitor, Stage, StageStats, Strategy, StreamDigest, DEFAULT_SHARD_LANES,
     };
     pub use netshed_predict::{Predictor, RobustMlrPredictor};
     pub use netshed_queries::{CustomBehavior, QueryKind, QueryOutput, QuerySpec};

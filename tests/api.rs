@@ -24,7 +24,12 @@ fn builder_rejects_invalid_configs_with_typed_errors() {
         Err(NetshedError::InvalidConfig(_))
     ));
     assert!(matches!(
-        Monitor::builder().capacity(100.0).platform_overhead(200.0).build(),
+        MonitorBuilder::from_config(MonitorConfig {
+            platform_overhead_cycles: 200.0,
+            ..MonitorConfig::default()
+        })
+        .capacity(100.0)
+        .build(),
         Err(NetshedError::CapacityUnderflow { .. })
     ));
     assert!(matches!(

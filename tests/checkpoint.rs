@@ -17,7 +17,7 @@
 //! in-process so a regression fails `cargo test` before CI.
 //!
 //! The last three tests carry the policies *outside* the `Strategy` enum
-//! (hardened stack, oracle, hysteresis) through the same boundary, solo and
+//! (hardened stack, oracle) through the same boundary, solo and
 //! fleet: the restoring configuration constructs the policy, the snapshot
 //! carries its state — the degradation guard's tripped state included.
 
@@ -240,14 +240,16 @@ fn custom_policies_resume_to_the_uninterrupted_digest_solo_and_fleet() {
 #[test]
 fn restoring_under_a_different_custom_policy_fails_naming_both() {
     fn refused<E: MonitorEngine>(batches: &[Batch], configs: &[(&'static str, MonitorConfig)]) {
-        let [_, (oracle, ran), (hysteresis, restoring)] = configs else {
-            panic!("three custom configurations");
+        let [(guarded, restoring), (oracle, ran)] = configs else {
+            panic!("two custom configurations");
         };
+        // The snapshot's predictor, so that the policy is all that differs.
+        let restoring = restoring.clone().with_predictor(ran.predictor.clone());
         let snapshot =
             checkpoint_run::<E>(batches, ran.clone(), midpoint(batches)).expect("checkpoint");
-        match resume_run::<E>(&snapshot, batches, restoring.clone()) {
+        match resume_run::<E>(&snapshot, batches, restoring) {
             Err(ServiceError::UnknownPolicy { snapshot, configured }) => {
-                assert_eq!((snapshot.as_str(), configured.as_str()), (*oracle, *hysteresis));
+                assert_eq!((snapshot.as_str(), configured.as_str()), (*oracle, *guarded));
             }
             other => panic!("expected UnknownPolicy naming both policies, got {other:?}"),
         }

@@ -32,7 +32,8 @@ fn kept(view: &BatchView) -> Vec<usize> {
 fn parents(batch: &Batch, pool: &mut KeepListPool) -> [BatchView; 3] {
     let full = batch.view();
     let (flows, _) = flow_sample_with(&full, 0.6, &H3Hasher::new(13, 5), pool);
-    let packets = full.filter_indexed_with(pool, |at, _| at % 3 != 1);
+    let every_third_dropped: Vec<u64> = (0..batch.len()).map(|at| u64::from(at % 3 == 1)).collect();
+    let packets = full.filter_keys_below_with(pool, &every_third_dropped, 1);
     [full, flows, packets]
 }
 

@@ -23,8 +23,8 @@
 //! CI pass exercise the parallel plane — solo and fleet — against the pinned
 //! digests for real.
 //!
-//! The policies outside the `Strategy` enum — the hardened stack, the oracle,
-//! the hysteresis policy — have no manifest rows; the last two tests pin
+//! The policies outside the `Strategy` enum — the hardened stack and the
+//! oracle — have no manifest rows; the last two tests pin
 //! them on the adversarial scenarios by the same *invariants* the built-ins
 //! obey: fleet digests independent of the worker count, and a one-lane fleet
 //! bit-identical to the solo monitor.

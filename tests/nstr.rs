@@ -72,10 +72,12 @@ fn assert_decoders_agree(case: &str, container: &Bytes) -> usize {
         let geometry = |b: &Batch| (b.bin_index, b.start_ts, b.duration_us);
         assert_eq!(geometry(got), geometry(want), "{case}: bin geometry");
         let (got, want) = (got.packets.as_ref(), want.packets.as_ref());
-        assert_eq!(got.timestamps(), want.timestamps(), "{case}: timestamps");
+        let ts_and_flags = |store: &PacketStore| -> Vec<(u64, u8)> {
+            store.iter().map(|p| (p.ts(), p.tcp_flags())).collect()
+        };
+        assert_eq!(ts_and_flags(got), ts_and_flags(want), "{case}: timestamps and tcp flags");
         assert_eq!(got.tuples(), want.tuples(), "{case}: tuples");
         assert_eq!(got.ip_lens(), want.ip_lens(), "{case}: ip lengths");
-        assert_eq!(got.tcp_flag_bytes(), want.tcp_flag_bytes(), "{case}: tcp flags");
         assert_eq!(got.has_payloads(), want.has_payloads(), "{case}: payload column");
         for index in 0..want.len() {
             // `Option<&[u8]>`: `None` and `Some(&[])` are different values.
@@ -206,13 +208,13 @@ fn inspect_walks_a_corpus_recording_without_decoding_it() {
     assert_eq!(frames.title, ".nstr version 2, time bin 100000 us");
     let decoded = decode_batches_shared(&container).expect("decode");
     assert_eq!(frames.rows.len(), decoded.len(), "a row per frame");
-    assert!(decoded.iter().any(|batch| batch.total_payload_bytes() > 0), "payloads to count");
+    assert!(decoded.iter().any(|batch| batch.stats().payload_bytes > 0), "payloads to count");
     for (at, batch) in decoded.iter().enumerate() {
         let key = at.to_string();
         let cell = |column: &str| frames.lookup(&key, column).expect(column);
         assert_eq!(cell("bin"), batch.bin_index as f64, "frame {at}");
         assert_eq!(cell("packets"), batch.len() as f64, "frame {at}");
-        assert_eq!(cell("payload_bytes"), batch.total_payload_bytes() as f64, "frame {at}");
+        assert_eq!(cell("payload_bytes"), batch.stats().payload_bytes as f64, "frame {at}");
         assert_eq!(frames.rows[at].last().map(ToString::to_string).as_deref(), Some("ok"));
     }
     let body_bytes: f64 = (0..decoded.len())

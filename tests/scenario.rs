@@ -89,11 +89,6 @@ fn scenario_validation_errors_convert_to_typed_netshed_errors() {
     assert!(matches!(error, NetshedError::InvalidScenario(_)));
     assert!(error.to_string().contains("overlap"), "{error}");
 
-    // Unknown profile name.
-    let unknown = Scenario::new("typo").phase(Phase::new("p", 5).profile_named("CESCA-III"));
-    let error: NetshedError = unknown.validate().expect_err("must fail").into();
-    assert!(error.to_string().contains("CESCA-III"), "{error}");
-
     // And format errors convert too.
     let garbage = Bytes::from_static(b"not a trace at all");
     let error: NetshedError = decode_batches_shared(&garbage).expect_err("must fail").into();
